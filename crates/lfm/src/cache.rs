@@ -9,13 +9,14 @@
 //! disabled by default), while [`CacheStats`] separately reports how
 //! many of those page touches were absorbed by the buffer pool.
 //!
+//! The pool is one slab of page frames plus a page table indexed by
+//! device page: a lookup is one array read and a hit is copied straight
+//! out of its frame — nothing is hashed or allocated per page.
 //! Eviction is the classic clock (second-chance) sweep; pinned frames
 //! are skipped, so a read call can pin the pages it is assembling from
 //! and never lose one mid-copy.
 
-use qbism_obs::Counter;
-use std::collections::HashMap;
-use std::sync::Arc;
+use qbism_obs::event;
 
 /// Buffer-pool knobs on the [`crate::LongFieldManager`].
 ///
@@ -37,193 +38,223 @@ pub struct CacheConfig {
 
 /// Cumulative buffer-pool behaviour (separate from the logical
 /// [`crate::IoStats`], which the cache never alters).
+///
+/// A read call looks each *distinct* page it touches up once, however
+/// many pieces share the page, so across cached reads `hits + misses`
+/// equals the logical `pages_read`; a page the call's own coalesced
+/// transfer or readahead staged is a hit when the call reaches it.
+/// Reads with the pool off take no cache lock and count nothing here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Page lookups served from the pool.
+    /// Distinct-page lookups served from the pool.
     pub hits: u64,
-    /// Page lookups that had to go to the device.
+    /// Distinct-page lookups that had to go to the device.
     pub misses: u64,
     /// Frames reclaimed by the clock sweep.
     pub evictions: u64,
 }
 
-struct Frame {
-    /// Absolute device page number.
+/// A run of consecutive pages that one call found all pooled or all
+/// not: journaled as one event when it ends.  `pages == 0`: none open.
+#[derive(Default)]
+struct LookupRun {
+    hit: bool,
     page: u64,
-    data: Arc<Vec<u8>>,
-    referenced: bool,
-    pins: u32,
+    pages: u64,
 }
 
-struct CacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-impl CacheMetrics {
-    fn new() -> CacheMetrics {
-        let reg = qbism_obs::global();
-        reg.describe("qbism_lfm_cache_hits_total", "LFM page-cache lookups served from the pool.");
-        reg.describe("qbism_lfm_cache_misses_total", "LFM page-cache lookups that hit the device.");
-        reg.describe("qbism_lfm_cache_evictions_total", "LFM page-cache frames reclaimed.");
-        CacheMetrics {
-            hits: reg.counter("qbism_lfm_cache_hits_total"),
-            misses: reg.counter("qbism_lfm_cache_misses_total"),
-            evictions: reg.counter("qbism_lfm_cache_evictions_total"),
-        }
-    }
-}
+/// Page-table entry of a page with no frame.
+const NO_FRAME: u32 = u32::MAX;
+/// Page number of an invalidated frame; the clock reuses it next sweep.
+const TOMBSTONE: u64 = u64::MAX;
 
 /// The pool itself.  All methods take `&mut self`; the manager wraps it
 /// in a `Mutex` so the `&self` read path can use it.
+#[derive(Default)]
 pub(crate) struct PageCache {
-    config: CacheConfig,
-    frames: Vec<Frame>,
-    map: HashMap<u64, usize>,
+    page_size: usize,
+    device_pages: usize,
+    /// Frames the pool may hold; zero while it is switched off.
+    capacity: usize,
+    /// Frame `f`'s bytes are `slab[f * page_size..][..page_size]`; grows
+    /// a frame at a time to `capacity` frames, then is reused in place.
+    slab: Vec<u8>,
+    /// Device page → frame or `NO_FRAME`; allocated when switched on.
+    table: Vec<u32>,
+    /// Frame → device page or `TOMBSTONE`.
+    pages: Vec<u64>,
+    referenced: Vec<bool>,
+    pins: Vec<u32>,
     hand: usize,
     stats: CacheStats,
-    metrics: CacheMetrics,
+    /// `stats` as of the last [`PageCache::end_call`].
+    published: CacheStats,
+    run: LookupRun,
 }
 
 impl std::fmt::Debug for PageCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageCache")
-            .field("config", &self.config)
-            .field("resident", &self.frames.len())
-            .field("stats", &self.stats)
-            .finish()
+        write!(f, "PageCache({}/{} frames, {:?})", self.pages.len(), self.capacity, self.stats)
     }
 }
 
 impl PageCache {
-    pub(crate) fn new() -> PageCache {
-        PageCache {
-            config: CacheConfig::default(),
-            frames: Vec::new(),
-            map: HashMap::new(),
-            hand: 0,
-            stats: CacheStats::default(),
-            metrics: CacheMetrics::new(),
-        }
+    /// A switched-off pool over `device_pages` pages of `page_size` bytes.
+    pub(crate) fn new(page_size: usize, device_pages: usize) -> PageCache {
+        PageCache { page_size, device_pages, ..PageCache::default() }
     }
 
-    pub(crate) fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    pub(crate) fn set_config(&mut self, config: CacheConfig) {
-        self.config = config;
+    /// Resizes the pool to `frames` frames (zero switches it off) and
+    /// empties it.  Stats survive.
+    pub(crate) fn set_capacity(&mut self, frames: usize) {
+        // A frame number must fit a page-table entry below `NO_FRAME`.
+        self.capacity = frames.min(NO_FRAME as usize);
+        self.slab = Vec::new();
+        self.table = if frames > 0 { vec![NO_FRAME; self.device_pages] } else { Vec::new() };
         self.clear();
-    }
-
-    pub(crate) fn is_active(&self) -> bool {
-        self.config.enabled && self.config.capacity_pages > 0
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// Residency probe that counts neither a hit nor a miss and leaves
-    /// the reference bit alone.  The manager's readahead policy uses it
-    /// to find the end of a non-resident run without polluting
-    /// [`CacheStats`] for pages the caller never asked for.
-    pub(crate) fn contains(&self, page: u64) -> bool {
-        self.map.contains_key(&page)
+    /// All frame bytes; frame `f` starts at `f * page_size`.
+    pub(crate) fn slab(&self) -> &[u8] {
+        &self.slab
+    }
+
+    /// The frame holding `page` — a residency probe that counts neither
+    /// a hit nor a miss and leaves the reference bit alone, so the
+    /// manager's readahead policy can find the end of a non-resident run
+    /// without polluting [`CacheStats`] for pages nobody asked for.
+    pub(crate) fn frame_of(&self, page: u64) -> Option<usize> {
+        self.table.get(page as usize).filter(|&&f| f != NO_FRAME).map(|&f| f as usize)
     }
 
     /// Looks `page` up, counting a hit or miss and marking the frame
-    /// referenced for the clock sweep.
-    pub(crate) fn get(&mut self, page: u64) -> Option<Arc<Vec<u8>>> {
-        match self.map.get(&page) {
-            Some(&idx) => {
-                let frame = &mut self.frames[idx];
-                frame.referenced = true;
+    /// referenced for the clock sweep; a hit is copied from the returned
+    /// frame of [`PageCache::slab`].
+    pub(crate) fn get(&mut self, page: u64) -> Option<usize> {
+        let frame = self.frame_of(page);
+        match frame {
+            Some(frame) => {
+                self.referenced[frame] = true;
                 self.stats.hits += 1;
-                self.metrics.hits.inc();
-                qbism_obs::event::cache_hit(page);
-                Some(Arc::clone(&frame.data))
             }
-            None => {
-                self.stats.misses += 1;
-                self.metrics.misses.inc();
-                qbism_obs::event::cache_miss(page);
-                None
-            }
+            None => self.stats.misses += 1,
+        }
+        let (hit, run) = (frame.is_some(), &mut self.run);
+        if run.pages > 0 && run.hit == hit && run.page + run.pages == page {
+            run.pages += 1;
+        } else {
+            self.flush_run();
+            self.run = LookupRun { hit, page, pages: 1 };
+        }
+        frame
+    }
+
+    fn flush_run(&mut self) {
+        match std::mem::take(&mut self.run) {
+            LookupRun { pages: 0, .. } => {}
+            LookupRun { hit: true, page, pages } => event::cache_hit(page, pages),
+            LookupRun { hit: false, page, pages } => event::cache_miss(page, pages),
         }
     }
 
-    /// Caches `data` for `page`, evicting an unpinned frame via the
-    /// clock hand if the pool is full.  When every frame is pinned the
-    /// insert is skipped — correctness never depends on residency.
-    pub(crate) fn insert(&mut self, page: u64, data: Arc<Vec<u8>>) {
-        if !self.is_active() || self.map.contains_key(&page) {
+    /// Ends one read call: journals its last lookup run and returns the
+    /// call's hit/miss/eviction tallies for the manager to publish.
+    pub(crate) fn end_call(&mut self) -> CacheStats {
+        self.flush_run();
+        let was = std::mem::replace(&mut self.published, self.stats);
+        CacheStats {
+            hits: self.stats.hits - was.hits,
+            misses: self.stats.misses - was.misses,
+            evictions: self.stats.evictions - was.evictions,
+        }
+    }
+
+    /// Caches `data` (one page of bytes) for `page`, evicting an
+    /// unpinned frame via the clock hand if the pool is full.  When
+    /// every frame is pinned the insert is skipped — correctness never
+    /// depends on residency.
+    pub(crate) fn insert(&mut self, page: u64, data: &[u8]) {
+        // Anything else is resident already, or the pool is off.
+        if self.table.get(page as usize) != Some(&NO_FRAME) || data.len() != self.page_size {
             return;
         }
-        if self.frames.len() < self.config.capacity_pages {
-            self.map.insert(page, self.frames.len());
-            self.frames.push(Frame { page, data, referenced: true, pins: 0 });
-            return;
-        }
-        // Clock sweep: two full passes guarantee a victim if any frame
-        // is unpinned (the first pass may only clear reference bits).
-        for _ in 0..self.frames.len() * 2 {
-            let idx = self.hand;
-            self.hand = (self.hand + 1) % self.frames.len();
-            let frame = &mut self.frames[idx];
-            if frame.pins > 0 {
+        let frame = if self.pages.len() < self.capacity {
+            self.slab.extend_from_slice(data);
+            self.pages.push(page);
+            self.referenced.push(true);
+            self.pins.push(0);
+            self.pages.len() - 1
+        } else {
+            let Some(frame) = self.sweep() else { return };
+            self.slab[frame * self.page_size..][..self.page_size].copy_from_slice(data);
+            self.pages[frame] = page;
+            self.referenced[frame] = true;
+            frame
+        };
+        self.table[page as usize] = frame as u32;
+    }
+
+    /// Clock sweep: two full passes guarantee a victim if any frame is
+    /// unpinned (the first pass may only clear reference bits).
+    fn sweep(&mut self) -> Option<usize> {
+        for _ in 0..self.pages.len() * 2 {
+            let frame = self.hand;
+            self.hand = (self.hand + 1) % self.pages.len();
+            if self.pins[frame] > 0 {
                 continue;
             }
-            if frame.referenced {
-                frame.referenced = false;
+            if self.referenced[frame] {
+                self.referenced[frame] = false;
                 continue;
             }
-            self.map.remove(&frame.page);
+            let victim = self.pages[frame];
+            if victim != TOMBSTONE {
+                self.table[victim as usize] = NO_FRAME;
+            }
             self.stats.evictions += 1;
-            self.metrics.evictions.inc();
-            qbism_obs::event::cache_evict(frame.page);
-            self.map.insert(page, idx);
-            self.frames[idx] = Frame { page, data, referenced: true, pins: 0 };
-            return;
+            event::cache_evict(victim);
+            return Some(frame);
         }
+        None
     }
 
-    /// Pins a resident page against eviction (no-op when absent).
-    pub(crate) fn pin(&mut self, page: u64) {
-        if let Some(&idx) = self.map.get(&page) {
-            self.frames[idx].pins += 1;
-        }
+    /// Pins a frame against eviction.
+    pub(crate) fn pin(&mut self, frame: usize) {
+        self.pins[frame] += 1;
     }
 
-    /// Releases one pin on a resident page.
-    pub(crate) fn unpin(&mut self, page: u64) {
-        if let Some(&idx) = self.map.get(&page) {
-            let frame = &mut self.frames[idx];
-            frame.pins = frame.pins.saturating_sub(1);
-        }
+    /// Releases one pin on a frame.
+    pub(crate) fn unpin(&mut self, frame: usize) {
+        self.pins[frame] = self.pins[frame].saturating_sub(1);
     }
 
     /// Drops any cached copy of `count` device pages starting at
     /// `first_page` (called when the underlying bytes change).
     pub(crate) fn invalidate_range(&mut self, first_page: u64, count: u64) {
-        if self.map.is_empty() {
-            return;
-        }
-        for page in first_page..first_page + count {
-            if let Some(idx) = self.map.remove(&page) {
+        let len = self.table.len() as u64;
+        let (first, end) = (first_page.min(len), first_page.saturating_add(count).min(len));
+        for slot in &mut self.table[first as usize..end as usize] {
+            if *slot != NO_FRAME {
                 // Tombstone the frame; the clock reuses it next sweep.
-                self.frames[idx].referenced = false;
-                self.frames[idx].pins = 0;
-                self.frames[idx].page = u64::MAX;
+                let frame = std::mem::replace(slot, NO_FRAME) as usize;
+                self.referenced[frame] = false;
+                self.pins[frame] = 0;
+                self.pages[frame] = TOMBSTONE;
             }
         }
     }
 
     /// Empties the pool (recovery, reconfiguration).  Stats survive.
     pub(crate) fn clear(&mut self) {
-        self.frames.clear();
-        self.map.clear();
+        self.slab.clear();
+        self.table.fill(NO_FRAME);
+        self.pages.clear();
+        self.referenced.clear();
+        self.pins.clear();
         self.hand = 0;
     }
 
@@ -231,17 +262,22 @@ impl PageCache {
     /// tests call this after every interleaved operation.
     #[cfg(test)]
     pub(crate) fn validate(&self) {
-        assert!(
-            self.frames.is_empty() || self.frames.len() <= self.config.capacity_pages,
-            "pool overflowed its capacity"
-        );
-        assert!(self.hand == 0 || self.hand < self.frames.len(), "clock hand out of range");
-        for (&page, &idx) in &self.map {
-            assert!(idx < self.frames.len(), "map points past the frame table");
-            assert_eq!(self.frames[idx].page, page, "map and frame disagree on page number");
+        let frames = self.pages.len();
+        assert!(frames <= self.capacity, "pool overflowed its capacity");
+        assert!(self.hand == 0 || self.hand < frames, "clock hand out of range");
+        assert_eq!(self.slab.len(), frames * self.page_size, "slab and frame table disagree");
+        assert_eq!((self.referenced.len(), self.pins.len()), (frames, frames));
+        let mut mapped = 0;
+        for (page, &frame) in self.table.iter().enumerate().filter(|&(_, &f)| f != NO_FRAME) {
+            mapped += 1;
+            assert!((frame as usize) < frames, "table points past the frame table");
+            assert_eq!(self.pages[frame as usize], page as u64, "table and frame disagree");
         }
-        let live = self.frames.iter().filter(|f| f.page != u64::MAX).count();
-        assert_eq!(live, self.map.len(), "frame table and map track different residency");
+        // Mapped pages name distinct frames (each frame holds one page
+        // number), so equal counts mean every live frame is the one its
+        // page's entry names: no two frames hold one page.
+        let live = self.pages.iter().filter(|&&p| p != TOMBSTONE).count();
+        assert_eq!(live, mapped, "frame table and page table track different residency");
     }
 }
 
@@ -250,65 +286,75 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
 
+    const PAGE: usize = 8;
+
     fn active(capacity: usize) -> PageCache {
-        let mut c = PageCache::new();
-        c.set_config(CacheConfig { capacity_pages: capacity, enabled: true, readahead_pages: 0 });
+        let mut c = PageCache::new(PAGE, 16);
+        c.set_capacity(capacity);
         c
     }
 
-    fn page(fill: u8) -> Arc<Vec<u8>> {
-        Arc::new(vec![fill; 8])
+    fn page(fill: u8) -> [u8; PAGE] {
+        [fill; PAGE]
+    }
+
+    /// Bytes of a resident page, via a counted lookup.
+    fn bytes(c: &mut PageCache, p: u64) -> Option<Vec<u8>> {
+        c.get(p).map(|f| c.slab()[f * PAGE..(f + 1) * PAGE].to_vec())
     }
 
     #[test]
     fn default_cache_is_off() {
-        let c = PageCache::new();
-        assert!(!c.is_active());
-        assert_eq!(c.config(), CacheConfig::default());
+        let mut c = PageCache::new(PAGE, 16);
+        c.insert(3, &page(3));
+        assert!(c.frame_of(3).is_none(), "a switched-off pool stores nothing");
+        assert!(!CacheConfig::default().enabled);
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let mut c = active(4);
         assert!(c.get(7).is_none());
-        c.insert(7, page(1));
-        assert_eq!(c.get(7).unwrap().as_slice(), &[1u8; 8]);
+        c.insert(7, &page(1));
+        assert_eq!(bytes(&mut c, 7).unwrap(), [1u8; PAGE]);
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
     }
 
     #[test]
     fn clock_gives_referenced_pages_a_second_chance() {
         let mut c = active(3);
-        c.insert(1, page(1));
-        c.insert(2, page(2));
-        c.insert(3, page(3));
+        c.insert(1, &page(1));
+        c.insert(2, &page(2));
+        c.insert(3, &page(3));
         // Pool full: the sweep clears all reference bits, then evicts
         // page 1 (first unreferenced frame after the hand wraps).
-        c.insert(4, page(4));
+        c.insert(4, &page(4));
         assert!(c.get(1).is_none());
         // Re-reference page 2; page 3's bit stays clear.
         assert!(c.get(2).is_some());
-        c.insert(5, page(5));
-        assert!(c.get(2).is_some(), "referenced page got its second chance");
+        c.insert(5, &page(5));
+        assert_eq!(bytes(&mut c, 2).unwrap(), [2u8; PAGE], "referenced page got its second chance");
         assert!(c.get(3).is_none(), "unreferenced page was the victim");
-        assert!(c.get(4).is_some());
-        assert!(c.get(5).is_some());
+        assert_eq!(bytes(&mut c, 4).unwrap(), [4u8; PAGE]);
+        assert_eq!(bytes(&mut c, 5).unwrap(), [5u8; PAGE]);
         assert_eq!(c.stats().evictions, 2);
+        c.validate();
     }
 
     #[test]
     fn pinned_frames_are_never_evicted() {
         let mut c = active(2);
-        c.insert(1, page(1));
-        c.insert(2, page(2));
-        c.pin(1);
-        c.pin(2);
-        c.insert(3, page(3)); // nowhere to go: skipped
+        c.insert(1, &page(1));
+        c.insert(2, &page(2));
+        let (f1, f2) = (c.frame_of(1).unwrap(), c.frame_of(2).unwrap());
+        c.pin(f1);
+        c.pin(f2);
+        c.insert(3, &page(3)); // nowhere to go: skipped
         assert!(c.get(3).is_none());
-        c.unpin(2);
-        c.insert(3, page(3));
-        assert!(c.get(3).is_some());
-        assert!(c.get(1).is_some(), "pinned page survived the sweep");
+        c.unpin(f2);
+        c.insert(3, &page(3));
+        assert_eq!(bytes(&mut c, 3).unwrap(), [3u8; PAGE]);
+        assert_eq!(bytes(&mut c, 1).unwrap(), [1u8; PAGE], "pinned page survived the sweep");
         assert!(c.get(2).is_none());
     }
 
@@ -316,30 +362,38 @@ mod tests {
     fn invalidation_forgets_pages() {
         let mut c = active(4);
         for p in 0..4 {
-            c.insert(p, page(p as u8));
+            c.insert(p, &page(p as u8));
         }
         c.invalidate_range(1, 2);
         assert!(c.get(0).is_some());
         assert!(c.get(1).is_none());
         assert!(c.get(2).is_none());
         assert!(c.get(3).is_some());
+        // The tombstoned frames are reused before anything live goes.
+        c.insert(9, &page(9));
+        c.insert(10, &page(10));
+        c.validate();
+        assert_eq!(bytes(&mut c, 9).unwrap(), [9u8; PAGE]);
+        assert_eq!(bytes(&mut c, 10).unwrap(), [10u8; PAGE]);
     }
 
     #[test]
     fn reconfiguring_clears_residency() {
         let mut c = active(4);
-        c.insert(9, page(9));
-        c.set_config(CacheConfig { capacity_pages: 2, enabled: true, readahead_pages: 0 });
+        c.insert(9, &page(9));
+        c.set_capacity(2);
         assert!(c.get(9).is_none());
+        c.validate();
     }
 
     #[test]
     fn contains_is_stats_neutral() {
         let mut c = active(4);
-        c.insert(3, page(3));
+        c.insert(3, &page(3));
         let before = c.stats();
-        assert!(c.contains(3));
-        assert!(!c.contains(4));
+        assert!(c.frame_of(3).is_some());
+        assert!(c.frame_of(4).is_none());
+        assert!(c.frame_of(1 << 40).is_none(), "a page past the device is just not resident");
         assert_eq!(c.stats(), before, "residency probes must not count hits or misses");
     }
 
@@ -347,12 +401,36 @@ mod tests {
     fn validate_accepts_a_worked_pool() {
         let mut c = active(2);
         for p in 0..5 {
-            c.insert(p, page(p as u8));
+            c.insert(p, &page(p as u8));
             c.validate();
         }
-        c.pin(3);
+        let f3 = c.frame_of(3).unwrap();
+        c.pin(f3);
         c.invalidate_range(4, 1);
         c.validate();
+    }
+
+    #[test]
+    fn end_call_hands_each_tally_out_once() {
+        let mut c = active(1);
+        c.insert(1, &page(1));
+        assert!(c.get(1).is_some());
+        assert!(c.get(2).is_none());
+        c.insert(2, &page(2));
+        assert_eq!(c.end_call(), CacheStats { hits: 1, misses: 1, evictions: 1 });
+        assert_eq!(c.end_call(), CacheStats::default(), "nothing new since");
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 1 });
+        assert_eq!(c.run.pages, 0);
+    }
+
+    #[test]
+    fn validate_rejects_two_frames_holding_one_page() {
+        let mut c = active(2);
+        c.insert(1, &page(1));
+        c.insert(2, &page(2));
+        c.pages[1] = 1; // frame 1 now claims page 1 too
+        c.table[2] = NO_FRAME;
+        assert!(std::panic::catch_unwind(|| c.validate()).is_err());
     }
 
     /// The clock-hand / pin-count invariants under every explored
@@ -368,23 +446,26 @@ mod tests {
             thread::scope(|s| {
                 let reader = Arc::clone(&pool);
                 s.spawn(move || {
-                    {
+                    let frame = {
                         let mut c = reader.lock_or_recover();
-                        c.insert(1, page(1));
-                        c.pin(1);
+                        c.insert(1, &page(1));
+                        let frame = c.frame_of(1).unwrap();
+                        c.pin(frame);
                         c.validate();
-                    }
+                        frame
+                    };
                     thread::yield_now();
                     let mut c = reader.lock_or_recover();
-                    assert!(c.get(1).is_some(), "pinned page evicted under churn");
-                    c.unpin(1);
+                    assert_eq!(c.get(1), Some(frame), "pinned page evicted under churn");
+                    assert_eq!(&c.slab()[frame * PAGE..(frame + 1) * PAGE], &page(1));
+                    c.unpin(frame);
                     c.validate();
                 });
                 let churn = Arc::clone(&pool);
                 s.spawn(move || {
                     for p in [2u64, 3, 4, 5] {
                         let mut c = churn.lock_or_recover();
-                        c.insert(p, page(p as u8));
+                        c.insert(p, &page(p as u8));
                         let _ = c.get(p);
                         c.validate();
                         drop(c);

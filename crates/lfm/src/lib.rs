@@ -70,6 +70,13 @@ pub enum LfmError {
         /// Requested length.
         len: u64,
     },
+    /// The pieces of a vectored read are not sorted by offset, or
+    /// overlap.
+    UnsortedPieces {
+        /// Index of the first piece that starts before its predecessor
+        /// ends.
+        index: usize,
+    },
     /// Device geometry is invalid (zero page size, capacity not a
     /// multiple of the page size, …).
     BadGeometry(&'static str),
@@ -105,6 +112,9 @@ impl std::fmt::Display for LfmError {
             LfmError::NoSuchField(id) => write!(f, "no long field with id {id}"),
             LfmError::OutOfBounds { field_len, offset, len } => {
                 write!(f, "access [{offset}, {offset}+{len}) outside field of {field_len} bytes")
+            }
+            LfmError::UnsortedPieces { index } => {
+                write!(f, "piece {index} starts before the previous piece ends")
             }
             LfmError::BadGeometry(what) => write!(f, "bad device geometry: {what}"),
             LfmError::InvalidFree { offset, order } => {

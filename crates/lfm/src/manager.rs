@@ -33,11 +33,10 @@ use crate::journal::{
 };
 use crate::model::{DiskModel, IoStats};
 use crate::{LfmError, Result};
-use qbism_check::sync::Mutex;
+use qbism_check::sync::{Mutex, MutexGuard};
 use qbism_fault::checksum;
 use qbism_obs::{trace, Counter, Gauge};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// Cached handles to the global LFM metrics (Table 3/4 columns).
 #[derive(Debug, Clone)]
@@ -59,6 +58,9 @@ struct LfmMetrics {
     extent_phys_reads: Counter,
     extent_coalesced_pages: Counter,
     extent_readahead_pages: Counter,
+    cache_hits: Counter,
+    cache_misses: Counter,
+    cache_evictions: Counter,
     compressed_bytes_on_device: Counter,
     compressed_pages_read: Counter,
     compressed_decode_skips: Counter,
@@ -114,6 +116,15 @@ impl LfmMetrics {
             "Pages staged into the page cache by sequential readahead.",
         );
         reg.describe(
+            "qbism_lfm_cache_hits_total",
+            "Distinct pages per LFM read call found in the page cache.",
+        );
+        reg.describe(
+            "qbism_lfm_cache_misses_total",
+            "Distinct pages per LFM read call the page cache had to fetch.",
+        );
+        reg.describe("qbism_lfm_cache_evictions_total", "LFM page-cache frames reclaimed.");
+        reg.describe(
             "qbism_lfm_compressed_bytes_on_device_total",
             "Bytes written into the compressed tablespace (compact REGION payloads).",
         );
@@ -144,6 +155,9 @@ impl LfmMetrics {
             extent_phys_reads: reg.counter("qbism_lfm_extent_phys_reads_total"),
             extent_coalesced_pages: reg.counter("qbism_lfm_extent_coalesced_pages_total"),
             extent_readahead_pages: reg.counter("qbism_lfm_extent_readahead_pages_total"),
+            cache_hits: reg.counter("qbism_lfm_cache_hits_total"),
+            cache_misses: reg.counter("qbism_lfm_cache_misses_total"),
+            cache_evictions: reg.counter("qbism_lfm_cache_evictions_total"),
             compressed_bytes_on_device: reg.counter("qbism_lfm_compressed_bytes_on_device_total"),
             compressed_pages_read: reg.counter("qbism_lfm_compressed_pages_read_total"),
             compressed_decode_skips: reg.counter("qbism_lfm_compressed_decode_skips_total"),
@@ -290,6 +304,31 @@ struct AcctState {
     fault_latency: f64,
 }
 
+/// Frames `config` asks the pool for: none unless it is switched on.
+fn pool_frames(config: CacheConfig) -> usize {
+    if config.enabled {
+        config.capacity_pages
+    } else {
+        0
+    }
+}
+
+/// Last field page of the physical extent — the maximal run of
+/// consecutive demanded pages — that `pieces[0]` (non-empty) lies in.
+fn extent_last_page(pieces: &[(u64, u64)], psz: u64) -> u64 {
+    let mut last = 0;
+    for (i, &(offset, len)) in pieces.iter().enumerate() {
+        if len == 0 {
+            continue;
+        }
+        if i > 0 && offset / psz > last + 1 {
+            break;
+        }
+        last = (offset + len - 1) / psz;
+    }
+    last
+}
+
 /// A long-field store over a simulated raw disk device.
 ///
 /// Every read and write is accounted in distinct touched 4 KiB pages and
@@ -316,6 +355,9 @@ pub struct LongFieldManager {
     disk: DiskModel,
     metrics: LfmMetrics,
     cache: Mutex<PageCache>,
+    /// Beside the mutex, not under it: only `&mut self` changes it, so
+    /// readers learn whether the pool is on without locking anything.
+    cache_config: CacheConfig,
     geo: Geometry,
     epoch: u64,
     journal_seq: u64,
@@ -347,7 +389,11 @@ impl LongFieldManager {
             acct: Mutex::named("lfm.acct", AcctState::default()),
             disk: DiskModel::default(),
             metrics: LfmMetrics::new(),
-            cache: Mutex::named("lfm.cache", PageCache::new()),
+            cache: Mutex::named(
+                "lfm.cache",
+                PageCache::new(page_size, (geo.data_start + geo.data_pages) as usize),
+            ),
+            cache_config: CacheConfig::default(),
             geo,
             epoch: 1,
             journal_seq: 0,
@@ -426,12 +472,19 @@ impl LongFieldManager {
     /// Reconfigures the page cache (the pool is emptied; stats remain).
     /// Defaults to disabled — the paper's unbuffered LFM.
     pub fn set_cache_config(&mut self, config: CacheConfig) {
-        self.cache.lock_or_recover().set_config(config);
+        self.cache_config = config;
+        self.cache.lock_or_recover().set_capacity(pool_frames(config));
     }
 
     /// Current page-cache configuration.
     pub fn cache_config(&self) -> CacheConfig {
-        self.cache.lock_or_recover().config()
+        self.cache_config
+    }
+
+    /// The buffer pool, locked — or `None` while it is switched off,
+    /// which costs no lock: unbuffered readers never meet on `lfm.cache`.
+    fn pool(&self) -> Option<MutexGuard<'_, PageCache>> {
+        (pool_frames(self.cache_config) > 0).then(|| self.cache.lock_or_recover())
     }
 
     /// Cumulative page-cache hit/miss/eviction counters.
@@ -677,9 +730,8 @@ impl LongFieldManager {
 
     /// Drops cached copies of a data-area buddy block's pages.
     fn invalidate_cached_block(&self, first_page: u64, order: u32) {
-        let mut cache = self.cache.lock_or_recover();
-        if cache.is_active() {
-            cache.invalidate_range(self.geo.data_start + first_page, 1u64 << order);
+        if let Some(mut pool) = self.pool() {
+            pool.invalidate_range(self.geo.data_start + first_page, 1u64 << order);
         }
     }
 
@@ -702,7 +754,8 @@ impl LongFieldManager {
     /// Reads `len` bytes at `offset` — the LFM's "fast random I/O to
     /// arbitrary pieces of long fields".
     pub fn read_piece(&self, id: LongFieldId, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(len as usize);
+        // Sized by `read_pieces_into` once `len` has passed its bounds check.
+        let mut out = Vec::new();
         self.read_pieces_into(id, &[(offset, len)], &mut out)?;
         Ok(out)
     }
@@ -722,8 +775,13 @@ impl LongFieldManager {
     /// transfer.  None of this changes the bytes returned or the
     /// logical [`IoStats`] above — Tables 1–4 stay bit-identical.
     ///
+    /// The native cost is one step per distinct page plus the copy:
+    /// a single walk over the pieces yields the accounting and moves the
+    /// bytes, and with the pool off it takes no cache lock at all.
+    ///
     /// Pieces must be sorted by offset and non-overlapping (extraction
-    /// runs always are); violations are a programming error and panic.
+    /// runs always are); anything else is [`LfmError::UnsortedPieces`],
+    /// raised — like [`LfmError::OutOfBounds`] — before any side effect.
     pub fn read_pieces_into(
         &self,
         id: LongFieldId,
@@ -731,51 +789,109 @@ impl LongFieldManager {
         out: &mut Vec<u8>,
     ) -> Result<()> {
         let span = trace::span("lfm.read");
-        let desc = self.desc(id)?.clone();
-        let mut prev_end: Option<u64> = None;
-        for &(offset, len) in pieces {
-            if let Some(pe) = prev_end {
-                assert!(offset >= pe, "pieces must be sorted and disjoint");
+        let desc = self.desc(id)?;
+        let mut total = 0u64;
+        let mut prev_end = 0u64;
+        for (index, &(offset, len)) in pieces.iter().enumerate() {
+            if offset < prev_end {
+                return Err(LfmError::UnsortedPieces { index });
             }
-            prev_end = Some(offset + len);
-            if offset + len > desc.len {
-                return Err(LfmError::OutOfBounds { field_len: desc.len, offset, len });
-            }
+            prev_end = match offset.checked_add(len) {
+                Some(end) if end <= desc.len => end,
+                _ => return Err(LfmError::OutOfBounds { field_len: desc.len, offset, len }),
+            };
+            total += len;
         }
         // One logical device read; the fault plane sees it as one op.
         let latency = self.device.gate_read("lfm.read")?;
         self.note_latency(latency);
-        // Account distinct pages and extents.
+        let before = out.len();
+        out.reserve(total as usize);
+
         let psz = self.page_size as u64;
-        let mut last_page: Option<u64> = None;
-        let mut pages = 0u64;
-        let mut extents = 0u64;
-        for &(offset, len) in pieces {
-            if len == 0 {
-                continue;
-            }
-            let first = (desc.first_page * psz + offset) / psz;
-            let last = (desc.first_page * psz + offset + len - 1) / psz;
-            let start = match last_page {
-                Some(lp) if first <= lp => lp + 1, // page already charged
-                Some(lp) if first == lp + 1 => {
-                    // continues the current extent
-                    pages += last - first + 1;
-                    last_page = Some(last);
-                    continue;
+        let dev = self.device.slice(0, self.geo.total_bytes());
+        // Device page of the field's page 0: a field page's logical and
+        // physical numbers differ by a constant, so one walk serves the
+        // logical accounting and the physical plan alike.
+        let dev_first = self.geo.data_start + desc.first_page;
+        let mut pool = self.pool();
+        // Pages this call copied from stay pinned until it ends, so the
+        // misses it stages cannot churn them out again.
+        let mut pinned: Vec<usize> = Vec::new();
+        let (mut pages, mut extents) = (0u64, 0u64);
+        let (mut phys_reads, mut coalesced, mut staged_ahead) = (0u64, 0u64, 0u64);
+        // The window: field bytes `win_lo..win_hi` (whole pages, already
+        // charged) are readable at `win_base` in the pool's slab or on
+        // the device.  A piece divides only when it leaves the window.
+        let (mut win_lo, mut win_hi, mut win_base, mut in_slab) = (0u64, 0u64, 0usize, false);
+        let mut miss_extent_last: Option<u64> = None;
+        for (index, &(offset, len)) in pieces.iter().enumerate() {
+            let end = offset + len;
+            let mut at = offset;
+            while at < end {
+                if at >= win_hi {
+                    let page = at / psz;
+                    // A page that does not follow the last one charged
+                    // opens an extent.
+                    extents += u64::from(pages == 0 || page * psz != win_hi);
+                    win_lo = page * psz;
+                    (win_base, in_slab) = (self.geo.data_byte(desc.first_page, win_lo), false);
+                    let mut last = page;
+                    if let Some(pool) = pool.as_deref_mut() {
+                        let frame = if let Some(frame) = pool.get(dev_first + page) {
+                            (win_base, in_slab) = (frame * self.page_size, true);
+                            Some(frame)
+                        } else {
+                            // The physical plan, built on a miss only.
+                            let extent_last = match miss_extent_last {
+                                Some(last) if page <= last => last,
+                                _ => extent_last_page(&pieces[index..], psz),
+                            };
+                            miss_extent_last = Some(extent_last);
+                            let (rode, ahead) = self.stage_miss(pool, desc, page, extent_last);
+                            phys_reads += 1;
+                            coalesced += rode;
+                            staged_ahead += ahead;
+                            pool.frame_of(dev_first + page)
+                        };
+                        if let Some(frame) = frame {
+                            pool.pin(frame);
+                            pinned.push(frame);
+                        }
+                    } else if end > win_lo + psz {
+                        // Unbuffered, the rest of the piece is contiguous
+                        // on the device: the window takes all of it.
+                        last = (end - 1) / psz;
+                    }
+                    pages += last - page + 1;
+                    win_hi = (last + 1) * psz;
                 }
-                _ => first,
-            };
-            if start > last {
-                continue; // fully inside already-charged pages
+                let upto = end.min(win_hi);
+                let src = match &pool {
+                    Some(pool) if in_slab => pool.slab(),
+                    _ => dev,
+                };
+                let lo = win_base + (at - win_lo) as usize;
+                out.extend_from_slice(&src[lo..lo + (upto - at) as usize]);
+                at = upto;
             }
-            pages += last - start + 1;
-            extents += match last_page {
-                Some(lp) if start == lp + 1 => 0,
-                _ => 1,
-            };
-            last_page = Some(last);
         }
+        match pool {
+            Some(mut pool) => {
+                for frame in pinned {
+                    pool.unpin(frame);
+                }
+                let lookups = pool.end_call();
+                self.metrics.cache_hits.add(lookups.hits);
+                self.metrics.cache_misses.add(lookups.misses);
+                self.metrics.cache_evictions.add(lookups.evictions);
+            }
+            // Every logical extent was one physical transfer.
+            None => (phys_reads, coalesced) = (extents, pages - extents),
+        }
+        self.metrics.extent_phys_reads.add(phys_reads);
+        self.metrics.extent_coalesced_pages.add(coalesced);
+        self.metrics.extent_readahead_pages.add(staged_ahead);
         let sim_seconds = self.charge(IoStats {
             pages_read: pages,
             extents_read: extents,
@@ -793,142 +909,6 @@ impl LongFieldManager {
                 qbism_obs::event::compressed_scan(id.0 as i64, pages, 0);
             }
         }
-        // Physical plan: coalesce the pieces' device-page ranges into
-        // maximal contiguous extents — the simulated seek+transfer
-        // units the copy phase below actually issues.  Purely physical:
-        // the logical accounting above is untouched either way.
-        let mut phys: Vec<(u64, u64)> = Vec::new(); // inclusive device-page ranges
-        for &(offset, len) in pieces {
-            if len == 0 {
-                continue;
-            }
-            let start_byte = self.geo.data_byte(desc.first_page, offset) as u64;
-            let end_byte = start_byte + len - 1;
-            let first = start_byte / psz;
-            let last = end_byte / psz;
-            match phys.last_mut() {
-                Some(e) if first <= e.1 + 1 => e.1 = e.1.max(last),
-                _ => phys.push((first, last)),
-            }
-        }
-        // Copy the bytes — through the buffer pool when it is on, from
-        // the device directly otherwise.  Either way the bytes are
-        // identical (mutations invalidate cached pages), and the
-        // logical accounting above has already happened.
-        let before = out.len();
-        let mut cache = self.cache.lock_or_recover();
-        if cache.is_active() {
-            let readahead = cache.config().readahead_pages as u64;
-            // Last device page holding live field bytes; readahead never
-            // stages the block's dead tail.
-            let field_last_page = if desc.len == 0 {
-                None
-            } else {
-                Some(self.geo.data_byte(desc.first_page, desc.len - 1) as u64 / psz)
-            };
-            // Pin each page for the duration of this call so the clock
-            // sweep cannot churn a page we are still assembling from.
-            let mut pinned: Vec<u64> = Vec::new();
-            let mut ext_cursor = 0usize;
-            for &(offset, len) in pieces {
-                if len == 0 {
-                    continue;
-                }
-                let start_byte = self.geo.data_byte(desc.first_page, offset);
-                let end_byte = start_byte + len as usize;
-                let first_dev_page = (start_byte / self.page_size) as u64;
-                let last_dev_page = ((end_byte - 1) / self.page_size) as u64;
-                // A piece's page range is contiguous, so it lies wholly
-                // inside one physical extent.
-                while ext_cursor < phys.len() && phys[ext_cursor].1 < first_dev_page {
-                    ext_cursor += 1;
-                }
-                let ext_last = match phys.get(ext_cursor) {
-                    Some(&(_, last)) => last,
-                    None => last_dev_page,
-                };
-                for dev_page in first_dev_page..=last_dev_page {
-                    let page_base = dev_page as usize * self.page_size;
-                    let data = match cache.get(dev_page) {
-                        Some(data) => data,
-                        None => {
-                            // Coalesce the whole run of non-resident
-                            // pages in this extent into one transfer,
-                            // extended by sequential readahead past the
-                            // extent's end.  Later pages of the run are
-                            // then pool hits when the loop reaches them.
-                            let mut run_last = dev_page;
-                            while run_last < ext_last && !cache.contains(run_last + 1) {
-                                run_last += 1;
-                            }
-                            let mut ra = 0u64;
-                            if run_last == ext_last {
-                                if let Some(fl) = field_last_page {
-                                    while ra < readahead
-                                        && run_last < fl
-                                        && !cache.contains(run_last + 1)
-                                    {
-                                        run_last += 1;
-                                        ra += 1;
-                                    }
-                                }
-                            }
-                            let n = (run_last - dev_page + 1) as usize;
-                            let bytes = self.device.slice(page_base, n * self.page_size);
-                            let data = Arc::new(bytes[..self.page_size].to_vec());
-                            cache.insert(dev_page, Arc::clone(&data));
-                            for i in 1..n {
-                                cache.insert(
-                                    dev_page + i as u64,
-                                    Arc::new(
-                                        bytes[i * self.page_size..(i + 1) * self.page_size]
-                                            .to_vec(),
-                                    ),
-                                );
-                            }
-                            self.metrics.extent_phys_reads.inc();
-                            self.metrics.extent_coalesced_pages.add(run_last - dev_page - ra);
-                            self.metrics.extent_readahead_pages.add(ra);
-                            data
-                        }
-                    };
-                    cache.pin(dev_page);
-                    pinned.push(dev_page);
-                    let lo = start_byte.max(page_base) - page_base;
-                    let hi = end_byte.min(page_base + self.page_size) - page_base;
-                    out.extend_from_slice(&data[lo..hi]);
-                }
-            }
-            for dev_page in pinned {
-                cache.unpin(dev_page);
-            }
-        } else {
-            // Vectored path: one simulated transfer per coalesced
-            // extent; every piece is carved out of its extent's slice.
-            let mut piece_idx = 0usize;
-            for &(ext_first, ext_last) in &phys {
-                let ext_base = ext_first as usize * self.page_size;
-                let ext_len = ((ext_last - ext_first + 1) as usize) * self.page_size;
-                let ext = self.device.slice(ext_base, ext_len);
-                self.metrics.extent_phys_reads.inc();
-                self.metrics.extent_coalesced_pages.add(ext_last - ext_first);
-                while piece_idx < pieces.len() {
-                    let (offset, len) = pieces[piece_idx];
-                    if len == 0 {
-                        piece_idx += 1;
-                        continue;
-                    }
-                    let start_byte = self.geo.data_byte(desc.first_page, offset);
-                    if (start_byte / self.page_size) as u64 > ext_last {
-                        break;
-                    }
-                    let lo = start_byte - ext_base;
-                    out.extend_from_slice(&ext[lo..lo + len as usize]);
-                    piece_idx += 1;
-                }
-            }
-        }
-        drop(cache);
         if span.is_recording() {
             qbism_obs::event::page_read(pages, extents);
             span.record_u64("pages", pages);
@@ -937,6 +917,47 @@ impl LongFieldManager {
             span.record_f64("sim_disk_s", sim_seconds);
         }
         Ok(())
+    }
+
+    /// Serves a demand miss on field page `page`: fetches the run of
+    /// non-resident pages up to `extent_last` (the end of the miss's
+    /// physical extent) in one transfer, extended past it by sequential
+    /// readahead, and pools them — the walk then hits the later pages.
+    /// Returns the `(coalesced, readahead)` pages that rode the transfer.
+    fn stage_miss(
+        &self,
+        pool: &mut PageCache,
+        desc: &FieldDesc,
+        page: u64,
+        extent_last: u64,
+    ) -> (u64, u64) {
+        let psz = self.page_size as u64;
+        let dev_first = self.geo.data_start + desc.first_page;
+        let absent = |pool: &PageCache, page: u64| pool.frame_of(dev_first + page).is_none();
+        let mut run_last = page;
+        while run_last < extent_last && absent(pool, run_last + 1) {
+            run_last += 1;
+        }
+        let mut ahead = 0u64;
+        if run_last == extent_last {
+            // Readahead never stages the block's dead tail.
+            let field_last = (desc.len - 1) / psz;
+            while ahead < self.cache_config.readahead_pages as u64
+                && run_last < field_last
+                && absent(pool, run_last + 1)
+            {
+                run_last += 1;
+                ahead += 1;
+            }
+        }
+        let run = self.device.slice(
+            self.geo.data_byte(desc.first_page, page * psz),
+            (run_last - page + 1) as usize * self.page_size,
+        );
+        for (i, bytes) in run.chunks_exact(self.page_size).enumerate() {
+            pool.insert(dev_first + page + i as u64, bytes);
+        }
+        (run_last - page - ahead, ahead)
     }
 
     /// Overwrites `data` at `offset` within an existing field (cannot
@@ -950,7 +971,7 @@ impl LongFieldManager {
     pub fn write_piece(&mut self, id: LongFieldId, offset: u64, data: &[u8]) -> Result<()> {
         let desc = self.desc(id)?.clone();
         let len = data.len() as u64;
-        if offset + len > desc.len {
+        if offset.checked_add(len).is_none_or(|end| end > desc.len) {
             return Err(LfmError::OutOfBounds { field_len: desc.len, offset, len });
         }
         if len == 0 {
@@ -962,11 +983,8 @@ impl LongFieldManager {
         let last = (desc.first_page * psz + offset + len - 1) / psz;
         // The touched pages change (or roll back) under this call; a
         // stale cached copy must not survive it either way.
-        {
-            let mut cache = self.cache.lock_or_recover();
-            if cache.is_active() {
-                cache.invalidate_range(self.geo.data_start + first, last - first + 1);
-            }
+        if let Some(mut pool) = self.pool() {
+            pool.invalidate_range(self.geo.data_start + first, last - first + 1);
         }
         self.charge(IoStats {
             pages_written: last - first + 1,
@@ -1477,6 +1495,19 @@ mod tests {
             lfm.read_piece(id, 90, 20),
             Err(LfmError::OutOfBounds { field_len: 100, offset: 90, len: 20 })
         ));
+        // `offset + len` wrapping past u64::MAX must not slip under the
+        // bounds check, and a huge `len` must not be allocated for.
+        for (offset, len) in [(u64::MAX, 2), (2, u64::MAX), (0, u64::MAX)] {
+            assert_eq!(
+                lfm.read_piece(id, offset, len),
+                Err(LfmError::OutOfBounds { field_len: 100, offset, len })
+            );
+        }
+        assert_eq!(
+            lfm.write_piece(id, u64::MAX, &[1, 2]),
+            Err(LfmError::OutOfBounds { field_len: 100, offset: u64::MAX, len: 2 })
+        );
+        assert_eq!(lfm.stats().read_calls, 0, "a rejected read charges nothing");
     }
 
     #[test]
@@ -1520,12 +1551,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted and disjoint")]
-    fn unsorted_pieces_panic() {
+    fn unsorted_pieces_are_a_typed_error() {
         let mut lfm = mk();
         let id = lfm.create(&vec![0u8; 4096]).unwrap();
+        lfm.reset_stats();
+        // Raised before the fault gate: the armed plane never sees an op.
+        let scope = FaultPlane::new(5).fail_nth("lfm.read", 1).arm();
         let mut out = Vec::new();
-        let _ = lfm.read_pieces_into(id, &[(100, 10), (50, 10)], &mut out);
+        assert_eq!(
+            lfm.read_pieces_into(id, &[(100, 10), (50, 10)], &mut out),
+            Err(LfmError::UnsortedPieces { index: 1 })
+        );
+        assert_eq!(
+            lfm.read_pieces_into(id, &[(0, 10), (20, 10), (25, 10)], &mut out),
+            Err(LfmError::UnsortedPieces { index: 2 }),
+            "overlap is the same error"
+        );
+        assert!(out.is_empty());
+        assert_eq!(lfm.stats(), IoStats::default(), "nothing was charged");
+        assert_eq!(lfm.read(id), Err(LfmError::DeviceFault { op: "lfm.read" }));
+        drop(scope);
     }
 
     // ------------------------------------------------------------------
@@ -1699,14 +1744,16 @@ mod tests {
     }
 
     proptest! {
+        /// Every pool setting × readahead × page size (non-power-of-two
+        /// included) returns the flat-buffer oracle's bytes and the
+        /// page-set oracle's logical `IoStats`, and a cached call looks
+        /// each distinct page up exactly once.
         #[test]
         fn pieces_roundtrip_any_layout(
             seed_len in 1usize..30_000,
             cuts in proptest::collection::vec(0.0f64..1.0, 1..20),
         ) {
             let data: Vec<u8> = (0..seed_len).map(|i| (i * 31 % 256) as u8).collect();
-            let mut lfm = mk();
-            let id = lfm.create(&data).unwrap();
             // build sorted disjoint pieces from the cut points
             let mut offs: Vec<u64> = cuts.iter().map(|c| (c * seed_len as f64) as u64).collect();
             offs.sort_unstable();
@@ -1719,13 +1766,54 @@ mod tests {
                 }
                 prev = o;
             }
-            let mut out = Vec::new();
-            lfm.read_pieces_into(id, &pieces, &mut out).unwrap();
             let mut expect = Vec::new();
             for &(o, l) in &pieces {
                 expect.extend_from_slice(&data[o as usize..(o + l) as usize]);
             }
-            prop_assert_eq!(out, expect);
+            for page_size in [4096u64, 512, 100] {
+                let touched: BTreeSet<u64> = pieces
+                    .iter()
+                    .filter(|&&(_, l)| l > 0)
+                    .flat_map(|&(o, l)| o / page_size..=(o + l - 1) / page_size)
+                    .collect();
+                let want = IoStats {
+                    pages_read: touched.len() as u64,
+                    extents_read: touched
+                        .iter()
+                        .filter(|&&p| p == 0 || !touched.contains(&(p - 1)))
+                        .count() as u64,
+                    read_calls: 1,
+                    ..IoStats::default()
+                };
+                for capacity_pages in [0usize, 2, 512] {
+                    for readahead_pages in [0usize, 8] {
+                        let mut lfm = LongFieldManager::new(1 << 16, page_size as usize).unwrap();
+                        lfm.set_cache_config(CacheConfig {
+                            capacity_pages,
+                            enabled: capacity_pages > 0,
+                            readahead_pages,
+                        });
+                        let id = lfm.create(&data).unwrap();
+                        // Twice: cold, then against whatever the pool kept.
+                        for _ in 0..2 {
+                            lfm.reset_stats();
+                            let looked_up = lfm.cache_stats();
+                            let mut out = Vec::new();
+                            lfm.read_pieces_into(id, &pieces, &mut out).unwrap();
+                            prop_assert_eq!(&out, &expect);
+                            prop_assert_eq!(lfm.stats(), want);
+                            let cs = lfm.cache_stats();
+                            let lookups =
+                                cs.hits + cs.misses - looked_up.hits - looked_up.misses;
+                            prop_assert_eq!(
+                                lookups,
+                                if capacity_pages > 0 { want.pages_read } else { 0 }
+                            );
+                        }
+                        lfm.cache.lock_or_recover().validate();
+                    }
+                }
+            }
         }
 
         #[test]

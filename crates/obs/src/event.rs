@@ -61,15 +61,19 @@ pub enum EventKind {
         /// Contiguous extents (seeks).
         extents: u64,
     },
-    /// Page cache hit.
+    /// A run of consecutive pages one read call found in the page cache.
     CacheHit {
-        /// Page number.
+        /// First page number of the run.
         page: u64,
+        /// Pages in the run.
+        pages: u64,
     },
-    /// Page cache miss.
+    /// A run of consecutive pages one read call missed in the page cache.
     CacheMiss {
-        /// Page number.
+        /// First page number of the run.
         page: u64,
+        /// Pages in the run.
+        pages: u64,
     },
     /// Page cache eviction.
     CacheEvict {
@@ -248,14 +252,14 @@ pub fn page_read(pages: u64, extents: u64) {
     record(EventKind::PageRead { pages, extents });
 }
 
-/// Records a page-cache hit.
-pub fn cache_hit(page: u64) {
-    record(EventKind::CacheHit { page });
+/// Records a run of `pages` consecutive page-cache hits from `page`.
+pub fn cache_hit(page: u64, pages: u64) {
+    record(EventKind::CacheHit { page, pages });
 }
 
-/// Records a page-cache miss.
-pub fn cache_miss(page: u64) {
-    record(EventKind::CacheMiss { page });
+/// Records a run of `pages` consecutive page-cache misses from `page`.
+pub fn cache_miss(page: u64, pages: u64) {
+    record(EventKind::CacheMiss { page, pages });
 }
 
 /// Records a page-cache eviction.
@@ -500,7 +504,7 @@ mod tests {
         page_read(1, 1); // outside any trace
         let trace_id = {
             let _root = trace::root("query.event_ctx");
-            cache_hit(42);
+            cache_hit(42, 3);
             context::current_raw()
         };
         assert!(trace_id != 0);
@@ -509,7 +513,7 @@ mod tests {
         assert_eq!(outside.map(|e| e.trace), Some(0));
         let inside: Vec<_> = events_for_trace(trace_id);
         assert!(
-            inside.iter().any(|e| matches!(e.kind, EventKind::CacheHit { page: 42 })),
+            inside.iter().any(|e| matches!(e.kind, EventKind::CacheHit { page: 42, pages: 3 })),
             "cache hit attributed to the trace: {inside:?}"
         );
         assert!(

@@ -56,9 +56,10 @@ fn append_kind_fields(out: &mut String, kind: &EventKind) {
         EventKind::PageRead { pages, extents } => {
             let _ = write!(out, ",\"pages\":{pages},\"extents\":{extents}");
         }
-        EventKind::CacheHit { page }
-        | EventKind::CacheMiss { page }
-        | EventKind::CacheEvict { page } => {
+        EventKind::CacheHit { page, pages } | EventKind::CacheMiss { page, pages } => {
+            let _ = write!(out, ",\"page\":{page},\"pages\":{pages}");
+        }
+        EventKind::CacheEvict { page } => {
             let _ = write!(out, ",\"page\":{page}");
         }
         EventKind::CompressedScan { field, pages, skips } => {

@@ -10,6 +10,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qbism::{QbismConfig, QbismSystem, QueryCost};
 use qbism_fault::{FaultOutcome, FaultPlane, Trigger};
+use qbism_lfm::CacheConfig;
+use qbism_obs::EventKind;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -252,6 +254,61 @@ fn a_crash_fault_dumps_the_flight_recorder() {
     let json = qbism_obs::export::crash_dump_json(&dump);
     assert!(json.contains("\"site\":\"lfm.read\""));
     qbism_obs::event::clear_crash_dumps();
+    qbism_obs::event::clear();
+    qbism_obs::trace::clear();
+}
+
+/// A cached read journals its pool lookups as runs of consecutive
+/// pages, not one event per page: a whole-study EQ1 fits in a handful
+/// of events that still account for every page it read.
+#[test]
+fn cached_reads_journal_cache_lookups_as_page_runs() {
+    let _g = serialize();
+    // 64³: one study volume is 64 pages, the per-page event count of old.
+    let config = QbismConfig {
+        atlas_bits: 6,
+        pet_studies: 1,
+        mri_studies: 0,
+        device_capacity: 1 << 26,
+        ..QbismConfig::small_test()
+    };
+    let mut sys = QbismSystem::install(&config).expect("install");
+    sys.server.set_cache_config(CacheConfig {
+        capacity_pages: 4096,
+        enabled: true,
+        readahead_pages: 0,
+    });
+    let study = sys.pet_study_ids[0];
+    for pass in ["cold", "warm"] {
+        qbism_obs::trace::clear();
+        qbism_obs::event::clear();
+        let answer = sys.server.full_study(study).expect("EQ1 runs");
+        let tree = qbism_obs::trace::recent_roots()
+            .into_iter()
+            .rev()
+            .find(|t| t.name == "query.full_study")
+            .expect("root retained");
+        let runs: Vec<u64> = qbism_obs::event::events_for_trace(tree.trace_id)
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::CacheHit { pages, .. } | EventKind::CacheMiss { pages, .. } => {
+                    Some(pages)
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            (1..=8).contains(&runs.len()),
+            "{pass} EQ1 journaled {} cache events: {runs:?}",
+            runs.len()
+        );
+        assert!(answer.cost.lfm.pages_read >= 64, "EQ1 reads a whole 64-page volume");
+        assert_eq!(
+            runs.iter().sum::<u64>(),
+            answer.cost.lfm.pages_read,
+            "{pass}: every distinct page is looked up exactly once"
+        );
+    }
     qbism_obs::event::clear();
     qbism_obs::trace::clear();
 }
