@@ -4,7 +4,7 @@
 //! tablegen [EXPERIMENT] [--bits N] [--pet N] [--mri N] [--seed N] [--repeats N]
 //!
 //! EXPERIMENT: all | table12 | fig-runs | eq1 | fig4 | table3 | table4 |
-//!             scaling | rects | approx | obs    (default: all)
+//!             scaling | rects | approx    (default: all)
 //! --bits N    grid is 2^N per axis    (default: 7, the paper's 128³;
 //!                                      use 5 for quick debug runs)
 //! ```
@@ -12,9 +12,7 @@
 //! Run in release: `cargo run -p qbism-bench --release --bin tablegen`.
 
 use qbism::QbismConfig;
-use qbism_bench::{
-    approx, eq1, fig4, obs_overhead, rects, run_counts, scaling, table3, table4, tables12,
-};
+use qbism_bench::{approx, eq1, fig4, rects, run_counts, scaling, table3, table4, tables12};
 
 struct Args {
     experiment: String,
@@ -42,7 +40,7 @@ fn parse_args() -> Result<Args, String> {
                 args.repeats = flag("--repeats")?.parse().map_err(|e| format!("--repeats: {e}"))?
             }
             "--help" | "-h" => {
-                return Err("usage: tablegen [all|table12|fig-runs|eq1|fig4|table3|table4|scaling|rects|approx|obs] \
+                return Err("usage: tablegen [all|table12|fig-runs|eq1|fig4|table3|table4|scaling|rects|approx] \
                             [--bits N] [--pet N] [--mri N] [--seed N] [--repeats N]"
                     .into())
             }
@@ -125,15 +123,9 @@ fn main() {
         let cfg = config_for(&args);
         println!("{}", scaling::report(&cfg, "ntal", args.pet.max(2)));
     }
-    if run("obs") {
-        ran = true;
-        banner("Observability overhead (EQ1 path)");
-        let cfg = QbismConfig { pet_studies: 1, mri_studies: 0, ..config_for(&args) };
-        println!("{}", obs_overhead::measure(&cfg, args.repeats.max(5), 4).render());
-    }
     if !ran {
         eprintln!(
-            "unknown experiment '{}'; try: all table12 fig-runs eq1 fig4 table3 table4 scaling rects approx obs",
+            "unknown experiment '{}'; try: all table12 fig-runs eq1 fig4 table3 table4 scaling rects approx",
             args.experiment
         );
         std::process::exit(2);

@@ -15,22 +15,13 @@
 //! | §6.4 multi-study traffic scaling | [`scaling`] |
 //! | Faloutsos–Roseman 1 : 1.20 rectangle cross-check | [`rects`] |
 //! | §4.2 approximate-REGION trade-off (ablation) | [`approx`] |
-//! | observability overhead on the EQ1 query path | [`obs_overhead`] |
-//! | parallel engine throughput at 1/2/4/8 clients | [`parallel`] |
-//! | run-native kernels, seed vs kernel wall time | [`kernels`] |
-//! | compressed tablespace, default vs compressed I/O | [`compressed`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod cluster;
-pub mod compressed;
 pub mod eq1;
 pub mod fig4;
-pub mod kernels;
-pub mod obs_overhead;
-pub mod parallel;
 pub mod population;
 pub mod rects;
 pub mod run_counts;

@@ -21,13 +21,13 @@ use crate::placement::PlacementCatalog;
 use crate::shard::Shard;
 use crate::{ClusterError, Result};
 use qbism::wire::data_region_wire_size;
-use qbism::{MedicalServer, QbismConfig, QbismError, QueryCost};
+use qbism::{MedicalServer, QbismConfig, QueryCost};
 use qbism_check::sync::{AtomicU64, Ordering};
 use qbism_fault::{sites, FaultOutcome};
 use qbism_netsim::{EndpointChannels, NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::{event, trace};
 use qbism_parallel::Executor;
-use qbism_region::{Region, RegionCodec};
+use qbism_region::Region;
 use qbism_volume::DataRegion;
 
 /// One sub-query stage on a shard: returns the stage value, its
@@ -125,7 +125,6 @@ pub struct ClusterWarehouse {
     catalog: PlacementCatalog,
     studies: Vec<i64>,
     threads: usize,
-    replay_scale: f64,
     chan: SharedRpcChannel,
     endpoints: EndpointChannels,
     counters: ClusterCounters,
@@ -153,7 +152,6 @@ impl ClusterWarehouse {
             catalog,
             studies,
             threads: 1,
-            replay_scale: 0.0,
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
             endpoints: EndpointChannels::new(shard_count, NetworkModel::TESTBED_1994)
                 .with_fault_site(sites::CLUSTER_ROUTE_DROP),
@@ -195,14 +193,6 @@ impl ClusterWarehouse {
     /// Sets the router's fan-out width (studies per worker claim).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Sets the latency-replay scale: each successful sub-query holds
-    /// its shard's service lane for `scale ×` its simulated database
-    /// seconds of wall-clock time.  Bench-only; answers and every
-    /// deterministic cost column are unaffected.
-    pub fn set_replay_scale(&mut self, scale: f64) {
-        self.replay_scale = scale.max(0.0);
     }
 
     /// Marks a shard down by hand (drills, benches).  Returns whether
@@ -371,7 +361,8 @@ impl ClusterWarehouse {
                 Err(e) => skipped.push((id, e)),
             }
         }
-        let Some(first) = extracts.first() else {
+        let start = std::time::Instant::now();
+        let Some(data) = qbism::server::voxel_mean(&extracts) else {
             let (id, error) = skipped.remove(0);
             span.record_str(
                 "failed",
@@ -379,17 +370,8 @@ impl ClusterWarehouse {
             );
             return Err(error);
         };
-        cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
-        let start = std::time::Instant::now();
-        let region = first.region().clone();
-        let n = extracts.len() as u32;
-        let mut values = Vec::with_capacity(first.voxel_count());
-        for i in 0..first.voxel_count() {
-            let sum: u32 = extracts.iter().map(|e| u32::from(e.values()[i])).sum();
-            values.push((sum / n) as u8);
-        }
-        let data = DataRegion::new(region, values);
         let mean_seconds = start.elapsed().as_secs_f64();
+        cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
         cost.native_db_seconds += mean_seconds;
         cost.sim_db_seconds += mean_seconds;
         self.ship(&mut cost, data_region_wire_size(&data))?;
@@ -438,32 +420,12 @@ impl ClusterWarehouse {
             cost.accumulate(&sub);
             blobs.push(bytes);
         }
-        // Gather on the router: same single-blob degenerate case and
-        // k-way merge as the single-node reduce, so the re-encoded
-        // answer bytes — and therefore `wire_bytes` — are identical.
+        // Gather on the router with the single-node server's own fold,
+        // so the re-encoded answer bytes — and therefore `wire_bytes` —
+        // are identical in every tablespace mode.
         let start = std::time::Instant::now();
-        let (bytes, region) = if let [bytes] = &mut blobs[..] {
-            let bytes = std::mem::take(bytes);
-            let region = RegionCodec::decode(&bytes)
-                .map_err(|e| ClusterError::Gather(QbismError::from(e)))?;
-            (bytes, region)
-        } else {
-            let mut regions = Vec::with_capacity(blobs.len());
-            for blob in &blobs {
-                regions.push(
-                    RegionCodec::decode(blob)
-                        .map_err(|e| ClusterError::Gather(QbismError::from(e)))?,
-                );
-            }
-            let refs: Vec<&Region> = regions.iter().collect();
-            let acc = qbism_region::intersect_all(&refs).ok_or(ClusterError::NoStudies)?;
-            let bytes = self
-                .config
-                .region_codec
-                .encode(&acc)
-                .map_err(|e| ClusterError::Gather(QbismError::from(e)))?;
-            (bytes, acc)
-        };
+        let (bytes, region, _) = qbism::server::fold_band_regions(blobs, self.config.region_codec)
+            .map_err(ClusterError::Gather)?;
         let fold_seconds = start.elapsed().as_secs_f64();
         cost.native_db_seconds += fold_seconds;
         cost.sim_db_seconds += fold_seconds;
@@ -542,13 +504,7 @@ impl ClusterWarehouse {
         }
         let (value, mut cost, wire) = {
             let _lane = shard.state().enter_lane();
-            let staged = stage(shard)?;
-            if self.replay_scale > 0.0 {
-                std::thread::sleep(std::time::Duration::from_secs_f64(
-                    self.replay_scale * staged.1.sim_db_seconds,
-                ));
-            }
-            staged
+            stage(shard)?
         };
         if let Err(error) = self.endpoints.ship(sid as usize, wire) {
             self.counters.route_drops.fetch_add(1, Ordering::Relaxed);

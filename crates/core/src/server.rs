@@ -508,58 +508,16 @@ impl MedicalServer {
             blobs.push(bytes);
             field_ids.push(field_id);
         }
-        // One study degenerates to the stored band REGION bytes; more
-        // studies intersect in a single k-way simultaneous merge over all
-        // run lists (no intermediate region per fold step — intersection
-        // is associative and commutative, so the answer is byte-identical
-        // to the old right-to-left pairwise fold) and re-encode with the
-        // configured codec.  The merge is server CPU, part of the
-        // database phase.
+        // The gather is server CPU, part of the database phase.
         let start = std::time::Instant::now();
-        let (bytes, region) = if let [bytes] = &mut blobs[..] {
-            let bytes = std::mem::take(bytes);
-            let region = RegionCodec::decode(&bytes)?;
-            (bytes, region)
-        } else if blobs.iter().all(|b| qbism_region::compressed::is_compressed(b)) {
-            // Compressed tablespace: k-way intersect straight over the
-            // compact payloads — cursors gallop past non-overlapping
-            // skip blocks and subtrees, and only the answer's runs are
-            // ever materialized.  Galloping skips are credited to the
-            // `qbism_lfm_compressed_decode_skips_total` metric.
-            let mut opened = Vec::with_capacity(blobs.len());
-            for blob in &blobs {
-                opened.push(qbism_region::compressed_cursor(blob)?);
+        let (bytes, region, skips) = fold_band_regions(blobs, self.config.region_codec)?;
+        // Galloping skips are credited to the
+        // `qbism_lfm_compressed_decode_skips_total` metric.
+        for (field_id, skipped) in field_ids.iter().zip(skips) {
+            if let Some(id) = field_id {
+                self.db.lfm_ref().note_decode_skips(*id, skipped);
             }
-            let geom = opened[0].0;
-            if opened.iter().any(|(g, _)| *g != geom) {
-                return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
-            }
-            let mut refs: Vec<&mut dyn qbism_coding::RunCursor> =
-                opened.iter_mut().map(|(_, c)| c as &mut dyn qbism_coding::RunCursor).collect();
-            let runs = qbism_region::kernel_compressed::intersect_k_stream(&mut refs)?;
-            for (field_id, (_, cursor)) in field_ids.iter().zip(&opened) {
-                if let Some(id) = field_id {
-                    self.db.lfm_ref().note_decode_skips(*id, cursor.skip_count());
-                }
-            }
-            let acc = Region::from_runs(geom, runs);
-            let bytes = qbism_region::encode_compressed(&acc)?;
-            (bytes, acc)
-        } else {
-            let mut regions = Vec::with_capacity(blobs.len());
-            for blob in &blobs {
-                regions.push(RegionCodec::decode(blob)?);
-            }
-            let refs: Vec<&Region> = regions.iter().collect();
-            let acc = match qbism_region::intersect_all(&refs) {
-                Some(r) => r,
-                None => {
-                    return Err(QbismError::NotFound("band query needs at least one study".into()))
-                }
-            };
-            let bytes = self.config.region_codec.encode(&acc)?;
-            (bytes, acc)
-        };
+        }
         let fold_seconds = start.elapsed().as_secs_f64();
         cost.native_db_seconds += fold_seconds;
         cost.sim_db_seconds += fold_seconds;
@@ -673,7 +631,10 @@ impl MedicalServer {
                 Err(e) => skipped.push((id, e)),
             }
         }
-        let Some(first) = extracts.first() else {
+        // Voxel-wise mean across the aligned extractions (server CPU,
+        // still part of the database phase).
+        let start = std::time::Instant::now();
+        let Some(data) = voxel_mean(&extracts) else {
             // Nothing survived: degrading further would return an empty
             // answer pretending to be a mean — fail with the first cause.
             let (id, error) = skipped.remove(0);
@@ -683,19 +644,8 @@ impl MedicalServer {
             );
             return Err(error);
         };
-        cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
-        // Voxel-wise mean across the aligned extractions (server CPU,
-        // still part of the database phase).
-        let start = std::time::Instant::now();
-        let region = first.region().clone();
-        let n = extracts.len() as u32;
-        let mut values = Vec::with_capacity(first.voxel_count());
-        for i in 0..first.voxel_count() {
-            let sum: u32 = extracts.iter().map(|e| u32::from(e.values()[i])).sum();
-            values.push((sum / n) as u8);
-        }
-        let data = DataRegion::new(region, values);
         let mean_seconds = start.elapsed().as_secs_f64();
+        cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
         cost.native_db_seconds += mean_seconds;
         cost.sim_db_seconds += mean_seconds;
         // Only the final averaged DATA_REGION crosses the wire.
@@ -964,6 +914,76 @@ pub struct StudyFetch {
     pub cost: Option<QueryCost>,
     /// The study's stored band-REGION bytes, or the error.
     pub outcome: Result<Vec<u8>>,
+}
+
+/// The gather of the multi-study band query, shared by
+/// [`MedicalServer::multi_study_band_region`] and scatter/gather
+/// routers so both ship byte-identical answers in every tablespace
+/// mode: the n-way intersection of the studies' stored band REGION
+/// `blobs` (study order), as answer bytes, the decoded [`Region`], and
+/// each operand's galloping skip count (empty unless the compressed
+/// stream kernel ran).
+///
+/// One study degenerates to the stored bytes.  All-compressed operands
+/// intersect straight over the compact payloads — cursors gallop past
+/// non-overlapping skip blocks and subtrees, only the answer's runs are
+/// ever materialized — and re-encode compressed.  Anything else decodes
+/// and intersects in a single k-way simultaneous merge over all run
+/// lists (no intermediate region per fold step — intersection is
+/// associative and commutative, so the answer is byte-identical to a
+/// pairwise fold) and re-encodes with `codec`.
+pub fn fold_band_regions(
+    mut blobs: Vec<Vec<u8>>,
+    codec: RegionCodec,
+) -> Result<(Vec<u8>, Region, Vec<u64>)> {
+    if let [bytes] = &mut blobs[..] {
+        let bytes = std::mem::take(bytes);
+        let region = RegionCodec::decode(&bytes)?;
+        return Ok((bytes, region, Vec::new()));
+    }
+    if blobs.iter().all(|b| qbism_region::compressed::is_compressed(b)) {
+        let mut opened = Vec::with_capacity(blobs.len());
+        for blob in &blobs {
+            opened.push(qbism_region::compressed_cursor(blob)?);
+        }
+        let Some(&(geom, _)) = opened.first() else {
+            return Err(QbismError::NotFound("band query needs at least one study".into()));
+        };
+        if opened.iter().any(|(g, _)| *g != geom) {
+            return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
+        }
+        let mut refs: Vec<&mut dyn qbism_coding::RunCursor> =
+            opened.iter_mut().map(|(_, c)| c as &mut dyn qbism_coding::RunCursor).collect();
+        let runs = qbism_region::kernel_compressed::intersect_k_stream(&mut refs)?;
+        let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).collect();
+        let acc = Region::from_runs(geom, runs);
+        let bytes = qbism_region::encode_compressed(&acc)?;
+        return Ok((bytes, acc, skips));
+    }
+    let mut regions = Vec::with_capacity(blobs.len());
+    for blob in &blobs {
+        regions.push(RegionCodec::decode(blob)?);
+    }
+    let refs: Vec<&Region> = regions.iter().collect();
+    let Some(acc) = qbism_region::intersect_all(&refs) else {
+        return Err(QbismError::NotFound("band query needs at least one study".into()));
+    };
+    let bytes = codec.encode(&acc)?;
+    Ok((bytes, acc, Vec::new()))
+}
+
+/// The gather of the population aggregate, shared like
+/// [`fold_band_regions`]: the voxel-wise mean of aligned per-study
+/// extractions over the first one's REGION, `None` when there are none.
+pub fn voxel_mean(extracts: &[DataRegion<u8>]) -> Option<DataRegion<u8>> {
+    let first = extracts.first()?;
+    let n = extracts.len() as u32;
+    let mut values = Vec::with_capacity(first.voxel_count());
+    for i in 0..first.voxel_count() {
+        let sum: u32 = extracts.iter().map(|e| u32::from(e.values()[i])).sum();
+        values.push((sum / n) as u8);
+    }
+    Some(DataRegion::new(first.region().clone(), values))
 }
 
 #[cfg(test)]

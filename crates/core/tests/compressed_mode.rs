@@ -8,10 +8,11 @@
 //!    id soup, at the paper's 64³ and 128³ scales.
 //! 2. **Mode equivalence** — a system installed with
 //!    `compressed_tablespace` answers every query class identically to
-//!    the default installation while persisting strictly fewer REGION
-//!    bytes and reading no more pages; the default installation's
-//!    storage layout is untouched (every REGION long field still holds
-//!    the configured paper codec).
+//!    the default installation while, at 64³, persisting at least 3×
+//!    fewer REGION bytes and reading at least 1.5× fewer pages on the
+//!    region-only multi-study fold (no more pages on any other class);
+//!    the default installation's storage layout is untouched (every
+//!    REGION long field still holds the configured paper codec).
 
 use qbism::{QbismConfig, QbismSystem};
 use qbism_phantom::build_atlas;
@@ -82,8 +83,10 @@ fn region_fields(system: &mut QbismSystem) -> Vec<Vec<u8>> {
 
 #[test]
 fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
-    let default_cfg = QbismConfig::medium();
-    let compressed_cfg = QbismConfig::medium().with_compressed_tablespace();
+    // 64³ with the paper's five PET studies: the scale the count
+    // floors below are stated at.
+    let default_cfg = QbismConfig { atlas_bits: 6, mri_studies: 0, ..QbismConfig::paper_scale() };
+    let compressed_cfg = default_cfg.clone().with_compressed_tablespace();
     let mut plain = QbismSystem::install(&default_cfg).expect("install default");
     let mut packed = QbismSystem::install(&compressed_cfg).expect("install compressed");
     let study = plain.pet_study_ids[0];
@@ -110,25 +113,32 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
     assert_eq!(a.data, b.data);
     assert!(b.cost.lfm.pages_read <= a.cost.lfm.pages_read);
 
-    // Table 4's multi-study fold: k-way intersect over compressed
-    // streams must produce the identical REGION for fewer pages.
+    // Table 4's multi-study fold reads REGION pages only: k-way
+    // intersect over compressed streams must produce the identical
+    // REGION for at least 1.5× fewer pages (21 → 10 today).
     let ids = plain.pet_study_ids.clone();
     let (ra, ca) = plain.server.multi_study_band_region(&ids, 32, 63).expect("default multi");
     let (rb, cb) = packed.server.multi_study_band_region(&ids, 32, 63).expect("compressed multi");
     assert_eq!(ra, rb);
-    assert!(cb.lfm.pages_read <= ca.lfm.pages_read);
+    assert!(
+        2 * ca.lfm.pages_read >= 3 * cb.lfm.pages_read,
+        "compressed fold must read >= 1.5x fewer pages: {} vs {}",
+        cb.lfm.pages_read,
+        ca.lfm.pages_read
+    );
 
-    // The compressed tablespace is strictly smaller on device, and its
-    // fields actually hold the queryable codecs; the default tablespace
-    // is untouched (paper codec, nothing compressed).
+    // The compressed tablespace is at least 3× smaller on device
+    // (567,046 → 145,743 bytes today), and its fields actually hold the
+    // queryable codecs; the default tablespace is untouched (paper
+    // codec, nothing compressed).
     let plain_fields = region_fields(&mut plain);
     let packed_fields = region_fields(&mut packed);
     assert_eq!(plain_fields.len(), packed_fields.len());
     let plain_bytes: usize = plain_fields.iter().map(Vec::len).sum();
     let packed_bytes: usize = packed_fields.iter().map(Vec::len).sum();
     assert!(
-        packed_bytes < plain_bytes,
-        "compressed tablespace must be smaller: {packed_bytes} vs {plain_bytes}"
+        plain_bytes >= 3 * packed_bytes,
+        "compressed tablespace must be >= 3x smaller: {packed_bytes} vs {plain_bytes}"
     );
     assert!(plain_fields.iter().all(|f| !qbism_region::compressed::is_compressed(f)));
     assert!(packed_fields.iter().all(|f| qbism_region::compressed::is_compressed(f)));

@@ -62,9 +62,9 @@
 //! "rate over resets".
 //!
 //! Instrumentation is on by default and costs one relaxed atomic load
-//! when disabled via [`set_enabled`] — the harness that proves the <5 %
-//! overhead bound (`BENCH_observability.json`) flips exactly this
-//! switch.
+//! when disabled via [`set_enabled`] — the benchmark's
+//! `obs.enabled_overhead_ratio` metric (`BENCHMARK.json`) is measured
+//! by flipping exactly this switch.
 //!
 //! # The flight recorder
 //!

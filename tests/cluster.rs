@@ -2,7 +2,8 @@
 //!
 //! * answers and every deterministic [`QueryCost`] column are
 //!   byte-identical to the single-node server at shard counts
-//!   {1, 2, 4, 8} × router fan-out widths {1, 8};
+//!   {1, 2, 4, 8} × router fan-out widths {1, 8}, in the default and
+//!   (to 4 shards) the compressed tablespace;
 //! * killing any single replica at an arbitrary injection point
 //!   mid-`population_average` (a fault-plane sweep over kill sites,
 //!   device faults, and answer-leg timeouts) leaves answers and
@@ -52,17 +53,24 @@ fn det(cost: &QueryCost) -> (IoStats, u64, u64, u64, u64, u64) {
 #[test]
 fn answers_and_costs_byte_identical_at_every_shard_count() {
     let _g = serialize();
-    let config = config();
-    let reference = QbismSystem::install(&config).expect("single-node install");
+    // The compressed tablespace re-encodes the gathered band answer with
+    // its own codec, so it is a second case of the same contract.
+    let compressed = config().with_compressed_tablespace();
+    shard_counts_match_the_reference(&config(), &[1, 2, 4, 8]);
+    shard_counts_match_the_reference(&compressed, &[1, 2, 4]);
+}
+
+fn shard_counts_match_the_reference(config: &QbismConfig, shard_counts: &[usize]) {
+    let reference = QbismSystem::install(config).expect("single-node install");
     let studies: Vec<i64> = reference.pet_study_ids.clone();
     let pop_ref = reference.server.population_average(&studies, "ntal").expect("reference pop");
     let (band_ref_region, band_ref_cost) =
         reference.server.multi_study_band_region(&studies, 32, 63).expect("reference band");
     assert!(pop_ref.is_complete());
 
-    for shard_count in [1usize, 2, 4, 8] {
+    for &shard_count in shard_counts {
         let mut warehouse =
-            ClusterWarehouse::install(&config, shard_count, 2).expect("warehouse install");
+            ClusterWarehouse::install(config, shard_count, 2).expect("warehouse install");
         for threads in [1usize, 8] {
             warehouse.set_threads(threads);
             let pop =
