@@ -39,21 +39,28 @@ const DIR_ENTRY_BYTES: usize = 16;
 ///
 /// Ids must fit in 32 bits (the directory words); the id-width gate at
 /// the REGION layer enforces the same limit the naive codec has.
-pub fn encode_runs(runs: &[(u64, u64)]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(8 + runs.len() * 3);
-    write_uvarint(&mut out, runs.len() as u64);
+pub fn encode_runs<R: Copy + Into<(u64, u64)>>(runs: &[R]) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_runs_into(&mut out, runs)?;
+    Ok(out)
+}
+
+/// [`encode_runs`] appending to `out` (on error, a partial payload).
+pub fn encode_runs_into<R: Copy + Into<(u64, u64)>>(out: &mut Vec<u8>, runs: &[R]) -> Result<()> {
+    out.reserve(8 + runs.len() * 3);
+    write_uvarint(out, runs.len() as u64);
     let n_blocks = runs.len().div_ceil(SKIP_BLOCK_RUNS);
-    write_uvarint(&mut out, n_blocks as u64);
+    write_uvarint(out, n_blocks as u64);
     let dir_base = out.len();
     out.resize(dir_base + n_blocks * DIR_ENTRY_BYTES, 0);
     let runs_base = out.len();
     let mut prev_end = 0u64;
     for (b, block) in runs.chunks(SKIP_BLOCK_RUNS).enumerate() {
         let byte_off = (out.len() - runs_base) as u64;
-        let first_start = block[0].0;
-        let last_end = block[block.len() - 1].1;
+        let (first_start, _) = block[0].into();
         let mut max_run = 0u64;
-        for (j, &(start, end)) in block.iter().enumerate() {
+        for (j, &run) in block.iter().enumerate() {
+            let (start, end) = run.into();
             if end < start {
                 return Err(CodingError::Corrupt("inverted run"));
             }
@@ -65,29 +72,30 @@ pub fn encode_runs(runs: &[(u64, u64)]) -> Result<Vec<u8>> {
                     return Err(CodingError::Corrupt("run list not canonical"));
                 }
                 if j > 0 {
-                    write_uvarint(&mut out, start - prev_end - 2);
+                    write_uvarint(out, start - prev_end - 2);
                 }
             }
-            write_uvarint(&mut out, end - start);
+            write_uvarint(out, end - start);
             max_run = max_run.max(end - start + 1);
             prev_end = end;
         }
         let entry = dir_base + b * DIR_ENTRY_BYTES;
         out[entry..entry + 4].copy_from_slice(&(first_start as u32).to_le_bytes());
-        out[entry + 4..entry + 8].copy_from_slice(&(last_end as u32).to_le_bytes());
+        out[entry + 4..entry + 8].copy_from_slice(&(prev_end as u32).to_le_bytes());
         out[entry + 8..entry + 12].copy_from_slice(&(max_run as u32).to_le_bytes());
         out[entry + 12..entry + 16].copy_from_slice(&(byte_off as u32).to_le_bytes());
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encoded payload size without building it.
-pub fn encoded_len(runs: &[(u64, u64)]) -> usize {
+pub fn encoded_len<R: Copy + Into<(u64, u64)>>(runs: &[R]) -> usize {
     let n_blocks = runs.len().div_ceil(SKIP_BLOCK_RUNS);
     let mut bytes =
         uvarint_len(runs.len() as u64) + uvarint_len(n_blocks as u64) + n_blocks * DIR_ENTRY_BYTES;
     let mut prev_end = 0u64;
-    for (i, &(start, end)) in runs.iter().enumerate() {
+    for (i, &run) in runs.iter().enumerate() {
+        let (start, end) = run.into();
         if i % SKIP_BLOCK_RUNS != 0 {
             bytes += uvarint_len(start.saturating_sub(prev_end + 2));
         }
@@ -140,8 +148,12 @@ impl<'a> RunListCursor<'a> {
             return Err(CodingError::Corrupt("skip directory size mismatch"));
         }
         let dir_base = pos;
-        let runs_base = dir_base
-            .checked_add(n_blocks * DIR_ENTRY_BYTES)
+        // This also bounds the untrusted `count` (it sizes `decode_all`'s
+        // allocation): the directory must fit in `bytes`, and it has 16
+        // bytes for every 32 runs, so `count <= 2 * bytes.len()`.
+        let runs_base = n_blocks
+            .checked_mul(DIR_ENTRY_BYTES)
+            .and_then(|dir| dir_base.checked_add(dir))
             .filter(|&b| b <= bytes.len())
             .ok_or(CodingError::UnexpectedEnd)?;
         let mut cursor = RunListCursor {
@@ -351,6 +363,20 @@ mod tests {
         assert!(encode_runs(&[(0, 3), (4, 6)]).is_err(), "adjacent runs must be merged");
         assert!(encode_runs(&[(10, 12), (5, 7)]).is_err());
         assert!(encode_runs(&[(0, 1u64 << 33)]).is_err(), "ids wider than u32");
+    }
+
+    #[test]
+    fn hostile_run_count_is_rejected_not_allocated() {
+        // A run count of 2^63 - 1 with the matching block count: the
+        // directory it implies is not there, so `decode_all` never
+        // reserves for it.
+        let mut bytes = vec![0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        write_uvarint(&mut bytes, (i64::MAX as u64).div_ceil(SKIP_BLOCK_RUNS as u64));
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(RunListCursor::new(&bytes).err(), Some(CodingError::UnexpectedEnd));
+        // Any count that does open is at most two runs per byte.
+        let bytes = encode_runs(&[(3u64, 9)]).unwrap();
+        assert!(RunListCursor::new(&bytes).unwrap().run_count() <= 2 * bytes.len());
     }
 
     #[test]

@@ -952,8 +952,7 @@ pub fn fold_band_regions(
         if opened.iter().any(|(g, _)| *g != geom) {
             return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
         }
-        let mut refs: Vec<&mut dyn qbism_coding::RunCursor> =
-            opened.iter_mut().map(|(_, c)| c as &mut dyn qbism_coding::RunCursor).collect();
+        let mut refs: Vec<_> = opened.iter_mut().map(|(_, cursor)| cursor).collect();
         let runs = qbism_region::kernel_compressed::intersect_k_stream(&mut refs)?;
         let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).collect();
         let acc = Region::from_runs(geom, runs);

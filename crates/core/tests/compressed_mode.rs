@@ -115,7 +115,9 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
 
     // Table 4's multi-study fold reads REGION pages only: k-way
     // intersect over compressed streams must produce the identical
-    // REGION for at least 1.5× fewer pages (21 → 10 today).
+    // REGION for at least 1.5× fewer pages (21 → 10).  The compressed
+    // count is pinned: the tablespace's bytes are a format, and a codec
+    // change that moves them must say so here.
     let ids = plain.pet_study_ids.clone();
     let (ra, ca) = plain.server.multi_study_band_region(&ids, 32, 63).expect("default multi");
     let (rb, cb) = packed.server.multi_study_band_region(&ids, 32, 63).expect("compressed multi");
@@ -126,9 +128,10 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
         cb.lfm.pages_read,
         ca.lfm.pages_read
     );
+    assert_eq!(cb.lfm.pages_read, 10, "compressed fold pages drifted");
 
     // The compressed tablespace is at least 3× smaller on device
-    // (567,046 → 145,743 bytes today), and its fields actually hold the
+    // (567,046 → exactly 145,743 bytes), and its fields actually hold the
     // queryable codecs; the default tablespace is untouched (paper
     // codec, nothing compressed).
     let plain_fields = region_fields(&mut plain);
@@ -140,6 +143,7 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
         plain_bytes >= 3 * packed_bytes,
         "compressed tablespace must be >= 3x smaller: {packed_bytes} vs {plain_bytes}"
     );
+    assert_eq!(packed_bytes, 145_743, "compressed REGION bytes drifted");
     assert!(plain_fields.iter().all(|f| !qbism_region::compressed::is_compressed(f)));
     assert!(packed_fields.iter().all(|f| qbism_region::compressed::is_compressed(f)));
 

@@ -9,8 +9,8 @@
 //! seekable run source the kernels in [`crate::kernel_compressed`]
 //! merge without ever materializing the run vector.
 //!
-//! [`encode_compressed`] is the storage policy: it encodes both ways
-//! and keeps the smaller byte string, so sparse boundary-dominated
+//! [`encode_compressed`] is the storage policy: it measures both ways
+//! and builds the smaller byte string, so sparse boundary-dominated
 //! structures land in the skip-block run list and dense blobs in the
 //! k³-tree.
 
@@ -72,7 +72,12 @@ impl CompressedCursor<'_> {
     /// kernel modules must stream instead (lint
     /// `no-full-decode-in-kernel` bans this call there).
     pub fn to_runs_vec(mut self) -> Result<Vec<Run>, RegionEncodeError> {
-        let mut out = Vec::new();
+        // Both cursors bounded their header's run count by the payload
+        // size when they opened, so it is safe to reserve for.
+        let mut out = Vec::with_capacity(match &self {
+            CompressedCursor::RunList(c) => c.run_count(),
+            CompressedCursor::K3(c) => c.run_count(),
+        });
         while let Some((start, end)) = self.peek() {
             out.push(Run::new(start, end));
             self.advance()?;
@@ -114,7 +119,8 @@ pub fn is_compressed(bytes: &[u8]) -> bool {
 /// formats — run lists win on sparse boundary-heavy structures,
 /// k³-trees on dense blobs.
 pub fn encode_compressed(region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
-    let vskip = RegionCodec::RunVskip.encode(region)?;
-    let k3 = RegionCodec::K3Tree.encode(region)?;
-    Ok(if vskip.len() <= k3.len() { vskip } else { k3 })
+    // Measure both, build only the winner (ties go to the run list).
+    let vskip = RegionCodec::RunVskip.encoded_len(region)?;
+    let k3 = RegionCodec::K3Tree.encoded_len(region)?;
+    if vskip <= k3 { RegionCodec::RunVskip } else { RegionCodec::K3Tree }.encode(region)
 }

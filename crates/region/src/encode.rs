@@ -149,15 +149,12 @@ impl RegionCodec {
             RegionCodec::RunVskip => {
                 let runs = region.runs();
                 out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                let pairs: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.end)).collect();
-                out.extend_from_slice(&qbism_coding::runcode::encode_runs(&pairs)?);
+                qbism_coding::runcode::encode_runs_into(&mut out, runs)?;
             }
             RegionCodec::K3Tree => {
                 let runs = region.runs();
                 out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                let pairs: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.end)).collect();
-                let id_bits = geom.dims() * geom.bits();
-                out.extend_from_slice(&qbism_coding::k3tree::encode_runs(&pairs, id_bits)?);
+                qbism_coding::k3tree::encode_runs_into(&mut out, runs, geom.dims() * geom.bits())?;
             }
         }
         Ok(out)
@@ -183,14 +180,12 @@ impl RegionCodec {
                 header + (bits as usize).div_ceil(8)
             }
             RegionCodec::Octant(kind) => header + region.octant_count(*kind) * 4,
-            RegionCodec::RunVskip => {
-                let pairs: Vec<(u64, u64)> =
-                    region.runs().iter().map(|r| (r.start, r.end)).collect();
-                header + qbism_coding::runcode::encoded_len(&pairs)
+            RegionCodec::RunVskip => header + qbism_coding::runcode::encoded_len(region.runs()),
+            RegionCodec::K3Tree => {
+                let geom = region.geometry();
+                let id_bits = geom.dims() * geom.bits();
+                header + qbism_coding::k3tree::encoded_len(region.runs(), id_bits)?
             }
-            // The k³-tree's size depends on subtree shape; measure by
-            // encoding (compressed payloads are small by construction).
-            RegionCodec::K3Tree => self.encode(region)?.len(),
         })
     }
 

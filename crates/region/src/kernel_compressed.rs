@@ -171,8 +171,9 @@ pub fn difference_stream(a: &mut impl RunCursor, b: &mut impl RunCursor) -> Resu
 
 /// k-way intersection over compressed streams — the multi-study fold of
 /// `multiStudyBandRegion`, galloping every operand to the running
-/// maximum start.
-pub fn intersect_k_stream(cursors: &mut [&mut dyn RunCursor]) -> Result<Vec<Run>> {
+/// maximum start.  Generic over the cursor so a fold over one concrete
+/// type is monomorphised; `dyn RunCursor` operands still fit.
+pub fn intersect_k_stream<C: RunCursor + ?Sized>(cursors: &mut [&mut C]) -> Result<Vec<Run>> {
     if cursors.is_empty() {
         return Ok(Vec::new());
     }

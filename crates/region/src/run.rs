@@ -46,6 +46,13 @@ impl Run {
     }
 }
 
+/// The `(start, end)` pair the `qbism_coding` run codecs consume.
+impl From<Run> for (u64, u64) {
+    fn from(run: Run) -> Self {
+        (run.start, run.end)
+    }
+}
+
 /// Normalizes an arbitrary list of runs into the canonical form: sorted,
 /// disjoint, maximal (adjacent or overlapping runs merged).
 pub(crate) fn normalize(mut runs: Vec<Run>) -> Vec<Run> {

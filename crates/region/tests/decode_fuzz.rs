@@ -1,0 +1,72 @@
+//! Decode-fuzz for the queryable compressed REGION byte strings.
+//!
+//! These bytes come back from the device, so whatever they hold,
+//! [`compressed_cursor`] + drain and [`RegionCodec::decode`] must answer
+//! `Ok` or a typed `Err` — never panic, never reserve memory the bytes
+//! cannot back.  Valid strings of both codecs are cut at every length
+//! and flipped at every bit; arbitrary tails ride behind a valid REGION
+//! header so the payload decoders, not the header check, see them.
+
+use proptest::prelude::*;
+use qbism_region::{compressed_cursor, CompressedCursor, GridGeometry, Region, RegionCodec};
+use qbism_sfc::CurveKind;
+
+/// A 32³ REGION with a solid box and some scattered cells: both node
+/// kinds of the k³-tree, several skip blocks of the run list.
+fn sample() -> Region {
+    let g = GridGeometry::new(CurveKind::Hilbert, 3, 5);
+    let solid = Region::from_box(g, [3, 4, 5], [17, 12, 9]).expect("box inside the grid");
+    solid.union(&Region::from_ids(g, (0..400).map(|i| i * 79 % 32_768).collect()))
+}
+
+/// Opens and drains `bytes` both ways.  Whatever a k³-tree's bytes
+/// hold, the runs it streams are canonical (the run list's deltas can
+/// be bent into touching runs, which `decode` then merges).
+fn decode_both_ways(bytes: &[u8]) {
+    let streamed = compressed_cursor(bytes).and_then(|(_, cursor)| {
+        let is_k3 = matches!(cursor, CompressedCursor::K3(_));
+        Ok((is_k3, cursor.to_runs_vec()?))
+    });
+    let decoded = RegionCodec::decode(bytes);
+    if let Ok((true, runs)) = streamed {
+        assert!(runs.windows(2).all(|w| w[0].end + 1 < w[1].start), "k3 runs not canonical");
+        if let Ok(region) = decoded {
+            assert_eq!(runs, region.runs());
+        }
+    }
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_a_valid_region_is_handled() {
+    let region = sample();
+    for codec in RegionCodec::COMPRESSED {
+        let bytes = codec.encode(&region).expect("encode");
+        assert_eq!(RegionCodec::decode(&bytes).expect("decode"), region);
+        for cut in 0..bytes.len() {
+            decode_both_ways(&bytes[..cut]);
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            decode_both_ways(&flipped);
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_payloads_behind_a_valid_header_are_handled(
+        codec_pick in 0usize..2,
+        count in any::<u32>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        // The first ten bytes of any encoding are the REGION header;
+        // the claimed run count is arbitrary too.
+        let mut bytes = RegionCodec::COMPRESSED[codec_pick].encode(&sample()).expect("encode");
+        bytes.truncate(6);
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&tail);
+        decode_both_ways(&bytes);
+        decode_both_ways(&tail);
+    }
+}
