@@ -13,53 +13,31 @@ use crate::report::{steps, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Is this function in a kernel file of one of the scoped crates?
-fn in_kernel_scope(ctx: &Ctx<'_>, id: usize, crates: &[String]) -> bool {
+fn in_kernel_scope(ctx: &Ctx<'_>, id: usize) -> bool {
     let file = ctx.file_of(id);
     let name = file.rsplit('/').next().unwrap_or(file);
-    name.contains("kernel") && crates.iter().any(|c| c == ctx.crate_of(id))
+    name.contains("kernel") && ctx.cfg.kernel_crates.iter().any(|c| c == ctx.crate_of(id))
 }
 
 pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    kernel_rule(
-        ctx,
-        &mut findings,
-        "kernel-materialize",
-        &ctx.cfg.kernel_crates_materialize,
-        |m| &m.materialize,
-        "kernel code must not reach an id-materializing helper; stream the sorted run lists",
-    );
-    kernel_rule(
-        ctx,
-        &mut findings,
-        "kernel-full-decode",
-        &ctx.cfg.kernel_crates_decode,
-        |m| &m.full_decode,
-        "kernel code must not reach a full-decode helper; merge through the streaming cursor",
-    );
+    kernel_materialize(ctx, &mut findings);
     raw_sync(ctx, &mut findings);
     findings
 }
 
-fn kernel_rule(
-    ctx: &Ctx<'_>,
-    findings: &mut Vec<Finding>,
-    rule: &str,
-    crates: &[String],
-    marks_of: impl Fn(&crate::marks::FnMarks) -> &Vec<crate::marks::Mark>,
-    contract: &str,
-) {
+fn kernel_materialize(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
     let n = ctx.ws.funcs.len();
     // Targets: marked functions *outside* kernel scope (in-scope uses
     // are direct lint findings).
     let targets: BTreeSet<usize> = (0..n)
-        .filter(|&i| !marks_of(&ctx.marks[i]).is_empty() && !in_kernel_scope(ctx, i, crates))
+        .filter(|&i| !ctx.marks[i].materialize.is_empty() && !in_kernel_scope(ctx, i))
         .collect();
     if targets.is_empty() {
         return;
     }
     for id in 0..n {
-        if !in_kernel_scope(ctx, id, crates) || ctx.ws.funcs[id].item.in_test {
+        if !in_kernel_scope(ctx, id) || ctx.ws.funcs[id].item.in_test {
             continue;
         }
         // Each reachable target gets its own stable key.
@@ -73,12 +51,14 @@ fn kernel_rule(
             if path.len() < 2 {
                 continue;
             }
-            let mark = &marks_of(&ctx.marks[t])[0];
+            let mark = &ctx.marks[t].materialize[0];
             findings.push(Finding {
-                rule: rule.to_string(),
-                key: format!("{rule} @ {} -> {}", ctx.loc(id), ctx.loc(t)),
+                rule: "kernel-materialize".to_string(),
+                key: format!("kernel-materialize @ {} -> {}", ctx.loc(id), ctx.loc(t)),
                 message: format!(
-                    "{contract}: reaches `{}` (line {}) outside kernel scope",
+                    "kernel code must not reach a helper that materializes ids or fully \
+                     decodes a payload; stream runs through the cursors: reaches `{}` \
+                     (line {}) outside kernel scope",
                     mark.what, mark.line
                 ),
                 path: steps(ctx.ws, &path),

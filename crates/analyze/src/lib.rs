@@ -8,8 +8,8 @@
 //!
 //! 1. **determinism taint** — wall-clock / hash-order / thread-id /
 //!    env sources must not reach deterministic cost-model sinks;
-//! 2. **transitive rule lifting** — the kernel-materialize,
-//!    full-decode, and raw-sync line rules, lifted to call paths;
+//! 2. **transitive rule lifting** — the kernel-materialize and
+//!    raw-sync line rules, lifted to call paths;
 //! 3. **panic reachability** — panic sites reachable from the public
 //!    server/database/warehouse entry points, with shortest paths;
 //! 4. **static lock order** — guard-held sets propagated over the
@@ -41,10 +41,8 @@ pub struct AnalysisConfig {
     pub entry_types: Vec<String>,
     /// Crates ported to the sync facade (raw-sync transitive scope).
     pub facade_crates: Vec<String>,
-    /// Kernel-file crates for the materialize rule.
-    pub kernel_crates_materialize: Vec<String>,
-    /// Kernel-file crates for the full-decode rule.
-    pub kernel_crates_decode: Vec<String>,
+    /// Crates whose `kernel*` files the materialize rule covers.
+    pub kernel_crates: Vec<String>,
     /// Field names whose writes are deterministic sinks.
     pub det_fields: Vec<String>,
     /// Struct names whose literal construction is a deterministic sink.
@@ -69,8 +67,7 @@ impl AnalysisConfig {
             skip_crates: s(&["bench"]),
             entry_types: s(&["MedicalServer", "Database", "ClusterWarehouse"]),
             facade_crates: s(&["parallel", "lfm", "netsim", "fault", "core", "cluster"]),
-            kernel_crates_materialize: s(&["region", "sfc", "volume"]),
-            kernel_crates_decode: s(&["region", "sfc", "volume", "coding"]),
+            kernel_crates: s(&["region", "sfc", "volume", "coding"]),
             det_fields: s(&[
                 // QueryCost deterministic columns.
                 "lfm",

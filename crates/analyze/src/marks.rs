@@ -41,7 +41,6 @@ pub struct FnMarks {
     pub det_sinks: Vec<Mark>,
     pub panics: Vec<Mark>,
     pub materialize: Vec<Mark>,
-    pub full_decode: Vec<Mark>,
     pub raw_sync: Vec<Mark>,
     pub locks: Vec<LockSite>,
 }
@@ -201,11 +200,8 @@ fn mark_fn(
             }
         }
         match name {
-            "from_ids" | "iter_voxels" => {
+            "from_ids" | "iter_voxels" | "decode_all" | "to_runs_vec" => {
                 m.materialize.push(Mark { what: format!("{name}(…)"), line: site.line });
-            }
-            "decode_all" | "to_runs_vec" => {
-                m.full_decode.push(Mark { what: format!("{name}(…)"), line: site.line });
             }
             _ => {}
         }

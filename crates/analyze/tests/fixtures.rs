@@ -51,17 +51,20 @@ fn taint_fixed_is_clean() {
 #[test]
 fn kernel_broken_is_caught_across_files() {
     let r = fixture("kernel", "broken");
-    let f = r
-        .findings
-        .iter()
-        .find(|f| f.rule == "kernel-materialize")
-        .unwrap_or_else(|| panic!("no kernel-materialize finding: {:#?}", r.findings));
-    assert_eq!(
-        f.key,
-        "kernel-materialize @ crates/region/src/kernel.rs:intersect -> crates/region/src/support.rs:normalize"
-    );
-    assert!(f.message.contains("from_ids"), "{}", f.message);
-    assert_eq!(f.path.len(), 2, "{:#?}", f.path);
+    // One rule covers a laundered id vector and a laundered full decode.
+    for (helper, banned) in [("normalize", "from_ids"), ("drain", "to_runs_vec")] {
+        let key = format!(
+            "kernel-materialize @ crates/region/src/kernel.rs:intersect -> crates/region/src/support.rs:{helper}"
+        );
+        let f = r
+            .findings
+            .iter()
+            .find(|f| f.key == key)
+            .unwrap_or_else(|| panic!("no finding {key}: {:#?}", r.findings));
+        assert_eq!(f.rule, "kernel-materialize");
+        assert!(f.message.contains(banned), "{}", f.message);
+        assert_eq!(f.path.len(), 2, "{:#?}", f.path);
+    }
 }
 
 #[test]

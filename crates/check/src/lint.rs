@@ -25,19 +25,14 @@
 //!   accounting layer: cache code never touches logical `IoStats`
 //!   (PR 3 separated logical from physical I/O counts; this keeps the
 //!   layers from re-tangling).
-//! - **no-kernel-materialize** — kernel modules (the run-native hot
-//!   paths of the region/sfc/volume crates, any file named `kernel*`)
-//!   never materialize voxel-id vectors: no `from_ids(` and no
-//!   `iter_voxels` — runs stream through; id lists are for tests and
-//!   API edges (PR 5 rewired the algebra onto streaming kernels; this
-//!   keeps per-voxel paths from creeping back in).
-//! - **no-full-decode-in-kernel** — compressed-domain kernel modules
-//!   (any file named `kernel*` in the region/sfc/volume/coding crates)
-//!   never fall back to full decompression: no `decode_all(` and no
-//!   `to_runs_vec(` — cursors stream and gallop; draining a compressed
-//!   payload into a run vector belongs to API edges and tests (the
-//!   compressed tablespace's I/O win depends on kernels touching only
-//!   the runs a merge actually needs).
+//! - **no-materialize-in-kernel** — kernel modules (the run-native hot
+//!   paths of the region/sfc/volume/coding crates, any file named
+//!   `kernel*`) stream runs through cursors and never materialize what
+//!   a merge did not ask for: no voxel-id vectors (`from_ids(`,
+//!   `iter_voxels`) and no full decompression of a compressed payload
+//!   (`decode_all(`, `to_runs_vec(`) — id lists and drained cursors are
+//!   for tests and API edges (the compressed tablespace's I/O win
+//!   depends on kernels touching only the runs a merge actually needs).
 //! - **fault-site-name** — fault-injection site patterns are dotted
 //!   lowercase (`plane.op`, e.g. `lfm.meta.write`), with `*` wildcards,
 //!   so rules written against one crate keep matching as sites grow.
@@ -164,10 +159,6 @@ pub fn lint_source(source: &str, rel: &str, crate_name: &str, cfg: &LintConfig) 
     let check_cache =
         file_name.contains("cache") && (cfg.all_crates_in_scope || crate_name == "lfm");
     let check_kernel = file_name.contains("kernel")
-        && (cfg.all_crates_in_scope || matches!(crate_name, "region" | "sfc" | "volume"));
-    // The compressed-domain rule also covers the coding crate, where
-    // the queryable cursors live.
-    let check_full_decode = file_name.contains("kernel")
         && (cfg.all_crates_in_scope
             || matches!(crate_name, "region" | "sfc" | "volume" | "coding"));
 
@@ -235,31 +226,14 @@ pub fn lint_source(source: &str, rel: &str, crate_name: &str, cfg: &LintConfig) 
             );
         }
         if check_kernel {
-            if code.contains("from_ids(") {
-                push(
-                    "no-kernel-materialize",
-                    "kernel code must not materialize an id vector via `from_ids`; stream the sorted run lists instead".to_string(),
-                );
-            }
-            if code.contains("iter_voxels") {
-                push(
-                    "no-kernel-materialize",
-                    "kernel code must not expand runs voxel-by-voxel via `iter_voxels`; operate on runs directly".to_string(),
-                );
-            }
-        }
-        if check_full_decode {
-            if code.contains("decode_all(") {
-                push(
-                    "no-full-decode-in-kernel",
-                    "kernel code must not fully decompress via `decode_all`; merge through the streaming cursor instead".to_string(),
-                );
-            }
-            if code.contains("to_runs_vec(") {
-                push(
-                    "no-full-decode-in-kernel",
-                    "kernel code must not drain a compressed cursor via `to_runs_vec`; stream and gallop — full decode belongs to API edges and tests".to_string(),
-                );
+            for banned in ["from_ids(", "iter_voxels", "decode_all(", "to_runs_vec("] {
+                if code.contains(banned) {
+                    let name = banned.trim_end_matches('(');
+                    push(
+                        "no-materialize-in-kernel",
+                        format!("kernel code must not materialize via `{name}`; stream runs through the cursors — id vectors and drained payloads belong to API edges and tests"),
+                    );
+                }
             }
         }
         for (api, site) in fault_site_literals(code, &parsed.literals) {
@@ -698,41 +672,21 @@ mod tests {
     }
 
     #[test]
-    fn kernel_files_must_not_materialize_ids() {
-        let src =
-            "fn f(g: G, ids: Vec<u64>) { let r = Region::from_ids(g, ids); r.iter_voxels3(); }";
+    fn kernel_files_must_not_materialize() {
+        let src = "fn f(g: G, ids: Vec<u64>, c: Cursor) { let r = Region::from_ids(g, ids); \
+                   r.iter_voxels3(); let v = c.to_runs_vec(); let w = d.decode_all(); }";
         let f = lint_source(src, "crates/region/src/kernel.rs", "region", &LintConfig::workspace());
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().all(|f| f.rule == "no-kernel-materialize"));
-        // Same tokens outside a kernel module are fine.
+        assert_eq!(f.len(), 4, "{f:?}");
+        assert!(f.iter().all(|f| f.rule == "no-materialize-in-kernel"));
+        // The coding crate's kernel files are in scope too.
+        let coding =
+            lint_source(src, "crates/coding/src/kernel.rs", "coding", &LintConfig::workspace());
+        assert_eq!(coding.len(), 4);
+        // Same tokens outside a kernel module (API edges, decode paths) are fine.
         let api =
             lint_source(src, "crates/region/src/region.rs", "region", &LintConfig::workspace());
         assert!(api.is_empty(), "API-edge materialization is allowed: {api:?}");
         // And kernel files in out-of-scope crates are fine too.
-        let core = lint_source(src, "crates/core/src/kernel.rs", "core", &LintConfig::workspace());
-        assert!(core.is_empty());
-    }
-
-    #[test]
-    fn kernel_files_must_not_fully_decode_compressed_payloads() {
-        let src = "fn f(c: Cursor) { let v = c.to_runs_vec(); let w = d.decode_all(); }";
-        let f = lint_source(
-            src,
-            "crates/region/src/kernel_compressed.rs",
-            "region",
-            &LintConfig::workspace(),
-        );
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "no-full-decode-in-kernel"));
-        // The coding crate's kernel files are in scope too.
-        let coding =
-            lint_source(src, "crates/coding/src/kernel.rs", "coding", &LintConfig::workspace());
-        assert_eq!(coding.len(), 2);
-        // Full decode outside kernel modules (API edges, decode paths) is fine.
-        let api =
-            lint_source(src, "crates/region/src/compressed.rs", "region", &LintConfig::workspace());
-        assert!(api.is_empty(), "API-edge full decode is allowed: {api:?}");
-        // And kernel files in out-of-scope crates are fine.
         let core = lint_source(src, "crates/core/src/kernel.rs", "core", &LintConfig::workspace());
         assert!(core.is_empty());
     }

@@ -1,29 +1,37 @@
-// Fixture: kernel code materializing voxel-id vectors.  The file name
+// Fixture: kernel code materializing what a merge did not ask for —
+// voxel-id vectors or a fully decompressed payload.  The file name
 // contains "kernel", which is what scopes the rule — the real targets
-// are the run-native kernel modules of region/sfc/volume.
+// are the run-kernel modules of region/sfc/volume/coding.
 
 fn bad_rebuild(geom: Geom, ids: Vec<u64>) -> Region {
-    Region::from_ids(geom, ids) // LINT: no-kernel-materialize
+    Region::from_ids(geom, ids) // LINT: no-materialize-in-kernel
 }
 
 fn bad_expand(region: &Region) -> u64 {
-    region.iter_voxels3().count() as u64 // LINT: no-kernel-materialize
+    region.iter_voxels3().count() as u64 // LINT: no-materialize-in-kernel
 }
 
-fn fine_streaming(a: &[Run], b: &[Run]) -> Vec<Run> {
+fn bad_drain(cursor: CompressedCursor<'_>) -> Vec<Run> {
+    cursor.to_runs_vec().unwrap_or_default() // LINT: no-materialize-in-kernel
+}
+
+fn bad_decode(cursor: &RunListCursor<'_>) -> Vec<(u64, u64)> {
+    cursor.clone().decode_all().unwrap_or_default() // LINT: no-materialize-in-kernel
+}
+
+fn fine_streaming_merge(a: &mut dyn RunCursor, b: &mut dyn RunCursor) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i].end < b[j].start {
-            i += 1;
-        } else if b[j].end < a[i].start {
-            j += 1;
+    while let (Some((a_s, a_e)), Some((b_s, b_e))) = (a.peek(), b.peek()) {
+        if a_e < b_s {
+            let _ = a.seek(b_s); // gallop, don't decode
+        } else if b_e < a_s {
+            let _ = b.seek(a_s);
         } else {
-            out.push(Run { start: a[i].start.max(b[j].start), end: a[i].end.min(b[j].end) });
-            if a[i].end <= b[j].end {
-                i += 1;
+            out.push((a_s.max(b_s), a_e.min(b_e)));
+            if a_e <= b_e {
+                let _ = a.advance();
             } else {
-                j += 1;
+                let _ = b.advance();
             }
         }
     }
@@ -32,8 +40,8 @@ fn fine_streaming(a: &[Run], b: &[Run]) -> Vec<Run> {
 
 #[cfg(test)]
 mod tests {
-    // Oracles may materialize: test blocks are exempt.
-    fn oracle(geom: Geom, ids: Vec<u64>) -> Region {
-        Region::from_ids(geom, ids)
+    // Oracles may materialize and drain: test blocks are exempt.
+    fn oracle(geom: Geom, ids: Vec<u64>, cursor: CompressedCursor<'_>) -> (Region, Vec<Run>) {
+        (Region::from_ids(geom, ids), cursor.to_runs_vec().unwrap())
     }
 }

@@ -352,7 +352,7 @@ impl<'a> K3Cursor<'a> {
 
     /// Drains the cursor into a `(start, end)` vector.  Test/API-edge
     /// helper — kernel code streams instead (lint
-    /// `no-full-decode-in-kernel` bans this call there).
+    /// `no-materialize-in-kernel` bans this call there).
     pub fn decode_all(mut self) -> Result<Vec<(u64, u64)>> {
         // `new` bounded the count by the payload size.
         let mut out = Vec::with_capacity(self.count);

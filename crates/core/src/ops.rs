@@ -21,8 +21,7 @@
 use crate::wire::encode_data_region;
 use qbism_lfm::LongFieldId;
 use qbism_region::compressed::{compressed_cursor, is_compressed, CompressedCursor};
-use qbism_region::kernel_compressed as kc;
-use qbism_region::{Region, RegionCodec, RegionEncodeError, Run};
+use qbism_region::{kernel, GridGeometry, Region, RegionCodec, RegionEncodeError, Run};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use qbism_volume::DataRegion;
 
@@ -53,52 +52,60 @@ fn fetch_region(ctx: &mut UdfContext<'_>, v: &Value) -> Result<Region, DbError> 
     decode_arg(&bytes)
 }
 
-/// Compressed-domain fast path for a binary region operator: when both
-/// operands are queryable compressed byte strings on the same grid,
-/// stream-merge the payloads with `op` (no full decompression), credit
-/// the galloping skips to the LFM metrics, and re-encode the answer
-/// compactly so nested operators stay in the compressed domain.
-/// Returns `None` when either operand is not compressed — the caller
-/// falls back to the decoded kernels.
-fn compressed_pair(
+/// The grid check shared by every binary region operator, made once
+/// where the operands are opened (as cursors or decoded) — REGIONs on
+/// different grids have no common id space to merge in.
+fn same_grid(name: &str, a: GridGeometry, b: GridGeometry) -> Result<(), DbError> {
+    if a == b {
+        Ok(())
+    } else {
+        Err(DbError::Exec(format!("{name}: REGION operands on mismatched grids ({a:?} vs {b:?})")))
+    }
+}
+
+/// A binary region operator `name(region, region) -> bytes`.  When both
+/// operands are queryable compressed byte strings, `stream` merges the
+/// payloads (no full decompression), the galloping skips are credited
+/// to the LFM metrics, and the answer is re-encoded compactly so nested
+/// operators stay in the compressed domain.  Otherwise both operands
+/// decode, `decoded` merges the run lists, and the answer is encoded
+/// with `codec`.  Either way it is the same kernel over another cursor.
+fn region_pair_op(
     ctx: &mut UdfContext<'_>,
-    a: &RegionArg,
-    b: &RegionArg,
-    op: impl FnOnce(
-        &mut CompressedCursor<'_>,
-        &mut CompressedCursor<'_>,
-    ) -> Result<Vec<Run>, RegionEncodeError>,
-) -> Option<Result<Value, DbError>> {
+    name: &str,
+    args: &[Value],
+    codec: RegionCodec,
+    stream: StreamMerge,
+    decoded: fn(&Region, &Region) -> Region,
+) -> Result<Value, DbError> {
+    expect_arity(name, args, 2)?;
+    let a = fetch_region_arg(ctx, &args[0])?;
+    let b = fetch_region_arg(ctx, &args[1])?;
     if !is_compressed(&a.0) || !is_compressed(&b.0) {
-        return None;
+        let (ra, rb) = (decode_arg(&a.0)?, decode_arg(&b.0)?);
+        same_grid(name, ra.geometry(), rb.geometry())?;
+        return region_result(&decoded(&ra, &rb), codec);
     }
-    let opened = match (compressed_cursor(&a.0), compressed_cursor(&b.0)) {
-        (Ok(ca), Ok(cb)) => (ca, cb),
-        (Err(e), _) | (_, Err(e)) => {
-            return Some(Err(DbError::Exec(format!("malformed REGION operand: {e}"))))
-        }
-    };
-    let ((geom_a, mut ca), (geom_b, mut cb)) = opened;
-    if geom_a != geom_b {
-        return None; // mixed grids take the decoded transcoding path
-    }
-    let runs = match op(&mut ca, &mut cb) {
-        Ok(runs) => runs,
-        Err(e) => return Some(Err(DbError::Exec(format!("compressed merge failed: {e}")))),
-    };
+    let malformed = |e| DbError::Exec(format!("malformed REGION operand: {e}"));
+    let (geom, mut ca) = compressed_cursor(&a.0).map_err(malformed)?;
+    let (geom_b, mut cb) = compressed_cursor(&b.0).map_err(malformed)?;
+    same_grid(name, geom, geom_b)?;
+    let runs = stream(&mut ca, &mut cb)
+        .map_err(|e| DbError::Exec(format!("compressed merge failed: {e}")))?;
     if let Some(id) = a.1 {
         ctx.lfm.note_decode_skips(id, ca.skip_count());
     }
     if let Some(id) = b.1 {
         ctx.lfm.note_decode_skips(id, cb.skip_count());
     }
-    let region = Region::from_runs(geom_a, runs);
-    Some(
-        qbism_region::encode_compressed(&region)
-            .map(Value::Bytes)
-            .map_err(|e| DbError::Exec(format!("cannot encode result REGION: {e}"))),
-    )
+    let bytes = qbism_region::encode_compressed(&Region::from_runs(geom, runs))
+        .map_err(|e| DbError::Exec(format!("cannot encode result REGION: {e}")))?;
+    Ok(Value::Bytes(bytes))
 }
+
+/// A kernel instantiated over two compressed operands.
+type StreamMerge =
+    fn(&mut CompressedCursor<'_>, &mut CompressedCursor<'_>) -> Result<Vec<Run>, RegionEncodeError>;
 
 fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> {
     let bytes = codec
@@ -113,36 +120,22 @@ fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> 
 /// configured on-disk codec, so nested operators round-trip bit-exact).
 pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec) {
     db.register_udf("intersection", move |ctx, args| {
-        expect_arity("intersection", args, 2)?;
-        let a = fetch_region_arg(ctx, &args[0])?;
-        let b = fetch_region_arg(ctx, &args[1])?;
-        if let Some(res) = compressed_pair(ctx, &a, &b, |ca, cb| kc::intersect_stream(ca, cb)) {
-            return res;
-        }
-        region_result(&decode_arg(&a.0)?.intersect(&decode_arg(&b.0)?), codec)
+        let stream: StreamMerge = |a, b| kernel::intersect(a, b);
+        region_pair_op(ctx, "intersection", args, codec, stream, Region::intersect)
     });
     db.register_udf("runion", move |ctx, args| {
-        expect_arity("runion", args, 2)?;
-        let a = fetch_region_arg(ctx, &args[0])?;
-        let b = fetch_region_arg(ctx, &args[1])?;
-        if let Some(res) = compressed_pair(ctx, &a, &b, |ca, cb| kc::union_stream(ca, cb)) {
-            return res;
-        }
-        region_result(&decode_arg(&a.0)?.union(&decode_arg(&b.0)?), codec)
+        let stream: StreamMerge = |a, b| kernel::union(a, b);
+        region_pair_op(ctx, "runion", args, codec, stream, Region::union)
     });
     db.register_udf("rdifference", move |ctx, args| {
-        expect_arity("rdifference", args, 2)?;
-        let a = fetch_region_arg(ctx, &args[0])?;
-        let b = fetch_region_arg(ctx, &args[1])?;
-        if let Some(res) = compressed_pair(ctx, &a, &b, |ca, cb| kc::difference_stream(ca, cb)) {
-            return res;
-        }
-        region_result(&decode_arg(&a.0)?.difference(&decode_arg(&b.0)?), codec)
+        let stream: StreamMerge = |a, b| kernel::difference(a, b);
+        region_pair_op(ctx, "rdifference", args, codec, stream, Region::difference)
     });
     db.register_udf("contains", |ctx, args| {
         expect_arity("contains", args, 2)?;
         let a = fetch_region(ctx, &args[0])?;
         let b = fetch_region(ctx, &args[1])?;
+        same_grid("contains", a.geometry(), b.geometry())?;
         Ok(Value::Bool(a.contains_region(&b)))
     });
     db.register_udf("regionvoxels", |ctx, args| {

@@ -19,7 +19,7 @@ use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
 use qbism_netsim::{NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::trace;
 use qbism_parallel::Executor;
-use qbism_region::{Region, RegionCodec};
+use qbism_region::{kernel, GridGeometry, Region, RegionCodec};
 use qbism_starburst::{Database, Value};
 use qbism_volume::{DataRegion, Volume};
 
@@ -921,17 +921,18 @@ pub struct StudyFetch {
 /// routers so both ship byte-identical answers in every tablespace
 /// mode: the n-way intersection of the studies' stored band REGION
 /// `blobs` (study order), as answer bytes, the decoded [`Region`], and
-/// each operand's galloping skip count (empty unless the compressed
-/// stream kernel ran).
+/// each operand's galloping skip count (empty unless the operands
+/// streamed compressed).
 ///
-/// One study degenerates to the stored bytes.  All-compressed operands
-/// intersect straight over the compact payloads — cursors gallop past
-/// non-overlapping skip blocks and subtrees, only the answer's runs are
-/// ever materialized — and re-encode compressed.  Anything else decodes
-/// and intersects in a single k-way simultaneous merge over all run
-/// lists (no intermediate region per fold step — intersection is
-/// associative and commutative, so the answer is byte-identical to a
-/// pairwise fold) and re-encodes with `codec`.
+/// One study degenerates to the stored bytes.  Otherwise the operands
+/// open — all-compressed ones as cursors straight over the compact
+/// payloads, anything else decoded — their grids are checked once, and
+/// one k-way simultaneous merge intersects them (no intermediate region
+/// per fold step — intersection is associative and commutative, so the
+/// answer is byte-identical to a pairwise fold).  Compressed cursors
+/// gallop past non-overlapping skip blocks and subtrees, only the
+/// answer's runs are ever materialized, and the answer re-encodes
+/// compressed; decoded operands re-encode with `codec`.
 pub fn fold_band_regions(
     mut blobs: Vec<Vec<u8>>,
     codec: RegionCodec,
@@ -946,14 +947,9 @@ pub fn fold_band_regions(
         for blob in &blobs {
             opened.push(qbism_region::compressed_cursor(blob)?);
         }
-        let Some(&(geom, _)) = opened.first() else {
-            return Err(QbismError::NotFound("band query needs at least one study".into()));
-        };
-        if opened.iter().any(|(g, _)| *g != geom) {
-            return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
-        }
+        let geom = common_grid(opened.iter().map(|(g, _)| *g))?;
         let mut refs: Vec<_> = opened.iter_mut().map(|(_, cursor)| cursor).collect();
-        let runs = qbism_region::kernel_compressed::intersect_k_stream(&mut refs)?;
+        let runs = kernel::intersect_k_cursors(&mut refs)?;
         let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).collect();
         let acc = Region::from_runs(geom, runs);
         let bytes = qbism_region::encode_compressed(&acc)?;
@@ -963,12 +959,22 @@ pub fn fold_band_regions(
     for blob in &blobs {
         regions.push(RegionCodec::decode(blob)?);
     }
-    let refs: Vec<&Region> = regions.iter().collect();
-    let Some(acc) = qbism_region::intersect_all(&refs) else {
-        return Err(QbismError::NotFound("band query needs at least one study".into()));
-    };
+    let geom = common_grid(regions.iter().map(Region::geometry))?;
+    let lists: Vec<_> = regions.iter().map(Region::runs).collect();
+    let acc = Region::from_runs(geom, kernel::intersect_k(&lists));
     let bytes = codec.encode(&acc)?;
     Ok((bytes, acc, Vec::new()))
+}
+
+/// The one grid every operand of a fold must share.
+fn common_grid(mut grids: impl Iterator<Item = GridGeometry>) -> Result<GridGeometry> {
+    let Some(geom) = grids.next() else {
+        return Err(QbismError::NotFound("band query needs at least one study".into()));
+    };
+    if grids.any(|g| g != geom) {
+        return Err(QbismError::Wire("band REGIONs on mismatched grids".into()));
+    }
+    Ok(geom)
 }
 
 /// The gather of the population aggregate, shared like

@@ -1,11 +1,12 @@
 //! Compressed-tablespace integration suite.
 //!
-//! Two pins, end to end:
+//! Three pins, end to end:
 //!
-//! 1. **Phantom-derived equivalence** — the compressed-domain kernels
-//!    produce exactly the uncompressed kernels' results on *real* atlas
-//!    anatomy (the phantom's rasterized structures), not just random
-//!    id soup, at the paper's 64³ and 128³ scales.
+//! 1. **Phantom-derived equivalence** — the run kernels produce over
+//!    compressed cursors exactly what they produce over the decoded run
+//!    lists on *real* atlas anatomy (the phantom's rasterized
+//!    structures), not just random id soup, at the paper's 64³ and 128³
+//!    scales.
 //! 2. **Mode equivalence** — a system installed with
 //!    `compressed_tablespace` answers every query class identically to
 //!    the default installation while, at 64³, persisting at least 3×
@@ -13,13 +14,18 @@
 //!    region-only multi-study fold (no more pages on any other class);
 //!    the default installation's storage layout is untouched (every
 //!    REGION long field still holds the configured paper codec).
+//! 3. **Mismatched grids** — operands on different grids are the same
+//!    typed error in both modes, from every binary UDF and from the
+//!    multi-study fold; neither mode panics.
 
+use qbism::server::fold_band_regions;
+use qbism::QbismError;
 use qbism::{QbismConfig, QbismSystem};
 use qbism_phantom::build_atlas;
-use qbism_region::kernel_compressed::{difference_stream, intersect_stream, union_stream};
 use qbism_region::{compressed_cursor, encode_compressed, kernel, GridGeometry, Region};
+use qbism_region::{RegionCodec, RegionEncodeError};
 use qbism_sfc::CurveKind;
-use qbism_starburst::Value;
+use qbism_starburst::{Database, DbError, Value};
 
 fn open(bytes: &[u8]) -> qbism_region::CompressedCursor<'_> {
     compressed_cursor(bytes).expect("open cursor").1
@@ -35,12 +41,12 @@ fn compressed_kernels_match_on_phantom_anatomy() {
         for b in &regions {
             let ab = encode_compressed(a).expect("encode a");
             let bb = encode_compressed(b).expect("encode b");
-            let got = intersect_stream(&mut open(&ab), &mut open(&bb)).expect("intersect");
-            assert_eq!(got, kernel::intersect_runs(a.runs(), b.runs()));
-            let got = union_stream(&mut open(&ab), &mut open(&bb)).expect("union");
-            assert_eq!(got, kernel::union_runs(a.runs(), b.runs()));
-            let got = difference_stream(&mut open(&ab), &mut open(&bb)).expect("difference");
-            assert_eq!(got, kernel::difference_runs(a.runs(), b.runs()));
+            let got = kernel::intersect(&mut open(&ab), &mut open(&bb)).expect("intersect");
+            assert_eq!(got, a.intersect(b).runs());
+            let got = kernel::union(&mut open(&ab), &mut open(&bb)).expect("union");
+            assert_eq!(got, a.union(b).runs());
+            let got = kernel::difference(&mut open(&ab), &mut open(&bb)).expect("difference");
+            assert_eq!(got, a.difference(b).runs());
         }
     }
 }
@@ -56,11 +62,11 @@ fn compressed_kernels_match_on_phantom_anatomy_at_paper_scale() {
     let ab = encode_compressed(a).expect("encode a");
     let bb = encode_compressed(b).expect("encode b");
     assert!(
-        ab.len() * 2 < qbism_region::RegionCodec::Naive.encode(a).expect("naive").len(),
+        ab.len() * 2 < RegionCodec::Naive.encode(a).expect("naive").len(),
         "queryable codec should at least halve the paper's naive encoding"
     );
-    let got = intersect_stream(&mut open(&ab), &mut open(&bb)).expect("intersect");
-    assert_eq!(got, kernel::intersect_runs(a.runs(), b.runs()));
+    let got = kernel::intersect(&mut open(&ab), &mut open(&bb)).expect("intersect");
+    assert_eq!(got, a.intersect(b).runs());
 }
 
 /// Collects every stored REGION long field (atlas structures + bands)
@@ -169,4 +175,39 @@ fn compressed_mode_counts_skips_and_compressed_pages() {
     system.server.band_data(ids[0], 0, 31).expect("band");
     assert!(pages.get() > before_pages, "compressed reads must be metered");
     assert!(bytes.get() > 0, "loader must meter compressed bytes on device");
+}
+
+/// How one tablespace mode encodes its REGION long fields.
+type Encode = fn(&Region) -> Result<Vec<u8>, RegionEncodeError>;
+
+#[test]
+fn mismatched_grids_are_the_same_typed_error_in_both_modes() {
+    let modes: [Encode; 2] = [|r| RegionCodec::Naive.encode(r), encode_compressed];
+    for encode in modes {
+        // REGIONs on an 8³ and a 16³ grid.
+        let [r8, r16] = [3, 4].map(|bits| {
+            let geom = GridGeometry::new(CurveKind::Hilbert, 3, bits);
+            encode(&Region::from_box(geom, [1, 1, 1], [5, 6, 7]).expect("box")).expect("encode")
+        });
+        let mut db = Database::new(1 << 20).expect("database");
+        qbism::ops::register_spatial_ops(&mut db, RegionCodec::Naive);
+        db.execute("create table t (r1 long, r2 long)").expect("create");
+        let row = vec![
+            db.create_long_field(&r8).expect("store r1"),
+            db.create_long_field(&r16).expect("store r2"),
+        ];
+        db.insert_row("t", row).expect("insert");
+        for udf in ["intersection", "runion", "rdifference", "contains"] {
+            match db.query(&format!("select {udf}(t.r1, t.r2) from t")) {
+                Err(DbError::Exec(msg)) => {
+                    assert!(msg.contains(udf) && msg.contains("mismatched grids"), "{msg}")
+                }
+                other => panic!("{udf} across grids: expected an Exec error, got {other:?}"),
+            }
+        }
+        match fold_band_regions(vec![r8, r16], RegionCodec::Naive) {
+            Err(QbismError::Wire(msg)) => assert!(msg.contains("mismatched grids"), "{msg}"),
+            other => panic!("fold across grids: expected a Wire error, got {:?}", other.err()),
+        }
+    }
 }

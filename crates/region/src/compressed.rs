@@ -6,8 +6,8 @@
 //! compressed-domain execution — [`RegionCodec::RunVskip`] (delta+varint
 //! run list with skip blocks) and [`RegionCodec::K3Tree`] (octree
 //! bitmap) — open as a [`CompressedCursor`] instead: a streaming,
-//! seekable run source the kernels in [`crate::kernel_compressed`]
-//! merge without ever materializing the run vector.
+//! seekable run source that the one [`crate::kernel`] family merges,
+//! like any other cursor, without ever materializing the run vector.
 //!
 //! [`encode_compressed`] is the storage policy: it measures both ways
 //! and builds the smaller byte string, so sparse boundary-dominated
@@ -69,8 +69,8 @@ impl CompressedCursor<'_> {
 
     /// Drains the stream into a run vector.  Decode-everything
     /// convenience for tests and the [`RegionCodec::decode`] fallback —
-    /// kernel modules must stream instead (lint
-    /// `no-full-decode-in-kernel` bans this call there).
+    /// kernel modules must stream instead (lint `no-materialize-in-kernel`
+    /// bans this call there).
     pub fn to_runs_vec(mut self) -> Result<Vec<Run>, RegionEncodeError> {
         // Both cursors bounded their header's run count by the payload
         // size when they opened, so it is safe to reserve for.
@@ -123,4 +123,34 @@ pub fn encode_compressed(region: &Region) -> Result<Vec<u8>, RegionEncodeError> 
     let vskip = RegionCodec::RunVskip.encoded_len(region)?;
     let k3 = RegionCodec::K3Tree.encoded_len(region)?;
     if vskip <= k3 { RegionCodec::RunVskip } else { RegionCodec::K3Tree }.encode(region)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qbism_sfc::CurveKind;
+
+    /// The storage policy picks the octree for a dense solid, and a far
+    /// seek gallops instead of scanning.
+    #[test]
+    fn auto_policy_and_gallop_observable() {
+        let g = GridGeometry::new(CurveKind::Hilbert, 3, 6);
+        let dense = Region::full(g);
+        let dense_bytes = encode_compressed(&dense).expect("encode dense");
+        let sparse = Region::from_ids(g, (0..(1u64 << 18)).step_by(97).collect());
+        let sparse_bytes = encode_compressed(&sparse).expect("encode sparse");
+        assert!(
+            dense_bytes.len() < RegionCodec::RunVskip.encode(&dense).expect("vskip").len(),
+            "octree should win on the full grid"
+        );
+        for bytes in [&dense_bytes, &sparse_bytes] {
+            let (_, mut cursor) = compressed_cursor(bytes).expect("open");
+            cursor.seek(1 << 17).expect("seek");
+            assert!(cursor.peek().is_some());
+        }
+        let (_, mut cursor) = compressed_cursor(&sparse_bytes).expect("open");
+        cursor.seek(97 * 2_700).expect("seek far");
+        assert_eq!(cursor.peek(), Some((97 * 2_700, 97 * 2_700)));
+        assert!(cursor.skip_count() > 0, "far seek should gallop, not scan");
+    }
 }

@@ -1,20 +1,33 @@
-//! Run-native kernels: streaming set algebra, batched curve transcoding
-//! and box decomposition directly over sorted run lists.
+//! Run kernels: one streaming set algebra over sorted run streams, plus
+//! batched curve transcoding and box decomposition.
 //!
 //! The paper's thesis is that runs on a space-filling curve are the right
-//! *algebraic* representation, so the hot operators should never leave it.
-//! Every function here consumes and produces canonical run lists (sorted,
-//! disjoint, non-adjacent — see [`crate::Region`] invariants) without
-//! materializing per-voxel id vectors or intermediate regions:
+//! *algebraic* representation, so the hot operators never leave it.  A
+//! REGION operand is whatever can answer `peek` / `advance` / `seek` in id
+//! order ([`Cursor`]) — a decoded `&[Run]` slice ([`RunsCursor`]) or a
+//! compressed payload decoded one run at a time
+//! ([`crate::CompressedCursor`], which gallops via skip blocks or subtree
+//! pruning, so a merge touches only the codewords near overlaps: Brisaboa
+//! et al.'s compact *queryable* representations applied to h-runs) — and
+//! each operator exists once, generic over it:
 //!
-//! * [`intersect_runs`] / [`union_runs`] / [`difference_runs`] — linear
-//!   two-pointer merge scans, the run analogue of Orenstein & Manola's
-//!   spatial join;
-//! * [`intersect_k`] — a k-way simultaneous merge with gallop
-//!   (exponential-probe) skipping over disjoint spans, used by
-//!   [`crate::intersect_all`];
-//! * [`count_intersect_runs`] — overlap counting without building the
-//!   intersection;
+//! * [`intersect`] / [`union`] / [`difference`] — two-pointer merge scans,
+//!   the run analogue of Orenstein & Manola's spatial join;
+//! * [`intersect_into`] — the same ∩ scan feeding a sink, so overlap is
+//!   counted without building the intersection;
+//! * [`intersect_k_cursors`] — the k-way simultaneous merge of the
+//!   multi-study fold ([`intersect_k`] is its slice entry).
+//!
+//! Canonical operands (sorted, disjoint, non-adjacent — see
+//! [`crate::Region`] invariants) give canonical output, identical for
+//! every cursor kind; nothing here materializes per-voxel ids or drains a
+//! compressed payload.  After `seek(t)` a cursor may report its current
+//! run with the start clipped upward (never past `t`); every merge only
+//! consumes ids `>= t` after seeking `t`, so clipped and true runs are
+//! indistinguishable.
+//!
+//! The two batch kernels have no cursor form:
+//!
 //! * [`transcode_runs`] — re-linearization onto another curve that walks
 //!   maximal octree-aligned id blocks (one curve conversion per *block*
 //!   instead of per voxel) whenever both curves are hierarchical;
@@ -22,193 +35,232 @@
 //!   descent (hierarchical curves) or whole scanline rows, visiting only
 //!   O(surface) cells instead of every voxel in the box.
 
-use crate::run::{normalize, Run};
+use crate::encode::RegionEncodeError;
+use crate::run::{normalize, push_fused, Run};
+use qbism_coding::RunCursor;
 use qbism_sfc::{Curve, SpaceFillingCurve};
+use std::convert::Infallible;
 
-/// Intersection of two canonical run lists (streaming two-pointer merge).
-pub fn intersect_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if let Some(r) = a[i].intersect(&b[j]) {
-            out.push(r);
-        }
-        // Advance whichever run ends first.
-        if a[i].end < b[j].end {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
+/// What a merge needs of an operand: [`RunCursor`]'s stepping with the
+/// error type `E` left open, so operands that cannot fail merge
+/// infallibly *by type*.  Every [`RunCursor`] is a
+/// `Cursor<RegionEncodeError>`; a [`RunsCursor`] is a `Cursor<E>` for
+/// any `E`, which is also what lets it pair with a compressed operand.
+pub trait Cursor<E> {
+    /// Current run as `(start, end)`, or `None` once exhausted.
+    fn peek(&self) -> Option<(u64, u64)>;
+    /// Steps to the next run in id order.
+    fn advance(&mut self) -> Result<(), E>;
+    /// Gallops forward to the first run with `end >= target`; never
+    /// moves backward.
+    fn seek(&mut self, target: u64) -> Result<(), E>;
 }
 
-/// Number of ids common to two canonical run lists, counted in place —
-/// the same merge scan as [`intersect_runs`] with no output allocation.
-pub fn count_intersect_runs(a: &[Run], b: &[Run]) -> u64 {
-    let mut count = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].start.max(b[j].start);
-        let hi = a[i].end.min(b[j].end);
+impl<C: RunCursor + ?Sized> Cursor<RegionEncodeError> for C {
+    fn peek(&self) -> Option<(u64, u64)> {
+        RunCursor::peek(self)
+    }
+
+    fn advance(&mut self) -> Result<(), RegionEncodeError> {
+        Ok(RunCursor::advance(self)?)
+    }
+
+    fn seek(&mut self, target: u64) -> Result<(), RegionEncodeError> {
+        Ok(RunCursor::seek(self, target)?)
+    }
+}
+
+/// Cursor over a decoded canonical run slice.
+#[derive(Debug, Clone)]
+pub struct RunsCursor<'a> {
+    runs: &'a [Run],
+    pos: usize,
+    skips: u64,
+}
+
+impl<'a> RunsCursor<'a> {
+    /// Wraps a canonical (sorted, disjoint, non-adjacent) run slice.
+    pub fn new(runs: &'a [Run]) -> Self {
+        RunsCursor { runs, pos: 0, skips: 0 }
+    }
+
+    /// Runs bypassed by `seek` beyond the one it lands on — the slice
+    /// analogue of [`RunCursor::skips`].
+    pub fn skips(&self) -> u64 {
+        self.skips
+    }
+}
+
+impl<E> Cursor<E> for RunsCursor<'_> {
+    #[inline]
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.runs.get(self.pos).map(|r| (r.start, r.end))
+    }
+
+    #[inline]
+    fn advance(&mut self) -> Result<(), E> {
+        if self.pos < self.runs.len() {
+            self.pos += 1;
+        }
+        Ok(())
+    }
+
+    /// Run ends are strictly increasing, so the landing run is found by
+    /// an exponential probe then a binary search of the last window:
+    /// O(log skip), not O(log remaining), and two compares when the
+    /// current or the next run already suffices.
+    #[inline]
+    fn seek(&mut self, target: u64) -> Result<(), E> {
+        let rest = &self.runs[self.pos..];
+        let (mut base, mut step) = (0usize, 1usize);
+        while rest.get(base + step).is_some_and(|r| r.end < target) {
+            base += step;
+            step <<= 1;
+        }
+        let window = &rest[base..(base + step).min(rest.len())];
+        let ahead = base + window.partition_point(|r| r.end < target);
+        self.skips += ahead.saturating_sub(1) as u64;
+        self.pos += ahead;
+        Ok(())
+    }
+}
+
+/// The ∩ merge scan, handing each common span to `emit` in id order.
+/// Disjoint stretches are galloped over with `seek`, so a compressed
+/// operand is never fully decoded.
+pub fn intersect_into<E>(
+    a: &mut impl Cursor<E>,
+    b: &mut impl Cursor<E>,
+    mut emit: impl FnMut(u64, u64),
+) -> Result<(), E> {
+    while let (Some((a_start, a_end)), Some((b_start, b_end))) = (a.peek(), b.peek()) {
+        let lo = a_start.max(b_start);
+        let hi = a_end.min(b_end);
         if lo <= hi {
-            count += hi - lo + 1;
-        }
-        if a[i].end < b[j].end {
-            i += 1;
+            // Overlap: emit it and step whichever run ends first.
+            emit(lo, hi);
+            if a_end <= b_end {
+                a.advance()?;
+            } else {
+                b.advance()?;
+            }
+        } else if a_end < b_start {
+            // Disjoint: the run behind gallops to the one ahead.
+            a.seek(b_start)?;
         } else {
-            j += 1;
+            b.seek(a_start)?;
         }
     }
-    count
+    Ok(())
 }
 
-/// Union of two canonical run lists: a single streaming merge that fuses
-/// overlap and adjacency on the fly — no concatenate-and-sort pass.
-pub fn union_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        let take_a = match (a.get(i), b.get(j)) {
-            (Some(ra), Some(rb)) => ra.start <= rb.start,
-            (Some(_), None) => true,
-            _ => false,
+/// Spatial intersection of two run streams.
+pub fn intersect<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    // A span ends where one operand's run ends, and that operand's next
+    // run starts at least two ids later: no two spans touch.
+    intersect_into(a, b, |lo, hi| out.push(Run::new(lo, hi)))?;
+    Ok(out)
+}
+
+/// Spatial union of two run streams, fusing overlap and adjacency on
+/// the fly (no seeks — every run of both operands contributes).
+pub fn union<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    loop {
+        // The earlier-starting run goes next; an exhausted side never leads.
+        let (start, end) = match (a.peek(), b.peek()) {
+            (Some(ra), Some(rb)) if rb.0 < ra.0 => b.advance().map(|()| rb)?,
+            (Some(ra), _) => a.advance().map(|()| ra)?,
+            (None, Some(rb)) => b.advance().map(|()| rb)?,
+            (None, None) => return Ok(out),
         };
-        let r = if take_a {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
+        push_fused(&mut out, Run::new(start, end));
+    }
+}
+
+/// Spatial difference `a \ b` of two run streams; the subtrahend
+/// gallops to each minuend run, so a sparse `a` touches only the
+/// matching parts of `b`.
+pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    while let Some((a_start, a_end)) = a.peek() {
+        // Next id of this a-run not yet emitted or subtracted.
+        let mut cur = a_start;
+        b.seek(cur)?;
+        // Each b-run starting inside the a-run cuts it.  One reaching
+        // `a_end` finishes it and stays current: it may also cover the
+        // next a-run.
+        let covered = loop {
+            match b.peek() {
+                Some((b_start, b_end)) if b_start <= a_end => {
+                    if b_start > cur {
+                        out.push(Run::new(cur, b_start - 1));
+                    }
+                    if b_end >= a_end {
+                        break true;
+                    }
+                    cur = b_end + 1;
+                    b.advance()?;
+                }
+                _ => break false,
+            }
         };
-        match out.last_mut() {
-            // Merge overlap and adjacency (end + 1 == start).
-            Some(last) if r.start <= last.end.saturating_add(1) => {
-                last.end = last.end.max(r.end);
-            }
-            _ => out.push(r),
+        if !covered {
+            out.push(Run::new(cur, a_end));
         }
+        a.advance()?;
     }
-    out
+    Ok(out)
 }
 
-/// Difference `a \ b` over canonical run lists (streaming cursor scan).
-pub fn difference_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
-    let mut out: Vec<Run> = Vec::new();
-    let mut j = 0usize;
-    for &ra in a {
-        let mut cursor = ra.start;
-        // Skip b-runs entirely before this run.
-        while j < b.len() && b[j].end < ra.start {
-            j += 1;
-        }
-        let mut k = j;
-        while k < b.len() && b[k].start <= ra.end {
-            let rb = b[k];
-            if rb.start > cursor {
-                out.push(Run::new(cursor, rb.start - 1));
-            }
-            cursor = cursor.max(rb.end.saturating_add(1));
-            if rb.end >= ra.end {
-                break;
-            }
-            k += 1;
-        }
-        if cursor <= ra.end {
-            out.push(Run::new(cursor, ra.end));
-        }
+/// K-way intersection in one simultaneous merge — the multi-study fold
+/// of `multiStudyBandRegion`.  Every operand is scanned at most once,
+/// galloping to the running maximum start over disjoint spans; no
+/// intermediate list is built per fold step.  Generic over the cursor
+/// so a fold over one concrete type is monomorphised; `dyn RunCursor`
+/// operands still fit.  No cursors, no runs.
+pub fn intersect_k_cursors<E, C: Cursor<E> + ?Sized>(
+    cursors: &mut [&mut C],
+) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    if cursors.is_empty() {
+        return Ok(out);
     }
-    out
-}
-
-/// First index at or after `from` whose run ends at or beyond `target`.
-///
-/// Run ends are strictly increasing in a canonical list, so the answer is
-/// found by an exponential probe followed by a binary search — the
-/// "gallop" that lets [`intersect_k`] skip long disjoint spans in
-/// O(log skip) instead of touching every run.
-fn gallop_to(list: &[Run], from: usize, target: u64) -> usize {
-    let mut base = from;
-    let mut step = 1usize;
-    while base + step < list.len() && list[base + step].end < target {
-        base += step;
-        step <<= 1;
-    }
-    let mut lo = base;
-    let mut hi = (base + step).min(list.len());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if list[mid].end < target {
-            lo = mid + 1;
+    'merge: loop {
+        let mut lo = 0u64;
+        let mut hi = u64::MAX;
+        for c in cursors.iter() {
+            let Some((start, end)) = c.peek() else { break 'merge };
+            lo = lo.max(start);
+            hi = hi.min(end);
+        }
+        if lo <= hi {
+            // At least one run finished at `hi` and its successor starts
+            // at `hi + 2` or later, so the next span cannot be adjacent.
+            out.push(Run::new(lo, hi));
+            for c in cursors.iter_mut() {
+                if c.peek().is_some_and(|(_, end)| end == hi) {
+                    c.advance()?;
+                }
+            }
         } else {
-            hi = mid;
+            // A no-op for the cursors already at `lo`.
+            for c in cursors.iter_mut() {
+                c.seek(lo)?;
+            }
         }
     }
-    lo
+    Ok(out)
 }
 
-/// K-way intersection of canonical run lists in one simultaneous merge.
-///
-/// Scans each input at most once (galloping over disjoint spans), builds
-/// no intermediate list per fold step, and returns a canonical run list.
-/// An empty `lists` yields an empty result; callers wanting "empty input
-/// = universe" semantics must special-case it (as [`crate::intersect_all`]
-/// does by returning `None`).
+/// K-way intersection of canonical run slices: [`intersect_k_cursors`]
+/// over [`RunsCursor`]s, which cannot fail.
 pub fn intersect_k(lists: &[&[Run]]) -> Vec<Run> {
-    let first = match lists.first() {
-        Some(f) => f,
-        None => return Vec::new(),
-    };
-    if lists.len() == 1 {
-        return first.to_vec();
-    }
-    if lists.iter().any(|l| l.is_empty()) {
-        return Vec::new();
-    }
-    let mut cursors = vec![0usize; lists.len()];
-    let mut out: Vec<Run> = Vec::new();
-    // Candidate start of the next common span; only ever grows.
-    let mut start = 0u64;
-    'outer: loop {
-        // Raise the candidate until every list's current run covers it.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, list) in lists.iter().enumerate() {
-                let c = gallop_to(list, cursors[i], start);
-                if c == list.len() {
-                    break 'outer;
-                }
-                cursors[i] = c;
-                if list[c].start > start {
-                    start = list[c].start;
-                    changed = true;
-                }
-            }
-        }
-        // Every current run covers `start`; emit up to the soonest end.
-        let mut end = u64::MAX;
-        for (list, &c) in lists.iter().zip(&cursors) {
-            end = end.min(list[c].end);
-        }
-        out.push(Run::new(start, end));
-        // At least one list's run finished at `end` and its successor
-        // starts at `end + 2` or later (canonical input), so the next
-        // emitted run cannot be adjacent — the output stays canonical.
-        start = match end.checked_add(1) {
-            Some(s) => s,
-            None => break 'outer,
-        };
-        for (i, list) in lists.iter().enumerate() {
-            if list[cursors[i]].end == end {
-                cursors[i] += 1;
-                if cursors[i] == list.len() {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    out
+    let mut cursors: Vec<RunsCursor<'_>> = lists.iter().map(|l| RunsCursor::new(l)).collect();
+    let mut refs: Vec<&mut RunsCursor<'_>> = cursors.iter_mut().collect();
+    let Ok(runs) = intersect_k_cursors::<Infallible, _>(&mut refs);
+    runs
 }
 
 /// Largest `t` (a multiple of `dims`) such that the id block
@@ -275,6 +327,8 @@ pub fn transcode_runs(runs: &[Run], src: &Curve, dst: &Curve) -> Vec<Run> {
                 buf.push(dst.index_of(&coords));
             }
             buf.sort_unstable();
+            // Sorted within this run only (so not `push_fused`):
+            // `normalize` below orders and fuses across runs.
             for &id in &buf {
                 match out.last_mut() {
                     Some(last) if id == last.end + 1 => last.end = id,
@@ -305,10 +359,6 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
         "box [{min:?}, {max:?}] inverted or outside grid side {side}"
     );
     let mut out: Vec<Run> = Vec::new();
-    let push = |out: &mut Vec<Run>, r: Run| match out.last_mut() {
-        Some(last) if r.start <= last.end.saturating_add(1) => last.end = last.end.max(r.end),
-        _ => out.push(r),
-    };
     if curve.kind().is_hierarchical() {
         // Iterative octant descent in id order (explicit stack, children
         // pushed in reverse so they pop in ascending-id order).
@@ -324,7 +374,7 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
             }
             let inside = (0..3).all(|a| coords[a] >= min[a] && coords[a] + cube - 1 <= max[a]);
             if inside {
-                push(&mut out, Run::new(base, base + ((1u64 << (3 * level)) - 1)));
+                push_fused(&mut out, Run::new(base, base + ((1u64 << (3 * level)) - 1)));
                 continue;
             }
             // level >= 1 here: a level-0 cube is a single voxel and is
@@ -339,7 +389,7 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
             for y in min[1]..=max[1] {
                 let lo = curve.index_of(&[x, y, min[2]]);
                 let hi = curve.index_of(&[x, y, max[2]]);
-                push(&mut out, Run::new(lo, hi));
+                push_fused(&mut out, Run::new(lo, hi));
             }
         }
     }
@@ -349,9 +399,12 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{compressed_cursor, encode_compressed, CompressedCursor};
+    use crate::{GridGeometry, Region, RegionCodec};
     use proptest::prelude::*;
     use qbism_sfc::CurveKind;
     use std::collections::BTreeSet;
+    use std::fmt::Debug;
 
     /// Seed-era reference implementations, kept verbatim-in-spirit as the
     /// debug oracle the kernels are measured and property-tested against.
@@ -371,6 +424,16 @@ mod tests {
                 }
             }
             out
+        }
+
+        /// `[a ∩ b, a ∪ b, a ∖ b]` by set algebra.
+        pub fn algebra(a: &[Run], b: &[Run]) -> [Vec<Run>; 3] {
+            let (a, b) = (to_set(a), to_set(b));
+            [
+                from_set(&a.intersection(&b).copied().collect()),
+                from_set(&a.union(&b).copied().collect()),
+                from_set(&a.difference(&b).copied().collect()),
+            ]
         }
 
         /// The seed `to_curve` path: one curve conversion per voxel into
@@ -401,117 +464,231 @@ mod tests {
         }
     }
 
-    fn runs_of(ids: &[u64]) -> Vec<Run> {
-        reference::from_set(&ids.iter().copied().collect())
+    /// One merge operand in every form it can reach a kernel as: the
+    /// decoded run list and both queryable compressed byte strings.
+    struct Operand {
+        region: Region,
+        packed: [Vec<u8>; 2],
     }
 
-    fn assert_canonical(runs: &[Run]) {
-        for w in runs.windows(2) {
-            assert!(w[0].end + 1 < w[1].start, "not canonical: {runs:?}");
+    impl Operand {
+        /// Also pins that each byte string decodes back to the region,
+        /// as does whichever of the two the storage policy picks.
+        fn new(region: Region) -> Self {
+            let packed = RegionCodec::COMPRESSED.map(|c| c.encode(&region).expect("encode"));
+            let auto = encode_compressed(&region).expect("auto encode");
+            for bytes in packed.iter().chain([&auto]) {
+                assert_eq!(RegionCodec::decode(bytes).expect("decode"), region);
+            }
+            Operand { region, packed }
+        }
+
+        /// Scattered ids plus an optional solid box `(present, min,
+        /// size)` on a 64³ or 128³ Hilbert grid, so payloads exercise
+        /// skip blocks and both k³ node kinds.
+        fn scattered(bits: u32, ids: &[u64], bx: (bool, [u32; 3], [u32; 3])) -> Self {
+            let g = GridGeometry::new(CurveKind::Hilbert, 3, bits);
+            let mut region =
+                Region::from_ids(g, ids.iter().map(|id| id % g.cell_count()).collect());
+            let (present, min, size) = bx;
+            if present {
+                let min = min.map(|c| c % g.side());
+                let max = [0, 1, 2].map(|a| (min[a] + size[a]).min(g.side() - 1));
+                region = region.union(&Region::from_box(g, min, max).expect("box inside grid"));
+            }
+            Operand::new(region)
+        }
+
+        fn of_runs(runs: Vec<Run>) -> Self {
+            Operand::new(Region::from_runs(GridGeometry::new(CurveKind::Hilbert, 3, 6), runs))
+        }
+
+        fn runs(&self) -> RunsCursor<'_> {
+            RunsCursor::new(self.region.runs())
+        }
+
+        /// `codec` 0 = run-vskip, 1 = k³-tree.
+        fn packed(&self, codec: usize) -> CompressedCursor<'_> {
+            compressed_cursor(&self.packed[codec]).expect("open compressed cursor").1
         }
     }
 
-    #[test]
-    fn empty_edge_cases() {
-        let some = runs_of(&[1, 2, 3]);
-        assert_eq!(intersect_runs(&[], &some), vec![]);
-        assert_eq!(intersect_runs(&some, &[]), vec![]);
-        assert_eq!(union_runs(&[], &some), some);
-        assert_eq!(union_runs(&some, &[]), some);
-        assert_eq!(difference_runs(&[], &some), vec![]);
-        assert_eq!(difference_runs(&some, &[]), some);
-        assert_eq!(count_intersect_runs(&some, &[]), 0);
-        assert_eq!(intersect_k(&[]), vec![]);
-        assert_eq!(intersect_k(&[&some, &[]]), vec![]);
+    fn bx() -> impl Strategy<Value = (bool, [u32; 3], [u32; 3])> {
+        (any::<bool>(), proptest::array::uniform3(0u32..128), proptest::array::uniform3(0u32..16))
+    }
+
+    /// `[∩, ∪, ∖]` through one cursor pairing; the in-place ∩ count
+    /// must agree with the ∩ it did not build.
+    fn algebra<E: Debug, A: Cursor<E>, B: Cursor<E>>(
+        a: impl Fn() -> A,
+        b: impl Fn() -> B,
+    ) -> [Vec<Run>; 3] {
+        let and = intersect(&mut a(), &mut b()).expect("intersect");
+        let mut count = 0;
+        intersect_into(&mut a(), &mut b(), |lo, hi| count += hi - lo + 1).expect("count");
+        assert_eq!(count, and.iter().map(Run::len).sum::<u64>());
+        let or = union(&mut a(), &mut b()).expect("union");
+        [and, or, difference(&mut a(), &mut b()).expect("difference")]
+    }
+
+    /// Checks every operator over every cursor pairing — slice × slice
+    /// (infallible by type), compressed × compressed for each codec
+    /// pair, and slice × compressed both ways round — against the set
+    /// reference, whose answer (canonical by construction) it returns.
+    fn check_pair(a: &Operand, b: &Operand) -> [Vec<Run>; 3] {
+        let want = reference::algebra(a.region.runs(), b.region.runs());
+        assert_eq!(algebra::<Infallible, _, _>(|| a.runs(), || b.runs()), want);
+        for ca in 0..2 {
+            for cb in 0..2 {
+                assert_eq!(algebra(|| a.packed(ca), || b.packed(cb)), want, "{ca}x{cb}");
+            }
+            assert_eq!(algebra(|| a.packed(ca), || b.runs()), want, "{ca} x slice");
+            assert_eq!(algebra(|| a.runs(), || b.packed(ca)), want, "slice x {ca}");
+        }
+        want
+    }
+
+    /// The k-way merge through every entry: the slice entry, one
+    /// concrete compressed cursor type holding `codecs[i]` per operand,
+    /// and the `dyn RunCursor` form the benchmark probes call.
+    fn check_kway(operands: &[Operand], codecs: &[usize]) -> Vec<Run> {
+        let mut want = operands.first().map(|o| reference::to_set(o.region.runs()));
+        for o in operands.iter().skip(1) {
+            let set = reference::to_set(o.region.runs());
+            want = want.map(|w| w.intersection(&set).copied().collect());
+        }
+        let want = want.map(|w| reference::from_set(&w)).unwrap_or_default();
+        let lists: Vec<&[Run]> = operands.iter().map(|o| o.region.runs()).collect();
+        assert_eq!(intersect_k(&lists), want);
+        let open = || operands.iter().zip(codecs).map(|(o, &c)| o.packed(c)).collect::<Vec<_>>();
+        let mut cursors = open();
+        let mut refs: Vec<&mut CompressedCursor<'_>> = cursors.iter_mut().collect();
+        assert_eq!(intersect_k_cursors(&mut refs).expect("k-way"), want);
+        let mut cursors = open();
+        let mut refs: Vec<&mut dyn RunCursor> =
+            cursors.iter_mut().map(|c| c as &mut dyn RunCursor).collect();
+        assert_eq!(crate::kernel_compressed::intersect_k_stream(&mut refs).expect("dyn"), want);
+        want
     }
 
     #[test]
-    fn adjacent_runs_fuse_in_union() {
-        // <0,4> U <5,9> must fuse into the maximal run <0,9>.
-        let a = vec![Run::new(0, 4)];
-        let b = vec![Run::new(5, 9)];
-        assert_eq!(union_runs(&a, &b), vec![Run::new(0, 9)]);
-        assert_eq!(union_runs(&b, &a), vec![Run::new(0, 9)]);
-        // ...while intersection and difference see them as disjoint.
-        assert_eq!(intersect_runs(&a, &b), vec![]);
-        assert_eq!(difference_runs(&a, &b), a);
+    fn empty_operands() {
+        let (some, none) = (Operand::of_runs(vec![Run::new(1, 3)]), Operand::of_runs(vec![]));
+        let some_runs = some.region.runs().to_vec();
+        assert_eq!(check_pair(&none, &some), [vec![], some_runs.clone(), vec![]]);
+        assert_eq!(check_pair(&some, &none), [vec![], some_runs.clone(), some_runs.clone()]);
+        // K-way: no lists, no runs; one list is the identity; any empty
+        // operand empties the answer.
+        assert_eq!(check_kway(&[], &[]), vec![]);
+        assert_eq!(check_kway(std::slice::from_ref(&some), &[0]), some_runs);
+        let full = Operand::new(Region::full(some.region.geometry()));
+        assert_eq!(check_kway(&[full, none, some], &[0, 1, 0]), vec![]);
     }
 
     #[test]
-    fn containment_edge_cases() {
+    fn adjacent_runs_fuse_in_union_only() {
+        // <0,4> ∪ <5,9> must fuse into the maximal run <0,9>, whichever
+        // side leads, while ∩ and ∖ see the two as disjoint.
+        let a = Operand::of_runs(vec![Run::new(0, 4)]);
+        let b = Operand::of_runs(vec![Run::new(5, 9)]);
+        assert_eq!(check_pair(&a, &b), [vec![], vec![Run::new(0, 9)], vec![Run::new(0, 4)]]);
+        assert_eq!(check_pair(&b, &a), [vec![], vec![Run::new(0, 9)], vec![Run::new(5, 9)]]);
+    }
+
+    #[test]
+    fn containment_splits_in_difference() {
         // b strictly inside a run of a: difference splits it.
-        let a = vec![Run::new(0, 99)];
-        let b = runs_of(&[10, 11, 50]);
-        assert_eq!(
-            difference_runs(&a, &b),
-            vec![Run::new(0, 9), Run::new(12, 49), Run::new(51, 99)]
-        );
-        assert_eq!(intersect_runs(&a, &b), b);
-        assert_eq!(count_intersect_runs(&a, &b), 3);
-        // a == b: difference empties, intersection is identity.
-        assert_eq!(difference_runs(&b, &b), vec![]);
-        assert_eq!(intersect_runs(&b, &b), b);
+        let a = Operand::of_runs(vec![Run::new(0, 99)]);
+        let b = Operand::of_runs(vec![Run::new(10, 11), Run::new(50, 50)]);
+        let split = vec![Run::new(0, 9), Run::new(12, 49), Run::new(51, 99)];
+        let b_runs = b.region.runs().to_vec();
+        assert_eq!(check_pair(&a, &b), [b_runs.clone(), vec![Run::new(0, 99)], split]);
+        // a == b: difference empties, intersection and union are identity.
+        assert_eq!(check_pair(&b, &b), [b_runs.clone(), b_runs, vec![]]);
     }
 
     #[test]
-    fn gallop_finds_first_covering_run() {
-        let list: Vec<Run> = (0..100).map(|i| Run::new(i * 10, i * 10 + 3)).collect();
-        assert_eq!(gallop_to(&list, 0, 0), 0);
-        assert_eq!(gallop_to(&list, 0, 4), 1);
-        assert_eq!(gallop_to(&list, 0, 503), 50);
-        assert_eq!(gallop_to(&list, 0, 504), 51);
-        assert_eq!(gallop_to(&list, 40, 503), 50);
-        assert_eq!(gallop_to(&list, 0, 10_000), list.len());
-        assert_eq!(gallop_to(&list, 99, 993), 99);
-    }
-
-    #[test]
-    fn kway_skips_disjoint_spans() {
-        // One list has a single far-right run; gallop must skip the other
-        // list's thousand runs without touching them one by one (the
-        // result is what we can assert).
+    fn far_right_sparse_run_gallops_over_a_thousand_dense_ones() {
         let sparse = vec![Run::new(100_000, 100_001)];
         let dense: Vec<Run> = (0..=1000).map(|i| Run::new(i * 100, i * 100 + 50)).collect();
-        assert_eq!(intersect_k(&[&sparse, &dense]), vec![Run::new(100_000, 100_001)]);
+        // The skip is observable: one seek passes every dense run but
+        // the last, which it lands on.
+        let (mut s, mut d) = (RunsCursor::new(&sparse), RunsCursor::new(&dense));
+        assert_eq!(intersect::<Infallible>(&mut s, &mut d), Ok(sparse.clone()));
+        assert_eq!((s.skips(), d.skips()), (0, 999));
+        let (s, d) = (Operand::of_runs(sparse.clone()), Operand::of_runs(dense));
+        assert_eq!(check_pair(&s, &d)[0], sparse);
+        assert_eq!(check_kway(&[s, d], &[0, 1]), sparse);
+    }
+
+    #[test]
+    fn a_run_ending_at_u64_max_terminates_every_merge() {
+        // Beyond any grid a codec can hold, so slice cursors only.
+        let a = [Run::new(5, 9), Run::new(u64::MAX - 9, u64::MAX)];
+        let b = [Run::new(0, 6), Run::new(u64::MAX - 4, u64::MAX)];
+        let tail = Run::new(u64::MAX - 4, u64::MAX);
+        let pair = algebra::<Infallible, _, _>(|| RunsCursor::new(&a), || RunsCursor::new(&b));
+        assert_eq!(pair[0], vec![Run::new(5, 6), tail]);
+        assert_eq!(pair[1], vec![Run::new(0, 9), Run::new(u64::MAX - 9, u64::MAX)]);
+        assert_eq!(pair[2], vec![Run::new(7, 9), Run::new(u64::MAX - 9, u64::MAX - 5)]);
+        assert_eq!(intersect_k(&[&a, &b, &a]), pair[0]);
     }
 
     proptest! {
         #[test]
-        fn algebra_matches_btreeset_oracle(
-            a_ids in proptest::collection::vec(0u64..2000, 0..300),
-            b_ids in proptest::collection::vec(0u64..2000, 0..300),
+        fn algebra_matches_btreeset_oracle_for_every_cursor_pairing(
+            bits in 6u32..8,
+            a_ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
+            b_ids in proptest::collection::vec(0u64..(1 << 21), 0..250),
+            a_bx in bx(),
+            b_bx in bx(),
         ) {
-            let a: BTreeSet<u64> = a_ids.into_iter().collect();
-            let b: BTreeSet<u64> = b_ids.into_iter().collect();
-            let (ra, rb) = (reference::from_set(&a), reference::from_set(&b));
-            let and: BTreeSet<u64> = a.intersection(&b).copied().collect();
-            let or: BTreeSet<u64> = a.union(&b).copied().collect();
-            let sub: BTreeSet<u64> = a.difference(&b).copied().collect();
-            prop_assert_eq!(&intersect_runs(&ra, &rb), &reference::from_set(&and));
-            prop_assert_eq!(&union_runs(&ra, &rb), &reference::from_set(&or));
-            prop_assert_eq!(&difference_runs(&ra, &rb), &reference::from_set(&sub));
-            prop_assert_eq!(count_intersect_runs(&ra, &rb), and.len() as u64);
-            for r in [intersect_runs(&ra, &rb), union_runs(&ra, &rb), difference_runs(&ra, &rb)] {
-                assert_canonical(&r);
-            }
+            let a = Operand::scattered(bits, &a_ids, a_bx);
+            let b = Operand::scattered(bits, &b_ids, b_bx);
+            check_pair(&a, &b);
         }
 
         #[test]
-        fn kway_matches_btreeset_oracle(
+        fn kway_matches_btreeset_oracle_for_every_entry(
+            bits in 6u32..8,
             id_sets in proptest::collection::vec(
-                proptest::collection::vec(0u64..1000, 0..200), 1..6),
+                (proptest::collection::vec(0u64..(1 << 21), 0..200), bx(), 0usize..2), 1..6),
         ) {
-            let sets: Vec<BTreeSet<u64>> =
-                id_sets.into_iter().map(|ids| ids.into_iter().collect()).collect();
-            let lists: Vec<Vec<Run>> = sets.iter().map(reference::from_set).collect();
-            let refs: Vec<&[Run]> = lists.iter().map(Vec::as_slice).collect();
-            let mut expect = sets[0].clone();
-            for s in &sets[1..] {
-                expect = expect.intersection(s).copied().collect();
+            let operands: Vec<Operand> =
+                id_sets.iter().map(|(ids, bx, _)| Operand::scattered(bits, ids, *bx)).collect();
+            let codecs: Vec<usize> = id_sets.iter().map(|s| s.2).collect();
+            check_kway(&operands, &codecs);
+        }
+
+        /// `RunsCursor::seek` lands where `partition_point` over the
+        /// whole remainder would, and counts the runs it passed beyond
+        /// the one it lands on — including seeks behind or onto the
+        /// current run (no-ops) and past the end (exhausts).
+        #[test]
+        fn runs_cursor_seek_matches_partition_point(
+            ids in proptest::collection::vec(0u64..2000, 0..300),
+            steps in proptest::collection::vec((any::<bool>(), 0u64..2100), 0..40),
+        ) {
+            let runs = reference::from_set(&ids.into_iter().collect());
+            let mut cursor = RunsCursor::new(&runs);
+            let (mut pos, mut skips) = (0usize, 0u64);
+            let current = |c: &RunsCursor<'_>| Cursor::<Infallible>::peek(c);
+            let onto_current = (true, runs.first().map_or(0, |r| r.end));
+            let script = [onto_current].into_iter().chain(steps).chain([(true, u64::MAX), (true, 0)]);
+            for (seek, target) in script {
+                if seek {
+                    let ahead = runs[pos..].partition_point(|r| r.end < target);
+                    skips += ahead.saturating_sub(1) as u64;
+                    pos += ahead;
+                    prop_assert_eq!(Cursor::<Infallible>::seek(&mut cursor, target), Ok(()));
+                } else {
+                    pos = (pos + 1).min(runs.len());
+                    prop_assert_eq!(Cursor::<Infallible>::advance(&mut cursor), Ok(()));
+                }
+                prop_assert_eq!(current(&cursor), runs.get(pos).map(|r| (r.start, r.end)));
+                prop_assert_eq!(cursor.skips(), skips);
             }
-            let got = intersect_k(&refs);
-            assert_canonical(&got);
-            prop_assert_eq!(got, reference::from_set(&expect));
+            prop_assert_eq!(current(&cursor), None, "seek(u64::MAX) exhausts; seek(0) stays");
         }
 
         #[test]
@@ -524,9 +701,7 @@ mod tests {
             let dst = CurveKind::ALL[dst_pick].curve(3, 4);
             let ids: BTreeSet<u64> = ids.into_iter().collect();
             let runs = reference::from_set(&ids);
-            let got = transcode_runs(&runs, &src, &dst);
-            assert_canonical(&got);
-            prop_assert_eq!(got, reference::transcode(&runs, &src, &dst));
+            prop_assert_eq!(transcode_runs(&runs, &src, &dst), reference::transcode(&runs, &src, &dst));
         }
 
         #[test]
@@ -536,15 +711,9 @@ mod tests {
             c1 in proptest::array::uniform3(0u32..16),
         ) {
             let curve = CurveKind::ALL[pick].curve(3, 4);
-            let mut min = [0u32; 3];
-            let mut max = [0u32; 3];
-            for a in 0..3 {
-                min[a] = c0[a].min(c1[a]);
-                max[a] = c0[a].max(c1[a]);
-            }
-            let got = box_runs3(&curve, min, max);
-            assert_canonical(&got);
-            prop_assert_eq!(got, reference::box_runs(&curve, min, max));
+            let min = [0, 1, 2].map(|a| c0[a].min(c1[a]));
+            let max = [0, 1, 2].map(|a| c0[a].max(c1[a]));
+            prop_assert_eq!(box_runs3(&curve, min, max), reference::box_runs(&curve, min, max));
         }
     }
 }

@@ -1,10 +1,11 @@
 //! The [`Region`] type and its set algebra.
 
 use crate::geometry::GridGeometry;
-use crate::kernel;
+use crate::kernel::{self, RunsCursor};
 use crate::run::{normalize, runs_from_ids, Run};
 use qbism_geometry::{IBox3, IVec3, Solid};
 use qbism_sfc::SpaceFillingCurve;
+use std::convert::Infallible;
 
 /// An arbitrary set of grid voxels, stored as canonical runs of
 /// consecutive curve ids.
@@ -220,20 +221,25 @@ impl Region {
     /// Counts overlap in place over the box's run decomposition — no
     /// intersected `Region` (nor any id vector) is ever allocated.
     pub fn voxel_count_in_box(&self, min: [u32; 3], max: [u32; 3]) -> u64 {
-        let side = self.geom.side();
-        if self.geom.dims() != 3
-            || max.iter().any(|&c| c >= side)
-            || min.iter().zip(&max).any(|(a, b)| a > b)
-        {
-            return 0;
-        }
-        let box_runs = kernel::box_runs3(&self.geom.curve(), min, max);
-        kernel::count_intersect_runs(&self.runs, &box_runs)
+        let Some(mask) = Region::from_box(self.geom, min, max) else { return 0 };
+        let mut count = 0u64;
+        let Ok(()) = kernel::intersect_into::<Infallible>(
+            &mut self.cursor(),
+            &mut mask.cursor(),
+            |lo, hi| count += hi - lo + 1,
+        );
+        count
     }
 
     // ------------------------------------------------------------------
     // Set algebra (merge scans — the run-based "spatial join")
     // ------------------------------------------------------------------
+
+    /// The run list as a kernel operand; a slice cursor cannot fail, so
+    /// the operators below are infallible by type.
+    fn cursor(&self) -> RunsCursor<'_> {
+        RunsCursor::new(&self.runs)
+    }
 
     fn assert_compatible(&self, other: &Region, op: &str) {
         assert_eq!(
@@ -247,20 +253,23 @@ impl Region {
     pub fn intersect(&self, other: &Region) -> Region {
         self.assert_compatible(other, "intersection");
         // Merge-scan output of canonical inputs is already canonical.
-        Region { geom: self.geom, runs: kernel::intersect_runs(&self.runs, &other.runs) }
+        let Ok(runs) = kernel::intersect::<Infallible>(&mut self.cursor(), &mut other.cursor());
+        Region { geom: self.geom, runs }
     }
 
     /// Spatial union — the paper's future-work `UNION(r1, r2)` operator.
     pub fn union(&self, other: &Region) -> Region {
         self.assert_compatible(other, "union");
-        Region { geom: self.geom, runs: kernel::union_runs(&self.runs, &other.runs) }
+        let Ok(runs) = kernel::union::<Infallible>(&mut self.cursor(), &mut other.cursor());
+        Region { geom: self.geom, runs }
     }
 
     /// Spatial difference `self \ other` — the paper's future-work
     /// `DIFFERENCE(r1, r2)` operator.
     pub fn difference(&self, other: &Region) -> Region {
         self.assert_compatible(other, "difference");
-        Region { geom: self.geom, runs: kernel::difference_runs(&self.runs, &other.runs) }
+        let Ok(runs) = kernel::difference::<Infallible>(&mut self.cursor(), &mut other.cursor());
+        Region { geom: self.geom, runs }
     }
 
     /// Complement within the grid.

@@ -37,13 +37,6 @@ impl Run {
     pub fn contains(&self, id: u64) -> bool {
         (self.start..=self.end).contains(&id)
     }
-
-    /// Intersection of two runs, if any.
-    pub fn intersect(&self, other: &Run) -> Option<Run> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        (start <= end).then_some(Run { start, end })
-    }
 }
 
 /// The `(start, end)` pair the `qbism_coding` run codecs consume.
@@ -53,22 +46,23 @@ impl From<Run> for (u64, u64) {
     }
 }
 
+/// Appends `r` to a run list built in start order, fusing it into the
+/// last run when the two overlap or touch (`end + 1 == start`) — how
+/// every producer of runs keeps its output maximal.
+pub(crate) fn push_fused(out: &mut Vec<Run>, r: Run) {
+    match out.last_mut() {
+        Some(last) if r.start <= last.end.saturating_add(1) => last.end = last.end.max(r.end),
+        _ => out.push(r),
+    }
+}
+
 /// Normalizes an arbitrary list of runs into the canonical form: sorted,
 /// disjoint, maximal (adjacent or overlapping runs merged).
 pub(crate) fn normalize(mut runs: Vec<Run>) -> Vec<Run> {
-    if runs.is_empty() {
-        return runs;
-    }
     runs.sort_unstable_by_key(|r| r.start);
     let mut out: Vec<Run> = Vec::with_capacity(runs.len());
     for r in runs {
-        match out.last_mut() {
-            // Merge overlap and adjacency (end + 1 == start).
-            Some(last) if r.start <= last.end.saturating_add(1) => {
-                last.end = last.end.max(r.end);
-            }
-            _ => out.push(r),
-        }
+        push_fused(&mut out, r);
     }
     out
 }
@@ -77,14 +71,9 @@ pub(crate) fn normalize(mut runs: Vec<Run>) -> Vec<Run> {
 /// list of ids.
 pub(crate) fn runs_from_ids(mut ids: Vec<u64>) -> Vec<Run> {
     ids.sort_unstable();
-    ids.dedup();
     let mut out: Vec<Run> = Vec::new();
     for id in ids {
-        match out.last_mut() {
-            Some(last) if id == last.end + 1 => last.end = id,
-            Some(last) if id <= last.end => unreachable!("dedup removed duplicates"),
-            _ => out.push(Run::new(id, id)),
-        }
+        push_fused(&mut out, Run::new(id, id));
     }
     out
 }
@@ -108,14 +97,6 @@ mod tests {
     #[should_panic(expected = "precedes start")]
     fn inverted_run_panics() {
         let _ = Run::new(7, 4);
-    }
-
-    #[test]
-    fn run_intersection() {
-        let a = Run::new(2, 9);
-        assert_eq!(a.intersect(&Run::new(5, 12)), Some(Run::new(5, 9)));
-        assert_eq!(a.intersect(&Run::new(9, 9)), Some(Run::new(9, 9)));
-        assert_eq!(a.intersect(&Run::new(10, 12)), None);
     }
 
     #[test]
