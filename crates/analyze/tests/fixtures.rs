@@ -129,6 +129,13 @@ fn workspace_is_clean_under_the_checked_in_allowlist() {
         .unwrap_or_else(|e| panic!("reading allowlist: {e}"));
     let entries =
         qbism_analyze::allowlist::parse(&text).unwrap_or_else(|e| panic!("allowlist: {e}"));
+    // The ratchet: the list only shrinks.  Lower the bound with every
+    // entry a fix retires; a new finding is fixed, not listed.
+    assert!(
+        entries.len() <= 37,
+        "analyze-allowlist.txt grew to {} entries; fix the finding instead of allowlisting it",
+        entries.len()
+    );
     let unused = qbism_analyze::allowlist::apply(&mut report, &entries);
     assert!(
         report.findings.is_empty(),

@@ -48,6 +48,25 @@ impl Database {
     pub fn untraced_len(&self, table: &str) -> Result<usize> { // LINT: traced-entrypoints
         self.catalog.len(table)
     }
+
+    pub fn untraced_run(&self, prepared: &Prepared, params: &[Value]) -> Result<ResultSet> { // LINT: traced-entrypoints
+        run_select(&prepared.plan, &self.catalog, params)
+    }
+
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let _span = qbism_obs::trace::root("db.prepare");
+        let statement = {
+            let _parse = qbism_obs::trace::span("sql.parse");
+            parse_statement(sql)?
+        };
+        self.plan(statement)
+    }
+
+    pub fn run(&self, prepared: &Prepared, params: &[Value]) -> Result<ResultSet> {
+        let span = qbism_obs::trace::root("db.execute");
+        describe(&span, &prepared.sql);
+        run_select(&prepared.plan, &self.catalog, params)
+    }
 }
 
 impl std::fmt::Debug for MedicalServer {

@@ -15,46 +15,31 @@
 //!   as the single-node server ships it.
 //! * The reduce folds per-study costs in study order, so every
 //!   deterministic column is identical at any shard count, thread
-//!   count, and under any single-replica fault.
+//!   count, and under any single-replica fault.  It is the single-node
+//!   server's own reduce (`qbism::server::reduce_*_stages`), fed routed
+//!   stages instead of local ones.
 
 use crate::placement::PlacementCatalog;
 use crate::shard::Shard;
 use crate::{ClusterError, Result};
+use qbism::server::{reduce_band_stages, reduce_population_stages};
 use qbism::wire::data_region_wire_size;
-use qbism::{MedicalServer, QbismConfig, QueryCost};
+use qbism::{MedicalServer, QbismConfig, QueryCost, StudyStage};
 use qbism_check::sync::{AtomicU64, Ordering};
 use qbism_fault::{sites, FaultOutcome};
 use qbism_netsim::{EndpointChannels, NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::{event, trace};
 use qbism_parallel::Executor;
 use qbism_region::Region;
-use qbism_volume::DataRegion;
 
-/// One sub-query stage on a shard: returns the stage value, its
-/// database cost, and the answer-leg wire size.
-type Stage<'a, T> = dyn Fn(&Shard) -> Result<(T, QueryCost, u64)> + Sync + 'a;
+/// One study's sub-query on a shard's server: the single-node
+/// per-study stage.
+type Stage<'a, T> = dyn Fn(&MedicalServer, i64) -> StudyStage<T> + Sync + 'a;
 
-/// A population-aggregate answer from the sharded warehouse: the same
-/// shape as [`qbism::PopulationAnswer`], with typed cluster errors in
-/// `skipped`.
-#[derive(Debug)]
-pub struct ClusterPopulationAnswer {
-    /// The voxel-wise mean over the studies that could be served.
-    pub data: DataRegion<u8>,
-    /// Cost accounting (`coverage < 1.0` when studies were skipped).
-    pub cost: QueryCost,
-    /// Studies excluded from the mean — each one lost *all* of its
-    /// replicas, so each entry is a
-    /// [`ClusterError::ShardsUnavailable`].
-    pub skipped: Vec<(i64, ClusterError)>,
-}
-
-impl ClusterPopulationAnswer {
-    /// True when every requested study contributed to the mean.
-    pub fn is_complete(&self) -> bool {
-        self.skipped.is_empty()
-    }
-}
+/// A population-aggregate answer from the sharded warehouse.  Each
+/// skipped study lost *all* of its replicas, so each `skipped` entry is
+/// a [`ClusterError::ShardsUnavailable`].
+pub type ClusterPopulationAnswer = qbism::PopulationAnswer<ClusterError>;
 
 /// Counters for the failover machinery: per-warehouse snapshot values
 /// plus process-wide observability mirrors.
@@ -331,52 +316,15 @@ impl ClusterWarehouse {
         span.record_str("structure", structure);
         span.record_u64("shards", self.shards.len() as u64);
         span.record_u64("threads", self.threads as u64);
-        let plane = qbism_fault::current();
-        let per_study = Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
-            let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
-            self.route(id, &|shard| {
-                let extract = shard.server().population_stage(id, structure);
-                match extract.outcome {
-                    Ok(data) => {
-                        let wire = data_region_wire_size(&data);
-                        // A stage that ran always carries its cost.
-                        Ok((data, extract.cost.unwrap_or_default(), wire))
-                    }
-                    Err(error) => Err(ClusterError::Query { shard: shard.id(), error }),
-                }
-            })
-        });
-        // Ordered reduce, exactly the single-node fold: costs
-        // accumulate in study order, a lost study (all replicas down)
-        // becomes a typed skipped entry, only a total loss errors.
-        let mut cost = QueryCost::default();
-        let mut extracts: Vec<DataRegion<u8>> = Vec::with_capacity(study_ids.len());
-        let mut skipped: Vec<(i64, ClusterError)> = Vec::new();
-        for (routed, &id) in per_study.into_iter().zip(study_ids) {
-            match routed {
-                Ok((data, sub)) => {
-                    cost.accumulate(&sub);
-                    extracts.push(data);
-                }
-                Err(e) => skipped.push((id, e)),
-            }
-        }
-        let start = std::time::Instant::now();
-        let Some(data) = qbism::server::voxel_mean(&extracts) else {
-            let (id, error) = skipped.remove(0);
-            span.record_str(
-                "failed",
-                &format!("all {} studies; first: study {id}", study_ids.len()),
-            );
-            return Err(error);
-        };
-        let mean_seconds = start.elapsed().as_secs_f64();
-        cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
-        cost.native_db_seconds += mean_seconds;
-        cost.sim_db_seconds += mean_seconds;
-        self.ship(&mut cost, data_region_wire_size(&data))?;
-        self.finish(&span, &cost);
-        Ok(ClusterPopulationAnswer { data, cost, skipped })
+        let stage = |server: &MedicalServer, id| server.population_stage(id, structure);
+        let per_study = self.scatter(study_ids, &stage, data_region_wire_size);
+        // A lost study (all replicas down) becomes a typed skipped
+        // entry; only a total loss errors.
+        let mut answer =
+            reduce_population_stages(study_ids, per_study, || ClusterError::NoStudies)?;
+        self.ship(&mut answer.cost, data_region_wire_size(&answer.data))?;
+        self.finish(&span, &answer.cost);
+        Ok(answer)
     }
 
     /// The multi-study band intersection, fanned over the shards:
@@ -399,36 +347,14 @@ impl ClusterWarehouse {
         span.record_u64("hi", u64::from(hi));
         span.record_u64("shards", self.shards.len() as u64);
         span.record_u64("threads", self.threads as u64);
-        let plane = qbism_fault::current();
-        let fetched = Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
-            let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
-            self.route(id, &|shard| {
-                let fetch = shard.server().band_region_stage(id, lo, hi);
-                match fetch.outcome {
-                    Ok(bytes) => {
-                        let wire = bytes.len() as u64;
-                        Ok((bytes, fetch.cost.unwrap_or_default(), wire))
-                    }
-                    Err(error) => Err(ClusterError::Query { shard: shard.id(), error }),
-                }
-            })
-        });
-        let mut cost = QueryCost::default();
-        let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(study_ids.len());
-        for routed in fetched {
-            let (bytes, sub) = routed?;
-            cost.accumulate(&sub);
-            blobs.push(bytes);
-        }
+        let stage = |server: &MedicalServer, id| server.band_region_stage(id, lo, hi);
+        let fetched = self.scatter(study_ids, &stage, |(_, bytes)| bytes.len() as u64);
         // Gather on the router with the single-node server's own fold,
         // so the re-encoded answer bytes — and therefore `wire_bytes` —
         // are identical in every tablespace mode.
-        let start = std::time::Instant::now();
-        let (bytes, region, _) = qbism::server::fold_band_regions(blobs, self.config.region_codec)
-            .map_err(ClusterError::Gather)?;
-        let fold_seconds = start.elapsed().as_secs_f64();
-        cost.native_db_seconds += fold_seconds;
-        cost.sim_db_seconds += fold_seconds;
+        // (A shard's long-field ids mean nothing here: no skip credit.)
+        let (mut cost, _, (bytes, region, _)) =
+            reduce_band_stages(fetched, self.config.region_codec, ClusterError::Gather)?;
         self.ship(&mut cost, bytes.len() as u64)?;
         self.finish(&span, &cost);
         Ok((region, cost))
@@ -438,11 +364,36 @@ impl ClusterWarehouse {
     // Internals
     // ----------------------------------------------------------------
 
+    /// Fans `stage` out over the studies, each routed to a replica that
+    /// serves it (`wire` sizes the answer leg), and returns the routed
+    /// stages in study order.  Each worker re-arms the caller's fault
+    /// plane, so injected schedules stay in force inside the pool.
+    fn scatter<T: Send>(
+        &self,
+        study_ids: &[i64],
+        stage: &Stage<'_, T>,
+        wire: impl Fn(&T) -> u64 + Sync,
+    ) -> Vec<StudyStage<T, ClusterError>> {
+        let plane = qbism_fault::current();
+        Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
+            let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
+            match self.route(id, stage, &wire) {
+                Ok((value, cost)) => StudyStage { cost, outcome: Ok(value) },
+                Err(e) => StudyStage { cost: QueryCost::default(), outcome: Err(e) },
+            }
+        })
+    }
+
     /// Routes one study's sub-query along its replica list, failing
     /// over on dead shards, injected kills, stage errors and dropped
     /// answer legs.  Success returns the stage value and its database
     /// cost — untouched by the failed attempts before it.
-    fn route<T>(&self, study: i64, stage: &Stage<'_, T>) -> Result<(T, QueryCost)> {
+    fn route<T>(
+        &self,
+        study: i64,
+        stage: &Stage<'_, T>,
+        wire: &dyn Fn(&T) -> u64,
+    ) -> Result<(T, QueryCost)> {
         let owners = self.catalog.replicas(study);
         if owners.is_empty() {
             return Err(ClusterError::UnknownStudy { study });
@@ -458,7 +409,7 @@ impl ClusterWarehouse {
                 self.counters.obs_failovers.inc();
             }
             prev = Some(sid);
-            match self.attempt(sid, stage) {
+            match self.attempt(sid, study, stage, wire) {
                 Ok(hit) => return Ok(hit),
                 Err(e) => last = Some(e),
             }
@@ -476,7 +427,13 @@ impl ClusterWarehouse {
     /// One attempt of a sub-query on one shard: health check, injected
     /// kill/slow sites, the stage inside the shard's service lane, and
     /// the answer leg back to the router.
-    fn attempt<T>(&self, sid: u64, stage: &Stage<'_, T>) -> Result<(T, QueryCost)> {
+    fn attempt<T>(
+        &self,
+        sid: u64,
+        study: i64,
+        stage: &Stage<'_, T>,
+        wire: &dyn Fn(&T) -> u64,
+    ) -> Result<(T, QueryCost)> {
         let shard = self.shard(sid).ok_or(ClusterError::ShardDown { shard: sid })?;
         if !shard.state().is_healthy() {
             return Err(ClusterError::ShardDown { shard: sid });
@@ -502,11 +459,15 @@ impl ClusterWarehouse {
             self.counters.slow_injections.fetch_add(1, Ordering::Relaxed);
             self.counters.obs_slow.inc();
         }
-        let (value, mut cost, wire) = {
+        // A failed stage is discarded wholesale, cost included: the
+        // replica that finally answers charges what a fault-free run
+        // would have.
+        let (value, mut cost) = {
             let _lane = shard.state().enter_lane();
-            stage(shard)?
-        };
-        if let Err(error) = self.endpoints.ship(sid as usize, wire) {
+            stage(shard.server(), study).into_result()
+        }
+        .map_err(|error| ClusterError::Query { shard: sid, error })?;
+        if let Err(error) = self.endpoints.ship(sid as usize, wire(&value)) {
             self.counters.route_drops.fetch_add(1, Ordering::Relaxed);
             self.counters.obs_route_drops.inc();
             return Err(ClusterError::Route { shard: sid, error });
@@ -529,17 +490,8 @@ impl ClusterWarehouse {
 
     /// Records a finished query's costs on its root span.
     fn finish(&self, span: &trace::SpanGuard, cost: &QueryCost) {
-        if !qbism_obs::enabled() {
-            return;
-        }
-        span.record_u64("lfm_pages_read", cost.lfm.pages_read);
-        span.record_u64("rows_scanned", cost.rows_scanned);
-        span.record_u64("wire_bytes", cost.wire_bytes);
-        span.record_u64("messages", cost.messages);
-        span.record_f64("sim_db_s", cost.sim_db_seconds);
-        span.record_f64("sim_net_s", cost.sim_net_seconds);
-        if cost.coverage < 1.0 {
-            span.record_f64("coverage", cost.coverage);
+        if qbism_obs::enabled() {
+            cost.record_on(span);
         }
     }
 }

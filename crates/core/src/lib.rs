@@ -58,9 +58,7 @@ pub use config::QbismConfig;
 pub use future::{feature_vector, StructureIndex, FEATURE_DIMS};
 pub use loader::QbismSystem;
 pub use report::{FullQueryReport, QuerySpec};
-pub use server::{
-    MedicalServer, PopulationAnswer, QueryAnswer, QueryCost, StudyExtract, StudyFetch,
-};
+pub use server::{MedicalServer, PopulationAnswer, QueryAnswer, QueryCost, StudyStage};
 
 /// Errors from the integrated system.
 #[derive(Debug)]

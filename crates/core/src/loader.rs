@@ -150,7 +150,7 @@ impl QbismSystem {
         let _ = geom; // storage geometry is carried by config
         db.lfm().reset_stats();
         Ok(QbismSystem {
-            server: MedicalServer::new(db, config.clone()),
+            server: MedicalServer::new(db, config.clone())?,
             atlas,
             pet_study_ids,
             mri_study_ids,

@@ -7,6 +7,10 @@
 //! (box / structure), attribute (band), mixed (band ∩ structure),
 //! multi-study (n-way intersection), and the population aggregate.
 //!
+//! The SQL is a fixed statement table compiled once, when the server is
+//! built; a query binds the caller's values as `?` parameters — none is
+//! ever spliced into statement text — and runs through one measured path.
+//!
 //! Every answer carries a [`QueryCost`]: exact LFM I/O counts, tuple
 //! scans, native elapsed time, and simulated 1994 times from the disk
 //! and network models — the raw material of Tables 3 and 4.
@@ -15,12 +19,12 @@ use crate::config::QbismConfig;
 use crate::loader::ATLAS_ID;
 use crate::wire::{data_region_wire_size, decode_data_region};
 use crate::{QbismError, Result};
-use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
+use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats, LongFieldId};
 use qbism_netsim::{NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::trace;
 use qbism_parallel::Executor;
 use qbism_region::{kernel, GridGeometry, Region, RegionCodec};
-use qbism_starburst::{Database, Value};
+use qbism_starburst::{Database, Prepared, Value};
 use qbism_volume::{DataRegion, Volume};
 
 /// Cost accounting for one executed query.
@@ -77,6 +81,27 @@ impl QueryCost {
         self.sim_net_seconds += other.sim_net_seconds;
         self.coverage = self.coverage.min(other.coverage);
     }
+
+    /// Charges CPU spent gathering per-study results: native time that
+    /// is also part of the simulated database phase.
+    fn add_gather_seconds(&mut self, seconds: f64) {
+        self.native_db_seconds += seconds;
+        self.sim_db_seconds += seconds;
+    }
+
+    /// Stamps the roll-up costs of a finished query on its root span.
+    pub fn record_on(&self, span: &trace::SpanGuard) {
+        span.record_u64("lfm_pages_read", self.lfm.pages_read);
+        span.record_u64("lfm_extents_read", self.lfm.extents_read);
+        span.record_u64("rows_scanned", self.rows_scanned);
+        span.record_u64("wire_bytes", self.wire_bytes);
+        span.record_u64("messages", self.messages);
+        span.record_f64("sim_db_s", self.sim_db_seconds);
+        span.record_f64("sim_net_s", self.sim_net_seconds);
+        if self.coverage < 1.0 {
+            span.record_f64("coverage", self.coverage);
+        }
+    }
 }
 
 /// A spatially restricted answer plus its costs.
@@ -108,17 +133,20 @@ impl QueryAnswer {
 /// sinking the whole query, `cost.coverage` records the surviving
 /// fraction, and `skipped` says exactly what went wrong per study.  The
 /// call errors only when *no* study could be read.
+///
+/// `E` is the per-study error: [`QbismError`] from the single-node
+/// server, a cluster error from a scatter/gather router.
 #[derive(Debug)]
-pub struct PopulationAnswer {
+pub struct PopulationAnswer<E = QbismError> {
     /// The voxel-wise mean over the studies that could be read.
     pub data: DataRegion<u8>,
     /// Cost accounting (`coverage < 1.0` when studies were skipped).
     pub cost: QueryCost,
     /// Studies excluded from the mean, with the error that excluded each.
-    pub skipped: Vec<(i64, QbismError)>,
+    pub skipped: Vec<(i64, E)>,
 }
 
-impl PopulationAnswer {
+impl<E> PopulationAnswer<E> {
     /// Number of h-runs in the answer's REGION.
     pub fn run_count(&self) -> usize {
         self.data.region().run_count()
@@ -135,32 +163,45 @@ impl PopulationAnswer {
     }
 }
 
-/// Pre-resolved observability handles for one query class, so the
-/// per-query cost is a histogram observe and a counter add rather than
-/// four registry-map lookups.
-struct QueryClassMetrics {
-    seconds: qbism_obs::Histogram,
-    total: qbism_obs::Counter,
+/// The Section 3.4 query classes a finished query reports under.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    FullStudy,
+    Box,
+    Structure,
+    Band,
+    IntensityRange,
+    BandInStructure,
+    MultiStudyBand,
+    PopulationAverage,
 }
 
-/// Handles shared by every query class.
+impl Class {
+    /// The metric label and span suffix of each class, in declaration order.
+    const NAMES: [&'static str; 8] = [
+        "full_study",
+        "box",
+        "structure",
+        "band",
+        "intensity_range",
+        "band_in_structure",
+        "multi_study_band",
+        "population_average",
+    ];
+
+    fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
+
+/// Pre-resolved observability handles, so the per-query cost is a
+/// histogram observe and a counter add rather than registry-map lookups.
 struct ServerMetrics {
     wire_bytes: qbism_obs::Counter,
     rows_scanned: qbism_obs::Counter,
-    classes: std::collections::HashMap<&'static str, QueryClassMetrics>,
+    /// `(seconds, total)` per [`Class`], indexed by it.
+    classes: Vec<(qbism_obs::Histogram, qbism_obs::Counter)>,
 }
-
-/// The Section 3.4 query classes `finish_query` reports under.
-const QUERY_CLASSES: [&str; 8] = [
-    "full_study",
-    "box",
-    "structure",
-    "band",
-    "intensity_range",
-    "band_in_structure",
-    "multi_study_band",
-    "population_average",
-];
 
 impl ServerMetrics {
     fn new() -> Self {
@@ -169,16 +210,13 @@ impl ServerMetrics {
         reg.describe("qbism_query_total", "Queries answered, by class.");
         reg.describe("qbism_query_wire_bytes_total", "Answer payload bytes shipped to DX.");
         reg.describe("qbism_query_rows_scanned_total", "Base tuples scanned by server queries.");
-        let classes = QUERY_CLASSES
+        let classes = Class::NAMES
             .iter()
             .map(|&class| {
                 let labels = [("class", class)];
                 (
-                    class,
-                    QueryClassMetrics {
-                        seconds: reg.histogram_with("qbism_query_seconds", &labels),
-                        total: reg.counter_with("qbism_query_total", &labels),
-                    },
+                    reg.histogram_with("qbism_query_seconds", &labels),
+                    reg.counter_with("qbism_query_total", &labels),
                 )
             })
             .collect();
@@ -187,6 +225,114 @@ impl ServerMetrics {
             rows_scanned: reg.counter("qbism_query_rows_scanned_total"),
             classes,
         }
+    }
+}
+
+/// The fixed statement shapes every query and accessor enters through,
+/// compiled once at construction (no DROP or ALTER exists to make one
+/// stale).  Each `?` is bound per call, in text order.
+struct Statements {
+    full_study: Prepared,
+    box_data: Prepared,
+    /// Also the per-study stage of the population aggregate.
+    structure: Prepared,
+    band: Prepared,
+    band_in_structure: Prepared,
+    /// The per-study stage of the multi-study band query.
+    band_region: Prepared,
+    /// `[n - 1]` unions `n` stored bands: the join shape depends on `n` only.
+    intensity_range: Vec<Prepared>,
+    atlas_info: Prepared,
+    warped_volume: Prepared,
+    structure_mesh: Prepared,
+    structure_region: Prepared,
+}
+
+impl Statements {
+    fn prepare(db: &Database, band_width: u16) -> Result<Self> {
+        let prepare = |sql: &str| db.prepare(sql);
+        let bands = usize::from(256u16.div_ceil(band_width.max(1)));
+        Ok(Statements {
+            full_study: prepare(&format!(
+                "select extractVoxels(wv.data, fullRegion())
+                 from warpedVolume wv
+                 where wv.studyId = ? and wv.atlasId = {ATLAS_ID}"
+            ))?,
+            box_data: prepare(&format!(
+                "select extractVoxels(wv.data, boxRegion(?, ?, ?, ?, ?, ?))
+                 from warpedVolume wv
+                 where wv.studyId = ? and wv.atlasId = {ATLAS_ID}"
+            ))?,
+            structure: prepare(&format!(
+                "select extractVoxels(wv.data, ast.region)
+                 from warpedVolume wv, atlasStructure ast, neuralStructure ns
+                 where wv.studyId = ? and wv.atlasId = {ATLAS_ID} and
+                       ast.atlasId = {ATLAS_ID} and
+                       ast.structureId = ns.structureId and
+                       ns.structureName = ?"
+            ))?,
+            band: prepare(&format!(
+                "select extractVoxels(wv.data, b.region)
+                 from warpedVolume wv, intensityBand b
+                 where wv.studyId = ? and b.studyId = ? and
+                       wv.atlasId = {ATLAS_ID} and
+                       b.lo = ? and b.hi = ?"
+            ))?,
+            band_in_structure: prepare(&format!(
+                "select extractVoxels(wv.data, intersection(b.region, ast.region))
+                 from warpedVolume wv, intensityBand b, atlasStructure ast, neuralStructure ns
+                 where wv.studyId = ? and b.studyId = ? and
+                       wv.atlasId = {ATLAS_ID} and ast.atlasId = {ATLAS_ID} and
+                       b.lo = ? and b.hi = ? and
+                       ast.structureId = ns.structureId and
+                       ns.structureName = ?"
+            ))?,
+            band_region: prepare(
+                "select b.region from intensityBand b
+                 where b.studyId = ? and b.lo = ? and b.hi = ?",
+            )?,
+            intensity_range: (1..=bands)
+                .map(|n| prepare(&Self::intensity_range_sql(n)))
+                .collect::<std::result::Result<_, _>>()?,
+            atlas_info: prepare(
+                "select a.n, a.x0, a.y0, a.z0, a.dx, a.dy, a.dz,
+                        a.atlasId, p.name, p.patientId, rv.date
+                 from atlas a, rawVolume rv, warpedVolume wv, patient p
+                 where a.atlasId = wv.atlasId and wv.studyId = rv.studyId and
+                       rv.patientId = p.patientId and rv.studyId = ? and
+                       a.atlasName = 'Talairach'",
+            )?,
+            warped_volume: prepare(&format!(
+                "select wv.data from warpedVolume wv
+                 where wv.studyId = ? and wv.atlasId = {ATLAS_ID}"
+            ))?,
+            structure_mesh: prepare(&format!(
+                "select ast.surface from atlasStructure ast, neuralStructure ns
+                 where ast.structureId = ns.structureId and ast.atlasId = {ATLAS_ID} and
+                       ns.structureName = ?"
+            ))?,
+            structure_region: prepare(&format!(
+                "select ast.region from atlasStructure ast, neuralStructure ns
+                 where ast.structureId = ns.structureId and ast.atlasId = {ATLAS_ID} and
+                       ns.structureName = ?"
+            ))?,
+        })
+    }
+
+    /// `select extractVoxels(wv.data, runion(b1.region, runion(…)))` over
+    /// `n` bands; parameters are the study, then `(study, lo)` per band.
+    fn intensity_range_sql(n: usize) -> String {
+        let mut region = format!("b{n}.region");
+        for i in (1..n).rev() {
+            region = format!("runion(b{i}.region, {region})");
+        }
+        let mut from = String::from("warpedVolume wv");
+        let mut preds = format!("wv.studyId = ? and wv.atlasId = {ATLAS_ID}");
+        for i in 1..=n {
+            from.push_str(&format!(", intensityBand b{i}"));
+            preds.push_str(&format!(" and b{i}.studyId = ? and b{i}.lo = ?"));
+        }
+        format!("select extractVoxels(wv.data, {region}) from {from} where {preds}")
     }
 }
 
@@ -206,19 +352,22 @@ pub struct MedicalServer {
     chan: SharedRpcChannel,
     threads: usize,
     metrics: ServerMetrics,
+    statements: Statements,
 }
 
 impl MedicalServer {
-    /// Wraps a populated database.
-    pub fn new(db: Database, config: QbismConfig) -> Self {
-        MedicalServer {
+    /// Wraps a populated database, compiling the statement table against
+    /// it; errors if the medical schema is not there to bind to.
+    pub fn new(db: Database, config: QbismConfig) -> Result<Self> {
+        Ok(MedicalServer {
+            statements: Statements::prepare(&db, config.band_width)?,
             db,
             config,
             disk: DiskModel::RS6000_1994,
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
             threads: 1,
             metrics: ServerMetrics::new(),
-        }
+        })
     }
 
     /// The active configuration.
@@ -321,64 +470,40 @@ impl MedicalServer {
 
     /// Q1: "show a full PET study" — the flat-file reference point.
     pub fn full_study(&self, study_id: i64) -> Result<QueryAnswer> {
-        let span = Self::query_span("full_study");
+        let span = Self::query_span(Class::FullStudy.name());
         span.record_i64("study_id", study_id);
-        let answer = self.extract_with_sql(&format!(
-            "select extractVoxels(wv.data, fullRegion())
-             from warpedVolume wv
-             where wv.studyId = {study_id} and wv.atlasId = {ATLAS_ID}"
-        ))?;
-        self.finish_query(&span, "full_study", &answer.cost);
-        Ok(answer)
+        let stmt = &self.statements.full_study;
+        self.extract(&span, Class::FullStudy, stmt, &[Value::Int(study_id)])
     }
 
     /// Q2-style spatial query: data inside a rectangular solid.
     pub fn box_data(&self, study_id: i64, min: [u32; 3], max: [u32; 3]) -> Result<QueryAnswer> {
-        let span = Self::query_span("box");
+        let span = Self::query_span(Class::Box.name());
         span.record_i64("study_id", study_id);
-        let answer = self.extract_with_sql(&format!(
-            "select extractVoxels(wv.data, boxRegion({}, {}, {}, {}, {}, {}))
-             from warpedVolume wv
-             where wv.studyId = {study_id} and wv.atlasId = {ATLAS_ID}",
-            min[0], min[1], min[2], max[0], max[1], max[2]
-        ))?;
-        self.finish_query(&span, "box", &answer.cost);
-        Ok(answer)
+        let corners = min.iter().chain(&max).map(|&c| Value::Int(i64::from(c)));
+        let params: Vec<Value> = corners.chain([Value::Int(study_id)]).collect();
+        self.extract(&span, Class::Box, &self.statements.box_data, &params)
     }
 
     /// Q3/Q4-style spatial query: data inside a named structure — the
     /// exact Section 3.4 query pair.
     pub fn structure_data(&self, study_id: i64, structure: &str) -> Result<QueryAnswer> {
-        let span = Self::query_span("structure");
+        let span = Self::query_span(Class::Structure.name());
         span.record_i64("study_id", study_id);
         span.record_str("structure", structure);
-        let answer = self.extract_with_sql(&format!(
-            "select extractVoxels(wv.data, ast.region)
-             from warpedVolume wv, atlasStructure ast, neuralStructure ns
-             where wv.studyId = {study_id} and wv.atlasId = {ATLAS_ID} and
-                   ast.atlasId = {ATLAS_ID} and
-                   ast.structureId = ns.structureId and
-                   ns.structureName = '{structure}'"
-        ))?;
-        self.finish_query(&span, "structure", &answer.cost);
-        Ok(answer)
+        let params = [Value::Int(study_id), Value::from(structure)];
+        self.extract(&span, Class::Structure, &self.statements.structure, &params)
     }
 
     /// Q5-style attribute query: data within a stored intensity band.
     pub fn band_data(&self, study_id: i64, lo: u8, hi: u8) -> Result<QueryAnswer> {
-        let span = Self::query_span("band");
+        let span = Self::query_span(Class::Band.name());
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
-        let answer = self.extract_with_sql(&format!(
-            "select extractVoxels(wv.data, b.region)
-             from warpedVolume wv, intensityBand b
-             where wv.studyId = {study_id} and b.studyId = {study_id} and
-                   wv.atlasId = {ATLAS_ID} and
-                   b.lo = {lo} and b.hi = {hi}"
-        ))?;
-        self.finish_query(&span, "band", &answer.cost);
-        Ok(answer)
+        let study = Value::Int(study_id);
+        let params = [study.clone(), study, Value::Int(lo.into()), Value::Int(hi.into())];
+        self.extract(&span, Class::Band, &self.statements.band, &params)
     }
 
     /// Attribute query over an *arbitrary* intensity range — an
@@ -394,45 +519,21 @@ impl MedicalServer {
         if lo > hi {
             return Err(QbismError::NotFound(format!("empty intensity range {lo}-{hi}")));
         }
-        let span = Self::query_span("intensity_range");
+        let span = Self::query_span(Class::IntensityRange.name());
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
         let width = self.config.band_width;
-        let first_band = u16::from(lo) / width;
-        let last_band = u16::from(hi) / width;
-        let n = (last_band - first_band + 1) as usize;
-        // select extractVoxels(wv.data, runion(b1.region, runion(...)))
-        let mut region_expr = String::new();
-        for i in 0..n {
-            if i + 1 < n {
-                region_expr.push_str(&format!("runion(b{}.region, ", i + 1));
-            } else {
-                region_expr.push_str(&format!("b{}.region", i + 1));
-            }
+        let bands = u16::from(lo) / width..=u16::from(hi) / width;
+        let stmt = &self.statements.intensity_range[bands.len() - 1];
+        let mut params = vec![Value::Int(study_id)];
+        for band in bands {
+            params.extend([Value::Int(study_id), Value::Int(i64::from(band * width))]);
         }
-        region_expr.push_str(&")".repeat(n.saturating_sub(1)));
-        let mut from = vec!["warpedVolume wv".to_string()];
-        let mut preds =
-            vec![format!("wv.studyId = {study_id}"), format!("wv.atlasId = {ATLAS_ID}")];
-        for (i, band) in (first_band..=last_band).enumerate() {
-            from.push(format!("intensityBand b{}", i + 1));
-            preds.push(format!("b{}.studyId = {study_id}", i + 1));
-            preds.push(format!("b{}.lo = {}", i + 1, band * width));
-        }
-        let sql = format!(
-            "select extractVoxels(wv.data, {region_expr}) from {} where {}",
-            from.join(", "),
-            preds.join(" and ")
-        );
         // Extract the candidate union, refine, then ship only the exact
         // answer (one shipment per query).
-        let (candidate, _, partial) = self.extract_measured(&sql)?;
-        let exact = candidate.filter_intensity(lo, hi);
-        let cost = self.finish_cost(partial, data_region_wire_size(&exact))?;
-        let answer = QueryAnswer { data: exact, cost };
-        self.finish_query(&span, "intensity_range", &answer.cost);
-        Ok(answer)
+        let (candidate, cost) = self.measured(stmt, &params, Self::data_region).into_result()?;
+        self.answer(&span, Class::IntensityRange, candidate.filter_intensity(lo, hi), cost)
     }
 
     /// Q6-style mixed query: band ∩ structure, intersected inside the
@@ -445,22 +546,15 @@ impl MedicalServer {
         hi: u8,
         structure: &str,
     ) -> Result<QueryAnswer> {
-        let span = Self::query_span("band_in_structure");
+        let span = Self::query_span(Class::BandInStructure.name());
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
         span.record_str("structure", structure);
-        let answer = self.extract_with_sql(&format!(
-            "select extractVoxels(wv.data, intersection(b.region, ast.region))
-             from warpedVolume wv, intensityBand b, atlasStructure ast, neuralStructure ns
-             where wv.studyId = {study_id} and b.studyId = {study_id} and
-                   wv.atlasId = {ATLAS_ID} and ast.atlasId = {ATLAS_ID} and
-                   b.lo = {lo} and b.hi = {hi} and
-                   ast.structureId = ns.structureId and
-                   ns.structureName = '{structure}'"
-        ))?;
-        self.finish_query(&span, "band_in_structure", &answer.cost);
-        Ok(answer)
+        let study = Value::Int(study_id);
+        let (lo, hi) = (Value::Int(lo.into()), Value::Int(hi.into()));
+        let params = [study.clone(), study, lo, hi, Value::from(structure)];
+        self.extract(&span, Class::BandInStructure, &self.statements.band_in_structure, &params)
     }
 
     /// Table 4's multi-study query: the REGION where *all* the given
@@ -480,10 +574,7 @@ impl MedicalServer {
         lo: u8,
         hi: u8,
     ) -> Result<(Region, QueryCost)> {
-        if study_ids.is_empty() {
-            return Err(QbismError::NotFound("no studies given".into()));
-        }
-        let span = Self::query_span("multi_study_band");
+        let span = Self::query_span(Class::MultiStudyBand.name());
         span.record_u64("studies", study_ids.len() as u64);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -493,94 +584,32 @@ impl MedicalServer {
         // inside this query's tree, in study order, at any thread count.
         let fetched = Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
             let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
-            self.band_region_fetch(id, lo, hi)
+            self.band_region_stage(id, lo, hi)
         });
-        // Ordered reduce: fold costs in study order (f64 sums are then
-        // identical at every thread count); the first failing study in
-        // study order decides the error, as the join's scan order did.
-        let mut cost = QueryCost::default();
-        let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(study_ids.len());
-        let mut field_ids: Vec<Option<qbism_lfm::LongFieldId>> =
-            Vec::with_capacity(study_ids.len());
-        for fetch in fetched {
-            let (bytes, field_id, partial) = fetch?;
-            cost.accumulate(&self.db_cost(&partial));
-            blobs.push(bytes);
-            field_ids.push(field_id);
-        }
-        // The gather is server CPU, part of the database phase.
-        let start = std::time::Instant::now();
-        let (bytes, region, skips) = fold_band_regions(blobs, self.config.region_codec)?;
+        let (mut cost, field_ids, (bytes, region, skips)) =
+            reduce_band_stages(fetched, self.config.region_codec, |e| e)?;
         // Galloping skips are credited to the
         // `qbism_lfm_compressed_decode_skips_total` metric.
-        for (field_id, skipped) in field_ids.iter().zip(skips) {
-            if let Some(id) = field_id {
-                self.db.lfm_ref().note_decode_skips(*id, skipped);
-            }
+        for (id, skipped) in field_ids.into_iter().zip(skips) {
+            self.db.lfm_ref().note_decode_skips(id, skipped);
         }
-        let fold_seconds = start.elapsed().as_secs_f64();
-        cost.native_db_seconds += fold_seconds;
-        cost.sim_db_seconds += fold_seconds;
-        let wire_bytes = bytes.len() as u64;
-        self.ship_answer(&mut cost, wire_bytes)?;
-        self.finish_query(&span, "multi_study_band", &cost);
+        self.ship_answer(&mut cost, bytes.len() as u64)?;
+        self.finish_query(&span, Class::MultiStudyBand, &cost);
         Ok((region, cost))
     }
 
-    /// The per-study stage of the multi-study query: fetch one study's
-    /// stored band REGION bytes under a measurement bracket.
-    fn band_region_fetch(
+    /// The per-study stage of the multi-study band query: one measured
+    /// fetch of the study's stored band REGION, long field and bytes.
+    /// Public, like [`MedicalServer::population_stage`], for
+    /// scatter/gather routers; a stage never ships.
+    pub fn band_region_stage(
         &self,
         study_id: i64,
         lo: u8,
         hi: u8,
-    ) -> Result<(Vec<u8>, Option<qbism_lfm::LongFieldId>, PartialCost)> {
-        let bracket = IoBracket::begin();
-        let start = std::time::Instant::now();
-        let outcome = (|| {
-            let rs = self.db.query(&format!(
-                "select b.region from intensityBand b
-                 where b.studyId = {study_id} and b.lo = {lo} and b.hi = {hi}"
-            ))?;
-            let rows_scanned = rs.rows_scanned;
-            let value = rs
-                .single_value()
-                .map_err(|_| QbismError::NotFound(format!("query returned {} rows", rs.len())))?
-                .clone();
-            let (bytes, field_id): (Vec<u8>, _) = match value {
-                Value::Long(id) => (self.db.read_long_field(id)?, Some(id)),
-                Value::Bytes(b) => (b, None),
-                other => {
-                    return Err(QbismError::Wire(format!(
-                        "multi-study answer is not a REGION: {other}"
-                    )))
-                }
-            };
-            Ok((bytes, field_id, rows_scanned))
-        })();
-        let native = start.elapsed().as_secs_f64();
-        let (lfm, fault_latency) = bracket.finish();
-        let (bytes, field_id, rows_scanned) = outcome?;
-        Ok((
-            bytes,
-            field_id,
-            PartialCost { lfm, rows_scanned, native_db_seconds: native, fault_latency },
-        ))
-    }
-
-    /// The per-study stage of the multi-study band query, exposed for
-    /// scatter/gather routers: one measured band-REGION fetch with its
-    /// database-phase cost attached on success.  A failed fetch charges
-    /// nothing — the router discards the attempt and retries a replica,
-    /// which is what keeps the fault-free and failover cost columns
-    /// byte-identical.
-    pub fn band_region_stage(&self, study_id: i64, lo: u8, hi: u8) -> StudyFetch {
-        match self.band_region_fetch(study_id, lo, hi) {
-            Ok((bytes, _, partial)) => {
-                StudyFetch { cost: Some(self.db_cost(&partial)), outcome: Ok(bytes) }
-            }
-            Err(e) => StudyFetch { cost: None, outcome: Err(e) },
-        }
+    ) -> StudyStage<(LongFieldId, Vec<u8>)> {
+        let params = [Value::Int(study_id), Value::Int(lo.into()), Value::Int(hi.into())];
+        self.measured(&self.statements.band_region, &params, Self::long_field)
     }
 
     /// The Section 6.4 aggregate: voxel-wise average intensity inside a
@@ -600,75 +629,45 @@ impl MedicalServer {
         study_ids: &[i64],
         structure: &str,
     ) -> Result<PopulationAnswer> {
-        if study_ids.is_empty() {
-            return Err(QbismError::NotFound("no studies given".into()));
-        }
-        let span = Self::query_span("population_average");
+        let span = Self::query_span(Class::PopulationAverage.name());
         span.record_u64("studies", study_ids.len() as u64);
         span.record_str("structure", structure);
         span.record_u64("threads", self.threads as u64);
         // Per-study measured extraction, fanned out over the executor
         // (each worker re-arms the caller's fault plane, so injected
-        // schedules stay in force inside the pool), then folded into
-        // one cost *in study order* — the deterministic reduce that
-        // keeps QueryCost bit-identical at every thread count.  A
-        // study whose decode fails still contributes the I/O its query
-        // performed — the work was done, so the cost is real.
+        // schedules stay in force inside the pool).
         let plane = qbism_fault::current();
         let per_study = Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
             let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
             self.population_stage(id, structure)
         });
-        let mut cost = QueryCost::default();
-        let mut extracts: Vec<DataRegion<u8>> = Vec::with_capacity(study_ids.len());
-        let mut skipped: Vec<(i64, QbismError)> = Vec::new();
-        for (extract, &id) in per_study.into_iter().zip(study_ids) {
-            if let Some(db_cost) = extract.cost {
-                cost.accumulate(&db_cost);
-            }
-            match extract.outcome {
-                Ok(extract) => extracts.push(extract),
-                Err(e) => skipped.push((id, e)),
-            }
-        }
-        // Voxel-wise mean across the aligned extractions (server CPU,
-        // still part of the database phase).
-        let start = std::time::Instant::now();
-        let Some(data) = voxel_mean(&extracts) else {
-            // Nothing survived: degrading further would return an empty
-            // answer pretending to be a mean — fail with the first cause.
-            let (id, error) = skipped.remove(0);
-            span.record_str(
-                "failed",
-                &format!("all {} studies; first: study {id}", study_ids.len()),
-            );
-            return Err(error);
-        };
-        let mean_seconds = start.elapsed().as_secs_f64();
-        cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
-        cost.native_db_seconds += mean_seconds;
-        cost.sim_db_seconds += mean_seconds;
+        let no_studies = || QbismError::NotFound("no studies given".into());
+        let mut answer = reduce_population_stages(study_ids, per_study, no_studies)?;
         // Only the final averaged DATA_REGION crosses the wire.
-        self.ship_answer(&mut cost, data_region_wire_size(&data))?;
-        self.finish_query(&span, "population_average", &cost);
-        Ok(PopulationAnswer { data, cost, skipped })
+        self.ship_answer(&mut answer.cost, data_region_wire_size(&answer.data))?;
+        self.finish_query(&span, Class::PopulationAverage, &answer.cost);
+        Ok(answer)
+    }
+
+    /// The per-study stage of the population aggregate: one measured
+    /// extraction.  Public so scatter/gather routers (`qbism-cluster`)
+    /// can run it on a shard's server; the stage never ships, so the
+    /// router keeps the ship-exactly-once invariant.
+    pub fn population_stage(&self, id: i64, structure: &str) -> StudyStage<DataRegion<u8>> {
+        let params = [Value::Int(id), Value::from(structure)];
+        self.measured(&self.statements.structure, &params, Self::data_region)
+            .named(|| format!("study {id} / {structure}"))
     }
 
     /// The Section 3.4 "first query": atlas coordinate-space and patient
     /// information needed for rendering and annotation.  Returns the
-    /// (columns, row) of the catalog lookup.
+    /// row of the catalog lookup.
     pub fn atlas_info(&self, study_id: i64) -> Result<Vec<Value>> {
         let span = Self::query_span("atlas_info");
         span.record_i64("study_id", study_id);
-        let rs = self.db.query(&format!(
-            "select a.n, a.x0, a.y0, a.z0, a.dx, a.dy, a.dz,
-                    a.atlasId, p.name, p.patientId, rv.date
-             from atlas a, rawVolume rv, warpedVolume wv, patient p
-             where a.atlasId = wv.atlasId and wv.studyId = rv.studyId and
-                   rv.patientId = p.patientId and rv.studyId = {study_id} and
-                   a.atlasName = 'Talairach'"
-        ))?;
-        rs.rows().first().cloned().ok_or_else(|| QbismError::NotFound(format!("study {study_id}")))
+        let row = |_: &Self, row: &[Value]| Ok(row.to_vec());
+        let stage = self.measured(&self.statements.atlas_info, &[Value::Int(study_id)], row);
+        Self::accessed(&span, stage.named(|| format!("study {study_id}")))
     }
 
     /// Loads a warped VOLUME fully (used by rendering examples to
@@ -676,16 +675,9 @@ impl MedicalServer {
     pub fn warped_volume(&self, study_id: i64) -> Result<Volume> {
         let span = Self::query_span("warped_volume");
         span.record_i64("study_id", study_id);
-        let rs = self.db.query(&format!(
-            "select wv.data from warpedVolume wv
-             where wv.studyId = {study_id} and wv.atlasId = {ATLAS_ID}"
-        ))?;
-        let id = rs
-            .single_value()
-            .map_err(|_| QbismError::NotFound(format!("study {study_id}")))?
-            .as_long()
-            .ok_or_else(|| QbismError::Wire("warpedVolume.data is not a long field".into()))?;
-        let bytes = self.db.read_long_field(id)?;
+        let stmt = &self.statements.warped_volume;
+        let stage = self.measured(stmt, &[Value::Int(study_id)], Self::long_field);
+        let (_, bytes) = Self::accessed(&span, stage.named(|| format!("study {study_id}")))?;
         crate::wire::volume_from_long_field(self.config.geometry(), &bytes)
     }
 
@@ -693,17 +685,7 @@ impl MedicalServer {
     pub fn structure_mesh(&self, structure: &str) -> Result<qbism_geometry::TriMesh> {
         let span = Self::query_span("structure_mesh");
         span.record_str("structure", structure);
-        let rs = self.db.query(&format!(
-            "select ast.surface from atlasStructure ast, neuralStructure ns
-             where ast.structureId = ns.structureId and ast.atlasId = {ATLAS_ID} and
-                   ns.structureName = '{structure}'"
-        ))?;
-        let id = rs
-            .single_value()
-            .map_err(|_| QbismError::NotFound(format!("structure {structure}")))?
-            .as_long()
-            .ok_or_else(|| QbismError::Wire("surface is not a long field".into()))?;
-        let bytes = self.db.read_long_field(id)?;
+        let bytes = self.structure_field(&span, &self.statements.structure_mesh, structure)?;
         crate::wire::mesh_from_long_field(&bytes)
     }
 
@@ -711,17 +693,7 @@ impl MedicalServer {
     pub fn structure_region(&self, structure: &str) -> Result<Region> {
         let span = Self::query_span("structure_region");
         span.record_str("structure", structure);
-        let rs = self.db.query(&format!(
-            "select ast.region from atlasStructure ast, neuralStructure ns
-             where ast.structureId = ns.structureId and ast.atlasId = {ATLAS_ID} and
-                   ns.structureName = '{structure}'"
-        ))?;
-        let id = rs
-            .single_value()
-            .map_err(|_| QbismError::NotFound(format!("structure {structure}")))?
-            .as_long()
-            .ok_or_else(|| QbismError::Wire("region is not a long field".into()))?;
-        let bytes = self.db.read_long_field(id)?;
+        let bytes = self.structure_field(&span, &self.statements.structure_region, structure)?;
         Ok(RegionCodec::decode(&bytes)?)
     }
 
@@ -729,124 +701,126 @@ impl MedicalServer {
     // Internals
     // ----------------------------------------------------------------
 
-    /// Opens the per-class root span for a query method.
-    fn query_span(class: &str) -> trace::SpanGuard {
+    /// Opens the root span `query.<name>` of a query or accessor method.
+    fn query_span(name: &str) -> trace::SpanGuard {
         if !qbism_obs::enabled() {
             return trace::root("");
         }
-        trace::root(format!("query.{class}"))
+        trace::root(format!("query.{name}"))
     }
 
     /// Records a finished query's costs on its span and in the global
     /// per-class metrics.
-    fn finish_query(&self, span: &trace::SpanGuard, class: &str, cost: &QueryCost) {
+    fn finish_query(&self, span: &trace::SpanGuard, class: Class, cost: &QueryCost) {
         if !qbism_obs::enabled() {
             return;
         }
-        match self.metrics.classes.get(class) {
-            Some(m) => {
-                m.seconds.observe(cost.native_db_seconds);
-                m.total.inc();
-            }
-            None => {
-                // Unknown class (future query kinds): fall back to the
-                // registry so nothing is silently dropped.
-                let reg = qbism_obs::global();
-                reg.histogram_with("qbism_query_seconds", &[("class", class)])
-                    .observe(cost.native_db_seconds);
-                reg.counter_with("qbism_query_total", &[("class", class)]).inc();
-            }
-        }
+        let (seconds, total) = &self.metrics.classes[class as usize];
+        seconds.observe(cost.native_db_seconds);
+        total.inc();
         self.metrics.wire_bytes.add(cost.wire_bytes);
         self.metrics.rows_scanned.add(cost.rows_scanned);
-        span.record_u64("lfm_pages_read", cost.lfm.pages_read);
-        span.record_u64("lfm_extents_read", cost.lfm.extents_read);
-        span.record_u64("rows_scanned", cost.rows_scanned);
-        span.record_u64("wire_bytes", cost.wire_bytes);
-        span.record_u64("messages", cost.messages);
-        span.record_f64("sim_db_s", cost.sim_db_seconds);
-        span.record_f64("sim_net_s", cost.sim_net_seconds);
-        if cost.coverage < 1.0 {
-            span.record_f64("coverage", cost.coverage);
-        }
+        cost.record_on(span);
     }
 
-    /// Runs a one-value SQL query under measurement brackets.
+    /// The one measured path: the database phase of `stmt` — its run
+    /// and `decode` over its single row, so a decoder's long-field read
+    /// is charged like the statement's own I/O.  Cost is charged once
+    /// the row exists, whether or not it then decodes; a statement that
+    /// fails or matches no row charges nothing.
     ///
     /// Measurement is a thread-local [`IoBracket`], not a before/after
     /// delta of the global LFM counters — so concurrent queries on
     /// other threads never leak their I/O into this query's cost.
-    fn run_measured(&self, sql: &str) -> Result<(Value, PartialCost)> {
+    fn measured<T>(
+        &self,
+        stmt: &Prepared,
+        params: &[Value],
+        decode: impl FnOnce(&Self, &[Value]) -> Result<T>,
+    ) -> StudyStage<T> {
         let bracket = IoBracket::begin();
         let start = std::time::Instant::now();
-        let outcome = self.db.query(sql);
-        let native = start.elapsed().as_secs_f64();
+        let mut rows_scanned = None;
+        let outcome = self.db.run(stmt, params).map_err(QbismError::from).and_then(|rs| {
+            let [row] = rs.rows() else {
+                return Err(QbismError::NotFound(format!("query returned {} rows", rs.len())));
+            };
+            rows_scanned = Some(rs.rows_scanned);
+            decode(self, row)
+        });
+        let native_db_seconds = start.elapsed().as_secs_f64();
         let (lfm, fault_latency) = bracket.finish();
-        let rs = outcome?;
-        let value = rs
-            .single_value()
-            .map_err(|_| QbismError::NotFound(format!("query returned {} rows", rs.len())))?
-            .clone();
-        Ok((
-            value,
-            PartialCost {
-                lfm,
-                rows_scanned: rs.rows_scanned,
-                native_db_seconds: native,
-                fault_latency,
-            },
-        ))
-    }
-
-    /// The per-study stage of the population aggregate: one measured
-    /// extraction.  The database cost is reported whenever the query
-    /// itself ran, even if the answer then fails to decode — which is
-    /// exactly what the sequential loop charged.
-    ///
-    /// Public so scatter/gather routers (`qbism-cluster`) can run the
-    /// stage on a shard's server and fold the costs themselves; the
-    /// stage never ships, so the router keeps the ship-exactly-once
-    /// invariant.
-    pub fn population_stage(&self, id: i64, structure: &str) -> StudyExtract {
-        let measured = self
-            .run_measured(&format!(
-                "select extractVoxels(wv.data, ast.region)
-                 from warpedVolume wv, atlasStructure ast, neuralStructure ns
-                 where wv.studyId = {id} and wv.atlasId = {ATLAS_ID} and
-                       ast.atlasId = {ATLAS_ID} and
-                       ast.structureId = ns.structureId and
-                       ns.structureName = '{structure}'"
-            ))
-            .map_err(|e| match e {
-                QbismError::NotFound(_) => {
-                    QbismError::NotFound(format!("study {id} / {structure}"))
-                }
-                other => other,
-            });
-        match measured {
-            Err(e) => StudyExtract { cost: None, outcome: Err(e) },
-            Ok((value, partial)) => {
-                let cost = self.db_cost(&partial);
-                let outcome = value
-                    .as_bytes()
-                    .ok_or_else(|| QbismError::Wire("extract returned a non-bytes value".into()))
-                    .and_then(decode_data_region);
-                StudyExtract { cost: Some(cost), outcome }
-            }
-        }
-    }
-
-    /// The database-phase bracket of a cost: everything except shipping.
-    fn db_cost(&self, partial: &PartialCost) -> QueryCost {
-        QueryCost {
-            lfm: partial.lfm,
-            rows_scanned: partial.rows_scanned,
-            native_db_seconds: partial.native_db_seconds,
-            sim_db_seconds: self.disk.seconds(&partial.lfm)
-                + partial.native_db_seconds
-                + partial.fault_latency,
+        let cost = rows_scanned.map_or_else(QueryCost::default, |rows_scanned| QueryCost {
+            lfm,
+            rows_scanned,
+            native_db_seconds,
+            sim_db_seconds: self.disk.seconds(&lfm) + native_db_seconds + fault_latency,
             ..QueryCost::default()
-        }
+        });
+        StudyStage { cost, outcome }
+    }
+
+    /// Decoder of the extraction statements: the DATA_REGION answer.
+    fn data_region(&self, row: &[Value]) -> Result<DataRegion<u8>> {
+        let bytes = row
+            .first()
+            .and_then(Value::as_bytes)
+            .ok_or_else(|| QbismError::Wire("extract returned a non-bytes value".into()))?;
+        decode_data_region(bytes)
+    }
+
+    /// Decoder of the long-field statements: the selected field, read
+    /// in full.
+    fn long_field(&self, row: &[Value]) -> Result<(LongFieldId, Vec<u8>)> {
+        let id = row
+            .first()
+            .and_then(Value::as_long)
+            .ok_or_else(|| QbismError::Wire("statement did not select a long field".into()))?;
+        Ok((id, self.db.read_long_field(id)?))
+    }
+
+    /// A single-study extraction class: measure, ship, report.
+    fn extract(
+        &self,
+        span: &trace::SpanGuard,
+        class: Class,
+        stmt: &Prepared,
+        params: &[Value],
+    ) -> Result<QueryAnswer> {
+        let (data, cost) = self.measured(stmt, params, Self::data_region).into_result()?;
+        self.answer(span, class, data, cost)
+    }
+
+    /// Ships a single-study answer and closes its query.
+    fn answer(
+        &self,
+        span: &trace::SpanGuard,
+        class: Class,
+        data: DataRegion<u8>,
+        mut cost: QueryCost,
+    ) -> Result<QueryAnswer> {
+        self.ship_answer(&mut cost, data_region_wire_size(&data))?;
+        self.finish_query(span, class, &cost);
+        Ok(QueryAnswer { data, cost })
+    }
+
+    /// Closes an accessor: measured like a query — its cost lands on
+    /// the span — but nothing ships.
+    fn accessed<T>(span: &trace::SpanGuard, stage: StudyStage<T>) -> Result<T> {
+        let (value, cost) = stage.into_result()?;
+        cost.record_on(span);
+        Ok(value)
+    }
+
+    /// One long field of the named atlas structure.
+    fn structure_field(
+        &self,
+        span: &trace::SpanGuard,
+        stmt: &Prepared,
+        structure: &str,
+    ) -> Result<Vec<u8>> {
+        let stage = self.measured(stmt, &[Value::from(structure)], Self::long_field);
+        Ok(Self::accessed(span, stage.named(|| format!("structure {structure}")))?.1)
     }
 
     /// Ships the answer payload over the RPC channel and folds the
@@ -861,60 +835,100 @@ impl MedicalServer {
         cost.sim_net_seconds = receipt.seconds;
         Ok(())
     }
+}
 
-    fn finish_cost(&self, partial: PartialCost, wire_bytes: u64) -> Result<QueryCost> {
-        let mut cost = self.db_cost(&partial);
-        self.ship_answer(&mut cost, wire_bytes)?;
-        Ok(cost)
-    }
+/// One measured statement's contribution to a query — what a per-study
+/// stage of the multi-study classes hands to its reduce, on the server
+/// and (with `E` a cluster error) on a scatter/gather router.
+pub struct StudyStage<T, E = QbismError> {
+    /// Database-phase cost; all zero if the statement failed or matched
+    /// no row.
+    pub cost: QueryCost,
+    /// The decoded value, or the error.
+    pub outcome: std::result::Result<T, E>,
+}
 
-    /// Runs an `extractVoxels` query and decodes its DATA_REGION without
-    /// shipping — callers that post-process the answer (the intensity
-    /// range refinement) ship the final payload exactly once.
-    fn extract_measured(&self, sql: &str) -> Result<(DataRegion<u8>, u64, PartialCost)> {
-        let (value, partial) = self.run_measured(sql)?;
-        let bytes = value
-            .as_bytes()
-            .ok_or_else(|| QbismError::Wire("extract returned a non-bytes value".into()))?;
-        let data = decode_data_region(bytes)?;
-        Ok((data, bytes.len() as u64, partial))
-    }
-
-    fn extract_with_sql(&self, sql: &str) -> Result<QueryAnswer> {
-        let (data, wire_bytes, partial) = self.extract_measured(sql)?;
-        let cost = self.finish_cost(partial, wire_bytes)?;
-        Ok(QueryAnswer { data, cost })
+impl<T, E> StudyStage<T, E> {
+    /// The value with its cost, or the error.
+    pub fn into_result(self) -> std::result::Result<(T, QueryCost), E> {
+        Ok((self.outcome?, self.cost))
     }
 }
 
-struct PartialCost {
-    lfm: IoStats,
-    rows_scanned: u64,
-    native_db_seconds: f64,
-    fault_latency: f64,
+impl<T> StudyStage<T> {
+    /// Names what a missing row was asked for.
+    fn named(mut self, what: impl FnOnce() -> String) -> Self {
+        if let Err(QbismError::NotFound(message)) = &mut self.outcome {
+            *message = what();
+        }
+        self
+    }
 }
 
-/// One study's contribution to the population aggregate: the database
-/// cost of its measured query (present whenever the query ran) and the
-/// decoded extraction or the error that will skip the study.
-pub struct StudyExtract {
-    /// Database-phase cost of the measured query, present whenever the
-    /// query itself ran (even if decoding then failed).
-    pub cost: Option<QueryCost>,
-    /// The decoded extraction, or the error that skips the study.
-    pub outcome: Result<DataRegion<u8>>,
+/// The study-order reduce of the multi-study band query, shared by
+/// [`MedicalServer::multi_study_band_region`] and scatter/gather
+/// routers.  Costs fold in study order (f64 sums are then identical at
+/// every thread and shard count); the first failing study in study
+/// order decides the error, as the join's scan order did.  The gather
+/// ([`fold_band_regions`]; `gather_error` lifts its failure into `E`)
+/// is database-phase CPU.  Nothing ships here: returns the cost so
+/// far, the studies' long fields and the fold's answer.
+pub fn reduce_band_stages<E>(
+    stages: impl IntoIterator<Item = StudyStage<(LongFieldId, Vec<u8>), E>>,
+    codec: RegionCodec,
+    gather_error: impl FnOnce(QbismError) -> E,
+) -> std::result::Result<(QueryCost, Vec<LongFieldId>, BandFold), E> {
+    let mut cost = QueryCost::default();
+    let mut field_ids = Vec::new();
+    let mut blobs = Vec::new();
+    for stage in stages {
+        let (field_id, bytes) = stage.outcome?;
+        field_ids.push(field_id);
+        blobs.push(bytes);
+        cost.accumulate(&stage.cost);
+    }
+    let start = std::time::Instant::now();
+    let fold = fold_band_regions(blobs, codec).map_err(gather_error)?;
+    cost.add_gather_seconds(start.elapsed().as_secs_f64());
+    Ok((cost, field_ids, fold))
 }
 
-/// One study's contribution to the multi-study band query: the
-/// database-phase cost (present only on success — a failed fetch is
-/// discarded wholesale by failover routers) and the stored band-REGION
-/// bytes or the error.
-pub struct StudyFetch {
-    /// Database-phase cost of the measured fetch, present on success.
-    pub cost: Option<QueryCost>,
-    /// The study's stored band-REGION bytes, or the error.
-    pub outcome: Result<Vec<u8>>,
+/// The study-order reduce of the population aggregate, shared like
+/// [`reduce_band_stages`].  Every stage's cost folds in study order (a
+/// study whose answer fails to decode still did its I/O), a failed
+/// study becomes a `skipped` entry, and [`voxel_mean`] over the
+/// survivors — database-phase CPU — is the answer, not yet shipped.
+/// It fails only when nothing survives, with the first study's error
+/// (`no_studies` for an empty study list).
+pub fn reduce_population_stages<E>(
+    study_ids: &[i64],
+    stages: impl IntoIterator<Item = StudyStage<DataRegion<u8>, E>>,
+    no_studies: impl FnOnce() -> E,
+) -> std::result::Result<PopulationAnswer<E>, E> {
+    let mut cost = QueryCost::default();
+    let mut extracts = Vec::with_capacity(study_ids.len());
+    let mut skipped = Vec::new();
+    for (stage, &id) in stages.into_iter().zip(study_ids) {
+        cost.accumulate(&stage.cost);
+        match stage.outcome {
+            Ok(extract) => extracts.push(extract),
+            Err(e) => skipped.push((id, e)),
+        }
+    }
+    let start = std::time::Instant::now();
+    let Some(data) = voxel_mean(&extracts) else {
+        // Degrading further would return an empty answer pretending to
+        // be a mean — fail with the first cause.
+        return Err(skipped.into_iter().next().map_or_else(no_studies, |(_, error)| error));
+    };
+    cost.add_gather_seconds(start.elapsed().as_secs_f64());
+    cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
+    Ok(PopulationAnswer { data, cost, skipped })
 }
+
+/// What [`fold_band_regions`] returns: the answer's bytes, the decoded
+/// [`Region`], and each operand's galloping skip count.
+pub type BandFold = (Vec<u8>, Region, Vec<u64>);
 
 /// The gather of the multi-study band query, shared by
 /// [`MedicalServer::multi_study_band_region`] and scatter/gather
@@ -933,10 +947,7 @@ pub struct StudyFetch {
 /// gallop past non-overlapping skip blocks and subtrees, only the
 /// answer's runs are ever materialized, and the answer re-encodes
 /// compressed; decoded operands re-encode with `codec`.
-pub fn fold_band_regions(
-    mut blobs: Vec<Vec<u8>>,
-    codec: RegionCodec,
-) -> Result<(Vec<u8>, Region, Vec<u64>)> {
+pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<BandFold> {
     if let [bytes] = &mut blobs[..] {
         let bytes = std::mem::take(bytes);
         let region = RegionCodec::decode(&bytes)?;

@@ -43,7 +43,6 @@
 //! ```text
 //! query.band_in_structure                                   3.1ms  study_id=1
 //! └─ db.execute                                             3.0ms  sql=select …
-//!    ├─ sql.parse                                          12.4µs
 //!    └─ exec.select                                         2.9ms  rows_out=1
 //!       ├─ exec.scan warpedvolume                          41.0µs  rows_in=2 rows_out=1
 //!       ├─ exec.hash_join intensityband                    55.1µs  rows_in=12 rows_out=1

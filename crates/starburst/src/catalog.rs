@@ -158,10 +158,12 @@ impl Catalog {
         Ok(())
     }
 
-    /// Looks up a table.
+    /// Looks up a table.  Names out of the parser are lowercase already
+    /// and hit without an allocation.
     pub fn table(&self, name: &str) -> Result<&HeapTable> {
         self.tables
-            .get(&name.to_ascii_lowercase())
+            .get(name)
+            .or_else(|| self.tables.get(&name.to_ascii_lowercase()))
             .ok_or_else(|| DbError::Binding(format!("no such table: {name}")))
     }
 

@@ -2,11 +2,12 @@
 
 use crate::catalog::{Catalog, Column, TableSchema};
 use crate::exec::run_select;
-use crate::expr::literal_value;
-use crate::sql::ast::Statement;
+use crate::expr::{eval, literal_value, EvalCtx};
+use crate::plan::{bind_over_table, plan_select, SelectPlan};
+use crate::sql::ast::{Expr, Literal, Statement};
 use crate::sql::parse_statement;
 use crate::udf::UdfRegistry;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::{DbError, Result};
 use qbism_lfm::{LongFieldId, LongFieldManager};
 
@@ -100,6 +101,50 @@ impl ExecOutcome {
     }
 }
 
+/// A statement compiled once by [`Database::prepare`]: lexed, parsed,
+/// every column reference bound to its tuple slot, joins planned.
+///
+/// Run it any number of times, from any number of threads, with
+/// [`Database::run`].  It is valid for the database that prepared it,
+/// for as long as that database lives: tables are looked up by name on
+/// every run and there is no DROP or ALTER, so the slots it bound cannot
+/// go stale; rows inserted or deleted after `prepare` are seen.
+#[derive(Debug)]
+pub struct Prepared {
+    /// The statement text with whitespace runs collapsed — the `sql`
+    /// field of every `db.execute` span this statement opens.
+    sql: String,
+    kind: Kind,
+}
+
+/// What a prepared statement does when it runs.
+#[derive(Debug)]
+enum Kind {
+    /// SELECT, or with `explain` the rendering of its plan.
+    Read {
+        plan: SelectPlan,
+        explain: bool,
+    },
+    Write(Mutation),
+}
+
+/// DDL and DML, with DELETE / UPDATE expressions bound over their table.
+#[derive(Debug)]
+enum Mutation {
+    CreateTable { name: String, columns: Vec<(String, DataType)> },
+    Insert { table: String, rows: Vec<Vec<Literal>> },
+    Delete { table: String, predicate: Option<Expr> },
+    Update { table: String, assignments: Vec<(String, Expr)>, predicate: Option<Expr> },
+}
+
+/// Stamps a statement's text on the root span of one execution of it.
+fn describe(span: &qbism_obs::trace::SpanGuard, sql: &str) {
+    if span.is_recording() {
+        qbism_obs::event::custom("sql", sql);
+        span.record_str("sql", sql);
+    }
+}
+
 /// An in-memory extensible relational database with long-field storage.
 pub struct Database {
     catalog: Catalog,
@@ -131,25 +176,92 @@ impl Database {
         qbism_obs::global()
     }
 
-    /// Executes one SQL statement.
-    pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let span = qbism_obs::trace::root("db.execute");
-        if span.is_recording() {
-            let compact = sql.split_whitespace().collect::<Vec<_>>().join(" ");
-            qbism_obs::event::custom("sql", &compact);
-            span.record_str("sql", &compact);
-        }
+    /// Compiles one SQL statement: lex and parse, bind every column
+    /// reference against the catalog, plan the joins.  `?` stands for a
+    /// positional parameter wherever a SELECT takes an expression.
+    ///
+    /// This is the only way statement text enters the engine;
+    /// [`Database::query`] and [`Database::execute`] are `prepare`
+    /// followed by one run.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
+        let _span = qbism_obs::trace::root("db.prepare");
         let statement = {
             let _parse = qbism_obs::trace::span("sql.parse");
             parse_statement(sql)?
         };
-        match statement {
+        let read = |select, explain| -> Result<Kind> {
+            Ok(Kind::Read { plan: plan_select(select, &self.catalog)?, explain })
+        };
+        let kind = match statement {
+            Statement::Select(select) => read(select, false)?,
+            Statement::Explain(select) => read(select, true)?,
             Statement::CreateTable { name, columns } => {
+                Kind::Write(Mutation::CreateTable { name, columns })
+            }
+            Statement::Insert { table, rows } => Kind::Write(Mutation::Insert { table, rows }),
+            Statement::Delete { table, mut where_clause } => {
+                bind_over_table(&self.catalog.table(&table)?.schema, where_clause.iter_mut())?;
+                Kind::Write(Mutation::Delete { table, predicate: where_clause })
+            }
+            Statement::Update { table, mut assignments, mut where_clause } => {
+                let values = assignments.iter_mut().map(|(_, e)| e);
+                let schema = &self.catalog.table(&table)?.schema;
+                bind_over_table(schema, values.chain(&mut where_clause))?;
+                Kind::Write(Mutation::Update { table, assignments, predicate: where_clause })
+            }
+        };
+        Ok(Prepared { sql: sql.split_whitespace().collect::<Vec<_>>().join(" "), kind })
+    }
+
+    /// Runs a prepared SELECT (or EXPLAIN) with one value per `?`, in
+    /// text order.
+    ///
+    /// Takes `&self`: queries never mutate the database, so any number
+    /// of threads may run them against one `Database` concurrently.
+    pub fn run(&self, prepared: &Prepared, params: &[Value]) -> Result<ResultSet> {
+        let span = qbism_obs::trace::root("db.execute");
+        describe(&span, &prepared.sql);
+        let Kind::Read { plan, explain } = &prepared.kind else {
+            return Err(DbError::Exec("statement mutates; use execute".into()));
+        };
+        if params.len() != plan.params {
+            return Err(DbError::Binding(format!(
+                "statement takes {} parameters, {} given",
+                plan.params,
+                params.len()
+            )));
+        }
+        if *explain {
+            let rows = plan.render().lines().map(|l| vec![Value::Str(l.to_string())]).collect();
+            return Ok(ResultSet::new(vec!["plan".into()], rows));
+        }
+        run_select(plan, &self.catalog, &self.eval_ctx(params))
+    }
+
+    /// Runs a SELECT (or EXPLAIN) given as text: [`Database::prepare`],
+    /// then [`Database::run`] with no parameters.
+    pub fn query(&self, sql: &str) -> Result<ResultSet> {
+        let _span = qbism_obs::trace::root("db.query");
+        self.run(&self.prepare(sql)?, &[])
+    }
+
+    /// Executes one SQL statement of any kind.  DML and DDL need the
+    /// exclusive borrow; reads are [`Database::query`].
+    pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
+        let prepared = self.prepare(sql)?;
+        let mutation = match prepared.kind {
+            Kind::Read { .. } => return self.run(&prepared, &[]).map(ExecOutcome::Rows),
+            Kind::Write(mutation) => mutation,
+        };
+        let span = qbism_obs::trace::root("db.execute");
+        describe(&span, &prepared.sql);
+        match mutation {
+            Mutation::CreateTable { name, columns } => {
                 let cols = columns.into_iter().map(|(n, t)| Column::new(&n, t)).collect();
                 self.catalog.create_table(TableSchema::new(&name, cols)?)?;
                 Ok(ExecOutcome::Created)
             }
-            Statement::Insert { table, rows } => {
+            Mutation::Insert { table, rows } => {
                 let t = self.catalog.table_mut(&table)?;
                 let n = rows.len();
                 for row in rows {
@@ -157,76 +269,38 @@ impl Database {
                 }
                 Ok(ExecOutcome::Inserted(n))
             }
-            read_only @ (Statement::Select(_) | Statement::Explain(_)) => self.run_read(read_only),
-            Statement::Delete { table, where_clause } => {
-                let n = self.run_delete(&table, where_clause.as_ref())?;
+            Mutation::Delete { table, predicate } => {
+                let n = self.run_delete(&table, predicate.as_ref())?;
                 Ok(ExecOutcome::Deleted(n))
             }
-            Statement::Update { table, assignments, where_clause } => {
-                let n = self.run_update(&table, &assignments, where_clause.as_ref())?;
+            Mutation::Update { table, assignments, predicate } => {
+                let n = self.run_update(&table, &assignments, predicate.as_ref())?;
                 Ok(ExecOutcome::Updated(n))
             }
         }
     }
 
-    /// Executes a read-only statement through `&self` — the concurrent
-    /// query path.
-    fn run_read(&self, statement: Statement) -> Result<ExecOutcome> {
-        match statement {
-            Statement::Select(select) => {
-                if select.from.is_empty() {
-                    return Err(DbError::Binding("FROM clause is required".into()));
-                }
-                let rs = run_select(&select, &self.catalog, &self.udfs, &self.lfm)?;
-                Ok(ExecOutcome::Rows(rs))
-            }
-            Statement::Explain(select) => {
-                let plan = crate::plan::plan_select(&select, &self.catalog)?;
-                let text = plan.render(&select);
-                let rows = text.lines().map(|l| vec![Value::Str(l.to_string())]).collect();
-                Ok(ExecOutcome::Rows(ResultSet::new(vec!["plan".into()], rows)))
-            }
-            _ => Err(DbError::Exec("statement mutates; use execute".into())),
+    fn eval_ctx<'a>(&'a self, params: &'a [Value]) -> EvalCtx<'a> {
+        EvalCtx { params, udfs: &self.udfs, lfm: &self.lfm }
+    }
+
+    /// Whether `row` satisfies a DELETE / UPDATE predicate.
+    fn matches(&self, what: &str, predicate: Option<&Expr>, row: &[Value]) -> Result<bool> {
+        match predicate.map(|p| eval(p, row, &self.eval_ctx(&[]))).transpose()? {
+            None | Some(Value::Bool(true)) => Ok(true),
+            Some(Value::Bool(false) | Value::Null) => Ok(false),
+            Some(other) => Err(DbError::Type(format!("{what} predicate evaluated to {other}"))),
         }
     }
 
     /// Evaluates a DELETE: find matching row indices, then remove them.
-    fn run_delete(
-        &mut self,
-        table: &str,
-        predicate: Option<&crate::sql::ast::Expr>,
-    ) -> Result<usize> {
-        let matching: Vec<usize> = {
-            let t = self.catalog.table(table)?;
-            match predicate {
-                None => (0..t.len()).collect(),
-                Some(pred) => {
-                    let mut scope = crate::expr::Scope::new();
-                    scope.push(&t.schema.name.clone(), t.schema.clone());
-                    let mut hits = Vec::new();
-                    // Split borrows: rows are cloned per evaluation batch
-                    // to keep the UDF context's &mut lfm available.
-                    let rows: Vec<Vec<Value>> = t.rows().to_vec();
-                    for (i, row) in rows.iter().enumerate() {
-                        let mut ctx = crate::expr::EvalCtx {
-                            scope: &scope,
-                            udfs: &self.udfs,
-                            lfm: &self.lfm,
-                        };
-                        match crate::expr::eval(pred, row, &mut ctx)? {
-                            Value::Bool(true) => hits.push(i),
-                            Value::Bool(false) | Value::Null => {}
-                            other => {
-                                return Err(DbError::Type(format!(
-                                    "DELETE predicate evaluated to {other}"
-                                )))
-                            }
-                        }
-                    }
-                    hits
-                }
+    fn run_delete(&mut self, table: &str, predicate: Option<&Expr>) -> Result<usize> {
+        let mut matching = Vec::new();
+        for (i, row) in self.catalog.table(table)?.rows().iter().enumerate() {
+            if self.matches("DELETE", predicate, row)? {
+                matching.push(i);
             }
-        };
+        }
         Ok(self.catalog.table_mut(table)?.remove_rows(&matching))
     }
 
@@ -235,62 +309,38 @@ impl Database {
     fn run_update(
         &mut self,
         table: &str,
-        assignments: &[(String, crate::sql::ast::Expr)],
-        predicate: Option<&crate::sql::ast::Expr>,
+        assignments: &[(String, Expr)],
+        predicate: Option<&Expr>,
     ) -> Result<usize> {
-        let (schema, rows) = {
-            let t = self.catalog.table(table)?;
-            (t.schema.clone(), t.rows().to_vec())
-        };
+        let t = self.catalog.table(table)?;
         // Resolve target columns up front.
         let mut targets = Vec::with_capacity(assignments.len());
         for (col, expr) in assignments {
-            let idx = schema
+            let idx = t
+                .schema
                 .column_index(col)
                 .ok_or_else(|| DbError::Binding(format!("no column {col} in {table}")))?;
             targets.push((idx, expr));
         }
-        let mut scope = crate::expr::Scope::new();
-        scope.push(&schema.name.clone(), schema.clone());
         let mut updated = 0usize;
-        let mut new_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            let hit = match predicate {
-                None => true,
-                Some(pred) => {
-                    let mut ctx =
-                        crate::expr::EvalCtx { scope: &scope, udfs: &self.udfs, lfm: &self.lfm };
-                    match crate::expr::eval(pred, &row, &mut ctx)? {
-                        Value::Bool(b) => b,
-                        Value::Null => false,
-                        other => {
-                            return Err(DbError::Type(format!(
-                                "UPDATE predicate evaluated to {other}"
-                            )))
-                        }
-                    }
-                }
-            };
-            if !hit {
-                new_rows.push(row);
-                continue;
-            }
+        let mut new_rows = Vec::with_capacity(t.len());
+        for row in t.rows() {
             let mut next = row.clone();
-            for (idx, expr) in &targets {
-                let mut ctx =
-                    crate::expr::EvalCtx { scope: &scope, udfs: &self.udfs, lfm: &self.lfm };
-                let v = crate::expr::eval(expr, &row, &mut ctx)?;
-                let col = &schema.columns[*idx];
-                if !v.fits(col.ty) {
-                    return Err(DbError::Type(format!(
-                        "value {v} does not fit column {}.{} of type {}",
-                        table, col.name, col.ty
-                    )));
+            if self.matches("UPDATE", predicate, row)? {
+                for (idx, expr) in &targets {
+                    let v = eval(expr, row, &self.eval_ctx(&[]))?;
+                    let col = &t.schema.columns[*idx];
+                    if !v.fits(col.ty) {
+                        return Err(DbError::Type(format!(
+                            "value {v} does not fit column {}.{} of type {}",
+                            table, col.name, col.ty
+                        )));
+                    }
+                    next[*idx] = v;
                 }
-                next[*idx] = v;
+                updated += 1;
             }
             new_rows.push(next);
-            updated += 1;
         }
         // Swap contents through delete + insert to reuse typing rules.
         let t = self.catalog.table_mut(table)?;
@@ -300,31 +350,6 @@ impl Database {
             t.insert(row)?;
         }
         Ok(updated)
-    }
-
-    /// Runs a SELECT (or EXPLAIN) and unwraps its rows.
-    ///
-    /// Takes `&self`: queries never mutate the database, so any number
-    /// of threads may run them against one `Database` concurrently.
-    /// DML and DDL still go through [`Database::execute`].
-    pub fn query(&self, sql: &str) -> Result<ResultSet> {
-        let span = qbism_obs::trace::root("db.execute");
-        if span.is_recording() {
-            let compact = sql.split_whitespace().collect::<Vec<_>>().join(" ");
-            qbism_obs::event::custom("sql", &compact);
-            span.record_str("sql", &compact);
-        }
-        let statement = {
-            let _parse = qbism_obs::trace::span("sql.parse");
-            parse_statement(sql)?
-        };
-        if !matches!(statement, Statement::Select(_) | Statement::Explain(_)) {
-            return Err(DbError::Exec("statement did not produce rows".into()));
-        }
-        match self.run_read(statement)? {
-            ExecOutcome::Rows(rs) => Ok(rs),
-            _ => Err(DbError::Exec("statement did not produce rows".into())),
-        }
     }
 
     /// Registers a user-defined function.

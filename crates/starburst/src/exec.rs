@@ -2,13 +2,11 @@
 
 use crate::catalog::Catalog;
 use crate::db::ResultSet;
-use crate::expr::{eval, EvalCtx, Scope};
-use crate::plan::{plan_select, JoinStrategy, SelectPlan};
-use crate::sql::ast::{AggKind, Expr, Select};
-use crate::udf::UdfRegistry;
+use crate::expr::{eval, EvalCtx};
+use crate::plan::{JoinStrategy, SelectPlan};
+use crate::sql::ast::{AggKind, Expr};
 use crate::value::Value;
 use crate::{DbError, Result};
-use qbism_lfm::LongFieldManager;
 use qbism_obs::trace;
 use std::collections::HashMap;
 
@@ -58,15 +56,10 @@ impl GroupKey {
     }
 }
 
-/// Runs a SELECT to completion.
-pub fn run_select(
-    select: &Select,
-    catalog: &Catalog,
-    udfs: &UdfRegistry,
-    lfm: &LongFieldManager,
-) -> Result<ResultSet> {
+/// Runs a planned SELECT to completion.
+pub fn run_select(plan: &SelectPlan, catalog: &Catalog, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
     let span = trace::span("exec.select");
-    let rs = run_select_inner(select, catalog, udfs, lfm)?;
+    let rs = run_select_inner(plan, catalog, ctx)?;
     if qbism_obs::enabled() {
         // Handles resolve once per process; the per-select cost is two
         // relaxed atomic adds, not two registry-map lookups.
@@ -84,22 +77,13 @@ pub fn run_select(
     Ok(rs)
 }
 
-fn run_select_inner(
-    select: &Select,
-    catalog: &Catalog,
-    udfs: &UdfRegistry,
-    lfm: &LongFieldManager,
-) -> Result<ResultSet> {
-    let plan = plan_select(select, catalog)?;
-    let (scope, mut rows, rows_scanned) = run_joins(select, &plan, catalog, udfs, lfm)?;
+fn run_select_inner(plan: &SelectPlan, catalog: &Catalog, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
+    let select = &plan.select;
+    let (mut rows, rows_scanned) = run_joins(plan, catalog, ctx)?;
 
-    let has_agg = select.items.iter().any(|i| i.expr.contains_aggregate());
-    if !select.group_by.is_empty() {
-        if !select.order_by.is_empty() {
-            return Err(DbError::Binding("ORDER BY with GROUP BY is not supported".into()));
-        }
+    let out_rows = if !select.group_by.is_empty() {
         let span = trace::span("exec.group_by");
-        let (columns, mut out_rows) = run_grouped(select, &scope, &rows, udfs, lfm)?;
+        let mut out_rows = run_grouped(plan, &rows, ctx)?;
         if span.is_recording() {
             span.record_u64("rows_in", rows.len() as u64);
             span.record_u64("groups", out_rows.len() as u64);
@@ -108,180 +92,135 @@ fn run_select_inner(
         if let Some(limit) = select.limit {
             out_rows.truncate(limit as usize);
         }
-        let mut rs = ResultSet::new(columns, out_rows);
-        rs.rows_scanned = rows_scanned;
-        return Ok(rs);
-    }
-    if has_agg {
-        if !select.order_by.is_empty() {
-            return Err(DbError::Binding("ORDER BY with aggregates is not supported".into()));
-        }
+        out_rows
+    } else if plan.aggregates {
         let span = trace::span("exec.aggregate");
         span.record_u64("rows_in", rows.len() as u64);
-        let (columns, row) = run_aggregates(select, &scope, &rows, udfs, lfm)?;
-        drop(span);
-        let mut rs = ResultSet::new(columns, vec![row]);
-        rs.rows_scanned = rows_scanned;
-        return Ok(rs);
-    }
-
-    // ORDER BY keys are computed against the input scope.
-    if !select.order_by.is_empty() {
-        let span = trace::span("exec.order_by");
-        span.record_u64("rows", rows.len() as u64);
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
-        for row in rows.drain(..) {
-            let mut keys = Vec::with_capacity(select.order_by.len());
-            for (e, _) in &select.order_by {
-                let mut ctx = EvalCtx { scope: &scope, udfs, lfm };
-                keys.push(eval(e, &row, &mut ctx)?);
-            }
-            keyed.push((keys, row));
-        }
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, (_, asc)) in select.order_by.iter().enumerate() {
-                let ord = ka[i].order_key_cmp(&kb[i]);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows = keyed.into_iter().map(|(_, r)| r).collect();
-    }
-
-    if let Some(limit) = select.limit {
-        rows.truncate(limit as usize);
-    }
-
-    // Projection.
-    let span = trace::span("exec.project");
-    let (columns, projected) = if select.items.is_empty() {
-        // SELECT *: all columns of all tables in order.
-        let mut columns = Vec::new();
-        for tref in &select.from {
-            let table = catalog.table(&tref.table)?;
-            for c in &table.schema.columns {
-                columns.push(format!("{}.{}", tref.alias, c.name));
-            }
-        }
-        (columns, rows)
+        let items = select.items.iter();
+        vec![items.map(|item| aggregate(&item.expr, &rows, ctx)).collect::<Result<_>>()?]
     } else {
-        let columns: Vec<String> = select
-            .items
-            .iter()
-            .map(|i| i.alias.clone().unwrap_or_else(|| i.expr.default_name()))
-            .collect();
-        let mut projected = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut out = Vec::with_capacity(select.items.len());
-            for item in &select.items {
-                let mut ctx = EvalCtx { scope: &scope, udfs, lfm };
-                out.push(eval(&item.expr, row, &mut ctx)?);
+        // ORDER BY keys are computed against the input scope.
+        if !select.order_by.is_empty() {
+            let span = trace::span("exec.order_by");
+            span.record_u64("rows", rows.len() as u64);
+            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
+            for row in rows.drain(..) {
+                let keys = select.order_by.iter().map(|(e, _)| eval(e, &row, ctx));
+                keyed.push((keys.collect::<Result<_>>()?, row));
             }
-            projected.push(out);
+            keyed.sort_by(|(ka, _), (kb, _)| {
+                for (i, (_, asc)) in select.order_by.iter().enumerate() {
+                    let ord = ka[i].order_key_cmp(&kb[i]);
+                    let ord = if *asc { ord } else { ord.reverse() };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            rows = keyed.into_iter().map(|(_, r)| r).collect();
         }
-        (columns, projected)
+        if let Some(limit) = select.limit {
+            rows.truncate(limit as usize);
+        }
+        let span = trace::span("exec.project");
+        span.record_u64("rows", rows.len() as u64);
+        if select.items.is_empty() {
+            // SELECT *: the composite tuples are the answer.
+            rows
+        } else {
+            let mut projected = Vec::with_capacity(rows.len());
+            for row in &rows {
+                let out = select.items.iter().map(|item| eval(&item.expr, row, ctx));
+                projected.push(out.collect::<Result<_>>()?);
+            }
+            projected
+        }
     };
-    let mut rs = ResultSet::new(columns, projected);
-    span.record_u64("rows", rs.len() as u64);
-    drop(span);
+    let mut rs = ResultSet::new(plan.columns.clone(), out_rows);
     rs.rows_scanned = rows_scanned;
     Ok(rs)
 }
 
-/// Executes the FROM/WHERE part, returning the final scope, the surviving
-/// composite tuples, and how many base tuples were scanned.
+/// Executes the FROM/WHERE part, returning the surviving composite
+/// tuples and how many base tuples were scanned.
 fn run_joins(
-    select: &Select,
     plan: &SelectPlan,
     catalog: &Catalog,
-    udfs: &UdfRegistry,
-    lfm: &LongFieldManager,
-) -> Result<(Scope, Vec<Vec<Value>>, u64)> {
+    ctx: &EvalCtx<'_>,
+) -> Result<(Vec<Vec<Value>>, u64)> {
     let mut rows_scanned = 0u64;
-    let mut scope = Scope::new();
-    let first = &select.from[0];
-    let first_table = catalog.table(&first.table)?;
-    scope.push(&first.alias, first_table.schema.clone());
     let mut acc: Vec<Vec<Value>> = Vec::new();
-    {
-        let span = if qbism_obs::enabled() {
-            trace::span(format!("exec.scan {}", first.table))
-        } else {
-            trace::span("exec.scan")
-        };
-        for row in first_table.rows() {
-            rows_scanned += 1;
-            if passes(&plan.stages[0], row, &scope, udfs, lfm)? {
-                acc.push(row.clone());
-            }
-        }
-        if span.is_recording() {
-            span.record_u64("rows_in", first_table.rows().len() as u64);
-            span.record_u64("rows_out", acc.len() as u64);
-        }
-    }
-
-    for (i, tref) in select.from.iter().enumerate().skip(1) {
+    let mut left_width = 0;
+    for (i, (tref, &width)) in plan.select.from.iter().zip(&plan.widths).enumerate() {
         let table = catalog.table(&tref.table)?;
+        if left_width + table.schema.arity() != width {
+            // The plan's slots index tuples of the shape it was bound
+            // against: another database's table must not be indexed.
+            return Err(DbError::Binding(format!(
+                "table {} is not the one this statement was prepared against",
+                tref.table
+            )));
+        }
         let right_rows = table.rows();
-        let right_arity = table.schema.arity();
-        // The new scope includes this table.
-        scope.push(&tref.alias, table.schema.clone());
         let preds = &plan.stages[i];
         let mut next: Vec<Vec<Value>> = Vec::new();
+        let join = i.checked_sub(1).map(|j| &plan.joins[j]);
         let span = if qbism_obs::enabled() {
-            trace::span(match &plan.joins[i - 1] {
-                JoinStrategy::Hash { .. } => format!("exec.hash_join {}", tref.table),
-                JoinStrategy::NestedLoop => format!("exec.nested_loop {}", tref.table),
+            trace::span(match join {
+                None => format!("exec.scan {}", tref.table),
+                Some(JoinStrategy::Hash { .. }) => format!("exec.hash_join {}", tref.table),
+                Some(JoinStrategy::NestedLoop) => format!("exec.nested_loop {}", tref.table),
             })
         } else {
             trace::span("exec.join")
         };
         let rows_in = acc.len() as u64 + right_rows.len() as u64;
-        match &plan.joins[i - 1] {
-            JoinStrategy::Hash { left, right } => {
-                // Build side: the new table, keyed by `right` (which only
-                // references its columns, so pad a tuple of the full width
-                // with the right rows at the end).
+        match join {
+            None => {
+                for row in right_rows {
+                    rows_scanned += 1;
+                    if passes(preds, row, ctx)? {
+                        next.push(row.clone());
+                    }
+                }
+            }
+            Some(JoinStrategy::Hash { left, right }) => {
+                // Build side: the new table.  The planner promotes only a
+                // plain column of it to the build key, so the key is read
+                // in place, with no composite tuple to pad out.
+                let Expr::Column { slot: Some(slot), .. } = right else {
+                    return Err(DbError::Binding("hash join key is not a bound column".into()));
+                };
+                let column = slot - left_width;
                 let mut built: HashMap<HashKey, Vec<usize>> = HashMap::new();
-                let pad = scope.width() - right_arity;
-                let mut probe_tuple = vec![Value::Null; scope.width()];
                 for (ri, rrow) in right_rows.iter().enumerate() {
                     rows_scanned += 1;
-                    probe_tuple[pad..].clone_from_slice(rrow);
-                    let mut ctx = EvalCtx { scope: &scope, udfs, lfm };
-                    let key = eval(right, &probe_tuple, &mut ctx)?;
-                    if let Some(k) = HashKey::from_value(&key) {
+                    if let Some(k) = HashKey::from_value(&rrow[column]) {
                         built.entry(k).or_default().push(ri);
                     } // NULL keys match nothing
                 }
                 for lrow in &acc {
-                    let mut full = lrow.clone();
-                    full.resize(scope.width(), Value::Null);
-                    let mut ctx = EvalCtx { scope: &scope, udfs, lfm };
-                    let key = eval(left, &full, &mut ctx)?;
+                    let key = eval(left, lrow, ctx)?;
                     let Some(k) = HashKey::from_value(&key) else { continue };
                     if let Some(matches) = built.get(&k) {
                         for &ri in matches {
                             let mut joined = lrow.clone();
                             joined.extend_from_slice(&right_rows[ri]);
-                            if passes(preds, &joined, &scope, udfs, lfm)? {
+                            if passes(preds, &joined, ctx)? {
                                 next.push(joined);
                             }
                         }
                     }
                 }
             }
-            JoinStrategy::NestedLoop => {
+            Some(JoinStrategy::NestedLoop) => {
                 for lrow in &acc {
                     for rrow in right_rows {
                         rows_scanned += 1;
                         let mut joined = lrow.clone();
                         joined.extend_from_slice(rrow);
-                        if passes(preds, &joined, &scope, udfs, lfm)? {
+                        if passes(preds, &joined, ctx)? {
                             next.push(joined);
                         }
                     }
@@ -293,21 +232,14 @@ fn run_joins(
             span.record_u64("rows_out", next.len() as u64);
         }
         acc = next;
+        left_width = width;
     }
-    Ok((scope, acc, rows_scanned))
+    Ok((acc, rows_scanned))
 }
 
-fn passes(
-    preds: &[Expr],
-    tuple: &[Value],
-    scope: &Scope,
-    udfs: &UdfRegistry,
-    lfm: &LongFieldManager,
-) -> Result<bool> {
+fn passes(preds: &[Expr], tuple: &[Value], ctx: &EvalCtx<'_>) -> Result<bool> {
     for p in preds {
-        let mut ctx = EvalCtx { scope, udfs, lfm };
-        let v = eval(p, tuple, &mut ctx)?;
-        match v {
+        match eval(p, tuple, ctx)? {
             Value::Bool(true) => {}
             Value::Bool(false) | Value::Null => return Ok(false),
             other => return Err(DbError::Type(format!("WHERE predicate evaluated to {other}"))),
@@ -317,31 +249,21 @@ fn passes(
 }
 
 /// GROUP BY execution: hash rows into groups by key expressions, then
-/// run one-group aggregation within each group.  Non-aggregate select
-/// items must be (textually equal to) one of the group keys.
+/// aggregate within each group.  The planner has checked that every
+/// other select item is (textually equal to) one of the group keys.
 fn run_grouped(
-    select: &Select,
-    scope: &Scope,
+    plan: &SelectPlan,
     rows: &[Vec<Value>],
-    udfs: &UdfRegistry,
-    lfm: &LongFieldManager,
-) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-    for item in &select.items {
-        if !item.expr.contains_aggregate() && !select.group_by.contains(&item.expr) {
-            return Err(DbError::Binding(format!(
-                "select item {:?} is neither an aggregate nor a GROUP BY key",
-                item.expr.default_name()
-            )));
-        }
-    }
+    ctx: &EvalCtx<'_>,
+) -> Result<Vec<Vec<Value>>> {
+    let select = &plan.select;
     // Hash rows by their key tuple, keeping first-seen order.
     let mut order: Vec<Vec<GroupKey>> = Vec::new();
     let mut groups: HashMap<Vec<GroupKey>, Vec<Vec<Value>>> = HashMap::new();
     for row in rows {
         let mut key = Vec::with_capacity(select.group_by.len());
         for g in &select.group_by {
-            let mut ctx = EvalCtx { scope, udfs, lfm };
-            key.push(GroupKey::from_value(&eval(g, row, &mut ctx)?));
+            key.push(GroupKey::from_value(&eval(g, row, ctx)?));
         }
         match groups.entry(key.clone()) {
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -351,111 +273,76 @@ fn run_grouped(
             std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(row.clone()),
         }
     }
-    let columns: Vec<String> = select
-        .items
-        .iter()
-        .map(|i| i.alias.clone().unwrap_or_else(|| i.expr.default_name()))
-        .collect();
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         let grows = &groups[&key];
         let mut row_out = Vec::with_capacity(select.items.len());
         for item in &select.items {
-            if item.expr.contains_aggregate() {
-                let sub = Select {
-                    items: vec![item.clone()],
-                    from: select.from.clone(),
-                    where_clause: None,
-                    group_by: Vec::new(),
-                    order_by: Vec::new(),
-                    limit: None,
-                };
-                let (_, agg_row) = run_aggregates(&sub, scope, grows, udfs, lfm)?;
-                row_out.push(agg_row.into_iter().next().ok_or_else(|| {
-                    DbError::Exec("aggregate produced no value for group item".into())
-                })?);
+            row_out.push(if item.expr.contains_aggregate() {
+                aggregate(&item.expr, grows, ctx)?
             } else {
                 // A group key: constant within the group, take the first.
-                let mut ctx = EvalCtx { scope, udfs, lfm };
-                row_out.push(eval(&item.expr, &grows[0], &mut ctx)?);
-            }
+                eval(&item.expr, &grows[0], ctx)?
+            });
         }
         out.push(row_out);
     }
-    Ok((columns, out))
+    Ok(out)
 }
 
-/// One-group aggregation over the joined rows.
-fn run_aggregates(
-    select: &Select,
-    scope: &Scope,
-    rows: &[Vec<Value>],
-    udfs: &UdfRegistry,
-    lfm: &LongFieldManager,
-) -> Result<(Vec<String>, Vec<Value>)> {
-    let mut columns = Vec::with_capacity(select.items.len());
-    let mut out = Vec::with_capacity(select.items.len());
-    for item in &select.items {
-        columns.push(item.alias.clone().unwrap_or_else(|| item.expr.default_name()));
-        let Expr::Aggregate { kind, arg } = &item.expr else {
-            return Err(DbError::Binding(
-                "select list mixes aggregates with plain expressions (no GROUP BY support)".into(),
-            ));
+/// One aggregate select item over one group of joined rows.
+fn aggregate(item: &Expr, rows: &[Vec<Value>], ctx: &EvalCtx<'_>) -> Result<Value> {
+    let Expr::Aggregate { kind, arg } = item else {
+        return Err(DbError::Binding("select item is not an aggregate".into()));
+    };
+    let mut count = 0u64;
+    let mut sum = 0.0f64;
+    let mut all_int = true;
+    let mut min: Option<Value> = None;
+    let mut max: Option<Value> = None;
+    for row in rows {
+        let v = match arg {
+            None => Value::Int(1), // COUNT(*)
+            Some(a) => eval(a, row, ctx)?,
         };
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        let mut all_int = true;
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for row in rows {
-            let v = match arg {
-                None => Value::Int(1), // COUNT(*)
-                Some(a) => {
-                    let mut ctx = EvalCtx { scope, udfs, lfm };
-                    eval(a, row, &mut ctx)?
-                }
-            };
-            if matches!(v, Value::Null) {
-                continue;
-            }
-            count += 1;
-            if let Some(x) = v.as_f64() {
-                sum += x;
-                all_int &= matches!(v, Value::Int(_));
-            } else if matches!(kind, AggKind::Sum | AggKind::Avg) {
-                return Err(DbError::Type(format!("SUM/AVG over non-numeric value {v}")));
-            }
-            let replace_min = match &min {
-                None => true,
-                Some(m) => v.sql_cmp(m).map(|o| o.is_lt()).unwrap_or(false),
-            };
-            if replace_min {
-                min = Some(v.clone());
-            }
-            let replace_max = match &max {
-                None => true,
-                Some(m) => v.sql_cmp(m).map(|o| o.is_gt()).unwrap_or(false),
-            };
-            if replace_max {
-                max = Some(v.clone());
+        if matches!(v, Value::Null) {
+            continue;
+        }
+        count += 1;
+        if let Some(x) = v.as_f64() {
+            sum += x;
+            all_int &= matches!(v, Value::Int(_));
+        } else if matches!(kind, AggKind::Sum | AggKind::Avg) {
+            return Err(DbError::Type(format!("SUM/AVG over non-numeric value {v}")));
+        }
+        let replace_min = match &min {
+            None => true,
+            Some(m) => v.sql_cmp(m).map(|o| o.is_lt()).unwrap_or(false),
+        };
+        if replace_min {
+            min = Some(v.clone());
+        }
+        let replace_max = match &max {
+            None => true,
+            Some(m) => v.sql_cmp(m).map(|o| o.is_gt()).unwrap_or(false),
+        };
+        if replace_max {
+            max = Some(v.clone());
+        }
+    }
+    Ok(match kind {
+        AggKind::Count => Value::Int(count as i64),
+        AggKind::Sum if count == 0 => Value::Null,
+        AggKind::Sum => {
+            if all_int {
+                Value::Int(sum as i64)
+            } else {
+                Value::Float(sum)
             }
         }
-        let result = match kind {
-            AggKind::Count => Value::Int(count as i64),
-            AggKind::Sum if count == 0 => Value::Null,
-            AggKind::Sum => {
-                if all_int {
-                    Value::Int(sum as i64)
-                } else {
-                    Value::Float(sum)
-                }
-            }
-            AggKind::Avg if count == 0 => Value::Null,
-            AggKind::Avg => Value::Float(sum / count as f64),
-            AggKind::Min => min.unwrap_or(Value::Null),
-            AggKind::Max => max.unwrap_or(Value::Null),
-        };
-        out.push(result);
-    }
-    Ok((columns, out))
+        AggKind::Avg if count == 0 => Value::Null,
+        AggKind::Avg => Value::Float(sum / count as f64),
+        AggKind::Min => min.unwrap_or(Value::Null),
+        AggKind::Max => max.unwrap_or(Value::Null),
+    })
 }

@@ -1,119 +1,38 @@
 //! Expression evaluation.
 
-use crate::catalog::TableSchema;
 use crate::sql::ast::{BinOp, Expr, Literal};
 use crate::udf::{UdfContext, UdfRegistry};
 use crate::value::Value;
 use crate::{DbError, Result};
 
-/// Name-resolution scope for a join tuple: which aliases are bound, their
-/// schemas, and where each table's columns start in the composite tuple.
-#[derive(Debug, Clone, Default)]
-pub struct Scope {
-    entries: Vec<(String, TableSchema, usize)>,
-    width: usize,
-}
-
-impl Scope {
-    /// Empty scope.
-    pub fn new() -> Self {
-        Scope::default()
-    }
-
-    /// Appends a table binding, returning its tuple offset.
-    pub fn push(&mut self, alias: &str, schema: TableSchema) -> usize {
-        let offset = self.width;
-        self.width += schema.arity();
-        self.entries.push((alias.to_ascii_lowercase(), schema, offset));
-        offset
-    }
-
-    /// Total tuple width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Aliases bound, in order.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn aliases(&self) -> Vec<&str> {
-        self.entries.iter().map(|(a, _, _)| a.as_str()).collect()
-    }
-
-    /// Resolves a column reference to a tuple index.
-    pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
-        let name_l = name.to_ascii_lowercase();
-        match qualifier {
-            Some(q) => {
-                let q_l = q.to_ascii_lowercase();
-                let (_, schema, offset) = self
-                    .entries
-                    .iter()
-                    .find(|(a, _, _)| *a == q_l)
-                    .ok_or_else(|| DbError::Binding(format!("unknown table alias: {q}")))?;
-                let idx = schema
-                    .column_index(&name_l)
-                    .ok_or_else(|| DbError::Binding(format!("no column {name} in {q}")))?;
-                Ok(offset + idx)
-            }
-            None => {
-                let mut hit = None;
-                for (alias, schema, offset) in &self.entries {
-                    if let Some(idx) = schema.column_index(&name_l) {
-                        if hit.is_some() {
-                            return Err(DbError::Binding(format!(
-                                "ambiguous column {name} (qualify it, e.g. {alias}.{name})"
-                            )));
-                        }
-                        hit = Some(offset + idx);
-                    }
-                }
-                hit.ok_or_else(|| DbError::Binding(format!("no such column: {name}")))
-            }
-        }
-    }
-
-    /// Whether every column referenced by `expr` is bound in this scope.
-    pub fn binds(&self, expr: &Expr) -> bool {
-        match expr {
-            Expr::Literal(_) => true,
-            Expr::Column { qualifier, name } => self.resolve(qualifier.as_deref(), name).is_ok(),
-            Expr::Binary { left, right, .. } => self.binds(left) && self.binds(right),
-            Expr::Not(e) | Expr::Neg(e) => self.binds(e),
-            Expr::Call { args, .. } => args.iter().all(|a| self.binds(a)),
-            Expr::Aggregate { arg, .. } => arg.as_deref().map(|a| self.binds(a)).unwrap_or(true),
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => self.binds(expr),
-            Expr::InList { expr, list, .. } => {
-                self.binds(expr) && list.iter().all(|e| self.binds(e))
-            }
-        }
-    }
-}
-
 /// Everything evaluation needs besides the tuple itself.
 pub struct EvalCtx<'a> {
-    /// Name resolution.
-    pub scope: &'a Scope,
+    /// Values of the statement's `?` parameters.
+    pub params: &'a [Value],
     /// Registered UDFs.
     pub udfs: &'a UdfRegistry,
     /// Long-field store, threaded through to UDFs.
     pub lfm: &'a qbism_lfm::LongFieldManager,
 }
 
-/// Evaluates `expr` against a composite `tuple`.
-pub fn eval(expr: &Expr, tuple: &[Value], ctx: &mut EvalCtx<'_>) -> Result<Value> {
+/// Evaluates a bound `expr` against a composite `tuple`.
+pub fn eval(expr: &Expr, tuple: &[Value], ctx: &EvalCtx<'_>) -> Result<Value> {
     match expr {
         Expr::Literal(l) => Ok(literal_value(l)),
-        Expr::Column { qualifier, name } => {
-            let idx = ctx.scope.resolve(qualifier.as_deref(), name)?;
-            Ok(tuple[idx].clone())
-        }
+        Expr::Column { slot: Some(slot), .. } => Ok(tuple[*slot].clone()),
+        Expr::Column { name, .. } => Err(DbError::Binding(format!("unbound column {name}"))),
+        Expr::Param(n) => ctx
+            .params
+            .get(*n)
+            .cloned()
+            .ok_or_else(|| DbError::Binding(format!("no value for parameter {}", n + 1))),
         Expr::Not(e) => match eval(e, tuple, ctx)? {
             Value::Bool(b) => Ok(Value::Bool(!b)),
             Value::Null => Ok(Value::Null),
             other => Err(DbError::Type(format!("NOT applied to non-boolean {other}"))),
         },
         Expr::Neg(e) => match eval(e, tuple, ctx)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Float(f) => Ok(Value::Float(-f)),
             Value::Null => Ok(Value::Null),
             other => Err(DbError::Type(format!("unary minus applied to {other}"))),
@@ -199,7 +118,7 @@ fn eval_binary(
     left: &Expr,
     right: &Expr,
     tuple: &[Value],
-    ctx: &mut EvalCtx<'_>,
+    ctx: &EvalCtx<'_>,
 ) -> Result<Value> {
     // Short-circuit logic first.
     match op {
@@ -267,20 +186,15 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             BinOp::Add => Ok(Value::Int(a.wrapping_add(b))),
             BinOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
             BinOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
-            BinOp::Div => {
-                if b == 0 {
-                    Err(DbError::Exec("integer division by zero".into()))
-                } else {
-                    Ok(Value::Int(a / b))
-                }
-            }
-            BinOp::Mod => {
-                if b == 0 {
-                    Err(DbError::Exec("integer modulo by zero".into()))
-                } else {
-                    Ok(Value::Int(a % b))
-                }
-            }
+            // `None` is a zero divisor or `i64::MIN / -1`.
+            BinOp::Div => a
+                .checked_div(b)
+                .map(Value::Int)
+                .ok_or_else(|| DbError::Exec(format!("integer division {a} / {b} has no value"))),
+            BinOp::Mod => a
+                .checked_rem(b)
+                .map(Value::Int)
+                .ok_or_else(|| DbError::Exec(format!("integer modulo {a} % {b} has no value"))),
             _ => unreachable!(),
         };
     }
@@ -303,70 +217,42 @@ fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use crate::catalog::Column;
+    use crate::catalog::{Column, TableSchema};
+    use crate::plan::Scope;
     use crate::sql::ast::Statement;
     use crate::sql::parse_statement;
     use crate::value::DataType;
     use qbism_lfm::LongFieldManager;
 
-    fn scope() -> Scope {
-        let mut s = Scope::new();
-        s.push(
-            "p",
-            TableSchema::new(
-                "patient",
-                vec![Column::new("id", DataType::Int), Column::new("name", DataType::Str)],
-            )
-            .unwrap(),
-        );
-        s.push(
-            "v",
-            TableSchema::new(
-                "vals",
-                vec![Column::new("id", DataType::Int), Column::new("x", DataType::Float)],
-            )
-            .unwrap(),
-        );
-        s
+    /// The WHERE clause of `sql`, bound over `patient p (id, name)`
+    /// joined with `vals v (id, x)`.
+    fn where_expr(sql: &str) -> Expr {
+        let schema = |name, second: (&str, DataType)| {
+            let columns = vec![Column::new("id", DataType::Int), Column::new(second.0, second.1)];
+            TableSchema::new(name, columns).unwrap()
+        };
+        let (p, v) =
+            (schema("patient", ("name", DataType::Str)), schema("vals", ("x", DataType::Float)));
+        let mut scope = Scope::default();
+        scope.push("p", &p);
+        scope.push("v", &v);
+        let Statement::Select(s) = parse_statement(sql).unwrap() else { unreachable!() };
+        let mut expr = s.where_clause.unwrap();
+        scope.bind(&mut expr).unwrap();
+        expr
     }
 
-    fn where_expr(sql: &str) -> Expr {
-        match parse_statement(sql).unwrap() {
-            Statement::Select(s) => s.where_clause.unwrap(),
-            _ => unreachable!(),
-        }
+    fn eval_with(sql: &str, tuple: &[Value], udfs: &UdfRegistry) -> Result<Value> {
+        let lfm = LongFieldManager::new(1 << 16, 4096).unwrap();
+        eval(&where_expr(sql), tuple, &EvalCtx { params: &[Value::Int(7)], udfs, lfm: &lfm })
     }
 
     fn eval_where(sql: &str, tuple: &[Value]) -> Result<Value> {
-        let s = scope();
-        let udfs = UdfRegistry::new();
-        let mut lfm = LongFieldManager::new(1 << 16, 4096).unwrap();
-        let mut ctx = EvalCtx { scope: &s, udfs: &udfs, lfm: &mut lfm };
-        eval(&where_expr(sql), tuple, &mut ctx)
+        eval_with(sql, tuple, &UdfRegistry::new())
     }
 
     fn tuple() -> Vec<Value> {
         vec![Value::Int(7), Value::Str("Jane".into()), Value::Int(7), Value::Float(2.5)]
-    }
-
-    #[test]
-    fn scope_resolution() {
-        let s = scope();
-        assert_eq!(s.aliases(), vec!["p", "v"]);
-        assert_eq!(s.width(), 4);
-        assert_eq!(s.resolve(Some("p"), "name").unwrap(), 1);
-        assert_eq!(s.resolve(Some("v"), "x").unwrap(), 3);
-        assert_eq!(s.resolve(None, "x").unwrap(), 3, "unambiguous bare column");
-        assert!(s.resolve(None, "id").is_err(), "ambiguous across tables");
-        assert!(s.resolve(Some("q"), "x").is_err(), "unknown alias");
-        assert!(s.resolve(Some("p"), "x").is_err(), "column not in that table");
-    }
-
-    #[test]
-    fn binds_checks_full_tree() {
-        let s = scope();
-        assert!(s.binds(&where_expr("select * from t where p.id = v.id")));
-        assert!(!s.binds(&where_expr("select * from t where p.id = other.z")));
     }
 
     #[test]
@@ -407,10 +293,22 @@ mod tests {
             eval_where("select * from t where 7 % 2 = 1", &tuple()).unwrap(),
             Value::Bool(true)
         );
-        assert!(matches!(
-            eval_where("select * from t where 1 / 0 = 0", &tuple()),
-            Err(DbError::Exec(_))
-        ));
+        let min_over_minus_one = "(0 - 9223372036854775807 - 1) / (0 - 1) = 0";
+        for no_value in [
+            "1 / 0 = 0",
+            "1 % 0 = 0",
+            min_over_minus_one,
+            "(0 - 9223372036854775807 - 1) % (0 - 1) = 0",
+        ] {
+            let sql = format!("select * from t where {no_value}");
+            assert!(matches!(eval_where(&sql, &tuple()), Err(DbError::Exec(_))), "{sql}");
+        }
+        assert_eq!(
+            eval_where("select * from t where -(0 - 9223372036854775807 - 1) < 0", &tuple())
+                .unwrap(),
+            Value::Bool(true),
+            "negation wraps like + - *"
+        );
         assert!(matches!(
             eval_where("select * from t where p.name + 1 = 2", &tuple()),
             Err(DbError::Type(_))
@@ -501,12 +399,25 @@ mod tests {
 
     #[test]
     fn udf_calls_evaluate_arguments() {
-        let s = scope();
         let mut udfs = UdfRegistry::new();
         udfs.register("addone", |_, args| Ok(Value::Int(args[0].as_i64().unwrap() + 1)));
-        let mut lfm = LongFieldManager::new(1 << 16, 4096).unwrap();
-        let mut ctx = EvalCtx { scope: &s, udfs: &udfs, lfm: &mut lfm };
-        let e = where_expr("select * from t where addOne(p.id + 1) = 9");
-        assert_eq!(eval(&e, &tuple(), &mut ctx).unwrap(), Value::Bool(true));
+        let sql = "select * from t where addOne(p.id + 1) = 9";
+        assert_eq!(eval_with(sql, &tuple(), &udfs).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn parameters_and_unbound_columns() {
+        assert_eq!(
+            eval_where("select * from t where p.id = ?", &tuple()).unwrap(),
+            Value::Bool(true)
+        );
+        assert!(matches!(
+            eval_where("select * from t where p.id = ? + ?", &tuple()),
+            Err(DbError::Binding(_))
+        ));
+        let unbound = Expr::Column { qualifier: None, name: "x".into(), slot: None };
+        let (udfs, lfm) = (UdfRegistry::new(), LongFieldManager::new(1 << 16, 4096).unwrap());
+        let ctx = EvalCtx { params: &[], udfs: &udfs, lfm: &lfm };
+        assert!(matches!(eval(&unbound, &tuple(), &ctx), Err(DbError::Binding(_))));
     }
 }

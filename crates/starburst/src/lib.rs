@@ -19,6 +19,16 @@
 //! and nested-loop joins, and a UDF registry whose functions can touch
 //! long fields through the [`qbism_lfm::LongFieldManager`].
 //!
+//! Every statement takes one path, in four stages: **parse** (`sql`),
+//! **bind** (each column reference resolved to its slot in the join
+//! tuple, in place on the parsed expressions) and **plan** (join
+//! strategies, predicate schedule, output shape — both in `plan`), then
+//! **execute** (`exec`, which indexes tuples and never looks a name up).
+//! [`Database::prepare`] runs the first three once and returns a
+//! [`Prepared`]; [`Database::run`] executes it with positional `?`
+//! parameters.  [`Database::query`] and [`Database::execute`] are
+//! `prepare` followed by one run.
+//!
 //! # Example
 //!
 //! ```
@@ -32,6 +42,11 @@
 //!     .unwrap()
 //!     .expect_rows();
 //! assert_eq!(rs.rows(), &[vec![Value::Str("Jane".into())]]);
+//!
+//! // Compile once, run with different values.
+//! let older_than = db.prepare("select p.name from patient p where p.age > ?").unwrap();
+//! assert_eq!(db.run(&older_than, &[Value::Int(40)]).unwrap().len(), 1);
+//! assert_eq!(db.run(&older_than, &[Value::Int(30)]).unwrap().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +64,7 @@ mod udf;
 mod value;
 
 pub use catalog::{Column, HeapTable, TableSchema};
-pub use db::{Database, ExecOutcome, ResultSet};
+pub use db::{Database, ExecOutcome, Prepared, ResultSet};
 pub use error::DbError;
 pub use sql::{ast, parse_statement};
 pub use udf::{UdfContext, UdfRegistry};

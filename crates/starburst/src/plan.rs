@@ -1,19 +1,21 @@
-//! Join planning: which strategy joins each FROM table.
+//! Binding and join planning: the prepare-time half of a statement.
 //!
-//! The planner is deliberately simple — left-deep joins in FROM order —
-//! because the medical schema's queries join along key equalities that a
-//! hash join handles well, and the paper's own measurements show the
-//! database component is I/O bound, not join bound.  What matters is:
+//! Binding resolves every column reference to its slot in the composite
+//! join tuple, in place on the parsed [`Expr`]s, so execution indexes
+//! tuples and never looks a name up.  The planner is deliberately
+//! simple — left-deep joins in FROM order — because the medical
+//! schema's queries join along key equalities that a hash join handles
+//! well, and the paper's own measurements show the database component
+//! is I/O bound, not join bound.  What matters is:
 //!
 //! * single-table predicates are applied at the scan (selection pushdown);
 //! * key equalities become hash joins;
 //! * everything else falls back to a predicate-filtered nested loop.
 
-use crate::catalog::Catalog;
-use crate::expr::Scope;
-use crate::sql::ast::{BinOp, Expr, Select};
+use crate::catalog::{Catalog, TableSchema};
+use crate::sql::ast::{BinOp, Expr, Select, SelectItem};
 use crate::value::DataType;
-use crate::Result;
+use crate::{DbError, Result};
 
 /// How one table joins the accumulated left side.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,157 +25,250 @@ pub enum JoinStrategy {
     Hash {
         /// Probe-side key (binds in the accumulated scope).
         left: Expr,
-        /// Build-side key (binds in the new table only).
+        /// Build-side key: a plain column of the new table.
         right: Expr,
     },
     /// Plain nested loop (predicates still filter each emitted tuple).
     NestedLoop,
 }
 
-/// The chosen strategy per joined table plus the conjuncts scheduled at
-/// each stage.  Stage `i` filters tuples once tables `0..=i` are bound.
+/// A bound, planned SELECT: everything execution needs but the rows
+/// and the parameter values.
 #[derive(Debug)]
 pub struct SelectPlan {
+    /// The bound statement; its WHERE clause has moved into `joins`
+    /// and `stages`.
+    pub select: Select,
     /// Strategy for table `i + 1` (the first table is a scan).
     pub joins: Vec<JoinStrategy>,
     /// `stages[i]` = conjuncts applied when tables `0..=i` are bound.
     pub stages: Vec<Vec<Expr>>,
+    /// `widths[i]` = tuple width once tables `0..=i` are bound.
+    pub widths: Vec<usize>,
+    /// Output column names.
+    pub columns: Vec<String>,
+    /// Whether the select list aggregates (with or without GROUP BY).
+    pub aggregates: bool,
+    /// Number of `?` parameters a run must supply.
+    pub params: usize,
+}
+
+/// Prepare-time name resolution: which aliases are bound, their
+/// schemas, and where each table's columns start in the composite tuple.
+#[derive(Default)]
+pub struct Scope<'a> {
+    entries: Vec<(&'a str, &'a TableSchema, usize)>,
+    /// Column type of every tuple slot.
+    types: Vec<DataType>,
+    /// `?` parameters seen while binding.
+    params: usize,
+}
+
+impl<'a> Scope<'a> {
+    /// Appends a table binding.
+    pub fn push(&mut self, alias: &'a str, schema: &'a TableSchema) {
+        self.entries.push((alias, schema, self.types.len()));
+        self.types.extend(schema.columns.iter().map(|c| c.ty));
+    }
+
+    /// Resolves a column reference to a tuple slot.
+    fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        match qualifier {
+            Some(q) => {
+                let (_, schema, offset) = self
+                    .entries
+                    .iter()
+                    .find(|(alias, _, _)| alias.eq_ignore_ascii_case(q))
+                    .ok_or_else(|| DbError::Binding(format!("unknown table alias: {q}")))?;
+                let idx = schema
+                    .column_index(name)
+                    .ok_or_else(|| DbError::Binding(format!("no column {name} in {q}")))?;
+                Ok(offset + idx)
+            }
+            None => {
+                let mut hit = None;
+                for (alias, schema, offset) in &self.entries {
+                    if let Some(idx) = schema.column_index(name) {
+                        if hit.is_some() {
+                            return Err(DbError::Binding(format!(
+                                "ambiguous column {name} (qualify it, e.g. {alias}.{name})"
+                            )));
+                        }
+                        hit = Some(offset + idx);
+                    }
+                }
+                hit.ok_or_else(|| DbError::Binding(format!("no such column: {name}")))
+            }
+        }
+    }
+
+    /// Binds `expr` in place: every column reference gets its slot, and
+    /// every `?` is counted.
+    pub fn bind(&mut self, expr: &mut Expr) -> Result<()> {
+        match expr {
+            Expr::Literal(_) => {}
+            Expr::Param(n) => self.params = self.params.max(*n + 1),
+            Expr::Column { qualifier, name, slot } => {
+                *slot = Some(self.resolve(qualifier.as_deref(), name)?);
+            }
+            Expr::Binary { left, right, .. } => {
+                self.bind(left)?;
+                self.bind(right)?;
+            }
+            Expr::Not(e) | Expr::Neg(e) => self.bind(e)?,
+            Expr::Call { args, .. } => args.iter_mut().try_for_each(|a| self.bind(a))?,
+            Expr::Aggregate { arg, .. } => arg.iter_mut().try_for_each(|a| self.bind(a))?,
+            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => self.bind(expr)?,
+            Expr::InList { expr, list, .. } => {
+                self.bind(expr)?;
+                list.iter_mut().try_for_each(|e| self.bind(e))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `expr` is a plain column at or past slot `from` whose
+    /// type hashes (int or string).
+    fn hash_column(&self, expr: &Expr, from: usize) -> bool {
+        matches!(expr, Expr::Column { slot: Some(s), .. }
+            if *s >= from && matches!(self.types[*s], DataType::Int | DataType::Str))
+    }
+}
+
+/// Binds the expressions of a single-table statement (DELETE, UPDATE)
+/// over that table.  Such a statement has no run to supply parameter
+/// values, so it may not hold `?`.
+pub fn bind_over_table<'e>(
+    schema: &TableSchema,
+    mut exprs: impl Iterator<Item = &'e mut Expr>,
+) -> Result<()> {
+    let mut scope = Scope::default();
+    scope.push(&schema.name, schema);
+    exprs.try_for_each(|e| scope.bind(e))?;
+    match scope.params {
+        0 => Ok(()),
+        _ => Err(DbError::Binding("only SELECT takes ? parameters".into())),
+    }
+}
+
+/// Whether every column `expr` references sits below slot `width`.
+fn within(expr: &Expr, width: usize) -> bool {
+    !expr.any(&|e| matches!(e, Expr::Column { slot: Some(s), .. } if *s >= width))
 }
 
 /// Splits a predicate into AND-ed conjuncts.
-pub fn conjuncts(expr: &Expr) -> Vec<Expr> {
+pub fn conjuncts(expr: Expr, out: &mut Vec<Expr>) {
     match expr {
         Expr::Binary { op: BinOp::And, left, right } => {
-            let mut out = conjuncts(left);
-            out.extend(conjuncts(right));
-            out
+            conjuncts(*left, out);
+            conjuncts(*right, out);
         }
-        other => vec![other.clone()],
+        other => out.push(other),
     }
 }
 
-/// Column data type of a plain column expression, if it is one.
-fn column_type(expr: &Expr, scope: &Scope, catalog: &Catalog, select: &Select) -> Option<DataType> {
-    if let Expr::Column { qualifier, name } = expr {
-        // find the aliased table schema
-        let q = qualifier.as_deref()?.to_ascii_lowercase();
-        let tref = select.from.iter().find(|t| t.alias == q)?;
-        let table = catalog.table(&tref.table).ok()?;
-        let idx = table.schema.column_index(name)?;
-        let _ = scope;
-        return Some(table.schema.columns[idx].ty);
-    }
-    None
-}
-
-/// Builds the plan: join strategies and per-stage predicate schedules.
-pub fn plan_select(select: &Select, catalog: &Catalog) -> Result<SelectPlan> {
-    // Scopes after each prefix of the FROM list.
-    let mut prefix_scopes: Vec<Scope> = Vec::with_capacity(select.from.len());
-    let mut scope = Scope::new();
+/// Binds `select` against the catalog and builds its plan: output
+/// shape, join strategies and per-stage predicate schedules.
+pub fn plan_select(mut select: Select, catalog: &Catalog) -> Result<SelectPlan> {
+    let mut scope = Scope::default();
+    let mut widths = Vec::with_capacity(select.from.len());
+    let mut star = Vec::new();
     for tref in &select.from {
-        let table = catalog.table(&tref.table)?;
-        scope.push(&tref.alias, table.schema.clone());
-        prefix_scopes.push(scope.clone());
+        let schema = &catalog.table(&tref.table)?.schema;
+        scope.push(&tref.alias, schema);
+        widths.push(scope.types.len());
+        star.extend(schema.columns.iter().map(|c| format!("{}.{}", tref.alias, c.name)));
     }
-    let mut remaining: Vec<Expr> = select.where_clause.as_ref().map(conjuncts).unwrap_or_default();
-    let mut stages: Vec<Vec<Expr>> = vec![Vec::new(); select.from.len()];
-    let mut joins: Vec<JoinStrategy> = Vec::new();
+    let mut remaining = Vec::new();
+    if let Some(predicate) = select.where_clause.take() {
+        conjuncts(predicate, &mut remaining);
+    }
+    let keys = select.order_by.iter_mut().map(|(e, _)| e);
+    let items = select.items.iter_mut().map(|i| &mut i.expr);
+    items
+        .chain(&mut remaining)
+        .chain(&mut select.group_by)
+        .chain(keys)
+        .try_for_each(|e| scope.bind(e))?;
 
-    for (i, prefix) in prefix_scopes.iter().enumerate() {
+    // Output shape, checked once here rather than per run.
+    let aggregates = select.items.iter().any(|i| i.expr.contains_aggregate());
+    let grouped = !select.group_by.is_empty();
+    if (aggregates || grouped) && !select.order_by.is_empty() {
+        let what = if grouped { "GROUP BY" } else { "aggregates" };
+        return Err(DbError::Binding(format!("ORDER BY with {what} is not supported")));
+    }
+    for item in &select.items {
+        let whole = matches!(item.expr, Expr::Aggregate { .. });
+        if grouped && !item.expr.contains_aggregate() && !select.group_by.contains(&item.expr) {
+            return Err(DbError::Binding(format!(
+                "select item {:?} is neither an aggregate nor a GROUP BY key",
+                item.expr.default_name()
+            )));
+        }
+        if ((aggregates && !grouped) || item.expr.contains_aggregate()) && !whole {
+            return Err(DbError::Binding(
+                "select list mixes aggregates with plain expressions".into(),
+            ));
+        }
+    }
+    let columns = if select.items.is_empty() {
+        star
+    } else {
+        let name = |i: &SelectItem| i.alias.clone().unwrap_or_else(|| i.expr.default_name());
+        select.items.iter().map(name).collect()
+    };
+
+    let mut stages: Vec<Vec<Expr>> = Vec::with_capacity(widths.len());
+    let mut joins: Vec<JoinStrategy> = Vec::new();
+    let mut bound_width = 0;
+    for &width in &widths {
         // Conjuncts that become fully bound at this stage.
         let (bound, rest): (Vec<Expr>, Vec<Expr>) =
-            remaining.into_iter().partition(|c| prefix.binds(c));
+            remaining.into_iter().partition(|c| within(c, width));
         remaining = rest;
-        // For stages past the first, try to promote one bound equi-
-        // conjunct into a hash join key pair.
-        if i > 0 {
-            let prev = &prefix_scopes[i - 1];
+        if stages.is_empty() {
+            stages.push(bound);
+        } else {
+            // Promote the first equi-conjunct with one side on the
+            // accumulated prefix and a hashable column of the new table
+            // on the other into the join's key pair.
             let mut strategy = JoinStrategy::NestedLoop;
             let mut stage_preds = Vec::new();
-            let mut promoted = false;
+            let keys = |probe: &Expr, build: &Expr| {
+                within(probe, bound_width)
+                    && scope.hash_column(build, bound_width)
+                    && (scope.hash_column(probe, 0) || !matches!(probe, Expr::Column { .. }))
+            };
             for c in bound {
-                if promoted {
-                    stage_preds.push(c);
-                    continue;
-                }
-                if let Expr::Binary { op: BinOp::Eq, left, right } = &c {
-                    // one side on the accumulated prefix, the other on the
-                    // new table only; both hashable column types
-                    let try_pair = |probe: &Expr, build: &Expr| -> bool {
-                        prev.binds(probe)
-                            && !prev.binds(build)
-                            && prefix.binds(build)
-                            && matches!(
-                                column_type(build, prefix, catalog, select),
-                                Some(DataType::Int) | Some(DataType::Str)
-                            )
-                            && matches!(
-                                column_type(probe, prefix, catalog, select),
-                                Some(DataType::Int) | Some(DataType::Str) | None
-                            )
-                    };
-                    if try_pair(left, right) {
-                        strategy =
-                            JoinStrategy::Hash { left: (**left).clone(), right: (**right).clone() };
-                        promoted = true;
-                        continue;
+                match c {
+                    Expr::Binary { op: BinOp::Eq, left, right }
+                        if strategy == JoinStrategy::NestedLoop =>
+                    {
+                        if keys(&left, &right) {
+                            strategy = JoinStrategy::Hash { left: *left, right: *right };
+                        } else if keys(&right, &left) {
+                            strategy = JoinStrategy::Hash { left: *right, right: *left };
+                        } else {
+                            stage_preds.push(Expr::Binary { op: BinOp::Eq, left, right });
+                        }
                     }
-                    if try_pair(right, left) {
-                        strategy =
-                            JoinStrategy::Hash { left: (**right).clone(), right: (**left).clone() };
-                        promoted = true;
-                        continue;
-                    }
+                    other => stage_preds.push(other),
                 }
-                stage_preds.push(c);
             }
             joins.push(strategy);
-            stages[i] = stage_preds;
-        } else {
-            stages[i] = bound;
+            stages.push(stage_preds);
         }
+        bound_width = width;
     }
-    // Conjuncts never bound reference unknown columns; surface that now.
-    if let Some(c) = remaining.first() {
-        // Re-resolve to produce the precise binding error.
-        let full = match prefix_scopes.last() {
-            Some(scope) => scope,
-            None => unreachable!("planning produced a scope per FROM table"),
-        };
-        debug_assert!(!full.binds(c));
-        // Find the failing column for the message.
-        return Err(find_binding_error(c, full));
-    }
-    Ok(SelectPlan { joins, stages })
-}
-
-fn find_binding_error(expr: &Expr, scope: &Scope) -> crate::DbError {
-    match expr {
-        Expr::Column { qualifier, name } => match scope.resolve(qualifier.as_deref(), name) {
-            Err(e) => e,
-            Ok(_) => crate::DbError::Binding(format!("cannot bind predicate over {name}")),
-        },
-        Expr::Binary { left, right, .. } => {
-            if !scope.binds(left) {
-                find_binding_error(left, scope)
-            } else {
-                find_binding_error(right, scope)
-            }
-        }
-        Expr::Not(e) | Expr::Neg(e) => find_binding_error(e, scope),
-        Expr::Call { args, .. } => args
-            .iter()
-            .find(|a| !scope.binds(a))
-            .map(|a| find_binding_error(a, scope))
-            .unwrap_or_else(|| crate::DbError::Binding("unbindable predicate".into())),
-        _ => crate::DbError::Binding("unbindable predicate".into()),
-    }
+    let params = scope.params;
+    Ok(SelectPlan { select, joins, stages, widths, columns, aggregates, params })
 }
 
 impl SelectPlan {
     /// Human-readable plan rendering for `EXPLAIN`.
-    pub fn render(&self, select: &Select) -> String {
+    pub fn render(&self) -> String {
+        let select = &self.select;
         let mut out = String::new();
         out.push_str(&format!(
             "scan {} ({} predicates)\n",
@@ -195,7 +290,7 @@ impl SelectPlan {
                 )),
             }
         }
-        if select.items.iter().any(|it| it.expr.contains_aggregate()) {
+        if self.aggregates {
             out.push_str("aggregate\n");
         }
         if !select.order_by.is_empty() {
@@ -241,7 +336,7 @@ mod tests {
 
     fn plan(sql: &str) -> SelectPlan {
         let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!() };
-        plan_select(&s, &catalog()).unwrap()
+        plan_select(s, &catalog()).unwrap()
     }
 
     #[test]
@@ -299,15 +394,7 @@ mod tests {
 
     #[test]
     fn plan_renders_strategies() {
-        let p = plan("select count(*) from a, b where a.id = b.id and a.x > 0 order by 1 limit 5");
-        let text = p.render(&match parse_statement(
-            "select count(*) from a, b where a.id = b.id and a.x > 0 order by 1 limit 5",
-        )
-        .unwrap()
-        {
-            Statement::Select(s) => s,
-            _ => unreachable!(),
-        });
+        let text = plan("select count(*) from a, b where a.id = b.id and a.x > 0 limit 5").render();
         assert!(text.contains("scan a (1 predicates)"), "{text}");
         assert!(text.contains("hash join b"), "{text}");
         assert!(text.contains("aggregate"), "{text}");
@@ -320,7 +407,7 @@ mod tests {
         else {
             panic!()
         };
-        let err = plan_select(&s, &catalog()).unwrap_err();
+        let err = plan_select(s, &catalog()).unwrap_err();
         assert!(err.to_string().contains("no column zz"), "{err}");
     }
 
@@ -332,7 +419,54 @@ mod tests {
         else {
             panic!()
         };
-        let cs = conjuncts(s.where_clause.as_ref().unwrap());
+        let mut cs = Vec::new();
+        conjuncts(s.where_clause.unwrap(), &mut cs);
         assert_eq!(cs.len(), 3, "OR does not split");
+    }
+
+    #[test]
+    fn columns_bind_to_slots_and_parameters_are_counted() {
+        let p = plan("select b.name, ? from a, b where a.id = b.id and b.name = ? and x > ?");
+        assert_eq!(p.params, 3);
+        assert_eq!(p.widths, vec![2, 4]);
+        assert_eq!(p.columns, vec!["name", "expr"]);
+        assert!(matches!(p.select.items[0].expr, Expr::Column { slot: Some(3), .. }));
+        // A bare column binds like a qualified one; a parameter binds
+        // anywhere, so `b.name = ?` filters at b's stage and `x > ?` at
+        // the scan.
+        assert_eq!((p.stages[0].len(), p.stages[1].len()), (1, 1));
+        let JoinStrategy::Hash { left, right } = &p.joins[0] else { panic!("{:?}", p.joins) };
+        assert!(matches!(left, Expr::Column { slot: Some(0), .. }));
+        assert!(matches!(right, Expr::Column { slot: Some(2), .. }));
+    }
+
+    #[test]
+    fn scope_resolution() {
+        let c = catalog();
+        let mut s = Scope::default();
+        s.push("a", &c.table("a").unwrap().schema);
+        s.push("b", &c.table("b").unwrap().schema);
+        assert_eq!(s.resolve(Some("a"), "x").unwrap(), 1);
+        assert_eq!(s.resolve(Some("b"), "name").unwrap(), 3);
+        assert_eq!(s.resolve(None, "x").unwrap(), 1, "unambiguous bare column");
+        assert!(s.resolve(None, "id").is_err(), "ambiguous across tables");
+        assert!(s.resolve(Some("q"), "x").is_err(), "unknown alias");
+        assert!(s.resolve(Some("a"), "name").is_err(), "column not in that table");
+    }
+
+    #[test]
+    fn output_shape_is_checked_at_plan_time() {
+        for sql in [
+            "select count(*), a.id from a",
+            "select 1 + count(*) from a",
+            "select a.x, count(*) from a group by a.id",
+            "select 1 + count(*) from a group by a.id",
+            "select count(*) from a order by a.id",
+            "select a.id from a group by a.id order by a.id",
+        ] {
+            let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!() };
+            let err = plan_select(s, &catalog()).unwrap_err();
+            assert!(matches!(err, DbError::Binding(_)), "{sql}: {err}");
+        }
     }
 }

@@ -148,7 +148,13 @@ pub enum Expr {
         qualifier: Option<String>,
         /// Column name.
         name: String,
+        /// Index of the column in the composite join tuple: `None` as
+        /// parsed, filled in place when the statement is prepared.
+        slot: Option<usize>,
     },
+    /// The `n`-th positional `?` parameter (zero-based, in text order),
+    /// supplied when a prepared statement runs.
+    Param(usize),
     /// Binary operation.
     Binary {
         /// Operator.
@@ -205,21 +211,25 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// Whether `pred` holds for this node or any node below it.
+    pub fn any(&self, pred: &impl Fn(&Expr) -> bool) -> bool {
+        if pred(self) {
+            return true;
+        }
+        match self {
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Param(_) => false,
+            Expr::Binary { left, right, .. } => left.any(pred) || right.any(pred),
+            Expr::Not(e) | Expr::Neg(e) => e.any(pred),
+            Expr::Call { args, .. } => args.iter().any(|a| a.any(pred)),
+            Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(|a| a.any(pred)),
+            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => expr.any(pred),
+            Expr::InList { expr, list, .. } => expr.any(pred) || list.iter().any(|e| e.any(pred)),
+        }
+    }
+
     /// Whether any aggregate appears in this expression.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Literal(_) | Expr::Column { .. } => false,
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Not(e) | Expr::Neg(e) => e.contains_aggregate(),
-            Expr::Call { args, .. } => args.iter().any(Expr::contains_aggregate),
-            Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-        }
+        self.any(&|e| matches!(e, Expr::Aggregate { .. }))
     }
 
     /// A display name for an unaliased select item.
@@ -252,7 +262,7 @@ mod tests {
             right: Box::new(agg),
         };
         assert!(nested.contains_aggregate());
-        let plain = Expr::Column { qualifier: None, name: "x".into() };
+        let plain = Expr::Column { qualifier: None, name: "x".into(), slot: None };
         assert!(!plain.contains_aggregate());
         let in_call = Expr::Call {
             name: "f".into(),
@@ -264,7 +274,8 @@ mod tests {
     #[test]
     fn default_names() {
         assert_eq!(
-            Expr::Column { qualifier: Some("a".into()), name: "x".into() }.default_name(),
+            Expr::Column { qualifier: Some("a".into()), name: "x".into(), slot: None }
+                .default_name(),
             "x"
         );
         assert_eq!(

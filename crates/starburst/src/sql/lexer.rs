@@ -97,24 +97,22 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
             continue;
         }
         if c == '\'' {
+            // The literal's text is copied as `str` slices between
+            // quotes, so multi-byte characters arrive intact; a doubled
+            // quote is one quote of content.
             i += 1;
             let mut s = String::new();
             loop {
-                match bytes.get(i) {
-                    None => return Err(bad(src, at, "unterminated string literal")),
-                    Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                        s.push('\'');
-                        i += 2;
-                    }
-                    Some(b'\'') => {
-                        i += 1;
-                        break;
-                    }
-                    Some(&b) => {
-                        s.push(b as char);
-                        i += 1;
-                    }
+                let Some(len) = src[i..].find('\'') else {
+                    return Err(bad(src, at, "unterminated string literal"));
+                };
+                s.push_str(&src[i..i + len]);
+                i += len + 1;
+                if bytes.get(i) != Some(&b'\'') {
+                    break;
                 }
+                s.push('\'');
+                i += 1;
             }
             out.push(SpannedTok { tok: Tok::Str(s), at });
             continue;
@@ -140,6 +138,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
                 '/' => "/",
                 '%' => "%",
                 ';' => ";",
+                '?' => "?",
                 _ => return Err(bad(src, at, "unexpected character")),
             },
         };
@@ -193,6 +192,8 @@ mod tests {
     fn strings_with_escapes() {
         assert_eq!(toks("'hello'"), vec![Tok::Str("hello".into())]);
         assert_eq!(toks("'it''s'"), vec![Tok::Str("it's".into())]);
+        assert_eq!(toks("'café ''☕'''"), vec![Tok::Str("café '☕'".into())]);
+        assert_eq!(toks("''"), vec![Tok::Str(String::new())]);
         assert!(lex("'oops").is_err());
     }
 

@@ -8,7 +8,7 @@ use crate::{DbError, Result};
 /// Parses a single statement (a trailing `;` is tolerated).
 pub fn parse_statement(src: &str) -> Result<Statement> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, params: 0 };
     let stmt = p.statement()?;
     p.eat_punct(";");
     if !p.at_end() {
@@ -20,6 +20,8 @@ pub fn parse_statement(src: &str) -> Result<Statement> {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// `?` placeholders seen so far; the next one's index.
+    params: usize,
 }
 
 impl Parser {
@@ -477,9 +479,14 @@ impl Parser {
                 // qualified column?
                 if self.eat_punct(".") {
                     let col = self.ident()?;
-                    return Ok(Expr::Column { qualifier: Some(name), name: col });
+                    return Ok(Expr::Column { qualifier: Some(name), name: col, slot: None });
                 }
-                Ok(Expr::Column { qualifier: None, name })
+                Ok(Expr::Column { qualifier: None, name, slot: None })
+            }
+            Some(Tok::Punct("?")) => {
+                self.pos += 1;
+                self.params += 1;
+                Ok(Expr::Param(self.params - 1))
             }
             _ => Err(self.err("expected expression")),
         }
@@ -678,7 +685,7 @@ mod tests {
                 table: "t".into(),
                 where_clause: Some(Expr::Binary {
                     op: BinOp::Eq,
-                    left: Box::new(Expr::Column { qualifier: None, name: "a".into() }),
+                    left: Box::new(Expr::Column { qualifier: None, name: "a".into(), slot: None }),
                     right: Box::new(Expr::Literal(Literal::Int(1))),
                 }),
             }
@@ -692,6 +699,25 @@ mod tests {
             Statement::Explain(_)
         ));
         assert!(parse_statement("delete t").is_err());
+    }
+
+    #[test]
+    fn placeholders_number_in_text_order() {
+        let q = sel("select f(?, t.a) from t where t.b = ? and t.c between ? and ?");
+        assert!(matches!(&q.items[0].expr, Expr::Call { args, .. } if args[0] == Expr::Param(0)));
+        let text = format!("{:?}", q.where_clause.unwrap());
+        for n in 1..4 {
+            assert!(text.contains(&format!("Param({n})")), "{text}");
+        }
+        // Nowhere a literal is required by the grammar.
+        for sql in [
+            "create table t (a ?)",
+            "insert into t values (?)",
+            "select * from t limit ?",
+            "select * from t where t.a like ?",
+        ] {
+            assert!(matches!(parse_statement(sql), Err(DbError::Parse(_))), "{sql}");
+        }
     }
 
     #[test]

@@ -71,10 +71,11 @@ impl UdfRegistry {
 
     /// Invokes a function.
     pub fn call(&self, name: &str, ctx: &mut UdfContext<'_>, args: &[Value]) -> Result<Value> {
-        let lname = name.to_ascii_lowercase();
+        // Names out of the parser are lowercase already.
         let entry = self
             .fns
-            .get(&lname)
+            .get(name)
+            .or_else(|| self.fns.get(&name.to_ascii_lowercase()))
             .ok_or_else(|| DbError::Binding(format!("no such function: {name}")))?;
         if qbism_obs::enabled() {
             entry.calls.inc();

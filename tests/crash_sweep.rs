@@ -11,15 +11,16 @@
 //! half-applied writes.
 //!
 //! A second sweep does the same at the system level: crash the device at
-//! every I/O of a `MedicalServer` query and check that the failure
-//! surfaces as a typed error, the store recovers, and the full study is
-//! still byte-identical afterwards.
+//! every I/O of every `MedicalServer` query class — in both tablespaces,
+//! the multi-study classes inline and fanned out — and check that the
+//! failure surfaces as a typed error, the store recovers, and the full
+//! study is byte-identical afterwards.
 
 #![allow(clippy::unwrap_used)]
 
 use std::collections::HashMap;
 
-use qbism::{QbismConfig, QbismSystem};
+use qbism::{MedicalServer, QbismConfig, QbismError, QbismSystem};
 use qbism_fault::FaultPlane;
 use qbism_lfm::{LfmError, LongFieldId, LongFieldManager};
 
@@ -175,36 +176,68 @@ fn crash_at_every_device_io_recovers_committed_state() {
     }
 }
 
+/// One query class as the sweep drives it: `Ok(true)` for a whole
+/// answer, `Ok(false)` for a population aggregate that degraded by
+/// skipping studies, `Err` for a typed failure.
+type QueryClass = (&'static str, fn(&MedicalServer) -> Result<bool, QbismError>);
+
+/// All eight query classes over the `small_test` studies.
+const QUERY_CLASSES: [QueryClass; 8] = [
+    ("full_study", |s| s.full_study(1).map(|_| true)),
+    ("box", |s| s.box_data(1, [2, 3, 4], [9, 10, 11]).map(|_| true)),
+    ("structure", |s| s.structure_data(1, "ntal").map(|_| true)),
+    ("band", |s| s.band_data(1, 32, 63).map(|_| true)),
+    ("intensity_range", |s| s.intensity_range_data(1, 40, 80).map(|_| true)),
+    ("band_in_structure", |s| s.band_in_structure(1, 32, 63, "ntal1").map(|_| true)),
+    ("multi_study_band", |s| s.multi_study_band_region(&[1, 2], 32, 63).map(|_| true)),
+    ("population_average", |s| s.population_average(&[1, 2], "ntal").map(|a| a.is_complete())),
+];
+
 #[test]
 fn server_query_survives_a_crash_at_every_device_io() {
-    let mut sys = QbismSystem::install(&QbismConfig::small_test()).unwrap();
-    let baseline = sys.server.full_study(1).unwrap();
+    let small = QbismConfig::small_test();
+    for config in [small.clone(), small.with_compressed_tablespace()] {
+        let mut sys = QbismSystem::install(&config).unwrap();
+        let baseline = sys.server.full_study(1).unwrap();
+        for (class, query) in QUERY_CLASSES {
+            // The two multi-study classes fan out: sweep them inline
+            // and across two workers.
+            let fans_out = matches!(class, "multi_study_band" | "population_average");
+            for threads in if fans_out { 1..=2 } else { 1..=1 } {
+                sys.server.set_threads(threads);
+                let at = format!(
+                    "{class} / {threads} threads / compressed {}",
+                    config.compressed_tablespace
+                );
 
-    // Count the device ops of one spatial query.
-    let scope = FaultPlane::observer().arm();
-    sys.server.structure_data(1, "ntal").unwrap();
-    let plane = scope.plane();
-    drop(scope);
-    let total_ops = plane.ops_seen();
-    assert!(total_ops >= 1, "the query must touch the simulated device");
+                // Count the device ops of one fault-free run.
+                let scope = FaultPlane::observer().arm();
+                assert_eq!(query(&sys.server).ok(), Some(true), "{at}: fault-free run");
+                let total_ops = scope.plane().ops_seen();
+                drop(scope);
+                assert!(total_ops >= 1, "{at}: the query must touch the simulated device");
 
-    for k in 1..=total_ops {
-        let scope = FaultPlane::new(0x5EED).crash_at_op(k).arm();
-        let result = sys.server.structure_data(1, "ntal");
-        drop(scope);
-        if !sys.server.database().lfm().is_crashed() {
-            // Op `k` landed on the network path; the RPC channel's
-            // bounded retry absorbs a single lost message.
-            assert!(result.is_ok(), "non-device fault at op {k} should be retried away");
-            continue;
+                for k in 1..=total_ops {
+                    let scope = FaultPlane::new(0x5EED).crash_at_op(k).arm();
+                    let result = query(&sys.server);
+                    drop(scope);
+                    if !sys.server.database().lfm().is_crashed() {
+                        // Op `k` landed on the network path; the RPC channel's
+                        // bounded retry absorbs a single lost message.
+                        assert_eq!(result.ok(), Some(true), "{at}: non-device fault at op {k}");
+                        continue;
+                    }
+                    // A typed error (or typed per-study skips), not a
+                    // panic and not a whole answer.
+                    assert_ne!(result.ok(), Some(true), "{at}: crash at op {k} went unnoticed");
+                    let report = sys.server.database().lfm().recover().unwrap();
+                    assert!(report.fields > 0, "{at}: fields survive the crash at op {k}");
+                    // The store answers bit-identically again.
+                    let after = sys.server.full_study(1).unwrap();
+                    assert_eq!(after.data, baseline.data, "{at}: after the crash at op {k}");
+                    assert_eq!(query(&sys.server).ok(), Some(true), "{at}: rerun after op {k}");
+                }
+            }
         }
-        assert!(result.is_err(), "crash at op {k} must surface as a typed error, not a panic");
-        let report = sys.server.database().lfm().recover().unwrap();
-        assert!(report.fields > 0, "the installed fields survive the crash at op {k}");
     }
-
-    // After the whole gauntlet the store still answers bit-identically.
-    let after = sys.server.full_study(1).unwrap();
-    assert_eq!(after.data, baseline.data);
-    assert_eq!(after.voxel_count(), baseline.voxel_count());
 }

@@ -35,8 +35,19 @@ fn mixed_query_emits_a_full_span_tree() {
         .find(|t| t.name == "query.band_in_structure")
         .expect("query root span retained");
     // The tree crosses all three instrumented layers.
-    for name in ["db.execute", "sql.parse", "exec.select", "lfm.read"] {
+    for name in ["db.execute", "exec.select", "lfm.read"] {
         assert!(tree.find(name).is_some(), "span {name} missing:\n{}", tree.render_tree());
+    }
+    // The statement was compiled when the server was built: a query
+    // neither parses nor plans.
+    for name in ["sql.parse", "db.prepare"] {
+        assert!(tree.find(name).is_none(), "span {name} in a query:\n{}", tree.render_tree());
+    }
+    match tree.find("db.execute").unwrap().field("sql") {
+        Some(qbism_obs::trace::FieldValue::Str(sql)) => {
+            assert!(sql.starts_with("select extractVoxels(wv.data, intersection("), "{sql}")
+        }
+        other => panic!("db.execute sql field: {other:?}"),
     }
     // The executor annotated row counts and the LFM its page reads.
     let select = tree.find("exec.select").unwrap();

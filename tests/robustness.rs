@@ -108,3 +108,42 @@ fn queries_against_dropped_rows_degrade_gracefully() {
     // Other studies keep working.
     assert!(sys.server.structure_data(2, "ntal").is_ok());
 }
+
+#[test]
+fn caller_supplied_names_are_values_never_sql() {
+    // A structure name reaches the engine as a bound parameter.  One
+    // that would end a spliced literal is not a parse error, and one
+    // that would add a predicate selects nothing: both are plain
+    // NotFound from every entry point that takes a name.
+    use qbism::QbismError::NotFound;
+    use qbism_cluster::{ClusterError, ClusterWarehouse};
+    let config = QbismConfig::small_test();
+    let sys = QbismSystem::install(&config).expect("install");
+    let server = &sys.server;
+    let studies = sys.pet_study_ids.clone();
+    let warehouse = ClusterWarehouse::install(&config, 2, 2).expect("warehouse");
+    for name in ["o'brien", "nope' or ns.structureName = 'ntal", "ntal' --", "café"] {
+        assert!(matches!(server.structure_data(1, name), Err(NotFound(_))), "{name}");
+        assert!(matches!(server.band_in_structure(1, 32, 63, name), Err(NotFound(_))), "{name}");
+        assert!(matches!(server.population_stage(1, name).outcome, Err(NotFound(_))), "{name}");
+        assert!(matches!(server.structure_mesh(name), Err(NotFound(_))), "{name}");
+        assert!(matches!(server.structure_region(name), Err(NotFound(_))), "{name}");
+        // The aggregate skips every study for the same typed reason, so
+        // it fails with the first study's NotFound …
+        assert!(matches!(server.population_average(&studies, name), Err(NotFound(_))), "{name}");
+        // … which a router sees from the last replica it tried.
+        match warehouse.population_average(&studies, name) {
+            Err(ClusterError::ShardsUnavailable { study, last, .. }) => {
+                assert_eq!(study, studies[0], "{name}");
+                assert!(
+                    matches!(*last, ClusterError::Query { error: NotFound(_), .. }),
+                    "{name}: {last}"
+                );
+            }
+            other => panic!("{name}: expected every study skipped as NotFound, got {other:?}"),
+        }
+    }
+    // The names did nothing to the data.
+    assert!(server.structure_data(1, "ntal").is_ok());
+    assert!(warehouse.population_average(&studies, "ntal").expect("ntal").is_complete());
+}

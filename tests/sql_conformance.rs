@@ -44,6 +44,11 @@ fn select_conformance_suite() {
         ("select p.age + 1 from patient p where p.name = 'Jane'", "41"),
         ("select p.age * 2 - 10 from patient p where p.patientId = 2", "68"),
         ("select -p.age from patient p where p.name = 'Ann'", "-61"),
+        // negation wraps at i64::MIN like + - *, it does not abort
+        (
+            "select -(0 - 9223372036854775807 - 1) from patient p where p.name = 'Ann'",
+            "-9223372036854775808",
+        ),
         // string comparison and ordering
         (
             "select p.name from patient p where p.name > 'Jane' order by p.name",
@@ -143,6 +148,18 @@ fn error_conformance_suite() {
         "select * from patient p where p.name like p.name",
         "select * from patient p where p.age like 'x%'",
         "select * from patient p where p.age not 5",
+        // i64::MIN / -1 and i64::MIN % -1 have no i64 value: typed, not a panic
+        "select (0 - 9223372036854775807 - 1) / (0 - 1) from patient p",
+        "select (0 - 9223372036854775807 - 1) % (0 - 1) from patient p",
+        // shape errors are caught when the statement is planned, rows or not
+        "select p.missing from patient p where p.age > 1000",
+        "select count(*) from patient p where p.age > 1000 order by p.age",
+        // a statement with no run cannot take parameters
+        "delete from patient where patientId = ?",
+        "update patient set age = ? where patientId = 1",
+        "insert into patient values (?, 'x', 1, 'F')",
+        "create table t3 (x ?)",
+        "select p.name from patient p where p.age > ?",
     ];
     for sql in bad {
         let err = db.execute(sql).expect_err(sql);
@@ -163,6 +180,14 @@ fn mutation_conformance() {
     // Values survive round trips through projection expressions.
     let rs = db.query("select s.dose / 3 from study s where s.studyId = 16").expect("arith");
     assert_eq!(rs.single_value().expect("1x1"), &Value::Float(0.5));
+    // A string literal in SQL text is the same string as one stored
+    // through `insert_row`, multi-byte characters included.
+    let row = vec![Value::Int(6), Value::from("café"), Value::Int(50), Value::from("F")];
+    db.insert_row("patient", row).expect("insert_row");
+    assert_eq!(render(&mut db, "select p.patientId from patient p where p.name = 'café'"), "6");
+    db.execute("insert into patient values (7, 'Zoë ''Z'' Ødegård', 28, 'F')").expect("insert");
+    let rs = db.query("select p.name from patient p where p.patientId = 7").expect("select");
+    assert_eq!(rs.single_value().expect("1x1"), &Value::from("Zoë 'Z' Ødegård"));
 }
 
 #[test]
