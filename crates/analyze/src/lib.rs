@@ -93,7 +93,7 @@ impl AnalysisConfig {
                 "payload_bytes",
             ]),
             det_structs: s(&["QueryCost", "IoStats", "NetStats"]),
-            sink_calls: s(&["mint_trace", "SpanId"]),
+            sink_calls: s(&["mint_trace"]),
             sink_fns: s(&[
                 "table1_z_octants",
                 "table1_z_oblong_octants",

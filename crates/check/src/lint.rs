@@ -10,6 +10,9 @@
 //! - **no-wall-clock** — deterministic crates (the simulation and
 //!   storage planes) never read `Instant::now` / `SystemTime::now`;
 //!   simulated time comes from the cost models.
+//! - **no-sleep** — no `thread::sleep` outside test code, in any crate:
+//!   simulated time comes from the cost models and native time is CPU
+//!   actually spent, so nothing paces itself or waits by sleeping.
 //! - **no-raw-sync** — crates ported to the `qbism_check::sync` facade
 //!   don't reach around it for `std::sync` mutexes, condvars or
 //!   atomics (`Arc` and friends are fine); a raw primitive would be
@@ -201,6 +204,12 @@ pub fn lint_source(source: &str, rel: &str, crate_name: &str, cfg: &LintConfig) 
                 "no-wall-clock",
                 "wall-clock read in a deterministic crate; use the simulated cost model"
                     .to_string(),
+            );
+        }
+        if code.contains("thread::sleep") {
+            push(
+                "no-sleep",
+                "`thread::sleep` outside test code; charge simulated time to the cost model or measure real work".to_string(),
             );
         }
         if check_sync {

@@ -25,8 +25,9 @@
 //! Faults arrive through the existing `qbism-fault` plane at the
 //! dotted cluster sites (`cluster.shard.kill`, `cluster.shard.slow`,
 //! `cluster.route.drop` — see [`qbism_fault::sites`]) or as netsim
-//! timeouts after bounded per-shard channel retries; failover, kill and
-//! rebalance land in the flight recorder inside the owning trace.
+//! timeouts after bounded per-shard channel retries; failover and kill
+//! land in the event journal inside the owning trace, a rebalance is a
+//! `cluster.rebalance` span tree of its own.
 
 #![forbid(unsafe_code)]
 

@@ -244,13 +244,12 @@ impl ClusterWarehouse {
     }
 
     /// Rebuilds the placement catalog over the current membership,
-    /// records the rebalance in the flight recorder, and runs the
+    /// records the move count on the rebalance's span, and runs the
     /// invariant checker.  Returns the number of studies moved.
     fn rebalance(&mut self, span: &trace::SpanGuard) -> Result<u64> {
         let shard_ids: Vec<u64> = self.shards.iter().map(Shard::id).collect();
         let moved = self.catalog.rebuild(&shard_ids);
         span.record_u64("moved", moved);
-        event::rebalance(shard_ids.len() as u64, moved);
         self.counters.rebalances.fetch_add(1, Ordering::Relaxed);
         self.counters.obs_rebalances.inc();
         self.counters.studies_moved.fetch_add(moved, Ordering::Relaxed);
@@ -348,13 +347,14 @@ impl ClusterWarehouse {
         span.record_u64("shards", self.shards.len() as u64);
         span.record_u64("threads", self.threads as u64);
         let stage = |server: &MedicalServer, id| server.band_region_stage(id, lo, hi);
-        let fetched = self.scatter(study_ids, &stage, |(_, bytes)| bytes.len() as u64);
+        let fetched = self.scatter(study_ids, &stage, |bytes| bytes.len() as u64);
         // Gather on the router with the single-node server's own fold,
         // so the re-encoded answer bytes — and therefore `wire_bytes` —
         // are identical in every tablespace mode.
-        // (A shard's long-field ids mean nothing here: no skip credit.)
-        let (mut cost, _, (bytes, region, _)) =
+        // (The router has no LFM of its own to credit the fold's skips to.)
+        let (mut cost, (bytes, region, skips)) =
             reduce_band_stages(fetched, self.config.region_codec, ClusterError::Gather)?;
+        span.record_u64("decode_skips", skips);
         self.ship(&mut cost, bytes.len() as u64)?;
         self.finish(&span, &cost);
         Ok((region, cost))

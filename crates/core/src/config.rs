@@ -1,5 +1,6 @@
 //! System configuration.
 
+use crate::QbismError;
 use qbism_region::RegionCodec;
 use qbism_sfc::CurveKind;
 
@@ -97,6 +98,28 @@ impl QbismConfig {
     pub fn with_compressed_tablespace(mut self) -> Self {
         self.compressed_tablespace = true;
         self
+    }
+
+    /// Checks the values the loader and the server compute with, once,
+    /// where a configuration enters ([`crate::QbismSystem::install`],
+    /// [`crate::MedicalServer::new`]): the intensity bands must tile
+    /// 0–255 and the grid must hold the smallest atlas structure and
+    /// index into a `u64`.
+    pub(crate) fn validate(&self) -> crate::Result<()> {
+        let width = self.band_width;
+        if !(1..=256).contains(&width) || 256 % width != 0 {
+            return Err(QbismError::Config(format!(
+                "band_width {width} must be in 1..=256 and divide 256"
+            )));
+        }
+        let max_bits = qbism_sfc::MAX_INDEX_BITS / 3;
+        if !(4..=max_bits).contains(&self.atlas_bits) {
+            return Err(QbismError::Config(format!(
+                "atlas_bits {} must be in 4..={max_bits}",
+                self.atlas_bits
+            )));
+        }
+        Ok(())
     }
 
     /// Atlas grid side.

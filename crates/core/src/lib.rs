@@ -75,6 +75,8 @@ pub enum QbismError {
     Wire(String),
     /// Query addressed something that does not exist.
     NotFound(String),
+    /// A [`QbismConfig`] no installation can be built from.
+    Config(String),
     /// Simulated network failure: the answer could not be shipped even
     /// after the RPC channel's bounded retries.
     Net(qbism_netsim::NetError),
@@ -89,6 +91,7 @@ impl std::fmt::Display for QbismError {
             QbismError::Registration(e) => write!(f, "registration: {e}"),
             QbismError::Wire(m) => write!(f, "wire format: {m}"),
             QbismError::NotFound(m) => write!(f, "not found: {m}"),
+            QbismError::Config(m) => write!(f, "configuration: {m}"),
             QbismError::Net(e) => write!(f, "network: {e}"),
         }
     }

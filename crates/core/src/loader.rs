@@ -43,6 +43,7 @@ impl QbismSystem {
     /// Installs a complete system from a configuration: schema, UDFs,
     /// atlas, patients, studies (raw → registered → warped → banded).
     pub fn install(config: &QbismConfig) -> Result<QbismSystem> {
+        config.validate()?;
         let mut db = Database::new(config.device_capacity)?;
         register_spatial_ops(&mut db, config.region_codec);
         register_geometry_ops(&mut db, config);

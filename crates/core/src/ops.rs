@@ -19,22 +19,21 @@
 //! byte arguments cost none.
 
 use crate::wire::encode_data_region;
-use qbism_lfm::LongFieldId;
 use qbism_region::compressed::{compressed_cursor, is_compressed, CompressedCursor};
 use qbism_region::{kernel, GridGeometry, Region, RegionCodec, RegionEncodeError, Run};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use qbism_volume::DataRegion;
 
-/// A fetched REGION operand: its raw encoded bytes plus the long field
-/// it came from (None for immediate byte-string arguments).
-type RegionArg = (Vec<u8>, Option<LongFieldId>);
+/// A fetched REGION operand: its raw encoded bytes, and whether they
+/// were read from a long field (false for immediate byte strings).
+type RegionArg = (Vec<u8>, bool);
 
 /// Fetches a region argument's raw bytes: a long field (read through
 /// the LFM, counting I/O) or an immediate byte string.
 fn fetch_region_arg(ctx: &mut UdfContext<'_>, v: &Value) -> Result<RegionArg, DbError> {
     match v {
-        Value::Long(id) => Ok((ctx.lfm.read(*id)?, Some(*id))),
-        Value::Bytes(b) => Ok((b.clone(), None)),
+        Value::Long(id) => Ok((ctx.lfm.read(*id)?, true)),
+        Value::Bytes(b) => Ok((b.clone(), false)),
         other => {
             Err(DbError::Type(format!("expected a REGION (long field or bytes), got {other}")))
         }
@@ -92,11 +91,11 @@ fn region_pair_op(
     same_grid(name, geom, geom_b)?;
     let runs = stream(&mut ca, &mut cb)
         .map_err(|e| DbError::Exec(format!("compressed merge failed: {e}")))?;
-    if let Some(id) = a.1 {
-        ctx.lfm.note_decode_skips(id, ca.skip_count());
+    if a.1 {
+        ctx.lfm.note_decode_skips(ca.skip_count());
     }
-    if let Some(id) = b.1 {
-        ctx.lfm.note_decode_skips(id, cb.skip_count());
+    if b.1 {
+        ctx.lfm.note_decode_skips(cb.skip_count());
     }
     let bytes = qbism_region::encode_compressed(&Region::from_runs(geom, runs))
         .map_err(|e| DbError::Exec(format!("cannot encode result REGION: {e}")))?;

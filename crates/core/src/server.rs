@@ -19,7 +19,7 @@ use crate::config::QbismConfig;
 use crate::loader::ATLAS_ID;
 use crate::wire::{data_region_wire_size, decode_data_region};
 use crate::{QbismError, Result};
-use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats, LongFieldId};
+use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
 use qbism_netsim::{NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::trace;
 use qbism_parallel::Executor;
@@ -251,7 +251,7 @@ struct Statements {
 impl Statements {
     fn prepare(db: &Database, band_width: u16) -> Result<Self> {
         let prepare = |sql: &str| db.prepare(sql);
-        let bands = usize::from(256u16.div_ceil(band_width.max(1)));
+        let bands = usize::from(256 / band_width);
         Ok(Statements {
             full_study: prepare(&format!(
                 "select extractVoxels(wv.data, fullRegion())
@@ -359,6 +359,7 @@ impl MedicalServer {
     /// Wraps a populated database, compiling the statement table against
     /// it; errors if the medical schema is not there to bind to.
     pub fn new(db: Database, config: QbismConfig) -> Result<Self> {
+        config.validate()?;
         Ok(MedicalServer {
             statements: Statements::prepare(&db, config.band_width)?,
             db,
@@ -403,48 +404,6 @@ impl MedicalServer {
     /// Cumulative page-cache behaviour (hits stay 0 while disabled).
     pub fn cache_stats(&self) -> CacheStats {
         self.db.lfm_ref().cache_stats()
-    }
-
-    /// The process-wide metrics registry (scrape with
-    /// `render_prometheus()` / `snapshot_json()`).
-    pub fn metrics(&self) -> &'static qbism_obs::Registry {
-        qbism_obs::global()
-    }
-
-    /// The EXPLAIN ANALYZE-style span tree of the most recent query on
-    /// this process, if tracing is enabled.
-    pub fn last_query_trace(&self) -> Option<qbism_obs::SpanNode> {
-        qbism_obs::trace::last_root()
-    }
-
-    /// The flight recorder's recent span trees plus journal events as
-    /// Chrome trace-event JSON (load in `about:tracing` or Perfetto).
-    pub fn flight_recorder_chrome_trace(&self) -> String {
-        qbism_obs::export::chrome_trace(
-            &qbism_obs::trace::recent_roots(),
-            &qbism_obs::event::events(),
-        )
-    }
-
-    /// The flight recorder's journal as newline-delimited JSON.
-    pub fn flight_recorder_events_jsonl(&self) -> String {
-        qbism_obs::export::events_jsonl(&qbism_obs::event::events())
-    }
-
-    /// Queries whose end-to-end time crossed the slow-query threshold,
-    /// each with its captured span tree and event slice.
-    pub fn slow_queries(&self) -> Vec<qbism_obs::SlowQuery> {
-        qbism_obs::event::slow_queries()
-    }
-
-    /// Sets the slow-query capture threshold for this process.
-    pub fn set_slow_query_threshold(&self, threshold: std::time::Duration) {
-        qbism_obs::event::set_slow_query_threshold(threshold);
-    }
-
-    /// Flight-recorder dumps captured by crash-outcome faults.
-    pub fn crash_dumps(&self) -> Vec<qbism_obs::CrashDump> {
-        qbism_obs::event::crash_dumps()
     }
 
     /// Direct database access (examples, tests, ad-hoc SQL).
@@ -586,13 +545,12 @@ impl MedicalServer {
             let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
             self.band_region_stage(id, lo, hi)
         });
-        let (mut cost, field_ids, (bytes, region, skips)) =
+        let (mut cost, (bytes, region, skips)) =
             reduce_band_stages(fetched, self.config.region_codec, |e| e)?;
         // Galloping skips are credited to the
         // `qbism_lfm_compressed_decode_skips_total` metric.
-        for (id, skipped) in field_ids.into_iter().zip(skips) {
-            self.db.lfm_ref().note_decode_skips(id, skipped);
-        }
+        self.db.lfm_ref().note_decode_skips(skips);
+        span.record_u64("decode_skips", skips);
         self.ship_answer(&mut cost, bytes.len() as u64)?;
         self.finish_query(&span, Class::MultiStudyBand, &cost);
         Ok((region, cost))
@@ -602,12 +560,7 @@ impl MedicalServer {
     /// fetch of the study's stored band REGION, long field and bytes.
     /// Public, like [`MedicalServer::population_stage`], for
     /// scatter/gather routers; a stage never ships.
-    pub fn band_region_stage(
-        &self,
-        study_id: i64,
-        lo: u8,
-        hi: u8,
-    ) -> StudyStage<(LongFieldId, Vec<u8>)> {
+    pub fn band_region_stage(&self, study_id: i64, lo: u8, hi: u8) -> StudyStage<Vec<u8>> {
         let params = [Value::Int(study_id), Value::Int(lo.into()), Value::Int(hi.into())];
         self.measured(&self.statements.band_region, &params, Self::long_field)
     }
@@ -677,7 +630,7 @@ impl MedicalServer {
         span.record_i64("study_id", study_id);
         let stmt = &self.statements.warped_volume;
         let stage = self.measured(stmt, &[Value::Int(study_id)], Self::long_field);
-        let (_, bytes) = Self::accessed(&span, stage.named(|| format!("study {study_id}")))?;
+        let bytes = Self::accessed(&span, stage.named(|| format!("study {study_id}")))?;
         crate::wire::volume_from_long_field(self.config.geometry(), &bytes)
     }
 
@@ -771,12 +724,12 @@ impl MedicalServer {
 
     /// Decoder of the long-field statements: the selected field, read
     /// in full.
-    fn long_field(&self, row: &[Value]) -> Result<(LongFieldId, Vec<u8>)> {
+    fn long_field(&self, row: &[Value]) -> Result<Vec<u8>> {
         let id = row
             .first()
             .and_then(Value::as_long)
             .ok_or_else(|| QbismError::Wire("statement did not select a long field".into()))?;
-        Ok((id, self.db.read_long_field(id)?))
+        Ok(self.db.read_long_field(id)?)
     }
 
     /// A single-study extraction class: measure, ship, report.
@@ -820,7 +773,7 @@ impl MedicalServer {
         structure: &str,
     ) -> Result<Vec<u8>> {
         let stage = self.measured(stmt, &[Value::from(structure)], Self::long_field);
-        Ok(Self::accessed(span, stage.named(|| format!("structure {structure}")))?.1)
+        Self::accessed(span, stage.named(|| format!("structure {structure}")))
     }
 
     /// Ships the answer payload over the RPC channel and folds the
@@ -872,25 +825,22 @@ impl<T> StudyStage<T> {
 /// order decides the error, as the join's scan order did.  The gather
 /// ([`fold_band_regions`]; `gather_error` lifts its failure into `E`)
 /// is database-phase CPU.  Nothing ships here: returns the cost so
-/// far, the studies' long fields and the fold's answer.
+/// far and the fold's answer.
 pub fn reduce_band_stages<E>(
-    stages: impl IntoIterator<Item = StudyStage<(LongFieldId, Vec<u8>), E>>,
+    stages: impl IntoIterator<Item = StudyStage<Vec<u8>, E>>,
     codec: RegionCodec,
     gather_error: impl FnOnce(QbismError) -> E,
-) -> std::result::Result<(QueryCost, Vec<LongFieldId>, BandFold), E> {
+) -> std::result::Result<(QueryCost, BandFold), E> {
     let mut cost = QueryCost::default();
-    let mut field_ids = Vec::new();
     let mut blobs = Vec::new();
     for stage in stages {
-        let (field_id, bytes) = stage.outcome?;
-        field_ids.push(field_id);
-        blobs.push(bytes);
+        blobs.push(stage.outcome?);
         cost.accumulate(&stage.cost);
     }
     let start = std::time::Instant::now();
     let fold = fold_band_regions(blobs, codec).map_err(gather_error)?;
     cost.add_gather_seconds(start.elapsed().as_secs_f64());
-    Ok((cost, field_ids, fold))
+    Ok((cost, fold))
 }
 
 /// The study-order reduce of the population aggregate, shared like
@@ -927,16 +877,16 @@ pub fn reduce_population_stages<E>(
 }
 
 /// What [`fold_band_regions`] returns: the answer's bytes, the decoded
-/// [`Region`], and each operand's galloping skip count.
-pub type BandFold = (Vec<u8>, Region, Vec<u64>);
+/// [`Region`], and the operands' galloping skip count.
+pub type BandFold = (Vec<u8>, Region, u64);
 
 /// The gather of the multi-study band query, shared by
 /// [`MedicalServer::multi_study_band_region`] and scatter/gather
 /// routers so both ship byte-identical answers in every tablespace
 /// mode: the n-way intersection of the studies' stored band REGION
 /// `blobs` (study order), as answer bytes, the decoded [`Region`], and
-/// each operand's galloping skip count (empty unless the operands
-/// streamed compressed).
+/// the operands' galloping skip count (zero unless they streamed
+/// compressed).
 ///
 /// One study degenerates to the stored bytes.  Otherwise the operands
 /// open — all-compressed ones as cursors straight over the compact
@@ -951,7 +901,7 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
     if let [bytes] = &mut blobs[..] {
         let bytes = std::mem::take(bytes);
         let region = RegionCodec::decode(&bytes)?;
-        return Ok((bytes, region, Vec::new()));
+        return Ok((bytes, region, 0));
     }
     if blobs.iter().all(|b| qbism_region::compressed::is_compressed(b)) {
         let mut opened = Vec::with_capacity(blobs.len());
@@ -961,7 +911,7 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
         let geom = common_grid(opened.iter().map(|(g, _)| *g))?;
         let mut refs: Vec<_> = opened.iter_mut().map(|(_, cursor)| cursor).collect();
         let runs = kernel::intersect_k_cursors(&mut refs)?;
-        let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).collect();
+        let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).sum();
         let acc = Region::from_runs(geom, runs);
         let bytes = qbism_region::encode_compressed(&acc)?;
         return Ok((bytes, acc, skips));
@@ -974,7 +924,7 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
     let lists: Vec<_> = regions.iter().map(Region::runs).collect();
     let acc = Region::from_runs(geom, kernel::intersect_k(&lists));
     let bytes = codec.encode(&acc)?;
-    Ok((bytes, acc, Vec::new()))
+    Ok((bytes, acc, 0))
 }
 
 /// The one grid every operand of a fold must share.

@@ -166,7 +166,7 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
 fn compressed_mode_counts_skips_and_compressed_pages() {
     let cfg = QbismConfig::medium().with_compressed_tablespace();
     let system = QbismSystem::install(&cfg).expect("install compressed");
-    let reg = system.server.metrics();
+    let reg = qbism_obs::global();
     let pages = reg.counter("qbism_lfm_compressed_pages_read_total");
     let bytes = reg.counter("qbism_lfm_compressed_bytes_on_device_total");
     let before_pages = pages.get();

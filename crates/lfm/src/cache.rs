@@ -16,8 +16,6 @@
 //! are skipped, so a read call can pin the pages it is assembling from
 //! and never lose one mid-copy.
 
-use qbism_obs::event;
-
 /// Buffer-pool knobs on the [`crate::LongFieldManager`].
 ///
 /// The default is all-zero: no frames, cache disabled — the paper's
@@ -54,15 +52,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A run of consecutive pages that one call found all pooled or all
-/// not: journaled as one event when it ends.  `pages == 0`: none open.
-#[derive(Default)]
-struct LookupRun {
-    hit: bool,
-    page: u64,
-    pages: u64,
-}
-
 /// Page-table entry of a page with no frame.
 const NO_FRAME: u32 = u32::MAX;
 /// Page number of an invalidated frame; the clock reuses it next sweep.
@@ -89,7 +78,6 @@ pub(crate) struct PageCache {
     stats: CacheStats,
     /// `stats` as of the last [`PageCache::end_call`].
     published: CacheStats,
-    run: LookupRun,
 }
 
 impl std::fmt::Debug for PageCache {
@@ -143,28 +131,12 @@ impl PageCache {
             }
             None => self.stats.misses += 1,
         }
-        let (hit, run) = (frame.is_some(), &mut self.run);
-        if run.pages > 0 && run.hit == hit && run.page + run.pages == page {
-            run.pages += 1;
-        } else {
-            self.flush_run();
-            self.run = LookupRun { hit, page, pages: 1 };
-        }
         frame
     }
 
-    fn flush_run(&mut self) {
-        match std::mem::take(&mut self.run) {
-            LookupRun { pages: 0, .. } => {}
-            LookupRun { hit: true, page, pages } => event::cache_hit(page, pages),
-            LookupRun { hit: false, page, pages } => event::cache_miss(page, pages),
-        }
-    }
-
-    /// Ends one read call: journals its last lookup run and returns the
-    /// call's hit/miss/eviction tallies for the manager to publish.
+    /// Ends one read call: returns the call's hit/miss/eviction tallies
+    /// for the manager to publish and stamp on its `lfm.read` span.
     pub(crate) fn end_call(&mut self) -> CacheStats {
-        self.flush_run();
         let was = std::mem::replace(&mut self.published, self.stats);
         CacheStats {
             hits: self.stats.hits - was.hits,
@@ -216,7 +188,6 @@ impl PageCache {
                 self.table[victim as usize] = NO_FRAME;
             }
             self.stats.evictions += 1;
-            event::cache_evict(victim);
             return Some(frame);
         }
         None
@@ -420,7 +391,6 @@ mod tests {
         assert_eq!(c.end_call(), CacheStats { hits: 1, misses: 1, evictions: 1 });
         assert_eq!(c.end_call(), CacheStats::default(), "nothing new since");
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 1 });
-        assert_eq!(c.run.pages, 0);
     }
 
     #[test]

@@ -629,7 +629,6 @@ impl LongFieldManager {
         self.meta.journal_bytes += rec_len as u64;
         self.metrics.journal_records.inc();
         self.metrics.journal_bytes.add(rec_len as u64);
-        qbism_obs::event::journal_record(rec_len as u64);
         Ok(())
     }
 
@@ -686,7 +685,7 @@ impl LongFieldManager {
     /// Creates a long field in the **compressed tablespace**: stored
     /// bytes are a compact queryable payload, so reads of this field
     /// count toward the `qbism_lfm_compressed_*` metrics and surface as
-    /// `CompressedScan` flight-recorder events.
+    /// `lfm.compressed_scan` spans.
     ///
     /// Storage-wise identical to [`LongFieldManager::create`] — same
     /// allocator, journal records, cache and charge paths — the
@@ -705,14 +704,10 @@ impl LongFieldManager {
     }
 
     /// Credits `skips` galloping skip-jumps (skip blocks or k³-tree
-    /// subtrees bypassed without decode) taken while merging field
-    /// `id`'s compressed payload, and journals them as a
-    /// `compressed_scan` event so traces show the avoided work.
-    pub fn note_decode_skips(&self, id: LongFieldId, skips: u64) {
-        if skips > 0 {
-            self.metrics.compressed_decode_skips.add(skips);
-            qbism_obs::event::compressed_scan(id.0 as i64, 0, skips);
-        }
+    /// subtrees bypassed without decode) taken while merging a stored
+    /// compressed payload.
+    pub fn note_decode_skips(&self, skips: u64) {
+        self.metrics.compressed_decode_skips.add(skips);
     }
 
     /// Deletes a long field, freeing its block (no data I/O is charged —
@@ -885,6 +880,9 @@ impl LongFieldManager {
                 self.metrics.cache_hits.add(lookups.hits);
                 self.metrics.cache_misses.add(lookups.misses);
                 self.metrics.cache_evictions.add(lookups.evictions);
+                span.record_u64("cache_hits", lookups.hits);
+                span.record_u64("cache_misses", lookups.misses);
+                span.record_u64("cache_evictions", lookups.evictions);
             }
             // Every logical extent was one physical transfer.
             None => (phys_reads, coalesced) = (extents, pages - extents),
@@ -900,17 +898,12 @@ impl LongFieldManager {
         });
         // Compressed-tablespace reads: same logical accounting, but the
         // pages fetched are compact payloads — tally them and surface
-        // the scan in flight-recorder traces.
+        // the scan in the span tree.
         if self.compressed.contains(&id.0) {
             self.metrics.compressed_pages_read.add(pages);
-            let cspan = trace::span("lfm.compressed_scan");
-            cspan.record_u64("pages", pages);
-            if cspan.is_recording() {
-                qbism_obs::event::compressed_scan(id.0 as i64, pages, 0);
-            }
+            trace::span("lfm.compressed_scan").record_u64("pages", pages);
         }
         if span.is_recording() {
-            qbism_obs::event::page_read(pages, extents);
             span.record_u64("pages", pages);
             span.record_u64("extents", extents);
             span.record_u64("bytes", (out.len() - before) as u64);

@@ -1,6 +1,6 @@
 //! Trace identity and cross-thread context propagation.
 //!
-//! Every query entrypoint mints a process-unique [`TraceId`] when it
+//! Every query entrypoint mints a process-unique trace id when it
 //! opens its root span; spans and journal events recorded while that
 //! trace is current on the thread inherit the id.  [`fork`] /
 //! [`ForkHandle`] carry the context across a `qbism-parallel` fan-out:
@@ -16,30 +16,6 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::trace::{self, SpanNode};
-
-/// Identity of one causal trace: one query execution end to end,
-/// across every thread it fans out over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TraceId(pub u64);
-
-impl std::fmt::Display for TraceId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
-/// Identity of one span within its trace: the 1-based preorder position
-/// in the finished tree.  Assigned when the root finishes, which makes
-/// the numbering a pure function of tree shape — identical at any
-/// thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
-
-impl std::fmt::Display for SpanId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
@@ -58,6 +34,12 @@ pub fn now_micros() -> u64 {
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
+/// [`now_micros`] of a clock reading already taken.
+pub(crate) fn micros_at(at: Instant) -> u64 {
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    u64::try_from(at.saturating_duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
+}
+
 pub(crate) fn mint_trace() -> u64 {
     NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
 }
@@ -69,14 +51,6 @@ pub(crate) fn set_current_trace(id: u64) -> u64 {
 
 pub(crate) fn current_raw() -> u64 {
     CURRENT_TRACE.with(Cell::get)
-}
-
-/// The trace currently open on this thread, if any.
-pub fn current_trace() -> Option<TraceId> {
-    match current_raw() {
-        0 => None,
-        id => Some(TraceId(id)),
-    }
 }
 
 /// A small dense ordinal naming this OS thread in exports (1, 2, 3 …
@@ -158,12 +132,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_ids_are_unique_and_display_hex() {
-        let a = TraceId(mint_trace());
-        let b = TraceId(mint_trace());
-        assert_ne!(a, b);
-        assert_eq!(format!("{}", TraceId(0x2a)).len(), 16);
-        assert!(format!("{}", TraceId(0x2a)).ends_with("2a"));
+    fn trace_ids_are_unique() {
+        assert_ne!(mint_trace(), mint_trace());
     }
 
     #[test]

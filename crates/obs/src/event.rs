@@ -1,36 +1,37 @@
-//! Bounded structured event journal, slow-query log, and crash dumps —
-//! the always-on half of the flight recorder.
+//! Bounded incident journal, slow-query log, and crash dumps — the
+//! always-on half of the flight recorder.
 //!
-//! Every instrumented layer appends typed [`Event`]s (span open/close,
-//! LFM page reads, cache hits/evictions, injected faults, RPC retries)
-//! to one process-wide ring.  Appends are lock-cheap: one timestamp,
-//! one short mutex-guarded push; the ring is bounded so an always-on
-//! recorder can never grow without limit — old events fall off the
-//! front and are counted in [`dropped`].
+//! The span tree ([`crate::trace`]) records what a query *did*; this
+//! journal records what *went wrong*, which no span carries: injected
+//! faults, RPC retries and timeouts, shard kills and failovers, slow
+//! queries and crash dumps.  A fault-free query appends nothing, so the
+//! ring ([`JOURNAL_CAPACITY`] entries, oldest evicted first and counted
+//! in [`dropped`]) holds incidents for as long as incidents are rare.
+//! Each [`Event`] carries the trace id current on its thread
+//! ([`events_for_trace`] slices by it).  The journal is process-wide.
 //!
 //! Two triggers snapshot the ring:
 //!
 //! * **slow queries** — a finished root span whose duration meets the
-//!   configurable threshold ([`set_slow_query_threshold`]) captures its
-//!   EXPLAIN ANALYZE tree plus the journal slice belonging to its
-//!   trace ([`slow_queries`]);
+//!   threshold ([`set_slow_query_threshold`]) captures its EXPLAIN
+//!   ANALYZE tree plus the journal slice belonging to its trace
+//!   ([`slow_queries`]);
 //! * **crashes** — the `qbism-fault` crash path calls
-//!   [`capture_crash_dump`], which snapshots the whole ring and every
-//!   live span stack, so a `crash_sweep` failure always comes with the
-//!   events leading up to it ([`crash_dumps`]).
+//!   [`capture_crash_dump`], which snapshots the whole ring and the
+//!   crashing thread's open spans, so a `crash_sweep` failure always
+//!   comes with the events leading up to it ([`last_crash_dump`]).
 
 use qbism_check::sync::lock_or_recover;
-use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::context;
 use crate::trace::SpanNode;
 
-/// Default bound on the event ring.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 16_384;
+/// Bound on the event ring.
+pub const JOURNAL_CAPACITY: usize = 16_384;
 /// How many slow-query records are retained (newest win).
 pub const SLOW_LOG_CAPACITY: usize = 16;
 /// How many crash dumps are retained (newest win).
@@ -41,60 +42,6 @@ pub const DEFAULT_SLOW_QUERY_MICROS: u64 = 250_000;
 /// A typed journal event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// A span opened ([`crate::trace`]).
-    SpanOpen {
-        /// Span name.
-        name: Cow<'static, str>,
-    },
-    /// A span closed.
-    SpanClose {
-        /// Span name.
-        name: Cow<'static, str>,
-        /// Span duration in microseconds.
-        micros: u64,
-    },
-    /// The LFM served a read: distinct 4 KiB pages and contiguous
-    /// extents.
-    PageRead {
-        /// Distinct pages read.
-        pages: u64,
-        /// Contiguous extents (seeks).
-        extents: u64,
-    },
-    /// A run of consecutive pages one read call found in the page cache.
-    CacheHit {
-        /// First page number of the run.
-        page: u64,
-        /// Pages in the run.
-        pages: u64,
-    },
-    /// A run of consecutive pages one read call missed in the page cache.
-    CacheMiss {
-        /// First page number of the run.
-        page: u64,
-        /// Pages in the run.
-        pages: u64,
-    },
-    /// Page cache eviction.
-    CacheEvict {
-        /// Page number evicted.
-        page: u64,
-    },
-    /// The LFM served a read out of the compressed tablespace:
-    /// compact pages touched and galloping skips taken in their place.
-    CompressedScan {
-        /// Long field that was scanned.
-        field: i64,
-        /// Distinct compact 4 KiB pages read.
-        pages: u64,
-        /// Skip-jumps (blocks or subtrees bypassed without decode).
-        skips: u64,
-    },
-    /// The LFM metadata journal appended a record.
-    JournalRecord {
-        /// Record size in bytes.
-        bytes: u64,
-    },
     /// An armed fault plane delivered a fault.
     FaultInjected {
         /// Site pattern that matched, e.g. `lfm.read`.
@@ -130,13 +77,6 @@ pub enum EventKind {
         /// The downed shard.
         shard: u64,
     },
-    /// The placement catalog was rebuilt after an add/remove-shard.
-    Rebalance {
-        /// Live shards after the rebuild.
-        shards: u64,
-        /// Studies whose replica set changed.
-        moved: u64,
-    },
     /// A root span met the slow-query threshold.
     SlowQuery {
         /// Root span name.
@@ -149,36 +89,19 @@ pub enum EventKind {
         /// Faulted site.
         site: String,
     },
-    /// Free-form instrumentation point.
-    Custom {
-        /// Event name (static so hot paths don't allocate for it).
-        name: &'static str,
-        /// Short detail string.
-        detail: String,
-    },
 }
 
 impl EventKind {
-    /// Stable lowercase label for exports (`span_open`, `page_read`, …).
+    /// Stable lowercase label for exports (`fault_injected`, `retry`, …).
     pub fn label(&self) -> &'static str {
         match self {
-            EventKind::SpanOpen { .. } => "span_open",
-            EventKind::SpanClose { .. } => "span_close",
-            EventKind::PageRead { .. } => "page_read",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::CacheEvict { .. } => "cache_evict",
-            EventKind::CompressedScan { .. } => "compressed_scan",
-            EventKind::JournalRecord { .. } => "journal_record",
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::Retry { .. } => "retry",
             EventKind::Timeout { .. } => "timeout",
             EventKind::Failover { .. } => "failover",
             EventKind::ShardDown { .. } => "shard_down",
-            EventKind::Rebalance { .. } => "rebalance",
             EventKind::SlowQuery { .. } => "slow_query",
             EventKind::CrashDump { .. } => "crash_dump",
-            EventKind::Custom { .. } => "custom",
         }
     }
 }
@@ -207,7 +130,6 @@ struct Journal {
 
 static JOURNAL: Mutex<Journal> =
     Mutex::new(Journal { events: VecDeque::new(), next_seq: 0, dropped: 0 });
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_JOURNAL_CAPACITY);
 static SLOW_THRESHOLD: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_QUERY_MICROS);
 
 static SLOW_LOG: Mutex<VecDeque<SlowQuery>> = Mutex::new(VecDeque::new());
@@ -219,63 +141,21 @@ pub fn record(kind: EventKind) {
     if !crate::enabled() {
         return;
     }
-    let event = Event {
+    let mut event = Event {
         seq: 0,
         micros: context::now_micros(),
         trace: context::current_raw(),
         thread: context::thread_ordinal(),
         kind,
     };
-    let capacity = CAPACITY.load(Ordering::Relaxed).max(1);
     let mut journal = lock_or_recover(&JOURNAL);
-    let mut event = event;
     event.seq = journal.next_seq;
     journal.next_seq += 1;
-    while journal.events.len() >= capacity {
+    if journal.events.len() >= JOURNAL_CAPACITY {
         journal.events.pop_front();
         journal.dropped += 1;
     }
     journal.events.push_back(event);
-}
-
-pub(crate) fn span_opened(name: Cow<'static, str>) {
-    record(EventKind::SpanOpen { name });
-}
-
-pub(crate) fn span_closed(name: Cow<'static, str>, micros: u64) {
-    record(EventKind::SpanClose { name, micros });
-}
-
-/// Records an LFM page read (`pages` distinct pages over `extents`
-/// contiguous extents).
-pub fn page_read(pages: u64, extents: u64) {
-    record(EventKind::PageRead { pages, extents });
-}
-
-/// Records a run of `pages` consecutive page-cache hits from `page`.
-pub fn cache_hit(page: u64, pages: u64) {
-    record(EventKind::CacheHit { page, pages });
-}
-
-/// Records a run of `pages` consecutive page-cache misses from `page`.
-pub fn cache_miss(page: u64, pages: u64) {
-    record(EventKind::CacheMiss { page, pages });
-}
-
-/// Records a page-cache eviction.
-pub fn cache_evict(page: u64) {
-    record(EventKind::CacheEvict { page });
-}
-
-/// Records a compressed-tablespace scan of long field `field` touching
-/// `pages` compact pages with `skips` galloping skip-jumps.
-pub fn compressed_scan(field: i64, pages: u64, skips: u64) {
-    record(EventKind::CompressedScan { field, pages, skips });
-}
-
-/// Records an LFM metadata-journal append of `bytes` bytes.
-pub fn journal_record(bytes: u64) {
-    record(EventKind::JournalRecord { bytes });
 }
 
 /// Records an injected fault at `site` with the given outcome name.
@@ -303,17 +183,6 @@ pub fn shard_down(shard: u64) {
     record(EventKind::ShardDown { shard });
 }
 
-/// Records a placement-catalog rebuild over `shards` live shards that
-/// moved `moved` study replica sets.
-pub fn rebalance(shards: u64, moved: u64) {
-    record(EventKind::Rebalance { shards, moved });
-}
-
-/// Records a free-form event.
-pub fn custom(name: &'static str, detail: &str) {
-    record(EventKind::Custom { name, detail: detail.to_string() });
-}
-
 /// Snapshot of the journal, oldest first.
 pub fn events() -> Vec<Event> {
     lock_or_recover(&JOURNAL).events.iter().cloned().collect()
@@ -337,17 +206,6 @@ pub fn clear() {
     journal.dropped = 0;
 }
 
-/// Bounds the event ring to `capacity` entries (clamped to ≥ 1).
-/// Excess entries are evicted on the next append.
-pub fn set_journal_capacity(capacity: usize) {
-    CAPACITY.store(capacity.max(1), Ordering::Relaxed);
-}
-
-/// Current journal bound.
-pub fn journal_capacity() -> usize {
-    CAPACITY.load(Ordering::Relaxed)
-}
-
 /// A captured slow query: its finished EXPLAIN ANALYZE tree plus the
 /// journal slice that belongs to its trace.
 #[derive(Debug, Clone)]
@@ -368,11 +226,6 @@ pub struct SlowQuery {
 pub fn set_slow_query_threshold(threshold: Duration) {
     let micros = u64::try_from(threshold.as_micros()).unwrap_or(u64::MAX);
     SLOW_THRESHOLD.store(micros, Ordering::Relaxed);
-}
-
-/// Current slow-query threshold in microseconds.
-pub fn slow_query_threshold_micros() -> u64 {
-    SLOW_THRESHOLD.load(Ordering::Relaxed)
 }
 
 /// Retained slow-query captures, oldest first (at most
@@ -409,8 +262,8 @@ pub(crate) fn note_root_finished(node: &SpanNode) {
 }
 
 /// A flight-recorder dump captured when an armed fault plane delivered
-/// a crash: the whole event ring plus every live span stack at the
-/// moment of the crash.
+/// a crash: the whole event ring plus the crashing thread's open spans
+/// at the moment of the crash.
 #[derive(Debug, Clone)]
 pub struct CrashDump {
     /// Faulted site, e.g. `lfm.meta.write`.
@@ -423,12 +276,12 @@ pub struct CrashDump {
     pub thread: u64,
     /// The event ring at the moment of the crash, oldest first.
     pub events: Vec<Event>,
-    /// Live span stacks (outermost first), one per active thread.
-    pub live_spans: Vec<Vec<String>>,
+    /// Spans open on the crashing thread, outermost first.
+    pub live_spans: Vec<String>,
 }
 
 /// Captures a crash dump: journals a `crash_dump` event, then snapshots
-/// the event ring and every live span stack.  Called by the
+/// the event ring and the calling thread's open spans.  Called by the
 /// `qbism-fault` crash path; bounded at [`CRASH_DUMP_CAPACITY`].
 pub fn capture_crash_dump(site: &str) {
     if !crate::enabled() {
@@ -441,7 +294,7 @@ pub fn capture_crash_dump(site: &str) {
         trace: context::current_raw(),
         thread: context::thread_ordinal(),
         events: events(),
-        live_spans: crate::profile::live_stacks(),
+        live_spans: crate::trace::open_span_names(),
     };
     crate::global().counter("qbism_obs_crash_dumps_total").inc();
     let mut dumps = lock_or_recover(&CRASH_DUMPS);
@@ -449,11 +302,6 @@ pub fn capture_crash_dump(site: &str) {
         dumps.pop_front();
     }
     dumps.push_back(dump);
-}
-
-/// Retained crash dumps, oldest first.
-pub fn crash_dumps() -> Vec<CrashDump> {
-    lock_or_recover(&CRASH_DUMPS).iter().cloned().collect()
 }
 
 /// The most recent crash dump, if any.
@@ -475,24 +323,19 @@ mod tests {
     fn journal_records_and_bounds() {
         let _g = crate::test_lock();
         clear();
-        let before = journal_capacity();
-        set_journal_capacity(8);
-        for i in 0..20 {
-            page_read(i, 1);
+        let appends = JOURNAL_CAPACITY as u64 + 20;
+        for i in 0..appends {
+            shard_down(i);
         }
         let evs = events();
-        assert_eq!(evs.len(), 8);
-        assert!(dropped() >= 12);
-        // Oldest were evicted: the survivors are the last 8 appends.
-        match &evs[0].kind {
-            EventKind::PageRead { pages, .. } => assert_eq!(*pages, 12),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(evs.len(), JOURNAL_CAPACITY);
+        assert_eq!(dropped(), 20);
+        // Oldest were evicted: the survivors are the last appends.
+        assert_eq!(evs[0].kind, EventKind::ShardDown { shard: 20 });
         // Sequence numbers are monotone and dense within the window.
         for w in evs.windows(2) {
             assert_eq!(w[1].seq, w[0].seq + 1);
         }
-        set_journal_capacity(before);
         clear();
     }
 
@@ -501,27 +344,20 @@ mod tests {
         let _g = crate::test_lock();
         clear();
         trace::clear();
-        page_read(1, 1); // outside any trace
+        shard_down(1); // outside any trace
         let trace_id = {
             let _root = trace::root("query.event_ctx");
-            cache_hit(42, 3);
+            let _inner = trace::span("lfm.read");
+            retry("net.ship", 3);
             context::current_raw()
         };
         assert!(trace_id != 0);
         let evs = events();
-        let outside = evs.iter().find(|e| matches!(e.kind, EventKind::PageRead { .. }));
-        assert_eq!(outside.map(|e| e.trace), Some(0));
-        let inside: Vec<_> = events_for_trace(trace_id);
-        assert!(
-            inside.iter().any(|e| matches!(e.kind, EventKind::CacheHit { page: 42, pages: 3 })),
-            "cache hit attributed to the trace: {inside:?}"
-        );
-        assert!(
-            inside.iter().any(
-                |e| matches!(&e.kind, EventKind::SpanOpen { name } if name == "query.event_ctx")
-            ),
-            "span open journaled under the trace"
-        );
+        // Spans journal nothing: the two appends above are all there is.
+        assert_eq!(evs.len(), 2, "{evs:?}");
+        assert_eq!((evs[0].trace, evs[1].trace), (0, trace_id));
+        assert_eq!(events_for_trace(trace_id), vec![evs[1].clone()]);
+        assert_eq!(evs[1].kind, EventKind::Retry { site: "net.ship", attempt: 3 });
         clear();
     }
 
@@ -530,7 +366,7 @@ mod tests {
         let _g = crate::test_lock();
         clear();
         crate::set_enabled(false);
-        page_read(1, 1);
+        shard_down(1);
         crate::set_enabled(true);
         assert!(events().is_empty());
     }
@@ -541,13 +377,12 @@ mod tests {
         clear();
         clear_slow_queries();
         trace::clear();
-        let before = slow_query_threshold_micros();
         set_slow_query_threshold(Duration::ZERO);
         {
             let _root = trace::root("query.slow");
-            page_read(3, 2);
+            retry("net.ship", 2);
         }
-        set_slow_query_threshold(Duration::from_micros(before));
+        set_slow_query_threshold(Duration::from_micros(DEFAULT_SLOW_QUERY_MICROS));
         let log = slow_queries();
         assert_eq!(log.len(), 1);
         let slow = &log[0];
@@ -556,7 +391,7 @@ mod tests {
         assert!(slow
             .events
             .iter()
-            .any(|e| matches!(e.kind, EventKind::PageRead { pages: 3, extents: 2 })));
+            .any(|e| matches!(e.kind, EventKind::Retry { site: "net.ship", attempt: 2 })));
         // The slow_query event itself landed in the journal.
         assert!(events()
             .iter()
@@ -577,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_dump_snapshots_ring_and_live_stacks() {
+    fn crash_dump_snapshots_ring_and_open_spans() {
         let _g = crate::test_lock();
         clear();
         clear_crash_dumps();
@@ -595,20 +430,16 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(&e.kind, EventKind::FaultInjected { site, outcome } if site == "lfm.read" && *outcome == "crash")));
-        let stack = dump
-            .live_spans
-            .iter()
-            .find(|s| s.contains(&"query.crashing".to_string()))
-            .expect("crashing thread's live stack present");
-        assert_eq!(stack.last().map(String::as_str), Some("lfm.read"));
+        assert_eq!(dump.live_spans, ["query.crashing", "lfm.read"]);
+        assert!(trace::open_span_names().is_empty(), "closed spans leave the stack");
         clear_crash_dumps();
         clear();
     }
 
     #[test]
     fn kind_labels_are_stable() {
-        assert_eq!(EventKind::PageRead { pages: 1, extents: 1 }.label(), "page_read");
-        assert_eq!(EventKind::SpanOpen { name: "x".into() }.label(), "span_open");
+        assert_eq!(EventKind::Retry { site: "net.ship", attempt: 1 }.label(), "retry");
+        assert_eq!(EventKind::ShardDown { shard: 1 }.label(), "shard_down");
         assert_eq!(
             EventKind::FaultInjected { site: "a.b".into(), outcome: "torn" }.label(),
             "fault_injected"

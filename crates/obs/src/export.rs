@@ -1,5 +1,5 @@
-//! Flight-recorder exporters: JSONL event dumps and Chrome trace-event
-//! JSON.
+//! Flight-recorder exporters: JSONL event dumps, Chrome trace-event
+//! JSON and folded stacks.
 //!
 //! [`events_jsonl`] writes one JSON object per line — grep-able,
 //! stream-appendable, trivially parsed.  [`chrome_trace`] emits the
@@ -8,10 +8,14 @@
 //! and each journal event an instant `"ph":"i"` tick.  Traces map to
 //! process rows (`pid` = trace id) and threads to `tid` rows, so an
 //! 8-client storm renders as 8 stacked query timelines.
+//! [`folded_stacks`] folds the same trees into flamegraph-ready
+//! `outer;inner;leaf micros` lines of exclusive time — exact, no
+//! sampler.
 //!
-//! Both exporters are pure string builders — callers decide where the
+//! All exporters are pure string builders — callers decide where the
 //! bytes go, so `qbism-obs` stays free of filesystem side effects.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{CrashDump, Event, EventKind};
@@ -29,7 +33,7 @@ pub fn events_jsonl(events: &[Event]) -> String {
 }
 
 /// One event as a single-line JSON object.
-pub fn event_json(event: &Event) -> String {
+fn event_json(event: &Event) -> String {
     let mut out = String::from("{");
     let _ = write!(
         out,
@@ -47,27 +51,6 @@ pub fn event_json(event: &Event) -> String {
 
 fn append_kind_fields(out: &mut String, kind: &EventKind) {
     match kind {
-        EventKind::SpanOpen { name } => {
-            let _ = write!(out, ",\"name\":{}", json_string(name));
-        }
-        EventKind::SpanClose { name, micros } => {
-            let _ = write!(out, ",\"name\":{},\"dur_micros\":{micros}", json_string(name));
-        }
-        EventKind::PageRead { pages, extents } => {
-            let _ = write!(out, ",\"pages\":{pages},\"extents\":{extents}");
-        }
-        EventKind::CacheHit { page, pages } | EventKind::CacheMiss { page, pages } => {
-            let _ = write!(out, ",\"page\":{page},\"pages\":{pages}");
-        }
-        EventKind::CacheEvict { page } => {
-            let _ = write!(out, ",\"page\":{page}");
-        }
-        EventKind::CompressedScan { field, pages, skips } => {
-            let _ = write!(out, ",\"field\":{field},\"pages\":{pages},\"skips\":{skips}");
-        }
-        EventKind::JournalRecord { bytes } => {
-            let _ = write!(out, ",\"bytes\":{bytes}");
-        }
         EventKind::FaultInjected { site, outcome } => {
             let _ =
                 write!(out, ",\"site\":{},\"outcome\":{}", json_string(site), json_string(outcome));
@@ -87,36 +70,23 @@ fn append_kind_fields(out: &mut String, kind: &EventKind) {
         EventKind::ShardDown { shard } => {
             let _ = write!(out, ",\"shard\":{shard}");
         }
-        EventKind::Rebalance { shards, moved } => {
-            let _ = write!(out, ",\"shards\":{shards},\"moved\":{moved}");
-        }
         EventKind::SlowQuery { name, micros } => {
             let _ = write!(out, ",\"name\":{},\"dur_micros\":{micros}", json_string(name));
         }
         EventKind::CrashDump { site } => {
             let _ = write!(out, ",\"site\":{}", json_string(site));
         }
-        EventKind::Custom { name, detail } => {
-            let _ =
-                write!(out, ",\"name\":{},\"detail\":{}", json_string(name), json_string(detail));
-        }
     }
 }
 
 /// Chrome trace-event JSON over finished span trees plus journal
-/// events.  Span open/close journal entries are skipped — the `"X"`
-/// slices already carry them.
+/// events: one `"X"` slice per span, one `"i"` instant per event.
 pub fn chrome_trace(roots: &[SpanNode], events: &[Event]) -> String {
     let mut parts: Vec<String> = Vec::new();
     for root in roots {
         span_slices(root, &mut parts);
     }
-    for event in events {
-        if matches!(event.kind, EventKind::SpanOpen { .. } | EventKind::SpanClose { .. }) {
-            continue;
-        }
-        parts.push(instant_slice(event));
-    }
+    parts.extend(events.iter().map(instant_slice));
     format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", parts.join(","))
 }
 
@@ -170,8 +140,38 @@ fn field_json(value: &FieldValue) -> String {
     }
 }
 
-/// One crash dump as a JSON object (events inline, live stacks as
-/// arrays of span names).
+/// Exclusive wall time per span path over finished trees, in the
+/// folded-stack format flamegraph tooling reads: one
+/// `outer;inner;leaf micros` line per distinct path, where a span's
+/// exclusive time is its duration minus its children's (floored at zero
+/// under a parallel fan-out, whose children overlap).
+pub fn folded_stacks(roots: &[SpanNode]) -> String {
+    fn fold(node: &SpanNode, prefix: &str, into: &mut BTreeMap<String, f64>) {
+        let path = if prefix.is_empty() {
+            node.name.to_string()
+        } else {
+            format!("{prefix};{}", node.name)
+        };
+        let mut exclusive = node.seconds;
+        for child in &node.children {
+            exclusive -= child.seconds;
+            fold(child, &path, into);
+        }
+        *into.entry(path).or_insert(0.0) += exclusive.max(0.0) * 1e6;
+    }
+    let mut micros = BTreeMap::new();
+    for root in roots {
+        fold(root, "", &mut micros);
+    }
+    let mut out = String::new();
+    for (path, micros) in &micros {
+        let _ = writeln!(out, "{path} {}", micros.round() as u64);
+    }
+    out
+}
+
+/// One crash dump as a JSON object (events inline, the crashing
+/// thread's open spans as an array of names).
 pub fn crash_dump_json(dump: &CrashDump) -> String {
     let mut out = String::from("{");
     let _ = write!(
@@ -189,18 +189,11 @@ pub fn crash_dump_json(dump: &CrashDump) -> String {
         out.push_str(&event_json(event));
     }
     out.push_str("],\"live_spans\":[");
-    for (i, stack) in dump.live_spans.iter().enumerate() {
+    for (i, name) in dump.live_spans.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('[');
-        for (j, name) in stack.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(name));
-        }
-        out.push(']');
+        out.push_str(&json_string(name));
     }
     out.push_str("]}");
     out
@@ -222,9 +215,9 @@ mod tests {
     fn jsonl_is_one_object_per_line() {
         let _g = crate::test_lock();
         event::clear();
-        event::page_read(3, 2);
+        event::shard_down(3);
         event::fault_injected("lfm.read", "torn");
-        event::custom("note", "a \"quoted\" detail\nwith newline");
+        event::fault_injected("a \"quoted\" site\nwith newline", "error");
         let text = events_jsonl(&event::events());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -232,7 +225,7 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'));
             balanced(line);
         }
-        assert!(lines[0].contains("\"kind\":\"page_read\""));
+        assert!(lines[0].contains("\"kind\":\"shard_down\",\"shard\":3"));
         assert!(lines[1].contains("\"outcome\":\"torn\""));
         assert!(lines[2].contains("\\\"quoted\\\""));
         event::clear();
@@ -247,7 +240,7 @@ mod tests {
             let root = trace::root("query.chrome");
             root.record_u64("study_id", 7);
             let _inner = trace::span("lfm.read");
-            event::page_read(5, 1);
+            event::retry("net.ship", 1);
         }
         let json = chrome_trace(&trace::recent_roots(), &event::events());
         balanced(&json);
@@ -258,8 +251,9 @@ mod tests {
         assert!(json.contains("\"span_id\":1"));
         assert!(json.contains("\"parent_span_id\":1"), "child links to root");
         assert!(json.contains("\"study_id\":7"));
-        // Span open/close journal entries are not duplicated as instants.
-        assert!(!json.contains("\"name\":\"span_open\""));
+        // One slice per span, one instant per journal entry.
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
+        assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         event::clear();
         trace::clear();
     }
@@ -277,8 +271,56 @@ mod tests {
         let json = crash_dump_json(&dump);
         balanced(&json);
         assert!(json.contains("\"site\":\"lfm.meta.write\""));
-        assert!(json.contains("\"live_spans\":[[\"query.boom\"]]"));
+        assert!(json.contains("\"live_spans\":[\"query.boom\"]"));
         event::clear_crash_dumps();
         event::clear();
+    }
+
+    fn node(name: &'static str, micros: u64, children: Vec<SpanNode>) -> SpanNode {
+        SpanNode {
+            name: name.into(),
+            seconds: micros as f64 / 1e6,
+            start_micros: 0,
+            trace_id: 1,
+            span_id: 0,
+            parent_span_id: 0,
+            thread: 1,
+            fields: Vec::new(),
+            children,
+        }
+    }
+
+    #[test]
+    fn folded_stacks_are_exclusive_time_and_sum_to_the_root() {
+        let read = || node("lfm.read", 120, Vec::new());
+        let tree = node(
+            "query.fold",
+            1000,
+            vec![
+                node("db.execute", 700, vec![read(), read(), node("exec.scan", 60, Vec::new())]),
+                node("net.ship", 150, Vec::new()),
+            ],
+        );
+        let folded = folded_stacks(std::slice::from_ref(&tree));
+        let lines: Vec<(&str, u64)> = folded
+            .lines()
+            .map(|l| l.rsplit_once(' ').expect("path, then a count"))
+            .map(|(path, n)| (path, n.parse().expect("integer micros")))
+            .collect();
+        // A path's value is that span's self time; same-path siblings add up.
+        assert_eq!(
+            lines,
+            [
+                ("query.fold", 150),
+                ("query.fold;db.execute", 400),
+                ("query.fold;db.execute;exec.scan", 60),
+                ("query.fold;db.execute;lfm.read", 240),
+                ("query.fold;net.ship", 150),
+            ]
+        );
+        assert_eq!(lines.iter().map(|(_, n)| n).sum::<u64>(), 1000, "Σ folded = root duration");
+        // Two trees of one shape fold into the same paths.
+        let twice = folded_stacks(&[tree.clone(), tree]);
+        assert!(twice.starts_with("query.fold 300\n"), "{twice}");
     }
 }

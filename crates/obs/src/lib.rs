@@ -36,9 +36,13 @@
 //!
 //! Every `MedicalServer` query opens a root span; the executor, the UDF
 //! operators and the LFM add child spans with their wall time and
-//! key-value fields (`rows_in`, `rows_out`, `pages`, `extents`, …).
-//! Finished roots land in a bounded ring of recent spans
-//! ([`trace::last_root`], [`trace::recent_roots`]) and render as a tree:
+//! key-value fields (`rows_in`, `rows_out`, `pages`, `extents`, the
+//! statement's `sql`, and with the page cache on `cache_hits` /
+//! `cache_misses` / `cache_evictions`).  The tree is the **one record**
+//! of what a query did: opening, annotating and closing a span touch
+//! only the thread's own stack.  Finished roots land in a bounded ring
+//! of recent spans ([`trace::last_root`], [`trace::recent_roots`]) and
+//! render as a tree:
 //!
 //! ```text
 //! query.band_in_structure                                   3.1ms  study_id=1
@@ -67,21 +71,24 @@
 //!
 //! # The flight recorder
 //!
-//! Beyond aggregate metrics and span trees, the crate is a full flight
+//! Beyond aggregate metrics and span trees, the crate is a flight
 //! recorder:
 //!
-//! * [`context`] — every query root mints a [`TraceId`]; finished trees
-//!   carry preorder [`SpanId`]s with parent links, and
-//!   [`context::fork`] carries the context across `qbism-parallel`
-//!   workers so fanned-out queries produce the same tree as inline
-//!   execution;
-//! * [`event`] — a bounded ring of typed events (span open/close, page
-//!   reads, cache hits/evictions, injected faults, retries), plus the
-//!   slow-query log and fault-crash dumps;
-//! * [`export`] — JSONL event dumps and `about:tracing`-loadable
-//!   Chrome trace JSON;
-//! * [`profile`] — a dependency-free sampling profiler over the live
-//!   span stacks with folded-stack (flamegraph) output.
+//! * [`context`] — every query root mints a trace id; finished trees
+//!   carry preorder span ids with parent links, and [`context::fork`]
+//!   carries the context across `qbism-parallel` workers so fanned-out
+//!   queries produce the same tree as inline execution;
+//! * [`event`] — a bounded ring of typed *incidents* (injected faults,
+//!   retries, timeouts, failovers, shard kills), plus the slow-query
+//!   log and fault-crash dumps.  A fault-free query appends nothing:
+//!   what it did is in its span tree, once;
+//! * [`export`] — JSONL event dumps, `about:tracing`-loadable Chrome
+//!   trace JSON, and exact folded-stack (flamegraph) exclusive times
+//!   computed from the finished trees.
+//!
+//! All of it — registry, span ring, journal, slow-query log, crash
+//! dumps, the [`set_enabled`] switch — is process-wide: the shards of
+//! an in-process cluster share one of each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,13 +97,10 @@ pub mod context;
 pub mod event;
 pub mod export;
 pub mod metrics;
-pub mod profile;
 pub mod trace;
 
-pub use context::{current_trace, SpanId, TraceId};
 pub use event::{CrashDump, Event, EventKind, SlowQuery};
-pub use metrics::{global, Counter, Gauge, Histogram, MetricError, Registry};
-pub use profile::{Profile, Profiler};
+pub use metrics::{global, Counter, Gauge, Histogram, Registry};
 pub use trace::SpanNode;
 
 use std::sync::atomic::{AtomicBool, Ordering};

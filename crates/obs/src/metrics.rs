@@ -1,4 +1,12 @@
 //! The process-wide metrics registry: counters, gauges, histograms.
+//!
+//! Handles are cheap clones of shared atomics, fetched once at
+//! construction time by the layer that records into them.  There is one
+//! registration path ([`Registry::counter_with`] and its siblings all
+//! end in it) and it never fails and never panics: past [`MAX_SERIES`]
+//! series, or under a name already taken by another metric type, the
+//! caller gets a working but *detached* handle, counted in
+//! [`Registry::dropped_series`] and left out of the exports.
 
 use qbism_check::sync::lock_or_recover;
 use std::collections::BTreeMap;
@@ -62,7 +70,7 @@ impl Gauge {
 /// Default latency bucket upper bounds, in seconds: 1 µs doubling up to
 /// ~67 s (28 finite buckets) — wide enough for both native microsecond
 /// queries and simulated 1994 tens-of-seconds answers.
-pub fn default_seconds_buckets() -> Vec<f64> {
+fn default_seconds_buckets() -> Vec<f64> {
     (0..28).map(|i| 1e-6 * f64::from(1u32 << i)).collect()
 }
 
@@ -82,10 +90,15 @@ struct HistogramInner {
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new(default_seconds_buckets())
+    }
+}
+
 impl Histogram {
+    /// `bounds`: finite bucket upper bounds, strictly ascending.
     fn new(bounds: Vec<f64>) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bucket bounds must be strictly ascending");
         let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
         Histogram(Arc::new(HistogramInner {
             bounds,
@@ -191,62 +204,17 @@ enum Metric {
     Histogram(Histogram),
 }
 
-/// Default cap on distinct series per registry — the cardinality guard
-/// that keeps a label explosion (e.g. a study id used as a label) from
+/// Cap on distinct series per registry — the cardinality guard that
+/// keeps a label explosion (e.g. a study id used as a label) from
 /// growing the registry without bound.
-pub const DEFAULT_MAX_SERIES: usize = 4096;
-
-/// Typed registration failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MetricError {
-    /// Registering one more series would exceed the cardinality cap
-    /// ([`Registry::set_series_limit`]).
-    CardinalityLimit {
-        /// Metric name that was refused.
-        name: String,
-        /// The cap in force.
-        limit: usize,
-    },
-    /// The name is already registered as a different metric type.
-    TypeConflict {
-        /// Conflicting metric name.
-        name: String,
-    },
-}
-
-impl std::fmt::Display for MetricError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MetricError::CardinalityLimit { name, limit } => {
-                write!(f, "registering {name} would exceed the {limit}-series cardinality cap")
-            }
-            MetricError::TypeConflict { name } => {
-                write!(f, "metric {name} is already registered as a different type")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MetricError {}
+pub const MAX_SERIES: usize = 4096;
 
 #[derive(Default)]
 struct Inner {
     metrics: BTreeMap<Key, Metric>,
     help: BTreeMap<String, String>,
-    /// Series cap; 0 means [`DEFAULT_MAX_SERIES`].
-    max_series: usize,
-    /// Registrations refused (or detached) by the cardinality guard.
+    /// Registrations handed a detached handle instead of a series.
     dropped_series: u64,
-}
-
-impl Inner {
-    fn limit(&self) -> usize {
-        if self.max_series == 0 {
-            DEFAULT_MAX_SERIES
-        } else {
-            self.max_series
-        }
-    }
 }
 
 /// A metrics registry.  [`global()`] returns the process-wide instance
@@ -269,171 +237,67 @@ impl Registry {
         Registry::default()
     }
 
+    /// The one registration path: the series `name{labels}` if it is
+    /// registered as a `T` (`pick` tells), a fresh one if the name is
+    /// free and the registry below [`MAX_SERIES`].  Otherwise — the cap
+    /// is reached, or the series exists as another metric type — the
+    /// caller gets a *detached* handle: it works, but is not registered
+    /// or exported, and the drop is counted in
+    /// [`Registry::dropped_series`].
+    fn register<T: Clone + Default>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        wrap: fn(T) -> Metric,
+        pick: fn(&Metric) -> Option<&T>,
+    ) -> T {
+        let key = make_key(name, labels);
+        let mut inner = lock_or_recover(&self.inner);
+        match inner.metrics.get(&key).map(pick) {
+            Some(Some(series)) => return series.clone(),
+            None if inner.metrics.len() < MAX_SERIES => {
+                let series = T::default();
+                inner.metrics.insert(key, wrap(series.clone()));
+                return series;
+            }
+            // Another type holds the name, or the registry is full.
+            Some(None) | None => {}
+        }
+        inner.dropped_series += 1;
+        T::default()
+    }
+
     /// The unlabeled counter `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
         self.counter_with(name, &[])
     }
 
     /// The counter `name` with the given label pairs.
-    ///
-    /// At the cardinality cap a *detached* counter is returned — it
-    /// works but is not registered or exported — and the drop is
-    /// counted in [`Registry::dropped_series`].  Use
-    /// [`Registry::try_counter_with`] for the typed error.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.try_counter_with(name, labels) {
-            Ok(c) => c,
-            Err(MetricError::CardinalityLimit { .. }) => Counter::default(),
-            Err(MetricError::TypeConflict { .. }) => {
-                panic!("metric {name} already registered as a non-counter")
-            }
-        }
-    }
-
-    /// Fallible form of [`Registry::counter_with`]: a typed error
-    /// instead of a panic or a detached fallback.
-    pub fn try_counter_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<Counter, MetricError> {
-        let mut inner = lock_or_recover(&self.inner);
-        if let Some(metric) = inner.metrics.get(&make_key(name, labels)) {
-            return match metric {
-                Metric::Counter(c) => Ok(c.clone()),
-                _ => Err(MetricError::TypeConflict { name: name.to_string() }),
-            };
-        }
-        let limit = inner.limit();
-        if inner.metrics.len() >= limit {
-            inner.dropped_series += 1;
-            return Err(MetricError::CardinalityLimit { name: name.to_string(), limit });
-        }
-        let counter = Counter::default();
-        inner.metrics.insert(make_key(name, labels), Metric::Counter(counter.clone()));
-        Ok(counter)
+        self.register(name, labels, Metric::Counter, |m| match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     /// The unlabeled gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, &[])
-    }
-
-    /// The gauge `name` with labels.  Detached-fallback semantics at
-    /// the cardinality cap, as for [`Registry::counter_with`].
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.try_gauge_with(name, labels) {
-            Ok(g) => g,
-            Err(MetricError::CardinalityLimit { .. }) => Gauge::default(),
-            Err(MetricError::TypeConflict { .. }) => {
-                panic!("metric {name} already registered as a non-gauge")
-            }
-        }
-    }
-
-    /// Fallible form of [`Registry::gauge_with`].
-    pub fn try_gauge_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<Gauge, MetricError> {
-        let mut inner = lock_or_recover(&self.inner);
-        if let Some(metric) = inner.metrics.get(&make_key(name, labels)) {
-            return match metric {
-                Metric::Gauge(g) => Ok(g.clone()),
-                _ => Err(MetricError::TypeConflict { name: name.to_string() }),
-            };
-        }
-        let limit = inner.limit();
-        if inner.metrics.len() >= limit {
-            inner.dropped_series += 1;
-            return Err(MetricError::CardinalityLimit { name: name.to_string(), limit });
-        }
-        let gauge = Gauge::default();
-        inner.metrics.insert(make_key(name, labels), Metric::Gauge(gauge.clone()));
-        Ok(gauge)
-    }
-
-    /// The unlabeled histogram `name` with the default latency buckets.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with(name, &[])
+        self.register(name, &[], Metric::Gauge, |m| match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     /// The histogram `name` with labels (default latency buckets).
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.histogram_with_buckets(name, labels, default_seconds_buckets)
+        self.register(name, labels, Metric::Histogram, |m| match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        })
     }
 
-    /// The histogram `name` with labels and explicit bucket bounds
-    /// (`bounds` is only invoked when the instance is first created).
-    /// Detached-fallback semantics at the cardinality cap, as for
-    /// [`Registry::counter_with`].
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered as a different metric type.
-    pub fn histogram_with_buckets(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: impl FnOnce() -> Vec<f64>,
-    ) -> Histogram {
-        match self.try_histogram_with_buckets(name, labels, bounds) {
-            Ok(h) => h,
-            Err(MetricError::CardinalityLimit { .. }) => Histogram::new(default_seconds_buckets()),
-            Err(MetricError::TypeConflict { .. }) => {
-                panic!("metric {name} already registered as a non-histogram")
-            }
-        }
-    }
-
-    /// Fallible form of [`Registry::histogram_with_buckets`].
-    pub fn try_histogram_with_buckets(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: impl FnOnce() -> Vec<f64>,
-    ) -> Result<Histogram, MetricError> {
-        let mut inner = lock_or_recover(&self.inner);
-        if let Some(metric) = inner.metrics.get(&make_key(name, labels)) {
-            return match metric {
-                Metric::Histogram(h) => Ok(h.clone()),
-                _ => Err(MetricError::TypeConflict { name: name.to_string() }),
-            };
-        }
-        let limit = inner.limit();
-        if inner.metrics.len() >= limit {
-            inner.dropped_series += 1;
-            return Err(MetricError::CardinalityLimit { name: name.to_string(), limit });
-        }
-        let histogram = Histogram::new(bounds());
-        inner.metrics.insert(make_key(name, labels), Metric::Histogram(histogram.clone()));
-        Ok(histogram)
-    }
-
-    /// Caps the number of distinct series (clamped to ≥ 1).  Existing
-    /// series always survive; only *new* registrations are refused.
-    pub fn set_series_limit(&self, limit: usize) {
-        lock_or_recover(&self.inner).max_series = limit.max(1);
-    }
-
-    /// The cardinality cap in force.
-    pub fn series_limit(&self) -> usize {
-        lock_or_recover(&self.inner).limit()
-    }
-
-    /// Distinct series currently registered.
-    pub fn series_count(&self) -> usize {
-        lock_or_recover(&self.inner).metrics.len()
-    }
-
-    /// Registrations refused (infallible callers got detached handles)
-    /// by the cardinality guard.
+    /// Registrations that got a detached handle: over the cap, or under
+    /// a name already registered as another metric type.
     pub fn dropped_series(&self) -> u64 {
         lock_or_recover(&self.inner).dropped_series
     }
@@ -665,19 +529,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-counter")]
-    fn type_confusion_panics() {
+    fn a_name_registered_under_two_types_gets_a_detached_handle() {
         let _g = crate::test_lock();
         let r = Registry::new();
-        let _ = r.gauge("m");
-        let _ = r.counter("m");
+        r.counter("m").add(3);
+        let detached = r.gauge("m");
+        detached.set(-9);
+        assert_eq!(detached.get(), -9, "the detached handle works");
+        assert_eq!(r.dropped_series(), 1);
+        assert_eq!(r.counter("m").get(), 3, "the first registration keeps the name");
+        let _ = r.histogram_with("m", &[]);
+        assert_eq!(r.dropped_series(), 2);
+        let text = r.render_prometheus();
+        assert_eq!(text, "# TYPE m counter\nm 3\n", "only the first series is exported");
     }
 
     #[test]
     fn histogram_bucket_boundaries() {
         let _g = crate::test_lock();
-        let r = Registry::new();
-        let h = r.histogram_with_buckets("lat", &[], || vec![0.001, 0.01, 0.1]);
+        let h = Histogram::new(vec![0.001, 0.01, 0.1]);
         // On-boundary observations belong to the bucket they bound
         // (le = upper bound is inclusive, like Prometheus).
         h.observe(0.001);
@@ -698,8 +568,7 @@ mod tests {
     #[test]
     fn histogram_percentiles_interpolate() {
         let _g = crate::test_lock();
-        let r = Registry::new();
-        let h = r.histogram_with_buckets("lat", &[], || vec![1.0, 2.0, 4.0, 8.0]);
+        let h = Histogram::new(vec![1.0, 2.0, 4.0, 8.0]);
         for _ in 0..100 {
             h.observe(1.5); // all in (1, 2]
         }
@@ -708,7 +577,7 @@ mod tests {
         let p99 = h.p99().unwrap();
         assert!((1.0..=2.0).contains(&p99), "p99 {p99}");
         // A bimodal distribution: half fast, half slow.
-        let h2 = r.histogram_with_buckets("lat2", &[], || vec![1.0, 2.0, 4.0, 8.0]);
+        let h2 = Histogram::new(vec![1.0, 2.0, 4.0, 8.0]);
         for _ in 0..50 {
             h2.observe(0.5);
         }
@@ -718,15 +587,14 @@ mod tests {
         assert!(h2.p50().unwrap() <= 1.0);
         assert!(h2.p95().unwrap() > 4.0);
         // Empty histogram has no quantiles.
-        let h3 = r.histogram_with_buckets("lat3", &[], || vec![1.0]);
+        let h3 = Histogram::new(vec![1.0]);
         assert!(h3.p50().is_none());
     }
 
     #[test]
     fn quantile_of_overflow_bucket_reports_last_bound() {
         let _g = crate::test_lock();
-        let r = Registry::new();
-        let h = r.histogram_with_buckets("lat", &[], || vec![1.0, 2.0]);
+        let h = Histogram::new(vec![1.0, 2.0]);
         h.observe(100.0);
         assert_eq!(h.p99().unwrap(), 2.0);
     }
@@ -736,7 +604,7 @@ mod tests {
         let _g = crate::test_lock();
         let r = Registry::new();
         let c = r.counter("c");
-        let h = r.histogram("h");
+        let h = r.histogram_with("h", &[]);
         crate::set_enabled(false);
         c.add(10);
         h.observe(1.0);
@@ -819,60 +687,33 @@ mod tests {
     fn empty_histograms_export_no_quantiles() {
         let _g = crate::test_lock();
         let r = Registry::new();
-        let _ = r.histogram("idle_seconds");
+        let _ = r.histogram_with("idle_seconds", &[]);
         let text = r.render_prometheus();
         assert!(!text.contains("idle_seconds_quantiles"), "no quantiles without observations");
     }
 
     #[test]
-    fn cardinality_guard_refuses_with_typed_error() {
+    fn callers_get_detached_handles_at_the_cap() {
         let _g = crate::test_lock();
         let r = Registry::new();
-        r.set_series_limit(2);
-        assert_eq!(r.series_limit(), 2);
-        let _ = r.counter_with("fits", &[("class", "a")]);
-        let _ = r.counter_with("fits", &[("class", "b")]);
-        assert_eq!(r.series_count(), 2);
-        match r.try_counter_with("fits", &[("class", "c")]) {
-            Err(MetricError::CardinalityLimit { name, limit }) => {
-                assert_eq!(name, "fits");
-                assert_eq!(limit, 2);
-            }
-            other => panic!("expected cardinality error, got {other:?}"),
+        for i in 0..MAX_SERIES {
+            let _ = r.counter_with("kept_total", &[("id", &i.to_string())]);
         }
-        // Existing series are still reachable below the cap.
-        assert!(r.try_counter_with("fits", &[("class", "a")]).is_ok());
-        // Histograms and gauges hit the same guard.
-        assert!(matches!(r.try_gauge_with("g", &[]), Err(MetricError::CardinalityLimit { .. })));
-        assert!(matches!(
-            r.try_histogram_with_buckets("h", &[], || vec![1.0]),
-            Err(MetricError::CardinalityLimit { .. })
-        ));
-    }
-
-    #[test]
-    fn infallible_callers_get_detached_handles_at_the_cap() {
-        let _g = crate::test_lock();
-        let r = Registry::new();
-        r.set_series_limit(1);
-        let _ = r.counter("kept_total");
+        assert_eq!(r.dropped_series(), 0);
         let detached = r.counter_with("dropped_total", &[("id", "9999")]);
         detached.add(7);
         assert_eq!(detached.get(), 7, "detached handle still works");
-        assert!(r.dropped_series() >= 1);
-        assert_eq!(r.series_count(), 1);
-        assert!(!r.render_prometheus().contains("dropped_total"), "detached series not exported");
-    }
-
-    #[test]
-    fn try_constructors_report_type_conflicts() {
-        let _g = crate::test_lock();
-        let r = Registry::new();
-        let _ = r.counter("m_total");
-        assert!(matches!(
-            r.try_gauge_with("m_total", &[]),
-            Err(MetricError::TypeConflict { name }) if name == "m_total"
-        ));
+        // Gauges and histograms hit the same guard.
+        let _ = r.gauge("g");
+        let _ = r.histogram_with("h", &[]);
+        assert_eq!(r.dropped_series(), 3);
+        // Existing series are still reachable at the cap.
+        r.counter_with("kept_total", &[("id", "0")]).inc();
+        assert_eq!(r.dropped_series(), 3);
+        let text = r.render_prometheus();
+        assert!(text.contains("kept_total{id=\"0\"} 1"));
+        assert!(!text.contains("dropped_total"), "detached series not exported");
+        assert_eq!(text.lines().count(), 1 + MAX_SERIES, "one TYPE line, one sample per series");
     }
 
     #[test]
@@ -880,7 +721,7 @@ mod tests {
         let _g = crate::test_lock();
         let r = Registry::new();
         r.counter("a_total").add(5);
-        r.histogram("h_seconds").observe(0.25);
+        r.histogram_with("h_seconds", &[]).observe(0.25);
         let json = r.snapshot_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"a_total\":5"));

@@ -12,15 +12,20 @@
 //! A true root (no active parent) mints a process-unique trace id and
 //! makes it current for the thread (see [`crate::context`]).  When the
 //! root finishes, the whole tree is *finalized*: every span is stamped
-//! with the trace id and a [`SpanId`](crate::SpanId) equal to its
-//! 1-based preorder position, with parent links.  Because numbering
+//! with the trace id and a span id equal to its 1-based preorder
+//! position, with parent links.  Because numbering
 //! happens on the finished tree, the ids are a pure function of tree
 //! shape — a query fanned out over 8 workers gets exactly the ids its
 //! single-threaded execution would have.
 //!
-//! Span opens and closes are also journaled as typed events
-//! ([`crate::event`]) and mirrored into the live-stack registry the
-//! sampling profiler and crash dumps walk ([`crate::profile`]).
+//! # One record
+//!
+//! The tree is the only record of what a query *did*: opening, closing
+//! and annotating a span touch nothing but this thread's stack, so a
+//! fault-free query takes no observability lock until its finished root
+//! files into the ring.  What went *wrong* — faults, retries, failovers
+//! — is the journal's job ([`crate::event`]); a crash dump reads the
+//! crashing thread's open spans straight off this stack.
 
 use qbism_check::sync::lock_or_recover;
 use std::borrow::Cow;
@@ -30,7 +35,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::{context, event, profile};
+use crate::{context, event};
 
 /// How many finished root spans the ring retains.
 pub const RING_CAPACITY: usize = 32;
@@ -174,6 +179,21 @@ struct Frame {
     children: Vec<SpanNode>,
 }
 
+impl Frame {
+    /// A frame opened at `started`: the one clock reading is both the
+    /// duration's origin and the epoch-relative start.
+    fn new(name: Cow<'static, str>, started: Instant, capture: bool) -> Frame {
+        Frame {
+            name,
+            started,
+            start_micros: context::micros_at(started),
+            capture,
+            fields: Vec::new(),
+            children: Vec::new(),
+        }
+    }
+}
+
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
@@ -195,18 +215,8 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     fn open(name: Cow<'static, str>, is_root: bool, minted: u64) -> SpanGuard {
-        profile::push_frame(name.clone());
-        event::span_opened(name.clone());
-        STACK.with(|stack| {
-            stack.borrow_mut().push(Frame {
-                name,
-                started: Instant::now(),
-                start_micros: context::now_micros(),
-                capture: false,
-                fields: Vec::new(),
-                children: Vec::new(),
-            });
-        });
+        let frame = Frame::new(name, Instant::now(), false);
+        STACK.with(|stack| stack.borrow_mut().push(frame));
         SpanGuard { live: true, is_root, minted }
     }
 
@@ -234,17 +244,21 @@ impl SpanGuard {
         self.record(key, FieldValue::F64(value));
     }
 
-    /// Records a string field on this span (truncated to 96 chars).
+    /// Records a string field on this span, cut to at most 96 bytes
+    /// (93 and `...`) at a char boundary before anything is copied.
     pub fn record_str(&self, key: &'static str, value: &str) {
-        let mut v = value.to_string();
-        if v.len() > 96 {
+        if !self.live {
+            return;
+        }
+        let v = if value.len() > 96 {
             let mut cut = 93;
-            while !v.is_char_boundary(cut) {
+            while !value.is_char_boundary(cut) {
                 cut -= 1;
             }
-            v.truncate(cut);
-            v.push_str("...");
-        }
+            format!("{}...", &value[..cut])
+        } else {
+            value.to_string()
+        };
         self.record(key, FieldValue::Str(v));
     }
 
@@ -265,12 +279,10 @@ impl Drop for SpanGuard {
         if !self.live {
             return;
         }
-        let mut closed: Option<(Cow<'static, str>, u64)> = None;
         let node = STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             let frame = stack.pop()?;
             let seconds = frame.started.elapsed().as_secs_f64();
-            closed = Some((frame.name.clone(), (seconds * 1e6) as u64));
             let node = SpanNode {
                 name: frame.name,
                 seconds,
@@ -289,10 +301,6 @@ impl Drop for SpanGuard {
                 Some(node)
             }
         });
-        profile::pop_frame();
-        if let Some((name, micros)) = closed {
-            event::span_closed(name, micros);
-        }
         if let Some(mut node) = node {
             if self.is_root {
                 finalize_root(&mut node, self.minted);
@@ -324,30 +332,28 @@ fn assign_ids(node: &mut SpanNode, trace: u64, parent: u64, next: &mut u64) {
     }
 }
 
-/// Slow-query check, then the bounded recent-roots ring.
+/// Slow-query check, then the bounded recent-roots ring — the one
+/// lock a fault-free query takes.
 fn file_root(node: SpanNode) {
     event::note_root_finished(&node);
-    let mut ring = lock_or_recover(&RING);
-    if ring.len() >= RING_CAPACITY {
-        ring.pop_front();
-    }
-    ring.push_back(node);
+    // The evicted tree is freed once the lock is released.
+    let _evicted = {
+        let mut ring = lock_or_recover(&RING);
+        ring.push_back(node);
+        if ring.len() > RING_CAPACITY {
+            ring.pop_front()
+        } else {
+            None
+        }
+    };
 }
 
 /// Pushes a capture sentinel frame: spans opened on this thread until
 /// the matching [`capture_end`] nest under it instead of starting trees
 /// of their own.  Used by [`context::ForkHandle`] on worker threads.
 pub(crate) fn capture_begin() {
-    STACK.with(|stack| {
-        stack.borrow_mut().push(Frame {
-            name: Cow::Borrowed("(capture)"),
-            started: Instant::now(),
-            start_micros: context::now_micros(),
-            capture: true,
-            fields: Vec::new(),
-            children: Vec::new(),
-        });
-    });
+    let frame = Frame::new(Cow::Borrowed("(capture)"), Instant::now(), true);
+    STACK.with(|stack| stack.borrow_mut().push(frame));
 }
 
 /// Pops the capture sentinel and returns the subtrees it collected.
@@ -391,7 +397,7 @@ pub(crate) fn attach(nodes: Vec<SpanNode>) {
 /// Opens a span that starts a new tree when no span is active on this
 /// thread (the finished tree is kept in the recent-roots ring), or
 /// nests under the active span otherwise.  A true root mints the
-/// thread's current [`TraceId`](crate::TraceId).
+/// thread's current trace id.
 ///
 /// Accepts `&'static str` (no allocation) or an owned `String` for
 /// dynamic names.
@@ -423,6 +429,14 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
         return SpanGuard::inert();
     }
     SpanGuard::open(name.into(), false, 0)
+}
+
+/// Names of the spans open on the calling thread, outermost first —
+/// what a crash dump records of the query in flight.
+pub(crate) fn open_span_names() -> Vec<String> {
+    STACK.with(|stack| {
+        stack.borrow().iter().filter(|f| !f.capture).map(|f| f.name.to_string()).collect()
+    })
 }
 
 /// The most recently finished root span tree, if any.
@@ -522,13 +536,12 @@ mod tests {
     fn current_trace_is_set_while_root_open() {
         let _g = crate::test_lock();
         clear();
-        assert!(crate::context::current_trace().is_none());
+        assert_eq!(context::current_raw(), 0);
         {
             let _q = root("query.current");
-            let inside = crate::context::current_trace().expect("trace current inside root");
-            assert!(inside.0 != 0);
+            assert!(context::current_raw() != 0, "trace current inside root");
         }
-        assert!(crate::context::current_trace().is_none(), "cleared after root drop");
+        assert_eq!(context::current_raw(), 0, "cleared after root drop");
     }
 
     #[test]
@@ -619,14 +632,21 @@ mod tests {
         {
             let q = root("query.trunc");
             q.record_str("sql", &"x".repeat(400));
+            // 'é' is two bytes and byte 93 falls inside one: the cut
+            // backs up to the boundary at 92.
+            q.record_str("wide", &"é".repeat(200));
+            q.record_str("short", "é");
         }
         let tree = last_root().unwrap();
-        match tree.field("sql") {
-            Some(FieldValue::Str(s)) => {
-                assert!(s.len() <= 96);
-                assert!(s.ends_with("..."));
+        for (key, kept) in [("sql", "x".repeat(93)), ("wide", "é".repeat(46))] {
+            match tree.field(key) {
+                Some(FieldValue::Str(s)) => {
+                    assert!(s.len() <= 96);
+                    assert_eq!(*s, format!("{kept}..."));
+                }
+                other => panic!("unexpected field {other:?}"),
             }
-            other => panic!("unexpected field {other:?}"),
         }
+        assert_eq!(tree.field("short"), Some(&FieldValue::Str("é".to_string())));
     }
 }

@@ -137,14 +137,6 @@ enum Mutation {
     Update { table: String, assignments: Vec<(String, Expr)>, predicate: Option<Expr> },
 }
 
-/// Stamps a statement's text on the root span of one execution of it.
-fn describe(span: &qbism_obs::trace::SpanGuard, sql: &str) {
-    if span.is_recording() {
-        qbism_obs::event::custom("sql", sql);
-        span.record_str("sql", sql);
-    }
-}
-
 /// An in-memory extensible relational database with long-field storage.
 pub struct Database {
     catalog: Catalog,
@@ -168,12 +160,6 @@ impl Database {
             udfs: UdfRegistry::new(),
             lfm: LongFieldManager::new(long_field_capacity, 4096)?,
         })
-    }
-
-    /// The process-wide metrics registry (shared across layers; exposed
-    /// here so embedders can scrape without importing `qbism-obs`).
-    pub fn metrics(&self) -> &'static qbism_obs::Registry {
-        qbism_obs::global()
     }
 
     /// Compiles one SQL statement: lex and parse, bind every column
@@ -220,7 +206,7 @@ impl Database {
     /// of threads may run them against one `Database` concurrently.
     pub fn run(&self, prepared: &Prepared, params: &[Value]) -> Result<ResultSet> {
         let span = qbism_obs::trace::root("db.execute");
-        describe(&span, &prepared.sql);
+        span.record_str("sql", &prepared.sql);
         let Kind::Read { plan, explain } = &prepared.kind else {
             return Err(DbError::Exec("statement mutates; use execute".into()));
         };
@@ -254,7 +240,7 @@ impl Database {
             Kind::Write(mutation) => mutation,
         };
         let span = qbism_obs::trace::root("db.execute");
-        describe(&span, &prepared.sql);
+        span.record_str("sql", &prepared.sql);
         match mutation {
             Mutation::CreateTable { name, columns } => {
                 let cols = columns.into_iter().map(|(n, t)| Column::new(&n, t)).collect();

@@ -1,9 +1,9 @@
 //! Flight-recorder tour: run a mixed workload with causal tracing on,
 //! then export everything the recorder captured — a Chrome trace of the
 //! whole session (`trace.json`, loadable in `about:tracing` or
-//! Perfetto), a folded-stack wall-clock profile (`profile.folded`,
-//! flamegraph-ready), the slow-query log, and a fault-induced crash
-//! dump.
+//! Perfetto), the exclusive wall time of every span path folded out of
+//! the same trees (`profile.folded`, flamegraph-ready), the slow-query
+//! log, and a fault-induced crash dump.  The recorder is process-wide.
 //!
 //! ```sh
 //! cargo run --release --example flight_recorder             # medium grid
@@ -18,7 +18,7 @@ use qbism_fault::FaultPlane;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = if std::env::args().any(|a| a == "--paper") {
         // The paper's own 128³ scale — EQ1-sized extractions, so the
-        // sampler sees real stacks and the trace shows real latencies.
+        // trace shows real latencies.
         QbismConfig {
             atlas_bits: 7,
             pet_studies: 2,
@@ -40,13 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = studies[0];
 
     // Capture everything: a zero threshold puts every query in the
-    // slow-query log, and the sampler walks live span stacks while the
-    // workload runs.
+    // slow-query log.
     qbism_obs::trace::clear();
     qbism_obs::event::clear();
     qbism_obs::event::clear_slow_queries();
-    sys.server.set_slow_query_threshold(Duration::ZERO);
-    let profiler = qbism_obs::Profiler::start(Duration::from_micros(200))?;
+    qbism_obs::event::set_slow_query_threshold(Duration::ZERO);
 
     // A mixed workload: EQ1, spatial, attribute, mixed, and a
     // multi-study fan-out (the executor stitches worker spans back
@@ -69,8 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
 
-    let profile = profiler.stop();
-
     // A crash-outcome fault dumps the recorder's ring as it stood.
     {
         let scope = FaultPlane::new(7).crash_nth("lfm.read", 1).arm();
@@ -86,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Slow-query log: tree + event slice per over-threshold query.
-    let slow = sys.server.slow_queries();
+    let slow = qbism_obs::event::slow_queries();
     println!("\nslow-query log ({} captured, threshold 0 for the demo):", slow.len());
     for q in slow.iter().rev().take(3) {
         println!(
@@ -113,23 +109,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote crash_dump.json");
     }
 
-    // Chrome trace + event journal + folded profile to disk.
-    std::fs::write("trace.json", sys.server.flight_recorder_chrome_trace())?;
-    std::fs::write("events.jsonl", sys.server.flight_recorder_events_jsonl())?;
-    std::fs::write("profile.folded", profile.to_folded())?;
+    // Chrome trace + event journal + folded exclusive times to disk.
+    let roots = qbism_obs::trace::recent_roots();
+    let events = qbism_obs::event::events();
+    let folded = qbism_obs::export::folded_stacks(&roots);
+    std::fs::write("trace.json", qbism_obs::export::chrome_trace(&roots, &events))?;
+    std::fs::write("events.jsonl", qbism_obs::export::events_jsonl(&events))?;
+    std::fs::write("profile.folded", &folded)?;
     println!(
         "\nwrote trace.json ({} span trees, {} journal events) — load it in about:tracing",
-        qbism_obs::trace::recent_roots().len(),
-        qbism_obs::event::events().len()
+        roots.len(),
+        events.len()
     );
     println!("wrote events.jsonl");
-    println!(
-        "wrote profile.folded ({} samples over {} distinct stacks)",
-        profile.samples,
-        profile.counts().len()
-    );
+    println!("wrote profile.folded ({} distinct span paths, exclusive µs)", folded.lines().count());
 
     // Leave process-global knobs as we found them.
-    sys.server.set_slow_query_threshold(Duration::from_micros(250_000));
+    qbism_obs::event::set_slow_query_threshold(Duration::from_micros(250_000));
     Ok(())
 }

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         q3.run_count(),
         q3.cost.lfm.pages_read
     );
-    if let Some(tree) = sys.server.last_query_trace() {
+    if let Some(tree) = qbism_obs::trace::last_root() {
         println!("\nEXPLAIN ANALYZE query.structure\n{}", tree.render_tree());
     }
 
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         q6.cost.lfm.pages_read,
         q6.cost.messages
     );
-    let tree = sys.server.last_query_trace().expect("tracing is on by default");
+    let tree = qbism_obs::trace::last_root().expect("tracing is on by default");
     println!("\nEXPLAIN ANALYZE query.band_in_structure\n{}", tree.render_tree());
 
     // The Section 6.4 population aggregate, folded with QueryCost::accumulate.
@@ -64,9 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Everything above also landed in the process-wide registry.
     println!("\n──── Prometheus text exposition ────");
-    print!("{}", sys.server.metrics().render_prometheus());
+    print!("{}", qbism_obs::global().render_prometheus());
     println!("\n──── JSON snapshot (truncated) ────");
-    let json = sys.server.metrics().snapshot_json();
+    let json = qbism_obs::global().snapshot_json();
     println!("{}…", &json[..json.len().min(400)]);
     Ok(())
 }

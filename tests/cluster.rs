@@ -115,77 +115,84 @@ fn shard_counts_match_the_reference(config: &QbismConfig, shard_counts: &[usize]
 fn any_single_replica_fault_mid_query_stays_exact() {
     let _g = serialize();
     let config = config();
-    let mut warehouse = ClusterWarehouse::install(&config, 4, 2).expect("warehouse install");
-    warehouse.set_threads(8);
-    let studies: Vec<i64> = warehouse.studies().to_vec();
-    let baseline = warehouse.population_average(&studies, "ntal").expect("fault-free baseline");
-    let baseline_det = det(&baseline.cost);
+    for config in [config.clone(), config.with_compressed_tablespace()] {
+        let mut warehouse = ClusterWarehouse::install(&config, 4, 2).expect("warehouse install");
+        warehouse.set_threads(8);
+        let studies: Vec<i64> = warehouse.studies().to_vec();
+        let baseline = warehouse.population_average(&studies, "ntal").expect("fault-free baseline");
+        let baseline_det = det(&baseline.cost);
 
-    // Sweep 1: kill the serving shard at the n-th kill-site pass — the
-    // sub-query in flight reroutes to the study's replica.
-    for n in 1..=studies.len() as u64 {
-        let scope = FaultPlane::new(0xC1)
-            .rule(sites::CLUSTER_SHARD_KILL, Trigger::Nth(n), FaultOutcome::Error)
-            .arm();
-        let answer = warehouse.population_average(&studies, "ntal").expect("survives kill");
-        let injected = scope.plane().injected_log();
-        drop(scope);
-        assert_eq!(injected.len(), 1, "kill {n} fired exactly once");
-        assert!(answer.is_complete(), "kill {n}: no study may be lost");
-        assert_eq!(answer.data.values(), baseline.data.values(), "kill {n} changed the answer");
-        assert_eq!(det(&answer.cost), baseline_det, "kill {n} changed a deterministic column");
-        warehouse.revive_all();
-    }
-    let stats = warehouse.recovery_stats();
-    assert_eq!(stats.shard_kills, studies.len() as u64);
-    assert!(stats.failovers >= studies.len() as u64, "every kill forced a failover");
-    let failovers_after_kills = stats.failovers;
+        // Sweep 1: kill the serving shard at the n-th kill-site pass — the
+        // sub-query in flight reroutes to the study's replica.
+        for n in 1..=studies.len() as u64 {
+            let scope = FaultPlane::new(0xC1)
+                .rule(sites::CLUSTER_SHARD_KILL, Trigger::Nth(n), FaultOutcome::Error)
+                .arm();
+            let answer = warehouse.population_average(&studies, "ntal").expect("survives kill");
+            let injected = scope.plane().injected_log();
+            drop(scope);
+            assert_eq!(injected.len(), 1, "kill {n} fired exactly once");
+            assert!(answer.is_complete(), "kill {n}: no study may be lost");
+            assert_eq!(answer.data.values(), baseline.data.values(), "kill {n} changed the answer");
+            assert_eq!(det(&answer.cost), baseline_det, "kill {n} changed a deterministic column");
+            warehouse.revive_all();
+        }
+        let stats = warehouse.recovery_stats();
+        assert_eq!(stats.shard_kills, studies.len() as u64);
+        assert!(stats.failovers >= studies.len() as u64, "every kill forced a failover");
+        let failovers_after_kills = stats.failovers;
 
-    // Sweep 2: fail the n-th device read on whichever shard performs
-    // it — the stage errors, charges nothing, and the replica re-reads
-    // the same bytes for the same cost.
-    for n in [1u64, 2, 3, 5, 8, 13] {
-        let scope =
-            FaultPlane::new(0xD2).rule("lfm.read", Trigger::Nth(n), FaultOutcome::Error).arm();
-        let answer = warehouse.population_average(&studies, "ntal").expect("survives read fault");
+        // Sweep 2: fail the n-th device read on whichever shard performs
+        // it — the stage errors, charges nothing, and the replica re-reads
+        // the same bytes for the same cost.
+        for n in [1u64, 2, 3, 5, 8, 13] {
+            let scope =
+                FaultPlane::new(0xD2).rule("lfm.read", Trigger::Nth(n), FaultOutcome::Error).arm();
+            let answer =
+                warehouse.population_average(&studies, "ntal").expect("survives read fault");
+            drop(scope);
+            assert!(answer.is_complete(), "read fault {n}: no study may be lost");
+            assert_eq!(answer.data.values(), baseline.data.values());
+            assert_eq!(det(&answer.cost), baseline_det, "read fault {n} changed a column");
+            warehouse.revive_all();
+        }
+        let stats = warehouse.recovery_stats();
+        assert!(stats.failovers > failovers_after_kills, "device faults also forced failovers");
+
+        // Sweep 3: drop the first answer leg's message on every retry —
+        // the per-shard channel times out after its bounded budget and the
+        // router reroutes; the timed-out leg never touches QueryCost.
+        // The plane counts site passes across threads, so only legs sent
+        // one after another put all the drops on one leg: one worker.
+        warehouse.set_threads(1);
+        let attempts = u64::from(qbism_netsim::RetryPolicy::default().max_attempts);
+        let mut drop_plane = FaultPlane::new(0xE3);
+        for i in 1..=attempts {
+            drop_plane =
+                drop_plane.rule(sites::CLUSTER_ROUTE_DROP, Trigger::Nth(i), FaultOutcome::Drop);
+        }
+        let scope = drop_plane.arm();
+        let answer = warehouse.population_average(&studies, "ntal").expect("survives leg timeout");
         drop(scope);
-        assert!(answer.is_complete(), "read fault {n}: no study may be lost");
+        assert!(answer.is_complete());
         assert_eq!(answer.data.values(), baseline.data.values());
-        assert_eq!(det(&answer.cost), baseline_det, "read fault {n} changed a column");
+        assert_eq!(det(&answer.cost), baseline_det, "leg timeout changed a deterministic column");
+        assert_eq!(warehouse.recovery_stats().route_drops, 1, "exactly one leg timed out");
+        warehouse.set_threads(8);
+
+        // And the band query class under a kill, for the same contract.
+        let (band_base, band_cost) =
+            warehouse.multi_study_band_region(&studies, 32, 63).expect("band baseline");
+        let scope = FaultPlane::new(0xF4)
+            .rule(sites::CLUSTER_SHARD_KILL, Trigger::Nth(2), FaultOutcome::Error)
+            .arm();
+        let (band_faulted, band_faulted_cost) =
+            warehouse.multi_study_band_region(&studies, 32, 63).expect("band survives kill");
+        drop(scope);
+        assert_eq!(band_faulted, band_base);
+        assert_eq!(det(&band_faulted_cost), det(&band_cost));
         warehouse.revive_all();
     }
-    let stats = warehouse.recovery_stats();
-    assert!(stats.failovers > failovers_after_kills, "device faults also forced failovers");
-
-    // Sweep 3: drop the first answer leg's message on every retry —
-    // the per-shard channel times out after its bounded budget and the
-    // router reroutes; the timed-out leg never touches QueryCost.
-    let attempts = u64::from(qbism_netsim::RetryPolicy::default().max_attempts);
-    let mut drop_plane = FaultPlane::new(0xE3);
-    for i in 1..=attempts {
-        drop_plane =
-            drop_plane.rule(sites::CLUSTER_ROUTE_DROP, Trigger::Nth(i), FaultOutcome::Drop);
-    }
-    let scope = drop_plane.arm();
-    let answer = warehouse.population_average(&studies, "ntal").expect("survives leg timeout");
-    drop(scope);
-    assert!(answer.is_complete());
-    assert_eq!(answer.data.values(), baseline.data.values());
-    assert_eq!(det(&answer.cost), baseline_det, "leg timeout changed a deterministic column");
-    assert_eq!(warehouse.recovery_stats().route_drops, 1, "exactly one leg timed out");
-
-    // And the band query class under a kill, for the same contract.
-    let (band_base, band_cost) =
-        warehouse.multi_study_band_region(&studies, 32, 63).expect("band baseline");
-    let scope = FaultPlane::new(0xF4)
-        .rule(sites::CLUSTER_SHARD_KILL, Trigger::Nth(2), FaultOutcome::Error)
-        .arm();
-    let (band_faulted, band_faulted_cost) =
-        warehouse.multi_study_band_region(&studies, 32, 63).expect("band survives kill");
-    drop(scope);
-    assert_eq!(band_faulted, band_base);
-    assert_eq!(det(&band_faulted_cost), det(&band_cost));
-    warehouse.revive_all();
 }
 
 #[test]

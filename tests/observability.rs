@@ -11,7 +11,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use qbism::{QbismConfig, QbismSystem, QueryCost};
 use qbism_fault::{FaultOutcome, FaultPlane, Trigger};
 use qbism_lfm::CacheConfig;
-use qbism_obs::EventKind;
+use qbism_obs::trace::FieldValue;
+use qbism_obs::{EventKind, SpanNode};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -69,7 +70,7 @@ fn registry_exports_the_acceptance_series() {
     let sys = install();
     let study = sys.pet_study_ids[0];
     sys.server.structure_data(study, "ntal").expect("Q3 runs");
-    let text = sys.server.metrics().render_prometheus();
+    let text = qbism_obs::global().render_prometheus();
     for series in [
         "qbism_lfm_pages_read_total",
         "qbism_exec_rows_total",
@@ -79,7 +80,7 @@ fn registry_exports_the_acceptance_series() {
         assert!(text.contains(series), "missing {series} in:\n{text}");
     }
     // The JSON snapshot carries the same registry.
-    let json = sys.server.metrics().snapshot_json();
+    let json = qbism_obs::global().snapshot_json();
     assert!(json.contains("qbism_lfm_pages_read_total"));
 }
 
@@ -193,9 +194,13 @@ fn eight_client_storm_exports_coherent_chrome_traces() {
             assert_parent_links(root);
         }
         assert_eq!(traces.len(), 8, "each client minted its own trace id");
-        let json = sys.server.flight_recorder_chrome_trace();
+        let json = qbism_obs::export::chrome_trace(&roots, &qbism_obs::event::events());
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"ph\":\"X\""));
+        // Every span is exported once: the tree is its only record.
+        assert_eq!(
+            json.matches("\"ph\":\"X\"").count(),
+            roots.iter().map(SpanNode::span_count).sum::<usize>()
+        );
         for trace in traces {
             assert!(json.contains(&format!("\"pid\":{trace}")), "trace {trace} exported");
         }
@@ -225,14 +230,14 @@ fn slow_queries_capture_their_tree_and_events() {
     let sys = install();
     let study = sys.pet_study_ids[0];
     qbism_obs::event::clear_slow_queries();
-    sys.server.set_slow_query_threshold(std::time::Duration::ZERO);
+    qbism_obs::event::set_slow_query_threshold(std::time::Duration::ZERO);
     sys.server.full_study(study).expect("Q1 runs");
-    let slow = sys.server.slow_queries();
+    let slow = qbism_obs::event::slow_queries();
     let hit = slow.iter().rev().find(|s| s.tree.name == "query.full_study").expect("captured");
     assert!(hit.trace != 0);
     assert!(hit.tree.find("db.execute").is_some(), "captured tree keeps its children");
     // Restore the default threshold for later tests.
-    sys.server.set_slow_query_threshold(std::time::Duration::from_micros(250_000));
+    qbism_obs::event::set_slow_query_threshold(std::time::Duration::from_micros(250_000));
     qbism_obs::event::clear_slow_queries();
 }
 
@@ -258,8 +263,8 @@ fn a_crash_fault_dumps_the_flight_recorder() {
         "the dump's event slice contains the fault that triggered it"
     );
     assert!(
-        dump.live_spans.iter().flatten().any(|s| s.starts_with("query.")),
-        "the dump records the in-flight query's live span stack: {:?}",
+        dump.live_spans.iter().any(|s| s.starts_with("query.")),
+        "the dump records the in-flight query's open spans: {:?}",
         dump.live_spans
     );
     let json = qbism_obs::export::crash_dump_json(&dump);
@@ -269,13 +274,22 @@ fn a_crash_fault_dumps_the_flight_recorder() {
     qbism_obs::trace::clear();
 }
 
-/// A cached read journals its pool lookups as runs of consecutive
-/// pages, not one event per page: a whole-study EQ1 fits in a handful
-/// of events that still account for every page it read.
+/// Σ of the `u64` field `key` over every span of `tree` named `name`.
+fn sum_field(tree: &SpanNode, name: &str, key: &str) -> u64 {
+    let here = match tree.field(key) {
+        Some(FieldValue::U64(v)) if tree.name == name => *v,
+        _ => 0,
+    };
+    here + tree.children.iter().map(|c| sum_field(c, name, key)).sum::<u64>()
+}
+
+/// A cached read stamps its pool lookups on the `lfm.read` span it
+/// opens anyway — hits and misses that account for every page it read —
+/// and journals nothing: a lookup is not an incident.
 #[test]
-fn cached_reads_journal_cache_lookups_as_page_runs() {
+fn cached_reads_record_cache_lookups_on_the_read_span() {
     let _g = serialize();
-    // 64³: one study volume is 64 pages, the per-page event count of old.
+    // 64³: one study volume is 64 pages.
     let config = QbismConfig {
         atlas_bits: 6,
         pet_studies: 1,
@@ -299,29 +313,91 @@ fn cached_reads_journal_cache_lookups_as_page_runs() {
             .rev()
             .find(|t| t.name == "query.full_study")
             .expect("root retained");
-        let runs: Vec<u64> = qbism_obs::event::events_for_trace(tree.trace_id)
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::CacheHit { pages, .. } | EventKind::CacheMiss { pages, .. } => {
-                    Some(pages)
-                }
-                _ => None,
-            })
-            .collect();
-        assert!(
-            (1..=8).contains(&runs.len()),
-            "{pass} EQ1 journaled {} cache events: {runs:?}",
-            runs.len()
-        );
+        let [hits, misses] =
+            ["cache_hits", "cache_misses"].map(|key| sum_field(&tree, "lfm.read", key));
         assert!(answer.cost.lfm.pages_read >= 64, "EQ1 reads a whole 64-page volume");
         assert_eq!(
-            runs.iter().sum::<u64>(),
+            hits + misses,
             answer.cost.lfm.pages_read,
             "{pass}: every distinct page is looked up exactly once"
         );
+        assert_eq!(misses == 0, pass == "warm", "{pass}: {misses} misses");
+        assert_eq!(qbism_obs::event::events(), [], "{pass}: lookups are not incidents");
     }
-    qbism_obs::event::clear();
     qbism_obs::trace::clear();
+}
+
+/// One query of each of the eight classes.
+fn run_every_class(sys: &QbismSystem) {
+    let (server, studies) = (&sys.server, &sys.pet_study_ids);
+    let study = studies[0];
+    server.full_study(study).expect("full_study");
+    server.box_data(study, [2, 2, 2], [9, 9, 9]).expect("box");
+    server.structure_data(study, "ntal").expect("structure");
+    server.band_data(study, 32, 63).expect("band");
+    server.intensity_range_data(study, 40, 100).expect("intensity_range");
+    server.band_in_structure(study, 224, 255, "ntal1").expect("band_in_structure");
+    server.multi_study_band_region(studies, 32, 63).expect("multi_study_band");
+    server.population_average(studies, "ntal").expect("population_average");
+}
+
+/// What a query did is in its span tree; the journal is for what went
+/// wrong.  A fault-free query appends nothing — in either tablespace,
+/// with the pool off or on.
+#[test]
+fn fault_free_queries_journal_nothing() {
+    let _g = serialize();
+    // A host stall must not turn into a `slow_query` entry here.
+    qbism_obs::event::set_slow_query_threshold(std::time::Duration::MAX);
+    let config = QbismConfig::small_test();
+    for config in [config.clone(), config.with_compressed_tablespace()] {
+        let mut sys = QbismSystem::install(&config).expect("install");
+        qbism_obs::event::clear();
+        run_every_class(&sys);
+        assert_eq!(qbism_obs::event::events(), [], "pool off");
+        sys.server.set_cache_config(CacheConfig {
+            capacity_pages: 4096,
+            enabled: true,
+            readahead_pages: 0,
+        });
+        // Cold, then warm.
+        run_every_class(&sys);
+        run_every_class(&sys);
+        assert_eq!(qbism_obs::event::events(), [], "pool on");
+    }
+    qbism_obs::event::set_slow_query_threshold(std::time::Duration::from_micros(
+        qbism_obs::event::DEFAULT_SLOW_QUERY_MICROS,
+    ));
+}
+
+/// Fault-free queries put nothing in the ring, so they evict nothing:
+/// an incident is still there however many of them follow it.
+#[test]
+fn an_incident_outlives_two_thousand_fault_free_queries() {
+    let _g = serialize();
+    qbism_obs::event::set_slow_query_threshold(std::time::Duration::MAX);
+    let sys = install();
+    let study = sys.pet_study_ids[0];
+    qbism_obs::event::clear();
+    let scope = FaultPlane::new(3)
+        .rule("lfm.read", Trigger::Nth(1), FaultOutcome::Latency { seconds: 0.0001 })
+        .arm();
+    sys.server.full_study(study).expect("query under latency");
+    drop(scope);
+    let incident = qbism_obs::event::events();
+    assert!(
+        matches!(&incident[..], [e] if matches!(&e.kind, EventKind::FaultInjected { site, .. } if site == "lfm.read")),
+        "{incident:?}"
+    );
+    for _ in 0..250 {
+        run_every_class(&sys);
+    }
+    assert_eq!(qbism_obs::event::events(), incident, "2,000 queries later it is still there");
+    assert_eq!(qbism_obs::event::dropped(), 0);
+    qbism_obs::event::set_slow_query_threshold(std::time::Duration::from_micros(
+        qbism_obs::event::DEFAULT_SLOW_QUERY_MICROS,
+    ));
+    qbism_obs::event::clear();
 }
 
 #[test]

@@ -39,33 +39,37 @@ fn deterministic_cost(c: &qbism::QueryCost) -> (qbism_lfm::IoStats, u64, u64, u6
 
 #[test]
 fn multi_study_queries_are_identical_at_any_thread_count() {
-    let mut sys = five_study_system();
-    let studies: Vec<i64> = sys.pet_study_ids.clone();
+    let config = QbismConfig { pet_studies: 5, ..QbismConfig::small_test() };
+    for config in [config.clone(), config.with_compressed_tablespace()] {
+        let mut sys = QbismSystem::install(&config).unwrap();
+        let studies: Vec<i64> = sys.pet_study_ids.clone();
 
-    sys.server.set_threads(1);
-    let pop_ref = sys.server.population_average(&studies, "ntal").unwrap();
-    let (band_ref, band_cost_ref) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
+        sys.server.set_threads(1);
+        let pop_ref = sys.server.population_average(&studies, "ntal").unwrap();
+        let (band_ref, band_cost_ref) =
+            sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
 
-    for threads in [2, 8] {
-        sys.server.set_threads(threads);
-        assert_eq!(sys.server.threads(), threads);
+        for threads in [2, 8] {
+            sys.server.set_threads(threads);
+            assert_eq!(sys.server.threads(), threads);
 
-        let pop = sys.server.population_average(&studies, "ntal").unwrap();
-        assert_eq!(pop.data, pop_ref.data, "answer diverged at {threads} threads");
-        assert!(pop.is_complete());
-        assert_eq!(
-            deterministic_cost(&pop.cost),
-            deterministic_cost(&pop_ref.cost),
-            "population cost diverged at {threads} threads"
-        );
+            let pop = sys.server.population_average(&studies, "ntal").unwrap();
+            assert_eq!(pop.data, pop_ref.data, "answer diverged at {threads} threads");
+            assert!(pop.is_complete());
+            assert_eq!(
+                deterministic_cost(&pop.cost),
+                deterministic_cost(&pop_ref.cost),
+                "population cost diverged at {threads} threads"
+            );
 
-        let (band, band_cost) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
-        assert_eq!(band, band_ref, "band region diverged at {threads} threads");
-        assert_eq!(
-            deterministic_cost(&band_cost),
-            deterministic_cost(&band_cost_ref),
-            "band cost diverged at {threads} threads"
-        );
+            let (band, band_cost) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
+            assert_eq!(band, band_ref, "band region diverged at {threads} threads");
+            assert_eq!(
+                deterministic_cost(&band_cost),
+                deterministic_cost(&band_cost_ref),
+                "band cost diverged at {threads} threads"
+            );
+        }
     }
 }
 
@@ -87,41 +91,44 @@ fn fan_out_errors_pick_the_first_study_in_study_order() {
 
 #[test]
 fn cache_changes_no_answer_and_no_logical_io() {
-    let mut sys = system();
-    let cold = sys.server.full_study(1).unwrap();
-    let structure_cold = sys.server.structure_data(1, "ntal").unwrap();
-    assert!(!sys.server.cache_config().enabled, "paper fidelity: cache off by default");
-    assert_eq!(sys.server.cache_stats().hits, 0);
+    let config = QbismConfig::small_test();
+    for config in [config.clone(), config.with_compressed_tablespace()] {
+        let mut sys = QbismSystem::install(&config).unwrap();
+        let cold = sys.server.full_study(1).unwrap();
+        let structure_cold = sys.server.structure_data(1, "ntal").unwrap();
+        assert!(!sys.server.cache_config().enabled, "paper fidelity: cache off by default");
+        assert_eq!(sys.server.cache_stats().hits, 0);
 
-    sys.server.set_cache_config(CacheConfig {
-        capacity_pages: 64,
-        enabled: true,
-        readahead_pages: 4,
-    });
-    let warm1 = sys.server.full_study(1).unwrap();
-    let warm2 = sys.server.full_study(1).unwrap();
-    let structure_warm = sys.server.structure_data(1, "ntal").unwrap();
+        sys.server.set_cache_config(CacheConfig {
+            capacity_pages: 64,
+            enabled: true,
+            readahead_pages: 4,
+        });
+        let warm1 = sys.server.full_study(1).unwrap();
+        let warm2 = sys.server.full_study(1).unwrap();
+        let structure_warm = sys.server.structure_data(1, "ntal").unwrap();
 
-    // Same bytes, same *logical* I/O accounting — the cache may change
-    // when the device is touched, never what the tables report.
-    assert_eq!(warm1.data, cold.data);
-    assert_eq!(warm2.data, cold.data);
-    assert_eq!(structure_warm.data, structure_cold.data);
-    assert_eq!(warm1.cost.lfm, cold.cost.lfm);
-    assert_eq!(warm2.cost.lfm, cold.cost.lfm);
-    assert_eq!(structure_warm.cost.lfm, structure_cold.cost.lfm);
-    assert_eq!(warm1.cost.wire_bytes, cold.cost.wire_bytes);
+        // Same bytes, same *logical* I/O accounting — the cache may change
+        // when the device is touched, never what the tables report.
+        assert_eq!(warm1.data, cold.data);
+        assert_eq!(warm2.data, cold.data);
+        assert_eq!(structure_warm.data, structure_cold.data);
+        assert_eq!(warm1.cost.lfm, cold.cost.lfm);
+        assert_eq!(warm2.cost.lfm, cold.cost.lfm);
+        assert_eq!(structure_warm.cost.lfm, structure_cold.cost.lfm);
+        assert_eq!(warm1.cost.wire_bytes, cold.cost.wire_bytes);
 
-    // The pool itself saw the reuse: the second EQ1 run re-reads pages
-    // the first one faulted in.
-    let stats = sys.server.cache_stats();
-    assert!(stats.hits > 0, "second EQ1 run should hit the cache: {stats:?}");
+        // The pool itself saw the reuse: the second EQ1 run re-reads pages
+        // the first one faulted in.
+        let stats = sys.server.cache_stats();
+        assert!(stats.hits > 0, "second EQ1 run should hit the cache: {stats:?}");
 
-    // Disabling restores the unbuffered LFM.
-    sys.server.set_cache_config(CacheConfig::default());
-    let off = sys.server.full_study(1).unwrap();
-    assert_eq!(off.data, cold.data);
-    assert_eq!(sys.server.cache_stats().hits, stats.hits, "disabled pool takes no lookups");
+        // Disabling restores the unbuffered LFM.
+        sys.server.set_cache_config(CacheConfig::default());
+        let off = sys.server.full_study(1).unwrap();
+        assert_eq!(off.data, cold.data);
+        assert_eq!(sys.server.cache_stats().hits, stats.hits, "disabled pool takes no lookups");
+    }
 }
 
 #[test]

@@ -76,6 +76,32 @@ fn device_exhaustion_fails_cleanly_at_install() {
 }
 
 #[test]
+fn unusable_configs_are_typed_errors_at_every_entry_point() {
+    // Bands that do not tile 0–255, no bands at all, and a grid too
+    // small for the anatomy: each used to reach an `assert!` (or a
+    // division by zero) deep in the loader or the server.
+    use qbism::QbismError::Config;
+    use qbism_cluster::{ClusterError, ClusterWarehouse};
+    let small = QbismConfig::small_test;
+    for (what, config) in [
+        ("band_width 48", QbismConfig { band_width: 48, ..small() }),
+        ("band_width 0", QbismConfig { band_width: 0, ..small() }),
+        ("atlas_bits 1", QbismConfig { atlas_bits: 1, ..small() }),
+    ] {
+        assert!(matches!(QbismSystem::install(&config), Err(Config(_))), "{what}: install");
+        assert!(
+            matches!(
+                ClusterWarehouse::install(&config, 2, 2),
+                Err(ClusterError::Gather(Config(_)))
+            ),
+            "{what}: warehouse"
+        );
+        let db = qbism_starburst::Database::new(1 << 20).expect("empty database");
+        assert!(matches!(qbism::MedicalServer::new(db, config), Err(Config(_))), "{what}: server");
+    }
+}
+
+#[test]
 fn udfs_report_clean_errors_for_wrong_arguments() {
     let mut sys = QbismSystem::install(&QbismConfig::small_test()).expect("install");
     let db = sys.server.database();
