@@ -141,6 +141,8 @@ mod tests {
             rule: "panic-reach".to_string(),
             key: "panic-reach @ crates/x/src/lib.rs:f".to_string(),
             message: String::new(),
+            file: "crates/x/src/lib.rs".to_string(),
+            line: 1,
             path: Vec::new(),
         });
         let entries =

@@ -20,6 +20,7 @@
 use super::Ctx;
 use crate::reach::{multi_source, reverse, unwind_multi};
 use crate::report::{Finding, Step};
+use crate::rules::{rule, Pattern};
 use std::collections::BTreeSet;
 
 pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
@@ -33,6 +34,7 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     let (sparent, sdist) = multi_source(&radj, &sources);
     let (tparent, tdist) = multi_source(&radj, &sinks);
 
+    let rule = rule(Pattern::Taint);
     let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut findings = Vec::new();
     for c in 0..n {
@@ -66,12 +68,14 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
             format!("returning through `{}`", ctx.ws.funcs[c].qualified)
         };
         findings.push(Finding {
-            rule: "det-taint".to_string(),
-            key: format!("det-taint @ {} -> {}", ctx.loc(s), ctx.loc(t)),
+            rule: rule.name.to_string(),
+            key: format!("{} @ {} -> {}", rule.name, ctx.loc(s), ctx.loc(t)),
             message: format!(
-                "nondeterminism source `{}` (line {}) can reach deterministic sink `{}` (line {}) {shape}",
-                src.what, src.line, snk.what, snk.line
+                "nondeterminism source `{}` (line {}) can reach deterministic sink `{}` (line {}) {shape} — {}",
+                src.what, src.line, snk.what, snk.line, rule.advice
             ),
+            file: ctx.file(s).rel.clone(),
+            line: src.line,
             path,
         });
     }

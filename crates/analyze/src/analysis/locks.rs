@@ -12,6 +12,7 @@
 use super::Ctx;
 use crate::marks::FnMarks;
 use crate::report::{Finding, Step};
+use crate::rules::{rule, Pattern, FACADE_IMPL_CRATE};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `a → b` witness: which function ordered the pair, and where.
@@ -30,7 +31,7 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
         // The facade crate implements the lock types themselves; its
         // internal synchronization is the dynamic checker's model, not
         // an ordering client.
-        if ctx.ws.funcs[id].item.in_test || ctx.crate_of(id) == "check" {
+        if ctx.ws.funcs[id].item.in_test || ctx.file(id).crate_name == FACADE_IMPL_CRATE {
             continue;
         }
         for (i, site) in m.locks.iter().enumerate() {
@@ -53,6 +54,7 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
         }
     }
 
+    let rule = rule(Pattern::LockInversion);
     let mut findings = Vec::new();
     for ((a, b), w_ab) in &edges {
         if a >= b {
@@ -72,11 +74,14 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
             }
         };
         findings.push(Finding {
-            rule: "lock-order".to_string(),
-            key: format!("lock-order @ {a} <-> {b}"),
+            rule: rule.name.to_string(),
+            key: format!("{} @ {a} <-> {b}", rule.name),
             message: format!(
-                "lock order inversion: `{a}` → `{b}` and `{b}` → `{a}` both occur; a concurrent pair can deadlock"
+                "lock order inversion: `{a}` → `{b}` and `{b}` → `{a}` both occur; a concurrent pair can deadlock — {}",
+                rule.advice
             ),
+            file: ctx.ws.location(w_ab.func).0,
+            line: w_ab.first_line,
             path: vec![step(w_ab, a, b), step(w_ba, b, a)],
         });
     }
@@ -109,13 +114,6 @@ pub fn transitive_locks(marks: &[FnMarks], adj: &[Vec<usize>]) -> Vec<BTreeSet<S
             return trans;
         }
     }
-}
-
-/// Every lock name seen at any static lock site — cross-checked by the
-/// workspace gate against the `Mutex::named` registry the dynamic
-/// `lockorder` checker orders at runtime.
-pub fn lock_universe(marks: &[FnMarks]) -> BTreeSet<String> {
-    marks.iter().flat_map(|m| m.locks.iter().map(|l| l.name.clone())).collect()
 }
 
 fn record(

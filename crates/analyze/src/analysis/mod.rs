@@ -1,8 +1,9 @@
-//! The four call-graph analyses.
+//! The four call-graph analyses — everything in the rule table past
+//! zero hops.
 //!
 //! Each takes the same [`Ctx`] (workspace, per-function marks,
-//! deduplicated adjacency, config) and returns [`Finding`]s with
-//! stable keys; `lib.rs` runs them all and applies the allowlist.
+//! deduplicated adjacency) and returns [`Finding`]s with
+//! stable keys; `lib.rs` runs them after the zero-hop pass.
 
 pub mod determinism;
 pub mod locks;
@@ -11,14 +12,13 @@ pub mod transitive;
 
 use crate::graph::Workspace;
 use crate::marks::FnMarks;
-use crate::AnalysisConfig;
+use crate::parser::ParsedFile;
 
 /// Shared read-only analysis context.
 pub struct Ctx<'a> {
     pub ws: &'a Workspace,
     pub marks: &'a [FnMarks],
     pub adj: &'a [Vec<usize>],
-    pub cfg: &'a AnalysisConfig,
 }
 
 impl Ctx<'_> {
@@ -28,11 +28,8 @@ impl Ctx<'_> {
         format!("{file}:{}", self.ws.funcs[id].item.name)
     }
 
-    pub fn crate_of(&self, id: usize) -> &str {
-        &self.ws.files[self.ws.funcs[id].file].crate_name
-    }
-
-    pub fn file_of(&self, id: usize) -> &str {
-        &self.ws.files[self.ws.funcs[id].file].rel
+    /// The file that defines function `id`.
+    pub fn file(&self, id: usize) -> &ParsedFile {
+        &self.ws.files[self.ws.funcs[id].file]
     }
 }

@@ -1,7 +1,7 @@
 //! Panic reachability from public entry points.
 //!
 //! Entry points are the public methods of the served types
-//! (`MedicalServer`, `Database`, `ClusterWarehouse`).  Any function
+//! ([`ENTRY_TYPES`]).  Any function
 //! reachable from one that contains a panic site is reported with the
 //! shortest entry → function call path.  Explicit panics
 //! (`.unwrap()`, `.expect(`, `panic!` family) report under
@@ -13,6 +13,7 @@
 use super::Ctx;
 use crate::reach::{multi_source, unwind_multi};
 use crate::report::{steps, Finding};
+use crate::rules::{rule, Pattern, ENTRY_TYPES};
 
 pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     let n = ctx.ws.funcs.len();
@@ -21,9 +22,7 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
             let f = &ctx.ws.funcs[i].item;
             f.is_pub
                 && !f.in_test
-                && f.impl_type
-                    .as_deref()
-                    .is_some_and(|t| ctx.cfg.entry_types.iter().any(|e| e == t))
+                && f.impl_type.as_deref().is_some_and(|t| ENTRY_TYPES.contains(&t))
         })
         .collect();
     if entries.is_empty() {
@@ -31,6 +30,7 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     }
     let (parent, dist) = multi_source(ctx.adj, &entries);
 
+    let (panic_rule, index_rule) = (rule(Pattern::Panic), rule(Pattern::Index));
     let mut findings = Vec::new();
     for (id, d) in dist.iter().enumerate() {
         if d.is_none() || ctx.marks[id].panics.is_empty() {
@@ -45,27 +45,33 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
             let more =
                 if hard.len() > 3 { format!(" (+{} more)", hard.len() - 3) } else { String::new() };
             findings.push(Finding {
-                rule: "panic-reach".to_string(),
-                key: format!("panic-reach @ {}", ctx.loc(id)),
+                rule: panic_rule.name.to_string(),
+                key: format!("{} @ {}", panic_rule.name, ctx.loc(id)),
                 message: format!(
-                    "panic site reachable from entry point `{}` ({} hops): {}{more}",
+                    "panic site reachable from entry point `{}` ({} hops): {}{more} — {}",
                     ctx.ws.funcs[path[0]].qualified,
                     path.len() - 1,
-                    sites.join(", ")
+                    sites.join(", "),
+                    panic_rule.advice
                 ),
+                file: ctx.file(id).rel.clone(),
+                line: hard[0].line,
                 path: steps(ctx.ws, &path),
             });
         }
         if !index.is_empty() {
             findings.push(Finding {
-                rule: "index-reach".to_string(),
-                key: format!("index-reach @ {}", ctx.loc(id)),
+                rule: index_rule.name.to_string(),
+                key: format!("{} @ {}", index_rule.name, ctx.loc(id)),
                 message: format!(
-                    "{} slice-index site(s) (first at line {}) reachable from entry point `{}`",
+                    "{} slice-index site(s) (first at line {}) reachable from entry point `{}` — {}",
                     index.len(),
                     index[0].line,
                     ctx.ws.funcs[path[0]].qualified,
+                    index_rule.advice
                 ),
+                file: ctx.file(id).rel.clone(),
+                line: index[0].line,
                 path: steps(ctx.ws, &path),
             });
         }

@@ -1,23 +1,17 @@
-//! Transitive lifting of the line-level workspace rules.
+//! The transitive half of the [`Reach::Through`](crate::rules::Reach)
+//! rules.
 //!
-//! The linter flags `from_ids` / `decode_all` / raw `std::sync` *in
-//! the file where they appear*; these analyses lift the same rules to
-//! reachability, catching the laundering case where kernel or facade
-//! code calls a helper in an out-of-scope file that performs the
-//! banned operation.  Direct (zero-hop) uses are the linter's job and
-//! are not re-reported here.
+//! At zero hops `rules::zero_hop` flags `from_ids` / `decode_all` / raw
+//! `std::sync` *in the scope where they appear*; here the same marks
+//! are followed along call paths that leave the scope, catching the
+//! laundering case where kernel or facade code calls a helper in an
+//! out-of-scope file that performs the banned operation.
 
 use super::Ctx;
 use crate::reach::shortest_path_to;
 use crate::report::{steps, Finding};
+use crate::rules::{rule, Pattern, FACADE_IMPL_CRATE};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Is this function in a kernel file of one of the scoped crates?
-fn in_kernel_scope(ctx: &Ctx<'_>, id: usize) -> bool {
-    let file = ctx.file_of(id);
-    let name = file.rsplit('/').next().unwrap_or(file);
-    name.contains("kernel") && ctx.cfg.kernel_crates.iter().any(|c| c == ctx.crate_of(id))
-}
 
 pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -27,40 +21,27 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
 }
 
 fn kernel_materialize(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
+    let rule = rule(Pattern::Materialize);
+    let in_scope = |id: usize| rule.scope.contains(ctx.file(id));
     let n = ctx.ws.funcs.len();
-    // Targets: marked functions *outside* kernel scope (in-scope uses
-    // are direct lint findings).
-    let targets: BTreeSet<usize> = (0..n)
-        .filter(|&i| !ctx.marks[i].materialize.is_empty() && !in_kernel_scope(ctx, i))
-        .collect();
-    if targets.is_empty() {
-        return;
-    }
-    for id in 0..n {
-        if !in_kernel_scope(ctx, id) || ctx.ws.funcs[id].item.in_test {
-            continue;
-        }
+    let targets: BTreeSet<usize> =
+        (0..n).filter(|&i| !ctx.marks[i].materialize.is_empty() && !in_scope(i)).collect();
+    for id in (0..n).filter(|&id| in_scope(id) && !ctx.ws.funcs[id].item.in_test) {
         // Each reachable target gets its own stable key.
         for &t in &targets {
-            if t == id {
-                continue;
-            }
             let Some(path) = shortest_path_to(ctx.adj, id, &[t].into_iter().collect()) else {
                 continue;
             };
-            if path.len() < 2 {
-                continue;
-            }
             let mark = &ctx.marks[t].materialize[0];
             findings.push(Finding {
-                rule: "kernel-materialize".to_string(),
-                key: format!("kernel-materialize @ {} -> {}", ctx.loc(id), ctx.loc(t)),
+                rule: rule.name.to_string(),
+                key: format!("{} @ {} -> {}", rule.name, ctx.loc(id), ctx.loc(t)),
                 message: format!(
-                    "kernel code must not reach a helper that materializes ids or fully \
-                     decodes a payload; stream runs through the cursors: reaches `{}` \
-                     (line {}) outside kernel scope",
-                    mark.what, mark.line
+                    "kernel code reaches `{}` outside kernel scope — {}",
+                    mark.what, rule.advice
                 ),
+                file: ctx.file(t).rel.clone(),
+                line: mark.line,
                 path: steps(ctx.ws, &path),
             });
         }
@@ -68,30 +49,23 @@ fn kernel_materialize(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
 }
 
 fn raw_sync(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
+    let rule = rule(Pattern::RawSync);
+    let in_scope = |id: usize| rule.scope.contains(ctx.file(id));
     let n = ctx.ws.funcs.len();
-    let facade = |c: &str| ctx.cfg.facade_crates.iter().any(|f| f == c);
     let targets: BTreeSet<usize> = (0..n)
         .filter(|&i| {
-            let c = ctx.crate_of(i);
-            !ctx.marks[i].raw_sync.is_empty() && !facade(c) && c != "check"
+            !ctx.marks[i].raw_sync.is_empty()
+                && !in_scope(i)
+                && ctx.file(i).crate_name != FACADE_IMPL_CRATE
         })
         .collect();
-    if targets.is_empty() {
-        return;
-    }
     // One finding per (facade crate, target file): the pairing is what
     // the allowlist reasons about, not each individual caller.
-    let mut best: BTreeMap<(String, String), (Vec<usize>, usize)> = BTreeMap::new();
-    for id in 0..n {
-        if !facade(ctx.crate_of(id)) || ctx.ws.funcs[id].item.in_test {
-            continue;
-        }
+    let mut best: BTreeMap<(&str, &str), (Vec<usize>, usize)> = BTreeMap::new();
+    for id in (0..n).filter(|&id| in_scope(id) && !ctx.ws.funcs[id].item.in_test) {
         let Some(path) = shortest_path_to(ctx.adj, id, &targets) else { continue };
-        if path.len() < 2 {
-            continue;
-        }
         let t = *path.last().unwrap_or(&id);
-        let pair = (ctx.crate_of(id).to_string(), ctx.file_of(t).to_string());
+        let pair = (ctx.file(id).crate_name.as_str(), ctx.file(t).rel.as_str());
         let entry = best.entry(pair).or_insert_with(|| (path.clone(), t));
         if path.len() < entry.0.len() {
             *entry = (path, t);
@@ -100,12 +74,14 @@ fn raw_sync(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
     for ((crate_name, file), (path, t)) in best {
         let mark = &ctx.marks[t].raw_sync[0];
         findings.push(Finding {
-            rule: "raw-sync".to_string(),
-            key: format!("raw-sync @ {crate_name} -> {file}"),
+            rule: rule.name.to_string(),
+            key: format!("{} @ {crate_name} -> {file}", rule.name),
             message: format!(
-                "facade crate `{crate_name}` reaches raw `{}` (line {}) in `{file}`, outside the model checker's view",
-                mark.what, mark.line
+                "facade crate `{crate_name}` reaches raw `{}` in `{file}`, outside the model checker's view — {}",
+                mark.what, rule.advice
             ),
+            file: file.to_string(),
+            line: mark.line,
             path: steps(ctx.ws, &path),
         });
     }
@@ -135,12 +111,15 @@ mod tests {
     }
 
     #[test]
-    fn direct_kernel_use_is_left_to_the_linter() {
+    fn direct_kernel_use_is_one_zero_hop_finding() {
+        // `merge` → `helper` stays inside the scope: only the line is reported.
         let r = analyze_files(&[(
             "crates/region/src/kernel.rs",
-            "pub fn merge(a: &Run) -> Run { from_ids(a) }",
+            "pub fn merge(a: &Run) -> Run { helper(a) }\nfn helper(a: &Run) -> Run { from_ids(a) }",
         )]);
-        assert!(r.findings.iter().all(|f| f.rule != "kernel-materialize"), "{:?}", r.findings);
+        let hits: Vec<_> = r.findings.iter().filter(|f| f.rule == "kernel-materialize").collect();
+        assert_eq!(hits.len(), 1, "{:?}", r.findings);
+        assert!(hits[0].path.is_empty() && hits[0].line == 2, "{:?}", hits[0]);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! qbism-analyze [--root DIR] [--allowlist FILE] [--json FILE]
 //! ```
 //!
-//! Scans the workspace, runs all four analyses, applies the allowlist
-//! (default `<root>/analyze-allowlist.txt`, if present), prints human
-//! diagnostics with call traces, optionally writes the JSON report,
-//! and exits non-zero when any unallowlisted finding remains — the CI
-//! analyze-gate contract.
+//! Scans the workspace, checks every rule in the table, applies the
+//! allowlist (default `<root>/analyze-allowlist.txt`, if present),
+//! prints the per-rule summary and human diagnostics with call traces,
+//! optionally writes the JSON report, and exits non-zero when any
+//! unallowlisted finding remains — the CI analyze-gate contract.
 
+use qbism_analyze::report::Finding;
+use qbism_analyze::rules::{Reach, RULES};
 use qbism_analyze::{allowlist, analyze_root, AnalysisConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -92,11 +94,17 @@ fn main() -> ExitCode {
 
     let s = &report.stats;
     println!(
-        "qbism-analyze: {} files, {} functions, {} call edges ({}/{} call sites resolved), {} ms",
-        s.files, s.functions, s.edges, s.resolved_call_sites, s.call_sites, s.scan_ms
+        "qbism-analyze: {} files (+{} harness, zero-hop rules only), {} functions, {} call edges ({}/{} call sites resolved), {} ms",
+        s.files, s.harness_files, s.functions, s.edges, s.resolved_call_sites, s.call_sites, s.scan_ms
     );
-    for (rule, n) in &s.per_rule {
-        println!("  {rule}: {n} finding(s)");
+    for (rule, (_, n)) in RULES.iter().zip(&s.per_rule) {
+        print!("  {:<20} {:<13} {n} finding(s)", rule.name, rule.reach.label());
+        if rule.reach == Reach::Through {
+            let listed = report.allowlisted.iter().map(|(f, _)| f);
+            let here = |f: &&Finding| f.rule == rule.name && f.path.is_empty();
+            print!(", {} at zero hops", report.findings.iter().chain(listed).filter(here).count());
+        }
+        println!();
     }
     if !report.allowlisted.is_empty() {
         println!(

@@ -1,17 +1,17 @@
 //! Workspace module map and function-level call graph.
 //!
-//! Files are collected the same way the linter's gate walks the tree
-//! (`crates/*/src/**.rs` plus the root `src/`), parsed with
-//! [`crate::parser`], and joined into one function table.  Call edges
-//! are *name-based* (no type inference): qualified calls resolve
+//! Files are collected from `crates/*/src/**.rs` plus the root `src/`,
+//! parsed with [`crate::parser`], and joined into one function table.
+//! Call edges are *name-based* (no type inference): qualified calls resolve
 //! through `Type::method` / `module::fn` suffixes, bare calls resolve
 //! same-module → same-crate → workspace-unique, and method calls
 //! resolve through receiver typing (`self`, `self.field` via struct
 //! field types, `let`-bound locals) with a conservative name-based
 //! fallback.  The approximations are listed in DESIGN.md.
 
+use crate::lexer::{Token, TokenKind};
 use crate::parser::{is_call_keyword, parse_file, skip_angles, FnItem, ParsedFile};
-use qbism_check::lexer::{Token, TokenKind};
+use crate::rules::HARNESS_CRATES;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -38,6 +38,9 @@ pub struct CallEdge {
 /// The parsed workspace.
 pub struct Workspace {
     pub files: Vec<ParsedFile>,
+    /// Files of [`HARNESS_CRATES`]: parsed for the zero-hop rules,
+    /// absent from the function table and the graph.
+    pub harness_files: Vec<ParsedFile>,
     pub funcs: Vec<Func>,
     /// Outgoing call edges per function (caller-ordered by position).
     pub calls: Vec<Vec<CallEdge>>,
@@ -219,42 +222,34 @@ const COMMON_STD_METHODS: &[&str] = &[
 ];
 
 impl Workspace {
-    /// Scans a workspace root (a directory with `crates/*/src`, plus
-    /// an optional root `src/`) or, for fixture corpora, any directory
-    /// containing a `crates/` tree.  `skip_crates` names crates whose
-    /// sources are harness code and stay out of the graph.
-    pub fn scan(root: &Path, skip_crates: &[String]) -> std::io::Result<Workspace> {
+    /// Scans a workspace root: a directory with `crates/*/src`, plus an
+    /// optional root `src/` (the fixture corpora have the same shape).
+    pub fn scan(root: &Path) -> std::io::Result<Workspace> {
         let mut paths = Vec::new();
-        let crates_dir = root.join("crates");
-        if crates_dir.is_dir() {
-            for entry in std::fs::read_dir(&crates_dir)? {
-                let dir = entry?.path();
-                let name = dir.file_name().map(|n| n.to_string_lossy().to_string());
-                if name.as_deref().is_some_and(|n| skip_crates.iter().any(|s| s == n)) {
-                    continue;
-                }
-                let src = dir.join("src");
-                if src.is_dir() {
-                    collect_rs(&src, &mut paths)?;
-                }
+        for entry in std::fs::read_dir(root.join("crates"))? {
+            let src = entry?.path().join("src");
+            if src.is_dir() {
+                collect_rs(&src, &mut paths)?;
             }
-            let root_src = root.join("src");
-            if root_src.is_dir() {
-                collect_rs(&root_src, &mut paths)?;
-            }
-        } else {
-            collect_rs(root, &mut paths)?;
+        }
+        let root_src = root.join("src");
+        if root_src.is_dir() {
+            collect_rs(&root_src, &mut paths)?;
         }
         paths.sort();
 
-        let mut files = Vec::new();
+        let (mut files, mut harness_files) = (Vec::new(), Vec::new());
         for path in &paths {
             let source = std::fs::read_to_string(path)?;
             let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-            let crate_name = crate_of(&rel).to_string();
-            files.push(parse_file(&source, &rel, &crate_name));
+            let file = parse_file(&source, &rel, crate_of(&rel));
+            if HARNESS_CRATES.contains(&file.crate_name.as_str()) {
+                harness_files.push(file);
+            } else {
+                files.push(file);
+            }
         }
-        Ok(Workspace::link(files))
+        Ok(Workspace { harness_files, ..Workspace::link(files) })
     }
 
     /// Builds the function table and resolves call edges.
@@ -343,7 +338,15 @@ impl Workspace {
             calls[id] = edges;
         }
 
-        Workspace { files, funcs, calls, field_types, resolved_calls: resolved, total_calls: total }
+        Workspace {
+            files,
+            harness_files: Vec::new(),
+            funcs,
+            calls,
+            field_types,
+            resolved_calls: resolved,
+            total_calls: total,
+        }
     }
 
     /// Deduplicated adjacency (callee set per function).
@@ -373,8 +376,7 @@ impl Workspace {
     }
 }
 
-/// `crates/<name>/src/…` → `<name>`; anything else → `suite` (matches
-/// the linter's convention).
+/// `crates/<name>/src/…` → `<name>`; anything else → `suite`.
 pub fn crate_of(rel: &str) -> &str {
     let mut parts = rel.split('/');
     match (parts.next(), parts.next()) {

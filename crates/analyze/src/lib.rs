@@ -1,20 +1,22 @@
-//! `qbism-analyze` — whole-program static analysis for the QBISM
-//! workspace.
+//! `qbism-analyze` — the workspace's one static-analysis tool.
 //!
-//! Where `qbism-check`'s linter reasons line-by-line, this crate
-//! parses every source file into a function table (over the same
-//! shared lexer, so the two layers agree on what is code), links a
-//! name-resolved call graph, and runs four reachability analyses:
+//! Every source file is lexed and parsed into a function table, a
+//! name-resolved call graph is linked over it, and the invariants in
+//! the one rule table ([`rules::RULES`]) are checked, each a pattern ×
+//! a scope × how far it is followed:
 //!
-//! 1. **determinism taint** — wall-clock / hash-order / thread-id /
-//!    env sources must not reach deterministic cost-model sinks;
-//! 2. **transitive rule lifting** — the kernel-materialize and
-//!    raw-sync line rules, lifted to call paths;
-//! 3. **panic reachability** — panic sites reachable from the public
-//!    server/database/warehouse entry points, with shortest paths;
-//! 4. **static lock order** — guard-held sets propagated over the
-//!    graph, flagging order inversions before the dynamic checker can
-//!    ever hit them.
+//! - **here** (zero hops) — `no-unwrap`, `no-wall-clock`, `no-sleep`,
+//!   `no-cache-iostats`, `fault-site-name`, `traced-entrypoints`: the
+//!   pattern may not appear in any non-test token of an in-scope file;
+//! - **through** — `kernel-materialize`, `raw-sync`: zero hops, plus
+//!   any call path that leaves the scope and reaches the pattern;
+//! - **from the entry points** — `panic-reach`, `index-reach`: panic
+//!   sites reachable from the public server/database/warehouse methods,
+//!   with shortest paths;
+//! - **whole graph** — `det-taint` (wall-clock / hash-order / thread-id
+//!   / env sources must not reach deterministic cost-model sinks) and
+//!   `lock-order` (guard-held sets propagated over the graph, flagging
+//!   order inversions before the dynamic checker can ever hit them).
 //!
 //! Findings carry stable keys matched by a checked-in allowlist whose
 //! entries must each state a justification.  Output is a sorted,
@@ -23,26 +25,21 @@
 pub mod allowlist;
 pub mod analysis;
 pub mod graph;
+pub mod lexer;
 pub mod marks;
 pub mod parser;
 pub mod reach;
 pub mod report;
+pub mod rules;
 
 use graph::Workspace;
 use report::Report;
 use std::path::Path;
 
-/// Marker and scoping configuration for the four analyses.
+/// The determinism contract's markers (`det-taint` sources and sinks);
+/// rule scopes live in the rule table.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
-    /// Crates left out of the graph entirely (harness code).
-    pub skip_crates: Vec<String>,
-    /// Types whose public methods are panic-analysis entry points.
-    pub entry_types: Vec<String>,
-    /// Crates ported to the sync facade (raw-sync transitive scope).
-    pub facade_crates: Vec<String>,
-    /// Crates whose `kernel*` files the materialize rule covers.
-    pub kernel_crates: Vec<String>,
     /// Field names whose writes are deterministic sinks.
     pub det_fields: Vec<String>,
     /// Struct names whose literal construction is a deterministic sink.
@@ -64,10 +61,6 @@ impl AnalysisConfig {
     pub fn workspace() -> AnalysisConfig {
         let s = |v: &[&str]| v.iter().map(|c| c.to_string()).collect();
         AnalysisConfig {
-            skip_crates: s(&["bench"]),
-            entry_types: s(&["MedicalServer", "Database", "ClusterWarehouse"]),
-            facade_crates: s(&["parallel", "lfm", "netsim", "fault", "core", "cluster"]),
-            kernel_crates: s(&["region", "sfc", "volume", "coding"]),
             det_fields: s(&[
                 // QueryCost deterministic columns.
                 "lfm",
@@ -106,19 +99,21 @@ impl AnalysisConfig {
     }
 }
 
-/// Runs all four analyses over an already-linked workspace (no I/O,
-/// no allowlist).  The report is finalized (sorted, deduped).
+/// Checks every rule over an already-linked workspace (no I/O, no
+/// allowlist).  The report is finalized (sorted, deduped).
 pub fn analyze_workspace(ws: &Workspace, cfg: &AnalysisConfig) -> Report {
     let marks = marks::mark_all(ws, cfg);
     let adj = ws.adjacency();
-    let ctx = analysis::Ctx { ws, marks: &marks, adj: &adj, cfg };
+    let ctx = analysis::Ctx { ws, marks: &marks, adj: &adj };
 
     let mut report = Report::default();
+    report.findings.extend(rules::zero_hop(ws));
     report.findings.extend(analysis::determinism::run(&ctx));
     report.findings.extend(analysis::transitive::run(&ctx));
     report.findings.extend(analysis::panics::run(&ctx));
     report.findings.extend(analysis::locks::run(&ctx));
     report.stats.files = ws.files.len();
+    report.stats.harness_files = ws.harness_files.len();
     report.stats.functions = ws.funcs.len();
     report.stats.edges = ws.edge_count();
     report.stats.call_sites = ws.total_calls;
@@ -129,7 +124,7 @@ pub fn analyze_workspace(ws: &Workspace, cfg: &AnalysisConfig) -> Report {
 
 /// Scans a workspace root and analyzes it.
 pub fn analyze_root(root: &Path, cfg: &AnalysisConfig) -> std::io::Result<Report> {
-    let ws = Workspace::scan(root, &cfg.skip_crates)?;
+    let ws = Workspace::scan(root)?;
     Ok(analyze_workspace(&ws, cfg))
 }
 

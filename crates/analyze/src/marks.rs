@@ -6,11 +6,15 @@
 //! environment reads), determinism sinks (writes to deterministic
 //! cost columns, table emitters, span minting), panic sites,
 //! kernel-contract operations (`from_ids`, `decode_all`, …), raw
-//! `std::sync` usage, and lock acquisitions.
+//! `std::sync` usage, and lock acquisitions.  The token patterns the
+//! zero-hop rules share (`.unwrap()`, `Instant::now`, the materialize
+//! calls, `std::sync` paths) come from [`crate::rules::match_at`].
 
 use crate::graph::{call_sites, local_types, Workspace};
+use crate::lexer::{Token, TokenKind};
+use crate::parser::ParsedFile;
+use crate::rules::{match_at, raw_sync_names, Pattern};
 use crate::AnalysisConfig;
-use qbism_check::lexer::{Token, TokenKind};
 use std::collections::BTreeMap;
 
 /// One marker occurrence inside a function body.
@@ -53,11 +57,20 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// Extracts markers for every function in the workspace.
 pub fn mark_all(ws: &Workspace, cfg: &AnalysisConfig) -> Vec<FnMarks> {
     let named = named_mutexes(ws);
-    let mut out = Vec::with_capacity(ws.funcs.len());
-    for id in 0..ws.funcs.len() {
-        out.push(mark_fn(ws, cfg, id, &named));
-    }
-    out
+    let imports: Vec<Vec<String>> = ws.files.iter().map(raw_sync_imports).collect();
+    (0..ws.funcs.len())
+        .map(|id| mark_fn(ws, cfg, id, &named, &imports[ws.funcs[id].file]))
+        .collect()
+}
+
+/// The raw `std::sync` names a file's non-test `use` items import
+/// (`Mutex`, `AtomicU64`, …).
+fn raw_sync_imports(file: &ParsedFile) -> Vec<String> {
+    let toks = &file.tokens;
+    file.code_positions()
+        .filter(|&j| j >= 4 && toks[j - 4].is_ident("use"))
+        .flat_map(|j| raw_sync_names(toks, j))
+        .collect()
 }
 
 /// Workspace-wide map `field → Mutex::named literal`, harvested from
@@ -110,6 +123,7 @@ fn mark_fn(
     cfg: &AnalysisConfig,
     id: usize,
     named: &BTreeMap<String, String>,
+    raw_sync_imports: &[String],
 ) -> FnMarks {
     let func = &ws.funcs[id];
     let file = &ws.files[func.file];
@@ -141,9 +155,6 @@ fn mark_fn(
         let name = site.name.as_str();
         if site.is_method {
             match name {
-                "unwrap" | "expect" => {
-                    m.panics.push(Mark { what: format!(".{name}()"), line: site.line });
-                }
                 "lock" | "lock_or_recover" => {
                     if let Some(chain) = &site.receiver {
                         let lock_name = lock_name(chain, func.item.impl_type.as_deref(), named);
@@ -173,12 +184,6 @@ fn mark_fn(
         } else {
             let qual = site.qualifier.last().map(String::as_str);
             match (qual, name) {
-                (Some("Instant"), "now") | (Some("SystemTime"), "now") => {
-                    m.det_sources.push(Mark {
-                        what: format!("{}::now", qual.unwrap_or_default()),
-                        line: site.line,
-                    });
-                }
                 (Some("thread"), "current") => {
                     m.det_sources
                         .push(Mark { what: "thread::current".to_string(), line: site.line });
@@ -199,17 +204,27 @@ fn mark_fn(
                 m.det_sinks.push(Mark { what: format!("{name}(…)"), line: site.line });
             }
         }
-        match name {
-            "from_ids" | "iter_voxels" | "decode_all" | "to_runs_vec" => {
-                m.materialize.push(Mark { what: format!("{name}(…)"), line: site.line });
-            }
-            _ => {}
-        }
     }
 
     // --- token-pattern markers ----------------------------------------
-    let mut j = start;
-    while j < end {
+    for j in start..end {
+        // The patterns shared with the zero-hop rules.
+        if let Some((pattern, what)) = match_at(toks, j) {
+            let marks = match pattern {
+                Pattern::Unwrap => Some(&mut m.panics),
+                // Taint follows the value a *call* returns; the bare path
+                // (`get_or_init(Instant::now)`) is a zero-hop matter only.
+                Pattern::WallClock if toks.get(j + 4).is_some_and(|t| t.is_punct('(')) => {
+                    Some(&mut m.det_sources)
+                }
+                Pattern::Materialize => Some(&mut m.materialize),
+                Pattern::RawSync => Some(&mut m.raw_sync),
+                _ => None,
+            };
+            if let Some(marks) = marks {
+                marks.push(Mark { what, line: toks[j].line });
+            }
+        }
         match &toks[j].kind {
             // `for … in <chain> {` — hash iteration via IntoIterator.
             TokenKind::Ident(id) if id == "in" => {
@@ -281,40 +296,17 @@ fn mark_fn(
                     m.panics.push(Mark { what: "slice index".to_string(), line: toks[j].line });
                 }
             }
-            // Raw `std::sync::X` path in the body.
-            TokenKind::Ident(id)
-                if id == "sync"
-                    && j >= 3
-                    && j + 2 < end
-                    && toks[j - 1].is_punct(':')
-                    && toks[j - 2].is_punct(':')
-                    && toks[j - 3].is_ident("std")
-                    && toks[j + 1].is_punct(':') =>
-            {
-                if let Some(what) = toks.get(j + 3).and_then(Token::ident) {
-                    if qbism_check::lint::is_banned_sync(what) {
-                        m.raw_sync
-                            .push(Mark { what: format!("std::sync::{what}"), line: toks[j].line });
-                    }
-                }
-            }
             _ => {}
         }
-        j += 1;
     }
 
     // File-level raw-sync imports taint any function in the file that
     // names the imported primitive.
-    if !file.raw_sync_imports.is_empty() {
-        for tok in &toks[start..end] {
-            if let Some(id) = tok.ident() {
-                if file.raw_sync_imports.iter().any(|b| b == id) {
-                    m.raw_sync
-                        .push(Mark { what: format!("imported std::sync::{id}"), line: tok.line });
-                    break;
-                }
-            }
-        }
+    let names_import =
+        |t: &&Token| t.ident().is_some_and(|id| raw_sync_imports.iter().any(|b| b == id));
+    if let Some(tok) = toks[start..end].iter().find(names_import) {
+        let what = format!("imported std::sync::{}", tok.ident().unwrap_or_default());
+        m.raw_sync.push(Mark { what, line: tok.line });
     }
     m
 }
@@ -471,5 +463,10 @@ mod tests {
     fn raw_sync_paths_are_marked() {
         let m = marks_for("fn f() { let m = std::sync::Mutex::new(0); }", "f");
         assert_eq!(m.raw_sync.len(), 1);
+        // An imported primitive marks the functions that name it, and only those.
+        let src = "use std::sync::atomic::{AtomicU64, Ordering};\n\
+                   fn f() { let c = AtomicU64::new(0); }\nfn g() { let o = Ordering::SeqCst; }";
+        assert_eq!(marks_for(src, "f").raw_sync[0].what, "imported std::sync::AtomicU64");
+        assert!(marks_for(src, "g").raw_sync.is_empty());
     }
 }

@@ -1,18 +1,18 @@
-//! Item-level Rust parser over the shared lexer.
+//! Item-level Rust parser over the lexer.
 //!
 //! This is not a full grammar: it recovers exactly the structure the
-//! call-graph analyses need — modules, inherent/trait impls, function
-//! items with signatures and body token ranges, struct field types
-//! (for method-receiver resolution), and `std::sync` imports.  Bodies
-//! are kept as raw token ranges; expression structure is recovered
-//! lazily by the call-extraction pass in `graph`.
+//! rules need — modules, inherent/trait impls, function items with
+//! signatures and body token ranges, struct field types (for
+//! method-receiver resolution), and the token spans of test-only
+//! items.  Bodies are kept as raw token ranges; expression structure is
+//! recovered lazily by the call-extraction pass in `graph`.
 //!
 //! Known approximations (documented in DESIGN.md): nested `fn` items
 //! and closures are attributed to their enclosing function; macro
 //! bodies are scanned as plain token streams; `#[cfg(...)]` selections
 //! other than `test` are treated as always-compiled.
 
-use qbism_check::lexer::{lex, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
 
 /// One parsed source file.
 #[derive(Debug)]
@@ -25,9 +25,23 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
-    /// Banned `std::sync` names this file imports (`Mutex`,
-    /// `AtomicU64`, …) — ownership types (`Arc` etc.) excluded.
-    pub raw_sync_imports: Vec<String>,
+    /// Outermost token spans `[start, end)` of items under
+    /// `#[cfg(test)]` / `#[test]`, attribute included, in file order.
+    pub test_spans: Vec<(usize, usize)>,
+}
+
+impl ParsedFile {
+    /// Indices of every token outside test-only items — what a zero-hop
+    /// rule sees (imports, signatures and field types, not only bodies).
+    pub fn code_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut spans = self.test_spans.iter().peekable();
+        (0..self.tokens.len()).filter(move |&j| {
+            while spans.peek().is_some_and(|s| s.1 <= j) {
+                spans.next();
+            }
+            spans.peek().is_none_or(|s| j < s.0)
+        })
+    }
 }
 
 /// A function item (free fn, inherent/trait method, or trait default
@@ -46,6 +60,8 @@ pub struct FnItem {
     pub line: u32,
     pub is_pub: bool,
     pub has_self: bool,
+    /// The receiver is exactly `&self` (not `&mut self`, not by value).
+    pub shared_self: bool,
     pub returns_result: bool,
     /// Inside `#[cfg(test)]` or carrying `#[test]`.
     pub in_test: bool,
@@ -62,21 +78,6 @@ pub struct StructItem {
     pub name: String,
     pub fields: Vec<(String, String)>,
 }
-
-/// `std::sync` leaf names that carry no locking/ordering behaviour.
-const SYNC_OWNERSHIP_OK: &[&str] = &[
-    "Arc",
-    "Weak",
-    "OnceLock",
-    "Once",
-    "PoisonError",
-    "LockResult",
-    "TryLockError",
-    "mpsc",
-    "Ordering",
-    "self",
-    "atomic",
-];
 
 /// Keywords that can directly precede `(` without being a call.
 pub const CALL_KEYWORDS: &[&str] = &[
@@ -98,7 +99,7 @@ pub fn parse_file(source: &str, rel: &str, crate_name: &str) -> ParsedFile {
         tokens: Vec::new(),
         fns: Vec::new(),
         structs: Vec::new(),
-        raw_sync_imports: Vec::new(),
+        test_spans: Vec::new(),
     };
     let end = tokens.len();
     let mut ctx = Ctx { tokens: &tokens, out: &mut file };
@@ -131,14 +132,18 @@ struct Pending {
 
 fn parse_items(ctx: &mut Ctx<'_>, mut i: usize, end: usize, scope: &ItemScope) {
     let mut pending = Pending::default();
+    let mut item_start = i;
     while i < end {
         let tok = &ctx.tokens[i];
+        let next = ctx.tokens.get(i + 1);
         match &tok.kind {
+            // Attributes and modifiers accumulate onto the item they precede.
             TokenKind::Punct('#') => {
                 let (cfg_test, is_test, next) = parse_attr(ctx.tokens, i, end);
                 pending.cfg_test |= cfg_test;
                 pending.is_test_attr |= is_test;
                 i = next;
+                continue;
             }
             TokenKind::Ident(name) => match name.as_str() {
                 "pub" => {
@@ -147,47 +152,27 @@ fn parse_items(ctx: &mut Ctx<'_>, mut i: usize, end: usize, scope: &ItemScope) {
                     if i < end && ctx.tokens[i].is_punct('(') {
                         i = skip_balanced(ctx.tokens, i, end, '(', ')');
                     }
+                    continue;
                 }
-                "unsafe" | "async" | "default" => i += 1,
-                "extern" => {
-                    // `extern "C" fn` (modifier) vs `extern crate x;`.
+                "unsafe" | "async" | "default" => {
                     i += 1;
-                    if i < end && matches!(ctx.tokens[i].kind, TokenKind::Str(_)) {
-                        i += 1;
-                    } else {
-                        i = skip_to_semi(ctx.tokens, i, end);
-                        pending = Pending::default();
-                    }
+                    continue;
                 }
-                "const" => {
-                    // `const fn` is a modifier; `const X: T = …;` is an item.
-                    if ctx.tokens.get(i + 1).is_some_and(|t| t.is_ident("fn")) {
-                        i += 1;
-                    } else {
-                        i = skip_to_semi(ctx.tokens, i, end);
-                        pending = Pending::default();
-                    }
+                // `extern "C" fn` / `const fn` are modifiers; `extern crate x;`
+                // and `const X: T = …;` are items.
+                "extern" if next.is_some_and(|t| matches!(t.kind, TokenKind::Str(_))) => {
+                    i += 2;
+                    continue;
                 }
-                "fn" => {
-                    i = parse_fn(ctx, i, end, scope, &pending);
-                    pending = Pending::default();
+                "const" if next.is_some_and(|t| t.is_ident("fn")) => {
+                    i += 1;
+                    continue;
                 }
-                "mod" => {
-                    i = parse_mod(ctx, i, end, scope, &pending);
-                    pending = Pending::default();
-                }
-                "impl" => {
-                    i = parse_impl(ctx, i, end, scope, &pending);
-                    pending = Pending::default();
-                }
-                "trait" => {
-                    i = parse_trait(ctx, i, end, scope, &pending);
-                    pending = Pending::default();
-                }
-                "struct" => {
-                    i = parse_struct(ctx, i, end, &pending);
-                    pending = Pending::default();
-                }
+                "fn" => i = parse_fn(ctx, i, end, scope, &pending),
+                "mod" => i = parse_mod(ctx, i, end, scope, &pending),
+                "impl" => i = parse_impl(ctx, i, end, scope, &pending),
+                "trait" => i = parse_trait(ctx, i, end, scope, &pending),
+                "struct" => i = parse_struct(ctx, i, end, &pending),
                 "enum" | "union" => {
                     i += 1;
                     while i < end && !ctx.tokens[i].is_punct('{') && !ctx.tokens[i].is_punct(';') {
@@ -198,17 +183,9 @@ fn parse_items(ctx: &mut Ctx<'_>, mut i: usize, end: usize, scope: &ItemScope) {
                     } else {
                         i += 1;
                     }
-                    pending = Pending::default();
                 }
-                "use" => {
-                    let semi = skip_to_semi(ctx.tokens, i, end);
-                    record_sync_imports(ctx, i + 1, semi.saturating_sub(1));
-                    i = semi;
-                    pending = Pending::default();
-                }
-                "static" | "type" => {
+                "use" | "static" | "type" | "extern" | "const" => {
                     i = skip_to_semi(ctx.tokens, i, end);
-                    pending = Pending::default();
                 }
                 "macro_rules" => {
                     // macro_rules! name { … }
@@ -217,22 +194,18 @@ fn parse_items(ctx: &mut Ctx<'_>, mut i: usize, end: usize, scope: &ItemScope) {
                         i += 1;
                     }
                     i = skip_balanced(ctx.tokens, i, end, '{', '}');
-                    pending = Pending::default();
                 }
-                _ => {
-                    i += 1;
-                    pending = Pending::default();
-                }
+                _ => i += 1,
             },
-            TokenKind::Punct('{') => {
-                i = skip_balanced(ctx.tokens, i, end, '{', '}');
-                pending = Pending::default();
-            }
-            _ => {
-                i += 1;
-                pending = Pending::default();
-            }
+            TokenKind::Punct('{') => i = skip_balanced(ctx.tokens, i, end, '{', '}'),
+            _ => i += 1,
         }
+        // An item just ended at `i`.
+        if (pending.cfg_test || pending.is_test_attr) && !scope.in_test {
+            ctx.out.test_spans.push((item_start, i));
+        }
+        pending = Pending::default();
+        item_start = i;
     }
 }
 
@@ -278,7 +251,10 @@ fn parse_fn(
         return j;
     }
     let params_end = skip_balanced(ctx.tokens, j, end, '(', ')');
-    let has_self = params_have_self(&ctx.tokens[j + 1..params_end.saturating_sub(1).max(j + 1)]);
+    let params = &ctx.tokens[j + 1..params_end.saturating_sub(1).max(j + 1)];
+    let has_self = params_have_self(params);
+    let shared_self =
+        has_self && params[0].is_punct('&') && !params.iter().take(3).any(|t| t.is_ident("mut"));
     j = params_end;
 
     // Return type + where clause: scan to the body `{` or a `;`.
@@ -294,23 +270,7 @@ fn parse_fn(
             {
                 depth -= 1
             }
-            TokenKind::Punct('{') if depth <= 0 => break,
-            TokenKind::Punct(';') if depth <= 0 => {
-                // Bodyless trait-method declaration.
-                ctx.out.fns.push(FnItem {
-                    name,
-                    impl_type: scope.impl_type.clone(),
-                    in_trait: scope.in_trait,
-                    modules: scope.modules.clone(),
-                    line,
-                    is_pub: pending.is_pub,
-                    has_self,
-                    returns_result,
-                    in_test: scope.in_test || pending.cfg_test || pending.is_test_attr,
-                    body: (0, 0),
-                });
-                return j + 1;
-            }
+            TokenKind::Punct('{') | TokenKind::Punct(';') if depth <= 0 => break,
             TokenKind::Ident(id) if id == "Result" || id.ends_with("Result") => {
                 returns_result = true
             }
@@ -321,7 +281,13 @@ fn parse_fn(
     if j >= end {
         return end;
     }
-    let body_end = skip_balanced(ctx.tokens, j, end, '{', '}');
+    // `;` ends a bodyless trait-method declaration.
+    let (body, next) = if ctx.tokens[j].is_punct(';') {
+        ((0, 0), j + 1)
+    } else {
+        let body_end = skip_balanced(ctx.tokens, j, end, '{', '}');
+        ((j + 1, body_end.saturating_sub(1).max(j + 1)), body_end)
+    };
     ctx.out.fns.push(FnItem {
         name,
         impl_type: scope.impl_type.clone(),
@@ -330,11 +296,12 @@ fn parse_fn(
         line,
         is_pub: pending.is_pub,
         has_self,
+        shared_self,
         returns_result,
         in_test: scope.in_test || pending.cfg_test || pending.is_test_attr,
-        body: (j + 1, body_end.saturating_sub(1).max(j + 1)),
+        body,
     });
-    body_end
+    next
 }
 
 fn parse_mod(
@@ -575,25 +542,6 @@ fn params_have_self(params: &[Token]) -> bool {
     false
 }
 
-/// Records banned `std::sync` imports from the token span of one `use`
-/// statement (exclusive of `use` and `;`).
-fn record_sync_imports(ctx: &mut Ctx<'_>, start: usize, end: usize) {
-    let toks = &ctx.tokens[start..end.min(ctx.tokens.len())];
-    let idents: Vec<&str> = toks.iter().filter_map(Token::ident).collect();
-    // Must start `std::sync::…` (or `::std::sync::…`).
-    if idents.len() < 3 || idents[0] != "std" || idents[1] != "sync" {
-        return;
-    }
-    for id in &idents[2..] {
-        let banned = !SYNC_OWNERSHIP_OK.contains(id)
-            && (matches!(*id, "Mutex" | "RwLock" | "Condvar" | "Barrier" | "mpsc")
-                || id.starts_with("Atomic"));
-        if banned && !ctx.out.raw_sync_imports.iter().any(|b| b == id) {
-            ctx.out.raw_sync_imports.push((*id).to_string());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Token-walk helpers (shared with graph)
 // ---------------------------------------------------------------------------
@@ -734,11 +682,30 @@ mod tests {
     }
 
     #[test]
-    fn sync_imports_recorded() {
+    fn test_spans_cover_gated_items_and_nothing_else() {
         let f = parse(
-            "use std::sync::{Arc, Mutex};\nuse std::sync::atomic::{AtomicU64, Ordering};\nuse std::collections::HashMap;",
+            "use a::B;\n#[cfg(test)]\nuse c::D;\nimpl S {\n  #[cfg(test)]\n  pub fn probe(&self) {}\n  \
+             pub fn real(&self) {}\n}\n#[cfg(test)]\nmod tests { #[test] fn t() { x.unwrap(); } }\nfn tail() {}",
         );
-        assert_eq!(f.raw_sync_imports, vec!["Mutex".to_string(), "AtomicU64".to_string()]);
+        assert_eq!(f.test_spans.len(), 3, "{:?}", f.test_spans);
+        let code: Vec<&str> =
+            f.code_positions().filter_map(|j| f.tokens[j].ident()).collect::<Vec<_>>();
+        for gone in ["D", "probe", "unwrap", "tests"] {
+            assert!(!code.contains(&gone), "`{gone}` is test-only: {code:?}");
+        }
+        for kept in ["B", "real", "tail"] {
+            assert!(code.contains(&kept), "`{kept}` is code: {code:?}");
+        }
+    }
+
+    #[test]
+    fn receivers_are_classified() {
+        let f = parse("impl S { fn a(&self) {} fn b(&mut self) {} fn c(self) {} fn d(&'a self) {} fn e(x: &S) {} }");
+        let kinds: Vec<(bool, bool)> = f.fns.iter().map(|x| (x.has_self, x.shared_self)).collect();
+        assert_eq!(
+            kinds,
+            vec![(true, true), (true, false), (true, false), (true, true), (false, false)]
+        );
     }
 
     #[test]

@@ -33,21 +33,6 @@ pub fn shortest_path_to(
     None
 }
 
-/// Every node reachable from `from` (excluding `from` unless cyclic).
-pub fn reachable_from(adj: &[Vec<usize>], from: usize) -> BTreeSet<usize> {
-    let mut seen = BTreeSet::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        for &v in &adj[u] {
-            if seen.insert(v) {
-                queue.push_back(v);
-            }
-        }
-    }
-    seen
-}
-
 /// Reversed adjacency (caller lists per callee).
 pub fn reverse(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let mut rev: Vec<Vec<usize>> = vec![Vec::new(); adj.len()];
@@ -149,6 +134,7 @@ mod tests {
         let adj = vec![vec![1], vec![0]];
         let targets: BTreeSet<usize> = BTreeSet::new();
         assert_eq!(shortest_path_to(&adj, 0, &targets), None);
-        assert!(reachable_from(&adj, 0).contains(&0));
+        let (_, dist) = multi_source(&adj, &[0]);
+        assert_eq!(dist, vec![Some(0), Some(1)]);
     }
 }

@@ -1,12 +1,14 @@
 //! Findings, call-path rendering, and the machine-readable report.
 //!
 //! Every finding carries a *stable key* (`rule @ from -> to`) that the
-//! allowlist matches against, a human message, and the full call path
-//! as `file:line` steps.  The JSON writer is hand-rolled (the analyzer
+//! allowlist matches against, a human message, the `file:line` where
+//! the pattern sits, and — past zero hops — the full call path as
+//! `file:line` steps.  The JSON writer is hand-rolled (the analyzer
 //! is dependency-free) and emits findings in sorted order so the
 //! report is byte-stable across runs.
 
 use crate::graph::Workspace;
+use crate::rules::RULES;
 use std::fmt::Write as _;
 
 /// One hop on a call path.
@@ -29,6 +31,10 @@ pub struct Finding {
     /// Stable allowlist key: `rule @ file:fn -> file:fn`.
     pub key: String,
     pub message: String,
+    /// Where the offending pattern sits.
+    pub file: String,
+    pub line: u32,
+    /// The call path that reaches it; empty at zero hops.
     pub path: Vec<Step>,
 }
 
@@ -36,7 +42,7 @@ impl Finding {
     /// Human rendering with the full call trace.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "[{}] {}", self.rule, self.message);
+        let _ = writeln!(out, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message);
         let _ = writeln!(out, "  key: {}", self.key);
         for (i, step) in self.path.iter().enumerate() {
             let arrow = if i == 0 { "  at" } else { "  ->" };
@@ -72,14 +78,18 @@ pub fn steps(ws: &Workspace, path: &[usize]) -> Vec<Step> {
 /// Scan-level statistics (the EXPERIMENTS table row).
 #[derive(Debug, Clone, Default)]
 pub struct ScanStats {
+    /// Files in the call graph.
     pub files: usize,
+    /// Harness-crate files: checked by the zero-hop rules only.
+    pub harness_files: usize,
     pub functions: usize,
     pub edges: usize,
     pub call_sites: usize,
     pub resolved_call_sites: usize,
     pub scan_ms: u128,
-    /// Findings per rule, including allowlisted ones.
-    pub per_rule: Vec<(String, usize)>,
+    /// Findings per rule in rule-table order, allowlisted ones
+    /// included — every rule is listed, so a 0 reads "ran, found none".
+    pub per_rule: Vec<(&'static str, usize)>,
 }
 
 /// The full analysis output.
@@ -100,11 +110,9 @@ impl Report {
         self.findings.dedup_by(|a, b| a.key == b.key);
         self.allowlisted.sort_by(|a, b| a.0.key.cmp(&b.0.key));
         self.allowlisted.dedup_by(|a, b| a.0.key == b.0.key);
-        let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-        for f in self.findings.iter().chain(self.allowlisted.iter().map(|(f, _)| f)) {
-            *counts.entry(f.rule.as_str()).or_default() += 1;
-        }
-        self.stats.per_rule = counts.into_iter().map(|(r, n)| (r.to_string(), n)).collect();
+        let all = || self.findings.iter().chain(self.allowlisted.iter().map(|(f, _)| f));
+        self.stats.per_rule =
+            RULES.iter().map(|r| (r.name, all().filter(|f| f.rule == r.name).count())).collect();
     }
 
     /// Machine-readable JSON (sorted, byte-stable).
@@ -112,6 +120,7 @@ impl Report {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"stats\": {{");
         let _ = writeln!(out, "    \"files\": {},", self.stats.files);
+        let _ = writeln!(out, "    \"harness_files\": {},", self.stats.harness_files);
         let _ = writeln!(out, "    \"functions\": {},", self.stats.functions);
         let _ = writeln!(out, "    \"edges\": {},", self.stats.edges);
         let _ = writeln!(out, "    \"call_sites\": {},", self.stats.call_sites);
@@ -147,6 +156,8 @@ where
         let _ = writeln!(out, "      \"rule\": \"{}\",", esc(&f.rule));
         let _ = writeln!(out, "      \"key\": \"{}\",", esc(&f.key));
         let _ = writeln!(out, "      \"message\": \"{}\",", esc(&f.message));
+        let _ = writeln!(out, "      \"file\": \"{}\",", esc(&f.file));
+        let _ = writeln!(out, "      \"line\": {},", f.line);
         if let Some(j) = justification {
             let _ = writeln!(out, "      \"justification\": \"{}\",", esc(j));
         }
@@ -193,6 +204,8 @@ mod tests {
             rule: "det-taint".to_string(),
             key: key.to_string(),
             message: "m".to_string(),
+            file: "crates/x/src/lib.rs".to_string(),
+            line: 4,
             path: vec![Step {
                 func: "x::f".to_string(),
                 file: "crates/x/src/lib.rs".to_string(),
@@ -211,7 +224,12 @@ mod tests {
         r.finalize();
         assert_eq!(r.findings.len(), 2);
         assert_eq!(r.findings[0].key, "a");
-        assert_eq!(r.stats.per_rule, vec![("det-taint".to_string(), 2)]);
+        assert_eq!(r.stats.per_rule.len(), RULES.len());
+        assert!(r
+            .stats
+            .per_rule
+            .iter()
+            .all(|&(rule, n)| n == if rule == "det-taint" { 2 } else { 0 }));
     }
 
     #[test]

@@ -1,0 +1,476 @@
+//! The one rule table: every workspace invariant is a *pattern* × a
+//! *scope* × how far it is followed ([`Reach`]).
+//!
+//! Zero-hop evaluation lives here too: a [`Reach::Here`] or
+//! [`Reach::Through`] rule sees every non-test token of an in-scope
+//! file — imports, signatures and field types, not only function
+//! bodies.  The same [`match_at`] feeds the per-function marks the
+//! call-graph analyses follow, so a pattern list exists once.
+
+use crate::graph::Workspace;
+use crate::lexer::{Token, TokenKind};
+use crate::parser::{FnItem, ParsedFile};
+use crate::report::Finding;
+
+/// How far a rule's pattern is followed from its scope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// Zero hops: the pattern may not appear in the scope.
+    Here,
+    /// Zero hops, plus any call path that leaves the scope and reaches
+    /// the pattern outside it (`analysis::transitive`).
+    Through,
+    /// Any call path from a public method of [`ENTRY_TYPES`]
+    /// (`analysis::panics`).
+    FromEntries,
+    /// A whole-graph relation: source/sink confluence
+    /// (`analysis::determinism`) or lock-pair order (`analysis::locks`).
+    Graph,
+}
+
+impl Reach {
+    pub fn label(self) -> &'static str {
+        match self {
+            Reach::Here => "here",
+            Reach::Through => "through",
+            Reach::FromEntries => "from entries",
+            Reach::Graph => "graph",
+        }
+    }
+}
+
+/// What a rule looks for, in [`RULES`] order.  The token patterns are
+/// recognised by [`match_at`]; the rest are evaluated by the analysis
+/// named in [`Reach`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pattern {
+    /// `.unwrap()` / `.expect(`.
+    Unwrap,
+    /// `Instant::now` / `SystemTime::now`.
+    WallClock,
+    /// `thread::sleep`.
+    Sleep,
+    /// The logical-accounting type `IoStats`.
+    IoStats,
+    /// A fault-registry call whose site literal is not dotted lowercase.
+    FaultSite,
+    /// A `pub fn (&self) -> Result` on an entry type that opens no root span.
+    UntracedEntry,
+    /// A call named in [`MATERIALIZE`].
+    Materialize,
+    /// A `std::sync` path or import outside [`SYNC_OWNERSHIP`].
+    RawSync,
+    /// Nondeterminism source meeting a deterministic sink.
+    Taint,
+    /// `unwrap`/`expect` or a panic macro.
+    Panic,
+    /// Slice indexing.
+    Index,
+    /// Two named locks taken in both orders.
+    LockInversion,
+}
+
+/// Which files a rule holds in: a crate filter, optionally narrowed to
+/// files whose name contains `file_stem`.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope {
+    /// `None` = every crate.
+    pub only: Option<&'static [&'static str]>,
+    pub except: &'static [&'static str],
+    pub file_stem: Option<&'static str>,
+}
+
+impl Scope {
+    const ALL: Scope = Scope { only: None, except: &[], file_stem: None };
+
+    const fn only(crates: &'static [&'static str]) -> Scope {
+        Scope { only: Some(crates), ..Scope::ALL }
+    }
+
+    pub fn contains(&self, file: &ParsedFile) -> bool {
+        let name = file.crate_name.as_str();
+        let file_name = file.rel.rsplit('/').next().unwrap_or(&file.rel);
+        self.only.is_none_or(|c| c.contains(&name))
+            && !self.except.contains(&name)
+            && self.file_stem.is_none_or(|stem| file_name.contains(stem))
+    }
+}
+
+pub struct Rule {
+    pub name: &'static str,
+    pub pattern: Pattern,
+    pub scope: Scope,
+    pub reach: Reach,
+    /// What to do instead — the tail of every finding's message.
+    pub advice: &'static str,
+}
+
+/// Harness crates: lexed for the zero-hop rules, left out of the call
+/// graph, exempt from `no-unwrap`.
+pub const HARNESS_CRATES: &[&str] = &["bench"];
+/// The simulation and storage planes: simulated time comes from the
+/// cost models, never from the host clock.
+pub const DETERMINISTIC_CRATES: &[&str] = &[
+    "lfm",
+    "netsim",
+    "fault",
+    "parallel",
+    "region",
+    "coding",
+    "volume",
+    "phantom",
+    "geometry",
+    "index",
+    "warp",
+    "sfc",
+    "starburst",
+    "render",
+    "check",
+];
+/// Crates ported to the `qbism_check::sync` facade.
+pub const FACADE_CRATES: &[&str] = &["parallel", "lfm", "netsim", "fault", "core", "cluster"];
+/// The crate that implements the facade over raw `std::sync`: neither a
+/// `raw-sync` target nor a lock-order client.
+pub const FACADE_IMPL_CRATE: &str = "check";
+/// Crates whose `kernel*` files are the run-native hot paths.
+pub const KERNEL_CRATES: &[&str] = &["region", "sfc", "volume", "coding"];
+/// The served types: their public methods are the entry points, and
+/// their `pub fn (&self) -> Result` methods must open a root span.
+pub const ENTRY_TYPES: &[&str] = &["MedicalServer", "Database", "ClusterWarehouse"];
+/// The crates that define [`ENTRY_TYPES`].
+pub const ENTRY_CRATES: &[&str] = &["core", "starburst", "cluster"];
+
+/// Calls that materialize what a merge did not ask for — a voxel-id
+/// vector (`from_ids`, any `iter_voxels*`) or a fully decoded payload.
+pub const MATERIALIZE: &[&str] = &["from_ids", "iter_voxels", "decode_all", "to_runs_vec"];
+/// `std::sync` names with no scheduling behaviour the model checker
+/// must see: ownership and one-shot types, plus the path segments and
+/// the ordering enum that only lead to or parameterise a primitive.
+pub const SYNC_OWNERSHIP: &[&str] = &[
+    "Arc",
+    "Weak",
+    "OnceLock",
+    "Once",
+    "PoisonError",
+    "LockResult",
+    "TryLockError",
+    "mpsc",
+    "Ordering",
+    "self",
+    "atomic",
+];
+const FAULT_APIS: &[&str] = &["rule", "fail_nth", "torn_nth", "crash_nth"];
+
+pub const RULES: &[Rule] = &[
+    Rule {
+        name: "no-unwrap",
+        pattern: Pattern::Unwrap,
+        scope: Scope { except: HARNESS_CRATES, ..Scope::ALL },
+        reach: Reach::Here,
+        advice: "return the error, recover the lock with `lock_or_recover`, or document the invariant with an explicit panic",
+    },
+    Rule {
+        name: "no-wall-clock",
+        pattern: Pattern::WallClock,
+        scope: Scope::only(DETERMINISTIC_CRATES),
+        reach: Reach::Here,
+        advice: "deterministic crates take time from the simulated cost model",
+    },
+    Rule {
+        name: "no-sleep",
+        pattern: Pattern::Sleep,
+        scope: Scope::ALL,
+        reach: Reach::Here,
+        advice: "charge simulated time to the cost model or measure real work; nothing paces itself by sleeping",
+    },
+    Rule {
+        name: "no-cache-iostats",
+        pattern: Pattern::IoStats,
+        scope: Scope { file_stem: Some("cache"), ..Scope::only(&["lfm"]) },
+        reach: Reach::Here,
+        advice: "the page cache stays below logical accounting; physical counts live in CacheStats",
+    },
+    Rule {
+        name: "fault-site-name",
+        pattern: Pattern::FaultSite,
+        scope: Scope::ALL,
+        reach: Reach::Here,
+        advice: "fault sites are dotted lowercase (e.g. \"lfm.meta.write\"), `*` wildcards allowed",
+    },
+    Rule {
+        name: "traced-entrypoints",
+        pattern: Pattern::UntracedEntry,
+        scope: Scope::only(ENTRY_CRATES),
+        reach: Reach::Here,
+        advice: "open a root span (`trace::root(..)` or the server's `query_span`) so the flight recorder sees the query",
+    },
+    Rule {
+        name: "kernel-materialize",
+        pattern: Pattern::Materialize,
+        scope: Scope { file_stem: Some("kernel"), ..Scope::only(KERNEL_CRATES) },
+        reach: Reach::Through,
+        advice: "kernel code streams runs through the cursors; id vectors and drained payloads belong to API edges and tests",
+    },
+    Rule {
+        name: "raw-sync",
+        pattern: Pattern::RawSync,
+        scope: Scope::only(FACADE_CRATES),
+        reach: Reach::Through,
+        advice: "use the `qbism_check::sync` facade so the model checker sees the primitive",
+    },
+    Rule {
+        name: "det-taint",
+        pattern: Pattern::Taint,
+        scope: Scope::ALL,
+        reach: Reach::Graph,
+        advice: "deterministic cost columns derive from the simulated cost model only",
+    },
+    Rule {
+        name: "panic-reach",
+        pattern: Pattern::Panic,
+        scope: Scope::ALL,
+        reach: Reach::FromEntries,
+        advice: "surface a typed error instead of panicking the server",
+    },
+    Rule {
+        name: "index-reach",
+        pattern: Pattern::Index,
+        scope: Scope::ALL,
+        reach: Reach::FromEntries,
+        advice: "use checked access on lengths the caller controls",
+    },
+    Rule {
+        name: "lock-order",
+        pattern: Pattern::LockInversion,
+        scope: Scope::ALL,
+        reach: Reach::Graph,
+        advice: "acquire the pair in one order everywhere",
+    },
+];
+
+/// The table row for `pattern` (the table is in `Pattern` order).
+pub fn rule(pattern: Pattern) -> &'static Rule {
+    &RULES[pattern as usize]
+}
+
+/// The token pattern starting at `toks[j]`, if any, with a short label
+/// of what was matched.
+pub fn match_at(toks: &[Token], j: usize) -> Option<(Pattern, String)> {
+    let id = toks[j].ident()?;
+    let at = |k: usize| toks.get(j + k);
+    let punct = |k: usize, c: char| at(k).is_some_and(|t| t.is_punct(c));
+    let path_to =
+        |seg: &str| punct(1, ':') && punct(2, ':') && at(3).is_some_and(|t| t.is_ident(seg));
+    let after_dot = j > 0 && toks[j - 1].is_punct('.');
+    match id {
+        "unwrap" | "expect" if after_dot && punct(1, '(') => {
+            Some((Pattern::Unwrap, format!(".{id}()")))
+        }
+        "Instant" | "SystemTime" if path_to("now") => {
+            Some((Pattern::WallClock, format!("{id}::now")))
+        }
+        "thread" if path_to("sleep") => Some((Pattern::Sleep, "thread::sleep".to_string())),
+        "IoStats" => Some((Pattern::IoStats, id.to_string())),
+        "sync" => {
+            let banned = raw_sync_names(toks, j);
+            (!banned.is_empty())
+                .then(|| (Pattern::RawSync, format!("std::sync::{}", banned.join(", "))))
+        }
+        _ if FAULT_APIS.contains(&id) && punct(1, '(') => match at(2).map(|t| &t.kind) {
+            Some(TokenKind::Str(site) | TokenKind::RawStr(site)) if !valid_fault_site(site) => {
+                Some((Pattern::FaultSite, format!("{id}(\"{site}\")")))
+            }
+            _ => None,
+        },
+        _ if punct(1, '(')
+            && MATERIALIZE
+                .iter()
+                .any(|m| id == *m || (*m == "iter_voxels" && id.starts_with(m))) =>
+        {
+            Some((Pattern::Materialize, format!("{id}(…)")))
+        }
+        _ => None,
+    }
+}
+
+/// The names outside [`SYNC_OWNERSHIP`] that the `std::sync::` path or
+/// use-tree whose `sync` segment is `toks[j]` reaches; empty when `j` is
+/// no such segment.
+pub fn raw_sync_names(toks: &[Token], j: usize) -> Vec<String> {
+    let punct = |k: usize| toks.get(k).is_some_and(|t| t.is_punct(':'));
+    let mut banned = Vec::new();
+    if j >= 3
+        && toks[j].is_ident("sync")
+        && toks[j - 3].is_ident("std")
+        && punct(j - 2)
+        && punct(j + 1)
+    {
+        sync_tree(toks, j + 3, &mut banned);
+    }
+    banned
+}
+
+/// Walks one `std::sync::` path or use-tree starting at `k`, pushing
+/// the names outside [`SYNC_OWNERSHIP`]; returns the index after what
+/// it judged.  A path is judged by its first segment past `atomic::`
+/// (`atomic::AtomicU64::new` → `AtomicU64`; `Arc::new`, `mpsc::channel`
+/// → clean).
+fn sync_tree(toks: &[Token], mut k: usize, banned: &mut Vec<String>) -> usize {
+    let punct = |k: usize, c: char| toks.get(k).is_some_and(|t| t.is_punct(c));
+    while let Some(seg) = toks.get(k).and_then(Token::ident) {
+        if seg == "atomic" && punct(k + 1, ':') && punct(k + 2, ':') {
+            k += 3;
+            continue;
+        }
+        if !SYNC_OWNERSHIP.contains(&seg) && !banned.iter().any(|b| b == seg) {
+            banned.push(seg.to_string());
+        }
+        return k + 1;
+    }
+    if !punct(k, '{') {
+        return k;
+    }
+    k += 1;
+    while k < toks.len() && !punct(k, '}') {
+        k = sync_tree(toks, k, banned).max(k + 1);
+        // Skip the item's tail (`::channel`, `as A`, a nested group).
+        let mut depth = 0usize;
+        while k < toks.len() && !(depth == 0 && (punct(k, ',') || punct(k, '}'))) {
+            depth = depth + usize::from(punct(k, '{')) - usize::from(punct(k, '}'));
+            k += 1;
+        }
+        k += usize::from(punct(k, ','));
+    }
+    k + 1
+}
+
+/// `*`, or ≥2 dotted components of `[a-z][a-z0-9_]*` (components may
+/// be `*` wildcards).
+fn valid_fault_site(site: &str) -> bool {
+    let component = |p: &str| {
+        p == "*"
+            || (p.starts_with(|c: char| c.is_ascii_lowercase())
+                && p.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+    };
+    site == "*" || (site.contains('.') && site.split('.').all(component))
+}
+
+/// A public query method on an entry type whose body opens no root span.
+fn untraced_entry(file: &ParsedFile, f: &FnItem) -> bool {
+    let (start, end) = f.body;
+    let toks = &file.tokens;
+    let opens_root = |j: usize| {
+        toks.get(j + 1).is_some_and(|t| t.is_punct('('))
+            && (toks[j].is_ident("query_span")
+                || (toks[j].is_ident("root") && j >= 3 && toks[j - 3].is_ident("trace")))
+    };
+    f.is_pub
+        && f.shared_self
+        && f.returns_result
+        && !f.in_trait
+        && !f.in_test
+        && f.impl_type.as_deref().is_some_and(|t| ENTRY_TYPES.contains(&t))
+        && !(start..end).any(opens_root)
+}
+
+/// Evaluates every `Here` and `Through` rule at zero hops over the
+/// graph files and the harness files.
+pub fn zero_hop(ws: &Workspace) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut push = |rule: &Rule, file: &ParsedFile, line: u32, what: &str| {
+        findings.push(Finding {
+            rule: rule.name.to_string(),
+            key: format!("{} @ {}:{line}", rule.name, file.rel),
+            message: format!("`{what}` — {}", rule.advice),
+            file: file.rel.clone(),
+            line,
+            path: Vec::new(),
+        });
+    };
+    for file in ws.files.iter().chain(&ws.harness_files) {
+        let in_force = |pattern: Pattern| {
+            let r = rule(pattern);
+            (matches!(r.reach, Reach::Here | Reach::Through) && r.scope.contains(file)).then_some(r)
+        };
+        for j in file.code_positions() {
+            if let Some((pattern, what)) = match_at(&file.tokens, j) {
+                if let Some(rule) = in_force(pattern) {
+                    push(rule, file, file.tokens[j].line, &what);
+                }
+            }
+        }
+        if let Some(rule) = in_force(Pattern::UntracedEntry) {
+            for f in file.fns.iter().filter(|f| untraced_entry(file, f)) {
+                push(rule, file, f.line, &format!("pub fn {}", f.name));
+            }
+        }
+    }
+    findings
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lexer::lex;
+
+    fn hits(src: &str) -> Vec<(Pattern, String)> {
+        let toks = lex(src);
+        (0..toks.len()).filter_map(|j| match_at(&toks, j)).collect()
+    }
+
+    #[test]
+    fn the_table_is_in_pattern_order_with_unique_names() {
+        for (i, r) in RULES.iter().enumerate() {
+            assert_eq!(r.pattern as usize, i, "{}", r.name);
+            assert!(RULES[i + 1..].iter().all(|b| b.name != r.name), "{}", r.name);
+        }
+    }
+
+    #[test]
+    fn unwrap_family_matches_calls_only() {
+        assert_eq!(hits("x.unwrap(); y.expect(\"m\");").len(), 2);
+        assert!(hits("x.unwrap_or(0); x.unwrap_or_else(|| 1); fn expect(a: u8) {}").is_empty());
+    }
+
+    #[test]
+    fn sync_trees_are_judged_by_their_first_non_ownership_segment() {
+        let what = |src: &str| hits(src).into_iter().map(|(_, w)| w).collect::<Vec<_>>();
+        assert_eq!(what("use std::sync::{Arc, Mutex};"), ["std::sync::Mutex"]);
+        assert_eq!(what("use std::sync::atomic::{AtomicU64, Ordering};"), ["std::sync::AtomicU64"]);
+        assert_eq!(
+            what("use std::sync::{atomic::{AtomicBool, Ordering}, Arc as A, Condvar};"),
+            ["std::sync::AtomicBool, Condvar"]
+        );
+        assert_eq!(what("let m = std::sync::atomic::AtomicU64::new(0);"), ["std::sync::AtomicU64"]);
+        for clean in [
+            "use std::sync::Arc;",
+            "let a = std::sync::Arc::new(0);",
+            "use std::sync::{mpsc, Weak};",
+            "use std::sync::mpsc::channel;",
+            "fn f(e: std::sync::PoisonError<u32>) {}",
+            "use std::sync::atomic::Ordering;",
+        ] {
+            assert!(hits(clean).is_empty(), "{clean}: {:?}", hits(clean));
+        }
+    }
+
+    #[test]
+    fn fault_sites_must_be_dotted_lowercase() {
+        for bad in ["BadSite", "single", "lfm.Meta.write", "lfm..write", "lfm.meta write"] {
+            assert!(!valid_fault_site(bad), "{bad}");
+        }
+        for good in ["lfm.meta.write", "lfm.*", "net.rpc.ship_42", "*"] {
+            assert!(valid_fault_site(good), "{good}");
+        }
+        assert!(hits("push_rule(\"Whatever\", 1); plane.rule(site, t, o);").is_empty());
+        assert_eq!(hits("plane.fail_nth(r\"BadSite\", 1);").len(), 1);
+    }
+
+    #[test]
+    fn materialize_matches_names_and_the_iter_voxels_prefix() {
+        let src = "Region::from_ids(g, ids); r.iter_voxels3(); c.to_runs_vec(); d.decode_all();";
+        assert!(hits(src).iter().all(|(p, _)| *p == Pattern::Materialize));
+        assert_eq!(hits(src).len(), 4);
+        assert!(hits("let from_ids = 3; decode_all_but(x);").is_empty());
+    }
+}

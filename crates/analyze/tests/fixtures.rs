@@ -1,27 +1,68 @@
-//! Seeded-bug fixture corpus: one deliberately broken mini-workspace
-//! per analysis, plus its fixed form.  Broken forms must be caught
-//! with the right rule, key, and call trace; fixed forms must come
-//! back completely clean — both halves gate regressions in the
-//! analyses themselves.
+//! The one fixture corpus: a deliberately broken mini-workspace per
+//! rule family (real `crates/<name>/src/…` paths, so scope is tested
+//! by path), plus its fixed form where there is one.
+//!
+//! Every line annotated `// LINT: <rule>[, <rule>]` must produce
+//! exactly those findings at that `file:line` — zero-hop or at the far
+//! end of a call path — and no unannotated line may produce any, so a
+//! fixed form (no annotations) must come back completely clean.  The
+//! per-analysis tests below additionally pin keys and call traces.
 
 use qbism_analyze::report::Report;
 use qbism_analyze::{analyze_root, AnalysisConfig};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+fn corpus() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
+
 fn fixture(name: &str, form: &str) -> Report {
-    let root =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name).join(form);
-    analyze_root(&root, &AnalysisConfig::workspace())
+    analyze_root(&corpus().join(name).join(form), &AnalysisConfig::workspace())
         .unwrap_or_else(|e| panic!("scanning fixture {name}/{form}: {e}"))
 }
 
-fn assert_clean(name: &str) {
-    let r = fixture(name, "fixed");
-    assert!(
-        r.findings.is_empty(),
-        "fixed fixture `{name}` should be clean, got: {:#?}",
-        r.findings
-    );
+/// `(file, line, rule)` for every `// LINT:` annotation under `dir`.
+fn annotations(root: &Path, dir: &Path, out: &mut BTreeSet<(String, u32, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("entry").path();
+        if path.is_dir() {
+            annotations(root, &path, out);
+            continue;
+        }
+        let rel = path.strip_prefix(root).expect("under root").to_string_lossy().replace('\\', "/");
+        let text = std::fs::read_to_string(&path).expect("fixture readable");
+        for (idx, line) in text.lines().enumerate() {
+            for rule in line.split("// LINT:").nth(1).into_iter().flat_map(|t| t.split(',')) {
+                out.insert((rel.clone(), idx as u32 + 1, rule.trim().to_string()));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_annotated_line_is_flagged_and_nothing_else() {
+    let mut annotated = 0;
+    for name in std::fs::read_dir(corpus()).expect("corpus").map(|e| e.expect("entry").path()) {
+        for form in ["broken", "fixed"].map(|f| name.join(f)).into_iter().filter(|f| f.is_dir()) {
+            let mut want = BTreeSet::new();
+            annotations(&form, &form, &mut want);
+            assert_eq!(want.is_empty(), form.ends_with("fixed"), "{}", form.display());
+            annotated += want.len();
+            let report = analyze_root(&form, &AnalysisConfig::workspace()).expect("scan");
+            let got: BTreeSet<(String, u32, String)> =
+                report.findings.iter().map(|f| (f.file.clone(), f.line, f.rule.clone())).collect();
+            let missed: Vec<_> = want.difference(&got).collect();
+            let spurious: Vec<_> = got.difference(&want).collect();
+            assert!(
+                missed.is_empty() && spurious.is_empty(),
+                "{}\n  missed (annotated but not flagged): {missed:#?}\n  \
+                 spurious (flagged but not annotated): {spurious:#?}",
+                form.display()
+            );
+        }
+    }
+    assert!(annotated >= 36, "the corpus lost annotations: {annotated}");
 }
 
 #[test]
@@ -44,17 +85,17 @@ fn taint_broken_is_caught_with_full_path() {
 }
 
 #[test]
-fn taint_fixed_is_clean() {
-    assert_clean("taint");
-}
-
-#[test]
 fn kernel_broken_is_caught_across_files() {
     let r = fixture("kernel", "broken");
-    // One rule covers a laundered id vector and a laundered full decode.
-    for (helper, banned) in [("normalize", "from_ids"), ("drain", "to_runs_vec")] {
+    // One rule covers a laundered id vector, a laundered full decode, and
+    // the `iter_voxels*` family by prefix.
+    for (from, helper, banned) in [
+        ("intersect", "normalize", "from_ids"),
+        ("intersect", "drain", "to_runs_vec"),
+        ("count", "voxels", "iter_voxels3"),
+    ] {
         let key = format!(
-            "kernel-materialize @ crates/region/src/kernel.rs:intersect -> crates/region/src/support.rs:{helper}"
+            "kernel-materialize @ crates/region/src/kernel.rs:{from} -> crates/region/src/support.rs:{helper}"
         );
         let f = r
             .findings
@@ -68,8 +109,18 @@ fn kernel_broken_is_caught_across_files() {
 }
 
 #[test]
-fn kernel_fixed_is_clean() {
-    assert_clean("kernel");
+fn raw_sync_broken_is_caught_across_crates() {
+    let r = fixture("sync", "broken");
+    let f = r
+        .findings
+        .iter()
+        .find(|f| f.key == "raw-sync @ lfm -> crates/util/src/lib.rs")
+        .unwrap_or_else(|| panic!("no transitive raw-sync finding: {:#?}", r.findings));
+    assert!(f.message.contains("std::sync::Mutex"), "{}", f.message);
+    let funcs: Vec<&str> = f.path.iter().map(|s| s.func.as_str()).collect();
+    assert_eq!(funcs, vec!["lfm::acct::account", "util::tally"]);
+    // The zero-hop half sits beside it, without a path.
+    assert!(r.findings.iter().any(|f| f.rule == "raw-sync" && f.path.is_empty()));
 }
 
 #[test]
@@ -92,11 +143,6 @@ fn panic_broken_is_caught_with_shortest_path() {
 }
 
 #[test]
-fn panic_fixed_is_clean() {
-    assert_clean("panics");
-}
-
-#[test]
 fn lock_inversion_is_caught_with_both_witnesses() {
     let r = fixture("locks", "broken");
     let f = r
@@ -108,11 +154,6 @@ fn lock_inversion_is_caught_with_both_witnesses() {
     assert_eq!(f.path.len(), 2, "{:#?}", f.path);
     assert!(f.path.iter().any(|s| s.func.contains("grab")), "{:#?}", f.path);
     assert!(f.path.iter().any(|s| s.func.contains("release")), "{:#?}", f.path);
-}
-
-#[test]
-fn lock_fixed_is_clean() {
-    assert_clean("locks");
 }
 
 /// The workspace gate: the real tree plus the checked-in allowlist
@@ -147,6 +188,8 @@ fn workspace_is_clean_under_the_checked_in_allowlist() {
         "stale allowlist entries (matched nothing): {:?}",
         unused.iter().map(|e| e.pattern.as_str()).collect::<Vec<_>>()
     );
+    // Zero-hop findings are fixed, never listed: their keys carry a line.
+    assert!(report.allowlisted.iter().all(|(f, _)| !f.path.is_empty()));
 }
 
 /// Cross-check against the dynamic lockorder checker: every
@@ -158,7 +201,7 @@ fn workspace_is_clean_under_the_checked_in_allowlist() {
 #[test]
 fn every_named_mutex_is_visible_to_the_static_lock_analysis() {
     let root = workspace_root();
-    let ws = qbism_analyze::graph::Workspace::scan(&root, &["bench".to_string()])
+    let ws = qbism_analyze::graph::Workspace::scan(&root)
         .unwrap_or_else(|e| panic!("scanning workspace: {e}"));
     let cfg = AnalysisConfig::workspace();
     let marks = qbism_analyze::marks::mark_all(&ws, &cfg);
@@ -176,7 +219,9 @@ fn every_named_mutex_is_visible_to_the_static_lock_analysis() {
     let mut universe = std::collections::BTreeSet::new();
     for (id, m) in marks.iter().enumerate() {
         let (file, _) = ws.location(id);
-        if ws.funcs[id].item.in_test || qbism_analyze::graph::crate_of(&file) == "check" {
+        if ws.funcs[id].item.in_test
+            || qbism_analyze::graph::crate_of(&file) == qbism_analyze::rules::FACADE_IMPL_CRATE
+        {
             continue;
         }
         universe.extend(m.locks.iter().map(|l| l.name.clone()));

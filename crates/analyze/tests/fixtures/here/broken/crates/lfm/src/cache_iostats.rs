@@ -1,6 +1,6 @@
 // Fixture: cache-layer code reaching into the logical accounting
-// layer.  The file name contains "cache", which is what scopes the
-// rule — the real target is crates/lfm/src/cache.rs.
+// layer.  The path scopes the rule: a `*cache*` file of crates/lfm —
+// the real target is crates/lfm/src/cache.rs.
 
 struct IoStats; // LINT: no-cache-iostats
 

@@ -1,7 +1,7 @@
-// Fixture: raw strings and nested block comments.  The pre-lexer
-// scanner ended a raw string at the first inner quote (so banned
-// tokens after it leaked into "code") and treated nested block
-// comments as flat (so code after the inner `*/` was swallowed).
+// Fixture: raw strings and nested block comments.  Ending a raw string
+// at its first inner quote would leak the banned tokens after it into
+// "code" (this crate is deterministic, so `Instant::now()` counts too);
+// flat block comments would swallow the code after the inner `*/`.
 // Lines marked `LINT:` must be flagged; everything else must not be.
 
 fn raw_string_contents_never_count() -> &'static str {
@@ -36,4 +36,10 @@ fn raw_fault_site_names_are_checked(plane: &Plane) {
     // The site literal is extracted from a raw string too.
     plane.fail_nth(r"BadSite", 1); // LINT: fault-site-name
     plane.fail_nth(r#"lfm.meta.write"#, 1);
+}
+
+fn multiline_raw_string_tail_is_not_code() -> &'static str {
+    r##"first line
+        x.unwrap() "# almost closed
+    really closed"##
 }

@@ -1,4 +1,4 @@
-// Fixture: wall-clock reads in deterministic code.
+// Fixture: wall-clock reads in a deterministic crate.
 
 fn bad_instant() -> std::time::Instant {
     std::time::Instant::now() // LINT: no-wall-clock
@@ -11,6 +11,10 @@ fn bad_system_time() -> std::time::SystemTime {
 fn bad_imported() {
     use std::time::Instant;
     let _t = Instant::now(); // LINT: no-wall-clock
+}
+
+fn bad_function_reference(epoch: &std::sync::OnceLock<std::time::Instant>) {
+    let _ = epoch.get_or_init(std::time::Instant::now); // LINT: no-wall-clock
 }
 
 fn fine_duration_math() -> std::time::Duration {

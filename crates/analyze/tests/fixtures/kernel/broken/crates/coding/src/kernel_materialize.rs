@@ -1,22 +1,22 @@
 // Fixture: kernel code materializing what a merge did not ask for —
-// voxel-id vectors or a fully decompressed payload.  The file name
-// contains "kernel", which is what scopes the rule — the real targets
-// are the run-kernel modules of region/sfc/volume/coding.
+// voxel-id vectors or a fully decompressed payload — at zero hops.  The
+// path scopes the rule: a `kernel*` file of region/sfc/volume/coding
+// (here `coding`; the transitive half lives in ../../region/src).
 
 fn bad_rebuild(geom: Geom, ids: Vec<u64>) -> Region {
-    Region::from_ids(geom, ids) // LINT: no-materialize-in-kernel
+    Region::from_ids(geom, ids) // LINT: kernel-materialize
 }
 
 fn bad_expand(region: &Region) -> u64 {
-    region.iter_voxels3().count() as u64 // LINT: no-materialize-in-kernel
+    region.iter_voxels3().count() as u64 // LINT: kernel-materialize
 }
 
 fn bad_drain(cursor: CompressedCursor<'_>) -> Vec<Run> {
-    cursor.to_runs_vec().unwrap_or_default() // LINT: no-materialize-in-kernel
+    cursor.to_runs_vec().unwrap_or_default() // LINT: kernel-materialize
 }
 
 fn bad_decode(cursor: &RunListCursor<'_>) -> Vec<(u64, u64)> {
-    cursor.clone().decode_all().unwrap_or_default() // LINT: no-materialize-in-kernel
+    cursor.clone().decode_all().unwrap_or_default() // LINT: kernel-materialize
 }
 
 fn fine_streaming_merge(a: &mut dyn RunCursor, b: &mut dyn RunCursor) -> Vec<(u64, u64)> {

@@ -14,7 +14,7 @@ impl Pool {
     }
 
     pub fn grab(&self) {
-        let f = self.free.lock_or_recover();
+        let f = self.free.lock_or_recover(); // LINT: lock-order
         let u = self.used.lock_or_recover();
     }
 

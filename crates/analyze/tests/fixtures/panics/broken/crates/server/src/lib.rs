@@ -13,5 +13,5 @@ fn resolve(catalog: &StudyCatalog, id: u32) -> Study {
 }
 
 fn lookup(catalog: &StudyCatalog, id: u32) -> Study {
-    catalog.get(id).unwrap()
+    catalog.get(id).unwrap() // LINT: no-unwrap, panic-reach
 }

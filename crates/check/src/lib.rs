@@ -1,7 +1,5 @@
 //! qbism-check: a deterministic concurrency model checker and the
-//! workspace invariant linter.
-//!
-//! # Model checking
+//! sync facade it drives.
 //!
 //! Code written against [`sync`] and [`thread`] runs unchanged in
 //! production (the facades are thin wrappers over `std`), but inside
@@ -32,15 +30,6 @@
 //!     assert_eq!(*counter.lock_or_recover(), 2);
 //! });
 //! ```
-//!
-//! # Linting
-//!
-//! The [`lint`] module (and the `qbism-lint` binary) scans workspace
-//! sources for invariants the compiler can't enforce: no
-//! `unwrap`/`expect` outside tests and benches, no wall-clock reads in
-//! deterministic crates, no raw `std::sync` primitives in
-//! facade-ported crates, cache code never touching logical `IoStats`,
-//! and dotted-lowercase fault-site names.
 
 #![forbid(unsafe_code)]
 
@@ -49,8 +38,6 @@ mod lockorder;
 mod race;
 mod sched;
 
-pub mod lexer;
-pub mod lint;
 pub mod sync;
 pub mod thread;
 

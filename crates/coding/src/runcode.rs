@@ -216,8 +216,8 @@ impl<'a> RunListCursor<'a> {
     }
 
     /// Drains the cursor into a `(start, end)` vector.  Test/API-edge
-    /// helper — kernel code streams instead (lint
-    /// `no-materialize-in-kernel` bans this call there).
+    /// helper — kernel code streams instead (rule `kernel-materialize`
+    /// bans this call there, at zero hops and through helpers).
     pub fn decode_all(mut self) -> Result<Vec<(u64, u64)>> {
         let mut out = Vec::with_capacity(self.count);
         while let Some(run) = self.peek() {

@@ -411,7 +411,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// so a plane armed on the client thread (and re-armed in fan-out
 /// workers via [`FaultPlane::arm_shared`]) can kill a shard, degrade
 /// it, or drop its answer leg at a deterministic routing point.  All
-/// names are dotted lowercase, as the `fault-site-name` lint requires.
+/// names are dotted lowercase, as the `fault-site-name` rule requires.
 pub mod sites {
     /// Routing a sub-query to a shard finds its service dead.  Any
     /// outcome delivered here downs the shard; the router fails over

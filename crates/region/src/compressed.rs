@@ -69,8 +69,8 @@ impl CompressedCursor<'_> {
 
     /// Drains the stream into a run vector.  Decode-everything
     /// convenience for tests and the [`RegionCodec::decode`] fallback —
-    /// kernel modules must stream instead (lint `no-materialize-in-kernel`
-    /// bans this call there).
+    /// kernel modules must stream instead (rule `kernel-materialize` bans
+    /// this call there, at zero hops and through helpers).
     pub fn to_runs_vec(mut self) -> Result<Vec<Run>, RegionEncodeError> {
         // Both cursors bounded their header's run count by the payload
         // size when they opened, so it is safe to reserve for.

@@ -243,15 +243,19 @@ impl RegionCodec {
                 let mut r = BitReader::new(body);
                 let mut runs = Vec::with_capacity(count);
                 if count > 0 {
+                    // γ codewords reach 2⁶⁴−1: a gap or length from the
+                    // device must not wrap a run's bounds.
+                    let overflow = || RegionEncodeError::Corrupt("run bounds overflow");
                     let mut start = EliasGamma.decode(&mut r)? - 1;
                     for i in 0..count {
                         if i > 0 {
                             let gap = EliasGamma.decode(&mut r)?;
-                            start += gap;
+                            start = start.checked_add(gap).ok_or_else(overflow)?;
                         }
                         let len = EliasGamma.decode(&mut r)?;
-                        runs.push(Run::new(start, start + len - 1));
-                        start += len;
+                        let end = start.checked_add(len - 1).ok_or_else(overflow)?;
+                        runs.push(Run::new(start, end));
+                        start = end.checked_add(1).ok_or_else(overflow)?;
                     }
                 }
                 build_checked(geom, runs)

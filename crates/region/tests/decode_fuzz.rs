@@ -1,15 +1,25 @@
-//! Decode-fuzz for the queryable compressed REGION byte strings.
+//! Decode-fuzz for every REGION byte string: the paper encodings
+//! (`Naive`, `Elias`, both octant kinds) and the queryable compressed
+//! ones.
 //!
 //! These bytes come back from the device, so whatever they hold,
 //! [`compressed_cursor`] + drain and [`RegionCodec::decode`] must answer
 //! `Ok` or a typed `Err` — never panic, never reserve memory the bytes
-//! cannot back.  Valid strings of both codecs are cut at every length
-//! and flipped at every bit; arbitrary tails ride behind a valid REGION
-//! header so the payload decoders, not the header check, see them.
+//! cannot back.  Valid strings of each codec are cut at every length
+//! and flipped at every bit (header included, so a tag flip hands one
+//! codec's payload to another's decoder); arbitrary tails ride behind a
+//! valid REGION header with an arbitrary run count so the payload
+//! decoders, not the header check, see them.
 
 use proptest::prelude::*;
-use qbism_region::{compressed_cursor, CompressedCursor, GridGeometry, Region, RegionCodec};
+use qbism_region::{
+    compressed_cursor, CompressedCursor, GridGeometry, Region, RegionCodec, RegionEncodeError,
+};
 use qbism_sfc::CurveKind;
+
+fn every_codec() -> impl Iterator<Item = RegionCodec> {
+    RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED)
+}
 
 /// A 32³ REGION with a solid box and some scattered cells: both node
 /// kinds of the k³-tree, several skip blocks of the run list.
@@ -39,7 +49,7 @@ fn decode_both_ways(bytes: &[u8]) {
 #[test]
 fn every_truncation_and_bit_flip_of_a_valid_region_is_handled() {
     let region = sample();
-    for codec in RegionCodec::COMPRESSED {
+    for codec in every_codec() {
         let bytes = codec.encode(&region).expect("encode");
         assert_eq!(RegionCodec::decode(&bytes).expect("decode"), region);
         for cut in 0..bytes.len() {
@@ -53,16 +63,29 @@ fn every_truncation_and_bit_flip_of_a_valid_region_is_handled() {
     }
 }
 
+/// γ(6) then γ(2⁶⁴−1) behind a valid one-run Elias header: the length
+/// wrapped `start + len - 1` to 3 < 5 (release: `Run::new`'s assert;
+/// debug: add overflow).  Random tails do not find 63 zero bits.
+#[test]
+fn an_elias_length_that_wraps_the_run_end_is_corrupt_not_a_panic() {
+    let mut bytes = vec![0x52, 0x51, 0x01, 0x00, 0x03, 0x05, 0x01, 0x00, 0x00, 0x00];
+    bytes.extend_from_slice(&[0x30, 0, 0, 0, 0, 0, 0, 0, 0x0f]);
+    bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf0]);
+    assert_eq!(bytes.len(), 27);
+    assert_eq!(RegionCodec::decode(&bytes), Err(RegionEncodeError::Corrupt("run bounds overflow")));
+}
+
 proptest! {
     #[test]
     fn arbitrary_payloads_behind_a_valid_header_are_handled(
-        codec_pick in 0usize..2,
+        codec_pick in 0usize..6,
         count in any::<u32>(),
         tail in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         // The first ten bytes of any encoding are the REGION header;
         // the claimed run count is arbitrary too.
-        let mut bytes = RegionCodec::COMPRESSED[codec_pick].encode(&sample()).expect("encode");
+        let codec = every_codec().nth(codec_pick).expect("six codecs");
+        let mut bytes = codec.encode(&sample()).expect("encode");
         bytes.truncate(6);
         bytes.extend_from_slice(&count.to_le_bytes());
         bytes.extend_from_slice(&tail);

@@ -37,17 +37,20 @@ fn tables12_report_is_constant() {
 #[test]
 fn table3_counts_are_identical_across_repeat_runs() {
     use qbism::{QbismConfig, QbismSystem, QuerySpec};
-    let mut sys = QbismSystem::install(&QbismConfig::small_test()).expect("install");
-    let spec = QuerySpec::Structure("ntal".into());
-    let a = qbism::report::run_full_query(&mut sys, 1, &spec).expect("first run");
-    let b = qbism::report::run_full_query(&mut sys, 1, &spec).expect("second run");
-    // Counts never change across runs (no caching anywhere to warm).
-    assert_eq!(a.h_runs, b.h_runs);
-    assert_eq!(a.voxels, b.voxels);
-    assert_eq!(a.lfm_ios, b.lfm_ios);
-    assert_eq!(a.messages, b.messages);
-    // Simulated times are deterministic functions of the counts.
-    assert_eq!(a.net_sim_seconds, b.net_sim_seconds);
-    assert_eq!(a.import_sim_seconds, b.import_sim_seconds);
-    assert_eq!(a.render_sim_seconds, b.render_sim_seconds);
+    let small = QbismConfig::small_test();
+    for config in [small.clone(), small.with_compressed_tablespace()] {
+        let mut sys = QbismSystem::install(&config).expect("install");
+        let spec = QuerySpec::Structure("ntal".into());
+        let a = qbism::report::run_full_query(&mut sys, 1, &spec).expect("first run");
+        let b = qbism::report::run_full_query(&mut sys, 1, &spec).expect("second run");
+        // Counts never change across runs (no caching anywhere to warm).
+        assert_eq!(a.h_runs, b.h_runs);
+        assert_eq!(a.voxels, b.voxels);
+        assert_eq!(a.lfm_ios, b.lfm_ios);
+        assert_eq!(a.messages, b.messages);
+        // Simulated times are deterministic functions of the counts.
+        assert_eq!(a.net_sim_seconds, b.net_sim_seconds);
+        assert_eq!(a.import_sim_seconds, b.import_sim_seconds);
+        assert_eq!(a.render_sim_seconds, b.render_sim_seconds);
+    }
 }
