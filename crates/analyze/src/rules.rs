@@ -142,6 +142,10 @@ pub const ENTRY_CRATES: &[&str] = &["core", "starburst", "cluster"];
 
 /// Calls that materialize what a merge did not ask for — a voxel-id
 /// vector (`from_ids`, any `iter_voxels*`) or a fully decoded payload.
+/// `Curve::walk3` is deliberately *not* here: it streams coordinates for
+/// an id range it is handed and allocates nothing, which is what a
+/// kernel that must visit voxels (bounded rasterisation) should call;
+/// `iter_voxels*` stays because it expands a whole REGION.
 pub const MATERIALIZE: &[&str] = &["from_ids", "iter_voxels", "decode_all", "to_runs_vec"];
 /// `std::sync` names with no scheduling behaviour the model checker
 /// must see: ownership and one-shot types, plus the path segments and
@@ -472,5 +476,6 @@ mod tests {
         assert!(hits(src).iter().all(|(p, _)| *p == Pattern::Materialize));
         assert_eq!(hits(src).len(), 4);
         assert!(hits("let from_ids = 3; decode_all_but(x);").is_empty());
+        assert!(hits("for (id, x, y, z) in curve.walk3(run.start..run.end + 1) {}").is_empty());
     }
 }

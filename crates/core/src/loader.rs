@@ -48,7 +48,6 @@ impl QbismSystem {
         register_spatial_ops(&mut db, config.region_codec);
         register_geometry_ops(&mut db, config);
         create_schema(&mut db)?;
-        let geom = config.geometry();
         let side = config.side();
         // Ground truth (atlas, fields, blob placement) is generated on a
         // canonical Hilbert geometry so the *data* is bit-identical across
@@ -148,7 +147,6 @@ impl QbismSystem {
 
         // Loading I/O (volume/region writes) is not part of any measured
         // query; start every session with clean counters.
-        let _ = geom; // storage geometry is carried by config
         db.lfm().reset_stats();
         Ok(QbismSystem {
             server: MedicalServer::new(db, config.clone())?,

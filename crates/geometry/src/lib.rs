@@ -25,7 +25,7 @@ pub use affine::Affine3;
 pub use box3::{IBox3, IVec3};
 pub use mesh::TriMesh;
 pub use solid::{
-    Complement, Difference, Ellipsoid, HalfSpace, Intersection, Solid, SolidBox, Sphere,
+    Bounds3, Complement, Difference, Ellipsoid, HalfSpace, Intersection, Solid, SolidBox, Sphere,
     Superquadric, Transformed, Union,
 };
 pub use vec3::Vec3;

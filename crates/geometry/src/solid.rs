@@ -9,10 +9,70 @@
 
 use crate::{Affine3, Vec3};
 
+/// A closed axis-aligned box over continuous coordinates that a solid
+/// is known to lie inside — what lets a rasterizer sweep the part of
+/// the grid a structure can occupy instead of all of it.
+///
+/// Bounds are *conservative*: every point a solid contains is inside
+/// its bounds, never the converse.  An unbounded solid (a half-space, a
+/// complement) reports [`Bounds3::EVERYTHING`]; a box whose `min`
+/// exceeds its `max` on some axis is empty.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bounds3 {
+    /// Minimum corner (inclusive).
+    pub min: Vec3,
+    /// Maximum corner (inclusive).
+    pub max: Vec3,
+}
+
+impl Bounds3 {
+    /// All of space: the bounds of a solid with no finite extent.
+    pub const EVERYTHING: Bounds3 =
+        Bounds3 { min: Vec3::splat(f64::NEG_INFINITY), max: Vec3::splat(f64::INFINITY) };
+
+    /// The box `center ± radii`, widened by a few ulps of the
+    /// coordinates involved so that rounding inside a `contains`
+    /// predicate can never put a contained point outside it.
+    fn around(center: Vec3, radii: Vec3) -> Bounds3 {
+        let slack = |c: f64, r: f64| (c.abs() + r) * (16.0 * f64::EPSILON);
+        let pad = radii
+            + Vec3::new(
+                slack(center.x, radii.x),
+                slack(center.y, radii.y),
+                slack(center.z, radii.z),
+            );
+        Bounds3 { min: center - pad, max: center + pad }
+    }
+
+    /// Whether `p` lies inside the box.
+    pub fn contains(&self, p: Vec3) -> bool {
+        p.x >= self.min.x
+            && p.x <= self.max.x
+            && p.y >= self.min.y
+            && p.y <= self.max.y
+            && p.z >= self.min.z
+            && p.z <= self.max.z
+    }
+
+    /// The box common to both (empty when they are disjoint).
+    pub fn intersect(&self, other: &Bounds3) -> Bounds3 {
+        Bounds3 { min: self.min.max(other.min), max: self.max.min(other.max) }
+    }
+
+    /// The smallest box holding both.
+    pub fn hull(&self, other: &Bounds3) -> Bounds3 {
+        Bounds3 { min: self.min.min(other.min), max: self.max.max(other.max) }
+    }
+}
+
 /// A solid is a membership predicate over continuous 3-space.
 pub trait Solid {
     /// Whether point `p` is inside the solid.
     fn contains(&self, p: Vec3) -> bool;
+
+    /// A conservative bounding box: `contains(p)` implies
+    /// `bounds().contains(p)`.
+    fn bounds(&self) -> Bounds3;
 
     /// A signed "inside-ness" field: negative inside, positive outside,
     /// zero on the boundary.  Need not be a true distance; it is used for
@@ -44,6 +104,10 @@ impl Sphere {
 impl Solid for Sphere {
     fn contains(&self, p: Vec3) -> bool {
         (p - self.center).length_squared() <= self.radius * self.radius
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        Bounds3::around(self.center, Vec3::splat(self.radius))
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -83,6 +147,10 @@ impl Ellipsoid {
 impl Solid for Ellipsoid {
     fn contains(&self, p: Vec3) -> bool {
         self.normalized_radius(p) <= 1.0
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        Bounds3::around(self.center, self.radii)
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -132,6 +200,11 @@ impl Solid for Superquadric {
         self.level(p) <= 1.0
     }
 
+    fn bounds(&self) -> Bounds3 {
+        // Every term of `level` is non-negative, so each is at most 1.
+        Bounds3::around(self.center, self.radii)
+    }
+
     fn field(&self, p: Vec3) -> f64 {
         self.level(p) - 1.0
     }
@@ -159,12 +232,11 @@ impl SolidBox {
 
 impl Solid for SolidBox {
     fn contains(&self, p: Vec3) -> bool {
-        p.x >= self.min.x
-            && p.x <= self.max.x
-            && p.y >= self.min.y
-            && p.y <= self.max.y
-            && p.z >= self.min.z
-            && p.z <= self.max.z
+        self.bounds().contains(p)
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        Bounds3 { min: self.min, max: self.max }
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -199,6 +271,10 @@ impl Solid for HalfSpace {
         self.normal.dot(p) <= self.offset
     }
 
+    fn bounds(&self) -> Bounds3 {
+        Bounds3::EVERYTHING
+    }
+
     fn field(&self, p: Vec3) -> f64 {
         (self.normal.dot(p) - self.offset) / self.normal.length().max(f64::EPSILON)
     }
@@ -211,6 +287,10 @@ pub struct Union<A, B>(pub A, pub B);
 impl<A: Solid, B: Solid> Solid for Union<A, B> {
     fn contains(&self, p: Vec3) -> bool {
         self.0.contains(p) || self.1.contains(p)
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        self.0.bounds().hull(&self.1.bounds())
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -227,6 +307,10 @@ impl<A: Solid, B: Solid> Solid for Intersection<A, B> {
         self.0.contains(p) && self.1.contains(p)
     }
 
+    fn bounds(&self) -> Bounds3 {
+        self.0.bounds().intersect(&self.1.bounds())
+    }
+
     fn field(&self, p: Vec3) -> f64 {
         self.0.field(p).max(self.1.field(p))
     }
@@ -239,6 +323,10 @@ pub struct Difference<A, B>(pub A, pub B);
 impl<A: Solid, B: Solid> Solid for Difference<A, B> {
     fn contains(&self, p: Vec3) -> bool {
         self.0.contains(p) && !self.1.contains(p)
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        self.0.bounds()
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -255,6 +343,10 @@ impl<A: Solid> Solid for Complement<A> {
         !self.0.contains(p)
     }
 
+    fn bounds(&self) -> Bounds3 {
+        Bounds3::EVERYTHING
+    }
+
     fn field(&self, p: Vec3) -> f64 {
         -self.0.field(p)
     }
@@ -265,6 +357,7 @@ impl<A: Solid> Solid for Complement<A> {
 #[derive(Debug, Clone)]
 pub struct Transformed<A> {
     base: A,
+    forward: Affine3,
     inverse: Affine3,
 }
 
@@ -278,13 +371,36 @@ impl<A: Solid> Transformed<A> {
             Some(inv) => inv,
             None => panic!("cannot transform a solid by a singular affine map"),
         };
-        Transformed { base, inverse }
+        Transformed { base, forward: transform, inverse }
     }
 }
 
 impl<A: Solid> Solid for Transformed<A> {
     fn contains(&self, p: Vec3) -> bool {
         self.base.contains(self.inverse.apply(p))
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        let base = self.base.bounds();
+        let ends = [base.min, base.max];
+        if ends.iter().any(|e| !(e.x.is_finite() && e.y.is_finite() && e.z.is_finite())) {
+            return Bounds3::EVERYTHING;
+        }
+        // An affine image of a box lies in the hull of its eight mapped
+        // corners.
+        let (mut min, mut max) = (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY));
+        for i in 0..8usize {
+            let corner = Vec3::new(ends[i >> 2].x, ends[(i >> 1) & 1].y, ends[i & 1].z);
+            let mapped = self.forward.apply(corner);
+            min = min.min(mapped);
+            max = max.max(mapped);
+        }
+        // `contains` tests `inverse(p)`, and `inverse ∘ forward` is the
+        // identity only to rounding: widen by far more than that error.
+        let reach =
+            [min.x, min.y, min.z, max.x, max.y, max.z].into_iter().fold(1.0, |r, c| c.abs().max(r));
+        let slack = Vec3::splat(reach * 1e-9);
+        Bounds3 { min: min - slack, max: max + slack }
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -297,6 +413,10 @@ impl<S: Solid + ?Sized> Solid for &S {
         (**self).contains(p)
     }
 
+    fn bounds(&self) -> Bounds3 {
+        (**self).bounds()
+    }
+
     fn field(&self, p: Vec3) -> f64 {
         (**self).field(p)
     }
@@ -305,6 +425,10 @@ impl<S: Solid + ?Sized> Solid for &S {
 impl<S: Solid + ?Sized> Solid for Box<S> {
     fn contains(&self, p: Vec3) -> bool {
         (**self).contains(p)
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        (**self).bounds()
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -406,7 +530,82 @@ mod tests {
         assert!((d - (3.0f64).sqrt()).abs() < 1e-12);
     }
 
+    /// Builds a random CSG tree from a stream of uniform `[0, 1)` draws:
+    /// primitives at the leaves, every combinator (and an unbounded
+    /// operand now and then) above them.
+    fn arb_solid(draw: &mut impl FnMut() -> f64, depth: u32) -> Box<dyn Solid> {
+        let mut point = |scale: f64| {
+            Vec3::new((draw() - 0.5) * scale, (draw() - 0.5) * scale, (draw() - 0.5) * scale)
+        };
+        let center = point(8.0);
+        let radii = point(3.0) + Vec3::splat(1.6);
+        let kinds = if depth == 0 { 4.0 } else { 10.0 };
+        match (draw() * kinds) as usize {
+            0 => Box::new(Sphere::new(center, radii.x)),
+            1 => Box::new(Ellipsoid::new(center, radii)),
+            2 => Box::new(Superquadric::new(center, radii, 0.6 + draw() * 3.0)),
+            3 => Box::new(SolidBox::new(center - radii, center + radii)),
+            4 => Box::new(Union(arb_solid(draw, depth - 1), arb_solid(draw, depth - 1))),
+            5 => Box::new(Intersection(arb_solid(draw, depth - 1), arb_solid(draw, depth - 1))),
+            6 => Box::new(Difference(arb_solid(draw, depth - 1), arb_solid(draw, depth - 1))),
+            7 => Box::new(Intersection(arb_solid(draw, depth - 1), HalfSpace::new(radii, draw()))),
+            8 => Box::new(Difference(
+                arb_solid(draw, depth - 1),
+                Complement(arb_solid(draw, depth - 1)),
+            )),
+            _ => {
+                let place = Affine3::rotation_z(draw() * 6.0)
+                    .then(&Affine3::rotation_y(draw() * 6.0))
+                    .then(&Affine3::scaling(radii * 0.5))
+                    .then(&Affine3::translation(center));
+                Box::new(Transformed::new(arb_solid(draw, depth - 1), place))
+            }
+        }
+    }
+
+    #[test]
+    fn unbounded_solids_report_everything_and_boxes_are_exact() {
+        let half = HalfSpace::new(Vec3::new(1.0, 0.0, 0.0), 2.0);
+        assert_eq!(half.bounds(), Bounds3::EVERYTHING);
+        assert_eq!(Complement(Sphere::new(Vec3::ZERO, 1.0)).bounds(), Bounds3::EVERYTHING);
+        let b = SolidBox::new(Vec3::splat(-1.0), Vec3::new(1.0, 2.0, 3.0));
+        assert_eq!(b.bounds(), Bounds3 { min: b.min, max: b.max });
+        // ∩ with an unbounded operand keeps the bounded one's box; a
+        // transformed unbounded solid stays unbounded.
+        assert_eq!(Intersection(b, half).bounds(), b.bounds());
+        let moved = Transformed::new(half, Affine3::rotation_z(0.4));
+        assert_eq!(moved.bounds(), Bounds3::EVERYTHING);
+        // Disjoint operands intersect to an empty box that holds nothing.
+        let far = SolidBox::new(Vec3::splat(10.0), Vec3::splat(11.0));
+        assert!(!Intersection(b, far).bounds().contains(Vec3::splat(10.5)));
+    }
+
+    #[test]
+    fn ellipsoid_bounds_are_tight() {
+        let e = Ellipsoid::new(Vec3::new(5.0, 6.0, 7.0), Vec3::new(1.0, 2.0, 3.0));
+        let b = e.bounds();
+        for (got, want) in [(b.min.x, 4.0), (b.max.y, 8.0), (b.min.z, 4.0), (b.max.z, 10.0)] {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn contained_points_lie_inside_the_bounds(
+            draws in proptest::collection::vec(0.0f64..1.0, 400),
+            points in proptest::collection::vec(proptest::array::uniform3(-9.0f64..9.0), 300),
+        ) {
+            let mut draws = draws.into_iter().cycle();
+            let solid = arb_solid(&mut || draws.next().unwrap_or(0.5), 3);
+            let bounds = solid.bounds();
+            for p in points {
+                let p = Vec3::from(p);
+                if solid.contains(p) {
+                    prop_assert!(bounds.contains(p), "{p:?} inside the solid but outside {bounds:?}");
+                }
+            }
+        }
+
         #[test]
         fn field_sign_agrees_with_contains(p in proptest::array::uniform3(-5.0f64..5.0)) {
             let p = Vec3::from(p);

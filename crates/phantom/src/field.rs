@@ -8,6 +8,7 @@
 use crate::anatomy::PhantomAtlas;
 use crate::noise::ValueNoise;
 use qbism_geometry::{Solid, Vec3};
+use qbism_sfc::SpaceFillingCurve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,14 +43,13 @@ impl ScalarField3 for MriField<'_> {
         // the hemispheres and override their base tissue.
         let mut base = None;
         for s in self.atlas.structures() {
-            if s.solid.contains(p) {
+            if s.contains(p) {
                 base = Some(s.mri_intensity);
             }
         }
         // The longitudinal fissure lies between the hemisphere REGIONs
         // but is still brain tissue on an MR image.
-        let side = f64::from(self.atlas.geometry().side());
-        if base.is_none() && self.atlas.brain_solid(side).contains(p) {
+        if base.is_none() && self.atlas.brain_solid().contains(p) {
             base = Some(95.0);
         }
         let Some(base) = base else { return 0.0 };
@@ -112,10 +112,10 @@ impl<'a> PetField<'a> {
                 continue;
             }
             // Pick a random voxel of the structure as the blob centre.
-            let nth = rng.gen_range(0..region.voxel_count());
-            let Some((x, y, z)) = region.iter_voxels3().nth(nth as usize) else {
+            let Some(id) = region.nth_id(rng.gen_range(0..region.voxel_count())) else {
                 continue;
             };
+            let (x, y, z) = region.geometry().curve().coords_of3(id);
             activations.push(Activation {
                 center: Vec3::new(f64::from(x) + 0.5, f64::from(y) + 0.5, f64::from(z) + 0.5),
                 sigma: rng.gen_range(0.03..0.08) * side,
@@ -141,7 +141,7 @@ impl<'a> PetField<'a> {
 impl ScalarField3 for PetField<'_> {
     fn value(&self, p: Vec3) -> f64 {
         let side = f64::from(self.atlas.geometry().side());
-        let brain = self.atlas.brain_solid(side);
+        let brain = self.atlas.brain_solid();
         if !brain.contains(p) {
             return 0.0;
         }
@@ -158,7 +158,7 @@ impl ScalarField3 for PetField<'_> {
             v += 28.0;
         }
         for st in self.atlas.structures().iter().skip(3) {
-            if st.solid.contains(p) {
+            if st.contains(p) {
                 v += 22.0;
                 break;
             }

@@ -2,7 +2,7 @@
 
 use crate::geometry::GridGeometry;
 use crate::kernel::{self, RunsCursor};
-use crate::run::{normalize, runs_from_ids, Run};
+use crate::run::{normalize, push_fused, runs_from_ids, Run};
 use qbism_geometry::{IBox3, IVec3, Solid};
 use qbism_sfc::SpaceFillingCurve;
 use std::convert::Infallible;
@@ -102,13 +102,39 @@ impl Region {
     /// Rasterizes an analytic solid by voxel-centre membership (3-D only).
     ///
     /// This is how the synthetic atlas structures become volumetric
-    /// REGIONs.
+    /// REGIONs.  Only the part of the grid the solid's
+    /// [`Solid::bounds`] can reach is tested, and it is walked in curve
+    /// order, so the run list is emitted directly — no id vector, no
+    /// sort, and a small structure costs its own volume, not the grid's.
     ///
     /// # Panics
     /// Panics if the geometry is not 3-dimensional.
     pub fn rasterize_solid<S: Solid>(geom: GridGeometry, solid: &S) -> Self {
         assert_eq!(geom.dims(), 3, "rasterize_solid requires a 3-D grid");
-        Region::rasterize(geom, |c| solid.contains(IVec3::new(c[0], c[1], c[2]).center()))
+        let bounds = solid.bounds();
+        // Voxel `i` has its centre at `i + 0.5`; pad a voxel each way.
+        let span = |lo: f64, hi: f64| -> Option<(u32, u32)> {
+            let first = (lo - 1.5).floor().max(0.0);
+            let last = (hi + 0.5).ceil().min(f64::from(geom.side() - 1));
+            (first <= last).then_some((first as u32, last as u32))
+        };
+        let (Some(x), Some(y), Some(z)) = (
+            span(bounds.min.x, bounds.max.x),
+            span(bounds.min.y, bounds.max.y),
+            span(bounds.min.z, bounds.max.z),
+        ) else {
+            return Region::empty(geom);
+        };
+        let curve = geom.curve();
+        let mut runs: Vec<Run> = Vec::new();
+        for cover in kernel::box_runs3(&curve, [x.0, y.0, z.0], [x.1, y.1, z.1]) {
+            for (id, x, y, z) in curve.walk3(cover.start..cover.end + 1) {
+                if solid.contains(IVec3::new(x, y, z).center()) {
+                    push_fused(&mut runs, Run::new(id, id));
+                }
+            }
+        }
+        Region { geom, runs }
     }
 
     /// The axis-aligned box region with inclusive corners (3-D only).
@@ -181,18 +207,31 @@ impl Region {
         self.runs.iter().flat_map(|r| r.start..=r.end)
     }
 
-    /// Iterates all voxels as `(x, y, z)` in curve order (3-D only).
+    /// The `n`-th id in increasing order (`n` counts from 0), found
+    /// from the run lengths alone; `None` when the region has `n` or
+    /// fewer voxels.
+    pub fn nth_id(&self, mut n: u64) -> Option<u64> {
+        for r in &self.runs {
+            if n < r.len() {
+                return Some(r.start + n);
+            }
+            n -= r.len();
+        }
+        None
+    }
+
+    /// Iterates all voxels as `(x, y, z)` in curve order (3-D only),
+    /// walking each run along the curve rather than decoding each id.
     ///
     /// # Panics
     /// Panics if the geometry is not 3-dimensional.
     pub fn iter_voxels3(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
         assert_eq!(self.geom.dims(), 3, "iter_voxels3 requires a 3-D grid");
         let curve = self.geom.curve();
-        self.iter_ids().map(move |id| {
-            let mut c = [0u32; 3];
-            curve.coords_of(id, &mut c);
-            (c[0], c[1], c[2])
-        })
+        self.runs
+            .iter()
+            .flat_map(move |r| curve.walk3(r.start..r.end + 1))
+            .map(|(_, x, y, z)| (x, y, z))
     }
 
     /// Tight bounding box of the region (3-D only); `None` when empty.
@@ -335,7 +374,9 @@ impl Region {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use qbism_geometry::{Sphere, Vec3};
+    use qbism_geometry::{
+        Affine3, Difference, Ellipsoid, HalfSpace, Sphere, Superquadric, Transformed, Vec3,
+    };
     use qbism_sfc::CurveKind;
 
     fn geom_2d() -> GridGeometry {
@@ -466,6 +507,18 @@ mod tests {
     }
 
     #[test]
+    fn nth_id_indexes_the_id_sequence() {
+        let r =
+            Region::from_runs(geom_2d(), vec![Run::new(2, 4), Run::new(9, 9), Run::new(12, 13)]);
+        let ids: Vec<u64> = r.iter_ids().collect();
+        for (n, &id) in ids.iter().enumerate() {
+            assert_eq!(r.nth_id(n as u64), Some(id));
+        }
+        assert_eq!(r.nth_id(ids.len() as u64), None);
+        assert_eq!(Region::empty(geom_2d()).nth_id(0), None);
+    }
+
+    #[test]
     fn contains_id_binary_search() {
         let g = small3(CurveKind::Hilbert);
         let r = Region::from_runs(g, vec![Run::new(5, 10), Run::new(20, 30)]);
@@ -525,6 +578,41 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn bounded_rasterization_equals_the_full_sweep(
+            kind in 0usize..3,
+            bits in 2u32..=4,
+            center in proptest::array::uniform3(-0.3f64..1.3),
+            radii in proptest::array::uniform3(0.02f64..0.7),
+            exponent in 0.7f64..4.0,
+            tilt in -3.0f64..3.0,
+        ) {
+            // Solids that sit inside, straddle and miss the grid: the
+            // swept box may be clipped or empty, never short.
+            let g = GridGeometry::new(CurveKind::ALL[kind], 3, bits);
+            let side = f64::from(g.side());
+            let (center, radii) = (Vec3::from(center) * side, Vec3::from(radii) * side);
+            let place = Affine3::rotation_z(tilt).then(&Affine3::translation(center));
+            let solids: [Box<dyn Solid>; 3] = [
+                Box::new(Superquadric::new(center, radii, exponent)),
+                Box::new(Transformed::new(Ellipsoid::new(Vec3::ZERO, radii), place)),
+                Box::new(Difference(Sphere::new(center, radii.x), HalfSpace::new(radii, tilt))),
+            ];
+            for solid in &solids {
+                let swept = Region::rasterize(g, |c| {
+                    solid.contains(IVec3::new(c[0], c[1], c[2]).center())
+                });
+                prop_assert_eq!(Region::rasterize_solid(g, solid), swept);
+            }
+        }
+
+        #[test]
+        fn iter_voxels3_decodes_every_id(r in arb_region(small3(CurveKind::Morton))) {
+            let curve = r.geometry().curve();
+            let decoded: Vec<_> = r.iter_ids().map(|id| curve.coords_of3(id)).collect();
+            prop_assert_eq!(r.iter_voxels3().collect::<Vec<_>>(), decoded);
+        }
+
         #[test]
         fn algebra_matches_bitset_oracle(
             a in arb_region(small3(CurveKind::Hilbert)),

@@ -5,7 +5,6 @@
 //! from the database into a DX object."
 
 use qbism_geometry::Vec3;
-use qbism_sfc::SpaceFillingCurve;
 use qbism_volume::DataRegion;
 
 /// The renderable object ImportVolume produces: explicit voxel positions
@@ -42,26 +41,20 @@ impl DxField {
 }
 
 /// Converts a query answer (REGION + per-voxel intensities) into a
-/// [`DxField`]: decode each curve id to its grid position and normalize
-/// the byte intensities.  Work is Θ(voxels), the proportionality Table 3
-/// measures in the ImportVolume column.
+/// [`DxField`]: walk the REGION's runs along the curve to each voxel's
+/// grid position and normalize the byte intensities.  Work is Θ(voxels),
+/// the proportionality Table 3 measures in the ImportVolume column.
 pub fn import_data_region(data: &DataRegion<u8>) -> DxField {
-    let geom = data.region().geometry();
-    assert_eq!(geom.dims(), 3, "DX renders 3-D fields");
-    let curve = geom.curve();
+    let region = data.region();
+    assert_eq!(region.geometry().dims(), 3, "DX renders 3-D fields");
     let mut positions = Vec::with_capacity(data.voxel_count());
-    let mut values = Vec::with_capacity(data.voxel_count());
-    let mut c = [0u32; 3];
-    for (id, v) in data.iter() {
-        curve.coords_of(id, &mut c);
-        positions.push(Vec3::new(
-            f64::from(c[0]) + 0.5,
-            f64::from(c[1]) + 0.5,
-            f64::from(c[2]) + 0.5,
-        ));
-        values.push(f32::from(v) / 255.0);
-    }
-    DxField { positions, values, grid_side: geom.side() }
+    positions.extend(
+        region
+            .iter_voxels3()
+            .map(|(x, y, z)| Vec3::new(f64::from(x) + 0.5, f64::from(y) + 0.5, f64::from(z) + 0.5)),
+    );
+    let values = data.values().iter().map(|&v| f32::from(v) / 255.0).collect();
+    DxField { positions, values, grid_side: region.geometry().side() }
 }
 
 #[cfg(test)]

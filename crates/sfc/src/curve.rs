@@ -53,7 +53,8 @@ pub trait SpaceFillingCurve {
         assert_eq!(self.dims(), 3, "coords_of3 requires a 3-D curve");
         let mut c = [0u32; 3];
         self.coords_of(index, &mut c);
-        (c[0], c[1], c[2])
+        let [x, y, z] = c;
+        (x, y, z)
     }
 
     /// Convenience wrapper for 2-D curves.

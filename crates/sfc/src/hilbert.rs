@@ -170,6 +170,12 @@ impl HilbertLut3 {
     }
 }
 
+/// The learned 3-D transducer in the form [`crate::walk`] descends.
+pub(crate) fn transducer3() -> crate::walk::Transducer3 {
+    let lut = HilbertLut3::get();
+    crate::walk::Transducer3 { start: lut.start, octant: &lut.octant, next: &lut.next }
+}
+
 impl HilbertCurve {
     /// Creates a Hilbert curve.  See [`crate::validate_geometry`] for limits.
     pub fn new(dims: u32, bits: u32) -> Self {

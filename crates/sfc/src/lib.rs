@@ -44,11 +44,13 @@ mod curve;
 mod hilbert;
 mod morton;
 mod scanline;
+mod walk;
 
 pub use curve::{Curve, CurveKind, SpaceFillingCurve};
 pub use hilbert::HilbertCurve;
 pub use morton::MortonCurve;
 pub use scanline::ScanlineCurve;
+pub use walk::Walk3;
 
 /// Maximum supported total index width in bits (indices are `u64`).
 pub const MAX_INDEX_BITS: u32 = 63;

@@ -23,6 +23,11 @@ impl MortonCurve {
     }
 }
 
+/// The 3-D Z curve as an octant transducer for [`crate::walk`]: one
+/// orientation, and the digit *is* the octant (axis 0 most significant).
+pub(crate) const TRANSDUCER3: crate::walk::Transducer3 =
+    crate::walk::Transducer3 { start: 0, octant: &[[0, 1, 2, 3, 4, 5, 6, 7]], next: &[[0; 8]] };
+
 /// Spreads the low 21 bits of `v` so each lands 3 positions apart
 /// (`abc` -> `a00b00c`), using the classic parallel-prefix magic masks.
 #[inline]

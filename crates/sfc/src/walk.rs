@@ -1,0 +1,234 @@
+//! Walking a 3-D curve: the coordinates of *consecutive* ids.
+//!
+//! `coords_of` answers "where is id `i`" from scratch — `bits` dependent
+//! table steps per voxel.  Data that arrives in curve order (a VOLUME's
+//! samples, a REGION's runs) asks a cheaper question: "where is the
+//! *next* id".  On an octree-aligned curve the eight ids of a leaf block
+//! share every level of the descent but the last, and a block's
+//! successor shares every level above the lowest digit that carried —
+//! so stepping is one table lookup per voxel plus an amortised 8/7
+//! level re-descents per block of eight.
+
+use crate::{Curve, SpaceFillingCurve, MAX_INDEX_BITS};
+use std::ops::Range;
+
+/// Deepest 3-D grid an index can address (`3 * 21 = 63` bits).
+const MAX_LEVELS: usize = (MAX_INDEX_BITS / 3) as usize;
+
+/// An octant transducer: `octant[state][digit]` is the child cube the
+/// curve visits `digit`-th in orientation `state`, `next[state][octant]`
+/// the orientation inside that child.  Hilbert's 24 states are learned
+/// from the bitwise curve; the Z curve is the one-state identity.
+#[derive(Clone, Copy)]
+pub(crate) struct Transducer3 {
+    pub start: u8,
+    pub octant: &'static [[u8; 8]],
+    pub next: &'static [[u8; 8]],
+}
+
+/// `table[row][col]`.  Rows are states the tables themselves issued and
+/// columns 3-bit digits, so the fallback is never taken.
+#[inline]
+fn at(table: &[[u8; 8]], row: u8, col: usize) -> u8 {
+    table.get(usize::from(row)).and_then(|r| r.get(col)).copied().unwrap_or(0)
+}
+
+/// A cube on the path from the root to the current id: the orientation
+/// its digit is decoded in, and its minimum corner.
+type Cube = (u8, u32, u32, u32);
+
+/// Streams `(id, x, y, z)` for an ascending range of ids on a 3-D curve.
+///
+/// Built by [`Curve::walk3`]; yields exactly what `coords_of` would for
+/// each id, in id order, without materialising anything.
+pub struct Walk3 {
+    ids: Range<u64>,
+    bits: u32,
+    /// `None` walks scanline order, whose coordinates are bit fields of
+    /// the id and need no state.
+    table: Option<Transducer3>,
+    /// `path[l]` is the cube of side `2^(l+1)` holding the current id,
+    /// the one whose digit is id bits `3l..3l+3`; `path[0]` is the leaf
+    /// block of eight consecutive ids.
+    path: [Cube; MAX_LEVELS],
+}
+
+impl Walk3 {
+    fn new(curve: &Curve, ids: Range<u64>) -> Walk3 {
+        assert_eq!(curve.dims(), 3, "walk3 requires a 3-D curve");
+        assert!(
+            ids.end <= curve.cell_count(),
+            "walk3 range {ids:?} exceeds the grid's {} cells",
+            curve.cell_count()
+        );
+        let table = match curve {
+            Curve::Hilbert(_) => Some(crate::hilbert::transducer3()),
+            Curve::Morton(_) => Some(crate::morton::TRANSDUCER3),
+            Curve::Scanline(_) => None,
+        };
+        let root = (table.map_or(0, |t| t.start), 0, 0, 0);
+        let mut walk = Walk3 { bits: curve.bits(), table, path: [root; MAX_LEVELS], ids };
+        if let Some(table) = table {
+            walk.descend(table, walk.ids.start, walk.bits as usize - 1);
+        }
+        walk
+    }
+
+    /// Re-derives `path[..from]` from `id`'s digits; `path[from]` and
+    /// above must already hold `id`.
+    fn descend(&mut self, table: Transducer3, id: u64, from: usize) {
+        let (below, held) = self.path.split_at_mut(from);
+        let Some(&(mut state, mut x, mut y, mut z)) = held.first() else { return };
+        for (child, cube) in below.iter_mut().enumerate().rev() {
+            let level = child + 1;
+            let oct = at(table.octant, state, ((id >> (3 * level)) & 7) as usize);
+            x |= u32::from(oct >> 2) << level;
+            y |= u32::from((oct >> 1) & 1) << level;
+            z |= u32::from(oct & 1) << level;
+            state = at(table.next, state, usize::from(oct));
+            *cube = (state, x, y, z);
+        }
+    }
+}
+
+impl Iterator for Walk3 {
+    type Item = (u64, u32, u32, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let id = self.ids.next()?;
+        let Some(table) = self.table else {
+            let mask = (1u64 << self.bits) - 1;
+            let (x, y) = (id >> (2 * self.bits), (id >> self.bits) & mask);
+            return Some((id, x as u32, y as u32, (id & mask) as u32));
+        };
+        let digit = (id & 7) as usize;
+        if digit == 0 {
+            // Entering a new leaf block: the digits below the one that
+            // carried are all zero, the levels above it are unchanged.
+            let carried = (id.trailing_zeros() / 3).min(self.bits - 1);
+            self.descend(table, id, carried as usize);
+        }
+        let [(state, x, y, z), ..] = self.path;
+        let oct = at(table.octant, state, digit);
+        Some((id, x | u32::from(oct >> 2), y | u32::from((oct >> 1) & 1), z | u32::from(oct & 1)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl Curve {
+    /// Walks the ids of `ids` in ascending order, yielding each with
+    /// its coordinates as `(id, x, y, z)` — the streaming form of
+    /// [`SpaceFillingCurve::coords_of`] for data that is already in
+    /// curve order (a VOLUME's samples, a REGION's runs).  Hilbert and Z
+    /// order step through their octant transducers at about one table
+    /// lookup per voxel; scanline coordinates are bit fields of the id.
+    ///
+    /// # Panics
+    /// Panics if the curve is not 3-dimensional or `ids` reaches past
+    /// the grid.
+    pub fn walk3(&self, ids: Range<u64>) -> Walk3 {
+        Walk3::new(self, ids)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::CurveKind;
+    use proptest::prelude::*;
+
+    #[test]
+    fn full_grid_walk_matches_coords_of() {
+        for kind in CurveKind::ALL {
+            for bits in 1..=4u32 {
+                let curve = kind.curve(3, bits);
+                let mut count = 0u64;
+                for (id, x, y, z) in curve.walk3(0..curve.cell_count()) {
+                    assert_eq!(id, count, "{kind} bits={bits}: ids ascend from 0");
+                    assert_eq!((x, y, z), curve.coords_of3(id), "{kind} bits={bits} id={id}");
+                    count += 1;
+                }
+                assert_eq!(count, curve.cell_count());
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_id_ranges() {
+        for kind in CurveKind::ALL {
+            let curve = kind.curve(3, 5);
+            assert_eq!(curve.walk3(77..77).count(), 0);
+            let last = curve.cell_count() - 1;
+            let (x, y, z) = curve.coords_of3(last);
+            assert_eq!(curve.walk3(last..last + 1).collect::<Vec<_>>(), vec![(last, x, y, z)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the grid")]
+    fn range_past_the_grid_panics() {
+        let curve = CurveKind::Hilbert.curve(3, 2);
+        let _ = curve.walk3(60..65);
+    }
+
+    #[test]
+    #[should_panic(expected = "requires a 3-D curve")]
+    fn two_dimensional_curve_panics() {
+        let _ = CurveKind::Hilbert.curve(2, 4).walk3(0..4);
+    }
+
+    /// Not a correctness test: prints walk vs `coords_of` timings over a
+    /// full 128³ sweep.  Run with
+    /// `cargo test -p qbism-sfc --release -- --ignored --nocapture walk_speed`.
+    #[test]
+    #[ignore = "timing report, run explicitly in release mode"]
+    fn walk_speed_report() {
+        for kind in CurveKind::ALL {
+            let curve = kind.curve(3, 7);
+            let n = curve.cell_count();
+            let t = std::time::Instant::now();
+            let walked = curve.walk3(0..n).fold(0u64, |acc, (_, x, y, z)| {
+                acc.wrapping_add(u64::from(x ^ (y << 7) ^ (z << 14)))
+            });
+            let walk = t.elapsed();
+            let t = std::time::Instant::now();
+            let decoded = (0..n).fold(0u64, |acc, id| {
+                let (x, y, z) = curve.coords_of3(id);
+                acc.wrapping_add(u64::from(x ^ (y << 7) ^ (z << 14)))
+            });
+            let decode = t.elapsed();
+            assert_eq!(walked, decoded);
+            println!(
+                "{kind}: walk3 {:.2} ns/voxel, coords_of {:.2} ns/voxel",
+                walk.as_nanos() as f64 / n as f64,
+                decode.as_nanos() as f64 / n as f64
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn walk_equals_coords_of_on_random_intervals(
+            kind in 0usize..3,
+            bits in 1u32..=7,
+            a in 0.0f64..1.0,
+            len in 0u64..700,
+        ) {
+            let curve = CurveKind::ALL[kind].curve(3, bits);
+            let cells = curve.cell_count();
+            let start = (a * cells as f64) as u64;
+            let end = (start + len).min(cells);
+            let mut expect = start;
+            for (id, x, y, z) in curve.walk3(start..end) {
+                prop_assert_eq!(id, expect);
+                prop_assert_eq!((x, y, z), curve.coords_of3(id));
+                expect += 1;
+            }
+            prop_assert_eq!(expect, end);
+        }
+    }
+}

@@ -28,21 +28,18 @@ impl<T: Copy + Default> Field<T> {
 
     /// Builds a field by evaluating `f` at every 3-D voxel coordinate.
     ///
+    /// `f` is evaluated **in curve order** — the order the samples are
+    /// stored in, so the fill is one sequential write walked along the
+    /// curve — and is therefore required to be a pure function of the
+    /// coordinates (`Fn`, not `FnMut`).
+    ///
     /// # Panics
     /// Panics if the geometry is not 3-dimensional.
-    pub fn from_fn3<F: FnMut(u32, u32, u32) -> T>(geom: GridGeometry, mut f: F) -> Self {
+    pub fn from_fn3<F: Fn(u32, u32, u32) -> T>(geom: GridGeometry, f: F) -> Self {
         assert_eq!(geom.dims(), 3, "from_fn3 requires a 3-D grid");
-        let curve = geom.curve();
-        let side = geom.side();
-        let mut values = vec![T::default(); geom.cell_count() as usize];
-        // Evaluate in scanline order (cheap iteration), store at curve ids.
-        for x in 0..side {
-            for y in 0..side {
-                for z in 0..side {
-                    values[curve.index_of(&[x, y, z]) as usize] = f(x, y, z);
-                }
-            }
-        }
+        let cells = geom.cell_count();
+        let mut values = Vec::with_capacity(cells as usize);
+        values.extend(geom.curve().walk3(0..cells).map(|(_, x, y, z)| f(x, y, z)));
         Field { geom, values }
     }
 
@@ -54,36 +51,21 @@ impl<T: Copy + Default> Field<T> {
         if samples.len() as u64 != expected {
             return Err(VolumeError::SampleCountMismatch { got: samples.len(), expected });
         }
-        if geom.kind() == CurveKind::Scanline {
-            return Ok(Field { geom, values: samples.to_vec() });
-        }
-        let curve = geom.curve();
-        let scan = geom.with_kind(CurveKind::Scanline).curve();
-        let dims = geom.dims() as usize;
-        let mut coords = vec![0u32; dims];
-        let mut values = vec![T::default(); samples.len()];
-        for (i, &s) in samples.iter().enumerate() {
-            scan.coords_of(i as u64, &mut coords);
-            values[curve.index_of(&coords) as usize] = s;
-        }
-        Ok(Field { geom, values })
+        Ok(Field::gather_scanline(geom, samples))
+    }
+
+    /// [`Field::from_scanline`] once the sample count is known to match.
+    fn gather_scanline(geom: GridGeometry, samples: &[T]) -> Self {
+        let mut values = Vec::with_capacity(samples.len());
+        for_each_scan_offset(geom, |_, scan| values.push(samples[scan]));
+        Field { geom, values }
     }
 
     /// Exports samples to scanline order (the inverse of
     /// [`Field::from_scanline`]).
     pub fn to_scanline(&self) -> Vec<T> {
-        if self.geom.kind() == CurveKind::Scanline {
-            return self.values.clone();
-        }
-        let curve = self.geom.curve();
-        let scan = self.geom.with_kind(CurveKind::Scanline).curve();
-        let dims = self.geom.dims() as usize;
-        let mut coords = vec![0u32; dims];
         let mut out = vec![T::default(); self.values.len()];
-        for (id, &v) in self.values.iter().enumerate() {
-            curve.coords_of(id as u64, &mut coords);
-            out[scan.index_of(&coords) as usize] = v;
-        }
+        for_each_scan_offset(self.geom, |id, scan| out[scan] = self.values[id]);
         out
     }
 
@@ -93,17 +75,9 @@ impl<T: Copy + Default> Field<T> {
         if kind == self.geom.kind() {
             return self.clone();
         }
-        let src = self.geom.curve();
-        let dst_geom = self.geom.with_kind(kind);
-        let dst = dst_geom.curve();
-        let dims = self.geom.dims() as usize;
-        let mut coords = vec![0u32; dims];
-        let mut values = vec![T::default(); self.values.len()];
-        for (id, &v) in self.values.iter().enumerate() {
-            src.coords_of(id as u64, &mut coords);
-            values[dst.index_of(&coords) as usize] = v;
-        }
-        Field { geom: dst_geom, values }
+        // Through scanline order: each side is one walk along its own
+        // curve, where a direct transcode would pay an `index_of` per cell.
+        Field::gather_scanline(self.geom.with_kind(kind), &self.to_scanline())
     }
 
     /// The grid geometry (curve, dims, bits).
@@ -153,6 +127,31 @@ impl<T: Copy + Default> Field<T> {
             values.extend_from_slice(&self.values[run.start as usize..=run.end as usize]);
         }
         Ok(DataRegion::new(region.clone(), values))
+    }
+}
+
+/// Calls `visit(id, scan)` for every cell of `geom` in ascending curve-id
+/// order, `scan` being the cell's offset in scanline order (axis 0
+/// slowest).  3-D grids walk the curve; other dimensionalities decode
+/// each id.
+fn for_each_scan_offset(geom: GridGeometry, mut visit: impl FnMut(usize, usize)) {
+    let cells = geom.cell_count();
+    if geom.kind() == CurveKind::Scanline {
+        (0..cells as usize).for_each(|id| visit(id, id));
+        return;
+    }
+    let (curve, bits) = (geom.curve(), geom.bits());
+    if geom.dims() == 3 {
+        for (id, x, y, z) in curve.walk3(0..cells) {
+            visit(id as usize, (((x as usize) << bits | y as usize) << bits) | z as usize);
+        }
+        return;
+    }
+    let mut buf = [0u32; qbism_sfc::MAX_INDEX_BITS as usize];
+    let coords = &mut buf[..geom.dims() as usize];
+    for id in 0..cells {
+        curve.coords_of(id, coords);
+        visit(id as usize, coords.iter().fold(0, |scan, &c| scan << bits | c as usize));
     }
 }
 
@@ -300,6 +299,29 @@ mod tests {
         // Scanline export of a scanline volume is the identity.
         let s = ramp_volume(CurveKind::Scanline);
         assert_eq!(s.to_scanline(), s.values());
+    }
+
+    #[test]
+    fn scanline_layouts_hold_in_every_dimensionality() {
+        // 3-D walks the curve, other dims decode per id: both must place
+        // sample `i` of the scanline at the curve id of scanline cell `i`.
+        for (dims, bits) in [(1u32, 6u32), (2, 3), (3, 2), (4, 2)] {
+            for kind in CurveKind::ALL {
+                let geom = GridGeometry::new(kind, dims, bits);
+                let samples: Vec<u32> = (0..geom.cell_count() as u32).collect();
+                let field = Field::from_scanline(geom, &samples).unwrap();
+                let scan = geom.with_kind(CurveKind::Scanline).curve();
+                let mut coords = vec![0u32; dims as usize];
+                for &i in &samples {
+                    scan.coords_of(u64::from(i), &mut coords);
+                    assert_eq!(field.at_id(geom.index_of(&coords)), i, "{kind} {dims}-D");
+                }
+                assert_eq!(field.to_scanline(), samples, "{kind} {dims}-D");
+                for other in CurveKind::ALL {
+                    assert_eq!(field.relayout(other).to_scanline(), samples);
+                }
+            }
+        }
     }
 
     #[test]

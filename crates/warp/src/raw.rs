@@ -95,29 +95,39 @@ impl RawStudy {
     }
 
     /// Trilinear sample at a patient-space point (millimetres).
-    /// Points outside the study volume sample as 0 (air), which is how
-    /// warped volumes acquire their black border.
+    /// Points outside the study volume — and points with a non-finite
+    /// coordinate — sample as 0 (air), which is how warped volumes
+    /// acquire their black border.
+    #[inline]
     pub fn sample_trilinear(&self, p: Vec3) -> f64 {
         // Convert to continuous voxel coordinates, centred samples.
         let fx = p.x / self.spacing.x - 0.5;
         let fy = p.y / self.spacing.y - 0.5;
         let fz = p.z / self.spacing.z - 0.5;
+        let [nx, ny, nz] = self.dims.map(|d| d as usize);
+        // The taps are cells `floor(f)` and `floor(f) + 1`; once any
+        // coordinate is a whole cell off the grid all eight are air.
+        let on = |f: f64, n: usize| f >= -1.0 && f < n as f64;
+        if !(on(fx, nx) && on(fy, ny) && on(fz, nz)) {
+            return 0.0;
+        }
         let (x0, tx) = split(fx);
         let (y0, ty) = split(fy);
         let (z0, tz) = split(fz);
-        let mut acc = 0.0;
-        for (dx, wx) in [(0i64, 1.0 - tx), (1, tx)] {
-            for (dy, wy) in [(0i64, 1.0 - ty), (1, ty)] {
-                for (dz, wz) in [(0i64, 1.0 - tz), (1, tz)] {
-                    let w = wx * wy * wz;
-                    if w == 0.0 {
-                        continue;
-                    }
-                    acc += w * self.fetch(x0 + dx, y0 + dy, z0 + dz);
-                }
-            }
+        let weights = [[1.0 - tx, tx], [1.0 - ty, ty], [1.0 - tz, tz]];
+        let interior = |c: i64, n: usize| c >= 0 && (c as usize) + 1 < n;
+        if !(interior(x0, nx) && interior(y0, ny) && interior(z0, nz)) {
+            return blend(weights, |dx, dy, dz| {
+                self.fetch(x0 + dx as i64, y0 + dy as i64, z0 + dz as i64)
+            });
         }
-        acc
+        // All eight taps are in the grid: one bounds test, then the four
+        // z-adjacent pairs load directly.
+        let base = (x0 as usize * ny + y0 as usize) * nz + z0 as usize;
+        let cell = &self.data[base..base + (ny + 1) * nz + 2];
+        let pair = |at: usize| [cell[at], cell[at + 1]];
+        let taps = [[pair(0), pair(nz)], [pair(ny * nz), pair(ny * nz + nz)]];
+        blend(weights, |dx, dy, dz| f64::from(taps[dx][dy][dz]))
     }
 
     /// Fetches with zero padding outside the grid.
@@ -135,16 +145,70 @@ impl RawStudy {
     }
 }
 
-/// Splits a continuous coordinate into integer base and fraction.
+/// The trilinear sum: one weight and one tap per cell corner, x slowest,
+/// each term `((wx * wy) * wz) * tap` — the one order and association
+/// every path through [`RawStudy::sample_trilinear`] shares, so they
+/// agree to the bit.  (A zero weight adds `+0.0`: weights and taps are
+/// non-negative, so skipping the term would change nothing.)
+#[inline]
+fn blend(w: [[f64; 2]; 3], tap: impl Fn(usize, usize, usize) -> f64) -> f64 {
+    let mut acc = 0.0;
+    for dx in 0..2 {
+        for dy in 0..2 {
+            for dz in 0..2 {
+                acc += w[0][dx] * w[1][dy] * w[2][dz] * tap(dx, dy, dz);
+            }
+        }
+    }
+    acc
+}
+
+/// Splits a continuous coordinate into integer base (its floor) and
+/// fraction.  `as i64` truncates toward zero, so the floor is one below
+/// wherever truncation rounded a negative coordinate up — exact for
+/// every `|f| < 2^53`, and the caller has already confined `f` to
+/// `[-1, dim)`.  (`f64::floor` is a libm call on baseline x86-64, and
+/// three of them were a fifth of the warp.)
+#[inline]
 fn split(f: f64) -> (i64, f64) {
-    let base = f.floor();
-    (base as i64, f - base)
+    let mut base = f as i64;
+    if base as f64 > f {
+        base -= 1;
+    }
+    (base, f - base as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qbism_geometry::Affine3;
+
+    /// The resampler as it stood before the interior fast path and the
+    /// all-air early-out: every tap through the bounds-checked `fetch`,
+    /// zero weights skipped.  Kept as the bit-identity oracle.
+    fn sample_trilinear_reference(s: &RawStudy, p: Vec3) -> f64 {
+        let fx = p.x / s.spacing.x - 0.5;
+        let fy = p.y / s.spacing.y - 0.5;
+        let fz = p.z / s.spacing.z - 0.5;
+        let floor_split = |f: f64| (f.floor() as i64, f - f.floor());
+        let (x0, tx) = floor_split(fx);
+        let (y0, ty) = floor_split(fy);
+        let (z0, tz) = floor_split(fz);
+        let mut acc = 0.0;
+        for (dx, wx) in [(0i64, 1.0 - tx), (1, tx)] {
+            for (dy, wy) in [(0i64, 1.0 - ty), (1, ty)] {
+                for (dz, wz) in [(0i64, 1.0 - tz), (1, tz)] {
+                    let w = wx * wy * wz;
+                    if w == 0.0 {
+                        continue;
+                    }
+                    acc += w * s.fetch(x0 + dx, y0 + dy, z0 + dz);
+                }
+            }
+        }
+        acc
+    }
 
     fn pet_like() -> RawStudy {
         // A small analogue of the paper's 128x128x51 PET geometry.
@@ -217,6 +281,42 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn fast_paths_are_bit_equal_to_the_reference(
+            angles in proptest::array::uniform3(-3.2f64..3.2),
+            scale in 0.3f64..3.0,
+            shift in proptest::array::uniform3(-40.0f64..40.0),
+            seed in 0u32..1000,
+        ) {
+            // Random affine maps of a 12³ probe lattice: small shifts
+            // keep it inside the study (interior path), larger ones put
+            // it across the border (zero-padded taps) or wholly outside
+            // (early-out); lattice points also land exactly on cell
+            // centres and faces, where fractions are 0.
+            let s = RawStudy::from_fn([16, 16, 7], Vec3::new(1.0, 1.0, 2.0), |x, y, z| {
+                (x * 31 + y * 17 + z * 7 + seed) as u8
+            });
+            let map = Affine3::rotation_x(angles[0])
+                .then(&Affine3::rotation_y(angles[1]))
+                .then(&Affine3::rotation_z(angles[2]))
+                .then(&Affine3::uniform_scaling(scale))
+                .then(&Affine3::translation(Vec3::from(shift)));
+            let lattice = (0..12).map(|i| f64::from(i) * 1.5);
+            for x in lattice.clone() {
+                for y in lattice.clone() {
+                    for z in lattice.clone() {
+                        for p in [Vec3::new(x, y, z), map.apply(Vec3::new(x, y, z))] {
+                            prop_assert_eq!(
+                                s.sample_trilinear(p).to_bits(),
+                                sample_trilinear_reference(&s, p).to_bits(),
+                                "at {:?}", p
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
         #[test]
         fn samples_are_bounded_by_data_range(
             px in -2.0f64..20.0, py in -2.0f64..20.0, pz in -2.0f64..20.0,
