@@ -319,8 +319,12 @@ impl ClusterWarehouse {
         let per_study = self.scatter(study_ids, &stage, data_region_wire_size);
         // A lost study (all replicas down) becomes a typed skipped
         // entry; only a total loss errors.
-        let mut answer =
-            reduce_population_stages(study_ids, per_study, || ClusterError::NoStudies)?;
+        let mut answer = reduce_population_stages(
+            study_ids,
+            per_study,
+            || ClusterError::NoStudies,
+            ClusterError::Gather,
+        )?;
         self.ship(&mut answer.cost, data_region_wire_size(&answer.data))?;
         self.finish(&span, &answer.cost);
         Ok(answer)

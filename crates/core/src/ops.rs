@@ -18,22 +18,23 @@
 //! is the point: Table 3/4's I/O column counts these reads); immediate
 //! byte arguments cost none.
 
-use crate::wire::encode_data_region;
+use crate::wire::begin_data_region;
 use qbism_region::compressed::{compressed_cursor, is_compressed, CompressedCursor};
 use qbism_region::{kernel, GridGeometry, Region, RegionCodec, RegionEncodeError, Run};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
-use qbism_volume::DataRegion;
+use std::borrow::Cow;
 
 /// A fetched REGION operand: its raw encoded bytes, and whether they
-/// were read from a long field (false for immediate byte strings).
-type RegionArg = (Vec<u8>, bool);
+/// were read from a long field (false for immediate byte strings,
+/// which are borrowed from the argument).
+type RegionArg<'a> = (Cow<'a, [u8]>, bool);
 
 /// Fetches a region argument's raw bytes: a long field (read through
 /// the LFM, counting I/O) or an immediate byte string.
-fn fetch_region_arg(ctx: &mut UdfContext<'_>, v: &Value) -> Result<RegionArg, DbError> {
+fn fetch_region_arg<'a>(ctx: &mut UdfContext<'_>, v: &'a Value) -> Result<RegionArg<'a>, DbError> {
     match v {
-        Value::Long(id) => Ok((ctx.lfm.read(*id)?, true)),
-        Value::Bytes(b) => Ok((b.clone(), false)),
+        Value::Long(id) => Ok((Cow::Owned(ctx.lfm.read(*id)?), true)),
+        Value::Bytes(b) => Ok((Cow::Borrowed(b), false)),
         other => {
             Err(DbError::Type(format!("expected a REGION (long field or bytes), got {other}")))
         }
@@ -160,12 +161,14 @@ pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec) {
         // because the volume shares the region's curve order.  This is
         // the I/O path whose page counts Table 3 reports.
         let pieces: Vec<(u64, u64)> = region.runs().iter().map(|r| (r.start, r.len())).collect();
-        let mut values = Vec::with_capacity(region.voxel_count() as usize);
-        ctx.lfm.read_pieces_into(volume_id, &pieces, &mut values)?;
-        let dr = DataRegion::new(region, values);
-        encode_data_region(&dr)
-            .map(Value::Bytes)
-            .map_err(|e| DbError::Exec(format!("cannot encode DATA_REGION: {e}")))
+        // One buffer, sized once: the DATA_REGION's region part is
+        // written in place and the LFM appends the VOLUME pieces behind
+        // it — the bytes move device → answer and nowhere between.
+        let mut out = Vec::new();
+        begin_data_region(&region, &mut out)
+            .map_err(|e| DbError::Exec(format!("cannot encode DATA_REGION: {e}")))?;
+        ctx.lfm.read_pieces_into(volume_id, &pieces, &mut out)?;
+        Ok(Value::Bytes(out))
     });
 }
 

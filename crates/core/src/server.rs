@@ -17,7 +17,7 @@
 
 use crate::config::QbismConfig;
 use crate::loader::ATLAS_ID;
-use crate::wire::{data_region_wire_size, decode_data_region};
+use crate::wire::{data_region_from_bytes, data_region_wire_size};
 use crate::{QbismError, Result};
 use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
 use qbism_netsim::{NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
@@ -595,7 +595,7 @@ impl MedicalServer {
             self.population_stage(id, structure)
         });
         let no_studies = || QbismError::NotFound("no studies given".into());
-        let mut answer = reduce_population_stages(study_ids, per_study, no_studies)?;
+        let mut answer = reduce_population_stages(study_ids, per_study, no_studies, |e| e)?;
         // Only the final averaged DATA_REGION crosses the wire.
         self.ship_answer(&mut answer.cost, data_region_wire_size(&answer.data))?;
         self.finish_query(&span, Class::PopulationAverage, &answer.cost);
@@ -618,7 +618,7 @@ impl MedicalServer {
     pub fn atlas_info(&self, study_id: i64) -> Result<Vec<Value>> {
         let span = Self::query_span("atlas_info");
         span.record_i64("study_id", study_id);
-        let row = |_: &Self, row: &[Value]| Ok(row.to_vec());
+        let row = |_: &Self, row: Vec<Value>| Ok(row);
         let stage = self.measured(&self.statements.atlas_info, &[Value::Int(study_id)], row);
         Self::accessed(&span, stage.named(|| format!("study {study_id}")))
     }
@@ -677,10 +677,11 @@ impl MedicalServer {
     }
 
     /// The one measured path: the database phase of `stmt` — its run
-    /// and `decode` over its single row, so a decoder's long-field read
-    /// is charged like the statement's own I/O.  Cost is charged once
-    /// the row exists, whether or not it then decodes; a statement that
-    /// fails or matches no row charges nothing.
+    /// and `decode` over its single row (handed over by value: an
+    /// answer's bytes are the decoder's to keep), so a decoder's
+    /// long-field read is charged like the statement's own I/O.  Cost
+    /// is charged once the row exists, whether or not it then decodes;
+    /// a statement that fails or matches no row charges nothing.
     ///
     /// Measurement is a thread-local [`IoBracket`], not a before/after
     /// delta of the global LFM counters — so concurrent queries on
@@ -689,16 +690,17 @@ impl MedicalServer {
         &self,
         stmt: &Prepared,
         params: &[Value],
-        decode: impl FnOnce(&Self, &[Value]) -> Result<T>,
+        decode: impl FnOnce(&Self, Vec<Value>) -> Result<T>,
     ) -> StudyStage<T> {
         let bracket = IoBracket::begin();
         let start = std::time::Instant::now();
         let mut rows_scanned = None;
         let outcome = self.db.run(stmt, params).map_err(QbismError::from).and_then(|rs| {
-            let [row] = rs.rows() else {
-                return Err(QbismError::NotFound(format!("query returned {} rows", rs.len())));
-            };
-            rows_scanned = Some(rs.rows_scanned);
+            let scanned = rs.rows_scanned;
+            let [row]: [Vec<Value>; 1] = rs.into_rows().try_into().map_err(|rows: Vec<_>| {
+                QbismError::NotFound(format!("query returned {} rows", rows.len()))
+            })?;
+            rows_scanned = Some(scanned);
             decode(self, row)
         });
         let native_db_seconds = start.elapsed().as_secs_f64();
@@ -713,18 +715,18 @@ impl MedicalServer {
         StudyStage { cost, outcome }
     }
 
-    /// Decoder of the extraction statements: the DATA_REGION answer.
-    fn data_region(&self, row: &[Value]) -> Result<DataRegion<u8>> {
-        let bytes = row
-            .first()
-            .and_then(Value::as_bytes)
-            .ok_or_else(|| QbismError::Wire("extract returned a non-bytes value".into()))?;
-        decode_data_region(bytes)
+    /// Decoder of the extraction statements: the DATA_REGION answer,
+    /// whose value bytes stay in the buffer `extractVoxels` filled.
+    fn data_region(&self, row: Vec<Value>) -> Result<DataRegion<u8>> {
+        match row.into_iter().next() {
+            Some(Value::Bytes(bytes)) => data_region_from_bytes(bytes),
+            _ => Err(QbismError::Wire("extract returned a non-bytes value".into())),
+        }
     }
 
     /// Decoder of the long-field statements: the selected field, read
     /// in full.
-    fn long_field(&self, row: &[Value]) -> Result<Vec<u8>> {
+    fn long_field(&self, row: Vec<Value>) -> Result<Vec<u8>> {
         let id = row
             .first()
             .and_then(Value::as_long)
@@ -846,14 +848,17 @@ pub fn reduce_band_stages<E>(
 /// The study-order reduce of the population aggregate, shared like
 /// [`reduce_band_stages`].  Every stage's cost folds in study order (a
 /// study whose answer fails to decode still did its I/O), a failed
-/// study becomes a `skipped` entry, and [`voxel_mean`] over the
-/// survivors — database-phase CPU — is the answer, not yet shipped.
-/// It fails only when nothing survives, with the first study's error
+/// study becomes a `skipped` entry — as does, after those, one whose
+/// extraction covers another REGION than the first survivor's
+/// (`gather_error` lifts that into `E`) — and [`voxel_mean`] over the
+/// rest — database-phase CPU — is the answer, not yet shipped.  It
+/// fails only when nothing survives, with the first study's error
 /// (`no_studies` for an empty study list).
 pub fn reduce_population_stages<E>(
     study_ids: &[i64],
     stages: impl IntoIterator<Item = StudyStage<DataRegion<u8>, E>>,
     no_studies: impl FnOnce() -> E,
+    gather_error: impl Fn(QbismError) -> E,
 ) -> std::result::Result<PopulationAnswer<E>, E> {
     let mut cost = QueryCost::default();
     let mut extracts = Vec::with_capacity(study_ids.len());
@@ -861,18 +866,29 @@ pub fn reduce_population_stages<E>(
     for (stage, &id) in stages.into_iter().zip(study_ids) {
         cost.accumulate(&stage.cost);
         match stage.outcome {
-            Ok(extract) => extracts.push(extract),
+            Ok(extract) => extracts.push((id, extract)),
             Err(e) => skipped.push((id, e)),
         }
     }
     let start = std::time::Instant::now();
-    let Some(data) = voxel_mean(&extracts) else {
+    let Some((data, misaligned)) = voxel_mean(extracts.iter().map(|(_, extract)| extract)) else {
         // Degrading further would return an empty answer pretending to
         // be a mean — fail with the first cause.
         return Err(skipped.into_iter().next().map_or_else(no_studies, |(_, error)| error));
     };
     cost.add_gather_seconds(start.elapsed().as_secs_f64());
-    cost.coverage = extracts.len() as f64 / study_ids.len() as f64;
+    cost.coverage = (extracts.len() - misaligned.len()) as f64 / study_ids.len() as f64;
+    for (id, extract) in misaligned.into_iter().filter_map(|at| extracts.get(at)) {
+        let (region, mean) = (extract.region(), data.region());
+        let error = QbismError::Wire(format!(
+            "extraction covers {} voxels in {} runs, not the {} in {} the mean is taken over",
+            region.voxel_count(),
+            region.run_count(),
+            mean.voxel_count(),
+            mean.run_count()
+        ));
+        skipped.push((*id, gather_error(error)));
+    }
     Ok(PopulationAnswer { data, cost, skipped })
 }
 
@@ -939,17 +955,32 @@ fn common_grid(mut grids: impl Iterator<Item = GridGeometry>) -> Result<GridGeom
 }
 
 /// The gather of the population aggregate, shared like
-/// [`fold_band_regions`]: the voxel-wise mean of aligned per-study
-/// extractions over the first one's REGION, `None` when there are none.
-pub fn voxel_mean(extracts: &[DataRegion<u8>]) -> Option<DataRegion<u8>> {
-    let first = extracts.first()?;
-    let n = extracts.len() as u32;
-    let mut values = Vec::with_capacity(first.voxel_count());
-    for i in 0..first.voxel_count() {
-        let sum: u32 = extracts.iter().map(|e| u32::from(e.values()[i])).sum();
-        values.push((sum / n) as u8);
+/// [`fold_band_regions`]: the voxel-wise mean of per-study extractions
+/// over the first one's REGION, `None` when there are none.  An extract
+/// over any other REGION has no voxel-for-voxel alignment with the
+/// first: it is left out of the mean and its position in `extracts`
+/// returned (the first is always in, so the divisor is at least one).
+pub fn voxel_mean<'a>(
+    extracts: impl IntoIterator<Item = &'a DataRegion<u8>>,
+) -> Option<(DataRegion<u8>, Vec<usize>)> {
+    let mut extracts = extracts.into_iter().enumerate().peekable();
+    let region = extracts.peek()?.1.region().clone();
+    // Column-wise: whole value slices into `u32` sums (wide enough for
+    // 2²⁴ studies), then one divide pass.
+    let mut sums = vec![0u32; region.voxel_count() as usize];
+    let (mut aligned, mut misaligned) = (0u32, Vec::new());
+    for (at, extract) in extracts {
+        if *extract.region() != region {
+            misaligned.push(at);
+            continue;
+        }
+        aligned += 1;
+        for (sum, &value) in sums.iter_mut().zip(extract.values()) {
+            *sum += u32::from(value);
+        }
     }
-    Some(DataRegion::new(first.region().clone(), values))
+    let values = sums.into_iter().map(|sum| (sum / aligned) as u8).collect();
+    Some((DataRegion::new(region, values), misaligned))
 }
 
 #[cfg(test)]
@@ -1052,6 +1083,32 @@ mod tests {
         for ((&m, &x), &y) in avg.data.values().iter().zip(a.data.values()).zip(b.data.values()) {
             assert_eq!(u32::from(m), (u32::from(x) + u32::from(y)) / 2);
         }
+    }
+
+    #[test]
+    fn population_mean_skips_a_study_over_another_region() {
+        let geom = QbismConfig::small_test().geometry();
+        let extract = |ids: Vec<u64>, values: Vec<u8>| StudyStage::<_, QbismError> {
+            cost: QueryCost::default(),
+            outcome: Ok(DataRegion::new(Region::from_ids(geom, ids), values)),
+        };
+        // Study 8 extracted a larger REGION: indexing it by the first
+        // study's voxel count would read the wrong voxels, and a smaller
+        // one would index out of bounds.
+        let stages = vec![
+            extract(vec![4, 5, 9], vec![255, 1, 7]),
+            extract(vec![4, 5, 9, 10], vec![0, 0, 0, 0]),
+            extract(vec![4], vec![3]),
+            extract(vec![4, 5, 9], vec![254, 2, 8]),
+        ];
+        let none = || QbismError::NotFound("no studies given".into());
+        let answer = reduce_population_stages(&[7, 8, 9, 10], stages, none, |e| e).unwrap();
+        assert_eq!(answer.data.values(), [254, 1, 7], "sum / n truncates");
+        assert_eq!(answer.data.region(), &Region::from_ids(geom, vec![4, 5, 9]));
+        assert_eq!(answer.cost.coverage, 0.5);
+        let skipped: Vec<i64> = answer.skipped.iter().map(|(id, _)| *id).collect();
+        assert_eq!(skipped, [8, 9]);
+        assert!(answer.skipped.iter().all(|(_, e)| matches!(e, QbismError::Wire(_))));
     }
 
     #[test]

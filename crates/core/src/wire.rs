@@ -11,7 +11,7 @@
 //!   intensity byte per voxel.
 
 use crate::{QbismError, Result};
-use qbism_region::{GridGeometry, RegionCodec};
+use qbism_region::{GridGeometry, Region, RegionCodec};
 use qbism_volume::{DataRegion, Volume};
 
 /// Serializes a volume into its long-field layout (pure intensity bytes
@@ -37,42 +37,72 @@ pub fn volume_from_long_field(geom: GridGeometry, bytes: &[u8]) -> Result<Volume
 
 /// Magic prefix of a DATA_REGION wire value ("QD").
 const DATA_REGION_MAGIC: [u8; 2] = *b"QD";
+/// Bytes before the region part: the magic, then the region part's
+/// length as a little-endian `u32`.
+const DATA_REGION_PREFIX: usize = 6;
 
-/// Serializes a DATA_REGION: magic, naive-coded region, then values.
+/// Appends the start of a DATA_REGION wire value to `out`: everything
+/// up to the first intensity byte, with room reserved for one byte per
+/// voxel, so whoever appends the values finishes it without a regrowth.
+/// This is the one writer of the layout: magic, region-part length,
+/// naive-coded region, then values.
 ///
 /// The region part uses the naive codec regardless of the on-disk
 /// configuration — this is the *wire* form whose size drives the
 /// network column of Table 3 (runs at 8 bytes plus one byte per voxel).
-pub fn encode_data_region(data: &DataRegion<u8>) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(2 + data.voxel_count() + data.region().run_count() * 8 + 16);
+pub fn begin_data_region(region: &Region, out: &mut Vec<u8>) -> Result<()> {
+    let region_len = RegionCodec::Naive.encoded_len(region)?;
+    out.reserve(DATA_REGION_PREFIX + region_len + region.voxel_count() as usize);
     out.extend_from_slice(&DATA_REGION_MAGIC);
-    let region_bytes = RegionCodec::Naive.encode(data.region())?;
-    out.extend_from_slice(&(region_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&region_bytes);
+    out.extend_from_slice(&(region_len as u32).to_le_bytes());
+    RegionCodec::Naive.encode_into(region, out)?;
+    Ok(())
+}
+
+/// Serializes a DATA_REGION: magic, naive-coded region, then values.
+pub fn encode_data_region(data: &DataRegion<u8>) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    begin_data_region(data.region(), &mut out)?;
     out.extend_from_slice(data.values());
     Ok(out)
 }
 
-/// Parses a DATA_REGION wire value.
-pub fn decode_data_region(bytes: &[u8]) -> Result<DataRegion<u8>> {
-    if bytes.len() < 6 || bytes[..2] != DATA_REGION_MAGIC {
+/// The one validator of the layout: the decoded region part and the
+/// offset its values start at, once the magic, both lengths and the
+/// value count (one per voxel, to the end of `bytes`) have checked out.
+fn split_data_region(bytes: &[u8]) -> Result<(Region, usize)> {
+    if bytes.len() < DATA_REGION_PREFIX || bytes[..2] != DATA_REGION_MAGIC {
         return Err(QbismError::Wire("not a DATA_REGION payload".into()));
     }
     let rlen = le_u32(&bytes[2..]) as usize;
-    let region_end = 6 + rlen;
+    let region_end = DATA_REGION_PREFIX + rlen;
     if bytes.len() < region_end {
         return Err(QbismError::Wire("truncated DATA_REGION region part".into()));
     }
-    let region = RegionCodec::decode(&bytes[6..region_end])?;
-    let values = bytes[region_end..].to_vec();
-    if values.len() as u64 != region.voxel_count() {
+    let region = RegionCodec::decode(&bytes[DATA_REGION_PREFIX..region_end])?;
+    let values = bytes.len() - region_end;
+    if values as u64 != region.voxel_count() {
         return Err(QbismError::Wire(format!(
-            "DATA_REGION carries {} values for {} voxels",
-            values.len(),
+            "DATA_REGION carries {values} values for {} voxels",
             region.voxel_count()
         )));
     }
-    Ok(DataRegion::new(region, values))
+    Ok((region, region_end))
+}
+
+/// Parses a DATA_REGION wire value, copying its values out.
+pub fn decode_data_region(bytes: &[u8]) -> Result<DataRegion<u8>> {
+    let (region, region_end) = split_data_region(bytes)?;
+    Ok(DataRegion::new(region, bytes[region_end..].to_vec()))
+}
+
+/// Parses a DATA_REGION wire value the caller owns: the checks of
+/// [`decode_data_region`], then the region prefix is shifted out in
+/// place and the same allocation becomes the answer's values.
+pub fn data_region_from_bytes(mut bytes: Vec<u8>) -> Result<DataRegion<u8>> {
+    let (region, region_end) = split_data_region(&bytes)?;
+    bytes.drain(..region_end);
+    Ok(DataRegion::new(region, bytes))
 }
 
 /// The payload size DX receives for an answer — the quantity the network
@@ -155,7 +185,6 @@ fn le_u32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qbism_region::Region;
     use qbism_sfc::CurveKind;
 
     fn geom() -> GridGeometry {
@@ -184,6 +213,7 @@ mod tests {
         let bytes = encode_data_region(&dr).unwrap();
         let back = decode_data_region(&bytes).unwrap();
         assert_eq!(back, dr);
+        assert_eq!(data_region_from_bytes(bytes).unwrap(), dr);
     }
 
     #[test]
@@ -191,6 +221,7 @@ mod tests {
         let dr = DataRegion::new(Region::empty(geom()), Vec::new());
         let bytes = encode_data_region(&dr).unwrap();
         assert_eq!(decode_data_region(&bytes).unwrap(), dr);
+        assert_eq!(data_region_from_bytes(bytes).unwrap(), dr);
     }
 
     #[test]

@@ -25,6 +25,9 @@ use qbism_sfc::CurveKind;
 const MAGIC: u16 = 0x5152;
 /// Rank field width in packed octant words.
 const RANK_BITS: u32 = 5;
+/// Bytes before every payload: magic 2 + tag 1 + kind 1 + dims 1 +
+/// bits 1 + count 4.
+const HEADER_LEN: usize = 10;
 
 /// The four REGION storage formats compared in the paper, plus the two
 /// *queryable* compressed formats added for compressed-domain execution
@@ -105,9 +108,21 @@ impl RegionCodec {
 
     /// Encodes a region into a self-describing byte string.
     pub fn encode(&self, region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
+        let mut out = Vec::new();
+        self.encode_into(region, &mut out).map(|()| out)
+    }
+
+    /// Appends the encoding [`RegionCodec::encode`] returns to `out`, so
+    /// a REGION embedded in a larger value is written in place.  A codec
+    /// the grid is too wide for is refused before `out` is touched; a
+    /// payload error can leave a partial encoding appended.
+    pub fn encode_into(&self, region: &Region, out: &mut Vec<u8>) -> Result<(), RegionEncodeError> {
         let geom = region.geometry();
         check_width(*self, geom)?;
-        let mut out = Vec::new();
+        // The naive arm's size is known up front: one allocation, not
+        // a doubling per few runs.
+        let payload = if *self == RegionCodec::Naive { 8 * region.run_count() } else { 0 };
+        out.reserve(HEADER_LEN + payload);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.push(self.tag());
         out.push(kind_tag(geom.kind()));
@@ -149,15 +164,15 @@ impl RegionCodec {
             RegionCodec::RunVskip => {
                 let runs = region.runs();
                 out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                qbism_coding::runcode::encode_runs_into(&mut out, runs)?;
+                qbism_coding::runcode::encode_runs_into(out, runs)?;
             }
             RegionCodec::K3Tree => {
                 let runs = region.runs();
                 out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                qbism_coding::k3tree::encode_runs_into(&mut out, runs, geom.dims() * geom.bits())?;
+                qbism_coding::k3tree::encode_runs_into(out, runs, geom.dims() * geom.bits())?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Size in bytes the encoding would occupy, without materializing it.
@@ -166,9 +181,8 @@ impl RegionCodec {
     /// avoids building the byte strings.
     pub fn encoded_len(&self, region: &Region) -> Result<usize, RegionEncodeError> {
         check_width(*self, region.geometry())?;
-        let header = 10; // magic 2 + tag 1 + kind 1 + dims 1 + bits 1 + count 4
         Ok(match self {
-            RegionCodec::Naive => header + region.run_count() * 8,
+            RegionCodec::Naive => HEADER_LEN + region.run_count() * 8,
             RegionCodec::Elias => {
                 let mut bits = 0u64;
                 if let Some(first) = region.runs().first() {
@@ -177,14 +191,14 @@ impl RegionCodec {
                         bits += EliasGamma.code_len(d)?;
                     }
                 }
-                header + (bits as usize).div_ceil(8)
+                HEADER_LEN + (bits as usize).div_ceil(8)
             }
-            RegionCodec::Octant(kind) => header + region.octant_count(*kind) * 4,
-            RegionCodec::RunVskip => header + qbism_coding::runcode::encoded_len(region.runs()),
+            RegionCodec::Octant(kind) => HEADER_LEN + region.octant_count(*kind) * 4,
+            RegionCodec::RunVskip => HEADER_LEN + qbism_coding::runcode::encoded_len(region.runs()),
             RegionCodec::K3Tree => {
                 let geom = region.geometry();
                 let id_bits = geom.dims() * geom.bits();
-                header + qbism_coding::k3tree::encoded_len(region.runs(), id_bits)?
+                HEADER_LEN + qbism_coding::k3tree::encoded_len(region.runs(), id_bits)?
             }
         })
     }
@@ -192,7 +206,7 @@ impl RegionCodec {
     /// Payload size (bytes past the fixed header) — the quantity the
     /// paper's Figure 4 compares, uncontaminated by our header choice.
     pub fn payload_len(&self, region: &Region) -> Result<usize, RegionEncodeError> {
-        Ok(self.encoded_len(region)? - 10)
+        Ok(self.encoded_len(region)? - HEADER_LEN)
     }
 
     /// Decodes a byte string produced by any [`RegionCodec`].
@@ -201,20 +215,7 @@ impl RegionCodec {
     /// consulted (call via [`RegionCodec::decode`] as an associated-style
     /// helper or any variant).
     pub fn decode(bytes: &[u8]) -> Result<Region, RegionEncodeError> {
-        let header = bytes.get(..10).ok_or(RegionEncodeError::Truncated)?;
-        let magic = u16::from_le_bytes([header[0], header[1]]);
-        if magic != MAGIC {
-            return Err(RegionEncodeError::BadMagic(magic));
-        }
-        let codec = RegionCodec::from_tag(header[2]).ok_or(RegionEncodeError::BadTag(header[2]))?;
-        let kind = kind_from_tag(header[3]).ok_or(RegionEncodeError::BadTag(header[3]))?;
-        let (dims, bits) = (u32::from(header[4]), u32::from(header[5]));
-        if dims == 0 || bits == 0 || dims * bits > qbism_sfc::MAX_INDEX_BITS {
-            return Err(RegionEncodeError::BadGeometry { dims, bits });
-        }
-        let geom = GridGeometry::new(kind, dims, bits);
-        let count = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-        let body = &bytes[10..];
+        let (codec, geom, count, body) = split_header(bytes)?;
         match codec {
             RegionCodec::Naive => {
                 let need = count * 8;
@@ -222,9 +223,8 @@ impl RegionCodec {
                     return Err(RegionEncodeError::Truncated);
                 }
                 let mut runs = Vec::with_capacity(count);
-                for i in 0..count {
-                    let s = le_u32(&body[i * 8..]);
-                    let e = le_u32(&body[i * 8 + 4..]);
+                for pair in body[..need].chunks_exact(8) {
+                    let (s, e) = (le_u32(pair), le_u32(&pair[4..]));
                     if e < s {
                         return Err(RegionEncodeError::Corrupt("inverted run"));
                     }
@@ -299,7 +299,7 @@ impl RegionCodec {
 pub(crate) fn split_header(
     bytes: &[u8],
 ) -> Result<(RegionCodec, GridGeometry, usize, &[u8]), RegionEncodeError> {
-    let header = bytes.get(..10).ok_or(RegionEncodeError::Truncated)?;
+    let header = bytes.get(..HEADER_LEN).ok_or(RegionEncodeError::Truncated)?;
     let magic = u16::from_le_bytes([header[0], header[1]]);
     if magic != MAGIC {
         return Err(RegionEncodeError::BadMagic(magic));
@@ -312,15 +312,34 @@ pub(crate) fn split_header(
     }
     let geom = GridGeometry::new(kind, dims, bits);
     let count = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    Ok((codec, geom, count, &bytes[10..]))
+    Ok((codec, geom, count, &bytes[HEADER_LEN..]))
 }
 
+/// The one validating sweep over a decoded run list: every run inside
+/// the grid, and whether the list is already canonical (each start at
+/// least two past the previous end — sorted, disjoint, non-adjacent).
+/// Every encoder writes canonical lists, so what comes back from the
+/// device normally is one and is wrapped as the `Region` as it stands;
+/// a list that is not still decodes to the REGION it denotes, sorted
+/// and fused.
 fn build_checked(geom: GridGeometry, runs: Vec<Run>) -> Result<Region, RegionEncodeError> {
     let cells = geom.cell_count();
-    if runs.iter().any(|r| r.end >= cells) {
+    // Smallest start the next run may have in canonical order.
+    let mut floor = 0u64;
+    let (mut in_grid, mut canonical) = (true, true);
+    for run in &runs {
+        in_grid &= run.end < cells;
+        canonical &= run.start >= floor;
+        floor = run.end.saturating_add(2);
+    }
+    if !in_grid {
         return Err(RegionEncodeError::Corrupt("run exceeds grid"));
     }
-    Ok(Region::from_runs(geom, runs))
+    Ok(if canonical {
+        Region::from_canonical_runs(geom, runs)
+    } else {
+        Region::from_runs(geom, runs)
+    })
 }
 
 fn check_width(codec: RegionCodec, geom: GridGeometry) -> Result<(), RegionEncodeError> {
@@ -422,6 +441,30 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The decoder's former tail, kept as the oracle of the single
+    /// sweep: a bounds pass, then `from_runs`' own bounds assert, sort
+    /// and fuse into a second list.
+    fn build_five_pass(geom: GridGeometry, runs: Vec<Run>) -> Result<Region, RegionEncodeError> {
+        let cells = geom.cell_count();
+        if runs.iter().any(|r| r.end >= cells) {
+            return Err(RegionEncodeError::Corrupt("run exceeds grid"));
+        }
+        Ok(Region::from_runs(geom, runs))
+    }
+
+    /// Raw naive bytes of an arbitrary run list (the encoder only ever
+    /// writes canonical ones).
+    fn naive_bytes(geom: GridGeometry, runs: &[Run]) -> Vec<u8> {
+        let mut bytes = RegionCodec::Naive.encode(&Region::empty(geom)).unwrap();
+        bytes.truncate(6);
+        bytes.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for r in runs {
+            bytes.extend_from_slice(&(r.start as u32).to_le_bytes());
+            bytes.extend_from_slice(&(r.end as u32).to_le_bytes());
+        }
+        bytes
+    }
+
     fn paper_region_z() -> Region {
         let g = GridGeometry::new(CurveKind::Morton, 2, 2);
         Region::from_ids(g, vec![1, 4, 5, 6, 7, 12, 13])
@@ -516,6 +559,21 @@ mod tests {
     }
 
     #[test]
+    fn encode_into_appends_and_refuses_a_wide_grid_untouched() {
+        let r = paper_region_z();
+        for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+            let mut out = vec![7u8, 7];
+            codec.encode_into(&r, &mut out).unwrap();
+            assert_eq!(out[..2], [7, 7]);
+            assert_eq!(out[2..], codec.encode(&r).unwrap()[..], "{}", codec.name());
+        }
+        let wide = Region::empty(GridGeometry::new(CurveKind::Morton, 3, 11));
+        let mut out = vec![7u8, 7];
+        assert!(RegionCodec::Naive.encode_into(&wide, &mut out).is_err());
+        assert_eq!(out, [7, 7]);
+    }
+
+    #[test]
     fn width_limits_enforced() {
         // 3 dims x 11 bits = 33 id bits: too wide for u32 codecs.
         let g = GridGeometry::new(CurveKind::Morton, 3, 11);
@@ -544,6 +602,27 @@ mod tests {
                 let bytes = codec.encode(&r).unwrap();
                 prop_assert_eq!(bytes.len(), codec.encoded_len(&r).unwrap());
                 prop_assert_eq!(RegionCodec::decode(&bytes).unwrap(), r.clone());
+            }
+        }
+
+        /// The single validating sweep against the five-pass form, on
+        /// arbitrary lists (unsorted, overlapping, adjacent, duplicate,
+        /// past the grid) and on their canonical forms — through
+        /// `build_checked` and through the naive arm's fused parse loop.
+        #[test]
+        fn single_sweep_decodes_what_the_five_pass_form_did(
+            spans in proptest::collection::vec((0u64..33_000, 0u64..40), 0..60),
+            dup in any::<bool>(),
+        ) {
+            let g = GridGeometry::new(CurveKind::Hilbert, 3, 5);
+            let mut runs: Vec<Run> = spans.into_iter().map(|(s, l)| Run::new(s, s + l)).collect();
+            if dup {
+                runs.extend_from_within(..runs.len() / 2);
+            }
+            for list in [runs.clone(), crate::run::normalize(runs)] {
+                let want = build_five_pass(g, list.clone());
+                prop_assert_eq!(RegionCodec::decode(&naive_bytes(g, &list)), want.clone());
+                prop_assert_eq!(build_checked(g, list), want);
             }
         }
 

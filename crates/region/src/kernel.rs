@@ -31,9 +31,9 @@
 //! * [`transcode_runs`] — re-linearization onto another curve that walks
 //!   maximal octree-aligned id blocks (one curve conversion per *block*
 //!   instead of per voxel) whenever both curves are hierarchical;
-//! * [`box_runs3`] — axis-aligned box rasterization by recursive octant
-//!   descent (hierarchical curves) or whole scanline rows, visiting only
-//!   O(surface) cells instead of every voxel in the box.
+//! * [`box_runs3`] — axis-aligned box rasterization from the curve's box
+//!   cover ([`Curve::cover_box3`]), visiting only O(surface) cells
+//!   instead of every voxel in the box.
 
 use crate::encode::RegionEncodeError;
 use crate::run::{normalize, push_fused, Run};
@@ -341,58 +341,16 @@ pub fn transcode_runs(runs: &[Run], src: &Curve, dst: &Curve) -> Vec<Run> {
 }
 
 /// Canonical run list of the inclusive axis-aligned box `[min, max]` on a
-/// 3-D curve, computed without visiting individual voxels.
-///
-/// Hierarchical curves use recursive octant descent: an octant entirely
-/// inside the box emits one run covering its whole contiguous id block,
-/// an octant disjoint from the box is skipped, and only octants crossing
-/// the boundary subdivide — O(surface) work.  Scanline order emits one
-/// run per (x, y) row.
+/// 3-D curve, computed without visiting individual voxels: the curve's
+/// own box cover ([`Curve::cover_box3`] — transducer descent on
+/// hierarchical curves, whole rows on scanline order, O(surface) either
+/// way) with touching intervals fused into maximal runs.
 ///
 /// # Panics
 /// Panics if the curve is not 3-D or the box is inverted / out of grid.
 pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
-    assert_eq!(curve.dims(), 3, "box_runs3 requires a 3-D curve");
-    let side = curve.side();
-    assert!(
-        max.iter().all(|&c| c < side) && min.iter().zip(&max).all(|(a, b)| a <= b),
-        "box [{min:?}, {max:?}] inverted or outside grid side {side}"
-    );
     let mut out: Vec<Run> = Vec::new();
-    if curve.kind().is_hierarchical() {
-        // Iterative octant descent in id order (explicit stack, children
-        // pushed in reverse so they pop in ascending-id order).
-        let mut coords = [0u32; 3];
-        let mut stack: Vec<(u64, u32)> = vec![(0u64, curve.bits())];
-        while let Some((base, level)) = stack.pop() {
-            curve.coords_of(base, &mut coords);
-            snap_to_corner(&mut coords, level);
-            let cube = 1u32 << level;
-            let disjoint = (0..3).any(|a| coords[a] > max[a] || coords[a] + cube - 1 < min[a]);
-            if disjoint {
-                continue;
-            }
-            let inside = (0..3).all(|a| coords[a] >= min[a] && coords[a] + cube - 1 <= max[a]);
-            if inside {
-                push_fused(&mut out, Run::new(base, base + ((1u64 << (3 * level)) - 1)));
-                continue;
-            }
-            // level >= 1 here: a level-0 cube is a single voxel and is
-            // always either inside or disjoint.
-            let child = 1u64 << (3 * (level - 1));
-            for k in (0..8u64).rev() {
-                stack.push((base + k * child, level - 1));
-            }
-        }
-    } else {
-        for x in min[0]..=max[0] {
-            for y in min[1]..=max[1] {
-                let lo = curve.index_of(&[x, y, min[2]]);
-                let hi = curve.index_of(&[x, y, max[2]]);
-                push_fused(&mut out, Run::new(lo, hi));
-            }
-        }
-    }
+    curve.cover_box3(min, max, |first, last| push_fused(&mut out, Run::new(first, last)));
     out
 }
 
@@ -707,13 +665,59 @@ mod tests {
         #[test]
         fn box_runs_match_reference_on_every_curve(
             pick in 0usize..3,
-            c0 in proptest::array::uniform3(0u32..16),
-            c1 in proptest::array::uniform3(0u32..16),
+            bits in 1u32..=7,
+            c0 in proptest::array::uniform3(0.0f64..1.0),
+            c1 in proptest::array::uniform3(0.0f64..1.0),
+            thin in 0u32..12,
         ) {
-            let curve = CurveKind::ALL[pick].curve(3, 4);
-            let min = [0, 1, 2].map(|a| c0[a].min(c1[a]));
-            let max = [0, 1, 2].map(|a| c0[a].max(c1[a]));
+            let curve = CurveKind::ALL[pick].curve(3, bits);
+            let at = |c: f64| (c * f64::from(curve.side())) as u32;
+            let min = [0, 1, 2].map(|a| at(c0[a].min(c1[a])));
+            let mut max = [0, 1, 2].map(|a| at(c0[a].max(c1[a])));
+            // Two axes are clipped (which two rotates with `thin`) so the
+            // per-voxel reference stays cheap at 128³.
+            let axis = (thin % 3) as usize;
+            max[axis] = max[axis].min(min[axis] + thin);
+            max[(axis + 1) % 3] = max[(axis + 1) % 3].min(min[(axis + 1) % 3] + 15);
             prop_assert_eq!(box_runs3(&curve, min, max), reference::box_runs(&curve, min, max));
+        }
+    }
+
+    #[test]
+    fn degenerate_boxes_match_reference_on_every_curve() {
+        for kind in CurveKind::ALL {
+            for bits in 1..=7u32 {
+                let curve = kind.curve(3, bits);
+                let last = curve.side() - 1;
+                let mid = last / 2;
+                // Single voxels, boxes ending at `side - 1`, and the
+                // one-voxel-thick slab on each of the six faces.
+                let mut boxes = vec![
+                    ([0; 3], [0; 3]),
+                    ([last; 3], [last; 3]),
+                    ([mid, last, 0], [mid, last, 0]),
+                    ([last.saturating_sub(2); 3], [last; 3]),
+                    ([mid, 0, last], [last, mid.min(9), last]),
+                ];
+                for axis in 0..3 {
+                    for face in [0, last] {
+                        let (mut lo, mut hi) = ([0; 3], [last; 3]);
+                        (lo[axis], hi[axis]) = (face, face);
+                        boxes.push((lo, hi));
+                    }
+                }
+                for (lo, hi) in boxes {
+                    let want = reference::box_runs(&curve, lo, hi);
+                    assert_eq!(
+                        box_runs3(&curve, lo, hi),
+                        want,
+                        "{kind} bits={bits} {lo:?}..={hi:?}"
+                    );
+                }
+                // The full grid is the one run every curve fills.
+                let full = vec![Run::new(0, curve.cell_count() - 1)];
+                assert_eq!(box_runs3(&curve, [0; 3], [last; 3]), full, "{kind} bits={bits}");
+            }
         }
     }
 }

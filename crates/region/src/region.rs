@@ -56,6 +56,14 @@ impl Region {
         Region { geom, runs: normalize(runs) }
     }
 
+    /// Wraps a run list the caller has checked to be canonical and
+    /// inside the grid (the decoder's validating sweep).
+    pub(crate) fn from_canonical_runs(geom: GridGeometry, runs: Vec<Run>) -> Self {
+        debug_assert!(runs.last().is_none_or(|r| r.end < geom.cell_count()));
+        debug_assert!(runs.windows(2).all(|w| w[0].end + 1 < w[1].start));
+        Region { geom, runs }
+    }
+
     /// Builds a region from arbitrary (unsorted, possibly duplicate) ids.
     ///
     /// # Panics

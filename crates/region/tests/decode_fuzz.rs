@@ -10,10 +10,15 @@
 //! codec's payload to another's decoder); arbitrary tails ride behind a
 //! valid REGION header with an arbitrary run count so the payload
 //! decoders, not the header check, see them.
+//!
+//! The decoder wraps a run list it finds canonical and sorts and fuses
+//! any other; a differential case writes both kinds by hand and holds
+//! each decode to the `Region` that `Region::from_runs` builds.
 
 use proptest::prelude::*;
 use qbism_region::{
-    compressed_cursor, CompressedCursor, GridGeometry, Region, RegionCodec, RegionEncodeError,
+    compressed_cursor, CompressedCursor, GridGeometry, Octant, OctantKind, Region, RegionCodec,
+    RegionEncodeError, Run,
 };
 use qbism_sfc::CurveKind;
 
@@ -75,7 +80,65 @@ fn an_elias_length_that_wraps_the_run_end_is_corrupt_not_a_panic() {
     assert_eq!(RegionCodec::decode(&bytes), Err(RegionEncodeError::Corrupt("run bounds overflow")));
 }
 
+/// `codec`'s header for `sample()`'s grid claiming `count` entries,
+/// ready for a hand-written payload.
+fn header(codec: RegionCodec, count: usize) -> Vec<u8> {
+    let mut bytes = codec.encode(&sample()).expect("encode");
+    bytes.truncate(6);
+    bytes.extend_from_slice(&(count as u32).to_le_bytes());
+    bytes
+}
+
 proptest! {
+    /// Run lists no encoder writes — unsorted, overlapping, adjacent,
+    /// duplicated — still decode to the REGION they denote (the sort-
+    /// and-fuse fallback), and canonical ones to themselves (the wrap).
+    #[test]
+    fn hand_written_run_lists_decode_to_what_from_runs_builds(
+        spans in proptest::collection::vec((0u64..32_768, 0u64..60), 0..50),
+        blocks in proptest::collection::vec((0u64..32_768, 0u32..7), 0..50),
+        dup in any::<bool>(),
+    ) {
+        let g = sample().geometry();
+        let clip = |end: u64| end.min(g.cell_count() - 1);
+        let mut runs: Vec<Run> = spans.iter().map(|&(s, l)| Run::new(s, clip(s + l))).collect();
+        let mut octants: Vec<Octant> =
+            blocks.iter().map(|&(id, rank)| Octant::new(id >> rank << rank, rank)).collect();
+        if dup {
+            runs.extend_from_within(..runs.len() / 2);
+            octants.extend_from_within(..octants.len() / 2);
+        }
+        let canonical = Region::from_runs(g, runs.clone());
+
+        // Naive: the list as given, then its canonical form.
+        for list in [&runs[..], canonical.runs()] {
+            let mut bytes = header(RegionCodec::Naive, list.len());
+            for r in list {
+                bytes.extend_from_slice(&(r.start as u32).to_le_bytes());
+                bytes.extend_from_slice(&(r.end as u32).to_le_bytes());
+            }
+            prop_assert_eq!(RegionCodec::decode(&bytes), Ok(canonical.clone()));
+        }
+
+        // Octant words in any order, nested or repeated; then the
+        // encoder's own (ascending, disjoint) decomposition.
+        let denoted = Region::from_runs(g, octants.iter().map(Octant::as_run).collect());
+        for kind in [OctantKind::Oblong, OctantKind::Cubic] {
+            for list in [octants.clone(), denoted.octants(kind)] {
+                let mut bytes = header(RegionCodec::Octant(kind), list.len());
+                for o in &list {
+                    bytes.extend_from_slice(&(((o.id as u32) << 5) | o.rank).to_le_bytes());
+                }
+                prop_assert_eq!(RegionCodec::decode(&bytes), Ok(denoted.clone()));
+            }
+        }
+
+        // Elias gaps are at least one id wide, so its lists are
+        // canonical by construction: the wrap arm only.
+        let bytes = RegionCodec::Elias.encode(&canonical).expect("encode");
+        prop_assert_eq!(RegionCodec::decode(&bytes), Ok(canonical));
+    }
+
     #[test]
     fn arbitrary_payloads_behind_a_valid_header_are_handled(
         codec_pick in 0usize..6,

@@ -8,6 +8,12 @@
 //! successor shares every level above the lowest digit that carried —
 //! so stepping is one table lookup per voxel plus an amortised 8/7
 //! level re-descents per block of eight.
+//!
+//! A range predicate asks the converse: "which ids lie in this box".
+//! The same transducer answers it top-down ([`Curve::cover_box3`]): a
+//! child cube's corner and orientation are one table step from its
+//! parent's, so a box becomes its id intervals by descending only the
+//! cubes its surface cuts.
 
 use crate::{Curve, SpaceFillingCurve, MAX_INDEX_BITS};
 use std::ops::Range;
@@ -119,6 +125,47 @@ impl Iterator for Walk3 {
     }
 }
 
+/// The box descent: the tables, the inclusive box, and the sink.
+struct BoxCover<F> {
+    table: Transducer3,
+    min: [u32; 3],
+    max: [u32; 3],
+    emit: F,
+}
+
+impl<F: FnMut(u64, u64)> BoxCover<F> {
+    /// Covers the part of the box inside one cube the box's surface
+    /// cuts: the cube of side `2^level` at `corner`, whose ids start at
+    /// `base` and are decoded in orientation `state`.  Children are
+    /// tested before they are entered, in id order; a single voxel is
+    /// never cut, so `level >= 1`.
+    fn cover(&mut self, state: u8, base: u64, corner: [u32; 3], level: u32) {
+        let half = level - 1;
+        let cells = 1u64 << (3 * half);
+        let [x, y, z] = corner;
+        for digit in 0..8u8 {
+            let oct = at(self.table.octant, state, usize::from(digit));
+            let bit = |axis: u8| u32::from((oct >> (2 - axis)) & 1) << half;
+            let child = [x | bit(0), y | bit(1), z | bit(2)];
+            let (mut inside, mut outside) = (true, false);
+            for ((&lo, &min), &max) in child.iter().zip(&self.min).zip(&self.max) {
+                let hi = lo + ((1u32 << half) - 1);
+                outside |= lo > max || hi < min;
+                inside &= lo >= min && hi <= max;
+            }
+            if outside {
+                continue;
+            }
+            let first = base + u64::from(digit) * cells;
+            if inside {
+                (self.emit)(first, first + (cells - 1));
+            } else {
+                self.cover(at(self.table.next, state, usize::from(oct)), first, child, half);
+            }
+        }
+    }
+}
+
 impl Curve {
     /// Walks the ids of `ids` in ascending order, yielding each with
     /// its coordinates as `(id, x, y, z)` — the streaming form of
@@ -133,6 +180,49 @@ impl Curve {
     pub fn walk3(&self, ids: Range<u64>) -> Walk3 {
         Walk3::new(self, ids)
     }
+
+    /// Hands `emit` the ids of the inclusive box `[min, max]` as
+    /// `(first, last)` intervals, ascending and disjoint — a range
+    /// predicate as a set of curve intervals.  Consecutive intervals may
+    /// touch (`last + 1 == first`); a caller that wants maximal runs
+    /// fuses them as they arrive.
+    ///
+    /// Hilbert and Z order descend their octant transducers from the
+    /// root: a cube wholly inside the box is one interval, one outside
+    /// is never entered, and only cubes the box's surface cuts subdivide
+    /// — O(surface) table steps, no per-id decode.  Scanline order is
+    /// one interval per `(x, y)` row.
+    ///
+    /// # Panics
+    /// Panics if the curve is not 3-dimensional or the box is inverted
+    /// or reaches past the grid.
+    pub fn cover_box3(&self, min: [u32; 3], max: [u32; 3], mut emit: impl FnMut(u64, u64)) {
+        assert_eq!(self.dims(), 3, "cover_box3 requires a 3-D curve");
+        let (side, bits) = (self.side(), self.bits());
+        assert!(
+            max.iter().all(|&c| c < side) && min.iter().zip(&max).all(|(a, b)| a <= b),
+            "box [{min:?}, {max:?}] inverted or outside grid side {side}"
+        );
+        let table = match self {
+            Curve::Hilbert(_) => crate::hilbert::transducer3(),
+            Curve::Morton(_) => crate::morton::TRANSDUCER3,
+            Curve::Scanline(_) => {
+                let ([x0, y0, z0], [x1, y1, z1]) = (min.map(u64::from), max.map(u64::from));
+                for x in x0..=x1 {
+                    for y in y0..=y1 {
+                        let row = (x << (2 * bits)) | (y << bits);
+                        emit(row | z0, row | z1);
+                    }
+                }
+                return;
+            }
+        };
+        if min == [0; 3] && max == [side - 1; 3] {
+            emit(0, self.cell_count() - 1);
+        } else {
+            BoxCover { table, min, max, emit }.cover(table.start, 0, [0; 3], bits);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -140,6 +230,33 @@ mod tests {
     use super::*;
     use crate::CurveKind;
     use proptest::prelude::*;
+
+    /// Checks `cover_box3`'s contract on one box and returns how many
+    /// intervals it emitted.
+    fn check_cover(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> usize {
+        let mut intervals: Vec<(u64, u64)> = Vec::new();
+        curve.cover_box3(min, max, |first, last| intervals.push((first, last)));
+        for &(first, last) in &intervals {
+            assert!(first <= last && last < curve.cell_count(), "{first}..={last}");
+        }
+        for pair in intervals.windows(2) {
+            assert!(pair[0].1 < pair[1].0, "ascending and disjoint: {pair:?}");
+        }
+        let covered: Vec<u64> = intervals.iter().flat_map(|&(first, last)| first..=last).collect();
+        let inside = |id: &u64| {
+            let (x, y, z) = curve.coords_of3(*id);
+            (0..3).all(|a| (min[a]..=max[a]).contains(&[x, y, z][a]))
+        };
+        let expect: Vec<u64> = (0..curve.cell_count()).filter(inside).collect();
+        assert_eq!(
+            covered,
+            expect,
+            "{:?} bits={} box {min:?}..={max:?}",
+            curve.kind(),
+            curve.bits()
+        );
+        intervals.len()
+    }
 
     #[test]
     fn full_grid_walk_matches_coords_of() {
@@ -181,8 +298,38 @@ mod tests {
         let _ = CurveKind::Hilbert.curve(2, 4).walk3(0..4);
     }
 
+    #[test]
+    fn cover_of_degenerate_boxes() {
+        for kind in CurveKind::ALL {
+            for bits in 1..=4u32 {
+                let curve = kind.curve(3, bits);
+                let last = curve.side() - 1;
+                let full = check_cover(&curve, [0; 3], [last; 3]);
+                if kind != CurveKind::Scanline {
+                    assert_eq!(full, 1, "the whole grid is the root cube");
+                }
+                for corner in [[0; 3], [last; 3], [0, last, 0], [last / 2, last, last / 2]] {
+                    assert_eq!(check_cover(&curve, corner, corner), 1, "one voxel, one interval");
+                }
+                for axis in 0..3 {
+                    for face in [0, last] {
+                        let (mut min, mut max) = ([0; 3], [last; 3]);
+                        (min[axis], max[axis]) = (face, face);
+                        check_cover(&curve, min, max);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted or outside grid")]
+    fn cover_of_a_box_past_the_grid_panics() {
+        CurveKind::Hilbert.curve(3, 2).cover_box3([0; 3], [3, 4, 3], |_, _| {});
+    }
+
     /// Not a correctness test: prints walk vs `coords_of` timings over a
-    /// full 128³ sweep.  Run with
+    /// full 128³ sweep, and the box cover's on a 91³ box.  Run with
     /// `cargo test -p qbism-sfc --release -- --ignored --nocapture walk_speed`.
     #[test]
     #[ignore = "timing report, run explicitly in release mode"]
@@ -207,6 +354,21 @@ mod tests {
                 walk.as_nanos() as f64 / n as f64,
                 decode.as_nanos() as f64 / n as f64
             );
+            // An off-grid-alignment box: 91³ voxels, all surface cuts.
+            let t = std::time::Instant::now();
+            let (mut intervals, mut ids) = (0u64, 0u64);
+            for _ in 0..100 {
+                curve.cover_box3([10, 11, 12], [100, 101, 102], |first, last| {
+                    intervals += 1;
+                    ids += last - first + 1;
+                });
+            }
+            assert_eq!(ids, 100 * 91 * 91 * 91);
+            println!(
+                "{kind}: cover_box3 {:.1} us/box, {:.2} ns/interval",
+                t.elapsed().as_micros() as f64 / 100.0,
+                t.elapsed().as_nanos() as f64 / intervals as f64
+            );
         }
     }
 
@@ -229,6 +391,20 @@ mod tests {
                 expect += 1;
             }
             prop_assert_eq!(expect, end);
+        }
+
+        #[test]
+        fn cover_box_is_exactly_the_ids_inside(
+            kind in 0usize..3,
+            bits in 1u32..=5,
+            c0 in proptest::array::uniform3(0.0f64..1.0),
+            c1 in proptest::array::uniform3(0.0f64..1.0),
+        ) {
+            let curve = CurveKind::ALL[kind].curve(3, bits);
+            let pick = |c: f64| (c * f64::from(curve.side())) as u32;
+            let min = [0, 1, 2].map(|a| pick(c0[a].min(c1[a])));
+            let max = [0, 1, 2].map(|a| pick(c0[a].max(c1[a])));
+            check_cover(&curve, min, max);
         }
     }
 }

@@ -36,6 +36,12 @@ impl ResultSet {
         &self.rows
     }
 
+    /// The rows, given up to the caller — how a large `Value::Bytes`
+    /// answer leaves the result set without being copied.
+    pub fn into_rows(self) -> Vec<Vec<Value>> {
+        self.rows
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()

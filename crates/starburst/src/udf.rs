@@ -6,9 +6,10 @@
 //! and invokes them in the run-time environment."
 //!
 //! A UDF here is a closure from argument [`Value`]s to a [`Value`], with
-//! access to the Long Field Manager through [`UdfContext`] — that is what
-//! lets `extractVoxels(wv.data, ast.region)` read volume bytes and write
-//! its `DATA_REGION` result as a new long field, all inside the executor.
+//! read access to the Long Field Manager through [`UdfContext`] — that is
+//! what lets `extractVoxels(wv.data, ast.region)` read volume bytes and
+//! return its `DATA_REGION` result as an in-memory byte value, all inside
+//! the executor; a UDF never creates a long field.
 
 use crate::value::Value;
 use crate::{DbError, Result};

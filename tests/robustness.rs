@@ -40,10 +40,11 @@ proptest! {
         }
     }
 
-    /// DATA_REGION wire parsing must never panic either.
+    /// DATA_REGION wire parsing must never panic either, in the
+    /// borrowed or the owning decoder.
     #[test]
     fn data_region_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = qbism::wire::decode_data_region(&bytes);
+        decode_data_region_both_ways(&bytes);
     }
 
     /// Mesh long fields: arbitrary bytes must parse or error, not panic.
@@ -57,6 +58,45 @@ proptest! {
     fn sql_parser_never_panics(sql in "[a-zA-Z0-9_.,'()*=<> ]{0,120}") {
         let _ = qbism_starburst::parse_statement(&sql);
     }
+}
+
+/// Feeds `bytes` to the borrowed and the owning DATA_REGION decoder,
+/// which share one validator: the same value or the same typed error.
+fn decode_data_region_both_ways(bytes: &[u8]) -> bool {
+    let borrowed = qbism::wire::decode_data_region(bytes);
+    let owning = qbism::wire::data_region_from_bytes(bytes.to_vec());
+    match (&borrowed, &owning) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b),
+        (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        _ => panic!("decoders disagree: {borrowed:?} vs {owning:?}"),
+    }
+    borrowed.is_ok()
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_a_data_region_decodes_the_same_both_ways() {
+    let geom = qbism_region::GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, 4);
+    let ids: Vec<u64> = (0..4096).filter(|id| id % 97 < 9 || (700..760).contains(id)).collect();
+    let region = qbism_region::Region::from_ids(geom, ids);
+    let values: Vec<u8> = (0..region.voxel_count()).map(|i| (i * 7) as u8).collect();
+    let data = qbism_volume::DataRegion::new(region, values);
+    let bytes = qbism::wire::encode_data_region(&data).expect("encodes");
+    assert_eq!(qbism::wire::data_region_from_bytes(bytes.clone()).expect("decodes"), data);
+    // A value cut anywhere has lost values (or header) its run list
+    // still promises.
+    for cut in 0..bytes.len() {
+        assert!(!decode_data_region_both_ways(&bytes[..cut]), "cut at {cut} accepted");
+    }
+    // A flipped length or run-count field claims up to 2³¹ more bytes
+    // or runs than the value holds; both decoders must refuse before
+    // allocating for the claim.
+    let mut accepted = 0;
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        accepted += usize::from(decode_data_region_both_ways(&flipped));
+    }
+    assert!(accepted >= data.voxel_count() * 8, "every value-byte flip is still a valid value");
 }
 
 #[test]
