@@ -141,7 +141,11 @@ pub const ENTRY_TYPES: &[&str] = &["MedicalServer", "Database", "ClusterWarehous
 pub const ENTRY_CRATES: &[&str] = &["core", "starburst", "cluster"];
 
 /// Calls that materialize what a merge did not ask for — a voxel-id
-/// vector (`from_ids`, any `iter_voxels*`) or a fully decoded payload.
+/// vector (`from_ids`, any `iter_voxels*`) or a fully decoded payload
+/// (`decode_all`, `to_runs_vec`).  A block cursor's refill is *not*
+/// one: `K3Cursor` and `RunListCursor` decode one leaf or skip block
+/// into a buffer they reuse, bounded by the block and consumed before
+/// the next — that is what streaming a compressed payload means.
 /// `Curve::walk3` is deliberately *not* here: it streams coordinates for
 /// an id range it is handed and allocates nothing, which is what a
 /// kernel that must visit voxels (bounded rasterisation) should call;

@@ -19,6 +19,18 @@ fn bad_decode(cursor: &RunListCursor<'_>) -> Vec<(u64, u64)> {
     cursor.clone().decode_all().unwrap_or_default() // LINT: kernel-materialize
 }
 
+// A block cursor's refill: one leaf's runs decoded into the buffer the
+// cursor reuses, bounded by the leaf and consumed before the next one
+// is read.  That is streaming, not a drain — no finding.
+fn fine_leaf_refill(block: &mut Vec<(u64, u64)>, base: u64, pairs: &[(u64, u64)]) {
+    block.clear();
+    let mut floor = base;
+    for &(gap, len) in pairs {
+        block.push((floor + gap, floor + gap + len));
+        floor += gap + len + 2;
+    }
+}
+
 fn fine_streaming_merge(a: &mut dyn RunCursor, b: &mut dyn RunCursor) -> Vec<(u64, u64)> {
     let mut out = Vec::new();
     while let (Some((a_s, a_e)), Some((b_s, b_e))) = (a.peek(), b.peek()) {

@@ -1,56 +1,77 @@
-//! k³-tree: an octree bitmap over the SFC id space — the queryable
-//! compressed representation for *dense* REGIONs.
+//! k³-tree: an octree *directory* over the SFC id space whose leaves are
+//! run blocks — the queryable compressed representation of a REGION.
 //!
 //! A k²-tree (Brisaboa et al.) stores a 2-D bitmap as a k-ary tree of
 //! bit codes; the k³ variant here uses branching factor 8 over the id
 //! space `[0, 8^levels)`, which on a hierarchical curve (Hilbert or
 //! Morton) makes every node an axis-aligned octant.  Each child of a
-//! node costs two bits — `00` empty, `01` full, `10` partial — and
-//! only partial children recurse, so a solid structure collapses to a
-//! handful of codes no matter how many voxels it holds: the whole-grid
-//! REGION is 16 bits where the naive run codec needs 8 bytes and a
-//! run-list codec grows with the boundary.
+//! node costs two bits — `00` empty, `01` full, `10` partial — so a
+//! solid structure collapses to a handful of codes no matter how many
+//! voxels it holds.  Like the k²/k³ variants of "Extending General
+//! Compact Querieable Representations to GIS Applications", the tree
+//! does not run one arity to the cell level: it stops at a fixed cut,
+//! [`LEAF_BITS`], and a partial subtree of that size is stored as what a
+//! REGION is everywhere else — a delta-coded run list — so a cursor
+//! pays one varint pair a run instead of three or four node visits.
 //!
 //! # Payload layout
 //!
-//! `varint id_bits`, `varint run_count`, then (unless the list is
-//! empty) the root node.  A node is **one big-endian 16-bit word** —
-//! its eight 2-bit child codes, child 0 in the top two bits — followed
-//! by the subtrees of its partial children in id order.  Every node
-//! costs exactly 16 bits wherever its codes sit, so this layout is
-//! bit-for-bit as long as one that interleaves each code with its
-//! subtree; what it buys is navigation a *node* at a time: the cursor
-//! loads a word with one bounds-checked read, finds its next non-empty
-//! child by `leading_zeros`, emits that child and the full siblings
-//! right after it as one interval (the leading codes that an all-`01`
-//! word cancels), and skips a pruned subtree by recursing once per set
-//! partial bit (`count_ones`) — no per-code reads, and no rank
-//! directory, which would cost bytes the tablespace does not have.
+//! `LAYOUT` (one byte naming this layout; a payload of the word-only
+//! layout it replaced starts with its id width, 1 ..= 33, and is refused),
+//! `id_bits` (one byte), then — unless the REGION is empty — the root
+//! subtree.  A subtree over `2^span` ids is
 //!
-//! Nodes appear in depth-first child order, which *is* increasing id
-//! order, so [`K3Cursor`] streams maximal `(start, end)` runs directly
-//! off the words — no voxel materialization, no intermediate tree.
-//! Seeking consumes (but never assembles) the subtrees before the
-//! target, counting each pruned subtree as one skip.  The encoder is
-//! the same walk backwards: one pass over the runs, cut into maximal
-//! aligned octree blocks, with a stack of open nodes whose words are
-//! patched in place as their children arrive.
+//! * a **leaf** when `span <= LEAF_BITS`: `varint byte length`, then that
+//!   many bytes of `(gap, len − 1)` LEB128 pairs, one a run, in id order.
+//!   The first gap counts from the leaf's base id, each later one from
+//!   two past the previous run's end, so the runs of a leaf are
+//!   canonical whatever the bytes are.  A run that crosses a leaf
+//!   boundary is stored cut there; a leaf is never empty;
+//! * a **directory node** otherwise: one big-endian 16-bit word — its
+//!   eight 2-bit child codes, child 0 in the top two bits — followed by
+//!   the subtrees of its partial children in id order.
+//!
+//! Subtrees appear in depth-first child order, which *is* increasing id
+//! order.  Whole leaves a run covers are FULL codes (at whatever level
+//! they align to), never run blocks, so a solid still costs a few words.
+//!
+//! # Cursor
+//!
+//! [`K3Cursor`] decodes **one leaf at a time** into a reused buffer and
+//! answers `peek` / `advance` / `seek` from the decoded block.  Between
+//! leaves it walks the directory a word at a time (next non-empty child
+//! by `leading_zeros`, the FULL siblings after it as one interval), and
+//! joins what touches — FULL intervals, and runs cut at a leaf boundary
+//! — back into maximal runs.  A seek gallops inside the decoded block;
+//! past it, whole subtrees before the target are consumed undecoded: a
+//! directory subtree by recursing once per set partial bit
+//! (`count_ones`), a leaf by its byte length.  Each such jump is one
+//! [`RunCursor::skips`] credit.  The encoder is the same walk
+//! backwards: one pass over the runs with a stack of open nodes whose
+//! words are patched in place as their children arrive.
 
 use crate::varint::{read_uvarint, uvarint_len, write_uvarint};
-use crate::{CodingError, Result, RunCursor};
+use crate::{first_reaching, CodingError, Result, RunCursor};
 
 const FULL: u16 = 0b01;
 const PARTIAL: u16 = 0b10;
 
 /// Widest id space: 11 levels of 3 bits.
 const MAX_ID_BITS: u32 = 33;
-const MAX_LEVELS: usize = 11;
+/// Deepest open path: the root's stand-in parent, then a node per level
+/// above the cut.
+const MAX_DEPTH: usize = 11;
 
-/// The most covered intervals one payload byte can describe: a 2-byte
-/// node word holds eight child codes.
-const MAX_RUNS_PER_BYTE: usize = 4;
+/// First payload byte of this layout.  The layout before it led with
+/// its id width (at most 33), so neither reads the other's bytes.
+const LAYOUT: u8 = b'K';
 
-const CELL_LEVEL_PARTIAL: CodingError = CodingError::Corrupt("partial code at cell level");
+/// log2 of the ids one leaf covers: the cut depth, chosen once from the
+/// sweep in EXPERIMENTS.md ("One REGION layout").  A multiple of 3.
+pub const LEAF_BITS: u32 = 12;
+const LEAF_IDS: u64 = 1 << LEAF_BITS;
+
+const OUTSIDE_LEAF: CodingError = CodingError::Corrupt("k3-tree run outside its leaf");
 
 /// log2 of the ids one child of the root covers.
 fn top_shift(id_bits: u32) -> Result<u32> {
@@ -72,6 +93,25 @@ fn check_run(start: u64, end: u64, min_start: u64, id_bits: u32) -> Result<()> {
     Ok(())
 }
 
+/// A run cut at leaf boundaries: the piece in its first leaf, the whole
+/// leaves it covers, the piece in its last leaf (inclusive bounds).
+/// Without a `directory` (the id space is one leaf) nothing is whole.
+fn cut_at_leaves(start: u64, end: u64, directory: bool) -> [Option<(u64, u64)>; 3] {
+    let first_whole = start.next_multiple_of(LEAF_IDS);
+    let past_whole = (end + 1) / LEAF_IDS * LEAF_IDS;
+    if directory && first_whole < past_whole {
+        [
+            (start < first_whole).then(|| (start, first_whole - 1)),
+            Some((first_whole, past_whole - 1)),
+            (past_whole <= end).then_some((past_whole, end)),
+        ]
+    } else if start / LEAF_IDS == end / LEAF_IDS {
+        [Some((start, end)), None, None]
+    } else {
+        [Some((start, first_whole - 1)), None, Some((first_whole, end))]
+    }
+}
+
 /// Encodes a canonical run list over `[0, 2^id_bits)` into a k³-tree
 /// payload (see the module docs for the layout).
 pub fn encode_runs<R: Copy + Into<(u64, u64)>>(runs: &[R], id_bits: u32) -> Result<Vec<u8>> {
@@ -81,56 +121,149 @@ pub fn encode_runs<R: Copy + Into<(u64, u64)>>(runs: &[R], id_bits: u32) -> Resu
 }
 
 /// [`encode_runs`] appending to `out` (on error, a partial payload).
-///
-/// One pass over the runs, each cut into its maximal aligned octree
-/// blocks in id order; sibling blocks go into their node's word
-/// together.
 pub fn encode_runs_into<R: Copy + Into<(u64, u64)>>(
     out: &mut Vec<u8>,
     runs: &[R],
     id_bits: u32,
 ) -> Result<()> {
-    let top = top_shift(id_bits)?;
-    write_uvarint(out, u64::from(id_bits));
-    write_uvarint(out, runs.len() as u64);
-    // Band and structure REGIONs take about one node a run.
-    out.reserve(2 * runs.len());
-    // Word offsets of the open nodes, root first.
-    let mut open: Vec<usize> = Vec::with_capacity(MAX_LEVELS);
-    if !runs.is_empty() {
-        open_node(out, &mut open);
-    }
-    let mut prev_lo: Option<u64> = None;
-    let mut min_start = 0;
+    // Band and structure REGIONs take a little over two bytes a run.
+    out.reserve(2 + 5 * runs.len() / 2);
+    let mut encoder = Encoder::new(out, id_bits)?;
     for &run in runs {
         let (start, end) = run.into();
-        check_run(start, end, min_start, id_bits)?;
-        min_start = end + 2;
-        let mut lo = start;
-        while lo <= end {
-            // The largest block aligned at `lo` that ends by `end`, and
-            // how many of its later siblings do too.
-            let len = end - lo + 1;
-            let shift = lo.trailing_zeros().min(len.ilog2()).min(top) / 3 * 3;
-            let count = (8 - (lo >> shift) % 8).min(len >> shift);
-            // Ids increase, so `lo` and the previous group part ways at
-            // their highest differing bit — a child index of the deepest
-            // node that holds both.  Close what lies below that fork,
-            // then descend to the group.
-            let fork = prev_lo.map_or(top, |prev| (prev ^ lo).ilog2() / 3 * 3);
-            open.truncate(((top - fork) / 3 + 1) as usize);
-            let mut level = fork;
-            while level > shift {
-                set_codes(out, &open, lo >> level, PARTIAL, 1)?;
-                open_node(out, &mut open);
-                level -= 3;
+        encoder.push(out, start, end)?;
+    }
+    encoder.finish(out);
+    Ok(())
+}
+
+/// Streaming k³-tree encoder: [`Encoder::push`] the runs of a canonical
+/// list in id order, then [`Encoder::finish`] — one pass, so what a
+/// merge emits is encoded as it is produced.  The payload grows at the
+/// end of the `out` every call is handed, which must be the same buffer
+/// with nothing else appended in between (open node words are patched
+/// in place).
+#[derive(Debug)]
+pub struct Encoder {
+    id_bits: u32,
+    top: u32,
+    /// Offsets in `out` of the open nodes' words, root first.
+    open: Vec<usize>,
+    /// Where the last group of codes (FULL siblings, or a leaf's PARTIAL)
+    /// was placed.
+    prev_lo: Option<u64>,
+    min_start: u64,
+    /// Base id of the open leaf, whose pairs wait in `leaf` for their
+    /// byte length.
+    leaf_base: Option<u64>,
+    leaf: Vec<u8>,
+    /// Smallest start the open leaf's next run may have.
+    leaf_floor: u64,
+}
+
+impl Encoder {
+    /// Appends the payload header to `out`.
+    pub fn new(out: &mut Vec<u8>, id_bits: u32) -> Result<Self> {
+        let top = top_shift(id_bits)?;
+        out.extend_from_slice(&[LAYOUT, id_bits as u8]);
+        Ok(Encoder {
+            id_bits,
+            top,
+            open: Vec::with_capacity(MAX_DEPTH),
+            prev_lo: None,
+            min_start: 0,
+            leaf_base: None,
+            leaf: Vec::new(),
+            leaf_floor: 0,
+        })
+    }
+
+    /// Appends the next run of the list (on error, `out` holds a partial
+    /// payload).
+    pub fn push(&mut self, out: &mut Vec<u8>, start: u64, end: u64) -> Result<()> {
+        check_run(start, end, self.min_start, self.id_bits)?;
+        self.min_start = end + 2;
+        let [head, whole, tail] = cut_at_leaves(start, end, self.top >= LEAF_BITS);
+        if let Some(piece) = head {
+            self.leaf_run(out, piece)?;
+        }
+        if let Some((mut lo, hi)) = whole {
+            self.close_leaf(out);
+            while lo <= hi {
+                // The largest block aligned at `lo` that ends by `hi`,
+                // and how many of its later siblings do too.
+                let len = hi - lo + 1;
+                let shift = lo.trailing_zeros().min(len.ilog2()).min(self.top) / 3 * 3;
+                let count = (8 - (lo >> shift) % 8).min(len >> shift);
+                self.place(out, lo, shift, FULL, count as u32)?;
+                lo += count << shift;
             }
-            set_codes(out, &open, lo >> shift, FULL, count as u32)?;
-            prev_lo = Some(lo);
-            lo += count << shift;
+        }
+        if let Some(piece) = tail {
+            self.leaf_run(out, piece)?;
+        }
+        Ok(())
+    }
+
+    /// Closes the last leaf; the payload is complete.
+    pub fn finish(mut self, out: &mut Vec<u8>) {
+        self.close_leaf(out);
+    }
+
+    /// Appends a run that lies inside one leaf to that leaf's block,
+    /// opening the leaf if the last run went elsewhere.
+    fn leaf_run(&mut self, out: &mut Vec<u8>, (start, end): (u64, u64)) -> Result<()> {
+        let base = start / LEAF_IDS * LEAF_IDS;
+        if self.leaf_base != Some(base) {
+            self.close_leaf(out);
+            if self.top >= LEAF_BITS {
+                self.place(out, base, LEAF_BITS, PARTIAL, 1)?;
+            }
+            self.leaf_base = Some(base);
+            self.leaf_floor = base;
+        }
+        write_uvarint(&mut self.leaf, start - self.leaf_floor);
+        write_uvarint(&mut self.leaf, end - start);
+        self.leaf_floor = end + 2;
+        Ok(())
+    }
+
+    fn close_leaf(&mut self, out: &mut Vec<u8>) {
+        if self.leaf_base.take().is_some() {
+            write_uvarint(out, self.leaf.len() as u64);
+            out.extend_from_slice(&self.leaf);
+            self.leaf.clear();
         }
     }
-    Ok(())
+
+    /// Sets `count` sibling codes, the first for the `2^shift` ids at
+    /// `lo`, opening the nodes down to theirs.
+    fn place(
+        &mut self,
+        out: &mut Vec<u8>,
+        lo: u64,
+        shift: u32,
+        code: u16,
+        count: u32,
+    ) -> Result<()> {
+        if self.open.is_empty() {
+            open_node(out, &mut self.open);
+        }
+        // Ids increase, so `lo` and the previous group part ways at
+        // their highest differing bit — a child index of the deepest
+        // node that holds both.  Close what lies below that fork, then
+        // descend to the group.
+        let fork = self.prev_lo.map_or(self.top, |prev| (prev ^ lo).ilog2() / 3 * 3);
+        self.open.truncate(((self.top - fork) / 3 + 1) as usize);
+        let mut level = fork;
+        while level > shift {
+            set_codes(out, &self.open, lo >> level, PARTIAL, 1)?;
+            open_node(out, &mut self.open);
+            level -= 3;
+        }
+        self.prev_lo = Some(lo);
+        set_codes(out, &self.open, lo >> shift, code, count)
+    }
 }
 
 /// Appends an all-empty node word and makes it the innermost open node.
@@ -156,7 +289,7 @@ fn set_codes(out: &mut [u8], open: &[usize], first: u64, code: u16, count: u32) 
 
 /// Length of [`encode_runs`]' payload without building it.
 ///
-/// The tree costs 16 bits a node, and below the root a node exists
+/// The directory costs 16 bits a node, and below the root a node exists
 /// exactly when it is mixed: when a *boundary* — a run's `start` or its
 /// `end + 1` — falls strictly inside it.  A boundary `at` is strictly
 /// inside the nodes of `2^m` ids with `m > at.trailing_zeros()`.  The
@@ -164,14 +297,22 @@ fn set_codes(out: &mut [u8], open: &[usize], first: u64, code: u16, count: u32) 
 /// strictly inside too — every `m` above both `prev.trailing_zeros()`
 /// and the highest bit in which the two differ — so `at` adds the nodes
 /// with `tz(at) < m <= max(tz(prev), ilog2(prev ^ at))`, `m` a multiple
-/// of 3 no larger than the root's children.
+/// of 3 above the cut and no larger than the root's children.  The
+/// leaves cost what their varints do.
 pub fn encoded_len<R: Copy + Into<(u64, u64)>>(runs: &[R], id_bits: u32) -> Result<usize> {
     let top = top_shift(id_bits)?;
+    let directory = top >= LEAF_BITS;
     let new_nodes = |prev: u64, at: u64| {
         let uncounted_up_to = prev.trailing_zeros().max((prev ^ at).ilog2()).min(top);
-        (uncounted_up_to / 3).saturating_sub(at.trailing_zeros() / 3) as usize
+        (uncounted_up_to / 3).saturating_sub(at.trailing_zeros().max(LEAF_BITS) / 3) as usize
     };
-    let mut nodes = usize::from(!runs.is_empty());
+    let mut nodes = usize::from(directory && !runs.is_empty());
+    // A closed leaf: its pairs behind their byte length.
+    let closed = |pairs: usize| if pairs > 0 { uvarint_len(pairs as u64) + pairs } else { 0 };
+    // Bytes of the closed leaves, then the open one's base, pairs and
+    // floor.
+    let mut leaves = 0;
+    let (mut leaf_base, mut leaf_len, mut leaf_floor) = (None, 0, 0);
     // Id 0 is inside nothing (64 trailing zeros): as `prev` it has
     // counted nothing, as `at` it would add nothing.
     let (mut prev, mut min_start) = (0, 0);
@@ -179,16 +320,29 @@ pub fn encoded_len<R: Copy + Into<(u64, u64)>>(runs: &[R], id_bits: u32) -> Resu
         let (start, end) = run.into();
         check_run(start, end, min_start, id_bits)?;
         min_start = end + 2;
-        if start > 0 {
-            nodes += new_nodes(prev, start);
+        if directory {
+            if start > 0 {
+                nodes += new_nodes(prev, start);
+            }
+            nodes += new_nodes(start, end + 1);
+            prev = end + 1;
         }
-        nodes += new_nodes(start, end + 1);
-        prev = end + 1;
+        let [head, _, tail] = cut_at_leaves(start, end, directory);
+        for (lo, hi) in [head, tail].into_iter().flatten() {
+            let base = lo / LEAF_IDS * LEAF_IDS;
+            if leaf_base != Some(base) {
+                leaves += closed(leaf_len);
+                (leaf_base, leaf_len, leaf_floor) = (Some(base), 0, base);
+            }
+            leaf_len += uvarint_len(lo - leaf_floor) + uvarint_len(hi - lo);
+            leaf_floor = hi + 2;
+        }
     }
-    Ok(uvarint_len(u64::from(id_bits)) + uvarint_len(runs.len() as u64) + 2 * nodes)
+    Ok(2 + 2 * nodes + leaves + closed(leaf_len))
 }
 
-/// One DFS frame: a node's id range and the children still to visit.
+/// One open directory node: its id range and the children still to
+/// visit.
 #[derive(Debug, Clone, Copy, Default)]
 struct Frame {
     /// Id of the node's first cell.
@@ -200,61 +354,65 @@ struct Frame {
     codes: u32,
 }
 
-/// Streaming run decoder over a k³-tree payload.
+/// Streaming run decoder over a k³-tree payload, a leaf at a time.
 #[derive(Debug, Clone)]
 pub struct K3Cursor<'a> {
-    /// The node words (the payload past its header).
+    /// The subtrees (the payload past its header).
     nodes: &'a [u8],
-    /// Byte offset of the next unread node word.
+    /// Byte offset of the next unread subtree.
     pos: usize,
     /// The open path, root first; `depth` frames are live.
-    frames: [Frame; MAX_LEVELS],
+    frames: [Frame; MAX_DEPTH],
     depth: usize,
-    /// Covered interval read ahead of `current`: the one that showed
-    /// `current` was maximal.
-    lookahead: Option<(u64, u64)>,
-    current: Option<(u64, u64)>,
-    count: usize,
+    /// Decoded runs in id order; `block[at]` is the current one.  Those
+    /// before `complete` are maximal; one more may follow that the next
+    /// subtree can still extend.
+    block: Vec<(u64, u64)>,
+    at: usize,
+    complete: usize,
     skips: u64,
-    /// Subtrees wholly before this id may be consumed unassembled.
+    /// Subtrees and runs wholly before this id may be consumed
+    /// undecoded.
     prune_below: u64,
 }
 
 impl<'a> K3Cursor<'a> {
-    /// Parses the payload header and decodes the first run.
+    /// Parses the payload header and decodes the first leaf.
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
-        let mut pos = 0;
-        let id_bits = read_uvarint(bytes, &mut pos)?;
-        let top = u32::try_from(id_bits).ok().and_then(|bits| top_shift(bits).ok());
-        let top = top.ok_or(CodingError::Corrupt("bad k3-tree id width"))?;
-        let count = read_uvarint(bytes, &mut pos)?;
-        let nodes = bytes.get(pos..).ok_or(CodingError::UnexpectedEnd)?;
-        // The count is untrusted and sizes allocations downstream.
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&c| c <= nodes.len().saturating_mul(MAX_RUNS_PER_BYTE))
-            .ok_or(CodingError::Corrupt("k3-tree run count exceeds its payload"))?;
+        let (&layout, rest) = bytes.split_first().ok_or(CodingError::UnexpectedEnd)?;
+        if layout != LAYOUT {
+            return Err(CodingError::Corrupt("not a run-block k3-tree payload"));
+        }
+        let (&id_bits, nodes) = rest.split_first().ok_or(CodingError::UnexpectedEnd)?;
+        let top = top_shift(u32::from(id_bits))
+            .map_err(|_| CodingError::Corrupt("bad k3-tree id width"))?;
+        let mut frames = [Frame::default(); MAX_DEPTH];
+        let mut depth = 0;
+        if let ([root, ..], false) = (&mut frames, nodes.is_empty()) {
+            // The root subtree hangs off a stand-in parent as its one
+            // partial child, so the walk opens it like any other.
+            *root = Frame { base: 0, shift: top + 3, codes: u32::from(PARTIAL) << 30 };
+            depth = 1;
+        }
         let mut cursor = K3Cursor {
             nodes,
             pos: 0,
-            frames: [Frame::default(); MAX_LEVELS],
-            depth: 0,
-            lookahead: None,
-            current: None,
-            count,
+            frames,
+            depth,
+            block: Vec::new(),
+            at: 0,
+            complete: 0,
             skips: 0,
             prune_below: 0,
         };
-        if count > 0 {
-            cursor.enter_node(0, top)?;
-            cursor.pump()?;
-        }
+        cursor.fill()?;
         Ok(cursor)
     }
 
-    /// Total runs recorded in the header (at most four per payload byte).
-    pub fn run_count(&self) -> usize {
-        self.count
+    /// A guess at the payload's run count for sizing a drain, bounded by
+    /// the payload: most runs are leaf runs, two bytes at least.
+    pub fn runs_hint(&self) -> usize {
+        self.nodes.len() / 2
     }
 
     /// Reads the next node word, its eight codes checked to be `00`,
@@ -271,8 +429,8 @@ impl<'a> K3Cursor<'a> {
         Ok(word)
     }
 
-    /// Reads the node that starts at id `base` and makes it the
-    /// innermost frame.
+    /// Reads the node that starts at id `base`, its children `2^shift`
+    /// ids each, and makes it the innermost frame.
     fn enter_node(&mut self, base: u64, shift: u32) -> Result<()> {
         let word = self.read_word()?;
         let frame = self.frames.get_mut(self.depth);
@@ -282,15 +440,86 @@ impl<'a> K3Cursor<'a> {
         Ok(())
     }
 
-    /// Assembles the next maximal run into `current`: walks the tree in
-    /// id order, joining covered intervals — adjacent FULL children of a
-    /// node come as one — while they touch, and pruning subtrees that
-    /// end below `prune_below`.
-    fn pump(&mut self) -> Result<()> {
-        if self.current.is_some() {
-            return Ok(());
+    /// Reads a leaf's byte length and steps past its pairs.
+    fn take_leaf(&mut self) -> Result<&'a [u8]> {
+        let len = read_uvarint(self.nodes, &mut self.pos)?;
+        // The length is untrusted: it is only ever used to slice the
+        // bytes that are there.
+        let end = usize::try_from(len).ok().and_then(|len| self.pos.checked_add(len));
+        let leaf = end.and_then(|end| self.nodes.get(self.pos..end));
+        let leaf = leaf.ok_or(CodingError::UnexpectedEnd)?;
+        if leaf.is_empty() {
+            return Err(CodingError::Corrupt("empty k3-tree leaf"));
         }
-        let mut run = self.lookahead.take();
+        self.pos += leaf.len();
+        Ok(leaf)
+    }
+
+    /// Appends a covered interval, joined to the last run if they touch.
+    fn append(&mut self, lo: u64, hi: u64) {
+        match self.block.last_mut() {
+            Some((_, end)) if *end + 1 == lo => *end = hi,
+            _ => self.block.push((lo, hi)),
+        }
+    }
+
+    /// Decodes the leaf over the `2^span` ids at `base` onto the block,
+    /// leaving out runs that end below `prune_below`.
+    fn decode_leaf(&mut self, base: u64, span: u32) -> Result<()> {
+        let leaf = self.take_leaf()?;
+        // Two bytes a run at least: sized by bytes that are there.
+        self.block.reserve(leaf.len() / 2);
+        let last = base + ((1u64 << span) - 1);
+        let (mut floor, mut at) = (base, 0);
+        // Runs of one leaf never touch each other: only the first one
+        // kept can join what the block already ends with.
+        let mut joined = false;
+        while at < leaf.len() {
+            let (gap, len) = match leaf.get(at..at + 2) {
+                // Most pairs of a REGION are two one-byte varints.
+                Some(&[gap, len]) if gap | len < 0x80 => {
+                    at += 2;
+                    (u64::from(gap), u64::from(len))
+                }
+                _ => {
+                    let pair = (read_uvarint(leaf, &mut at)?, read_uvarint(leaf, &mut at)?);
+                    // Bounded before they are added below: the sum
+                    // cannot wrap.
+                    if pair.0 > last || pair.1 > last {
+                        return Err(OUTSIDE_LEAF);
+                    }
+                    pair
+                }
+            };
+            if floor + gap + len > last {
+                return Err(OUTSIDE_LEAF);
+            }
+            let start = floor + gap;
+            let end = start + len;
+            floor = end + 2;
+            if end < self.prune_below {
+                continue;
+            }
+            if joined {
+                self.block.push((start, end));
+            } else {
+                self.append(start, end);
+                joined = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Refills the block: walks the tree in id order from where the last
+    /// fill stopped, joining covered intervals while they touch and
+    /// pruning what ends below `prune_below`, until a leaf has been
+    /// decoded and at least one run is known maximal, or the tree ends.
+    fn fill(&mut self) -> Result<()> {
+        // The run that may still grow moves to the front.
+        let open = self.block.get(self.complete).copied();
+        self.block.clear();
+        self.block.extend(open);
+        self.at = 0;
         while let Some(frame) = self.depth.checked_sub(1).and_then(|d| self.frames.get_mut(d)) {
             let codes = frame.codes;
             if codes == 0 {
@@ -309,43 +538,42 @@ impl<'a> K3Cursor<'a> {
                 let fulls = (rest ^ (u32::MAX / 3)).leading_zeros() / 2;
                 frame.codes = codes & (u32::MAX >> (2 * (child + fulls)));
                 let hi = lo + (u64::from(fulls) << shift) - 1;
-                if hi < self.prune_below {
-                    continue;
-                }
-                match &mut run {
-                    None => run = Some((lo, hi)),
-                    Some((_, end)) if *end + 1 == lo => *end = hi,
-                    Some(_) => {
-                        self.lookahead = Some((lo, hi));
-                        break;
-                    }
+                if hi >= self.prune_below {
+                    self.append(lo, hi);
                 }
                 continue;
             }
             frame.codes = codes & (u32::MAX >> (2 * child + 2));
-            let below = shift.checked_sub(3).ok_or(CELL_LEVEL_PARTIAL)?;
-            if lo + (1 << shift) <= self.prune_below {
-                // The whole subtree precedes the seek target: consume
-                // its nodes without assembling runs.
-                self.skip_subtree(below)?;
+            let last = lo + ((1u64 << shift) - 1);
+            if last < self.prune_below {
+                // The whole subtree precedes the seek target: consume it
+                // undecoded.
+                self.skip_subtree(shift)?;
                 self.skips += 1;
+            } else if shift > LEAF_BITS {
+                self.enter_node(lo, shift - 3)?;
             } else {
-                self.enter_node(lo, below)?;
+                self.decode_leaf(lo, shift)?;
+                // Only a run that ends with the leaf can go on.
+                let grows = self.block.last().is_some_and(|&(_, end)| end == last);
+                self.complete = self.block.len() - usize::from(grows);
+                if self.complete > 0 {
+                    return Ok(());
+                }
             }
         }
-        self.current = run;
+        self.complete = self.block.len();
         Ok(())
     }
 
-    /// Reads past one subtree (a node whose children each cover
-    /// `2^shift` ids) without emitting anything.
-    fn skip_subtree(&mut self, shift: u32) -> Result<()> {
+    /// Reads past the subtree over `2^span` ids without decoding it.
+    fn skip_subtree(&mut self, span: u32) -> Result<()> {
+        if span <= LEAF_BITS {
+            return self.take_leaf().map(|_| ());
+        }
         let partial = self.read_word()? & (PARTIAL * 0x5555);
-        if partial != 0 {
-            let below = shift.checked_sub(3).ok_or(CELL_LEVEL_PARTIAL)?;
-            for _ in 0..partial.count_ones() {
-                self.skip_subtree(below)?;
-            }
+        for _ in 0..partial.count_ones() {
+            self.skip_subtree(span - 3)?;
         }
         Ok(())
     }
@@ -354,8 +582,7 @@ impl<'a> K3Cursor<'a> {
     /// helper — kernel code streams instead (rule `kernel-materialize`
     /// bans this call there, at zero hops and through helpers).
     pub fn decode_all(mut self) -> Result<Vec<(u64, u64)>> {
-        // `new` bounded the count by the payload size.
-        let mut out = Vec::with_capacity(self.count);
+        let mut out = Vec::with_capacity(self.runs_hint());
         while let Some(run) = self.peek() {
             out.push(run);
             self.advance()?;
@@ -365,37 +592,28 @@ impl<'a> K3Cursor<'a> {
 }
 
 impl RunCursor for K3Cursor<'_> {
+    #[inline]
     fn peek(&self) -> Option<(u64, u64)> {
-        self.current
+        // Every call leaves `at` on a maximal run or past the last one.
+        self.block.get(self.at).copied()
     }
 
+    #[inline]
     fn advance(&mut self) -> Result<()> {
-        self.current = None;
-        self.pump()
+        self.at += 1;
+        if self.at >= self.complete {
+            self.fill()?;
+        }
+        Ok(())
     }
 
+    #[inline]
     fn seek(&mut self, target: u64) -> Result<()> {
-        self.prune_below = self.prune_below.max(target);
-        loop {
-            match self.current {
-                Some((_, end)) if end >= target => return Ok(()),
-                Some(_) => {
-                    self.current = None;
-                    if let Some((_, la_end)) = self.lookahead {
-                        if la_end < target {
-                            self.lookahead = None;
-                        }
-                    }
-                    self.pump()?;
-                }
-                None => {
-                    self.pump()?;
-                    if self.current.is_none() {
-                        return Ok(());
-                    }
-                }
-            }
+        // Most seeks of a merge find the cursor already there.
+        if self.peek().is_none_or(|(_, end)| end >= target) {
+            return Ok(());
         }
+        self.seek_past_current(target)
     }
 
     fn skips(&self) -> u64 {
@@ -403,10 +621,41 @@ impl RunCursor for K3Cursor<'_> {
     }
 }
 
+impl K3Cursor<'_> {
+    /// [`RunCursor::seek`] once the current run is known to end before
+    /// `target`.
+    fn seek_past_current(&mut self, target: u64) -> Result<()> {
+        loop {
+            let ahead = self.block.get(self.at..self.complete).unwrap_or_default();
+            match ahead.last() {
+                // Exhausted.
+                None => return Ok(()),
+                Some(&(_, end)) if end >= target => {
+                    self.at += first_reaching(ahead, target);
+                    return Ok(());
+                }
+                Some(_) => {}
+            }
+            // Nothing decoded reaches the target; the run still growing
+            // stays only if it does.
+            self.prune_below = self.prune_below.max(target);
+            if self.block.get(self.complete).is_some_and(|&(_, end)| end < target) {
+                self.block.clear();
+                self.complete = 0;
+            }
+            self.fill()?;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The most covered intervals one payload byte can describe: a 2-byte
+    /// node word holds eight child codes (a leaf run costs two bytes).
+    const MAX_RUNS_PER_BYTE: usize = 4;
 
     fn canonical(mut ids: Vec<u64>) -> Vec<(u64, u64)> {
         ids.sort_unstable();
@@ -421,8 +670,8 @@ mod tests {
         runs
     }
 
-    fn every_third_id() -> Vec<(u64, u64)> {
-        canonical((0..8_192).step_by(3).collect())
+    fn every_third_id(ids: u64) -> Vec<(u64, u64)> {
+        canonical((0..ids).step_by(3).collect())
     }
 
     /// A solid unaligned box of ids plus 3,000 LCG-scattered cells.
@@ -436,15 +685,32 @@ mod tests {
         canonical(ids)
     }
 
-    /// The layout, written down the slow way: a node's word, then the
-    /// subtrees of its partial children.
-    fn reference_node(out: &mut Vec<u8>, runs: &[(u64, u64)], base: u64, child_size: u64) {
+    fn decode(bytes: &[u8]) -> Vec<(u64, u64)> {
+        K3Cursor::new(bytes).unwrap().decode_all().unwrap()
+    }
+
+    /// The layout, written down the slow way: a leaf's pairs behind
+    /// their byte length; a node's word, then the subtrees of its
+    /// partial children.
+    fn reference_subtree(out: &mut Vec<u8>, runs: &[(u64, u64)], base: u64, span: u32) {
+        if span <= LEAF_BITS {
+            let (mut pairs, mut floor) = (Vec::new(), base);
+            for &(start, end) in runs {
+                let (start, end) = (start.max(base), end.min(base + (1 << span) - 1));
+                write_uvarint(&mut pairs, start - floor);
+                write_uvarint(&mut pairs, end - start);
+                floor = end + 2;
+            }
+            write_uvarint(out, pairs.len() as u64);
+            out.extend_from_slice(&pairs);
+            return;
+        }
         let at = out.len();
         out.extend_from_slice(&[0, 0]);
         let mut word = 0u16;
         for i in 0..8 {
-            let lo = base + i * child_size;
-            let hi = lo + child_size - 1;
+            let lo = base + (i << (span - 3));
+            let hi = lo + (1 << (span - 3)) - 1;
             let inside = &runs[runs.partition_point(|&(_, end)| end < lo)
                 ..runs.partition_point(|&(start, _)| start <= hi)];
             let code = match inside {
@@ -454,20 +720,36 @@ mod tests {
             };
             word |= code << (14 - 2 * i);
             if code == PARTIAL {
-                reference_node(out, inside, lo, child_size / 8);
+                reference_subtree(out, inside, lo, span - 3);
             }
         }
         out[at..at + 2].copy_from_slice(&word.to_be_bytes());
     }
 
     fn reference_encode(runs: &[(u64, u64)], id_bits: u32) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_uvarint(&mut out, u64::from(id_bits));
-        write_uvarint(&mut out, runs.len() as u64);
+        let mut out = vec![LAYOUT, id_bits as u8];
         if !runs.is_empty() {
-            reference_node(&mut out, runs, 0, 8u64.pow(id_bits.div_ceil(3) - 1));
+            reference_subtree(&mut out, runs, 0, 3 * id_bits.div_ceil(3));
         }
         out
+    }
+
+    /// `runs` from the first that reaches `target` on, its start clipped
+    /// there — all a cursor owes after `seek(target)`.
+    fn clipped(runs: &[(u64, u64)], target: u64) -> Vec<(u64, u64)> {
+        let rest = runs.iter().filter(|&&(_, end)| end >= target);
+        rest.map(|&(start, end)| (start.max(target), end)).collect()
+    }
+
+    /// Seeks `cursor` to `target`, drains it and clips what came out.
+    fn seek_then_drain(mut cursor: impl RunCursor, target: u64) -> Vec<(u64, u64)> {
+        cursor.seek(target).unwrap();
+        let mut out = Vec::new();
+        while let Some(run) = cursor.peek() {
+            out.push(run);
+            cursor.advance().unwrap();
+        }
+        clipped(&out, target)
     }
 
     /// Drives a cursor over untrusted `bytes` — a seek to each target in
@@ -476,7 +758,6 @@ mod tests {
     /// strictly increasing canonical runs.
     fn drive_untrusted(bytes: &[u8], mut targets: Vec<u64>) {
         let Ok(mut c) = K3Cursor::new(bytes) else { return };
-        assert!(c.run_count() <= MAX_RUNS_PER_BYTE * bytes.len());
         targets.sort_unstable();
         let mut steps = 0;
         let mut prev_end: Option<u64> = None;
@@ -507,69 +788,117 @@ mod tests {
 
     #[test]
     fn dense_regions_collapse_to_a_few_codes() {
-        // The full 12-bit id space: root's 8 children all FULL.
-        let full = vec![(0u64, (1u64 << 12) - 1)];
-        let bytes = encode_runs(&full, 12).unwrap();
-        assert!(bytes.len() <= 4, "full grid should cost ~2 header bytes + 16 bits");
-        let back = K3Cursor::new(&bytes).unwrap().decode_all().unwrap();
-        assert_eq!(back, full);
+        // The full 15-bit id space: root's 8 children all FULL.
+        let full = vec![(0u64, (1u64 << 15) - 1)];
+        let bytes = encode_runs(&full, 15).unwrap();
+        assert_eq!(bytes, [LAYOUT, 15, 0x55, 0x55]);
+        assert_eq!(decode(&bytes), full);
     }
 
     #[test]
     fn roundtrips_structured_regions() {
-        let runs = vec![(0u64, 63), (100, 100), (512, 1023), (2048, 2050)];
-        let bytes = encode_runs(&runs, 12).unwrap();
-        let back = K3Cursor::new(&bytes).unwrap().decode_all().unwrap();
-        assert_eq!(back, runs);
+        let runs = vec![(0u64, 63), (100, 100), (512, 1023), (2048, 2050), (4000, 9000)];
+        for id_bits in [14, 15, 21, 33] {
+            assert_eq!(decode(&encode_runs(&runs, id_bits).unwrap()), runs, "{id_bits}");
+        }
     }
 
     #[test]
     fn empty_region_roundtrips() {
         let bytes = encode_runs::<(u64, u64)>(&[], 15).unwrap();
+        assert_eq!(bytes, [LAYOUT, 15]);
         let mut c = K3Cursor::new(&bytes).unwrap();
         assert_eq!(c.peek(), None);
         c.seek(10).unwrap();
         assert_eq!(c.peek(), None);
+        c.advance().unwrap();
+        assert_eq!(c.peek(), None);
     }
 
     #[test]
-    fn a_node_is_one_big_endian_word_then_its_partial_subtrees() {
-        // 9 id bits, three levels.  Child 0 of the root is partial (one
-        // cell, id 9 = child 1 of its child 1), child 7 is full.
-        let bytes = encode_runs(&[(9u64, 9), (448, 511)], 9).unwrap();
+    fn a_node_is_a_word_then_its_partial_subtrees_and_a_leaf_is_a_run_block() {
+        // Three levels above 4096-id leaves.  Child 0 of the root is
+        // partial: its child 1 is a leaf holding two runs, the second
+        // cut where the leaf ends and carried on by FULL child 2.
+        let leaf = LEAF_IDS;
+        let runs = [
+            (leaf + 9, leaf + 9),
+            (2 * leaf - 100, 3 * leaf - 1),
+            (7 * 64 * leaf, 8 * 64 * leaf - 1),
+        ];
+        let bytes = encode_runs(&runs, LEAF_BITS + 9).unwrap();
         let root = 0b10_00_00_00_00_00_00_01u16.to_be_bytes();
-        let inner = 0b00_10_00_00_00_00_00_00u16.to_be_bytes();
-        let leaf = 0b00_01_00_00_00_00_00_00u16.to_be_bytes();
-        assert_eq!(bytes, [&[9, 2][..], &root, &inner, &leaf].concat());
+        let inner = 0b10_00_00_00_00_00_00_00u16.to_be_bytes();
+        let lowest = 0b00_10_01_00_00_00_00_00u16.to_be_bytes();
+        // (gap 9, one id), then (gap 4096 − 11 − 100 = 3985, 100 ids).
+        let pairs = [9, 0, 0x91, 0x1f, 99];
+        let want = [&[LAYOUT, (LEAF_BITS + 9) as u8][..], &root, &inner, &lowest, &[5], &pairs];
+        assert_eq!(bytes, want.concat());
+        assert_eq!(decode(&bytes), runs);
     }
 
     #[test]
-    fn sizes_are_pinned_to_the_interleaved_layout() {
-        // Byte lengths recorded with the code-then-subtree layout this
-        // one replaced: 16 bits a node either way.
+    fn an_id_space_of_one_leaf_has_no_directory() {
+        // 16³: the whole grid is one run block, the full grid included.
+        let bytes = encode_runs(&[(3u64, 9), (4_000, 4_095)], 12).unwrap();
+        assert_eq!(bytes, [LAYOUT, 12, 5, 3, 6, 0x95, 0x1f, 95]);
+        assert_eq!(decode(&bytes), [(3, 9), (4_000, 4_095)]);
+        let full = [(0u64, 4_095)];
+        let bytes = encode_runs(&full, 12).unwrap();
+        assert_eq!(bytes, [LAYOUT, 12, 3, 0, 0xff, 0x1f]);
+        assert_eq!(decode(&bytes), full);
+    }
+
+    #[test]
+    fn sizes_are_pinned() {
+        // Byte lengths of this layout, against the reference encoder and
+        // `encoded_len`; beside each, the word-only layout it replaced.
         let pin = |name: &str, runs: Vec<(u64, u64)>, id_bits: u32, pinned: usize| {
             let bytes = encode_runs(&runs, id_bits).unwrap();
+            assert_eq!(bytes, reference_encode(&runs, id_bits), "{name}");
             assert_eq!(bytes.len(), pinned, "{name}");
             assert_eq!(encoded_len(&runs, id_bits).unwrap(), pinned, "{name}");
-            assert_eq!(K3Cursor::new(&bytes).unwrap().decode_all().unwrap(), runs, "{name}");
+            assert_eq!(decode(&bytes), runs, "{name}");
         };
-        pin("empty", vec![], 15, 2);
-        pin("full grid", vec![(0, (1 << 12) - 1)], 12, 4);
-        pin("one cell", vec![(1_234, 1_234)], 12, 10);
-        pin("every third id", every_third_id(), 13, 2_345);
-        pin("box plus speckle", box_plus_speckle(), 21, 15_837);
+        pin("empty", vec![], 15, 2); // 2
+        pin("full grid", vec![(0, (1 << 12) - 1)], 12, 6); // 4
+        pin("one cell", vec![(1_234, 1_234)], 12, 6); // 10
+        pin("every third id", every_third_id(8_192), 13, 5_470); // 2,345
+        pin("box plus speckle", box_plus_speckle(), 21, 8_369); // 15,837
     }
 
     #[test]
-    fn seek_prunes_earlier_subtrees() {
-        // Every third id: every subtree is partial, so a long-distance
-        // seek must consume interior subtrees without assembling them.
-        let bytes = encode_runs(&every_third_id(), 13).unwrap();
+    fn seek_prunes_subtrees_and_leaves_undecoded() {
+        // Every third id of 2^18: 64 partial leaves under 8 nodes.
+        let runs = every_third_id(1 << 18);
+        let bytes = encode_runs(&runs, 18).unwrap();
         let mut c = K3Cursor::new(&bytes).unwrap();
-        c.seek(8_000).unwrap();
-        assert_eq!(c.peek(), Some((8_001, 8_001)));
-        // The count the bit-at-a-time cursor took on this payload.
-        assert_eq!(c.skips(), 33);
+        c.seek(250_000).unwrap();
+        assert_eq!(c.peek(), Some((250_002, 250_002)));
+        // The other seven leaves of the open subtree one by one, six
+        // subtrees of eight leaves whole, then five leaves.
+        assert_eq!(c.skips(), 18);
+        // Inside the decoded leaf a seek is a gallop, not a jump.
+        c.seek(250_100).unwrap();
+        assert_eq!(c.peek(), Some((250_101, 250_101)));
+        assert_eq!(c.skips(), 18);
+        assert_eq!(seek_then_drain(c, 262_000), clipped(&runs, 262_000));
+    }
+
+    #[test]
+    fn runs_cut_at_leaf_boundaries_come_back_whole() {
+        // One run through a partial leaf, whole leaves and into another
+        // partial leaf; one that ends exactly with its leaf; one that
+        // starts exactly on the next.
+        let leaf = LEAF_IDS;
+        let runs =
+            vec![(100u64, 5 * leaf + 7), (7 * leaf - 3, 7 * leaf - 1), (8 * leaf, 8 * leaf + 4)];
+        let bytes = encode_runs(&runs, 18).unwrap();
+        assert_eq!(decode(&bytes), runs);
+        for target in [0, 100, leaf, 5 * leaf, 5 * leaf + 8, 7 * leaf - 1, 7 * leaf, 8 * leaf + 5] {
+            let c = K3Cursor::new(&bytes).unwrap();
+            assert_eq!(seek_then_drain(c, target), clipped(&runs, target), "{target}");
+        }
     }
 
     #[test]
@@ -588,39 +917,84 @@ mod tests {
     }
 
     #[test]
-    fn hostile_run_count_is_rejected_not_allocated() {
-        // 12 id bits, a varint run count of 2^57 - 1, one empty node:
-        // `decode_all` used to reserve the count and abort the process.
-        let bytes = [12, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0];
-        let err = CodingError::Corrupt("k3-tree run count exceeds its payload");
-        assert_eq!(K3Cursor::new(&bytes).err(), Some(err));
-        // The most the two node bytes could hold still opens and drains.
-        assert_eq!(K3Cursor::new(&[12, 8, 0, 0]).unwrap().decode_all().unwrap(), []);
+    fn the_word_only_layout_is_refused_not_misread() {
+        // What the layout this one replaced wrote for `[(9, 9), (448,
+        // 511)]` over 9 id bits: id width, run count, three node words.
+        let old = [9, 2, 0x80, 0x01, 0x20, 0x00, 0x10, 0x00];
+        let err = CodingError::Corrupt("not a run-block k3-tree payload");
+        assert_eq!(K3Cursor::new(&old).err(), Some(err.clone()));
+        // Every id width it could lead with.
+        for id_bits in 0..=MAX_ID_BITS as u8 {
+            assert_eq!(K3Cursor::new(&[id_bits, 1, 0x40, 0x00]).err(), Some(err.clone()));
+        }
     }
 
     #[test]
-    fn malformed_nodes_yield_typed_errors() {
-        let open = |nodes: &[u8]| K3Cursor::new(&[&[3, 1][..], nodes].concat()).err();
-        assert_eq!(open(&[0b11_00_00_00, 0]), Some(CodingError::Corrupt("bad k3-tree child code")));
-        assert_eq!(open(&[0b10_00_00_00, 0]), Some(CELL_LEVEL_PARTIAL));
-        assert_eq!(open(&[0b01_00_00_00]), Some(CodingError::UnexpectedEnd));
-        // No payload at all cannot hold the header's one run.
-        assert!(matches!(open(&[]), Some(CodingError::Corrupt(_))));
-        // A pruned subtree is validated as it is skipped: three partial
-        // children of the root, the third one's node holds a `11`.
-        let bytes = [6, 3, 0b10_10_10_01, 0, 0b01_00_00_00, 0, 0b00_00_01_00, 0, 0b00_00_00_11, 0];
+    fn a_hostile_leaf_length_is_refused_not_allocated() {
+        // A root leaf claiming 2^63 − 1 bytes of pairs, then four.
+        let mut bytes = vec![LAYOUT, 12, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        bytes.extend_from_slice(&[1, 1, 1, 1]);
+        assert_eq!(K3Cursor::new(&bytes).err(), Some(CodingError::UnexpectedEnd));
+        // The same behind a directory, decoded and skipped.
+        let mut bytes = vec![LAYOUT, 15, 0xa0, 0x00, 2, 0, 0];
+        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 1]);
         let mut c = K3Cursor::new(&bytes).unwrap();
         assert_eq!(c.peek(), Some((0, 0)));
-        assert_eq!(c.clone().seek(24), Err(CodingError::Corrupt("bad k3-tree child code")));
-        assert_eq!(c.advance(), Err(CodingError::Corrupt("bad k3-tree child code")));
+        assert_eq!(c.clone().advance(), Err(CodingError::UnexpectedEnd));
+        assert_eq!(c.seek(2 * LEAF_IDS), Err(CodingError::UnexpectedEnd));
+    }
+
+    #[test]
+    fn malformed_subtrees_yield_typed_errors() {
+        let open = |id_bits: u8, nodes: &[u8]| {
+            K3Cursor::new(&[&[LAYOUT, id_bits][..], nodes].concat()).and_then(K3Cursor::decode_all)
+        };
+        let bad_code = CodingError::Corrupt("bad k3-tree child code");
+        let outside = CodingError::Corrupt("k3-tree run outside its leaf");
+        assert_eq!(open(15, &[0b11_00_00_00, 0]), Err(bad_code.clone()));
+        assert_eq!(open(15, &[0b01_00_00_00]), Err(CodingError::UnexpectedEnd));
+        assert_eq!(open(15, &[0b10_00_00_00, 0]), Err(CodingError::UnexpectedEnd));
+        assert_eq!(
+            open(15, &[0b10_00_00_00, 0, 0]),
+            Err(CodingError::Corrupt("empty k3-tree leaf"))
+        );
+        // A run past its leaf's last id; a gap past it; a cut pair.
+        assert_eq!(open(12, &[2, 0, 0x80, 0x20]), Err(CodingError::UnexpectedEnd));
+        assert_eq!(open(12, &[3, 0, 0x80, 0x20]), Err(outside.clone()));
+        assert_eq!(open(12, &[3, 0x80, 0x20, 0]), Err(outside.clone()));
+        assert_eq!(open(12, &[3, 0, 0, 5]), Err(CodingError::UnexpectedEnd));
+        assert_eq!(open(9, &[3, 0, 0xff, 0x03]), Ok(vec![(0, 511)]));
+        assert_eq!(open(9, &[3, 0, 0x80, 0x04]), Err(outside));
+        // No header, half a header, an id width no tree has.
+        assert_eq!(K3Cursor::new(&[]).err(), Some(CodingError::UnexpectedEnd));
+        assert_eq!(K3Cursor::new(&[LAYOUT]).err(), Some(CodingError::UnexpectedEnd));
+        for id_bits in [0, 34, 255] {
+            let err = CodingError::Corrupt("bad k3-tree id width");
+            assert_eq!(K3Cursor::new(&[LAYOUT, id_bits, 0, 0]).err(), Some(err));
+        }
+        // A pruned subtree is validated as it is skipped: three partial
+        // children of an 18-bit root, the third one's node holds a `11`.
+        let leaf = [2, 0, 0];
+        let node = [&[0b10_00_00_00, 0][..], &leaf].concat();
+        let bytes =
+            [&[LAYOUT, 18, 0b10_10_10_00, 0][..], &node, &node, &[0b00_00_00_11, 0]].concat();
+        let mut c = K3Cursor::new(&bytes).unwrap();
+        assert_eq!(c.peek(), Some((0, 0)));
+        assert_eq!(c.clone().seek(1 << 17), Err(bad_code.clone()));
+        c.advance().unwrap();
+        assert_eq!(c.peek(), Some((1 << 15, 1 << 15)));
+        assert_eq!(c.advance(), Err(bad_code));
     }
 
     #[test]
     fn truncations_and_bit_flips_of_valid_payloads_never_panic() {
         for (runs, id_bits) in [
-            (vec![(0u64, 10), (500, 700), (4_000, 4_095)], 12),
-            (every_third_id(), 13),
-            (box_plus_speckle().into_iter().step_by(40).collect(), 21),
+            (vec![], 15),
+            (vec![(0u64, (1 << 15) - 1)], 15),
+            (vec![(20_000, 20_000)], 15),
+            (vec![(0, 10), (500, 700), (4_000, 4_095)], 12),
+            (every_third_id(40_000).into_iter().step_by(7).collect(), 18),
+            (box_plus_speckle().into_iter().step_by(3).collect(), 21),
         ] {
             let bytes = encode_runs(&runs, id_bits).unwrap();
             let targets = |seed: usize| {
@@ -639,71 +1013,93 @@ mod tests {
         }
     }
 
+    /// Scattered ids plus runs laid across an octant boundary of every
+    /// level, in an id space of `id_bits`.
+    fn scattered(
+        id_bits: u32,
+        ids: Vec<u64>,
+        straddles: Vec<(u64, u32, u64, u64)>,
+    ) -> Vec<(u64, u64)> {
+        let space = 1u64 << id_bits;
+        let mut ids: Vec<u64> = ids.into_iter().map(|id| id % space).collect();
+        for (at, level, before, after) in straddles {
+            // A boundary between two octants of 8^level cells.
+            let boundary = (at % space) >> (3 * level) << (3 * level);
+            ids.extend(boundary.saturating_sub(before)..(boundary + after).min(space));
+        }
+        canonical(ids)
+    }
+
+    fn straddles() -> impl Strategy<Value = Vec<(u64, u32, u64, u64)>> {
+        proptest::collection::vec((any::<u64>(), 0u32..11, 1u64..600, 1u64..600), 0..6)
+    }
+
     proptest! {
+        /// Encode, then drain: the identity at every id width, ids past
+        /// 2^32 included; the streaming encoder against the recursive
+        /// reference; `encoded_len` against what was built.
         #[test]
-        fn fuzz_roundtrip_random_regions(ids in proptest::collection::vec(0u64..32_768, 0..500)) {
-            let runs = canonical(ids);
-            let bytes = encode_runs(&runs, 15).unwrap();
-            let back = K3Cursor::new(&bytes).unwrap().decode_all().unwrap();
-            prop_assert_eq!(back, runs);
-        }
-
-        #[test]
-        fn fuzz_seek_returns_clipped_suffix(
-            ids in proptest::collection::vec(0u64..8_192, 1..300),
-            target in 0u64..9_000,
-        ) {
-            let runs = canonical(ids);
-            let bytes = encode_runs(&runs, 13).unwrap();
-            let mut c = K3Cursor::new(&bytes).unwrap();
-            c.seek(target).unwrap();
-            let truth = runs.iter().find(|&&(_, e)| e >= target).copied();
-            match (c.peek(), truth) {
-                (None, None) => {}
-                (Some((got_s, got_e)), Some((want_s, want_e))) => {
-                    // The cursor may clip ids below the seek target but
-                    // must agree from the target onward.
-                    prop_assert_eq!(got_e, want_e);
-                    prop_assert_eq!(got_s.max(target), want_s.max(target));
-                    prop_assert!(got_s >= want_s);
-                }
-                (got, want) => prop_assert!(false, "got {:?} want {:?}", got, want),
-            }
-        }
-
-        /// The streaming encoder against the recursive reference, on
-        /// speckle plus runs laid across an octant boundary of every
-        /// level.
-        #[test]
-        fn fuzz_streaming_encoder_matches_reference(
-            width_pick in 0usize..3,
+        fn fuzz_roundtrip_at_every_id_width(
+            id_bits in 3u32..=33,
             ids in proptest::collection::vec(any::<u64>(), 0..300),
-            straddles in proptest::collection::vec((any::<u64>(), 0u32..7, 1u64..600, 1u64..600), 0..6),
+            straddles in straddles(),
         ) {
-            let id_bits = [12, 15, 21][width_pick];
-            let space = 1u64 << id_bits;
-            let mut ids: Vec<u64> = ids.into_iter().map(|id| id % space).collect();
-            for (at, level, before, after) in straddles {
-                // A boundary between two octants of 8^level cells.
-                let boundary = (at % space) >> (3 * level) << (3 * level);
-                ids.extend(boundary.saturating_sub(before)..(boundary + after).min(space));
-            }
-            let runs = canonical(ids);
+            let runs = scattered(id_bits, ids, straddles);
             let bytes = encode_runs(&runs, id_bits).unwrap();
             prop_assert_eq!(&bytes, &reference_encode(&runs, id_bits));
             prop_assert_eq!(encoded_len(&runs, id_bits).unwrap(), bytes.len());
-            prop_assert_eq!(K3Cursor::new(&bytes).unwrap().decode_all().unwrap(), runs);
+            prop_assert_eq!(decode(&bytes), runs);
+        }
+
+        /// Dense speckle in a small space: many runs a leaf, several
+        /// leaves, every boundary kind.
+        #[test]
+        fn fuzz_roundtrip_dense_regions(
+            ids in proptest::collection::vec(0u64..32_768, 0..1500),
+            straddles in straddles(),
+        ) {
+            let runs = scattered(15, ids, straddles);
+            let bytes = encode_runs(&runs, 15).unwrap();
+            prop_assert_eq!(&bytes, &reference_encode(&runs, 15));
+            prop_assert_eq!(encoded_len(&runs, 15).unwrap(), bytes.len());
+            prop_assert_eq!(decode(&bytes), runs);
+        }
+
+        /// `seek(t)` then drain is the run list clipped at `t`, from a
+        /// fresh cursor and after an earlier seek and a few steps.
+        #[test]
+        fn fuzz_seek_then_drain_is_the_clipped_run_list(
+            width_pick in 0usize..4,
+            ids in proptest::collection::vec(any::<u64>(), 1..400),
+            straddles in straddles(),
+            first in any::<u64>(),
+            steps in 0usize..40,
+            second in any::<u64>(),
+        ) {
+            let id_bits = [12, 15, 18, 33][width_pick];
+            let runs = scattered(id_bits, ids, straddles);
+            let bytes = encode_runs(&runs, id_bits).unwrap();
+            let (first, second) = (first % (1 << id_bits), second % (1 << id_bits));
+            let mut c = K3Cursor::new(&bytes).unwrap();
+            prop_assert_eq!(seek_then_drain(c.clone(), first), clipped(&runs, first));
+            c.seek(first).unwrap();
+            for _ in 0..steps {
+                c.advance().unwrap();
+            }
+            // Never backward: a target behind the cursor leaves it be.
+            let rest: Vec<_> = clipped(&runs, first).into_iter().skip(steps).collect();
+            let floor = first.max(second);
+            prop_assert_eq!(clipped(&seek_then_drain(c, second), floor), clipped(&rest, floor));
         }
 
         #[test]
         fn fuzz_arbitrary_bytes_never_panic(
             id_bits in 1u8..34,
-            count in 0u8..128,
             nodes in proptest::collection::vec(any::<u8>(), 0..300),
             targets in proptest::collection::vec(any::<u64>(), 0..4),
         ) {
-            // A plausible header, so the node words get exercised …
-            let bytes = [&[id_bits, count][..], &nodes].concat();
+            // A valid header, so the subtrees get exercised …
+            let bytes = [&[LAYOUT, id_bits][..], &nodes].concat();
             let targets: Vec<u64> = targets.into_iter().map(|t| t % (1 << id_bits)).collect();
             drive_untrusted(&bytes, vec![]);
             drive_untrusted(&bytes, targets.clone());

@@ -29,10 +29,13 @@
 //!   hardened against truncated and over-long input;
 //! * [`runcode`] — delta+varint run lists with fixed-interval skip
 //!   blocks ([`RunListCursor`] gallops via the block directory);
-//! * [`k3tree`] — a k³-tree octree bitmap for dense structures
-//!   ([`K3Cursor`] streams maximal runs off the bit codes);
+//! * [`k3tree`] — a k³-tree octree directory whose leaves are
+//!   delta+varint run blocks ([`K3Cursor`] prunes subtrees by popcount
+//!   and leaves by byte length);
 //! * [`RunCursor`] — the streaming trait both cursors implement, the
-//!   contract `qbism_region`'s compressed kernels merge over.
+//!   contract `qbism_region`'s compressed kernels merge over.  Both are
+//!   *block* cursors: a skip block or a leaf is decoded once into a
+//!   small buffer and `peek` / `advance` / `seek` are answered from it.
 //!
 //! # Example
 //!
@@ -93,6 +96,21 @@ pub trait RunCursor {
     /// Number of skip-jumps taken so far (blocks or subtrees bypassed
     /// without run assembly) — the observable win of queryability.
     fn skips(&self) -> u64;
+}
+
+/// Index of the first of `runs` (ends increasing) whose end reaches
+/// `target`, `runs.len()` if none does — the in-block half of a block
+/// cursor's `seek`.  An exponential probe then a binary search of the
+/// last window: O(log skip), two compares when the first or second run
+/// already suffices.
+pub(crate) fn first_reaching(runs: &[(u64, u64)], target: u64) -> usize {
+    let (mut base, mut step) = (0usize, 1usize);
+    while runs.get(base + step).is_some_and(|&(_, end)| end < target) {
+        base += step;
+        step <<= 1;
+    }
+    let window = runs.get(base..(base + step).min(runs.len())).unwrap_or_default();
+    base + window.partition_point(|&(_, end)| end < target)
 }
 
 /// Errors raised by encoders and decoders.

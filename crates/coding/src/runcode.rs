@@ -16,15 +16,22 @@
 //!   directory entry, so a cursor can land on any block and decode it
 //!   without touching the bytes before it.
 //!
-//! [`RunListCursor::seek`] uses the directory to gallop: a binary
-//! search over bounding ranges jumps straight to the first block that
-//! can contain the target id, skipping the payload of every block in
-//! between *without decoding it* — the streamed set operations in
-//! `qbism_region` ride this to merge two compressed operands while
-//! touching only the bytes near their intersection.
+//! [`RunListCursor`] is a block cursor: it decodes one skip block into
+//! a reused 32-run buffer and answers `peek` / `advance` / `seek` from
+//! it.  A seek past the decoded block uses the directory to gallop: a
+//! binary search over bounding ranges jumps straight to the first block
+//! that can contain the target id, skipping the payload of every block
+//! in between *without decoding it* (one [`RunCursor::skips`] credit a
+//! block) — the streamed set operations in `qbism_region` ride this to
+//! merge two compressed operands while touching only the bytes near
+//! their intersection.
+//!
+//! The compressed tablespace stores [`crate::k3tree`]'s layout — the
+//! same pairs under an octree directory instead of this flat one — and
+//! falls back to this one only for REGIONs of a few runs.
 
 use crate::varint::{read_uvarint, uvarint_len, write_uvarint};
-use crate::{CodingError, Result, RunCursor};
+use crate::{first_reaching, CodingError, Result, RunCursor};
 
 /// Runs per skip block (a directory entry every 32 runs costs half a
 /// byte per run against typical 2–4 byte coded runs).
@@ -90,19 +97,40 @@ pub fn encode_runs_into<R: Copy + Into<(u64, u64)>>(out: &mut Vec<u8>, runs: &[R
 
 /// Encoded payload size without building it.
 pub fn encoded_len<R: Copy + Into<(u64, u64)>>(runs: &[R]) -> usize {
-    let n_blocks = runs.len().div_ceil(SKIP_BLOCK_RUNS);
-    let mut bytes =
-        uvarint_len(runs.len() as u64) + uvarint_len(n_blocks as u64) + n_blocks * DIR_ENTRY_BYTES;
-    let mut prev_end = 0u64;
-    for (i, &run) in runs.iter().enumerate() {
+    let mut sizer = Sizer::default();
+    for &run in runs {
         let (start, end) = run.into();
-        if i % SKIP_BLOCK_RUNS != 0 {
-            bytes += uvarint_len(start.saturating_sub(prev_end + 2));
-        }
-        bytes += uvarint_len(end.saturating_sub(start));
-        prev_end = end;
+        sizer.push(start, end);
     }
-    bytes
+    sizer.encoded_len()
+}
+
+/// [`encoded_len`] of a run list seen a run at a time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sizer {
+    runs: usize,
+    /// Bytes of the gap and length varints so far.
+    deltas: usize,
+    prev_end: u64,
+}
+
+impl Sizer {
+    /// Counts the next run of the list.
+    pub fn push(&mut self, start: u64, end: u64) {
+        if !self.runs.is_multiple_of(SKIP_BLOCK_RUNS) {
+            self.deltas += uvarint_len(start.saturating_sub(self.prev_end + 2));
+        }
+        self.deltas += uvarint_len(end.saturating_sub(start));
+        self.runs += 1;
+        self.prev_end = end;
+    }
+
+    /// Payload size of the runs pushed so far.
+    pub fn encoded_len(&self) -> usize {
+        let n_blocks = self.runs.div_ceil(SKIP_BLOCK_RUNS);
+        let directory = uvarint_len(n_blocks as u64) + n_blocks * DIR_ENTRY_BYTES;
+        uvarint_len(self.runs as u64) + directory + self.deltas
+    }
 }
 
 /// One parsed skip-directory entry.
@@ -119,10 +147,11 @@ pub struct SkipEntry {
     pub byte_offset: u64,
 }
 
-/// Streaming decoder over a skip-block payload.
+/// Streaming decoder over a skip-block payload, a block at a time.
 ///
-/// The cursor holds one decoded run at a time; [`RunListCursor::seek`]
-/// gallops through the directory instead of decoding skipped blocks.
+/// The cursor decodes one skip block into a reused buffer and answers
+/// `peek` / `advance` / `seek` from it; [`RunListCursor::seek`] gallops
+/// through the directory instead of decoding skipped blocks.
 #[derive(Debug, Clone)]
 pub struct RunListCursor<'a> {
     bytes: &'a [u8],
@@ -130,16 +159,16 @@ pub struct RunListCursor<'a> {
     dir_base: usize,
     count: usize,
     n_blocks: usize,
-    /// Global index of the run in `current` (count = exhausted).
-    index: usize,
-    /// Byte position of the *next* codeword in the runs area.
-    pos: usize,
-    current: Option<(u64, u64)>,
+    /// The decoded runs of block `block_index`; `block[at]` is the
+    /// current one.  Empty once the stream is exhausted.
+    block: Vec<(u64, u64)>,
+    block_index: usize,
+    at: usize,
     skips: u64,
 }
 
 impl<'a> RunListCursor<'a> {
-    /// Parses the payload header and decodes the first run.
+    /// Parses the payload header and decodes the first block.
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
         let mut pos = 0;
         let count = read_uvarint(bytes, &mut pos)? as usize;
@@ -162,9 +191,9 @@ impl<'a> RunListCursor<'a> {
             dir_base,
             count,
             n_blocks,
-            index: 0,
-            pos: 0,
-            current: None,
+            block: Vec::with_capacity(count.min(SKIP_BLOCK_RUNS)),
+            block_index: 0,
+            at: 0,
             skips: 0,
         };
         if count > 0 {
@@ -197,22 +226,33 @@ impl<'a> RunListCursor<'a> {
         })
     }
 
-    /// Positions the cursor on block `b`'s first run.
+    /// Decodes block `b` — its deltas restart from the directory entry —
+    /// and positions the cursor on its first run.
     fn enter_block(&mut self, b: usize) -> Result<()> {
         let entry = self.skip_entry(b)?;
-        self.pos = entry.byte_offset as usize;
-        self.index = b * SKIP_BLOCK_RUNS;
-        let len = self.read_varint()?;
-        let start = entry.first_start;
-        self.current = Some((start, start.checked_add(len).ok_or(overflow())?));
+        let runs = (self.count - b * SKIP_BLOCK_RUNS).min(SKIP_BLOCK_RUNS);
+        let mut pos = self.runs_base + entry.byte_offset as usize;
+        self.block.clear();
+        for _ in 0..runs {
+            let start = match self.block.last() {
+                None => entry.first_start,
+                Some(&(_, prev_end)) => {
+                    let gap = read_uvarint(self.bytes, &mut pos)?;
+                    prev_end.checked_add(gap).and_then(|s| s.checked_add(2)).ok_or(OVERFLOW)?
+                }
+            };
+            let len = read_uvarint(self.bytes, &mut pos)?;
+            self.block.push((start, start.checked_add(len).ok_or(OVERFLOW)?));
+        }
+        self.block_index = b;
+        self.at = 0;
         Ok(())
     }
 
-    fn read_varint(&mut self) -> Result<u64> {
-        let mut at = self.runs_base + self.pos;
-        let v = read_uvarint(self.bytes, &mut at)?;
-        self.pos = at - self.runs_base;
-        Ok(v)
+    /// Past the last run, for good.
+    fn exhaust(&mut self) {
+        self.block.clear();
+        (self.block_index, self.at) = (self.n_blocks, 0);
     }
 
     /// Drains the cursor into a `(start, end)` vector.  Test/API-edge
@@ -228,75 +268,76 @@ impl<'a> RunListCursor<'a> {
     }
 }
 
-fn overflow() -> CodingError {
-    CodingError::Corrupt("run arithmetic overflows")
-}
+const OVERFLOW: CodingError = CodingError::Corrupt("run arithmetic overflows");
 
 impl RunCursor for RunListCursor<'_> {
+    #[inline]
     fn peek(&self) -> Option<(u64, u64)> {
-        self.current
+        self.block.get(self.at).copied()
     }
 
+    #[inline]
     fn advance(&mut self) -> Result<()> {
-        let Some((_, prev_end)) = self.current else {
-            return Ok(());
-        };
-        self.index += 1;
-        if self.index >= self.count {
-            self.current = None;
+        self.at += 1;
+        if self.at < self.block.len() {
             return Ok(());
         }
-        if self.index.is_multiple_of(SKIP_BLOCK_RUNS) {
-            // Block boundary: deltas restart from the directory entry.
-            return self.enter_block(self.index / SKIP_BLOCK_RUNS);
+        if self.block_index + 1 < self.n_blocks {
+            return self.enter_block(self.block_index + 1);
         }
-        let gap = self.read_varint()?;
-        let len = self.read_varint()?;
-        let start = prev_end.checked_add(gap + 2).ok_or(overflow())?;
-        self.current = Some((start, start.checked_add(len).ok_or(overflow())?));
+        self.exhaust();
         Ok(())
     }
 
+    #[inline]
     fn seek(&mut self, target: u64) -> Result<()> {
-        loop {
-            let Some((_, end)) = self.current else {
-                return Ok(());
-            };
-            if end >= target {
-                return Ok(());
-            }
-            let block = self.index / SKIP_BLOCK_RUNS;
-            // Gallop: if this block cannot reach the target, binary
-            // search the directory's bounding ranges and jump, decoding
-            // nothing in between.
-            if self.skip_entry(block)?.last_end < target {
-                let mut lo = block + 1;
-                let mut hi = self.n_blocks;
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if self.skip_entry(mid)?.last_end < target {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                if lo >= self.n_blocks {
-                    self.index = self.count;
-                    self.current = None;
-                    return Ok(());
-                }
-                if lo > block {
-                    self.skips += (lo - block) as u64;
-                    self.enter_block(lo)?;
-                    continue;
-                }
-            }
-            self.advance()?;
+        // Most seeks of a merge find the cursor already there.
+        if self.peek().is_none_or(|(_, end)| end >= target) {
+            return Ok(());
         }
+        self.seek_past_current(target)
     }
 
     fn skips(&self) -> u64 {
         self.skips
+    }
+}
+
+impl RunListCursor<'_> {
+    /// [`RunCursor::seek`] once the current run is known to end before
+    /// `target`.
+    fn seek_past_current(&mut self, target: u64) -> Result<()> {
+        loop {
+            let ahead = self.block.get(self.at..).unwrap_or_default();
+            match ahead.last() {
+                // Exhausted.
+                None => return Ok(()),
+                Some(&(_, end)) if end >= target => {
+                    self.at += first_reaching(ahead, target);
+                    return Ok(());
+                }
+                Some(_) => {}
+            }
+            // Gallop: this block cannot reach the target, so binary
+            // search the directory's bounding ranges and jump, decoding
+            // nothing in between.
+            let mut lo = self.block_index + 1;
+            let mut hi = self.n_blocks;
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.skip_entry(mid)?.last_end < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            if lo >= self.n_blocks {
+                self.exhaust();
+                return Ok(());
+            }
+            self.skips += (lo - self.block_index) as u64;
+            self.enter_block(lo)?;
+        }
     }
 }
 
@@ -380,6 +421,15 @@ mod tests {
     }
 
     #[test]
+    fn a_gap_that_wraps_the_next_start_is_corrupt_not_a_panic() {
+        // Two runs in one block; the second's gap is 2^64 − 1.
+        let mut bytes = encode_runs(&[(3u64, 9), (20, 21)]).unwrap();
+        bytes.truncate(bytes.len() - 2);
+        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1]);
+        assert_eq!(RunListCursor::new(&bytes).err(), Some(OVERFLOW));
+    }
+
+    #[test]
     fn truncated_payloads_error_not_panic() {
         let runs: Vec<(u64, u64)> = (0..100u64).map(|i| (i * 9, i * 9 + 2)).collect();
         let bytes = encode_runs(&runs).unwrap();
@@ -421,6 +471,28 @@ mod tests {
                 let expect = runs.iter().find(|&&(_, e)| e >= t).copied();
                 prop_assert_eq!(c.peek(), expect, "target {}", t);
             }
+        }
+
+        /// `seek(t)` then drain is the run list from the first run that
+        /// reaches `t` on, after an earlier seek and a few steps too.
+        #[test]
+        fn fuzz_seek_then_drain_is_the_rest_of_the_run_list(
+            ids in proptest::collection::vec(0u64..50_000, 1..600),
+            first in 0u64..55_000,
+            steps in 0usize..80,
+            second in 0u64..55_000,
+        ) {
+            let runs = canonical(ids);
+            let bytes = encode_runs(&runs).unwrap();
+            let mut c = RunListCursor::new(&bytes).unwrap();
+            c.seek(first).unwrap();
+            for _ in 0..steps {
+                c.advance().unwrap();
+            }
+            c.seek(second).unwrap();
+            let from_first = runs.iter().skip_while(|&&(_, end)| end < first).skip(steps);
+            let want: Vec<_> = from_first.skip_while(|&&(_, end)| end < second).copied().collect();
+            prop_assert_eq!(c.decode_all().unwrap(), want);
         }
 
         #[test]

@@ -50,7 +50,13 @@ pub fn uvarint_len(value: u64) -> usize {
 /// * [`CodingError::Corrupt`] — the codeword ran past
 ///   [`MAX_VARINT_BYTES`] bytes or carried payload bits beyond a
 ///   `u64` (overflow), i.e. bytes that no encoder produces.
+#[inline]
 pub fn read_uvarint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
+    // Most deltas of a REGION fit one byte.
+    if let Some(&byte) = bytes.get(*pos).filter(|&&byte| byte < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(byte));
+    }
     let mut value: u64 = 0;
     let mut shift: u32 = 0;
     let mut at = *pos;

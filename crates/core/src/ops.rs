@@ -19,8 +19,8 @@
 //! byte arguments cost none.
 
 use crate::wire::begin_data_region;
-use qbism_region::compressed::{compressed_cursor, is_compressed, CompressedCursor};
-use qbism_region::{kernel, GridGeometry, Region, RegionCodec, RegionEncodeError, Run};
+use qbism_region::{kernel, open_compressed, CompressedCursor, CompressedWriter};
+use qbism_region::{GridGeometry, Region, RegionCodec, RegionEncodeError};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use std::borrow::Cow;
 
@@ -64,10 +64,11 @@ fn same_grid(name: &str, a: GridGeometry, b: GridGeometry) -> Result<(), DbError
 }
 
 /// A binary region operator `name(region, region) -> bytes`.  When both
-/// operands are queryable compressed byte strings, `stream` merges the
-/// payloads (no full decompression), the galloping skips are credited
-/// to the LFM metrics, and the answer is re-encoded compactly so nested
-/// operators stay in the compressed domain.  Otherwise both operands
+/// operands are queryable compressed byte strings (each header parsed
+/// once, as it opens), `stream` merges the payloads (no full
+/// decompression) straight into the answer's encoder — compact, so
+/// nested operators stay in the compressed domain — and the galloping
+/// skips are credited to the LFM metrics.  Otherwise both operands
 /// decode, `decoded` merges the run lists, and the answer is encoded
 /// with `codec`.  Either way it is the same kernel over another cursor.
 fn region_pair_op(
@@ -81,16 +82,20 @@ fn region_pair_op(
     expect_arity(name, args, 2)?;
     let a = fetch_region_arg(ctx, &args[0])?;
     let b = fetch_region_arg(ctx, &args[1])?;
-    if !is_compressed(&a.0) || !is_compressed(&b.0) {
+    let malformed = |e| DbError::Exec(format!("malformed REGION operand: {e}"));
+    let opened = match open_compressed(&a.0).map_err(malformed)? {
+        Some(oa) => open_compressed(&b.0).map_err(malformed)?.map(|ob| (oa, ob)),
+        None => None,
+    };
+    let Some(((geom, mut ca), (geom_b, mut cb))) = opened else {
         let (ra, rb) = (decode_arg(&a.0)?, decode_arg(&b.0)?);
         same_grid(name, ra.geometry(), rb.geometry())?;
         return region_result(&decoded(&ra, &rb), codec);
-    }
-    let malformed = |e| DbError::Exec(format!("malformed REGION operand: {e}"));
-    let (geom, mut ca) = compressed_cursor(&a.0).map_err(malformed)?;
-    let (geom_b, mut cb) = compressed_cursor(&b.0).map_err(malformed)?;
+    };
     same_grid(name, geom, geom_b)?;
-    let runs = stream(&mut ca, &mut cb)
+    let unencodable = |e| DbError::Exec(format!("cannot encode result REGION: {e}"));
+    let mut answer = CompressedWriter::new(geom, 0).map_err(unencodable)?;
+    stream(&mut ca, &mut cb, &mut answer)
         .map_err(|e| DbError::Exec(format!("compressed merge failed: {e}")))?;
     if a.1 {
         ctx.lfm.note_decode_skips(ca.skip_count());
@@ -98,14 +103,16 @@ fn region_pair_op(
     if b.1 {
         ctx.lfm.note_decode_skips(cb.skip_count());
     }
-    let bytes = qbism_region::encode_compressed(&Region::from_runs(geom, runs))
-        .map_err(|e| DbError::Exec(format!("cannot encode result REGION: {e}")))?;
-    Ok(Value::Bytes(bytes))
+    Ok(Value::Bytes(answer.finish().map_err(unencodable)?))
 }
 
-/// A kernel instantiated over two compressed operands.
-type StreamMerge =
-    fn(&mut CompressedCursor<'_>, &mut CompressedCursor<'_>) -> Result<Vec<Run>, RegionEncodeError>;
+/// A kernel scan instantiated over two compressed operands, emitting
+/// into the answer's encoder.
+type StreamMerge = fn(
+    &mut CompressedCursor<'_>,
+    &mut CompressedCursor<'_>,
+    &mut CompressedWriter,
+) -> Result<(), RegionEncodeError>;
 
 fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> {
     let bytes = codec
@@ -120,15 +127,17 @@ fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> 
 /// configured on-disk codec, so nested operators round-trip bit-exact).
 pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec) {
     db.register_udf("intersection", move |ctx, args| {
-        let stream: StreamMerge = |a, b| kernel::intersect(a, b);
+        let stream: StreamMerge =
+            |a, b, out| kernel::intersect_into(a, b, |lo, hi| out.push(lo, hi));
         region_pair_op(ctx, "intersection", args, codec, stream, Region::intersect)
     });
     db.register_udf("runion", move |ctx, args| {
-        let stream: StreamMerge = |a, b| kernel::union(a, b);
+        let stream: StreamMerge = |a, b, out| kernel::union_into(a, b, |lo, hi| out.push(lo, hi));
         region_pair_op(ctx, "runion", args, codec, stream, Region::union)
     });
     db.register_udf("rdifference", move |ctx, args| {
-        let stream: StreamMerge = |a, b| kernel::difference(a, b);
+        let stream: StreamMerge =
+            |a, b, out| kernel::difference_into(a, b, |lo, hi| out.push(lo, hi));
         region_pair_op(ctx, "rdifference", args, codec, stream, Region::difference)
     });
     db.register_udf("contains", |ctx, args| {

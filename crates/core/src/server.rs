@@ -910,25 +910,31 @@ pub type BandFold = (Vec<u8>, Region, u64);
 /// one k-way simultaneous merge intersects them (no intermediate region
 /// per fold step — intersection is associative and commutative, so the
 /// answer is byte-identical to a pairwise fold).  Compressed cursors
-/// gallop past non-overlapping skip blocks and subtrees, only the
-/// answer's runs are ever materialized, and the answer re-encodes
-/// compressed; decoded operands re-encode with `codec`.
+/// gallop past non-overlapping leaves, skip blocks and subtrees, only
+/// the answer's runs are ever materialized — wrapped as the [`Region`]
+/// after the one sweep that checks the kernel emitted them canonical —
+/// and the answer re-encodes compressed in one pass; decoded operands
+/// re-encode with `codec`.
 pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<BandFold> {
     if let [bytes] = &mut blobs[..] {
         let bytes = std::mem::take(bytes);
         let region = RegionCodec::decode(&bytes)?;
         return Ok((bytes, region, 0));
     }
-    if blobs.iter().all(|b| qbism_region::compressed::is_compressed(b)) {
-        let mut opened = Vec::with_capacity(blobs.len());
-        for blob in &blobs {
-            opened.push(qbism_region::compressed_cursor(blob)?);
+    // Each operand's header is parsed once, as it opens.
+    let mut opened = Vec::with_capacity(blobs.len());
+    for blob in &blobs {
+        match qbism_region::open_compressed(blob)? {
+            Some(operand) => opened.push(operand),
+            None => break,
         }
+    }
+    if opened.len() == blobs.len() {
         let geom = common_grid(opened.iter().map(|(g, _)| *g))?;
         let mut refs: Vec<_> = opened.iter_mut().map(|(_, cursor)| cursor).collect();
         let runs = kernel::intersect_k_cursors(&mut refs)?;
         let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).sum();
-        let acc = Region::from_runs(geom, runs);
+        let acc = Region::from_canonical_runs(geom, runs)?;
         let bytes = qbism_region::encode_compressed(&acc)?;
         return Ok((bytes, acc, skips));
     }
@@ -938,7 +944,7 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
     }
     let geom = common_grid(regions.iter().map(Region::geometry))?;
     let lists: Vec<_> = regions.iter().map(Region::runs).collect();
-    let acc = Region::from_runs(geom, kernel::intersect_k(&lists));
+    let acc = Region::from_canonical_runs(geom, kernel::intersect_k(&lists))?;
     let bytes = codec.encode(&acc)?;
     Ok((bytes, acc, 0))
 }

@@ -27,7 +27,7 @@ const MAGIC: u16 = 0x5152;
 const RANK_BITS: u32 = 5;
 /// Bytes before every payload: magic 2 + tag 1 + kind 1 + dims 1 +
 /// bits 1 + count 4.
-const HEADER_LEN: usize = 10;
+pub(crate) const HEADER_LEN: usize = 10;
 
 /// The four REGION storage formats compared in the paper, plus the two
 /// *queryable* compressed formats added for compressed-domain execution
@@ -42,10 +42,11 @@ pub enum RegionCodec {
     /// Packed 4-byte `<id, rank>` per block.
     Octant(OctantKind),
     /// Delta+varint run list with fixed-interval skip blocks — seekable
-    /// without decode ([`qbism_coding::runcode`]).
+    /// without decode ([`qbism_coding::runcode`]); what the compressed
+    /// tablespace falls back to for REGIONs of a few runs.
     RunVskip,
-    /// k³-tree octree bitmap for dense structures
-    /// ([`qbism_coding::k3tree`]).
+    /// k³ directory over delta+varint run-block leaves — the compressed
+    /// tablespace's layout ([`qbism_coding::k3tree`]).
     K3Tree,
 }
 
@@ -123,15 +124,10 @@ impl RegionCodec {
         // a doubling per few runs.
         let payload = if *self == RegionCodec::Naive { 8 * region.run_count() } else { 0 };
         out.reserve(HEADER_LEN + payload);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(self.tag());
-        out.push(kind_tag(geom.kind()));
-        out.push(geom.dims() as u8);
-        out.push(geom.bits() as u8);
         match self {
             RegionCodec::Naive => {
                 let runs = region.runs();
-                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                self.write_header(geom, runs.len(), out);
                 for r in runs {
                     out.extend_from_slice(&(r.start as u32).to_le_bytes());
                     out.extend_from_slice(&(r.end as u32).to_le_bytes());
@@ -139,7 +135,7 @@ impl RegionCodec {
             }
             RegionCodec::Elias => {
                 let runs = region.runs();
-                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                self.write_header(geom, runs.len(), out);
                 let mut w = BitWriter::new();
                 if let Some(first) = runs.first() {
                     // first start may be 0; shift into the positive domain.
@@ -155,7 +151,7 @@ impl RegionCodec {
             }
             RegionCodec::Octant(kind) => {
                 let octs = region.octants(*kind);
-                out.extend_from_slice(&(octs.len() as u32).to_le_bytes());
+                self.write_header(geom, octs.len(), out);
                 for o in &octs {
                     let packed = ((o.id as u32) << RANK_BITS) | o.rank;
                     out.extend_from_slice(&packed.to_le_bytes());
@@ -163,16 +159,26 @@ impl RegionCodec {
             }
             RegionCodec::RunVskip => {
                 let runs = region.runs();
-                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                self.write_header(geom, runs.len(), out);
                 qbism_coding::runcode::encode_runs_into(out, runs)?;
             }
             RegionCodec::K3Tree => {
                 let runs = region.runs();
-                out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+                self.write_header(geom, runs.len(), out);
                 qbism_coding::k3tree::encode_runs_into(out, runs, geom.dims() * geom.bits())?;
             }
         }
         Ok(())
+    }
+
+    /// Appends the fixed header every encoding starts with: magic, codec
+    /// and curve tags, dims, bits, and the entry count (the last four of
+    /// its [`HEADER_LEN`] bytes).
+    pub(crate) fn write_header(&self, geom: GridGeometry, count: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&[self.tag(), kind_tag(geom.kind()), geom.dims() as u8]);
+        out.push(geom.bits() as u8);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
     /// Size in bytes the encoding would occupy, without materializing it.
@@ -230,7 +236,7 @@ impl RegionCodec {
                     }
                     runs.push(Run::new(u64::from(s), u64::from(e)));
                 }
-                build_checked(geom, runs)
+                Region::from_stored_runs(geom, runs)
             }
             RegionCodec::Elias => {
                 // An untrusted count must not drive allocation: every run
@@ -258,7 +264,7 @@ impl RegionCodec {
                         start = end.checked_add(1).ok_or_else(overflow)?;
                     }
                 }
-                build_checked(geom, runs)
+                Region::from_stored_runs(geom, runs)
             }
             RegionCodec::Octant(_) => {
                 let need = count * 4;
@@ -276,18 +282,17 @@ impl RegionCodec {
                     octs.push(Octant::new(id, rank));
                 }
                 let runs: Vec<Run> = octs.iter().map(Octant::as_run).collect();
-                build_checked(geom, runs)
+                Region::from_stored_runs(geom, runs)
             }
             RegionCodec::RunVskip | RegionCodec::K3Tree => {
                 // Queryable payloads: open the streaming cursor and
                 // drain it (decode() is the decode-everything path;
                 // kernels use the cursor directly).
-                let (_, cursor) = crate::compressed::compressed_cursor(bytes)?;
-                let runs = cursor.to_runs_vec()?;
+                let runs = crate::compressed::open_payload(codec, body)?.to_runs_vec()?;
                 if runs.len() != count {
                     return Err(RegionEncodeError::Corrupt("run count mismatch"));
                 }
-                build_checked(geom, runs)
+                Region::from_stored_runs(geom, runs)
             }
         }
     }
@@ -315,34 +320,7 @@ pub(crate) fn split_header(
     Ok((codec, geom, count, &bytes[HEADER_LEN..]))
 }
 
-/// The one validating sweep over a decoded run list: every run inside
-/// the grid, and whether the list is already canonical (each start at
-/// least two past the previous end — sorted, disjoint, non-adjacent).
-/// Every encoder writes canonical lists, so what comes back from the
-/// device normally is one and is wrapped as the `Region` as it stands;
-/// a list that is not still decodes to the REGION it denotes, sorted
-/// and fused.
-fn build_checked(geom: GridGeometry, runs: Vec<Run>) -> Result<Region, RegionEncodeError> {
-    let cells = geom.cell_count();
-    // Smallest start the next run may have in canonical order.
-    let mut floor = 0u64;
-    let (mut in_grid, mut canonical) = (true, true);
-    for run in &runs {
-        in_grid &= run.end < cells;
-        canonical &= run.start >= floor;
-        floor = run.end.saturating_add(2);
-    }
-    if !in_grid {
-        return Err(RegionEncodeError::Corrupt("run exceeds grid"));
-    }
-    Ok(if canonical {
-        Region::from_canonical_runs(geom, runs)
-    } else {
-        Region::from_runs(geom, runs)
-    })
-}
-
-fn check_width(codec: RegionCodec, geom: GridGeometry) -> Result<(), RegionEncodeError> {
+pub(crate) fn check_width(codec: RegionCodec, geom: GridGeometry) -> Result<(), RegionEncodeError> {
     let id_bits = geom.dims() * geom.bits();
     let limit = match codec {
         RegionCodec::Naive | RegionCodec::Elias => 32,
@@ -608,7 +586,8 @@ mod tests {
         /// The single validating sweep against the five-pass form, on
         /// arbitrary lists (unsorted, overlapping, adjacent, duplicate,
         /// past the grid) and on their canonical forms — through
-        /// `build_checked` and through the naive arm's fused parse loop.
+        /// `Region::from_stored_runs` and through the naive arm's fused parse
+        /// loop.
         #[test]
         fn single_sweep_decodes_what_the_five_pass_form_did(
             spans in proptest::collection::vec((0u64..33_000, 0u64..40), 0..60),
@@ -622,7 +601,7 @@ mod tests {
             for list in [runs.clone(), crate::run::normalize(runs)] {
                 let want = build_five_pass(g, list.clone());
                 prop_assert_eq!(RegionCodec::decode(&naive_bytes(g, &list)), want.clone());
-                prop_assert_eq!(build_checked(g, list), want);
+                prop_assert_eq!(Region::from_stored_runs(g, list), want);
             }
         }
 

@@ -5,16 +5,19 @@
 //! *algebraic* representation, so the hot operators never leave it.  A
 //! REGION operand is whatever can answer `peek` / `advance` / `seek` in id
 //! order ([`Cursor`]) — a decoded `&[Run]` slice ([`RunsCursor`]) or a
-//! compressed payload decoded one run at a time
-//! ([`crate::CompressedCursor`], which gallops via skip blocks or subtree
-//! pruning, so a merge touches only the codewords near overlaps: Brisaboa
-//! et al.'s compact *queryable* representations applied to h-runs) — and
-//! each operator exists once, generic over it:
+//! compressed payload decoded a leaf or skip block at a time
+//! ([`crate::CompressedCursor`], which gallops inside the decoded block
+//! and past it by byte lengths, skip entries or subtree pruning, so a
+//! merge touches only the codewords near overlaps: Brisaboa et al.'s
+//! compact *queryable* representations applied to h-runs) — and each
+//! operator exists once, generic over it:
 //!
-//! * [`intersect`] / [`union`] / [`difference`] — two-pointer merge scans,
-//!   the run analogue of Orenstein & Manola's spatial join;
-//! * [`intersect_into`] — the same ∩ scan feeding a sink, so overlap is
-//!   counted without building the intersection;
+//! * [`intersect_into`] / [`union_into`] / [`difference_into`] — two-pointer
+//!   merge scans, the run analogue of Orenstein & Manola's spatial join,
+//!   each feeding a sink: overlap is counted without building the
+//!   intersection, an answer streams into its encoder;
+//! * [`intersect`] / [`union`] / [`difference`] — the same scans
+//!   collected as run vectors;
 //! * [`intersect_k_cursors`] — the k-way simultaneous merge of the
 //!   multi-study fold ([`intersect_k`] is its slice entry).
 //!
@@ -125,20 +128,24 @@ impl<E> Cursor<E> for RunsCursor<'_> {
     }
 }
 
-/// The ∩ merge scan, handing each common span to `emit` in id order.
-/// Disjoint stretches are galloped over with `seek`, so a compressed
-/// operand is never fully decoded.
+/// The ∩ merge scan, handing each common span to `emit` in id order —
+/// a counter, a run vector, or an encoder the answer streams into; the
+/// scan stops at the sink's first error.  Disjoint stretches are
+/// galloped over with `seek`, so a compressed operand is never fully
+/// decoded.
 pub fn intersect_into<E>(
     a: &mut impl Cursor<E>,
     b: &mut impl Cursor<E>,
-    mut emit: impl FnMut(u64, u64),
+    mut emit: impl FnMut(u64, u64) -> Result<(), E>,
 ) -> Result<(), E> {
     while let (Some((a_start, a_end)), Some((b_start, b_end))) = (a.peek(), b.peek()) {
         let lo = a_start.max(b_start);
         let hi = a_end.min(b_end);
         if lo <= hi {
-            // Overlap: emit it and step whichever run ends first.
-            emit(lo, hi);
+            // Overlap: emit it and step whichever run ends first.  A
+            // span ends where one operand's run ends, and that operand's
+            // next run starts at least two ids later: no two spans touch.
+            emit(lo, hi)?;
             if a_end <= b_end {
                 a.advance()?;
             } else {
@@ -154,36 +161,45 @@ pub fn intersect_into<E>(
     Ok(())
 }
 
-/// Spatial intersection of two run streams.
-pub fn intersect<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
-    let mut out = Vec::new();
-    // A span ends where one operand's run ends, and that operand's next
-    // run starts at least two ids later: no two spans touch.
-    intersect_into(a, b, |lo, hi| out.push(Run::new(lo, hi)))?;
-    Ok(out)
-}
-
-/// Spatial union of two run streams, fusing overlap and adjacency on
-/// the fly (no seeks — every run of both operands contributes).
-pub fn union<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
-    let mut out = Vec::new();
+/// The ∪ merge scan into a sink, fusing overlap and adjacency on the
+/// fly (no seeks — every run of both operands contributes): a run is
+/// emitted once the next one starts past it.
+pub fn union_into<E>(
+    a: &mut impl Cursor<E>,
+    b: &mut impl Cursor<E>,
+    mut emit: impl FnMut(u64, u64) -> Result<(), E>,
+) -> Result<(), E> {
+    // The run still growing.
+    let mut open: Option<(u64, u64)> = None;
     loop {
         // The earlier-starting run goes next; an exhausted side never leads.
         let (start, end) = match (a.peek(), b.peek()) {
             (Some(ra), Some(rb)) if rb.0 < ra.0 => b.advance().map(|()| rb)?,
             (Some(ra), _) => a.advance().map(|()| ra)?,
             (None, Some(rb)) => b.advance().map(|()| rb)?,
-            (None, None) => return Ok(out),
+            (None, None) => break,
         };
-        push_fused(&mut out, Run::new(start, end));
+        match &mut open {
+            Some((_, open_end)) if start <= open_end.saturating_add(1) => {
+                *open_end = end.max(*open_end);
+            }
+            _ => {
+                if let Some((lo, hi)) = open.replace((start, end)) {
+                    emit(lo, hi)?;
+                }
+            }
+        }
     }
+    open.map_or(Ok(()), |(lo, hi)| emit(lo, hi))
 }
 
-/// Spatial difference `a \ b` of two run streams; the subtrahend
-/// gallops to each minuend run, so a sparse `a` touches only the
-/// matching parts of `b`.
-pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
-    let mut out = Vec::new();
+/// The `a \ b` merge scan into a sink; the subtrahend gallops to each
+/// minuend run, so a sparse `a` touches only the matching parts of `b`.
+pub fn difference_into<E>(
+    a: &mut impl Cursor<E>,
+    b: &mut impl Cursor<E>,
+    mut emit: impl FnMut(u64, u64) -> Result<(), E>,
+) -> Result<(), E> {
     while let Some((a_start, a_end)) = a.peek() {
         // Next id of this a-run not yet emitted or subtracted.
         let mut cur = a_start;
@@ -195,7 +211,7 @@ pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<V
             match b.peek() {
                 Some((b_start, b_end)) if b_start <= a_end => {
                     if b_start > cur {
-                        out.push(Run::new(cur, b_start - 1));
+                        emit(cur, b_start - 1)?;
                     }
                     if b_end >= a_end {
                         break true;
@@ -207,10 +223,40 @@ pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<V
             }
         };
         if !covered {
-            out.push(Run::new(cur, a_end));
+            emit(cur, a_end)?;
         }
         a.advance()?;
     }
+    Ok(())
+}
+
+/// A sink collecting what a scan emits — canonical by construction —
+/// as a run vector.
+fn collect<E>(out: &mut Vec<Run>) -> impl FnMut(u64, u64) -> Result<(), E> + '_ {
+    |lo, hi| {
+        out.push(Run::new(lo, hi));
+        Ok(())
+    }
+}
+
+/// Spatial intersection of two run streams.
+pub fn intersect<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    intersect_into(a, b, collect(&mut out))?;
+    Ok(out)
+}
+
+/// Spatial union of two run streams.
+pub fn union<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    union_into(a, b, collect(&mut out))?;
+    Ok(out)
+}
+
+/// Spatial difference `a \ b` of two run streams.
+pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    difference_into(a, b, collect(&mut out))?;
     Ok(out)
 }
 
@@ -483,7 +529,11 @@ mod tests {
     ) -> [Vec<Run>; 3] {
         let and = intersect(&mut a(), &mut b()).expect("intersect");
         let mut count = 0;
-        intersect_into(&mut a(), &mut b(), |lo, hi| count += hi - lo + 1).expect("count");
+        let counted = intersect_into(&mut a(), &mut b(), |lo, hi| {
+            count += hi - lo + 1;
+            Ok(())
+        });
+        counted.expect("count");
         assert_eq!(count, and.iter().map(Run::len).sum::<u64>());
         let or = union(&mut a(), &mut b()).expect("union");
         [and, or, difference(&mut a(), &mut b()).expect("difference")]

@@ -53,7 +53,9 @@ mod run;
 mod stats;
 
 pub use approx::ApproxParams;
-pub use compressed::{compressed_cursor, encode_compressed, CompressedCursor};
+pub use compressed::{
+    compressed_cursor, encode_compressed, open_compressed, CompressedCursor, CompressedWriter,
+};
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
 pub use octant::{octants_to_runs, Octant, OctantKind};

@@ -1,5 +1,6 @@
 //! The [`Region`] type and its set algebra.
 
+use crate::encode::RegionEncodeError;
 use crate::geometry::GridGeometry;
 use crate::kernel::{self, RunsCursor};
 use crate::run::{normalize, push_fused, runs_from_ids, Run};
@@ -29,6 +30,26 @@ pub struct Region {
     runs: Vec<Run>,
 }
 
+/// The one validating sweep over a run list: every run inside the grid
+/// (or a typed error), and whether the list is canonical — each start at
+/// least two past the previous end: sorted, disjoint, non-adjacent.
+fn canonical_in_grid(geom: GridGeometry, runs: &[Run]) -> Result<bool, RegionEncodeError> {
+    let cells = geom.cell_count();
+    // Smallest start the next run may have in canonical order.
+    let mut floor = 0u64;
+    let (mut in_grid, mut canonical) = (true, true);
+    for run in runs {
+        in_grid &= run.end < cells;
+        canonical &= run.start >= floor;
+        floor = run.end.saturating_add(2);
+    }
+    if in_grid {
+        Ok(canonical)
+    } else {
+        Err(RegionEncodeError::Corrupt("run exceeds grid"))
+    }
+}
+
 impl Region {
     // ------------------------------------------------------------------
     // Constructors
@@ -56,12 +77,30 @@ impl Region {
         Region { geom, runs: normalize(runs) }
     }
 
-    /// Wraps a run list the caller has checked to be canonical and
-    /// inside the grid (the decoder's validating sweep).
-    pub(crate) fn from_canonical_runs(geom: GridGeometry, runs: Vec<Run>) -> Self {
-        debug_assert!(runs.last().is_none_or(|r| r.end < geom.cell_count()));
-        debug_assert!(runs.windows(2).all(|w| w[0].end + 1 < w[1].start));
-        Region { geom, runs }
+    /// Wraps a run list that is already canonical — sorted, disjoint,
+    /// non-adjacent, inside the grid — as the run kernels emit theirs,
+    /// after one sweep that checks it is: no sort, no second list.
+    pub fn from_canonical_runs(
+        geom: GridGeometry,
+        runs: Vec<Run>,
+    ) -> Result<Self, RegionEncodeError> {
+        if canonical_in_grid(geom, &runs)? {
+            Ok(Region { geom, runs })
+        } else {
+            Err(RegionEncodeError::Corrupt("run list not canonical"))
+        }
+    }
+
+    /// The REGION a decoded run list denotes.  Every encoder writes
+    /// canonical lists, so what comes back from the device normally is
+    /// one and is wrapped as it stands; a list that is not is sorted and
+    /// fused.
+    pub(crate) fn from_stored_runs(
+        geom: GridGeometry,
+        runs: Vec<Run>,
+    ) -> Result<Self, RegionEncodeError> {
+        let runs = if canonical_in_grid(geom, &runs)? { runs } else { normalize(runs) };
+        Ok(Region { geom, runs })
     }
 
     /// Builds a region from arbitrary (unsorted, possibly duplicate) ids.
@@ -273,7 +312,10 @@ impl Region {
         let Ok(()) = kernel::intersect_into::<Infallible>(
             &mut self.cursor(),
             &mut mask.cursor(),
-            |lo, hi| count += hi - lo + 1,
+            |lo, hi| {
+                count += hi - lo + 1;
+                Ok(())
+            },
         );
         count
     }

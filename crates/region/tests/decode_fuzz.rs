@@ -9,13 +9,19 @@
 //! and flipped at every bit (header included, so a tag flip hands one
 //! codec's payload to another's decoder); arbitrary tails ride behind a
 //! valid REGION header with an arbitrary run count so the payload
-//! decoders, not the header check, see them.
+//! decoders, not the header check, see them.  The queryable codecs —
+//! what the compressed tablespace stores — take the same cuts and flips
+//! on the shapes their payload has special forms for: no runs, the full
+//! grid, one voxel, and a real intensity band of a phantom PET field.
 //!
 //! The decoder wraps a run list it finds canonical and sorts and fuses
 //! any other; a differential case writes both kinds by hand and holds
 //! each decode to the `Region` that `Region::from_runs` builds.
 
 use proptest::prelude::*;
+use qbism_coding::CodingError;
+use qbism_geometry::Vec3;
+use qbism_phantom::{build_atlas, PetField, ScalarField3};
 use qbism_region::{
     compressed_cursor, CompressedCursor, GridGeometry, Octant, OctantKind, Region, RegionCodec,
     RegionEncodeError, Run,
@@ -32,6 +38,31 @@ fn sample() -> Region {
     let g = GridGeometry::new(CurveKind::Hilbert, 3, 5);
     let solid = Region::from_box(g, [3, 4, 5], [17, 12, 9]).expect("box inside the grid");
     solid.union(&Region::from_ids(g, (0..400).map(|i| i * 79 % 32_768).collect()))
+}
+
+/// The 96–127 intensity band of a phantom PET field sampled at 32³: the
+/// boundary-heavy speckle the compressed tablespace mostly holds.
+fn band() -> Region {
+    let g = sample().geometry();
+    let atlas = build_atlas(g);
+    let field = PetField::new(&atlas, 1994, 4);
+    let at = |c: u32| f64::from(c) + 0.5;
+    let volume = qbism_volume::Volume::from_fn3(g, |x, y, z| {
+        field.value(Vec3::new(at(x), at(y), at(z))).clamp(0.0, 255.0) as u8
+    });
+    volume.intensity_region(96, 127)
+}
+
+/// Every cut and every single-bit flip of `bytes`, decoded both ways.
+fn cut_and_flip(bytes: &[u8]) {
+    for cut in 0..bytes.len() {
+        decode_both_ways(&bytes[..cut]);
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        decode_both_ways(&flipped);
+    }
 }
 
 /// Opens and drains `bytes` both ways.  Whatever a k³-tree's bytes
@@ -57,15 +88,36 @@ fn every_truncation_and_bit_flip_of_a_valid_region_is_handled() {
     for codec in every_codec() {
         let bytes = codec.encode(&region).expect("encode");
         assert_eq!(RegionCodec::decode(&bytes).expect("decode"), region);
-        for cut in 0..bytes.len() {
-            decode_both_ways(&bytes[..cut]);
-        }
-        for bit in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            decode_both_ways(&flipped);
+        cut_and_flip(&bytes);
+    }
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_the_queryable_payload_shapes_is_handled() {
+    let g = sample().geometry();
+    let band = band();
+    assert!(band.run_count() > 500, "a band of {} runs is no speckle", band.run_count());
+    let one_voxel = Region::from_ids(g, vec![20_000]);
+    for region in [Region::empty(g), Region::full(g), one_voxel, band] {
+        for codec in RegionCodec::COMPRESSED {
+            let bytes = codec.encode(&region).expect("encode");
+            assert_eq!(RegionCodec::decode(&bytes).expect("decode"), region);
+            cut_and_flip(&bytes);
         }
     }
+}
+
+/// What the k³ codec wrote before its leaves became run blocks — here
+/// `[(9, 9), (448, 511)]` on an 8³ grid — is refused with a typed
+/// error, by the cursor and by `decode`, not misread.
+#[test]
+fn a_word_only_k3_payload_is_refused() {
+    let mut bytes = vec![0x52, 0x51, 0x05, 0x00, 0x03, 0x03, 0x02, 0x00, 0x00, 0x00];
+    bytes.extend_from_slice(&[9, 2, 0x80, 0x01, 0x20, 0x00, 0x10, 0x00]);
+    let refused = CodingError::Corrupt("not a run-block k3-tree payload");
+    let refused = RegionEncodeError::Coding(refused);
+    assert_eq!(compressed_cursor(&bytes).err(), Some(refused.clone()));
+    assert_eq!(RegionCodec::decode(&bytes), Err(refused));
 }
 
 /// γ(6) then γ(2⁶⁴−1) behind a valid one-run Elias header: the length

@@ -9,11 +9,19 @@
 //! columns by their printed form, long fields by length and bytes), then
 //! the device's field and page counts.
 //!
-//! The constants below were recorded at the commit *before* the load
-//! path was first optimised (PR 21's parent).  A digest that moves means
-//! a stored byte moved: fix the loader, do not re-record.
+//! The four default-tablespace constants below were recorded at the
+//! commit *before* the load path was first optimised (PR 21's parent) and
+//! have never moved.  The four compressed-tablespace constants were
+//! recorded there too and re-recorded once, by PR 24, which replaced the
+//! k³-tree payload (word-only octree → directory over run-block leaves):
+//! a changed *encoding* of unchanged REGIONs, which the suite proves by
+//! decoding every compressed REGION long field to the `Region` the
+//! default tablespace stores at the same row.  Outside a format change
+//! that says so here, a digest that moves means a stored byte moved: fix
+//! the loader, do not re-record.
 
 use qbism::{QbismConfig, QbismSystem};
+use qbism_region::{compressed::is_compressed, RegionCodec};
 use qbism_sfc::CurveKind;
 use qbism_starburst::Value;
 
@@ -30,10 +38,13 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 const LONG_FIELD_TABLES: [&str; 4] =
     ["atlasstructure", "rawvolume", "warpedvolume", "intensityband"];
 
-fn install_digest(config: &QbismConfig) -> u64 {
+/// The digest of what `config` installs, and every long field's bytes
+/// in the order the digest took them.
+fn install_digest(config: &QbismConfig) -> (u64, Vec<Vec<u8>>) {
     let mut sys = QbismSystem::install(config).expect("install");
     let db = sys.server.database();
     let mut hash = FNV_OFFSET;
+    let mut fields = Vec::new();
     for table in LONG_FIELD_TABLES {
         let rows = db.query(&format!("select * from {table}")).expect("scan");
         assert!(!rows.is_empty(), "{table} is empty");
@@ -43,6 +54,7 @@ fn install_digest(config: &QbismConfig) -> u64 {
                     let bytes = db.read_long_field(*id).expect("long field reads back");
                     fnv1a(&mut hash, &(bytes.len() as u64).to_le_bytes());
                     fnv1a(&mut hash, &bytes);
+                    fields.push(bytes);
                 }
                 other => fnv1a(&mut hash, other.to_string().as_bytes()),
             }
@@ -51,7 +63,7 @@ fn install_digest(config: &QbismConfig) -> u64 {
     let lfm = db.lfm_ref();
     fnv1a(&mut hash, &(lfm.field_count() as u64).to_le_bytes());
     fnv1a(&mut hash, &lfm.allocated_pages().to_le_bytes());
-    hash
+    (hash, fields)
 }
 
 fn config(bits: u32, curve: CurveKind, compressed: bool) -> QbismConfig {
@@ -63,26 +75,47 @@ fn config(bits: u32, curve: CurveKind, compressed: bool) -> QbismConfig {
     }
 }
 
-/// `(atlas_bits, curve, compressed tablespace, digest at PR 21's parent)`.
+/// `(atlas_bits, curve, compressed tablespace, digest)`: the default
+/// rows as at PR 21's parent, the compressed rows as of PR 24.
 const RECORDED: [(u32, CurveKind, bool, u64); 8] = [
     (4, CurveKind::Hilbert, false, 0x0d54_160b_5e29_8c4c),
-    (4, CurveKind::Hilbert, true, 0xcf09_fefd_e9b8_fd6a),
+    (4, CurveKind::Hilbert, true, 0xfd15_fce9_d839_624b),
     (4, CurveKind::Morton, false, 0xd4bb_7814_40cb_356c),
-    (4, CurveKind::Morton, true, 0xd83d_5dfd_db55_3015),
+    (4, CurveKind::Morton, true, 0x1446_9502_8d94_619f),
     (5, CurveKind::Hilbert, false, 0xac29_68f3_cc70_130b),
-    (5, CurveKind::Hilbert, true, 0x05f2_2ad7_9de1_ada2),
+    (5, CurveKind::Hilbert, true, 0x3246_c700_9253_11df),
     (5, CurveKind::Morton, false, 0x1a99_c03c_bb58_ccde),
-    (5, CurveKind::Morton, true, 0x4c32_2287_2f20_fd6c),
+    (5, CurveKind::Morton, true, 0xef8d_2dd3_0d02_4ce2),
 ];
 
 #[test]
 fn install_stores_the_recorded_bytes_in_every_mode() {
     let mut moved = Vec::new();
-    for (bits, curve, compressed, want) in RECORDED {
-        let got = install_digest(&config(bits, curve, compressed));
-        if got != want {
-            moved.push(format!("({bits}, CurveKind::{curve:?}, {compressed}, {got:#018x})"));
+    for [default, compressed] in RECORDED.as_chunks::<2>().0 {
+        let mut fields = Vec::new();
+        for &(bits, curve, compressed, want) in [default, compressed] {
+            let (got, stored) = install_digest(&config(bits, curve, compressed));
+            if got != want {
+                moved.push(format!("({bits}, CurveKind::{curve:?}, {compressed}, {got:#018x})"));
+            }
+            fields.push(stored);
         }
+        // The two tablespaces differ only in how REGION long fields are
+        // encoded: every other field byte for byte, every REGION the same
+        // `Region` once decoded.
+        let [plain, packed] = &fields[..] else { panic!("two tablespaces a grid") };
+        assert_eq!(plain.len(), packed.len(), "{default:?}");
+        let mut regions = 0;
+        for (plain, packed) in plain.iter().zip(packed) {
+            if is_compressed(packed) {
+                regions += 1;
+                let plain = RegionCodec::decode(plain).expect("default REGION decodes");
+                assert_eq!(RegionCodec::decode(packed).expect("compressed REGION decodes"), plain);
+            } else {
+                assert!(plain == packed, "a field that is no REGION differs, {default:?}");
+            }
+        }
+        assert!(regions > 0 && regions < plain.len(), "{regions} REGION fields, {default:?}");
     }
     assert!(moved.is_empty(), "stored bytes moved; digests now read:\n{}", moved.join(",\n"));
 }
@@ -93,5 +126,5 @@ fn digest_sees_a_single_changed_seed() {
     // move the digest (it changes blob placement, noise and landmarks).
     let base = config(4, CurveKind::Hilbert, false);
     let bumped = QbismConfig { seed: base.seed + 1, ..base.clone() };
-    assert_ne!(install_digest(&base), install_digest(&bumped));
+    assert_ne!(install_digest(&base).0, install_digest(&bumped).0);
 }
