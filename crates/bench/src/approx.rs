@@ -45,9 +45,9 @@ pub fn measure(bits: u32, structure: &str, mingaps: &[u64], seed: u64) -> Vec<Ap
         let region = exact.approximate_mingap(mingap);
         let bytes = RegionCodec::Naive.encode(&region).expect("encodes");
         lfm.reset_stats();
-        let pieces: Vec<(u64, u64)> = region.runs().iter().map(|r| (r.start, r.len())).collect();
+        let pieces = region.runs().iter().map(|r| (r.start, r.len()));
         let mut values = Vec::new();
-        lfm.read_pieces_into(volume_lf, &pieces, &mut values).expect("extract");
+        lfm.read_pieces_into(volume_lf, pieces, &mut values).expect("extract");
         // Post-processing with the exact region.
         let kept = region.refine_with_exact(&exact);
         out.push(ApproxRow {

@@ -258,13 +258,26 @@ impl<'a> RunListCursor<'a> {
     /// Drains the cursor into a `(start, end)` vector.  Test/API-edge
     /// helper — kernel code streams instead (rule `kernel-materialize`
     /// bans this call there, at zero hops and through helpers).
-    pub fn decode_all(mut self) -> Result<Vec<(u64, u64)>> {
+    pub fn decode_all(self) -> Result<Vec<(u64, u64)>> {
         let mut out = Vec::with_capacity(self.count);
-        while let Some(run) = self.peek() {
-            out.push(run);
-            self.advance()?;
-        }
+        self.drain_blocks(|block| out.extend_from_slice(block))?;
         Ok(out)
+    }
+
+    /// Drains the cursor a decoded skip block at a time: `f` sees the
+    /// runs `peek` / `advance` would have handed out one by one, and the
+    /// same error ends the drain where `advance` would have returned it.
+    pub fn drain_blocks(mut self, mut f: impl FnMut(&[(u64, u64)])) -> Result<()> {
+        loop {
+            match self.block.get(self.at..) {
+                Some(ready) if !ready.is_empty() => f(ready),
+                _ => return Ok(()),
+            }
+            if self.block_index + 1 >= self.n_blocks {
+                return Ok(());
+            }
+            self.enter_block(self.block_index + 1)?;
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::wire::begin_data_region;
 use qbism_region::{kernel, open_compressed, CompressedCursor, CompressedWriter};
-use qbism_region::{GridGeometry, Region, RegionCodec, RegionEncodeError};
+use qbism_region::{GridGeometry, NaiveRuns, Region, RegionCodec, RegionEncodeError};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use std::borrow::Cow;
 
@@ -41,8 +41,12 @@ fn fetch_region_arg<'a>(ctx: &mut UdfContext<'_>, v: &'a Value) -> Result<Region
     }
 }
 
+fn malformed(e: RegionEncodeError) -> DbError {
+    DbError::Exec(format!("malformed REGION operand: {e}"))
+}
+
 fn decode_arg(bytes: &[u8]) -> Result<Region, DbError> {
-    RegionCodec::decode(bytes).map_err(|e| DbError::Exec(format!("malformed REGION operand: {e}")))
+    RegionCodec::decode(bytes).map_err(malformed)
 }
 
 /// Decodes a region argument: a long field (read through the LFM,
@@ -82,7 +86,6 @@ fn region_pair_op(
     expect_arity(name, args, 2)?;
     let a = fetch_region_arg(ctx, &args[0])?;
     let b = fetch_region_arg(ctx, &args[1])?;
-    let malformed = |e| DbError::Exec(format!("malformed REGION operand: {e}"));
     let opened = match open_compressed(&a.0).map_err(malformed)? {
         Some(oa) => open_compressed(&b.0).map_err(malformed)?.map(|ob| (oa, ob)),
         None => None,
@@ -152,33 +155,55 @@ pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec) {
         let a = fetch_region(ctx, &args[0])?;
         Ok(Value::Int(a.voxel_count() as i64))
     });
-    db.register_udf("extractvoxels", |ctx, args| {
-        expect_arity("extractVoxels", args, 2)?;
-        let volume_id = args[0].as_long().ok_or_else(|| {
-            DbError::Type("extractVoxels expects a VOLUME long field first".into())
-        })?;
-        let region = fetch_region(ctx, &args[1])?;
-        let geom = region.geometry();
-        let vol_len = ctx.lfm.len(volume_id)?;
-        if vol_len != geom.cell_count() {
-            return Err(DbError::Exec(format!(
-                "VOLUME long field holds {vol_len} bytes; the REGION's grid has {} cells",
-                geom.cell_count()
-            )));
-        }
-        // The run-aligned piece read: one contiguous byte extent per run
-        // because the volume shares the region's curve order.  This is
-        // the I/O path whose page counts Table 3 reports.
-        let pieces: Vec<(u64, u64)> = region.runs().iter().map(|r| (r.start, r.len())).collect();
-        // One buffer, sized once: the DATA_REGION's region part is
-        // written in place and the LFM appends the VOLUME pieces behind
-        // it — the bytes move device → answer and nowhere between.
-        let mut out = Vec::new();
-        begin_data_region(&region, &mut out)
-            .map_err(|e| DbError::Exec(format!("cannot encode DATA_REGION: {e}")))?;
-        ctx.lfm.read_pieces_into(volume_id, &pieces, &mut out)?;
-        Ok(Value::Bytes(out))
-    });
+    db.register_udf("extractvoxels", extract_voxels);
+}
+
+/// `extractVoxels(volume, region)`: the REGION operand is opened once,
+/// as its naive run list — a stored canonical one used as it stands, a
+/// compressed one drained a leaf at a time — and that list is both the
+/// DATA_REGION's region part and the pieces the LFM walks.
+fn extract_voxels(ctx: &mut UdfContext<'_>, args: &[Value]) -> Result<Value, DbError> {
+    let volume_id = extraction_volume(args)?;
+    let (bytes, _) = fetch_region_arg(ctx, &args[1])?;
+    let runs = NaiveRuns::open(&bytes).map_err(malformed)?;
+    check_volume_len(ctx, volume_id, runs.geometry())?;
+    // One buffer, sized once: the region part is copied in and the LFM
+    // appends the VOLUME pieces behind it — one contiguous byte extent
+    // per run because the volume shares the region's curve order (the
+    // I/O path whose page counts Table 3 reports).  The bytes move
+    // device → answer and nowhere between.
+    let mut out = Vec::new();
+    begin_data_region(&runs, &mut out).map_err(unencodable_answer)?;
+    ctx.lfm.read_pieces_into(volume_id, runs.pieces(), &mut out)?;
+    Ok(Value::Bytes(out))
+}
+
+/// The VOLUME operand of an extraction, once the call's arity is right.
+fn extraction_volume(args: &[Value]) -> Result<qbism_lfm::LongFieldId, DbError> {
+    expect_arity("extractVoxels", args, 2)?;
+    args[0]
+        .as_long()
+        .ok_or_else(|| DbError::Type("extractVoxels expects a VOLUME long field first".into()))
+}
+
+/// An extraction reads a VOLUME laid out on the REGION's own grid.
+fn check_volume_len(
+    ctx: &UdfContext<'_>,
+    volume_id: qbism_lfm::LongFieldId,
+    geom: GridGeometry,
+) -> Result<(), DbError> {
+    let vol_len = ctx.lfm.len(volume_id)?;
+    if vol_len == geom.cell_count() {
+        return Ok(());
+    }
+    Err(DbError::Exec(format!(
+        "VOLUME long field holds {vol_len} bytes; the REGION's grid has {} cells",
+        geom.cell_count()
+    )))
+}
+
+fn unencodable_answer(e: crate::QbismError) -> DbError {
+    DbError::Exec(format!("cannot encode DATA_REGION: {e}"))
 }
 
 fn expect_arity(name: &str, args: &[Value], want: usize) -> Result<(), DbError> {
@@ -193,7 +218,7 @@ fn expect_arity(name: &str, args: &[Value], want: usize) -> Result<(), DbError> 
 mod tests {
     use super::*;
     use crate::wire::{decode_data_region, volume_to_long_field};
-    use qbism_region::GridGeometry;
+    use proptest::prelude::*;
     use qbism_sfc::CurveKind;
     use qbism_volume::Volume;
 
@@ -300,5 +325,206 @@ mod tests {
         let junk = db.create_long_field(&[1, 2, 3]).unwrap();
         db.insert_row("t", vec![junk]).unwrap();
         assert!(matches!(db.query("select regionVoxels(t.r) from t"), Err(DbError::Exec(_))));
+    }
+
+    // ------------------------------------------------------------------
+    // Differential extraction: the run-list path against the decode path
+    // ------------------------------------------------------------------
+
+    /// The extraction the run-list path replaced — decode the operand,
+    /// encode it again as the answer's region part, list its runs as
+    /// pieces — kept as the oracle of the differential tests.
+    fn extract_voxels_decoded(ctx: &mut UdfContext<'_>, args: &[Value]) -> Result<Value, DbError> {
+        let volume_id = extraction_volume(args)?;
+        let region = fetch_region(ctx, &args[1])?;
+        check_volume_len(ctx, volume_id, region.geometry())?;
+        RegionCodec::Naive.encoded_len(&region).map_err(|e| unencodable_answer(e.into()))?;
+        let pieces: Vec<(u64, u64)> = region.runs().iter().map(|r| (r.start, r.len())).collect();
+        let mut values = Vec::new();
+        ctx.lfm.read_pieces_into(volume_id, pieces.iter().copied(), &mut values)?;
+        let data = qbism_volume::DataRegion::new(region, values);
+        crate::wire::encode_data_region(&data).map(Value::Bytes).map_err(unencodable_answer)
+    }
+
+    /// The differential tests' grid: 16³, so a VOLUME is one page.
+    fn grid16() -> GridGeometry {
+        GridGeometry::new(CurveKind::Hilbert, 3, 4)
+    }
+
+    /// One 16³ VOLUME, a table of stored REGIONs, and both extractions
+    /// prepared over an immediate operand and over a stored one.
+    struct Differential {
+        db: Database,
+        immediate: [qbism_starburst::Prepared; 2],
+        stored: [qbism_starburst::Prepared; 2],
+        next_id: i64,
+    }
+
+    impl Differential {
+        fn new() -> Self {
+            let mut db = Database::new(1 << 22).unwrap();
+            register_spatial_ops(&mut db, RegionCodec::Naive);
+            db.register_udf("extractdecoded", extract_voxels_decoded);
+            db.execute("create table v (vol long)").unwrap();
+            db.execute("create table r (id int, region long)").unwrap();
+            let vol = Volume::from_fn3(grid16(), |x, y, z| (x * 37 + y * 11 + z * 3) as u8);
+            let v = db.create_long_field(&volume_to_long_field(&vol)).unwrap();
+            db.insert_row("v", vec![v]).unwrap();
+            let prepare = |sql: &str| {
+                ["extractVoxels", "extractDecoded"]
+                    .map(|f| db.prepare(&sql.replace("EXTRACT", f)).unwrap())
+            };
+            let immediate = prepare("select EXTRACT(v.vol, ?) from v");
+            let stored = prepare("select EXTRACT(v.vol, r.region) from v, r where r.id = ?");
+            Differential { db, immediate, stored, next_id: 0 }
+        }
+
+        /// `bytes` as an immediate operand through both extractions: the
+        /// same DATA_REGION bytes or the same typed error.  True when
+        /// the bytes were a REGION to extract.
+        fn check(&self, bytes: &[u8]) -> bool {
+            let [new, old] = self.immediate.each_ref().map(|stmt| {
+                self.db.run(stmt, &[Value::Bytes(bytes.to_vec())]).map(|rs| rs.into_rows())
+            });
+            assert_eq!(new, old, "operand {bytes:?}");
+            new.is_ok()
+        }
+
+        /// `bytes` stored as a REGION long field, through both.
+        fn check_stored(&mut self, bytes: &[u8]) {
+            self.next_id += 1;
+            let field = self.db.create_long_field(bytes).unwrap();
+            self.db.insert_row("r", vec![Value::Int(self.next_id), field]).unwrap();
+            let [new, old] = self.stored.each_ref().map(|stmt| {
+                self.db.run(stmt, &[Value::Int(self.next_id)]).map(|rs| rs.into_rows())
+            });
+            assert_eq!(new, old, "stored operand {bytes:?}");
+        }
+
+        /// Every cut and every single-bit flip of `bytes`.
+        fn cut_and_flip(&self, bytes: &[u8]) {
+            for cut in 0..bytes.len() {
+                self.check(&bytes[..cut]);
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                self.check(&flipped);
+            }
+        }
+    }
+
+    /// Naive bytes of an arbitrary `(start, end)` list on the 16³ grid —
+    /// lists no encoder writes included.
+    fn naive_list(runs: &[(u64, u64)]) -> Vec<u8> {
+        let mut bytes = RegionCodec::Naive.encode(&Region::empty(grid16())).unwrap();
+        bytes.truncate(6);
+        bytes.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for &(start, end) in runs {
+            bytes.extend_from_slice(&(start as u32).to_le_bytes());
+            bytes.extend_from_slice(&(end as u32).to_le_bytes());
+        }
+        bytes
+    }
+
+    /// A box and scattered cells on 16³: several runs, both k³ node
+    /// kinds, more than one run-list skip block.
+    fn differential_sample() -> Region {
+        let solid = Region::from_box(grid16(), [2, 3, 4], [11, 9, 7]).unwrap();
+        solid.union(&Region::from_ids(grid16(), (0..120).map(|i| i * 79 % 4_096).collect()))
+    }
+
+    #[test]
+    fn extract_differential_every_cut_and_flip_of_every_codec() {
+        let mut diff = Differential::new();
+        let g = grid16();
+        let sample = differential_sample();
+        for region in [sample, Region::empty(g), Region::full(g), Region::from_ids(g, vec![4_095])]
+        {
+            for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+                let bytes = codec.encode(&region).unwrap();
+                assert!(diff.check(&bytes), "{} extracts", codec.name());
+                diff.check_stored(&bytes);
+                diff.cut_and_flip(&bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn extract_differential_refused_and_normalised_naive_lists() {
+        let mut diff = Differential::new();
+        let lists: [&[(u64, u64)]; 9] = [
+            &[(10, 12), (3, 4)],
+            &[(3, 4), (5, 9)],
+            &[(3, 8), (5, 9)],
+            &[(3, 8), (3, 8)],
+            &[(9, 3)],
+            &[(4_000, 4_096)],
+            &[(9, 3), (4_000, 4_096)],
+            &[(4_000, 4_096), (9, 3)],
+            &[(0, 4_095), (7, 7)],
+        ];
+        for list in lists {
+            let bytes = naive_list(list);
+            diff.check(&bytes);
+            diff.check_stored(&bytes);
+        }
+        // A grid of the wrong size, and one too wide for naive words.
+        let mut other = RegionCodec::Naive.encode(&Region::full(grid16())).unwrap();
+        other[5] = 5;
+        assert!(!diff.check(&other));
+        other[5] = 11;
+        assert!(!diff.check(&other));
+    }
+
+    proptest! {
+        /// Hand-written naive lists — unsorted, adjacent, overlapping,
+        /// duplicated, inverted, past the grid — and their canonical
+        /// forms in every codec.
+        #[test]
+        fn extract_differential_hand_written_lists(
+            spans in proptest::collection::vec((0u64..4_200, 0u64..40), 0..40),
+            sorted in any::<bool>(),
+            dup in any::<bool>(),
+            inverted in any::<bool>(),
+        ) {
+            let diff = Differential::new();
+            let mut list: Vec<(u64, u64)> = spans.iter().map(|&(s, l)| (s, s + l)).collect();
+            if sorted {
+                list.sort_unstable();
+            }
+            if dup {
+                list.extend_from_within(..list.len() / 2);
+            }
+            if let (true, Some(run)) = (inverted, list.first_mut()) {
+                *run = (run.1 + 1, run.0);
+            }
+            diff.check(&naive_list(&list));
+            let cells = grid16().cell_count();
+            let ids = list.iter().flat_map(|&(s, e)| s..=e).filter(|&id| id < cells);
+            let region = Region::from_ids(grid16(), ids.collect());
+            for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+                prop_assert!(diff.check(&codec.encode(&region).unwrap()));
+            }
+        }
+
+        /// Arbitrary payloads behind every codec's header with an
+        /// arbitrary run count, and arbitrary bytes alone.
+        #[test]
+        fn extract_differential_arbitrary_payloads(
+            codec_pick in 0usize..6,
+            count in 0u32..400,
+            tail in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let diff = Differential::new();
+            let codec =
+                RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED).nth(codec_pick).unwrap();
+            let mut bytes = codec.encode(&differential_sample()).unwrap();
+            bytes.truncate(6);
+            bytes.extend_from_slice(&count.to_le_bytes());
+            bytes.extend_from_slice(&tail);
+            diff.check(&bytes);
+            diff.check(&tail);
+        }
     }
 }

@@ -971,22 +971,49 @@ pub fn voxel_mean<'a>(
 ) -> Option<(DataRegion<u8>, Vec<usize>)> {
     let mut extracts = extracts.into_iter().enumerate().peekable();
     let region = extracts.peek()?.1.region().clone();
-    // Column-wise: whole value slices into `u32` sums (wide enough for
-    // 2²⁴ studies), then one divide pass.
-    let mut sums = vec![0u32; region.voxel_count() as usize];
-    let (mut aligned, mut misaligned) = (0u32, Vec::new());
+    let (mut aligned, mut misaligned) = (Vec::new(), Vec::new());
     for (at, extract) in extracts {
-        if *extract.region() != region {
+        if *extract.region() == region {
+            aligned.push(extract.values());
+        } else {
             misaligned.push(at);
-            continue;
-        }
-        aligned += 1;
-        for (sum, &value) in sums.iter_mut().zip(extract.values()) {
-            *sum += u32::from(value);
         }
     }
-    let values = sums.into_iter().map(|sum| (sum / aligned) as u8).collect();
+    let voxels = region.voxel_count() as usize;
+    // Column-wise in cache-sized blocks: each study's slice of the block
+    // into `u32` sums (wide enough for 2²⁴ studies) that stay in L1,
+    // then the block's means.
+    let mut values = Vec::with_capacity(voxels);
+    let mut sums = [0u32; MEAN_BLOCK];
+    for lo in (0..voxels).step_by(MEAN_BLOCK) {
+        let hi = voxels.min(lo + MEAN_BLOCK);
+        let sums = &mut sums[..hi - lo];
+        sums.fill(0);
+        for study in &aligned {
+            for (sum, &value) in sums.iter_mut().zip(&study[lo..hi]) {
+                *sum += u32::from(value);
+            }
+        }
+        push_means(sums, aligned.len() as u32, &mut values);
+    }
     Some((DataRegion::new(region, values), misaligned))
+}
+
+/// Voxels per block of [`voxel_mean`]: 16 KiB of sums.
+const MEAN_BLOCK: usize = 4096;
+
+/// Appends `sum / n` for each of `sums` — sums of `n` bytes, so at most
+/// `255·n` — as one multiply and shift by an exact reciprocal: with
+/// `m = ⌊2⁵⁶/n⌋ + 1`, `⌊sum·m / 2⁵⁶⌋ = ⌊sum/n⌋` whenever
+/// `sum·n < 2⁵⁶`, which `255·n² < 2⁵⁶` guarantees for every `n ≤ 2²⁴`,
+/// and `sum·m < 2⁶⁴` there.  Larger counts divide.
+fn push_means(sums: &[u32], n: u32, out: &mut Vec<u8>) {
+    if n <= 1 << 24 {
+        let m = (1u64 << 56) / u64::from(n) + 1;
+        out.extend(sums.iter().map(|&sum| ((u64::from(sum) * m) >> 56) as u8));
+    } else {
+        out.extend(sums.iter().map(|&sum| (sum / n) as u8));
+    }
 }
 
 #[cfg(test)]
@@ -1163,5 +1190,57 @@ mod tests {
         assert!(mesh.triangle_count() > 0);
         let region = sys.server.structure_region("thalamus").unwrap();
         assert_eq!(region, sys.atlas.structure("thalamus").unwrap().region);
+    }
+
+    /// The reciprocal's extremes: every sum a study count's bytes can
+    /// reach around each quotient boundary, at counts up to 2²⁴ (all 0,
+    /// all 255 and everything between), and past it where it divides.
+    #[test]
+    fn means_by_reciprocal_are_exact_at_the_extremes() {
+        let big = [1u32 << 24, (1 << 24) - 1, 16_777_259, 12_345_678, 1 << 23, 3 << 22];
+        for n in (1u32..=300).chain(big).chain([(1 << 24) + 1, 16_843_009]) {
+            let n64 = u64::from(n);
+            let mut sums = vec![0, 255 * n64];
+            for q in [1u64, 2, 127, 128, 254, 255] {
+                sums.extend([q * n64 - 1, q * n64, q * n64 + n64 / 2, q * n64 + n64 - 1]);
+            }
+            let sums: Vec<u32> =
+                sums.into_iter().filter(|&sum| sum <= 255 * n64).map(|sum| sum as u32).collect();
+            let mut got = Vec::new();
+            push_means(&sums, n, &mut got);
+            let want: Vec<u8> = sums.iter().map(|&sum| (sum / n) as u8).collect();
+            assert_eq!(got, want, "n = {n}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The blocked, reciprocal mean is the column-wise `sum / n` of
+        /// HEAD for 1…300 studies of random values over REGIONs that
+        /// cross block boundaries.
+        #[test]
+        fn voxel_mean_is_sum_over_n(
+            studies in 1usize..=300,
+            voxels in 1u64..9_000,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let geom = qbism_region::GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, 5);
+            let region = Region::from_runs(geom, vec![qbism_region::Run::new(7, 6 + voxels)]);
+            let mut state = seed | 1;
+            let mut byte = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            };
+            let extracts: Vec<DataRegion<u8>> = (0..studies)
+                .map(|_| DataRegion::new(region.clone(), (0..voxels).map(|_| byte()).collect()))
+                .collect();
+            let (mean, misaligned) = voxel_mean(&extracts).unwrap();
+            proptest::prop_assert!(misaligned.is_empty());
+            for (i, &m) in mean.values().iter().enumerate() {
+                let sum: u32 = extracts.iter().map(|e| u32::from(e.values()[i])).sum();
+                proptest::prop_assert_eq!(u32::from(m), sum / studies as u32);
+            }
+        }
     }
 }

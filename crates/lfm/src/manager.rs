@@ -314,10 +314,11 @@ fn pool_frames(config: CacheConfig) -> usize {
 }
 
 /// Last field page of the physical extent — the maximal run of
-/// consecutive demanded pages — that `pieces[0]` (non-empty) lies in.
-fn extent_last_page(pieces: &[(u64, u64)], psz: u64) -> u64 {
+/// consecutive demanded pages — that the first of `pieces` (non-empty)
+/// lies in.
+fn extent_last_page(pieces: impl Iterator<Item = (u64, u64)>, psz: u64) -> u64 {
     let mut last = 0;
-    for (i, &(offset, len)) in pieces.iter().enumerate() {
+    for (i, (offset, len)) in pieces.enumerate() {
         if len == 0 {
             continue;
         }
@@ -751,7 +752,7 @@ impl LongFieldManager {
     pub fn read_piece(&self, id: LongFieldId, offset: u64, len: u64) -> Result<Vec<u8>> {
         // Sized by `read_pieces_into` once `len` has passed its bounds check.
         let mut out = Vec::new();
-        self.read_pieces_into(id, &[(offset, len)], &mut out)?;
+        self.read_pieces_into(id, [(offset, len)].into_iter(), &mut out)?;
         Ok(out)
     }
 
@@ -777,17 +778,20 @@ impl LongFieldManager {
     /// Pieces must be sorted by offset and non-overlapping (extraction
     /// runs always are); anything else is [`LfmError::UnsortedPieces`],
     /// raised — like [`LfmError::OutOfBounds`] — before any side effect.
+    /// The check walks a clone of `pieces`, so a caller hands over the
+    /// iterator its runs already live in (a slice's `.iter().copied()`,
+    /// a REGION's naive records) rather than building a list of them.
     pub fn read_pieces_into(
         &self,
         id: LongFieldId,
-        pieces: &[(u64, u64)],
+        pieces: impl Iterator<Item = (u64, u64)> + Clone,
         out: &mut Vec<u8>,
     ) -> Result<()> {
         let span = trace::span("lfm.read");
         let desc = self.desc(id)?;
         let mut total = 0u64;
         let mut prev_end = 0u64;
-        for (index, &(offset, len)) in pieces.iter().enumerate() {
+        for (index, (offset, len)) in pieces.clone().enumerate() {
             if offset < prev_end {
                 return Err(LfmError::UnsortedPieces { index });
             }
@@ -820,8 +824,23 @@ impl LongFieldManager {
         // the device.  A piece divides only when it leaves the window.
         let (mut win_lo, mut win_hi, mut win_base, mut in_slab) = (0u64, 0u64, 0usize, false);
         let mut miss_extent_last: Option<u64> = None;
-        for (index, &(offset, len)) in pieces.iter().enumerate() {
+        let mut rest = pieces;
+        loop {
+            // The walk at this piece, for the miss path's lookahead.
+            let here = rest.clone();
+            let Some((offset, len)) = rest.next() else { break };
             let end = offset + len;
+            if end <= win_hi {
+                // Inside the window (pieces are sorted, so at or past
+                // `win_lo`): one copy, nothing to charge.
+                let src = match &pool {
+                    Some(pool) if in_slab => pool.slab(),
+                    _ => dev,
+                };
+                let lo = win_base + (offset - win_lo) as usize;
+                out.extend_from_slice(&src[lo..lo + len as usize]);
+                continue;
+            }
             let mut at = offset;
             while at < end {
                 if at >= win_hi {
@@ -840,7 +859,7 @@ impl LongFieldManager {
                             // The physical plan, built on a miss only.
                             let extent_last = match miss_extent_last {
                                 Some(last) if page <= last => last,
-                                _ => extent_last_page(&pieces[index..], psz),
+                                _ => extent_last_page(here.clone(), psz),
                             };
                             miss_extent_last = Some(extent_last);
                             let (rode, ahead) = self.stage_miss(pool, desc, page, extent_last);
@@ -1323,7 +1342,7 @@ mod tests {
         let oid = oracle.create(&data).unwrap();
         let mut expect = Vec::new();
         for &(o, l) in &pieces {
-            oracle.read_pieces_into(oid, &[(o, l)], &mut expect).unwrap();
+            oracle.read_pieces_into(oid, [(o, l)].into_iter(), &mut expect).unwrap();
         }
 
         let mut lfm = mk();
@@ -1331,7 +1350,7 @@ mod tests {
         let id = lfm.create(&data).unwrap();
         let mut got = Vec::new();
         for &(o, l) in &pieces {
-            lfm.read_pieces_into(id, &[(o, l)], &mut got).unwrap();
+            lfm.read_pieces_into(id, [(o, l)].into_iter(), &mut got).unwrap();
         }
         assert_eq!(got, expect, "readahead must not change the bytes");
         assert_eq!(lfm.stats(), oracle.stats(), "readahead must not change logical IoStats");
@@ -1450,7 +1469,7 @@ mod tests {
         // Many small pieces inside one page: charged once.
         let pieces: Vec<(u64, u64)> = (0..50).map(|i| (i * 80, 40)).collect();
         let mut out = Vec::new();
-        lfm.read_pieces_into(id, &pieces, &mut out).unwrap();
+        lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
         assert_eq!(out.len(), 50 * 40);
         assert_eq!(lfm.stats().pages_read, 1);
         assert_eq!(lfm.stats().extents_read, 1);
@@ -1464,7 +1483,7 @@ mod tests {
         // Pieces on pages 0, 2, 3, 9: extents {0}, {2,3}, {9} = 3 seeks.
         let pieces = [(0u64, 10u64), (4096 * 2, 10), (4096 * 3, 10), (4096 * 9 + 100, 10)];
         let mut out = Vec::new();
-        lfm.read_pieces_into(id, &pieces, &mut out).unwrap();
+        lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
         let s = lfm.stats();
         assert_eq!(s.pages_read, 4);
         assert_eq!(s.extents_read, 3);
@@ -1552,11 +1571,11 @@ mod tests {
         let scope = FaultPlane::new(5).fail_nth("lfm.read", 1).arm();
         let mut out = Vec::new();
         assert_eq!(
-            lfm.read_pieces_into(id, &[(100, 10), (50, 10)], &mut out),
+            lfm.read_pieces_into(id, [(100, 10), (50, 10)].into_iter(), &mut out),
             Err(LfmError::UnsortedPieces { index: 1 })
         );
         assert_eq!(
-            lfm.read_pieces_into(id, &[(0, 10), (20, 10), (25, 10)], &mut out),
+            lfm.read_pieces_into(id, [(0, 10), (20, 10), (25, 10)].into_iter(), &mut out),
             Err(LfmError::UnsortedPieces { index: 2 }),
             "overlap is the same error"
         );
@@ -1564,6 +1583,44 @@ mod tests {
         assert_eq!(lfm.stats(), IoStats::default(), "nothing was charged");
         assert_eq!(lfm.read(id), Err(LfmError::DeviceFault { op: "lfm.read" }));
         drop(scope);
+    }
+
+    /// `pieces` as 16-byte little-endian `<offset, len>` records.
+    fn as_records(pieces: &[(u64, u64)]) -> Vec<u8> {
+        pieces.iter().flat_map(|&(o, l)| [o.to_le_bytes(), l.to_le_bytes()]).flatten().collect()
+    }
+
+    /// The pieces read back out of [`as_records`]' bytes: an iterator
+    /// over a run list no slice of pairs backs, like a REGION's.
+    fn from_records(bytes: &[u8]) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        bytes.chunks_exact(16).map(move |r| (word(&r[..8]), word(&r[8..])))
+    }
+
+    /// Whatever iterator holds the pieces, a bad list is the same error
+    /// at the same index, raised before any side effect.
+    #[test]
+    fn iterator_and_slice_forms_fail_alike() {
+        let mut lfm = mk();
+        let id = lfm.create(&vec![0u8; 4096]).unwrap();
+        lfm.reset_stats();
+        let bad: [&[(u64, u64)]; 5] = [
+            &[(100, 10), (50, 10)],
+            &[(0, 10), (20, 10), (25, 10)],
+            &[(0, 10), (10, 0), (10, 5000)],
+            &[(0, 1), (u64::MAX, 2)],
+            &[(0, 4096), (4096, 0), (4096, 1)],
+        ];
+        for pieces in bad {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let slice = lfm.read_pieces_into(id, pieces.iter().copied(), &mut a);
+            let records = as_records(pieces);
+            let iter = lfm.read_pieces_into(id, from_records(&records), &mut b);
+            assert!(slice.is_err(), "{pieces:?}");
+            assert_eq!(slice, iter, "{pieces:?}");
+            assert!(a.is_empty() && b.is_empty());
+        }
+        assert_eq!(lfm.stats(), IoStats::default(), "nothing was charged");
     }
 
     // ------------------------------------------------------------------
@@ -1787,12 +1844,19 @@ mod tests {
                             readahead_pages,
                         });
                         let id = lfm.create(&data).unwrap();
-                        // Twice: cold, then against whatever the pool kept.
-                        for _ in 0..2 {
+                        // Twice: cold through the slice, then through a
+                        // run list no slice of pairs backs, against
+                        // whatever the pool kept.
+                        let records = as_records(&pieces);
+                        for pass in 0..2 {
                             lfm.reset_stats();
                             let looked_up = lfm.cache_stats();
                             let mut out = Vec::new();
-                            lfm.read_pieces_into(id, &pieces, &mut out).unwrap();
+                            if pass == 0 {
+                                lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
+                            } else {
+                                lfm.read_pieces_into(id, from_records(&records), &mut out).unwrap();
+                            }
                             prop_assert_eq!(&out, &expect);
                             prop_assert_eq!(lfm.stats(), want);
                             let cs = lfm.cache_stats();

@@ -52,7 +52,7 @@ proptest! {
                 lfm.reset_stats();
                 let before = counters();
                 let mut out = Vec::new();
-                lfm.read_pieces_into(id, &pieces, &mut out).unwrap();
+                lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
                 let after = counters();
                 let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
                 let (pages, extents) = (lfm.stats().pages_read, lfm.stats().extents_read);

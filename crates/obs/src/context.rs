@@ -19,6 +19,7 @@ use crate::trace::{self, SpanNode};
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
+static NEXT_FILING: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
@@ -42,6 +43,12 @@ pub(crate) fn micros_at(at: Instant) -> u64 {
 
 pub(crate) fn mint_trace() -> u64 {
     NEXT_TRACE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The next number in the process-wide order finished roots are filed
+/// in — how [`trace::recent_roots`] merges the per-thread rings.
+pub(crate) fn next_filing() -> u64 {
+    NEXT_FILING.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Replaces this thread's current trace id, returning the previous one.

@@ -41,8 +41,9 @@
 //! `cache_misses` / `cache_evictions`).  The tree is the **one record**
 //! of what a query did: opening, annotating and closing a span touch
 //! only the thread's own stack.  Finished roots land in a bounded ring
-//! of recent spans ([`trace::last_root`], [`trace::recent_roots`]) and
-//! render as a tree:
+//! of recent spans of the thread that finished them
+//! ([`trace::last_root`] reads the caller's, [`trace::recent_roots`]
+//! merges all of them) and render as a tree:
 //!
 //! ```text
 //! query.band_in_structure                                   3.1ms  study_id=1

@@ -3,9 +3,12 @@
 //! A span is opened with [`root`] (starts a new tree when no span is
 //! active) or [`span`] (attaches to the active span, or is discarded
 //! when none is).  Guards record key-value fields and finish on drop;
-//! finished root trees land in a bounded ring readable via
-//! [`last_root`] / [`recent_roots`] and render with
-//! [`SpanNode::render_tree`].
+//! finished root trees land in a bounded ring of the thread that
+//! finished them, readable via [`last_root`] (this thread's newest) /
+//! [`recent_roots`] (every ring, in finish order) and render with
+//! [`SpanNode::render_tree`].  One ring per thread means no thread's
+//! roots are evicted by another's: a client descheduled between
+//! finishing a query and reading its tree still finds it.
 //!
 //! # Causal identity
 //!
@@ -22,9 +25,9 @@
 //!
 //! The tree is the only record of what a query *did*: opening, closing
 //! and annotating a span touch nothing but this thread's stack, so a
-//! fault-free query takes no observability lock until its finished root
-//! files into the ring.  What went *wrong* — faults, retries, failovers
-//! — is the journal's job ([`crate::event`]); a crash dump reads the
+//! fault-free query takes no shared observability lock: its finished
+//! root files into its own thread's ring.  What went *wrong* — faults,
+//! retries, failovers — is the journal's job ([`crate::event`]); a crash dump reads the
 //! crashing thread's open spans straight off this stack.
 
 use qbism_check::sync::lock_or_recover;
@@ -32,13 +35,18 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::{context, event};
 
-/// How many finished root spans the ring retains.
+/// How many finished root spans each thread's ring retains.
 pub const RING_CAPACITY: usize = 32;
+
+/// How many rings of threads that have exited stay readable; past it
+/// the one that filed longest ago is let go as another thread exits.
+/// With [`RING_CAPACITY`], this bounds what exited threads retain.
+const RETIRED_RINGS: usize = 16;
 
 /// A recorded field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,11 +202,20 @@ impl Frame {
     }
 }
 
+/// One thread's finished roots, oldest first, each with its
+/// [`context::next_filing`] number.
+type Ring = Mutex<VecDeque<(u64, SpanNode)>>;
+
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// This thread's ring, registered in [`RINGS`] when it first files.
+    static OWN_RING: RefCell<OwnRing> = const { RefCell::new(OwnRing(None)) };
 }
 
-static RING: Mutex<VecDeque<SpanNode>> = Mutex::new(VecDeque::new());
+/// Every registered ring, so [`recent_roots`] sees all threads and a
+/// thread's roots outlive it.  A ring whose only owner is this list
+/// belongs to a thread that has exited.
+static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 
 /// Guard for an open span; finishes (and files the result) on drop.
 ///
@@ -332,20 +349,60 @@ fn assign_ids(node: &mut SpanNode, trace: u64, parent: u64, next: &mut u64) {
     }
 }
 
-/// Slow-query check, then the bounded recent-roots ring — the one
-/// lock a fault-free query takes.
+/// Slow-query check, then this thread's bounded ring — whose lock only
+/// a reader of every ring ever contends for.
 fn file_root(node: SpanNode) {
     event::note_root_finished(&node);
-    // The evicted tree is freed once the lock is released.
-    let _evicted = {
-        let mut ring = lock_or_recover(&RING);
-        ring.push_back(node);
+    let filed = (context::next_filing(), node);
+    // The evicted tree is freed here, on the thread that filed it, once
+    // the lock is released.  (A root finished while the thread's locals
+    // are being torn down has no ring left to file into.)
+    let _evicted = OWN_RING.try_with(|own| {
+        let mut own = own.borrow_mut();
+        let ring = own.0.get_or_insert_with(|| {
+            let ring = Arc::new(Ring::default());
+            lock_or_recover(&RINGS).push(Arc::clone(&ring));
+            ring
+        });
+        let mut ring = lock_or_recover(ring);
+        ring.push_back(filed);
         if ring.len() > RING_CAPACITY {
             ring.pop_front()
         } else {
             None
         }
-    };
+    });
+}
+
+/// The calling thread's ring.  When the thread exits, the ring stays
+/// in [`RINGS`] — its roots readable until [`clear`] — and the rings
+/// of exited threads past [`RETIRED_RINGS`] are let go, those whose
+/// newest root is oldest first.
+struct OwnRing(Option<Arc<Ring>>);
+
+impl Drop for OwnRing {
+    fn drop(&mut self) {
+        // Ours is retired the moment this handle is gone.
+        if self.0.take().is_none() {
+            return;
+        }
+        let newest = |r: &Ring| lock_or_recover(r).back().map_or(0, |(filed, _)| *filed);
+        let mut released = Vec::new();
+        let mut rings = lock_or_recover(&RINGS);
+        // Threads exiting together may each have left one more.
+        loop {
+            let retired: Vec<usize> =
+                (0..rings.len()).filter(|&at| Arc::strong_count(&rings[at]) == 1).collect();
+            if retired.len() <= RETIRED_RINGS {
+                break;
+            }
+            let stalest = retired.into_iter().min_by_key(|&at| newest(&rings[at]));
+            released.extend(stalest.map(|at| rings.swap_remove(at)));
+        }
+        // The released trees are freed once the lock is released.
+        drop(rings);
+        drop(released);
+    }
 }
 
 /// Pushes a capture sentinel frame: spans opened on this thread until
@@ -439,19 +496,43 @@ pub(crate) fn open_span_names() -> Vec<String> {
     })
 }
 
-/// The most recently finished root span tree, if any.
+/// The root span tree the calling thread finished most recently, if
+/// any — whatever other threads filed since.
 pub fn last_root() -> Option<SpanNode> {
-    lock_or_recover(&RING).back().cloned()
+    OWN_RING
+        .try_with(|own| {
+            let own = own.borrow();
+            let ring = lock_or_recover(own.0.as_ref()?);
+            ring.back().map(|(_, node)| node.clone())
+        })
+        .ok()
+        .flatten()
 }
 
-/// Every retained finished root (oldest first, at most [`RING_CAPACITY`]).
+/// Every retained finished root of every thread, oldest first (at most
+/// [`RING_CAPACITY`] per thread).
 pub fn recent_roots() -> Vec<SpanNode> {
-    lock_or_recover(&RING).iter().cloned().collect()
+    let rings = lock_or_recover(&RINGS).clone();
+    let mut filed: Vec<(u64, SpanNode)> =
+        rings.iter().flat_map(|ring| lock_or_recover(ring).clone()).collect();
+    filed.sort_unstable_by_key(|&(at, _)| at);
+    filed.into_iter().map(|(_, node)| node).collect()
 }
 
-/// Empties the recent-roots ring (test isolation).
+/// Empties every thread's ring and lets go of those of exited threads
+/// (test isolation).
 pub fn clear() {
-    lock_or_recover(&RING).clear();
+    let released = {
+        let mut rings = lock_or_recover(&RINGS);
+        let (live, retired): (Vec<_>, Vec<_>) =
+            rings.drain(..).partition(|ring| Arc::strong_count(ring) > 1);
+        *rings = live;
+        for ring in rings.iter() {
+            lock_or_recover(ring).clear();
+        }
+        retired
+    };
+    drop(released);
 }
 
 #[cfg(test)]
@@ -597,6 +678,57 @@ mod tests {
         assert_eq!(roots.len(), RING_CAPACITY);
         // Oldest entries were evicted.
         assert_eq!(roots[0].field("i"), Some(&FieldValue::U64(5)));
+    }
+
+    /// Thread A files a root, thread B files more than a ring holds: A's
+    /// newest is still A's, and B's oldest were evicted from B's ring.
+    #[test]
+    fn each_thread_reads_back_its_own_newest_root() {
+        let _g = crate::test_lock();
+        clear();
+        let (to_b, b_waits) = std::sync::mpsc::channel::<()>();
+        let (to_a, a_waits) = std::sync::mpsc::channel::<()>();
+        let a = std::thread::spawn(move || {
+            drop(root("query.thread_a"));
+            to_b.send(()).unwrap();
+            a_waits.recv().unwrap();
+            last_root().map(|tree| tree.name)
+        });
+        b_waits.recv().unwrap();
+        let b = std::thread::spawn(|| {
+            for i in 0..40u64 {
+                root("query.thread_b").record_u64("i", i);
+            }
+            last_root().and_then(|tree| tree.field("i").cloned())
+        });
+        assert_eq!(b.join().unwrap(), Some(FieldValue::U64(39)));
+        to_a.send(()).unwrap();
+        assert_eq!(a.join().unwrap().as_deref(), Some("query.thread_a"));
+        assert!(last_root().is_none(), "this thread filed nothing");
+        // Both threads have exited; their roots stay readable, merged
+        // in finish order: A's one, then B's newest RING_CAPACITY.
+        let roots = recent_roots();
+        assert_eq!(roots.len(), 1 + RING_CAPACITY);
+        assert_eq!(roots[0].name, "query.thread_a");
+        assert_eq!(roots[1].field("i"), Some(&FieldValue::U64(40 - RING_CAPACITY as u64)));
+        assert_eq!(roots[RING_CAPACITY].field("i"), Some(&FieldValue::U64(39)));
+        clear();
+        assert!(recent_roots().is_empty());
+    }
+
+    /// However many threads file and exit, what they leave behind stays
+    /// within `RETIRED_RINGS` rings, the most recently filed kept.
+    #[test]
+    fn exited_threads_retain_a_bounded_number_of_rings() {
+        let _g = crate::test_lock();
+        clear();
+        for t in 0..(RETIRED_RINGS as u64 + 9) {
+            std::thread::spawn(move || root("query.exited").record_u64("t", t)).join().unwrap();
+        }
+        let roots = recent_roots();
+        assert_eq!(roots.len(), RETIRED_RINGS);
+        assert_eq!(roots[0].field("t"), Some(&FieldValue::U64(9)));
+        clear();
     }
 
     #[test]

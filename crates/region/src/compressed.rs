@@ -78,18 +78,31 @@ impl CompressedCursor<'_> {
     /// convenience for tests and the [`RegionCodec::decode`] fallback —
     /// kernel modules must stream instead (rule `kernel-materialize` bans
     /// this call there, at zero hops and through helpers).
-    pub fn to_runs_vec(mut self) -> Result<Vec<Run>, RegionEncodeError> {
-        // Both hints are bounded by the payload size, so safe to
-        // reserve for.
-        let mut out = Vec::with_capacity(match &self {
+    pub fn to_runs_vec(self) -> Result<Vec<Run>, RegionEncodeError> {
+        let mut out = Vec::with_capacity(self.runs_hint());
+        self.drain_blocks(|block| {
+            out.extend(block.iter().map(|&(start, end)| Run::new(start, end)))
+        })?;
+        Ok(out)
+    }
+
+    /// A guess at the run count for sizing a drain; both are bounded by
+    /// the payload size, so safe to reserve for.
+    pub(crate) fn runs_hint(&self) -> usize {
+        match self {
             CompressedCursor::RunList(c) => c.run_count(),
             CompressedCursor::K3(c) => c.runs_hint(),
-        });
-        while let Some((start, end)) = self.peek() {
-            out.push(Run::new(start, end));
-            self.advance()?;
         }
-        Ok(out)
+    }
+
+    /// Drains the stream a decoded leaf or skip block at a time, in id
+    /// order — the runs and the error `peek` / `advance` would give.
+    pub fn drain_blocks(self, f: impl FnMut(&[(u64, u64)])) -> Result<(), RegionEncodeError> {
+        match self {
+            CompressedCursor::RunList(c) => c.drain_blocks(f),
+            CompressedCursor::K3(c) => c.drain_blocks(f),
+        }
+        .map_err(RegionEncodeError::from)
     }
 }
 

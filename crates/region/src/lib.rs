@@ -47,6 +47,7 @@ pub mod compressed;
 mod encode;
 mod geometry;
 pub mod kernel;
+mod naive;
 mod octant;
 mod region;
 mod run;
@@ -58,6 +59,7 @@ pub use compressed::{
 };
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
+pub use naive::NaiveRuns;
 pub use octant::{octants_to_runs, Octant, OctantKind};
 pub use region::Region;
 pub use run::Run;

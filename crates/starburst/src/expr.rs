@@ -4,6 +4,7 @@ use crate::sql::ast::{BinOp, Expr, Literal};
 use crate::udf::{UdfContext, UdfRegistry};
 use crate::value::Value;
 use crate::{DbError, Result};
+use std::cmp::Ordering;
 
 /// Everything evaluation needs besides the tuple itself.
 pub struct EvalCtx<'a> {
@@ -120,97 +121,104 @@ fn eval_binary(
     tuple: &[Value],
     ctx: &EvalCtx<'_>,
 ) -> Result<Value> {
-    // Short-circuit logic first.
+    // Logic short-circuits; every other operator sees both operands.
+    let operands = || Ok::<_, DbError>((eval(left, tuple, ctx)?, eval(right, tuple, ctx)?));
     match op {
         BinOp::And => {
             let l = eval(left, tuple, ctx)?;
             if matches!(l, Value::Bool(false)) {
                 return Ok(Value::Bool(false));
             }
-            let r = eval(right, tuple, ctx)?;
-            return match (l, r) {
+            match (l, eval(right, tuple, ctx)?) {
                 (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(a && b)),
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (a, b) => Err(DbError::Type(format!("AND applied to {a} and {b}"))),
-            };
+            }
         }
         BinOp::Or => {
             let l = eval(left, tuple, ctx)?;
             if matches!(l, Value::Bool(true)) {
                 return Ok(Value::Bool(true));
             }
-            let r = eval(right, tuple, ctx)?;
-            return match (l, r) {
+            match (l, eval(right, tuple, ctx)?) {
                 (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(a || b)),
                 (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                 (a, b) => Err(DbError::Type(format!("OR applied to {a} and {b}"))),
-            };
-        }
-        _ => {}
-    }
-    let l = eval(left, tuple, ctx)?;
-    let r = eval(right, tuple, ctx)?;
-    match op {
-        BinOp::Eq => Ok(l.sql_eq(&r).map(Value::Bool).unwrap_or(Value::Null)),
-        BinOp::Ne => Ok(l.sql_eq(&r).map(|b| Value::Bool(!b)).unwrap_or(Value::Null)),
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            if matches!(l, Value::Null) || matches!(r, Value::Null) {
-                return Ok(Value::Null);
             }
-            let ord = l
-                .sql_cmp(&r)
-                .ok_or_else(|| DbError::Type(format!("cannot compare {l} with {r}")))?;
-            let b = match op {
-                BinOp::Lt => ord.is_lt(),
-                BinOp::Le => ord.is_le(),
-                BinOp::Gt => ord.is_gt(),
-                BinOp::Ge => ord.is_ge(),
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            if matches!(l, Value::Null) || matches!(r, Value::Null) {
-                return Ok(Value::Null);
-            }
-            arith(op, &l, &r)
+        BinOp::Eq => {
+            let (l, r) = operands()?;
+            Ok(l.sql_eq(&r).map(Value::Bool).unwrap_or(Value::Null))
         }
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        BinOp::Ne => {
+            let (l, r) = operands()?;
+            Ok(l.sql_eq(&r).map(|b| Value::Bool(!b)).unwrap_or(Value::Null))
+        }
+        BinOp::Lt => compare(operands()?, Ordering::is_lt),
+        BinOp::Le => compare(operands()?, Ordering::is_le),
+        BinOp::Gt => compare(operands()?, Ordering::is_gt),
+        BinOp::Ge => compare(operands()?, Ordering::is_ge),
+        BinOp::Add => arith(operands()?, Arith::Add),
+        BinOp::Sub => arith(operands()?, Arith::Sub),
+        BinOp::Mul => arith(operands()?, Arith::Mul),
+        BinOp::Div => arith(operands()?, Arith::Div),
+        BinOp::Mod => arith(operands()?, Arith::Mod),
     }
 }
 
-fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    // Integer arithmetic stays integral; any float operand widens.
+/// An ordering comparison: NULL if either side is, else `holds` of
+/// their order.
+fn compare((l, r): (Value, Value), holds: fn(Ordering) -> bool) -> Result<Value> {
+    if matches!(l, Value::Null) || matches!(r, Value::Null) {
+        return Ok(Value::Null);
+    }
+    let ord = l.sql_cmp(&r).ok_or_else(|| DbError::Type(format!("cannot compare {l} with {r}")))?;
+    Ok(Value::Bool(holds(ord)))
+}
+
+/// The arithmetic operators.
+#[derive(Debug, Clone, Copy)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+}
+
+/// Arithmetic: NULL if either side is; integers stay integral, and any
+/// float operand widens.
+fn arith((l, r): (Value, Value), op: Arith) -> Result<Value> {
+    if matches!(l, Value::Null) || matches!(r, Value::Null) {
+        return Ok(Value::Null);
+    }
     if let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) {
         return match op {
-            BinOp::Add => Ok(Value::Int(a.wrapping_add(b))),
-            BinOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
-            BinOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
+            Arith::Add => Ok(Value::Int(a.wrapping_add(b))),
+            Arith::Sub => Ok(Value::Int(a.wrapping_sub(b))),
+            Arith::Mul => Ok(Value::Int(a.wrapping_mul(b))),
             // `None` is a zero divisor or `i64::MIN / -1`.
-            BinOp::Div => a
+            Arith::Div => a
                 .checked_div(b)
                 .map(Value::Int)
                 .ok_or_else(|| DbError::Exec(format!("integer division {a} / {b} has no value"))),
-            BinOp::Mod => a
+            Arith::Mod => a
                 .checked_rem(b)
                 .map(Value::Int)
                 .ok_or_else(|| DbError::Exec(format!("integer modulo {a} % {b} has no value"))),
-            _ => unreachable!(),
         };
     }
     let (a, b) = match (l.as_f64(), r.as_f64()) {
         (Some(a), Some(b)) => (a, b),
         _ => return Err(DbError::Type(format!("arithmetic on non-numbers {l} and {r}"))),
     };
-    let v = match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Mod => a % b,
-        _ => unreachable!(),
-    };
-    Ok(Value::Float(v))
+    Ok(Value::Float(match op {
+        Arith::Add => a + b,
+        Arith::Sub => a - b,
+        Arith::Mul => a * b,
+        Arith::Div => a / b,
+        Arith::Mod => a % b,
+    }))
 }
 
 #[cfg(test)]

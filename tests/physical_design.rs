@@ -118,9 +118,9 @@ fn volume_layout_controls_extraction_page_counts() {
         let mut lfm = LongFieldManager::new(1 << 22, 4096).expect("device");
         let id = lfm.create(vol.values()).expect("store");
         lfm.reset_stats();
-        let pieces: Vec<(u64, u64)> = region.runs().iter().map(|r| (r.start, r.len())).collect();
+        let pieces = region.runs().iter().map(|r| (r.start, r.len()));
         let mut out = Vec::new();
-        lfm.read_pieces_into(id, &pieces, &mut out).expect("extract");
+        lfm.read_pieces_into(id, pieces, &mut out).expect("extract");
         pages.push(lfm.stats().pages_read);
     }
     assert!(pages[0] <= pages[1], "hilbert layout reads {} pages, scanline {}", pages[0], pages[1]);
