@@ -356,12 +356,13 @@ impl ClusterWarehouse {
         // so the re-encoded answer bytes — and therefore `wire_bytes` —
         // are identical in every tablespace mode.
         // (The router has no LFM of its own to credit the fold's skips to.)
-        let (mut cost, (bytes, region, skips)) =
+        let (mut cost, fold) =
             reduce_band_stages(fetched, self.config.region_codec, ClusterError::Gather)?;
-        span.record_u64("decode_skips", skips);
-        self.ship(&mut cost, bytes.len() as u64)?;
+        span.record_u64("decode_skips", fold.decode_skips);
+        span.record_u64("leaves_masked", fold.leaves_masked);
+        self.ship(&mut cost, fold.bytes.len() as u64)?;
         self.finish(&span, &cost);
-        Ok((region, cost))
+        Ok((fold.region, cost))
     }
 
     // ----------------------------------------------------------------

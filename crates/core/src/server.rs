@@ -545,15 +545,15 @@ impl MedicalServer {
             let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
             self.band_region_stage(id, lo, hi)
         });
-        let (mut cost, (bytes, region, skips)) =
-            reduce_band_stages(fetched, self.config.region_codec, |e| e)?;
-        // Galloping skips are credited to the
+        let (mut cost, fold) = reduce_band_stages(fetched, self.config.region_codec, |e| e)?;
+        // The descent's skips are credited to the
         // `qbism_lfm_compressed_decode_skips_total` metric.
-        self.db.lfm_ref().note_decode_skips(skips);
-        span.record_u64("decode_skips", skips);
-        self.ship_answer(&mut cost, bytes.len() as u64)?;
+        self.db.lfm_ref().note_decode_skips(fold.decode_skips);
+        span.record_u64("decode_skips", fold.decode_skips);
+        span.record_u64("leaves_masked", fold.leaves_masked);
+        self.ship_answer(&mut cost, fold.bytes.len() as u64)?;
         self.finish_query(&span, Class::MultiStudyBand, &cost);
-        Ok((region, cost))
+        Ok((fold.region, cost))
     }
 
     /// The per-study stage of the multi-study band query: one measured
@@ -892,51 +892,67 @@ pub fn reduce_population_stages<E>(
     Ok(PopulationAnswer { data, cost, skipped })
 }
 
-/// What [`fold_band_regions`] returns: the answer's bytes, the decoded
-/// [`Region`], and the operands' galloping skip count.
-pub type BandFold = (Vec<u8>, Region, u64);
+/// What [`fold_band_regions`] returns.
+#[derive(Debug)]
+pub struct BandFold {
+    /// The answer as shipped.
+    pub bytes: Vec<u8>,
+    /// The answer.
+    pub region: Region,
+    /// Operand subtrees and leaves the k³ descent consumed undecoded
+    /// (zero on the decode path).
+    pub decode_skips: u64,
+    /// Leaves where two or more operands met and were ANDed as masks
+    /// (zero on the decode path).
+    pub leaves_masked: u64,
+}
 
 /// The gather of the multi-study band query, shared by
 /// [`MedicalServer::multi_study_band_region`] and scatter/gather
 /// routers so both ship byte-identical answers in every tablespace
 /// mode: the n-way intersection of the studies' stored band REGION
-/// `blobs` (study order), as answer bytes, the decoded [`Region`], and
-/// the operands' galloping skip count (zero unless they streamed
-/// compressed).
+/// `blobs` (study order), as answer bytes and the decoded [`Region`],
+/// with the descent's work counts.
 ///
-/// One study degenerates to the stored bytes.  Otherwise the operands
-/// open — all-compressed ones as cursors straight over the compact
-/// payloads, anything else decoded — their grids are checked once, and
-/// one k-way simultaneous merge intersects them (no intermediate region
-/// per fold step — intersection is associative and commutative, so the
-/// answer is byte-identical to a pairwise fold).  Compressed cursors
-/// gallop past non-overlapping leaves, skip blocks and subtrees, only
-/// the answer's runs are ever materialized — wrapped as the [`Region`]
-/// after the one sweep that checks the kernel emitted them canonical —
-/// and the answer re-encodes compressed in one pass; decoded operands
-/// re-encode with `codec`.
+/// One study degenerates to the stored bytes.  Otherwise the grids are
+/// checked once and there are two paths, one result (intersection is
+/// associative and commutative, so the answer is byte-identical to a
+/// pairwise fold):
+///
+/// * every operand a k³ payload — every stored band of the compressed
+///   tablespace — is one synchronized directory descent over the
+///   payloads ([`qbism_region::intersect_k3`]): no operand is decoded
+///   into runs, and the answer's runs are pushed once into the
+///   [`Region`] and the `encode_compressed` writer;
+/// * anything else is decoded and merged by [`kernel::intersect_k`],
+///   the answer wrapped after the one sweep that checks it canonical,
+///   and re-encoded with `codec` (or compressed, when every operand
+///   was).  [`kernel::intersect_k_cursors`] serves only this slice merge
+///   and the benchmark probe.
 pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<BandFold> {
     if let [bytes] = &mut blobs[..] {
         let bytes = std::mem::take(bytes);
         let region = RegionCodec::decode(&bytes)?;
-        return Ok((bytes, region, 0));
+        return Ok(BandFold { bytes, region, decode_skips: 0, leaves_masked: 0 });
     }
     // Each operand's header is parsed once, as it opens.
-    let mut opened = Vec::with_capacity(blobs.len());
+    let mut k3 = Vec::with_capacity(blobs.len());
     for blob in &blobs {
-        match qbism_region::open_compressed(blob)? {
-            Some(operand) => opened.push(operand),
+        match qbism_region::open_k3(blob)? {
+            Some(operand) => k3.push(operand),
             None => break,
         }
     }
-    if opened.len() == blobs.len() {
-        let geom = common_grid(opened.iter().map(|(g, _)| *g))?;
-        let mut refs: Vec<_> = opened.iter_mut().map(|(_, cursor)| cursor).collect();
-        let runs = kernel::intersect_k_cursors(&mut refs)?;
-        let skips = opened.iter().map(|(_, cursor)| cursor.skip_count()).sum();
-        let acc = Region::from_canonical_runs(geom, runs)?;
-        let bytes = qbism_region::encode_compressed(&acc)?;
-        return Ok((bytes, acc, skips));
+    if k3.len() == blobs.len() {
+        let geom = common_grid(k3.iter().map(|(g, _)| *g))?;
+        let payloads: Vec<&[u8]> = k3.iter().map(|(_, payload)| *payload).collect();
+        let fold = qbism_region::intersect_k3(geom, &payloads)?;
+        return Ok(BandFold {
+            bytes: fold.bytes,
+            region: fold.region,
+            decode_skips: fold.counts.skips,
+            leaves_masked: fold.counts.leaves_masked,
+        });
     }
     let mut regions = Vec::with_capacity(blobs.len());
     for blob in &blobs {
@@ -944,9 +960,13 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
     }
     let geom = common_grid(regions.iter().map(Region::geometry))?;
     let lists: Vec<_> = regions.iter().map(Region::runs).collect();
-    let acc = Region::from_canonical_runs(geom, kernel::intersect_k(&lists))?;
-    let bytes = codec.encode(&acc)?;
-    Ok((bytes, acc, 0))
+    let region = Region::from_canonical_runs(geom, kernel::intersect_k(&lists))?;
+    let bytes = if blobs.iter().all(|blob| qbism_region::compressed::is_compressed(blob)) {
+        qbism_region::encode_compressed(&region)?
+    } else {
+        codec.encode(&region)?
+    };
+    Ok(BandFold { bytes, region, decode_skips: 0, leaves_masked: 0 })
 }
 
 /// The one grid every operand of a fold must share.
@@ -1214,6 +1234,41 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// On a 64³ grid the fold of k³ band REGIONs — solid boxes with
+        /// scattered holes and speckle, so FULL codes, partial leaves
+        /// and runs across leaf boundaries — ships exactly the bytes of
+        /// `encode_compressed` over the slice merge of the decoded
+        /// operands, and their `Region`.
+        #[test]
+        fn fold_band_regions_is_the_encoded_slice_merge(
+            operands in proptest::collection::vec((
+                proptest::collection::vec(0u64..(1 << 18), 0..400),
+                proptest::array::uniform3(0u32..64),
+                proptest::array::uniform3(0u32..48),
+            ), 2..=5),
+        ) {
+            let geom = qbism_region::GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, 6);
+            let regions: Vec<Region> = operands.into_iter().map(|(ids, min, size)| {
+                let max = [0, 1, 2].map(|a| (min[a] + size[a]).min(63));
+                let solid = Region::from_box(geom, min, max).expect("box inside grid");
+                let (holes, speckle) = ids.split_at(ids.len() / 2);
+                let solid = solid.difference(&Region::from_ids(geom, holes.to_vec()));
+                solid.union(&Region::from_ids(geom, speckle.to_vec()))
+            }).collect();
+            let blobs: Vec<Vec<u8>> = regions
+                .iter()
+                .map(|r| RegionCodec::K3Tree.encode(r).expect("encode"))
+                .collect();
+            let lists: Vec<_> = regions.iter().map(Region::runs).collect();
+            let want = Region::from_runs(geom, kernel::intersect_k(&lists));
+            let fold = fold_band_regions(blobs, RegionCodec::Naive).expect("fold");
+            proptest::prop_assert_eq!(
+                &fold.bytes,
+                &qbism_region::encode_compressed(&want).expect("encode answer")
+            );
+            proptest::prop_assert_eq!(fold.region, want);
+        }
+
         /// The blocked, reciprocal mean is the column-wise `sum / n` of
         /// HEAD for 1…300 studies of random values over REGIONs that
         /// cross block boundaries.

@@ -88,19 +88,6 @@ impl Vec3 {
     pub fn distance(self, other: Vec3) -> f64 {
         (self - other).length()
     }
-
-    /// Component accessor by axis index 0..3.
-    ///
-    /// # Panics
-    /// Panics if `axis > 2`.
-    pub fn axis(self, axis: usize) -> f64 {
-        match axis {
-            0 => self.x,
-            1 => self.y,
-            2 => self.z,
-            _ => panic!("axis {axis} out of range"),
-        }
-    }
 }
 
 impl Add for Vec3 {
@@ -221,15 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn min_max_hadamard_axis() {
+    fn min_max_hadamard() {
         let a = Vec3::new(1.0, 5.0, -2.0);
         let b = Vec3::new(3.0, 2.0, 0.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 2.0, -2.0));
         assert_eq!(a.max(b), Vec3::new(3.0, 5.0, 0.0));
         assert_eq!(a.hadamard(b), Vec3::new(3.0, 10.0, 0.0));
-        assert_eq!(a.axis(0), 1.0);
-        assert_eq!(a.axis(1), 5.0);
-        assert_eq!(a.axis(2), -2.0);
     }
 
     #[test]
@@ -237,11 +221,6 @@ mod tests {
         let v = Vec3::new(1.0, 2.0, 3.0);
         let a: [f64; 3] = v.into();
         assert_eq!(Vec3::from(a), v);
-    }
-
-    #[test]
-    #[should_panic(expected = "axis 3 out of range")]
-    fn bad_axis_panics() {
-        let _ = Vec3::ONE.axis(3);
+        assert_eq!(a, [1.0, 2.0, 3.0]);
     }
 }

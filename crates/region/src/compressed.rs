@@ -17,6 +17,10 @@
 //! them — and encoded once, into the k³ layout; only when the plain run
 //! list would be smaller (tiny or very sparse answers) is that written
 //! instead.  [`encode_compressed`] is the writer over a [`Region`].
+//!
+//! [`intersect_k3`] is the n-way ∩ of k³ payloads without cursors: the
+//! synchronized directory descent of [`k3tree::intersect`], its answer
+//! pushed once into a run vector and a [`CompressedWriter`].
 
 use crate::encode::{check_width, split_header, RegionCodec, RegionEncodeError, HEADER_LEN};
 use crate::geometry::GridGeometry;
@@ -132,6 +136,43 @@ pub fn open_compressed(
         return Ok(None);
     }
     Ok(Some((geom, open_payload(codec, body)?)))
+}
+
+/// An encoded REGION's grid and k³ payload with one parse of its header,
+/// or `None` when it holds any other codec.
+pub fn open_k3(bytes: &[u8]) -> Result<Option<(GridGeometry, &[u8])>, RegionEncodeError> {
+    let (codec, geom, _count, body) = split_header(bytes)?;
+    Ok(matches!(codec, RegionCodec::K3Tree).then_some((geom, body)))
+}
+
+/// What [`intersect_k3`] returns.
+#[derive(Debug)]
+pub struct K3Intersection {
+    /// The answer.
+    pub region: Region,
+    /// The answer as [`encode_compressed`] writes it.
+    pub bytes: Vec<u8>,
+    /// What the descent skipped and masked.
+    pub counts: k3tree::DescentCounts,
+}
+
+/// The n-way ∩ of k³ `payloads` (from [`open_k3`]) on `geom` by
+/// synchronized directory descent ([`k3tree::intersect`]): no operand is
+/// decoded into runs, and each answer run is pushed once, into the
+/// [`Region`]'s run vector and into a [`CompressedWriter`].
+pub fn intersect_k3(
+    geom: GridGeometry,
+    payloads: &[&[u8]],
+) -> Result<K3Intersection, RegionEncodeError> {
+    let mut runs = Vec::new();
+    let mut writer = CompressedWriter::new(geom, 0)?;
+    let counts = k3tree::intersect(payloads, |start, end| {
+        writer.push(start, end)?;
+        runs.push(Run::new(start, end));
+        Ok::<_, RegionEncodeError>(())
+    })?;
+    let bytes = writer.finish()?;
+    Ok(K3Intersection { region: Region::from_canonical_runs(geom, runs)?, bytes, counts })
 }
 
 /// Opens a compressed REGION byte string as a geometry plus streaming
@@ -294,6 +335,43 @@ mod tests {
     }
 
     proptest! {
+        /// The descent's answer is the k-way slice merge's, as a
+        /// `Region` and as `encode_compressed` bytes; a paper codec or
+        /// run-list operand is not a k³ payload.
+        #[test]
+        fn intersect_k3_is_the_slice_merge_encoded(
+            operands in proptest::collection::vec((
+                proptest::collection::vec(0u64..(1 << 18), 0..300),
+                proptest::array::uniform3(0u32..64),
+                proptest::array::uniform3(0u32..40),
+            ), 1..6),
+        ) {
+            let g = GridGeometry::new(CurveKind::Hilbert, 3, 6);
+            let regions: Vec<Region> = operands.into_iter().map(|(ids, min, size)| {
+                let max = [0, 1, 2].map(|a| (min[a] + size[a]).min(63));
+                let bx = Region::from_box(g, min, max).expect("box inside grid");
+                Region::from_ids(g, ids).union(&bx)
+            }).collect();
+            let blobs: Vec<Vec<u8>> =
+                regions.iter().map(|r| RegionCodec::K3Tree.encode(r).expect("encode")).collect();
+            let mut payloads = Vec::new();
+            for blob in &blobs {
+                let (geom, payload) = open_k3(blob).expect("header").expect("k3");
+                prop_assert_eq!(geom, g);
+                payloads.push(payload);
+            }
+            let lists: Vec<&[Run]> = regions.iter().map(Region::runs).collect();
+            let want = Region::from_runs(g, crate::kernel::intersect_k(&lists));
+            let got = intersect_k3(g, &payloads).expect("descent");
+            prop_assert_eq!(&got.bytes, &encode_compressed(&want).expect("encode answer"));
+            prop_assert_eq!(got.region, want);
+            for codec in [RegionCodec::Naive, RegionCodec::RunVskip] {
+                prop_assert!(open_k3(&codec.encode(&regions[0]).expect("encode"))
+                    .expect("header")
+                    .is_none());
+            }
+        }
+
         /// One build pass picks what measuring both picked, byte for
         /// byte, from dense boxes down to a few scattered cells.
         #[test]

@@ -18,8 +18,13 @@
 //!   intersection, an answer streams into its encoder;
 //! * [`intersect`] / [`union`] / [`difference`] — the same scans
 //!   collected as run vectors;
-//! * [`intersect_k_cursors`] — the k-way simultaneous merge of the
-//!   multi-study fold ([`intersect_k`] is its slice entry).
+//! * [`intersect_k_cursors`] — the k-way simultaneous merge.  It now
+//!   serves only the decoded operands of the multi-study fold (the
+//!   default tablespace's, through its slice entry [`intersect_k`]) and
+//!   the benchmark probe: a fold of k³ payloads is the synchronized
+//!   directory descent of [`crate::intersect_k3`], so the probe's
+//!   `region.intersect_k_stream_ns_per_run` no longer measures the
+//!   server's compressed fold.
 //!
 //! Canonical operands (sorted, disjoint, non-adjacent — see
 //! [`crate::Region`] invariants) give canonical output, identical for

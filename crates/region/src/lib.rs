@@ -55,7 +55,8 @@ mod stats;
 
 pub use approx::ApproxParams;
 pub use compressed::{
-    compressed_cursor, encode_compressed, open_compressed, CompressedCursor, CompressedWriter,
+    compressed_cursor, encode_compressed, intersect_k3, open_compressed, open_k3, CompressedCursor,
+    CompressedWriter, K3Intersection,
 };
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;

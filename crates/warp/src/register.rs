@@ -69,7 +69,7 @@ pub fn register_landmarks(patient: &[Vec3], atlas: &[Vec3]) -> Result<Affine3, R
     for k in 0..3 {
         let mut xty = [0.0f64; 4];
         for (p, a) in patient.iter().zip(atlas) {
-            let y = a.axis(k);
+            let y = <[f64; 3]>::from(*a)[k];
             let row = [p.x, p.y, p.z, 1.0];
             for i in 0..4 {
                 xty[i] += row[i] * y;

@@ -14,7 +14,9 @@
 //!   catalog's invariants;
 //! * router claim/merge and racing shard-kill transitions are model
 //!   checked on the `qbism-check` scheduler;
-//! * kill, failover and fault events land inside the owning trace.
+//! * kill, failover and fault events land inside the owning trace;
+//! * the multi-study fold's work counts are the same through the router
+//!   as on the single-node server, with the cache off and on.
 //!
 //! The obs rings and the fault plane are process-global/thread-local,
 //! so these tests serialize on one lock, like `tests/observability.rs`.
@@ -395,4 +397,47 @@ fn failover_and_kill_events_land_inside_the_owning_trace() {
     }
     qbism_obs::event::clear();
     qbism_obs::trace::clear();
+}
+
+/// The fold's exact work counts ride on its root span: the k³ descent's
+/// `decode_skips` and `leaves_masked` are the same with the page cache
+/// off and fitting, and on the 2 × 2 warehouse's router as on the
+/// single-node server, band by band.
+#[test]
+fn fold_work_counts_are_exact_across_cache_and_router() {
+    let _g = serialize();
+    let config = QbismConfig { atlas_bits: 5, ..config() }.with_compressed_tablespace();
+    let mut system = QbismSystem::install(&config).expect("single-node install");
+    let warehouse = ClusterWarehouse::install(&config, 2, 2).expect("warehouse install");
+    let studies = system.pet_study_ids.clone();
+    let counts = |root: &str| {
+        let tree = qbism_obs::trace::last_root().expect("the fold's span tree");
+        assert_eq!(tree.name, root);
+        ["decode_skips", "leaves_masked"].map(|key| match tree.field(key) {
+            Some(qbism_obs::trace::FieldValue::U64(n)) => *n,
+            other => panic!("{root}: {key} is {other:?}"),
+        })
+    };
+    let bands: Vec<u8> = (0..=224).step_by(32).collect();
+    let mut single = Vec::new();
+    for &lo in &bands {
+        system.server.multi_study_band_region(&studies, lo, lo + 31).expect("uncached fold");
+        single.push(counts("query.multi_study_band"));
+    }
+    assert!(single.iter().any(|[_, masked]| *masked > 0), "no fold masked a leaf: {single:?}");
+    system.server.set_cache_config(qbism_lfm::CacheConfig {
+        capacity_pages: 4096,
+        enabled: true,
+        readahead_pages: 8,
+    });
+    for _pass in 0..2 {
+        for (&lo, want) in bands.iter().zip(&single) {
+            system.server.multi_study_band_region(&studies, lo, lo + 31).expect("cached fold");
+            assert_eq!(&counts("query.multi_study_band"), want, "cached band {lo}");
+        }
+    }
+    for (&lo, want) in bands.iter().zip(&single) {
+        warehouse.multi_study_band_region(&studies, lo, lo + 31).expect("routed fold");
+        assert_eq!(&counts("cluster.multi_study_band"), want, "routed band {lo}");
+    }
 }

@@ -3,6 +3,8 @@
 //! classes, gets the reference evaluator's answer from both tablespaces
 //! at 16³ and 32³, with the page cache off and with one that fits — and
 //! within a tablespace the cache changes no deterministic cost field.
+//! At 64³ the compressed tablespace's multi-study fold gets one row of
+//! its own.
 //!
 //! This is the net a REGION format change lands on: the oracle never
 //! touches a codec, so an answer that moved is the format's fault.
@@ -97,6 +99,35 @@ fn every_generated_query_gets_the_reference_answer_at_16() {
 #[test]
 fn every_generated_query_gets_the_reference_answer_at_32() {
     check_grid(5, 0x32);
+}
+
+/// The 64³ row, compressed tablespace: the first grid whose k³
+/// directories have a second level (16³ is one leaf, 32³ one node over
+/// leaves), so the fold's synchronized descent meets FULL codes, pruned
+/// subtrees and masked leaves.  Every stored band, folded over two to
+/// five studies, gets the reference evaluator's answer.
+#[test]
+fn every_multi_study_band_gets_the_reference_answer_at_64_compressed() {
+    let config =
+        QbismConfig { atlas_bits: 6, pet_studies: 5, mri_studies: 0, ..QbismConfig::paper_scale() }
+            .with_compressed_tablespace();
+    let system = QbismSystem::install(&config).expect("install");
+    let oracle = Oracle::new(&system);
+    let studies = &system.pet_study_ids;
+    let mut masked = 0;
+    for lo in (0..=255u8).step_by(usize::from(support::BAND_WIDTH)) {
+        for width in 2..=studies.len() {
+            let query = Query::MultiStudyBand { studies: studies[..width].to_vec(), lo };
+            let want = oracle.answer(&query).expect("a fold always has an answer");
+            let (got, _) = oracle.ask(&system.server, &query).expect("fold");
+            assert!(got == want, "{query:?} disagrees with the reference evaluator");
+            let root = qbism_obs::trace::last_root().expect("the fold's span tree");
+            if let Some(qbism_obs::trace::FieldValue::U64(leaves)) = root.field("leaves_masked") {
+                masked += leaves;
+            }
+        }
+    }
+    assert!(masked > 0, "no fold reached the descent's leaf kernel");
 }
 
 #[test]
