@@ -142,15 +142,14 @@ pub const ENTRY_CRATES: &[&str] = &["core", "starburst", "cluster"];
 
 /// Calls that materialize what a merge did not ask for — a voxel-id
 /// vector (`from_ids`, any `iter_voxels*`) or a fully decoded payload
-/// (`decode_all`, `to_runs_vec`).  A block cursor's refill is *not*
-/// one: `K3Cursor` and `RunListCursor` decode one leaf or skip block
-/// into a buffer they reuse, bounded by the block and consumed before
-/// the next — that is what streaming a compressed payload means.
+/// (`decode_all`).  `K3Cursor`'s leaf refill is *not* one: it decodes
+/// one leaf into a buffer it reuses, bounded by the leaf and consumed
+/// before the next — that is what streaming a compressed payload means.
 /// `Curve::walk3` is deliberately *not* here: it streams coordinates for
 /// an id range it is handed and allocates nothing, which is what a
 /// kernel that must visit voxels (bounded rasterisation) should call;
 /// `iter_voxels*` stays because it expands a whole REGION.
-pub const MATERIALIZE: &[&str] = &["from_ids", "iter_voxels", "decode_all", "to_runs_vec"];
+pub const MATERIALIZE: &[&str] = &["from_ids", "iter_voxels", "decode_all"];
 /// `std::sync` names with no scheduling behaviour the model checker
 /// must see: ownership and one-shot types, plus the path segments and
 /// the ordering enum that only lead to or parameterise a primitive.
@@ -476,9 +475,9 @@ mod tests {
 
     #[test]
     fn materialize_matches_names_and_the_iter_voxels_prefix() {
-        let src = "Region::from_ids(g, ids); r.iter_voxels3(); c.to_runs_vec(); d.decode_all();";
+        let src = "Region::from_ids(g, ids); r.iter_voxels3(); d.decode_all();";
         assert!(hits(src).iter().all(|(p, _)| *p == Pattern::Materialize));
-        assert_eq!(hits(src).len(), 4);
+        assert_eq!(hits(src).len(), 3);
         assert!(hits("let from_ids = 3; decode_all_but(x);").is_empty());
         assert!(hits("for (id, x, y, z) in curve.walk3(run.start..run.end + 1) {}").is_empty());
     }

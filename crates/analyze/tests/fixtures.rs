@@ -91,7 +91,7 @@ fn kernel_broken_is_caught_across_files() {
     // the `iter_voxels*` family by prefix.
     for (from, helper, banned) in [
         ("intersect", "normalize", "from_ids"),
-        ("intersect", "drain", "to_runs_vec"),
+        ("intersect", "drain", "decode_all"),
         ("count", "voxels", "iter_voxels3"),
     ] {
         let key = format!(
@@ -173,7 +173,7 @@ fn workspace_is_clean_under_the_checked_in_allowlist() {
     // The ratchet: the list only shrinks.  Lower the bound with every
     // entry a fix retires; a new finding is fixed, not listed.
     assert!(
-        entries.len() <= 29,
+        entries.len() <= 28,
         "analyze-allowlist.txt grew to {} entries; fix the finding instead of allowlisting it",
         entries.len()
     );

@@ -11,11 +11,7 @@ fn bad_expand(region: &Region) -> u64 {
     region.iter_voxels3().count() as u64 // LINT: kernel-materialize
 }
 
-fn bad_drain(cursor: CompressedCursor<'_>) -> Vec<Run> {
-    cursor.to_runs_vec().unwrap_or_default() // LINT: kernel-materialize
-}
-
-fn bad_decode(cursor: &RunListCursor<'_>) -> Vec<(u64, u64)> {
+fn bad_decode(cursor: &K3Cursor<'_>) -> Vec<(u64, u64)> {
     cursor.clone().decode_all().unwrap_or_default() // LINT: kernel-materialize
 }
 
@@ -53,7 +49,7 @@ fn fine_streaming_merge(a: &mut dyn RunCursor, b: &mut dyn RunCursor) -> Vec<(u6
 #[cfg(test)]
 mod tests {
     // Oracles may materialize and drain: test blocks are exempt.
-    fn oracle(geom: Geom, ids: Vec<u64>, cursor: CompressedCursor<'_>) -> (Region, Vec<Run>) {
-        (Region::from_ids(geom, ids), cursor.to_runs_vec().unwrap())
+    fn oracle(geom: Geom, ids: Vec<u64>, cursor: K3Cursor<'_>) -> (Region, Vec<(u64, u64)>) {
+        (Region::from_ids(geom, ids), cursor.decode_all().unwrap())
     }
 }

@@ -11,7 +11,7 @@ fn from_ids(a: &RunList) -> RunList {
 }
 
 pub fn drain(c: &Cursor) -> RunList {
-    c.to_runs_vec() // LINT: kernel-materialize
+    c.decode_all() // LINT: kernel-materialize
 }
 
 pub fn voxels(a: &Region) -> u64 {

@@ -142,26 +142,15 @@ fn cut_at_leaves(start: u64, end: u64, directory: bool) -> [Option<(u64, u64)>; 
 /// Encodes a canonical run list over `[0, 2^id_bits)` into a k³-tree
 /// payload (see the module docs for the layout).
 pub fn encode_runs<R: Copy + Into<(u64, u64)>>(runs: &[R], id_bits: u32) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    encode_runs_into(&mut out, runs, id_bits)?;
-    Ok(out)
-}
-
-/// [`encode_runs`] appending to `out` (on error, a partial payload).
-pub fn encode_runs_into<R: Copy + Into<(u64, u64)>>(
-    out: &mut Vec<u8>,
-    runs: &[R],
-    id_bits: u32,
-) -> Result<()> {
     // Band and structure REGIONs take a little over two bytes a run.
-    out.reserve(2 + 5 * runs.len() / 2);
-    let mut encoder = Encoder::new(out, id_bits)?;
+    let mut out = Vec::with_capacity(2 + 5 * runs.len() / 2);
+    let mut encoder = Encoder::new(&mut out, id_bits)?;
     for &run in runs {
         let (start, end) = run.into();
-        encoder.push(out, start, end)?;
+        encoder.push(&mut out, start, end)?;
     }
-    encoder.finish(out);
-    Ok(())
+    encoder.finish(&mut out);
+    Ok(out)
 }
 
 /// Streaming k³-tree encoder: [`Encoder::push`] the runs of a canonical

@@ -21,21 +21,22 @@
 //! All codes implement [`IntCodec`] over strictly positive integers
 //! (delta lengths are always ≥ 1).
 //!
-//! Beyond the offline Figure 4 study, the crate now carries *queryable*
-//! compressed representations — compact forms a kernel can merge and
-//! seek without decompressing:
+//! Beyond the offline Figure 4 study, the crate carries the one
+//! *queryable* compressed REGION representation — a compact form a
+//! kernel can merge and seek without decompressing:
 //!
 //! * [`write_uvarint`] / [`read_uvarint`] — byte-aligned LEB128 varints
 //!   hardened against truncated and over-long input;
-//! * [`runcode`] — delta+varint run lists with fixed-interval skip
-//!   blocks ([`RunListCursor`] gallops via the block directory);
 //! * [`k3tree`] — a k³-tree octree directory whose leaves are
 //!   delta+varint run blocks ([`K3Cursor`] prunes subtrees by popcount
 //!   and leaves by byte length);
-//! * [`RunCursor`] — the streaming trait both cursors implement, the
-//!   contract `qbism_region`'s compressed kernels merge over.  Both are
-//!   *block* cursors: a skip block or a leaf is decoded once into a
-//!   small buffer and `peek` / `advance` / `seek` are answered from it.
+//! * [`RunCursor`] — the streaming trait `qbism_region`'s kernels merge
+//!   over.  [`K3Cursor`] is a *block* cursor: a leaf is decoded once
+//!   into a small buffer and `peek` / `advance` / `seek` are answered
+//!   from it.
+//!
+//! [`runcode`] (a flat skip-block run list) stores no REGION; it is kept
+//! only for the frozen benchmark probes that compile against it.
 //!
 //! # Example
 //!
@@ -68,7 +69,7 @@ pub use bitio::{BitReader, BitWriter};
 pub use codecs::{EliasDelta, EliasGamma, FixedWidth, Golomb, IntCodec, Rice, Unary};
 pub use entropy::{empirical_entropy_bits, Histogram};
 pub use k3tree::K3Cursor;
-pub use runcode::{RunListCursor, SkipEntry, SKIP_BLOCK_RUNS};
+pub use runcode::RunListCursor;
 pub use varint::{read_uvarint, uvarint_len, write_uvarint, MAX_VARINT_BYTES};
 
 /// A streaming cursor over a compressed REGION's maximal `(start, end)`

@@ -1,10 +1,10 @@
-//! Byte-aligned LEB128 varints — the delta transport of the queryable
-//! compressed run-list codec.
+//! Byte-aligned LEB128 varints — the delta transport of the k³ layout's
+//! run-block leaves.
 //!
 //! The bit-level codes ([`crate::EliasGamma`] and friends) are what the
 //! paper's Figure 4 compares, but a *queryable* on-disk representation
-//! wants byte alignment: skip-block directories index byte offsets, and
-//! a galloping seek must be able to land mid-stream and resynchronize.
+//! wants byte alignment: a leaf is skipped by its byte length, and a
+//! cursor must be able to land on any leaf and decode it alone.
 //! LEB128 gives that — each codeword is a whole number of bytes, 7
 //! payload bits per byte, continuation in the high bit.
 //!

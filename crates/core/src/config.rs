@@ -34,11 +34,11 @@ pub struct QbismConfig {
     /// Long-field device capacity in bytes.
     pub device_capacity: u64,
     /// Compressed tablespace: when `true`, atlas-structure and band
-    /// REGIONs persist in the smaller of the queryable compressed
-    /// codecs ([`RegionCodec::COMPRESSED`]) and the server merges them
-    /// in the compressed domain.  `false` (the default everywhere)
-    /// keeps the paper's storage layout and every deterministic
-    /// tablegen column byte-identical.
+    /// REGIONs persist in the k³ layout ([`RegionCodec::K3Tree`]) and
+    /// the server merges them in the compressed domain — what
+    /// `region_codec: K3Tree` stores too.  `false` (the default
+    /// everywhere) keeps `region_codec`, so the paper's storage layout
+    /// and every deterministic tablegen column stay byte-identical.
     pub compressed_tablespace: bool,
 }
 

@@ -158,8 +158,7 @@ impl QbismSystem {
 }
 
 /// Persists a REGION long field per the configured tablespace: the
-/// paper's configured codec by default, the smaller queryable
-/// compressed codec (run-vskip or k³-tree) when the compressed
+/// configured codec by default, the k³ layout when the compressed
 /// tablespace is on.
 fn store_region(db: &mut Database, config: &QbismConfig, region: &Region) -> Result<Value> {
     if config.compressed_tablespace {

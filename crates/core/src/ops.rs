@@ -19,7 +19,8 @@
 //! byte arguments cost none.
 
 use crate::wire::begin_data_region;
-use qbism_region::{kernel, open_compressed, CompressedCursor, CompressedWriter};
+use qbism_coding::{K3Cursor, RunCursor};
+use qbism_region::{kernel, open_k3, CompressedWriter};
 use qbism_region::{GridGeometry, NaiveRuns, Region, RegionCodec, RegionEncodeError};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use std::borrow::Cow;
@@ -68,13 +69,13 @@ fn same_grid(name: &str, a: GridGeometry, b: GridGeometry) -> Result<(), DbError
 }
 
 /// A binary region operator `name(region, region) -> bytes`.  When both
-/// operands are queryable compressed byte strings (each header parsed
-/// once, as it opens), `stream` merges the payloads (no full
-/// decompression) straight into the answer's encoder — compact, so
-/// nested operators stay in the compressed domain — and the galloping
-/// skips are credited to the LFM metrics.  Otherwise both operands
-/// decode, `decoded` merges the run lists, and the answer is encoded
-/// with `codec`.  Either way it is the same kernel over another cursor.
+/// operands are k³ byte strings (each header parsed once, as it opens),
+/// `stream` merges their cursors (no full decompression) straight into
+/// the answer's k³ writer — so nested operators stay in the compressed
+/// domain — and the skips are credited to the LFM metrics.  Otherwise
+/// both operands decode, `decoded` merges the run lists, and the answer
+/// is encoded with `codec`.  Either way it is the same kernel over
+/// another cursor.
 fn region_pair_op(
     ctx: &mut UdfContext<'_>,
     name: &str,
@@ -86,35 +87,39 @@ fn region_pair_op(
     expect_arity(name, args, 2)?;
     let a = fetch_region_arg(ctx, &args[0])?;
     let b = fetch_region_arg(ctx, &args[1])?;
-    let opened = match open_compressed(&a.0).map_err(malformed)? {
-        Some(oa) => open_compressed(&b.0).map_err(malformed)?.map(|ob| (oa, ob)),
+    let opened = match open_k3(&a.0).map_err(malformed)? {
+        Some(oa) => open_k3(&b.0).map_err(malformed)?.map(|ob| (oa, ob)),
         None => None,
     };
-    let Some(((geom, mut ca), (geom_b, mut cb))) = opened else {
+    let Some(((geom, pa), (geom_b, pb))) = opened else {
         let (ra, rb) = (decode_arg(&a.0)?, decode_arg(&b.0)?);
         same_grid(name, ra.geometry(), rb.geometry())?;
         return region_result(&decoded(&ra, &rb), codec);
     };
+    let open = |payload| K3Cursor::new(payload).map_err(|e| malformed(e.into()));
+    let (mut ca, mut cb) = (open(pa)?, open(pb)?);
     same_grid(name, geom, geom_b)?;
     let unencodable = |e| DbError::Exec(format!("cannot encode result REGION: {e}"));
-    let mut answer = CompressedWriter::new(geom, 0).map_err(unencodable)?;
+    let mut bytes = Vec::new();
+    let mut answer = CompressedWriter::new(&mut bytes, geom).map_err(unencodable)?;
     stream(&mut ca, &mut cb, &mut answer)
         .map_err(|e| DbError::Exec(format!("compressed merge failed: {e}")))?;
+    answer.finish();
     if a.1 {
-        ctx.lfm.note_decode_skips(ca.skip_count());
+        ctx.lfm.note_decode_skips(ca.skips());
     }
     if b.1 {
-        ctx.lfm.note_decode_skips(cb.skip_count());
+        ctx.lfm.note_decode_skips(cb.skips());
     }
-    Ok(Value::Bytes(answer.finish().map_err(unencodable)?))
+    Ok(Value::Bytes(bytes))
 }
 
-/// A kernel scan instantiated over two compressed operands, emitting
-/// into the answer's encoder.
+/// A kernel scan instantiated over two k³ operands, emitting into the
+/// answer's writer.
 type StreamMerge = fn(
-    &mut CompressedCursor<'_>,
-    &mut CompressedCursor<'_>,
-    &mut CompressedWriter,
+    &mut K3Cursor<'_>,
+    &mut K3Cursor<'_>,
+    &mut CompressedWriter<'_>,
 ) -> Result<(), RegionEncodeError>;
 
 fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> {
@@ -327,6 +332,47 @@ mod tests {
         assert!(matches!(db.query("select regionVoxels(t.r) from t"), Err(DbError::Exec(_))));
     }
 
+    /// A REGION with codec tag 4 — the skip-block run list the
+    /// compressed tablespace once fell back to, `[(9, 9), (448, 511)]`
+    /// on the 8³ grid.
+    fn former_run_list() -> Vec<u8> {
+        let mut bytes = vec![0x52, 0x51, 0x04, 0x00, 0x03, 0x03, 0x02, 0x00, 0x00, 0x00];
+        bytes.extend_from_slice(&[2, 1, 9, 0, 0, 0, 255, 1, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0]);
+        bytes.extend_from_slice(&[0, 181, 3, 63]);
+        bytes
+    }
+
+    /// Stored or immediate, on either side of `intersection` or as the
+    /// REGION of `extractVoxels`, a tag-4 operand is one typed `Exec`
+    /// error — and the extraction's decode-path oracle gives the same.
+    #[test]
+    fn a_former_run_list_operand_is_one_exec_error() {
+        let (mut db, _, _, _) = setup();
+        let bytes = former_run_list();
+        db.execute("create table old (r long)").unwrap();
+        let field = db.create_long_field(&bytes).unwrap();
+        db.insert_row("old", vec![field]).unwrap();
+        let want = Some(DbError::Exec(format!(
+            "malformed REGION operand: {}",
+            RegionEncodeError::BadTag(4)
+        )));
+        for sql in [
+            "select intersection(old.r, t.r1) from old, t",
+            "select intersection(t.r1, old.r) from old, t",
+            "select extractVoxels(t.vol, old.r) from old, t",
+        ] {
+            assert_eq!(db.query(sql).err(), want, "{sql}");
+        }
+        for sql in ["select intersection(?, t.r1) from t", "select extractVoxels(t.vol, ?) from t"]
+        {
+            let stmt = db.prepare(sql).unwrap();
+            assert_eq!(db.run(&stmt, &[Value::Bytes(bytes.clone())]).err(), want, "{sql}");
+        }
+        let mut diff = Differential::new();
+        assert!(!diff.check(&bytes));
+        diff.check_stored(&bytes);
+    }
+
     // ------------------------------------------------------------------
     // Differential extraction: the run-list path against the decode path
     // ------------------------------------------------------------------
@@ -427,8 +473,8 @@ mod tests {
         bytes
     }
 
-    /// A box and scattered cells on 16³: several runs, both k³ node
-    /// kinds, more than one run-list skip block.
+    /// A box and scattered cells on 16³: several runs and both k³ node
+    /// kinds.
     fn differential_sample() -> Region {
         let solid = Region::from_box(grid16(), [2, 3, 4], [11, 9, 7]).unwrap();
         solid.union(&Region::from_ids(grid16(), (0..120).map(|i| i * 79 % 4_096).collect()))
@@ -441,7 +487,7 @@ mod tests {
         let sample = differential_sample();
         for region in [sample, Region::empty(g), Region::full(g), Region::from_ids(g, vec![4_095])]
         {
-            for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+            for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
                 let bytes = codec.encode(&region).unwrap();
                 assert!(diff.check(&bytes), "{} extracts", codec.name());
                 diff.check_stored(&bytes);
@@ -503,7 +549,7 @@ mod tests {
             let cells = grid16().cell_count();
             let ids = list.iter().flat_map(|&(s, e)| s..=e).filter(|&id| id < cells);
             let region = Region::from_ids(grid16(), ids.collect());
-            for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+            for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
                 prop_assert!(diff.check(&codec.encode(&region).unwrap()));
             }
         }
@@ -512,13 +558,13 @@ mod tests {
         /// arbitrary run count, and arbitrary bytes alone.
         #[test]
         fn extract_differential_arbitrary_payloads(
-            codec_pick in 0usize..6,
+            codec_pick in 0usize..5,
             count in 0u32..400,
             tail in proptest::collection::vec(any::<u8>(), 0..300),
         ) {
             let diff = Differential::new();
             let codec =
-                RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED).nth(codec_pick).unwrap();
+                RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]).nth(codec_pick).unwrap();
             let mut bytes = codec.encode(&differential_sample()).unwrap();
             bytes.truncate(6);
             bytes.extend_from_slice(&count.to_le_bytes());

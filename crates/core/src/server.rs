@@ -926,9 +926,8 @@ pub struct BandFold {
 ///   [`Region`] and the `encode_compressed` writer;
 /// * anything else is decoded and merged by [`kernel::intersect_k`],
 ///   the answer wrapped after the one sweep that checks it canonical,
-///   and re-encoded with `codec` (or compressed, when every operand
-///   was).  [`kernel::intersect_k_cursors`] serves only this slice merge
-///   and the benchmark probe.
+///   and encoded with `codec`.  [`kernel::intersect_k_cursors`] serves
+///   only this slice merge and the benchmark probe.
 pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<BandFold> {
     if let [bytes] = &mut blobs[..] {
         let bytes = std::mem::take(bytes);
@@ -961,11 +960,7 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
     let geom = common_grid(regions.iter().map(Region::geometry))?;
     let lists: Vec<_> = regions.iter().map(Region::runs).collect();
     let region = Region::from_canonical_runs(geom, kernel::intersect_k(&lists))?;
-    let bytes = if blobs.iter().all(|blob| qbism_region::compressed::is_compressed(blob)) {
-        qbism_region::encode_compressed(&region)?
-    } else {
-        codec.encode(&region)?
-    };
+    let bytes = codec.encode(&region)?;
     Ok(BandFold { bytes, region, decode_skips: 0, leaves_masked: 0 })
 }
 

@@ -244,7 +244,7 @@ mod tests {
         let region = Region::from_ids(geom(), vec![3, 4, 5, 100, 101, 300, 511]);
         let dr = DataRegion::new(region.clone(), vec![7u8; 7]);
         let whole = encode_data_region(&dr).unwrap();
-        for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+        for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
             let stored = codec.encode(&region).unwrap();
             let mut head = Vec::new();
             begin_data_region(&NaiveRuns::open(&stored).unwrap(), &mut head).unwrap();

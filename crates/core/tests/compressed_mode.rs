@@ -21,13 +21,14 @@
 use qbism::server::fold_band_regions;
 use qbism::QbismError;
 use qbism::{QbismConfig, QbismSystem};
+use qbism_coding::K3Cursor;
 use qbism_phantom::build_atlas;
-use qbism_region::{compressed_cursor, encode_compressed, kernel, GridGeometry, Region};
+use qbism_region::{compressed_cursor, encode_compressed, kernel, open_k3, GridGeometry, Region};
 use qbism_region::{RegionCodec, RegionEncodeError};
 use qbism_sfc::CurveKind;
 use qbism_starburst::{Database, DbError, Value};
 
-fn open(bytes: &[u8]) -> qbism_region::CompressedCursor<'_> {
+fn open(bytes: &[u8]) -> K3Cursor<'_> {
     compressed_cursor(bytes).expect("open cursor").1
 }
 
@@ -54,7 +55,7 @@ fn compressed_kernels_match_on_phantom_anatomy() {
 #[test]
 fn compressed_kernels_match_on_phantom_anatomy_at_paper_scale() {
     // One pair at the full 128³ grid keeps debug runtime bounded while
-    // still exercising deep octrees and multi-block skip directories.
+    // still exercising deep octrees.
     let geom = GridGeometry::new(CurveKind::Hilbert, 3, 7);
     let atlas = build_atlas(geom);
     let a = &atlas.structures()[0].region;
@@ -138,8 +139,8 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
 
     // The compressed tablespace is at least 3× smaller on device
     // (567,046 → exactly 148,600 bytes), and its fields actually hold the
-    // queryable codecs; the default tablespace is untouched (paper
-    // codec, nothing compressed).
+    // k³ layout; the default tablespace is untouched (paper codec,
+    // nothing k³).
     let plain_fields = region_fields(&mut plain);
     let packed_fields = region_fields(&mut packed);
     assert_eq!(plain_fields.len(), packed_fields.len());
@@ -150,8 +151,8 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
         "compressed tablespace must be >= 3x smaller: {packed_bytes} vs {plain_bytes}"
     );
     assert_eq!(packed_bytes, 148_600, "compressed REGION bytes drifted");
-    assert!(plain_fields.iter().all(|f| !qbism_region::compressed::is_compressed(f)));
-    assert!(packed_fields.iter().all(|f| qbism_region::compressed::is_compressed(f)));
+    assert!(plain_fields.iter().all(|f| matches!(open_k3(f), Ok(None))));
+    assert!(packed_fields.iter().all(|f| matches!(open_k3(f), Ok(Some(_)))));
 
     // And the decoded REGIONs are bit-identical across modes.
     for (p, c) in plain_fields.iter().zip(&packed_fields) {

@@ -704,9 +704,8 @@ impl LongFieldManager {
         self.compressed.contains(&id.0)
     }
 
-    /// Credits `skips` galloping skip-jumps (skip blocks or k³-tree
-    /// subtrees bypassed without decode) taken while merging a stored
-    /// compressed payload.
+    /// Credits `skips` skip-jumps (k³-tree subtrees and leaves bypassed
+    /// without decode) taken while merging a stored compressed payload.
     pub fn note_decode_skips(&self, skips: u64) {
         self.metrics.compressed_decode_skips.add(skips);
     }

@@ -12,13 +12,17 @@
 //! All four are implemented behind [`RegionCodec`], producing
 //! self-describing byte strings that round-trip through
 //! [`RegionCodec::decode`].  These byte strings are exactly what the LFM
-//! stores in a REGION long field.
+//! stores in a REGION long field.  A fifth, [`RegionCodec::K3Tree`], is
+//! the one *queryable* layout ([`crate::compressed`]); its bytes are
+//! written by [`crate::CompressedWriter`] alone.  Tag 4 is retired:
+//! it is [`RegionEncodeError::BadTag`] like any unknown tag.
 
+use crate::compressed::CompressedWriter;
 use crate::geometry::GridGeometry;
 use crate::octant::{Octant, OctantKind};
 use crate::region::Region;
 use crate::run::Run;
-use qbism_coding::{BitReader, BitWriter, CodingError, EliasGamma, IntCodec};
+use qbism_coding::{BitReader, BitWriter, CodingError, EliasGamma, IntCodec, K3Cursor};
 use qbism_sfc::CurveKind;
 
 /// Magic number prefix of every encoded REGION ("QR").
@@ -29,10 +33,9 @@ const RANK_BITS: u32 = 5;
 /// bits 1 + count 4.
 pub(crate) const HEADER_LEN: usize = 10;
 
-/// The four REGION storage formats compared in the paper, plus the two
-/// *queryable* compressed formats added for compressed-domain execution
-/// (open those via [`crate::compressed::compressed_cursor`] to merge
-/// without decoding).
+/// The four REGION storage formats compared in the paper, plus the
+/// *queryable* one added for compressed-domain execution (open it via
+/// [`crate::compressed::open_k3`] to merge without decoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionCodec {
     /// 8 bytes per run: `<start, end>` as two little-endian `u32`s.
@@ -41,34 +44,21 @@ pub enum RegionCodec {
     Elias,
     /// Packed 4-byte `<id, rank>` per block.
     Octant(OctantKind),
-    /// Delta+varint run list with fixed-interval skip blocks — seekable
-    /// without decode ([`qbism_coding::runcode`]); what the compressed
-    /// tablespace falls back to for REGIONs of a few runs.
-    RunVskip,
-    /// k³ directory over delta+varint run-block leaves — the compressed
-    /// tablespace's layout ([`qbism_coding::k3tree`]).
+    /// k³ directory over delta+varint run-block leaves — the queryable
+    /// layout ([`qbism_coding::k3tree`]).
     K3Tree,
 }
 
 impl RegionCodec {
     /// The paper's codecs, in the order of the Figure 4 ratio list.
-    /// Deliberately excludes the queryable compressed formats so the
-    /// deterministic tablegen/fig4 output is unchanged.
+    /// Deliberately excludes the queryable layout so the deterministic
+    /// tablegen/fig4 output is unchanged.
     pub const ALL: [RegionCodec; 4] = [
         RegionCodec::Elias,
         RegionCodec::Naive,
         RegionCodec::Octant(OctantKind::Oblong),
         RegionCodec::Octant(OctantKind::Cubic),
     ];
-
-    /// The queryable compressed codecs of the compressed tablespace.
-    pub const COMPRESSED: [RegionCodec; 2] = [RegionCodec::RunVskip, RegionCodec::K3Tree];
-
-    /// True for codecs whose byte strings open as a streaming
-    /// [`crate::compressed::CompressedCursor`].
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, RegionCodec::RunVskip | RegionCodec::K3Tree)
-    }
 
     /// Name used in benchmark tables (`h-run-elias`, `h-run-naive`,
     /// `oblong-octant`, `octant` in the paper's vocabulary, minus the
@@ -79,18 +69,16 @@ impl RegionCodec {
             RegionCodec::Elias => "run-elias",
             RegionCodec::Octant(OctantKind::Oblong) => "oblong-octant",
             RegionCodec::Octant(OctantKind::Cubic) => "octant",
-            RegionCodec::RunVskip => "run-vskip",
             RegionCodec::K3Tree => "k3-tree",
         }
     }
 
-    fn tag(&self) -> u8 {
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             RegionCodec::Naive => 0,
             RegionCodec::Elias => 1,
             RegionCodec::Octant(OctantKind::Oblong) => 2,
             RegionCodec::Octant(OctantKind::Cubic) => 3,
-            RegionCodec::RunVskip => 4,
             RegionCodec::K3Tree => 5,
         }
     }
@@ -101,7 +89,6 @@ impl RegionCodec {
             1 => RegionCodec::Elias,
             2 => RegionCodec::Octant(OctantKind::Oblong),
             3 => RegionCodec::Octant(OctantKind::Cubic),
-            4 => RegionCodec::RunVskip,
             5 => RegionCodec::K3Tree,
             _ => return None,
         })
@@ -120,9 +107,14 @@ impl RegionCodec {
     pub fn encode_into(&self, region: &Region, out: &mut Vec<u8>) -> Result<(), RegionEncodeError> {
         let geom = region.geometry();
         check_width(*self, geom)?;
-        // The naive arm's size is known up front: one allocation, not
-        // a doubling per few runs.
-        let payload = if *self == RegionCodec::Naive { 8 * region.run_count() } else { 0 };
+        // The naive arm's size is known up front and band and structure
+        // REGIONs take a little over two bytes a run as k³: one
+        // allocation, not a doubling per few runs.
+        let payload = match self {
+            RegionCodec::Naive => 8 * region.run_count(),
+            RegionCodec::K3Tree => 2 + 5 * region.run_count() / 2,
+            _ => 0,
+        };
         out.reserve(HEADER_LEN + payload);
         match self {
             RegionCodec::Naive => {
@@ -157,15 +149,12 @@ impl RegionCodec {
                     out.extend_from_slice(&packed.to_le_bytes());
                 }
             }
-            RegionCodec::RunVskip => {
-                let runs = region.runs();
-                self.write_header(geom, runs.len(), out);
-                qbism_coding::runcode::encode_runs_into(out, runs)?;
-            }
             RegionCodec::K3Tree => {
-                let runs = region.runs();
-                self.write_header(geom, runs.len(), out);
-                qbism_coding::k3tree::encode_runs_into(out, runs, geom.dims() * geom.bits())?;
+                let mut writer = CompressedWriter::new(out, geom)?;
+                for r in region.runs() {
+                    writer.push(r.start, r.end)?;
+                }
+                writer.finish();
             }
         }
         Ok(())
@@ -200,7 +189,6 @@ impl RegionCodec {
                 HEADER_LEN + (bits as usize).div_ceil(8)
             }
             RegionCodec::Octant(kind) => HEADER_LEN + region.octant_count(*kind) * 4,
-            RegionCodec::RunVskip => HEADER_LEN + qbism_coding::runcode::encoded_len(region.runs()),
             RegionCodec::K3Tree => {
                 let geom = region.geometry();
                 let id_bits = geom.dims() * geom.bits();
@@ -284,11 +272,14 @@ impl RegionCodec {
                 let runs: Vec<Run> = octs.iter().map(Octant::as_run).collect();
                 Region::from_stored_runs(geom, runs)
             }
-            RegionCodec::RunVskip | RegionCodec::K3Tree => {
-                // Queryable payloads: open the streaming cursor and
-                // drain it (decode() is the decode-everything path;
-                // kernels use the cursor directly).
-                let runs = crate::compressed::open_payload(codec, body)?.to_runs_vec()?;
+            RegionCodec::K3Tree => {
+                // The decode-everything path: drain the cursor a leaf at
+                // a time (kernels merge over the cursor instead).
+                let cursor = K3Cursor::new(body)?;
+                let mut runs = Vec::with_capacity(cursor.runs_hint());
+                cursor.drain_blocks(|block| {
+                    runs.extend(block.iter().map(|&(start, end)| Run::new(start, end)))
+                })?;
                 if runs.len() != count {
                     return Err(RegionEncodeError::Corrupt("run count mismatch"));
                 }
@@ -300,7 +291,7 @@ impl RegionCodec {
 
 /// Splits an encoded REGION into `(codec, geometry, run count, body)`
 /// without touching the payload — the shared header parse behind
-/// [`RegionCodec::decode`] and [`crate::compressed::compressed_cursor`].
+/// [`RegionCodec::decode`] and [`crate::compressed::open_k3`].
 pub(crate) fn split_header(
     bytes: &[u8],
 ) -> Result<(RegionCodec, GridGeometry, usize, &[u8]), RegionEncodeError> {
@@ -323,9 +314,8 @@ pub(crate) fn split_header(
 pub(crate) fn check_width(codec: RegionCodec, geom: GridGeometry) -> Result<(), RegionEncodeError> {
     let id_bits = geom.dims() * geom.bits();
     let limit = match codec {
-        RegionCodec::Naive | RegionCodec::Elias => 32,
+        RegionCodec::Naive | RegionCodec::Elias | RegionCodec::K3Tree => 32,
         RegionCodec::Octant(_) => 32 - RANK_BITS,
-        RegionCodec::RunVskip | RegionCodec::K3Tree => 32,
     };
     if id_bits > limit {
         Err(RegionEncodeError::IdTooWide { id_bits, limit })
@@ -539,7 +529,7 @@ mod tests {
     #[test]
     fn encode_into_appends_and_refuses_a_wide_grid_untouched() {
         let r = paper_region_z();
-        for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+        for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
             let mut out = vec![7u8, 7];
             codec.encode_into(&r, &mut out).unwrap();
             assert_eq!(out[..2], [7, 7]);

@@ -5,12 +5,11 @@
 //! *algebraic* representation, so the hot operators never leave it.  A
 //! REGION operand is whatever can answer `peek` / `advance` / `seek` in id
 //! order ([`Cursor`]) — a decoded `&[Run]` slice ([`RunsCursor`]) or a
-//! compressed payload decoded a leaf or skip block at a time
-//! ([`crate::CompressedCursor`], which gallops inside the decoded block
-//! and past it by byte lengths, skip entries or subtree pruning, so a
-//! merge touches only the codewords near overlaps: Brisaboa et al.'s
-//! compact *queryable* representations applied to h-runs) — and each
-//! operator exists once, generic over it:
+//! k³ payload decoded a leaf at a time ([`qbism_coding::K3Cursor`],
+//! which gallops inside the decoded leaf and past it by byte lengths and
+//! subtree pruning, so a merge touches only the codewords near overlaps:
+//! Brisaboa et al.'s compact *queryable* representations applied to
+//! h-runs) — and each operator exists once, generic over it:
 //!
 //! * [`intersect_into`] / [`union_into`] / [`difference_into`] — two-pointer
 //!   merge scans, the run analogue of Orenstein & Manola's spatial join,
@@ -408,9 +407,9 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compressed_cursor, encode_compressed, CompressedCursor};
-    use crate::{GridGeometry, Region, RegionCodec};
+    use crate::{compressed_cursor, encode_compressed, GridGeometry, Region, RegionCodec};
     use proptest::prelude::*;
+    use qbism_coding::K3Cursor;
     use qbism_sfc::CurveKind;
     use std::collections::BTreeSet;
     use std::fmt::Debug;
@@ -473,28 +472,24 @@ mod tests {
         }
     }
 
-    /// One merge operand in every form it can reach a kernel as: the
-    /// decoded run list and both queryable compressed byte strings.
+    /// One merge operand in both forms it can reach a kernel as: the
+    /// decoded run list and the k³ byte string.
     struct Operand {
         region: Region,
-        packed: [Vec<u8>; 2],
+        packed: Vec<u8>,
     }
 
     impl Operand {
-        /// Also pins that each byte string decodes back to the region,
-        /// as does whichever of the two the storage policy picks.
+        /// Also pins that the byte string decodes back to the region.
         fn new(region: Region) -> Self {
-            let packed = RegionCodec::COMPRESSED.map(|c| c.encode(&region).expect("encode"));
-            let auto = encode_compressed(&region).expect("auto encode");
-            for bytes in packed.iter().chain([&auto]) {
-                assert_eq!(RegionCodec::decode(bytes).expect("decode"), region);
-            }
+            let packed = encode_compressed(&region).expect("encode");
+            assert_eq!(RegionCodec::decode(&packed).expect("decode"), region);
             Operand { region, packed }
         }
 
         /// Scattered ids plus an optional solid box `(present, min,
         /// size)` on a 64³ or 128³ Hilbert grid, so payloads exercise
-        /// skip blocks and both k³ node kinds.
+        /// both k³ node kinds.
         fn scattered(bits: u32, ids: &[u64], bx: (bool, [u32; 3], [u32; 3])) -> Self {
             let g = GridGeometry::new(CurveKind::Hilbert, 3, bits);
             let mut region =
@@ -516,9 +511,8 @@ mod tests {
             RunsCursor::new(self.region.runs())
         }
 
-        /// `codec` 0 = run-vskip, 1 = k³-tree.
-        fn packed(&self, codec: usize) -> CompressedCursor<'_> {
-            compressed_cursor(&self.packed[codec]).expect("open compressed cursor").1
+        fn packed(&self) -> K3Cursor<'_> {
+            compressed_cursor(&self.packed).expect("open k3 cursor").1
         }
     }
 
@@ -545,26 +539,22 @@ mod tests {
     }
 
     /// Checks every operator over every cursor pairing — slice × slice
-    /// (infallible by type), compressed × compressed for each codec
-    /// pair, and slice × compressed both ways round — against the set
-    /// reference, whose answer (canonical by construction) it returns.
+    /// (infallible by type), k³ × k³, and slice × k³ both ways round —
+    /// against the set reference, whose answer (canonical by
+    /// construction) it returns.
     fn check_pair(a: &Operand, b: &Operand) -> [Vec<Run>; 3] {
         let want = reference::algebra(a.region.runs(), b.region.runs());
         assert_eq!(algebra::<Infallible, _, _>(|| a.runs(), || b.runs()), want);
-        for ca in 0..2 {
-            for cb in 0..2 {
-                assert_eq!(algebra(|| a.packed(ca), || b.packed(cb)), want, "{ca}x{cb}");
-            }
-            assert_eq!(algebra(|| a.packed(ca), || b.runs()), want, "{ca} x slice");
-            assert_eq!(algebra(|| a.runs(), || b.packed(ca)), want, "slice x {ca}");
-        }
+        assert_eq!(algebra(|| a.packed(), || b.packed()), want, "k3 x k3");
+        assert_eq!(algebra(|| a.packed(), || b.runs()), want, "k3 x slice");
+        assert_eq!(algebra(|| a.runs(), || b.packed()), want, "slice x k3");
         want
     }
 
-    /// The k-way merge through every entry: the slice entry, one
-    /// concrete compressed cursor type holding `codecs[i]` per operand,
-    /// and the `dyn RunCursor` form the benchmark probes call.
-    fn check_kway(operands: &[Operand], codecs: &[usize]) -> Vec<Run> {
+    /// The k-way merge through every entry: the slice entry, concrete
+    /// k³ cursors, and the `dyn RunCursor` form the benchmark probes
+    /// call.
+    fn check_kway(operands: &[Operand]) -> Vec<Run> {
         let mut want = operands.first().map(|o| reference::to_set(o.region.runs()));
         for o in operands.iter().skip(1) {
             let set = reference::to_set(o.region.runs());
@@ -573,9 +563,9 @@ mod tests {
         let want = want.map(|w| reference::from_set(&w)).unwrap_or_default();
         let lists: Vec<&[Run]> = operands.iter().map(|o| o.region.runs()).collect();
         assert_eq!(intersect_k(&lists), want);
-        let open = || operands.iter().zip(codecs).map(|(o, &c)| o.packed(c)).collect::<Vec<_>>();
+        let open = || operands.iter().map(Operand::packed).collect::<Vec<_>>();
         let mut cursors = open();
-        let mut refs: Vec<&mut CompressedCursor<'_>> = cursors.iter_mut().collect();
+        let mut refs: Vec<&mut K3Cursor<'_>> = cursors.iter_mut().collect();
         assert_eq!(intersect_k_cursors(&mut refs).expect("k-way"), want);
         let mut cursors = open();
         let mut refs: Vec<&mut dyn RunCursor> =
@@ -592,10 +582,10 @@ mod tests {
         assert_eq!(check_pair(&some, &none), [vec![], some_runs.clone(), some_runs.clone()]);
         // K-way: no lists, no runs; one list is the identity; any empty
         // operand empties the answer.
-        assert_eq!(check_kway(&[], &[]), vec![]);
-        assert_eq!(check_kway(std::slice::from_ref(&some), &[0]), some_runs);
+        assert_eq!(check_kway(&[]), vec![]);
+        assert_eq!(check_kway(std::slice::from_ref(&some)), some_runs);
         let full = Operand::new(Region::full(some.region.geometry()));
-        assert_eq!(check_kway(&[full, none, some], &[0, 1, 0]), vec![]);
+        assert_eq!(check_kway(&[full, none, some]), vec![]);
     }
 
     #[test]
@@ -631,7 +621,7 @@ mod tests {
         assert_eq!((s.skips(), d.skips()), (0, 999));
         let (s, d) = (Operand::of_runs(sparse.clone()), Operand::of_runs(dense));
         assert_eq!(check_pair(&s, &d)[0], sparse);
-        assert_eq!(check_kway(&[s, d], &[0, 1]), sparse);
+        assert_eq!(check_kway(&[s, d]), sparse);
     }
 
     #[test]
@@ -665,12 +655,11 @@ mod tests {
         fn kway_matches_btreeset_oracle_for_every_entry(
             bits in 6u32..8,
             id_sets in proptest::collection::vec(
-                (proptest::collection::vec(0u64..(1 << 21), 0..200), bx(), 0usize..2), 1..6),
+                (proptest::collection::vec(0u64..(1 << 21), 0..200), bx()), 1..6),
         ) {
             let operands: Vec<Operand> =
-                id_sets.iter().map(|(ids, bx, _)| Operand::scattered(bits, ids, *bx)).collect();
-            let codecs: Vec<usize> = id_sets.iter().map(|s| s.2).collect();
-            check_kway(&operands, &codecs);
+                id_sets.iter().map(|(ids, bx)| Operand::scattered(bits, ids, *bx)).collect();
+            check_kway(&operands);
         }
 
         /// `RunsCursor::seek` lands where `partition_point` over the

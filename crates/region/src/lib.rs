@@ -7,7 +7,7 @@
 //! * **volumetric representation** — a REGION is a set of voxels, not a
 //!   surface or CSG model, so intersections and extractions are merge
 //!   scans (Section 4.2) — one [`kernel`] family, generic over the
-//!   cursor, serves decoded run lists and compressed payloads alike;
+//!   cursor, serves decoded run lists and k³ payloads alike;
 //! * **runs, not octants** — the operational encoding is a sorted list of
 //!   maximal runs of consecutive curve ids ("the number of runs never
 //!   exceeds the number of octants");
@@ -19,7 +19,8 @@
 //! The octant and oblong-octant encodings, the Z-order variants, the
 //! "naive" byte format, and the approximation schemes are all implemented
 //! too, because the paper's evaluation (Tables 1, 2, 4 and Figure 4) is a
-//! comparison among them.
+//! comparison among them.  Beside them, one queryable layout,
+//! [`RegionCodec::K3Tree`] ([`compressed`]), is merged without decoding.
 //!
 //! # Example
 //!
@@ -55,8 +56,7 @@ mod stats;
 
 pub use approx::ApproxParams;
 pub use compressed::{
-    compressed_cursor, encode_compressed, intersect_k3, open_compressed, open_k3, CompressedCursor,
-    CompressedWriter, K3Intersection,
+    compressed_cursor, encode_compressed, intersect_k3, open_k3, CompressedWriter, K3Intersection,
 };
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;

@@ -4,16 +4,16 @@
 //! — which is exactly what the default tablespace stores.  So a
 //! canonical naive operand is used as it stands: one sweep checks it
 //! and sums its voxels, and its header and records become the answer's
-//! region part verbatim.  A queryable compressed operand is drained
-//! once, a leaf at a time, straight into naive records.  Anything else
+//! region part verbatim.  A k³ operand is drained once, a leaf at a
+//! time, straight into naive records.  Anything else
 //! — another paper codec, or bytes that are inverted, out of the grid,
 //! not canonical or corrupt — goes through [`RegionCodec::decode`],
 //! which normalises the list or names the error, so every input gives
 //! what decoding it always gave.
 
-use crate::compressed::open_payload;
 use crate::encode::{check_width, split_header, RegionCodec, RegionEncodeError, HEADER_LEN};
 use crate::geometry::GridGeometry;
+use qbism_coding::K3Cursor;
 use std::borrow::Cow;
 
 /// A REGION's naive encoding — header, then one `<start, end>` pair of
@@ -42,9 +42,7 @@ impl<'a> NaiveRuns<'a> {
                     Some(NaiveRuns { geom, bytes: Cow::Borrowed(stored), voxels })
                 })
             }
-            RegionCodec::RunVskip | RegionCodec::K3Tree if fits => {
-                drain_compressed(codec, geom, count, body)
-            }
+            RegionCodec::K3Tree if fits => drain_k3(geom, count, body),
             _ => None,
         };
         if let Some(opened) = opened {
@@ -102,16 +100,11 @@ fn canonical_voxels(geom: GridGeometry, records: &[u8]) -> Option<u64> {
     ok.then_some(voxels)
 }
 
-/// A queryable payload drained once, a block at a time, into naive
-/// records; `None` (the decoder then names the error or normalises)
-/// unless it drains cleanly into `count` canonical runs inside the grid.
-fn drain_compressed(
-    codec: RegionCodec,
-    geom: GridGeometry,
-    count: usize,
-    body: &[u8],
-) -> Option<NaiveRuns<'static>> {
-    let cursor = open_payload(codec, body).ok()?;
+/// A k³ payload drained once, a leaf at a time, into naive records;
+/// `None` (the decoder then names the error) unless it drains cleanly
+/// into `count` canonical runs inside the grid.
+fn drain_k3(geom: GridGeometry, count: usize, body: &[u8]) -> Option<NaiveRuns<'static>> {
+    let cursor = K3Cursor::new(body).ok()?;
     let cells = geom.cell_count();
     let mut bytes = Vec::with_capacity(HEADER_LEN + 8 * cursor.runs_hint().min(count));
     RegionCodec::Naive.write_header(geom, count, &mut bytes);
@@ -214,7 +207,7 @@ mod tests {
 
     proptest! {
         /// Hand-written naive lists of every shape, every paper codec
-        /// and both queryable ones: the opener gives the decode path's
+        /// and the queryable one: the opener gives the decode path's
         /// bytes, pieces and voxel count, or its error.
         #[test]
         fn the_opener_is_the_decode_path(
@@ -233,7 +226,7 @@ mod tests {
             let cells = g.cell_count();
             let ids = list.iter().flat_map(|&(s, e)| s..=e.min(cells - 1)).filter(|&id| id < cells);
             let region = Region::from_ids(g, ids.collect());
-            for codec in RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED) {
+            for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
                 let bytes = codec.encode(&region).expect("encode");
                 prop_assert_eq!(opened(&bytes), decoded(&bytes));
                 let short = &bytes[..cut as usize % (bytes.len() + 1)];

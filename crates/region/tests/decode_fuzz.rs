@@ -1,6 +1,5 @@
 //! Decode-fuzz for every REGION byte string: the paper encodings
-//! (`Naive`, `Elias`, both octant kinds) and the queryable compressed
-//! ones.
+//! (`Naive`, `Elias`, both octant kinds) and the queryable k³ one.
 //!
 //! These bytes come back from the device, so whatever they hold,
 //! [`compressed_cursor`] + drain and [`RegionCodec::decode`] must answer
@@ -9,10 +8,11 @@
 //! and flipped at every bit (header included, so a tag flip hands one
 //! codec's payload to another's decoder); arbitrary tails ride behind a
 //! valid REGION header with an arbitrary run count so the payload
-//! decoders, not the header check, see them.  The queryable codecs —
-//! what the compressed tablespace stores — take the same cuts and flips
+//! decoders, not the header check, see them.  The queryable codec —
+//! what the compressed tablespace stores — takes the same cuts and flips
 //! on the shapes their payload has special forms for: no runs, the full
 //! grid, one voxel, and a real intensity band of a phantom PET field.
+//! Tag 4, a retired skip-block run list, is one typed error everywhere.
 //!
 //! The decoder wraps a run list it finds canonical and sorts and fuses
 //! any other; a differential case writes both kinds by hand and holds
@@ -23,17 +23,17 @@ use qbism_coding::CodingError;
 use qbism_geometry::Vec3;
 use qbism_phantom::{build_atlas, PetField, ScalarField3};
 use qbism_region::{
-    compressed_cursor, CompressedCursor, GridGeometry, Octant, OctantKind, Region, RegionCodec,
+    compressed_cursor, open_k3, GridGeometry, NaiveRuns, Octant, OctantKind, Region, RegionCodec,
     RegionEncodeError, Run,
 };
 use qbism_sfc::CurveKind;
 
 fn every_codec() -> impl Iterator<Item = RegionCodec> {
-    RegionCodec::ALL.into_iter().chain(RegionCodec::COMPRESSED)
+    RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree])
 }
 
 /// A 32³ REGION with a solid box and some scattered cells: both node
-/// kinds of the k³-tree, several skip blocks of the run list.
+/// kinds of the k³-tree.
 fn sample() -> Region {
     let g = GridGeometry::new(CurveKind::Hilbert, 3, 5);
     let solid = Region::from_box(g, [3, 4, 5], [17, 12, 9]).expect("box inside the grid");
@@ -66,15 +66,12 @@ fn cut_and_flip(bytes: &[u8]) {
 }
 
 /// Opens and drains `bytes` both ways.  Whatever a k³-tree's bytes
-/// hold, the runs it streams are canonical (the run list's deltas can
-/// be bent into touching runs, which `decode` then merges).
+/// hold, the runs it streams are canonical.
 fn decode_both_ways(bytes: &[u8]) {
-    let streamed = compressed_cursor(bytes).and_then(|(_, cursor)| {
-        let is_k3 = matches!(cursor, CompressedCursor::K3(_));
-        Ok((is_k3, cursor.to_runs_vec()?))
-    });
+    let streamed = compressed_cursor(bytes).and_then(|(_, cursor)| Ok(cursor.decode_all()?));
     let decoded = RegionCodec::decode(bytes);
-    if let Ok((true, runs)) = streamed {
+    if let Ok(runs) = streamed {
+        let runs: Vec<Run> = runs.into_iter().map(|(start, end)| Run::new(start, end)).collect();
         assert!(runs.windows(2).all(|w| w[0].end + 1 < w[1].start), "k3 runs not canonical");
         if let Ok(region) = decoded {
             assert_eq!(runs, region.runs());
@@ -99,12 +96,25 @@ fn every_truncation_and_bit_flip_of_the_queryable_payload_shapes_is_handled() {
     assert!(band.run_count() > 500, "a band of {} runs is no speckle", band.run_count());
     let one_voxel = Region::from_ids(g, vec![20_000]);
     for region in [Region::empty(g), Region::full(g), one_voxel, band] {
-        for codec in RegionCodec::COMPRESSED {
-            let bytes = codec.encode(&region).expect("encode");
-            assert_eq!(RegionCodec::decode(&bytes).expect("decode"), region);
-            cut_and_flip(&bytes);
-        }
+        let bytes = RegionCodec::K3Tree.encode(&region).expect("encode");
+        assert_eq!(RegionCodec::decode(&bytes).expect("decode"), region);
+        cut_and_flip(&bytes);
     }
+}
+
+/// A REGION with codec tag 4 — the skip-block run list the compressed
+/// tablespace once fell back to, here `[(9, 9), (448, 511)]` on an 8³
+/// grid in that layout — is `BadTag(4)` from every opener, not misread.
+#[test]
+fn a_former_run_list_region_is_bad_tag_4_everywhere() {
+    let mut bytes = vec![0x52, 0x51, 0x04, 0x00, 0x03, 0x03, 0x02, 0x00, 0x00, 0x00];
+    bytes.extend_from_slice(&[2, 1, 9, 0, 0, 0, 255, 1, 0, 0, 64, 0, 0, 0, 0, 0, 0, 0]);
+    bytes.extend_from_slice(&[0, 181, 3, 63]);
+    let refused = RegionEncodeError::BadTag(4);
+    assert_eq!(RegionCodec::decode(&bytes), Err(refused.clone()));
+    assert_eq!(NaiveRuns::open(&bytes).err(), Some(refused.clone()));
+    assert_eq!(open_k3(&bytes), Err(refused.clone()));
+    assert_eq!(compressed_cursor(&bytes).err(), Some(refused));
 }
 
 /// What the k³ codec wrote before its leaves became run blocks — here
@@ -193,13 +203,13 @@ proptest! {
 
     #[test]
     fn arbitrary_payloads_behind_a_valid_header_are_handled(
-        codec_pick in 0usize..6,
+        codec_pick in 0usize..5,
         count in any::<u32>(),
         tail in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
         // The first ten bytes of any encoding are the REGION header;
         // the claimed run count is arbitrary too.
-        let codec = every_codec().nth(codec_pick).expect("six codecs");
+        let codec = every_codec().nth(codec_pick).expect("five codecs");
         let mut bytes = codec.encode(&sample()).expect("encode");
         bytes.truncate(6);
         bytes.extend_from_slice(&count.to_le_bytes());

@@ -16,12 +16,17 @@
 //! k³-tree payload (word-only octree → directory over run-block leaves):
 //! a changed *encoding* of unchanged REGIONs, which the suite proves by
 //! decoding every compressed REGION long field to the `Region` the
-//! default tablespace stores at the same row.  Outside a format change
-//! that says so here, a digest that moves means a stored byte moved: fix
-//! the loader, do not re-record.
+//! default tablespace stores at the same row.  They were re-recorded a
+//! second time when the k³ layout became the only queryable codec: the
+//! empty REGIONs the compressed tablespace had stored as 12-byte
+//! skip-block run lists (tag 4) are now 12-byte k³ REGIONs (tag 5) —
+//! 7 fields a row at 16³, 2 at 32³, every other byte unchanged — which
+//! the suite proves by opening every compressed REGION field as k³.
+//! Outside a format change that says so here, a digest that moves means
+//! a stored byte moved: fix the loader, do not re-record.
 
 use qbism::{QbismConfig, QbismSystem};
-use qbism_region::{compressed::is_compressed, RegionCodec};
+use qbism_region::{open_k3, RegionCodec};
 use qbism_sfc::CurveKind;
 use qbism_starburst::Value;
 
@@ -76,16 +81,17 @@ fn config(bits: u32, curve: CurveKind, compressed: bool) -> QbismConfig {
 }
 
 /// `(atlas_bits, curve, compressed tablespace, digest)`: the default
-/// rows as at PR 21's parent, the compressed rows as of PR 24.
+/// rows as before the load path was first optimised, the compressed
+/// rows as of the k³-only codec.
 const RECORDED: [(u32, CurveKind, bool, u64); 8] = [
     (4, CurveKind::Hilbert, false, 0x0d54_160b_5e29_8c4c),
-    (4, CurveKind::Hilbert, true, 0xfd15_fce9_d839_624b),
+    (4, CurveKind::Hilbert, true, 0x44a9_58a8_3105_04a9),
     (4, CurveKind::Morton, false, 0xd4bb_7814_40cb_356c),
-    (4, CurveKind::Morton, true, 0x1446_9502_8d94_619f),
+    (4, CurveKind::Morton, true, 0x03c6_3d4e_c128_c371),
     (5, CurveKind::Hilbert, false, 0xac29_68f3_cc70_130b),
-    (5, CurveKind::Hilbert, true, 0x3246_c700_9253_11df),
+    (5, CurveKind::Hilbert, true, 0x10b4_91fc_1e31_63d7),
     (5, CurveKind::Morton, false, 0x1a99_c03c_bb58_ccde),
-    (5, CurveKind::Morton, true, 0xef8d_2dd3_0d02_4ce2),
+    (5, CurveKind::Morton, true, 0x0b92_cfc8_9f21_f546),
 ];
 
 #[test]
@@ -101,15 +107,15 @@ fn install_stores_the_recorded_bytes_in_every_mode() {
             fields.push(stored);
         }
         // The two tablespaces differ only in how REGION long fields are
-        // encoded: every other field byte for byte, every REGION the same
-        // `Region` once decoded.
+        // encoded: every other field byte for byte, every REGION a k³
+        // one that decodes to the same `Region`.
         let [plain, packed] = &fields[..] else { panic!("two tablespaces a grid") };
         assert_eq!(plain.len(), packed.len(), "{default:?}");
         let mut regions = 0;
         for (plain, packed) in plain.iter().zip(packed) {
-            if is_compressed(packed) {
+            if let Ok(plain) = RegionCodec::decode(plain) {
                 regions += 1;
-                let plain = RegionCodec::decode(plain).expect("default REGION decodes");
+                assert!(matches!(open_k3(packed), Ok(Some(_))), "a compressed REGION is not k³");
                 assert_eq!(RegionCodec::decode(packed).expect("compressed REGION decodes"), plain);
             } else {
                 assert!(plain == packed, "a field that is no REGION differs, {default:?}");
@@ -118,6 +124,19 @@ fn install_stores_the_recorded_bytes_in_every_mode() {
         assert!(regions > 0 && regions < plain.len(), "{regions} REGION fields, {default:?}");
     }
     assert!(moved.is_empty(), "stored bytes moved; digests now read:\n{}", moved.join(",\n"));
+}
+
+/// The compressed tablespace is a codec choice: `region_codec: K3Tree`
+/// with the flag off installs exactly the bytes the flag does.
+#[test]
+fn a_k3_region_codec_installs_what_the_compressed_tablespace_does() {
+    for &(bits, curve, compressed, want) in &RECORDED {
+        if compressed {
+            let k3 =
+                QbismConfig { region_codec: RegionCodec::K3Tree, ..config(bits, curve, false) };
+            assert_eq!(install_digest(&k3).0, want, "({bits}, CurveKind::{curve:?})");
+        }
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The generated-query oracle, first slice (ROADMAP 10a and a two-row
 //! 10c): every query the seeded generator writes, over all seven
 //! classes, gets the reference evaluator's answer from both tablespaces
-//! at 16³ and 32³, with the page cache off and with one that fits — and
-//! within a tablespace the cache changes no deterministic cost field.
+//! and from `region_codec: K3Tree` with the flag off, at 16³ and 32³,
+//! with the page cache off and with one that fits — and within a mode
+//! the cache changes no deterministic cost field.
 //! At 64³ the compressed tablespace's multi-study fold gets one row of
 //! its own.
 //!
@@ -13,6 +14,7 @@ mod support;
 
 use qbism::{QbismConfig, QbismSystem, QueryCost};
 use qbism_lfm::{CacheConfig, IoStats};
+use qbism_region::RegionCodec;
 use support::{generate, Oracle, Query};
 
 /// A `QueryCost` minus its native fields (`native_db_seconds`, and
@@ -37,8 +39,12 @@ fn check_grid(atlas_bits: u32, seed: u64) {
         ..QbismConfig::small_test()
     };
     let mut classes_answered = [0usize; 7];
-    for config in [default.clone(), default.with_compressed_tablespace()] {
-        let mode = if config.compressed_tablespace { "compressed" } else { "default" };
+    let modes = [
+        ("default", default.clone()),
+        ("compressed", default.clone().with_compressed_tablespace()),
+        ("k3 codec", QbismConfig { region_codec: RegionCodec::K3Tree, ..default }),
+    ];
+    for (mode, config) in modes {
         let mut system = QbismSystem::install(&config).expect("install");
         let oracle = Oracle::new(&system);
         let structures = system.atlas.structures().len();
