@@ -1,5 +1,5 @@
-//! qbism-cluster: a sharded atlas warehouse with k-way replication and
-//! mid-query read failover.
+//! qbism-cluster: a replica set of full-copy shard servers with
+//! ring-order read failover.
 //!
 //! The paper's workload is embarrassingly partitionable by study: every
 //! multi-study query class is a scatter of independent per-study
@@ -8,6 +8,8 @@
 //! from the same configuration and seed, so every replica's bytes are
 //! identical — with a [`ClusterWarehouse`] router that fans sub-queries
 //! out over `qbism-parallel`'s executor and reduces in study order.
+//! Membership is fixed at install; study `s` is tried on shards
+//! `(s + i) mod N` for `i < min(k, N)`.
 //!
 //! **Failover exactness.** Because replicas are byte-identical full
 //! copies and a failed attempt charges *nothing* (its cost bracket is
@@ -26,16 +28,13 @@
 //! dotted cluster sites (`cluster.shard.kill`, `cluster.shard.slow`,
 //! `cluster.route.drop` — see [`qbism_fault::sites`]) or as netsim
 //! timeouts after bounded per-shard channel retries; failover and kill
-//! land in the event journal inside the owning trace, a rebalance is a
-//! `cluster.rebalance` span tree of its own.
+//! land in the event journal inside the owning trace.
 
 #![forbid(unsafe_code)]
 
-mod placement;
 mod router;
 mod shard;
 
-pub use placement::{PlacementCatalog, PlacementViolation};
 pub use router::{ClusterPopulationAnswer, ClusterWarehouse, RecoveryStats};
 pub use shard::{Shard, ShardState};
 
@@ -85,18 +84,13 @@ pub enum ClusterError {
     Gather(QbismError),
     /// The router→client ship failed after bounded retries.
     Net(NetError),
-    /// The query named a study the placement catalog does not have.
+    /// The query named a study the warehouse did not load.
     UnknownStudy {
-        /// The unplaced study.
+        /// The unknown study.
         study: i64,
     },
     /// The query named no studies.
     NoStudies,
-    /// The warehouse would be left with no shards.
-    NoShards,
-    /// A membership change left the placement catalog inconsistent
-    /// (the invariant checker's findings).
-    Placement(Vec<PlacementViolation>),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -115,12 +109,8 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::Gather(e) => write!(f, "gather: {e}"),
             ClusterError::Net(e) => write!(f, "client ship: {e}"),
-            ClusterError::UnknownStudy { study } => write!(f, "study {study} is not placed"),
+            ClusterError::UnknownStudy { study } => write!(f, "study {study} is not loaded"),
             ClusterError::NoStudies => write!(f, "no studies given"),
-            ClusterError::NoShards => write!(f, "cluster would have no shards"),
-            ClusterError::Placement(violations) => {
-                write!(f, "placement catalog inconsistent ({} violations)", violations.len())
-            }
         }
     }
 }

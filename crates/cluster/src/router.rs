@@ -1,5 +1,5 @@
-//! The scatter/gather router: placement-directed fan-out, ordered
-//! reduce, and per-attempt read failover.
+//! The scatter/gather router: ring-order fan-out over the replica set,
+//! ordered reduce, and per-attempt read failover.
 //!
 //! Cost discipline, which is the whole point:
 //!
@@ -19,7 +19,6 @@
 //!   server's own reduce (`qbism::server::reduce_*_stages`), fed routed
 //!   stages instead of local ones.
 
-use crate::placement::PlacementCatalog;
 use crate::shard::Shard;
 use crate::{ClusterError, Result};
 use qbism::server::{reduce_band_stages, reduce_population_stages};
@@ -30,7 +29,7 @@ use qbism_fault::{sites, FaultOutcome};
 use qbism_netsim::{EndpointChannels, NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::{event, trace};
 use qbism_parallel::Executor;
-use qbism_region::Region;
+use qbism_region::{Region, RegionCodec};
 
 /// One study's sub-query on a shard's server: the single-node
 /// per-study stage.
@@ -41,45 +40,22 @@ type Stage<'a, T> = dyn Fn(&MedicalServer, i64) -> StudyStage<T> + Sync + 'a;
 /// a [`ClusterError::ShardsUnavailable`].
 pub type ClusterPopulationAnswer = qbism::PopulationAnswer<ClusterError>;
 
-/// Counters for the failover machinery: per-warehouse snapshot values
-/// plus process-wide observability mirrors.
+/// The per-warehouse failover counters [`ClusterWarehouse::recovery_stats`]
+/// reads.
 struct ClusterCounters {
     failovers: AtomicU64,
     shard_kills: AtomicU64,
     slow_injections: AtomicU64,
     route_drops: AtomicU64,
-    rebalances: AtomicU64,
-    studies_moved: AtomicU64,
-    obs_failovers: qbism_obs::Counter,
-    obs_shard_kills: qbism_obs::Counter,
-    obs_slow: qbism_obs::Counter,
-    obs_route_drops: qbism_obs::Counter,
-    obs_rebalances: qbism_obs::Counter,
-    obs_moved: qbism_obs::Counter,
 }
 
 impl ClusterCounters {
     fn new() -> Self {
-        let reg = qbism_obs::global();
-        reg.describe("qbism_cluster_failovers_total", "Sub-queries rerouted to a replica.");
-        reg.describe("qbism_cluster_shard_kills_total", "Shards downed by injected kills.");
-        reg.describe("qbism_cluster_slow_total", "Injected shard slowdowns honoured.");
-        reg.describe("qbism_cluster_route_drops_total", "Answer legs lost after retries.");
-        reg.describe("qbism_cluster_rebalances_total", "Placement catalog rebuilds.");
-        reg.describe("qbism_cluster_moved_total", "Studies whose replica set moved.");
         ClusterCounters {
             failovers: AtomicU64::named("cluster.ctr.failovers", 0),
             shard_kills: AtomicU64::named("cluster.ctr.kills", 0),
             slow_injections: AtomicU64::named("cluster.ctr.slow", 0),
             route_drops: AtomicU64::named("cluster.ctr.drops", 0),
-            rebalances: AtomicU64::named("cluster.ctr.rebalances", 0),
-            studies_moved: AtomicU64::named("cluster.ctr.moved", 0),
-            obs_failovers: reg.counter("qbism_cluster_failovers_total"),
-            obs_shard_kills: reg.counter("qbism_cluster_shard_kills_total"),
-            obs_slow: reg.counter("qbism_cluster_slow_total"),
-            obs_route_drops: reg.counter("qbism_cluster_route_drops_total"),
-            obs_rebalances: reg.counter("qbism_cluster_rebalances_total"),
-            obs_moved: reg.counter("qbism_cluster_moved_total"),
         }
     }
 }
@@ -95,53 +71,55 @@ pub struct RecoveryStats {
     pub slow_injections: u64,
     /// Shard→router answer legs lost after bounded retries.
     pub route_drops: u64,
-    /// Placement-catalog rebuilds (add/remove-shard).
-    pub rebalances: u64,
-    /// Studies whose replica set changed across all rebuilds.
-    pub studies_moved: u64,
 }
 
-/// The sharded warehouse: N full-copy shard servers, a placement
-/// catalog, per-shard answer-leg channels, and one client-facing RPC
+/// The shards serving `study` over a ring of `shards` full copies with
+/// `replication`-way serving, primary first: `(study + i) mod shards`
+/// for `i < min(replication, shards)`.
+fn ring(study: i64, shards: usize, replication: usize) -> Vec<u64> {
+    let n = shards as u64;
+    let primary = study.rem_euclid(shards as i64) as u64;
+    (0..replication.min(shards) as u64).map(|i| (primary + i) % n).collect()
+}
+
+/// The sharded warehouse: a fixed replica set of N full-copy shard
+/// servers, per-shard answer-leg channels, and one client-facing RPC
 /// channel the final answer ships through exactly once.
 pub struct ClusterWarehouse {
-    config: QbismConfig,
+    codec: RegionCodec,
+    /// Membership is fixed at install: a shard's id is its position.
     shards: Vec<Shard>,
-    catalog: PlacementCatalog,
+    replication: usize,
     studies: Vec<i64>,
     threads: usize,
     chan: SharedRpcChannel,
     endpoints: EndpointChannels,
     counters: ClusterCounters,
-    next_shard_id: u64,
 }
 
 impl ClusterWarehouse {
-    /// Installs a warehouse of `shard_count` full-copy shards with
-    /// `replication`-way serving ownership over every loaded study.
+    /// Installs a warehouse of `shard_count` (at least 1) full-copy
+    /// shards, each loaded study served by `replication` of them.
     pub fn install(config: &QbismConfig, shard_count: usize, replication: usize) -> Result<Self> {
         let shard_count = shard_count.max(1);
-        let mut shards = Vec::with_capacity(shard_count);
-        for id in 0..shard_count {
-            let shard = Shard::install(id as u64, config).map_err(ClusterError::Gather)?;
-            shards.push(shard);
-        }
-        let system = shards[0].system();
-        let mut studies = system.pet_study_ids.clone();
-        studies.extend_from_slice(&system.mri_study_ids);
-        let shard_ids: Vec<u64> = shards.iter().map(Shard::id).collect();
-        let catalog = PlacementCatalog::build(&shard_ids, &studies, replication);
+        let shards = (0..shard_count as u64)
+            .map(|id| Shard::install(id, config))
+            .collect::<qbism::Result<Vec<_>>>()
+            .map_err(ClusterError::Gather)?;
+        let studies = shards.first().map_or_else(Vec::new, |first| {
+            let system = first.system();
+            [system.pet_study_ids.as_slice(), &system.mri_study_ids].concat()
+        });
         Ok(ClusterWarehouse {
-            config: config.clone(),
+            codec: config.region_codec,
             shards,
-            catalog,
+            replication: replication.max(1),
             studies,
             threads: 1,
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
             endpoints: EndpointChannels::new(shard_count, NetworkModel::TESTBED_1994)
                 .with_fault_site(sites::CLUSTER_ROUTE_DROP),
             counters: ClusterCounters::new(),
-            next_shard_id: shard_count as u64,
         })
     }
 
@@ -149,22 +127,27 @@ impl ClusterWarehouse {
     // Topology
     // ----------------------------------------------------------------
 
-    /// Live shards.
+    /// Shards in the replica set.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// The shard with cluster id `id`, if still a member.
+    /// The shard with cluster id `id`.
     pub fn shard(&self, id: u64) -> Option<&Shard> {
-        self.shards.iter().find(|s| s.id() == id)
+        usize::try_from(id).ok().and_then(|at| self.shards.get(at))
     }
 
-    /// The placement catalog (ownership ground truth for tests).
-    pub fn catalog(&self) -> &PlacementCatalog {
-        &self.catalog
+    /// The shards serving `study`, primary first, in failover order:
+    /// `(study + i) mod N` for `i < min(k, N)`.  Empty for a study the
+    /// warehouse did not load.
+    pub fn replicas(&self, study: i64) -> Vec<u64> {
+        if !self.studies.contains(&study) {
+            return Vec::new();
+        }
+        ring(study, self.shards.len(), self.replication)
     }
 
-    /// Every placed study, PET first then MRI, in load order.
+    /// Every loaded study, PET first then MRI, in load order.
     pub fn studies(&self) -> &[i64] {
         &self.studies
     }
@@ -183,25 +166,7 @@ impl ClusterWarehouse {
     /// Marks a shard down by hand (drills, benches).  Returns whether
     /// the shard transitioned.
     pub fn kill_shard(&self, id: u64) -> bool {
-        let Some(shard) = self.shard(id) else { return false };
-        let transitioned = shard.state().mark_down();
-        if transitioned {
-            event::shard_down(id);
-            self.counters.shard_kills.fetch_add(1, Ordering::Relaxed);
-            self.counters.obs_shard_kills.inc();
-        }
-        transitioned
-    }
-
-    /// Brings a downed shard back into service.
-    pub fn revive_shard(&self, id: u64) -> bool {
-        match self.shard(id) {
-            Some(shard) => {
-                shard.state().revive();
-                true
-            }
-            None => false,
-        }
+        self.shard(id).is_some_and(|shard| self.mark_down(shard))
     }
 
     /// Revives every shard (test isolation between fault runs).
@@ -211,55 +176,15 @@ impl ClusterWarehouse {
         }
     }
 
-    /// Installs one more full-copy shard and rebalances serving
-    /// ownership onto it.  Returns the new shard's id.
-    pub fn add_shard(&mut self) -> Result<u64> {
-        let id = self.next_shard_id;
-        let shard = Shard::install(id, &self.config).map_err(ClusterError::Gather)?;
-        let span = trace::root("cluster.rebalance");
-        span.record_str("change", "add");
-        span.record_u64("shard", id);
-        self.next_shard_id += 1;
-        self.shards.push(shard);
-        let endpoint = self.endpoints.add_endpoint();
-        debug_assert_eq!(endpoint as u64, id, "endpoint index tracks shard id");
-        self.rebalance(&span)?;
-        Ok(id)
-    }
-
-    /// Removes a shard from the membership (its endpoint slot is
-    /// retired, never reused) and rebalances ownership off it.
-    pub fn remove_shard(&mut self, id: u64) -> Result<u64> {
-        if self.shards.len() <= 1 {
-            return Err(ClusterError::NoShards);
+    /// Downs `shard`; only the caller that sees the transition records
+    /// the `shard_down` event and counts the kill.
+    fn mark_down(&self, shard: &Shard) -> bool {
+        let transitioned = shard.state().mark_down();
+        if transitioned {
+            event::shard_down(shard.id());
+            self.counters.shard_kills.fetch_add(1, Ordering::Relaxed);
         }
-        let Some(at) = self.shards.iter().position(|s| s.id() == id) else {
-            return Err(ClusterError::ShardDown { shard: id });
-        };
-        let span = trace::root("cluster.rebalance");
-        span.record_str("change", "remove");
-        span.record_u64("shard", id);
-        self.shards.remove(at);
-        self.rebalance(&span)
-    }
-
-    /// Rebuilds the placement catalog over the current membership,
-    /// records the move count on the rebalance's span, and runs the
-    /// invariant checker.  Returns the number of studies moved.
-    fn rebalance(&mut self, span: &trace::SpanGuard) -> Result<u64> {
-        let shard_ids: Vec<u64> = self.shards.iter().map(Shard::id).collect();
-        let moved = self.catalog.rebuild(&shard_ids);
-        span.record_u64("moved", moved);
-        self.counters.rebalances.fetch_add(1, Ordering::Relaxed);
-        self.counters.obs_rebalances.inc();
-        self.counters.studies_moved.fetch_add(moved, Ordering::Relaxed);
-        self.counters.obs_moved.add(moved);
-        let violations = self.catalog.verify(&shard_ids, &self.studies);
-        if violations.is_empty() {
-            Ok(moved)
-        } else {
-            Err(ClusterError::Placement(violations))
-        }
+        transitioned
     }
 
     // ----------------------------------------------------------------
@@ -273,8 +198,6 @@ impl ClusterWarehouse {
             shard_kills: self.counters.shard_kills.load(Ordering::Relaxed),
             slow_injections: self.counters.slow_injections.load(Ordering::Relaxed),
             route_drops: self.counters.route_drops.load(Ordering::Relaxed),
-            rebalances: self.counters.rebalances.load(Ordering::Relaxed),
-            studies_moved: self.counters.studies_moved.load(Ordering::Relaxed),
         }
     }
 
@@ -356,8 +279,7 @@ impl ClusterWarehouse {
         // so the re-encoded answer bytes — and therefore `wire_bytes` —
         // are identical in every tablespace mode.
         // (The router has no LFM of its own to credit the fold's skips to.)
-        let (mut cost, fold) =
-            reduce_band_stages(fetched, self.config.region_codec, ClusterError::Gather)?;
+        let (mut cost, fold) = reduce_band_stages(fetched, self.codec, ClusterError::Gather)?;
         span.record_u64("decode_skips", fold.decode_skips);
         span.record_u64("leaves_masked", fold.leaves_masked);
         self.ship(&mut cost, fold.bytes.len() as u64)?;
@@ -389,29 +311,25 @@ impl ClusterWarehouse {
         })
     }
 
-    /// Routes one study's sub-query along its replica list, failing
-    /// over on dead shards, injected kills, stage errors and dropped
-    /// answer legs.  Success returns the stage value and its database
-    /// cost — untouched by the failed attempts before it.
+    /// Routes one study's sub-query around the ring of its replicas,
+    /// failing over on dead shards, injected kills, stage errors and
+    /// dropped answer legs.  Success returns the stage value and its
+    /// database cost — untouched by the failed attempts before it.
     fn route<T>(
         &self,
         study: i64,
         stage: &Stage<'_, T>,
         wire: &dyn Fn(&T) -> u64,
     ) -> Result<(T, QueryCost)> {
-        let owners = self.catalog.replicas(study);
-        if owners.is_empty() {
-            return Err(ClusterError::UnknownStudy { study });
-        }
+        let owners = self.replicas(study);
         let mut last: Option<ClusterError> = None;
         let mut prev: Option<u64> = None;
-        for &sid in owners {
+        for &sid in &owners {
             if let Some(from) = prev {
                 // Recorded here, inside the adopted worker context, so
                 // the failover lands in the owning query's trace.
                 event::failover(study, from, sid);
                 self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                self.counters.obs_failovers.inc();
             }
             prev = Some(sid);
             match self.attempt(sid, study, stage, wire) {
@@ -446,11 +364,7 @@ impl ClusterWarehouse {
         if qbism_fault::inject(sites::CLUSTER_SHARD_KILL).is_some() {
             // Any outcome at the kill site downs the shard; racing
             // workers transition it exactly once.
-            if shard.state().mark_down() {
-                event::shard_down(sid);
-                self.counters.shard_kills.fetch_add(1, Ordering::Relaxed);
-                self.counters.obs_shard_kills.inc();
-            }
+            self.mark_down(shard);
             return Err(ClusterError::ShardKilled { shard: sid });
         }
         // The slow site honours Latency outcomes only: the shard still
@@ -462,7 +376,6 @@ impl ClusterWarehouse {
         {
             fault_latency = seconds.max(0.0);
             self.counters.slow_injections.fetch_add(1, Ordering::Relaxed);
-            self.counters.obs_slow.inc();
         }
         // A failed stage is discarded wholesale, cost included: the
         // replica that finally answers charges what a fault-free run
@@ -474,7 +387,6 @@ impl ClusterWarehouse {
         .map_err(|error| ClusterError::Query { shard: sid, error })?;
         if let Err(error) = self.endpoints.ship(sid as usize, wire(&value)) {
             self.counters.route_drops.fetch_add(1, Ordering::Relaxed);
-            self.counters.obs_route_drops.inc();
             return Err(ClusterError::Route { shard: sid, error });
         }
         cost.sim_db_seconds += fault_latency;
@@ -497,6 +409,33 @@ impl ClusterWarehouse {
     fn finish(&self, span: &trace::SpanGuard, cost: &QueryCost) {
         if qbism_obs::enabled() {
             cost.record_on(span);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replicas_follow_the_ring() {
+        for shards in [1usize, 2, 4] {
+            for k in [1usize, 2, 3] {
+                for study in -3i64..=9 {
+                    let owners = ring(study, shards, k);
+                    assert_eq!(owners.len(), k.min(shards), "{study} on {shards} × {k}");
+                    let primary = study.rem_euclid(shards as i64) as u64;
+                    for (i, &owner) in owners.iter().enumerate() {
+                        assert_eq!(owner, (primary + i as u64) % shards as u64, "ring order");
+                        assert!(!owners[..i].contains(&owner), "replicas are distinct");
+                    }
+                }
+            }
+        }
+        // The benchmark's 2 × 2 shape splits primaries over studies 1..=5.
+        for shard in 0..2u64 {
+            let primaries = (1..=5).filter(|&s| ring(s, 2, 2)[0] == shard).count();
+            assert!(primaries >= 2, "shard {shard} is primary for {primaries} studies");
         }
     }
 }

@@ -46,7 +46,7 @@ impl ShardState {
         self.healthy.compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire).is_ok()
     }
 
-    /// Brings the shard back (tests and rebalance drills).
+    /// Brings the shard back (tests and drills).
     pub fn revive(&self) {
         self.healthy.store(true, Ordering::Release);
     }
@@ -72,7 +72,8 @@ impl Shard {
         Ok(Shard { id, system: QbismSystem::install(config)?, state: ShardState::new() })
     }
 
-    /// The shard's cluster-wide id (also its endpoint index).
+    /// The shard's cluster-wide id: its position in the replica set and
+    /// its endpoint index.
     pub fn id(&self) -> u64 {
         self.id
     }

@@ -460,13 +460,12 @@ impl EndpointChannels {
             retry: RetryPolicy::default(),
             fault_site: "net.send",
         };
-        for _ in 0..n {
-            chans.add_endpoint();
-        }
+        chans.endpoints = (0..n).map(|_| chans.make_endpoint()).collect();
         chans
     }
 
-    /// Replaces the retry policy on every existing and future endpoint.
+    /// Replaces the retry policy on every endpoint; endpoint counters
+    /// are rebuilt fresh.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self.endpoints = (0..self.endpoints.len()).map(|_| self.make_endpoint()).collect();
@@ -487,12 +486,6 @@ impl EndpointChannels {
                 .with_retry_policy(self.retry)
                 .with_fault_site(self.fault_site),
         )
-    }
-
-    /// Adds one endpoint and returns its index.
-    pub fn add_endpoint(&mut self) -> usize {
-        self.endpoints.push(self.make_endpoint());
-        self.endpoints.len() - 1
     }
 
     /// Number of endpoints.

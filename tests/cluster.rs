@@ -10,8 +10,8 @@
 //!   deterministic columns byte-identical to the fault-free run;
 //! * losing *all* k replicas of a study degrades to typed per-study
 //!   `skipped` entries, and only a total loss errors;
-//! * add/remove-shard rebalances preserve answers and the placement
-//!   catalog's invariants;
+//! * a study the warehouse did not load is a typed `UnknownStudy` that
+//!   reaches no shard;
 //! * router claim/merge and racing shard-kill transitions are model
 //!   checked on the `qbism-check` scheduler;
 //! * kill, failover and fault events land inside the owning trace;
@@ -211,18 +211,18 @@ fn losing_every_replica_degrades_to_typed_skips() {
     let warehouse = ClusterWarehouse::install(&config, 4, 2).expect("warehouse install");
     let studies: Vec<i64> = warehouse.studies().to_vec();
     let victim = studies[0];
-    let owners: Vec<u64> = warehouse.catalog().replicas(victim).to_vec();
+    let owners: Vec<u64> = warehouse.replicas(victim);
     assert_eq!(owners.len(), 2);
     for &shard in &owners {
         assert!(warehouse.kill_shard(shard));
     }
     // Killing two shards may strand other studies whose replica sets
     // are the same pair — compute the expected loss set from the
-    // catalog rather than assuming only the victim.
+    // replica ring rather than assuming only the victim.
     let lost: Vec<i64> = studies
         .iter()
         .copied()
-        .filter(|&s| warehouse.catalog().replicas(s).iter().all(|o| owners.contains(o)))
+        .filter(|&s| warehouse.replicas(s).iter().all(|o| owners.contains(o)))
         .collect();
     assert!(lost.contains(&victim));
 
@@ -261,7 +261,7 @@ fn losing_every_replica_degrades_to_typed_skips() {
     // Total loss: down everything, the aggregate returns the typed
     // error instead of an empty answer.
     for &s in &studies {
-        for &o in warehouse.catalog().replicas(s) {
+        for o in warehouse.replicas(s) {
             warehouse.kill_shard(o);
         }
     }
@@ -270,46 +270,22 @@ fn losing_every_replica_degrades_to_typed_skips() {
 }
 
 #[test]
-fn rebalance_on_membership_change_preserves_answers() {
+fn unknown_study_reaches_no_shard() {
     let _g = serialize();
-    let config = config();
-    let mut warehouse = ClusterWarehouse::install(&config, 2, 2).expect("warehouse install");
-    warehouse.set_threads(8);
-    let studies: Vec<i64> = warehouse.studies().to_vec();
-    let baseline = warehouse.population_average(&studies, "ntal").expect("baseline");
-    let baseline_det = det(&baseline.cost);
-
-    let added = warehouse.add_shard().expect("add shard 2");
-    assert_eq!(added, 2);
-    let added = warehouse.add_shard().expect("add shard 3");
-    assert_eq!(added, 3);
-    let after_add = warehouse.population_average(&studies, "ntal").expect("post-add answers");
-    assert_eq!(after_add.data.values(), baseline.data.values());
-    assert_eq!(det(&after_add.cost), baseline_det, "add-shard changed a deterministic column");
-
-    warehouse.remove_shard(0).expect("remove founding shard");
-    let after_remove = warehouse.population_average(&studies, "ntal").expect("post-remove answers");
-    assert_eq!(after_remove.data.values(), baseline.data.values());
-    assert_eq!(det(&after_remove.cost), baseline_det, "remove-shard changed a column");
-
-    // The invariant checker ran inside every membership change; check
-    // it once more from the outside, against the live membership.
-    let live: Vec<u64> = (0..4).filter(|&id| warehouse.shard(id).is_some()).collect();
-    assert_eq!(live, vec![1, 2, 3]);
-    assert!(warehouse.catalog().verify(&live, &studies).is_empty());
-
-    let stats = warehouse.recovery_stats();
-    assert_eq!(stats.rebalances, 3, "two adds and one remove each rebuilt the catalog");
-    assert!(stats.studies_moved >= 1, "membership changes moved ownership");
-
-    // Shrinking to a single shard is allowed; removing the last is not.
-    warehouse.remove_shard(1).expect("shrink to two");
-    warehouse.remove_shard(2).expect("shrink to one");
-    let err = warehouse.remove_shard(3).expect_err("a warehouse cannot have zero shards");
-    assert!(matches!(err, ClusterError::NoShards));
-    let solo = warehouse.population_average(&studies, "ntal").expect("one shard still serves");
-    assert_eq!(solo.data.values(), baseline.data.values());
-    assert_eq!(det(&solo.cost), baseline_det);
+    let warehouse = ClusterWarehouse::install(&config(), 2, 2).expect("warehouse install");
+    let unknown = warehouse.studies().iter().max().expect("loaded studies") + 1;
+    assert!(warehouse.replicas(unknown).is_empty());
+    let scope = FaultPlane::observer().arm();
+    let pop = warehouse.population_average(&[unknown], "ntal").expect_err("unknown study");
+    let band = warehouse.multi_study_band_region(&[unknown], 32, 63).expect_err("unknown study");
+    let site_ops = scope.plane().site_ops();
+    drop(scope);
+    for err in [pop, band] {
+        assert!(matches!(err, ClusterError::UnknownStudy { study } if study == unknown), "{err}");
+    }
+    let kill_passes = site_ops.iter().find(|(site, _)| site == sites::CLUSTER_SHARD_KILL);
+    assert_eq!(kill_passes.map_or(0, |(_, n)| *n), 0, "no shard was tried");
+    assert_eq!(warehouse.recovery_stats().failovers, 0);
 }
 
 #[test]
