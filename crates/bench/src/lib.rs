@@ -29,23 +29,3 @@ pub mod scaling;
 pub mod table3;
 pub mod table4;
 pub mod tables12;
-
-/// Formats a ratio list like `1 : 1.27 : 1.61` from absolute values.
-pub fn ratio_string(values: &[f64]) -> String {
-    if values.is_empty() || values[0] == 0.0 {
-        return "-".into();
-    }
-    values.iter().map(|v| format!("{:.2}", v / values[0])).collect::<Vec<_>>().join(" : ")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ratio_string_normalizes_to_first() {
-        assert_eq!(ratio_string(&[2.0, 4.0, 5.0]), "1.00 : 2.00 : 2.50");
-        assert_eq!(ratio_string(&[]), "-");
-        assert_eq!(ratio_string(&[0.0, 1.0]), "-");
-    }
-}

@@ -120,10 +120,4 @@ impl<T: Clone> TrackedCell<T> {
         self.check(true);
         *self.value.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = value;
     }
-
-    /// Race-checked in-place update (counts as a write).
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.check(true);
-        f(&mut self.value.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
 }

@@ -201,20 +201,9 @@ impl ClusterWarehouse {
         }
     }
 
-    /// Cumulative traffic on one shard's answer leg.
-    pub fn shard_net_stats(&self, id: u64) -> Option<NetStats> {
-        self.endpoints.stats(id as usize)
-    }
-
     /// Summed answer-leg traffic across every shard endpoint.
     pub fn total_shard_net_stats(&self) -> NetStats {
         self.endpoints.total_stats()
-    }
-
-    /// Traffic on the router→client channel — the only channel whose
-    /// receipts reach [`QueryCost`].
-    pub fn client_net_stats(&self) -> NetStats {
-        self.chan.stats()
     }
 
     // ----------------------------------------------------------------

@@ -20,11 +20,6 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Creates an empty writer with space for `bits` bits reserved.
-    pub fn with_capacity_bits(bits: usize) -> Self {
-        BitWriter { bytes: Vec::with_capacity(bits.div_ceil(8)), partial_bits: 0 }
-    }
-
     /// Number of bits written so far.
     pub fn bit_len(&self) -> u64 {
         if self.partial_bits == 0 {
@@ -75,11 +70,6 @@ impl BitWriter {
     /// underlying bytes.
     pub fn finish(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Byte length the stream would occupy on disk right now.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
     }
 }
 

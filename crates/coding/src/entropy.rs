@@ -33,14 +33,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Records `count` observations of `value`.
-    pub fn add_n(&mut self, value: u64, count: u64) {
-        if count > 0 {
-            *self.counts.entry(value).or_insert(0) += count;
-            self.total += count;
-        }
-    }
-
     /// Total number of observations.
     pub fn total(&self) -> u64 {
         self.total
@@ -78,39 +70,6 @@ impl Histogram {
             .sum::<f64>()
     }
 
-    /// Fits `count = C * value^(-a)` by least squares on `log count` vs
-    /// `log value` (the EQ 1 model), returning `(a, r)` where `r` is the
-    /// correlation coefficient of the log-log fit.  Values observed once
-    /// or more all participate; returns `None` with fewer than 3 distinct
-    /// values (a line through <3 points is meaningless).
-    pub fn power_law_fit(&self) -> Option<(f64, f64)> {
-        if self.distinct() < 3 {
-            return None;
-        }
-        let pts: Vec<(f64, f64)> =
-            self.counts.iter().map(|(&v, &c)| ((v as f64).ln(), (c as f64).ln())).collect();
-        let n = pts.len() as f64;
-        let sx: f64 = pts.iter().map(|p| p.0).sum();
-        let sy: f64 = pts.iter().map(|p| p.1).sum();
-        let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-        let syy: f64 = pts.iter().map(|p| p.1 * p.1).sum();
-        let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-        let denom = n * sxx - sx * sx;
-        if denom.abs() < 1e-12 {
-            return None;
-        }
-        let slope = (n * sxy - sx * sy) / denom;
-        let var_y = n * syy - sy * sy;
-        let r = if var_y.abs() < 1e-12 {
-            0.0
-        } else {
-            (n * sxy - sx * sy) / (denom.sqrt() * var_y.sqrt())
-        };
-        Some((-slope, r))
-    }
-}
-
-impl Histogram {
     /// Octave-binned power-law fit: aggregates counts into bins
     /// `[2^k, 2^(k+1))`, fits `log(density)` against `log(bin centre)`,
     /// and returns `(a, r)` for `density ~ length^-a`.
@@ -172,16 +131,13 @@ impl Histogram {
     }
 }
 
-/// Empirical entropy in bits per observation of a slice of delta lengths.
-///
-/// Convenience wrapper over [`Histogram::entropy_bits`].
-pub fn empirical_entropy_bits(values: &[u64]) -> f64 {
-    Histogram::from_values(values.iter().copied()).entropy_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn empirical_entropy_bits(values: &[u64]) -> f64 {
+        Histogram::from_values(values.iter().copied()).entropy_bits()
+    }
 
     #[test]
     fn uniform_distribution_entropy() {
@@ -220,30 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn power_law_fit_recovers_exponent() {
-        // Build an exact count = 10000 * l^-1.6 histogram and check the
-        // fit recovers a ≈ 1.6 with correlation ~1.
-        let mut h = Histogram::new();
-        for l in 1..=200u64 {
-            let c = (10000.0 * (l as f64).powf(-1.6)).round() as u64;
-            h.add_n(l, c.max(1));
-        }
-        let (a, r) = h.power_law_fit().expect("fit");
-        assert!((a - 1.6).abs() < 0.05, "exponent {a}");
-        assert!(r < -0.99, "correlation {r}");
-    }
-
-    #[test]
     fn binned_fit_recovers_exponent_despite_singleton_tail() {
         // Power-law counts whose tail rounds to sparse singletons: the
-        // raw per-length fit is dragged flat by the many count-1 points,
-        // while the octave-binned density fit recovers the exponent.
+        // octave-binned density fit still recovers the exponent.
         let mut h = Histogram::new();
         for l in 1..=512u64 {
             let c = (20_000.0 * (l as f64).powf(-1.6)).round() as u64;
-            if c > 0 {
-                h.add_n(l, c);
-            }
+            (0..c).for_each(|_| h.add(l));
         }
         let (a, r) = h.power_law_fit_binned().expect("binned fit");
         assert!((a - 1.6).abs() < 0.15, "binned exponent {a}");
@@ -252,18 +191,8 @@ mod tests {
 
     #[test]
     fn binned_fit_needs_three_octaves() {
-        let mut h = Histogram::new();
-        h.add_n(1, 100);
-        h.add_n(2, 50);
+        let h = Histogram::from_values([1, 1, 2]);
         assert!(h.power_law_fit_binned().is_none(), "only two octaves");
-    }
-
-    #[test]
-    fn power_law_fit_requires_three_points() {
-        let mut h = Histogram::new();
-        h.add_n(1, 10);
-        h.add_n(2, 5);
-        assert!(h.power_law_fit().is_none());
     }
 
     #[test]

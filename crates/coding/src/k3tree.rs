@@ -64,7 +64,7 @@
 //! mask by `trailing_zeros`.  Cursor and descent decode leaves through
 //! one pair decoder.
 
-use crate::varint::{read_uvarint, uvarint_len, write_uvarint};
+use crate::varint::{read_uvarint, write_uvarint};
 use crate::{first_reaching, CodingError, Result, RunCursor};
 
 const FULL: u16 = 0b01;
@@ -301,60 +301,6 @@ fn set_codes(out: &mut [u8], open: &[usize], first: u64, code: u16, count: u32) 
     *hi |= set_hi;
     *lo |= set_lo;
     Ok(())
-}
-
-/// Length of [`encode_runs`]' payload without building it.
-///
-/// The directory costs 16 bits a node, and below the root a node exists
-/// exactly when it is mixed: when a *boundary* — a run's `start` or its
-/// `end + 1` — falls strictly inside it.  A boundary `at` is strictly
-/// inside the nodes of `2^m` ids with `m > at.trailing_zeros()`.  The
-/// boundary `prev` before it has already counted those of them it is
-/// strictly inside too — every `m` above both `prev.trailing_zeros()`
-/// and the highest bit in which the two differ — so `at` adds the nodes
-/// with `tz(at) < m <= max(tz(prev), ilog2(prev ^ at))`, `m` a multiple
-/// of 3 above the cut and no larger than the root's children.  The
-/// leaves cost what their varints do.
-pub fn encoded_len<R: Copy + Into<(u64, u64)>>(runs: &[R], id_bits: u32) -> Result<usize> {
-    let top = top_shift(id_bits)?;
-    let directory = top >= LEAF_BITS;
-    let new_nodes = |prev: u64, at: u64| {
-        let uncounted_up_to = prev.trailing_zeros().max((prev ^ at).ilog2()).min(top);
-        (uncounted_up_to / 3).saturating_sub(at.trailing_zeros().max(LEAF_BITS) / 3) as usize
-    };
-    let mut nodes = usize::from(directory && !runs.is_empty());
-    // A closed leaf: its pairs behind their byte length.
-    let closed = |pairs: usize| if pairs > 0 { uvarint_len(pairs as u64) + pairs } else { 0 };
-    // Bytes of the closed leaves, then the open one's base, pairs and
-    // floor.
-    let mut leaves = 0;
-    let (mut leaf_base, mut leaf_len, mut leaf_floor) = (None, 0, 0);
-    // Id 0 is inside nothing (64 trailing zeros): as `prev` it has
-    // counted nothing, as `at` it would add nothing.
-    let (mut prev, mut min_start) = (0, 0);
-    for &run in runs {
-        let (start, end) = run.into();
-        check_run(start, end, min_start, id_bits)?;
-        min_start = end + 2;
-        if directory {
-            if start > 0 {
-                nodes += new_nodes(prev, start);
-            }
-            nodes += new_nodes(start, end + 1);
-            prev = end + 1;
-        }
-        let [head, _, tail] = cut_at_leaves(start, end, directory);
-        for (lo, hi) in [head, tail].into_iter().flatten() {
-            let base = lo / LEAF_IDS * LEAF_IDS;
-            if leaf_base != Some(base) {
-                leaves += closed(leaf_len);
-                (leaf_base, leaf_len, leaf_floor) = (Some(base), 0, base);
-            }
-            leaf_len += uvarint_len(lo - leaf_floor) + uvarint_len(hi - lo);
-            leaf_floor = hi + 2;
-        }
-    }
-    Ok(2 + 2 * nodes + leaves + closed(leaf_len))
 }
 
 /// One open directory node: its id range and the children still to
@@ -1120,13 +1066,12 @@ mod tests {
 
     #[test]
     fn sizes_are_pinned() {
-        // Byte lengths of this layout, against the reference encoder and
-        // `encoded_len`; beside each, the word-only layout it replaced.
+        // Byte lengths of this layout, against the reference encoder;
+        // beside each, the word-only layout it replaced.
         let pin = |name: &str, runs: Vec<(u64, u64)>, id_bits: u32, pinned: usize| {
             let bytes = encode_runs(&runs, id_bits).unwrap();
             assert_eq!(bytes, reference_encode(&runs, id_bits), "{name}");
             assert_eq!(bytes.len(), pinned, "{name}");
-            assert_eq!(encoded_len(&runs, id_bits).unwrap(), pinned, "{name}");
             assert_eq!(decode(&bytes), runs, "{name}");
         };
         pin("empty", vec![], 15, 2); // 2
@@ -1177,8 +1122,7 @@ mod tests {
         assert_eq!(encode_runs(&[(0u64, 1 << 12)], 12), Err(outside.clone()));
         assert_eq!(encode_runs(&[(5u64, 3)], 12), Err(outside));
         assert_eq!(encode_runs(&[(0u64, 3), (4, 6)], 12), Err(non_canonical.clone()));
-        assert_eq!(encode_runs(&[(10u64, 12), (5, 7)], 12), Err(non_canonical.clone()));
-        assert_eq!(encoded_len(&[(0u64, 3), (4, 6)], 12), Err(non_canonical));
+        assert_eq!(encode_runs(&[(10u64, 12), (5, 7)], 12), Err(non_canonical));
         for id_bits in [0, 34] {
             let err = CodingError::ValueOutOfDomain { value: u64::from(id_bits), codec: "k3-tree" };
             assert_eq!(encode_runs(&[(0u64, 0)], id_bits), Err(err));
@@ -1515,7 +1459,7 @@ mod tests {
     proptest! {
         /// Encode, then drain: the identity at every id width, ids past
         /// 2^32 included; the streaming encoder against the recursive
-        /// reference; `encoded_len` against what was built.
+        /// reference.
         #[test]
         fn fuzz_roundtrip_at_every_id_width(
             id_bits in 3u32..=33,
@@ -1525,7 +1469,6 @@ mod tests {
             let runs = scattered(id_bits, ids, straddles);
             let bytes = encode_runs(&runs, id_bits).unwrap();
             prop_assert_eq!(&bytes, &reference_encode(&runs, id_bits));
-            prop_assert_eq!(encoded_len(&runs, id_bits).unwrap(), bytes.len());
             prop_assert_eq!(decode(&bytes), runs);
         }
 
@@ -1539,7 +1482,6 @@ mod tests {
             let runs = scattered(15, ids, straddles);
             let bytes = encode_runs(&runs, 15).unwrap();
             prop_assert_eq!(&bytes, &reference_encode(&runs, 15));
-            prop_assert_eq!(encoded_len(&runs, 15).unwrap(), bytes.len());
             prop_assert_eq!(decode(&bytes), runs);
         }
 

@@ -16,7 +16,7 @@
 //! * [`Golomb`] and [`Rice`] — the geometric-distribution codes the paper
 //!   rejects (implemented so the rejection can be *measured*);
 //! * [`Unary`] and [`FixedWidth`] — building blocks and baselines;
-//! * [`empirical_entropy_bits`] — the EQ 2 lower bound.
+//! * [`Histogram`] — the EQ 2 entropy lower bound and the EQ 1 power-law fit.
 //!
 //! All codes implement [`IntCodec`] over strictly positive integers
 //! (delta lengths are always ≥ 1).
@@ -67,10 +67,10 @@ mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use codecs::{EliasDelta, EliasGamma, FixedWidth, Golomb, IntCodec, Rice, Unary};
-pub use entropy::{empirical_entropy_bits, Histogram};
+pub use entropy::Histogram;
 pub use k3tree::K3Cursor;
 pub use runcode::RunListCursor;
-pub use varint::{read_uvarint, uvarint_len, write_uvarint, MAX_VARINT_BYTES};
+pub use varint::{read_uvarint, write_uvarint, MAX_VARINT_BYTES};
 
 /// A streaming cursor over a compressed REGION's maximal `(start, end)`
 /// run list, in increasing id order.

@@ -34,12 +34,6 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut value: u64) -> usize {
     }
 }
 
-/// Encoded length of `value` without writing it.
-pub fn uvarint_len(value: u64) -> usize {
-    // 1 byte per 7 significant bits; zero still costs one byte.
-    (64 - value.leading_zeros()).div_ceil(7).max(1) as usize
-}
-
 /// Decodes one LEB128 codeword from `bytes[*pos..]`, advancing `*pos`
 /// past it.
 ///
@@ -94,7 +88,6 @@ mod tests {
         let mut buf = Vec::new();
         let n = write_uvarint(&mut buf, v);
         assert_eq!(n, buf.len());
-        assert_eq!(n, uvarint_len(v));
         let mut pos = 0;
         let back = read_uvarint(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
@@ -107,10 +100,10 @@ mod tests {
             let (_, back) = roundtrip(v);
             assert_eq!(back, v);
         }
-        assert_eq!(uvarint_len(0), 1);
-        assert_eq!(uvarint_len(127), 1);
-        assert_eq!(uvarint_len(128), 2);
-        assert_eq!(uvarint_len(u64::MAX), MAX_VARINT_BYTES);
+        // 1 byte per 7 significant bits; zero still costs one byte.
+        for (v, len) in [(0, 1), (127, 1), (128, 2), (u64::MAX, MAX_VARINT_BYTES)] {
+            assert_eq!(roundtrip(v).0.len(), len, "{v}");
+        }
     }
 
     #[test]

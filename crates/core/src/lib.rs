@@ -19,7 +19,8 @@
 //!   `DATA_REGION` answers;
 //! * [`ops`] — the Section 3.2 spatial operators registered as
 //!   user-defined SQL functions (`intersection`, `contains`,
-//!   `extractVoxels`, plus the future-work `runion`/`rdifference`);
+//!   `extractVoxels`, plus `runion`/`rdifference`, which §3.2 calls
+//!   straightforward);
 //! * [`loader`] — database population: synthesize phantom data, register
 //!   and warp studies *at load time*, compute intensity bands;
 //! * [`server`] — MedicalServer: high-level query specs translated to
@@ -45,9 +46,7 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod future;
 pub mod loader;
-pub mod mining;
 pub mod ops;
 pub mod report;
 pub mod schema;
@@ -55,7 +54,6 @@ pub mod server;
 pub mod wire;
 
 pub use config::QbismConfig;
-pub use future::{feature_vector, StructureIndex, FEATURE_DIMS};
 pub use loader::QbismSystem;
 pub use report::{FullQueryReport, QuerySpec};
 pub use server::{MedicalServer, PopulationAnswer, QueryAnswer, QueryCost, StudyStage};

@@ -14,8 +14,7 @@ use crate::server::MedicalServer;
 use crate::wire::{mesh_to_long_field, volume_to_long_field};
 use crate::Result;
 use qbism_phantom::{
-    build_atlas, demographics, AtlasStructure, Modality, MriField, PetField, PhantomAtlas,
-    StudyGenerator,
+    build_atlas, demographics, Modality, MriField, PetField, PhantomAtlas, StudyGenerator,
 };
 use qbism_region::Region;
 
@@ -302,11 +301,6 @@ fn load_study<F: qbism_phantom::ScalarField3>(
     Ok(())
 }
 
-/// Looks up a structure's 1-based id by name in the phantom atlas order.
-pub fn structure_id_by_name(atlas: &PhantomAtlas, name: &str) -> Option<i64> {
-    atlas.structures().iter().position(|s: &AtlasStructure| s.name == name).map(|i| (i + 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,15 +359,6 @@ mod tests {
             let x = v.as_f64().unwrap();
             assert!((0.8..1.2).contains(&x), "diagonal {x} not near identity");
         }
-    }
-
-    #[test]
-    fn structure_ids_follow_atlas_order() {
-        let sys = system();
-        assert_eq!(structure_id_by_name(&sys.atlas, "ntal0"), Some(1));
-        assert_eq!(structure_id_by_name(&sys.atlas, "ntal1"), Some(2));
-        assert_eq!(structure_id_by_name(&sys.atlas, "hippocampus-r"), Some(11));
-        assert_eq!(structure_id_by_name(&sys.atlas, "nope"), None);
     }
 
     #[test]

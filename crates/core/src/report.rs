@@ -195,64 +195,6 @@ impl FullQueryReport {
     }
 }
 
-/// Interactive-session variant: consult the DX cache first.  A hit costs
-/// only rendering (the paper's "review and manipulate the results of
-/// several recently issued queries without necessitating a database
-/// reaccess"); a miss runs the full pipeline and fills the cache.
-///
-/// Returns the report plus whether the cache served the data.
-pub fn run_with_cache(
-    sys: &mut QbismSystem,
-    cache: &mut qbism_render::DxCache,
-    study_id: i64,
-    spec: &QuerySpec,
-) -> Result<(FullQueryReport, bool)> {
-    let key = format!("{study_id}/{spec:?}");
-    if let Some(field) = cache.get(&key) {
-        let voxels = field.len() as u64;
-        let t = std::time::Instant::now();
-        let camera = Camera::default_for_grid(sys.server.config().side());
-        let mut raster = Rasterizer::new(FRAME, FRAME, camera);
-        raster.draw_field(field);
-        let render_native = t.elapsed().as_secs_f64();
-        let dx = DxTimeModel::RS6000_1994;
-        let render_sim = dx.render_seconds(voxels);
-        return Ok((
-            FullQueryReport {
-                label: format!("{} [cached]", spec.label()),
-                h_runs: 0,
-                voxels,
-                lfm_ios: 0,
-                db_native_seconds: 0.0,
-                db_sim_seconds: 0.0,
-                messages: 0,
-                net_sim_seconds: 0.0,
-                import_native_seconds: 0.0,
-                import_sim_seconds: 0.0,
-                render_native_seconds: render_native,
-                render_sim_seconds: render_sim,
-                other_sim_seconds: 0.0,
-                total_sim_seconds: render_sim,
-            },
-            true,
-        ));
-    }
-    let report = run_full_query(sys, study_id, spec)?;
-    // Re-import for the cache (the measured import above was consumed by
-    // the render; caching a fresh copy mirrors DX keeping the object).
-    let answer = match spec {
-        QuerySpec::FullStudy => sys.server.full_study(study_id)?,
-        QuerySpec::Box { min, max } => sys.server.box_data(study_id, *min, *max)?,
-        QuerySpec::Structure(name) => sys.server.structure_data(study_id, name)?,
-        QuerySpec::Band { lo, hi } => sys.server.band_data(study_id, *lo, *hi)?,
-        QuerySpec::BandInStructure { lo, hi, structure } => {
-            sys.server.band_in_structure(study_id, *lo, *hi, structure)?
-        }
-    };
-    cache.put(key, import_data_region(&answer.data));
-    Ok((report, false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,32 +243,6 @@ mod tests {
         )
         .unwrap();
         assert!(mixed.voxels <= band.voxels);
-    }
-
-    #[test]
-    fn dx_cache_skips_the_database_on_review() {
-        let mut sys = system();
-        let mut cache = qbism_render::DxCache::new(4);
-        let spec = QuerySpec::Structure("ntal".into());
-        let (first, was_cached) = run_with_cache(&mut sys, &mut cache, 1, &spec).unwrap();
-        assert!(!was_cached);
-        assert!(first.lfm_ios > 0);
-        let before = sys.server.lfm_stats();
-        let (second, was_cached) = run_with_cache(&mut sys, &mut cache, 1, &spec).unwrap();
-        assert!(was_cached, "second run must hit the cache");
-        assert_eq!(second.lfm_ios, 0);
-        assert_eq!(second.messages, 0);
-        assert_eq!(
-            sys.server.lfm_stats().pages_read,
-            before.pages_read,
-            "no device I/O on a cache hit"
-        );
-        assert_eq!(second.voxels, first.voxels);
-        assert!(second.total_sim_seconds < first.total_sim_seconds);
-        // Flushing restores the measured-run protocol.
-        cache.flush();
-        let (_, was_cached) = run_with_cache(&mut sys, &mut cache, 1, &spec).unwrap();
-        assert!(!was_cached);
     }
 
     #[test]

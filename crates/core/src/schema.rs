@@ -7,19 +7,6 @@
 use crate::Result;
 use qbism_starburst::Database;
 
-/// All tables of the medical schema, in creation order.
-pub const TABLES: [&str; 9] = [
-    "atlas",
-    "neuralsystem",
-    "neuralstructure",
-    "systemstructure",
-    "patient",
-    "rawvolume",
-    "warpedvolume",
-    "atlasstructure",
-    "intensityband",
-];
-
 /// Creates the medical schema in `db`.
 pub fn create_schema(db: &mut Database) -> Result<()> {
     // Atlas: the coordinate system it defines (origin, voxel size,
@@ -75,6 +62,19 @@ pub fn create_schema(db: &mut Database) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All tables of the medical schema, in creation order.
+    const TABLES: [&str; 9] = [
+        "atlas",
+        "neuralsystem",
+        "neuralstructure",
+        "systemstructure",
+        "patient",
+        "rawvolume",
+        "warpedvolume",
+        "atlasstructure",
+        "intensityband",
+    ];
 
     #[test]
     fn schema_creates_all_tables() {

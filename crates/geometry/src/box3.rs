@@ -63,20 +63,6 @@ impl IBox3 {
         IBox3 { min, max }
     }
 
-    /// The paper's Q2 box: corners (30,30,30) and (100,100,100).
-    pub fn paper_q2() -> Self {
-        IBox3::new(IVec3::new(30, 30, 30), IVec3::new(100, 100, 100))
-    }
-
-    /// A cube covering a whole `side x side x side` grid.
-    ///
-    /// # Panics
-    /// Panics if `side == 0`.
-    pub fn full_grid(side: u32) -> Self {
-        assert!(side > 0, "grid side must be positive");
-        IBox3::new(IVec3::new(0, 0, 0), IVec3::new(side - 1, side - 1, side - 1))
-    }
-
     /// Extent along each axis (inclusive count of voxels).
     pub fn extent(&self) -> IVec3 {
         IVec3::new(
@@ -97,11 +83,6 @@ impl IBox3 {
         (self.min.x..=self.max.x).contains(&p.x)
             && (self.min.y..=self.max.y).contains(&p.y)
             && (self.min.z..=self.max.z).contains(&p.z)
-    }
-
-    /// Whether every voxel of `other` lies inside `self`.
-    pub fn contains_box(&self, other: &IBox3) -> bool {
-        self.contains(other.min) && self.contains(other.max)
     }
 
     /// Intersection with `other`, or `None` if disjoint.
@@ -140,14 +121,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn paper_q2_has_expected_voxel_count() {
-        // Table 3 row Q2: a 71x71x71 rectangular solid = 357,911 voxels.
-        let b = IBox3::paper_q2();
-        assert_eq!(b.extent().to_array(), [71, 71, 71]);
-        assert_eq!(b.volume(), 357_911);
-    }
-
-    #[test]
     fn containment_is_inclusive_on_both_corners() {
         let b = IBox3::new(IVec3::new(2, 2, 2), IVec3::new(4, 4, 4));
         assert!(b.contains(IVec3::new(2, 2, 2)));
@@ -184,14 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn full_grid_and_contains_box() {
-        let g = IBox3::full_grid(128);
-        assert_eq!(g.volume(), 2_097_152); // the paper's 2M voxels per study
-        assert!(g.contains_box(&IBox3::paper_q2()));
-        assert!(!IBox3::paper_q2().contains_box(&g));
-    }
-
-    #[test]
     fn voxel_center() {
         assert_eq!(IVec3::new(0, 0, 0).center(), Vec3::new(0.5, 0.5, 0.5));
         assert_eq!(IVec3::new(10, 20, 30).center(), Vec3::new(10.5, 20.5, 30.5));
@@ -221,7 +186,7 @@ mod tests {
             prop_assert_eq!(ab, b.intersect(&a));
             if let Some(c) = ab {
                 prop_assert!(c.volume() <= a.volume().min(b.volume()));
-                prop_assert!(a.contains_box(&c) && b.contains_box(&c));
+                prop_assert!([a, b].iter().all(|x| x.contains(c.min) && x.contains(c.max)));
             }
         }
     }

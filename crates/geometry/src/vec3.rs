@@ -64,11 +64,6 @@ impl Vec3 {
         }
     }
 
-    /// Component-wise product.
-    pub fn hadamard(self, other: Vec3) -> Vec3 {
-        Vec3::new(self.x * other.x, self.y * other.y, self.z * other.z)
-    }
-
     /// Component-wise minimum.
     pub fn min(self, other: Vec3) -> Vec3 {
         Vec3::new(self.x.min(other.x), self.y.min(other.y), self.z.min(other.z))
@@ -77,11 +72,6 @@ impl Vec3 {
     /// Component-wise maximum.
     pub fn max(self, other: Vec3) -> Vec3 {
         Vec3::new(self.x.max(other.x), self.y.max(other.y), self.z.max(other.z))
-    }
-
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// Distance between two points.
@@ -199,21 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn min_max_hadamard() {
+    fn component_min_and_max() {
         let a = Vec3::new(1.0, 5.0, -2.0);
         let b = Vec3::new(3.0, 2.0, 0.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 2.0, -2.0));
         assert_eq!(a.max(b), Vec3::new(3.0, 5.0, 0.0));
-        assert_eq!(a.hadamard(b), Vec3::new(3.0, 10.0, 0.0));
     }
 
     #[test]

@@ -241,12 +241,6 @@ impl BuddyAllocator {
         }
         Ok(())
     }
-
-    /// Free pages (for diagnostics; fragmentation can make large
-    /// allocations fail even with free pages remaining).
-    pub fn free_pages(&self) -> u64 {
-        self.total_pages() - self.allocated_pages
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +304,7 @@ mod tests {
         }
         blocks.clear();
         assert_eq!(b.allocate(5).unwrap(), 0, "full block must be whole again");
-        assert_eq!(b.free_pages(), 0);
+        assert_eq!(b.allocated_pages(), b.total_pages());
     }
 
     #[test]

@@ -297,13 +297,6 @@ impl Geometry {
     }
 }
 
-/// Mutable accounting shared by concurrent readers, behind one lock.
-#[derive(Debug, Default)]
-struct AcctState {
-    stats: IoStats,
-    fault_latency: f64,
-}
-
 /// Frames `config` asks the pool for: none unless it is switched on.
 fn pool_frames(config: CacheConfig) -> usize {
     if config.enabled {
@@ -352,8 +345,8 @@ pub struct LongFieldManager {
     allocator: BuddyAllocator,
     fields: HashMap<u64, FieldDesc>,
     next_id: u64,
-    acct: Mutex<AcctState>,
-    disk: DiskModel,
+    /// Data-plane I/O counters, shared by concurrent readers.
+    acct: Mutex<IoStats>,
     metrics: LfmMetrics,
     cache: Mutex<PageCache>,
     /// Beside the mutex, not under it: only `&mut self` changes it, so
@@ -387,8 +380,7 @@ impl LongFieldManager {
             allocator: BuddyAllocator::new(geo.max_order),
             fields: HashMap::new(),
             next_id: 1,
-            acct: Mutex::named("lfm.acct", AcctState::default()),
-            disk: DiskModel::default(),
+            acct: Mutex::named("lfm.acct", IoStats::default()),
             metrics: LfmMetrics::new(),
             cache: Mutex::named(
                 "lfm.cache",
@@ -408,24 +400,13 @@ impl LongFieldManager {
         Ok(lfm)
     }
 
-    /// The disk model used to convert I/O deltas into simulated seconds
-    /// for the `qbism_lfm_sim_disk_micros_total` counter.
-    pub fn disk_model(&self) -> DiskModel {
-        self.disk
-    }
-
-    /// Replaces the simulated disk model.
-    pub fn set_disk_model(&mut self, model: DiskModel) {
-        self.disk = model;
-    }
-
     /// Charges one I/O delta to the shared [`IoStats`], any open
     /// [`crate::IoBracket`]s on this thread, and the process-wide
     /// metrics, returning the simulated disk seconds.
     fn charge(&self, delta: IoStats) -> f64 {
         {
             let mut acct = self.acct.lock_or_recover();
-            acct.stats = acct.stats.plus(&delta);
+            *acct = acct.plus(&delta);
         }
         crate::acct::charge(&delta);
         self.metrics.pages_read.add(delta.pages_read);
@@ -434,14 +415,13 @@ impl LongFieldManager {
         self.metrics.extents_written.add(delta.extents_written);
         self.metrics.read_calls.add(delta.read_calls);
         self.metrics.write_calls.add(delta.write_calls);
-        let sim_seconds = self.disk.seconds(&delta);
+        let sim_seconds = DiskModel::RS6000_1994.seconds(&delta);
         self.metrics.sim_disk_micros.add((sim_seconds * 1e6) as u64);
         sim_seconds
     }
 
     fn note_latency(&self, seconds: f64) {
         if seconds > 0.0 {
-            self.acct.lock_or_recover().fault_latency += seconds;
             crate::acct::charge_latency(seconds);
             self.metrics.fault_latency_micros.add((seconds * 1e6) as u64);
         }
@@ -459,15 +439,12 @@ impl LongFieldManager {
 
     /// Cumulative data-plane I/O counters.
     pub fn stats(&self) -> IoStats {
-        self.acct.lock_or_recover().stats
+        *self.acct.lock_or_recover()
     }
 
-    /// Zeroes the I/O counters and the injected-latency accumulator
-    /// (used between measured queries).
+    /// Zeroes the I/O counters (used between measured queries).
     pub fn reset_stats(&self) {
-        let mut acct = self.acct.lock_or_recover();
-        acct.stats = IoStats::default();
-        acct.fault_latency = 0.0;
+        *self.acct.lock_or_recover() = IoStats::default();
     }
 
     /// Reconfigures the page cache (the pool is emptied; stats remain).
@@ -497,13 +474,6 @@ impl LongFieldManager {
     /// recoveries.
     pub fn meta_stats(&self) -> MetaStats {
         self.meta
-    }
-
-    /// Simulated seconds of injected device latency since the last
-    /// [`LongFieldManager::reset_stats`].  Zero unless a fault plane is
-    /// injecting [`qbism_fault::FaultOutcome::Latency`].
-    pub fn fault_latency_seconds(&self) -> f64 {
-        self.acct.lock_or_recover().fault_latency
     }
 
     /// Whether the simulated machine is down after an injected crash.
@@ -697,11 +667,6 @@ impl LongFieldManager {
         self.compressed.insert(id.0);
         self.metrics.compressed_bytes_on_device.add(data.len() as u64);
         Ok(id)
-    }
-
-    /// Whether `id` lives in the compressed tablespace.
-    pub fn is_compressed(&self, id: LongFieldId) -> bool {
-        self.compressed.contains(&id.0)
     }
 
     /// Credits `skips` skip-jumps (k³-tree subtrees and leaves bypassed
@@ -1784,12 +1749,13 @@ mod tests {
                 qbism_fault::FaultOutcome::Latency { seconds: 0.125 },
             )
             .arm();
+        let bracket = crate::IoBracket::begin();
         let _ = lfm.read(id).unwrap();
         let _ = lfm.read(id).unwrap();
-        assert!((lfm.fault_latency_seconds() - 0.25).abs() < 1e-12);
-        assert_eq!(lfm.stats().pages_read, 2, "latency does not change I/O counts");
-        lfm.reset_stats();
-        assert_eq!(lfm.fault_latency_seconds(), 0.0);
+        let (io, latency) = bracket.finish();
+        assert!((latency - 0.25).abs() < 1e-12);
+        assert_eq!(io.pages_read, 2, "latency does not change I/O counts");
+        assert_eq!(lfm.stats().pages_read, 2);
     }
 
     proptest! {

@@ -270,21 +270,6 @@ impl RpcChannel {
         self
     }
 
-    /// The fault site in force.
-    pub fn fault_site(&self) -> &'static str {
-        self.fault_site
-    }
-
-    /// The cost model in force.
-    pub fn model(&self) -> NetworkModel {
-        self.model
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Ships one logical answer of `payload_bytes`, updating counters.
     ///
     /// Without an armed fault plane this is the exact lossless model.
@@ -377,11 +362,6 @@ impl RpcChannel {
     pub fn stats(&self) -> NetStats {
         self.stats
     }
-
-    /// Zeroes the counters (between measured queries).
-    pub fn reset_stats(&mut self) {
-        self.stats = NetStats::default();
-    }
 }
 
 /// An [`RpcChannel`] shareable across query threads: the channel sits
@@ -407,21 +387,6 @@ impl SharedRpcChannel {
     /// Counters since construction or the last reset.
     pub fn stats(&self) -> NetStats {
         self.lock().stats()
-    }
-
-    /// Zeroes the counters (between measured queries).
-    pub fn reset_stats(&self) {
-        self.lock().reset_stats();
-    }
-
-    /// The cost model in force.
-    pub fn model(&self) -> NetworkModel {
-        self.lock().model()
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.lock().retry_policy()
     }
 
     fn lock(&self) -> qbism_check::sync::MutexGuard<'_, RpcChannel> {
@@ -508,21 +473,9 @@ impl EndpointChannels {
             .ship(payload_bytes)
     }
 
-    /// Counters of one endpoint, if it exists.
-    pub fn stats(&self, endpoint: usize) -> Option<NetStats> {
-        self.endpoints.get(endpoint).map(SharedRpcChannel::stats)
-    }
-
     /// Field-wise sum of every endpoint's counters.
     pub fn total_stats(&self) -> NetStats {
         self.endpoints.iter().fold(NetStats::default(), |acc, e| acc.plus(&e.stats()))
-    }
-
-    /// Zeroes every endpoint's counters.
-    pub fn reset_stats(&self) {
-        for e in &self.endpoints {
-            e.reset_stats();
-        }
     }
 }
 
@@ -594,7 +547,7 @@ mod tests {
             let _scope =
                 FaultPlane::new(5).rule("net.send", Trigger::Always, FaultOutcome::Drop).arm();
             chans.ship(0, 2048).unwrap();
-            assert_eq!(chans.stats(0).unwrap().retransmits, 0);
+            assert_eq!(chans.endpoints[0].stats().retransmits, 0);
         }
         // Drop every message on the shared site: only the shipped-to
         // endpoint times out; its siblings stay pristine.
@@ -605,9 +558,9 @@ mod tests {
             let err = chans.ship(1, 100).unwrap_err();
             assert_eq!(err, NetError::Timeout { message: 0, attempts: 2 });
         }
-        let s0 = chans.stats(0).unwrap();
-        let s1 = chans.stats(1).unwrap();
-        let s2 = chans.stats(2).unwrap();
+        let s0 = chans.endpoints[0].stats();
+        let s1 = chans.endpoints[1].stats();
+        let s2 = chans.endpoints[2].stats();
         assert_eq!(s0.answers, 1);
         assert_eq!(s0.retransmits, 0, "endpoint 0 never saw endpoint 1's losses");
         assert_eq!(s1.answers, 0);
@@ -621,8 +574,6 @@ mod tests {
             NetError::UnknownEndpoint { endpoint: 7 },
             "out-of-range endpoint is a typed error"
         );
-        chans.reset_stats();
-        assert_eq!(chans.total_stats(), NetStats::default());
     }
 
     /// Concurrent ships to distinct endpoints both account exactly
@@ -643,8 +594,8 @@ mod tests {
                 }
             });
             let m = NetworkModel::TESTBED_1994;
-            let s0 = chans.stats(0).unwrap();
-            let s1 = chans.stats(1).unwrap();
+            let s0 = chans.endpoints[0].stats();
+            let s1 = chans.endpoints[1].stats();
             assert_eq!((s0.answers, s0.messages, s0.bytes), (1, m.messages_for(1024), 1024));
             assert_eq!((s1.answers, s1.messages, s1.bytes), (1, m.messages_for(2048), 2048));
         });
@@ -667,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_accumulates_and_resets() {
+    fn channel_accumulates() {
         let mut chan = RpcChannel::new(NetworkModel::TESTBED_1994);
         let m1 = chan.ship(100).unwrap().messages;
         let m2 = chan.ship(5000).unwrap().messages;
@@ -675,8 +626,6 @@ mod tests {
         assert_eq!(chan.stats().bytes, 5100);
         assert_eq!(chan.stats().answers, 2);
         assert!(chan.stats().seconds > 0.0);
-        chan.reset_stats();
-        assert_eq!(chan.stats(), NetStats::default());
     }
 
     /// The lossless default must reproduce the paper-calibrated Q2

@@ -241,7 +241,6 @@ mod tests {
             RegionCodec::K3Tree.write_header(g, region.run_count(), &mut want);
             want.extend(k3tree::encode_runs(region.runs(), 18).expect("payload"));
             prop_assert_eq!(&out, &want);
-            prop_assert_eq!(out.len() - 2, RegionCodec::K3Tree.encoded_len(&region).expect("len"));
             prop_assert_eq!(RegionCodec::decode(&out[2..]).expect("decode"), region);
         }
     }

@@ -170,10 +170,12 @@ impl RegionCodec {
         out.extend_from_slice(&(count as u32).to_le_bytes());
     }
 
-    /// Size in bytes the encoding would occupy, without materializing it.
+    /// Size in bytes the encoding would occupy.
     ///
-    /// Figure 4 measures thousands of `(REGION, codec)` pairs; this path
-    /// avoids building the byte strings.
+    /// Figure 4 measures thousands of `(REGION, codec)` pairs, so the
+    /// paper's four codecs are sized without building their byte
+    /// strings; the k³ size is the length of what
+    /// [`CompressedWriter`] writes.
     pub fn encoded_len(&self, region: &Region) -> Result<usize, RegionEncodeError> {
         check_width(*self, region.geometry())?;
         Ok(match self {
@@ -189,11 +191,7 @@ impl RegionCodec {
                 HEADER_LEN + (bits as usize).div_ceil(8)
             }
             RegionCodec::Octant(kind) => HEADER_LEN + region.octant_count(*kind) * 4,
-            RegionCodec::K3Tree => {
-                let geom = region.geometry();
-                let id_bits = geom.dims() * geom.bits();
-                HEADER_LEN + qbism_coding::k3tree::encoded_len(region.runs(), id_bits)?
-            }
+            RegionCodec::K3Tree => self.encode(region)?.len(),
         })
     }
 

@@ -24,11 +24,6 @@ impl GridGeometry {
         GridGeometry { kind, dims, bits }
     }
 
-    /// The paper's atlas space: 128x128x128 on the Hilbert curve.
-    pub fn paper_atlas() -> Self {
-        GridGeometry::new(CurveKind::Hilbert, 3, 7)
-    }
-
     /// Curve kind.
     pub fn kind(&self) -> CurveKind {
         self.kind
@@ -81,16 +76,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_atlas_is_128_cubed_hilbert() {
-        let g = GridGeometry::paper_atlas();
-        assert_eq!(g.kind(), CurveKind::Hilbert);
-        assert_eq!(g.side(), 128);
-        assert_eq!(g.cell_count(), 2_097_152);
-    }
-
-    #[test]
     fn with_kind_changes_only_the_curve() {
-        let g = GridGeometry::paper_atlas();
+        let g = GridGeometry::new(CurveKind::Hilbert, 3, 7);
         let z = g.with_kind(CurveKind::Morton);
         assert_eq!(z.kind(), CurveKind::Morton);
         assert_eq!(z.dims(), g.dims());

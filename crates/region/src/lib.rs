@@ -61,7 +61,7 @@ pub use compressed::{
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
 pub use naive::NaiveRuns;
-pub use octant::{octants_to_runs, Octant, OctantKind};
+pub use octant::{Octant, OctantKind};
 pub use region::Region;
 pub use run::Run;
 pub use stats::{linear_fit_through_origin, DeltaStats, RepresentationCounts};

@@ -132,21 +132,17 @@ fn next_rank(s: u64, end: u64, dims: u32, kind: OctantKind) -> u32 {
     rank
 }
 
-/// Reassembles a region from octants (any order, may overlap).
-///
-/// # Panics
-/// Panics if any block exceeds the grid.
-pub fn octants_to_runs(geom: crate::GridGeometry, octants: &[Octant]) -> Region {
-    let runs: Vec<Run> = octants.iter().map(Octant::as_run).collect();
-    Region::from_runs(geom, runs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::GridGeometry;
     use proptest::prelude::*;
     use qbism_sfc::CurveKind;
+
+    /// Reassembles a region from octants (any order, may overlap).
+    fn octants_to_runs(geom: GridGeometry, octants: &[Octant]) -> Region {
+        Region::from_runs(geom, octants.iter().map(Octant::as_run).collect())
+    }
 
     fn geom_2d(kind: CurveKind) -> GridGeometry {
         GridGeometry::new(kind, 2, 2)

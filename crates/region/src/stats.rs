@@ -81,12 +81,6 @@ impl DeltaStats {
     pub fn entropy_bound_bytes(&self) -> f64 {
         self.entropy_bits_per_delta * self.delta_count as f64 / 8.0
     }
-
-    /// Fits the EQ 1 power law `count = C * length^-a`, returning
-    /// `(a, correlation)`; `None` when the histogram is too small.
-    pub fn power_law(&self) -> Option<(f64, f64)> {
-        self.histogram.power_law_fit()
-    }
 }
 
 impl Region {

@@ -29,15 +29,6 @@ impl DxField {
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
     }
-
-    /// Mean normalized intensity, or 0 for an empty field.
-    pub fn mean_value(&self) -> f32 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f32>() / self.values.len() as f32
-        }
-    }
 }
 
 /// Converts a query answer (REGION + per-voxel intensities) into a
@@ -88,7 +79,6 @@ mod tests {
         assert_eq!(field.values[0], 0.0);
         assert!((field.values[1] - 128.0 / 255.0).abs() < 1e-6);
         assert_eq!(field.values[2], 1.0);
-        assert!(field.mean_value() > 0.4);
     }
 
     #[test]
@@ -96,6 +86,5 @@ mod tests {
         let dr = DataRegion::new(Region::empty(geom()), Vec::new());
         let field = import_data_region(&dr);
         assert!(field.is_empty());
-        assert_eq!(field.mean_value(), 0.0);
     }
 }

@@ -21,18 +21,19 @@
 //! * [`Framebuffer::to_ppm`] — image output;
 //! * [`DxTimeModel`] — the calibrated 1994 cost model used when
 //!   regenerating Table 3's DX columns.
+//!
+//! DX's cache of recent results is not modelled: the paper flushes it
+//! before every measured run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod camera;
 mod import;
 mod mesh;
 mod model;
 mod raster;
 
-pub use cache::DxCache;
 pub use camera::Camera;
 pub use import::{import_data_region, DxField};
 pub use mesh::extract_surface;

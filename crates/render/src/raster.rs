@@ -43,11 +43,6 @@ impl Framebuffer {
         self.height
     }
 
-    /// Pixel at `(x, y)`; row 0 is the top.
-    pub fn pixel(&self, x: usize, y: usize) -> Rgb {
-        self.pixels[y * self.width + x]
-    }
-
     /// Fraction of pixels that received any geometry.
     pub fn coverage(&self) -> f64 {
         let lit = self.depth.iter().filter(|d| d.is_finite()).count();
@@ -223,6 +218,11 @@ mod tests {
     use qbism_sfc::CurveKind;
     use qbism_volume::DataRegion;
 
+    /// Pixel at `(x, y)`; row 0 is the top.
+    fn pixel(fb: &Framebuffer, x: usize, y: usize) -> Rgb {
+        fb.pixels[y * fb.width + x]
+    }
+
     fn geom() -> GridGeometry {
         GridGeometry::new(CurveKind::Hilbert, 3, 4)
     }
@@ -236,7 +236,7 @@ mod tests {
         let fb = Framebuffer::new(4, 2);
         assert_eq!(fb.width(), 4);
         assert_eq!(fb.height(), 2);
-        assert_eq!(fb.pixel(0, 0), [0, 0, 0]);
+        assert_eq!(pixel(&fb, 0, 0), [0, 0, 0]);
         assert_eq!(fb.coverage(), 0.0);
         let ppm = fb.to_ppm();
         assert!(ppm.starts_with(b"P6\n4 2\n255\n"));
@@ -256,7 +256,7 @@ mod tests {
         // Lit pixels carry non-black color somewhere.
         let lit = (0..96)
             .flat_map(|y| (0..96).map(move |x| (x, y)))
-            .filter(|&(x, y)| fb.pixel(x, y) != [0, 0, 0])
+            .filter(|&(x, y)| pixel(&fb, x, y) != [0, 0, 0])
             .count();
         assert!(lit > 50, "only {lit} lit pixels");
     }
@@ -288,7 +288,7 @@ mod tests {
         // single lit pixel rather than hard-coding projection math.
         let lit: Vec<Rgb> = (0..64)
             .flat_map(|y| (0..64).map(move |x| (x, y)))
-            .map(|(x, y)| fb.pixel(x, y))
+            .map(|(x, y)| pixel(&fb, x, y))
             .filter(|c| *c != [0, 0, 0])
             .collect();
         assert_eq!(lit.len(), 1, "both points should land on one pixel");
@@ -309,7 +309,7 @@ mod tests {
             let fb = r.finish();
             (0..64)
                 .flat_map(|y| (0..64).map(move |x| (x, y)))
-                .map(|(x, y)| fb.pixel(x, y)[0] as u64)
+                .map(|(x, y)| pixel(&fb, x, y)[0] as u64)
                 .sum()
         };
         assert!(total(&bright) > total(&dark) * 2, "texture should modulate shading");

@@ -67,16 +67,6 @@ impl ResultSet {
             )))
         }
     }
-
-    /// Values of the named column, in row order.
-    pub fn column_values(&self, name: &str) -> Result<Vec<&Value>> {
-        let idx = self
-            .columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(name))
-            .ok_or_else(|| DbError::Binding(format!("no output column {name}")))?;
-        Ok(self.rows.iter().map(|r| &r[idx]).collect())
-    }
 }
 
 /// Outcome of executing one statement.
@@ -397,12 +387,6 @@ impl Database {
         self.lfm.stats()
     }
 
-    /// Seconds of injected fault latency absorbed by the LFM since its
-    /// stats were last reset (zero unless a fault plane is armed).
-    pub fn lfm_fault_latency_seconds(&self) -> f64 {
-        self.lfm.fault_latency_seconds()
-    }
-
     /// Table row count (catalog metadata).
     pub fn table_len(&self, table: &str) -> Result<usize> {
         let _span = qbism_obs::trace::root("db.table_len");
@@ -466,7 +450,7 @@ mod tests {
                  order by p.name",
             )
             .unwrap();
-        let names: Vec<&Value> = rs.column_values("name").unwrap();
+        let names: Vec<&Value> = rs.rows().iter().map(|r| &r[0]).collect();
         assert_eq!(
             names,
             vec![&Value::Str("Ann".into()), &Value::Str("Jane".into()), &Value::Str("Sue".into())]

@@ -83,12 +83,6 @@ impl Value {
         }
     }
 
-    /// Truthiness for WHERE clauses: `Bool` only; everything else is a
-    /// type error handled by the caller.  NULL is not true.
-    pub fn is_true(&self) -> bool {
-        matches!(self, Value::Bool(true))
-    }
-
     /// Numeric view (int or float), if any.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -255,14 +249,6 @@ mod tests {
         assert_eq!(Value::Bool(false).sql_cmp(&Value::Bool(true)), Some(Less));
         assert_eq!(Value::Null.sql_cmp(&Value::Int(0)), None);
         assert_eq!(Value::Str("x".into()).sql_cmp(&Value::Int(0)), None);
-    }
-
-    #[test]
-    fn truthiness() {
-        assert!(Value::Bool(true).is_true());
-        assert!(!Value::Bool(false).is_true());
-        assert!(!Value::Null.is_true());
-        assert!(!Value::Int(1).is_true(), "no implicit int->bool");
     }
 
     #[test]

@@ -71,16 +71,6 @@ impl<T: Copy> DataRegion<T> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, T)> + '_ {
         self.region.iter_ids().zip(self.values().iter().copied())
     }
-
-    /// The wire size in bytes when shipped to the visualization client:
-    /// the region's naive run list plus one sample per voxel.
-    ///
-    /// This is the quantity that drives the paper's network column —
-    /// "the system response time is dominated by the amount of data
-    /// retrieved, transmitted, and rendered."
-    pub fn wire_size_bytes(&self) -> usize {
-        self.region.run_count() * 8 + self.voxel_count() * std::mem::size_of::<T>()
-    }
 }
 
 /// A clone holds the samples alone, not the buffer's head.
@@ -130,13 +120,6 @@ impl DataRegion<u8> {
         }
         Some(values.iter().map(|&v| f64::from(v)).sum::<f64>() / values.len() as f64)
     }
-
-    /// Minimum and maximum intensity, or `None` when empty.
-    pub fn min_max(&self) -> Option<(u8, u8)> {
-        let min = self.values().iter().copied().min()?;
-        let max = self.values().iter().copied().max()?;
-        Some((min, max))
-    }
 }
 
 #[cfg(test)]
@@ -167,10 +150,8 @@ mod tests {
     fn statistics() {
         let dr = sample();
         assert_eq!(dr.mean(), Some((5.0 + 100.0 + 200.0 + 7.0 + 250.0) / 5.0));
-        assert_eq!(dr.min_max(), Some((5, 250)));
         let empty = DataRegion::new(Region::empty(g()), Vec::<u8>::new());
         assert_eq!(empty.mean(), None);
-        assert_eq!(empty.min_max(), None);
         assert!(empty.is_empty());
     }
 
@@ -181,13 +162,6 @@ mod tests {
         assert_eq!(high.voxel_count(), 3);
         let pairs: Vec<(u64, u8)> = high.iter().collect();
         assert_eq!(pairs, vec![(11, 100), (12, 200), (41, 250)]);
-    }
-
-    #[test]
-    fn wire_size_accounts_runs_and_samples() {
-        let dr = sample();
-        // runs: <10,12>, <40,41> -> 2 runs * 8 bytes + 5 samples
-        assert_eq!(dr.wire_size_bytes(), 2 * 8 + 5);
     }
 
     #[test]
@@ -216,8 +190,7 @@ mod tests {
             assert_eq!(held, owned);
             assert_eq!(held.values(), owned.values());
             assert_eq!(held.voxel_count(), 5);
-            assert_eq!(held.wire_size_bytes(), owned.wire_size_bytes());
-            assert_eq!((held.mean(), held.min_max()), (owned.mean(), owned.min_max()));
+            assert_eq!(held.mean(), owned.mean());
             assert_eq!(held.iter().collect::<Vec<_>>(), owned.iter().collect::<Vec<_>>());
             let cloned = held.clone();
             assert_eq!(cloned, owned);

@@ -46,23 +46,13 @@ impl<T: Copy + Default> Field<T> {
     /// Imports samples given in scanline order (axis 0 slowest) — the
     /// layout of the paper's *raw* studies — re-ordering them into the
     /// grid's curve order.
-    pub fn from_scanline(geom: GridGeometry, samples: &[T]) -> Result<Self, VolumeError> {
-        let expected = geom.cell_count();
-        if samples.len() as u64 != expected {
-            return Err(VolumeError::SampleCountMismatch { got: samples.len(), expected });
-        }
-        Ok(Field::gather_scanline(geom, samples))
-    }
-
-    /// [`Field::from_scanline`] once the sample count is known to match.
     fn gather_scanline(geom: GridGeometry, samples: &[T]) -> Self {
         let mut values = Vec::with_capacity(samples.len());
         for_each_scan_offset(geom, |_, scan| values.push(samples[scan]));
         Field { geom, values }
     }
 
-    /// Exports samples to scanline order (the inverse of
-    /// [`Field::from_scanline`]).
+    /// Exports samples to scanline order (axis 0 slowest).
     pub fn to_scanline(&self) -> Vec<T> {
         let mut out = vec![T::default(); self.values.len()];
         for_each_scan_offset(self.geom, |id, scan| out[scan] = self.values[id]);
@@ -231,34 +221,6 @@ impl Volume {
         }
         h
     }
-
-    /// Voxel-wise mean across several volumes, restricted to `region` —
-    /// the Section 6.4 "voxel-wise average intensity inside ntal for
-    /// these 1,000 PET studies" aggregate.  Returns values in curve order
-    /// of the region.
-    ///
-    /// # Panics
-    /// Panics if `volumes` is empty.
-    pub fn voxelwise_mean(
-        volumes: &[&Volume],
-        region: &Region,
-    ) -> Result<DataRegion<u8>, VolumeError> {
-        assert!(!volumes.is_empty(), "voxelwise_mean needs at least one volume");
-        for v in volumes {
-            if v.geometry() != region.geometry() {
-                return Err(VolumeError::GeometryMismatch);
-            }
-        }
-        let n = volumes.len() as u32;
-        let mut values = Vec::with_capacity(region.voxel_count() as usize);
-        for run in region.runs() {
-            for id in run.start..=run.end {
-                let sum: u32 = volumes.iter().map(|v| u32::from(v.values[id as usize])).sum();
-                values.push((sum / n) as u8);
-            }
-        }
-        Ok(DataRegion::new(region.clone(), values))
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +256,7 @@ mod tests {
     fn scanline_roundtrip() {
         let v = ramp_volume(CurveKind::Hilbert);
         let scan = v.to_scanline();
-        let back = Volume::from_scanline(v.geometry(), &scan).unwrap();
+        let back = Volume::gather_scanline(v.geometry(), &scan);
         assert_eq!(back, v);
         // Scanline export of a scanline volume is the identity.
         let s = ramp_volume(CurveKind::Scanline);
@@ -309,7 +271,7 @@ mod tests {
             for kind in CurveKind::ALL {
                 let geom = GridGeometry::new(kind, dims, bits);
                 let samples: Vec<u32> = (0..geom.cell_count() as u32).collect();
-                let field = Field::from_scanline(geom, &samples).unwrap();
+                let field = Field::gather_scanline(geom, &samples);
                 let scan = geom.with_kind(CurveKind::Scanline).curve();
                 let mut coords = vec![0u32; dims as usize];
                 for &i in &samples {
@@ -322,12 +284,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn from_scanline_rejects_bad_length() {
-        let err = Volume::from_scanline(g(CurveKind::Hilbert), &[0u8; 100]).unwrap_err();
-        assert_eq!(err, VolumeError::SampleCountMismatch { got: 100, expected: 512 });
     }
 
     #[test]
@@ -423,24 +379,6 @@ mod tests {
         assert_eq!(h.iter().sum::<u64>(), 512);
         let zeros = v.values().iter().filter(|&&x| x == 0).count() as u64;
         assert_eq!(h[0], zeros);
-    }
-
-    #[test]
-    fn voxelwise_mean_of_identical_volumes_is_identity() {
-        let v = ramp_volume(CurveKind::Hilbert);
-        let r = Region::from_box(v.geometry(), [0, 0, 0], [3, 3, 3]).unwrap();
-        let mean = Volume::voxelwise_mean(&[&v, &v, &v], &r).unwrap();
-        let single = v.extract(&r).unwrap();
-        assert_eq!(mean.values(), single.values());
-    }
-
-    #[test]
-    fn voxelwise_mean_averages() {
-        let a = Volume::filled(g(CurveKind::Hilbert), 10);
-        let b = Volume::filled(g(CurveKind::Hilbert), 20);
-        let r = Region::full(a.geometry());
-        let mean = Volume::voxelwise_mean(&[&a, &b], &r).unwrap();
-        assert!(mean.values().iter().all(|&v| v == 15));
     }
 
     #[test]

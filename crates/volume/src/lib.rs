@@ -27,13 +27,6 @@ pub use field::{Field, Volume};
 /// Errors raised by volume operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VolumeError {
-    /// Raw sample count does not match the grid.
-    SampleCountMismatch {
-        /// Samples supplied.
-        got: usize,
-        /// Samples the grid requires.
-        expected: u64,
-    },
     /// The region and volume live on different grids/curves.
     GeometryMismatch,
 }
@@ -41,9 +34,6 @@ pub enum VolumeError {
 impl std::fmt::Display for VolumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            VolumeError::SampleCountMismatch { got, expected } => {
-                write!(f, "sample count {got} does not match grid cell count {expected}")
-            }
             VolumeError::GeometryMismatch => {
                 write!(f, "region and volume are defined over different grids or curves")
             }

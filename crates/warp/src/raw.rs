@@ -71,15 +71,6 @@ impl RawStudy {
         &self.data
     }
 
-    /// Physical extent of the study in millimetres.
-    pub fn physical_extent(&self) -> Vec3 {
-        Vec3::new(
-            f64::from(self.dims[0]) * self.spacing.x,
-            f64::from(self.dims[1]) * self.spacing.y,
-            f64::from(self.dims[2]) * self.spacing.z,
-        )
-    }
-
     /// Voxel value by index.
     ///
     /// # Panics
@@ -218,10 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn dims_spacing_extent() {
+    fn dims_and_spacing() {
         let s = pet_like();
         assert_eq!(s.dims(), [16, 16, 7]);
-        assert_eq!(s.physical_extent(), Vec3::new(16.0, 16.0, 14.0));
+        assert_eq!(s.spacing(), Vec3::new(1.0, 1.0, 2.0));
         assert_eq!(s.data().len(), 16 * 16 * 7);
     }
 
