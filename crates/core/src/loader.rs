@@ -190,8 +190,8 @@ fn register_geometry_ops(db: &mut Database, config: &QbismConfig) {
         }
         let mut c = [0u32; 6];
         for (slot, a) in c.iter_mut().zip(args) {
-            *slot = a.as_i64().filter(|v| *v >= 0).map(|v| v as u32).ok_or_else(|| {
-                qbism_starburst::DbError::Type("boxRegion wants non-negative ints".into())
+            *slot = a.as_i64().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
+                qbism_starburst::DbError::Type("boxRegion wants ints in 0..2^32".into())
             })?;
         }
         let region =

@@ -49,6 +49,8 @@ struct HilbertLut3 {
     /// `octant[state][digit]` — inverse of `digit`'s permutation rows;
     /// drives the table-driven `coords_of` decode.
     octant: Vec<[u8; 8]>,
+    /// The box cover's 4³ id words per state, from `octant` and `next`.
+    masks: Vec<crate::walk::LeafMasks>,
 }
 
 static LUT3: OnceLock<HilbertLut3> = OnceLock::new();
@@ -132,8 +134,9 @@ impl HilbertLut3 {
                 }
                 inv
             })
-            .collect();
-        HilbertLut3 { start, digit, next, octant }
+            .collect::<Vec<_>>();
+        let masks = crate::walk::leaf_masks(&octant, &next);
+        HilbertLut3 { start, digit, next, octant, masks }
     }
 
     /// Table-driven `index_of` for any `bits`: the transducer starts in
@@ -173,7 +176,12 @@ impl HilbertLut3 {
 /// The learned 3-D transducer in the form [`crate::walk`] descends.
 pub(crate) fn transducer3() -> crate::walk::Transducer3 {
     let lut = HilbertLut3::get();
-    crate::walk::Transducer3 { start: lut.start, octant: &lut.octant, next: &lut.next }
+    crate::walk::Transducer3 {
+        start: lut.start,
+        octant: &lut.octant,
+        next: &lut.next,
+        masks: &lut.masks,
+    }
 }
 
 impl HilbertCurve {

@@ -7,6 +7,7 @@
 
 use crate::curve::{check_coords, check_index};
 use crate::SpaceFillingCurve;
+use std::sync::OnceLock;
 
 /// Morton (Z) curve over a `dims`-dimensional grid of `2^bits` per axis.
 #[derive(Debug, Clone)]
@@ -25,8 +26,13 @@ impl MortonCurve {
 
 /// The 3-D Z curve as an octant transducer for [`crate::walk`]: one
 /// orientation, and the digit *is* the octant (axis 0 most significant).
-pub(crate) const TRANSDUCER3: crate::walk::Transducer3 =
-    crate::walk::Transducer3 { start: 0, octant: &[[0, 1, 2, 3, 4, 5, 6, 7]], next: &[[0; 8]] };
+pub(crate) fn transducer3() -> crate::walk::Transducer3 {
+    const OCTANT: &[[u8; 8]] = &[[0, 1, 2, 3, 4, 5, 6, 7]];
+    const NEXT: &[[u8; 8]] = &[[0; 8]];
+    static MASKS: OnceLock<Vec<crate::walk::LeafMasks>> = OnceLock::new();
+    let masks = MASKS.get_or_init(|| crate::walk::leaf_masks(OCTANT, NEXT));
+    crate::walk::Transducer3 { start: 0, octant: OCTANT, next: NEXT, masks }
+}
 
 /// Spreads the low 21 bits of `v` so each lands 3 positions apart
 /// (`abc` -> `a00b00c`), using the classic parallel-prefix magic masks.

@@ -13,7 +13,12 @@
 //! The same transducer answers it top-down ([`Curve::cover_box3`]): a
 //! child cube's corner and orientation are one table step from its
 //! parent's, so a box becomes its id intervals by descending only the
-//! cubes its surface cuts.
+//! cubes its surface cuts.  The descent stops at cubes of side 4: the
+//! 64 curve-ordered ids of such a cube fit one `u64`, and the ids whose
+//! coordinate on one axis lies in `[lo, hi]` are a word the transducer
+//! fixes per orientation ([`LeafMasks`]).  A cut 4³ cube is three such
+//! words ANDed, its runs read off with `trailing_zeros` /
+//! `trailing_ones`.
 
 use crate::{Curve, SpaceFillingCurve, MAX_INDEX_BITS};
 use std::ops::Range;
@@ -21,15 +26,22 @@ use std::ops::Range;
 /// Deepest 3-D grid an index can address (`3 * 21 = 63` bits).
 const MAX_LEVELS: usize = (MAX_INDEX_BITS / 3) as usize;
 
+/// `masks[axis][lo * 4 + hi]` for one orientation: bit `i` is set when
+/// the `i`-th id of a 4³ cube has its `axis` coordinate, relative to
+/// the cube's corner, in `[lo, hi]`.  Slots with `lo > hi` are empty.
+pub(crate) type LeafMasks = [[u64; 16]; 3];
+
 /// An octant transducer: `octant[state][digit]` is the child cube the
 /// curve visits `digit`-th in orientation `state`, `next[state][octant]`
-/// the orientation inside that child.  Hilbert's 24 states are learned
-/// from the bitwise curve; the Z curve is the one-state identity.
+/// the orientation inside that child, and `masks[state]` the 4³ cube's
+/// per-axis id words in that orientation.  Hilbert's 24 states are
+/// learned from the bitwise curve; the Z curve is the one-state identity.
 #[derive(Clone, Copy)]
 pub(crate) struct Transducer3 {
     pub start: u8,
     pub octant: &'static [[u8; 8]],
     pub next: &'static [[u8; 8]],
+    pub masks: &'static [LeafMasks],
 }
 
 /// `table[row][col]`.  Rows are states the tables themselves issued and
@@ -37,6 +49,44 @@ pub(crate) struct Transducer3 {
 #[inline]
 fn at(table: &[[u8; 8]], row: u8, col: usize) -> u8 {
     table.get(usize::from(row)).and_then(|r| r.get(col)).copied().unwrap_or(0)
+}
+
+/// `masks[state][axis][slot]`, in the same idiom: states come from the
+/// tables, axes are `0..3` and slots `lo * 4 + hi` with `hi < 4`.
+#[inline]
+fn mask(masks: &[LeafMasks], state: u8, axis: usize, slot: u32) -> u64 {
+    masks
+        .get(usize::from(state))
+        .and_then(|m| m.get(axis))
+        .and_then(|row| row.get(slot as usize))
+        .copied()
+        .unwrap_or(0)
+}
+
+/// Derives every orientation's [`LeafMasks`] from the octant tables: id
+/// `i` of a 4³ cube is digit `i >> 3` one level down and digit `i & 7`
+/// two levels down, the same two table steps `coords_of` takes.
+pub(crate) fn leaf_masks(octant: &[[u8; 8]], next: &[[u8; 8]]) -> Vec<LeafMasks> {
+    (0..octant.len())
+        .map(|state| {
+            let state = state as u8;
+            let mut masks = [[0u64; 16]; 3];
+            for id in 0..64usize {
+                let upper = at(octant, state, id >> 3);
+                let lower = at(octant, at(next, state, usize::from(upper)), id & 7);
+                for (axis, row) in masks.iter_mut().enumerate() {
+                    let bit = |oct: u8| usize::from((oct >> (2 - axis)) & 1);
+                    let c = bit(upper) << 1 | bit(lower);
+                    for (slot, word) in row.iter_mut().enumerate() {
+                        if slot / 4 <= c && c <= slot % 4 {
+                            *word |= 1 << id;
+                        }
+                    }
+                }
+            }
+            masks
+        })
+        .collect()
 }
 
 /// A cube on the path from the root to the current id: the orientation
@@ -67,11 +117,7 @@ impl Walk3 {
             "walk3 range {ids:?} exceeds the grid's {} cells",
             curve.cell_count()
         );
-        let table = match curve {
-            Curve::Hilbert(_) => Some(crate::hilbert::transducer3()),
-            Curve::Morton(_) => Some(crate::morton::TRANSDUCER3),
-            Curve::Scanline(_) => None,
-        };
+        let table = curve.transducer3();
         let root = (table.map_or(0, |t| t.start), 0, 0, 0);
         let mut walk = Walk3 { bits: curve.bits(), table, path: [root; MAX_LEVELS], ids };
         if let Some(table) = table {
@@ -136,10 +182,14 @@ struct BoxCover<F> {
 impl<F: FnMut(u64, u64)> BoxCover<F> {
     /// Covers the part of the box inside one cube the box's surface
     /// cuts: the cube of side `2^level` at `corner`, whose ids start at
-    /// `base` and are decoded in orientation `state`.  Children are
-    /// tested before they are entered, in id order; a single voxel is
-    /// never cut, so `level >= 1`.
+    /// `base` and are decoded in orientation `state`.  A 4³ cube is one
+    /// [`BoxCover::leaf`] word; a larger one tests its children before
+    /// entering them, in id order.  A single voxel is never cut, so
+    /// `level >= 1`, and only a 2³ grid's root has `level == 1`.
     fn cover(&mut self, state: u8, base: u64, corner: [u32; 3], level: u32) {
+        if level == 2 {
+            return self.leaf(state, base, corner);
+        }
         let half = level - 1;
         let cells = 1u64 << (3 * half);
         let [x, y, z] = corner;
@@ -164,9 +214,36 @@ impl<F: FnMut(u64, u64)> BoxCover<F> {
             }
         }
     }
+
+    /// Covers the box inside one cut 4³ cube: the box clipped to the
+    /// cube is `[lo, hi]` on each axis, its ids the AND of the three
+    /// axes' words, and its runs the word's blocks of set bits.
+    fn leaf(&mut self, state: u8, base: u64, corner: [u32; 3]) {
+        let mut word = u64::MAX;
+        for (axis, ((&c, &min), &max)) in corner.iter().zip(&self.min).zip(&self.max).enumerate() {
+            let (lo, hi) = (min.saturating_sub(c), max.saturating_sub(c).min(3));
+            word &= mask(self.table.masks, state, axis, lo * 4 + hi);
+        }
+        while word != 0 {
+            let first = word.trailing_zeros();
+            let end = first + (word >> first).trailing_ones();
+            (self.emit)(base + u64::from(first), base + u64::from(end - 1));
+            word &= u64::MAX.checked_shl(end).unwrap_or(0);
+        }
+    }
 }
 
 impl Curve {
+    /// The octant transducer of a hierarchical 3-D curve; `None` for
+    /// scanline order, whose coordinates are bit fields of the id.
+    fn transducer3(&self) -> Option<Transducer3> {
+        match self {
+            Curve::Hilbert(_) => Some(crate::hilbert::transducer3()),
+            Curve::Morton(_) => Some(crate::morton::transducer3()),
+            Curve::Scanline(_) => None,
+        }
+    }
+
     /// Walks the ids of `ids` in ascending order, yielding each with
     /// its coordinates as `(id, x, y, z)` — the streaming form of
     /// [`SpaceFillingCurve::coords_of`] for data that is already in
@@ -203,19 +280,15 @@ impl Curve {
             max.iter().all(|&c| c < side) && min.iter().zip(&max).all(|(a, b)| a <= b),
             "box [{min:?}, {max:?}] inverted or outside grid side {side}"
         );
-        let table = match self {
-            Curve::Hilbert(_) => crate::hilbert::transducer3(),
-            Curve::Morton(_) => crate::morton::TRANSDUCER3,
-            Curve::Scanline(_) => {
-                let ([x0, y0, z0], [x1, y1, z1]) = (min.map(u64::from), max.map(u64::from));
-                for x in x0..=x1 {
-                    for y in y0..=y1 {
-                        let row = (x << (2 * bits)) | (y << bits);
-                        emit(row | z0, row | z1);
-                    }
+        let Some(table) = self.transducer3() else {
+            let ([x0, y0, z0], [x1, y1, z1]) = (min.map(u64::from), max.map(u64::from));
+            for x in x0..=x1 {
+                for y in y0..=y1 {
+                    let row = (x << (2 * bits)) | (y << bits);
+                    emit(row | z0, row | z1);
                 }
-                return;
             }
+            return;
         };
         if min == [0; 3] && max == [side - 1; 3] {
             emit(0, self.cell_count() - 1);
@@ -256,6 +329,137 @@ mod tests {
             curve.bits()
         );
         intervals.len()
+    }
+
+    /// Fuses touching intervals into maximal runs.
+    fn fused(intervals: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (first, last) in intervals {
+            match out.last_mut() {
+                Some(prev) if prev.1 + 1 == first => prev.1 = last,
+                _ => out.push((first, last)),
+            }
+        }
+        out
+    }
+
+    /// The reference the 4³ leaf word is checked against: every cut
+    /// cube tests its eight children, down to single voxels.
+    struct PerChild {
+        table: Transducer3,
+        min: [u32; 3],
+        max: [u32; 3],
+        out: Vec<(u64, u64)>,
+    }
+
+    impl PerChild {
+        fn descend(&mut self, state: u8, base: u64, corner: [u32; 3], level: u32) {
+            let half = level - 1;
+            let cells = 1u64 << (3 * half);
+            for digit in 0..8u8 {
+                let oct = at(self.table.octant, state, usize::from(digit));
+                let lo: [u32; 3] =
+                    std::array::from_fn(|a| corner[a] | u32::from((oct >> (2 - a)) & 1) << half);
+                let hi = lo.map(|c| c + ((1u32 << half) - 1));
+                if (0..3).any(|a| lo[a] > self.max[a] || hi[a] < self.min[a]) {
+                    continue;
+                }
+                let first = base + u64::from(digit) * cells;
+                if (0..3).all(|a| lo[a] >= self.min[a] && hi[a] <= self.max[a]) {
+                    self.out.push((first, first + (cells - 1)));
+                } else {
+                    self.descend(at(self.table.next, state, usize::from(oct)), first, lo, half);
+                }
+            }
+        }
+    }
+
+    /// [`PerChild`]'s cover of the box, as maximal runs.
+    fn per_child_cover(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<(u64, u64)> {
+        let table = curve.transducer3().expect("a hierarchical curve");
+        let mut reference = PerChild { table, min, max, out: Vec::new() };
+        reference.descend(table.start, 0, [0; 3], curve.bits());
+        fused(reference.out)
+    }
+
+    /// `cover_box3`'s intervals, fused, against [`per_child_cover`].
+    fn check_against_per_child(curve: &Curve, min: [u32; 3], max: [u32; 3]) {
+        let mut intervals: Vec<(u64, u64)> = Vec::new();
+        curve.cover_box3(min, max, |first, last| intervals.push((first, last)));
+        for pair in intervals.windows(2) {
+            assert!(pair[0].1 < pair[1].0, "ascending and disjoint: {pair:?}");
+        }
+        assert_eq!(
+            fused(intervals),
+            per_child_cover(curve, min, max),
+            "{:?} bits={} box {min:?}..={max:?}",
+            curve.kind(),
+            curve.bits()
+        );
+    }
+
+    #[test]
+    fn cover_leaf_masks_match_coords_of() {
+        // Every orientation's words, bit by bit, against the coordinates
+        // of a 4³ cube the curve enters in that orientation at 128³.
+        for kind in [CurveKind::Hilbert, CurveKind::Morton] {
+            let curve = kind.curve(3, 7);
+            let table = curve.transducer3().expect("hierarchical");
+            let mut seen = vec![false; table.masks.len()];
+            for base in (0..curve.cell_count()).step_by(64) {
+                let mut state = table.start;
+                for level in (2..7).rev() {
+                    let oct = at(table.octant, state, ((base >> (3 * level)) & 7) as usize);
+                    state = at(table.next, state, usize::from(oct));
+                }
+                if std::mem::replace(&mut seen[usize::from(state)], true) {
+                    continue;
+                }
+                let (x, y, z) = curve.coords_of3(base);
+                let corner = [x & !3, y & !3, z & !3];
+                for id in 0..64u64 {
+                    let (x, y, z) = curve.coords_of3(base + id);
+                    for (axis, c) in [x, y, z].into_iter().enumerate() {
+                        let c = c - corner[axis];
+                        for slot in 0..16u32 {
+                            let (lo, hi) = (slot / 4, slot % 4);
+                            let set = mask(table.masks, state, axis, slot) >> id & 1 == 1;
+                            assert_eq!(
+                                set,
+                                lo <= c && c <= hi,
+                                "{kind} state {state} axis {axis} [{lo}, {hi}] id {id}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "{kind}: every state reached at 128³");
+        }
+    }
+
+    #[test]
+    fn cover_matches_per_child_descent_on_edge_boxes() {
+        for kind in [CurveKind::Hilbert, CurveKind::Morton] {
+            for bits in 1..=7u32 {
+                let curve = kind.curve(3, bits);
+                let last = curve.side() - 1;
+                check_against_per_child(&curve, [0; 3], [last; 3]);
+                for voxel in [[0; 3], [last; 3], [1, last, 2 % curve.side()], [last / 2; 3]] {
+                    check_against_per_child(&curve, voxel, voxel);
+                }
+                for axis in 0..3 {
+                    for face in [0, last] {
+                        let (mut min, mut max) = ([0; 3], [last; 3]);
+                        (min[axis], max[axis]) = (face, face);
+                        check_against_per_child(&curve, min, max);
+                    }
+                }
+                for start in [1, last / 3, last - 1] {
+                    check_against_per_child(&curve, [start; 3], [last; 3]);
+                    check_against_per_child(&curve, [start, 0, last / 2], [last; 3]);
+                }
+            }
+        }
     }
 
     #[test]
@@ -329,7 +533,9 @@ mod tests {
     }
 
     /// Not a correctness test: prints walk vs `coords_of` timings over a
-    /// full 128³ sweep, and the box cover's on a 91³ box.  Run with
+    /// full 128³ sweep, and the box cover's per box and per maximal
+    /// answer run at the benchmark's box extents (side/8, side/4,
+    /// side/2; 60 seeded boxes × 30 repetitions each).  Run with
     /// `cargo test -p qbism-sfc --release -- --ignored --nocapture walk_speed`.
     #[test]
     #[ignore = "timing report, run explicitly in release mode"]
@@ -354,22 +560,43 @@ mod tests {
                 walk.as_nanos() as f64 / n as f64,
                 decode.as_nanos() as f64 / n as f64
             );
-            // An off-grid-alignment box: 91³ voxels, all surface cuts.
-            let t = std::time::Instant::now();
-            let (mut intervals, mut ids) = (0u64, 0u64);
-            for _ in 0..100 {
-                curve.cover_box3([10, 11, 12], [100, 101, 102], |first, last| {
-                    intervals += 1;
-                    ids += last - first + 1;
-                });
+            let side = curve.side();
+            for extent in [side / 8, side / 4, side / 2] {
+                let mut seed = 1994u64;
+                let boxes: Vec<[u32; 3]> = (0..60)
+                    .map(|_| {
+                        [0; 3].map(|_| (splitmix(&mut seed) % u64::from(side - extent + 1)) as u32)
+                    })
+                    .collect();
+                let mut runs = 0u64;
+                let t = std::time::Instant::now();
+                for _ in 0..30 {
+                    for min in &boxes {
+                        let mut next_id = u64::MAX;
+                        curve.cover_box3(*min, min.map(|c| c + extent - 1), |first, last| {
+                            runs += u64::from(first != next_id);
+                            next_id = last + 1;
+                        });
+                    }
+                }
+                let elapsed = t.elapsed().as_nanos() as f64;
+                println!(
+                    "{kind}: cover_box3 extent {extent}: {:.1} us/box, {:.2} ns/run ({} runs/box)",
+                    elapsed / 1e3 / (30.0 * 60.0),
+                    elapsed / runs as f64,
+                    runs / (30 * 60)
+                );
             }
-            assert_eq!(ids, 100 * 91 * 91 * 91);
-            println!(
-                "{kind}: cover_box3 {:.1} us/box, {:.2} ns/interval",
-                t.elapsed().as_micros() as f64 / 100.0,
-                t.elapsed().as_nanos() as f64 / intervals as f64
-            );
         }
+    }
+
+    /// SplitMix64: the report's box corners, the same on every run.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
     proptest! {
@@ -405,6 +632,21 @@ mod tests {
             let min = [0, 1, 2].map(|a| pick(c0[a].min(c1[a])));
             let max = [0, 1, 2].map(|a| pick(c0[a].max(c1[a])));
             check_cover(&curve, min, max);
+        }
+
+        #[test]
+        fn cover_matches_per_child_descent_at_64_and_128(
+            hilbert in any::<bool>(),
+            bits in 6u32..=7,
+            c0 in proptest::array::uniform3(0.0f64..1.0),
+            c1 in proptest::array::uniform3(0.0f64..1.0),
+        ) {
+            let kind = if hilbert { CurveKind::Hilbert } else { CurveKind::Morton };
+            let curve = kind.curve(3, bits);
+            let pick = |c: f64| (c * f64::from(curve.side())) as u32;
+            let min = [0, 1, 2].map(|a| pick(c0[a].min(c1[a])));
+            let max = [0, 1, 2].map(|a| pick(c0[a].max(c1[a])));
+            check_against_per_child(&curve, min, max);
         }
     }
 }

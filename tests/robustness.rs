@@ -162,6 +162,26 @@ fn udfs_report_clean_errors_for_wrong_arguments() {
 }
 
 #[test]
+fn box_region_corners_past_u32_are_a_type_error() {
+    // Corners of 2³² and 2³² + 1 must not wrap to 0 and 1, the 2³ box
+    // at the origin; a corner past the grid but inside u32 is an
+    // execution error.
+    use qbism_starburst::{DbError, Value};
+    let mut sys = QbismSystem::install(&QbismConfig::small_test()).expect("install");
+    let db = sys.server.database();
+    let voxels = |corners: &str| {
+        db.query(&format!("select regionVoxels(boxRegion({corners})) from patient p"))
+            .map(|rs| rs.rows().to_vec())
+    };
+    let origin = voxels("0, 0, 0, 1, 1, 1").expect("the 2³ box at the origin");
+    assert!(!origin.is_empty() && origin.iter().all(|row| row == &[Value::Int(8)]), "{origin:?}");
+    for wrapped in ["4294967296, 0, 0, 4294967297, 1, 1", "0, 0, 0, 1, 1, 4294967297"] {
+        assert!(matches!(voxels(wrapped), Err(DbError::Type(_))), "{wrapped}");
+    }
+    assert!(matches!(voxels("0, 0, 0, 4294967295, 1, 1"), Err(DbError::Exec(_))));
+}
+
+#[test]
 fn queries_against_dropped_rows_degrade_gracefully() {
     // DELETE support means catalog rows can vanish; spatial queries must
     // then report NotFound, not panic.
