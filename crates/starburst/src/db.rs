@@ -298,27 +298,29 @@ impl Database {
         // Resolve target columns up front.
         let mut targets = Vec::with_capacity(assignments.len());
         for (col, expr) in assignments {
-            let idx = t
-                .schema
-                .column_index(col)
-                .ok_or_else(|| DbError::Binding(format!("no column {col} in {table}")))?;
-            targets.push((idx, expr));
+            let idx = t.schema.column_index(col);
+            let column = idx.and_then(|idx| Some((idx, t.schema.columns.get(idx)?)));
+            let column =
+                column.ok_or_else(|| DbError::Binding(format!("no column {col} in {table}")))?;
+            targets.push((column, expr));
         }
         let mut updated = 0usize;
         let mut new_rows = Vec::with_capacity(t.len());
         for row in t.rows() {
             let mut next = row.clone();
             if self.matches("UPDATE", predicate, row)? {
-                for (idx, expr) in &targets {
-                    let v = eval(expr, row, &self.eval_ctx(&[]))?;
-                    let col = &t.schema.columns[*idx];
+                for ((idx, col), expr) in &targets {
+                    let v = eval(expr, row.as_slice(), &self.eval_ctx(&[]))?;
                     if !v.fits(col.ty) {
                         return Err(DbError::Type(format!(
                             "value {v} does not fit column {}.{} of type {}",
                             table, col.name, col.ty
                         )));
                     }
-                    next[*idx] = v;
+                    // Every row has the schema's arity (`HeapTable::insert`).
+                    if let Some(slot) = next.get_mut(*idx) {
+                        *slot = v;
+                    }
                 }
                 updated += 1;
             }

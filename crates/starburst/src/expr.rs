@@ -4,6 +4,7 @@ use crate::sql::ast::{BinOp, Expr, Literal};
 use crate::udf::{UdfContext, UdfRegistry};
 use crate::value::Value;
 use crate::{DbError, Result};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Everything evaluation needs besides the tuple itself.
@@ -16,17 +17,24 @@ pub struct EvalCtx<'a> {
     pub lfm: &'a qbism_lfm::LongFieldManager,
 }
 
+/// A composite tuple as expressions read it: one value per bound slot.
+/// A heap row is one; the executor's row references are another.
+pub trait Tuple {
+    /// The value at `slot`, or `None` if the tuple has no such slot.
+    fn value(&self, slot: usize) -> Option<&Value>;
+}
+
+impl Tuple for [Value] {
+    fn value(&self, slot: usize) -> Option<&Value> {
+        self.get(slot)
+    }
+}
+
 /// Evaluates a bound `expr` against a composite `tuple`.
-pub fn eval(expr: &Expr, tuple: &[Value], ctx: &EvalCtx<'_>) -> Result<Value> {
+pub fn eval<T: Tuple + ?Sized>(expr: &Expr, tuple: &T, ctx: &EvalCtx<'_>) -> Result<Value> {
     match expr {
+        Expr::Column { .. } | Expr::Param(_) => operand(expr, tuple, ctx).map(Cow::into_owned),
         Expr::Literal(l) => Ok(literal_value(l)),
-        Expr::Column { slot: Some(slot), .. } => Ok(tuple[*slot].clone()),
-        Expr::Column { name, .. } => Err(DbError::Binding(format!("unbound column {name}"))),
-        Expr::Param(n) => ctx
-            .params
-            .get(*n)
-            .cloned()
-            .ok_or_else(|| DbError::Binding(format!("no value for parameter {}", n + 1))),
         Expr::Not(e) => match eval(e, tuple, ctx)? {
             Value::Bool(b) => Ok(Value::Bool(!b)),
             Value::Null => Ok(Value::Null),
@@ -51,19 +59,17 @@ pub fn eval(expr: &Expr, tuple: &[Value], ctx: &EvalCtx<'_>) -> Result<Value> {
             Err(DbError::Binding("aggregate used outside a select list".into()))
         }
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, tuple, ctx)?;
-            let is_null = matches!(v, Value::Null);
+            let is_null = matches!(*operand(expr, tuple, ctx)?, Value::Null);
             Ok(Value::Bool(is_null != *negated))
         }
         Expr::InList { expr, list, negated } => {
-            let needle = eval(expr, tuple, ctx)?;
-            if matches!(needle, Value::Null) {
+            let needle = operand(expr, tuple, ctx)?;
+            if matches!(*needle, Value::Null) {
                 return Ok(Value::Null);
             }
             let mut saw_null = false;
             for candidate in list {
-                let c = eval(candidate, tuple, ctx)?;
-                match needle.sql_eq(&c) {
+                match needle.sql_eq(&*operand(candidate, tuple, ctx)?) {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -76,14 +82,34 @@ pub fn eval(expr: &Expr, tuple: &[Value], ctx: &EvalCtx<'_>) -> Result<Value> {
                 Ok(Value::Bool(*negated))
             }
         }
-        Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, tuple, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(DbError::Type(format!("LIKE applied to non-string {other}"))),
-            }
+        Expr::Like { expr, pattern, negated } => match &*operand(expr, tuple, ctx)? {
+            Value::Null => Ok(Value::Null),
+            Value::Str(s) => Ok(Value::Bool(like_match(s, pattern) != *negated)),
+            other => Err(DbError::Type(format!("LIKE applied to non-string {other}"))),
+        },
+    }
+}
+
+/// Reads an operand in place: a column or a parameter borrows its value
+/// from the tuple or the run's parameters; anything else is evaluated.
+pub fn operand<'v, T: Tuple + ?Sized>(
+    expr: &Expr,
+    tuple: &'v T,
+    ctx: &'v EvalCtx<'_>,
+) -> Result<Cow<'v, Value>> {
+    match expr {
+        Expr::Column { slot: Some(slot), name, .. } => {
+            tuple.value(*slot).map(Cow::Borrowed).ok_or_else(|| {
+                DbError::Binding(format!("column {name} (slot {slot}) is not in the tuple"))
+            })
         }
+        Expr::Column { name, .. } => Err(DbError::Binding(format!("unbound column {name}"))),
+        Expr::Param(n) => ctx
+            .params
+            .get(*n)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| DbError::Binding(format!("no value for parameter {}", n + 1))),
+        other => eval(other, tuple, ctx).map(Cow::Owned),
     }
 }
 
@@ -93,9 +119,12 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     fn rec(t: &[char], p: &[char]) -> bool {
         match p.split_first() {
             None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|skip| rec(&t[skip..], rest)),
-            Some(('_', rest)) => !t.is_empty() && rec(&t[1..], rest),
-            Some((c, rest)) => t.first() == Some(c) && rec(&t[1..], rest),
+            Some(('%', rest)) => {
+                let mut suffixes = std::iter::successors(Some(t), |s| s.split_first().map(|x| x.1));
+                suffixes.any(|s| rec(s, rest))
+            }
+            Some(('_', rest)) => t.split_first().is_some_and(|(_, t)| rec(t, rest)),
+            Some((c, rest)) => t.split_first().is_some_and(|(h, t)| h == c && rec(t, rest)),
         }
     }
     let t: Vec<char> = text.chars().collect();
@@ -114,15 +143,16 @@ pub fn literal_value(l: &Literal) -> Value {
     }
 }
 
-fn eval_binary(
+fn eval_binary<T: Tuple + ?Sized>(
     op: BinOp,
     left: &Expr,
     right: &Expr,
-    tuple: &[Value],
+    tuple: &T,
     ctx: &EvalCtx<'_>,
 ) -> Result<Value> {
-    // Logic short-circuits; every other operator sees both operands.
-    let operands = || Ok::<_, DbError>((eval(left, tuple, ctx)?, eval(right, tuple, ctx)?));
+    // Logic short-circuits; every other operator reads both operands in
+    // place.
+    let operands = || Ok::<_, DbError>((operand(left, tuple, ctx)?, operand(right, tuple, ctx)?));
     match op {
         BinOp::And => {
             let l = eval(left, tuple, ctx)?;
@@ -168,11 +198,12 @@ fn eval_binary(
 
 /// An ordering comparison: NULL if either side is, else `holds` of
 /// their order.
-fn compare((l, r): (Value, Value), holds: fn(Ordering) -> bool) -> Result<Value> {
+fn compare((l, r): (Cow<'_, Value>, Cow<'_, Value>), holds: fn(Ordering) -> bool) -> Result<Value> {
+    let (l, r) = (&*l, &*r);
     if matches!(l, Value::Null) || matches!(r, Value::Null) {
         return Ok(Value::Null);
     }
-    let ord = l.sql_cmp(&r).ok_or_else(|| DbError::Type(format!("cannot compare {l} with {r}")))?;
+    let ord = l.sql_cmp(r).ok_or_else(|| DbError::Type(format!("cannot compare {l} with {r}")))?;
     Ok(Value::Bool(holds(ord)))
 }
 
@@ -188,7 +219,8 @@ enum Arith {
 
 /// Arithmetic: NULL if either side is; integers stay integral, and any
 /// float operand widens.
-fn arith((l, r): (Value, Value), op: Arith) -> Result<Value> {
+fn arith((l, r): (Cow<'_, Value>, Cow<'_, Value>), op: Arith) -> Result<Value> {
+    let (l, r) = (&*l, &*r);
     if matches!(l, Value::Null) || matches!(r, Value::Null) {
         return Ok(Value::Null);
     }
@@ -426,6 +458,9 @@ mod tests {
         let unbound = Expr::Column { qualifier: None, name: "x".into(), slot: None };
         let (udfs, lfm) = (UdfRegistry::new(), LongFieldManager::new(1 << 16, 4096).unwrap());
         let ctx = EvalCtx { params: &[], udfs: &udfs, lfm: &lfm };
-        assert!(matches!(eval(&unbound, &tuple(), &ctx), Err(DbError::Binding(_))));
+        assert!(matches!(eval(&unbound, tuple().as_slice(), &ctx), Err(DbError::Binding(_))));
+        // A slot past the tuple is a typed error, not a panic.
+        let past = Expr::Column { qualifier: None, name: "x".into(), slot: Some(4) };
+        assert!(matches!(eval(&past, tuple().as_slice(), &ctx), Err(DbError::Binding(_))));
     }
 }

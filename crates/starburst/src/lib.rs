@@ -15,15 +15,15 @@
 //! This crate provides those hooks with the same shape: an in-memory
 //! relational engine with a typed catalog, heap tables, an SQL subset
 //! (`CREATE TABLE` / `INSERT` / `SELECT` with joins, expressions,
-//! aggregates, `ORDER BY`, `LIMIT`), a Volcano-style executor with hash
-//! and nested-loop joins, and a UDF registry whose functions can touch
+//! aggregates, `ORDER BY`, `LIMIT`), an executor that joins row
+//! references by hash or nested loop, and a UDF registry whose functions can touch
 //! long fields through the [`qbism_lfm::LongFieldManager`].
 //!
 //! Every statement takes one path, in four stages: **parse** (`sql`),
 //! **bind** (each column reference resolved to its slot in the join
 //! tuple, in place on the parsed expressions) and **plan** (join
 //! strategies, predicate schedule, output shape — both in `plan`), then
-//! **execute** (`exec`, which indexes tuples and never looks a name up).
+//! **execute** (`exec`, which reads tuples by slot and never looks a name up).
 //! [`Database::prepare`] runs the first three once and returns a
 //! [`Prepared`]; [`Database::run`] executes it with positional `?`
 //! parameters.  [`Database::query`] and [`Database::execute`] are

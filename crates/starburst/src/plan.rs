@@ -1,14 +1,17 @@
 //! Binding and join planning: the prepare-time half of a statement.
 //!
 //! Binding resolves every column reference to its slot in the composite
-//! join tuple, in place on the parsed [`Expr`]s, so execution indexes
-//! tuples and never looks a name up.  The planner is deliberately
-//! simple — left-deep joins in FROM order — because the medical
-//! schema's queries join along key equalities that a hash join handles
-//! well, and the paper's own measurements show the database component
-//! is I/O bound, not join bound.  What matters is:
+//! join tuple, in place on the parsed [`Expr`]s, so execution reads
+//! tuples by slot and never looks a name up.  The planner is
+//! deliberately simple — left-deep joins in FROM order — because the
+//! medical schema's queries join along key equalities that a hash join
+//! handles well, and the paper's own measurements show the database
+//! component is I/O bound, not join bound.  What matters is:
 //!
-//! * single-table predicates are applied at the scan (selection pushdown);
+//! * each conjunct runs at the first stage that binds all its columns:
+//!   as a *filter* of that stage's table if it reads no earlier table
+//!   (tested once per row, before the join), else as a *predicate* on
+//!   each tuple the join emits;
 //! * key equalities become hash joins;
 //! * everything else falls back to a predicate-filtered nested loop.
 
@@ -17,9 +20,12 @@ use crate::sql::ast::{BinOp, Expr, Select, SelectItem};
 use crate::value::DataType;
 use crate::{DbError, Result};
 
-/// How one table joins the accumulated left side.
+/// How one FROM table joins the tuples bound before it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinStrategy {
+    /// The first table: each of its rows that passes the filters is a
+    /// tuple.
+    Scan,
     /// Build a hash table on the new table keyed by `right`, probe with
     /// `left` evaluated on the accumulated side.
     Hash {
@@ -32,17 +38,27 @@ pub enum JoinStrategy {
     NestedLoop,
 }
 
+/// One FROM table's step of the plan.
+#[derive(Debug)]
+pub struct Stage {
+    /// How the table joins the tuples bound before it.
+    pub join: JoinStrategy,
+    /// Conjuncts over this table, parameters and literals only: tested
+    /// once per row of the table, before it joins.
+    pub filters: Vec<Expr>,
+    /// Conjuncts that also read an earlier table: tested once per tuple
+    /// the join emits.
+    pub predicates: Vec<Expr>,
+}
+
 /// A bound, planned SELECT: everything execution needs but the rows
 /// and the parameter values.
 #[derive(Debug)]
 pub struct SelectPlan {
-    /// The bound statement; its WHERE clause has moved into `joins`
-    /// and `stages`.
+    /// The bound statement; its WHERE clause has moved into `stages`.
     pub select: Select,
-    /// Strategy for table `i + 1` (the first table is a scan).
-    pub joins: Vec<JoinStrategy>,
-    /// `stages[i]` = conjuncts applied when tables `0..=i` are bound.
-    pub stages: Vec<Vec<Expr>>,
+    /// One per FROM table, in FROM order.
+    pub stages: Vec<Stage>,
     /// `widths[i]` = tuple width once tables `0..=i` are bound.
     pub widths: Vec<usize>,
     /// Output column names.
@@ -131,7 +147,7 @@ impl<'a> Scope<'a> {
     /// type hashes (int or string).
     fn hash_column(&self, expr: &Expr, from: usize) -> bool {
         matches!(expr, Expr::Column { slot: Some(s), .. }
-            if *s >= from && matches!(self.types[*s], DataType::Int | DataType::Str))
+            if *s >= from && matches!(self.types.get(*s), Some(DataType::Int | DataType::Str)))
     }
 }
 
@@ -154,6 +170,11 @@ pub fn bind_over_table<'e>(
 /// Whether every column `expr` references sits below slot `width`.
 fn within(expr: &Expr, width: usize) -> bool {
     !expr.any(&|e| matches!(e, Expr::Column { slot: Some(s), .. } if *s >= width))
+}
+
+/// Whether `expr` references some column below slot `width`.
+fn reads_below(expr: &Expr, width: usize) -> bool {
+    expr.any(&|e| matches!(e, Expr::Column { slot: Some(s), .. } if *s < width))
 }
 
 /// Splits a predicate into AND-ed conjuncts.
@@ -219,50 +240,49 @@ pub fn plan_select(mut select: Select, catalog: &Catalog) -> Result<SelectPlan> 
         select.items.iter().map(name).collect()
     };
 
-    let mut stages: Vec<Vec<Expr>> = Vec::with_capacity(widths.len());
-    let mut joins: Vec<JoinStrategy> = Vec::new();
+    let mut stages: Vec<Stage> = Vec::with_capacity(widths.len());
     let mut bound_width = 0;
     for &width in &widths {
         // Conjuncts that become fully bound at this stage.
         let (bound, rest): (Vec<Expr>, Vec<Expr>) =
             remaining.into_iter().partition(|c| within(c, width));
         remaining = rest;
-        if stages.is_empty() {
-            stages.push(bound);
-        } else {
-            // Promote the first equi-conjunct with one side on the
-            // accumulated prefix and a hashable column of the new table
-            // on the other into the join's key pair.
-            let mut strategy = JoinStrategy::NestedLoop;
-            let mut stage_preds = Vec::new();
-            let keys = |probe: &Expr, build: &Expr| {
-                within(probe, bound_width)
-                    && scope.hash_column(build, bound_width)
-                    && (scope.hash_column(probe, 0) || !matches!(probe, Expr::Column { .. }))
-            };
-            for c in bound {
-                match c {
-                    Expr::Binary { op: BinOp::Eq, left, right }
-                        if strategy == JoinStrategy::NestedLoop =>
-                    {
-                        if keys(&left, &right) {
-                            strategy = JoinStrategy::Hash { left: *left, right: *right };
-                        } else if keys(&right, &left) {
-                            strategy = JoinStrategy::Hash { left: *right, right: *left };
-                        } else {
-                            stage_preds.push(Expr::Binary { op: BinOp::Eq, left, right });
-                        }
+        // After the first table, promote the first equi-conjunct with one
+        // side on the accumulated prefix and a hashable column of the new
+        // table on the other into the join's key pair.
+        let mut join =
+            if stages.is_empty() { JoinStrategy::Scan } else { JoinStrategy::NestedLoop };
+        let mut unkeyed = Vec::new();
+        let keys = |probe: &Expr, build: &Expr| {
+            within(probe, bound_width)
+                && scope.hash_column(build, bound_width)
+                && (scope.hash_column(probe, 0) || !matches!(probe, Expr::Column { .. }))
+        };
+        for c in bound {
+            match c {
+                Expr::Binary { op: BinOp::Eq, left, right } if join == JoinStrategy::NestedLoop => {
+                    if keys(&left, &right) {
+                        join = JoinStrategy::Hash { left: *left, right: *right };
+                    } else if keys(&right, &left) {
+                        join = JoinStrategy::Hash { left: *right, right: *left };
+                    } else {
+                        unkeyed.push(Expr::Binary { op: BinOp::Eq, left, right });
                     }
-                    other => stage_preds.push(other),
                 }
+                other => unkeyed.push(other),
             }
-            joins.push(strategy);
-            stages.push(stage_preds);
         }
+        let (predicates, filters) = unkeyed.into_iter().partition(|c| reads_below(c, bound_width));
+        stages.push(Stage { join, filters, predicates });
         bound_width = width;
     }
     let params = scope.params;
-    Ok(SelectPlan { select, joins, stages, widths, columns, aggregates, params })
+    Ok(SelectPlan { select, stages, widths, columns, aggregates, params })
+}
+
+/// `n` and `noun`, plural unless `n` is 1.
+fn count(n: usize, noun: &str) -> String {
+    format!("{n} {noun}{}", if n == 1 { "" } else { "s" })
 }
 
 impl SelectPlan {
@@ -270,25 +290,18 @@ impl SelectPlan {
     pub fn render(&self) -> String {
         let select = &self.select;
         let mut out = String::new();
-        out.push_str(&format!(
-            "scan {} ({} predicates)\n",
-            select.from[0].alias,
-            self.stages[0].len()
-        ));
-        for (i, join) in self.joins.iter().enumerate() {
-            let tref = &select.from[i + 1];
-            match join {
-                JoinStrategy::Hash { left, right } => out.push_str(&format!(
-                    "hash join {} on {left:?} = {right:?} (+{} predicates)\n",
-                    tref.alias,
-                    self.stages[i + 1].len()
-                )),
-                JoinStrategy::NestedLoop => out.push_str(&format!(
-                    "nested loop {} ({} predicates)\n",
-                    tref.alias,
-                    self.stages[i + 1].len()
-                )),
-            }
+        for (stage, tref) in self.stages.iter().zip(&select.from) {
+            let (alias, filters) = (&tref.alias, count(stage.filters.len(), "filter"));
+            let predicates = count(stage.predicates.len(), "predicate");
+            out.push_str(&match &stage.join {
+                JoinStrategy::Scan => format!("scan {alias} ({filters})\n"),
+                JoinStrategy::Hash { left, right } => {
+                    format!("hash join {alias} on {left:?} = {right:?} ({filters}, {predicates})\n")
+                }
+                JoinStrategy::NestedLoop => {
+                    format!("nested loop {alias} ({filters}, {predicates})\n")
+                }
+            });
         }
         if self.aggregates {
             out.push_str("aggregate\n");
@@ -342,30 +355,32 @@ mod tests {
     #[test]
     fn equi_join_promotes_to_hash() {
         let p = plan("select * from a, b where a.id = b.id and a.x > 1");
-        assert_eq!(p.joins.len(), 1);
-        assert!(matches!(p.joins[0], JoinStrategy::Hash { .. }));
-        // a.x > 1 is a single-table predicate: scheduled at stage 0.
-        assert_eq!(p.stages[0].len(), 1);
-        assert!(p.stages[1].is_empty(), "equi conjunct consumed by the join");
+        assert_eq!(p.stages.len(), 2);
+        assert!(matches!(p.stages[1].join, JoinStrategy::Hash { .. }));
+        // a.x > 1 reads a alone: a filter of the scan.
+        assert_eq!(p.stages[0].filters.len(), 1);
+        let b = &p.stages[1];
+        assert!(b.filters.is_empty() && b.predicates.is_empty(), "equi conjunct is the key");
     }
 
     #[test]
     fn string_keys_hash_too() {
         let p = plan("select * from b, c where b.name = c.bname");
-        assert!(matches!(p.joins[0], JoinStrategy::Hash { .. }));
+        assert!(matches!(p.stages[1].join, JoinStrategy::Hash { .. }));
     }
 
     #[test]
     fn cross_product_is_nested_loop() {
         let p = plan("select * from a, b");
-        assert_eq!(p.joins, vec![JoinStrategy::NestedLoop]);
+        assert_eq!(p.stages[0].join, JoinStrategy::Scan);
+        assert_eq!(p.stages[1].join, JoinStrategy::NestedLoop);
     }
 
     #[test]
     fn non_equi_join_predicate_filters_nested_loop() {
         let p = plan("select * from a, b where a.id < b.id");
-        assert_eq!(p.joins, vec![JoinStrategy::NestedLoop]);
-        assert_eq!(p.stages[1].len(), 1);
+        assert_eq!(p.stages[1].join, JoinStrategy::NestedLoop);
+        assert_eq!(p.stages[1].predicates.len(), 1);
     }
 
     #[test]
@@ -373,32 +388,49 @@ mod tests {
         // a.x is float: exact-bits hashing would break int/float coercion,
         // so the planner declines.
         let p = plan("select * from a, b where a.x = b.id");
-        assert_eq!(p.joins, vec![JoinStrategy::NestedLoop]);
-        assert_eq!(p.stages[1].len(), 1);
+        assert_eq!(p.stages[1].join, JoinStrategy::NestedLoop);
+        assert_eq!(p.stages[1].predicates.len(), 1);
     }
 
     #[test]
     fn second_equi_conjunct_stays_a_predicate() {
         let p = plan("select * from a, b where a.id = b.id and a.x = b.id");
-        assert!(matches!(p.joins[0], JoinStrategy::Hash { .. }));
-        assert_eq!(p.stages[1].len(), 1);
+        assert!(matches!(p.stages[1].join, JoinStrategy::Hash { .. }));
+        assert_eq!(p.stages[1].predicates.len(), 1);
     }
 
     #[test]
     fn three_table_chain() {
         let p = plan("select * from a, b, c where a.id = b.id and b.name = c.bname");
-        assert_eq!(p.joins.len(), 2);
-        assert!(matches!(p.joins[0], JoinStrategy::Hash { .. }));
-        assert!(matches!(p.joins[1], JoinStrategy::Hash { .. }));
+        assert_eq!(p.stages.len(), 3);
+        assert!(matches!(p.stages[1].join, JoinStrategy::Hash { .. }));
+        assert!(matches!(p.stages[2].join, JoinStrategy::Hash { .. }));
+    }
+
+    #[test]
+    fn conjuncts_split_into_filters_and_predicates() {
+        // b.name = 'x' reads b alone: a filter, run once per row of b.
+        // a.x > b.id spans both sides: a predicate, run once per pair.
+        // A constant key (`b.id = 1`) probes with the same value for
+        // every tuple of the left side.
+        let p = plan("select * from a, b where a.id = b.id and b.name = 'x' and a.x > b.id");
+        assert_eq!((p.stages[1].filters.len(), p.stages[1].predicates.len()), (1, 1));
+        let p = plan("select * from a, b where b.id = 1 and b.name = a.x");
+        let JoinStrategy::Hash { left, .. } = &p.stages[1].join else { panic!("{p:?}") };
+        assert!(matches!(left, Expr::Literal(_)));
+        assert_eq!((p.stages[1].filters.len(), p.stages[1].predicates.len()), (0, 1));
     }
 
     #[test]
     fn plan_renders_strategies() {
         let text = plan("select count(*) from a, b where a.id = b.id and a.x > 0 limit 5").render();
-        assert!(text.contains("scan a (1 predicates)"), "{text}");
+        assert!(text.contains("scan a (1 filter)"), "{text}");
         assert!(text.contains("hash join b"), "{text}");
+        assert!(text.contains("(0 filters, 0 predicates)"), "{text}");
         assert!(text.contains("aggregate"), "{text}");
         assert!(text.contains("limit 5"), "{text}");
+        let text = plan("select * from a, b where a.x < b.id and b.name like 'x%'").render();
+        assert!(text.contains("nested loop b (1 filter, 1 predicate)"), "{text}");
     }
 
     #[test]
@@ -434,8 +466,8 @@ mod tests {
         // A bare column binds like a qualified one; a parameter binds
         // anywhere, so `b.name = ?` filters at b's stage and `x > ?` at
         // the scan.
-        assert_eq!((p.stages[0].len(), p.stages[1].len()), (1, 1));
-        let JoinStrategy::Hash { left, right } = &p.joins[0] else { panic!("{:?}", p.joins) };
+        assert_eq!((p.stages[0].filters.len(), p.stages[1].filters.len()), (1, 1));
+        let JoinStrategy::Hash { left, right } = &p.stages[1].join else { panic!("{p:?}") };
         assert!(matches!(left, Expr::Column { slot: Some(0), .. }));
         assert!(matches!(right, Expr::Column { slot: Some(2), .. }));
     }

@@ -31,67 +31,62 @@ pub struct SpannedTok {
 /// Tokenizes SQL text.
 pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
     let bytes = src.as_bytes();
+    // Every read goes through `byte`: past the end there is no byte.
+    let byte = |i: usize| bytes.get(i).copied();
+    let digit_at = |i: usize| byte(i).is_some_and(|b| b.is_ascii_digit());
+    // The end of the run of bytes from `i` on that satisfy `f`.
+    let run_end = |mut i: usize, f: fn(u8) -> bool| {
+        while byte(i).is_some_and(f) {
+            i += 1;
+        }
+        i
+    };
+    // Token text; the scanner only stops on ASCII bytes and quotes, so
+    // every cut falls on a character boundary.
+    let text = |from: usize, to: usize| {
+        src.get(from..to).ok_or_else(|| bad(src, from, "token splits a character"))
+    };
     let mut out = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some(b) = byte(i) {
+        let c = b as char;
         if c.is_ascii_whitespace() {
             i += 1;
             continue;
         }
         // -- line comments
-        if c == '-' && bytes.get(i + 1) == Some(&b'-') {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
+        if c == '-' && byte(i + 1) == Some(b'-') {
+            i = run_end(i, |b| b != b'\n');
             continue;
         }
         let at = i;
         if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            out.push(SpannedTok { tok: Tok::Ident(src[start..i].to_ascii_lowercase()), at });
+            i = run_end(i, |b| b.is_ascii_alphanumeric() || b == b'_');
+            out.push(SpannedTok { tok: Tok::Ident(text(at, i)?.to_ascii_lowercase()), at });
             continue;
         }
         if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                i += 1;
-            }
+            i = run_end(i, |b| b.is_ascii_digit());
             let mut is_float = false;
-            if i < bytes.len()
-                && bytes[i] == b'.'
-                && i + 1 < bytes.len()
-                && (bytes[i + 1] as char).is_ascii_digit()
-            {
+            if byte(i) == Some(b'.') && digit_at(i + 1) {
                 is_float = true;
-                i += 1;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
+                i = run_end(i + 1, |b| b.is_ascii_digit());
             }
-            if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
+            if matches!(byte(i), Some(b'e' | b'E')) {
                 let mut j = i + 1;
-                if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
+                if matches!(byte(j), Some(b'+' | b'-')) {
                     j += 1;
                 }
-                if j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
+                if digit_at(j) {
                     is_float = true;
-                    i = j;
-                    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
+                    i = run_end(j, |b| b.is_ascii_digit());
                 }
             }
-            let text = &src[start..i];
+            let literal = text(at, i)?;
             let tok = if is_float {
-                Tok::Float(text.parse().map_err(|_| bad(src, at, "invalid float literal"))?)
+                Tok::Float(literal.parse().map_err(|_| bad(src, at, "invalid float literal"))?)
             } else {
-                Tok::Int(text.parse().map_err(|_| bad(src, at, "integer literal out of range"))?)
+                Tok::Int(literal.parse().map_err(|_| bad(src, at, "integer literal out of range"))?)
             };
             out.push(SpannedTok { tok, at });
             continue;
@@ -103,12 +98,12 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
             i += 1;
             let mut s = String::new();
             loop {
-                let Some(len) = src[i..].find('\'') else {
+                let Some(len) = src.get(i..).and_then(|rest| rest.find('\'')) else {
                     return Err(bad(src, at, "unterminated string literal"));
                 };
-                s.push_str(&src[i..i + len]);
+                s.push_str(text(i, i + len)?);
                 i += len + 1;
-                if bytes.get(i) != Some(&b'\'') {
+                if byte(i) != Some(b'\'') {
                     break;
                 }
                 s.push('\'');
@@ -149,7 +144,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>> {
 }
 
 fn bad(src: &str, at: usize, what: &str) -> DbError {
-    let snippet: String = src[at..].chars().take(12).collect();
+    let snippet: String = src.get(at..).unwrap_or_default().chars().take(12).collect();
     DbError::Parse(format!("{what} at byte {at} near {snippet:?}"))
 }
 

@@ -303,8 +303,11 @@ fn explain_renders_the_prepared_plan() {
         .expect("prepare");
     let rs = db.run(&explain, &[Value::from("ntal")]).expect("run");
     let text: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
-    assert!(text[0].contains("scan ast (0 predicates)"), "{text:?}");
-    assert!(text[1].contains("hash join ns") && text[1].contains("(+1 predicates)"), "{text:?}");
+    assert!(text[0].contains("scan ast (0 filters)"), "{text:?}");
+    assert!(
+        text[1].contains("hash join ns") && text[1].contains("(1 filter, 0 predicates)"),
+        "{text:?}"
+    );
     assert!(matches!(db.run(&explain, &[]), Err(DbError::Binding(_))), "EXPLAIN counts params too");
 }
 
