@@ -1,4 +1,4 @@
-//! The four call-graph analyses — everything in the rule table past
+//! The three call-graph analyses — everything in the rule table past
 //! zero hops.
 //!
 //! Each takes the same [`Ctx`] (workspace, per-function marks,
@@ -7,7 +7,6 @@
 
 pub mod determinism;
 pub mod locks;
-pub mod panics;
 pub mod transitive;
 
 use crate::graph::Workspace;

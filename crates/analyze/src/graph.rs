@@ -11,7 +11,6 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{is_call_keyword, parse_file, skip_angles, FnItem, ParsedFile};
-use crate::rules::HARNESS_CRATES;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -38,9 +37,6 @@ pub struct CallEdge {
 /// The parsed workspace.
 pub struct Workspace {
     pub files: Vec<ParsedFile>,
-    /// Files of [`HARNESS_CRATES`]: parsed for the zero-hop rules,
-    /// absent from the function table and the graph.
-    pub harness_files: Vec<ParsedFile>,
     pub funcs: Vec<Func>,
     /// Outgoing call edges per function (caller-ordered by position).
     pub calls: Vec<Vec<CallEdge>>,
@@ -238,18 +234,13 @@ impl Workspace {
         }
         paths.sort();
 
-        let (mut files, mut harness_files) = (Vec::new(), Vec::new());
+        let mut files = Vec::new();
         for path in &paths {
             let source = std::fs::read_to_string(path)?;
             let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-            let file = parse_file(&source, &rel, crate_of(&rel));
-            if HARNESS_CRATES.contains(&file.crate_name.as_str()) {
-                harness_files.push(file);
-            } else {
-                files.push(file);
-            }
+            files.push(parse_file(&source, &rel, crate_of(&rel)));
         }
-        Ok(Workspace { harness_files, ..Workspace::link(files) })
+        Ok(Workspace::link(files))
     }
 
     /// Builds the function table and resolves call edges.
@@ -338,15 +329,7 @@ impl Workspace {
             calls[id] = edges;
         }
 
-        Workspace {
-            files,
-            harness_files: Vec::new(),
-            funcs,
-            calls,
-            field_types,
-            resolved_calls: resolved,
-            total_calls: total,
-        }
+        Workspace { files, funcs, calls, field_types, resolved_calls: resolved, total_calls: total }
     }
 
     /// Deduplicated adjacency (callee set per function).

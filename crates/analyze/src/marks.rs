@@ -4,11 +4,11 @@
 //! reachability analyses combine over the call graph: determinism
 //! sources (wall-clock reads, hash-order iteration, thread identity,
 //! environment reads), determinism sinks (writes to deterministic
-//! cost columns, table emitters, span minting), panic sites,
-//! kernel-contract operations (`from_ids`, `decode_all`, …), raw
-//! `std::sync` usage, and lock acquisitions.  The token patterns the
-//! zero-hop rules share (`.unwrap()`, `Instant::now`, the materialize
-//! calls, `std::sync` paths) come from [`crate::rules::match_at`].
+//! cost columns, table emitters, span minting), kernel-contract
+//! operations (`from_ids`, `decode_all`, …), raw `std::sync` usage, and
+//! lock acquisitions.  The token patterns the zero-hop rules share (the
+//! materialize calls, `std::sync` paths) come from
+//! [`crate::rules::match_at`].
 
 use crate::graph::{call_sites, local_types, Workspace};
 use crate::lexer::{Token, TokenKind};
@@ -43,7 +43,6 @@ pub struct LockSite {
 pub struct FnMarks {
     pub det_sources: Vec<Mark>,
     pub det_sinks: Vec<Mark>,
-    pub panics: Vec<Mark>,
     pub materialize: Vec<Mark>,
     pub raw_sync: Vec<Mark>,
     pub locks: Vec<LockSite>,
@@ -51,8 +50,6 @@ pub struct FnMarks {
 
 const HASH_ITER_METHODS: &[&str] =
     &["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain", "retain"];
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Extracts markers for every function in the workspace.
 pub fn mark_all(ws: &Workspace, cfg: &AnalysisConfig) -> Vec<FnMarks> {
@@ -184,15 +181,12 @@ fn mark_fn(
         } else {
             let qual = site.qualifier.last().map(String::as_str);
             match (qual, name) {
-                (Some("thread"), "current") => {
-                    m.det_sources
-                        .push(Mark { what: "thread::current".to_string(), line: site.line });
-                }
-                (Some("thread"), "available_parallelism")
+                // Taint follows the value a *call* returns; a bare path
+                // (`get_or_init(Instant::now)`) is no source.
+                (Some("Instant" | "SystemTime"), "now")
+                | (Some("thread"), "current" | "available_parallelism")
                 | (None, "available_parallelism")
-                | (Some("env"), "var")
-                | (Some("env"), "var_os")
-                | (Some("env"), "vars") => {
+                | (Some("env"), "var" | "var_os" | "vars") => {
                     m.det_sources.push(Mark {
                         what: format!("{}::{name}", qual.unwrap_or("std")),
                         line: site.line,
@@ -211,12 +205,6 @@ fn mark_fn(
         // The patterns shared with the zero-hop rules.
         if let Some((pattern, what)) = match_at(toks, j) {
             let marks = match pattern {
-                Pattern::Unwrap => Some(&mut m.panics),
-                // Taint follows the value a *call* returns; the bare path
-                // (`get_or_init(Instant::now)`) is a zero-hop matter only.
-                Pattern::WallClock if toks.get(j + 4).is_some_and(|t| t.is_punct('(')) => {
-                    Some(&mut m.det_sources)
-                }
                 Pattern::Materialize => Some(&mut m.materialize),
                 Pattern::RawSync => Some(&mut m.raw_sync),
                 _ => None,
@@ -253,13 +241,6 @@ fn mark_fn(
                     }
                 }
             }
-            // Panic macros: `panic!(…)` etc.
-            TokenKind::Ident(id)
-                if PANIC_MACROS.contains(&id.as_str())
-                    && toks.get(j + 1).is_some_and(|t| t.is_punct('!')) =>
-            {
-                m.panics.push(Mark { what: format!("{id}!"), line: toks[j].line });
-            }
             // Deterministic struct literal: `QueryCost { … }`.
             TokenKind::Ident(id)
                 if cfg.det_structs.iter().any(|s| s == id)
@@ -283,17 +264,6 @@ fn mark_fn(
                                 .push(Mark { what: format!("write {field}"), line: toks[j].line });
                         }
                     }
-                }
-            }
-            // Slice / array indexing: `expr[…]`.
-            TokenKind::Punct('[') if j > start => {
-                let indexes = match &toks[j - 1].kind {
-                    TokenKind::Ident(id) => !crate::parser::is_call_keyword(id),
-                    TokenKind::Punct(')') | TokenKind::Punct(']') => true,
-                    _ => false,
-                };
-                if indexes {
-                    m.panics.push(Mark { what: "slice index".to_string(), line: toks[j].line });
                 }
             }
             _ => {}
@@ -426,23 +396,6 @@ mod tests {
         assert_eq!(m.det_sinks.len(), 1);
         let m = marks_for("fn g(c: C) { let QueryCost { .. } = c; }", "g");
         assert!(m.det_sinks.is_empty());
-    }
-
-    #[test]
-    fn panic_markers() {
-        let m = marks_for(
-            "fn f(v: Vec<u32>, o: Option<u32>) -> u32 { if v[0] > 1 { panic!() } o.unwrap() }",
-            "f",
-        );
-        let mut whats: Vec<&str> = m.panics.iter().map(|s| s.what.as_str()).collect();
-        whats.sort_unstable();
-        assert_eq!(whats, vec![".unwrap()", "panic!", "slice index"]);
-    }
-
-    #[test]
-    fn array_literals_and_attrs_are_not_indexing() {
-        let m = marks_for("fn f() -> [u8; 2] { let a = [1u8, 2]; return a; }", "f");
-        assert!(m.panics.is_empty(), "{:?}", m.panics);
     }
 
     #[test]

@@ -80,8 +80,6 @@ pub fn steps(ws: &Workspace, path: &[usize]) -> Vec<Step> {
 pub struct ScanStats {
     /// Files in the call graph.
     pub files: usize,
-    /// Harness-crate files: checked by the zero-hop rules only.
-    pub harness_files: usize,
     pub functions: usize,
     pub edges: usize,
     pub call_sites: usize,
@@ -120,7 +118,6 @@ impl Report {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"stats\": {{");
         let _ = writeln!(out, "    \"files\": {},", self.stats.files);
-        let _ = writeln!(out, "    \"harness_files\": {},", self.stats.harness_files);
         let _ = writeln!(out, "    \"functions\": {},", self.stats.functions);
         let _ = writeln!(out, "    \"edges\": {},", self.stats.edges);
         let _ = writeln!(out, "    \"call_sites\": {},", self.stats.call_sites);

@@ -8,7 +8,7 @@
 //! call-graph analyses follow, so a pattern list exists once.
 
 use crate::graph::Workspace;
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 use crate::parser::{FnItem, ParsedFile};
 use crate::report::Finding;
 
@@ -20,9 +20,6 @@ pub enum Reach {
     /// Zero hops, plus any call path that leaves the scope and reaches
     /// the pattern outside it (`analysis::transitive`).
     Through,
-    /// Any call path from a public method of [`ENTRY_TYPES`]
-    /// (`analysis::panics`).
-    FromEntries,
     /// A whole-graph relation: source/sink confluence
     /// (`analysis::determinism`) or lock-pair order (`analysis::locks`).
     Graph,
@@ -33,7 +30,6 @@ impl Reach {
         match self {
             Reach::Here => "here",
             Reach::Through => "through",
-            Reach::FromEntries => "from entries",
             Reach::Graph => "graph",
         }
     }
@@ -44,16 +40,6 @@ impl Reach {
 /// named in [`Reach`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pattern {
-    /// `.unwrap()` / `.expect(`.
-    Unwrap,
-    /// `Instant::now` / `SystemTime::now`.
-    WallClock,
-    /// `thread::sleep`.
-    Sleep,
-    /// The logical-accounting type `IoStats`.
-    IoStats,
-    /// A fault-registry call whose site literal is not dotted lowercase.
-    FaultSite,
     /// A `pub fn (&self) -> Result` on an entry type that opens no root span.
     UntracedEntry,
     /// A call named in [`MATERIALIZE`].
@@ -62,10 +48,6 @@ pub enum Pattern {
     RawSync,
     /// Nondeterminism source meeting a deterministic sink.
     Taint,
-    /// `unwrap`/`expect` or a panic macro.
-    Panic,
-    /// Slice indexing.
-    Index,
     /// Two named locks taken in both orders.
     LockInversion,
 }
@@ -76,12 +58,11 @@ pub enum Pattern {
 pub struct Scope {
     /// `None` = every crate.
     pub only: Option<&'static [&'static str]>,
-    pub except: &'static [&'static str],
     pub file_stem: Option<&'static str>,
 }
 
 impl Scope {
-    const ALL: Scope = Scope { only: None, except: &[], file_stem: None };
+    const ALL: Scope = Scope { only: None, file_stem: None };
 
     const fn only(crates: &'static [&'static str]) -> Scope {
         Scope { only: Some(crates), ..Scope::ALL }
@@ -91,7 +72,6 @@ impl Scope {
         let name = file.crate_name.as_str();
         let file_name = file.rel.rsplit('/').next().unwrap_or(&file.rel);
         self.only.is_none_or(|c| c.contains(&name))
-            && !self.except.contains(&name)
             && self.file_stem.is_none_or(|stem| file_name.contains(stem))
     }
 }
@@ -105,28 +85,6 @@ pub struct Rule {
     pub advice: &'static str,
 }
 
-/// Harness crates: lexed for the zero-hop rules, left out of the call
-/// graph, exempt from `no-unwrap`.
-pub const HARNESS_CRATES: &[&str] = &["bench"];
-/// The simulation and storage planes: simulated time comes from the
-/// cost models, never from the host clock.
-pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "lfm",
-    "netsim",
-    "fault",
-    "parallel",
-    "region",
-    "coding",
-    "volume",
-    "phantom",
-    "geometry",
-    "index",
-    "warp",
-    "sfc",
-    "starburst",
-    "render",
-    "check",
-];
 /// Crates ported to the `qbism_check::sync` facade.
 pub const FACADE_CRATES: &[&str] = &["parallel", "lfm", "netsim", "fault", "core", "cluster"];
 /// The crate that implements the facade over raw `std::sync`: neither a
@@ -134,8 +92,8 @@ pub const FACADE_CRATES: &[&str] = &["parallel", "lfm", "netsim", "fault", "core
 pub const FACADE_IMPL_CRATE: &str = "check";
 /// Crates whose `kernel*` files are the run-native hot paths.
 pub const KERNEL_CRATES: &[&str] = &["region", "sfc", "volume", "coding"];
-/// The served types: their public methods are the entry points, and
-/// their `pub fn (&self) -> Result` methods must open a root span.
+/// The served types: their `pub fn (&self) -> Result` methods must
+/// open a root span.
 pub const ENTRY_TYPES: &[&str] = &["MedicalServer", "Database", "ClusterWarehouse"];
 /// The crates that define [`ENTRY_TYPES`].
 pub const ENTRY_CRATES: &[&str] = &["core", "starburst", "cluster"];
@@ -166,44 +124,7 @@ pub const SYNC_OWNERSHIP: &[&str] = &[
     "self",
     "atomic",
 ];
-const FAULT_APIS: &[&str] = &["rule", "fail_nth", "torn_nth", "crash_nth"];
-
 pub const RULES: &[Rule] = &[
-    Rule {
-        name: "no-unwrap",
-        pattern: Pattern::Unwrap,
-        scope: Scope { except: HARNESS_CRATES, ..Scope::ALL },
-        reach: Reach::Here,
-        advice: "return the error, recover the lock with `lock_or_recover`, or document the invariant with an explicit panic",
-    },
-    Rule {
-        name: "no-wall-clock",
-        pattern: Pattern::WallClock,
-        scope: Scope::only(DETERMINISTIC_CRATES),
-        reach: Reach::Here,
-        advice: "deterministic crates take time from the simulated cost model",
-    },
-    Rule {
-        name: "no-sleep",
-        pattern: Pattern::Sleep,
-        scope: Scope::ALL,
-        reach: Reach::Here,
-        advice: "charge simulated time to the cost model or measure real work; nothing paces itself by sleeping",
-    },
-    Rule {
-        name: "no-cache-iostats",
-        pattern: Pattern::IoStats,
-        scope: Scope { file_stem: Some("cache"), ..Scope::only(&["lfm"]) },
-        reach: Reach::Here,
-        advice: "the page cache stays below logical accounting; physical counts live in CacheStats",
-    },
-    Rule {
-        name: "fault-site-name",
-        pattern: Pattern::FaultSite,
-        scope: Scope::ALL,
-        reach: Reach::Here,
-        advice: "fault sites are dotted lowercase (e.g. \"lfm.meta.write\"), `*` wildcards allowed",
-    },
     Rule {
         name: "traced-entrypoints",
         pattern: Pattern::UntracedEntry,
@@ -233,20 +154,6 @@ pub const RULES: &[Rule] = &[
         advice: "deterministic cost columns derive from the simulated cost model only",
     },
     Rule {
-        name: "panic-reach",
-        pattern: Pattern::Panic,
-        scope: Scope::ALL,
-        reach: Reach::FromEntries,
-        advice: "surface a typed error instead of panicking the server",
-    },
-    Rule {
-        name: "index-reach",
-        pattern: Pattern::Index,
-        scope: Scope::ALL,
-        reach: Reach::FromEntries,
-        advice: "use checked access on lengths the caller controls",
-    },
-    Rule {
         name: "lock-order",
         pattern: Pattern::LockInversion,
         scope: Scope::ALL,
@@ -264,32 +171,13 @@ pub fn rule(pattern: Pattern) -> &'static Rule {
 /// of what was matched.
 pub fn match_at(toks: &[Token], j: usize) -> Option<(Pattern, String)> {
     let id = toks[j].ident()?;
-    let at = |k: usize| toks.get(j + k);
-    let punct = |k: usize, c: char| at(k).is_some_and(|t| t.is_punct(c));
-    let path_to =
-        |seg: &str| punct(1, ':') && punct(2, ':') && at(3).is_some_and(|t| t.is_ident(seg));
-    let after_dot = j > 0 && toks[j - 1].is_punct('.');
     match id {
-        "unwrap" | "expect" if after_dot && punct(1, '(') => {
-            Some((Pattern::Unwrap, format!(".{id}()")))
-        }
-        "Instant" | "SystemTime" if path_to("now") => {
-            Some((Pattern::WallClock, format!("{id}::now")))
-        }
-        "thread" if path_to("sleep") => Some((Pattern::Sleep, "thread::sleep".to_string())),
-        "IoStats" => Some((Pattern::IoStats, id.to_string())),
         "sync" => {
             let banned = raw_sync_names(toks, j);
             (!banned.is_empty())
                 .then(|| (Pattern::RawSync, format!("std::sync::{}", banned.join(", "))))
         }
-        _ if FAULT_APIS.contains(&id) && punct(1, '(') => match at(2).map(|t| &t.kind) {
-            Some(TokenKind::Str(site) | TokenKind::RawStr(site)) if !valid_fault_site(site) => {
-                Some((Pattern::FaultSite, format!("{id}(\"{site}\")")))
-            }
-            _ => None,
-        },
-        _ if punct(1, '(')
+        _ if toks.get(j + 1).is_some_and(|t| t.is_punct('('))
             && MATERIALIZE
                 .iter()
                 .any(|m| id == *m || (*m == "iter_voxels" && id.starts_with(m))) =>
@@ -351,17 +239,6 @@ fn sync_tree(toks: &[Token], mut k: usize, banned: &mut Vec<String>) -> usize {
     k + 1
 }
 
-/// `*`, or ≥2 dotted components of `[a-z][a-z0-9_]*` (components may
-/// be `*` wildcards).
-fn valid_fault_site(site: &str) -> bool {
-    let component = |p: &str| {
-        p == "*"
-            || (p.starts_with(|c: char| c.is_ascii_lowercase())
-                && p.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
-    };
-    site == "*" || (site.contains('.') && site.split('.').all(component))
-}
-
 /// A public query method on an entry type whose body opens no root span.
 fn untraced_entry(file: &ParsedFile, f: &FnItem) -> bool {
     let (start, end) = f.body;
@@ -380,8 +257,7 @@ fn untraced_entry(file: &ParsedFile, f: &FnItem) -> bool {
         && !(start..end).any(opens_root)
 }
 
-/// Evaluates every `Here` and `Through` rule at zero hops over the
-/// graph files and the harness files.
+/// Evaluates every `Here` and `Through` rule at zero hops.
 pub fn zero_hop(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut push = |rule: &Rule, file: &ParsedFile, line: u32, what: &str| {
@@ -394,7 +270,7 @@ pub fn zero_hop(ws: &Workspace) -> Vec<Finding> {
             path: Vec::new(),
         });
     };
-    for file in ws.files.iter().chain(&ws.harness_files) {
+    for file in &ws.files {
         let in_force = |pattern: Pattern| {
             let r = rule(pattern);
             (matches!(r.reach, Reach::Here | Reach::Through) && r.scope.contains(file)).then_some(r)
@@ -434,12 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_family_matches_calls_only() {
-        assert_eq!(hits("x.unwrap(); y.expect(\"m\");").len(), 2);
-        assert!(hits("x.unwrap_or(0); x.unwrap_or_else(|| 1); fn expect(a: u8) {}").is_empty());
-    }
-
-    #[test]
     fn sync_trees_are_judged_by_their_first_non_ownership_segment() {
         let what = |src: &str| hits(src).into_iter().map(|(_, w)| w).collect::<Vec<_>>();
         assert_eq!(what("use std::sync::{Arc, Mutex};"), ["std::sync::Mutex"]);
@@ -459,18 +329,6 @@ mod tests {
         ] {
             assert!(hits(clean).is_empty(), "{clean}: {:?}", hits(clean));
         }
-    }
-
-    #[test]
-    fn fault_sites_must_be_dotted_lowercase() {
-        for bad in ["BadSite", "single", "lfm.Meta.write", "lfm..write", "lfm.meta write"] {
-            assert!(!valid_fault_site(bad), "{bad}");
-        }
-        for good in ["lfm.meta.write", "lfm.*", "net.rpc.ship_42", "*"] {
-            assert!(valid_fault_site(good), "{good}");
-        }
-        assert!(hits("push_rule(\"Whatever\", 1); plane.rule(site, t, o);").is_empty());
-        assert_eq!(hits("plane.fail_nth(r\"BadSite\", 1);").len(), 1);
     }
 
     #[test]

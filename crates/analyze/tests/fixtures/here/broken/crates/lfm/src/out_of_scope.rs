@@ -6,6 +6,3 @@ impl Database {
         self.go()
     }
 }
-
-// Logical accounting outside the cache files is this crate's job.
-struct IoStats;

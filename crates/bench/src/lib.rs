@@ -17,6 +17,14 @@
 //! | §4.2 approximate-REGION trade-off (ablation) | [`approx`] |
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the paper-table harness indexes result rows and sweeps it built itself"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "the paper-table harness: a failed install or query aborts the table run with its message"
+)]
 #![warn(missing_docs)]
 
 pub mod approx;

@@ -7,6 +7,8 @@
 //! cargo run --release -p qbism-check --example explore_counts
 //! ```
 
+#![allow(clippy::indexing_slicing)]
+
 use qbism_check::sync::{Mutex, Ordering};
 use qbism_check::{thread, Checker};
 use std::sync::Arc;

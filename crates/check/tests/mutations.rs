@@ -3,6 +3,8 @@
 //! model checker must flag every broken variant and pass every fixed
 //! one — this is the regression suite proving the checker has teeth.
 
+#![allow(clippy::indexing_slicing, clippy::panic)]
+
 use qbism_check::sync::{Mutex, Ordering};
 use qbism_check::{thread, Checker, TrackedCell};
 use std::sync::Arc;

@@ -154,6 +154,10 @@ impl ClusterWarehouse {
 
     /// The first shard's query server — every shard is a byte-identical
     /// copy, so this is the single-node reference server.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "install clamps to at least 1 shard, and membership never changes afterwards"
+    )]
     pub fn reference_server(&self) -> &MedicalServer {
         self.shards[0].server()
     }

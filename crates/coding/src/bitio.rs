@@ -108,7 +108,9 @@ impl<'a> BitReader<'a> {
         if self.pos >= self.bit_len() {
             return Err(CodingError::UnexpectedEnd);
         }
-        let byte = self.bytes[(self.pos / 8) as usize];
+        let Some(&byte) = self.bytes.get((self.pos / 8) as usize) else {
+            return Err(CodingError::UnexpectedEnd);
+        };
         let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
         self.pos += 1;
         Ok(bit)

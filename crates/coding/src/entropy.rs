@@ -97,7 +97,7 @@ impl Histogram {
         // scarce.
         let mut entries: Vec<(u32, u64)> = bins.into_iter().collect();
         if entries.len() >= 5 {
-            if entries[0].0 == 0 {
+            if entries.first().is_some_and(|&(octave, _)| octave == 0) {
                 entries.remove(0);
             }
             entries.pop();

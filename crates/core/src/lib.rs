@@ -43,6 +43,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "octant and piece indices are produced by the same geometry that sized the arrays"
+)]
 #![warn(missing_docs)]
 
 mod config;

@@ -18,6 +18,8 @@
 //!    typed error in both modes, from every binary UDF and from the
 //!    multi-study fold; neither mode panics.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
+
 use qbism::server::fold_band_regions;
 use qbism::QbismError;
 use qbism::{QbismConfig, QbismSystem};

@@ -54,7 +54,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
 
 use qbism_check::sync::{AtomicU64, Mutex, Ordering};
 use std::cell::RefCell;
@@ -405,14 +404,25 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     fnv1a64(bytes)
 }
 
-/// Well-known fault-site names of the sharded warehouse tier.
+/// Every fault-site name an instrumented call site passes to
+/// [`inject`], so a plane armed by name and the site it means cannot
+/// drift apart.  Names are dotted lowercase; [`ALL`](sites::ALL) lists
+/// them for the unit test that holds every name to that form.
 ///
-/// The cluster router consults these around every sub-query dispatch,
-/// so a plane armed on the client thread (and re-armed in fan-out
-/// workers via [`FaultPlane::arm_shared`]) can kill a shard, degrade
-/// it, or drop its answer leg at a deterministic routing point.  All
-/// names are dotted lowercase, as the `fault-site-name` rule requires.
+/// The cluster router consults its three around every sub-query
+/// dispatch, so a plane armed on the client thread (and re-armed in
+/// fan-out workers via [`FaultPlane::arm_shared`]) can kill a shard,
+/// degrade it, or drop its answer leg at a deterministic routing point.
 pub mod sites {
+    /// A Long Field Manager page read from the simulated device.
+    pub const LFM_READ: &str = "lfm.read";
+    /// A Long Field Manager data-page write.
+    pub const LFM_WRITE: &str = "lfm.write";
+    /// A write of the LFM's metadata: journal records and the snapshot.
+    pub const LFM_META_WRITE: &str = "lfm.meta.write";
+    /// One message sent over a simulated network channel (the default
+    /// site of every channel until it is renamed).
+    pub const NET_SEND: &str = "net.send";
     /// Routing a sub-query to a shard finds its service dead.  Any
     /// outcome delivered here downs the shard; the router fails over
     /// to the next replica.
@@ -425,6 +435,17 @@ pub mod sites {
     /// channel retries with bounded backoff; exhausting the budget
     /// surfaces as a timeout and the router fails over.
     pub const CLUSTER_ROUTE_DROP: &str = "cluster.route.drop";
+
+    /// Every site above.
+    pub const ALL: &[&str] = &[
+        LFM_READ,
+        LFM_WRITE,
+        LFM_META_WRITE,
+        NET_SEND,
+        CLUSTER_SHARD_KILL,
+        CLUSTER_SHARD_SLOW,
+        CLUSTER_ROUTE_DROP,
+    ];
 }
 
 fn record_injection(site: &str, outcome: &FaultOutcome) {
@@ -454,8 +475,6 @@ fn record_injection(site: &str, outcome: &FaultOutcome) {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
 
     #[test]
@@ -566,16 +585,19 @@ mod tests {
     }
 
     #[test]
-    fn cluster_sites_are_dotted_lowercase_and_glob_matchable() {
-        for site in
-            [sites::CLUSTER_SHARD_KILL, sites::CLUSTER_SHARD_SLOW, sites::CLUSTER_ROUTE_DROP]
-        {
+    fn every_site_is_dotted_lowercase_unique_and_glob_matchable() {
+        let component = |p: &str| {
+            p.starts_with(|c: char| c.is_ascii_lowercase())
+                && p.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        };
+        for (i, &site) in sites::ALL.iter().enumerate() {
             assert!(
-                site.split('.').count() >= 2
-                    && site.chars().all(|c| c.is_ascii_lowercase() || c == '.'),
-                "site {site} must be dotted lowercase"
+                site.contains('.') && site.split('.').all(component),
+                "site {site:?} must be dotted lowercase"
             );
-            assert!(pattern_matches("cluster.*", site));
+            assert!(!sites::ALL[i + 1..].contains(&site), "site {site:?} is listed twice");
+            let (namespace, _) = site.split_once('.').unwrap();
+            assert!(pattern_matches(&format!("{namespace}.*"), site));
             assert!(pattern_matches(site, site));
         }
         // A plane armed on the whole cluster namespace hits a kill consult.

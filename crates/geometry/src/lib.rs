@@ -13,6 +13,10 @@
 //!   entity stores alongside each volumetric REGION for fast rendering.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "vertex/triangle indices are minted by push_* methods that grow the arrays in lockstep"
+)]
 #![warn(missing_docs)]
 
 mod affine;

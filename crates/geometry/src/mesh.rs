@@ -36,6 +36,10 @@ impl TriMesh {
     }
 
     /// Appends a vertex with a placeholder normal, returning its index.
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' invariant: >u32::MAX vertices are unrepresentable in the triangle index format"
+    )]
     pub fn push_vertex(&mut self, v: Vec3) -> u32 {
         let idx = match u32::try_from(self.vertices.len()) {
             Ok(idx) => idx,

@@ -366,6 +366,10 @@ impl<A: Solid> Transformed<A> {
     ///
     /// # Panics
     /// Panics if `transform` is singular.
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' invariant: transforming a solid by a singular affine map has no geometric meaning"
+    )]
     pub fn new(base: A, transform: Affine3) -> Self {
         let inverse = match transform.inverse() {
             Some(inv) => inv,

@@ -46,6 +46,7 @@ impl<T> KdTree<T> {
         tree
     }
 
+    #[expect(clippy::unreachable, reason = "mid < len, so the left half is non-empty")]
     fn build_rec(&mut self, items: &mut Vec<(Vec<f64>, T)>, depth: usize) -> Option<usize> {
         if items.is_empty() {
             return None;

@@ -15,6 +15,10 @@
 //! from catalog contents (structure bounds, per-study feature vectors).
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "k-d tree axes are taken modulo the point dimensionality every stored point shares"
+)]
 #![warn(missing_docs)]
 
 mod kdtree;

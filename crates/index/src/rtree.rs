@@ -172,6 +172,7 @@ fn search_node<'a, T>(node: &'a Node<T>, query: &Aabb, out: &mut Vec<&'a T>) {
     }
 }
 
+#[expect(clippy::unreachable, reason = "bbox_of is only called on non-empty groups")]
 fn bbox_of<I: IntoIterator<Item = Aabb>>(boxes: I) -> Aabb {
     let mut it = boxes.into_iter();
     let first = match it.next() {

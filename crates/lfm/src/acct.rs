@@ -75,6 +75,10 @@ impl IoBracket {
     ///
     /// # Panics
     /// Panics if brackets are closed out of LIFO order on this thread.
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' LIFO invariant of IoBracket; violation is a programming error, not a data error"
+    )]
     pub fn finish(mut self) -> (IoStats, f64) {
         self.finished = true;
         BRACKETS.with(|b| {
@@ -102,7 +106,6 @@ impl Drop for IoBracket {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::LongFieldManager;
 

@@ -245,8 +245,6 @@ impl BuddyAllocator {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
     use proptest::prelude::*;
 

@@ -254,7 +254,6 @@ impl PageCache {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
 
     const PAGE: usize = 8;

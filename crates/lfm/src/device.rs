@@ -110,8 +110,6 @@ impl SimDevice {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
     use qbism_fault::FaultPlane;
 

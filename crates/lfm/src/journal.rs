@@ -326,8 +326,6 @@ pub(crate) fn decode(buf: &[u8]) -> Option<(usize, u64, u64, Record)> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
 
     #[test]

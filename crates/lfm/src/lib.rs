@@ -34,8 +34,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "page and extent indices derive from the geometry math that sized the device"
+)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
 
 mod acct;
 mod buddy;

@@ -34,7 +34,7 @@ use crate::journal::{
 use crate::model::{DiskModel, IoStats};
 use crate::{LfmError, Result};
 use qbism_check::sync::{Mutex, MutexGuard};
-use qbism_fault::checksum;
+use qbism_fault::{checksum, sites};
 use qbism_obs::{trace, Counter, Gauge};
 use std::collections::{BTreeSet, HashMap};
 
@@ -503,7 +503,7 @@ impl LongFieldManager {
     /// must not half-remember it.  A crash leaves the medium exactly as
     /// the crash found it; recovery sorts it out.
     fn meta_write(&mut self, off: usize, data: &[u8]) -> Result<()> {
-        match self.device.write("lfm.meta.write", off, data) {
+        match self.device.write(sites::LFM_META_WRITE, off, data) {
             Ok(latency) => {
                 self.note_latency(latency);
                 Ok(())
@@ -541,7 +541,7 @@ impl LongFieldManager {
     /// root.
     fn write_superblock(&mut self, epoch: u64) -> Result<()> {
         let bytes = self.geo.superblock(epoch).encode();
-        match self.device.write("lfm.meta.write", 0, &bytes) {
+        match self.device.write(sites::LFM_META_WRITE, 0, &bytes) {
             Ok(latency) => {
                 self.note_latency(latency);
                 Ok(())
@@ -628,7 +628,8 @@ impl LongFieldManager {
         let csum = checksum(data);
         let id = self.next_id;
         let commit = |lfm: &mut Self| -> Result<()> {
-            let latency = lfm.device.write("lfm.write", lfm.geo.data_byte(first_page, 0), data)?;
+            let latency =
+                lfm.device.write(sites::LFM_WRITE, lfm.geo.data_byte(first_page, 0), data)?;
             lfm.note_latency(latency);
             lfm.journal_one(Record::Create { id, first_page, order, len: data.len() as u64, csum })
         };
@@ -766,7 +767,7 @@ impl LongFieldManager {
             total += len;
         }
         // One logical device read; the fault plane sees it as one op.
-        let latency = self.device.gate_read("lfm.read")?;
+        let latency = self.device.gate_read(sites::LFM_READ)?;
         self.note_latency(latency);
         let before = out.len();
         out.reserve(total as usize);
@@ -993,7 +994,8 @@ impl LongFieldManager {
                 offset: chunk_off as u64,
                 bytes: old.clone(),
             })?;
-            match self.device.write("lfm.write", field_base + chunk_off, &data[done..done + n]) {
+            match self.device.write(sites::LFM_WRITE, field_base + chunk_off, &data[done..done + n])
+            {
                 Ok(latency) => self.note_latency(latency),
                 Err(LfmError::Crashed) => return Err(LfmError::Crashed),
                 Err(e) => {
@@ -1211,8 +1213,6 @@ impl LongFieldManager {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
     use proptest::prelude::*;
     use qbism_fault::FaultPlane;

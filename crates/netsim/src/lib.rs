@@ -248,7 +248,7 @@ impl RpcChannel {
             model,
             retry: RetryPolicy::default(),
             stats: NetStats::default(),
-            fault_site: "net.send",
+            fault_site: qbism_fault::sites::NET_SEND,
             event_site: "net.ship",
         }
     }
@@ -423,7 +423,7 @@ impl EndpointChannels {
             endpoints: Vec::new(),
             model,
             retry: RetryPolicy::default(),
-            fault_site: "net.send",
+            fault_site: qbism_fault::sites::NET_SEND,
         };
         chans.endpoints = (0..n).map(|_| chans.make_endpoint()).collect();
         chans
@@ -481,8 +481,6 @@ impl EndpointChannels {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
-
     use super::*;
     use proptest::prelude::*;
     use qbism_fault::{FaultOutcome, FaultPlane, Trigger};

@@ -92,6 +92,10 @@
 //! an in-process cluster share one of each.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "ring-buffer indices are masked by the power-of-two capacity"
+)]
 #![warn(missing_docs)]
 
 pub mod context;

@@ -27,6 +27,10 @@
 //! count, which is what gives trace/span ids their meaning.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "result and slot indices are claimed below the item count the slot vectors were sized by"
+)]
 
 use qbism_check::sync::{AtomicUsize, Mutex, Ordering};
 use qbism_check::thread;
@@ -70,6 +74,10 @@ impl Executor {
     ///
     /// Panics in `f` propagate to the caller once all workers have
     /// stopped (via [`std::thread::scope`]'s join-and-rethrow).
+    #[expect(
+        clippy::unreachable,
+        reason = "the atomic counter hands each slot to one worker, and the scope joins every worker before the results are read"
+    )]
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -124,7 +132,6 @@ impl Executor {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicU64, Ordering};

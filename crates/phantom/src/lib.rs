@@ -33,6 +33,10 @@
 //! them (see `EXPERIMENTS.md`).
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "voxel indices are produced by the loops that iterate the declared dims"
+)]
 #![warn(missing_docs)]
 
 pub mod anatomy;

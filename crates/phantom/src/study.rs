@@ -112,6 +112,10 @@ impl StudyGenerator {
 
     /// Acquires `field` (atlas-space truth) as a `modality` study with
     /// seed-determined misalignment, scanner noise, and landmarks.
+    #[expect(
+        clippy::panic,
+        reason = "documented invariant: small rigid+scale misalignments are always invertible"
+    )]
     pub fn acquire<F: ScalarField3>(
         &self,
         field: &F,

@@ -41,6 +41,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "run-list indices follow the two-pointer merge invariants (i < a.len() guards)"
+)]
 #![warn(missing_docs)]
 
 mod approx;

@@ -18,6 +18,8 @@
 //! any other; a differential case writes both kinds by hand and holds
 //! each decode to the `Region` that `Region::from_runs` builds.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing)]
+
 use proptest::prelude::*;
 use qbism_coding::CodingError;
 use qbism_geometry::Vec3;

@@ -14,7 +14,7 @@
 //! for both curves.
 
 use crate::curve::{check_coords, check_index};
-use crate::SpaceFillingCurve;
+use crate::{SpaceFillingCurve, MAX_INDEX_BITS};
 use std::sync::OnceLock;
 
 /// Hilbert curve over a `dims`-dimensional grid of `2^bits` per axis.
@@ -274,14 +274,10 @@ impl HilbertCurve {
     /// The Skilling bit-exchange `index_of` (ground truth for the LUT
     /// fast path, and the general-dimension fallback).
     fn index_of_bitwise(&self, coords: &[u32]) -> u64 {
-        let mut x: [u32; 8];
-        let buf: &mut [u32] = if coords.len() <= 8 {
-            x = [0u32; 8];
-            x[..coords.len()].copy_from_slice(coords);
-            &mut x[..coords.len()]
-        } else {
-            unreachable!("validate_geometry caps dims at 63")
-        };
+        // `validate_geometry` caps dims at `MAX_INDEX_BITS` (one bit per axis).
+        let mut x = [0u32; MAX_INDEX_BITS as usize];
+        let buf = &mut x[..coords.len()];
+        buf.copy_from_slice(coords);
         self.axes_to_transpose(buf);
         self.pack(buf)
     }
@@ -425,6 +421,28 @@ mod tests {
     }
 
     #[test]
+    fn round_trips_at_every_admitted_dimension_count() {
+        // `validate_geometry` admits up to 63 axes, not only the first
+        // eight: 9 and 63 axes at 1 bit, 21 axes at 3 bits.
+        for (dims, bits) in [(9u32, 1u32), (63, 1), (21, 3)] {
+            let h = HilbertCurve::new(dims, bits);
+            let mut state = dims;
+            let mut coords = vec![0u32; dims as usize];
+            coords[0] = 1;
+            let mut back = vec![0u32; dims as usize];
+            for trial in 0..64 {
+                let idx = h.index_of(&coords);
+                h.coords_of(idx, &mut back);
+                assert_eq!(back, coords, "{dims} dims x {bits} bits, trial {trial}");
+                for c in &mut coords {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    *c = (state >> 16) % (1 << bits);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn consecutive_indices_are_grid_neighbours_3d() {
         // The defining continuity property: cells with consecutive Hilbert
         // ids are face neighbours in the grid.
@@ -483,6 +501,10 @@ mod tests {
     /// `cargo test -p qbism-sfc --release -- --ignored --nocapture lut_speed`.
     #[test]
     #[ignore = "timing report, run explicitly in release mode"]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an ignored speed report: it measures native time by design"
+    )]
     fn lut_speedup_report() {
         let h = HilbertCurve::new(3, 7);
         let mut acc = 0u64;

@@ -38,6 +38,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "curve tables and coordinate buffers are sized by the dims and bits that validate_geometry admits"
+)]
 #![warn(missing_docs)]
 
 mod curve;

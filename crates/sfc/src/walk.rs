@@ -539,6 +539,10 @@ mod tests {
     /// `cargo test -p qbism-sfc --release -- --ignored --nocapture walk_speed`.
     #[test]
     #[ignore = "timing report, run explicitly in release mode"]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an ignored speed report: it measures native time by design"
+    )]
     fn walk_speed_report() {
         for kind in CurveKind::ALL {
             let curve = kind.curve(3, 7);

@@ -184,7 +184,6 @@ impl Catalog {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
 
     fn schema() -> TableSchema {

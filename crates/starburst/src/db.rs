@@ -57,15 +57,16 @@ impl ResultSet {
     /// # Errors
     /// Errors if the shape is not exactly 1x1.
     pub fn single_value(&self) -> Result<&Value> {
-        if self.rows.len() == 1 && self.rows[0].len() == 1 {
-            Ok(&self.rows[0][0])
-        } else {
-            Err(DbError::Exec(format!(
-                "expected a 1x1 result, got {}x{}",
-                self.rows.len(),
-                self.columns.len()
-            )))
+        if let [row] = self.rows.as_slice() {
+            if let [value] = row.as_slice() {
+                return Ok(value);
+            }
         }
+        Err(DbError::Exec(format!(
+            "expected a 1x1 result, got {}x{}",
+            self.rows.len(),
+            self.columns.len()
+        )))
     }
 }
 
@@ -89,6 +90,10 @@ impl ExecOutcome {
     ///
     /// # Panics
     /// Panics if the statement was not a SELECT.
+    #[expect(
+        clippy::panic,
+        reason = "documented '# Panics' helper for tests and doc examples; served paths match on the outcome"
+    )]
     pub fn expect_rows(self) -> ResultSet {
         match self {
             ExecOutcome::Rows(rs) => rs,
@@ -407,7 +412,6 @@ impl std::fmt::Debug for Database {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
 
     fn db() -> Database {

@@ -442,8 +442,6 @@ mod differential {
     //! columns, the same rows in the same order and the same
     //! `rows_scanned`.
 
-    #![allow(clippy::unwrap_used)]
-
     use super::{finish, passes, run_select, HashKey, Refs};
     use crate::catalog::{Catalog, Column, TableSchema};
     use crate::db::ResultSet;

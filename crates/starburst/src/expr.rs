@@ -255,7 +255,6 @@ fn arith((l, r): (Cow<'_, Value>, Cow<'_, Value>), op: Arith) -> Result<Value> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::catalog::{Column, TableSchema};
     use crate::plan::Scope;
@@ -276,7 +275,7 @@ mod tests {
         let mut scope = Scope::default();
         scope.push("p", &p);
         scope.push("v", &v);
-        let Statement::Select(s) = parse_statement(sql).unwrap() else { unreachable!() };
+        let Statement::Select(s) = parse_statement(sql).unwrap() else { panic!("not a SELECT") };
         let mut expr = s.where_clause.unwrap();
         scope.bind(&mut expr).unwrap();
         expr

@@ -51,7 +51,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
 
 mod catalog;
 mod db;

@@ -318,7 +318,6 @@ impl SelectPlan {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::catalog::{Column, TableSchema};
     use crate::sql::ast::Statement;

@@ -150,7 +150,6 @@ fn bad(src: &str, at: usize, what: &str) -> DbError {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
 
     fn toks(src: &str) -> Vec<Tok> {

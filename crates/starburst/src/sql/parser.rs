@@ -529,7 +529,6 @@ fn is_clause_keyword(s: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
 
     fn sel(src: &str) -> Select {

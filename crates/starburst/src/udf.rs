@@ -107,7 +107,6 @@ impl std::fmt::Debug for UdfRegistry {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
     use super::*;
 
     fn ctx_lfm() -> LongFieldManager {

@@ -6,6 +6,8 @@
 //! `rows_scanned` — so binding values instead of splicing them changes
 //! no answer and no plan.  Plus the typed errors of the prepared API.
 
+#![allow(clippy::expect_used)]
+
 use proptest::prelude::*;
 use qbism_starburst::{Database, DbError, Prepared, Value};
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -16,6 +16,10 @@
 //! voxel.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "voxel offsets derive from the same dims used to allocate the field"
+)]
 #![warn(missing_docs)]
 
 mod data_region;

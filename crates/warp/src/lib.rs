@@ -22,6 +22,10 @@
 //!   onto the cubic atlas grid, producing the stored warped VOLUME.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "matrix and grid indices are bounded by fixed 3-D/4-D dimensions"
+)]
 #![warn(missing_docs)]
 
 mod linalg;

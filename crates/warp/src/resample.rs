@@ -21,6 +21,10 @@ use qbism_volume::Volume;
 /// # Panics
 /// Panics if the transform is singular, `atlas_mm_per_voxel` is not
 /// positive, or the geometry is not 3-D.
+#[expect(
+    clippy::panic,
+    reason = "documented invariant: registration matrices are rigid+scale, always invertible"
+)]
 pub fn warp_to_atlas(
     raw: &RawStudy,
     patient_to_atlas: &Affine3,

@@ -9,6 +9,8 @@
 //! cargo run --release --example brain_mapping_session
 //! ```
 
+#![allow(clippy::indexing_slicing)]
+
 use qbism::{QbismConfig, QbismSystem};
 use qbism_starburst::Value;
 

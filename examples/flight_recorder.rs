@@ -10,6 +10,8 @@
 //! cargo run --release --example flight_recorder -- --paper  # 128³, EQ1 scale
 //! ```
 
+#![allow(clippy::indexing_slicing)]
+
 use std::time::Duration;
 
 use qbism::{QbismConfig, QbismSystem};

@@ -6,6 +6,8 @@
 //! cargo run --release --example render_structure [structure] [out_dir]
 //! ```
 
+#![allow(clippy::indexing_slicing)]
+
 use qbism::{QbismConfig, QbismSystem};
 use qbism_render::{import_data_region, Camera, Rasterizer};
 

@@ -21,6 +21,8 @@
 //! The obs rings and the fault plane are process-global/thread-local,
 //! so these tests serialize on one lock, like `tests/observability.rs`.
 
+#![allow(clippy::expect_used)]
+
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qbism::{QbismConfig, QbismSystem, QueryCost};

@@ -16,7 +16,7 @@
 //! failure surfaces as a typed error, the store recovers, and the full
 //! study is byte-identical afterwards.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use std::collections::HashMap;
 

@@ -2,6 +2,8 @@
 //! SQL query → extract → ship → import → render, across crate
 //! boundaries.
 
+#![allow(clippy::expect_used)]
+
 use qbism::{QbismConfig, QbismSystem, QuerySpec};
 use qbism_render::{import_data_region, Camera, Rasterizer};
 

@@ -25,6 +25,8 @@
 //! Outside a format change that says so here, a digest that moves means
 //! a stored byte moved: fix the loader, do not re-record.
 
+#![allow(clippy::expect_used)]
+
 use qbism::{QbismConfig, QbismSystem};
 use qbism_region::{open_k3, RegionCodec};
 use qbism_sfc::CurveKind;

@@ -6,6 +6,8 @@
 //! these tests serialize on one lock and search `recent_roots` rather
 //! than assuming exclusive ring access.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing)]
+
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use qbism::{QbismConfig, QbismSystem, QueryCost};

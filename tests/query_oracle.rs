@@ -10,6 +10,8 @@
 //! This is the net a REGION format change lands on: the oracle never
 //! touches a codec, so an answer that moved is the format's fault.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing)]
+
 mod support;
 
 use qbism::{QbismConfig, QbismSystem, QueryCost};

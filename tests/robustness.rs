@@ -3,6 +3,8 @@
 //! A DBMS's decode paths face bytes from disk it must never trust, and
 //! its storage layer must fail cleanly when the device fills.
 
+#![allow(clippy::panic)]
+
 use proptest::prelude::*;
 use qbism::{QbismConfig, QbismSystem};
 use qbism_region::RegionCodec;

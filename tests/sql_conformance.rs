@@ -1,6 +1,8 @@
 //! Table-driven SQL conformance tests for the Starburst stand-in:
 //! one seeded database, many statement/expectation pairs.
 
+#![allow(clippy::expect_used)]
+
 use qbism_starburst::{Database, ExecOutcome, Value};
 
 fn db() -> Database {

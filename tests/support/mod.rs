@@ -8,6 +8,8 @@
 //! seven classes, edge cases first.  A test installs a system, asks the
 //! oracle and the server the same [`Query`]s and compares.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing)]
+
 use qbism::{MedicalServer, QbismError, QbismSystem, QueryCost};
 use qbism_region::{GridGeometry, Region};
 use qbism_volume::{DataRegion, Volume};
