@@ -727,6 +727,7 @@ impl MedicalServer {
     /// Decoder of the extraction statements: the DATA_REGION answer,
     /// whose value bytes stay in the buffer `extractVoxels` filled.
     fn data_region(&self, row: Vec<Value>) -> Result<DataRegion<u8>> {
+        let _check = trace::span("query.check_answer");
         match row.into_iter().next() {
             Some(Value::Bytes(bytes)) => data_region_from_bytes(bytes),
             _ => Err(QbismError::Wire("extract returned a non-bytes value".into())),
@@ -849,7 +850,9 @@ pub fn reduce_band_stages<E>(
         cost.accumulate(&stage.cost);
     }
     let start = host_now();
+    let gather = trace::span("query.fold_band_regions");
     let fold = fold_band_regions(blobs, codec).map_err(gather_error)?;
+    drop(gather);
     cost.add_gather_seconds(start.elapsed().as_secs_f64());
     Ok((cost, fold))
 }
@@ -880,11 +883,13 @@ pub fn reduce_population_stages<E>(
         }
     }
     let start = host_now();
+    let gather = trace::span("query.voxel_mean");
     let Some((data, misaligned)) = voxel_mean(extracts.iter().map(|(_, extract)| extract)) else {
         // Degrading further would return an empty answer pretending to
         // be a mean — fail with the first cause.
         return Err(skipped.into_iter().next().map_or_else(no_studies, |(_, error)| error));
     };
+    drop(gather);
     cost.add_gather_seconds(start.elapsed().as_secs_f64());
     cost.coverage = (extracts.len() - misaligned.len()) as f64 / study_ids.len() as f64;
     for (id, extract) in misaligned.into_iter().filter_map(|at| extracts.get(at)) {

@@ -1,20 +1,21 @@
-//! A clock page cache over the simulated device.
+//! A clock page cache over the simulated device, kept as a residency
+//! model.
 //!
 //! The paper's LFM "performs no buffering anyway", and the paper tables
 //! depend on that: Tables 1–4 count every logical 4 KiB page touched.
-//! The serving path, however, re-reads the same atlas and structure
-//! REGIONs constantly, so the cache buys real reuse there.  The
-//! resolution: [`crate::IoStats`] keeps counting *logical* I/O whether
-//! or not the cache is on (tablegen stays bit-identical, cache
-//! disabled by default), while [`CacheStats`] separately reports how
-//! many of those page touches were absorbed by the buffer pool.
+//! [`crate::IoStats`] keeps counting *logical* I/O whether or not the
+//! cache is on (tablegen stays bit-identical, cache disabled by
+//! default), while [`CacheStats`] reports how many of those page
+//! touches a buffer pool of the configured size would absorb.
 //!
-//! The pool is one slab of page frames plus a page table indexed by
-//! device page: a lookup is one array read and a hit is copied straight
-//! out of its frame — nothing is hashed or allocated per page.
-//! Eviction is the classic clock (second-chance) sweep; pinned frames
-//! are skipped, so a read call can pin the pages it is assembling from
-//! and never lose one mid-copy.
+//! The pool records which device pages are resident, not their bytes:
+//! the device is in memory and every write invalidates the pages it
+//! touches, so a frame could only hold what the device already does,
+//! and every read copies from the device.  A page table indexed by
+//! device page names each resident page's frame; eviction is the
+//! classic clock (second-chance) sweep, and pinned frames are skipped,
+//! so a read call keeps the pages it touched resident while its own
+//! misses stage more.
 
 /// Buffer-pool knobs on the [`crate::LongFieldManager`].
 ///
@@ -29,8 +30,8 @@ pub struct CacheConfig {
     /// Sequential readahead depth: after a demand fetch, the manager may
     /// stage up to this many following device pages in the same physical
     /// transfer.  Zero disables readahead.  Pure prefetch policy — the
-    /// pool itself only stores what it is handed, and logical accounting
-    /// never sees the staged pages.
+    /// pool itself only records what it is handed, and logical
+    /// accounting never sees the staged pages.
     pub readahead_pages: usize,
 }
 
@@ -61,16 +62,13 @@ const TOMBSTONE: u64 = u64::MAX;
 /// in a `Mutex` so the `&self` read path can use it.
 #[derive(Default)]
 pub(crate) struct PageCache {
-    page_size: usize,
     device_pages: usize,
     /// Frames the pool may hold; zero while it is switched off.
     capacity: usize,
-    /// Frame `f`'s bytes are `slab[f * page_size..][..page_size]`; grows
-    /// a frame at a time to `capacity` frames, then is reused in place.
-    slab: Vec<u8>,
     /// Device page → frame or `NO_FRAME`; allocated when switched on.
     table: Vec<u32>,
-    /// Frame → device page or `TOMBSTONE`.
+    /// Frame → device page or `TOMBSTONE`; grows a frame at a time to
+    /// `capacity` frames, then is reused in place.
     pages: Vec<u64>,
     referenced: Vec<bool>,
     pins: Vec<u32>,
@@ -87,9 +85,9 @@ impl std::fmt::Debug for PageCache {
 }
 
 impl PageCache {
-    /// A switched-off pool over `device_pages` pages of `page_size` bytes.
-    pub(crate) fn new(page_size: usize, device_pages: usize) -> PageCache {
-        PageCache { page_size, device_pages, ..PageCache::default() }
+    /// A switched-off pool over `device_pages` pages.
+    pub(crate) fn new(device_pages: usize) -> PageCache {
+        PageCache { device_pages, ..PageCache::default() }
     }
 
     /// Resizes the pool to `frames` frames (zero switches it off) and
@@ -97,18 +95,12 @@ impl PageCache {
     pub(crate) fn set_capacity(&mut self, frames: usize) {
         // A frame number must fit a page-table entry below `NO_FRAME`.
         self.capacity = frames.min(NO_FRAME as usize);
-        self.slab = Vec::new();
         self.table = if frames > 0 { vec![NO_FRAME; self.device_pages] } else { Vec::new() };
         self.clear();
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// All frame bytes; frame `f` starts at `f * page_size`.
-    pub(crate) fn slab(&self) -> &[u8] {
-        &self.slab
     }
 
     /// The frame holding `page` — a residency probe that counts neither
@@ -120,8 +112,7 @@ impl PageCache {
     }
 
     /// Looks `page` up, counting a hit or miss and marking the frame
-    /// referenced for the clock sweep; a hit is copied from the returned
-    /// frame of [`PageCache::slab`].
+    /// referenced for the clock sweep.
     pub(crate) fn get(&mut self, page: u64) -> Option<usize> {
         let frame = self.frame_of(page);
         match frame {
@@ -145,24 +136,21 @@ impl PageCache {
         }
     }
 
-    /// Caches `data` (one page of bytes) for `page`, evicting an
-    /// unpinned frame via the clock hand if the pool is full.  When
-    /// every frame is pinned the insert is skipped — correctness never
-    /// depends on residency.
-    pub(crate) fn insert(&mut self, page: u64, data: &[u8]) {
+    /// Makes `page` resident, evicting an unpinned frame via the clock
+    /// hand if the pool is full.  When every frame is pinned the insert
+    /// is skipped — correctness never depends on residency.
+    pub(crate) fn insert(&mut self, page: u64) {
         // Anything else is resident already, or the pool is off.
-        if self.table.get(page as usize) != Some(&NO_FRAME) || data.len() != self.page_size {
+        if self.table.get(page as usize) != Some(&NO_FRAME) {
             return;
         }
         let frame = if self.pages.len() < self.capacity {
-            self.slab.extend_from_slice(data);
             self.pages.push(page);
             self.referenced.push(true);
             self.pins.push(0);
             self.pages.len() - 1
         } else {
             let Some(frame) = self.sweep() else { return };
-            self.slab[frame * self.page_size..][..self.page_size].copy_from_slice(data);
             self.pages[frame] = page;
             self.referenced[frame] = true;
             frame
@@ -203,8 +191,8 @@ impl PageCache {
         self.pins[frame] = self.pins[frame].saturating_sub(1);
     }
 
-    /// Drops any cached copy of `count` device pages starting at
-    /// `first_page` (called when the underlying bytes change).
+    /// Forgets `count` device pages starting at `first_page` (called
+    /// when the underlying bytes change).
     pub(crate) fn invalidate_range(&mut self, first_page: u64, count: u64) {
         let len = self.table.len() as u64;
         let (first, end) = (first_page.min(len), first_page.saturating_add(count).min(len));
@@ -221,7 +209,6 @@ impl PageCache {
 
     /// Empties the pool (recovery, reconfiguration).  Stats survive.
     pub(crate) fn clear(&mut self) {
-        self.slab.clear();
         self.table.fill(NO_FRAME);
         self.pages.clear();
         self.referenced.clear();
@@ -236,7 +223,6 @@ impl PageCache {
         let frames = self.pages.len();
         assert!(frames <= self.capacity, "pool overflowed its capacity");
         assert!(self.hand == 0 || self.hand < frames, "clock hand out of range");
-        assert_eq!(self.slab.len(), frames * self.page_size, "slab and frame table disagree");
         assert_eq!((self.referenced.len(), self.pins.len()), (frames, frames));
         let mut mapped = 0;
         for (page, &frame) in self.table.iter().enumerate().filter(|&(_, &f)| f != NO_FRAME) {
@@ -256,27 +242,16 @@ impl PageCache {
 mod tests {
     use super::*;
 
-    const PAGE: usize = 8;
-
     fn active(capacity: usize) -> PageCache {
-        let mut c = PageCache::new(PAGE, 16);
+        let mut c = PageCache::new(16);
         c.set_capacity(capacity);
         c
     }
 
-    fn page(fill: u8) -> [u8; PAGE] {
-        [fill; PAGE]
-    }
-
-    /// Bytes of a resident page, via a counted lookup.
-    fn bytes(c: &mut PageCache, p: u64) -> Option<Vec<u8>> {
-        c.get(p).map(|f| c.slab()[f * PAGE..(f + 1) * PAGE].to_vec())
-    }
-
     #[test]
     fn default_cache_is_off() {
-        let mut c = PageCache::new(PAGE, 16);
-        c.insert(3, &page(3));
+        let mut c = PageCache::new(16);
+        c.insert(3);
         assert!(c.frame_of(3).is_none(), "a switched-off pool stores nothing");
         assert!(!CacheConfig::default().enabled);
     }
@@ -285,28 +260,28 @@ mod tests {
     fn hit_after_insert_miss_before() {
         let mut c = active(4);
         assert!(c.get(7).is_none());
-        c.insert(7, &page(1));
-        assert_eq!(bytes(&mut c, 7).unwrap(), [1u8; PAGE]);
+        c.insert(7);
+        assert_eq!(c.get(7), Some(0), "the first insert takes the first frame");
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
     }
 
     #[test]
     fn clock_gives_referenced_pages_a_second_chance() {
         let mut c = active(3);
-        c.insert(1, &page(1));
-        c.insert(2, &page(2));
-        c.insert(3, &page(3));
+        c.insert(1);
+        c.insert(2);
+        c.insert(3);
         // Pool full: the sweep clears all reference bits, then evicts
         // page 1 (first unreferenced frame after the hand wraps).
-        c.insert(4, &page(4));
+        c.insert(4);
         assert!(c.get(1).is_none());
         // Re-reference page 2; page 3's bit stays clear.
-        assert!(c.get(2).is_some());
-        c.insert(5, &page(5));
-        assert_eq!(bytes(&mut c, 2).unwrap(), [2u8; PAGE], "referenced page got its second chance");
+        assert_eq!(c.get(2), Some(1));
+        c.insert(5);
+        assert_eq!(c.get(2), Some(1), "referenced page got its second chance");
         assert!(c.get(3).is_none(), "unreferenced page was the victim");
-        assert_eq!(bytes(&mut c, 4).unwrap(), [4u8; PAGE]);
-        assert_eq!(bytes(&mut c, 5).unwrap(), [5u8; PAGE]);
+        assert_eq!(c.get(4), Some(0), "page 4 took evicted page 1's frame");
+        assert_eq!(c.get(5), Some(2), "page 5 took evicted page 3's frame");
         assert_eq!(c.stats().evictions, 2);
         c.validate();
     }
@@ -314,17 +289,17 @@ mod tests {
     #[test]
     fn pinned_frames_are_never_evicted() {
         let mut c = active(2);
-        c.insert(1, &page(1));
-        c.insert(2, &page(2));
+        c.insert(1);
+        c.insert(2);
         let (f1, f2) = (c.frame_of(1).unwrap(), c.frame_of(2).unwrap());
         c.pin(f1);
         c.pin(f2);
-        c.insert(3, &page(3)); // nowhere to go: skipped
+        c.insert(3); // nowhere to go: skipped
         assert!(c.get(3).is_none());
         c.unpin(f2);
-        c.insert(3, &page(3));
-        assert_eq!(bytes(&mut c, 3).unwrap(), [3u8; PAGE]);
-        assert_eq!(bytes(&mut c, 1).unwrap(), [1u8; PAGE], "pinned page survived the sweep");
+        c.insert(3);
+        assert_eq!(c.get(3), Some(f2), "the one unpinned frame was reused");
+        assert_eq!(c.get(1), Some(f1), "pinned page survived the sweep");
         assert!(c.get(2).is_none());
     }
 
@@ -332,25 +307,26 @@ mod tests {
     fn invalidation_forgets_pages() {
         let mut c = active(4);
         for p in 0..4 {
-            c.insert(p, &page(p as u8));
+            c.insert(p);
         }
         c.invalidate_range(1, 2);
-        assert!(c.get(0).is_some());
+        assert_eq!(c.get(0), Some(0));
         assert!(c.get(1).is_none());
         assert!(c.get(2).is_none());
-        assert!(c.get(3).is_some());
+        assert_eq!(c.get(3), Some(3));
         // The tombstoned frames are reused before anything live goes.
-        c.insert(9, &page(9));
-        c.insert(10, &page(10));
+        c.insert(9);
+        c.insert(10);
         c.validate();
-        assert_eq!(bytes(&mut c, 9).unwrap(), [9u8; PAGE]);
-        assert_eq!(bytes(&mut c, 10).unwrap(), [10u8; PAGE]);
+        assert_eq!(c.get(9), Some(1));
+        assert_eq!(c.get(10), Some(2));
+        assert_eq!((c.get(0), c.get(3)), (Some(0), Some(3)), "live pages kept their frames");
     }
 
     #[test]
     fn reconfiguring_clears_residency() {
         let mut c = active(4);
-        c.insert(9, &page(9));
+        c.insert(9);
         c.set_capacity(2);
         assert!(c.get(9).is_none());
         c.validate();
@@ -359,7 +335,7 @@ mod tests {
     #[test]
     fn contains_is_stats_neutral() {
         let mut c = active(4);
-        c.insert(3, &page(3));
+        c.insert(3);
         let before = c.stats();
         assert!(c.frame_of(3).is_some());
         assert!(c.frame_of(4).is_none());
@@ -371,7 +347,7 @@ mod tests {
     fn validate_accepts_a_worked_pool() {
         let mut c = active(2);
         for p in 0..5 {
-            c.insert(p, &page(p as u8));
+            c.insert(p);
             c.validate();
         }
         let f3 = c.frame_of(3).unwrap();
@@ -383,10 +359,10 @@ mod tests {
     #[test]
     fn end_call_hands_each_tally_out_once() {
         let mut c = active(1);
-        c.insert(1, &page(1));
+        c.insert(1);
         assert!(c.get(1).is_some());
         assert!(c.get(2).is_none());
-        c.insert(2, &page(2));
+        c.insert(2);
         assert_eq!(c.end_call(), CacheStats { hits: 1, misses: 1, evictions: 1 });
         assert_eq!(c.end_call(), CacheStats::default(), "nothing new since");
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 1 });
@@ -395,8 +371,8 @@ mod tests {
     #[test]
     fn validate_rejects_two_frames_holding_one_page() {
         let mut c = active(2);
-        c.insert(1, &page(1));
-        c.insert(2, &page(2));
+        c.insert(1);
+        c.insert(2);
         c.pages[1] = 1; // frame 1 now claims page 1 too
         c.table[2] = NO_FRAME;
         assert!(std::panic::catch_unwind(|| c.validate()).is_err());
@@ -417,7 +393,7 @@ mod tests {
                 s.spawn(move || {
                     let frame = {
                         let mut c = reader.lock_or_recover();
-                        c.insert(1, &page(1));
+                        c.insert(1);
                         let frame = c.frame_of(1).unwrap();
                         c.pin(frame);
                         c.validate();
@@ -426,7 +402,7 @@ mod tests {
                     thread::yield_now();
                     let mut c = reader.lock_or_recover();
                     assert_eq!(c.get(1), Some(frame), "pinned page evicted under churn");
-                    assert_eq!(&c.slab()[frame * PAGE..(frame + 1) * PAGE], &page(1));
+                    assert_eq!(c.pages[frame], 1, "pinned frame reassigned under churn");
                     c.unpin(frame);
                     c.validate();
                 });
@@ -434,7 +410,7 @@ mod tests {
                 s.spawn(move || {
                     for p in [2u64, 3, 4, 5] {
                         let mut c = churn.lock_or_recover();
-                        c.insert(p, &page(p as u8));
+                        c.insert(p);
                         let _ = c.get(p);
                         c.validate();
                         drop(c);

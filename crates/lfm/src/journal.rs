@@ -188,11 +188,15 @@ impl Snapshot {
         let mut r = Reader::new(&buf[4..]);
         let epoch = r.u64().ok_or_else(|| corrupt("short"))?;
         let next_id = r.u64().ok_or_else(|| corrupt("short"))?;
-        let count = r.u64().ok_or_else(|| corrupt("short"))? as usize;
+        let count = r.u64().ok_or_else(|| corrupt("short"))?;
+        // The buffer bounds the count before anything is sized from it,
+        // so `body_len` cannot overflow.
+        let room = (buf.len() - SNAP_HEADER_LEN) / SNAP_ENTRY_LEN;
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= room)
+            .ok_or_else(|| corrupt("truncated entries"))?;
         let body_len = SNAP_HEADER_LEN - 8 + count * SNAP_ENTRY_LEN;
-        if buf.len() < body_len + 8 {
-            return Err(corrupt("truncated entries"));
-        }
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let id = r.u64().ok_or_else(|| corrupt("short entry"))?;
@@ -389,20 +393,108 @@ mod tests {
         assert!(decode(&log[cursor..]).is_none(), "terminator ends the log");
     }
 
+    /// Hands `decode` every truncation and every single-bit flip of
+    /// `bytes`: the fuzz contract's inputs.  `decode` checks the shape
+    /// of each answer; a panic anywhere fails the sweep.
+    fn sweep(bytes: &[u8], mut decode: impl FnMut(&str, &[u8])) {
+        for cut in 0..bytes.len() {
+            decode(&format!("prefix of {cut} bytes"), &bytes[..cut]);
+        }
+        let mut bad = bytes.to_vec();
+        for bit in 0..bytes.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            decode(&format!("bit flip {bit}"), &bad);
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     #[test]
     fn torn_record_reads_as_end_of_log() {
-        let full =
-            encode(1, 1, &Record::Create { id: 1, first_page: 0, order: 0, len: 5, csum: 9 });
-        for cut in 0..full.len() {
-            assert!(decode(&full[..cut]).is_none(), "prefix of {cut} bytes must not decode");
+        for rec in [
+            Record::Create { id: 1, first_page: 0, order: 0, len: 5, csum: 9 },
+            Record::Delete { id: 3 },
+            Record::WriteUndo { id: 4, offset: 70, bytes: vec![5, 6, 7] },
+            Record::WriteCommit { id: 4, csum: 2 },
+        ] {
+            let full = encode(1, 1, &rec);
+            assert_eq!(decode(&full), Some((full.len(), 1, 1, rec.clone())));
+            // No prefix and no single bit flip decodes: each is the end
+            // of the log, never a different record.
+            sweep(&full, |what, bytes| {
+                let decoded = decode(bytes);
+                assert!(decoded.is_none(), "{rec:?}: {what} still decoded: {decoded:?}");
+            });
         }
-        assert!(decode(&full).is_some());
-        // Corrupting any single byte must also invalidate the record.
-        for i in 0..full.len() {
-            let mut bad = full.clone();
-            bad[i] ^= 0x01;
-            let decoded = decode(&bad);
-            assert!(decoded.is_none(), "bit flip at byte {i} still decoded: {decoded:?}");
+    }
+
+    #[test]
+    fn superblock_fuzz_contract() {
+        let sb = Superblock {
+            page_size: 4096,
+            max_order: 9,
+            epoch: 7,
+            snap_start: 1,
+            snap_slot_pages: 3,
+            journal_start: 7,
+            journal_pages: 8,
+            data_start: 15,
+        };
+        sweep(&sb.encode(), |what, bytes| match Superblock::decode(bytes) {
+            Err(LfmError::CorruptMetadata(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        });
+    }
+
+    /// A snapshot as recovery reads it: the whole slot, zero past the
+    /// checksum.
+    fn padded_snapshot() -> (Snapshot, Vec<u8>) {
+        let snap = Snapshot {
+            epoch: 3,
+            next_id: 42,
+            entries: vec![
+                SnapEntry { id: 1, first_page: 0, order: 2, len: 9000, csum: 0xDEAD },
+                SnapEntry { id: 7, first_page: 8, order: 0, len: 10, csum: 0xBEEF },
+            ],
+        };
+        let mut slot = snap.encode();
+        slot.resize(4096, 0);
+        (snap, slot)
+    }
+
+    #[test]
+    fn snapshot_count_with_bit_62_set_is_corruption() {
+        let (_, mut slot) = padded_snapshot();
+        // The count sits after the magic, the epoch and `next_id`.
+        slot[4 + 8 + 8 + 7] ^= 0x40;
+        assert!(matches!(Snapshot::decode(&slot), Err(LfmError::CorruptMetadata(_))));
+    }
+
+    #[test]
+    fn padded_snapshot_fuzz_contract() {
+        let (snap, slot) = padded_snapshot();
+        assert_eq!(Snapshot::decode(&slot).unwrap(), snap);
+        // A flip in the padding still decodes the snapshot; anything
+        // else is corruption, never a different directory.
+        sweep(&slot, |what, bytes| match Snapshot::decode(bytes) {
+            Ok(decoded) => assert_eq!(decoded, snap, "{what}"),
+            Err(LfmError::CorruptMetadata(_)) => {}
+            Err(other) => panic!("{what}: {other:?}"),
+        });
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes behind each format's magic: every decoder
+        /// returns.
+        #[test]
+        fn arbitrary_metadata_bytes_never_panic(
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            for magic in [&b""[..], SUPER_MAGIC, SNAP_MAGIC] {
+                let bytes = [magic, &tail].concat();
+                let _ = Superblock::decode(&bytes);
+                let _ = Snapshot::decode(&bytes);
+                let _ = decode(&bytes);
+            }
         }
     }
 

@@ -384,7 +384,7 @@ impl LongFieldManager {
             metrics: LfmMetrics::new(),
             cache: Mutex::named(
                 "lfm.cache",
-                PageCache::new(page_size, (geo.data_start + geo.data_pages) as usize),
+                PageCache::new((geo.data_start + geo.data_pages) as usize),
             ),
             cache_config: CacheConfig::default(),
             geo,
@@ -736,9 +736,9 @@ impl LongFieldManager {
     /// transfer.  None of this changes the bytes returned or the
     /// logical [`IoStats`] above — Tables 1–4 stay bit-identical.
     ///
-    /// The native cost is one step per distinct page plus the copy:
-    /// a single walk over the pieces yields the accounting and moves the
-    /// bytes, and with the pool off it takes no cache lock at all.
+    /// The native cost is one copy per piece, from the device, plus one
+    /// accounting step per distinct page; with the pool off a step
+    /// covers a whole piece and takes no cache lock at all.
     ///
     /// Pieces must be sorted by offset and non-overlapping (extraction
     /// runs always are); anything else is [`LfmError::UnsortedPieces`],
@@ -773,21 +773,22 @@ impl LongFieldManager {
         out.reserve(total as usize);
 
         let psz = self.page_size as u64;
-        let dev = self.device.slice(0, self.geo.total_bytes());
+        // The field's bytes, contiguous on the device: each piece is one
+        // copy from here, whatever the pool holds.
+        let field = self.device.slice(self.geo.data_byte(desc.first_page, 0), desc.len as usize);
         // Device page of the field's page 0: a field page's logical and
         // physical numbers differ by a constant, so one walk serves the
         // logical accounting and the physical plan alike.
         let dev_first = self.geo.data_start + desc.first_page;
         let mut pool = self.pool();
-        // Pages this call copied from stay pinned until it ends, so the
+        // Pages this call looked up stay pinned until it ends, so the
         // misses it stages cannot churn them out again.
         let mut pinned: Vec<usize> = Vec::new();
         let (mut pages, mut extents) = (0u64, 0u64);
         let (mut phys_reads, mut coalesced, mut staged_ahead) = (0u64, 0u64, 0u64);
-        // The window: field bytes `win_lo..win_hi` (whole pages, already
-        // charged) are readable at `win_base` in the pool's slab or on
-        // the device.  A piece divides only when it leaves the window.
-        let (mut win_lo, mut win_hi, mut win_base, mut in_slab) = (0u64, 0u64, 0usize, false);
+        // Field bytes below `charged` lie in pages already charged; a
+        // piece walks only the pages it reaches past that.
+        let mut charged = 0u64;
         let mut miss_extent_last: Option<u64> = None;
         let mut rest = pieces;
         loop {
@@ -795,64 +796,39 @@ impl LongFieldManager {
             let here = rest.clone();
             let Some((offset, len)) = rest.next() else { break };
             let end = offset + len;
-            if end <= win_hi {
-                // Inside the window (pieces are sorted, so at or past
-                // `win_lo`): one copy, nothing to charge.
-                let src = match &pool {
-                    Some(pool) if in_slab => pool.slab(),
-                    _ => dev,
-                };
-                let lo = win_base + (offset - win_lo) as usize;
-                out.extend_from_slice(&src[lo..lo + len as usize]);
-                continue;
-            }
-            let mut at = offset;
+            out.extend_from_slice(&field[offset as usize..end as usize]);
+            let mut at = offset.max(charged);
             while at < end {
-                if at >= win_hi {
-                    let page = at / psz;
-                    // A page that does not follow the last one charged
-                    // opens an extent.
-                    extents += u64::from(pages == 0 || page * psz != win_hi);
-                    win_lo = page * psz;
-                    (win_base, in_slab) = (self.geo.data_byte(desc.first_page, win_lo), false);
-                    let mut last = page;
-                    if let Some(pool) = pool.as_deref_mut() {
-                        let frame = if let Some(frame) = pool.get(dev_first + page) {
-                            (win_base, in_slab) = (frame * self.page_size, true);
-                            Some(frame)
-                        } else {
-                            // The physical plan, built on a miss only.
-                            let extent_last = match miss_extent_last {
-                                Some(last) if page <= last => last,
-                                _ => extent_last_page(here.clone(), psz),
-                            };
-                            miss_extent_last = Some(extent_last);
-                            let (rode, ahead) = self.stage_miss(pool, desc, page, extent_last);
-                            phys_reads += 1;
-                            coalesced += rode;
-                            staged_ahead += ahead;
-                            pool.frame_of(dev_first + page)
+                let page = at / psz;
+                // A page that does not follow the last one charged
+                // opens an extent.
+                extents += u64::from(pages == 0 || page * psz != charged);
+                let mut last = page;
+                if let Some(pool) = pool.as_deref_mut() {
+                    if pool.get(dev_first + page).is_none() {
+                        // The physical plan, built on a miss only.
+                        let extent_last = match miss_extent_last {
+                            Some(last) if page <= last => last,
+                            _ => extent_last_page(here.clone(), psz),
                         };
-                        if let Some(frame) = frame {
-                            pool.pin(frame);
-                            pinned.push(frame);
-                        }
-                    } else if end > win_lo + psz {
-                        // Unbuffered, the rest of the piece is contiguous
-                        // on the device: the window takes all of it.
-                        last = (end - 1) / psz;
+                        miss_extent_last = Some(extent_last);
+                        let (rode, ahead) = self.stage_miss(pool, desc, page, extent_last);
+                        phys_reads += 1;
+                        coalesced += rode;
+                        staged_ahead += ahead;
                     }
-                    pages += last - page + 1;
-                    win_hi = (last + 1) * psz;
+                    if let Some(frame) = pool.frame_of(dev_first + page) {
+                        pool.pin(frame);
+                        pinned.push(frame);
+                    }
+                } else if end > (page + 1) * psz {
+                    // Unbuffered, the rest of the piece is one run of
+                    // pages: charge it in one step.
+                    last = (end - 1) / psz;
                 }
-                let upto = end.min(win_hi);
-                let src = match &pool {
-                    Some(pool) if in_slab => pool.slab(),
-                    _ => dev,
-                };
-                let lo = win_base + (at - win_lo) as usize;
-                out.extend_from_slice(&src[lo..lo + (upto - at) as usize]);
-                at = upto;
+                pages += last - page + 1;
+                charged = (last + 1) * psz;
+                at = charged;
             }
         }
         match pool {
@@ -896,10 +872,10 @@ impl LongFieldManager {
         Ok(())
     }
 
-    /// Serves a demand miss on field page `page`: fetches the run of
-    /// non-resident pages up to `extent_last` (the end of the miss's
-    /// physical extent) in one transfer, extended past it by sequential
-    /// readahead, and pools them — the walk then hits the later pages.
+    /// Serves a demand miss on field page `page`: marks resident the run
+    /// of non-resident pages up to `extent_last` (the end of the miss's
+    /// physical extent), modelled as one transfer, extended past it by
+    /// sequential readahead — the walk then hits the later pages.
     /// Returns the `(coalesced, readahead)` pages that rode the transfer.
     fn stage_miss(
         &self,
@@ -927,12 +903,8 @@ impl LongFieldManager {
                 ahead += 1;
             }
         }
-        let run = self.device.slice(
-            self.geo.data_byte(desc.first_page, page * psz),
-            (run_last - page + 1) as usize * self.page_size,
-        );
-        for (i, bytes) in run.chunks_exact(self.page_size).enumerate() {
-            pool.insert(dev_first + page + i as u64, bytes);
+        for run_page in page..=run_last {
+            pool.insert(dev_first + run_page);
         }
         (run_last - page - ahead, ahead)
     }
@@ -1345,6 +1317,65 @@ mod tests {
         assert_eq!(cs.misses, 1, "only the first demand read should miss: {cs:?}");
         // Logical accounting still charges every touched page.
         assert_eq!(lfm.stats().pages_read, 3);
+    }
+
+    /// Pins no longer guard bytes, but they still steer the clock: a
+    /// call's own misses never evict the pages it already looked up.
+    #[test]
+    fn a_call_never_evicts_its_own_pages() {
+        let mut lfm = mk();
+        lfm.set_cache_config(CacheConfig { capacity_pages: 2, enabled: true, readahead_pages: 0 });
+        let data: Vec<u8> = (0..4096u32 * 5).map(|i| (i % 239) as u8).collect();
+        let id = lfm.create(&data).unwrap();
+        // Three one-page extents through a two-frame pool: the third
+        // miss finds both frames pinned and stages nothing.
+        let pieces: [(u64, u64); 3] = [(0, 10), (2 * 4096, 10), (4 * 4096, 10)];
+        let mut out = Vec::new();
+        lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
+        assert_eq!(lfm.cache_stats(), CacheStats { hits: 0, misses: 3, evictions: 0 });
+        lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
+        assert_eq!(lfm.cache_stats(), CacheStats { hits: 2, misses: 4, evictions: 0 });
+        let want: Vec<u8> = pieces
+            .iter()
+            .flat_map(|&(o, l)| &data[o as usize..(o + l) as usize])
+            .copied()
+            .collect();
+        assert_eq!(out, [want.clone(), want].concat());
+    }
+
+    /// With the pool on, a read after an in-place write, and after a
+    /// torn write and recovery, returns the device's current bytes, and
+    /// the pages the write touched are misses again.
+    #[test]
+    fn pooled_reads_follow_writes_and_recovery() {
+        let mut lfm = mk();
+        lfm.set_cache_config(CacheConfig { capacity_pages: 8, enabled: true, readahead_pages: 0 });
+        let mut data: Vec<u8> = (0..4096u32 * 3).map(|i| (i % 241) as u8).collect();
+        let id = lfm.create(&data).unwrap();
+        assert_eq!(lfm.read(id).unwrap(), data);
+        // Reads field page `p`, checks its bytes and returns the read's
+        // `(hits, misses)`.
+        let page = |lfm: &LongFieldManager, p: usize, want: &[u8]| {
+            let before = lfm.cache_stats();
+            let got = lfm.read_piece(id, p as u64 * 4096, 4096).unwrap();
+            assert_eq!(got, &want[p * 4096..(p + 1) * 4096], "page {p}");
+            let after = lfm.cache_stats();
+            (after.hits - before.hits, after.misses - before.misses)
+        };
+        lfm.write_piece(id, 4096 + 10, &[0xAB; 20]).unwrap();
+        data[4096 + 10..4096 + 30].fill(0xAB);
+        assert_eq!(page(&lfm, 1, &data), (0, 1), "the written page went back to the device");
+        assert_eq!(page(&lfm, 0, &data), (1, 0), "an untouched page stayed resident");
+        assert_eq!(page(&lfm, 2, &data), (1, 0), "an untouched page stayed resident");
+
+        let scope = FaultPlane::new(5).torn_nth("lfm.write", 1, 0.5).arm();
+        assert!(lfm.write_piece(id, 2 * 4096, &[0xCD; 4096]).is_err(), "the torn write errs");
+        drop(scope);
+        assert_eq!(page(&lfm, 2, &data), (0, 1), "the torn page went back to the device");
+        lfm.recover().unwrap();
+        for p in 0..3 {
+            assert_eq!(page(&lfm, p, &data), (0, 1), "recovery empties the pool");
+        }
     }
 
     /// Readahead under the deterministic scheduler: two threads race
