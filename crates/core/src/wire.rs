@@ -9,8 +9,13 @@
 //! * **DATA_REGION wire value** — what `extractVoxels` returns and the
 //!   MedicalServer ships to DX: a naive-coded REGION followed by one
 //!   intensity byte per voxel.
+//!
+//! Every read of stored or shipped bytes here is a checked one: the
+//! crate's indexing exception does not reach this module.
+#![warn(clippy::indexing_slicing)]
 
 use crate::{QbismError, Result};
+use qbism_geometry::{TriMesh, Vec3};
 use qbism_region::{GridGeometry, NaiveRuns, Region, RegionCodec};
 use qbism_volume::{DataRegion, Volume};
 
@@ -77,39 +82,41 @@ pub fn encode_data_region(data: &DataRegion<u8>) -> Result<Vec<u8>> {
 }
 
 /// The one validator of the layout: the decoded region part and the
-/// offset its values start at, once the magic, both lengths and the
-/// value count (one per voxel, to the end of `bytes`) have checked out.
-fn split_data_region(bytes: &[u8]) -> Result<(Region, usize)> {
-    if bytes.len() < DATA_REGION_PREFIX || bytes[..2] != DATA_REGION_MAGIC {
-        return Err(QbismError::Wire("not a DATA_REGION payload".into()));
-    }
-    let rlen = le_u32(&bytes[2..]) as usize;
-    let region_end = DATA_REGION_PREFIX + rlen;
-    if bytes.len() < region_end {
+/// values behind it, once the magic, both lengths and the value count
+/// (one per voxel, to the end of `bytes`) have checked out.
+fn split_data_region(bytes: &[u8]) -> Result<(Region, &[u8])> {
+    let rlen = match (bytes.first_chunk(), le_u32(bytes, 2)) {
+        (Some(&DATA_REGION_MAGIC), Some(rlen)) => rlen as usize,
+        _ => return Err(QbismError::Wire("not a DATA_REGION payload".into())),
+    };
+    let Some((part, values)) =
+        bytes.get(DATA_REGION_PREFIX..).and_then(|rest| rest.split_at_checked(rlen))
+    else {
         return Err(QbismError::Wire("truncated DATA_REGION region part".into()));
-    }
-    let region = RegionCodec::decode(&bytes[DATA_REGION_PREFIX..region_end])?;
-    let values = bytes.len() - region_end;
-    if values as u64 != region.voxel_count() {
+    };
+    let region = RegionCodec::decode(part)?;
+    if values.len() as u64 != region.voxel_count() {
         return Err(QbismError::Wire(format!(
-            "DATA_REGION carries {values} values for {} voxels",
+            "DATA_REGION carries {} values for {} voxels",
+            values.len(),
             region.voxel_count()
         )));
     }
-    Ok((region, region_end))
+    Ok((region, values))
 }
 
 /// Parses a DATA_REGION wire value, copying its values out.
 pub fn decode_data_region(bytes: &[u8]) -> Result<DataRegion<u8>> {
-    let (region, region_end) = split_data_region(bytes)?;
-    Ok(DataRegion::new(region, bytes[region_end..].to_vec()))
+    let (region, values) = split_data_region(bytes)?;
+    Ok(DataRegion::new(region, values.to_vec()))
 }
 
 /// Parses a DATA_REGION wire value the caller owns: the checks of
 /// [`decode_data_region`], then the same allocation becomes the
 /// answer, its values left where they are behind the region part.
 pub fn data_region_from_bytes(bytes: Vec<u8>) -> Result<DataRegion<u8>> {
-    let (region, region_end) = split_data_region(&bytes)?;
+    let (region, values) = split_data_region(&bytes)?;
+    let region_end = bytes.len() - values.len();
     Ok(DataRegion::from_buffer(region, bytes, region_end))
 }
 
@@ -122,7 +129,7 @@ pub fn data_region_wire_size(data: &DataRegion<u8>) -> u64 {
 /// Serializes a triangle mesh into its long-field layout: vertex and
 /// triangle counts, then positions, normals (f32 triples) and index
 /// triples (u32) — the second long-field column of *Atlas Structure*.
-pub fn mesh_to_long_field(mesh: &qbism_geometry::TriMesh) -> Vec<u8> {
+pub fn mesh_to_long_field(mesh: &TriMesh) -> Vec<u8> {
     let mut out = Vec::with_capacity(mesh.encoded_len());
     out.extend_from_slice(&(mesh.vertex_count() as u32).to_le_bytes());
     out.extend_from_slice(&(mesh.triangle_count() as u32).to_le_bytes());
@@ -144,50 +151,47 @@ pub fn mesh_to_long_field(mesh: &qbism_geometry::TriMesh) -> Vec<u8> {
     out
 }
 
-/// Parses a mesh long field.
-pub fn mesh_from_long_field(bytes: &[u8]) -> Result<qbism_geometry::TriMesh> {
+/// Parses a mesh long field.  Nothing is allocated from the header's
+/// counts until the three sections they imply fill `bytes` exactly.
+pub fn mesh_from_long_field(bytes: &[u8]) -> Result<TriMesh> {
     let fail = |m: &str| QbismError::Wire(format!("mesh long field: {m}"));
-    if bytes.len() < 8 {
+    let (Some(nv), Some(nt)) = (le_u32(bytes, 0), le_u32(bytes, 4)) else {
         return Err(fail("missing header"));
-    }
-    let nv = le_u32(bytes) as usize;
-    let nt = le_u32(&bytes[4..]) as usize;
-    let need = 8 + nv * 24 + nt * 12;
-    if bytes.len() != need {
-        return Err(fail("length mismatch"));
-    }
-    let f32_at = |off: usize| -> f64 {
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(&bytes[off..off + 4]);
-        f32::from_le_bytes(buf) as f64
     };
-    let mut mesh = qbism_geometry::TriMesh::new();
-    for i in 0..nv {
-        let off = 8 + i * 12;
-        mesh.push_vertex(qbism_geometry::Vec3::new(f32_at(off), f32_at(off + 4), f32_at(off + 8)));
-    }
-    for i in 0..nv {
-        let off = 8 + nv * 12 + i * 12;
-        mesh.normals[i] = qbism_geometry::Vec3::new(f32_at(off), f32_at(off + 4), f32_at(off + 8));
-    }
-    for i in 0..nt {
-        let off = 8 + nv * 24 + i * 12;
-        let idx = |k: usize| le_u32(&bytes[off + k * 4..]);
-        let tri = [idx(0), idx(1), idx(2)];
-        if tri.iter().any(|&t| t as usize >= nv) {
-            return Err(fail("triangle index out of range"));
-        }
-        mesh.push_triangle(tri);
+    let (nv, nt) = (nv as usize, nt as usize);
+    // Every record, vertex, normal or triangle, is 12 bytes.
+    let sections = bytes.get(8..).and_then(|body| {
+        let (positions, rest) = body.split_at_checked(nv.checked_mul(12)?)?;
+        let (normals, triangles) = rest.split_at_checked(nv.checked_mul(12)?)?;
+        (triangles.len() == nt.checked_mul(12)?).then_some((positions, normals, triangles))
+    });
+    let Some((positions, normals, triangles)) = sections else {
+        return Err(fail("length mismatch"));
+    };
+    let vec3 = |[x, y, z]: [u32; 3]| {
+        let c = |w| f64::from(f32::from_bits(w));
+        Vec3::new(c(x), c(y), c(z))
+    };
+    let mesh = TriMesh {
+        vertices: records(positions).map(vec3).collect(),
+        normals: records(normals).map(vec3).collect(),
+        triangles: records(triangles).collect(),
+    };
+    if mesh.triangles.iter().flatten().any(|&t| t as usize >= nv) {
+        return Err(fail("triangle index out of range"));
     }
     Ok(mesh)
 }
 
-/// Little-endian u32 at the head of `bytes`; callers bounds-check
-/// before slicing (slicing still panics loudly if they did not).
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(buf)
+/// The 12-byte records of a mesh section as three little-endian words
+/// each; a partial record at the end is not one.
+fn records(section: &[u8]) -> impl Iterator<Item = [u32; 3]> + '_ {
+    section.as_chunks::<4>().0.as_chunks::<3>().0.iter().map(|r| r.map(u32::from_le_bytes))
+}
+
+/// The little-endian u32 at `offset`, if `bytes` holds all four bytes.
+fn le_u32(bytes: &[u8], offset: usize) -> Option<u32> {
+    bytes.get(offset..)?.first_chunk().map(|w| u32::from_le_bytes(*w))
 }
 
 #[cfg(test)]
@@ -297,6 +301,73 @@ mod tests {
         let off = bad.len() - 12;
         bad[off..off + 4].copy_from_slice(&99u32.to_le_bytes());
         assert!(mesh_from_long_field(&bad).is_err(), "index out of range");
+    }
+
+    /// A mesh as the loader stores one: the surface of a small
+    /// structure.
+    fn stored_mesh() -> Vec<u8> {
+        let region = Region::from_ids(geom(), vec![0, 1, 2, 3, 7, 64]);
+        mesh_to_long_field(&qbism_render::extract_surface(&region))
+    }
+
+    /// The fuzz contract over a real mesh: every truncation is a typed
+    /// error, and every single-bit flip decodes or is one; a flip that
+    /// decodes is a mesh of the same counts.
+    #[test]
+    fn mesh_fuzz_contract() {
+        let bytes = stored_mesh();
+        let mesh = mesh_from_long_field(&bytes).unwrap();
+        assert!(mesh.triangle_count() > 0);
+        assert_eq!(mesh_to_long_field(&mesh), bytes);
+        for cut in 0..bytes.len() {
+            let decoded = mesh_from_long_field(&bytes[..cut]);
+            assert!(matches!(decoded, Err(QbismError::Wire(_))), "prefix of {cut}: {decoded:?}");
+        }
+        let mut bad = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            match mesh_from_long_field(&bad) {
+                Ok(decoded) => assert_eq!(decoded.encoded_len(), bytes.len(), "bit flip {bit}"),
+                Err(QbismError::Wire(_)) => {}
+                Err(other) => panic!("bit flip {bit}: {other:?}"),
+            }
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Counts that claim more records than the field holds are refused
+    /// before anything is sized from them.
+    #[test]
+    fn mesh_counts_are_checked_before_allocation() {
+        for (nv, nt) in [(u32::MAX, u32::MAX), (u32::MAX, 0), (0, u32::MAX), (1 << 28, 1)] {
+            let mut bytes = [nv.to_le_bytes(), nt.to_le_bytes()].concat();
+            bytes.resize(64, 0);
+            assert!(matches!(mesh_from_long_field(&bytes), Err(QbismError::Wire(_))));
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, bare or behind a header whose counts fit
+        /// them (so index checks run): a mesh or a typed error.
+        #[test]
+        fn mesh_arbitrary_bytes_decode_or_fail_typed(
+            counts in (0u32..6, 0u32..6),
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..260),
+        ) {
+            let (nv, nt) = counts;
+            let mut framed = [nv.to_le_bytes(), nt.to_le_bytes()].concat();
+            framed.extend(body.iter().cycle().take(nv as usize * 24 + nt as usize * 12));
+            for bytes in [&body[..], &framed[..]] {
+                match mesh_from_long_field(bytes) {
+                    Ok(mesh) => {
+                        assert_eq!(mesh.encoded_len(), bytes.len());
+                        assert!(mesh.triangles.iter().flatten().all(|&t| t < nv));
+                    }
+                    Err(QbismError::Wire(_)) => {}
+                    Err(other) => panic!("{other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

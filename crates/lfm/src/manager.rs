@@ -38,6 +38,12 @@ use qbism_fault::{checksum, sites};
 use qbism_obs::{trace, Counter, Gauge};
 use std::collections::{BTreeSet, HashMap};
 
+/// A piece this short is copied as one fixed-size window and the answer
+/// cut back to the piece's end: a constant-length copy is two register
+/// moves, where a variable-length one is a `memcpy` call that costs more
+/// than the few bytes a typical extraction run holds.
+const WINDOW: usize = 16;
+
 /// Cached handles to the global LFM metrics (Table 3/4 columns).
 #[derive(Debug, Clone)]
 struct LfmMetrics {
@@ -738,7 +744,11 @@ impl LongFieldManager {
     ///
     /// The native cost is one copy per piece, from the device, plus one
     /// accounting step per distinct page; with the pool off a step
-    /// covers a whole piece and takes no cache lock at all.
+    /// covers a whole piece and takes no cache lock at all.  A piece of
+    /// at most 16 bytes (most extraction runs) is copied as a fixed
+    /// 16-byte window and `out` truncated back to the piece's end, where
+    /// the field has 16 bytes from the piece's offset and `out` has 16
+    /// bytes of spare capacity; any other piece is one exact copy.
     ///
     /// Pieces must be sorted by offset and non-overlapping (extraction
     /// runs always are); anything else is [`LfmError::UnsortedPieces`],
@@ -774,7 +784,8 @@ impl LongFieldManager {
 
         let psz = self.page_size as u64;
         // The field's bytes, contiguous on the device: each piece is one
-        // copy from here, whatever the pool holds.
+        // copy from here, whatever the pool holds — a short one as a
+        // fixed window, so the copy needs no call.
         let field = self.device.slice(self.geo.data_byte(desc.first_page, 0), desc.len as usize);
         // Device page of the field's page 0: a field page's logical and
         // physical numbers differ by a constant, so one walk serves the
@@ -796,7 +807,16 @@ impl LongFieldManager {
             let here = rest.clone();
             let Some((offset, len)) = rest.next() else { break };
             let end = offset + len;
-            out.extend_from_slice(&field[offset as usize..end as usize]);
+            let keep = out.len() + len as usize;
+            match field.get(offset as usize..).and_then(<[u8]>::first_chunk::<WINDOW>) {
+                // `reserve(total)` sized `out` exactly, so the window
+                // must fit the spare capacity, or it would regrow `out`.
+                Some(window) if len <= WINDOW as u64 && out.capacity() - out.len() >= WINDOW => {
+                    out.extend_from_slice(window);
+                    out.truncate(keep);
+                }
+                _ => out.extend_from_slice(&field[offset as usize..end as usize]),
+            }
             let mut at = offset.max(charged);
             while at < end {
                 let page = at / psz;
@@ -1564,7 +1584,9 @@ mod tests {
         lfm.reset_stats();
         // Raised before the fault gate: the armed plane never sees an op.
         let scope = FaultPlane::new(5).fail_nth("lfm.read", 1).arm();
-        let mut out = Vec::new();
+        // An answer already under way: no error may touch its bytes.
+        let prefix: Vec<u8> = (1..=37).collect();
+        let mut out = prefix.clone();
         assert_eq!(
             lfm.read_pieces_into(id, [(100, 10), (50, 10)].into_iter(), &mut out),
             Err(LfmError::UnsortedPieces { index: 1 })
@@ -1574,9 +1596,18 @@ mod tests {
             Err(LfmError::UnsortedPieces { index: 2 }),
             "overlap is the same error"
         );
-        assert!(out.is_empty());
+        assert_eq!(
+            lfm.read_pieces_into(id, [(0, 4), (4090, 8)].into_iter(), &mut out),
+            Err(LfmError::OutOfBounds { field_len: 4096, offset: 4090, len: 8 })
+        );
+        assert_eq!(out, prefix);
         assert_eq!(lfm.stats(), IoStats::default(), "nothing was charged");
-        assert_eq!(lfm.read(id), Err(LfmError::DeviceFault { op: "lfm.read" }));
+        // The fault gate fails before the first piece is copied.
+        assert_eq!(
+            lfm.read_pieces_into(id, [(0, 4), (8, 16)].into_iter(), &mut out),
+            Err(LfmError::DeviceFault { op: "lfm.read" })
+        );
+        assert_eq!(out, prefix);
         drop(scope);
     }
 
@@ -1789,11 +1820,75 @@ mod tests {
         assert_eq!(lfm.stats().pages_read, 2);
     }
 
+    /// Reads `pieces` of `data` at every page size (non-power-of-two
+    /// included) × pool setting × readahead, appending to an `out` that
+    /// already holds `prefix`, and checks the flat-buffer oracle's bytes
+    /// and the page-set oracle's logical `IoStats`, and that a cached
+    /// call looks each distinct page up exactly once.  With `exact`,
+    /// `out` arrives with capacity for exactly the answer, no spare: the
+    /// read must fill it without regrowing it.
+    fn assert_pieces_roundtrip(data: &[u8], pieces: &[(u64, u64)], prefix: &[u8], exact: bool) {
+        let mut expect = prefix.to_vec();
+        for &(o, l) in pieces {
+            expect.extend_from_slice(&data[o as usize..(o + l) as usize]);
+        }
+        let records = as_records(pieces);
+        for page_size in [4096u64, 512, 100] {
+            let touched: BTreeSet<u64> = pieces
+                .iter()
+                .filter(|&&(_, l)| l > 0)
+                .flat_map(|&(o, l)| o / page_size..=(o + l - 1) / page_size)
+                .collect();
+            let want = IoStats {
+                pages_read: touched.len() as u64,
+                extents_read: touched
+                    .iter()
+                    .filter(|&&p| p == 0 || !touched.contains(&(p - 1)))
+                    .count() as u64,
+                read_calls: 1,
+                ..IoStats::default()
+            };
+            for capacity_pages in [0usize, 2, 512] {
+                for readahead_pages in [0usize, 8] {
+                    let mut lfm = LongFieldManager::new(1 << 16, page_size as usize).unwrap();
+                    lfm.set_cache_config(CacheConfig {
+                        capacity_pages,
+                        enabled: capacity_pages > 0,
+                        readahead_pages,
+                    });
+                    let id = lfm.create(data).unwrap();
+                    // Twice: cold through the slice, then through a run
+                    // list no slice of pairs backs, against whatever the
+                    // pool kept.
+                    for pass in 0..2 {
+                        lfm.reset_stats();
+                        let looked_up = lfm.cache_stats();
+                        let mut out = Vec::with_capacity(if exact { expect.len() } else { 0 });
+                        out.extend_from_slice(prefix);
+                        let capacity = out.capacity();
+                        if pass == 0 {
+                            lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
+                        } else {
+                            lfm.read_pieces_into(id, from_records(&records), &mut out).unwrap();
+                        }
+                        assert_eq!(out, expect);
+                        if exact {
+                            assert_eq!(out.capacity(), capacity, "the answer was regrown");
+                        }
+                        assert_eq!(lfm.stats(), want);
+                        let cs = lfm.cache_stats();
+                        let lookups = cs.hits + cs.misses - looked_up.hits - looked_up.misses;
+                        assert_eq!(lookups, if capacity_pages > 0 { want.pages_read } else { 0 });
+                    }
+                    lfm.cache.lock_or_recover().validate();
+                }
+            }
+        }
+    }
+
     proptest! {
-        /// Every pool setting × readahead × page size (non-power-of-two
-        /// included) returns the flat-buffer oracle's bytes and the
-        /// page-set oracle's logical `IoStats`, and a cached call looks
-        /// each distinct page up exactly once.
+        /// Pieces hundreds of bytes long, with gaps, over fields of up
+        /// to ~7 pages of 4 KiB.
         #[test]
         fn pieces_roundtrip_any_layout(
             seed_len in 1usize..30_000,
@@ -1812,60 +1907,35 @@ mod tests {
                 }
                 prev = o;
             }
-            let mut expect = Vec::new();
-            for &(o, l) in &pieces {
-                expect.extend_from_slice(&data[o as usize..(o + l) as usize]);
-            }
-            for page_size in [4096u64, 512, 100] {
-                let touched: BTreeSet<u64> = pieces
-                    .iter()
-                    .filter(|&&(_, l)| l > 0)
-                    .flat_map(|&(o, l)| o / page_size..=(o + l - 1) / page_size)
-                    .collect();
-                let want = IoStats {
-                    pages_read: touched.len() as u64,
-                    extents_read: touched
-                        .iter()
-                        .filter(|&&p| p == 0 || !touched.contains(&(p - 1)))
-                        .count() as u64,
-                    read_calls: 1,
-                    ..IoStats::default()
-                };
-                for capacity_pages in [0usize, 2, 512] {
-                    for readahead_pages in [0usize, 8] {
-                        let mut lfm = LongFieldManager::new(1 << 16, page_size as usize).unwrap();
-                        lfm.set_cache_config(CacheConfig {
-                            capacity_pages,
-                            enabled: capacity_pages > 0,
-                            readahead_pages,
-                        });
-                        let id = lfm.create(&data).unwrap();
-                        // Twice: cold through the slice, then through a
-                        // run list no slice of pairs backs, against
-                        // whatever the pool kept.
-                        let records = as_records(&pieces);
-                        for pass in 0..2 {
-                            lfm.reset_stats();
-                            let looked_up = lfm.cache_stats();
-                            let mut out = Vec::new();
-                            if pass == 0 {
-                                lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
-                            } else {
-                                lfm.read_pieces_into(id, from_records(&records), &mut out).unwrap();
-                            }
-                            prop_assert_eq!(&out, &expect);
-                            prop_assert_eq!(lfm.stats(), want);
-                            let cs = lfm.cache_stats();
-                            let lookups =
-                                cs.hits + cs.misses - looked_up.hits - looked_up.misses;
-                            prop_assert_eq!(
-                                lookups,
-                                if capacity_pages > 0 { want.pages_read } else { 0 }
-                            );
-                        }
-                        lfm.cache.lock_or_recover().validate();
-                    }
+            assert_pieces_roundtrip(&data, &pieces, &[], false);
+        }
+
+        /// Pieces of 0–40 bytes, so both copy arms run, with one that
+        /// ends inside the field's last 16 bytes, where no full window
+        /// fits; `out` arrives empty, with a prefix, and with capacity
+        /// for exactly the answer, so the last pieces find no spare room.
+        #[test]
+        fn pieces_short_roundtrip_any_layout(
+            field_len in 1u64..2_000,
+            draws in proptest::collection::vec((0u64..=40, 0u64..=40), 0..120),
+            tail in (1u64..=16, 0u64..=16),
+            prefix_len in 0u8..40,
+        ) {
+            let data: Vec<u8> = (0..field_len).map(|i| (i * 37 % 251) as u8).collect();
+            let tail_offset = field_len.saturating_sub(tail.0);
+            let mut pieces: Vec<(u64, u64)> = Vec::new();
+            let mut at = 0u64;
+            for (gap, len) in draws {
+                if at + gap + len > tail_offset {
+                    break;
                 }
+                pieces.push((at + gap, len));
+                at += gap + len;
+            }
+            pieces.push((tail_offset, tail.1.min(field_len - tail_offset)));
+            let prefix: Vec<u8> = (0..prefix_len).collect();
+            for (prefix, exact) in [(&[][..], false), (&prefix[..], false), (&[][..], true), (&prefix[..], true)] {
+                assert_pieces_roundtrip(&data, &pieces, prefix, exact);
             }
         }
 
