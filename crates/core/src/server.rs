@@ -172,71 +172,6 @@ impl<E> PopulationAnswer<E> {
     }
 }
 
-/// The Section 3.4 query classes a finished query reports under.
-#[derive(Debug, Clone, Copy)]
-enum Class {
-    FullStudy,
-    Box,
-    Structure,
-    Band,
-    IntensityRange,
-    BandInStructure,
-    MultiStudyBand,
-    PopulationAverage,
-}
-
-impl Class {
-    /// The metric label and span suffix of each class, in declaration order.
-    const NAMES: [&'static str; 8] = [
-        "full_study",
-        "box",
-        "structure",
-        "band",
-        "intensity_range",
-        "band_in_structure",
-        "multi_study_band",
-        "population_average",
-    ];
-
-    fn name(self) -> &'static str {
-        Self::NAMES[self as usize]
-    }
-}
-
-/// Pre-resolved observability handles, so the per-query cost is a
-/// histogram observe and a counter add rather than registry-map lookups.
-struct ServerMetrics {
-    wire_bytes: qbism_obs::Counter,
-    rows_scanned: qbism_obs::Counter,
-    /// `(seconds, total)` per [`Class`], indexed by it.
-    classes: Vec<(qbism_obs::Histogram, qbism_obs::Counter)>,
-}
-
-impl ServerMetrics {
-    fn new() -> Self {
-        let reg = qbism_obs::global();
-        reg.describe("qbism_query_seconds", "Native database seconds per query, by class.");
-        reg.describe("qbism_query_total", "Queries answered, by class.");
-        reg.describe("qbism_query_wire_bytes_total", "Answer payload bytes shipped to DX.");
-        reg.describe("qbism_query_rows_scanned_total", "Base tuples scanned by server queries.");
-        let classes = Class::NAMES
-            .iter()
-            .map(|&class| {
-                let labels = [("class", class)];
-                (
-                    reg.histogram_with("qbism_query_seconds", &labels),
-                    reg.counter_with("qbism_query_total", &labels),
-                )
-            })
-            .collect();
-        ServerMetrics {
-            wire_bytes: reg.counter("qbism_query_wire_bytes_total"),
-            rows_scanned: reg.counter("qbism_query_rows_scanned_total"),
-            classes,
-        }
-    }
-}
-
 /// The fixed statement shapes every query and accessor enters through,
 /// compiled once at construction (no DROP or ALTER exists to make one
 /// stale).  Each `?` is bound per call, in text order.
@@ -360,7 +295,6 @@ pub struct MedicalServer {
     disk: DiskModel,
     chan: SharedRpcChannel,
     threads: usize,
-    metrics: ServerMetrics,
     statements: Statements,
 }
 
@@ -376,7 +310,6 @@ impl MedicalServer {
             disk: DiskModel::RS6000_1994,
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
             threads: 1,
-            metrics: ServerMetrics::new(),
         })
     }
 
@@ -438,40 +371,40 @@ impl MedicalServer {
 
     /// Q1: "show a full PET study" — the flat-file reference point.
     pub fn full_study(&self, study_id: i64) -> Result<QueryAnswer> {
-        let span = Self::query_span(Class::FullStudy.name());
+        let span = Self::query_span("full_study");
         span.record_i64("study_id", study_id);
         let stmt = &self.statements.full_study;
-        self.extract(&span, Class::FullStudy, stmt, &[Value::Int(study_id)])
+        self.extract(&span, stmt, &[Value::Int(study_id)])
     }
 
     /// Q2-style spatial query: data inside a rectangular solid.
     pub fn box_data(&self, study_id: i64, min: [u32; 3], max: [u32; 3]) -> Result<QueryAnswer> {
-        let span = Self::query_span(Class::Box.name());
+        let span = Self::query_span("box");
         span.record_i64("study_id", study_id);
         let corners = min.iter().chain(&max).map(|&c| Value::Int(i64::from(c)));
         let params: Vec<Value> = corners.chain([Value::Int(study_id)]).collect();
-        self.extract(&span, Class::Box, &self.statements.box_data, &params)
+        self.extract(&span, &self.statements.box_data, &params)
     }
 
     /// Q3/Q4-style spatial query: data inside a named structure — the
     /// exact Section 3.4 query pair.
     pub fn structure_data(&self, study_id: i64, structure: &str) -> Result<QueryAnswer> {
-        let span = Self::query_span(Class::Structure.name());
+        let span = Self::query_span("structure");
         span.record_i64("study_id", study_id);
         span.record_str("structure", structure);
         let params = [Value::Int(study_id), Value::from(structure)];
-        self.extract(&span, Class::Structure, &self.statements.structure, &params)
+        self.extract(&span, &self.statements.structure, &params)
     }
 
     /// Q5-style attribute query: data within a stored intensity band.
     pub fn band_data(&self, study_id: i64, lo: u8, hi: u8) -> Result<QueryAnswer> {
-        let span = Self::query_span(Class::Band.name());
+        let span = Self::query_span("band");
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
         let study = Value::Int(study_id);
         let params = [study.clone(), study, Value::Int(lo.into()), Value::Int(hi.into())];
-        self.extract(&span, Class::Band, &self.statements.band, &params)
+        self.extract(&span, &self.statements.band, &params)
     }
 
     /// Attribute query over an *arbitrary* intensity range — an
@@ -487,7 +420,7 @@ impl MedicalServer {
         if lo > hi {
             return Err(QbismError::NotFound(format!("empty intensity range {lo}-{hi}")));
         }
-        let span = Self::query_span(Class::IntensityRange.name());
+        let span = Self::query_span("intensity_range");
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -501,7 +434,7 @@ impl MedicalServer {
         // Extract the candidate union, refine, then ship only the exact
         // answer (one shipment per query).
         let (candidate, cost) = self.measured(stmt, &params, Self::data_region).into_result()?;
-        self.answer(&span, Class::IntensityRange, candidate.filter_intensity(lo, hi), cost)
+        self.answer(&span, candidate.filter_intensity(lo, hi), cost)
     }
 
     /// Q6-style mixed query: band ∩ structure, intersected inside the
@@ -514,7 +447,7 @@ impl MedicalServer {
         hi: u8,
         structure: &str,
     ) -> Result<QueryAnswer> {
-        let span = Self::query_span(Class::BandInStructure.name());
+        let span = Self::query_span("band_in_structure");
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -522,7 +455,7 @@ impl MedicalServer {
         let study = Value::Int(study_id);
         let (lo, hi) = (Value::Int(lo.into()), Value::Int(hi.into()));
         let params = [study.clone(), study, lo, hi, Value::from(structure)];
-        self.extract(&span, Class::BandInStructure, &self.statements.band_in_structure, &params)
+        self.extract(&span, &self.statements.band_in_structure, &params)
     }
 
     /// Table 4's multi-study query: the REGION where *all* the given
@@ -542,7 +475,7 @@ impl MedicalServer {
         lo: u8,
         hi: u8,
     ) -> Result<(Region, QueryCost)> {
-        let span = Self::query_span(Class::MultiStudyBand.name());
+        let span = Self::query_span("multi_study_band");
         span.record_u64("studies", study_ids.len() as u64);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -561,7 +494,7 @@ impl MedicalServer {
         span.record_u64("decode_skips", fold.decode_skips);
         span.record_u64("leaves_masked", fold.leaves_masked);
         self.ship_answer(&mut cost, fold.bytes.len() as u64)?;
-        self.finish_query(&span, Class::MultiStudyBand, &cost);
+        cost.record_on(&span);
         Ok((fold.region, cost))
     }
 
@@ -591,7 +524,7 @@ impl MedicalServer {
         study_ids: &[i64],
         structure: &str,
     ) -> Result<PopulationAnswer> {
-        let span = Self::query_span(Class::PopulationAverage.name());
+        let span = Self::query_span("population_average");
         span.record_u64("studies", study_ids.len() as u64);
         span.record_str("structure", structure);
         span.record_u64("threads", self.threads as u64);
@@ -607,7 +540,7 @@ impl MedicalServer {
         let mut answer = reduce_population_stages(study_ids, per_study, no_studies, |e| e)?;
         // Only the final averaged DATA_REGION crosses the wire.
         self.ship_answer(&mut answer.cost, data_region_wire_size(&answer.data))?;
-        self.finish_query(&span, Class::PopulationAverage, &answer.cost);
+        answer.cost.record_on(&span);
         Ok(answer)
     }
 
@@ -669,20 +602,6 @@ impl MedicalServer {
             return trace::root("");
         }
         trace::root(format!("query.{name}"))
-    }
-
-    /// Records a finished query's costs on its span and in the global
-    /// per-class metrics.
-    fn finish_query(&self, span: &trace::SpanGuard, class: Class, cost: &QueryCost) {
-        if !qbism_obs::enabled() {
-            return;
-        }
-        let (seconds, total) = &self.metrics.classes[class as usize];
-        seconds.observe(cost.native_db_seconds);
-        total.inc();
-        self.metrics.wire_bytes.add(cost.wire_bytes);
-        self.metrics.rows_scanned.add(cost.rows_scanned);
-        cost.record_on(span);
     }
 
     /// The one measured path: the database phase of `stmt` — its run
@@ -748,24 +667,22 @@ impl MedicalServer {
     fn extract(
         &self,
         span: &trace::SpanGuard,
-        class: Class,
         stmt: &Prepared,
         params: &[Value],
     ) -> Result<QueryAnswer> {
         let (data, cost) = self.measured(stmt, params, Self::data_region).into_result()?;
-        self.answer(span, class, data, cost)
+        self.answer(span, data, cost)
     }
 
     /// Ships a single-study answer and closes its query.
     fn answer(
         &self,
         span: &trace::SpanGuard,
-        class: Class,
         data: DataRegion<u8>,
         mut cost: QueryCost,
     ) -> Result<QueryAnswer> {
         self.ship_answer(&mut cost, data_region_wire_size(&data))?;
-        self.finish_query(span, class, &cost);
+        cost.record_on(span);
         Ok(QueryAnswer { data, cost })
     }
 

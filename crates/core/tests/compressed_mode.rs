@@ -171,13 +171,11 @@ fn compressed_mode_counts_skips_and_compressed_pages() {
     let system = QbismSystem::install(&cfg).expect("install compressed");
     let reg = qbism_obs::global();
     let pages = reg.counter("qbism_lfm_compressed_pages_read_total");
-    let bytes = reg.counter("qbism_lfm_compressed_bytes_on_device_total");
     let before_pages = pages.get();
     let ids = system.pet_study_ids.clone();
     system.server.multi_study_band_region(&ids, 32, 63).expect("multi");
     system.server.band_data(ids[0], 0, 31).expect("band");
     assert!(pages.get() > before_pages, "compressed reads must be metered");
-    assert!(bytes.get() > 0, "loader must meter compressed bytes on device");
 }
 
 /// How one tablespace mode encodes its REGION long fields.

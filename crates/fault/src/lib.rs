@@ -58,7 +58,7 @@
 use qbism_check::sync::{AtomicU64, Mutex, Ordering};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What the instrumented call site should do to the current operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -452,16 +452,6 @@ fn record_injection(site: &str, outcome: &FaultOutcome) {
     if !qbism_obs::enabled() {
         return;
     }
-    static DESCRIBED: OnceLock<()> = OnceLock::new();
-    let reg = qbism_obs::global();
-    DESCRIBED.get_or_init(|| {
-        reg.describe(
-            "qbism_faults_injected_total",
-            "Faults delivered by the injection plane, by site and outcome",
-        );
-    });
-    reg.counter_with("qbism_faults_injected_total", &[("site", site), ("outcome", outcome.name())])
-        .inc();
     qbism_obs::event::fault_injected(site, outcome.name());
     if matches!(outcome, FaultOutcome::Crash) {
         // Snapshot the flight recorder *after* journaling the fault, so

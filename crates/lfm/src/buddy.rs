@@ -5,33 +5,7 @@
 //! volume reads back as large sequential transfers.
 
 use crate::{LfmError, Result};
-use qbism_obs::Counter;
 use std::collections::BTreeSet;
-
-/// Cached handles to the global buddy-behaviour counters (§5.1).
-#[derive(Debug, Clone)]
-struct BuddyMetrics {
-    allocs: Counter,
-    frees: Counter,
-    splits: Counter,
-    coalesces: Counter,
-}
-
-impl BuddyMetrics {
-    fn new() -> BuddyMetrics {
-        let reg = qbism_obs::global();
-        reg.describe("qbism_lfm_buddy_allocs_total", "Buddy blocks allocated.");
-        reg.describe("qbism_lfm_buddy_frees_total", "Buddy blocks freed.");
-        reg.describe("qbism_lfm_buddy_splits_total", "Block splits performed while allocating.");
-        reg.describe("qbism_lfm_buddy_coalesces_total", "Buddy merges performed while freeing.");
-        BuddyMetrics {
-            allocs: reg.counter("qbism_lfm_buddy_allocs_total"),
-            frees: reg.counter("qbism_lfm_buddy_frees_total"),
-            splits: reg.counter("qbism_lfm_buddy_splits_total"),
-            coalesces: reg.counter("qbism_lfm_buddy_coalesces_total"),
-        }
-    }
-}
 
 /// A binary buddy allocator over `2^max_order` pages.
 ///
@@ -45,7 +19,6 @@ pub struct BuddyAllocator {
     /// Live blocks `(offset, order)`, for double-free detection.
     live: BTreeSet<(u64, u32)>,
     allocated_pages: u64,
-    metrics: BuddyMetrics,
 }
 
 impl BuddyAllocator {
@@ -57,13 +30,7 @@ impl BuddyAllocator {
         assert!(max_order <= 40, "max_order {max_order} unreasonably large");
         let mut free = vec![BTreeSet::new(); (max_order + 1) as usize];
         free[max_order as usize].insert(0);
-        BuddyAllocator {
-            max_order,
-            free,
-            live: BTreeSet::new(),
-            allocated_pages: 0,
-            metrics: BuddyMetrics::new(),
-        }
+        BuddyAllocator { max_order, free, live: BTreeSet::new(), allocated_pages: 0 }
     }
 
     /// Total pages managed.
@@ -100,11 +67,9 @@ impl BuddyAllocator {
             k -= 1;
             let buddy = offset + (1u64 << k);
             self.free[k as usize].insert(buddy);
-            self.metrics.splits.inc();
         }
         self.allocated_pages += 1u64 << order;
         self.live.insert((offset, order));
-        self.metrics.allocs.inc();
         Ok(offset)
     }
 
@@ -146,12 +111,10 @@ impl BuddyAllocator {
             } else {
                 self.free[k as usize].insert(blk + half);
             }
-            self.metrics.splits.inc();
         }
         debug_assert_eq!(blk, offset);
         self.allocated_pages += 1u64 << order;
         self.live.insert((offset, order));
-        self.metrics.allocs.inc();
         Ok(())
     }
 
@@ -171,7 +134,6 @@ impl BuddyAllocator {
             return Err(LfmError::InvalidFree { offset, order });
         }
         self.allocated_pages -= 1u64 << order;
-        self.metrics.frees.inc();
         let mut off = offset;
         let mut k = order;
         while k < self.max_order {
@@ -181,7 +143,6 @@ impl BuddyAllocator {
             }
             off = off.min(buddy);
             k += 1;
-            self.metrics.coalesces.inc();
         }
         self.free[k as usize].insert(off);
         Ok(())

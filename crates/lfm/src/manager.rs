@@ -44,30 +44,20 @@ use std::collections::{BTreeSet, HashMap};
 /// than the few bytes a typical extraction run holds.
 const WINDOW: usize = 16;
 
-/// Cached handles to the global LFM metrics (Table 3/4 columns).
+/// Cached handles to the LFM's process-wide series: the physical plan
+/// of the read path, the page cache, the k³ scan and the write side.
+/// Every other LFM count lives in [`IoStats`] and [`MetaStats`] alone.
 #[derive(Debug, Clone)]
 struct LfmMetrics {
-    pages_read: Counter,
     pages_written: Counter,
-    extents_read: Counter,
-    extents_written: Counter,
-    read_calls: Counter,
-    write_calls: Counter,
-    sim_disk_micros: Counter,
-    live_fields: Gauge,
     allocated_pages: Gauge,
-    journal_records: Counter,
     journal_bytes: Counter,
-    checkpoints: Counter,
-    recoveries: Counter,
-    fault_latency_micros: Counter,
     extent_phys_reads: Counter,
     extent_coalesced_pages: Counter,
     extent_readahead_pages: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
     cache_evictions: Counter,
-    compressed_bytes_on_device: Counter,
     compressed_pages_read: Counter,
     compressed_decode_skips: Counter,
 }
@@ -75,96 +65,16 @@ struct LfmMetrics {
 impl LfmMetrics {
     fn new() -> LfmMetrics {
         let reg = qbism_obs::global();
-        reg.describe(
-            "qbism_lfm_pages_read_total",
-            "Distinct 4 KiB pages read (Table 3/4 LFM Disk I/Os).",
-        );
-        reg.describe(
-            "qbism_lfm_pages_written_total",
-            "Distinct 4 KiB pages written (load-time I/O).",
-        );
-        reg.describe(
-            "qbism_lfm_extents_read_total",
-            "Sequential read extents, i.e. simulated disk seeks.",
-        );
-        reg.describe("qbism_lfm_extents_written_total", "Sequential write extents.");
-        reg.describe("qbism_lfm_read_calls_total", "LFM read calls issued.");
-        reg.describe("qbism_lfm_write_calls_total", "LFM write calls issued.");
-        reg.describe("qbism_lfm_sim_disk_micros_total", "Simulated 1994-disk time, microseconds.");
-        reg.describe("qbism_lfm_live_fields", "Long fields currently stored.");
-        reg.describe("qbism_lfm_allocated_pages", "Device pages currently allocated.");
-        reg.describe(
-            "qbism_lfm_journal_records_total",
-            "Metadata journal records durably appended (crash-consistency plane).",
-        );
-        reg.describe("qbism_lfm_journal_bytes_total", "Metadata journal bytes appended.");
-        reg.describe(
-            "qbism_lfm_checkpoints_total",
-            "Directory checkpoints written (journal wraps).",
-        );
-        reg.describe("qbism_lfm_recoveries_total", "Successful crash recoveries.");
-        reg.describe(
-            "qbism_lfm_fault_latency_micros_total",
-            "Injected device latency, microseconds (separate from the disk model).",
-        );
-        reg.describe(
-            "qbism_lfm_extent_phys_reads_total",
-            "Physical device transfers after coalescing adjacent pages (logical \
-             Table 3/4 extents are counted separately in qbism_lfm_extents_read_total).",
-        );
-        reg.describe(
-            "qbism_lfm_extent_coalesced_pages_total",
-            "Demanded pages that rode an existing physical transfer instead of \
-             costing their own simulated seek.",
-        );
-        reg.describe(
-            "qbism_lfm_extent_readahead_pages_total",
-            "Pages staged into the page cache by sequential readahead.",
-        );
-        reg.describe(
-            "qbism_lfm_cache_hits_total",
-            "Distinct pages per LFM read call found in the page cache.",
-        );
-        reg.describe(
-            "qbism_lfm_cache_misses_total",
-            "Distinct pages per LFM read call the page cache had to fetch.",
-        );
-        reg.describe("qbism_lfm_cache_evictions_total", "LFM page-cache frames reclaimed.");
-        reg.describe(
-            "qbism_lfm_compressed_bytes_on_device_total",
-            "Bytes written into the compressed tablespace (compact REGION payloads).",
-        );
-        reg.describe(
-            "qbism_lfm_compressed_pages_read_total",
-            "Distinct 4 KiB pages read out of compressed-tablespace fields.",
-        );
-        reg.describe(
-            "qbism_lfm_compressed_decode_skips_total",
-            "Galloping skip-jumps taken by compressed-domain kernels (blocks or \
-             subtrees bypassed without decode).",
-        );
         LfmMetrics {
-            pages_read: reg.counter("qbism_lfm_pages_read_total"),
             pages_written: reg.counter("qbism_lfm_pages_written_total"),
-            extents_read: reg.counter("qbism_lfm_extents_read_total"),
-            extents_written: reg.counter("qbism_lfm_extents_written_total"),
-            read_calls: reg.counter("qbism_lfm_read_calls_total"),
-            write_calls: reg.counter("qbism_lfm_write_calls_total"),
-            sim_disk_micros: reg.counter("qbism_lfm_sim_disk_micros_total"),
-            live_fields: reg.gauge("qbism_lfm_live_fields"),
             allocated_pages: reg.gauge("qbism_lfm_allocated_pages"),
-            journal_records: reg.counter("qbism_lfm_journal_records_total"),
             journal_bytes: reg.counter("qbism_lfm_journal_bytes_total"),
-            checkpoints: reg.counter("qbism_lfm_checkpoints_total"),
-            recoveries: reg.counter("qbism_lfm_recoveries_total"),
-            fault_latency_micros: reg.counter("qbism_lfm_fault_latency_micros_total"),
             extent_phys_reads: reg.counter("qbism_lfm_extent_phys_reads_total"),
             extent_coalesced_pages: reg.counter("qbism_lfm_extent_coalesced_pages_total"),
             extent_readahead_pages: reg.counter("qbism_lfm_extent_readahead_pages_total"),
             cache_hits: reg.counter("qbism_lfm_cache_hits_total"),
             cache_misses: reg.counter("qbism_lfm_cache_misses_total"),
             cache_evictions: reg.counter("qbism_lfm_cache_evictions_total"),
-            compressed_bytes_on_device: reg.counter("qbism_lfm_compressed_bytes_on_device_total"),
             compressed_pages_read: reg.counter("qbism_lfm_compressed_pages_read_total"),
             compressed_decode_skips: reg.counter("qbism_lfm_compressed_decode_skips_total"),
         }
@@ -415,26 +325,17 @@ impl LongFieldManager {
             *acct = acct.plus(&delta);
         }
         crate::acct::charge(&delta);
-        self.metrics.pages_read.add(delta.pages_read);
         self.metrics.pages_written.add(delta.pages_written);
-        self.metrics.extents_read.add(delta.extents_read);
-        self.metrics.extents_written.add(delta.extents_written);
-        self.metrics.read_calls.add(delta.read_calls);
-        self.metrics.write_calls.add(delta.write_calls);
-        let sim_seconds = DiskModel::RS6000_1994.seconds(&delta);
-        self.metrics.sim_disk_micros.add((sim_seconds * 1e6) as u64);
-        sim_seconds
+        DiskModel::RS6000_1994.seconds(&delta)
     }
 
     fn note_latency(&self, seconds: f64) {
         if seconds > 0.0 {
             crate::acct::charge_latency(seconds);
-            self.metrics.fault_latency_micros.add((seconds * 1e6) as u64);
         }
     }
 
-    fn sync_gauges(&self) {
-        self.metrics.live_fields.set(self.fields.len() as i64);
+    fn publish_allocation(&self) {
         self.metrics.allocated_pages.set(self.allocator.allocated_pages() as i64);
     }
 
@@ -572,7 +473,6 @@ impl LongFieldManager {
         self.journal_cursor = 0;
         self.journal_seq = 0;
         self.meta.checkpoints += 1;
-        self.metrics.checkpoints.inc();
         span.record_u64("epoch", next);
         Ok(())
     }
@@ -604,7 +504,6 @@ impl LongFieldManager {
         self.journal_cursor += rec_len;
         self.meta.journal_records += 1;
         self.meta.journal_bytes += rec_len as u64;
-        self.metrics.journal_records.inc();
         self.metrics.journal_bytes.add(rec_len as u64);
         Ok(())
     }
@@ -654,7 +553,7 @@ impl LongFieldManager {
             write_calls: 1,
             ..IoStats::default()
         });
-        self.sync_gauges();
+        self.publish_allocation();
         span.record_u64("pages", pages_needed);
         span.record_u64("bytes", data.len() as u64);
         Ok(LongFieldId(id))
@@ -672,7 +571,6 @@ impl LongFieldManager {
     pub fn create_compressed(&mut self, data: &[u8]) -> Result<LongFieldId> {
         let id = self.create(data)?;
         self.compressed.insert(id.0);
-        self.metrics.compressed_bytes_on_device.add(data.len() as u64);
         Ok(id)
     }
 
@@ -691,7 +589,7 @@ impl LongFieldManager {
         self.allocator.free(desc.first_page, desc.order)?;
         self.invalidate_cached_block(desc.first_page, desc.order);
         self.compressed.remove(&id.0);
-        self.sync_gauges();
+        self.publish_allocation();
         Ok(())
     }
 
@@ -1144,8 +1042,7 @@ impl LongFieldManager {
         self.checkpoint()?;
         self.meta.recoveries += 1;
         self.meta.rolled_back_writes += rolled_back;
-        self.metrics.recoveries.inc();
-        self.sync_gauges();
+        self.publish_allocation();
         self.check_invariants()?;
         let report = RecoveryReport {
             epoch: self.epoch,

@@ -19,7 +19,7 @@
 //! [`qbism_fault`] plane is armed, every message consults the
 //! `"net.send"` fault site.  A dropped or errored message costs its
 //! software overhead, waits out an exponential backoff
-//! ([`RetryPolicy`]), and is retransmitted; [`RetryPolicy::max_attempts`]
+//! (the default [`RetryPolicy`]), and is retransmitted; [`RetryPolicy::max_attempts`]
 //! consecutive losses of the same message surface as
 //! [`NetError::Timeout`].  Retransmissions and backoff are accounted in
 //! [`NetStats`] (`retransmits`, `backoff_seconds`) **and** in the
@@ -194,45 +194,10 @@ pub struct ShipReceipt {
     pub backoff_seconds: f64,
 }
 
-#[derive(Debug)]
-struct NetCounters {
-    messages: qbism_obs::Counter,
-    bytes: qbism_obs::Counter,
-    micros: qbism_obs::Counter,
-    retries: qbism_obs::Counter,
-    timeouts: qbism_obs::Counter,
-}
-
-fn net_counters() -> &'static NetCounters {
-    static COUNTERS: std::sync::OnceLock<NetCounters> = std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let reg = qbism_obs::global();
-        reg.describe("qbism_net_messages_total", "RPC messages shipped (Table 3 IPC Messages).");
-        reg.describe(
-            "qbism_net_wire_bytes_total",
-            "Answer payload bytes shipped over the channel.",
-        );
-        reg.describe("qbism_net_sim_micros_total", "Simulated 1994 network time, microseconds.");
-        reg.describe("qbism_net_retries_total", "Messages retransmitted after an injected loss.");
-        reg.describe(
-            "qbism_net_timeouts_total",
-            "Answers abandoned after exhausting retransmission attempts.",
-        );
-        NetCounters {
-            messages: reg.counter("qbism_net_messages_total"),
-            bytes: reg.counter("qbism_net_wire_bytes_total"),
-            micros: reg.counter("qbism_net_sim_micros_total"),
-            retries: reg.counter("qbism_net_retries_total"),
-            timeouts: reg.counter("qbism_net_timeouts_total"),
-        }
-    })
-}
-
 /// A MedicalServer → DX channel that records what crosses it.
 #[derive(Debug, Clone)]
 pub struct RpcChannel {
     model: NetworkModel,
-    retry: RetryPolicy,
     stats: NetStats,
     /// Fault site each message consults while a plane is armed.
     fault_site: &'static str,
@@ -241,22 +206,15 @@ pub struct RpcChannel {
 }
 
 impl RpcChannel {
-    /// A channel with the given cost model and the default
-    /// [`RetryPolicy`].
+    /// A channel with the given cost model.  Lost messages follow the
+    /// default [`RetryPolicy`].
     pub fn new(model: NetworkModel) -> Self {
         RpcChannel {
             model,
-            retry: RetryPolicy::default(),
             stats: NetStats::default(),
             fault_site: qbism_fault::sites::NET_SEND,
             event_site: "net.ship",
         }
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Names the fault site this channel's messages consult (default
@@ -284,6 +242,7 @@ impl RpcChannel {
         let mut backoff = 0.0f64;
         let mut injected_latency = 0.0f64;
         if qbism_fault::active() {
+            let retry = RetryPolicy::default();
             for message in 0..base_msgs {
                 let mut attempt = 1u32;
                 loop {
@@ -295,7 +254,7 @@ impl RpcChannel {
                         }
                         Some(_) => {
                             // Lost: the send still burned software time.
-                            if attempt >= self.retry.max_attempts.max(1) {
+                            if attempt >= retry.max_attempts {
                                 let sent = message + 1 + retransmits;
                                 let secs = sent as f64 * self.model.per_message_seconds
                                     + backoff
@@ -304,17 +263,10 @@ impl RpcChannel {
                                 self.stats.seconds += secs;
                                 self.stats.retransmits += retransmits;
                                 self.stats.backoff_seconds += backoff;
-                                if qbism_obs::enabled() {
-                                    let c = net_counters();
-                                    c.messages.add(sent);
-                                    c.micros.add((secs * 1e6) as u64);
-                                    c.retries.add(retransmits);
-                                    c.timeouts.inc();
-                                }
                                 qbism_obs::event::timeout(self.event_site, attempt as u64);
                                 return Err(NetError::Timeout { message, attempts: attempt });
                             }
-                            backoff += self.retry.backoff_seconds(attempt);
+                            backoff += retry.backoff_seconds(attempt);
                             retransmits += 1;
                             qbism_obs::event::retry(self.event_site, attempt as u64);
                             attempt += 1;
@@ -335,11 +287,6 @@ impl RpcChannel {
         self.stats.retransmits += retransmits;
         self.stats.backoff_seconds += backoff;
         if qbism_obs::enabled() {
-            let c = net_counters();
-            c.messages.add(msgs);
-            c.bytes.add(payload_bytes);
-            c.micros.add((seconds * 1e6) as u64);
-            c.retries.add(retransmits);
             let span = qbism_obs::trace::span(self.event_site);
             span.record_u64("bytes", payload_bytes);
             span.record_u64("messages", msgs);
@@ -408,7 +355,6 @@ impl SharedRpcChannel {
 pub struct EndpointChannels {
     endpoints: Vec<SharedRpcChannel>,
     model: NetworkModel,
-    retry: RetryPolicy,
     fault_site: &'static str,
 }
 
@@ -422,19 +368,10 @@ impl EndpointChannels {
         let mut chans = EndpointChannels {
             endpoints: Vec::new(),
             model,
-            retry: RetryPolicy::default(),
             fault_site: qbism_fault::sites::NET_SEND,
         };
         chans.endpoints = (0..n).map(|_| chans.make_endpoint()).collect();
         chans
-    }
-
-    /// Replaces the retry policy on every endpoint; endpoint counters
-    /// are rebuilt fresh.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self.endpoints = (0..self.endpoints.len()).map(|_| self.make_endpoint()).collect();
-        self
     }
 
     /// Names the fault site every endpoint's messages consult; existing
@@ -446,11 +383,7 @@ impl EndpointChannels {
     }
 
     fn make_endpoint(&self) -> SharedRpcChannel {
-        SharedRpcChannel::new(
-            RpcChannel::new(self.model)
-                .with_retry_policy(self.retry)
-                .with_fault_site(self.fault_site),
-        )
+        SharedRpcChannel::new(RpcChannel::new(self.model).with_fault_site(self.fault_site))
     }
 
     /// Number of endpoints.
@@ -538,7 +471,6 @@ mod tests {
     #[test]
     fn endpoint_channels_isolate_accounting_and_fault_sites() {
         let chans = EndpointChannels::new(3, NetworkModel::TESTBED_1994)
-            .with_retry_policy(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() })
             .with_fault_site("cluster.route.drop");
         // Rules on net.send must not touch the renamed link.
         {
@@ -554,7 +486,7 @@ mod tests {
                 .rule("cluster.route.drop", Trigger::Always, FaultOutcome::Drop)
                 .arm();
             let err = chans.ship(1, 100).unwrap_err();
-            assert_eq!(err, NetError::Timeout { message: 0, attempts: 2 });
+            assert_eq!(err, NetError::Timeout { message: 0, attempts: 4 });
         }
         let s0 = chans.endpoints[0].stats();
         let s1 = chans.endpoints[1].stats();
@@ -562,11 +494,11 @@ mod tests {
         assert_eq!(s0.answers, 1);
         assert_eq!(s0.retransmits, 0, "endpoint 0 never saw endpoint 1's losses");
         assert_eq!(s1.answers, 0);
-        assert_eq!(s1.retransmits, 1);
+        assert_eq!(s1.retransmits, 3);
         assert_eq!(s2, NetStats::default(), "untouched endpoint stays zero");
         let total = chans.total_stats();
         assert_eq!(total.messages, s0.messages + s1.messages);
-        assert_eq!(total.retransmits, 1);
+        assert_eq!(total.retransmits, 3);
         assert_eq!(
             chans.ship(7, 10).unwrap_err(),
             NetError::UnknownEndpoint { endpoint: 7 },
@@ -659,7 +591,7 @@ mod tests {
             .rule("net.send", Trigger::Nth(4), FaultOutcome::Drop)
             .rule("net.send", Trigger::Nth(5), FaultOutcome::Drop)
             .arm();
-        let mut chan = RpcChannel::new(m).with_retry_policy(policy);
+        let mut chan = RpcChannel::new(m);
         let receipt = chan.ship(payload).unwrap();
         let k = 3u64;
         assert_eq!(receipt.retransmits, k);
@@ -682,18 +614,20 @@ mod tests {
     #[test]
     fn persistent_loss_times_out_with_partial_accounting() {
         let m = NetworkModel::TESTBED_1994;
-        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
+        let policy = RetryPolicy::default();
+        assert_eq!(policy.max_attempts, 4);
         // Every send of every message is lost.
         let _scope = FaultPlane::new(9).rule("net.send", Trigger::Always, FaultOutcome::Drop).arm();
-        let mut chan = RpcChannel::new(m).with_retry_policy(policy);
+        let mut chan = RpcChannel::new(m);
         let err = chan.ship(100).unwrap_err();
-        assert_eq!(err, NetError::Timeout { message: 0, attempts: 3 });
+        assert_eq!(err, NetError::Timeout { message: 0, attempts: 4 });
         let stats = chan.stats();
-        assert_eq!(stats.messages, 3, "all three attempts hit the wire");
-        assert_eq!(stats.retransmits, 2);
+        assert_eq!(stats.messages, 4, "all four attempts hit the wire");
+        assert_eq!(stats.retransmits, 3);
         assert_eq!(stats.answers, 0, "a timed-out answer is not an answer");
         assert_eq!(stats.bytes, 0);
-        let expect_backoff = policy.backoff_seconds(1) + policy.backoff_seconds(2);
+        let expect_backoff =
+            policy.backoff_seconds(1) + policy.backoff_seconds(2) + policy.backoff_seconds(3);
         assert!((stats.backoff_seconds - expect_backoff).abs() < 1e-12);
     }
 

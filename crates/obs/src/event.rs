@@ -296,7 +296,6 @@ pub fn capture_crash_dump(site: &str) {
         events: events(),
         live_spans: crate::trace::open_span_names(),
     };
-    crate::global().counter("qbism_obs_crash_dumps_total").inc();
     let mut dumps = lock_or_recover(&CRASH_DUMPS);
     if dumps.len() >= CRASH_DUMP_CAPACITY {
         dumps.pop_front();

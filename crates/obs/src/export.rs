@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{CrashDump, Event, EventKind};
-use crate::metrics::{format_f64, json_string};
+use crate::metrics::json_string;
 use crate::trace::{FieldValue, SpanNode};
 
 /// One JSON object per event, newline-delimited.
@@ -197,6 +197,15 @@ pub fn crash_dump_json(dump: &CrashDump) -> String {
     }
     out.push_str("]}");
     out
+}
+
+/// Shortest float rendering that survives a round-trip parse.
+fn format_f64(v: f64) -> String {
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{v:.1}") // keep a decimal point so the type is evident
+    } else {
+        format!("{v}")
+    }
 }
 
 #[cfg(test)]

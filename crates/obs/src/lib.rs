@@ -1,36 +1,30 @@
-//! Observability for the QBISM workspace: metrics, spans, exports.
+//! Observability for the QBISM workspace: spans, incidents, metrics, exports.
 //!
 //! The paper's whole evaluation is cost accounting — Tables 3 and 4 and
 //! Figure 4 are columns of LFM 4 KiB I/Os, tuple scans, RPC messages and
-//! simulated real time.  This crate makes those costs *first-class and
-//! cumulative* instead of per-call throwaways: a process-wide
-//! [`Registry`] of atomic counters, gauges and fixed-bucket latency
-//! histograms, plus a lightweight nestable [`trace`] span facility that
-//! turns each query into an `EXPLAIN ANALYZE`-style tree of operators
-//! with their measured costs.
+//! simulated real time.  Each of those counts has one typed home (the
+//! query's `QueryCost`, the LFM's `IoStats`, the channel's `NetStats`)
+//! and is stamped on the query's span tree; this crate supplies that
+//! [`trace`] facility, the incident journal, the exporters, and a small
+//! process-wide [`Registry`] of counters and gauges.
 //!
-//! # Metric name ↔ paper column map
+//! # The registry's series
 //!
-//! | metric | paper result it generalizes |
+//! Only the LFM registers series, and only the eleven the benchmark
+//! reads: the read path's physical plan, the page cache, the k³ scan,
+//! and the write side of an install.
+//!
+//! | series | what it counts |
 //! |---|---|
-//! | `qbism_lfm_pages_read_total` | Table 3/4 "LFM Disk I/Os (4KB)" (query side) |
-//! | `qbism_lfm_pages_written_total` | Table 3 load-time I/O column |
-//! | `qbism_lfm_extents_read_total` | seek count feeding the §5.2 disk model |
-//! | `qbism_lfm_read_calls_total` / `qbism_lfm_write_calls_total` | LFM call volume (§5.1) |
-//! | `qbism_lfm_sim_disk_micros_total` | Table 3 "DB Time (real)" disk component |
-//! | `qbism_lfm_buddy_allocs_total` / `_frees_total` / `_splits_total` / `_coalesces_total` | §5.1 buddy scheme behaviour |
-//! | `qbism_exec_rows_total` | Table 3 "Tuples Scanned" |
-//! | `qbism_exec_selects_total` | query volume over the §3.4 SQL surface |
-//! | `qbism_udf_calls_total{udf=...}` | §3.2 operator invocations (extractVoxels, intersection, …) |
-//! | `qbism_query_seconds{class=...}` | Table 3/4 per-query-class end-to-end DB time |
-//! | `qbism_query_total{class=...}` | per-class query counts |
-//! | `qbism_query_wire_bytes_total` | Table 3 answer-size column (bytes shipped to DX) |
-//! | `qbism_net_messages_total` / `qbism_net_wire_bytes_total` / `qbism_net_sim_micros_total` | Table 3 "IPC Messages" and network "Answer Time (real)" |
-//! | `qbism_faults_injected_total{site=...,outcome=...}` | faults delivered by an armed `qbism-fault` plane |
-//! | `qbism_lfm_journal_records_total` / `qbism_lfm_journal_bytes_total` | LFM metadata write-ahead journal traffic |
-//! | `qbism_lfm_checkpoints_total` / `qbism_lfm_recoveries_total` | LFM snapshot checkpoints and crash recoveries |
-//! | `qbism_lfm_fault_latency_micros_total` | injected device latency (kept out of the Table 3/4 I/O counters) |
-//! | `qbism_net_retries_total` / `qbism_net_timeouts_total` | RPC retransmissions and exhausted retry budgets under injected loss |
+//! | `qbism_lfm_extent_phys_reads_total` | device transfers after coalescing adjacent pages |
+//! | `qbism_lfm_extent_coalesced_pages_total` | demanded pages that rode another page's transfer |
+//! | `qbism_lfm_extent_readahead_pages_total` | pages staged by sequential readahead |
+//! | `qbism_lfm_cache_{hits,misses,evictions}_total` | page-cache lookups and reclaimed frames |
+//! | `qbism_lfm_compressed_pages_read_total` | pages read out of compressed-tablespace fields |
+//! | `qbism_lfm_compressed_decode_skips_total` | k³ subtrees and leaves bypassed without decode |
+//! | `qbism_lfm_pages_written_total` | distinct 4 KiB pages written (load-time I/O) |
+//! | `qbism_lfm_journal_bytes_total` | metadata journal bytes appended |
+//! | `qbism_lfm_allocated_pages` (gauge) | device pages the last LFM to change it holds |
 //!
 //! # Reading the span tree
 //!
@@ -59,9 +53,8 @@
 //! # Scraping
 //!
 //! [`Registry::render_prometheus`] emits the Prometheus text exposition
-//! format (serve it from any HTTP endpoint, or dump it after a batch
-//! run); [`Registry::snapshot_json`] is the same data as one JSON
-//! object for programmatic diffing.  Counters are monotone and
+//! format, a `# TYPE` line and one sample per series;
+//! [`Registry::snapshot_json`] is the same data as one JSON object.  Counters are monotone and
 //! **wrap** on `u64` overflow, matching Prometheus counter semantics of
 //! "rate over resets".
 //!
@@ -72,8 +65,7 @@
 //!
 //! # The flight recorder
 //!
-//! Beyond aggregate metrics and span trees, the crate is a flight
-//! recorder:
+//! Beyond span trees, the crate is a flight recorder:
 //!
 //! * [`context`] — every query root mints a trace id; finished trees
 //!   carry preorder span ids with parent links, and [`context::fork`]
@@ -105,7 +97,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use event::{CrashDump, Event, EventKind, SlowQuery};
-pub use metrics::{global, Counter, Gauge, Histogram, Registry};
+pub use metrics::{global, Counter, Gauge, Registry};
 pub use trace::SpanNode;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -118,8 +110,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Globally enables or disables all recording (counters, histograms and
-/// spans).  Handles stay valid; disabled operations are no-ops.
+/// Globally enables or disables recording of counters and spans.
+/// Handles stay valid; disabled adds and spans are no-ops.  Gauges
+/// publish state and store either way.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -149,13 +149,6 @@ impl Database {
     /// Creates a database whose long-field device holds
     /// `long_field_capacity` bytes (4 KiB pages, like the paper's).
     pub fn new(long_field_capacity: u64) -> Result<Self> {
-        let reg = qbism_obs::global();
-        reg.describe(
-            "qbism_exec_rows_total",
-            "Base-table tuples scanned (Table 3/4 Tuples Scanned).",
-        );
-        reg.describe("qbism_exec_selects_total", "SELECT statements executed.");
-        reg.describe("qbism_udf_calls_total", "User-defined function invocations, by function.");
         Ok(Database {
             catalog: Catalog::new(),
             udfs: UdfRegistry::new(),

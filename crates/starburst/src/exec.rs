@@ -115,17 +115,7 @@ impl Tuple for Row<'_> {
 pub fn run_select(plan: &SelectPlan, catalog: &Catalog, ctx: &EvalCtx<'_>) -> Result<ResultSet> {
     let span = trace::span("exec.select");
     let rs = run_select_inner(plan, catalog, ctx)?;
-    if qbism_obs::enabled() {
-        // Handles resolve once per process; the per-select cost is two
-        // relaxed atomic adds, not two registry-map lookups.
-        static COUNTERS: std::sync::OnceLock<(qbism_obs::Counter, qbism_obs::Counter)> =
-            std::sync::OnceLock::new();
-        let (rows, selects) = COUNTERS.get_or_init(|| {
-            let reg = qbism_obs::global();
-            (reg.counter("qbism_exec_rows_total"), reg.counter("qbism_exec_selects_total"))
-        });
-        rows.add(rs.rows_scanned);
-        selects.inc();
+    if span.is_recording() {
         span.record_u64("rows_scanned", rs.rows_scanned);
         span.record_u64("rows_out", rs.len() as u64);
     }

@@ -28,12 +28,9 @@ pub struct UdfContext<'a> {
 /// The UDF calling convention.
 pub type UdfFn = Box<dyn Fn(&mut UdfContext<'_>, &[Value]) -> Result<Value> + Send + Sync>;
 
-/// One registered function plus its pre-resolved observability handles,
-/// so the per-invocation cost is an atomic add rather than a registry
-/// lookup.
+/// One registered function plus the name of its span, built once.
 struct UdfEntry {
     f: UdfFn,
-    calls: qbism_obs::Counter,
     span_name: String,
 }
 
@@ -57,11 +54,7 @@ impl UdfRegistry {
         F: Fn(&mut UdfContext<'_>, &[Value]) -> Result<Value> + Send + Sync + 'static,
     {
         let lname = name.to_ascii_lowercase();
-        let entry = UdfEntry {
-            f: Box::new(f),
-            calls: qbism_obs::global().counter_with("qbism_udf_calls_total", &[("udf", &lname)]),
-            span_name: format!("udf.{lname}"),
-        };
+        let entry = UdfEntry { f: Box::new(f), span_name: format!("udf.{lname}") };
         self.fns.insert(lname, entry);
     }
 
@@ -79,7 +72,6 @@ impl UdfRegistry {
             .or_else(|| self.fns.get(&name.to_ascii_lowercase()))
             .ok_or_else(|| DbError::Binding(format!("no such function: {name}")))?;
         if qbism_obs::enabled() {
-            entry.calls.inc();
             let span = qbism_obs::trace::span(entry.span_name.clone());
             let out = (entry.f)(ctx, args);
             if let Err(e) = &out {

@@ -1,6 +1,6 @@
 //! End-to-end observability: every layer of a real query shows up in the
-//! span tree, and the process-wide registry exports the series the
-//! paper's tables are built from.
+//! span tree, and the process-wide registry exports exactly the LFM
+//! series the benchmark reads.
 //!
 //! The span ring, registry, and enabled switch are process-global, so
 //! these tests serialize on one lock and search `recent_roots` rather
@@ -66,24 +66,50 @@ fn mixed_query_emits_a_full_span_tree() {
     }
 }
 
+/// The series the benchmark reads, and nothing else: every count the
+/// paper's tables use has its typed home in `QueryCost`, `IoStats`,
+/// `NetStats` and the span tree, so a series nobody reads fails here
+/// by name.
+const REGISTRY_SERIES: [&str; 11] = [
+    "qbism_lfm_allocated_pages",
+    "qbism_lfm_cache_evictions_total",
+    "qbism_lfm_cache_hits_total",
+    "qbism_lfm_cache_misses_total",
+    "qbism_lfm_compressed_decode_skips_total",
+    "qbism_lfm_compressed_pages_read_total",
+    "qbism_lfm_extent_coalesced_pages_total",
+    "qbism_lfm_extent_phys_reads_total",
+    "qbism_lfm_extent_readahead_pages_total",
+    "qbism_lfm_journal_bytes_total",
+    "qbism_lfm_pages_written_total",
+];
+
 #[test]
 fn registry_exports_the_acceptance_series() {
     let _g = serialize();
     let sys = install();
-    let study = sys.pet_study_ids[0];
-    sys.server.structure_data(study, "ntal").expect("Q3 runs");
+    run_every_class(&sys);
     let text = qbism_obs::global().render_prometheus();
-    for series in [
-        "qbism_lfm_pages_read_total",
-        "qbism_exec_rows_total",
-        "qbism_query_seconds_bucket{class=\"structure\"",
-        "qbism_udf_calls_total{udf=\"extractvoxels\"}",
-    ] {
-        assert!(text.contains(series), "missing {series} in:\n{text}");
+    let types: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split(' ').next())
+        .collect();
+    assert_eq!(types, REGISTRY_SERIES, "exported series:\n{text}");
+    for line in text.lines().filter(|line| !line.starts_with('#')) {
+        assert!(!line.contains('{'), "labelled sample: {line}");
+        assert!(!line.contains("_bucket"), "histogram bucket: {line}");
     }
-    // The JSON snapshot carries the same registry.
+    // The JSON snapshot carries the same series.
     let json = qbism_obs::global().snapshot_json();
-    assert!(json.contains("qbism_lfm_pages_read_total"));
+    let keys: Vec<&str> = json
+        .trim_start_matches('{')
+        .trim_end_matches('}')
+        .split(',')
+        .filter_map(|pair| pair.split_once(':'))
+        .map(|(key, _)| key.trim_matches('"'))
+        .collect();
+    assert_eq!(keys, REGISTRY_SERIES, "snapshot: {json}");
 }
 
 #[test]
