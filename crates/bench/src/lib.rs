@@ -15,6 +15,9 @@
 //! | §6.4 multi-study traffic scaling | [`scaling`] |
 //! | Faloutsos–Roseman 1 : 1.20 rectangle cross-check | [`rects`] |
 //! | §4.2 approximate-REGION trade-off (ablation) | [`approx`] |
+//!
+//! [`tablegen`] strings the reports together as the `tablegen` binary
+//! prints them.
 
 #![forbid(unsafe_code)]
 #![expect(
@@ -36,4 +39,5 @@ pub mod run_counts;
 pub mod scaling;
 pub mod table3;
 pub mod table4;
+pub mod tablegen;
 pub mod tables12;

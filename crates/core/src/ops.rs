@@ -10,19 +10,21 @@
 //!   `rdifference(region, region) -> bytes` — the "straightforward to
 //!   implement" future-work operators;
 //! * `contains(region, region) -> bool` — spatial superset test;
-//! * `extractVoxels(volume long, region) -> bytes` — `EXTRACT_DATA`,
-//!   returning a DATA_REGION wire value;
+//! * `extractVoxels(volume long, region) -> object` — `EXTRACT_DATA`,
+//!   returning a typed [`DataRegion`] as an opaque [`Value::Object`];
 //! * `regionVoxels(region) -> int` — voxel count (handy in predicates).
 //!
 //! Reading a long-field argument costs device I/O through the LFM (that
 //! is the point: Table 3/4's I/O column counts these reads); immediate
-//! byte arguments cost none.
+//! byte arguments cost none.  Every REGION operand must lie on the
+//! database's grid — the one its VOLUMEs are laid out on — or the call
+//! is a typed [`DbError::Exec`].
 
-use crate::wire::begin_data_region;
 use qbism_coding::{K3Cursor, RunCursor};
 use qbism_region::{kernel, open_k3, CompressedWriter};
-use qbism_region::{GridGeometry, NaiveRuns, Region, RegionCodec, RegionEncodeError};
+use qbism_region::{GridGeometry, Region, RegionCodec, RegionEncodeError};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
+use qbism_volume::DataRegion;
 use std::borrow::Cow;
 
 /// A fetched REGION operand: its raw encoded bytes, and whether they
@@ -50,21 +52,31 @@ fn decode_arg(bytes: &[u8]) -> Result<Region, DbError> {
     RegionCodec::decode(bytes).map_err(malformed)
 }
 
-/// Decodes a region argument: a long field (read through the LFM,
-/// counting I/O) or an immediate byte string.
-fn fetch_region(ctx: &mut UdfContext<'_>, v: &Value) -> Result<Region, DbError> {
+/// Decodes a region argument — a long field (read through the LFM,
+/// counting I/O) or an immediate byte string — on the database's grid.
+fn fetch_region(
+    ctx: &mut UdfContext<'_>,
+    name: &str,
+    grid: GridGeometry,
+    v: &Value,
+) -> Result<Region, DbError> {
     let (bytes, _) = fetch_region_arg(ctx, v)?;
-    decode_arg(&bytes)
+    let region = decode_arg(&bytes)?;
+    on_grid(name, grid, region.geometry())?;
+    Ok(region)
 }
 
-/// The grid check shared by every binary region operator, made once
-/// where the operands are opened (as cursors or decoded) — REGIONs on
+/// The grid check of every REGION operand, made once where it is opened
+/// (as a cursor or decoded): an id on another curve or resolution names
+/// another voxel of the database's VOLUMEs, and two operands on
 /// different grids have no common id space to merge in.
-fn same_grid(name: &str, a: GridGeometry, b: GridGeometry) -> Result<(), DbError> {
-    if a == b {
+fn on_grid(name: &str, grid: GridGeometry, geom: GridGeometry) -> Result<(), DbError> {
+    if geom == grid {
         Ok(())
     } else {
-        Err(DbError::Exec(format!("{name}: REGION operands on mismatched grids ({a:?} vs {b:?})")))
+        Err(DbError::Exec(format!(
+            "{name}: mismatched grids: a REGION on {geom:?}, not the database's {grid:?}"
+        )))
     }
 }
 
@@ -81,6 +93,7 @@ fn region_pair_op(
     name: &str,
     args: &[Value],
     codec: RegionCodec,
+    grid: GridGeometry,
     stream: StreamMerge,
     decoded: fn(&Region, &Region) -> Region,
 ) -> Result<Value, DbError> {
@@ -93,12 +106,14 @@ fn region_pair_op(
     };
     let Some(((geom, pa), (geom_b, pb))) = opened else {
         let (ra, rb) = (decode_arg(&a.0)?, decode_arg(&b.0)?);
-        same_grid(name, ra.geometry(), rb.geometry())?;
+        on_grid(name, grid, ra.geometry())?;
+        on_grid(name, grid, rb.geometry())?;
         return region_result(&decoded(&ra, &rb), codec);
     };
     let open = |payload| K3Cursor::new(payload).map_err(|e| malformed(e.into()));
     let (mut ca, mut cb) = (open(pa)?, open(pb)?);
-    same_grid(name, geom, geom_b)?;
+    on_grid(name, grid, geom)?;
+    on_grid(name, grid, geom_b)?;
     let unencodable = |e| DbError::Exec(format!("cannot encode result REGION: {e}"));
     let mut bytes = Vec::new();
     let mut answer = CompressedWriter::new(&mut bytes, geom).map_err(unencodable)?;
@@ -132,83 +147,75 @@ fn region_result(region: &Region, codec: RegionCodec) -> Result<Value, DbError> 
 /// Registers all spatial operators on `db`.
 ///
 /// `codec` is the encoding used for intermediate REGION values (the
-/// configured on-disk codec, so nested operators round-trip bit-exact).
-pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec) {
+/// configured on-disk codec, so nested operators round-trip bit-exact);
+/// `grid` is the one grid every REGION operand must lie on.
+pub fn register_spatial_ops(db: &mut Database, codec: RegionCodec, grid: GridGeometry) {
     db.register_udf("intersection", move |ctx, args| {
         let stream: StreamMerge =
             |a, b, out| kernel::intersect_into(a, b, |lo, hi| out.push(lo, hi));
-        region_pair_op(ctx, "intersection", args, codec, stream, Region::intersect)
+        region_pair_op(ctx, "intersection", args, codec, grid, stream, Region::intersect)
     });
     db.register_udf("runion", move |ctx, args| {
         let stream: StreamMerge = |a, b, out| kernel::union_into(a, b, |lo, hi| out.push(lo, hi));
-        region_pair_op(ctx, "runion", args, codec, stream, Region::union)
+        region_pair_op(ctx, "runion", args, codec, grid, stream, Region::union)
     });
     db.register_udf("rdifference", move |ctx, args| {
         let stream: StreamMerge =
             |a, b, out| kernel::difference_into(a, b, |lo, hi| out.push(lo, hi));
-        region_pair_op(ctx, "rdifference", args, codec, stream, Region::difference)
+        region_pair_op(ctx, "rdifference", args, codec, grid, stream, Region::difference)
     });
-    db.register_udf("contains", |ctx, args| {
+    db.register_udf("contains", move |ctx, args| {
         expect_arity("contains", args, 2)?;
-        let a = fetch_region(ctx, &args[0])?;
-        let b = fetch_region(ctx, &args[1])?;
-        same_grid("contains", a.geometry(), b.geometry())?;
+        let a = fetch_region(ctx, "contains", grid, &args[0])?;
+        let b = fetch_region(ctx, "contains", grid, &args[1])?;
         Ok(Value::Bool(a.contains_region(&b)))
     });
-    db.register_udf("regionvoxels", |ctx, args| {
+    db.register_udf("regionvoxels", move |ctx, args| {
         expect_arity("regionVoxels", args, 1)?;
-        let a = fetch_region(ctx, &args[0])?;
+        let a = fetch_region(ctx, "regionVoxels", grid, &args[0])?;
         Ok(Value::Int(a.voxel_count() as i64))
     });
-    db.register_udf("extractvoxels", extract_voxels);
+    db.register_udf("extractvoxels", move |ctx, args| extract_voxels(ctx, grid, args));
 }
 
-/// `extractVoxels(volume, region)`: the REGION operand is opened once,
-/// as its naive run list — a stored canonical one used as it stands, a
-/// compressed one drained a leaf at a time — and that list is both the
-/// DATA_REGION's region part and the pieces the LFM walks.
-fn extract_voxels(ctx: &mut UdfContext<'_>, args: &[Value]) -> Result<Value, DbError> {
-    let volume_id = extraction_volume(args)?;
-    let (bytes, _) = fetch_region_arg(ctx, &args[1])?;
-    let runs = NaiveRuns::open(&bytes).map_err(malformed)?;
-    check_volume_len(ctx, volume_id, runs.geometry())?;
-    // One buffer, sized once: the region part is copied in and the LFM
-    // appends the VOLUME pieces behind it — one contiguous byte extent
-    // per run because the volume shares the region's curve order (the
-    // I/O path whose page counts Table 3 reports).  The bytes move
-    // device → answer and nowhere between.
-    let mut out = Vec::new();
-    begin_data_region(&runs, &mut out).map_err(unencodable_answer)?;
-    ctx.lfm.read_pieces_into(volume_id, runs.pieces(), &mut out)?;
-    Ok(Value::Bytes(out))
-}
-
-/// The VOLUME operand of an extraction, once the call's arity is right.
-fn extraction_volume(args: &[Value]) -> Result<qbism_lfm::LongFieldId, DbError> {
+/// `extractVoxels(volume, region)`: the REGION operand, whatever its
+/// codec, is decoded once; its runs are the pieces the LFM gathers from
+/// the VOLUME — one contiguous byte extent per run, because the volume
+/// shares the region's curve order (the I/O path whose page counts
+/// Table 3 reports) — and the region and its values are the answer, a
+/// typed [`DataRegion`] the server takes as it is.
+fn extract_voxels(
+    ctx: &mut UdfContext<'_>,
+    grid: GridGeometry,
+    args: &[Value],
+) -> Result<Value, DbError> {
     expect_arity("extractVoxels", args, 2)?;
-    args[0]
+    let volume_id = args[0]
         .as_long()
-        .ok_or_else(|| DbError::Type("extractVoxels expects a VOLUME long field first".into()))
+        .ok_or_else(|| DbError::Type("extractVoxels expects a VOLUME long field first".into()))?;
+    let region = fetch_region(ctx, "extractVoxels", grid, &args[1])?;
+    check_volume_len(ctx, volume_id, grid)?;
+    let pieces = region.runs().iter().map(|r| (r.start, r.len()));
+    let mut values = Vec::new();
+    ctx.lfm.read_pieces_into(volume_id, pieces, &mut values)?;
+    Ok(Value::object(DataRegion::new(region, values)))
 }
 
-/// An extraction reads a VOLUME laid out on the REGION's own grid.
+/// An extraction reads a VOLUME laid out on the database's grid, the
+/// one its REGION lies on.
 fn check_volume_len(
     ctx: &UdfContext<'_>,
     volume_id: qbism_lfm::LongFieldId,
-    geom: GridGeometry,
+    grid: GridGeometry,
 ) -> Result<(), DbError> {
     let vol_len = ctx.lfm.len(volume_id)?;
-    if vol_len == geom.cell_count() {
+    if vol_len == grid.cell_count() {
         return Ok(());
     }
     Err(DbError::Exec(format!(
-        "VOLUME long field holds {vol_len} bytes; the REGION's grid has {} cells",
-        geom.cell_count()
+        "VOLUME long field holds {vol_len} bytes; the grid has {} cells",
+        grid.cell_count()
     )))
-}
-
-fn unencodable_answer(e: crate::QbismError) -> DbError {
-    DbError::Exec(format!("cannot encode DATA_REGION: {e}"))
 }
 
 fn expect_arity(name: &str, args: &[Value], want: usize) -> Result<(), DbError> {
@@ -222,9 +229,11 @@ fn expect_arity(name: &str, args: &[Value], want: usize) -> Result<(), DbError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_data_region, volume_to_long_field};
+    use crate::wire::volume_to_long_field;
+    use crate::wire::{data_region_wire_size, decode_data_region, encode_data_region};
     use proptest::prelude::*;
     use qbism_sfc::CurveKind;
+    use qbism_starburst::{Prepared, ResultSet};
     use qbism_volume::Volume;
 
     fn geom() -> GridGeometry {
@@ -235,7 +244,7 @@ mod tests {
     /// VOLUME long field.
     fn setup() -> (Database, Region, Region, Volume) {
         let mut db = Database::new(1 << 22).unwrap();
-        register_spatial_ops(&mut db, RegionCodec::Naive);
+        register_spatial_ops(&mut db, RegionCodec::Naive, geom());
         db.execute("create table t (id int, r1 long, r2 long, vol long)").unwrap();
         let a = Region::from_box(geom(), [0, 0, 0], [3, 3, 3]).unwrap();
         let b = Region::from_box(geom(), [2, 2, 2], [5, 5, 5]).unwrap();
@@ -245,6 +254,12 @@ mod tests {
         let v = db.create_long_field(&volume_to_long_field(&vol)).unwrap();
         db.insert_row("t", vec![Value::Int(1), ra, rb, v]).unwrap();
         (db, a, b, vol)
+    }
+
+    /// The one row's one value of an extraction: the typed answer.
+    fn answer(rs: Result<ResultSet, DbError>) -> Result<DataRegion<u8>, DbError> {
+        let [row]: [Vec<Value>; 1] = rs?.into_rows().try_into().unwrap();
+        Ok(row.into_iter().next().and_then(Value::into_object).expect("a typed DATA_REGION"))
     }
 
     #[test]
@@ -279,20 +294,36 @@ mod tests {
     #[test]
     fn extract_voxels_matches_direct_extraction() {
         let (db, a, _, vol) = setup();
-        let rs = db.query("select extractVoxels(t.vol, t.r1) from t").unwrap();
-        let bytes = rs.rows()[0][0].as_bytes().unwrap();
-        let dr = decode_data_region(bytes).unwrap();
-        let direct = vol.extract(&a).unwrap();
-        assert_eq!(dr, direct);
+        let dr = answer(db.query("select extractVoxels(t.vol, t.r1) from t")).unwrap();
+        assert_eq!(dr, vol.extract(&a).unwrap());
+    }
+
+    /// The typed answer is the client's DATA_REGION: encoded at the wire
+    /// boundary, it decodes to itself, in the number of bytes the
+    /// network model charges — whatever codec the operand was stored in.
+    #[test]
+    fn the_typed_answer_round_trips_the_wire() {
+        let (mut db, a, b, vol) = setup();
+        let region = a.union(&Region::from_ids(geom(), vec![70, 300, 301, 511])).difference(&b);
+        db.execute("create table s (r long)").unwrap();
+        for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
+            let field = db.create_long_field(&codec.encode(&region).unwrap()).unwrap();
+            db.execute("delete from s").unwrap();
+            db.insert_row("s", vec![field]).unwrap();
+            let dr = answer(db.query("select extractVoxels(t.vol, s.r) from t, s")).unwrap();
+            assert_eq!(dr, vol.extract(&region).unwrap(), "{}", codec.name());
+            let wire = encode_data_region(&dr).unwrap();
+            assert_eq!(wire.len() as u64, data_region_wire_size(&dr));
+            assert_eq!(decode_data_region(&wire).unwrap(), dr, "{}", codec.name());
+        }
     }
 
     #[test]
     fn nested_operators_compose() {
         // The paper's mixed-query shape: extract inside an intersection.
         let (db, a, b, vol) = setup();
-        let rs = db.query("select extractVoxels(t.vol, intersection(t.r1, t.r2)) from t").unwrap();
-        let dr = decode_data_region(rs.rows()[0][0].as_bytes().unwrap()).unwrap();
-        assert_eq!(dr, vol.extract(&a.intersect(&b)).unwrap());
+        let sql = "select extractVoxels(t.vol, intersection(t.r1, t.r2)) from t";
+        assert_eq!(answer(db.query(sql)).unwrap(), vol.extract(&a.intersect(&b)).unwrap());
     }
 
     #[test]
@@ -325,11 +356,39 @@ mod tests {
     #[test]
     fn corrupt_region_operand_is_an_exec_error() {
         let mut db = Database::new(1 << 20).unwrap();
-        register_spatial_ops(&mut db, RegionCodec::Naive);
+        register_spatial_ops(&mut db, RegionCodec::Naive, geom());
         db.execute("create table t (r long)").unwrap();
         let junk = db.create_long_field(&[1, 2, 3]).unwrap();
         db.insert_row("t", vec![junk]).unwrap();
         assert!(matches!(db.query("select regionVoxels(t.r) from t"), Err(DbError::Exec(_))));
+    }
+
+    /// A REGION on the database's resolution but another curve names
+    /// other voxels of the same VOLUME: every operator refuses it as an
+    /// operand — alone, paired with itself, or nested — in any codec.
+    #[test]
+    fn a_region_on_another_curve_is_an_exec_error() {
+        let (db, _, _, _) = setup();
+        let morton = GridGeometry::new(CurveKind::Morton, 3, 3);
+        let region = Region::from_box(morton, [1, 2, 3], [6, 7, 4]).unwrap();
+        for codec in [RegionCodec::Naive, RegionCodec::K3Tree] {
+            let bytes = Value::Bytes(codec.encode(&region).unwrap());
+            for sql in [
+                "select extractVoxels(t.vol, ?) from t",
+                "select regionVoxels(?) from t",
+                "select contains(t.r1, ?) from t",
+                "select extractVoxels(t.vol, intersection(?, ?)) from t",
+                "select runion(?, ?) from t",
+                "select rdifference(?, ?) from t",
+            ] {
+                let stmt = db.prepare(sql).unwrap();
+                let params = vec![bytes.clone(); sql.matches('?').count()];
+                match db.run(&stmt, &params) {
+                    Err(DbError::Exec(msg)) => assert!(msg.contains("not the database's"), "{msg}"),
+                    other => panic!("{sql} ({}): {other:?}", codec.name()),
+                }
+            }
+        }
     }
 
     /// A REGION with codec tag 4 — the skip-block run list the
@@ -344,7 +403,7 @@ mod tests {
 
     /// Stored or immediate, on either side of `intersection` or as the
     /// REGION of `extractVoxels`, a tag-4 operand is one typed `Exec`
-    /// error — and the extraction's decode-path oracle gives the same.
+    /// error — and the extraction's oracle gives the same.
     #[test]
     fn a_former_run_list_operand_is_one_exec_error() {
         let (mut db, _, _, _) = setup();
@@ -374,77 +433,74 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Differential extraction: the run-list path against the decode path
+    // Differential extraction: extractVoxels against an oracle
     // ------------------------------------------------------------------
-
-    /// The extraction the run-list path replaced — decode the operand,
-    /// encode it again as the answer's region part, list its runs as
-    /// pieces — kept as the oracle of the differential tests.
-    fn extract_voxels_decoded(ctx: &mut UdfContext<'_>, args: &[Value]) -> Result<Value, DbError> {
-        let volume_id = extraction_volume(args)?;
-        let region = fetch_region(ctx, &args[1])?;
-        check_volume_len(ctx, volume_id, region.geometry())?;
-        RegionCodec::Naive.encoded_len(&region).map_err(|e| unencodable_answer(e.into()))?;
-        let pieces: Vec<(u64, u64)> = region.runs().iter().map(|r| (r.start, r.len())).collect();
-        let mut values = Vec::new();
-        ctx.lfm.read_pieces_into(volume_id, pieces.iter().copied(), &mut values)?;
-        let data = qbism_volume::DataRegion::new(region, values);
-        crate::wire::encode_data_region(&data).map(Value::Bytes).map_err(unencodable_answer)
-    }
 
     /// The differential tests' grid: 16³, so a VOLUME is one page.
     fn grid16() -> GridGeometry {
         GridGeometry::new(CurveKind::Hilbert, 3, 4)
     }
 
-    /// One 16³ VOLUME, a table of stored REGIONs, and both extractions
-    /// prepared over an immediate operand and over a stored one.
+    /// The extraction by definition: decode the operand, refuse another
+    /// grid, and look each id up in the in-memory VOLUME.
+    fn oracle(vol: &Volume, bytes: &[u8]) -> Result<DataRegion<u8>, DbError> {
+        let region = RegionCodec::decode(bytes).map_err(malformed)?;
+        on_grid("extractVoxels", vol.geometry(), region.geometry())?;
+        let values = region.iter_ids().map(|id| vol.at_id(id)).collect();
+        Ok(DataRegion::new(region, values))
+    }
+
+    /// One 16³ VOLUME, in memory and stored, a table of stored REGIONs,
+    /// and the extraction prepared over an immediate operand and over a
+    /// stored one.
     struct Differential {
         db: Database,
-        immediate: [qbism_starburst::Prepared; 2],
-        stored: [qbism_starburst::Prepared; 2],
+        vol: Volume,
+        immediate: Prepared,
+        stored: Prepared,
         next_id: i64,
     }
 
     impl Differential {
         fn new() -> Self {
             let mut db = Database::new(1 << 22).unwrap();
-            register_spatial_ops(&mut db, RegionCodec::Naive);
-            db.register_udf("extractdecoded", extract_voxels_decoded);
+            register_spatial_ops(&mut db, RegionCodec::Naive, grid16());
             db.execute("create table v (vol long)").unwrap();
             db.execute("create table r (id int, region long)").unwrap();
             let vol = Volume::from_fn3(grid16(), |x, y, z| (x * 37 + y * 11 + z * 3) as u8);
             let v = db.create_long_field(&volume_to_long_field(&vol)).unwrap();
             db.insert_row("v", vec![v]).unwrap();
-            let prepare = |sql: &str| {
-                ["extractVoxels", "extractDecoded"]
-                    .map(|f| db.prepare(&sql.replace("EXTRACT", f)).unwrap())
-            };
-            let immediate = prepare("select EXTRACT(v.vol, ?) from v");
-            let stored = prepare("select EXTRACT(v.vol, r.region) from v, r where r.id = ?");
-            Differential { db, immediate, stored, next_id: 0 }
+            let immediate = db.prepare("select extractVoxels(v.vol, ?) from v").unwrap();
+            let stored = db
+                .prepare("select extractVoxels(v.vol, r.region) from v, r where r.id = ?")
+                .unwrap();
+            Differential { db, vol, immediate, stored, next_id: 0 }
         }
 
-        /// `bytes` as an immediate operand through both extractions: the
-        /// same DATA_REGION bytes or the same typed error.  True when
-        /// the bytes were a REGION to extract.
+        /// The extraction's answer against the oracle's for `bytes`: the
+        /// same DATA_REGION, or the same error, which is an `Exec` one.
+        /// True when the bytes were a REGION to extract.
+        fn agree(&self, got: Result<DataRegion<u8>, DbError>, bytes: &[u8]) -> bool {
+            if let Err(e) = &got {
+                assert!(matches!(e, DbError::Exec(_)), "operand {bytes:?}: {e:?}");
+            }
+            assert_eq!(got, oracle(&self.vol, bytes), "operand {bytes:?}");
+            got.is_ok()
+        }
+
+        /// `bytes` as an immediate operand.
         fn check(&self, bytes: &[u8]) -> bool {
-            let [new, old] = self.immediate.each_ref().map(|stmt| {
-                self.db.run(stmt, &[Value::Bytes(bytes.to_vec())]).map(|rs| rs.into_rows())
-            });
-            assert_eq!(new, old, "operand {bytes:?}");
-            new.is_ok()
+            let got = answer(self.db.run(&self.immediate, &[Value::Bytes(bytes.to_vec())]));
+            self.agree(got, bytes)
         }
 
-        /// `bytes` stored as a REGION long field, through both.
+        /// `bytes` stored as a REGION long field.
         fn check_stored(&mut self, bytes: &[u8]) {
             self.next_id += 1;
             let field = self.db.create_long_field(bytes).unwrap();
             self.db.insert_row("r", vec![Value::Int(self.next_id), field]).unwrap();
-            let [new, old] = self.stored.each_ref().map(|stmt| {
-                self.db.run(stmt, &[Value::Int(self.next_id)]).map(|rs| rs.into_rows())
-            });
-            assert_eq!(new, old, "stored operand {bytes:?}");
+            let got = answer(self.db.run(&self.stored, &[Value::Int(self.next_id)]));
+            self.agree(got, bytes);
         }
 
         /// Every cut and every single-bit flip of `bytes`.
@@ -515,12 +571,17 @@ mod tests {
             diff.check(&bytes);
             diff.check_stored(&bytes);
         }
-        // A grid of the wrong size, and one too wide for naive words.
+        // A grid of the wrong size, one too wide for naive words, and
+        // the right size on another curve.
         let mut other = RegionCodec::Naive.encode(&Region::full(grid16())).unwrap();
         other[5] = 5;
         assert!(!diff.check(&other));
         other[5] = 11;
         assert!(!diff.check(&other));
+        let morton = GridGeometry::new(CurveKind::Morton, 3, 4);
+        for codec in [RegionCodec::Naive, RegionCodec::K3Tree] {
+            assert!(!diff.check(&codec.encode(&Region::full(morton)).unwrap()));
+        }
     }
 
     proptest! {

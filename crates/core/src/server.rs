@@ -17,7 +17,7 @@
 
 use crate::config::QbismConfig;
 use crate::loader::ATLAS_ID;
-use crate::wire::{data_region_from_bytes, data_region_wire_size};
+use crate::wire::data_region_wire_size;
 use crate::{QbismError, Result};
 use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
 use qbism_netsim::{NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
@@ -643,14 +643,13 @@ impl MedicalServer {
         StudyStage { cost, outcome }
     }
 
-    /// Decoder of the extraction statements: the DATA_REGION answer,
-    /// whose value bytes stay in the buffer `extractVoxels` filled.
+    /// Decoder of the extraction statements: the typed DATA_REGION
+    /// `extractVoxels` built, moved out of the row as it is.
     fn data_region(&self, row: Vec<Value>) -> Result<DataRegion<u8>> {
-        let _check = trace::span("query.check_answer");
-        match row.into_iter().next() {
-            Some(Value::Bytes(bytes)) => data_region_from_bytes(bytes),
-            _ => Err(QbismError::Wire("extract returned a non-bytes value".into())),
-        }
+        row.into_iter()
+            .next()
+            .and_then(Value::into_object)
+            .ok_or_else(|| QbismError::Wire("extract returned no DATA_REGION".into()))
     }
 
     /// Decoder of the long-field statements: the selected field, read
@@ -982,6 +981,27 @@ mod tests {
         assert!(a.cost.messages > 2);
         assert!(a.cost.sim_db_seconds > 0.0);
         assert!(a.cost.sim_net_seconds > 0.0);
+    }
+
+    /// The extraction decoder takes the typed answer out of its row by
+    /// move — its values are the allocation the UDF filled — and refuses
+    /// a row holding anything else.
+    #[test]
+    fn the_answer_is_moved_out_of_its_row() {
+        let sys = system();
+        let geom = sys.server.config().geometry();
+        let dr = DataRegion::new(Region::from_ids(geom, vec![3, 4, 90]), vec![7u8, 8, 9]);
+        let filled = dr.values().as_ptr();
+        let taken = sys.server.data_region(vec![Value::object(dr.clone())]).unwrap();
+        assert_eq!(taken, dr);
+        let row = vec![Value::object(taken)];
+        let held = row[0].as_object::<DataRegion<u8>>().map(|d| d.values().as_ptr());
+        let moved = sys.server.data_region(row).unwrap();
+        assert_eq!(Some(moved.values().as_ptr()), held, "moved, not copied");
+        assert_ne!(held, Some(filled), "the clone is another allocation");
+        for row in [vec![], vec![Value::Bytes(vec![1])], vec![Value::object(7u8)]] {
+            assert!(matches!(sys.server.data_region(row), Err(QbismError::Wire(_))));
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!   linearized form in an implied order" (the configured curve).  No
 //!   header: the atlas row carries the geometry, as in the paper.
 //! * **REGION long field** — the self-describing [`RegionCodec`] bytes.
-//! * **DATA_REGION wire value** — what `extractVoxels` returns and the
-//!   MedicalServer ships to DX: a naive-coded REGION followed by one
-//!   intensity byte per voxel.
+//! * **DATA_REGION wire value** — the bytes an extraction answer is on
+//!   the wire to DX: a naive-coded REGION followed by one intensity byte
+//!   per voxel.  Inside the server an answer never takes this form:
+//!   `extractVoxels` returns a typed [`DataRegion`], and the network
+//!   model charges [`data_region_wire_size`] for it.
 //!
 //! Every read of stored or shipped bytes here is a checked one: the
 //! crate's indexing exception does not reach this module.
@@ -16,7 +18,7 @@
 
 use crate::{QbismError, Result};
 use qbism_geometry::{TriMesh, Vec3};
-use qbism_region::{GridGeometry, NaiveRuns, Region, RegionCodec};
+use qbism_region::{GridGeometry, Region, RegionCodec};
 use qbism_volume::{DataRegion, Volume};
 
 /// Serializes a volume into its long-field layout (pure intensity bytes
@@ -46,36 +48,18 @@ const DATA_REGION_MAGIC: [u8; 2] = *b"QD";
 /// length as a little-endian `u32`.
 const DATA_REGION_PREFIX: usize = 6;
 
-/// The one writer of the layout's head: the magic and the region part's
-/// length, with room reserved for the `region_len`-byte naive-coded
-/// region and one value per voxel that follow, so whoever appends them
-/// finishes the value without a regrowth.
+/// Serializes a DATA_REGION: magic, the region part's length, the
+/// naive-coded region, then values.
 ///
 /// The region part uses the naive codec regardless of the on-disk
 /// configuration — this is the *wire* form whose size drives the
 /// network column of Table 3 (runs at 8 bytes plus one byte per voxel).
-fn write_prefix(region_len: usize, voxels: u64, out: &mut Vec<u8>) {
-    out.reserve(DATA_REGION_PREFIX + region_len + voxels as usize);
-    out.extend_from_slice(&DATA_REGION_MAGIC);
-    out.extend_from_slice(&(region_len as u32).to_le_bytes());
-}
-
-/// Appends the start of a DATA_REGION wire value to `out`: everything
-/// up to the first intensity byte.  The region part is the operand's
-/// naive run list copied as it is — for a stored naive REGION, the
-/// bytes the device held.
-pub fn begin_data_region(runs: &NaiveRuns<'_>, out: &mut Vec<u8>) -> Result<()> {
-    let part = runs.encoded()?;
-    write_prefix(part.len(), runs.voxel_count(), out);
-    out.extend_from_slice(part);
-    Ok(())
-}
-
-/// Serializes a DATA_REGION: magic, naive-coded region, then values.
 pub fn encode_data_region(data: &DataRegion<u8>) -> Result<Vec<u8>> {
     let region = data.region();
-    let mut out = Vec::new();
-    write_prefix(RegionCodec::Naive.encoded_len(region)?, region.voxel_count(), &mut out);
+    let region_len = RegionCodec::Naive.encoded_len(region)?;
+    let mut out = Vec::with_capacity(DATA_REGION_PREFIX + region_len + data.voxel_count());
+    out.extend_from_slice(&DATA_REGION_MAGIC);
+    out.extend_from_slice(&(region_len as u32).to_le_bytes());
     RegionCodec::Naive.encode_into(region, &mut out)?;
     out.extend_from_slice(data.values());
     Ok(out)
@@ -109,15 +93,6 @@ fn split_data_region(bytes: &[u8]) -> Result<(Region, &[u8])> {
 pub fn decode_data_region(bytes: &[u8]) -> Result<DataRegion<u8>> {
     let (region, values) = split_data_region(bytes)?;
     Ok(DataRegion::new(region, values.to_vec()))
-}
-
-/// Parses a DATA_REGION wire value the caller owns: the checks of
-/// [`decode_data_region`], then the same allocation becomes the
-/// answer, its values left where they are behind the region part.
-pub fn data_region_from_bytes(bytes: Vec<u8>) -> Result<DataRegion<u8>> {
-    let (region, values) = split_data_region(&bytes)?;
-    let region_end = bytes.len() - values.len();
-    Ok(DataRegion::from_buffer(region, bytes, region_end))
 }
 
 /// The payload size DX receives for an answer — the quantity the network
@@ -225,36 +200,6 @@ mod tests {
         let bytes = encode_data_region(&dr).unwrap();
         let back = decode_data_region(&bytes).unwrap();
         assert_eq!(back, dr);
-        assert_eq!(data_region_from_bytes(bytes).unwrap(), dr);
-    }
-
-    /// The owning decoder moves no value: the answer's values are the
-    /// tail of the allocation it was handed.
-    #[test]
-    fn the_answer_keeps_its_buffer() {
-        let region = Region::from_ids(geom(), vec![3, 4, 5, 100, 101, 300]);
-        let dr = DataRegion::new(region, vec![10u8, 20, 30, 40, 50, 60]);
-        let bytes = encode_data_region(&dr).unwrap();
-        let tail = bytes[bytes.len() - 6..].as_ptr();
-        let kept = data_region_from_bytes(bytes).unwrap();
-        assert_eq!(kept.values().as_ptr(), tail);
-        assert_eq!(kept, dr);
-    }
-
-    /// An extraction's head written from the opened operand — whatever
-    /// codec it was stored in — is the head `encode_data_region` writes.
-    #[test]
-    fn the_extraction_head_is_the_encoded_head() {
-        let region = Region::from_ids(geom(), vec![3, 4, 5, 100, 101, 300, 511]);
-        let dr = DataRegion::new(region.clone(), vec![7u8; 7]);
-        let whole = encode_data_region(&dr).unwrap();
-        for codec in RegionCodec::ALL.into_iter().chain([RegionCodec::K3Tree]) {
-            let stored = codec.encode(&region).unwrap();
-            let mut head = Vec::new();
-            begin_data_region(&NaiveRuns::open(&stored).unwrap(), &mut head).unwrap();
-            assert_eq!(head, whole[..whole.len() - 7], "{}", codec.name());
-            assert!(head.capacity() >= whole.len(), "room for the values reserved");
-        }
     }
 
     #[test]
@@ -262,7 +207,6 @@ mod tests {
         let dr = DataRegion::new(Region::empty(geom()), Vec::new());
         let bytes = encode_data_region(&dr).unwrap();
         assert_eq!(decode_data_region(&bytes).unwrap(), dr);
-        assert_eq!(data_region_from_bytes(bytes).unwrap(), dr);
     }
 
     #[test]

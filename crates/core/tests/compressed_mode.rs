@@ -191,7 +191,8 @@ fn mismatched_grids_are_the_same_typed_error_in_both_modes() {
             encode(&Region::from_box(geom, [1, 1, 1], [5, 6, 7]).expect("box")).expect("encode")
         });
         let mut db = Database::new(1 << 20).expect("database");
-        qbism::ops::register_spatial_ops(&mut db, RegionCodec::Naive);
+        let grid = GridGeometry::new(CurveKind::Hilbert, 3, 3);
+        qbism::ops::register_spatial_ops(&mut db, RegionCodec::Naive, grid);
         db.execute("create table t (r1 long, r2 long)").expect("create");
         let row = vec![
             db.create_long_field(&r8).expect("store r1"),

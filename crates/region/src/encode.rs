@@ -274,7 +274,8 @@ impl RegionCodec {
                 // The decode-everything path: drain the cursor a leaf at
                 // a time (kernels merge over the cursor instead).
                 let cursor = K3Cursor::new(body)?;
-                let mut runs = Vec::with_capacity(cursor.runs_hint());
+                // The header's count, unless the payload cannot hold it.
+                let mut runs = Vec::with_capacity(count.min(cursor.runs_hint()));
                 cursor.drain_blocks(|block| {
                     runs.extend(block.iter().map(|&(start, end)| Run::new(start, end)))
                 })?;

@@ -52,7 +52,6 @@ pub mod compressed;
 mod encode;
 mod geometry;
 pub mod kernel;
-mod naive;
 mod octant;
 mod region;
 mod run;
@@ -64,7 +63,6 @@ pub use compressed::{
 };
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
-pub use naive::NaiveRuns;
 pub use octant::{Octant, OctantKind};
 pub use region::Region;
 pub use run::Run;

@@ -25,7 +25,7 @@ use qbism_coding::CodingError;
 use qbism_geometry::Vec3;
 use qbism_phantom::{build_atlas, PetField, ScalarField3};
 use qbism_region::{
-    compressed_cursor, open_k3, GridGeometry, NaiveRuns, Octant, OctantKind, Region, RegionCodec,
+    compressed_cursor, open_k3, GridGeometry, Octant, OctantKind, Region, RegionCodec,
     RegionEncodeError, Run,
 };
 use qbism_sfc::CurveKind;
@@ -114,7 +114,6 @@ fn a_former_run_list_region_is_bad_tag_4_everywhere() {
     bytes.extend_from_slice(&[0, 181, 3, 63]);
     let refused = RegionEncodeError::BadTag(4);
     assert_eq!(RegionCodec::decode(&bytes), Err(refused.clone()));
-    assert_eq!(NaiveRuns::open(&bytes).err(), Some(refused.clone()));
     assert_eq!(open_k3(&bytes), Err(refused.clone()));
     assert_eq!(compressed_cursor(&bytes).err(), Some(refused));
 }

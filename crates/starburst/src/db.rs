@@ -531,6 +531,45 @@ mod tests {
         assert_eq!(rs.rows()[0][0], lf);
     }
 
+    /// A UDF's opaque answer passes through the select list, a UDF
+    /// argument and COUNT, and is a typed error wherever SQL would read
+    /// it: `=`, `<`, IN, GROUP BY, ORDER BY, MIN/MAX, a hash-join key, a
+    /// table.
+    #[test]
+    fn opaque_values_are_refused_wherever_sql_reads_them() {
+        let mut d = db();
+        d.register_udf("boxed", |_, args| Ok(Value::object(args[0].as_i64())));
+        d.register_udf("unboxed", |_, args| {
+            let inner = args[0].as_object::<Option<i64>>().copied().flatten();
+            Ok(inner.map_or(Value::Null, Value::Int))
+        });
+        let rs = d.query("select boxed(p.age), unboxed(boxed(p.age)) from patient p").unwrap();
+        assert_eq!(rs.rows()[0][0].as_object::<Option<i64>>(), Some(&Some(44)));
+        assert_eq!(rs.rows()[0][1], Value::Int(44));
+        let rs = d.query("select count(boxed(p.age)) from patient p").unwrap();
+        assert_eq!(rs.single_value().unwrap(), &Value::Int(4));
+        let refused = [
+            "select p.name from patient p where boxed(p.age) = 44",
+            "select p.name from patient p where 44 <> boxed(p.age)",
+            "select p.name from patient p where boxed(p.age) = boxed(p.age)",
+            "select p.name from patient p where boxed(p.age) < 50",
+            "select p.name from patient p where boxed(p.age) in (44, 61)",
+            "select count(*) from patient p group by boxed(p.age)",
+            "select p.name from patient p order by boxed(p.age)",
+            "select max(boxed(p.age)) from patient p",
+            "select p.name from patient p, study s where boxed(p.patientId) = s.patientId",
+        ];
+        for sql in refused {
+            assert!(matches!(d.query(sql), Err(DbError::Type(_))), "{sql}");
+        }
+        let plan = d.query("explain select p.name from patient p, study s where boxed(p.patientId) = s.patientId").unwrap();
+        let plan: Vec<String> = plan.rows().iter().map(|r| r[0].to_string()).collect();
+        assert!(plan.join("\n").contains("hash join s"), "{plan:?}");
+        d.execute("create table kept (x long)").unwrap();
+        let stored = d.insert_row("kept", vec![Value::object(1i64)]);
+        assert!(matches!(stored, Err(DbError::Type(_))), "{stored:?}");
+    }
+
     #[test]
     fn three_way_join_like_paper_schema() {
         let mut d = db();

@@ -26,7 +26,7 @@ use crate::db::ResultSet;
 use crate::expr::{eval, operand, EvalCtx, Tuple};
 use crate::plan::{JoinStrategy, SelectPlan};
 use crate::sql::ast::{AggKind, Expr};
-use crate::value::Value;
+use crate::value::{unreadable, Value};
 use crate::{DbError, Result};
 use qbism_obs::trace;
 use std::cmp::Ordering;
@@ -64,8 +64,8 @@ enum GroupKey {
 }
 
 impl GroupKey {
-    fn from_value(v: &Value) -> GroupKey {
-        match v {
+    fn from_value(v: &Value) -> Result<GroupKey> {
+        Ok(match v {
             Value::Null => GroupKey::Null,
             // Integral floats group with equal ints (3 = 3.0).
             Value::Int(i) => GroupKey::Int(*i),
@@ -75,7 +75,8 @@ impl GroupKey {
             Value::Bool(b) => GroupKey::Bool(*b),
             Value::Long(id) => GroupKey::Long(id.0),
             Value::Bytes(b) => GroupKey::Bytes(b.clone()),
-        }
+            Value::Object(_) => return Err(unreadable("GROUP BY")),
+        })
     }
 }
 
@@ -212,7 +213,8 @@ fn run_joins<'a>(
                     for lrow in acc.chunks_exact(k) {
                         let tuple = Refs { rows: lrow, widths };
                         let probe = operand(left, &tuple, ctx)?;
-                        let Some(matches) = HashKey::from_value(&probe).and_then(|k| built.get(&k))
+                        let probe = probe.readable("a join key")?;
+                        let Some(matches) = HashKey::from_value(probe).and_then(|k| built.get(&k))
                         else {
                             continue;
                         };
@@ -296,7 +298,11 @@ fn finish(
         span.record_u64("rows", tuples.len() as u64);
         let mut keyed = Vec::with_capacity(tuples.len());
         for tuple in tuples {
-            let keys = select.order_by.iter().map(|(e, _)| eval(e, &tuple, ctx));
+            let keys = select.order_by.iter().map(|(e, _)| {
+                let key = eval(e, &tuple, ctx)?;
+                key.readable("ORDER BY")?;
+                Ok(key)
+            });
             keyed.push((keys.collect::<Result<Vec<_>>>()?, tuple));
         }
         keyed.sort_by(|(ka, _), (kb, _)| {
@@ -340,7 +346,7 @@ fn run_grouped(
     let mut index: HashMap<Vec<GroupKey>, usize> = HashMap::new();
     let mut groups: Vec<Vec<Refs<'_, '_>>> = Vec::new();
     for tuple in tuples {
-        let key = select.group_by.iter().map(|g| Ok(GroupKey::from_value(&eval(g, tuple, ctx)?)));
+        let key = select.group_by.iter().map(|g| GroupKey::from_value(&eval(g, tuple, ctx)?));
         let key = key.collect::<Result<Vec<_>>>()?;
         let fresh = groups.len();
         match groups.get_mut(*index.entry(key).or_insert(fresh)) {
@@ -387,6 +393,8 @@ fn aggregate(item: &Expr, tuples: &[Refs<'_, '_>], ctx: &EvalCtx<'_>) -> Result<
             all_int &= matches!(v, Value::Int(_));
         } else if matches!(kind, AggKind::Sum | AggKind::Avg) {
             return Err(DbError::Type(format!("SUM/AVG over non-numeric value {v}")));
+        } else if matches!(kind, AggKind::Min | AggKind::Max) {
+            v.readable("MIN/MAX")?;
         }
         let replace_min = match &min {
             None => true,

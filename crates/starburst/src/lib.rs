@@ -65,7 +65,7 @@ mod value;
 pub use catalog::{Column, HeapTable, TableSchema};
 pub use db::{Database, ExecOutcome, Prepared, ResultSet};
 pub use error::DbError;
-pub use sql::{ast, parse_statement};
+pub use sql::{ast, parse_statement, MAX_EXPR_DEPTH};
 pub use udf::{UdfContext, UdfRegistry};
 pub use value::{DataType, Value};
 

@@ -4,4 +4,4 @@ pub mod ast;
 mod lexer;
 mod parser;
 
-pub use parser::parse_statement;
+pub use parser::{parse_statement, MAX_EXPR_DEPTH};

@@ -5,10 +5,18 @@ use super::lexer::{lex, SpannedTok, Tok};
 use crate::value::DataType;
 use crate::{DbError, Result};
 
+/// How deep an expression may nest: parentheses, call arguments, unary
+/// operators and each further operand of an `or` / `and` / `+` / `*`
+/// chain (which builds a left-deep tree) each count one level.  The
+/// binder, planner, evaluator and drop all recurse over the tree this
+/// parser builds, so this one bound keeps all of them inside a thread's
+/// stack; no sensible query comes near it.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 /// Parses a single statement (a trailing `;` is tolerated).
 pub fn parse_statement(src: &str) -> Result<Statement> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, params: 0 };
+    let mut p = Parser { toks, pos: 0, params: 0, depth: 0 };
     let stmt = p.statement()?;
     p.eat_punct(";");
     if !p.at_end() {
@@ -22,6 +30,9 @@ struct Parser {
     pos: usize,
     /// `?` placeholders seen so far; the next one's index.
     params: usize,
+    /// Expression levels open at the current token (see
+    /// [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -50,6 +61,15 @@ impl Parser {
             Some(t) => DbError::Parse(format!("{what} at byte {} (found {:?})", t.at, t.tok)),
             None => DbError::Parse(format!("{what} at end of input")),
         }
+    }
+
+    /// Opens one more expression level, or refuses the statement.
+    fn deeper(&mut self) -> Result<()> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(self.err(&format!("expression nested deeper than {MAX_EXPR_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -277,31 +297,45 @@ impl Parser {
     }
 
     // Precedence climbing: or < and < not < cmp < add < mul < unary.
+    // Each level opened by `deeper` is closed by restoring `depth` on
+    // success; an error ends the parse, so nothing reads it after one.
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.deeper()?;
+        let e = self.or_expr()?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.and_expr()?;
         while self.eat_keyword("or") {
+            self.deeper()?;
             let right = self.and_expr()?;
             left = Expr::Binary { op: BinOp::Or, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.not_expr()?;
         while self.eat_keyword("and") {
+            self.deeper()?;
             let right = self.not_expr()?;
             left = Expr::Binary { op: BinOp::And, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_keyword("not") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            self.deeper()?;
+            let e = Expr::Not(Box::new(self.not_expr()?));
+            self.depth -= 1;
+            Ok(e)
         } else {
             self.cmp_expr()
         }
@@ -378,6 +412,7 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -386,13 +421,16 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let right = self.mul_expr()?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn mul_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut left = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -402,15 +440,20 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let right = self.unary_expr()?;
             left = Expr::Binary { op, left: Box::new(left), right: Box::new(right) };
         }
+        self.depth = depth;
         Ok(left)
     }
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.unary_expr()?)));
+            self.deeper()?;
+            let e = Expr::Neg(Box::new(self.unary_expr()?));
+            self.depth -= 1;
+            return Ok(e);
         }
         self.primary()
     }

@@ -1,6 +1,9 @@
 //! Runtime values and their types.
 
+use crate::{DbError, Result};
 use qbism_lfm::LongFieldId;
+use std::any::Any;
+use std::sync::Arc;
 
 /// Column/expression data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,11 +22,14 @@ pub enum DataType {
     /// VOLUMEs as instances of the same long-field type, we 'encapsulate'
     /// these 'types' by using SQL functions to operate on them."
     Long,
-    /// An immediate byte string: the value type run-time computed large
-    /// objects travel in (a UDF like `extractVoxels` returns its
-    /// DATA_REGION directly to the client rather than materializing a
-    /// long field, so query answers cost no extra device I/O).
+    /// An immediate byte string: how a computed REGION travels between
+    /// nested UDFs (`intersection` returns its answer's encoded bytes,
+    /// which `extractVoxels` then opens) without materializing a long
+    /// field, so intermediate answers cost no device I/O.
     Bytes,
+    /// An opaque in-memory value a UDF built (see [`Value::Object`]).
+    /// No column has this type, so it never enters a table.
+    Object,
 }
 
 impl std::fmt::Display for DataType {
@@ -35,13 +41,14 @@ impl std::fmt::Display for DataType {
             DataType::Bool => "bool",
             DataType::Long => "long",
             DataType::Bytes => "bytes",
+            DataType::Object => "object",
         };
         f.write_str(name)
     }
 }
 
 /// A runtime value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -57,6 +64,30 @@ pub enum Value {
     Long(LongFieldId),
     /// Immediate byte string (see [`DataType::Bytes`]).
     Bytes(Vec<u8>),
+    /// A typed value only the UDFs that made and read it understand —
+    /// `extractVoxels`'s DATA_REGION, handed to the server as built.
+    /// The engine passes it through projections and UDF arguments but
+    /// never reads it: `=`, `<`, `IN`, GROUP BY, ORDER BY, MIN/MAX and
+    /// join keys refuse it with [`DbError::Type`], and no table stores it.
+    /// Equal only to itself (the same allocation).
+    Object(Arc<dyn Any + Send + Sync>),
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Value) -> bool {
+        use Value::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a == b,
+            (Str(a), Str(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (Long(a), Long(b)) => a == b,
+            (Bytes(a), Bytes(b)) => a == b,
+            (Object(a), Object(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
 }
 
 impl Value {
@@ -70,6 +101,7 @@ impl Value {
             Value::Bool(_) => Some(DataType::Bool),
             Value::Long(_) => Some(DataType::Long),
             Value::Bytes(_) => Some(DataType::Bytes),
+            Value::Object(_) => Some(DataType::Object),
         }
     }
 
@@ -78,6 +110,7 @@ impl Value {
     pub fn fits(&self, ty: DataType) -> bool {
         match (self, ty) {
             (Value::Null, _) => true,
+            (Value::Object(_), _) => false,
             (Value::Int(_), DataType::Float) => true,
             (v, t) => v.data_type() == Some(t),
         }
@@ -124,16 +157,47 @@ impl Value {
         }
     }
 
+    /// Wraps a UDF's in-memory answer as an opaque [`Value::Object`].
+    pub fn object<T: Any + Send + Sync>(value: T) -> Value {
+        Value::Object(Arc::new(value))
+    }
+
+    /// Borrowed view of an opaque value, if it holds a `T`.
+    pub fn as_object<T: Any>(&self) -> Option<&T> {
+        match self {
+            Value::Object(o) => o.downcast_ref(),
+            _ => None,
+        }
+    }
+
+    /// The `T` an opaque value holds, moved out when this is its only
+    /// handle (the answer a statement returns is), cloned otherwise.
+    pub fn into_object<T: Any + Send + Sync + Clone>(self) -> Option<T> {
+        match self {
+            Value::Object(o) => o.downcast().ok().map(Arc::unwrap_or_clone),
+            _ => None,
+        }
+    }
+
+    /// `self`, or a type error naming `clause` if the engine cannot
+    /// read the value there (it is opaque).
+    pub(crate) fn readable(&self, clause: &str) -> Result<&Value> {
+        match self {
+            Value::Object(_) => Err(unreadable(clause)),
+            v => Ok(v),
+        }
+    }
+
     /// SQL equality: NULL equals nothing (including NULL); numeric types
-    /// compare by value across int/float.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        match (self, other) {
+    /// compare by value across int/float; an opaque value is refused.
+    pub fn sql_eq(&self, other: &Value) -> Result<Option<bool>> {
+        Ok(match (self.readable("=")?, other.readable("=")?) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => {
                 Some(*a as f64 == *b)
             }
             (a, b) => Some(a == b),
-        }
+        })
     }
 
     /// SQL ordering comparison; `None` when incomparable or NULL.
@@ -167,6 +231,11 @@ impl Value {
     }
 }
 
+/// The type error of an opaque value where `clause` would read it.
+pub(crate) fn unreadable(clause: &str) -> DbError {
+    DbError::Type(format!("{clause} cannot read an opaque value"))
+}
+
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -177,6 +246,7 @@ impl std::fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Long(id) => write!(f, "<long:{}>", id.0),
             Value::Bytes(b) => write!(f, "<bytes:{}>", b.len()),
+            Value::Object(_) => write!(f, "<object>"),
         }
     }
 }
@@ -234,11 +304,11 @@ mod tests {
 
     #[test]
     fn equality_with_coercion_and_null() {
-        assert_eq!(Value::Int(3).sql_eq(&Value::Float(3.0)), Some(true));
-        assert_eq!(Value::Int(3).sql_eq(&Value::Int(4)), Some(false));
-        assert_eq!(Value::Null.sql_eq(&Value::Null), None);
-        assert_eq!(Value::Str("a".into()).sql_eq(&Value::Str("a".into())), Some(true));
-        assert_eq!(Value::Str("a".into()).sql_eq(&Value::Int(1)), Some(false));
+        assert_eq!(Value::Int(3).sql_eq(&Value::Float(3.0)), Ok(Some(true)));
+        assert_eq!(Value::Int(3).sql_eq(&Value::Int(4)), Ok(Some(false)));
+        assert_eq!(Value::Null.sql_eq(&Value::Null), Ok(None));
+        assert_eq!(Value::Str("a".into()).sql_eq(&Value::Str("a".into())), Ok(Some(true)));
+        assert_eq!(Value::Str("a".into()).sql_eq(&Value::Int(1)), Ok(Some(false)));
     }
 
     #[test]
@@ -268,11 +338,36 @@ mod tests {
         assert_eq!(v.as_bytes(), Some(&[1u8, 2, 3][..]));
         assert!(v.fits(DataType::Bytes));
         assert_eq!(v.to_string(), "<bytes:3>");
-        assert_eq!(v.sql_eq(&Value::Bytes(vec![1, 2, 3])), Some(true));
+        assert_eq!(v.sql_eq(&Value::Bytes(vec![1, 2, 3])), Ok(Some(true)));
         assert_eq!(
             Value::Bytes(vec![1]).sql_cmp(&Value::Bytes(vec![2])),
             Some(std::cmp::Ordering::Less)
         );
+    }
+
+    /// An opaque value is itself to its maker, nothing to SQL: equal
+    /// only to its own allocation, typed nowhere a column is, refused
+    /// by `=` even against NULL, and moved out without a copy when its
+    /// handle is the only one.
+    #[test]
+    fn opaque_values_pass_through_unread() {
+        let v = Value::object(vec![7u8; 3]);
+        assert_eq!(v.as_object::<Vec<u8>>(), Some(&vec![7u8; 3]));
+        assert_eq!(v.as_object::<String>(), None);
+        assert_eq!(v.clone(), v);
+        assert_ne!(Value::object(vec![7u8; 3]), v);
+        assert_eq!(v.to_string(), "<object>");
+        for ty in [DataType::Bytes, DataType::Long, DataType::Object] {
+            assert!(!v.fits(ty), "{ty}");
+        }
+        for other in [Value::Null, Value::Int(1), v.clone()] {
+            assert!(matches!(v.sql_eq(&other), Err(DbError::Type(_))));
+            assert!(matches!(other.sql_eq(&v), Err(DbError::Type(_))));
+        }
+        assert_eq!(v.sql_cmp(&v), None);
+        let held = v.as_object::<Vec<u8>>().map(|b| b.as_ptr());
+        assert_eq!(v.into_object::<Vec<u8>>().map(|b| b.as_ptr()), held, "moved, not cloned");
+        assert_eq!(Value::Int(1).into_object::<Vec<u8>>(), None);
     }
 
     #[test]

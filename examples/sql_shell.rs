@@ -8,11 +8,29 @@
 //!
 //! Spatial UDFs are available: try
 //! `select ns.structureName, regionVoxels(ast.region) from atlasStructure ast,
-//!  neuralStructure ns where ast.structureId = ns.structureId`.
+//!  neuralStructure ns where ast.structureId = ns.structureId`, or extract
+//! a structure's voxels with `select extractVoxels(wv.data, ast.region)
+//!  from warpedVolume wv, atlasStructure ast where wv.studyId = 1 and
+//!  ast.structureId = 1`.
 
 use qbism::{QbismConfig, QbismSystem};
-use qbism_starburst::ExecOutcome;
+use qbism_starburst::{ExecOutcome, Value};
+use qbism_volume::DataRegion;
 use std::io::{BufRead, Write};
+
+/// One result cell: an extraction's typed DATA_REGION by its size and
+/// mean intensity, anything else as SQL prints it.
+fn cell(value: &Value) -> String {
+    match value.as_object::<DataRegion<u8>>() {
+        Some(dr) => format!(
+            "<data_region: {} voxels in {} runs, mean {:.1}>",
+            dr.voxel_count(),
+            dr.region().run_count(),
+            dr.mean().unwrap_or(0.0)
+        ),
+        None => value.to_string(),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = QbismConfig::medium();
@@ -46,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(ExecOutcome::Rows(rs)) => {
                 println!("{}", rs.columns().join(" | "));
                 for row in rs.rows().iter().take(50) {
-                    let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                    let cells: Vec<String> = row.iter().map(cell).collect();
                     println!("{}", cells.join(" | "));
                 }
                 if rs.len() > 50 {

@@ -6,6 +6,7 @@
 
 use qbism::{QbismConfig, QbismSystem, QuerySpec};
 use qbism_render::{import_data_region, Camera, Rasterizer};
+use qbism_volume::DataRegion;
 
 fn system() -> QbismSystem {
     QbismSystem::install(&QbismConfig::medium()).expect("install")
@@ -58,9 +59,11 @@ fn paper_section34_queries_run_verbatim_in_spirit() {
         .expect("second query");
     assert_eq!(rs.len(), 1);
     assert!(rs.rows()[0][0].as_long().is_some(), "region handle column");
-    let data = rs.rows()[0][1].as_bytes().expect("DATA_REGION bytes");
-    let dr = qbism::wire::decode_data_region(data).expect("parses");
+    let dr = rs.rows()[0][1].as_object::<DataRegion<u8>>().expect("a typed DATA_REGION");
     assert!(dr.voxel_count() > 0);
+    // At the wire boundary it is the client's DATA_REGION.
+    let wire = qbism::wire::encode_data_region(dr).expect("encodes");
+    assert_eq!(&qbism::wire::decode_data_region(&wire).expect("parses"), dr);
 }
 
 #[test]

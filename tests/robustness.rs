@@ -42,11 +42,10 @@ proptest! {
         }
     }
 
-    /// DATA_REGION wire parsing must never panic either, in the
-    /// borrowed or the owning decoder.
+    /// DATA_REGION wire parsing must never panic either.
     #[test]
     fn data_region_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-        decode_data_region_both_ways(&bytes);
+        let _ = qbism::wire::decode_data_region(&bytes);
     }
 
     /// Mesh long fields: arbitrary bytes must parse or error, not panic.
@@ -62,43 +61,70 @@ proptest! {
     }
 }
 
-/// Feeds `bytes` to the borrowed and the owning DATA_REGION decoder,
-/// which share one validator: the same value or the same typed error.
-fn decode_data_region_both_ways(bytes: &[u8]) -> bool {
-    let borrowed = qbism::wire::decode_data_region(bytes);
-    let owning = qbism::wire::data_region_from_bytes(bytes.to_vec());
-    match (&borrowed, &owning) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b),
-        (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
-        _ => panic!("decoders disagree: {borrowed:?} vs {owning:?}"),
-    }
-    borrowed.is_ok()
-}
-
+/// The DATA_REGION wire decoder's fuzz contract over a real answer:
+/// every truncation is a typed error, and every single-bit flip decodes
+/// or is one.
 #[test]
-fn every_truncation_and_bit_flip_of_a_data_region_decodes_the_same_both_ways() {
+fn every_truncation_and_bit_flip_of_a_data_region_is_decoded_or_typed() {
     let geom = qbism_region::GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, 4);
     let ids: Vec<u64> = (0..4096).filter(|id| id % 97 < 9 || (700..760).contains(id)).collect();
     let region = qbism_region::Region::from_ids(geom, ids);
     let values: Vec<u8> = (0..region.voxel_count()).map(|i| (i * 7) as u8).collect();
     let data = qbism_volume::DataRegion::new(region, values);
     let bytes = qbism::wire::encode_data_region(&data).expect("encodes");
-    assert_eq!(qbism::wire::data_region_from_bytes(bytes.clone()).expect("decodes"), data);
+    let decode = |bytes: &[u8]| match qbism::wire::decode_data_region(bytes) {
+        Ok(_) => true,
+        Err(qbism::QbismError::Wire(_) | qbism::QbismError::Region(_)) => false,
+        Err(other) => panic!("untyped refusal: {other:?}"),
+    };
+    assert_eq!(qbism::wire::decode_data_region(&bytes).expect("decodes"), data);
     // A value cut anywhere has lost values (or header) its run list
     // still promises.
     for cut in 0..bytes.len() {
-        assert!(!decode_data_region_both_ways(&bytes[..cut]), "cut at {cut} accepted");
+        assert!(!decode(&bytes[..cut]), "cut at {cut} accepted");
     }
     // A flipped length or run-count field claims up to 2³¹ more bytes
-    // or runs than the value holds; both decoders must refuse before
+    // or runs than the value holds; the decoder must refuse before
     // allocating for the claim.
     let mut accepted = 0;
     for bit in 0..bytes.len() * 8 {
         let mut flipped = bytes.clone();
         flipped[bit / 8] ^= 1 << (bit % 8);
-        accepted += usize::from(decode_data_region_both_ways(&flipped));
+        accepted += usize::from(decode(&flipped));
     }
     assert!(accepted >= data.voxel_count() * 8, "every value-byte flip is still a valid value");
+}
+
+/// A REGION on the database's resolution but another curve is refused
+/// by `extractVoxels` as a typed error, in any codec: its ids would name
+/// other voxels of the Hilbert-ordered VOLUME (they once came back as 96
+/// wrong values).  The same box on the database's own curve extracts.
+#[test]
+fn extract_voxels_refuses_a_region_on_another_curve() {
+    let config = QbismConfig::small_test();
+    assert_eq!(config.curve, qbism_sfc::CurveKind::Hilbert);
+    let mut sys = QbismSystem::install(&config).expect("install");
+    let study = sys.pet_study_ids[0];
+    let db = sys.server.database();
+    let stmt = db
+        .prepare("select extractVoxels(wv.data, ?) from warpedVolume wv where wv.studyId = ?")
+        .expect("prepare");
+    for (curve, codec) in [
+        (qbism_sfc::CurveKind::Hilbert, RegionCodec::Naive),
+        (qbism_sfc::CurveKind::Morton, RegionCodec::Naive),
+        (qbism_sfc::CurveKind::Morton, RegionCodec::K3Tree),
+    ] {
+        let grid = qbism_region::GridGeometry::new(curve, 3, config.atlas_bits);
+        let region = qbism_region::Region::from_box(grid, [1, 2, 3], [6, 9, 4]).expect("box");
+        let bytes = qbism_starburst::Value::Bytes(codec.encode(&region).expect("encode"));
+        match db.run(&stmt, &[bytes, qbism_starburst::Value::Int(study)]) {
+            Ok(rs) if curve == config.curve => assert_eq!(rs.len(), 1),
+            Err(qbism_starburst::DbError::Exec(msg)) if curve != config.curve => {
+                assert!(msg.contains("not the database's"), "{msg}");
+            }
+            other => panic!("{curve:?} {}: {other:?}", codec.name()),
+        }
+    }
 }
 
 #[test]
