@@ -17,7 +17,9 @@ pub struct QbismConfig {
     /// Linearization for VOLUMEs and REGIONs (paper: Hilbert; Table 4
     /// compares Morton).
     pub curve: CurveKind,
-    /// On-disk REGION encoding (paper Section 6 default: naive runs).
+    /// The stored REGION layout (paper Section 6 default: naive runs),
+    /// which the multi-study fold also ships its answer in; a REGION an
+    /// operator computes is a typed value and is never encoded.
     pub region_codec: RegionCodec,
     /// Master seed for all synthetic data.
     pub seed: u64,

@@ -16,10 +16,10 @@ use crate::Result;
 use qbism_phantom::{
     build_atlas, demographics, Modality, MriField, PetField, PhantomAtlas, StudyGenerator,
 };
-use qbism_region::Region;
+use qbism_region::{GridGeometry, Region};
 
 use qbism_render::extract_surface;
-use qbism_starburst::{Database, Value};
+use qbism_starburst::{Database, DbError, Value};
 use qbism_warp::{register_landmarks, warp_to_atlas};
 
 /// Identifier of the single atlas the loader installs.
@@ -44,16 +44,15 @@ impl QbismSystem {
     pub fn install(config: &QbismConfig) -> Result<QbismSystem> {
         config.validate()?;
         let mut db = Database::new(config.device_capacity)?;
-        register_spatial_ops(&mut db, config.region_codec, config.geometry());
-        register_geometry_ops(&mut db, config);
+        register_spatial_ops(&mut db, config.geometry());
+        register_geometry_ops(&mut db, config.geometry());
         create_schema(&mut db)?;
         let side = config.side();
         // Ground truth (atlas, fields, blob placement) is generated on a
         // canonical Hilbert geometry so the *data* is bit-identical across
         // storage-curve configurations — Table 4 compares encodings of
         // the same voxel sets, not different phantoms.
-        let truth_geom =
-            qbism_region::GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, config.atlas_bits);
+        let truth_geom = GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, config.atlas_bits);
 
         // ------------------------------------------------------------------
         // Atlas and structures.
@@ -169,39 +168,29 @@ fn store_region(db: &mut Database, config: &QbismConfig, region: &Region) -> Res
 
 /// Registers the geometry-literal helpers the MedicalServer's generated
 /// SQL uses: `fullRegion()` and `boxRegion(x0,y0,z0,x1,y1,z1)` build
-/// immediate REGION values (costing no device I/O, like any literal).
-fn register_geometry_ops(db: &mut Database, config: &QbismConfig) {
-    let geom = config.geometry();
-    let codec = config.region_codec;
+/// typed REGION values on `geom` (costing no device I/O, like any
+/// literal).
+fn register_geometry_ops(db: &mut Database, geom: GridGeometry) {
     db.register_udf("fullregion", move |_, args| {
         if !args.is_empty() {
-            return Err(qbism_starburst::DbError::Binding("fullRegion takes no arguments".into()));
+            return Err(DbError::Binding("fullRegion takes no arguments".into()));
         }
-        codec
-            .encode(&Region::full(geom))
-            .map(Value::Bytes)
-            .map_err(|e| qbism_starburst::DbError::Exec(e.to_string()))
+        Ok(Value::object(Region::full(geom)))
     });
     db.register_udf("boxregion", move |_, args| {
         if args.len() != 6 {
-            return Err(qbism_starburst::DbError::Binding(
-                "boxRegion takes 6 integer corner coordinates".into(),
-            ));
+            return Err(DbError::Binding("boxRegion takes 6 integer corner coordinates".into()));
         }
         let mut c = [0u32; 6];
         for (slot, a) in c.iter_mut().zip(args) {
-            *slot = a.as_i64().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
-                qbism_starburst::DbError::Type("boxRegion wants ints in 0..2^32".into())
-            })?;
+            *slot = a
+                .as_i64()
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| DbError::Type("boxRegion wants ints in 0..2^32".into()))?;
         }
-        let region =
-            Region::from_box(geom, [c[0], c[1], c[2]], [c[3], c[4], c[5]]).ok_or_else(|| {
-                qbism_starburst::DbError::Exec("boxRegion corners outside the grid".into())
-            })?;
-        codec
-            .encode(&region)
-            .map(Value::Bytes)
-            .map_err(|e| qbism_starburst::DbError::Exec(e.to_string()))
+        Region::from_box(geom, [c[0], c[1], c[2]], [c[3], c[4], c[5]])
+            .map(Value::object)
+            .ok_or_else(|| DbError::Exec("boxRegion corners outside the grid".into()))
     });
 }
 

@@ -192,7 +192,7 @@ fn mismatched_grids_are_the_same_typed_error_in_both_modes() {
         });
         let mut db = Database::new(1 << 20).expect("database");
         let grid = GridGeometry::new(CurveKind::Hilbert, 3, 3);
-        qbism::ops::register_spatial_ops(&mut db, RegionCodec::Naive, grid);
+        qbism::ops::register_spatial_ops(&mut db, grid);
         db.execute("create table t (r1 long, r2 long)").expect("create");
         let row = vec![
             db.create_long_field(&r8).expect("store r1"),

@@ -10,14 +10,13 @@
 //! [`crate::kernel`] family merges like any other cursor, without ever
 //! materializing the run vector.
 //!
-//! [`CompressedWriter`] is the one writer of k³ REGION bytes: runs are
-//! pushed in id order — a stored REGION's, or a merge's as it emits
-//! them — and encoded once.  [`RegionCodec::encode`] with `K3Tree`, and
-//! [`encode_compressed`], are the writer over a [`Region`].
-//!
-//! [`intersect_k3`] is the n-way ∩ of k³ payloads without cursors: the
-//! synchronized directory descent of [`k3tree::intersect`], its answer
-//! pushed once into a run vector and a [`CompressedWriter`].
+//! `CompressedWriter` is the one writer of k³ REGION bytes: runs are
+//! pushed in id order and encoded once — a [`Region`]'s, by
+//! [`RegionCodec::encode`] with `K3Tree` (and [`encode_compressed`]), or
+//! the answer of [`intersect_k3`], the n-way ∩ of k³ payloads by the
+//! synchronized directory descent of [`k3tree::intersect`].  A merge
+//! over k³ cursors collects its answer as a [`Region`] and writes no
+//! bytes.
 
 use crate::encode::{check_width, split_header, RegionCodec, RegionEncodeError, HEADER_LEN};
 use crate::geometry::GridGeometry;
@@ -57,7 +56,7 @@ pub struct K3Intersection {
 /// The n-way ∩ of k³ `payloads` (from [`open_k3`]) on `geom` by
 /// synchronized directory descent ([`k3tree::intersect`]): no operand is
 /// decoded into runs, and each answer run is pushed once, into the
-/// [`Region`]'s run vector and into a [`CompressedWriter`].
+/// [`Region`]'s run vector and into its k³ bytes.
 pub fn intersect_k3(
     geom: GridGeometry,
     payloads: &[&[u8]],
@@ -78,7 +77,7 @@ pub fn intersect_k3(
 /// order, touches its predecessor or leaves the grid is a typed error —
 /// the writer is the checking sweep of whatever feeds it.
 #[derive(Debug)]
-pub struct CompressedWriter<'a> {
+pub(crate) struct CompressedWriter<'a> {
     /// The buffer the REGION is appended to: its header (the count
     /// patched at the end) from `header_at`, then the payload so far.
     out: &'a mut Vec<u8>,

@@ -14,7 +14,7 @@
 //! [`RegionCodec::decode`].  These byte strings are exactly what the LFM
 //! stores in a REGION long field.  A fifth, [`RegionCodec::K3Tree`], is
 //! the one *queryable* layout ([`crate::compressed`]); its bytes are
-//! written by [`crate::CompressedWriter`] alone.  Tag 4 is retired:
+//! written by [`crate::compressed::CompressedWriter`] alone.  Tag 4 is retired:
 //! it is [`RegionEncodeError::BadTag`] like any unknown tag.
 
 use crate::compressed::CompressedWriter;
@@ -174,8 +174,7 @@ impl RegionCodec {
     ///
     /// Figure 4 measures thousands of `(REGION, codec)` pairs, so the
     /// paper's four codecs are sized without building their byte
-    /// strings; the k³ size is the length of what
-    /// [`CompressedWriter`] writes.
+    /// strings; the k³ size is the length of the k³ encoding itself.
     pub fn encoded_len(&self, region: &Region) -> Result<usize, RegionEncodeError> {
         check_width(*self, region.geometry())?;
         Ok(match self {

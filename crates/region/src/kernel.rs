@@ -11,12 +11,11 @@
 //! Brisaboa et al.'s compact *queryable* representations applied to
 //! h-runs) — and each operator exists once, generic over it:
 //!
-//! * [`intersect_into`] / [`union_into`] / [`difference_into`] — two-pointer
-//!   merge scans, the run analogue of Orenstein & Manola's spatial join,
-//!   each feeding a sink: overlap is counted without building the
-//!   intersection, an answer streams into its encoder;
-//! * [`intersect`] / [`union`] / [`difference`] — the same scans
-//!   collected as run vectors;
+//! * [`intersect`] / [`union`] / [`difference`] — two-pointer merge
+//!   scans, the run analogue of Orenstein & Manola's spatial join, each
+//!   collecting its answer as a run vector; [`intersect_into`] is the ∩
+//!   scan feeding a sink, so overlap is counted without building the
+//!   intersection;
 //! * [`intersect_k_cursors`] — the k-way simultaneous merge.  It now
 //!   serves only the decoded operands of the multi-study fold (the
 //!   default tablespace's, through its slice entry [`intersect_k`]) and
@@ -133,10 +132,9 @@ impl<E> Cursor<E> for RunsCursor<'_> {
 }
 
 /// The ∩ merge scan, handing each common span to `emit` in id order —
-/// a counter, a run vector, or an encoder the answer streams into; the
-/// scan stops at the sink's first error.  Disjoint stretches are
-/// galloped over with `seek`, so a compressed operand is never fully
-/// decoded.
+/// a counter or a run vector; the scan stops at the sink's first error.
+/// Disjoint stretches are galloped over with `seek`, so a compressed
+/// operand is never fully decoded.
 pub fn intersect_into<E>(
     a: &mut impl Cursor<E>,
     b: &mut impl Cursor<E>,
@@ -165,14 +163,21 @@ pub fn intersect_into<E>(
     Ok(())
 }
 
-/// The ∪ merge scan into a sink, fusing overlap and adjacency on the
-/// fly (no seeks — every run of both operands contributes): a run is
-/// emitted once the next one starts past it.
-pub fn union_into<E>(
-    a: &mut impl Cursor<E>,
-    b: &mut impl Cursor<E>,
-    mut emit: impl FnMut(u64, u64) -> Result<(), E>,
-) -> Result<(), E> {
+/// Spatial intersection of two run streams.
+pub fn intersect<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
+    intersect_into(a, b, |lo, hi| {
+        out.push(Run::new(lo, hi));
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Spatial union of two run streams, fusing overlap and adjacency on
+/// the fly (no seeks — every run of both operands contributes): a run
+/// is pushed once the next one starts past it.
+pub fn union<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
     // The run still growing.
     let mut open: Option<(u64, u64)> = None;
     loop {
@@ -189,23 +194,22 @@ pub fn union_into<E>(
             }
             _ => {
                 if let Some((lo, hi)) = open.replace((start, end)) {
-                    emit(lo, hi)?;
+                    out.push(Run::new(lo, hi));
                 }
             }
         }
     }
-    open.map_or(Ok(()), |(lo, hi)| emit(lo, hi))
+    out.extend(open.map(|(lo, hi)| Run::new(lo, hi)));
+    Ok(out)
 }
 
-/// The `a \ b` merge scan into a sink; the subtrahend gallops to each
-/// minuend run, so a sparse `a` touches only the matching parts of `b`.
-pub fn difference_into<E>(
-    a: &mut impl Cursor<E>,
-    b: &mut impl Cursor<E>,
-    mut emit: impl FnMut(u64, u64) -> Result<(), E>,
-) -> Result<(), E> {
+/// Spatial difference `a \ b` of two run streams; the subtrahend
+/// gallops to each minuend run, so a sparse `a` touches only the
+/// matching parts of `b`.
+pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
+    let mut out = Vec::new();
     while let Some((a_start, a_end)) = a.peek() {
-        // Next id of this a-run not yet emitted or subtracted.
+        // Next id of this a-run not yet pushed or subtracted.
         let mut cur = a_start;
         b.seek(cur)?;
         // Each b-run starting inside the a-run cuts it.  One reaching
@@ -215,7 +219,7 @@ pub fn difference_into<E>(
             match b.peek() {
                 Some((b_start, b_end)) if b_start <= a_end => {
                     if b_start > cur {
-                        emit(cur, b_start - 1)?;
+                        out.push(Run::new(cur, b_start - 1));
                     }
                     if b_end >= a_end {
                         break true;
@@ -227,40 +231,10 @@ pub fn difference_into<E>(
             }
         };
         if !covered {
-            emit(cur, a_end)?;
+            out.push(Run::new(cur, a_end));
         }
         a.advance()?;
     }
-    Ok(())
-}
-
-/// A sink collecting what a scan emits — canonical by construction —
-/// as a run vector.
-fn collect<E>(out: &mut Vec<Run>) -> impl FnMut(u64, u64) -> Result<(), E> + '_ {
-    |lo, hi| {
-        out.push(Run::new(lo, hi));
-        Ok(())
-    }
-}
-
-/// Spatial intersection of two run streams.
-pub fn intersect<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
-    let mut out = Vec::new();
-    intersect_into(a, b, collect(&mut out))?;
-    Ok(out)
-}
-
-/// Spatial union of two run streams.
-pub fn union<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
-    let mut out = Vec::new();
-    union_into(a, b, collect(&mut out))?;
-    Ok(out)
-}
-
-/// Spatial difference `a \ b` of two run streams.
-pub fn difference<E>(a: &mut impl Cursor<E>, b: &mut impl Cursor<E>) -> Result<Vec<Run>, E> {
-    let mut out = Vec::new();
-    difference_into(a, b, collect(&mut out))?;
     Ok(out)
 }
 

@@ -11,23 +11,31 @@
 //!  neuralStructure ns where ast.structureId = ns.structureId`, or extract
 //! a structure's voxels with `select extractVoxels(wv.data, ast.region)
 //!  from warpedVolume wv, atlasStructure ast where wv.studyId = 1 and
-//!  ast.structureId = 1`.
+//!  ast.structureId = 1`, or count a band inside a structure with
+//! `select regionVoxels(intersection(b.region, ast.region)) from
+//!  intensityBand b, atlasStructure ast where b.studyId = 1 and b.lo = 128
+//!  and ast.structureId = 1`.
 
 use qbism::{QbismConfig, QbismSystem};
+use qbism_region::Region;
 use qbism_starburst::{ExecOutcome, Value};
 use qbism_volume::DataRegion;
 use std::io::{BufRead, Write};
 
 /// One result cell: an extraction's typed DATA_REGION by its size and
-/// mean intensity, anything else as SQL prints it.
+/// mean intensity, a computed REGION by its size, anything else as SQL
+/// prints it.
 fn cell(value: &Value) -> String {
-    match value.as_object::<DataRegion<u8>>() {
-        Some(dr) => format!(
+    if let Some(dr) = value.as_object::<DataRegion<u8>>() {
+        return format!(
             "<data_region: {} voxels in {} runs, mean {:.1}>",
             dr.voxel_count(),
             dr.region().run_count(),
             dr.mean().unwrap_or(0.0)
-        ),
+        );
+    }
+    match value.as_object::<Region>() {
+        Some(r) => format!("<region: {} voxels in {} runs>", r.voxel_count(), r.run_count()),
         None => value.to_string(),
     }
 }
