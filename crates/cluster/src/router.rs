@@ -269,13 +269,13 @@ impl ClusterWarehouse {
         let stage = |server: &MedicalServer, id| server.band_region_stage(id, lo, hi);
         let fetched = self.scatter(study_ids, &stage, |bytes| bytes.len() as u64);
         // Gather on the router with the single-node server's own fold,
-        // so the re-encoded answer bytes — and therefore `wire_bytes` —
-        // are identical in every tablespace mode.
-        // (The router has no LFM of its own to credit the fold's skips to.)
+        // so the answer and its wire size are the server's in every
+        // tablespace mode.  (The router has no LFM of its own to credit
+        // the fold's skips to.)
         let (mut cost, fold) = reduce_band_stages(fetched, self.codec, ClusterError::Gather)?;
         span.record_u64("decode_skips", fold.decode_skips);
         span.record_u64("leaves_masked", fold.leaves_masked);
-        self.ship(&mut cost, fold.bytes.len() as u64)?;
+        self.ship(&mut cost, fold.wire_bytes)?;
         self.finish(&span, &cost);
         Ok((fold.region, cost))
     }

@@ -21,25 +21,6 @@ pub trait IntCodec {
     /// Length of the codeword for `value` in bits, without encoding it.
     fn code_len(&self, value: u64) -> Result<u64>;
 
-    /// Encodes a whole slice into a fresh byte buffer.
-    fn encode_all(&self, values: &[u64]) -> Result<Vec<u8>> {
-        let mut w = BitWriter::new();
-        for &v in values {
-            self.encode(&mut w, v)?;
-        }
-        Ok(w.finish())
-    }
-
-    /// Decodes exactly `count` values from `bytes`.
-    fn decode_all(&self, bytes: &[u8], count: usize) -> Result<Vec<u64>> {
-        let mut r = BitReader::new(bytes);
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.decode(&mut r)?);
-        }
-        Ok(out)
-    }
-
     /// Total encoded size of a slice in bits.
     fn total_bits(&self, values: &[u64]) -> Result<u64> {
         let mut total = 0u64;
@@ -55,81 +36,6 @@ fn require_positive(value: u64, codec: &'static str) -> Result<()> {
         Err(CodingError::ValueOutOfDomain { value, codec })
     } else {
         Ok(())
-    }
-}
-
-/// Unary code: `n` is written as `n-1` zero bits followed by a one.
-///
-/// Optimal only for `P(n) = 2^-n`; included as a building block and as the
-/// degenerate end of the Golomb family (`m = 1`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Unary;
-
-impl IntCodec for Unary {
-    fn name(&self) -> &'static str {
-        "unary"
-    }
-
-    fn encode(&self, w: &mut BitWriter, value: u64) -> Result<()> {
-        require_positive(value, self.name())?;
-        w.write_unary(value - 1);
-        Ok(())
-    }
-
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<u64> {
-        Ok(r.read_unary()? + 1)
-    }
-
-    fn code_len(&self, value: u64) -> Result<u64> {
-        require_positive(value, self.name())?;
-        Ok(value)
-    }
-}
-
-/// Fixed-width binary: every value costs `width` bits.
-///
-/// With `width = 32` this is one half of the paper's "naive" run encoding
-/// (4 + 4 bytes per run as two long integers).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedWidth {
-    width: u32,
-}
-
-impl FixedWidth {
-    /// A fixed-width code of `width` bits, `1..=64`.
-    pub fn new(width: u32) -> Self {
-        assert!((1..=64).contains(&width), "width {width} out of range 1..=64");
-        FixedWidth { width }
-    }
-
-    /// The configured width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-}
-
-impl IntCodec for FixedWidth {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn encode(&self, w: &mut BitWriter, value: u64) -> Result<()> {
-        if self.width < 64 && value >= (1u64 << self.width) {
-            return Err(CodingError::ValueOutOfDomain { value, codec: self.name() });
-        }
-        w.write_bits(value, self.width);
-        Ok(())
-    }
-
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<u64> {
-        r.read_bits(self.width)
-    }
-
-    fn code_len(&self, value: u64) -> Result<u64> {
-        if self.width < 64 && value >= (1u64 << self.width) {
-            return Err(CodingError::ValueOutOfDomain { value, codec: self.name() });
-        }
-        Ok(u64::from(self.width))
     }
 }
 
@@ -170,45 +76,6 @@ impl IntCodec for EliasGamma {
         require_positive(value, self.name())?;
         let lg = u64::from(63 - value.leading_zeros());
         Ok(2 * lg + 1)
-    }
-}
-
-/// The Elias δ code: like γ, but the length field is itself γ-coded.
-///
-/// Asymptotically better than γ for heavy-tailed distributions; included
-/// so the benchmark can confirm γ is the right pick at QBISM's typical
-/// delta lengths (small values dominate, where γ is never worse).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EliasDelta;
-
-impl IntCodec for EliasDelta {
-    fn name(&self) -> &'static str {
-        "elias-delta"
-    }
-
-    fn encode(&self, w: &mut BitWriter, value: u64) -> Result<()> {
-        require_positive(value, self.name())?;
-        let lg = 63 - value.leading_zeros();
-        EliasGamma.encode(w, u64::from(lg) + 1)?;
-        if lg > 0 {
-            w.write_bits(value & ((1u64 << lg) - 1), lg);
-        }
-        Ok(())
-    }
-
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<u64> {
-        let lg = EliasGamma.decode(r)? - 1;
-        if lg > 63 {
-            return Err(CodingError::Corrupt("delta length field exceeds 63"));
-        }
-        let low = if lg == 0 { 0 } else { r.read_bits(lg as u32)? };
-        Ok((1u64 << lg) | low)
-    }
-
-    fn code_len(&self, value: u64) -> Result<u64> {
-        require_positive(value, self.name())?;
-        let lg = u64::from(63 - value.leading_zeros());
-        Ok(EliasGamma.code_len(lg + 1)? + lg)
     }
 }
 
@@ -387,21 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_shorter_than_gamma_for_large_values() {
-        // delta wins asymptotically; gamma wins (or ties) for small values.
-        assert!(EliasDelta.code_len(1_000_000).unwrap() < EliasGamma.code_len(1_000_000).unwrap());
-        assert!(EliasGamma.code_len(2).unwrap() <= EliasDelta.code_len(2).unwrap());
-    }
-
-    #[test]
-    fn unary_lengths_equal_value() {
-        for v in 1..20u64 {
-            assert_eq!(Unary.code_len(v).unwrap(), v);
-        }
-        assert_eq!(codeword_bits(&Unary, 3), "001");
-    }
-
-    #[test]
     fn golomb_truncated_binary_remainders() {
         // m = 3: remainders 0,1,2 -> cutoff = 1, so r=0 uses 1 bit ("0"),
         // r=1 -> "10", r=2 -> "11".  Values 1,2,3 have quotient 0.
@@ -414,10 +266,12 @@ mod tests {
 
     #[test]
     fn golomb_m1_degenerates_to_unary() {
+        // Unary: `n` as `n-1` zero bits followed by a one.
         let g = Golomb::new(1);
         for v in 1..12u64 {
-            assert_eq!(g.code_len(v).unwrap(), Unary.code_len(v).unwrap());
+            assert_eq!(g.code_len(v).unwrap(), v);
         }
+        assert_eq!(codeword_bits(&g, 3), "001");
     }
 
     #[test]
@@ -432,9 +286,7 @@ mod tests {
 
     #[test]
     fn zero_rejected_by_positive_codes() {
-        for codec in
-            [&EliasGamma as &dyn IntCodec, &EliasDelta, &Unary, &Golomb::new(4), &Rice::new(2)]
-        {
+        for codec in [&EliasGamma as &dyn IntCodec, &Golomb::new(4), &Rice::new(2)] {
             let mut w = BitWriter::new();
             assert!(matches!(
                 codec.encode(&mut w, 0),
@@ -442,15 +294,6 @@ mod tests {
             ));
             assert!(codec.code_len(0).is_err());
         }
-    }
-
-    #[test]
-    fn fixed_width_rejects_overwide() {
-        let f = FixedWidth::new(8);
-        let mut w = BitWriter::new();
-        assert!(f.encode(&mut w, 255).is_ok());
-        assert!(f.encode(&mut w, 256).is_err());
-        assert!(f.code_len(256).is_err());
     }
 
     #[test]
@@ -463,20 +306,11 @@ mod tests {
         assert_eq!(EliasGamma.decode(&mut r), Err(CodingError::UnexpectedEnd));
     }
 
-    #[test]
-    fn decode_all_roundtrips_batch() {
-        let values = vec![1u64, 5, 1, 1, 9, 1000, 3, 2, 2, 77];
-        for codec in [&EliasGamma as &dyn IntCodec, &EliasDelta, &Golomb::new(5), &Rice::new(2)] {
-            let bytes = codec.encode_all(&values).unwrap();
-            assert_eq!(codec.decode_all(&bytes, values.len()).unwrap(), values);
-        }
-    }
-
     /// Kraft inequality check: a prefix code's lengths must satisfy
     /// sum(2^-len) <= 1 over any prefix of the domain.
     #[test]
     fn kraft_inequality_holds() {
-        for codec in [&EliasGamma as &dyn IntCodec, &EliasDelta, &Golomb::new(7), &Rice::new(3)] {
+        for codec in [&EliasGamma as &dyn IntCodec, &Golomb::new(7), &Rice::new(3)] {
             let sum: f64 =
                 (1..=4096u64).map(|v| 2f64.powi(-(codec.code_len(v).unwrap() as i32))).sum();
             assert!(sum <= 1.0 + 1e-9, "{} violates Kraft: {sum}", codec.name());
@@ -486,21 +320,22 @@ mod tests {
     proptest! {
         #[test]
         fn all_codecs_roundtrip(values in proptest::collection::vec(1u64..1_000_000, 1..200)) {
-            for codec in [&EliasGamma as &dyn IntCodec, &EliasDelta, &Unary, &Golomb::new(13), &Rice::new(4), &FixedWidth::new(32)] {
-                // unary explodes for big values; cap its inputs.
-                let vals: Vec<u64> = if codec.name() == "unary" {
-                    values.iter().map(|v| v % 64 + 1).collect()
-                } else {
-                    values.clone()
-                };
-                let bytes = codec.encode_all(&vals).unwrap();
-                prop_assert_eq!(codec.decode_all(&bytes, vals.len()).unwrap(), vals);
+            for codec in [&EliasGamma as &dyn IntCodec, &Golomb::new(13), &Rice::new(4)] {
+                let mut w = BitWriter::new();
+                for &v in &values {
+                    codec.encode(&mut w, v).unwrap();
+                }
+                let bytes = w.finish();
+                let mut r = BitReader::new(&bytes);
+                for &v in &values {
+                    prop_assert_eq!(codec.decode(&mut r).unwrap(), v, "{}", codec.name());
+                }
             }
         }
 
         #[test]
         fn code_len_matches_actual_bits(v in 1u64..10_000_000) {
-            for codec in [&EliasGamma as &dyn IntCodec, &EliasDelta, &Golomb::new(9), &Rice::new(5)] {
+            for codec in [&EliasGamma as &dyn IntCodec, &Golomb::new(9), &Rice::new(5)] {
                 let mut w = BitWriter::new();
                 codec.encode(&mut w, v).unwrap();
                 prop_assert_eq!(codec.code_len(v).unwrap(), w.bit_len(), "{}", codec.name());

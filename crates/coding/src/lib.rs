@@ -12,10 +12,9 @@
 //! This crate supplies everything that study needs:
 //!
 //! * [`BitWriter`] / [`BitReader`] — MSB-first bit-level I/O;
-//! * [`EliasGamma`] and [`EliasDelta`] — the universal codes of Elias;
+//! * [`EliasGamma`] — the universal code the paper picks;
 //! * [`Golomb`] and [`Rice`] — the geometric-distribution codes the paper
 //!   rejects (implemented so the rejection can be *measured*);
-//! * [`Unary`] and [`FixedWidth`] — building blocks and baselines;
 //! * [`Histogram`] — the EQ 2 entropy lower bound and the EQ 1 power-law fit.
 //!
 //! All codes implement [`IntCodec`] over strictly positive integers
@@ -66,7 +65,7 @@ pub mod runcode;
 mod varint;
 
 pub use bitio::{BitReader, BitWriter};
-pub use codecs::{EliasDelta, EliasGamma, FixedWidth, Golomb, IntCodec, Rice, Unary};
+pub use codecs::{EliasGamma, Golomb, IntCodec, Rice};
 pub use entropy::Histogram;
 pub use k3tree::K3Cursor;
 pub use runcode::RunListCursor;
@@ -118,7 +117,8 @@ pub(crate) fn first_reaching(runs: &[(u64, u64)], target: u64) -> usize {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodingError {
     /// A value outside the codec's domain was supplied (e.g. zero for a
-    /// code over positive integers, or wider than the fixed width).
+    /// code over positive integers, or an id width the k³-tree cannot
+    /// take).
     ValueOutOfDomain {
         /// The offending value.
         value: u64,

@@ -27,10 +27,11 @@ use qbism_region::{kernel, GridGeometry, Region, RegionCodec};
 use qbism_starburst::{Database, Prepared, Value};
 use qbism_volume::{DataRegion, Volume};
 
-/// The host clock, read only for the `native_*` seconds of a query.
+/// The host clock: a query's `native_*` seconds, which `measured` and
+/// `add_gather_seconds` also add into `sim_db_seconds` (ROADMAP 9a).
 #[expect(
     clippy::disallowed_methods,
-    reason = "wall clock in the server and the full-query report feeds only native_* seconds; simulated columns derive from the cost model and are pinned by tests/determinism.rs"
+    reason = "wall clock feeds native_* seconds and, through measured and add_gather_seconds, sim_db_seconds (ROADMAP 9a); tests/tables_golden.rs masks the cells it reaches, and the counts and net columns derive from simulated stats"
 )]
 pub(crate) fn host_now() -> std::time::Instant {
     std::time::Instant::now()
@@ -493,7 +494,7 @@ impl MedicalServer {
         self.db.lfm_ref().note_decode_skips(fold.decode_skips);
         span.record_u64("decode_skips", fold.decode_skips);
         span.record_u64("leaves_masked", fold.leaves_masked);
-        self.ship_answer(&mut cost, fold.bytes.len() as u64)?;
+        self.ship_answer(&mut cost, fold.wire_bytes)?;
         cost.record_on(&span);
         Ok((fold.region, cost))
     }
@@ -767,7 +768,7 @@ pub fn reduce_band_stages<E>(
     }
     let start = host_now();
     let gather = trace::span("query.fold_band_regions");
-    let fold = fold_band_regions(blobs, codec).map_err(gather_error)?;
+    let fold = fold_band_regions(&blobs, codec).map_err(gather_error)?;
     drop(gather);
     cost.add_gather_seconds(start.elapsed().as_secs_f64());
     Ok((cost, fold))
@@ -825,10 +826,11 @@ pub fn reduce_population_stages<E>(
 /// What [`fold_band_regions`] returns.
 #[derive(Debug)]
 pub struct BandFold {
-    /// The answer as shipped.
-    pub bytes: Vec<u8>,
     /// The answer.
     pub region: Region,
+    /// The answer's size as shipped: its `encoded_len` as `K3Tree` on
+    /// the descent path, as the fold's `codec` on the decode path.
+    pub wire_bytes: u64,
     /// Operand subtrees and leaves the k³ descent consumed undecoded
     /// (zero on the decode path).
     pub decode_skips: u64,
@@ -839,34 +841,22 @@ pub struct BandFold {
 
 /// The gather of the multi-study band query, shared by
 /// [`MedicalServer::multi_study_band_region`] and scatter/gather
-/// routers so both ship byte-identical answers in every tablespace
-/// mode: the n-way intersection of the studies' stored band REGION
-/// `blobs` (study order), as answer bytes and the decoded [`Region`],
-/// with the descent's work counts.
-///
-/// One study degenerates to the stored bytes.  Otherwise the grids are
-/// checked once and there are two paths, one result (intersection is
-/// associative and commutative, so the answer is byte-identical to a
-/// pairwise fold):
+/// routers so both ship the same answer size in every tablespace mode:
+/// the n-way intersection of the studies' stored band REGION `blobs`
+/// (study order) as a [`Region`], its wire size and the descent's work
+/// counts.  The grids are checked once; then there are two paths, one
+/// answer:
 ///
 /// * every operand a k³ payload — every stored band of the compressed
-///   tablespace — is one synchronized directory descent over the
-///   payloads ([`qbism_region::intersect_k3`]): no operand is decoded
-///   into runs, and the answer's runs are pushed once into the
-///   [`Region`] and the `encode_compressed` writer;
-/// * anything else is decoded and merged by [`kernel::intersect_k`],
-///   the answer wrapped after the one sweep that checks it canonical,
-///   and encoded with `codec`.  [`kernel::intersect_k_cursors`] serves
-///   only this slice merge and the benchmark probe.
-pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<BandFold> {
-    if let [bytes] = &mut blobs[..] {
-        let bytes = std::mem::take(bytes);
-        let region = RegionCodec::decode(&bytes)?;
-        return Ok(BandFold { bytes, region, decode_skips: 0, leaves_masked: 0 });
-    }
+///   tablespace — is one synchronized directory descent
+///   ([`qbism_region::intersect_k3`]), no operand decoded into runs,
+///   and the answer is sized as `K3Tree` encodes it;
+/// * anything else is decoded and merged by [`kernel::intersect_k`] and
+///   sized as `codec` encodes it.
+pub fn fold_band_regions(blobs: &[Vec<u8>], codec: RegionCodec) -> Result<BandFold> {
     // Each operand's header is parsed once, as it opens.
     let mut k3 = Vec::with_capacity(blobs.len());
-    for blob in &blobs {
+    for blob in blobs {
         match qbism_region::open_k3(blob)? {
             Some(operand) => k3.push(operand),
             None => break,
@@ -875,23 +865,23 @@ pub fn fold_band_regions(mut blobs: Vec<Vec<u8>>, codec: RegionCodec) -> Result<
     if k3.len() == blobs.len() {
         let geom = common_grid(k3.iter().map(|(g, _)| *g))?;
         let payloads: Vec<&[u8]> = k3.iter().map(|(_, payload)| *payload).collect();
-        let fold = qbism_region::intersect_k3(geom, &payloads)?;
+        let (region, counts) = qbism_region::intersect_k3(geom, &payloads)?;
         return Ok(BandFold {
-            bytes: fold.bytes,
-            region: fold.region,
-            decode_skips: fold.counts.skips,
-            leaves_masked: fold.counts.leaves_masked,
+            wire_bytes: RegionCodec::K3Tree.encoded_len(&region)? as u64,
+            region,
+            decode_skips: counts.skips,
+            leaves_masked: counts.leaves_masked,
         });
     }
     let mut regions = Vec::with_capacity(blobs.len());
-    for blob in &blobs {
+    for blob in blobs {
         regions.push(RegionCodec::decode(blob)?);
     }
     let geom = common_grid(regions.iter().map(Region::geometry))?;
     let lists: Vec<_> = regions.iter().map(Region::runs).collect();
     let region = Region::from_canonical_runs(geom, kernel::intersect_k(&lists))?;
-    let bytes = codec.encode(&region)?;
-    Ok(BandFold { bytes, region, decode_skips: 0, leaves_masked: 0 })
+    let wire_bytes = codec.encoded_len(&region)? as u64;
+    Ok(BandFold { region, wire_bytes, decode_skips: 0, leaves_masked: 0 })
 }
 
 /// The one grid every operand of a fold must share.
@@ -1180,18 +1170,20 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// On a 64³ grid the fold of k³ band REGIONs — solid boxes with
+        /// On a 64³ grid the fold of band REGIONs — solid boxes with
         /// scattered holes and speckle, so FULL codes, partial leaves
-        /// and runs across leaf boundaries — ships exactly the bytes of
-        /// `encode_compressed` over the slice merge of the decoded
-        /// operands, and their `Region`.
+        /// and runs across leaf boundaries — answers the slice merge of
+        /// the decoded operands, sized as the stored codec writes it:
+        /// the k³ descent as `encode_compressed`, naive operands'
+        /// decode path as `Naive`, one study as its stored field.
         #[test]
-        fn fold_band_regions_is_the_encoded_slice_merge(
+        fn fold_band_regions_answers_the_slice_merge_at_its_encoded_size(
             operands in proptest::collection::vec((
                 proptest::collection::vec(0u64..(1 << 18), 0..400),
                 proptest::array::uniform3(0u32..64),
                 proptest::array::uniform3(0u32..48),
-            ), 2..=5),
+            ), 1..=5),
+            naive in proptest::prelude::any::<bool>(),
         ) {
             let geom = qbism_region::GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, 6);
             let regions: Vec<Region> = operands.into_iter().map(|(ids, min, size)| {
@@ -1201,17 +1193,21 @@ mod tests {
                 let solid = solid.difference(&Region::from_ids(geom, holes.to_vec()));
                 solid.union(&Region::from_ids(geom, speckle.to_vec()))
             }).collect();
-            let blobs: Vec<Vec<u8>> = regions
-                .iter()
-                .map(|r| RegionCodec::K3Tree.encode(r).expect("encode"))
-                .collect();
+            let stored = if naive { RegionCodec::Naive } else { RegionCodec::K3Tree };
+            let blobs: Vec<Vec<u8>> =
+                regions.iter().map(|r| stored.encode(r).expect("encode")).collect();
             let lists: Vec<_> = regions.iter().map(Region::runs).collect();
             let want = Region::from_runs(geom, kernel::intersect_k(&lists));
-            let fold = fold_band_regions(blobs, RegionCodec::Naive).expect("fold");
-            proptest::prop_assert_eq!(
-                &fold.bytes,
-                &qbism_region::encode_compressed(&want).expect("encode answer")
-            );
+            let fold = fold_band_regions(&blobs, RegionCodec::Naive).expect("fold");
+            let wire_bytes = match &blobs[..] {
+                [field] => field.len(),
+                _ if naive => RegionCodec::Naive.encode(&want).expect("encode answer").len(),
+                _ => qbism_region::encode_compressed(&want).expect("encode answer").len(),
+            };
+            proptest::prop_assert_eq!(fold.wire_bytes, wire_bytes as u64);
+            if naive {
+                proptest::prop_assert_eq!((fold.decode_skips, fold.leaves_masked), (0, 0));
+            }
             proptest::prop_assert_eq!(fold.region, want);
         }
 

@@ -207,7 +207,7 @@ fn mismatched_grids_are_the_same_typed_error_in_both_modes() {
                 other => panic!("{udf} across grids: expected an Exec error, got {other:?}"),
             }
         }
-        match fold_band_regions(vec![r8, r16], RegionCodec::Naive) {
+        match fold_band_regions(&[r8, r16], RegionCodec::Naive) {
             Err(QbismError::Wire(msg)) => assert!(msg.contains("mismatched grids"), "{msg}"),
             other => panic!("fold across grids: expected a Wire error, got {:?}", other.err()),
         }

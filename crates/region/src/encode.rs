@@ -14,15 +14,16 @@
 //! [`RegionCodec::decode`].  These byte strings are exactly what the LFM
 //! stores in a REGION long field.  A fifth, [`RegionCodec::K3Tree`], is
 //! the one *queryable* layout ([`crate::compressed`]); its bytes are
-//! written by [`crate::compressed::CompressedWriter`] alone.  Tag 4 is retired:
-//! it is [`RegionEncodeError::BadTag`] like any unknown tag.
+//! written by [`RegionCodec::encode_into`] alone.  Tag 4 is retired: it
+//! is [`RegionEncodeError::BadTag`] like any unknown tag.
 
-use crate::compressed::CompressedWriter;
+#![warn(clippy::indexing_slicing)]
+
 use crate::geometry::GridGeometry;
 use crate::octant::{Octant, OctantKind};
 use crate::region::Region;
 use crate::run::Run;
-use qbism_coding::{BitReader, BitWriter, CodingError, EliasGamma, IntCodec, K3Cursor};
+use qbism_coding::{k3tree, BitReader, BitWriter, CodingError, EliasGamma, IntCodec, K3Cursor};
 use qbism_sfc::CurveKind;
 
 /// Magic number prefix of every encoded REGION ("QR").
@@ -31,7 +32,7 @@ const MAGIC: u16 = 0x5152;
 const RANK_BITS: u32 = 5;
 /// Bytes before every payload: magic 2 + tag 1 + kind 1 + dims 1 +
 /// bits 1 + count 4.
-pub(crate) const HEADER_LEN: usize = 10;
+const HEADER_LEN: usize = 10;
 
 /// The four REGION storage formats compared in the paper, plus the
 /// *queryable* one added for compressed-domain execution (open it via
@@ -132,10 +133,9 @@ impl RegionCodec {
                 if let Some(first) = runs.first() {
                     // first start may be 0; shift into the positive domain.
                     EliasGamma.encode(&mut w, first.start + 1)?;
-                    for (i, r) in runs.iter().enumerate() {
-                        if i > 0 {
-                            EliasGamma.encode(&mut w, r.start - runs[i - 1].end - 1)?;
-                        }
+                    EliasGamma.encode(&mut w, first.len())?;
+                    for (prev, r) in runs.iter().zip(runs.iter().skip(1)) {
+                        EliasGamma.encode(&mut w, r.start - prev.end - 1)?;
                         EliasGamma.encode(&mut w, r.len())?;
                     }
                 }
@@ -150,11 +150,12 @@ impl RegionCodec {
                 }
             }
             RegionCodec::K3Tree => {
-                let mut writer = CompressedWriter::new(out, geom)?;
+                self.write_header(geom, region.run_count(), out);
+                let mut k3 = k3tree::Encoder::new(out, geom.dims() * geom.bits())?;
                 for r in region.runs() {
-                    writer.push(r.start, r.end)?;
+                    k3.push(out, r.start, r.end)?;
                 }
-                writer.finish();
+                k3.finish(out);
             }
         }
         Ok(())
@@ -163,7 +164,7 @@ impl RegionCodec {
     /// Appends the fixed header every encoding starts with: magic, codec
     /// and curve tags, dims, bits, and the entry count (the last four of
     /// its [`HEADER_LEN`] bytes).
-    pub(crate) fn write_header(&self, geom: GridGeometry, count: usize, out: &mut Vec<u8>) {
+    fn write_header(&self, geom: GridGeometry, count: usize, out: &mut Vec<u8>) {
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&[self.tag(), kind_tag(geom.kind()), geom.dims() as u8]);
         out.push(geom.bits() as u8);
@@ -209,13 +210,13 @@ impl RegionCodec {
         let (codec, geom, count, body) = split_header(bytes)?;
         match codec {
             RegionCodec::Naive => {
-                let need = count * 8;
-                if body.len() < need {
-                    return Err(RegionEncodeError::Truncated);
-                }
+                let (payload, _) =
+                    body.split_at_checked(count * 8).ok_or(RegionEncodeError::Truncated)?;
                 let mut runs = Vec::with_capacity(count);
-                for pair in body[..need].chunks_exact(8) {
-                    let (s, e) = (le_u32(pair), le_u32(&pair[4..]));
+                for pair in payload.chunks_exact(8) {
+                    let (Some(s), Some(e)) = (le_u32(pair), pair.get(4..).and_then(le_u32)) else {
+                        return Err(RegionEncodeError::Truncated);
+                    };
                     if e < s {
                         return Err(RegionEncodeError::Corrupt("inverted run"));
                     }
@@ -252,13 +253,11 @@ impl RegionCodec {
                 Region::from_stored_runs(geom, runs)
             }
             RegionCodec::Octant(_) => {
-                let need = count * 4;
-                if body.len() < need {
-                    return Err(RegionEncodeError::Truncated);
-                }
+                let (payload, _) =
+                    body.split_at_checked(count * 4).ok_or(RegionEncodeError::Truncated)?;
                 let mut octs = Vec::with_capacity(count);
-                for i in 0..count {
-                    let packed = le_u32(&body[i * 4..]);
+                for word in payload.chunks_exact(4) {
+                    let packed = le_u32(word).ok_or(RegionEncodeError::Truncated)?;
                     let rank = packed & ((1 << RANK_BITS) - 1);
                     let id = u64::from(packed >> RANK_BITS);
                     if rank as u64 > 63 || id % (1u64 << rank) != 0 {
@@ -293,23 +292,25 @@ impl RegionCodec {
 pub(crate) fn split_header(
     bytes: &[u8],
 ) -> Result<(RegionCodec, GridGeometry, usize, &[u8]), RegionEncodeError> {
-    let header = bytes.get(..HEADER_LEN).ok_or(RegionEncodeError::Truncated)?;
-    let magic = u16::from_le_bytes([header[0], header[1]]);
+    let (header, body) =
+        bytes.split_first_chunk::<HEADER_LEN>().ok_or(RegionEncodeError::Truncated)?;
+    let [m0, m1, codec, kind, dims, bits, c0, c1, c2, c3] = *header;
+    let magic = u16::from_le_bytes([m0, m1]);
     if magic != MAGIC {
         return Err(RegionEncodeError::BadMagic(magic));
     }
-    let codec = RegionCodec::from_tag(header[2]).ok_or(RegionEncodeError::BadTag(header[2]))?;
-    let kind = kind_from_tag(header[3]).ok_or(RegionEncodeError::BadTag(header[3]))?;
-    let (dims, bits) = (u32::from(header[4]), u32::from(header[5]));
+    let codec = RegionCodec::from_tag(codec).ok_or(RegionEncodeError::BadTag(codec))?;
+    let kind = kind_from_tag(kind).ok_or(RegionEncodeError::BadTag(kind))?;
+    let (dims, bits) = (u32::from(dims), u32::from(bits));
     if dims == 0 || bits == 0 || dims * bits > qbism_sfc::MAX_INDEX_BITS {
         return Err(RegionEncodeError::BadGeometry { dims, bits });
     }
     let geom = GridGeometry::new(kind, dims, bits);
-    let count = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
-    Ok((codec, geom, count, &bytes[HEADER_LEN..]))
+    let count = u32::from_le_bytes([c0, c1, c2, c3]) as usize;
+    Ok((codec, geom, count, body))
 }
 
-pub(crate) fn check_width(codec: RegionCodec, geom: GridGeometry) -> Result<(), RegionEncodeError> {
+fn check_width(codec: RegionCodec, geom: GridGeometry) -> Result<(), RegionEncodeError> {
     let id_bits = geom.dims() * geom.bits();
     let limit = match codec {
         RegionCodec::Naive | RegionCodec::Elias | RegionCodec::K3Tree => 32,
@@ -394,12 +395,10 @@ impl std::fmt::Display for RegionEncodeError {
 
 impl std::error::Error for RegionEncodeError {}
 
-/// Little-endian u32 at the head of `bytes`; callers bounds-check the
-/// enclosing body first (slicing still panics loudly if they did not).
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut buf = [0u8; 4];
-    buf.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(buf)
+/// Little-endian u32 at the head of `bytes`, `None` when fewer than
+/// four remain.
+fn le_u32(bytes: &[u8]) -> Option<u32> {
+    bytes.first_chunk().copied().map(u32::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -534,9 +533,16 @@ mod tests {
             assert_eq!(out[2..], codec.encode(&r).unwrap()[..], "{}", codec.name());
         }
         let wide = Region::empty(GridGeometry::new(CurveKind::Morton, 3, 11));
-        let mut out = vec![7u8, 7];
-        assert!(RegionCodec::Naive.encode_into(&wide, &mut out).is_err());
-        assert_eq!(out, [7, 7]);
+        for codec in [RegionCodec::Naive, RegionCodec::K3Tree] {
+            let mut out = vec![7u8, 7];
+            let refused = codec.encode_into(&wide, &mut out).err();
+            assert!(
+                matches!(refused, Some(RegionEncodeError::IdTooWide { .. })),
+                "{}",
+                codec.name()
+            );
+            assert_eq!(out, [7, 7], "refused before the buffer is touched");
+        }
     }
 
     #[test]
@@ -591,6 +597,32 @@ mod tests {
                 prop_assert_eq!(RegionCodec::decode(&naive_bytes(g, &list)), want.clone());
                 prop_assert_eq!(Region::from_stored_runs(g, list), want);
             }
+        }
+
+        /// `encode_into` appends the REGION header and exactly the
+        /// payload `k3tree::encode_runs` builds, from dense boxes down to
+        /// a few scattered cells and the empty REGION, and it decodes
+        /// back.
+        #[test]
+        fn k3_encode_into_appends_the_header_and_the_k3tree_payload(
+            ids in proptest::collection::vec(0u64..(1 << 18), 0..300),
+            keep in 1usize..40,
+            bx in (any::<bool>(), proptest::array::uniform3(0u32..64), proptest::array::uniform3(0u32..24)),
+        ) {
+            let g = GridGeometry::new(CurveKind::Hilbert, 3, 6);
+            let mut region = Region::from_ids(g, ids.into_iter().step_by(keep).collect());
+            let (present, min, size) = bx;
+            if present {
+                let max = [0, 1, 2].map(|a| (min[a] + size[a]).min(63));
+                region = region.union(&Region::from_box(g, min, max).expect("box inside grid"));
+            }
+            let mut out = vec![7u8, 7];
+            RegionCodec::K3Tree.encode_into(&region, &mut out).expect("encode");
+            let mut want = vec![7u8, 7];
+            RegionCodec::K3Tree.write_header(g, region.run_count(), &mut want);
+            want.extend(k3tree::encode_runs(region.runs(), 18).expect("payload"));
+            prop_assert_eq!(&out, &want);
+            prop_assert_eq!(RegionCodec::decode(&out[2..]).expect("decode"), region);
         }
 
         #[test]

@@ -58,7 +58,7 @@ mod run;
 mod stats;
 
 pub use approx::ApproxParams;
-pub use compressed::{compressed_cursor, encode_compressed, intersect_k3, open_k3, K3Intersection};
+pub use compressed::{compressed_cursor, encode_compressed, intersect_k3, open_k3};
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
 pub use octant::{Octant, OctantKind};
