@@ -372,7 +372,7 @@ impl MedicalServer {
 
     /// Q1: "show a full PET study" — the flat-file reference point.
     pub fn full_study(&self, study_id: i64) -> Result<QueryAnswer> {
-        let span = Self::query_span("full_study");
+        let span = Self::query_span("query.full_study");
         span.record_i64("study_id", study_id);
         let stmt = &self.statements.full_study;
         self.extract(&span, stmt, &[Value::Int(study_id)])
@@ -380,7 +380,7 @@ impl MedicalServer {
 
     /// Q2-style spatial query: data inside a rectangular solid.
     pub fn box_data(&self, study_id: i64, min: [u32; 3], max: [u32; 3]) -> Result<QueryAnswer> {
-        let span = Self::query_span("box");
+        let span = Self::query_span("query.box");
         span.record_i64("study_id", study_id);
         let corners = min.iter().chain(&max).map(|&c| Value::Int(i64::from(c)));
         let params: Vec<Value> = corners.chain([Value::Int(study_id)]).collect();
@@ -390,7 +390,7 @@ impl MedicalServer {
     /// Q3/Q4-style spatial query: data inside a named structure — the
     /// exact Section 3.4 query pair.
     pub fn structure_data(&self, study_id: i64, structure: &str) -> Result<QueryAnswer> {
-        let span = Self::query_span("structure");
+        let span = Self::query_span("query.structure");
         span.record_i64("study_id", study_id);
         span.record_str("structure", structure);
         let params = [Value::Int(study_id), Value::from(structure)];
@@ -399,7 +399,7 @@ impl MedicalServer {
 
     /// Q5-style attribute query: data within a stored intensity band.
     pub fn band_data(&self, study_id: i64, lo: u8, hi: u8) -> Result<QueryAnswer> {
-        let span = Self::query_span("band");
+        let span = Self::query_span("query.band");
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -421,7 +421,7 @@ impl MedicalServer {
         if lo > hi {
             return Err(QbismError::NotFound(format!("empty intensity range {lo}-{hi}")));
         }
-        let span = Self::query_span("intensity_range");
+        let span = Self::query_span("query.intensity_range");
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -448,7 +448,7 @@ impl MedicalServer {
         hi: u8,
         structure: &str,
     ) -> Result<QueryAnswer> {
-        let span = Self::query_span("band_in_structure");
+        let span = Self::query_span("query.band_in_structure");
         span.record_i64("study_id", study_id);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -476,7 +476,7 @@ impl MedicalServer {
         lo: u8,
         hi: u8,
     ) -> Result<(Region, QueryCost)> {
-        let span = Self::query_span("multi_study_band");
+        let span = Self::query_span("query.multi_study_band");
         span.record_u64("studies", study_ids.len() as u64);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
@@ -525,7 +525,7 @@ impl MedicalServer {
         study_ids: &[i64],
         structure: &str,
     ) -> Result<PopulationAnswer> {
-        let span = Self::query_span("population_average");
+        let span = Self::query_span("query.population_average");
         span.record_u64("studies", study_ids.len() as u64);
         span.record_str("structure", structure);
         span.record_u64("threads", self.threads as u64);
@@ -559,7 +559,7 @@ impl MedicalServer {
     /// information needed for rendering and annotation.  Returns the
     /// row of the catalog lookup.
     pub fn atlas_info(&self, study_id: i64) -> Result<Vec<Value>> {
-        let span = Self::query_span("atlas_info");
+        let span = Self::query_span("query.atlas_info");
         span.record_i64("study_id", study_id);
         let row = |_: &Self, row: Vec<Value>| Ok(row);
         let stage = self.measured(&self.statements.atlas_info, &[Value::Int(study_id)], row);
@@ -569,7 +569,7 @@ impl MedicalServer {
     /// Loads a warped VOLUME fully (used by rendering examples to
     /// texture meshes).  Charged as ordinary LFM reads.
     pub fn warped_volume(&self, study_id: i64) -> Result<Volume> {
-        let span = Self::query_span("warped_volume");
+        let span = Self::query_span("query.warped_volume");
         span.record_i64("study_id", study_id);
         let stmt = &self.statements.warped_volume;
         let stage = self.measured(stmt, &[Value::Int(study_id)], Self::long_field);
@@ -579,7 +579,7 @@ impl MedicalServer {
 
     /// Loads a structure's stored surface mesh.
     pub fn structure_mesh(&self, structure: &str) -> Result<qbism_geometry::TriMesh> {
-        let span = Self::query_span("structure_mesh");
+        let span = Self::query_span("query.structure_mesh");
         span.record_str("structure", structure);
         let bytes = self.structure_field(&span, &self.statements.structure_mesh, structure)?;
         crate::wire::mesh_from_long_field(&bytes)
@@ -587,7 +587,7 @@ impl MedicalServer {
 
     /// Loads a structure's stored volumetric REGION.
     pub fn structure_region(&self, structure: &str) -> Result<Region> {
-        let span = Self::query_span("structure_region");
+        let span = Self::query_span("query.structure_region");
         span.record_str("structure", structure);
         let bytes = self.structure_field(&span, &self.statements.structure_region, structure)?;
         Ok(RegionCodec::decode(&bytes)?)
@@ -597,12 +597,10 @@ impl MedicalServer {
     // Internals
     // ----------------------------------------------------------------
 
-    /// Opens the root span `query.<name>` of a query or accessor method.
-    fn query_span(name: &str) -> trace::SpanGuard {
-        if !qbism_obs::enabled() {
-            return trace::root("");
-        }
-        trace::root(format!("query.{name}"))
+    /// Opens the root span `name` (`query.<method>`) of a query or
+    /// accessor method.
+    fn query_span(name: &'static str) -> trace::SpanGuard {
+        trace::root(name)
     }
 
     /// The one measured path: the database phase of `stmt` — its run

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::trace::{self, SpanNode};
+use crate::trace::{self, Tree};
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
@@ -42,6 +42,13 @@ pub(crate) fn host_now() -> Instant {
 pub fn now_micros() -> u64 {
     let epoch = EPOCH.get_or_init(host_now);
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Fixes the trace epoch unless something already has: a span's start
+/// is converted against it when the tree is read, so the epoch must
+/// not postdate the span.
+pub(crate) fn pin_epoch() {
+    EPOCH.get_or_init(host_now);
 }
 
 /// [`now_micros`] of a clock reading already taken.
@@ -88,7 +95,7 @@ pub fn thread_ordinal() -> u64 {
 #[derive(Debug)]
 pub struct ForkHandle {
     trace: u64,
-    slots: Mutex<Vec<(usize, Vec<SpanNode>)>>,
+    slots: Mutex<Vec<(usize, Tree)>>,
 }
 
 /// Captures the calling thread's trace context for a fan-out.  Returns
@@ -119,8 +126,8 @@ impl ForkHandle {
     pub fn join(self) {
         let mut slots = self.slots.into_inner().unwrap_or_else(|e| e.into_inner());
         slots.sort_by_key(|(i, _)| *i);
-        for (_, nodes) in slots {
-            trace::attach(nodes);
+        for (_, segment) in slots {
+            trace::attach(&segment);
         }
     }
 }
@@ -135,10 +142,10 @@ pub struct AdoptGuard<'a> {
 
 impl Drop for AdoptGuard<'_> {
     fn drop(&mut self) {
-        let nodes = trace::capture_end();
+        let segment = trace::capture_end();
         set_current_trace(self.prev);
-        if !nodes.is_empty() {
-            lock_or_recover(&self.fork.slots).push((self.index, nodes));
+        if !segment.is_empty() {
+            lock_or_recover(&self.fork.slots).push((self.index, segment));
         }
     }
 }

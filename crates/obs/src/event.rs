@@ -239,21 +239,18 @@ pub fn clear_slow_queries() {
     lock_or_recover(&SLOW_LOG).clear();
 }
 
-/// Called by the tracer when a root span finishes: journals the
-/// `slow_query` event and captures the tree + event slice when the
-/// threshold is met.
-pub(crate) fn note_root_finished(node: &SpanNode) {
-    let micros = (node.seconds * 1e6) as u64;
+/// Called by the tracer when a root span of `seconds` finishes:
+/// journals the `slow_query` event and captures the tree + event slice
+/// when the threshold is met.  Only then is the tree built.
+pub(crate) fn note_root_finished(seconds: f64, tree: impl FnOnce() -> Option<SpanNode>) {
+    let micros = (seconds * 1e6) as u64;
     if micros < SLOW_THRESHOLD.load(Ordering::Relaxed) {
         return;
     }
-    record(EventKind::SlowQuery { name: node.name.to_string(), micros });
-    let capture = SlowQuery {
-        trace: node.trace_id,
-        micros,
-        tree: node.clone(),
-        events: events_for_trace(node.trace_id),
-    };
+    let Some(tree) = tree() else { return };
+    record(EventKind::SlowQuery { name: tree.name.to_string(), micros });
+    let capture =
+        SlowQuery { trace: tree.trace_id, micros, events: events_for_trace(tree.trace_id), tree };
     let mut log = lock_or_recover(&SLOW_LOG);
     if log.len() >= SLOW_LOG_CAPACITY {
         log.pop_front();

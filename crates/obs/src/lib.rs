@@ -33,11 +33,12 @@
 //! key-value fields (`rows_in`, `rows_out`, `pages`, `extents`, the
 //! statement's `sql`, and with the page cache on `cache_hits` /
 //! `cache_misses` / `cache_evictions`).  The tree is the **one record**
-//! of what a query did: opening, annotating and closing a span touch
-//! only the thread's own stack.  Finished roots land in a bounded ring
-//! of recent spans of the thread that finished them
-//! ([`trace::last_root`] reads the caller's, [`trace::recent_roots`]
-//! merges all of them) and render as a tree:
+//! of what a query did, recorded flat into the thread's own reused
+//! buffers: a span costs two clock reads and, once the thread's ring is
+//! full, no allocation.  Finished roots land in a bounded ring of the
+//! thread that finished them and become [`SpanNode`] trees only when
+//! read ([`trace::last_root`] reads the caller's, [`trace::recent_roots`]
+//! merges all of them); they render as a tree:
 //!
 //! ```text
 //! query.band_in_structure                                   3.1ms  study_id=1

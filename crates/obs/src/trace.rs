@@ -13,28 +13,36 @@
 //! # Causal identity
 //!
 //! A true root (no active parent) mints a process-unique trace id and
-//! makes it current for the thread (see [`crate::context`]).  When the
-//! root finishes, the whole tree is *finalized*: every span is stamped
-//! with the trace id and a span id equal to its 1-based preorder
-//! position, with parent links.  Because numbering
-//! happens on the finished tree, the ids are a pure function of tree
-//! shape — a query fanned out over 8 workers gets exactly the ids its
-//! single-threaded execution would have.
+//! makes it current for the thread (see [`crate::context`]).  Every
+//! span of the finished tree carries that trace id and a span id equal
+//! to its 1-based preorder position, with parent links.  Because the
+//! ids are positions, they are a pure function of tree shape — a query
+//! fanned out over 8 workers gets exactly the ids its single-threaded
+//! execution would have.
 //!
 //! # One record
 //!
-//! The tree is the only record of what a query *did*: opening, closing
-//! and annotating a span touch nothing but this thread's stack, so a
-//! fault-free query takes no shared observability lock: its finished
-//! root files into its own thread's ring.  What went *wrong* — faults,
-//! retries, failovers — is the journal's job ([`crate::event`]); a crash dump reads the
-//! crashing thread's open spans straight off this stack.
+//! The tree is the only record of what a query *did*, kept flat: each
+//! thread records into its own reused buffers — span records in open
+//! order (which is preorder, so a record's index + 1 is its span id),
+//! one field list, one text arena for names and string fields, and the
+//! stack of open indices.  Opening a span reads the clock and pushes a
+//! record, closing it reads the clock once more, and a guard writes
+//! fields to its own record.  A finished root hands its buffers to the
+//! thread's ring in exchange for the evicted tree's, cleared, so once
+//! the ring is full a query records without allocating or taking a
+//! shared lock.  [`SpanNode`] trees are built only when read.  What
+//! went *wrong* — faults, retries, failovers — is the journal's job
+//! ([`crate::event`]); a crash dump reads the crashing thread's open
+//! spans straight off its recorder.
 
 use qbism_check::sync::lock_or_recover;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -75,25 +83,22 @@ impl std::fmt::Display for FieldValue {
 /// A finished span: identity, name, wall time, fields and children.
 #[derive(Debug, Clone)]
 pub struct SpanNode {
-    /// Span name, e.g. `exec.scan` or `lfm.read`.  Borrowed for the
-    /// common literal names so opening a span does not allocate.
+    /// Span name, e.g. `exec.scan` or `lfm.read`.
     pub name: Cow<'static, str>,
     /// Wall-clock duration in seconds.
     pub seconds: f64,
     /// Microseconds since the process trace epoch when the span opened.
     pub start_micros: u64,
-    /// Owning trace; 0 until the tree is finalized (root finished).
+    /// Owning trace.
     pub trace_id: u64,
-    /// 1-based preorder position in the finished tree (1 = root);
-    /// 0 until finalized.
+    /// 1-based preorder position in the finished tree (1 = root).
     pub span_id: u64,
     /// `span_id` of the parent span; 0 for the root.
     pub parent_span_id: u64,
     /// Ordinal of the OS thread that executed the span
     /// ([`context::thread_ordinal`]).
     pub thread: u64,
-    /// Key-value annotations recorded while the span was open.  Keys are
-    /// static so recording a field costs one `Vec` push.
+    /// Key-value annotations recorded while the span was open.
     pub fields: Vec<(&'static str, FieldValue)>,
     /// Child spans, in open order.
     pub children: Vec<SpanNode>,
@@ -174,40 +179,244 @@ fn format_duration(seconds: f64) -> String {
     }
 }
 
-/// An open span frame on the thread-local stack.
-struct Frame {
-    name: Cow<'static, str>,
-    started: Instant,
-    start_micros: u64,
-    /// Capture sentinel pushed by [`capture_begin`]: collects a
-    /// parallel work item's subtrees for later replay and never becomes
-    /// a span itself.
-    capture: bool,
-    fields: Vec<(&'static str, FieldValue)>,
-    children: Vec<SpanNode>,
+/// "No span": the parent of a root, and the index of an inert guard.
+const NONE: usize = usize::MAX;
+
+/// A string kept in a tree's text arena: its byte range.
+#[derive(Debug, Clone, Copy)]
+struct Text {
+    at: usize,
+    len: usize,
 }
 
-impl Frame {
-    /// A frame opened at `started`: the one clock reading is both the
-    /// duration's origin and the epoch-relative start.
-    fn new(name: Cow<'static, str>, started: Instant, capture: bool) -> Frame {
-        Frame {
-            name,
-            started,
-            start_micros: context::micros_at(started),
-            capture,
-            fields: Vec::new(),
-            children: Vec::new(),
+/// A recorded field value; strings live in the tree's text arena.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Str(Text),
+}
+
+/// A field and the index of the span it annotates.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    span: usize,
+    key: &'static str,
+    value: Value,
+}
+
+/// One span of a flat tree.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    name: Text,
+    started: Instant,
+    /// Wall time, set when the span closes.
+    seconds: f64,
+    /// Index of the parent record, [`NONE`] for a top-level span.
+    parent: usize,
+    /// Ordinal of the OS thread that executed the span.
+    thread: u64,
+    /// Capture sentinel pushed by [`capture_begin`]: collects a
+    /// parallel work item's spans for later replay and never becomes
+    /// a span itself.
+    capture: bool,
+}
+
+/// A span tree in flat preorder: what a thread records into, what its
+/// ring keeps, and — with top-level spans of its own — a parallel work
+/// item's captured segment.
+#[derive(Debug, Default)]
+pub(crate) struct Tree {
+    /// Trace id of a finished root; 0 while recording a segment.
+    trace: u64,
+    spans: Vec<Record>,
+    fields: Vec<Field>,
+    text: String,
+}
+
+impl Tree {
+    /// Appends a span opened now under `parent`; returns its index.
+    fn push(&mut self, name: &str, parent: usize, thread: u64, capture: bool) -> usize {
+        let name = self.keep(name);
+        let started = context::host_now();
+        self.spans.push(Record { name, started, seconds: 0.0, parent, thread, capture });
+        self.spans.len() - 1
+    }
+
+    /// Copies `s` into the text arena.
+    fn keep(&mut self, s: &str) -> Text {
+        let at = self.text.len();
+        self.text.push_str(s);
+        Text { at, len: s.len() }
+    }
+
+    /// Copies `s` into the text arena, cut to at most 96 bytes (93 and
+    /// `...`) at a char boundary.
+    fn keep_cut(&mut self, s: &str) -> Text {
+        if s.len() <= 96 {
+            return self.keep(s);
+        }
+        let mut cut = 93;
+        while !s.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let kept = self.keep(&s[..cut]);
+        self.text.push_str("...");
+        Text { len: kept.len + 3, ..kept }
+    }
+
+    fn str(&self, t: Text) -> &str {
+        self.text.get(t.at..t.at + t.len).unwrap_or_default()
+    }
+
+    /// Whether the tree holds no span.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.trace = 0;
+        self.spans.clear();
+        self.fields.clear();
+        self.text.clear();
+    }
+
+    /// Copies the spans `range` of `src` (whole subtrees) and their
+    /// fields onto the end of this tree, spans whose parent lies
+    /// outside `range` going under `parent`.
+    fn append(&mut self, src: &Tree, range: Range<usize>, parent: usize) {
+        let (start, base) = (range.start, self.spans.len());
+        let rebase = |at: usize| at - start + base;
+        for rec in src.spans.get(range.clone()).unwrap_or_default() {
+            let name = self.keep(src.str(rec.name));
+            let parent = if range.contains(&rec.parent) { rebase(rec.parent) } else { parent };
+            self.spans.push(Record { name, parent, ..*rec });
+        }
+        for field in src.fields.iter().filter(|f| range.contains(&f.span)) {
+            let value = match field.value {
+                Value::Str(t) => Value::Str(self.keep(src.str(t))),
+                other => other,
+            };
+            self.fields.push(Field { span: rebase(field.span), key: field.key, value });
+        }
+    }
+
+    /// The tree rooted at the first span, as nodes with their ids.
+    fn build(&self) -> Option<SpanNode> {
+        let mut nodes: Vec<SpanNode> = (self.spans.iter().enumerate())
+            .map(|(at, rec)| SpanNode {
+                name: Cow::Owned(self.str(rec.name).to_owned()),
+                seconds: rec.seconds,
+                start_micros: context::micros_at(rec.started),
+                trace_id: self.trace,
+                span_id: at as u64 + 1,
+                parent_span_id: if rec.parent == NONE { 0 } else { rec.parent as u64 + 1 },
+                thread: rec.thread,
+                fields: Vec::new(),
+                children: Vec::new(),
+            })
+            .collect();
+        for field in &self.fields {
+            let value = match field.value {
+                Value::U64(v) => FieldValue::U64(v),
+                Value::I64(v) => FieldValue::I64(v),
+                Value::F64(v) => FieldValue::F64(v),
+                Value::Str(t) => FieldValue::Str(self.str(t).to_owned()),
+            };
+            if let Some(node) = nodes.get_mut(field.span) {
+                node.fields.push((field.key, value));
+            }
+        }
+        // Children follow their parent in preorder: folding from the
+        // back, every child has joined its parent (last child first)
+        // by the time the parent itself is folded.
+        while let Some(mut node) = nodes.pop() {
+            node.children.reverse();
+            let parent = self.spans.get(nodes.len()).map_or(NONE, |rec| rec.parent);
+            match nodes.get_mut(parent) {
+                Some(parent) => parent.children.push(node),
+                None => return Some(node),
+            }
+        }
+        None
+    }
+}
+
+/// A thread's recording state.
+struct Recorder {
+    tree: Tree,
+    /// Indices of the open spans, outermost first.
+    open: Vec<usize>,
+    /// Counts filed trees, so a guard that outlives its tree writes
+    /// nothing into the next one.
+    generation: u64,
+    /// [`context::thread_ordinal`], read on the first span.
+    thread: u64,
+}
+
+impl Recorder {
+    const fn new() -> Recorder {
+        Recorder {
+            tree: Tree { trace: 0, spans: Vec::new(), fields: Vec::new(), text: String::new() },
+            open: Vec::new(),
+            generation: 0,
+            thread: 0,
+        }
+    }
+
+    /// Opens a span under the innermost open one.
+    fn open_span(&mut self, name: &str, capture: bool) -> usize {
+        if self.thread == 0 {
+            self.thread = context::thread_ordinal();
+        }
+        let parent = self.open.last().copied().unwrap_or(NONE);
+        let at = self.tree.push(name, parent, self.thread, capture);
+        self.open.push(at);
+        at
+    }
+
+    /// Whether a guard's span is a record of the tree being recorded.
+    fn holds(&self, span: usize, generation: u64) -> bool {
+        generation == self.generation && span < self.tree.spans.len()
+    }
+
+    /// Closes `span` (and anything left open inside it); the last
+    /// close files the tree.
+    fn close(&mut self, span: usize, generation: u64) {
+        if generation != self.generation {
+            return;
+        }
+        let Some(at) = self.open.iter().rposition(|&open| open == span) else { return };
+        self.open.truncate(at);
+        if let Some(rec) = self.tree.spans.get_mut(span) {
+            rec.seconds = rec.started.elapsed().as_secs_f64();
+        }
+        if self.open.is_empty() {
+            self.finish();
+        }
+    }
+
+    /// Files the finished tree and takes back cleared buffers.
+    fn finish(&mut self) {
+        self.generation += 1;
+        if self.tree.trace == 0 {
+            self.tree.trace = context::mint_trace();
+        }
+        let done = std::mem::take(&mut self.tree);
+        if let Some(mut evicted) = file_root(done) {
+            evicted.clear();
+            self.tree = evicted;
         }
     }
 }
 
 /// One thread's finished roots, oldest first, each with its
 /// [`context::next_filing`] number.
-type Ring = Mutex<VecDeque<(u64, SpanNode)>>;
+type Ring = Mutex<VecDeque<(u64, Tree)>>;
 
 thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    static RECORDER: RefCell<Recorder> = const { RefCell::new(Recorder::new()) };
     /// This thread's ring, registered in [`RINGS`] when it first files.
     static OWN_RING: RefCell<OwnRing> = const { RefCell::new(OwnRing(None)) };
 }
@@ -217,161 +426,110 @@ thread_local! {
 /// belongs to a thread that has exited.
 static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 
+/// Runs `f` on this thread's recorder (not at all once the thread's
+/// locals are being torn down).
+fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
+    RECORDER.try_with(|r| f(&mut r.borrow_mut())).ok()
+}
+
 /// Guard for an open span; finishes (and files the result) on drop.
 ///
 /// Inert guards (tracing disabled, or [`span`] with no active parent)
-/// record nothing and cost only the construction check.
+/// record nothing and cost only the construction check.  A guard
+/// writes into its own thread's recorder, so it cannot be sent.
 #[must_use = "a span measures the scope of its guard"]
 pub struct SpanGuard {
-    live: bool,
-    /// Root spans push the finished tree to the global ring.
-    is_root: bool,
+    /// Index of this guard's record; [`NONE`] when inert.
+    span: usize,
+    /// The recorder generation the record belongs to.
+    generation: u64,
     /// Trace id this guard minted (0 when it joined an existing trace).
     minted: u64,
+    not_send: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
-    fn open(name: Cow<'static, str>, is_root: bool, minted: u64) -> SpanGuard {
-        let frame = Frame::new(name, context::host_now(), false);
-        STACK.with(|stack| stack.borrow_mut().push(frame));
-        SpanGuard { live: true, is_root, minted }
-    }
-
     fn inert() -> SpanGuard {
-        SpanGuard { live: false, is_root: false, minted: 0 }
+        SpanGuard { span: NONE, generation: 0, minted: 0, not_send: PhantomData }
     }
 
     /// Whether this guard is actually recording.
+    #[inline]
     pub fn is_recording(&self) -> bool {
-        self.live
+        self.span != NONE
     }
 
     /// Records an unsigned integer field on this span.
     pub fn record_u64(&self, key: &'static str, value: u64) {
-        self.record(key, FieldValue::U64(value));
+        self.record(key, |_| Value::U64(value));
     }
 
     /// Records a signed integer field on this span.
     pub fn record_i64(&self, key: &'static str, value: i64) {
-        self.record(key, FieldValue::I64(value));
+        self.record(key, |_| Value::I64(value));
     }
 
     /// Records a floating-point field on this span.
     pub fn record_f64(&self, key: &'static str, value: f64) {
-        self.record(key, FieldValue::F64(value));
+        self.record(key, |_| Value::F64(value));
     }
 
     /// Records a string field on this span, cut to at most 96 bytes
     /// (93 and `...`) at a char boundary before anything is copied.
     pub fn record_str(&self, key: &'static str, value: &str) {
-        if !self.live {
-            return;
-        }
-        let v = if value.len() > 96 {
-            let mut cut = 93;
-            while !value.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            format!("{}...", &value[..cut])
-        } else {
-            value.to_string()
-        };
-        self.record(key, FieldValue::Str(v));
+        self.record(key, |tree| Value::Str(tree.keep_cut(value)));
     }
 
-    fn record(&self, key: &'static str, value: FieldValue) {
-        if !self.live {
+    fn record(&self, key: &'static str, value: impl FnOnce(&mut Tree) -> Value) {
+        if self.span == NONE {
             return;
         }
-        STACK.with(|stack| {
-            if let Some(frame) = stack.borrow_mut().last_mut() {
-                frame.fields.push((key, value));
+        with_recorder(|r| {
+            if r.holds(self.span, self.generation) {
+                let value = value(&mut r.tree);
+                r.tree.fields.push(Field { span: self.span, key, value });
             }
         });
     }
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.live {
+        if self.span == NONE {
             return;
         }
-        let node = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let frame = stack.pop()?;
-            let seconds = frame.started.elapsed().as_secs_f64();
-            let node = SpanNode {
-                name: frame.name,
-                seconds,
-                start_micros: frame.start_micros,
-                trace_id: 0,
-                span_id: 0,
-                parent_span_id: 0,
-                thread: context::thread_ordinal(),
-                fields: frame.fields,
-                children: frame.children,
-            };
-            if let Some(parent) = stack.last_mut() {
-                parent.children.push(node);
-                None
-            } else {
-                Some(node)
-            }
-        });
-        if let Some(mut node) = node {
-            if self.is_root {
-                finalize_root(&mut node, self.minted);
-                file_root(node);
-            }
-        }
+        with_recorder(|r| r.close(self.span, self.generation));
         if self.minted != 0 {
             context::set_current_trace(0);
         }
     }
 }
 
-/// Stamps trace id, preorder span ids and parent links onto a finished
-/// tree.  `trace_id == 0` mints a fresh trace.
-fn finalize_root(node: &mut SpanNode, trace_id: u64) {
-    let trace = if trace_id != 0 { trace_id } else { context::mint_trace() };
-    let mut next = 0u64;
-    assign_ids(node, trace, 0, &mut next);
-}
-
-fn assign_ids(node: &mut SpanNode, trace: u64, parent: u64, next: &mut u64) {
-    *next += 1;
-    node.trace_id = trace;
-    node.span_id = *next;
-    node.parent_span_id = parent;
-    let me = *next;
-    for child in &mut node.children {
-        assign_ids(child, trace, me, next);
-    }
-}
-
 /// Slow-query check, then this thread's bounded ring — whose lock only
-/// a reader of every ring ever contends for.
-fn file_root(node: SpanNode) {
-    event::note_root_finished(&node);
-    let filed = (context::next_filing(), node);
-    // The evicted tree is freed here, on the thread that filed it, once
-    // the lock is released.  (A root finished while the thread's locals
-    // are being torn down has no ring left to file into.)
-    let _evicted = OWN_RING.try_with(|own| {
-        let mut own = own.borrow_mut();
-        let ring = own.0.get_or_insert_with(|| {
-            let ring = Arc::new(Ring::default());
-            lock_or_recover(&RINGS).push(Arc::clone(&ring));
-            ring
-        });
-        let mut ring = lock_or_recover(ring);
-        ring.push_back(filed);
-        if ring.len() > RING_CAPACITY {
-            ring.pop_front()
-        } else {
-            None
-        }
-    });
+/// a reader of every ring ever contends for.  Returns the tree the
+/// ring evicted, whose buffers the thread records into next.  (A root
+/// finished while the thread's locals are being torn down has no ring
+/// left to file into.)
+fn file_root(tree: Tree) -> Option<Tree> {
+    let seconds = tree.spans.first().map_or(0.0, |root| root.seconds);
+    event::note_root_finished(seconds, || tree.build());
+    let filed = (context::next_filing(), tree);
+    OWN_RING
+        .try_with(|own| {
+            let mut own = own.borrow_mut();
+            let ring = own.0.get_or_insert_with(|| {
+                let ring = Arc::new(Ring::default());
+                lock_or_recover(&RINGS).push(Arc::clone(&ring));
+                ring
+            });
+            let mut ring = lock_or_recover(ring);
+            let evicted = if ring.len() >= RING_CAPACITY { ring.pop_front() } else { None };
+            ring.push_back(filed);
+            evicted.map(|(_, tree)| tree)
+        })
+        .ok()
+        .flatten()
 }
 
 /// The calling thread's ring.  When the thread exits, the ring stays
@@ -405,95 +563,114 @@ impl Drop for OwnRing {
     }
 }
 
-/// Pushes a capture sentinel frame: spans opened on this thread until
-/// the matching [`capture_end`] nest under it instead of starting trees
-/// of their own.  Used by [`context::ForkHandle`] on worker threads.
+/// Opens a capture sentinel: spans opened on this thread until the
+/// matching [`capture_end`] nest under it instead of starting trees of
+/// their own.  Used by [`context::ForkHandle`] on worker threads.
 pub(crate) fn capture_begin() {
-    let frame = Frame::new(Cow::Borrowed("(capture)"), context::host_now(), true);
-    STACK.with(|stack| stack.borrow_mut().push(frame));
+    with_recorder(|r| r.open_span("(capture)", true));
 }
 
-/// Pops the capture sentinel and returns the subtrees it collected.
-pub(crate) fn capture_end() -> Vec<SpanNode> {
-    STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        match stack.pop() {
-            Some(frame) if frame.capture => frame.children,
-            Some(frame) => {
-                // Unbalanced (a guard leaked past its capture scope);
-                // restore and bail rather than corrupt the stack.
-                stack.push(frame);
-                Vec::new()
-            }
-            None => Vec::new(),
+/// Closes the capture sentinel and returns the spans it collected as a
+/// segment whose top-level spans were its children.
+pub(crate) fn capture_end() -> Tree {
+    with_recorder(|r| {
+        let sentinel = r.open.last().copied().unwrap_or(NONE);
+        if !r.tree.spans.get(sentinel).is_some_and(|rec| rec.capture) {
+            // Unbalanced (a guard leaked past its capture scope):
+            // bail rather than corrupt the recorder.
+            return Tree::default();
         }
+        r.open.pop();
+        let mut segment = Tree::default();
+        segment.append(&r.tree, sentinel + 1..r.tree.spans.len(), NONE);
+        r.tree.spans.truncate(sentinel);
+        r.tree.fields.retain(|f| f.span < sentinel);
+        if r.open.is_empty() {
+            r.tree.clear();
+        }
+        segment
     })
+    .unwrap_or_default()
 }
 
-/// Appends already-finished subtrees to the currently open span, in
-/// order — the replay half of cross-thread capture.  With no open span
-/// each subtree is finalized and filed as a root of its own.
-pub(crate) fn attach(nodes: Vec<SpanNode>) {
-    let leftover = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        if let Some(frame) = stack.last_mut() {
-            frame.children.extend(nodes);
-            None
-        } else {
-            Some(nodes)
+/// Appends a captured segment under the currently open span — the
+/// replay half of cross-thread capture.  With no open span each of its
+/// top-level subtrees is filed as a root of its own.
+pub(crate) fn attach(segment: &Tree) {
+    with_recorder(|r| {
+        let all = 0..segment.spans.len();
+        if let Some(&open) = r.open.last() {
+            r.tree.append(segment, all, open);
+            return;
+        }
+        let tops: Vec<usize> = (segment.spans.iter().enumerate())
+            .filter_map(|(at, rec)| (rec.parent == NONE).then_some(at))
+            .collect();
+        for (k, &top) in tops.iter().enumerate() {
+            let end = tops.get(k + 1).copied().unwrap_or(segment.spans.len());
+            r.tree.append(segment, top..end, NONE);
+            r.finish();
         }
     });
-    if let Some(nodes) = leftover {
-        for mut node in nodes {
-            finalize_root(&mut node, 0);
-            file_root(node);
-        }
-    }
 }
 
 /// Opens a span that starts a new tree when no span is active on this
 /// thread (the finished tree is kept in the recent-roots ring), or
 /// nests under the active span otherwise.  A true root mints the
-/// thread's current trace id.
-///
-/// Accepts `&'static str` (no allocation) or an owned `String` for
-/// dynamic names.
-pub fn root(name: impl Into<Cow<'static, str>>) -> SpanGuard {
+/// thread's current trace id.  The name is copied into the thread's
+/// reused text arena.
+//
+// `root`, `span` and the guard's drop are inlined across crates: called
+// out of line, they left band extraction ~7 % slower with recording on
+// or off (the LFM read path's code layout).
+#[inline]
+pub fn root(name: &str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard::inert();
     }
-    let has_parent = STACK.with(|stack| !stack.borrow().is_empty());
-    let minted = if has_parent {
-        0
-    } else {
-        let id = context::mint_trace();
-        context::set_current_trace(id);
-        id
-    };
-    SpanGuard::open(name.into(), !has_parent, minted)
+    with_recorder(|r| {
+        let minted = if r.open.is_empty() {
+            context::pin_epoch();
+            let id = context::mint_trace();
+            context::set_current_trace(id);
+            r.tree.trace = id;
+            id
+        } else {
+            0
+        };
+        let span = r.open_span(name, false);
+        SpanGuard { span, generation: r.generation, minted, not_send: PhantomData }
+    })
+    .unwrap_or_else(SpanGuard::inert)
 }
 
 /// Opens a child span under the currently active span.  When no span is
 /// active (or tracing is disabled) the guard is inert — interior layers
 /// like the LFM can instrument unconditionally without ever starting
 /// trees of their own.
-pub fn span(name: impl Into<Cow<'static, str>>) -> SpanGuard {
+#[inline]
+pub fn span(name: &str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard::inert();
     }
-    let has_parent = STACK.with(|stack| !stack.borrow().is_empty());
-    if !has_parent {
-        return SpanGuard::inert();
-    }
-    SpanGuard::open(name.into(), false, 0)
+    with_recorder(|r| {
+        if r.open.is_empty() {
+            return SpanGuard::inert();
+        }
+        let span = r.open_span(name, false);
+        SpanGuard { span, generation: r.generation, minted: 0, not_send: PhantomData }
+    })
+    .unwrap_or_else(SpanGuard::inert)
 }
 
 /// Names of the spans open on the calling thread, outermost first —
 /// what a crash dump records of the query in flight.
 pub(crate) fn open_span_names() -> Vec<String> {
-    STACK.with(|stack| {
-        stack.borrow().iter().filter(|f| !f.capture).map(|f| f.name.to_string()).collect()
+    with_recorder(|r| {
+        let open = r.open.iter().filter_map(|&at| r.tree.spans.get(at));
+        open.filter(|rec| !rec.capture).map(|rec| r.tree.str(rec.name).to_owned()).collect()
     })
+    .unwrap_or_default()
 }
 
 /// The root span tree the calling thread finished most recently, if
@@ -503,7 +680,7 @@ pub fn last_root() -> Option<SpanNode> {
         .try_with(|own| {
             let own = own.borrow();
             let ring = lock_or_recover(own.0.as_ref()?);
-            ring.back().map(|(_, node)| node.clone())
+            ring.back().and_then(|(_, tree)| tree.build())
         })
         .ok()
         .flatten()
@@ -513,8 +690,11 @@ pub fn last_root() -> Option<SpanNode> {
 /// [`RING_CAPACITY`] per thread).
 pub fn recent_roots() -> Vec<SpanNode> {
     let rings = lock_or_recover(&RINGS).clone();
-    let mut filed: Vec<(u64, SpanNode)> =
-        rings.iter().flat_map(|ring| lock_or_recover(ring).clone()).collect();
+    let mut filed: Vec<(u64, SpanNode)> = Vec::new();
+    for ring in &rings {
+        let ring = lock_or_recover(ring);
+        filed.extend(ring.iter().filter_map(|(at, tree)| Some((*at, tree.build()?))));
+    }
     filed.sort_unstable_by_key(|&(at, _)| at);
     filed.into_iter().map(|(_, node)| node).collect()
 }
@@ -574,6 +754,119 @@ mod tests {
         assert_eq!(lfm.field("pages"), Some(&FieldValue::U64(29)));
         // Parent durations cover child durations.
         assert!(tree.seconds >= ex.seconds);
+    }
+
+    /// A guard annotates its own span, whichever span is innermost.
+    #[test]
+    fn fields_land_on_the_guards_own_span() {
+        let _g = crate::test_lock();
+        clear();
+        {
+            let q = root("query.own_fields");
+            let child = span("exec.select");
+            q.record_u64("on_root", 1);
+            child.record_u64("on_child", 2);
+            drop(child);
+            q.record_str("after", "x");
+        }
+        let tree = last_root().expect("root retained");
+        assert_eq!(tree.field("on_root"), Some(&FieldValue::U64(1)));
+        assert_eq!(tree.field("after"), Some(&FieldValue::Str("x".to_string())));
+        let child = &tree.children[0];
+        assert_eq!(child.field("on_child"), Some(&FieldValue::U64(2)));
+        assert_eq!(child.fields.len(), 1, "{:?}", child.fields);
+    }
+
+    /// One tree of the structure query's shape: 11 spans, dynamic
+    /// names, a nested root, an `sql` field cut at 96 bytes.
+    fn structure_shaped(tables: &[String], sql: &str) {
+        let q = root("query.structure");
+        q.record_str("structure", "ntal");
+        {
+            let db = root("db.execute");
+            db.record_str("sql", sql);
+            let select = span("exec.select");
+            for table in tables {
+                let join = span(table);
+                join.record_u64("rows_in", 12);
+                join.record_u64("rows_out", 1);
+            }
+            {
+                let project = span("exec.project");
+                let udf = span("udf.extractvoxels");
+                for pages in [29, 3] {
+                    let lfm = span("lfm.read");
+                    lfm.record_u64("pages", pages);
+                    lfm.record_u64("extents", 2);
+                    lfm.record_f64("sim_disk_s", 0.5);
+                }
+                drop(udf);
+                project.record_u64("rows", 1);
+            }
+            select.record_u64("rows_scanned", 3);
+            select.record_u64("rows_out", 1);
+        }
+        span("net.ship").record_u64("wire_bytes", 4096);
+        for key in ["lfm_pages_read", "rows_scanned", "wire_bytes", "messages"] {
+            q.record_u64(key, 7);
+        }
+        q.record_i64("delta", -1);
+        q.record_f64("sim_db_s", 0.25);
+    }
+
+    /// Every buffer the calling thread records into or keeps in its
+    /// ring, as (address, capacity).
+    fn storage() -> Vec<(usize, usize)> {
+        fn of(tree: &Tree, out: &mut Vec<(usize, usize)>) {
+            out.push((tree.spans.as_ptr() as usize, tree.spans.capacity()));
+            out.push((tree.fields.as_ptr() as usize, tree.fields.capacity()));
+            out.push((tree.text.as_ptr() as usize, tree.text.capacity()));
+        }
+        let mut out = Vec::new();
+        RECORDER.with(|r| {
+            let r = r.borrow();
+            of(&r.tree, &mut out);
+            out.push((r.open.as_ptr() as usize, r.open.capacity()));
+        });
+        OWN_RING.with(|own| {
+            let own = own.borrow();
+            let ring = lock_or_recover(own.0.as_ref().expect("this thread filed"));
+            out.push((0, ring.capacity()));
+            ring.iter().for_each(|(_, tree)| of(tree, &mut out));
+        });
+        out.sort_unstable();
+        out
+    }
+
+    /// Once the ring is full, recording a tree reuses the buffers of
+    /// the tree it evicts: no buffer is allocated, grown or freed.
+    #[test]
+    fn recording_reuses_its_storage() {
+        let _g = crate::test_lock();
+        clear();
+        let tables: Vec<String> = ["warpedvolume", "atlasstructure", "neuralstructure"]
+            .iter()
+            .enumerate()
+            .map(|(k, t)| format!("exec.{} {t}", if k == 0 { "scan" } else { "hash_join" }))
+            .collect();
+        let sql = format!("select extractVoxels(wv.data, {})", "x".repeat(200));
+        // One past full: the recorder then holds an evicted tree's buffers.
+        for _ in 0..=RING_CAPACITY {
+            structure_shaped(&tables, &sql);
+        }
+        let before = storage();
+        for _ in 0..1_000 {
+            structure_shaped(&tables, &sql);
+        }
+        assert_eq!(storage(), before);
+        let tree = last_root().expect("root retained");
+        assert_eq!(tree.span_count(), 11);
+        assert_eq!(tree.find("exec.hash_join neuralstructure").map(|n| n.span_id), Some(6));
+        match tree.find("db.execute").and_then(|n| n.field("sql")) {
+            Some(FieldValue::Str(sql)) => assert_eq!(sql.len(), 96),
+            other => panic!("sql field: {other:?}"),
+        }
+        clear();
     }
 
     #[test]

@@ -157,15 +157,7 @@ fn run_joins<'a>(
             )));
         }
         let right_rows = table.rows();
-        let span = if qbism_obs::enabled() {
-            trace::span(match stage.join {
-                JoinStrategy::Scan => format!("exec.scan {}", tref.table),
-                JoinStrategy::Hash { .. } => format!("exec.hash_join {}", tref.table),
-                JoinStrategy::NestedLoop => format!("exec.nested_loop {}", tref.table),
-            })
-        } else {
-            trace::span("exec.join")
-        };
+        let span = trace::span(&stage.span_name);
         let lefts = acc.len().checked_div(k).unwrap_or(0);
         let filter =
             |row: &'a [Value]| passes(&stage.filters, &Row { row, start: left_width }, ctx);

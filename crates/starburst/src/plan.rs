@@ -49,6 +49,8 @@ pub struct Stage {
     /// Conjuncts that also read an earlier table: tested once per tuple
     /// the join emits.
     pub predicates: Vec<Expr>,
+    /// The stage's span name, e.g. `exec.hash_join intensityband`.
+    pub(crate) span_name: String,
 }
 
 /// A bound, planned SELECT: everything execution needs but the rows
@@ -242,7 +244,7 @@ pub fn plan_select(mut select: Select, catalog: &Catalog) -> Result<SelectPlan> 
 
     let mut stages: Vec<Stage> = Vec::with_capacity(widths.len());
     let mut bound_width = 0;
-    for &width in &widths {
+    for (&width, tref) in widths.iter().zip(&select.from) {
         // Conjuncts that become fully bound at this stage.
         let (bound, rest): (Vec<Expr>, Vec<Expr>) =
             remaining.into_iter().partition(|c| within(c, width));
@@ -273,7 +275,13 @@ pub fn plan_select(mut select: Select, catalog: &Catalog) -> Result<SelectPlan> 
             }
         }
         let (predicates, filters) = unkeyed.into_iter().partition(|c| reads_below(c, bound_width));
-        stages.push(Stage { join, filters, predicates });
+        let op = match join {
+            JoinStrategy::Scan => "scan",
+            JoinStrategy::Hash { .. } => "hash_join",
+            JoinStrategy::NestedLoop => "nested_loop",
+        };
+        let span_name = format!("exec.{op} {}", tref.table);
+        stages.push(Stage { join, filters, predicates, span_name });
         bound_width = width;
     }
     let params = scope.params;

@@ -71,16 +71,12 @@ impl UdfRegistry {
             .get(name)
             .or_else(|| self.fns.get(&name.to_ascii_lowercase()))
             .ok_or_else(|| DbError::Binding(format!("no such function: {name}")))?;
-        if qbism_obs::enabled() {
-            let span = qbism_obs::trace::span(entry.span_name.clone());
-            let out = (entry.f)(ctx, args);
-            if let Err(e) = &out {
-                span.record_str("error", &e.to_string());
-            }
-            out
-        } else {
-            (entry.f)(ctx, args)
+        let span = qbism_obs::trace::span(&entry.span_name);
+        let out = (entry.f)(ctx, args);
+        if let (Err(e), true) = (&out, span.is_recording()) {
+            span.record_str("error", &e.to_string());
         }
+        out
     }
 
     /// Registered function names, sorted.

@@ -441,3 +441,65 @@ fn disabling_observability_stops_recording() {
     assert!(answer.voxel_count() > 0);
     assert!(after <= before, "disabled query grew the ring");
 }
+
+/// Each query class's tree at `small_test()`: spans, fields over the
+/// whole tree, and span names in preorder.  A moved count means a span
+/// or field was dropped, renamed or added: re-record it with a reason.
+#[rustfmt::skip]
+const SPANS_PER_QUERY: [(&str, usize, usize, &[&str]); 7] = [
+    ("full_study", 9, 21, &["query.full_study", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.project", "udf.fullregion", "udf.extractvoxels", "lfm.read", "net.ship"]),
+    ("box", 9, 21, &["query.box", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.project", "udf.boxregion", "udf.extractvoxels", "lfm.read", "net.ship"]),
+    ("structure", 11, 30, &["query.structure", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "net.ship"]),
+    ("band", 10, 29, &["query.band", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join intensityband", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "net.ship"]),
+    ("band_in_structure", 14, 38, &["query.band_in_structure", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join intensityband", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.intersection", "lfm.read", "lfm.read", "udf.extractvoxels", "lfm.read", "net.ship"]),
+    ("multi_study_band", 15, 38, &["query.multi_study_band", "db.execute", "exec.select", "exec.scan intensityband", "exec.project", "db.read_long_field", "lfm.read", "db.execute", "exec.select", "exec.scan intensityband", "exec.project", "db.read_long_field", "lfm.read", "query.fold_band_regions", "net.ship"]),
+    ("population_average", 21, 49, &["query.population_average", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "query.voxel_mean", "net.ship"]),
+];
+
+/// Preorder span names of a finished tree.
+fn preorder_names<'a>(node: &'a SpanNode, out: &mut Vec<&'a str>) {
+    out.push(&node.name);
+    for child in &node.children {
+        preorder_names(child, out);
+    }
+}
+
+/// Fields recorded over a whole tree.
+fn field_count(node: &SpanNode) -> usize {
+    node.fields.len() + node.children.iter().map(field_count).sum::<usize>()
+}
+
+/// What one query of each class records is an exact count, read off
+/// the tree the calling thread finished.
+#[test]
+fn spans_per_query_are_an_exact_count() {
+    let _g = serialize();
+    let sys = install();
+    let (server, studies) = (&sys.server, &sys.pet_study_ids);
+    let study = studies[0];
+    let run = |class: &str| match class {
+        "full_study" => drop(server.full_study(study).expect("full_study")),
+        "box" => drop(server.box_data(study, [2, 2, 2], [9, 9, 9]).expect("box")),
+        "structure" => drop(server.structure_data(study, "ntal").expect("structure")),
+        "band" => drop(server.band_data(study, 32, 63).expect("band")),
+        "band_in_structure" => {
+            drop(server.band_in_structure(study, 224, 255, "ntal1").expect("band_in_structure"))
+        }
+        "multi_study_band" => {
+            drop(server.multi_study_band_region(studies, 32, 63).expect("multi_study_band"))
+        }
+        "population_average" => {
+            drop(server.population_average(studies, "ntal").expect("population_average"))
+        }
+        other => panic!("no query class {other}"),
+    };
+    for (class, spans, fields, names) in SPANS_PER_QUERY {
+        run(class);
+        let tree = qbism_obs::trace::last_root().expect("the query's tree");
+        let mut preorder = Vec::new();
+        preorder_names(&tree, &mut preorder);
+        assert_eq!(preorder, names, "{class}:\n{}", tree.render_tree());
+        assert_eq!(tree.span_count(), spans, "{class}");
+        assert_eq!(field_count(&tree), fields, "{class}:\n{}", tree.render_tree());
+    }
+}
