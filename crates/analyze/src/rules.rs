@@ -86,7 +86,7 @@ pub struct Rule {
 }
 
 /// Crates ported to the `qbism_check::sync` facade.
-pub const FACADE_CRATES: &[&str] = &["parallel", "lfm", "netsim", "fault", "core", "cluster"];
+pub const FACADE_CRATES: &[&str] = &["lfm", "netsim", "fault", "core", "cluster"];
 /// The crate that implements the facade over raw `std::sync`: neither a
 /// `raw-sync` target nor a lock-order client.
 pub const FACADE_IMPL_CRATE: &str = "check";

@@ -18,12 +18,13 @@ fn find_failure<F: Fn() + Sync>(f: F) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Fixture 1: the parallel executor's claim counter.
+// Fixture 1: a work-claiming counter.
 //
-// Real protocol (crates/parallel): a shared atomic hands out slot
-// indices with fetch_add, and each slot's payload lives behind its own
-// mutex — the mutex provides the happens-before edge, so the counter
-// itself can be Relaxed.  Broken variant A replaces the atomic RMW with
+// The protocol (once the per-study fan-out executor's, kept as a
+// checker self-test): a shared atomic hands out slot indices with
+// fetch_add, and each slot's payload lives behind its own mutex — the
+// mutex provides the happens-before edge, so the counter itself can be
+// Relaxed.  Broken variant A replaces the atomic RMW with
 // a load+store pair, so two workers can claim the same slot.  Broken
 // variant B drops the mutex and publishes the payload through a plain
 // cell with only Relaxed ordering, losing the happens-before edge.
@@ -66,7 +67,7 @@ fn fixed_claim_counter_fetch_add_passes() {
                 let slots = Arc::clone(&slots);
                 s.spawn(move || {
                     // Fixed: atomic RMW; the slot mutex supplies the
-                    // happens-before edge, exactly as in crates/parallel.
+                    // happens-before edge.
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i < slots.len() {
                         let taken = slots[i].lock_or_recover().take();

@@ -6,8 +6,8 @@
 //! sub-queries plus an ordered gather.  This crate runs that shape over
 //! N shard servers — each a complete [`qbism::MedicalServer`] installed
 //! from the same configuration and seed, so every replica's bytes are
-//! identical — with a [`ClusterWarehouse`] router that fans sub-queries
-//! out over `qbism-parallel`'s executor and reduces in study order.
+//! identical — with a [`ClusterWarehouse`] router that routes each
+//! study's sub-query in study order and reduces in the same order.
 //! Membership is fixed at install; study `s` is tried on shards
 //! `(s + i) mod N` for `i < min(k, N)`.
 //!
@@ -32,6 +32,8 @@
 
 #![forbid(unsafe_code)]
 
+#[doc(hidden)]
+pub mod compat;
 mod router;
 mod shard;
 

@@ -1,5 +1,5 @@
-//! The scatter/gather router: ring-order fan-out over the replica set,
-//! ordered reduce, and per-attempt read failover.
+//! The scatter/gather router: per-study routing over the replica set in
+//! study order, ordered reduce, and per-attempt read failover.
 //!
 //! Cost discipline, which is the whole point:
 //!
@@ -14,10 +14,10 @@
 //!   logically the answer crosses the wire once, router→client, exactly
 //!   as the single-node server ships it.
 //! * The reduce folds per-study costs in study order, so every
-//!   deterministic column is identical at any shard count, thread
-//!   count, and under any single-replica fault.  It is the single-node
-//!   server's own reduce (`qbism::server::reduce_*_stages`), fed routed
-//!   stages instead of local ones.
+//!   deterministic column is identical at any shard count and under any
+//!   single-replica fault.  It is the single-node server's own reduce
+//!   (`qbism::server::reduce_*_stages`), fed routed stages instead of
+//!   local ones.
 
 use crate::shard::Shard;
 use crate::{ClusterError, Result};
@@ -28,12 +28,11 @@ use qbism_check::sync::{AtomicU64, Ordering};
 use qbism_fault::{sites, FaultOutcome};
 use qbism_netsim::{EndpointChannels, NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::{event, trace};
-use qbism_parallel::Executor;
 use qbism_region::{Region, RegionCodec};
 
 /// One study's sub-query on a shard's server: the single-node
 /// per-study stage.
-type Stage<'a, T> = dyn Fn(&MedicalServer, i64) -> StudyStage<T> + Sync + 'a;
+type Stage<'a, T> = dyn Fn(&MedicalServer, i64) -> StudyStage<T> + 'a;
 
 /// A population-aggregate answer from the sharded warehouse.  Each
 /// skipped study lost *all* of its replicas, so each `skipped` entry is
@@ -91,7 +90,6 @@ pub struct ClusterWarehouse {
     shards: Vec<Shard>,
     replication: usize,
     studies: Vec<i64>,
-    threads: usize,
     chan: SharedRpcChannel,
     endpoints: EndpointChannels,
     counters: ClusterCounters,
@@ -111,11 +109,10 @@ impl ClusterWarehouse {
             [system.pet_study_ids.as_slice(), &system.mri_study_ids].concat()
         });
         Ok(ClusterWarehouse {
-            codec: config.region_codec,
+            codec: config.stored_codec(),
             shards,
             replication: replication.max(1),
             studies,
-            threads: 1,
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
             endpoints: EndpointChannels::new(shard_count, NetworkModel::TESTBED_1994)
                 .with_fault_site(sites::CLUSTER_ROUTE_DROP),
@@ -160,11 +157,6 @@ impl ClusterWarehouse {
     )]
     pub fn reference_server(&self) -> &MedicalServer {
         self.shards[0].server()
-    }
-
-    /// Sets the router's fan-out width (studies per worker claim).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Marks a shard down by hand (drills, benches).  Returns whether
@@ -214,10 +206,10 @@ impl ClusterWarehouse {
     // Query classes
     // ----------------------------------------------------------------
 
-    /// The population aggregate, fanned over the shards: identical
+    /// The population aggregate, routed over the shards: identical
     /// answer and deterministic cost columns to
-    /// [`qbism::MedicalServer::population_average`] at any shard count,
-    /// thread count, and under any single-replica fault.
+    /// [`qbism::MedicalServer::population_average`] at any shard count
+    /// and under any single-replica fault.
     pub fn population_average(
         &self,
         study_ids: &[i64],
@@ -230,7 +222,6 @@ impl ClusterWarehouse {
         span.record_u64("studies", study_ids.len() as u64);
         span.record_str("structure", structure);
         span.record_u64("shards", self.shards.len() as u64);
-        span.record_u64("threads", self.threads as u64);
         let stage = |server: &MedicalServer, id| server.population_stage(id, structure);
         let per_study = self.scatter(study_ids, &stage, data_region_wire_size);
         // A lost study (all replicas down) becomes a typed skipped
@@ -246,7 +237,7 @@ impl ClusterWarehouse {
         Ok(answer)
     }
 
-    /// The multi-study band intersection, fanned over the shards:
+    /// The multi-study band intersection, routed over the shards:
     /// identical answer and deterministic cost columns to
     /// [`qbism::MedicalServer::multi_study_band_region`].  The first
     /// study (in study order) whose every replica fails decides the
@@ -265,12 +256,11 @@ impl ClusterWarehouse {
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
         span.record_u64("shards", self.shards.len() as u64);
-        span.record_u64("threads", self.threads as u64);
         let stage = |server: &MedicalServer, id| server.band_region_stage(id, lo, hi);
         let fetched = self.scatter(study_ids, &stage, |bytes| bytes.len() as u64);
         // Gather on the router with the single-node server's own fold,
         // so the answer and its wire size are the server's in every
-        // tablespace mode.  (The router has no LFM of its own to credit
+        // stored codec.  (The router has no LFM of its own to credit
         // the fold's skips to.)
         let (mut cost, fold) = reduce_band_stages(fetched, self.codec, ClusterError::Gather)?;
         span.record_u64("decode_skips", fold.decode_skips);
@@ -284,24 +274,22 @@ impl ClusterWarehouse {
     // Internals
     // ----------------------------------------------------------------
 
-    /// Fans `stage` out over the studies, each routed to a replica that
-    /// serves it (`wire` sizes the answer leg), and returns the routed
-    /// stages in study order.  Each worker re-arms the caller's fault
-    /// plane, so injected schedules stay in force inside the pool.
-    fn scatter<T: Send>(
+    /// Runs `stage` for each study in order, each routed to a replica
+    /// that serves it (`wire` sizes the answer leg), and returns the
+    /// routed stages in study order.
+    fn scatter<T>(
         &self,
         study_ids: &[i64],
         stage: &Stage<'_, T>,
-        wire: impl Fn(&T) -> u64 + Sync,
+        wire: impl Fn(&T) -> u64,
     ) -> Vec<StudyStage<T, ClusterError>> {
-        let plane = qbism_fault::current();
-        Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
-            let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
-            match self.route(id, stage, &wire) {
+        study_ids
+            .iter()
+            .map(|&id| match self.route(id, stage, &wire) {
                 Ok((value, cost)) => StudyStage { cost, outcome: Ok(value) },
                 Err(e) => StudyStage { cost: QueryCost::default(), outcome: Err(e) },
-            }
-        })
+            })
+            .collect()
     }
 
     /// Routes one study's sub-query around the ring of its replicas,
@@ -319,8 +307,8 @@ impl ClusterWarehouse {
         let mut prev: Option<u64> = None;
         for &sid in &owners {
             if let Some(from) = prev {
-                // Recorded here, inside the adopted worker context, so
-                // the failover lands in the owning query's trace.
+                // Recorded on the query's thread, so the failover lands
+                // in the owning query's trace.
                 event::failover(study, from, sid);
                 self.counters.failovers.fetch_add(1, Ordering::Relaxed);
             }
@@ -356,7 +344,7 @@ impl ClusterWarehouse {
         }
         if qbism_fault::inject(sites::CLUSTER_SHARD_KILL).is_some() {
             // Any outcome at the kill site downs the shard; racing
-            // workers transition it exactly once.
+            // clients transition it exactly once.
             self.mark_down(shard);
             return Err(ClusterError::ShardKilled { shard: sid });
         }

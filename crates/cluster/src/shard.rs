@@ -40,7 +40,7 @@ impl ShardState {
     }
 
     /// Marks the shard down; returns true only for the transition, so
-    /// racing workers down a shard exactly once (one `shard_down`
+    /// racing clients down a shard exactly once (one `shard_down`
     /// event, one counter bump).
     pub fn mark_down(&self) -> bool {
         self.healthy.compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire).is_ok()

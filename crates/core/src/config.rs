@@ -17,9 +17,10 @@ pub struct QbismConfig {
     /// Linearization for VOLUMEs and REGIONs (paper: Hilbert; Table 4
     /// compares Morton).
     pub curve: CurveKind,
-    /// The stored REGION layout (paper Section 6 default: naive runs),
-    /// which the multi-study fold also ships its answer in; a REGION an
-    /// operator computes is a typed value and is never encoded.
+    /// The stored REGION layout (paper Section 6 default: naive runs;
+    /// [`RegionCodec::K3Tree`] is the compact, queryable one), which the
+    /// multi-study fold also ships its answer in; a REGION an operator
+    /// computes is a typed value and is never encoded.
     pub region_codec: RegionCodec,
     /// Master seed for all synthetic data.
     pub seed: u64,
@@ -35,12 +36,10 @@ pub struct QbismConfig {
     pub pet_blobs: usize,
     /// Long-field device capacity in bytes.
     pub device_capacity: u64,
-    /// Compressed tablespace: when `true`, atlas-structure and band
-    /// REGIONs persist in the k³ layout ([`RegionCodec::K3Tree`]) and
-    /// the server merges them in the compressed domain — what
-    /// `region_codec: K3Tree` stores too.  `false` (the default
-    /// everywhere) keeps `region_codec`, so the paper's storage layout
-    /// and every deterministic tablegen column stay byte-identical.
+    /// A second name for `region_codec: K3Tree`, kept because
+    /// `benchmark/src/target.rs` sets it in a struct literal; only
+    /// [`QbismConfig::stored_codec`] reads it.
+    #[doc(hidden)]
     pub compressed_tablespace: bool,
 }
 
@@ -95,11 +94,15 @@ impl QbismConfig {
         }
     }
 
-    /// The same installation with the compressed tablespace switched
-    /// on: REGIONs persist compact and merge in the compressed domain.
-    pub fn with_compressed_tablespace(mut self) -> Self {
-        self.compressed_tablespace = true;
-        self
+    /// The layout REGION long fields are stored in: `region_codec`, or
+    /// [`RegionCodec::K3Tree`] when the hidden `compressed_tablespace`
+    /// field is set.
+    pub fn stored_codec(&self) -> RegionCodec {
+        if self.compressed_tablespace {
+            RegionCodec::K3Tree
+        } else {
+            self.region_codec
+        }
     }
 
     /// Checks the values the loader and the server compute with, once,

@@ -49,6 +49,8 @@
 )]
 #![warn(missing_docs)]
 
+#[doc(hidden)]
+pub mod compat;
 mod config;
 pub mod loader;
 pub mod ops;

@@ -16,7 +16,7 @@ use crate::Result;
 use qbism_phantom::{
     build_atlas, demographics, Modality, MriField, PetField, PhantomAtlas, StudyGenerator,
 };
-use qbism_region::{GridGeometry, Region};
+use qbism_region::{GridGeometry, Region, RegionCodec};
 
 use qbism_render::extract_surface;
 use qbism_starburst::{Database, DbError, Value};
@@ -155,15 +155,17 @@ impl QbismSystem {
     }
 }
 
-/// Persists a REGION long field per the configured tablespace: the
-/// configured codec by default, the k³ layout when the compressed
-/// tablespace is on.
+/// Persists a REGION long field in the stored codec.  A k³ field is
+/// marked compressed in the LFM, so its reads count toward
+/// `qbism_lfm_compressed_pages_read_total` and open an
+/// `lfm.compressed_scan` span.
 fn store_region(db: &mut Database, config: &QbismConfig, region: &Region) -> Result<Value> {
-    if config.compressed_tablespace {
-        Ok(db.create_long_field_compressed(&qbism_region::encode_compressed(region)?)?)
-    } else {
-        Ok(db.create_long_field(&config.region_codec.encode(region)?)?)
-    }
+    let codec = config.stored_codec();
+    let bytes = codec.encode(region)?;
+    Ok(match codec {
+        RegionCodec::K3Tree => db.create_long_field_compressed(&bytes)?,
+        _ => db.create_long_field(&bytes)?,
+    })
 }
 
 /// Registers the geometry-literal helpers the MedicalServer's generated

@@ -404,8 +404,8 @@ mod tests {
         }
     }
 
-    /// A REGION with codec tag 4 — the skip-block run list the
-    /// compressed tablespace once fell back to, `[(9, 9), (448, 511)]`
+    /// A REGION with codec tag 4 — the skip-block run list k³ storage
+    /// once fell back to, `[(9, 9), (448, 511)]`
     /// on the 8³ grid.
     fn former_run_list() -> Vec<u8> {
         let mut bytes = vec![0x52, 0x51, 0x04, 0x00, 0x03, 0x03, 0x02, 0x00, 0x00, 0x00];

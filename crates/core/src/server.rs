@@ -22,7 +22,6 @@ use crate::{QbismError, Result};
 use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
 use qbism_netsim::{NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::trace;
-use qbism_parallel::Executor;
 use qbism_region::{kernel, GridGeometry, Region, RegionCodec};
 use qbism_starburst::{Database, Prepared, Value};
 use qbism_volume::{DataRegion, Volume};
@@ -288,14 +287,13 @@ impl Statements {
 /// [`SharedRpcChannel`], and the LFM's counters sit behind their own
 /// locks — so any number of client threads may run queries against one
 /// shared server concurrently.  Mutation (loading data, reconfiguring
-/// the cache or the fan-out width) still requires `&mut self`, which
-/// the borrow checker keeps disjoint from in-flight queries.
+/// the cache) still requires `&mut self`, which the borrow checker
+/// keeps disjoint from in-flight queries.
 pub struct MedicalServer {
     db: Database,
     config: QbismConfig,
     disk: DiskModel,
     chan: SharedRpcChannel,
-    threads: usize,
     statements: Statements,
 }
 
@@ -310,27 +308,12 @@ impl MedicalServer {
             config,
             disk: DiskModel::RS6000_1994,
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
-            threads: 1,
         })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &QbismConfig {
         &self.config
-    }
-
-    /// Fan-out width for the multi-study query classes (default 1,
-    /// which runs them inline exactly as the sequential engine does).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the fan-out width for multi-study queries.  Answers and
-    /// every deterministic [`QueryCost`] field are identical at any
-    /// width: workers claim whole studies and the reduce folds results
-    /// in study order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Reconfigures the LFM page cache (disabled by default, keeping
@@ -464,12 +447,11 @@ impl MedicalServer {
     /// intersection of stored band REGIONs.
     ///
     /// Each study's band REGION is fetched by its own single-table
-    /// query (a per-study stage the executor fans out over
-    /// [`MedicalServer::set_threads`] workers); the intersection is
-    /// then folded innermost-last — exactly the shape the nested
+    /// query, in study order; the intersection is then folded
+    /// innermost-last — exactly the shape the nested
     /// `intersection(b1.region, intersection(..))` select list produced
     /// when this ran as one n-way join, so answers, I/O counts, row
-    /// scans and wire bytes are unchanged, at any thread count.
+    /// scans and wire bytes are unchanged.
     pub fn multi_study_band_region(
         &self,
         study_ids: &[i64],
@@ -480,15 +462,9 @@ impl MedicalServer {
         span.record_u64("studies", study_ids.len() as u64);
         span.record_u64("lo", u64::from(lo));
         span.record_u64("hi", u64::from(hi));
-        span.record_u64("threads", self.threads as u64);
-        let plane = qbism_fault::current();
-        // The executor forks the trace context: worker-side spans land
-        // inside this query's tree, in study order, at any thread count.
-        let fetched = Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
-            let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
-            self.band_region_stage(id, lo, hi)
-        });
-        let (mut cost, fold) = reduce_band_stages(fetched, self.config.region_codec, |e| e)?;
+        let fetched: Vec<_> =
+            study_ids.iter().map(|&id| self.band_region_stage(id, lo, hi)).collect();
+        let (mut cost, fold) = reduce_band_stages(fetched, self.config.stored_codec(), |e| e)?;
         // The descent's skips are credited to the
         // `qbism_lfm_compressed_decode_skips_total` metric.
         self.db.lfm_ref().note_decode_skips(fold.decode_skips);
@@ -528,15 +504,8 @@ impl MedicalServer {
         let span = Self::query_span("query.population_average");
         span.record_u64("studies", study_ids.len() as u64);
         span.record_str("structure", structure);
-        span.record_u64("threads", self.threads as u64);
-        // Per-study measured extraction, fanned out over the executor
-        // (each worker re-arms the caller's fault plane, so injected
-        // schedules stay in force inside the pool).
-        let plane = qbism_fault::current();
-        let per_study = Executor::new(self.threads).map(study_ids.to_vec(), |_, id| {
-            let _fault = plane.clone().map(qbism_fault::FaultPlane::arm_shared);
-            self.population_stage(id, structure)
-        });
+        let per_study: Vec<_> =
+            study_ids.iter().map(|&id| self.population_stage(id, structure)).collect();
         let no_studies = || QbismError::NotFound("no studies given".into());
         let mut answer = reduce_population_stages(study_ids, per_study, no_studies, |e| e)?;
         // Only the final averaged DATA_REGION crosses the wire.
@@ -839,14 +808,14 @@ pub struct BandFold {
 
 /// The gather of the multi-study band query, shared by
 /// [`MedicalServer::multi_study_band_region`] and scatter/gather
-/// routers so both ship the same answer size in every tablespace mode:
+/// routers so both ship the same answer size for every stored codec:
 /// the n-way intersection of the studies' stored band REGION `blobs`
 /// (study order) as a [`Region`], its wire size and the descent's work
 /// counts.  The grids are checked once; then there are two paths, one
 /// answer:
 ///
-/// * every operand a k³ payload — every stored band of the compressed
-///   tablespace — is one synchronized directory descent
+/// * every operand a k³ payload — every stored band under
+///   `region_codec: K3Tree` — is one synchronized directory descent
 ///   ([`qbism_region::intersect_k3`]), no operand decoded into runs,
 ///   and the answer is sized as `K3Tree` encodes it;
 /// * anything else is decoded and merged by [`kernel::intersect_k`] and
@@ -1172,7 +1141,7 @@ mod tests {
         /// scattered holes and speckle, so FULL codes, partial leaves
         /// and runs across leaf boundaries — answers the slice merge of
         /// the decoded operands, sized as the stored codec writes it:
-        /// the k³ descent as `encode_compressed`, naive operands'
+        /// the k³ descent as `K3Tree` encodes it, naive operands'
         /// decode path as `Naive`, one study as its stored field.
         #[test]
         fn fold_band_regions_answers_the_slice_merge_at_its_encoded_size(
@@ -1200,7 +1169,7 @@ mod tests {
             let wire_bytes = match &blobs[..] {
                 [field] => field.len(),
                 _ if naive => RegionCodec::Naive.encode(&want).expect("encode answer").len(),
-                _ => qbism_region::encode_compressed(&want).expect("encode answer").len(),
+                _ => RegionCodec::K3Tree.encode(&want).expect("encode answer").len(),
             };
             proptest::prop_assert_eq!(fold.wire_bytes, wire_bytes as u64);
             if naive {

@@ -1,22 +1,21 @@
-//! Compressed-tablespace integration suite.
+//! k³ (compressed) REGION storage, end to end.
 //!
-//! Three pins, end to end:
+//! Three pins:
 //!
 //! 1. **Phantom-derived equivalence** — the run kernels produce over
-//!    compressed cursors exactly what they produce over the decoded run
-//!    lists on *real* atlas anatomy (the phantom's rasterized
-//!    structures), not just random id soup, at the paper's 64³ and 128³
-//!    scales.
-//! 2. **Mode equivalence** — a system installed with
-//!    `compressed_tablespace` answers every query class identically to
-//!    the default installation while, at 64³, persisting at least 3×
+//!    k³ cursors exactly what they produce over the decoded run lists
+//!    on *real* atlas anatomy (the phantom's rasterized structures),
+//!    not just random id soup, at the paper's 64³ and 128³ scales.
+//! 2. **Codec equivalence** — a system installed with
+//!    `region_codec: K3Tree` answers every query class identically to
+//!    the naive installation while, at 64³, persisting at least 3×
 //!    fewer REGION bytes and reading at least 1.5× fewer pages on the
 //!    region-only multi-study fold (no more pages on any other class);
-//!    the default installation's storage layout is untouched (every
-//!    REGION long field still holds the configured paper codec).
+//!    the naive installation's storage layout is untouched (every
+//!    REGION long field still holds the paper codec).
 //! 3. **Mismatched grids** — operands on different grids are the same
-//!    typed error in both modes, from every binary UDF and from the
-//!    multi-study fold; neither mode panics.
+//!    typed error with both codecs, from every binary UDF and from the
+//!    multi-study fold; neither panics.
 
 #![allow(clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 
@@ -25,13 +24,22 @@ use qbism::QbismError;
 use qbism::{QbismConfig, QbismSystem};
 use qbism_coding::K3Cursor;
 use qbism_phantom::build_atlas;
-use qbism_region::{compressed_cursor, encode_compressed, kernel, open_k3, GridGeometry, Region};
+use qbism_region::{compressed_cursor, kernel, open_k3, GridGeometry, Region};
 use qbism_region::{RegionCodec, RegionEncodeError};
 use qbism_sfc::CurveKind;
 use qbism_starburst::{Database, DbError, Value};
 
 fn open(bytes: &[u8]) -> K3Cursor<'_> {
     compressed_cursor(bytes).expect("open cursor").1
+}
+
+fn encode_k3(region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
+    RegionCodec::K3Tree.encode(region)
+}
+
+/// `config` with its REGIONs stored k³-coded.
+fn k3(config: QbismConfig) -> QbismConfig {
+    QbismConfig { region_codec: RegionCodec::K3Tree, ..config }
 }
 
 #[test]
@@ -42,8 +50,8 @@ fn compressed_kernels_match_on_phantom_anatomy() {
     assert!(regions.len() >= 3, "phantom should have several structures");
     for a in &regions {
         for b in &regions {
-            let ab = encode_compressed(a).expect("encode a");
-            let bb = encode_compressed(b).expect("encode b");
+            let ab = encode_k3(a).expect("encode a");
+            let bb = encode_k3(b).expect("encode b");
             let got = kernel::intersect(&mut open(&ab), &mut open(&bb)).expect("intersect");
             assert_eq!(got, a.intersect(b).runs());
             let got = kernel::union(&mut open(&ab), &mut open(&bb)).expect("union");
@@ -62,8 +70,8 @@ fn compressed_kernels_match_on_phantom_anatomy_at_paper_scale() {
     let atlas = build_atlas(geom);
     let a = &atlas.structures()[0].region;
     let b = &atlas.structures()[1].region;
-    let ab = encode_compressed(a).expect("encode a");
-    let bb = encode_compressed(b).expect("encode b");
+    let ab = encode_k3(a).expect("encode a");
+    let bb = encode_k3(b).expect("encode b");
     assert!(
         ab.len() * 2 < RegionCodec::Naive.encode(a).expect("naive").len(),
         "queryable codec should at least halve the paper's naive encoding"
@@ -95,14 +103,14 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
     // 64³ with the paper's five PET studies: the scale the count
     // floors below are stated at.
     let default_cfg = QbismConfig { atlas_bits: 6, mri_studies: 0, ..QbismConfig::paper_scale() };
-    let compressed_cfg = default_cfg.clone().with_compressed_tablespace();
+    let compressed_cfg = k3(default_cfg.clone());
     let mut plain = QbismSystem::install(&default_cfg).expect("install default");
     let mut packed = QbismSystem::install(&compressed_cfg).expect("install compressed");
     let study = plain.pet_study_ids[0];
     assert_eq!(plain.pet_study_ids, packed.pet_study_ids);
 
-    // EQ1: full study (volume-only; the compressed tablespace must not
-    // perturb it at all).
+    // EQ1: full study (volume-only; the REGION codec must not perturb
+    // it at all).
     let a = plain.server.full_study(study).expect("default full_study");
     let b = packed.server.full_study(study).expect("compressed full_study");
     assert_eq!(a.data, b.data);
@@ -115,8 +123,8 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
     assert!(b.cost.lfm.pages_read <= a.cost.lfm.pages_read);
 
     // Mixed query: band ∩ structure, intersected inside the DBMS — in
-    // compressed mode both operands are compressed and the merge stays
-    // in the compressed domain.
+    // k³ mode both operands are k³ and the merge stays in the
+    // compressed domain.
     let a = plain.server.band_in_structure(study, 64, 95, "thalamus").expect("default mixed");
     let b = packed.server.band_in_structure(study, 64, 95, "thalamus").expect("compressed mixed");
     assert_eq!(a.data, b.data);
@@ -124,9 +132,9 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
 
     // Table 4's multi-study fold reads REGION pages only: k-way
     // intersect over compressed streams must produce the identical
-    // REGION for at least 1.5× fewer pages (21 → 10).  The compressed
-    // count is pinned: the tablespace's bytes are a format, and a codec
-    // change that moves them must say so here.
+    // REGION for at least 1.5× fewer pages (21 → 10).  The k³ count is
+    // pinned: the codec's bytes are a format, and a change that moves
+    // them must say so here.
     let ids = plain.pet_study_ids.clone();
     let (ra, ca) = plain.server.multi_study_band_region(&ids, 32, 63).expect("default multi");
     let (rb, cb) = packed.server.multi_study_band_region(&ids, 32, 63).expect("compressed multi");
@@ -139,10 +147,9 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
     );
     assert_eq!(cb.lfm.pages_read, 10, "compressed fold pages drifted");
 
-    // The compressed tablespace is at least 3× smaller on device
-    // (567,046 → exactly 148,600 bytes), and its fields actually hold the
-    // k³ layout; the default tablespace is untouched (paper codec,
-    // nothing k³).
+    // k³ storage is at least 3× smaller on device (567,046 → exactly
+    // 148,600 bytes), and its fields actually hold the k³ layout; the
+    // naive installation is untouched (paper codec, nothing k³).
     let plain_fields = region_fields(&mut plain);
     let packed_fields = region_fields(&mut packed);
     assert_eq!(plain_fields.len(), packed_fields.len());
@@ -150,7 +157,7 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
     let packed_bytes: usize = packed_fields.iter().map(Vec::len).sum();
     assert!(
         plain_bytes >= 3 * packed_bytes,
-        "compressed tablespace must be >= 3x smaller: {packed_bytes} vs {plain_bytes}"
+        "k³ storage must be >= 3x smaller: {packed_bytes} vs {plain_bytes}"
     );
     assert_eq!(packed_bytes, 148_600, "compressed REGION bytes drifted");
     assert!(plain_fields.iter().all(|f| matches!(open_k3(f), Ok(None))));
@@ -167,7 +174,7 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
 
 #[test]
 fn compressed_mode_counts_skips_and_compressed_pages() {
-    let cfg = QbismConfig::medium().with_compressed_tablespace();
+    let cfg = k3(QbismConfig::medium());
     let system = QbismSystem::install(&cfg).expect("install compressed");
     let reg = qbism_obs::global();
     let pages = reg.counter("qbism_lfm_compressed_pages_read_total");
@@ -178,12 +185,12 @@ fn compressed_mode_counts_skips_and_compressed_pages() {
     assert!(pages.get() > before_pages, "compressed reads must be metered");
 }
 
-/// How one tablespace mode encodes its REGION long fields.
+/// How one codec encodes its REGION long fields.
 type Encode = fn(&Region) -> Result<Vec<u8>, RegionEncodeError>;
 
 #[test]
 fn mismatched_grids_are_the_same_typed_error_in_both_modes() {
-    let modes: [Encode; 2] = [|r| RegionCodec::Naive.encode(r), encode_compressed];
+    let modes: [Encode; 2] = [|r| RegionCodec::Naive.encode(r), encode_k3];
     for encode in modes {
         // REGIONs on an 8³ and a 16³ grid.
         let [r8, r16] = [3, 4].map(|bits| {

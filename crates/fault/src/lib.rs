@@ -369,14 +369,6 @@ pub fn active() -> bool {
     STACK.with(|s| !s.borrow().is_empty())
 }
 
-/// The innermost plane armed on this thread, if any.  Arming is
-/// thread-local, so code that fans work out to a pool captures the
-/// current plane and re-arms it in each worker (via
-/// [`FaultPlane::arm_shared`]) to keep the schedule in force there.
-pub fn current() -> Option<Arc<FaultPlane>> {
-    STACK.with(|s| s.borrow().last().cloned())
-}
-
 /// The instrumentation point: call at each simulated-hardware operation.
 /// Returns the outcome to honour, or `None` (the overwhelmingly common
 /// case) when the op proceeds normally.
@@ -410,8 +402,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// them for the unit test that holds every name to that form.
 ///
 /// The cluster router consults its three around every sub-query
-/// dispatch, so a plane armed on the client thread (and re-armed in
-/// fan-out workers via [`FaultPlane::arm_shared`]) can kill a shard,
+/// dispatch, so a plane armed on the client thread can kill a shard,
 /// degrade it, or drop its answer leg at a deterministic routing point.
 pub mod sites {
     /// A Long Field Manager page read from the simulated device.

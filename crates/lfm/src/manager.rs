@@ -273,7 +273,7 @@ pub struct LongFieldManager {
     journal_seq: u64,
     journal_cursor: usize,
     meta: MetaStats,
-    /// Ids of fields living in the compressed tablespace.  In-memory
+    /// Ids of fields created compressed (k³ REGIONs).  In-memory
     /// only: the on-disk directory and journal formats are unchanged
     /// (crash recovery proves byte-identical metadata), so the flag is
     /// re-established by the loader, not by `recover`.
@@ -559,15 +559,16 @@ impl LongFieldManager {
         Ok(LongFieldId(id))
     }
 
-    /// Creates a long field in the **compressed tablespace**: stored
-    /// bytes are a compact queryable payload, so reads of this field
-    /// count toward the `qbism_lfm_compressed_*` metrics and surface as
+    /// Creates a long field marked **compressed**: its bytes are a
+    /// compact queryable payload (the loader stores every k³ REGION
+    /// this way), so reads of this field count toward the
+    /// `qbism_lfm_compressed_*` metrics and surface as
     /// `lfm.compressed_scan` spans.
     ///
     /// Storage-wise identical to [`LongFieldManager::create`] — same
-    /// allocator, journal records, cache and charge paths — the
-    /// tablespace membership is in-memory accounting only, so the
-    /// on-device metadata format (and crash recovery) is unchanged.
+    /// allocator, journal records, cache and charge paths — the mark is
+    /// in-memory accounting only, so the on-device metadata format (and
+    /// crash recovery) is unchanged.
     pub fn create_compressed(&mut self, data: &[u8]) -> Result<LongFieldId> {
         let id = self.create(data)?;
         self.compressed.insert(id.0);
@@ -1135,7 +1136,7 @@ mod tests {
     /// The real manager read path — acct brackets plus the page cache —
     /// explored under the deterministic scheduler.  Reads take `&self`,
     /// so two model threads share one manager, exactly like the serving
-    /// path under `qbism-parallel`.
+    /// path under concurrent clients.
     #[test]
     fn model_concurrent_piece_reads_agree() {
         use qbism_check::thread;

@@ -1,21 +1,14 @@
-//! Trace identity and cross-thread context propagation.
+//! Trace identity and the flight recorder's clock.
 //!
 //! Every query entrypoint mints a process-unique trace id when it
 //! opens its root span; spans and journal events recorded while that
-//! trace is current on the thread inherit the id.  [`fork`] /
-//! [`ForkHandle`] carry the context across a `qbism-parallel` fan-out:
-//! the executor captures each work item's finished spans on the worker
-//! thread and replays them — in input order — into the calling thread's
-//! open span, so the finished tree has exactly the parent/child
-//! structure the inline (`threads = 1`) execution would have produced.
+//! trace is current on the thread inherit the id.  A query runs on one
+//! thread, so the thread-local id is the whole context.
 
-use qbism_check::sync::lock_or_recover;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
-
-use crate::trace::{self, Tree};
 
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
@@ -89,67 +82,6 @@ pub fn thread_ordinal() -> u64 {
     })
 }
 
-/// Trace context captured on the coordinating thread before a parallel
-/// fan-out.  Workers call [`ForkHandle::adopt`] around each work item;
-/// the coordinator calls [`ForkHandle::join`] after the pool drains.
-#[derive(Debug)]
-pub struct ForkHandle {
-    trace: u64,
-    slots: Mutex<Vec<(usize, Tree)>>,
-}
-
-/// Captures the calling thread's trace context for a fan-out.  Returns
-/// `None` while recording is disabled — workers then run exactly as
-/// uninstrumented inline code would.
-pub fn fork() -> Option<ForkHandle> {
-    if !crate::enabled() {
-        return None;
-    }
-    Some(ForkHandle { trace: current_raw(), slots: Mutex::new(Vec::new()) })
-}
-
-impl ForkHandle {
-    /// Adopts the forked context on a worker thread for work item
-    /// `index`.  While the guard lives, events carry the forked trace
-    /// id and spans the item opens are captured instead of starting
-    /// stray root trees; the guard's drop files the captured subtrees
-    /// under `index` for [`ForkHandle::join`] to replay.
-    pub fn adopt(&self, index: usize) -> AdoptGuard<'_> {
-        let prev = set_current_trace(self.trace);
-        trace::capture_begin();
-        AdoptGuard { fork: self, index, prev }
-    }
-
-    /// Replays every captured item subtree into the calling thread's
-    /// open span, in work-item input order (or files them as roots when
-    /// no span is open).  Call after all workers have joined.
-    pub fn join(self) {
-        let mut slots = self.slots.into_inner().unwrap_or_else(|e| e.into_inner());
-        slots.sort_by_key(|(i, _)| *i);
-        for (_, segment) in slots {
-            trace::attach(&segment);
-        }
-    }
-}
-
-/// RAII scope for one adopted work item; see [`ForkHandle::adopt`].
-#[derive(Debug)]
-pub struct AdoptGuard<'a> {
-    fork: &'a ForkHandle,
-    index: usize,
-    prev: u64,
-}
-
-impl Drop for AdoptGuard<'_> {
-    fn drop(&mut self) {
-        let segment = trace::capture_end();
-        set_current_trace(self.prev);
-        if !segment.is_empty() {
-            lock_or_recover(&self.fork.slots).push((self.index, segment));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,63 +104,5 @@ mod tests {
         let a = now_micros();
         let b = now_micros();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn fork_captures_worker_spans_in_item_order() {
-        let _g = crate::test_lock();
-        trace::clear();
-        {
-            let root = trace::root("query.fork_test");
-            assert!(root.is_recording());
-            let fork = fork().expect("recording is on");
-            std::thread::scope(|s| {
-                for idx in (0..4).rev() {
-                    let fk = &fork;
-                    s.spawn(move || {
-                        let _adopt = fk.adopt(idx);
-                        let span = trace::root("db.execute");
-                        span.record_u64("item", idx as u64);
-                    });
-                }
-            });
-            fork.join();
-        }
-        let tree = trace::last_root().expect("root retained");
-        assert_eq!(tree.name, "query.fork_test");
-        assert_eq!(tree.children.len(), 4);
-        for (i, child) in tree.children.iter().enumerate() {
-            assert_eq!(child.name, "db.execute");
-            assert_eq!(
-                child.field("item"),
-                Some(&trace::FieldValue::U64(i as u64)),
-                "children replayed in item order"
-            );
-        }
-        // Finalized ids: preorder, one trace.
-        assert_eq!(tree.span_id, 1);
-        assert!(tree.trace_id != 0);
-        for child in &tree.children {
-            assert_eq!(child.trace_id, tree.trace_id);
-            assert_eq!(child.parent_span_id, 1);
-        }
-    }
-
-    #[test]
-    fn fork_without_open_span_files_roots() {
-        let _g = crate::test_lock();
-        trace::clear();
-        let fork = fork().expect("recording is on");
-        std::thread::scope(|s| {
-            let fk = &fork;
-            s.spawn(move || {
-                let _adopt = fk.adopt(0);
-                let _span = trace::root("db.execute");
-            });
-        });
-        fork.join();
-        let tree = trace::last_root().expect("worker root filed to the ring");
-        assert_eq!(tree.name, "db.execute");
-        assert!(tree.trace_id != 0, "attached roots still get a trace id");
     }
 }

@@ -143,8 +143,8 @@ fn field_json(value: &FieldValue) -> String {
 /// Exclusive wall time per span path over finished trees, in the
 /// folded-stack format flamegraph tooling reads: one
 /// `outer;inner;leaf micros` line per distinct path, where a span's
-/// exclusive time is its duration minus its children's (floored at zero
-/// under a parallel fan-out, whose children overlap).
+/// exclusive time is its duration minus its children's (floored at
+/// zero, so a clock's rounding never goes negative).
 pub fn folded_stacks(roots: &[SpanNode]) -> String {
     fn fold(node: &SpanNode, prefix: &str, into: &mut BTreeMap<String, f64>) {
         let path = if prefix.is_empty() {

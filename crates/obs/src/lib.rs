@@ -20,7 +20,7 @@
 //! | `qbism_lfm_extent_coalesced_pages_total` | demanded pages that rode another page's transfer |
 //! | `qbism_lfm_extent_readahead_pages_total` | pages staged by sequential readahead |
 //! | `qbism_lfm_cache_{hits,misses,evictions}_total` | page-cache lookups and reclaimed frames |
-//! | `qbism_lfm_compressed_pages_read_total` | pages read out of compressed-tablespace fields |
+//! | `qbism_lfm_compressed_pages_read_total` | pages read out of k³ REGION fields |
 //! | `qbism_lfm_compressed_decode_skips_total` | k³ subtrees and leaves bypassed without decode |
 //! | `qbism_lfm_pages_written_total` | distinct 4 KiB pages written (load-time I/O) |
 //! | `qbism_lfm_journal_bytes_total` | metadata journal bytes appended |
@@ -69,9 +69,8 @@
 //! Beyond span trees, the crate is a flight recorder:
 //!
 //! * [`context`] — every query root mints a trace id; finished trees
-//!   carry preorder span ids with parent links, and [`context::fork`]
-//!   carries the context across `qbism-parallel` workers so fanned-out
-//!   queries produce the same tree as inline execution;
+//!   carry preorder span ids with parent links, a pure function of the
+//!   tree's shape;
 //! * [`event`] — a bounded ring of typed *incidents* (injected faults,
 //!   retries, timeouts, failovers, shard kills), plus the slow-query
 //!   log and fault-crash dumps.  A fault-free query appends nothing:

@@ -16,9 +16,8 @@
 //! makes it current for the thread (see [`crate::context`]).  Every
 //! span of the finished tree carries that trace id and a span id equal
 //! to its 1-based preorder position, with parent links.  Because the
-//! ids are positions, they are a pure function of tree shape — a query
-//! fanned out over 8 workers gets exactly the ids its single-threaded
-//! execution would have.
+//! ids are positions, they are a pure function of tree shape — the
+//! same query gets the same ids on any client thread.
 //!
 //! # One record
 //!
@@ -42,7 +41,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -217,18 +215,13 @@ struct Record {
     parent: usize,
     /// Ordinal of the OS thread that executed the span.
     thread: u64,
-    /// Capture sentinel pushed by [`capture_begin`]: collects a
-    /// parallel work item's spans for later replay and never becomes
-    /// a span itself.
-    capture: bool,
 }
 
-/// A span tree in flat preorder: what a thread records into, what its
-/// ring keeps, and — with top-level spans of its own — a parallel work
-/// item's captured segment.
+/// A span tree in flat preorder: what a thread records into and what
+/// its ring keeps.
 #[derive(Debug, Default)]
 pub(crate) struct Tree {
-    /// Trace id of a finished root; 0 while recording a segment.
+    /// Trace id of a finished root; 0 until one is minted.
     trace: u64,
     spans: Vec<Record>,
     fields: Vec<Field>,
@@ -237,10 +230,10 @@ pub(crate) struct Tree {
 
 impl Tree {
     /// Appends a span opened now under `parent`; returns its index.
-    fn push(&mut self, name: &str, parent: usize, thread: u64, capture: bool) -> usize {
+    fn push(&mut self, name: &str, parent: usize, thread: u64) -> usize {
         let name = self.keep(name);
         let started = context::host_now();
-        self.spans.push(Record { name, started, seconds: 0.0, parent, thread, capture });
+        self.spans.push(Record { name, started, seconds: 0.0, parent, thread });
         self.spans.len() - 1
     }
 
@@ -270,36 +263,11 @@ impl Tree {
         self.text.get(t.at..t.at + t.len).unwrap_or_default()
     }
 
-    /// Whether the tree holds no span.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     fn clear(&mut self) {
         self.trace = 0;
         self.spans.clear();
         self.fields.clear();
         self.text.clear();
-    }
-
-    /// Copies the spans `range` of `src` (whole subtrees) and their
-    /// fields onto the end of this tree, spans whose parent lies
-    /// outside `range` going under `parent`.
-    fn append(&mut self, src: &Tree, range: Range<usize>, parent: usize) {
-        let (start, base) = (range.start, self.spans.len());
-        let rebase = |at: usize| at - start + base;
-        for rec in src.spans.get(range.clone()).unwrap_or_default() {
-            let name = self.keep(src.str(rec.name));
-            let parent = if range.contains(&rec.parent) { rebase(rec.parent) } else { parent };
-            self.spans.push(Record { name, parent, ..*rec });
-        }
-        for field in src.fields.iter().filter(|f| range.contains(&f.span)) {
-            let value = match field.value {
-                Value::Str(t) => Value::Str(self.keep(src.str(t))),
-                other => other,
-            };
-            self.fields.push(Field { span: rebase(field.span), key: field.key, value });
-        }
     }
 
     /// The tree rooted at the first span, as nodes with their ids.
@@ -366,12 +334,12 @@ impl Recorder {
     }
 
     /// Opens a span under the innermost open one.
-    fn open_span(&mut self, name: &str, capture: bool) -> usize {
+    fn open_span(&mut self, name: &str) -> usize {
         if self.thread == 0 {
             self.thread = context::thread_ordinal();
         }
         let parent = self.open.last().copied().unwrap_or(NONE);
-        let at = self.tree.push(name, parent, self.thread, capture);
+        let at = self.tree.push(name, parent, self.thread);
         self.open.push(at);
         at
     }
@@ -563,57 +531,6 @@ impl Drop for OwnRing {
     }
 }
 
-/// Opens a capture sentinel: spans opened on this thread until the
-/// matching [`capture_end`] nest under it instead of starting trees of
-/// their own.  Used by [`context::ForkHandle`] on worker threads.
-pub(crate) fn capture_begin() {
-    with_recorder(|r| r.open_span("(capture)", true));
-}
-
-/// Closes the capture sentinel and returns the spans it collected as a
-/// segment whose top-level spans were its children.
-pub(crate) fn capture_end() -> Tree {
-    with_recorder(|r| {
-        let sentinel = r.open.last().copied().unwrap_or(NONE);
-        if !r.tree.spans.get(sentinel).is_some_and(|rec| rec.capture) {
-            // Unbalanced (a guard leaked past its capture scope):
-            // bail rather than corrupt the recorder.
-            return Tree::default();
-        }
-        r.open.pop();
-        let mut segment = Tree::default();
-        segment.append(&r.tree, sentinel + 1..r.tree.spans.len(), NONE);
-        r.tree.spans.truncate(sentinel);
-        r.tree.fields.retain(|f| f.span < sentinel);
-        if r.open.is_empty() {
-            r.tree.clear();
-        }
-        segment
-    })
-    .unwrap_or_default()
-}
-
-/// Appends a captured segment under the currently open span — the
-/// replay half of cross-thread capture.  With no open span each of its
-/// top-level subtrees is filed as a root of its own.
-pub(crate) fn attach(segment: &Tree) {
-    with_recorder(|r| {
-        let all = 0..segment.spans.len();
-        if let Some(&open) = r.open.last() {
-            r.tree.append(segment, all, open);
-            return;
-        }
-        let tops: Vec<usize> = (segment.spans.iter().enumerate())
-            .filter_map(|(at, rec)| (rec.parent == NONE).then_some(at))
-            .collect();
-        for (k, &top) in tops.iter().enumerate() {
-            let end = tops.get(k + 1).copied().unwrap_or(segment.spans.len());
-            r.tree.append(segment, top..end, NONE);
-            r.finish();
-        }
-    });
-}
-
 /// Opens a span that starts a new tree when no span is active on this
 /// thread (the finished tree is kept in the recent-roots ring), or
 /// nests under the active span otherwise.  A true root mints the
@@ -638,7 +555,7 @@ pub fn root(name: &str) -> SpanGuard {
         } else {
             0
         };
-        let span = r.open_span(name, false);
+        let span = r.open_span(name);
         SpanGuard { span, generation: r.generation, minted, not_send: PhantomData }
     })
     .unwrap_or_else(SpanGuard::inert)
@@ -657,7 +574,7 @@ pub fn span(name: &str) -> SpanGuard {
         if r.open.is_empty() {
             return SpanGuard::inert();
         }
-        let span = r.open_span(name, false);
+        let span = r.open_span(name);
         SpanGuard { span, generation: r.generation, minted: 0, not_send: PhantomData }
     })
     .unwrap_or_else(SpanGuard::inert)
@@ -668,7 +585,7 @@ pub fn span(name: &str) -> SpanGuard {
 pub(crate) fn open_span_names() -> Vec<String> {
     with_recorder(|r| {
         let open = r.open.iter().filter_map(|&at| r.tree.spans.get(at));
-        open.filter(|rec| !rec.capture).map(|rec| r.tree.str(rec.name).to_owned()).collect()
+        open.map(|rec| r.tree.str(rec.name).to_owned()).collect()
     })
     .unwrap_or_default()
 }

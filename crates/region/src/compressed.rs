@@ -50,12 +50,6 @@ pub fn intersect_k3(
     Ok((Region::from_canonical_runs(geom, runs)?, counts))
 }
 
-/// Encodes a region in the k³ layout: [`RegionCodec::K3Tree`]'s
-/// `encode`, the name the frozen benchmark probes call it by.
-pub fn encode_compressed(region: &Region) -> Result<Vec<u8>, RegionEncodeError> {
-    RegionCodec::K3Tree.encode(region)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,9 +62,9 @@ mod tests {
     #[test]
     fn a_solid_is_small_and_a_far_seek_skips() {
         let g = GridGeometry::new(CurveKind::Hilbert, 3, 6);
-        assert!(encode_compressed(&Region::full(g)).expect("encode dense").len() < 32);
+        assert!(RegionCodec::K3Tree.encode(&Region::full(g)).expect("encode dense").len() < 32);
         let sparse = Region::from_ids(g, (0..(1u64 << 18)).step_by(97).collect());
-        let sparse_bytes = encode_compressed(&sparse).expect("encode sparse");
+        let sparse_bytes = RegionCodec::K3Tree.encode(&sparse).expect("encode sparse");
         let (_, mut cursor) = compressed_cursor(&sparse_bytes).expect("open");
         cursor.seek(97 * 2_700).expect("seek far");
         assert_eq!(cursor.peek(), Some((97 * 2_700, 97 * 2_700)));
@@ -89,7 +83,7 @@ mod tests {
                 Some(RegionEncodeError::BadTag(codec.tag()))
             );
         }
-        let bytes = encode_compressed(&region).expect("encode");
+        let bytes = RegionCodec::K3Tree.encode(&region).expect("encode");
         let (geom, payload) = open_k3(&bytes).expect("header").expect("k3");
         assert_eq!(geom, g);
         let runs = K3Cursor::new(payload).expect("open").decode_all().expect("drain");

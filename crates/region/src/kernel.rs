@@ -381,7 +381,7 @@ pub fn box_runs3(curve: &Curve, min: [u32; 3], max: [u32; 3]) -> Vec<Run> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compressed_cursor, encode_compressed, GridGeometry, Region, RegionCodec};
+    use crate::{compressed_cursor, GridGeometry, Region, RegionCodec};
     use proptest::prelude::*;
     use qbism_coding::K3Cursor;
     use qbism_sfc::CurveKind;
@@ -456,7 +456,7 @@ mod tests {
     impl Operand {
         /// Also pins that the byte string decodes back to the region.
         fn new(region: Region) -> Self {
-            let packed = encode_compressed(&region).expect("encode");
+            let packed = RegionCodec::K3Tree.encode(&region).expect("encode");
             assert_eq!(RegionCodec::decode(&packed).expect("decode"), region);
             Operand { region, packed }
         }
@@ -544,7 +544,7 @@ mod tests {
         let mut cursors = open();
         let mut refs: Vec<&mut dyn RunCursor> =
             cursors.iter_mut().map(|c| c as &mut dyn RunCursor).collect();
-        assert_eq!(crate::kernel_compressed::intersect_k_stream(&mut refs).expect("dyn"), want);
+        assert_eq!(intersect_k_cursors(&mut refs).expect("dyn"), want);
         want
     }
 

@@ -48,6 +48,8 @@
 #![warn(missing_docs)]
 
 mod approx;
+#[doc(hidden)]
+pub mod compat;
 pub mod compressed;
 mod encode;
 mod geometry;
@@ -58,16 +60,12 @@ mod run;
 mod stats;
 
 pub use approx::ApproxParams;
-pub use compressed::{compressed_cursor, encode_compressed, intersect_k3, open_k3};
+#[doc(hidden)]
+pub use compat::{encode_compressed, kernel_compressed};
+pub use compressed::{compressed_cursor, intersect_k3, open_k3};
 pub use encode::{RegionCodec, RegionEncodeError};
 pub use geometry::GridGeometry;
 pub use octant::{Octant, OctantKind};
 pub use region::Region;
 pub use run::Run;
 pub use stats::{linear_fit_through_origin, DeltaStats, RepresentationCounts};
-
-/// The name the frozen `benchmark/` probes import the k-way cursor merge
-/// under.  Remove at the next benchmark-archetype PR.
-pub mod kernel_compressed {
-    pub use crate::kernel::intersect_k_cursors as intersect_k_stream;
-}

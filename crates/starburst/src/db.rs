@@ -353,8 +353,8 @@ impl Database {
         Ok(Value::Long(self.lfm.create(bytes)?))
     }
 
-    /// Stores bytes as a new long field in the compressed tablespace
-    /// (compact queryable payloads; reads tallied in the
+    /// Stores bytes as a new long field marked compressed (compact
+    /// queryable payloads such as k³ REGIONs; reads tallied in the
     /// `qbism_lfm_compressed_*` metrics).
     pub fn create_long_field_compressed(&mut self, bytes: &[u8]) -> Result<Value> {
         Ok(Value::Long(self.lfm.create_compressed(bytes)?))

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.pet_studies,
         config.mri_studies
     );
-    let mut sys = QbismSystem::install(&config)?;
+    let sys = QbismSystem::install(&config)?;
     let studies: Vec<i64> = sys.pet_study_ids.clone();
     let study = studies[0];
 
@@ -49,9 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     qbism_obs::event::set_slow_query_threshold(Duration::ZERO);
 
     // A mixed workload: EQ1, spatial, attribute, mixed, and a
-    // multi-study fan-out (the executor stitches worker spans back
-    // into one tree).
-    sys.server.set_threads(4);
+    // multi-study fold.
     sys.server.full_study(study)?;
     sys.server.structure_data(study, "putamen-l")?;
     sys.server.band_data(study, 224, 255)?;

@@ -2,8 +2,8 @@
 //!
 //! * answers and every deterministic [`QueryCost`] column are
 //!   byte-identical to the single-node server at shard counts
-//!   {1, 2, 4, 8} × router fan-out widths {1, 8}, in the default and
-//!   (to 4 shards) the compressed tablespace;
+//!   {1, 2, 4, 8} with naive REGIONs and (to 4 shards) with
+//!   `region_codec: K3Tree`;
 //! * killing any single replica at an arbitrary injection point
 //!   mid-`population_average` (a fault-plane sweep over kill sites,
 //!   device faults, and answer-leg timeouts) leaves answers and
@@ -29,6 +29,7 @@ use qbism::{QbismConfig, QbismSystem, QueryCost};
 use qbism_cluster::{ClusterError, ClusterWarehouse};
 use qbism_fault::{sites, FaultOutcome, FaultPlane, Trigger};
 use qbism_lfm::IoStats;
+use qbism_region::RegionCodec;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -38,6 +39,11 @@ fn serialize() -> MutexGuard<'static, ()> {
 
 fn config() -> QbismConfig {
     QbismConfig { pet_studies: 5, ..QbismConfig::small_test() }
+}
+
+/// `config` with its REGIONs stored k³-coded.
+fn k3(config: QbismConfig) -> QbismConfig {
+    QbismConfig { region_codec: RegionCodec::K3Tree, ..config }
 }
 
 /// The deterministic tablegen columns of a cost: logical LFM I/O, rows
@@ -57,11 +63,10 @@ fn det(cost: &QueryCost) -> (IoStats, u64, u64, u64, u64, u64) {
 #[test]
 fn answers_and_costs_byte_identical_at_every_shard_count() {
     let _g = serialize();
-    // The compressed tablespace re-encodes the gathered band answer with
-    // its own codec, so it is a second case of the same contract.
-    let compressed = config().with_compressed_tablespace();
+    // k³ REGIONs fold by directory descent and size the gathered band
+    // answer as k³, so they are a second case of the same contract.
     shard_counts_match_the_reference(&config(), &[1, 2, 4, 8]);
-    shard_counts_match_the_reference(&compressed, &[1, 2, 4]);
+    shard_counts_match_the_reference(&k3(config()), &[1, 2, 4]);
 }
 
 fn shard_counts_match_the_reference(config: &QbismConfig, shard_counts: &[usize]) {
@@ -73,41 +78,35 @@ fn shard_counts_match_the_reference(config: &QbismConfig, shard_counts: &[usize]
     assert!(pop_ref.is_complete());
 
     for &shard_count in shard_counts {
-        let mut warehouse =
+        let warehouse =
             ClusterWarehouse::install(config, shard_count, 2).expect("warehouse install");
-        for threads in [1usize, 8] {
-            warehouse.set_threads(threads);
-            let pop =
-                warehouse.population_average(&studies, "ntal").expect("sharded population answers");
-            assert!(pop.is_complete());
-            assert_eq!(
-                pop.data.region(),
-                pop_ref.data.region(),
-                "population region diverged at {shard_count} shards / {threads} threads"
-            );
-            assert_eq!(
-                pop.data.values(),
-                pop_ref.data.values(),
-                "population voxels diverged at {shard_count} shards / {threads} threads"
-            );
-            assert_eq!(
-                det(&pop.cost),
-                det(&pop_ref.cost),
-                "population cost columns diverged at {shard_count} shards / {threads} threads"
-            );
+        let pop =
+            warehouse.population_average(&studies, "ntal").expect("sharded population answers");
+        assert!(pop.is_complete());
+        assert_eq!(
+            pop.data.region(),
+            pop_ref.data.region(),
+            "population region diverged at {shard_count} shards"
+        );
+        assert_eq!(
+            pop.data.values(),
+            pop_ref.data.values(),
+            "population voxels diverged at {shard_count} shards"
+        );
+        assert_eq!(
+            det(&pop.cost),
+            det(&pop_ref.cost),
+            "population cost columns diverged at {shard_count} shards"
+        );
 
-            let (band_region, band_cost) =
-                warehouse.multi_study_band_region(&studies, 32, 63).expect("sharded band answers");
-            assert_eq!(
-                band_region, band_ref_region,
-                "band region diverged at {shard_count} shards / {threads} threads"
-            );
-            assert_eq!(
-                det(&band_cost),
-                det(&band_ref_cost),
-                "band cost columns diverged at {shard_count} shards / {threads} threads"
-            );
-        }
+        let (band_region, band_cost) =
+            warehouse.multi_study_band_region(&studies, 32, 63).expect("sharded band answers");
+        assert_eq!(band_region, band_ref_region, "band region diverged at {shard_count} shards");
+        assert_eq!(
+            det(&band_cost),
+            det(&band_ref_cost),
+            "band cost columns diverged at {shard_count} shards"
+        );
         // The answer legs carried real (per-shard) traffic, but none of
         // it reached QueryCost: the client channel shipped one answer
         // per query, exactly like the single-node server.
@@ -122,13 +121,11 @@ fn any_single_replica_fault_mid_query_stays_exact() {
     // 4 shards spread the replica pairs; 2 × 2 (the shape the
     // `clients-2-64` benchmark workload measures) puts every study on
     // both shards, so each kill leaves exactly one server for everything.
-    let shapes = [4, 2].into_iter().flat_map(|shards| {
-        [config.clone(), config.clone().with_compressed_tablespace()].map(|c| (shards, c))
-    });
+    let shapes = [4, 2]
+        .into_iter()
+        .flat_map(|shards| [config.clone(), k3(config.clone())].map(|c| (shards, c)));
     for (shards, config) in shapes {
-        let mut warehouse =
-            ClusterWarehouse::install(&config, shards, 2).expect("warehouse install");
-        warehouse.set_threads(8);
+        let warehouse = ClusterWarehouse::install(&config, shards, 2).expect("warehouse install");
         let studies: Vec<i64> = warehouse.studies().to_vec();
         let baseline = warehouse.population_average(&studies, "ntal").expect("fault-free baseline");
         let baseline_det = det(&baseline.cost);
@@ -173,9 +170,8 @@ fn any_single_replica_fault_mid_query_stays_exact() {
         // Sweep 3: drop the first answer leg's message on every retry —
         // the per-shard channel times out after its bounded budget and the
         // router reroutes; the timed-out leg never touches QueryCost.
-        // The plane counts site passes across threads, so only legs sent
-        // one after another put all the drops on one leg: one worker.
-        warehouse.set_threads(1);
+        // Legs go out one after another, so the drops all land on the
+        // first one.
         let attempts = u64::from(qbism_netsim::RetryPolicy::default().max_attempts);
         let mut drop_plane = FaultPlane::new(0xE3);
         for i in 1..=attempts {
@@ -189,7 +185,6 @@ fn any_single_replica_fault_mid_query_stays_exact() {
         assert_eq!(answer.data.values(), baseline.data.values());
         assert_eq!(det(&answer.cost), baseline_det, "leg timeout changed a deterministic column");
         assert_eq!(warehouse.recovery_stats().route_drops, 1, "exactly one leg timed out");
-        warehouse.set_threads(8);
 
         // And the band query class under a kill, for the same contract.
         let (band_base, band_cost) =
@@ -338,41 +333,36 @@ fn router_claim_and_kill_races_model_check() {
 fn failover_and_kill_events_land_inside_the_owning_trace() {
     let _g = serialize();
     let config = config();
-    let mut warehouse = ClusterWarehouse::install(&config, 4, 2).expect("warehouse install");
+    let warehouse = ClusterWarehouse::install(&config, 4, 2).expect("warehouse install");
     let studies: Vec<i64> = warehouse.studies().to_vec();
-    for threads in [1usize, 8] {
-        warehouse.set_threads(threads);
-        warehouse.revive_all();
-        qbism_obs::trace::clear();
-        qbism_obs::event::clear();
-        let scope = FaultPlane::new(7)
-            .rule(sites::CLUSTER_SHARD_KILL, Trigger::Nth(1), FaultOutcome::Error)
-            .arm();
-        warehouse.population_average(&studies, "ntal").expect("survives the kill");
-        drop(scope);
-        let tree = qbism_obs::trace::recent_roots()
-            .into_iter()
-            .rev()
-            .find(|t| t.name == "cluster.population_average")
-            .expect("cluster query root retained");
-        assert_ne!(tree.trace_id, 0);
-        let owned = qbism_obs::event::events_for_trace(tree.trace_id);
-        let has =
-            |pred: &dyn Fn(&qbism_obs::EventKind) -> bool| owned.iter().any(|e| pred(&e.kind));
-        assert!(
-            has(&|k| matches!(k, qbism_obs::EventKind::FaultInjected { site, .. }
-                if site == sites::CLUSTER_SHARD_KILL)),
-            "kill injection attributed to the owning trace at {threads} threads"
-        );
-        assert!(
-            has(&|k| matches!(k, qbism_obs::EventKind::ShardDown { .. })),
-            "shard_down inside the owning trace at {threads} threads"
-        );
-        assert!(
-            has(&|k| matches!(k, qbism_obs::EventKind::Failover { .. })),
-            "failover inside the owning trace at {threads} threads"
-        );
-    }
+    qbism_obs::trace::clear();
+    qbism_obs::event::clear();
+    let scope = FaultPlane::new(7)
+        .rule(sites::CLUSTER_SHARD_KILL, Trigger::Nth(1), FaultOutcome::Error)
+        .arm();
+    warehouse.population_average(&studies, "ntal").expect("survives the kill");
+    drop(scope);
+    let tree = qbism_obs::trace::recent_roots()
+        .into_iter()
+        .rev()
+        .find(|t| t.name == "cluster.population_average")
+        .expect("cluster query root retained");
+    assert_ne!(tree.trace_id, 0);
+    let owned = qbism_obs::event::events_for_trace(tree.trace_id);
+    let has = |pred: &dyn Fn(&qbism_obs::EventKind) -> bool| owned.iter().any(|e| pred(&e.kind));
+    assert!(
+        has(&|k| matches!(k, qbism_obs::EventKind::FaultInjected { site, .. }
+            if site == sites::CLUSTER_SHARD_KILL)),
+        "kill injection attributed to the owning trace"
+    );
+    assert!(
+        has(&|k| matches!(k, qbism_obs::EventKind::ShardDown { .. })),
+        "shard_down inside the owning trace"
+    );
+    assert!(
+        has(&|k| matches!(k, qbism_obs::EventKind::Failover { .. })),
+        "failover inside the owning trace"
+    );
     qbism_obs::event::clear();
     qbism_obs::trace::clear();
 }
@@ -384,7 +374,7 @@ fn failover_and_kill_events_land_inside_the_owning_trace() {
 #[test]
 fn fold_work_counts_are_exact_across_cache_and_router() {
     let _g = serialize();
-    let config = QbismConfig { atlas_bits: 5, ..config() }.with_compressed_tablespace();
+    let config = k3(QbismConfig { atlas_bits: 5, ..config() });
     let mut system = QbismSystem::install(&config).expect("single-node install");
     let warehouse = ClusterWarehouse::install(&config, 2, 2).expect("warehouse install");
     let studies = system.pet_study_ids.clone();

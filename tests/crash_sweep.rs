@@ -11,8 +11,8 @@
 //! half-applied writes.
 //!
 //! A second sweep does the same at the system level: crash the device at
-//! every I/O of every `MedicalServer` query class — in both tablespaces,
-//! the multi-study classes inline and fanned out — and check that the
+//! every I/O of every `MedicalServer` query class — with naive and with
+//! k³ REGIONs — and check that the
 //! failure surfaces as a typed error, the store recovers, and the full
 //! study is byte-identical afterwards.
 
@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use qbism::{MedicalServer, QbismConfig, QbismError, QbismSystem};
 use qbism_fault::FaultPlane;
 use qbism_lfm::{LfmError, LongFieldId, LongFieldManager};
+use qbism_region::RegionCodec;
 
 /// One step of the scripted workload.  `slot` indexes fields in creation
 /// order, so the script is independent of the ids the store hands out.
@@ -196,47 +197,39 @@ const QUERY_CLASSES: [QueryClass; 8] = [
 #[test]
 fn server_query_survives_a_crash_at_every_device_io() {
     let small = QbismConfig::small_test();
-    for config in [small.clone(), small.with_compressed_tablespace()] {
+    let k3 = QbismConfig { region_codec: RegionCodec::K3Tree, ..small.clone() };
+    for config in [small, k3] {
         let mut sys = QbismSystem::install(&config).unwrap();
         let baseline = sys.server.full_study(1).unwrap();
         for (class, query) in QUERY_CLASSES {
-            // The two multi-study classes fan out: sweep them inline
-            // and across two workers.
-            let fans_out = matches!(class, "multi_study_band" | "population_average");
-            for threads in if fans_out { 1..=2 } else { 1..=1 } {
-                sys.server.set_threads(threads);
-                let at = format!(
-                    "{class} / {threads} threads / compressed {}",
-                    config.compressed_tablespace
-                );
+            let at = format!("{class} / {:?} REGIONs", config.region_codec);
 
-                // Count the device ops of one fault-free run.
-                let scope = FaultPlane::observer().arm();
-                assert_eq!(query(&sys.server).ok(), Some(true), "{at}: fault-free run");
-                let total_ops = scope.plane().ops_seen();
+            // Count the device ops of one fault-free run.
+            let scope = FaultPlane::observer().arm();
+            assert_eq!(query(&sys.server).ok(), Some(true), "{at}: fault-free run");
+            let total_ops = scope.plane().ops_seen();
+            drop(scope);
+            assert!(total_ops >= 1, "{at}: the query must touch the simulated device");
+
+            for k in 1..=total_ops {
+                let scope = FaultPlane::new(0x5EED).crash_at_op(k).arm();
+                let result = query(&sys.server);
                 drop(scope);
-                assert!(total_ops >= 1, "{at}: the query must touch the simulated device");
-
-                for k in 1..=total_ops {
-                    let scope = FaultPlane::new(0x5EED).crash_at_op(k).arm();
-                    let result = query(&sys.server);
-                    drop(scope);
-                    if !sys.server.database().lfm().is_crashed() {
-                        // Op `k` landed on the network path; the RPC channel's
-                        // bounded retry absorbs a single lost message.
-                        assert_eq!(result.ok(), Some(true), "{at}: non-device fault at op {k}");
-                        continue;
-                    }
-                    // A typed error (or typed per-study skips), not a
-                    // panic and not a whole answer.
-                    assert_ne!(result.ok(), Some(true), "{at}: crash at op {k} went unnoticed");
-                    let report = sys.server.database().lfm().recover().unwrap();
-                    assert!(report.fields > 0, "{at}: fields survive the crash at op {k}");
-                    // The store answers bit-identically again.
-                    let after = sys.server.full_study(1).unwrap();
-                    assert_eq!(after.data, baseline.data, "{at}: after the crash at op {k}");
-                    assert_eq!(query(&sys.server).ok(), Some(true), "{at}: rerun after op {k}");
+                if !sys.server.database().lfm().is_crashed() {
+                    // Op `k` landed on the network path; the RPC channel's
+                    // bounded retry absorbs a single lost message.
+                    assert_eq!(result.ok(), Some(true), "{at}: non-device fault at op {k}");
+                    continue;
                 }
+                // A typed error (or typed per-study skips), not a
+                // panic and not a whole answer.
+                assert_ne!(result.ok(), Some(true), "{at}: crash at op {k} went unnoticed");
+                let report = sys.server.database().lfm().recover().unwrap();
+                assert!(report.fields > 0, "{at}: fields survive the crash at op {k}");
+                // The store answers bit-identically again.
+                let after = sys.server.full_study(1).unwrap();
+                assert_eq!(after.data, baseline.data, "{at}: after the crash at op {k}");
+                assert_eq!(query(&sys.server).ok(), Some(true), "{at}: rerun after op {k}");
             }
         }
     }

@@ -38,7 +38,8 @@ fn tables12_report_is_constant() {
 fn table3_counts_are_identical_across_repeat_runs() {
     use qbism::{QbismConfig, QbismSystem, QuerySpec};
     let small = QbismConfig::small_test();
-    for config in [small.clone(), small.with_compressed_tablespace()] {
+    let k3 = QbismConfig { region_codec: qbism_region::RegionCodec::K3Tree, ..small.clone() };
+    for config in [small, k3] {
         let mut sys = QbismSystem::install(&config).expect("install");
         let spec = QuerySpec::Structure("ntal".into());
         let a = qbism::report::run_full_query(&mut sys, 1, &spec).expect("first run");

@@ -9,19 +9,20 @@
 //! columns by their printed form, long fields by length and bytes), then
 //! the device's field and page counts.
 //!
-//! The four default-tablespace constants below were recorded at the
-//! commit *before* the load path was first optimised (PR 21's parent) and
-//! have never moved.  The four compressed-tablespace constants were
-//! recorded there too and re-recorded once, by PR 24, which replaced the
-//! k³-tree payload (word-only octree → directory over run-block leaves):
-//! a changed *encoding* of unchanged REGIONs, which the suite proves by
-//! decoding every compressed REGION long field to the `Region` the
-//! default tablespace stores at the same row.  They were re-recorded a
-//! second time when the k³ layout became the only queryable codec: the
-//! empty REGIONs the compressed tablespace had stored as 12-byte
-//! skip-block run lists (tag 4) are now 12-byte k³ REGIONs (tag 5) —
-//! 7 fields a row at 16³, 2 at 32³, every other byte unchanged — which
-//! the suite proves by opening every compressed REGION field as k³.
+//! The four naive-codec constants below were recorded at the commit
+//! *before* the load path was first optimised and have never moved.
+//! The four k³ constants were recorded there too (as the "compressed
+//! tablespace", which `region_codec: K3Tree` now is) and re-recorded
+//! once, when the k³-tree payload was replaced (word-only octree →
+//! directory over run-block leaves): a changed
+//! *encoding* of unchanged REGIONs, which the suite proves by decoding
+//! every k³ REGION long field to the `Region` the naive codec stores at
+//! the same row.  They were re-recorded a second time when the k³
+//! layout became the only queryable codec: the empty REGIONs that mode
+//! had stored as 12-byte skip-block run lists (tag 4) are now 12-byte
+//! k³ REGIONs (tag 5) — 7 fields a row at 16³, 2 at 32³, every other
+//! byte unchanged — which the suite proves by opening every k³ REGION
+//! field as k³.
 //! Outside a format change that says so here, a digest that moves means
 //! a stored byte moved: fix the loader, do not re-record.
 
@@ -73,18 +74,13 @@ fn install_digest(config: &QbismConfig) -> (u64, Vec<Vec<u8>>) {
     (hash, fields)
 }
 
-fn config(bits: u32, curve: CurveKind, compressed: bool) -> QbismConfig {
-    let base = QbismConfig { atlas_bits: bits, curve, ..QbismConfig::medium() };
-    if compressed {
-        base.with_compressed_tablespace()
-    } else {
-        base
-    }
+fn config(bits: u32, curve: CurveKind, k3: bool) -> QbismConfig {
+    let region_codec = if k3 { RegionCodec::K3Tree } else { RegionCodec::Naive };
+    QbismConfig { atlas_bits: bits, curve, region_codec, ..QbismConfig::medium() }
 }
 
-/// `(atlas_bits, curve, compressed tablespace, digest)`: the default
-/// rows as before the load path was first optimised, the compressed
-/// rows as of the k³-only codec.
+/// `(atlas_bits, curve, k³ codec, digest)`: the naive rows as before the
+/// load path was first optimised, the k³ rows as of the k³-only codec.
 const RECORDED: [(u32, CurveKind, bool, u64); 8] = [
     (4, CurveKind::Hilbert, false, 0x0d54_160b_5e29_8c4c),
     (4, CurveKind::Hilbert, true, 0x44a9_58a8_3105_04a9),
@@ -99,26 +95,26 @@ const RECORDED: [(u32, CurveKind, bool, u64); 8] = [
 #[test]
 fn install_stores_the_recorded_bytes_in_every_mode() {
     let mut moved = Vec::new();
-    for [default, compressed] in RECORDED.as_chunks::<2>().0 {
+    for [default, k3] in RECORDED.as_chunks::<2>().0 {
         let mut fields = Vec::new();
-        for &(bits, curve, compressed, want) in [default, compressed] {
-            let (got, stored) = install_digest(&config(bits, curve, compressed));
+        for &(bits, curve, k3, want) in [default, k3] {
+            let (got, stored) = install_digest(&config(bits, curve, k3));
             if got != want {
-                moved.push(format!("({bits}, CurveKind::{curve:?}, {compressed}, {got:#018x})"));
+                moved.push(format!("({bits}, CurveKind::{curve:?}, {k3}, {got:#018x})"));
             }
             fields.push(stored);
         }
-        // The two tablespaces differ only in how REGION long fields are
+        // The two codecs differ only in how REGION long fields are
         // encoded: every other field byte for byte, every REGION a k³
         // one that decodes to the same `Region`.
-        let [plain, packed] = &fields[..] else { panic!("two tablespaces a grid") };
+        let [plain, packed] = &fields[..] else { panic!("two codecs a grid") };
         assert_eq!(plain.len(), packed.len(), "{default:?}");
         let mut regions = 0;
         for (plain, packed) in plain.iter().zip(packed) {
             if let Ok(plain) = RegionCodec::decode(plain) {
                 regions += 1;
-                assert!(matches!(open_k3(packed), Ok(Some(_))), "a compressed REGION is not k³");
-                assert_eq!(RegionCodec::decode(packed).expect("compressed REGION decodes"), plain);
+                assert!(matches!(open_k3(packed), Ok(Some(_))), "a k³-mode REGION is not k³");
+                assert_eq!(RegionCodec::decode(packed).expect("k³ REGION decodes"), plain);
             } else {
                 assert!(plain == packed, "a field that is no REGION differs, {default:?}");
             }
@@ -128,15 +124,15 @@ fn install_stores_the_recorded_bytes_in_every_mode() {
     assert!(moved.is_empty(), "stored bytes moved; digests now read:\n{}", moved.join(",\n"));
 }
 
-/// The compressed tablespace is a codec choice: `region_codec: K3Tree`
-/// with the flag off installs exactly the bytes the flag does.
+/// The hidden `compressed_tablespace` field, which `benchmark/` still
+/// sets, resolves to `region_codec: K3Tree`: with the naive codec
+/// configured it installs exactly the recorded k³ bytes.
 #[test]
 fn a_k3_region_codec_installs_what_the_compressed_tablespace_does() {
-    for &(bits, curve, compressed, want) in &RECORDED {
-        if compressed {
-            let k3 =
-                QbismConfig { region_codec: RegionCodec::K3Tree, ..config(bits, curve, false) };
-            assert_eq!(install_digest(&k3).0, want, "({bits}, CurveKind::{curve:?})");
+    for &(bits, curve, k3, want) in &RECORDED {
+        if k3 {
+            let flag = QbismConfig { compressed_tablespace: true, ..config(bits, curve, false) };
+            assert_eq!(install_digest(&flag).0, want, "({bits}, CurveKind::{curve:?})");
         }
     }
 }

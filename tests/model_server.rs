@@ -4,7 +4,7 @@
 //! crosses hundreds of facade operations, so bounded DFS would be
 //! astronomically deep).  The system is installed once and shared
 //! across explored executions: every query below takes `&self`, which
-//! is exactly the shared-read contract the parallel engine relies on.
+//! is exactly the shared-read contract concurrent clients rely on.
 
 #![allow(clippy::unwrap_used)]
 
@@ -16,14 +16,12 @@ fn system() -> &'static QbismSystem {
     static SYS: OnceLock<QbismSystem> = OnceLock::new();
     SYS.get_or_init(|| {
         let mut sys = QbismSystem::install(&QbismConfig::small_test()).unwrap();
-        // Cache on so the model walks the clock-sweep path too, and two
-        // engine threads so multi-study queries really fan out.
+        // Cache on so the model walks the clock-sweep path too.
         sys.server.set_cache_config(CacheConfig {
             capacity_pages: 32,
             enabled: true,
             readahead_pages: 2,
         });
-        sys.server.set_threads(2);
         sys
     })
 }
@@ -48,14 +46,24 @@ fn model_two_clients_share_one_server() {
     });
 }
 
+/// Two clients folding the same studies at once each get the answer
+/// and the logical cost a lone client gets.
 #[test]
-fn model_fanout_matches_sequential_answer() {
+fn model_two_clients_fold_the_sequential_answer() {
     let sys = system();
     let studies: Vec<i64> = sys.pet_study_ids.clone();
-    let (reference, _) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
+    let (reference, reference_cost) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
     qbism_check::Checker::random(0xFA_4007, 6).check(|| {
-        let (region, cost) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
-        assert_eq!(region, reference, "fan-out answer diverged under a model schedule");
-        assert!(cost.rows_scanned > 0);
+        qbism_check::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let (region, cost) =
+                        sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
+                    assert_eq!(region, reference, "fold answer diverged under a model schedule");
+                    assert_eq!(cost.lfm, reference_cost.lfm, "fold cost leaked across clients");
+                    assert_eq!(cost.rows_scanned, reference_cost.rows_scanned);
+                });
+            }
+        });
     });
 }

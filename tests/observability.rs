@@ -15,6 +15,7 @@ use qbism_fault::{FaultOutcome, FaultPlane, Trigger};
 use qbism_lfm::CacheConfig;
 use qbism_obs::trace::FieldValue;
 use qbism_obs::{EventKind, SpanNode};
+use qbism_region::RegionCodec;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -130,32 +131,38 @@ fn query_cost_default_and_accumulate_fold() {
     assert!(folded.sim_db_seconds >= a.sim_db_seconds);
 }
 
+/// A multi-study query's tree shape — preorder span ids and parent
+/// links — is the same whichever client thread runs it, and however
+/// many run it at once.
 #[test]
 fn span_tree_shape_is_identical_at_any_thread_count() {
     let _g = serialize();
     let config = QbismConfig { pet_studies: 5, ..QbismConfig::small_test() };
-    let mut sys = QbismSystem::install(&config).expect("install");
+    let sys = QbismSystem::install(&config).expect("install");
     let studies: Vec<i64> = sys.pet_study_ids.clone();
-    let mut shapes: Vec<Vec<(u64, u64, String)>> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        sys.server.set_threads(threads);
-        qbism_obs::trace::clear();
-        sys.server.multi_study_band_region(&studies, 32, 63).expect("fan-out query");
-        let tree = qbism_obs::trace::recent_roots()
-            .into_iter()
-            .rev()
-            .find(|t| t.name == "query.multi_study_band")
-            .expect("fan-out root retained");
-        // Worker subtrees were replayed in study order, so preorder
-        // span ids and parent links are a pure function of tree shape.
-        let shape = tree.shape();
-        for (span_id, parent, _) in &shape {
-            assert!(*span_id > *parent, "preorder ids grow away from the root");
-        }
-        shapes.push(shape);
+    let server = &sys.server;
+    let fold = || server.multi_study_band_region(&studies, 32, 63).expect("multi-study query");
+    fold();
+    let shape = qbism_obs::trace::last_root().expect("the fold's tree").shape();
+    for (span_id, parent, _) in &shape {
+        assert!(*span_id > *parent, "preorder ids grow away from the root");
     }
-    assert_eq!(shapes[0], shapes[1], "tree shape diverged between 1 and 2 threads");
-    assert_eq!(shapes[0], shapes[2], "tree shape diverged between 1 and 8 threads");
+    for clients in [2usize, 8] {
+        qbism_obs::trace::clear();
+        std::thread::scope(|scope| {
+            for _ in 0..clients {
+                scope.spawn(|| drop(fold()));
+            }
+        });
+        let roots: Vec<_> = qbism_obs::trace::recent_roots()
+            .into_iter()
+            .filter(|t| t.name == "query.multi_study_band")
+            .collect();
+        assert_eq!(roots.len(), clients, "one tree per client");
+        for root in &roots {
+            assert_eq!(root.shape(), shape, "tree shape diverged at {clients} client threads");
+        }
+    }
     qbism_obs::trace::clear();
 }
 
@@ -163,32 +170,26 @@ fn span_tree_shape_is_identical_at_any_thread_count() {
 fn injected_faults_land_inside_the_owning_trace() {
     let _g = serialize();
     let config = QbismConfig { pet_studies: 3, ..QbismConfig::small_test() };
-    let mut sys = QbismSystem::install(&config).expect("install");
+    let sys = QbismSystem::install(&config).expect("install");
     let studies: Vec<i64> = sys.pet_study_ids.clone();
-    for threads in [1usize, 2] {
-        sys.server.set_threads(threads);
-        qbism_obs::trace::clear();
-        qbism_obs::event::clear();
-        let scope = FaultPlane::new(5)
-            .rule("lfm.read", Trigger::Always, FaultOutcome::Latency { seconds: 0.0001 })
-            .arm();
-        sys.server.multi_study_band_region(&studies, 32, 63).expect("query under latency");
-        drop(scope);
-        let tree = qbism_obs::trace::recent_roots()
-            .into_iter()
-            .rev()
-            .find(|t| t.name == "query.multi_study_band")
-            .expect("root retained");
-        let owned = qbism_obs::event::events_for_trace(tree.trace_id);
-        let faults: Vec<_> = owned
-            .iter()
-            .filter(|e| matches!(&e.kind, qbism_obs::EventKind::FaultInjected { site, .. } if site == "lfm.read"))
-            .collect();
-        assert!(
-            !faults.is_empty(),
-            "injected faults must be attributed to the query's trace at {threads} threads"
-        );
-    }
+    qbism_obs::trace::clear();
+    qbism_obs::event::clear();
+    let scope = FaultPlane::new(5)
+        .rule("lfm.read", Trigger::Always, FaultOutcome::Latency { seconds: 0.0001 })
+        .arm();
+    sys.server.multi_study_band_region(&studies, 32, 63).expect("query under latency");
+    drop(scope);
+    let tree = qbism_obs::trace::recent_roots()
+        .into_iter()
+        .rev()
+        .find(|t| t.name == "query.multi_study_band")
+        .expect("root retained");
+    let owned = qbism_obs::event::events_for_trace(tree.trace_id);
+    let faults: Vec<_> = owned
+        .iter()
+        .filter(|e| matches!(&e.kind, qbism_obs::EventKind::FaultInjected { site, .. } if site == "lfm.read"))
+        .collect();
+    assert!(!faults.is_empty(), "injected faults must be attributed to the query's trace");
     qbism_obs::event::clear();
     qbism_obs::trace::clear();
 }
@@ -196,50 +197,42 @@ fn injected_faults_land_inside_the_owning_trace() {
 #[test]
 fn eight_client_storm_exports_coherent_chrome_traces() {
     let _g = serialize();
-    let mut sys = install();
+    let sys = install();
     let study = sys.pet_study_ids[0];
-    let mut shapes_by_threads: Vec<Vec<Vec<(u64, u64, String)>>> = Vec::new();
-    for threads in [1usize, 8] {
-        sys.server.set_threads(threads);
-        qbism_obs::trace::clear();
-        qbism_obs::event::clear();
-        let server = &sys.server;
-        std::thread::scope(|scope| {
-            for _client in 0..8u8 {
-                scope.spawn(move || {
-                    server.band_data(study, 32, 63).expect("storm query");
-                });
-            }
-        });
-        let roots: Vec<_> = qbism_obs::trace::recent_roots()
-            .into_iter()
-            .filter(|t| t.name == "query.band")
-            .collect();
-        assert_eq!(roots.len(), 8, "one coherent tree per client");
-        let mut traces = std::collections::BTreeSet::new();
-        for root in &roots {
-            traces.insert(root.trace_id);
-            assert_parent_links(root);
+    qbism_obs::trace::clear();
+    qbism_obs::event::clear();
+    let server = &sys.server;
+    std::thread::scope(|scope| {
+        for _client in 0..8u8 {
+            scope.spawn(move || {
+                server.band_data(study, 32, 63).expect("storm query");
+            });
         }
-        assert_eq!(traces.len(), 8, "each client minted its own trace id");
-        let json = qbism_obs::export::chrome_trace(&roots, &qbism_obs::event::events());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Every span is exported once: the tree is its only record.
+    });
+    let roots: Vec<_> =
+        qbism_obs::trace::recent_roots().into_iter().filter(|t| t.name == "query.band").collect();
+    assert_eq!(roots.len(), 8, "one coherent tree per client");
+    let mut traces = std::collections::BTreeSet::new();
+    for root in &roots {
+        traces.insert(root.trace_id);
+        assert_parent_links(root);
         assert_eq!(
-            json.matches("\"ph\":\"X\"").count(),
-            roots.iter().map(SpanNode::span_count).sum::<usize>()
+            root.shape(),
+            roots[0].shape(),
+            "storm tree shapes must not depend on the client"
         );
-        for trace in traces {
-            assert!(json.contains(&format!("\"pid\":{trace}")), "trace {trace} exported");
-        }
-        let mut shapes: Vec<_> = roots.iter().map(|r| r.shape()).collect();
-        shapes.sort();
-        shapes_by_threads.push(shapes);
     }
+    assert_eq!(traces.len(), 8, "each client minted its own trace id");
+    let json = qbism_obs::export::chrome_trace(&roots, &qbism_obs::event::events());
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    // Every span is exported once: the tree is its only record.
     assert_eq!(
-        shapes_by_threads[0], shapes_by_threads[1],
-        "storm tree shapes must not depend on server thread count"
+        json.matches("\"ph\":\"X\"").count(),
+        roots.iter().map(SpanNode::span_count).sum::<usize>()
     );
+    for trace in traces {
+        assert!(json.contains(&format!("\"pid\":{trace}")), "trace {trace} exported");
+    }
     qbism_obs::event::clear();
     qbism_obs::trace::clear();
 }
@@ -370,15 +363,16 @@ fn run_every_class(sys: &QbismSystem) {
 }
 
 /// What a query did is in its span tree; the journal is for what went
-/// wrong.  A fault-free query appends nothing — in either tablespace,
-/// with the pool off or on.
+/// wrong.  A fault-free query appends nothing — with naive or k³
+/// REGIONs, with the pool off or on.
 #[test]
 fn fault_free_queries_journal_nothing() {
     let _g = serialize();
     // A host stall must not turn into a `slow_query` entry here.
     qbism_obs::event::set_slow_query_threshold(std::time::Duration::MAX);
     let config = QbismConfig::small_test();
-    for config in [config.clone(), config.with_compressed_tablespace()] {
+    let k3 = QbismConfig { region_codec: RegionCodec::K3Tree, ..config.clone() };
+    for config in [config, k3] {
         let mut sys = QbismSystem::install(&config).expect("install");
         qbism_obs::event::clear();
         run_every_class(&sys);
@@ -396,6 +390,37 @@ fn fault_free_queries_journal_nothing() {
     qbism_obs::event::set_slow_query_threshold(std::time::Duration::from_micros(
         qbism_obs::event::DEFAULT_SLOW_QUERY_MICROS,
     ));
+}
+
+/// A k³ REGION is a compressed long field whatever asked for it: a band
+/// query under `region_codec: K3Tree` meters its REGION's pages in
+/// `qbism_lfm_compressed_pages_read_total` and opens an
+/// `lfm.compressed_scan` span; a naive one does neither.
+#[test]
+fn k3_regions_are_metered_as_compressed_reads() {
+    let _g = serialize();
+    let pages = qbism_obs::global().counter("qbism_lfm_compressed_pages_read_total");
+    let naive = QbismConfig::small_test();
+    let k3 = QbismConfig { region_codec: RegionCodec::K3Tree, ..naive.clone() };
+    for (config, compressed) in [(naive, false), (k3, true)] {
+        let sys = QbismSystem::install(&config).expect("install");
+        let before = pages.get();
+        sys.server.band_data(sys.pet_study_ids[0], 32, 63).expect("band");
+        let read = pages.get() - before;
+        let tree = qbism_obs::trace::last_root().expect("the band query's tree");
+        let scan = tree.find("lfm.compressed_scan");
+        assert_eq!(
+            scan.is_some(),
+            compressed,
+            "{:?}:\n{}",
+            config.region_codec,
+            tree.render_tree()
+        );
+        assert_eq!(read > 0, compressed, "{:?}: {read} compressed pages", config.region_codec);
+        if let Some(scan) = scan {
+            assert_eq!(scan.field("pages"), Some(&FieldValue::U64(read)));
+        }
+    }
 }
 
 /// Fault-free queries put nothing in the ring, so they evict nothing:
@@ -445,6 +470,8 @@ fn disabling_observability_stops_recording() {
 /// Each query class's tree at `small_test()`: spans, fields over the
 /// whole tree, and span names in preorder.  A moved count means a span
 /// or field was dropped, renamed or added: re-record it with a reason.
+/// (`multi_study_band` 38 → 37 and `population_average` 49 → 48 fields
+/// when the roots' `threads` field went with intra-query fan-out.)
 #[rustfmt::skip]
 const SPANS_PER_QUERY: [(&str, usize, usize, &[&str]); 7] = [
     ("full_study", 9, 21, &["query.full_study", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.project", "udf.fullregion", "udf.extractvoxels", "lfm.read", "net.ship"]),
@@ -452,8 +479,8 @@ const SPANS_PER_QUERY: [(&str, usize, usize, &[&str]); 7] = [
     ("structure", 11, 30, &["query.structure", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "net.ship"]),
     ("band", 10, 29, &["query.band", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join intensityband", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "net.ship"]),
     ("band_in_structure", 14, 38, &["query.band_in_structure", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join intensityband", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.intersection", "lfm.read", "lfm.read", "udf.extractvoxels", "lfm.read", "net.ship"]),
-    ("multi_study_band", 15, 38, &["query.multi_study_band", "db.execute", "exec.select", "exec.scan intensityband", "exec.project", "db.read_long_field", "lfm.read", "db.execute", "exec.select", "exec.scan intensityband", "exec.project", "db.read_long_field", "lfm.read", "query.fold_band_regions", "net.ship"]),
-    ("population_average", 21, 49, &["query.population_average", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "query.voxel_mean", "net.ship"]),
+    ("multi_study_band", 15, 37, &["query.multi_study_band", "db.execute", "exec.select", "exec.scan intensityband", "exec.project", "db.read_long_field", "lfm.read", "db.execute", "exec.select", "exec.scan intensityband", "exec.project", "db.read_long_field", "lfm.read", "query.fold_band_regions", "net.ship"]),
+    ("population_average", 21, 48, &["query.population_average", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "db.execute", "exec.select", "exec.scan warpedvolume", "exec.hash_join atlasstructure", "exec.hash_join neuralstructure", "exec.project", "udf.extractvoxels", "lfm.read", "lfm.read", "query.voxel_mean", "net.ship"]),
 ];
 
 /// Preorder span names of a finished tree.

@@ -1,11 +1,12 @@
-//! The parallel query engine: shared-read `MedicalServer`, per-study
-//! fan-out for multi-study queries, and the LFM page cache.
+//! The concurrent query engine: a shared-read `MedicalServer` that any
+//! number of client threads query at once, and the LFM page cache.
 //!
 //! The contracts under test:
 //!
 //! * **Thread-count determinism** — multi-study answers and every
 //!   deterministic [`qbism::QueryCost`] field are bit-identical at any
-//!   fan-out width (wall-clock fields are, of course, not compared).
+//!   number of client threads (wall-clock fields are, of course, not
+//!   compared).
 //! * **Cache transparency** — enabling the LFM page cache changes no
 //!   answer and no *logical* I/O count; only [`qbism::MedicalServer::
 //!   cache_stats`] sees the pool absorb repeat reads.
@@ -19,14 +20,15 @@
 use qbism::{QbismConfig, QbismSystem};
 use qbism_fault::{FaultOutcome, FaultPlane, Trigger};
 use qbism_lfm::CacheConfig;
+use qbism_region::RegionCodec;
 use std::sync::Arc;
 
 fn system() -> QbismSystem {
     QbismSystem::install(&QbismConfig::small_test()).unwrap()
 }
 
-/// A slightly wider installation so the fan-out has real work per
-/// worker: five PET studies instead of two.
+/// A slightly wider installation so a multi-study query folds five PET
+/// studies instead of two.
 fn five_study_system() -> QbismSystem {
     let config = QbismConfig { pet_studies: 5, ..QbismConfig::small_test() };
     QbismSystem::install(&config).unwrap()
@@ -40,59 +42,59 @@ fn deterministic_cost(c: &qbism::QueryCost) -> (qbism_lfm::IoStats, u64, u64, u6
 #[test]
 fn multi_study_queries_are_identical_at_any_thread_count() {
     let config = QbismConfig { pet_studies: 5, ..QbismConfig::small_test() };
-    for config in [config.clone(), config.with_compressed_tablespace()] {
-        let mut sys = QbismSystem::install(&config).unwrap();
-        let studies: Vec<i64> = sys.pet_study_ids.clone();
+    let k3 = QbismConfig { region_codec: RegionCodec::K3Tree, ..config.clone() };
+    for config in [config, k3] {
+        let sys = QbismSystem::install(&config).unwrap();
+        let (server, studies) = (&sys.server, &sys.pet_study_ids);
+        let pop_ref = server.population_average(studies, "ntal").unwrap();
+        let (band_ref, band_cost_ref) = server.multi_study_band_region(studies, 32, 63).unwrap();
 
-        sys.server.set_threads(1);
-        let pop_ref = sys.server.population_average(&studies, "ntal").unwrap();
-        let (band_ref, band_cost_ref) =
-            sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
+        for clients in [2, 8] {
+            std::thread::scope(|scope| {
+                for _ in 0..clients {
+                    scope.spawn(|| {
+                        let pop = server.population_average(studies, "ntal").unwrap();
+                        assert_eq!(pop.data, pop_ref.data, "answer diverged at {clients} clients");
+                        assert!(pop.is_complete());
+                        assert_eq!(
+                            deterministic_cost(&pop.cost),
+                            deterministic_cost(&pop_ref.cost),
+                            "population cost diverged at {clients} clients"
+                        );
 
-        for threads in [2, 8] {
-            sys.server.set_threads(threads);
-            assert_eq!(sys.server.threads(), threads);
-
-            let pop = sys.server.population_average(&studies, "ntal").unwrap();
-            assert_eq!(pop.data, pop_ref.data, "answer diverged at {threads} threads");
-            assert!(pop.is_complete());
-            assert_eq!(
-                deterministic_cost(&pop.cost),
-                deterministic_cost(&pop_ref.cost),
-                "population cost diverged at {threads} threads"
-            );
-
-            let (band, band_cost) = sys.server.multi_study_band_region(&studies, 32, 63).unwrap();
-            assert_eq!(band, band_ref, "band region diverged at {threads} threads");
-            assert_eq!(
-                deterministic_cost(&band_cost),
-                deterministic_cost(&band_cost_ref),
-                "band cost diverged at {threads} threads"
-            );
+                        let (band, band_cost) =
+                            server.multi_study_band_region(studies, 32, 63).unwrap();
+                        assert_eq!(band, band_ref, "band region diverged at {clients} clients");
+                        assert_eq!(
+                            deterministic_cost(&band_cost),
+                            deterministic_cost(&band_cost_ref),
+                            "band cost diverged at {clients} clients"
+                        );
+                    });
+                }
+            });
         }
     }
 }
 
 #[test]
 fn fan_out_errors_pick_the_first_study_in_study_order() {
-    let mut sys = system();
-    for threads in [1, 8] {
-        sys.server.set_threads(threads);
-        // Study 99 never exists; the multi-study intersection must fail,
-        // and the population aggregate must degrade around it.
-        let err = sys.server.multi_study_band_region(&[99, 1], 32, 63).unwrap_err();
-        assert!(matches!(err, qbism::QbismError::NotFound(_)), "{err}");
-        let pop = sys.server.population_average(&[1, 99, 2], "ntal").unwrap();
-        assert_eq!(pop.skipped.len(), 1);
-        assert_eq!(pop.skipped[0].0, 99);
-        assert!((pop.cost.coverage - 2.0 / 3.0).abs() < 1e-12);
-    }
+    let sys = system();
+    // Study 99 never exists; the multi-study intersection must fail,
+    // and the population aggregate must degrade around it.
+    let err = sys.server.multi_study_band_region(&[99, 1], 32, 63).unwrap_err();
+    assert!(matches!(err, qbism::QbismError::NotFound(_)), "{err}");
+    let pop = sys.server.population_average(&[1, 99, 2], "ntal").unwrap();
+    assert_eq!(pop.skipped.len(), 1);
+    assert_eq!(pop.skipped[0].0, 99);
+    assert!((pop.cost.coverage - 2.0 / 3.0).abs() < 1e-12);
 }
 
 #[test]
 fn cache_changes_no_answer_and_no_logical_io() {
     let config = QbismConfig::small_test();
-    for config in [config.clone(), config.with_compressed_tablespace()] {
+    let k3 = QbismConfig { region_codec: RegionCodec::K3Tree, ..config.clone() };
+    for config in [config, k3] {
         let mut sys = QbismSystem::install(&config).unwrap();
         let cold = sys.server.full_study(1).unwrap();
         let structure_cold = sys.server.structure_data(1, "ntal").unwrap();
@@ -133,8 +135,7 @@ fn cache_changes_no_answer_and_no_logical_io() {
 
 #[test]
 fn concurrent_clients_get_sequential_answers_and_costs() {
-    let mut sys = system();
-    sys.server.set_threads(2);
+    let sys = system();
     let server = &sys.server;
 
     // Sequential references, one per query class used below.
@@ -186,7 +187,6 @@ fn concurrent_clients_get_sequential_answers_and_costs() {
 #[test]
 fn concurrent_stress_under_faults_never_tears_an_answer() {
     let mut sys = system();
-    sys.server.set_threads(2);
     // Cache on during the storm: eviction, invalidation and pinning all
     // run under contention too.
     sys.server.set_cache_config(CacheConfig {
@@ -241,20 +241,19 @@ fn concurrent_stress_under_faults_never_tears_an_answer() {
     assert_eq!(after.cost.lfm, full.cost.lfm);
 }
 
+/// A multi-study query's per-study stages run under the fault plane its
+/// caller armed: with every device read failing, no study survives.
 #[test]
-fn fan_out_workers_inherit_the_callers_fault_plane() {
-    let mut sys = five_study_system();
+fn multi_study_stages_run_under_the_callers_fault_plane() {
+    let sys = five_study_system();
     let studies: Vec<i64> = sys.pet_study_ids.clone();
-    sys.server.set_threads(4);
-    // Every device read fails: if workers dropped the caller's plane,
-    // the aggregate would sail through unfaulted on the pool threads.
     let scope =
         FaultPlane::new(5).rule("lfm.read", Trigger::Probability(1.0), FaultOutcome::Error).arm();
     let result = sys.server.population_average(&studies, "ntal");
     let injected = scope.plane().faults_injected();
     drop(scope);
     assert!(result.is_err(), "with every read failing, no study survives");
-    assert!(injected > 0, "workers must re-arm the caller's plane");
+    assert_eq!(injected, studies.len() as u64, "one failed read a study");
     // And cleanly afterwards.
     assert!(sys.server.population_average(&studies, "ntal").unwrap().is_complete());
 }

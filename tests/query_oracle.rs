@@ -1,11 +1,10 @@
 //! The generated-query oracle, first slice (ROADMAP 10a and a two-row
 //! 10c): every query the seeded generator writes, over all seven
-//! classes, gets the reference evaluator's answer from both tablespaces
-//! and from `region_codec: K3Tree` with the flag off, at 16³ and 32³,
-//! with the page cache off and with one that fits — and within a mode
-//! the cache changes no deterministic cost field.
-//! At 64³ the compressed tablespace's multi-study fold gets one row of
-//! its own.
+//! classes, gets the reference evaluator's answer from both stored
+//! codecs (`Naive`, `K3Tree`), at 16³ and 32³, with the page cache off
+//! and with one that fits — and within a mode the cache changes no
+//! deterministic cost field.
+//! At 64³ the k³ multi-study fold gets one row of its own.
 //!
 //! This is the net a REGION format change lands on: the oracle never
 //! touches a codec, so an answer that moved is the format's fault.
@@ -43,7 +42,6 @@ fn check_grid(atlas_bits: u32, seed: u64) {
     let mut classes_answered = [0usize; 7];
     let modes = [
         ("default", default.clone()),
-        ("compressed", default.clone().with_compressed_tablespace()),
         ("k3 codec", QbismConfig { region_codec: RegionCodec::K3Tree, ..default }),
     ];
     for (mode, config) in modes {
@@ -109,16 +107,20 @@ fn every_generated_query_gets_the_reference_answer_at_32() {
     check_grid(5, 0x32);
 }
 
-/// The 64³ row, compressed tablespace: the first grid whose k³
+/// The 64³ row, k³ REGIONs: the first grid whose k³
 /// directories have a second level (16³ is one leaf, 32³ one node over
 /// leaves), so the fold's synchronized descent meets FULL codes, pruned
 /// subtrees and masked leaves.  Every stored band, folded over two to
 /// five studies, gets the reference evaluator's answer.
 #[test]
 fn every_multi_study_band_gets_the_reference_answer_at_64_compressed() {
-    let config =
-        QbismConfig { atlas_bits: 6, pet_studies: 5, mri_studies: 0, ..QbismConfig::paper_scale() }
-            .with_compressed_tablespace();
+    let config = QbismConfig {
+        atlas_bits: 6,
+        pet_studies: 5,
+        mri_studies: 0,
+        region_codec: RegionCodec::K3Tree,
+        ..QbismConfig::paper_scale()
+    };
     let system = QbismSystem::install(&config).expect("install");
     let oracle = Oracle::new(&system);
     let studies = &system.pet_study_ids;
