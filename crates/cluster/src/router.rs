@@ -257,7 +257,7 @@ impl ClusterWarehouse {
         span.record_u64("hi", u64::from(hi));
         span.record_u64("shards", self.shards.len() as u64);
         let stage = |server: &MedicalServer, id| server.band_region_stage(id, lo, hi);
-        let fetched = self.scatter(study_ids, &stage, |bytes| bytes.len() as u64);
+        let fetched = self.scatter(study_ids, &stage, |band| band.encoded_len() as u64);
         // Gather on the router with the single-node server's own fold,
         // so the answer and its wire size are the server's in every
         // stored codec.  (The router has no LFM of its own to credit

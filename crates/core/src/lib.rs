@@ -57,12 +57,14 @@ pub mod ops;
 pub mod report;
 pub mod schema;
 pub mod server;
+mod stored;
 pub mod wire;
 
 pub use config::QbismConfig;
 pub use loader::QbismSystem;
 pub use report::{FullQueryReport, QuerySpec};
 pub use server::{MedicalServer, PopulationAnswer, QueryAnswer, QueryCost, StudyStage};
+pub use stored::StoredRegion;
 
 /// Errors from the integrated system.
 #[derive(Debug)]

@@ -21,46 +21,65 @@
 //! database's grid — the one its VOLUMEs are laid out on — or the call
 //! is a typed [`DbError::Exec`].
 
+use crate::stored::StoredRegion;
 use qbism_coding::{K3Cursor, RunCursor};
 use qbism_region::{kernel, open_k3, Run};
 use qbism_region::{GridGeometry, Region, RegionCodec, RegionEncodeError};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use qbism_volume::DataRegion;
-use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A REGION operand as a UDF receives it.
 enum Operand<'a> {
-    /// Encoded bytes, and whether they were read from a long field
-    /// (false for an immediate byte string, borrowed from the argument).
-    Encoded(Cow<'a, [u8]>, bool),
-    /// A REGION another operator computed, borrowed from the argument.
-    Typed(&'a Region),
+    /// A REGION long field, shared with the LFM's object cache.
+    Stored(Arc<StoredRegion>),
+    /// An immediate byte string a client bound, borrowed from the
+    /// argument.
+    Bytes(&'a [u8]),
+    /// A REGION another operator computed, shared with the argument.
+    Typed(Arc<Region>),
 }
 
 /// Fetches a region argument: a long field (read through the LFM,
-/// counting I/O), an immediate byte string, or a typed [`Region`].
+/// counting I/O, and decoded only while it is not cached), an immediate
+/// byte string, or a typed [`Region`].
 fn fetch_operand<'a>(ctx: &mut UdfContext<'_>, v: &'a Value) -> Result<Operand<'a>, DbError> {
     match v {
-        Value::Long(id) => Ok(Operand::Encoded(Cow::Owned(ctx.lfm.read(*id)?), true)),
-        Value::Bytes(b) => Ok(Operand::Encoded(Cow::Borrowed(b), false)),
-        other => other.as_object::<Region>().map(Operand::Typed).ok_or_else(|| {
+        Value::Long(id) => {
+            let decode = |bytes| StoredRegion::decode(bytes).map_err(malformed);
+            Ok(Operand::Stored(ctx.lfm.read_object(*id, decode)?))
+        }
+        Value::Bytes(b) => Ok(Operand::Bytes(b)),
+        other => other.as_shared::<Region>().map(Operand::Typed).ok_or_else(|| {
             DbError::Type(format!("expected a REGION (long field, bytes or region), got {other}"))
         }),
     }
 }
 
-impl<'a> Operand<'a> {
-    /// The operand as a [`Region`] on the database's grid: encoded bytes
-    /// are decoded, a typed REGION is borrowed.
-    fn region(self, name: &str, grid: GridGeometry) -> Result<Cow<'a, Region>, DbError> {
+impl Operand<'_> {
+    /// The operand as a [`Region`] on the database's grid: a stored one
+    /// as its object holds it (a k³ one decoded at most once), bytes
+    /// decoded, a typed one shared.
+    fn region(self, name: &str, grid: GridGeometry) -> Result<Arc<Region>, DbError> {
         let region = match self {
-            Operand::Encoded(bytes, _) => {
-                Cow::Owned(RegionCodec::decode(&bytes).map_err(malformed)?)
-            }
-            Operand::Typed(region) => Cow::Borrowed(region),
+            Operand::Stored(stored) => Arc::clone(stored.region().map_err(malformed)?),
+            Operand::Bytes(bytes) => Arc::new(RegionCodec::decode(bytes).map_err(malformed)?),
+            Operand::Typed(region) => region,
         };
         on_grid(name, grid, region.geometry())?;
         Ok(region)
+    }
+
+    /// The operand as a k³ payload a cursor merge can open, and whether
+    /// it is stored: a stored k³ REGION whose runs no reader has decoded
+    /// yet, or immediate k³ bytes.  `None` for anything else, and for
+    /// bytes that are malformed.
+    fn undecoded_k3(&self) -> Option<(GridGeometry, &[u8], bool)> {
+        match self {
+            Operand::Stored(stored) => stored.undecoded_k3().map(|p| (stored.geometry(), p, true)),
+            Operand::Bytes(bytes) => open_k3(bytes).ok()?.map(|(geom, p)| (geom, p, false)),
+            Operand::Typed(_) => None,
+        }
     }
 }
 
@@ -69,17 +88,17 @@ fn malformed(e: RegionEncodeError) -> DbError {
 }
 
 /// Fetches a region argument as a [`Region`] on the database's grid.
-fn fetch_region<'a>(
+fn fetch_region(
     ctx: &mut UdfContext<'_>,
     name: &str,
     grid: GridGeometry,
-    v: &'a Value,
-) -> Result<Cow<'a, Region>, DbError> {
+    v: &Value,
+) -> Result<Arc<Region>, DbError> {
     fetch_operand(ctx, v)?.region(name, grid)
 }
 
 /// The grid check of every REGION operand, made once where it is opened
-/// (as a cursor, decoded or borrowed): an id on another curve or
+/// (as a cursor, decoded or shared): an id on another curve or
 /// resolution names another voxel of the database's VOLUMEs, and two
 /// operands on different grids have no common id space to merge in.
 fn on_grid(name: &str, grid: GridGeometry, geom: GridGeometry) -> Result<(), DbError> {
@@ -93,10 +112,11 @@ fn on_grid(name: &str, grid: GridGeometry, geom: GridGeometry) -> Result<(), DbE
 }
 
 /// A binary region operator `name(region, region) -> region`: two k³
-/// byte strings merge over their cursors ([`k3_merge`]); any other
-/// pair — or one that merge cannot answer — is decoded or borrowed, and
-/// `decoded` merges the run lists.  Either way it is the same kernel
-/// over another cursor, and the answer is a typed [`Region`].
+/// operands whose runs are not decoded merge over their cursors
+/// ([`k3_merge`]); any other pair — or one that merge cannot answer —
+/// is decoded or shared, and `decoded` merges the run lists.  Either
+/// way it is the same kernel over another cursor, and the answer is a
+/// typed [`Region`].
 fn region_pair_op(
     ctx: &mut UdfContext<'_>,
     name: &str,
@@ -108,9 +128,8 @@ fn region_pair_op(
     expect_arity(name, args, 2)?;
     let a = fetch_operand(ctx, &args[0])?;
     let b = fetch_operand(ctx, &args[1])?;
-    if let (Operand::Encoded(bytes_a, stored_a), Operand::Encoded(bytes_b, stored_b)) = (&a, &b) {
-        if let Some(region) = k3_merge(ctx, grid, merge, (bytes_a, *stored_a), (bytes_b, *stored_b))
-        {
+    if let (Some(k3_a), Some(k3_b)) = (a.undecoded_k3(), b.undecoded_k3()) {
+        if let Some(region) = k3_merge(ctx, grid, merge, k3_a, k3_b) {
             return Ok(Value::object(region));
         }
     }
@@ -118,21 +137,19 @@ fn region_pair_op(
     Ok(Value::object(decoded(&a, &b)))
 }
 
-/// `merge` over two k³ operands on the database's grid — each header
-/// parsed once, nothing decompressed but the leaves the merge visits —
-/// with the skips of stored operands credited to the LFM metrics.
-/// `None` when an operand is not k³ bytes, or is malformed or on
-/// another grid: the decode path then answers or refuses the pair, so
-/// a bad operand is the same typed error whichever path it would take.
+/// `merge` over two k³ payloads on the database's grid — nothing
+/// decompressed but the leaves the merge visits — with the skips of
+/// stored operands credited to the LFM metrics.  `None` when an operand
+/// is malformed or on another grid: the decode path then answers or
+/// refuses the pair, so a bad operand is the same typed error whichever
+/// path it would take.
 fn k3_merge(
     ctx: &mut UdfContext<'_>,
     grid: GridGeometry,
     merge: CursorMerge,
-    (bytes_a, stored_a): (&[u8], bool),
-    (bytes_b, stored_b): (&[u8], bool),
+    (geom_a, payload_a, stored_a): (GridGeometry, &[u8], bool),
+    (geom_b, payload_b, stored_b): (GridGeometry, &[u8], bool),
 ) -> Option<Region> {
-    let (geom_a, payload_a) = open_k3(bytes_a).ok()??;
-    let (geom_b, payload_b) = open_k3(bytes_b).ok()??;
     if geom_a != grid || geom_b != grid {
         return None;
     }
@@ -147,7 +164,7 @@ fn k3_merge(
     Some(region)
 }
 
-/// A set operator over decoded or borrowed operands.
+/// A set operator over decoded or shared operands.
 type RegionOp = fn(&Region, &Region) -> Region;
 
 /// The same operator's kernel scan instantiated over two k³ operands.
@@ -182,13 +199,14 @@ pub fn register_spatial_ops(db: &mut Database, grid: GridGeometry) {
     db.register_udf("extractvoxels", move |ctx, args| extract_voxels(ctx, grid, args));
 }
 
-/// `extractVoxels(volume, region)`: the REGION operand, whatever its
-/// codec, is decoded once (a typed one is cloned once, because UDF
-/// arguments are borrowed); its runs are the pieces the LFM gathers from
-/// the VOLUME — one contiguous byte extent per run, because the volume
+/// `extractVoxels(volume, region)`: the REGION operand — stored, bound
+/// or computed, in any codec — is opened as a shared [`Region`] (a
+/// stored one decoded at most once while it stays cached, a computed
+/// one never copied); its runs are the pieces the LFM gathers from the
+/// VOLUME — one contiguous byte extent per run, because the volume
 /// shares the region's curve order (the I/O path whose page counts
 /// Table 3 reports) — and the region and its values are the answer, a
-/// typed [`DataRegion`] the server takes as it is.
+/// typed [`DataRegion`] that shares the operand's REGION.
 fn extract_voxels(
     ctx: &mut UdfContext<'_>,
     grid: GridGeometry,
@@ -198,12 +216,12 @@ fn extract_voxels(
     let volume_id = args[0]
         .as_long()
         .ok_or_else(|| DbError::Type("extractVoxels expects a VOLUME long field first".into()))?;
-    let region = fetch_region(ctx, "extractVoxels", grid, &args[1])?.into_owned();
+    let region = fetch_region(ctx, "extractVoxels", grid, &args[1])?;
     check_volume_len(ctx, volume_id, grid)?;
     let pieces = region.runs().iter().map(|r| (r.start, r.len()));
     let mut values = Vec::new();
     ctx.lfm.read_pieces_into(volume_id, pieces, &mut values)?;
-    Ok(Value::object(DataRegion::new(region, values)))
+    Ok(Value::object(DataRegion::shared(region, values)))
 }
 
 /// An extraction reads a VOLUME laid out on the database's grid, the
@@ -328,6 +346,19 @@ mod tests {
         let (db, a, b, vol) = setup();
         let sql = "select extractVoxels(t.vol, intersection(t.r1, t.r2)) from t";
         assert_eq!(answer(db.query(sql)).unwrap(), vol.extract(&a.intersect(&b)).unwrap());
+    }
+
+    /// A computed REGION is shared, not copied: the answer of an
+    /// extraction over a typed operand holds the operand's allocation.
+    #[test]
+    fn an_extraction_shares_a_typed_operand() {
+        let (db, a, _, vol) = setup();
+        let region = Arc::new(a);
+        let stmt = db.prepare("select extractVoxels(t.vol, ?) from t").unwrap();
+        let operand = Value::Object(Arc::clone(&region) as Arc<dyn std::any::Any + Send + Sync>);
+        let got = answer(db.run(&stmt, &[operand])).unwrap();
+        assert!(Arc::ptr_eq(got.shared_region(), &region));
+        assert_eq!(got, vol.extract(&region).unwrap());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use crate::config::QbismConfig;
 use crate::loader::ATLAS_ID;
+use crate::stored::StoredRegion;
 use crate::wire::data_region_wire_size;
 use crate::{QbismError, Result};
 use qbism_lfm::{CacheConfig, CacheStats, DiskModel, IoBracket, IoStats};
@@ -25,6 +26,7 @@ use qbism_obs::trace;
 use qbism_region::{kernel, GridGeometry, Region, RegionCodec};
 use qbism_starburst::{Database, Prepared, Value};
 use qbism_volume::{DataRegion, Volume};
+use std::sync::Arc;
 
 /// The host clock: a query's `native_*` seconds, which `measured` and
 /// `add_gather_seconds` also add into `sim_db_seconds` (ROADMAP 9a).
@@ -476,12 +478,17 @@ impl MedicalServer {
     }
 
     /// The per-study stage of the multi-study band query: one measured
-    /// fetch of the study's stored band REGION, long field and bytes.
-    /// Public, like [`MedicalServer::population_stage`], for
-    /// scatter/gather routers; a stage never ships.
-    pub fn band_region_stage(&self, study_id: i64, lo: u8, hi: u8) -> StudyStage<Vec<u8>> {
+    /// read of the study's stored band REGION, shared with the LFM's
+    /// object cache.  Public, like [`MedicalServer::population_stage`],
+    /// for scatter/gather routers; a stage never ships.
+    pub fn band_region_stage(
+        &self,
+        study_id: i64,
+        lo: u8,
+        hi: u8,
+    ) -> StudyStage<Arc<StoredRegion>> {
         let params = [Value::Int(study_id), Value::Int(lo.into()), Value::Int(hi.into())];
-        self.measured(&self.statements.band_region, &params, Self::long_field)
+        self.measured(&self.statements.band_region, &params, Self::stored_region)
     }
 
     /// The Section 6.4 aggregate: voxel-wise average intensity inside a
@@ -558,8 +565,10 @@ impl MedicalServer {
     pub fn structure_region(&self, structure: &str) -> Result<Region> {
         let span = Self::query_span("query.structure_region");
         span.record_str("structure", structure);
-        let bytes = self.structure_field(&span, &self.statements.structure_region, structure)?;
-        Ok(RegionCodec::decode(&bytes)?)
+        let stmt = &self.statements.structure_region;
+        let stage = self.measured(stmt, &[Value::from(structure)], Self::stored_region);
+        let stored = Self::accessed(&span, stage.named(|| format!("structure {structure}")))?;
+        Ok(Region::clone(stored.region()?))
     }
 
     // ----------------------------------------------------------------
@@ -628,6 +637,16 @@ impl MedicalServer {
             .and_then(Value::as_long)
             .ok_or_else(|| QbismError::Wire("statement did not select a long field".into()))?;
         Ok(self.db.read_long_field(id)?)
+    }
+
+    /// Decoder of the REGION statements: the selected REGION long field,
+    /// read through the LFM's object cache.
+    fn stored_region(&self, row: Vec<Value>) -> Result<Arc<StoredRegion>> {
+        let id = row
+            .first()
+            .and_then(Value::as_long)
+            .ok_or_else(|| QbismError::Wire("statement did not select a long field".into()))?;
+        self.db.read_long_object(id, |bytes| Ok(StoredRegion::decode(bytes)?))
     }
 
     /// A single-study extraction class: measure, ship, report.
@@ -723,19 +742,19 @@ impl<T> StudyStage<T> {
 /// is database-phase CPU.  Nothing ships here: returns the cost so
 /// far and the fold's answer.
 pub fn reduce_band_stages<E>(
-    stages: impl IntoIterator<Item = StudyStage<Vec<u8>, E>>,
+    stages: impl IntoIterator<Item = StudyStage<Arc<StoredRegion>, E>>,
     codec: RegionCodec,
     gather_error: impl FnOnce(QbismError) -> E,
 ) -> std::result::Result<(QueryCost, BandFold), E> {
     let mut cost = QueryCost::default();
-    let mut blobs = Vec::new();
+    let mut bands = Vec::new();
     for stage in stages {
-        blobs.push(stage.outcome?);
+        bands.push(stage.outcome?);
         cost.accumulate(&stage.cost);
     }
     let start = host_now();
     let gather = trace::span("query.fold_band_regions");
-    let fold = fold_band_regions(&blobs, codec).map_err(gather_error)?;
+    let fold = fold_band_regions(&bands, codec).map_err(gather_error)?;
     drop(gather);
     cost.add_gather_seconds(start.elapsed().as_secs_f64());
     Ok((cost, fold))
@@ -809,29 +828,21 @@ pub struct BandFold {
 /// The gather of the multi-study band query, shared by
 /// [`MedicalServer::multi_study_band_region`] and scatter/gather
 /// routers so both ship the same answer size for every stored codec:
-/// the n-way intersection of the studies' stored band REGION `blobs`
+/// the n-way intersection of the studies' stored band REGIONs `bands`
 /// (study order) as a [`Region`], its wire size and the descent's work
 /// counts.  The grids are checked once; then there are two paths, one
 /// answer:
 ///
 /// * every operand a k³ payload — every stored band under
 ///   `region_codec: K3Tree` — is one synchronized directory descent
-///   ([`qbism_region::intersect_k3`]), no operand decoded into runs,
-///   and the answer is sized as `K3Tree` encodes it;
-/// * anything else is decoded and merged by [`kernel::intersect_k`] and
-///   sized as `codec` encodes it.
-pub fn fold_band_regions(blobs: &[Vec<u8>], codec: RegionCodec) -> Result<BandFold> {
-    // Each operand's header is parsed once, as it opens.
-    let mut k3 = Vec::with_capacity(blobs.len());
-    for blob in blobs {
-        match qbism_region::open_k3(blob)? {
-            Some(operand) => k3.push(operand),
-            None => break,
-        }
-    }
-    if k3.len() == blobs.len() {
-        let geom = common_grid(k3.iter().map(|(g, _)| *g))?;
-        let payloads: Vec<&[u8]> = k3.iter().map(|(_, payload)| *payload).collect();
+///   ([`qbism_region::intersect_k3`]), no operand's runs needed, and
+///   the answer is sized as `K3Tree` encodes it;
+/// * anything else is merged over its runs (a naive band's as it was
+///   read) by [`kernel::intersect_k`] and sized as `codec` encodes it.
+pub fn fold_band_regions(bands: &[Arc<StoredRegion>], codec: RegionCodec) -> Result<BandFold> {
+    let geom = common_grid(bands.iter().map(|band| band.geometry()))?;
+    let payloads: Option<Vec<&[u8]>> = bands.iter().map(|band| band.k3_payload()).collect();
+    if let Some(payloads) = payloads {
         let (region, counts) = qbism_region::intersect_k3(geom, &payloads)?;
         return Ok(BandFold {
             wire_bytes: RegionCodec::K3Tree.encoded_len(&region)? as u64,
@@ -840,12 +851,11 @@ pub fn fold_band_regions(blobs: &[Vec<u8>], codec: RegionCodec) -> Result<BandFo
             leaves_masked: counts.leaves_masked,
         });
     }
-    let mut regions = Vec::with_capacity(blobs.len());
-    for blob in blobs {
-        regions.push(RegionCodec::decode(blob)?);
+    let mut regions = Vec::with_capacity(bands.len());
+    for band in bands {
+        regions.push(band.region()?);
     }
-    let geom = common_grid(regions.iter().map(Region::geometry))?;
-    let lists: Vec<_> = regions.iter().map(Region::runs).collect();
+    let lists: Vec<_> = regions.iter().map(|region| region.runs()).collect();
     let region = Region::from_canonical_runs(geom, kernel::intersect_k(&lists))?;
     let wire_bytes = codec.encoded_len(&region)? as u64;
     Ok(BandFold { region, wire_bytes, decode_skips: 0, leaves_masked: 0 })
@@ -872,10 +882,12 @@ pub fn voxel_mean<'a>(
     extracts: impl IntoIterator<Item = &'a DataRegion<u8>>,
 ) -> Option<(DataRegion<u8>, Vec<usize>)> {
     let mut extracts = extracts.into_iter().enumerate().peekable();
-    let region = extracts.peek()?.1.region().clone();
+    let region = Arc::clone(extracts.peek()?.1.shared_region());
     let (mut aligned, mut misaligned) = (Vec::new(), Vec::new());
     for (at, extract) in extracts {
-        if *extract.region() == region {
+        // Extractions over one cached REGION share it: no runs compared.
+        let shared = extract.shared_region();
+        if Arc::ptr_eq(shared, &region) || **shared == *region {
             aligned.push(extract.values());
         } else {
             misaligned.push(at);
@@ -898,7 +910,7 @@ pub fn voxel_mean<'a>(
         }
         push_means(sums, aligned.len() as u32, &mut values);
     }
-    Some((DataRegion::new(region, values), misaligned))
+    Some((DataRegion::shared(region, values), misaligned))
 }
 
 /// Voxels per block of [`voxel_mean`]: 16 KiB of sums.
@@ -1165,7 +1177,11 @@ mod tests {
                 regions.iter().map(|r| stored.encode(r).expect("encode")).collect();
             let lists: Vec<_> = regions.iter().map(Region::runs).collect();
             let want = Region::from_runs(geom, kernel::intersect_k(&lists));
-            let fold = fold_band_regions(&blobs, RegionCodec::Naive).expect("fold");
+            let bands: Vec<_> = blobs
+                .iter()
+                .map(|blob| Arc::new(StoredRegion::decode(blob.clone()).expect("open").0))
+                .collect();
+            let fold = fold_band_regions(&bands, RegionCodec::Naive).expect("fold");
             let wire_bytes = match &blobs[..] {
                 [field] => field.len(),
                 _ if naive => RegionCodec::Naive.encode(&want).expect("encode answer").len(),

@@ -20,14 +20,15 @@
 #![allow(clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 
 use qbism::server::fold_band_regions;
-use qbism::QbismError;
 use qbism::{QbismConfig, QbismSystem};
+use qbism::{QbismError, StoredRegion};
 use qbism_coding::K3Cursor;
 use qbism_phantom::build_atlas;
 use qbism_region::{compressed_cursor, kernel, open_k3, GridGeometry, Region};
 use qbism_region::{RegionCodec, RegionEncodeError};
 use qbism_sfc::CurveKind;
 use qbism_starburst::{Database, DbError, Value};
+use std::sync::Arc;
 
 fn open(bytes: &[u8]) -> K3Cursor<'_> {
     compressed_cursor(bytes).expect("open cursor").1
@@ -214,7 +215,8 @@ fn mismatched_grids_are_the_same_typed_error_in_both_modes() {
                 other => panic!("{udf} across grids: expected an Exec error, got {other:?}"),
             }
         }
-        match fold_band_regions(&[r8, r16], RegionCodec::Naive) {
+        let bands = [r8, r16].map(|bytes| Arc::new(StoredRegion::decode(bytes).expect("open").0));
+        match fold_band_regions(&bands, RegionCodec::Naive) {
             Err(QbismError::Wire(msg)) => assert!(msg.contains("mismatched grids"), "{msg}"),
             other => panic!("fold across grids: expected a Wire error, got {:?}", other.err()),
         }

@@ -16,6 +16,10 @@
 //! classic clock (second-chance) sweep, and pinned frames are skipped,
 //! so a read call keeps the pages it touched resident while its own
 //! misses stage more.
+//!
+//! What a read really repeats on this host is the decode after the
+//! copy; the decoded objects of whole fields are a separate cache
+//! beside this one ([`crate::objects`]), on and off with it.
 
 /// Buffer-pool knobs on the [`crate::LongFieldManager`].
 ///
@@ -43,6 +47,10 @@ pub struct CacheConfig {
 /// equals the logical `pages_read`; a page the call's own coalesced
 /// transfer or readahead staged is a hit when the call reaches it.
 /// Reads with the pool off take no cache lock and count nothing here.
+///
+/// The `object_*` counts are the decoded-object cache's
+/// ([`crate::LongFieldManager::read_object`]): one lookup per object
+/// read, whatever the field's page count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Distinct-page lookups served from the pool.
@@ -51,6 +59,12 @@ pub struct CacheStats {
     pub misses: u64,
     /// Frames reclaimed by the clock sweep.
     pub evictions: u64,
+    /// Object reads served without a copy or a decode.
+    pub object_hits: u64,
+    /// Object reads that copied and decoded the field's bytes.
+    pub object_misses: u64,
+    /// Decoded objects dropped to make room for another.
+    pub object_evictions: u64,
 }
 
 /// Page-table entry of a page with no frame.
@@ -133,6 +147,7 @@ impl PageCache {
             hits: self.stats.hits - was.hits,
             misses: self.stats.misses - was.misses,
             evictions: self.stats.evictions - was.evictions,
+            ..CacheStats::default()
         }
     }
 
@@ -262,7 +277,7 @@ mod tests {
         assert!(c.get(7).is_none());
         c.insert(7);
         assert_eq!(c.get(7), Some(0), "the first insert takes the first frame");
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, ..CacheStats::default() });
     }
 
     #[test]
@@ -363,9 +378,15 @@ mod tests {
         assert!(c.get(1).is_some());
         assert!(c.get(2).is_none());
         c.insert(2);
-        assert_eq!(c.end_call(), CacheStats { hits: 1, misses: 1, evictions: 1 });
+        assert_eq!(
+            c.end_call(),
+            CacheStats { hits: 1, misses: 1, evictions: 1, ..CacheStats::default() }
+        );
         assert_eq!(c.end_call(), CacheStats::default(), "nothing new since");
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 1 });
+        assert_eq!(
+            c.stats(),
+            CacheStats { hits: 1, misses: 1, evictions: 1, ..CacheStats::default() }
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * [`BuddyAllocator`] — power-of-two block allocation in pages;
 //! * [`LongFieldManager`] — create/read/write/delete long fields, with
 //!   **piece reads** (the `read_pieces` path EXTRACT_DATA uses) that
-//!   coalesce touched pages and never buffer;
+//!   coalesce touched pages and never buffer, and whole-field **object
+//!   reads** (`read_object`) that, with the page cache on, keep each
+//!   field's decoded object so it is decoded once while it stays cached;
 //! * [`IoStats`] — exact 4 KiB I/O counts, the unit Tables 3 and 4 report;
 //! * [`DiskModel`] — converts counts into simulated seconds calibrated to
 //!   the paper's 1994 RS/6000-530 testbed, so the *shape* of the real-time
@@ -47,6 +49,7 @@ mod device;
 mod journal;
 mod manager;
 mod model;
+mod objects;
 
 pub use acct::IoBracket;
 pub use buddy::BuddyAllocator;

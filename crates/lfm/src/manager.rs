@@ -32,11 +32,14 @@ use crate::journal::{
     self, Record, SnapEntry, Snapshot, Superblock, SNAP_ENTRY_LEN, SNAP_HEADER_LEN, SUPER_LEN,
 };
 use crate::model::{DiskModel, IoStats};
+use crate::objects::ObjectCache;
 use crate::{LfmError, Result};
 use qbism_check::sync::{Mutex, MutexGuard};
 use qbism_fault::{checksum, sites};
 use qbism_obs::{trace, Counter, Gauge};
+use std::any::{Any, TypeId};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A piece this short is copied as one fixed-size window and the answer
 /// cut back to the piece's end: a constant-length copy is two register
@@ -251,6 +254,7 @@ fn extent_last_page(pieces: impl Iterator<Item = (u64, u64)>, psz: u64) -> u64 {
 /// The read path ([`read`](LongFieldManager::read),
 /// [`read_piece`](LongFieldManager::read_piece),
 /// [`read_pieces_into`](LongFieldManager::read_pieces_into),
+/// [`read_object`](LongFieldManager::read_object),
 /// [`len`](LongFieldManager::len)) takes `&self`, so any number of
 /// threads may read concurrently; mutations still take `&mut self`, so
 /// Rust's aliasing rules guarantee no writer runs alongside readers.
@@ -265,6 +269,8 @@ pub struct LongFieldManager {
     acct: Mutex<IoStats>,
     metrics: LfmMetrics,
     cache: Mutex<PageCache>,
+    /// Decoded objects of whole fields, on and off with the pool.
+    objects: Mutex<ObjectCache>,
     /// Beside the mutex, not under it: only `&mut self` changes it, so
     /// readers learn whether the pool is on without locking anything.
     cache_config: CacheConfig,
@@ -302,6 +308,7 @@ impl LongFieldManager {
                 "lfm.cache",
                 PageCache::new((geo.data_start + geo.data_pages) as usize),
             ),
+            objects: Mutex::named("lfm.objects", ObjectCache::default()),
             cache_config: CacheConfig::default(),
             geo,
             epoch: 1,
@@ -354,11 +361,14 @@ impl LongFieldManager {
         *self.acct.lock_or_recover() = IoStats::default();
     }
 
-    /// Reconfigures the page cache (the pool is emptied; stats remain).
-    /// Defaults to disabled — the paper's unbuffered LFM.
+    /// Reconfigures the page cache (the pool and the object cache are
+    /// emptied; stats remain).  Defaults to disabled — the paper's
+    /// unbuffered LFM.
     pub fn set_cache_config(&mut self, config: CacheConfig) {
         self.cache_config = config;
         self.cache.lock_or_recover().set_capacity(pool_frames(config));
+        let budget = pool_frames(config).saturating_mul(self.page_size);
+        self.objects.lock_or_recover().set_budget(budget);
     }
 
     /// Current page-cache configuration.
@@ -372,9 +382,21 @@ impl LongFieldManager {
         (pool_frames(self.cache_config) > 0).then(|| self.cache.lock_or_recover())
     }
 
-    /// Cumulative page-cache hit/miss/eviction counters.
+    /// The object cache, locked — or `None` while the pool is off.
+    fn objects(&self) -> Option<MutexGuard<'_, ObjectCache>> {
+        (pool_frames(self.cache_config) > 0).then(|| self.objects.lock_or_recover())
+    }
+
+    /// Cumulative page-cache and object-cache hit/miss/eviction
+    /// counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock_or_recover().stats()
+        let objects = self.objects.lock_or_recover().stats();
+        CacheStats {
+            object_hits: objects.hits,
+            object_misses: objects.misses,
+            object_evictions: objects.evictions,
+            ..self.cache.lock_or_recover().stats()
+        }
     }
 
     /// Metadata-plane accounting: journal traffic, checkpoints,
@@ -586,12 +608,20 @@ impl LongFieldManager {
     pub fn delete(&mut self, id: LongFieldId) -> Result<()> {
         let desc = self.fields.get(&id.0).ok_or(LfmError::NoSuchField(id.0))?.clone();
         self.journal_one(Record::Delete { id: id.0 })?;
+        self.forget_objects(id);
         self.fields.remove(&id.0);
         self.allocator.free(desc.first_page, desc.order)?;
         self.invalidate_cached_block(desc.first_page, desc.order);
         self.compressed.remove(&id.0);
         self.publish_allocation();
         Ok(())
+    }
+
+    /// Drops the decoded objects of field `id`.
+    fn forget_objects(&self, id: LongFieldId) {
+        if let Some(mut objects) = self.objects() {
+            objects.forget_field(id.0);
+        }
     }
 
     /// Drops cached copies of a data-area buddy block's pages.
@@ -791,6 +821,121 @@ impl LongFieldManager {
         Ok(())
     }
 
+    /// Reads a whole field as the object `decode` makes of its bytes,
+    /// through the object cache: while the field's object of type `T`
+    /// is resident, the call returns it without copying or decoding.
+    ///
+    /// To the simulated disk a hit and a miss are both exactly
+    /// [`read`](LongFieldManager::read): the field lookup, the fault
+    /// gate, the page walk with its pool lookups, misses and readahead,
+    /// the [`IoStats`] charge, the `lfm.read` (and `lfm.compressed_scan`)
+    /// span and the series — so every logical and physical count is the
+    /// same whether the object was cached or not.  A failed read returns
+    /// its error and stores nothing; so does a failed decode.
+    ///
+    /// `decode` returns the object and the bytes it holds, which the
+    /// cache's budget (the pool's `capacity_pages × page_size`) is spent
+    /// on, least recently used first.  With the pool off nothing is
+    /// cached and this is `read` followed by `decode`.  Objects are
+    /// keyed by field and type; [`write_piece`](Self::write_piece) and
+    /// [`delete`](Self::delete) drop a field's objects, and
+    /// [`recover`](Self::recover) and
+    /// [`set_cache_config`](Self::set_cache_config) drop them all.
+    pub fn read_object<T, E>(
+        &self,
+        id: LongFieldId,
+        decode: impl FnOnce(Vec<u8>) -> std::result::Result<(T, usize), E>,
+    ) -> std::result::Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+        E: From<LfmError>,
+    {
+        let key = (id.0, TypeId::of::<T>());
+        let cached = match self.objects() {
+            Some(mut objects) => objects.get(key).and_then(|object| object.downcast::<T>().ok()),
+            None => return Ok(Arc::new(decode(self.read(id)?)?.0)),
+        };
+        if let Some(object) = cached {
+            self.charge_field_read(id)?;
+            return Ok(object);
+        }
+        let (object, bytes) = decode(self.read(id)?)?;
+        let object = Arc::new(object);
+        let resident = match self.objects() {
+            Some(mut objects) => objects.insert(key, Arc::clone(&object) as _, bytes),
+            None => None,
+        };
+        Ok(resident.and_then(|resident| resident.downcast::<T>().ok()).unwrap_or(object))
+    }
+
+    /// The call [`read`](LongFieldManager::read) makes to the simulated
+    /// disk, without the copy: what an object-cache hit costs.  A whole
+    /// field is one piece, so this is [`read_pieces_into`]'s walk over
+    /// that piece — one extent, each page looked up once, a miss staging
+    /// the rest of the field — with the same charge, series and spans.
+    /// (It is not that function with its copy switched off: sharing the
+    /// per-piece loop cost extraction about a fifth of its speed at 64³
+    /// through code layout alone.)
+    ///
+    /// [`read_pieces_into`]: LongFieldManager::read_pieces_into
+    fn charge_field_read(&self, id: LongFieldId) -> Result<()> {
+        let span = trace::span("lfm.read");
+        let desc = self.desc(id)?;
+        let latency = self.device.gate_read(sites::LFM_READ)?;
+        self.note_latency(latency);
+        let pages = desc.len.div_ceil(self.page_size as u64);
+        let extents = u64::from(pages > 0);
+        // Unbuffered, the field is one physical transfer.
+        let (mut phys_reads, mut coalesced, mut staged_ahead) = (extents, pages - extents, 0);
+        if let Some(mut pool) = self.pool() {
+            (phys_reads, coalesced) = (0, 0);
+            let dev_first = self.geo.data_start + desc.first_page;
+            let mut pinned: Vec<usize> = Vec::new();
+            for page in 0..pages {
+                if pool.get(dev_first + page).is_none() {
+                    let (rode, ahead) = self.stage_miss(&mut pool, desc, page, pages - 1);
+                    phys_reads += 1;
+                    coalesced += rode;
+                    staged_ahead += ahead;
+                }
+                if let Some(frame) = pool.frame_of(dev_first + page) {
+                    pool.pin(frame);
+                    pinned.push(frame);
+                }
+            }
+            for frame in pinned {
+                pool.unpin(frame);
+            }
+            let lookups = pool.end_call();
+            self.metrics.cache_hits.add(lookups.hits);
+            self.metrics.cache_misses.add(lookups.misses);
+            self.metrics.cache_evictions.add(lookups.evictions);
+            span.record_u64("cache_hits", lookups.hits);
+            span.record_u64("cache_misses", lookups.misses);
+            span.record_u64("cache_evictions", lookups.evictions);
+        }
+        self.metrics.extent_phys_reads.add(phys_reads);
+        self.metrics.extent_coalesced_pages.add(coalesced);
+        self.metrics.extent_readahead_pages.add(staged_ahead);
+        let sim_seconds = self.charge(IoStats {
+            pages_read: pages,
+            extents_read: extents,
+            read_calls: 1,
+            ..IoStats::default()
+        });
+        if self.compressed.contains(&id.0) {
+            self.metrics.compressed_pages_read.add(pages);
+            trace::span("lfm.compressed_scan").record_u64("pages", pages);
+        }
+        if span.is_recording() {
+            span.record_u64("pages", pages);
+            span.record_u64("extents", extents);
+            span.record_u64("bytes", desc.len);
+            span.record_f64("sim_disk_s", sim_seconds);
+        }
+        Ok(())
+    }
+
     /// Serves a demand miss on field page `page`: marks resident the run
     /// of non-resident pages up to `extent_last` (the end of the miss's
     /// physical extent), modelled as one transfer, extended past it by
@@ -850,10 +995,12 @@ impl LongFieldManager {
         let first = (desc.first_page * psz + offset) / psz;
         let last = (desc.first_page * psz + offset + len - 1) / psz;
         // The touched pages change (or roll back) under this call; a
-        // stale cached copy must not survive it either way.
+        // stale cached copy, or an object decoded from one, must not
+        // survive it either way.
         if let Some(mut pool) = self.pool() {
             pool.invalidate_range(self.geo.data_start + first, last - first + 1);
         }
+        self.forget_objects(id);
         self.charge(IoStats {
             pages_written: last - first + 1,
             extents_written: 1,
@@ -937,6 +1084,7 @@ impl LongFieldManager {
         self.device.clear_crash();
         // Recovery rewrites data pages directly (rollback); start clean.
         self.cache.lock_or_recover().clear();
+        self.objects.lock_or_recover().clear();
         let sb = Superblock::decode(self.device.slice(0, SUPER_LEN))?;
         if sb != self.geo.superblock(sb.epoch) {
             return Err(LfmError::CorruptMetadata(
@@ -1250,9 +1398,9 @@ mod tests {
         let pieces: [(u64, u64); 3] = [(0, 10), (2 * 4096, 10), (4 * 4096, 10)];
         let mut out = Vec::new();
         lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
-        assert_eq!(lfm.cache_stats(), CacheStats { hits: 0, misses: 3, evictions: 0 });
+        assert_eq!(lfm.cache_stats(), CacheStats { misses: 3, ..CacheStats::default() });
         lfm.read_pieces_into(id, pieces.iter().copied(), &mut out).unwrap();
-        assert_eq!(lfm.cache_stats(), CacheStats { hits: 2, misses: 4, evictions: 0 });
+        assert_eq!(lfm.cache_stats(), CacheStats { hits: 2, misses: 4, ..CacheStats::default() });
         let want: Vec<u8> = pieces
             .iter()
             .flat_map(|&(o, l)| &data[o as usize..(o + l) as usize])
@@ -1782,6 +1930,254 @@ mod tests {
                 }
             }
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The object cache
+    // ------------------------------------------------------------------
+
+    /// A pool of `pages` frames (zero: off), no readahead.
+    fn pooled(pages: usize) -> LongFieldManager {
+        let mut lfm = mk();
+        lfm.set_cache_config(CacheConfig {
+            capacity_pages: pages,
+            enabled: pages > 0,
+            readahead_pages: 0,
+        });
+        lfm
+    }
+
+    /// A decoder that keeps the bytes, reports their length and counts
+    /// its calls.
+    fn counting(
+        calls: &std::cell::Cell<u32>,
+    ) -> impl FnOnce(Vec<u8>) -> Result<(Vec<u8>, usize)> + '_ {
+        move |bytes| {
+            calls.set(calls.get() + 1);
+            let len = bytes.len();
+            Ok((bytes, len))
+        }
+    }
+
+    /// Runs `read` under a root span: what it cost the simulated disk,
+    /// the pool lookups it made, and every span it opened with its
+    /// fields.
+    fn traced(lfm: &LongFieldManager, read: impl FnOnce()) -> (IoStats, (u64, u64), Vec<String>) {
+        fn flatten(node: &qbism_obs::SpanNode, out: &mut Vec<String>) {
+            let fields: Vec<String> = node.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            out.push(format!("{} {}", node.name, fields.join(" ")));
+            node.children.iter().for_each(|child| flatten(child, out));
+        }
+        let (io, pool) = (lfm.stats(), lfm.cache_stats());
+        let root = trace::root("test.read");
+        read();
+        drop(root);
+        let mut spans = Vec::new();
+        flatten(&trace::last_root().expect("a finished root"), &mut spans);
+        let after = lfm.cache_stats();
+        let delta = IoStats {
+            pages_read: lfm.stats().pages_read - io.pages_read,
+            extents_read: lfm.stats().extents_read - io.extents_read,
+            read_calls: lfm.stats().read_calls - io.read_calls,
+            ..IoStats::default()
+        };
+        (delta, (after.hits - pool.hits, after.misses - pool.misses), spans)
+    }
+
+    /// A miss, a hit and `read` are one call to the simulated disk:
+    /// equal I/O, pool lookups and spans, call for call — for a plain,
+    /// a compressed and an empty field, with and without readahead, and
+    /// with another field's reads evicting pages between the calls; only
+    /// the miss decodes.
+    #[test]
+    fn an_object_hit_charges_the_disk_like_a_miss_and_a_read() {
+        let churn: Vec<u8> = vec![3; 4096 * 6];
+        for len in [4096 * 3 + 100, 0] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            for (compressed, readahead) in [(false, 0), (true, 0), (false, 4), (true, 4)] {
+                let config =
+                    CacheConfig { capacity_pages: 8, enabled: true, readahead_pages: readahead };
+                let (mut plain, mut objects) = (mk(), mk());
+                let setup = |lfm: &mut LongFieldManager| {
+                    lfm.set_cache_config(config);
+                    let id =
+                        if compressed { lfm.create_compressed(&data) } else { lfm.create(&data) };
+                    (id.unwrap(), lfm.create(&churn).unwrap())
+                };
+                let ((pid, pchurn), (oid, ochurn)) = (setup(&mut plain), setup(&mut objects));
+                let calls = std::cell::Cell::new(0);
+                let what = format!("{len} bytes, compressed {compressed}, readahead {readahead}");
+                for round in 0..3 {
+                    let want = traced(&plain, || assert_eq!(plain.read(pid).unwrap(), data));
+                    let got = traced(&objects, || {
+                        let object = objects.read_object(oid, counting(&calls)).unwrap();
+                        assert_eq!(*object, data);
+                    });
+                    assert_eq!(got, want, "round {round}, {what}");
+                    assert!(got.2.iter().any(|s| s.starts_with("lfm.read ")));
+                    let scan = got.2.iter().any(|s| s.starts_with("lfm.compressed_scan"));
+                    assert_eq!(scan, compressed, "{what}");
+                    if round == 1 {
+                        assert_eq!(plain.read(pchurn).unwrap(), churn);
+                        assert_eq!(objects.read(ochurn).unwrap(), churn);
+                    }
+                }
+                assert_eq!(calls.get(), 1, "only the first read decodes: {what}");
+                let stats = objects.cache_stats();
+                assert_eq!((stats.object_hits, stats.object_misses), (2, 1), "{what}");
+                assert!(stats.evictions > 0 || len == 0, "the churn evicted pages: {what}");
+            }
+        }
+    }
+
+    /// An injected read fault or crash on a hit is the error `read`
+    /// returns under it; on a miss it stores nothing, so the next read
+    /// decodes.
+    #[test]
+    fn a_fault_on_an_object_read_is_the_reads_error_and_stores_nothing() {
+        let mut lfm = pooled(8);
+        let data = vec![9u8; 5000];
+        let (cached, cold) = (lfm.create(&data).unwrap(), lfm.create(&data).unwrap());
+        let calls = std::cell::Cell::new(0);
+        lfm.read_object(cached, counting(&calls)).unwrap();
+        let plans: [fn() -> FaultPlane; 2] = [
+            || FaultPlane::new(1).fail_nth("lfm.read", 1),
+            || FaultPlane::new(1).crash_nth("lfm.read", 1),
+        ];
+        for plan in plans {
+            let want = {
+                let _scope = plan().arm();
+                lfm.read(cached).unwrap_err()
+            };
+            if matches!(want, LfmError::Crashed) {
+                lfm.recover().unwrap();
+                lfm.read_object(cached, counting(&calls)).unwrap();
+            }
+            for id in [cached, cold] {
+                let got = {
+                    let _scope = plan().arm();
+                    lfm.read_object(id, counting(&calls)).unwrap_err()
+                };
+                assert_eq!(got, want, "field {id:?}");
+                if matches!(want, LfmError::Crashed) {
+                    lfm.recover().unwrap();
+                }
+            }
+        }
+        assert_eq!(calls.get(), 2, "no faulted read decoded");
+        let before = calls.get();
+        lfm.read_object(cold, counting(&calls)).unwrap();
+        assert_eq!(calls.get(), before + 1, "a faulted miss stored nothing");
+    }
+
+    /// Each mutation of a field, recovery and reconfiguration drop the
+    /// objects decoded from the bytes they change, so the next read
+    /// decodes the bytes as they are now.
+    #[test]
+    fn writes_deletes_recovery_and_reconfiguration_invalidate_objects() {
+        let mut lfm = pooled(8);
+        let mut data: Vec<u8> = (0..6000u32).map(|i| (i % 241) as u8).collect();
+        let id = lfm.create(&data).unwrap();
+        let calls = std::cell::Cell::new(0);
+        let read = |lfm: &LongFieldManager, want: &[u8]| {
+            assert_eq!(*lfm.read_object(id, counting(&calls)).unwrap(), want);
+        };
+        read(&lfm, &data);
+        read(&lfm, &data);
+        assert_eq!(calls.get(), 1);
+        lfm.write_piece(id, 4000, &[0xEE; 10]).unwrap();
+        data[4000..4010].fill(0xEE);
+        read(&lfm, &data);
+        assert_eq!(calls.get(), 2, "write_piece invalidates");
+        lfm.recover().unwrap();
+        read(&lfm, &data);
+        assert_eq!(calls.get(), 3, "recover invalidates");
+        lfm.set_cache_config(lfm.cache_config());
+        read(&lfm, &data);
+        assert_eq!(calls.get(), 4, "set_cache_config invalidates");
+        let other = lfm.create(&[1, 2, 3]).unwrap();
+        lfm.read_object(other, counting(&calls)).unwrap();
+        lfm.delete(id).unwrap();
+        assert_eq!(lfm.objects.lock_or_recover().used(), 3, "delete drops the field's object");
+        assert_eq!(lfm.read_object(id, counting(&calls)).unwrap_err(), LfmError::NoSuchField(id.0));
+    }
+
+    /// The decoded objects never hold more than the pool's bytes; the
+    /// least recently used go first, and one larger than the whole
+    /// budget is served but not kept.
+    #[test]
+    fn the_object_budget_is_never_exceeded() {
+        let mut lfm = pooled(2);
+        let budget = 2 * 4096;
+        let ids: Vec<LongFieldId> = (0..6u8).map(|i| lfm.create(&vec![i; 3000]).unwrap()).collect();
+        let huge = lfm.create(&vec![7u8; budget + 1]).unwrap();
+        for (round, &id) in ids.iter().chain(&ids).chain([&huge]).enumerate() {
+            let calls = std::cell::Cell::new(0);
+            lfm.read_object(id, counting(&calls)).unwrap();
+            let used = lfm.objects.lock_or_recover().used();
+            assert!(used <= budget, "round {round}: {used} bytes held");
+        }
+        let stats = lfm.cache_stats();
+        assert_eq!(
+            (stats.object_hits, stats.object_misses),
+            (0, 13),
+            "two fit: a cycle of six misses"
+        );
+        assert_eq!(stats.object_evictions, 10);
+        assert_eq!(lfm.objects.lock_or_recover().used(), 2 * 3000, "the huge one was not kept");
+    }
+
+    /// With the pool off every object read is a read and a decode.
+    #[test]
+    fn with_the_pool_off_nothing_is_cached() {
+        let lfm = {
+            let mut lfm = pooled(0);
+            lfm.create(&[5u8; 100]).unwrap();
+            lfm
+        };
+        let calls = std::cell::Cell::new(0);
+        for _ in 0..3 {
+            lfm.read_object(LongFieldId(1), counting(&calls)).unwrap();
+        }
+        assert_eq!(calls.get(), 3);
+        assert_eq!(lfm.cache_stats(), CacheStats::default());
+        assert_eq!(lfm.objects.lock_or_recover().used(), 0);
+        assert_eq!(lfm.stats().read_calls, 3);
+    }
+
+    /// Two readers race miss → decode → insert on one field under the
+    /// deterministic scheduler: both see the field's bytes, one object
+    /// stays resident at its size, and the disk saw two reads.
+    #[test]
+    fn model_racing_object_misses_store_one_object() {
+        use qbism_check::thread;
+        qbism_check::Checker::random(0x1F4D_0003, 24).check(|| {
+            let mut lfm = pooled(4);
+            let data: Vec<u8> = (0..4096u32 * 2).map(|i| (i % 239) as u8).collect();
+            let id = lfm.create(&data).unwrap();
+            let lfm = Arc::new(lfm);
+            let objects: Vec<Arc<Vec<u8>>> = thread::scope(|s| {
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        let lfm = Arc::clone(&lfm);
+                        s.spawn(move || {
+                            lfm.read_object(id, |bytes: Vec<u8>| {
+                                let len = bytes.len();
+                                Ok::<_, LfmError>((bytes, len))
+                            })
+                            .unwrap()
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(objects.iter().all(|o| **o == data));
+            let stats = lfm.cache_stats();
+            assert_eq!(stats.object_hits + stats.object_misses, 2);
+            assert_eq!(lfm.objects.lock_or_recover().used(), data.len(), "one object stays");
+            assert_eq!(lfm.stats().read_calls, 2);
+            assert_eq!(lfm.stats().pages_read, 4);
+        });
     }
 
     proptest! {

@@ -61,6 +61,27 @@ proptest! {
                 prop_assert_eq!(delta, vec![extents, pages - extents, 0, hits, misses]);
                 let cs = lfm.cache_stats();
                 prop_assert_eq!((cs.hits, cs.misses, cs.evictions), (hits, misses, 0));
+                // A whole-field object read moves every series exactly as
+                // `read` does, whether it decodes (cold) or is served
+                // decoded (warm): `twin` has had the same history as
+                // `lfm`, so the two pools agree call for call.
+                let mut twin = LongFieldManager::new(1 << 16, page_size).unwrap();
+                twin.set_cache_config(lfm.cache_config());
+                let twin_id = twin.create(&data).unwrap();
+                twin.reset_stats();
+                twin.read_pieces_into(twin_id, pieces.iter().copied(), &mut Vec::new()).unwrap();
+                let keep = |bytes: Vec<u8>| Ok::<_, qbism_lfm::LfmError>((bytes.len(), 0));
+                let delta = |read: &dyn Fn()| {
+                    let before = counters();
+                    read();
+                    counters().iter().zip(before).map(|(a, b)| a - b).collect::<Vec<u64>>()
+                };
+                for _ in 0..2 {
+                    let by_read = delta(&|| drop(lfm.read(id).unwrap()));
+                    let by_object = delta(&|| drop(twin.read_object(twin_id, keep).unwrap()));
+                    prop_assert_eq!(by_object, by_read);
+                }
+                prop_assert_eq!(twin.stats(), lfm.stats());
             }
         }
     }

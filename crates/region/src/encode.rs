@@ -201,6 +201,14 @@ impl RegionCodec {
         Ok(self.encoded_len(region)? - HEADER_LEN)
     }
 
+    /// The codec, grid and entry count (runs, or octants for the
+    /// octant codecs) an encoded REGION's header names, with nothing
+    /// past the header read.
+    pub fn header(bytes: &[u8]) -> Result<(RegionCodec, GridGeometry, usize), RegionEncodeError> {
+        let (codec, geom, count, _) = split_header(bytes)?;
+        Ok((codec, geom, count))
+    }
+
     /// Decodes a byte string produced by any [`RegionCodec`].
     ///
     /// The codec is read from the byte string itself; `self` is not

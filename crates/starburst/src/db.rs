@@ -370,6 +370,28 @@ impl Database {
         Ok(bytes)
     }
 
+    /// Reads a long field as the object `decode` makes of its bytes,
+    /// through the LFM's object cache
+    /// ([`LongFieldManager::read_object`]): charged like
+    /// [`Database::read_long_field`], under the same span, but decoded
+    /// only while the field's object is not cached.
+    pub fn read_long_object<T, E>(
+        &self,
+        id: LongFieldId,
+        decode: impl FnOnce(Vec<u8>) -> std::result::Result<(T, usize), E>,
+    ) -> std::result::Result<std::sync::Arc<T>, E>
+    where
+        T: std::any::Any + Send + Sync,
+        E: From<qbism_lfm::LfmError>,
+    {
+        let span = qbism_obs::trace::root("db.read_long_field");
+        let object = self.lfm.read_object(id, decode)?;
+        if span.is_recording() {
+            span.record_u64("bytes", self.lfm.len(id)?);
+        }
+        Ok(object)
+    }
+
     /// Direct access to the long-field manager (loaders, UDF helpers,
     /// benchmark instrumentation).
     pub fn lfm(&mut self) -> &mut LongFieldManager {

@@ -170,6 +170,15 @@ impl Value {
         }
     }
 
+    /// Another handle to the `T` an opaque value holds — the value
+    /// itself is shared, not copied.
+    pub fn as_shared<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        match self {
+            Value::Object(o) => Arc::clone(o).downcast().ok(),
+            _ => None,
+        }
+    }
+
     /// The `T` an opaque value holds, moved out when this is its only
     /// handle (the answer a statement returns is), cloned otherwise.
     pub fn into_object<T: Any + Send + Sync + Clone>(self) -> Option<T> {

@@ -5,11 +5,17 @@
 //! and data values for each point in the REGION." (footnote 6)
 
 use qbism_region::Region;
+use std::sync::Arc;
 
 /// A REGION together with one sample per voxel, in curve order.
+///
+/// The REGION is shared: an extraction's answer holds the very REGION
+/// its operand was (a stored one as the long-field manager's object
+/// cache keeps it, a computed one as the operator built it), never a
+/// copy of its runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataRegion<T> {
-    region: Region,
+    region: Arc<Region>,
     values: Vec<T>,
 }
 
@@ -19,6 +25,14 @@ impl<T: Copy> DataRegion<T> {
     /// # Panics
     /// Panics if the value count does not match the region's voxel count.
     pub fn new(region: Region, values: Vec<T>) -> Self {
+        DataRegion::shared(Arc::new(region), values)
+    }
+
+    /// Pairs a shared region with its values.
+    ///
+    /// # Panics
+    /// Panics if the value count does not match the region's voxel count.
+    pub fn shared(region: Arc<Region>, values: Vec<T>) -> Self {
         assert_eq!(
             region.voxel_count(),
             values.len() as u64,
@@ -31,6 +45,12 @@ impl<T: Copy> DataRegion<T> {
 
     /// The spatial extent.
     pub fn region(&self) -> &Region {
+        &self.region
+    }
+
+    /// The spatial extent as shared: the same allocation as every other
+    /// answer over it.
+    pub fn shared_region(&self) -> &Arc<Region> {
         &self.region
     }
 

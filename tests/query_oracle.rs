@@ -1,9 +1,10 @@
 //! The generated-query oracle, first slice (ROADMAP 10a and a two-row
 //! 10c): every query the seeded generator writes, over all seven
 //! classes, gets the reference evaluator's answer from both stored
-//! codecs (`Naive`, `K3Tree`), at 16³ and 32³, with the page cache off
-//! and with one that fits — and within a mode the cache changes no
-//! deterministic cost field.
+//! codecs (`Naive`, `K3Tree`), at 16³ and 32³, with the page cache off,
+//! with one that fits and with one that spills — a pool of a few pages,
+//! so page frames and decoded objects are both evicted mid-sequence —
+//! and within a mode the cache changes no deterministic cost field.
 //! At 64³ the k³ multi-study fold gets one row of its own.
 //!
 //! This is the net a REGION format change lands on: the oracle never
@@ -31,6 +32,12 @@ fn deterministic(cost: &QueryCost) -> (IoStats, u64, u64, u64, u64, u64) {
     )
 }
 
+/// The cache setting of each pass over the generated queries: off,
+/// then a pool every long field fits in, then one of a few pages; each
+/// twice.
+const PASSES: [(&str, usize); 5] =
+    [("off", 0), ("fits", 4096), ("fits", 4096), ("spills", 3), ("spills", 3)];
+
 fn check_grid(atlas_bits: u32, seed: u64) {
     let default = QbismConfig {
         atlas_bits,
@@ -50,18 +57,23 @@ fn check_grid(atlas_bits: u32, seed: u64) {
         let structures = system.atlas.structures().len();
         let queries = generate(seed, config.side(), structures, &system.pet_study_ids);
         // Cache off (the paper's unbuffered LFM), then one every long
-        // field fits in, queried twice so the second pass is all hits.
+        // field fits in, then one that spills, each setting queried
+        // twice so a fitting second pass is all hits.
         let mut uncached: Vec<Option<QueryCost>> = Vec::new();
-        for pass in 0..3 {
-            if pass == 1 {
+        for (pass, (setting, pages)) in PASSES.into_iter().enumerate() {
+            if pass > 0 && PASSES[pass - 1].1 != pages {
+                if PASSES[pass - 1].0 == "fits" {
+                    let fits = system.server.cache_stats();
+                    assert!(fits.object_hits > 0, "{mode}: no stored REGION was served decoded");
+                }
                 system.server.set_cache_config(CacheConfig {
-                    capacity_pages: 4096,
+                    capacity_pages: pages,
                     enabled: true,
                     readahead_pages: 8,
                 });
             }
             for (at, query) in queries.iter().enumerate() {
-                let what = format!("{mode} {atlas_bits} bits, pass {pass}: {query:?}");
+                let what = format!("{mode} {atlas_bits} bits, {setting} pass {pass}: {query:?}");
                 let Some(want) = oracle.answer(query) else {
                     assert!(oracle.ask(&system.server, query).is_err(), "{what} was answered");
                     if pass == 0 {
@@ -80,7 +92,10 @@ fn check_grid(atlas_bits: u32, seed: u64) {
                 }
             }
         }
-        assert!(system.server.cache_stats().hits > 0, "{mode}: the cached passes never hit");
+        let stats = system.server.cache_stats();
+        assert!(stats.hits > 0, "{mode}: the cached passes never hit");
+        assert!(stats.evictions > 0, "{mode}: no page frame spilled");
+        assert!(stats.object_evictions > 0, "{mode}: no decoded object spilled");
     }
     assert!(classes_answered.iter().all(|&n| n >= 10), "thin class: {classes_answered:?}");
 }
