@@ -117,18 +117,18 @@ mod tests {
         ));
         assert!(!glob_match(
             "det-taint @ crates/core/* -> *",
-            "raw-sync @ crates/core/src/server.rs:run"
+            "lock-order @ crates/core/src/server.rs:run"
         ));
         assert!(glob_match("*", "anything"));
     }
 
     #[test]
     fn entries_require_justification() {
-        assert!(parse("raw-sync @ x").is_err());
-        assert!(parse("raw-sync @ x ::   ").is_err());
-        let ok = parse("# header\n\nraw-sync @ x :: invariant: checked above\n").expect("parse");
+        assert!(parse("det-taint @ x").is_err());
+        assert!(parse("det-taint @ x ::   ").is_err());
+        let ok = parse("# header\n\ndet-taint @ x :: invariant: checked above\n").expect("parse");
         assert_eq!(ok.len(), 1);
-        assert_eq!(ok[0].pattern, "raw-sync @ x");
+        assert_eq!(ok[0].pattern, "det-taint @ x");
         assert_eq!(ok[0].justification, "invariant: checked above");
         assert_eq!(ok[0].line, 3);
     }
@@ -138,15 +138,15 @@ mod tests {
         use crate::report::{Finding, Report};
         let mut r = Report::default();
         r.findings.push(Finding {
-            rule: "raw-sync".to_string(),
-            key: "raw-sync @ crates/x/src/lib.rs:f".to_string(),
+            rule: "det-taint".to_string(),
+            key: "det-taint @ crates/x/src/lib.rs:f".to_string(),
             message: String::new(),
             file: "crates/x/src/lib.rs".to_string(),
             line: 1,
             path: Vec::new(),
         });
         let entries =
-            parse("raw-sync @ crates/x/* :: fine\nlock-order @ never <-> matches :: stale\n")
+            parse("det-taint @ crates/x/* :: fine\nlock-order @ never <-> matches :: stale\n")
                 .expect("parse");
         let unused = apply(&mut r, &entries);
         assert!(r.findings.is_empty());

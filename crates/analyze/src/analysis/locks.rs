@@ -1,18 +1,17 @@
 //! Static lock-order analysis.
 //!
 //! Lock sites come from `marks` (`.lock()` / `.lock_or_recover()` on
-//! a receiver whose name resolves to a `Mutex::named` literal where
-//! the initializer is visible).  A `let`-bound guard is approximated
-//! as held to the end of the function; while held, every later lock
-//! site in the same body — and every lock transitively acquired by a
-//! later callee — yields an ordering edge `a → b`.  A pair with edges
-//! in both directions is a potential deadlock cycle, the static twin
-//! of the dynamic `lockorder` checker's runtime graph.
+//! a receiver, named `Type.field` for a field of `self`).  A
+//! `let`-bound guard is approximated as held to the end of the
+//! function; while held, every later lock site in the same body — and
+//! every lock transitively acquired by a later callee — yields an
+//! ordering edge `a → b`.  A pair with edges in both directions is a
+//! potential deadlock cycle.
 
 use super::Ctx;
 use crate::marks::FnMarks;
 use crate::report::{Finding, Step};
-use crate::rules::{rule, Pattern, FACADE_IMPL_CRATE};
+use crate::rules::{rule, Pattern};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `a → b` witness: which function ordered the pair, and where.
@@ -28,10 +27,7 @@ pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     let mut edges: BTreeMap<(String, String), Witness> = BTreeMap::new();
 
     for (id, m) in ctx.marks.iter().enumerate() {
-        // The facade crate implements the lock types themselves; its
-        // internal synchronization is the dynamic checker's model, not
-        // an ordering client.
-        if ctx.ws.funcs[id].item.in_test || ctx.file(id).crate_name == FACADE_IMPL_CRATE {
+        if ctx.ws.funcs[id].item.in_test {
             continue;
         }
         for (i, site) in m.locks.iter().enumerate() {
@@ -138,9 +134,8 @@ fn record(
 mod tests {
     use crate::test_util::analyze_files;
 
-    const TWO_LOCKS: &str = "struct S { a: Mutex, b: Mutex }\n\
-        impl S {\n\
-          fn init() -> S { S { a: Mutex::named(\"s.a\", 0), b: Mutex::named(\"s.b\", 0) } }\n";
+    const TWO_LOCKS: &str = "struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
+        impl S {\n";
 
     #[test]
     fn direct_inversion_is_flagged() {
@@ -152,7 +147,7 @@ mod tests {
         );
         let r = analyze_files(&[("crates/x/src/lib.rs", &src)]);
         let f = r.findings.iter().find(|f| f.rule == "lock-order").expect("inversion");
-        assert_eq!(f.key, "lock-order @ s.a <-> s.b");
+        assert_eq!(f.key, "lock-order @ S.a <-> S.b");
         assert_eq!(f.path.len(), 2);
     }
 

@@ -1,26 +1,20 @@
 //! The transitive half of the [`Reach::Through`](crate::rules::Reach)
-//! rules.
+//! rule.
 //!
-//! At zero hops `rules::zero_hop` flags `from_ids` / `decode_all` / raw
-//! `std::sync` *in the scope where they appear*; here the same marks
-//! are followed along call paths that leave the scope, catching the
-//! laundering case where kernel or facade code calls a helper in an
-//! out-of-scope file that performs the banned operation.
+//! At zero hops `rules::zero_hop` flags `from_ids` / `decode_all` *in
+//! the scope where they appear*; here the same marks are followed along
+//! call paths that leave the scope, catching the laundering case where
+//! kernel code calls a helper in an out-of-scope file that performs the
+//! banned operation.
 
 use super::Ctx;
 use crate::reach::shortest_path_to;
 use crate::report::{steps, Finding};
-use crate::rules::{rule, Pattern, FACADE_IMPL_CRATE};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::rules::{rule, Pattern};
+use std::collections::BTreeSet;
 
 pub fn run(ctx: &Ctx<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    kernel_materialize(ctx, &mut findings);
-    raw_sync(ctx, &mut findings);
-    findings
-}
-
-fn kernel_materialize(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
     let rule = rule(Pattern::Materialize);
     let in_scope = |id: usize| rule.scope.contains(ctx.file(id));
     let n = ctx.ws.funcs.len();
@@ -46,45 +40,7 @@ fn kernel_materialize(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
             });
         }
     }
-}
-
-fn raw_sync(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
-    let rule = rule(Pattern::RawSync);
-    let in_scope = |id: usize| rule.scope.contains(ctx.file(id));
-    let n = ctx.ws.funcs.len();
-    let targets: BTreeSet<usize> = (0..n)
-        .filter(|&i| {
-            !ctx.marks[i].raw_sync.is_empty()
-                && !in_scope(i)
-                && ctx.file(i).crate_name != FACADE_IMPL_CRATE
-        })
-        .collect();
-    // One finding per (facade crate, target file): the pairing is what
-    // the allowlist reasons about, not each individual caller.
-    let mut best: BTreeMap<(&str, &str), (Vec<usize>, usize)> = BTreeMap::new();
-    for id in (0..n).filter(|&id| in_scope(id) && !ctx.ws.funcs[id].item.in_test) {
-        let Some(path) = shortest_path_to(ctx.adj, id, &targets) else { continue };
-        let t = *path.last().unwrap_or(&id);
-        let pair = (ctx.file(id).crate_name.as_str(), ctx.file(t).rel.as_str());
-        let entry = best.entry(pair).or_insert_with(|| (path.clone(), t));
-        if path.len() < entry.0.len() {
-            *entry = (path, t);
-        }
-    }
-    for ((crate_name, file), (path, t)) in best {
-        let mark = &ctx.marks[t].raw_sync[0];
-        findings.push(Finding {
-            rule: rule.name.to_string(),
-            key: format!("{} @ {crate_name} -> {file}", rule.name),
-            message: format!(
-                "facade crate `{crate_name}` reaches raw `{}` in `{file}`, outside the model checker's view — {}",
-                mark.what, rule.advice
-            ),
-            file: file.to_string(),
-            line: mark.line,
-            path: steps(ctx.ws, &path),
-        });
-    }
+    findings
 }
 
 #[cfg(test)]
@@ -120,27 +76,5 @@ mod tests {
         let hits: Vec<_> = r.findings.iter().filter(|f| f.rule == "kernel-materialize").collect();
         assert_eq!(hits.len(), 1, "{:?}", r.findings);
         assert!(hits[0].path.is_empty() && hits[0].line == 2, "{:?}", hits[0]);
-    }
-
-    #[test]
-    fn facade_crate_reaching_raw_sync_helper_is_flagged() {
-        let r = analyze_files(&[
-            ("crates/lfm/src/lib.rs", "pub fn account() { tally() }"),
-            ("crates/util/src/lib.rs", "pub fn tally() { let m = std::sync::Mutex::new(0); }"),
-        ]);
-        assert!(
-            r.findings.iter().any(|f| f.rule == "raw-sync" && f.key.contains("lfm")),
-            "{:?}",
-            r.findings
-        );
-    }
-
-    #[test]
-    fn non_facade_crates_may_use_raw_sync() {
-        let r = analyze_files(&[(
-            "crates/util/src/lib.rs",
-            "pub fn tally() { let m = std::sync::Mutex::new(0); }",
-        )]);
-        assert!(r.findings.iter().all(|f| f.rule != "raw-sync"), "{:?}", r.findings);
     }
 }

@@ -9,12 +9,12 @@
 //!
 //! - **here** (zero hops) — `traced-entrypoints`: every public query
 //!   method of a served type opens a root span;
-//! - **through** — `kernel-materialize`, `raw-sync`: zero hops, plus
-//!   any call path that leaves the scope and reaches the pattern;
+//! - **through** — `kernel-materialize`: zero hops, plus any call path
+//!   that leaves the scope and reaches the pattern;
 //! - **whole graph** — `det-taint` (wall-clock / hash-order / thread-id
 //!   / env sources must not reach deterministic cost-model sinks) and
 //!   `lock-order` (guard-held sets propagated over the graph, flagging
-//!   order inversions before the dynamic checker can ever hit them).
+//!   order inversions before any run can hit them).
 //!
 //! Findings carry stable keys matched by a checked-in allowlist whose
 //! entries must each state a justification.  Output is a sorted,

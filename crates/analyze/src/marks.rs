@@ -5,17 +5,14 @@
 //! sources (wall-clock reads, hash-order iteration, thread identity,
 //! environment reads), determinism sinks (writes to deterministic
 //! cost columns, table emitters, span minting), kernel-contract
-//! operations (`from_ids`, `decode_all`, …), raw `std::sync` usage, and
-//! lock acquisitions.  The token patterns the zero-hop rules share (the
-//! materialize calls, `std::sync` paths) come from
-//! [`crate::rules::match_at`].
+//! operations (`from_ids`, `decode_all`, …), and lock acquisitions.
+//! The token pattern the zero-hop rules share (the materialize calls)
+//! comes from [`crate::rules::match_at`].
 
 use crate::graph::{call_sites, local_types, Workspace};
 use crate::lexer::{Token, TokenKind};
-use crate::parser::ParsedFile;
-use crate::rules::{match_at, raw_sync_names, Pattern};
+use crate::rules::{match_at, Pattern};
 use crate::AnalysisConfig;
-use std::collections::BTreeMap;
 
 /// One marker occurrence inside a function body.
 #[derive(Debug, Clone)]
@@ -28,8 +25,8 @@ pub struct Mark {
 /// One `lock()` / `lock_or_recover()` acquisition.
 #[derive(Debug, Clone)]
 pub struct LockSite {
-    /// Stable lock name: the `Mutex::named` literal when the field's
-    /// initializer is known, else `Type.field`.
+    /// Stable lock name: `Type.field` for a lock on `self`'s field,
+    /// else the receiver chain (`shard.lane`).
     pub name: String,
     pub line: u32,
     /// Token position (orders the site against call edges).
@@ -44,7 +41,6 @@ pub struct FnMarks {
     pub det_sources: Vec<Mark>,
     pub det_sinks: Vec<Mark>,
     pub materialize: Vec<Mark>,
-    pub raw_sync: Vec<Mark>,
     pub locks: Vec<LockSite>,
 }
 
@@ -53,75 +49,10 @@ const HASH_ITER_METHODS: &[&str] =
 
 /// Extracts markers for every function in the workspace.
 pub fn mark_all(ws: &Workspace, cfg: &AnalysisConfig) -> Vec<FnMarks> {
-    let named = named_mutexes(ws);
-    let imports: Vec<Vec<String>> = ws.files.iter().map(raw_sync_imports).collect();
-    (0..ws.funcs.len())
-        .map(|id| mark_fn(ws, cfg, id, &named, &imports[ws.funcs[id].file]))
-        .collect()
+    (0..ws.funcs.len()).map(|id| mark_fn(ws, cfg, id)).collect()
 }
 
-/// The raw `std::sync` names a file's non-test `use` items import
-/// (`Mutex`, `AtomicU64`, …).
-fn raw_sync_imports(file: &ParsedFile) -> Vec<String> {
-    let toks = &file.tokens;
-    file.code_positions()
-        .filter(|&j| j >= 4 && toks[j - 4].is_ident("use"))
-        .flat_map(|j| raw_sync_names(toks, j))
-        .collect()
-}
-
-/// Workspace-wide map `field → Mutex::named literal`, harvested from
-/// `field: Mutex::named("…")` initializers (the `Mutex` may carry a
-/// module path, as in `qbism_check::sync::Mutex::named`) so static
-/// lock names line up with the dynamic lock-order registry.
-pub fn named_mutexes(ws: &Workspace) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for file in &ws.files {
-        let toks = &file.tokens;
-        for j in 0..toks.len() {
-            // field : [path ::]* Mutex :: named ( "literal"
-            if !toks[j].is_ident("Mutex") {
-                continue;
-            }
-            let lit = (|| {
-                if !(toks.get(j + 1)?.is_punct(':') && toks.get(j + 2)?.is_punct(':')) {
-                    return None;
-                }
-                if !toks.get(j + 3)?.is_ident("named") || !toks.get(j + 4)?.is_punct('(') {
-                    return None;
-                }
-                match &toks.get(j + 5)?.kind {
-                    TokenKind::Str(s) | TokenKind::RawStr(s) => Some(s.clone()),
-                    _ => None,
-                }
-            })();
-            let Some(lit) = lit else { continue };
-            // Skip back over any leading `module ::` path segments.
-            let mut k = j;
-            while k >= 3
-                && toks[k - 1].is_punct(':')
-                && toks[k - 2].is_punct(':')
-                && toks[k - 3].ident().is_some()
-            {
-                k -= 3;
-            }
-            if k >= 2 && toks[k - 1].is_punct(':') && !toks[k - 2].is_punct(':') {
-                if let Some(field) = toks[k - 2].ident() {
-                    out.insert(field.to_string(), lit);
-                }
-            }
-        }
-    }
-    out
-}
-
-fn mark_fn(
-    ws: &Workspace,
-    cfg: &AnalysisConfig,
-    id: usize,
-    named: &BTreeMap<String, String>,
-    raw_sync_imports: &[String],
-) -> FnMarks {
+fn mark_fn(ws: &Workspace, cfg: &AnalysisConfig, id: usize) -> FnMarks {
     let func = &ws.funcs[id];
     let file = &ws.files[func.file];
     let toks = &file.tokens;
@@ -154,7 +85,7 @@ fn mark_fn(
             match name {
                 "lock" | "lock_or_recover" => {
                     if let Some(chain) = &site.receiver {
-                        let lock_name = lock_name(chain, func.item.impl_type.as_deref(), named);
+                        let lock_name = lock_name(chain, func.item.impl_type.as_deref());
                         let held = let_bound(toks, site.pos, start);
                         m.locks.push(LockSite {
                             name: lock_name,
@@ -202,16 +133,9 @@ fn mark_fn(
 
     // --- token-pattern markers ----------------------------------------
     for j in start..end {
-        // The patterns shared with the zero-hop rules.
-        if let Some((pattern, what)) = match_at(toks, j) {
-            let marks = match pattern {
-                Pattern::Materialize => Some(&mut m.materialize),
-                Pattern::RawSync => Some(&mut m.raw_sync),
-                _ => None,
-            };
-            if let Some(marks) = marks {
-                marks.push(Mark { what, line: toks[j].line });
-            }
+        // The pattern shared with the zero-hop rules.
+        if let Some((Pattern::Materialize, what)) = match_at(toks, j) {
+            m.materialize.push(Mark { what, line: toks[j].line });
         }
         match &toks[j].kind {
             // `for … in <chain> {` — hash iteration via IntoIterator.
@@ -270,27 +194,12 @@ fn mark_fn(
         }
     }
 
-    // File-level raw-sync imports taint any function in the file that
-    // names the imported primitive.
-    let names_import =
-        |t: &&Token| t.ident().is_some_and(|id| raw_sync_imports.iter().any(|b| b == id));
-    if let Some(tok) = toks[start..end].iter().find(names_import) {
-        let what = format!("imported std::sync::{}", tok.ident().unwrap_or_default());
-        m.raw_sync.push(Mark { what, line: tok.line });
-    }
     m
 }
 
 /// Maps a receiver chain to a stable lock name.
-fn lock_name(
-    chain: &[String],
-    impl_type: Option<&str>,
-    named: &BTreeMap<String, String>,
-) -> String {
+fn lock_name(chain: &[String], impl_type: Option<&str>) -> String {
     let field = chain.last().map(String::as_str).unwrap_or("?");
-    if let Some(lit) = named.get(field) {
-        return lit.clone();
-    }
     match (chain.first().map(String::as_str), impl_type) {
         (Some("self"), Some(ty)) => format!("{ty}.{field}"),
         _ => chain.join("."),
@@ -325,19 +234,6 @@ mod tests {
         let all = mark_all(&ws, &cfg);
         let id = ws.funcs.iter().position(|f| f.item.name == name).expect("fn");
         all[id].clone()
-    }
-
-    #[test]
-    fn named_mutex_harvest_handles_qualified_paths() {
-        let src = "struct S { plain: Mutex, remote: Mutex }\n\
-            impl S { fn init() -> S { S {\n\
-              plain: Mutex::named(\"s.plain\", 0),\n\
-              remote: qbism_check::sync::Mutex::named(\"s.remote\", 0),\n\
-            } } }";
-        let ws = Workspace::link(vec![parse_file(src, "crates/x/src/lib.rs", "x")]);
-        let named = named_mutexes(&ws);
-        assert_eq!(named.get("plain").map(String::as_str), Some("s.plain"));
-        assert_eq!(named.get("remote").map(String::as_str), Some("s.remote"));
     }
 
     #[test]
@@ -399,27 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn lock_sites_use_named_literals_and_track_let_binding() {
-        let src = "struct S { acct: Mutex }\n\
+    fn lock_sites_are_named_by_type_and_field_and_track_let_binding() {
+        let src = "struct S { acct: Mutex<u64> }\n\
                    impl S {\n\
-                     fn init() -> S { S { acct: Mutex::named(\"lfm.acct\", 0) } }\n\
                      fn f(&self) { let g = self.acct.lock_or_recover(); drop(g); self.acct.lock(); }\n\
                    }";
         let m = marks_for(src, "f");
         assert_eq!(m.locks.len(), 2);
-        assert_eq!(m.locks[0].name, "lfm.acct");
+        assert_eq!(m.locks[0].name, "S.acct");
         assert!(m.locks[0].held);
         assert!(!m.locks[1].held);
-    }
-
-    #[test]
-    fn raw_sync_paths_are_marked() {
-        let m = marks_for("fn f() { let m = std::sync::Mutex::new(0); }", "f");
-        assert_eq!(m.raw_sync.len(), 1);
-        // An imported primitive marks the functions that name it, and only those.
-        let src = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-                   fn f() { let c = AtomicU64::new(0); }\nfn g() { let o = Ordering::SeqCst; }";
-        assert_eq!(marks_for(src, "f").raw_sync[0].what, "imported std::sync::AtomicU64");
-        assert!(marks_for(src, "g").raw_sync.is_empty());
     }
 }

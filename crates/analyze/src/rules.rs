@@ -44,11 +44,9 @@ pub enum Pattern {
     UntracedEntry,
     /// A call named in [`MATERIALIZE`].
     Materialize,
-    /// A `std::sync` path or import outside [`SYNC_OWNERSHIP`].
-    RawSync,
     /// Nondeterminism source meeting a deterministic sink.
     Taint,
-    /// Two named locks taken in both orders.
+    /// Two locks taken in both orders.
     LockInversion,
 }
 
@@ -85,11 +83,6 @@ pub struct Rule {
     pub advice: &'static str,
 }
 
-/// Crates ported to the `qbism_check::sync` facade.
-pub const FACADE_CRATES: &[&str] = &["lfm", "netsim", "fault", "core", "cluster"];
-/// The crate that implements the facade over raw `std::sync`: neither a
-/// `raw-sync` target nor a lock-order client.
-pub const FACADE_IMPL_CRATE: &str = "check";
 /// Crates whose `kernel*` files are the run-native hot paths.
 pub const KERNEL_CRATES: &[&str] = &["region", "sfc", "volume", "coding"];
 /// The served types: their `pub fn (&self) -> Result` methods must
@@ -108,22 +101,6 @@ pub const ENTRY_CRATES: &[&str] = &["core", "starburst", "cluster"];
 /// kernel that must visit voxels (bounded rasterisation) should call;
 /// `iter_voxels*` stays because it expands a whole REGION.
 pub const MATERIALIZE: &[&str] = &["from_ids", "iter_voxels", "decode_all"];
-/// `std::sync` names with no scheduling behaviour the model checker
-/// must see: ownership and one-shot types, plus the path segments and
-/// the ordering enum that only lead to or parameterise a primitive.
-pub const SYNC_OWNERSHIP: &[&str] = &[
-    "Arc",
-    "Weak",
-    "OnceLock",
-    "Once",
-    "PoisonError",
-    "LockResult",
-    "TryLockError",
-    "mpsc",
-    "Ordering",
-    "self",
-    "atomic",
-];
 pub const RULES: &[Rule] = &[
     Rule {
         name: "traced-entrypoints",
@@ -138,13 +115,6 @@ pub const RULES: &[Rule] = &[
         scope: Scope { file_stem: Some("kernel"), ..Scope::only(KERNEL_CRATES) },
         reach: Reach::Through,
         advice: "kernel code streams runs through the cursors; id vectors and drained payloads belong to API edges and tests",
-    },
-    Rule {
-        name: "raw-sync",
-        pattern: Pattern::RawSync,
-        scope: Scope::only(FACADE_CRATES),
-        reach: Reach::Through,
-        advice: "use the `qbism_check::sync` facade so the model checker sees the primitive",
     },
     Rule {
         name: "det-taint",
@@ -171,72 +141,9 @@ pub fn rule(pattern: Pattern) -> &'static Rule {
 /// of what was matched.
 pub fn match_at(toks: &[Token], j: usize) -> Option<(Pattern, String)> {
     let id = toks[j].ident()?;
-    match id {
-        "sync" => {
-            let banned = raw_sync_names(toks, j);
-            (!banned.is_empty())
-                .then(|| (Pattern::RawSync, format!("std::sync::{}", banned.join(", "))))
-        }
-        _ if toks.get(j + 1).is_some_and(|t| t.is_punct('('))
-            && MATERIALIZE
-                .iter()
-                .any(|m| id == *m || (*m == "iter_voxels" && id.starts_with(m))) =>
-        {
-            Some((Pattern::Materialize, format!("{id}(…)")))
-        }
-        _ => None,
-    }
-}
-
-/// The names outside [`SYNC_OWNERSHIP`] that the `std::sync::` path or
-/// use-tree whose `sync` segment is `toks[j]` reaches; empty when `j` is
-/// no such segment.
-pub fn raw_sync_names(toks: &[Token], j: usize) -> Vec<String> {
-    let punct = |k: usize| toks.get(k).is_some_and(|t| t.is_punct(':'));
-    let mut banned = Vec::new();
-    if j >= 3
-        && toks[j].is_ident("sync")
-        && toks[j - 3].is_ident("std")
-        && punct(j - 2)
-        && punct(j + 1)
-    {
-        sync_tree(toks, j + 3, &mut banned);
-    }
-    banned
-}
-
-/// Walks one `std::sync::` path or use-tree starting at `k`, pushing
-/// the names outside [`SYNC_OWNERSHIP`]; returns the index after what
-/// it judged.  A path is judged by its first segment past `atomic::`
-/// (`atomic::AtomicU64::new` → `AtomicU64`; `Arc::new`, `mpsc::channel`
-/// → clean).
-fn sync_tree(toks: &[Token], mut k: usize, banned: &mut Vec<String>) -> usize {
-    let punct = |k: usize, c: char| toks.get(k).is_some_and(|t| t.is_punct(c));
-    while let Some(seg) = toks.get(k).and_then(Token::ident) {
-        if seg == "atomic" && punct(k + 1, ':') && punct(k + 2, ':') {
-            k += 3;
-            continue;
-        }
-        if !SYNC_OWNERSHIP.contains(&seg) && !banned.iter().any(|b| b == seg) {
-            banned.push(seg.to_string());
-        }
-        return k + 1;
-    }
-    if !punct(k, '{') {
-        return k;
-    }
-    k += 1;
-    while k < toks.len() && !punct(k, '}') {
-        k = sync_tree(toks, k, banned).max(k + 1);
-        // Skip the item's tail (`::channel`, `as A`, a nested group).
-        let mut depth = 0usize;
-        while k < toks.len() && !(depth == 0 && (punct(k, ',') || punct(k, '}'))) {
-            depth = depth + usize::from(punct(k, '{')) - usize::from(punct(k, '}'));
-            k += 1;
-        }
-        k += usize::from(punct(k, ','));
-    }
-    k + 1
+    let materializes = toks.get(j + 1).is_some_and(|t| t.is_punct('('))
+        && MATERIALIZE.iter().any(|m| id == *m || (*m == "iter_voxels" && id.starts_with(m)));
+    materializes.then(|| (Pattern::Materialize, format!("{id}(…)")))
 }
 
 /// A public query method on an entry type whose body opens no root span.
@@ -306,28 +213,6 @@ mod tests {
         for (i, r) in RULES.iter().enumerate() {
             assert_eq!(r.pattern as usize, i, "{}", r.name);
             assert!(RULES[i + 1..].iter().all(|b| b.name != r.name), "{}", r.name);
-        }
-    }
-
-    #[test]
-    fn sync_trees_are_judged_by_their_first_non_ownership_segment() {
-        let what = |src: &str| hits(src).into_iter().map(|(_, w)| w).collect::<Vec<_>>();
-        assert_eq!(what("use std::sync::{Arc, Mutex};"), ["std::sync::Mutex"]);
-        assert_eq!(what("use std::sync::atomic::{AtomicU64, Ordering};"), ["std::sync::AtomicU64"]);
-        assert_eq!(
-            what("use std::sync::{atomic::{AtomicBool, Ordering}, Arc as A, Condvar};"),
-            ["std::sync::AtomicBool, Condvar"]
-        );
-        assert_eq!(what("let m = std::sync::atomic::AtomicU64::new(0);"), ["std::sync::AtomicU64"]);
-        for clean in [
-            "use std::sync::Arc;",
-            "let a = std::sync::Arc::new(0);",
-            "use std::sync::{mpsc, Weak};",
-            "use std::sync::mpsc::channel;",
-            "fn f(e: std::sync::PoisonError<u32>) {}",
-            "use std::sync::atomic::Ordering;",
-        ] {
-            assert!(hits(clean).is_empty(), "{clean}: {:?}", hits(clean));
         }
     }
 

@@ -1,16 +1,18 @@
-//! Seeded bug: `grab` takes `pool.free` then `pool.used`; `release`
+//! Seeded bug: `grab` takes `Pool.free` then `Pool.used`; `release`
 //! takes them in the opposite order.  A concurrent grab/release pair
-//! can deadlock — the static twin of what the dynamic lockorder
-//! checker would flag only once a run actually interleaves them.
+//! can deadlock, though only a run that interleaves them would show it.
+
+use qbism_obs::LockOrRecover;
+use std::sync::Mutex;
 
 struct Pool {
-    free: Mutex,
-    used: Mutex,
+    free: Mutex<u32>,
+    used: Mutex<u32>,
 }
 
 impl Pool {
     fn init() -> Pool {
-        Pool { free: Mutex::named("pool.free", 0), used: Mutex::named("pool.used", 0) }
+        Pool { free: Mutex::new(0), used: Mutex::new(0) }
     }
 
     pub fn grab(&self) {

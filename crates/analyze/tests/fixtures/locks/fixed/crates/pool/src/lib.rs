@@ -1,14 +1,17 @@
-//! Fixed form: both paths acquire `pool.free` before `pool.used`, so
+//! Fixed form: both paths acquire `Pool.free` before `Pool.used`, so
 //! the ordering graph has edges in one direction only.
 
+use qbism_obs::LockOrRecover;
+use std::sync::Mutex;
+
 struct Pool {
-    free: Mutex,
-    used: Mutex,
+    free: Mutex<u32>,
+    used: Mutex<u32>,
 }
 
 impl Pool {
     fn init() -> Pool {
-        Pool { free: Mutex::named("pool.free", 0), used: Mutex::named("pool.used", 0) }
+        Pool { free: Mutex::new(0), used: Mutex::new(0) }
     }
 
     pub fn grab(&self) {

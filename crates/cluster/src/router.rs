@@ -24,11 +24,11 @@ use crate::{ClusterError, Result};
 use qbism::server::{reduce_band_stages, reduce_population_stages};
 use qbism::wire::data_region_wire_size;
 use qbism::{MedicalServer, QbismConfig, QueryCost, StudyStage};
-use qbism_check::sync::{AtomicU64, Ordering};
 use qbism_fault::{sites, FaultOutcome};
 use qbism_netsim::{EndpointChannels, NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::{event, trace};
 use qbism_region::{Region, RegionCodec};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One study's sub-query on a shard's server: the single-node
 /// per-study stage.
@@ -41,22 +41,12 @@ pub type ClusterPopulationAnswer = qbism::PopulationAnswer<ClusterError>;
 
 /// The per-warehouse failover counters [`ClusterWarehouse::recovery_stats`]
 /// reads.
+#[derive(Default)]
 struct ClusterCounters {
     failovers: AtomicU64,
     shard_kills: AtomicU64,
     slow_injections: AtomicU64,
     route_drops: AtomicU64,
-}
-
-impl ClusterCounters {
-    fn new() -> Self {
-        ClusterCounters {
-            failovers: AtomicU64::named("cluster.ctr.failovers", 0),
-            shard_kills: AtomicU64::named("cluster.ctr.kills", 0),
-            slow_injections: AtomicU64::named("cluster.ctr.slow", 0),
-            route_drops: AtomicU64::named("cluster.ctr.drops", 0),
-        }
-    }
 }
 
 /// A point-in-time snapshot of one warehouse's failover machinery.
@@ -116,7 +106,7 @@ impl ClusterWarehouse {
             chan: SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)),
             endpoints: EndpointChannels::new(shard_count, NetworkModel::TESTBED_1994)
                 .with_fault_site(sites::CLUSTER_ROUTE_DROP),
-            counters: ClusterCounters::new(),
+            counters: ClusterCounters::default(),
         })
     }
 

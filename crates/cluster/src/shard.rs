@@ -9,10 +9,12 @@
 //! bytes and charges the same cost.
 
 use qbism::{QbismConfig, QbismSystem, Result};
-use qbism_check::sync::{AtomicBool, Mutex, MutexGuard, Ordering};
+use qbism_obs::LockOrRecover;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// Liveness and service-lane state of one shard, on the `qbism-check`
-/// sync facade so router races are model-checkable.
+/// Liveness and service-lane state of one shard.  Liveness is one
+/// atomic flag, so racing kills see exactly one transition.
 #[derive(Debug)]
 pub struct ShardState {
     healthy: AtomicBool,
@@ -28,10 +30,7 @@ impl Default for ShardState {
 impl ShardState {
     /// A healthy, idle shard.
     pub fn new() -> Self {
-        ShardState {
-            healthy: AtomicBool::named("cluster.healthy", true),
-            lane: Mutex::named("cluster.lane", ()),
-        }
+        ShardState { healthy: AtomicBool::new(true), lane: Mutex::new(()) }
     }
 
     /// Whether the shard is serving.

@@ -186,8 +186,6 @@ struct Statements {
     band_in_structure: Prepared,
     /// The per-study stage of the multi-study band query.
     band_region: Prepared,
-    /// `[n - 1]` unions `n` stored bands: the join shape depends on `n` only.
-    intensity_range: Vec<Prepared>,
     atlas_info: Prepared,
     warped_volume: Prepared,
     structure_mesh: Prepared,
@@ -195,9 +193,8 @@ struct Statements {
 }
 
 impl Statements {
-    fn prepare(db: &Database, band_width: u16) -> Result<Self> {
+    fn prepare(db: &Database) -> Result<Self> {
         let prepare = |sql: &str| db.prepare(sql);
-        let bands = usize::from(256 / band_width);
         Ok(Statements {
             full_study: prepare(&format!(
                 "select extractVoxels(wv.data, fullRegion())
@@ -237,9 +234,6 @@ impl Statements {
                 "select b.region from intensityBand b
                  where b.studyId = ? and b.lo = ? and b.hi = ?",
             )?,
-            intensity_range: (1..=bands)
-                .map(|n| prepare(&Self::intensity_range_sql(n)))
-                .collect::<std::result::Result<_, _>>()?,
             atlas_info: prepare(
                 "select a.n, a.x0, a.y0, a.z0, a.dx, a.dy, a.dz,
                         a.atlasId, p.name, p.patientId, rv.date
@@ -263,22 +257,6 @@ impl Statements {
                        ns.structureName = ?"
             ))?,
         })
-    }
-
-    /// `select extractVoxels(wv.data, runion(b1.region, runion(…)))` over
-    /// `n` bands; parameters are the study, then `(study, lo)` per band.
-    fn intensity_range_sql(n: usize) -> String {
-        let mut region = format!("b{n}.region");
-        for i in (1..n).rev() {
-            region = format!("runion(b{i}.region, {region})");
-        }
-        let mut from = String::from("warpedVolume wv");
-        let mut preds = format!("wv.studyId = ? and wv.atlasId = {ATLAS_ID}");
-        for i in 1..=n {
-            from.push_str(&format!(", intensityBand b{i}"));
-            preds.push_str(&format!(" and b{i}.studyId = ? and b{i}.lo = ?"));
-        }
-        format!("select extractVoxels(wv.data, {region}) from {from} where {preds}")
     }
 }
 
@@ -305,7 +283,7 @@ impl MedicalServer {
     pub fn new(db: Database, config: QbismConfig) -> Result<Self> {
         config.validate()?;
         Ok(MedicalServer {
-            statements: Statements::prepare(&db, config.band_width)?,
+            statements: Statements::prepare(&db)?,
             db,
             config,
             disk: DiskModel::RS6000_1994,
@@ -391,36 +369,6 @@ impl MedicalServer {
         let study = Value::Int(study_id);
         let params = [study.clone(), study, Value::Int(lo.into()), Value::Int(hi.into())];
         self.extract(&span, &self.statements.band, &params)
-    }
-
-    /// Attribute query over an *arbitrary* intensity range — an
-    /// extension beyond the paper, which "queried intensity ranges that
-    /// exactly matched intensity bands stored in the database".
-    ///
-    /// The stored bands act as the index the paper intended: the bands
-    /// overlapping `lo..=hi` are UNIONed inside the DBMS (reading only
-    /// band REGIONs, never the full volume), the union is extracted, and
-    /// the boundary bands' excess voxels are filtered out of the answer
-    /// — the same candidate-then-refine pattern as approximate REGIONs.
-    pub fn intensity_range_data(&self, study_id: i64, lo: u8, hi: u8) -> Result<QueryAnswer> {
-        if lo > hi {
-            return Err(QbismError::NotFound(format!("empty intensity range {lo}-{hi}")));
-        }
-        let span = Self::query_span("query.intensity_range");
-        span.record_i64("study_id", study_id);
-        span.record_u64("lo", u64::from(lo));
-        span.record_u64("hi", u64::from(hi));
-        let width = self.config.band_width;
-        let bands = u16::from(lo) / width..=u16::from(hi) / width;
-        let stmt = &self.statements.intensity_range[bands.len() - 1];
-        let mut params = vec![Value::Int(study_id)];
-        for band in bands {
-            params.extend([Value::Int(study_id), Value::Int(i64::from(band * width))]);
-        }
-        // Extract the candidate union, refine, then ship only the exact
-        // answer (one shipment per query).
-        let (candidate, cost) = self.measured(stmt, &params, Self::data_region).into_result()?;
-        self.answer(&span, candidate.filter_intensity(lo, hi), cost)
     }
 
     /// Q6-style mixed query: band ∩ structure, intersected inside the
@@ -1077,25 +1025,6 @@ mod tests {
         let skipped: Vec<i64> = answer.skipped.iter().map(|(id, _)| *id).collect();
         assert_eq!(skipped, [8, 9]);
         assert!(answer.skipped.iter().all(|(_, e)| matches!(e, QbismError::Wire(_))));
-    }
-
-    #[test]
-    fn intensity_range_extension_matches_exact_semantics() {
-        let sys = system();
-        // A range straddling two stored bands (32-wide): 40..=80.
-        let a = sys.server.intensity_range_data(1, 40, 80).unwrap();
-        let vol = sys.server.warped_volume(1).unwrap();
-        let expect = vol.intensity_region(40, 80);
-        assert_eq!(a.data.region(), &expect);
-        for &v in a.data.values() {
-            assert!((40..=80).contains(&v));
-        }
-        // Aligned ranges agree with the plain band query.
-        let b = sys.server.intensity_range_data(1, 32, 63).unwrap();
-        let plain = sys.server.band_data(1, 32, 63).unwrap();
-        assert_eq!(b.data, plain.data);
-        // Degenerate range errors.
-        assert!(sys.server.intensity_range_data(1, 90, 40).is_err());
     }
 
     #[test]

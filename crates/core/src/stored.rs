@@ -10,9 +10,9 @@
 //! operators merges without decoding, and decodes its runs the first
 //! time a reader needs them, into a memo cell the cached object keeps.
 //!
-//! The memo cell is a `std::sync::OnceLock`: a one-shot cell with no
-//! scheduling behaviour for the model checker to see, as the LFM's
-//! locks have.
+//! The memo cell is a `std::sync::OnceLock`: readers racing the first
+//! decode may each decode, but the cell keeps one set of runs and
+//! every reader gets that one.
 //!
 //! Every read of the field's bytes here is a checked one: the crate's
 //! indexing exception does not reach this module.

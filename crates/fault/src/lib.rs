@@ -55,10 +55,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use qbism_check::sync::{AtomicU64, Mutex, Ordering};
+use qbism_obs::LockOrRecover;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// What the instrumented call site should do to the current operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,11 +190,11 @@ impl FaultPlane {
     pub fn new(seed: u64) -> Self {
         FaultPlane {
             seed,
-            rules: Mutex::named("fault.rules", Vec::new()),
-            ops: AtomicU64::named("fault.ops", 0),
-            injected: AtomicU64::named("fault.injected", 0),
-            site_ops: Mutex::named("fault.site_ops", BTreeMap::new()),
-            log: Mutex::named("fault.log", Vec::new()),
+            rules: Mutex::new(Vec::new()),
+            ops: AtomicU64::new(0),
+            injected: AtomicU64::new(0),
+            site_ops: Mutex::new(BTreeMap::new()),
+            log: Mutex::new(Vec::new()),
         }
     }
 
@@ -205,7 +206,7 @@ impl FaultPlane {
 
     /// Adds a raw `pattern × trigger × outcome` rule.
     pub fn rule(self, pattern: &str, trigger: Trigger, outcome: FaultOutcome) -> Self {
-        self.lock_rules().push(Rule {
+        self.rules.lock_or_recover().push(Rule {
             pattern: pattern.to_string(),
             trigger,
             outcome,
@@ -269,24 +270,12 @@ impl FaultPlane {
 
     /// Operations seen per site, sorted by site name.
     pub fn site_ops(&self) -> Vec<(String, u64)> {
-        self.lock_sites().iter().map(|(k, v)| (k.clone(), *v)).collect()
+        self.site_ops.lock_or_recover().iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
     /// Every fault that fired, in firing order.
     pub fn injected_log(&self) -> Vec<InjectedFault> {
-        self.lock_log().clone()
-    }
-
-    fn lock_rules(&self) -> qbism_check::sync::MutexGuard<'_, Vec<Rule>> {
-        self.rules.lock_or_recover()
-    }
-
-    fn lock_sites(&self) -> qbism_check::sync::MutexGuard<'_, BTreeMap<String, u64>> {
-        self.site_ops.lock_or_recover()
-    }
-
-    fn lock_log(&self) -> qbism_check::sync::MutexGuard<'_, Vec<InjectedFault>> {
-        self.log.lock_or_recover()
+        self.log.lock_or_recover().clone()
     }
 
     /// Counts the op, evaluates rules in order, returns the first
@@ -294,10 +283,10 @@ impl FaultPlane {
     fn decide(&self, site: &str) -> Option<FaultOutcome> {
         let op = self.ops.fetch_add(1, Ordering::Relaxed) + 1; // 1-based
         {
-            let mut sites = self.lock_sites();
+            let mut sites = self.site_ops.lock_or_recover();
             *sites.entry(site.to_string()).or_insert(0) += 1;
         }
-        let mut rules = self.lock_rules();
+        let mut rules = self.rules.lock_or_recover();
         // Every matching rule counts the op (so `Nth` means "the n-th
         // op at this site", independent of other rules firing first);
         // only the first rule that fires delivers its outcome.
@@ -326,7 +315,7 @@ impl FaultPlane {
         drop(rules);
         if let Some(outcome) = delivered {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            self.lock_log().push(InjectedFault { op, site: site.to_string(), outcome });
+            self.log.lock_or_recover().push(InjectedFault { op, site: site.to_string(), outcome });
             record_injection(site, &outcome);
         }
         delivered

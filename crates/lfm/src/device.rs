@@ -10,8 +10,8 @@
 //! the flag, exactly like a machine that lost power.
 
 use crate::{LfmError, Result};
-use qbism_check::sync::{AtomicBool, Ordering};
 use qbism_fault::FaultOutcome;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 pub(crate) struct SimDevice {
     bytes: Vec<u8>,
@@ -31,7 +31,7 @@ impl std::fmt::Debug for SimDevice {
 
 impl SimDevice {
     pub(crate) fn new(len: usize) -> SimDevice {
-        SimDevice { bytes: vec![0u8; len], crashed: AtomicBool::named("lfm.crashed", false) }
+        SimDevice { bytes: vec![0u8; len], crashed: AtomicBool::new(false) }
     }
 
     pub(crate) fn is_crashed(&self) -> bool {

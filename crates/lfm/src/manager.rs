@@ -34,12 +34,11 @@ use crate::journal::{
 use crate::model::{DiskModel, IoStats};
 use crate::objects::ObjectCache;
 use crate::{LfmError, Result};
-use qbism_check::sync::{Mutex, MutexGuard};
 use qbism_fault::{checksum, sites};
-use qbism_obs::{trace, Counter, Gauge};
+use qbism_obs::{trace, Counter, Gauge, LockOrRecover};
 use std::any::{Any, TypeId};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A piece this short is copied as one fixed-size window and the answer
 /// cut back to the piece's end: a constant-length copy is two register
@@ -302,13 +301,10 @@ impl LongFieldManager {
             allocator: BuddyAllocator::new(geo.max_order),
             fields: HashMap::new(),
             next_id: 1,
-            acct: Mutex::named("lfm.acct", IoStats::default()),
+            acct: Mutex::new(IoStats::default()),
             metrics: LfmMetrics::new(),
-            cache: Mutex::named(
-                "lfm.cache",
-                PageCache::new((geo.data_start + geo.data_pages) as usize),
-            ),
-            objects: Mutex::named("lfm.objects", ObjectCache::default()),
+            cache: Mutex::new(PageCache::new((geo.data_start + geo.data_pages) as usize)),
+            objects: Mutex::new(ObjectCache::default()),
             cache_config: CacheConfig::default(),
             geo,
             epoch: 1,
@@ -1259,7 +1255,7 @@ mod tests {
         LongFieldManager::new(1 << 22, 4096).unwrap() // 4 MiB device
     }
 
-    /// Poisons a facade mutex by panicking while its guard is held.
+    /// Poisons a mutex by panicking while its guard is held.
     fn poison<T>(m: &Mutex<T>) {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = m.lock();
@@ -1281,37 +1277,48 @@ mod tests {
         assert!(lfm.stats().pages_read >= 1, "accounting kept working after recovery");
     }
 
+    /// Threads in a [`race`]: twice the cores of a small CI runner, so
+    /// some are preempted mid-call as well as contending.
+    const THREADS: u64 = 4;
+
+    /// Runs `work(t)` on `THREADS` real threads released together.
+    fn race(work: impl Fn(u64) + Sync) {
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (work, start) = (&work, &start);
+                s.spawn(move || {
+                    start.wait();
+                    work(t);
+                });
+            }
+        });
+    }
+
     /// The real manager read path — acct brackets plus the page cache —
-    /// explored under the deterministic scheduler.  Reads take `&self`,
-    /// so two model threads share one manager, exactly like the serving
-    /// path under concurrent clients.
+    /// on real threads.  Reads take `&self`, so the threads share one
+    /// manager, exactly like the serving path under concurrent clients;
+    /// every read lands in the shared counters.  With the pool off the
+    /// readers never meet on `lfm.cache`, so they charge the counters
+    /// at the same moments; with it on they share the pool too.
     #[test]
-    fn model_concurrent_piece_reads_agree() {
-        use qbism_check::thread;
-        use std::sync::Arc;
-        qbism_check::Checker::random(0x1F4D_0001, 24).check(|| {
-            let mut lfm = mk();
-            lfm.set_cache_config(CacheConfig {
-                capacity_pages: 4,
-                enabled: true,
-                readahead_pages: 0,
-            });
-            let data: Vec<u8> = (0..4096u32 * 3).map(|i| (i % 251) as u8).collect();
-            let id = lfm.create(&data).unwrap();
-            let lfm = Arc::new(lfm);
-            thread::scope(|s| {
-                for t in 0..2u64 {
-                    let lfm = Arc::clone(&lfm);
-                    let want = data.clone();
-                    s.spawn(move || {
-                        let off = t * 4096 + 17;
-                        let got = lfm.read_piece(id, off, 2048).unwrap();
-                        assert_eq!(got, &want[off as usize..off as usize + 2048]);
-                    });
+    fn concurrent_piece_reads_agree() {
+        const READS: u64 = 10_000;
+        let mut lfm = mk();
+        let data: Vec<u8> = (0..4096u32 * 3).map(|i| (i % 251) as u8).collect();
+        let id = lfm.create(&data).unwrap();
+        for enabled in [false, true] {
+            lfm.set_cache_config(CacheConfig { capacity_pages: 4, enabled, readahead_pages: 0 });
+            lfm.reset_stats();
+            race(|t| {
+                let off = t % 3 * 4096 + 17;
+                for _ in 0..READS {
+                    let got = lfm.read_piece(id, off, 2048).unwrap();
+                    assert_eq!(got, &data[off as usize..][..2048]);
                 }
             });
-            assert_eq!(lfm.stats().read_calls, 2);
-        });
+            assert_eq!(lfm.stats().read_calls, THREADS * READS, "pool on: {enabled}");
+        }
     }
 
     #[test]
@@ -1444,47 +1451,38 @@ mod tests {
         }
     }
 
-    /// Readahead under the deterministic scheduler: two threads race
-    /// pieces through one manager with prefetch on, and the answer and
-    /// the logical accounting come out exactly as the unbuffered
-    /// manager's would.
+    /// Readahead on real threads: the threads race pieces through one
+    /// manager with prefetch on, and the answers and the logical
+    /// accounting come out exactly as the unbuffered manager's would.
     #[test]
-    fn model_readahead_is_cache_transparent() {
-        use qbism_check::thread;
-        use std::sync::Arc;
-        qbism_check::Checker::random(0x1F4D_0002, 24).check(|| {
-            let data: Vec<u8> = (0..4096u32 * 4).map(|i| (i % 251) as u8).collect();
-            let mut oracle = mk();
-            let oid = oracle.create(&data).unwrap();
-            for t in 0..2u64 {
-                let off = t * 4096 + 17;
-                let got = oracle.read_piece(oid, off, 2048).unwrap();
-                assert_eq!(got, &data[off as usize..off as usize + 2048]);
-            }
+    fn concurrent_readahead_is_cache_transparent() {
+        const READS: u64 = 10_000;
+        let data: Vec<u8> = (0..4096u32 * 4).map(|i| (i % 251) as u8).collect();
+        let offset = |t: u64| t % 2 * 4096 + 17;
+        // Every read of a piece charges the unbuffered manager the same.
+        let mut oracle = mk();
+        let oid = oracle.create(&data).unwrap();
+        let mut want = IoStats::default();
+        for t in 0..THREADS {
+            oracle.reset_stats();
+            oracle.read_piece(oid, offset(t), 2048).unwrap();
+            want = (0..READS).fold(want, |sum, _| sum.plus(&oracle.stats()));
+        }
 
-            let mut lfm = mk();
-            lfm.set_cache_config(CacheConfig {
-                capacity_pages: 8,
-                enabled: true,
-                readahead_pages: 2,
-            });
-            let id = lfm.create(&data).unwrap();
-            let lfm = Arc::new(lfm);
-            thread::scope(|s| {
-                for t in 0..2u64 {
-                    let lfm = Arc::clone(&lfm);
-                    let want = data.clone();
-                    s.spawn(move || {
-                        let off = t * 4096 + 17;
-                        let got = lfm.read_piece(id, off, 2048).unwrap();
-                        assert_eq!(got, &want[off as usize..off as usize + 2048]);
-                    });
-                }
-            });
-            // IoStats is a commutative sum of per-call deltas, so every
-            // interleaving must land on the sequential oracle's numbers.
-            assert_eq!(lfm.stats(), oracle.stats());
+        let mut lfm = mk();
+        lfm.set_cache_config(CacheConfig { capacity_pages: 8, enabled: true, readahead_pages: 2 });
+        let id = lfm.create(&data).unwrap();
+        lfm.reset_stats();
+        race(|t| {
+            let off = offset(t);
+            for _ in 0..READS {
+                let got = lfm.read_piece(id, off, 2048).unwrap();
+                assert_eq!(got, &data[off as usize..][..2048]);
+            }
         });
+        // IoStats is a commutative sum of per-call deltas, so every
+        // interleaving must land on the sequential oracle's numbers.
+        assert_eq!(lfm.stats(), want);
     }
 
     #[test]
@@ -2145,39 +2143,41 @@ mod tests {
         assert_eq!(lfm.stats().read_calls, 3);
     }
 
-    /// Two readers race miss → decode → insert on one field under the
-    /// deterministic scheduler: both see the field's bytes, one object
-    /// stays resident at its size, and the disk saw two reads.
+    /// Two readers race miss → decode → insert on one field: a barrier
+    /// in the decoder holds both past their misses until both have
+    /// decoded.  Both see the field's bytes, one object stays resident
+    /// at its size, and the disk saw two reads.
     #[test]
-    fn model_racing_object_misses_store_one_object() {
-        use qbism_check::thread;
-        qbism_check::Checker::random(0x1F4D_0003, 24).check(|| {
-            let mut lfm = pooled(4);
-            let data: Vec<u8> = (0..4096u32 * 2).map(|i| (i % 239) as u8).collect();
-            let id = lfm.create(&data).unwrap();
-            let lfm = Arc::new(lfm);
-            let objects: Vec<Arc<Vec<u8>>> = thread::scope(|s| {
-                let readers: Vec<_> = (0..2)
-                    .map(|_| {
-                        let lfm = Arc::clone(&lfm);
-                        s.spawn(move || {
-                            lfm.read_object(id, |bytes: Vec<u8>| {
-                                let len = bytes.len();
-                                Ok::<_, LfmError>((bytes, len))
-                            })
-                            .unwrap()
+    fn racing_object_misses_store_one_object() {
+        let mut lfm = pooled(4);
+        let data: Vec<u8> = (0..4096u32 * 2).map(|i| (i % 239) as u8).collect();
+        let id = lfm.create(&data).unwrap();
+        let both_missed = std::sync::Barrier::new(2);
+        let objects: Vec<Arc<Vec<u8>>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        lfm.read_object(id, |bytes: Vec<u8>| {
+                            both_missed.wait();
+                            let len = bytes.len();
+                            Ok::<_, LfmError>((bytes, len))
                         })
+                        .unwrap()
                     })
-                    .collect();
-                readers.into_iter().map(|r| r.join().unwrap()).collect()
-            });
-            assert!(objects.iter().all(|o| **o == data));
-            let stats = lfm.cache_stats();
-            assert_eq!(stats.object_hits + stats.object_misses, 2);
-            assert_eq!(lfm.objects.lock_or_recover().used(), data.len(), "one object stays");
-            assert_eq!(lfm.stats().read_calls, 2);
-            assert_eq!(lfm.stats().pages_read, 4);
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
         });
+        assert!(objects.iter().all(|o| **o == data));
+        assert!(
+            Arc::ptr_eq(&objects[0], &objects[1]),
+            "the second insert returns the first object"
+        );
+        let stats = lfm.cache_stats();
+        assert_eq!((stats.object_hits, stats.object_misses), (0, 2));
+        assert_eq!(lfm.objects.lock_or_recover().used(), data.len(), "one object stays");
+        assert_eq!(lfm.stats().read_calls, 2);
+        assert_eq!(lfm.stats().pages_read, 4);
     }
 
     proptest! {

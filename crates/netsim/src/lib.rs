@@ -42,6 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use qbism_obs::LockOrRecover;
+use std::sync::{Mutex, MutexGuard};
+
 /// Deterministic RPC cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
@@ -317,13 +320,13 @@ impl RpcChannel {
 /// arithmetic — exactly how one server socket is shared in practice.
 #[derive(Debug)]
 pub struct SharedRpcChannel {
-    inner: qbism_check::sync::Mutex<RpcChannel>,
+    inner: Mutex<RpcChannel>,
 }
 
 impl SharedRpcChannel {
     /// Wraps a channel for shared use.
     pub fn new(chan: RpcChannel) -> Self {
-        SharedRpcChannel { inner: qbism_check::sync::Mutex::named("net.rpc", chan) }
+        SharedRpcChannel { inner: Mutex::new(chan) }
     }
 
     /// Ships one logical answer; see [`RpcChannel::ship`].
@@ -336,7 +339,7 @@ impl SharedRpcChannel {
         self.lock().stats()
     }
 
-    fn lock(&self) -> qbism_check::sync::MutexGuard<'_, RpcChannel> {
+    fn lock(&self) -> MutexGuard<'_, RpcChannel> {
         // Poison-recovering: a panicking client thread must not wedge
         // every other session's network path.
         self.inner.lock_or_recover()
@@ -441,28 +444,40 @@ mod tests {
         assert_eq!(chan.stats().answers, 2);
     }
 
-    /// Concurrent shippers through one shared channel under the
-    /// deterministic scheduler: counters must account for every ship
-    /// regardless of interleaving.
-    #[test]
-    fn model_concurrent_ships_account_exactly() {
-        use qbism_check::thread;
-        use std::sync::Arc;
-        qbism_check::model(|| {
-            let chan = Arc::new(SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994)));
-            let per_ship = NetworkModel::TESTBED_1994.messages_for(2048);
-            thread::scope(|s| {
-                for _ in 0..2 {
-                    let chan = Arc::clone(&chan);
-                    s.spawn(move || {
-                        chan.ship(2048).unwrap();
-                    });
-                }
-            });
-            let stats = chan.stats();
-            assert_eq!(stats.answers, 2);
-            assert_eq!(stats.messages, 2 * per_ship, "no ship lost or double-counted");
+    /// Threads in a [`race`]: twice the cores of a small CI runner, so
+    /// some are preempted mid-ship as well as contending.
+    const THREADS: usize = 4;
+    /// Ships per thread in a [`race`].
+    const SHIPS: u64 = 50_000;
+
+    /// Runs `ship(t)` `SHIPS` times on each of `THREADS` real threads
+    /// released together.
+    fn race(ship: impl Fn(usize) + Sync) {
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (ship, start) = (&ship, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..SHIPS).for_each(|_| ship(t));
+                });
+            }
         });
+    }
+
+    /// Concurrent shippers through one shared channel on real threads:
+    /// the counters account for every ship whatever the interleaving.
+    #[test]
+    fn concurrent_ships_account_exactly() {
+        let chan = SharedRpcChannel::new(RpcChannel::new(NetworkModel::TESTBED_1994));
+        race(|_| {
+            chan.ship(2048).unwrap();
+        });
+        let ships = THREADS as u64 * SHIPS;
+        let stats = chan.stats();
+        assert_eq!(stats.answers, ships);
+        let per_ship = NetworkModel::TESTBED_1994.messages_for(2048);
+        assert_eq!(stats.messages, ships * per_ship, "no ship lost or double-counted");
     }
 
     /// Each endpoint accounts independently: a flaky link to one shard
@@ -506,29 +521,27 @@ mod tests {
         );
     }
 
-    /// Concurrent ships to distinct endpoints both account exactly
-    /// under the deterministic scheduler — nothing is lost to a shared
-    /// lock, and per-endpoint counters never co-mingle.
+    /// Concurrent ships to distinct endpoints on real threads each
+    /// account exactly — nothing is lost to a shared lock, and
+    /// per-endpoint counters never co-mingle.
     #[test]
-    fn model_concurrent_endpoint_ships_stay_independent() {
-        use qbism_check::thread;
-        use std::sync::Arc;
-        qbism_check::model(|| {
-            let chans = Arc::new(EndpointChannels::new(2, NetworkModel::TESTBED_1994));
-            thread::scope(|s| {
-                for endpoint in 0..2usize {
-                    let chans = Arc::clone(&chans);
-                    s.spawn(move || {
-                        chans.ship(endpoint, 1024 * (endpoint as u64 + 1)).unwrap();
-                    });
-                }
-            });
-            let m = NetworkModel::TESTBED_1994;
-            let s0 = chans.endpoints[0].stats();
-            let s1 = chans.endpoints[1].stats();
-            assert_eq!((s0.answers, s0.messages, s0.bytes), (1, m.messages_for(1024), 1024));
-            assert_eq!((s1.answers, s1.messages, s1.bytes), (1, m.messages_for(2048), 2048));
+    fn concurrent_endpoint_ships_stay_independent() {
+        let chans = EndpointChannels::new(2, NetworkModel::TESTBED_1994);
+        let bytes = |endpoint: usize| 1024 * (endpoint as u64 + 1);
+        race(|t| {
+            chans.ship(t % 2, bytes(t % 2)).unwrap();
         });
+        // Half the threads ship to each endpoint.
+        let ships = THREADS as u64 / 2 * SHIPS;
+        let m = NetworkModel::TESTBED_1994;
+        for endpoint in 0..2 {
+            let s = chans.endpoints[endpoint].stats();
+            let b = bytes(endpoint);
+            assert_eq!(
+                (s.answers, s.messages, s.bytes),
+                (ships, ships * m.messages_for(b), ships * b)
+            );
+        }
     }
 
     #[test]

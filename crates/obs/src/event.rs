@@ -21,7 +21,7 @@
 //!   crashing thread's open spans, so a `crash_sweep` failure always
 //!   comes with the events leading up to it ([`last_crash_dump`]).
 
-use qbism_check::sync::lock_or_recover;
+use crate::LockOrRecover;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -148,7 +148,7 @@ pub fn record(kind: EventKind) {
         thread: context::thread_ordinal(),
         kind,
     };
-    let mut journal = lock_or_recover(&JOURNAL);
+    let mut journal = JOURNAL.lock_or_recover();
     event.seq = journal.next_seq;
     journal.next_seq += 1;
     if journal.events.len() >= JOURNAL_CAPACITY {
@@ -185,23 +185,23 @@ pub fn shard_down(shard: u64) {
 
 /// Snapshot of the journal, oldest first.
 pub fn events() -> Vec<Event> {
-    lock_or_recover(&JOURNAL).events.iter().cloned().collect()
+    JOURNAL.lock_or_recover().events.iter().cloned().collect()
 }
 
 /// Journal entries belonging to one trace, oldest first.
 pub fn events_for_trace(trace: u64) -> Vec<Event> {
-    lock_or_recover(&JOURNAL).events.iter().filter(|e| e.trace == trace).cloned().collect()
+    JOURNAL.lock_or_recover().events.iter().filter(|e| e.trace == trace).cloned().collect()
 }
 
 /// Events evicted from the ring so far (journal pressure indicator).
 pub fn dropped() -> u64 {
-    lock_or_recover(&JOURNAL).dropped
+    JOURNAL.lock_or_recover().dropped
 }
 
 /// Empties the journal (test isolation).  Sequence numbers keep
 /// counting; the drop counter resets.
 pub fn clear() {
-    let mut journal = lock_or_recover(&JOURNAL);
+    let mut journal = JOURNAL.lock_or_recover();
     journal.events.clear();
     journal.dropped = 0;
 }
@@ -231,12 +231,12 @@ pub fn set_slow_query_threshold(threshold: Duration) {
 /// Retained slow-query captures, oldest first (at most
 /// [`SLOW_LOG_CAPACITY`]).
 pub fn slow_queries() -> Vec<SlowQuery> {
-    lock_or_recover(&SLOW_LOG).iter().cloned().collect()
+    SLOW_LOG.lock_or_recover().iter().cloned().collect()
 }
 
 /// Empties the slow-query log (test isolation).
 pub fn clear_slow_queries() {
-    lock_or_recover(&SLOW_LOG).clear();
+    SLOW_LOG.lock_or_recover().clear();
 }
 
 /// Called by the tracer when a root span of `seconds` finishes:
@@ -251,7 +251,7 @@ pub(crate) fn note_root_finished(seconds: f64, tree: impl FnOnce() -> Option<Spa
     record(EventKind::SlowQuery { name: tree.name.to_string(), micros });
     let capture =
         SlowQuery { trace: tree.trace_id, micros, events: events_for_trace(tree.trace_id), tree };
-    let mut log = lock_or_recover(&SLOW_LOG);
+    let mut log = SLOW_LOG.lock_or_recover();
     if log.len() >= SLOW_LOG_CAPACITY {
         log.pop_front();
     }
@@ -293,7 +293,7 @@ pub fn capture_crash_dump(site: &str) {
         events: events(),
         live_spans: crate::trace::open_span_names(),
     };
-    let mut dumps = lock_or_recover(&CRASH_DUMPS);
+    let mut dumps = CRASH_DUMPS.lock_or_recover();
     if dumps.len() >= CRASH_DUMP_CAPACITY {
         dumps.pop_front();
     }
@@ -302,12 +302,12 @@ pub fn capture_crash_dump(site: &str) {
 
 /// The most recent crash dump, if any.
 pub fn last_crash_dump() -> Option<CrashDump> {
-    lock_or_recover(&CRASH_DUMPS).back().cloned()
+    CRASH_DUMPS.lock_or_recover().back().cloned()
 }
 
 /// Empties the crash-dump store (test isolation).
 pub fn clear_crash_dumps() {
-    lock_or_recover(&CRASH_DUMPS).clear();
+    CRASH_DUMPS.lock_or_recover().clear();
 }
 
 #[cfg(test)]

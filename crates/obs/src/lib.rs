@@ -101,6 +101,24 @@ pub use metrics::{global, Counter, Gauge, Registry};
 pub use trace::SpanNode;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Poison-recovering lock, the one way the workspace locks a mutex.
+///
+/// Poison only means "a thread panicked while holding this"; every
+/// protected structure in this workspace is either repaired by its
+/// owner on reuse or holds data whose partial update is benign, so
+/// recovering beats wedging the whole server on one bad client thread.
+pub trait LockOrRecover<T: ?Sized> {
+    /// Locks, taking the guard over from a panicked holder if need be.
+    fn lock_or_recover(&self) -> MutexGuard<'_, T>;
+}
+
+impl<T: ?Sized> LockOrRecover<T> for Mutex<T> {
+    fn lock_or_recover(&self) -> MutexGuard<'_, T> {
+        self.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
@@ -120,7 +138,7 @@ pub fn set_enabled(on: bool) {
 /// Serializes tests that read or toggle process-global state (the
 /// enabled flag, the global registry, the span ring).
 #[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+pub(crate) fn test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock_or_recover()
 }

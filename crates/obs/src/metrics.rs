@@ -6,7 +6,7 @@
 //! already registered as the other metric type, the caller gets a
 //! working but *detached* handle, left out of the exports.
 
-use qbism_check::sync::lock_or_recover;
+use crate::LockOrRecover;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -98,7 +98,7 @@ impl Registry {
         wrap: fn(T) -> Metric,
         pick: fn(&Metric) -> Option<&T>,
     ) -> T {
-        let mut inner = lock_or_recover(&self.inner);
+        let mut inner = self.inner.lock_or_recover();
         let metric = inner.metrics.entry(name.to_string()).or_insert_with(|| wrap(T::default()));
         pick(metric).cloned().unwrap_or_default()
     }
@@ -122,7 +122,7 @@ impl Registry {
     /// Renders every metric in the Prometheus text exposition format:
     /// per series a `# TYPE` line and one unlabelled sample.
     pub fn render_prometheus(&self) -> String {
-        let inner = lock_or_recover(&self.inner);
+        let inner = self.inner.lock_or_recover();
         let mut out = String::new();
         for (name, metric) in &inner.metrics {
             let (ty, value) = metric.sample();
@@ -133,7 +133,7 @@ impl Registry {
 
     /// One JSON object mapping every series name to its value.
     pub fn snapshot_json(&self) -> String {
-        let inner = lock_or_recover(&self.inner);
+        let inner = self.inner.lock_or_recover();
         let pairs: Vec<String> = inner
             .metrics
             .iter()

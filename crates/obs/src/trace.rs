@@ -35,7 +35,7 @@
 //! ([`crate::event`]); a crash dump reads the crashing thread's open
 //! spans straight off its recorder.
 
-use qbism_check::sync::lock_or_recover;
+use crate::LockOrRecover;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -488,10 +488,10 @@ fn file_root(tree: Tree) -> Option<Tree> {
             let mut own = own.borrow_mut();
             let ring = own.0.get_or_insert_with(|| {
                 let ring = Arc::new(Ring::default());
-                lock_or_recover(&RINGS).push(Arc::clone(&ring));
+                RINGS.lock_or_recover().push(Arc::clone(&ring));
                 ring
             });
-            let mut ring = lock_or_recover(ring);
+            let mut ring = ring.lock_or_recover();
             let evicted = if ring.len() >= RING_CAPACITY { ring.pop_front() } else { None };
             ring.push_back(filed);
             evicted.map(|(_, tree)| tree)
@@ -512,9 +512,9 @@ impl Drop for OwnRing {
         if self.0.take().is_none() {
             return;
         }
-        let newest = |r: &Ring| lock_or_recover(r).back().map_or(0, |(filed, _)| *filed);
+        let newest = |r: &Ring| r.lock_or_recover().back().map_or(0, |(filed, _)| *filed);
         let mut released = Vec::new();
-        let mut rings = lock_or_recover(&RINGS);
+        let mut rings = RINGS.lock_or_recover();
         // Threads exiting together may each have left one more.
         loop {
             let retired: Vec<usize> =
@@ -596,7 +596,7 @@ pub fn last_root() -> Option<SpanNode> {
     OWN_RING
         .try_with(|own| {
             let own = own.borrow();
-            let ring = lock_or_recover(own.0.as_ref()?);
+            let ring = own.0.as_ref()?.lock_or_recover();
             ring.back().and_then(|(_, tree)| tree.build())
         })
         .ok()
@@ -606,10 +606,10 @@ pub fn last_root() -> Option<SpanNode> {
 /// Every retained finished root of every thread, oldest first (at most
 /// [`RING_CAPACITY`] per thread).
 pub fn recent_roots() -> Vec<SpanNode> {
-    let rings = lock_or_recover(&RINGS).clone();
+    let rings = RINGS.lock_or_recover().clone();
     let mut filed: Vec<(u64, SpanNode)> = Vec::new();
     for ring in &rings {
-        let ring = lock_or_recover(ring);
+        let ring = ring.lock_or_recover();
         filed.extend(ring.iter().filter_map(|(at, tree)| Some((*at, tree.build()?))));
     }
     filed.sort_unstable_by_key(|&(at, _)| at);
@@ -620,12 +620,12 @@ pub fn recent_roots() -> Vec<SpanNode> {
 /// (test isolation).
 pub fn clear() {
     let released = {
-        let mut rings = lock_or_recover(&RINGS);
+        let mut rings = RINGS.lock_or_recover();
         let (live, retired): (Vec<_>, Vec<_>) =
             rings.drain(..).partition(|ring| Arc::strong_count(ring) > 1);
         *rings = live;
         for ring in rings.iter() {
-            lock_or_recover(ring).clear();
+            ring.lock_or_recover().clear();
         }
         retired
     };
@@ -747,7 +747,7 @@ mod tests {
         });
         OWN_RING.with(|own| {
             let own = own.borrow();
-            let ring = lock_or_recover(own.0.as_ref().expect("this thread filed"));
+            let ring = own.0.as_ref().expect("this thread filed").lock_or_recover();
             out.push((0, ring.capacity()));
             ring.iter().for_each(|(_, tree)| of(tree, &mut out));
         });

@@ -76,20 +76,6 @@ impl<T: Copy> DataRegion<T> {
 }
 
 impl DataRegion<u8> {
-    /// Restricts to samples in `lo..=hi`, producing a smaller
-    /// `DataRegion` (used for post-filtering approximate query answers).
-    pub fn filter_intensity(&self, lo: u8, hi: u8) -> DataRegion<u8> {
-        let mut ids = Vec::new();
-        let mut values = Vec::new();
-        for (id, v) in self.iter() {
-            if (lo..=hi).contains(&v) {
-                ids.push(id);
-                values.push(v);
-            }
-        }
-        DataRegion::new(Region::from_ids(self.region.geometry(), ids), values)
-    }
-
     /// Mean intensity, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         let values = &self.values;
@@ -131,15 +117,6 @@ mod tests {
         let empty = DataRegion::new(Region::empty(g()), Vec::<u8>::new());
         assert_eq!(empty.mean(), None);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn filter_intensity_keeps_alignment() {
-        let dr = sample();
-        let high = dr.filter_intensity(100, 255);
-        assert_eq!(high.voxel_count(), 3);
-        let pairs: Vec<(u64, u8)> = high.iter().collect();
-        assert_eq!(pairs, vec![(11, 100), (12, 200), (41, 250)]);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   `skipped` entries, and only a total loss errors;
 //! * a study the warehouse did not load is a typed `UnknownStudy` that
 //!   reaches no shard;
-//! * router claim/merge and racing shard-kill transitions are model
-//!   checked on the `qbism-check` scheduler;
+//! * racing kills take a shard down exactly once, on real threads;
 //! * kill, failover and fault events land inside the owning trace;
 //! * the multi-study fold's work counts are the same through the router
 //!   as on the single-node server, with the cache off and on.
@@ -285,48 +284,45 @@ fn unknown_study_reaches_no_shard() {
     assert_eq!(warehouse.recovery_stats().failovers, 0);
 }
 
+/// Two router workers race to kill the same shard, round after round:
+/// exactly one of them sees each transition (and would emit the one
+/// `shard_down` event).  The workers meet at every round, spinning and
+/// now and then yielding so that one free core still makes progress, so
+/// their kills land together whenever both run.
 #[test]
-fn router_claim_and_kill_races_model_check() {
-    use qbism_check::sync::{AtomicU64, Mutex as ModelMutex};
-    use qbism_check::thread;
+fn racing_kills_transition_a_shard_down_exactly_once() {
     use qbism_cluster::ShardState;
-    use std::sync::atomic::Ordering;
-    use std::sync::Arc;
-
-    // Two router workers race a shard kill and the claim/merge of two
-    // studies.  Under every interleaving: the shard transitions down
-    // exactly once, each study is claimed exactly once, and both
-    // results land in their slots.
-    qbism_check::model(|| {
-        let state = Arc::new(ShardState::new());
-        let transitions = Arc::new(AtomicU64::named("test.transitions", 0));
-        let claim = Arc::new(AtomicU64::named("test.claim", 0));
-        let merged = Arc::new(ModelMutex::named("test.merged", vec![None::<u64>, None]));
-        thread::scope(|s| {
-            for _ in 0..2 {
-                let state = Arc::clone(&state);
-                let transitions = Arc::clone(&transitions);
-                let claim = Arc::clone(&claim);
-                let merged = Arc::clone(&merged);
-                s.spawn(move || {
-                    // Racing kill: only one worker observes the
-                    // transition and would emit the shard_down event.
-                    if state.mark_down() {
-                        transitions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Claim/merge: take the next study, record its
-                    // result in its own slot.
-                    let study = claim.fetch_add(1, Ordering::Relaxed);
-                    let _lane = state.enter_lane();
-                    merged.lock_or_recover()[study as usize] = Some(study * 10);
-                });
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const ROUNDS: usize = 20_000;
+    let _g = serialize();
+    let states: Vec<ShardState> = (0..ROUNDS).map(|_| ShardState::new()).collect();
+    let arrived = AtomicUsize::new(0);
+    let kill = || {
+        let mut won = Vec::with_capacity(ROUNDS);
+        for (round, state) in states.iter().enumerate() {
+            arrived.fetch_add(1, Ordering::AcqRel);
+            let mut spins = 0u32;
+            while arrived.load(Ordering::Acquire) < 2 * (round + 1) {
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
             }
-        });
-        assert_eq!(transitions.load(Ordering::Relaxed), 1, "kill transitioned exactly once");
-        assert!(!state.is_healthy());
-        let slots = merged.lock_or_recover().clone();
-        assert_eq!(slots, vec![Some(0), Some(10)], "each study claimed and merged once");
+            won.push(state.mark_down());
+        }
+        won
+    };
+    let [a, b] = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(kill), s.spawn(kill));
+        [a.join().expect("killer a"), b.join().expect("killer b")]
     });
+    for (round, state) in states.iter().enumerate() {
+        let wins = u8::from(a[round]) + u8::from(b[round]);
+        assert_eq!(wins, 1, "round {round}: the kill transitioned {wins} times");
+        assert!(!state.is_healthy());
+    }
 }
 
 #[test]

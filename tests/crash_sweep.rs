@@ -182,13 +182,12 @@ fn crash_at_every_device_io_recovers_committed_state() {
 /// skipping studies, `Err` for a typed failure.
 type QueryClass = (&'static str, fn(&MedicalServer) -> Result<bool, QbismError>);
 
-/// All eight query classes over the `small_test` studies.
-const QUERY_CLASSES: [QueryClass; 8] = [
+/// All seven query classes over the `small_test` studies.
+const QUERY_CLASSES: [QueryClass; 7] = [
     ("full_study", |s| s.full_study(1).map(|_| true)),
     ("box", |s| s.box_data(1, [2, 3, 4], [9, 10, 11]).map(|_| true)),
     ("structure", |s| s.structure_data(1, "ntal").map(|_| true)),
     ("band", |s| s.band_data(1, 32, 63).map(|_| true)),
-    ("intensity_range", |s| s.intensity_range_data(1, 40, 80).map(|_| true)),
     ("band_in_structure", |s| s.band_in_structure(1, 32, 63, "ntal1").map(|_| true)),
     ("multi_study_band", |s| s.multi_study_band_region(&[1, 2], 32, 63).map(|_| true)),
     ("population_average", |s| s.population_average(&[1, 2], "ntal").map(|a| a.is_complete())),

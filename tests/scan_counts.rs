@@ -37,12 +37,4 @@ fn rows_scanned_is_pinned_per_server_class() {
             ("multi-study fold", 48),
         ]
     );
-    // `intensity_range` joins one more band table per band it spans.
-    let bands: Vec<u64> = (1..=8u16)
-        .map(|n| {
-            let hi = u8::try_from(32 * n - 1).expect("hi fits");
-            server.intensity_range_data(study, 0, hi).expect("intensity range").cost.rows_scanned
-        })
-        .collect();
-    assert_eq!(bands, [27, 51, 75, 99, 123, 147, 171, 195]);
 }
