@@ -5,10 +5,13 @@
 //! ([`qbism_lfm::LongFieldManager::read_object`]) as a
 //! [`StoredRegion`], so while the field stays cached its bytes are
 //! neither copied nor decoded again, and every reader shares one
-//! object.  A naive field is decoded as it is read.  A k³ field keeps
-//! its payload, which the multi-study fold descends and a pair of
-//! operators merges without decoding, and decodes its runs the first
-//! time a reader needs them, into a memo cell the cached object keeps.
+//! object.  That cache is on whatever the page-pool setting, bounded by
+//! the device's data-area bytes: it is host memory, and only the page
+//! pool models the 1994 buffer.  A naive field is decoded as it is
+//! read.  A k³ field keeps its payload, which the multi-study fold
+//! descends and a pair of operators merges without decoding, and
+//! decodes its runs the first time a reader needs them, into a memo
+//! cell the cached object keeps.
 //!
 //! The memo cell is a `std::sync::OnceLock`: readers racing the first
 //! decode may each decode, but the cell keeps one set of runs and

@@ -19,7 +19,8 @@
 //!
 //! What a read really repeats on this host is the decode after the
 //! copy; the decoded objects of whole fields are a separate cache
-//! beside this one ([`crate::objects`]), on and off with it.
+//! beside this one ([`crate::objects`]), host memory that is on
+//! whatever this pool's setting.
 
 /// Buffer-pool knobs on the [`crate::LongFieldManager`].
 ///
@@ -46,11 +47,13 @@ pub struct CacheConfig {
 /// many pieces share the page, so across cached reads `hits + misses`
 /// equals the logical `pages_read`; a page the call's own coalesced
 /// transfer or readahead staged is a hit when the call reaches it.
-/// Reads with the pool off take no cache lock and count nothing here.
+/// Reads with the pool off take no pool lock and count no page here.
 ///
 /// The `object_*` counts are the decoded-object cache's
 /// ([`crate::LongFieldManager::read_object`]): one lookup per object
-/// read, whatever the field's page count.
+/// read, whatever the field's page count, with the pool off and on —
+/// that cache is host memory bounded by the device's data-area bytes,
+/// and only the pool models the buffer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Distinct-page lookups served from the pool.

@@ -13,8 +13,10 @@
 //! * [`LongFieldManager`] — create/read/write/delete long fields, with
 //!   **piece reads** (the `read_pieces` path EXTRACT_DATA uses) that
 //!   coalesce touched pages and never buffer, and whole-field **object
-//!   reads** (`read_object`) that, with the page cache on, keep each
-//!   field's decoded object so it is decoded once while it stays cached;
+//!   reads** (`read_object`) that keep each field's decoded object, with
+//!   the page cache off or on, so it is decoded once while it stays
+//!   cached (host memory bounded by the device's data-area bytes; only
+//!   the page cache models a buffer);
 //! * [`IoStats`] — exact 4 KiB I/O counts, the unit Tables 3 and 4 report;
 //! * [`DiskModel`] — converts counts into simulated seconds calibrated to
 //!   the paper's 1994 RS/6000-530 testbed, so the *shape* of the real-time

@@ -268,7 +268,9 @@ pub struct LongFieldManager {
     acct: Mutex<IoStats>,
     metrics: LfmMetrics,
     cache: Mutex<PageCache>,
-    /// Decoded objects of whole fields, on and off with the pool.
+    /// Decoded objects of whole fields, whatever the pool setting: host
+    /// memory, not the modelled buffer, bounded by the device's data-area
+    /// bytes so it at most doubles what the in-memory device holds.
     objects: Mutex<ObjectCache>,
     /// Beside the mutex, not under it: only `&mut self` changes it, so
     /// readers learn whether the pool is on without locking anything.
@@ -304,7 +306,7 @@ impl LongFieldManager {
             acct: Mutex::new(IoStats::default()),
             metrics: LfmMetrics::new(),
             cache: Mutex::new(PageCache::new((geo.data_start + geo.data_pages) as usize)),
-            objects: Mutex::new(ObjectCache::default()),
+            objects: Mutex::new(ObjectCache::new(geo.data_pages as usize * page_size)),
             cache_config: CacheConfig::default(),
             geo,
             epoch: 1,
@@ -357,14 +359,12 @@ impl LongFieldManager {
         *self.acct.lock_or_recover() = IoStats::default();
     }
 
-    /// Reconfigures the page cache (the pool and the object cache are
-    /// emptied; stats remain).  Defaults to disabled — the paper's
-    /// unbuffered LFM.
+    /// Reconfigures the page cache (the pool is emptied; stats remain).
+    /// Defaults to disabled — the paper's unbuffered LFM.  The object
+    /// cache is not the modelled buffer and keeps its objects.
     pub fn set_cache_config(&mut self, config: CacheConfig) {
         self.cache_config = config;
         self.cache.lock_or_recover().set_capacity(pool_frames(config));
-        let budget = pool_frames(config).saturating_mul(self.page_size);
-        self.objects.lock_or_recover().set_budget(budget);
     }
 
     /// Current page-cache configuration.
@@ -376,11 +376,6 @@ impl LongFieldManager {
     /// which costs no lock: unbuffered readers never meet on `lfm.cache`.
     fn pool(&self) -> Option<MutexGuard<'_, PageCache>> {
         (pool_frames(self.cache_config) > 0).then(|| self.cache.lock_or_recover())
-    }
-
-    /// The object cache, locked — or `None` while the pool is off.
-    fn objects(&self) -> Option<MutexGuard<'_, ObjectCache>> {
-        (pool_frames(self.cache_config) > 0).then(|| self.objects.lock_or_recover())
     }
 
     /// Cumulative page-cache and object-cache hit/miss/eviction
@@ -604,20 +599,13 @@ impl LongFieldManager {
     pub fn delete(&mut self, id: LongFieldId) -> Result<()> {
         let desc = self.fields.get(&id.0).ok_or(LfmError::NoSuchField(id.0))?.clone();
         self.journal_one(Record::Delete { id: id.0 })?;
-        self.forget_objects(id);
+        self.objects.lock_or_recover().forget_field(id.0);
         self.fields.remove(&id.0);
         self.allocator.free(desc.first_page, desc.order)?;
         self.invalidate_cached_block(desc.first_page, desc.order);
         self.compressed.remove(&id.0);
         self.publish_allocation();
         Ok(())
-    }
-
-    /// Drops the decoded objects of field `id`.
-    fn forget_objects(&self, id: LongFieldId) {
-        if let Some(mut objects) = self.objects() {
-            objects.forget_field(id.0);
-        }
     }
 
     /// Drops cached copies of a data-area buddy block's pages.
@@ -830,13 +818,13 @@ impl LongFieldManager {
     /// its error and stores nothing; so does a failed decode.
     ///
     /// `decode` returns the object and the bytes it holds, which the
-    /// cache's budget (the pool's `capacity_pages × page_size`) is spent
-    /// on, least recently used first.  With the pool off nothing is
-    /// cached and this is `read` followed by `decode`.  Objects are
+    /// cache's budget (the device's data-area bytes) is spent on, least
+    /// recently used first.  The cache is host memory, not the modelled
+    /// buffer, so it is on whatever the pool setting; with the pool off
+    /// a hit still charges what an unbuffered `read` does.  Objects are
     /// keyed by field and type; [`write_piece`](Self::write_piece) and
     /// [`delete`](Self::delete) drop a field's objects, and
-    /// [`recover`](Self::recover) and
-    /// [`set_cache_config`](Self::set_cache_config) drop them all.
+    /// [`recover`](Self::recover) drops them all.
     pub fn read_object<T, E>(
         &self,
         id: LongFieldId,
@@ -847,20 +835,14 @@ impl LongFieldManager {
         E: From<LfmError>,
     {
         let key = (id.0, TypeId::of::<T>());
-        let cached = match self.objects() {
-            Some(mut objects) => objects.get(key).and_then(|object| object.downcast::<T>().ok()),
-            None => return Ok(Arc::new(decode(self.read(id)?)?.0)),
-        };
-        if let Some(object) = cached {
+        let cached = self.objects.lock_or_recover().get(key);
+        if let Some(object) = cached.and_then(|object| object.downcast::<T>().ok()) {
             self.charge_field_read(id)?;
             return Ok(object);
         }
         let (object, bytes) = decode(self.read(id)?)?;
         let object = Arc::new(object);
-        let resident = match self.objects() {
-            Some(mut objects) => objects.insert(key, Arc::clone(&object) as _, bytes),
-            None => None,
-        };
+        let resident = self.objects.lock_or_recover().insert(key, Arc::clone(&object) as _, bytes);
         Ok(resident.and_then(|resident| resident.downcast::<T>().ok()).unwrap_or(object))
     }
 
@@ -996,7 +978,7 @@ impl LongFieldManager {
         if let Some(mut pool) = self.pool() {
             pool.invalidate_range(self.geo.data_start + first, last - first + 1);
         }
-        self.forget_objects(id);
+        self.objects.lock_or_recover().forget_field(id.0);
         self.charge(IoStats {
             pages_written: last - first + 1,
             extents_written: 1,
@@ -1984,17 +1966,19 @@ mod tests {
 
     /// A miss, a hit and `read` are one call to the simulated disk:
     /// equal I/O, pool lookups and spans, call for call — for a plain,
-    /// a compressed and an empty field, with and without readahead, and
-    /// with another field's reads evicting pages between the calls; only
-    /// the miss decodes.
+    /// a compressed and an empty field, with the pool off and on, with
+    /// and without readahead, and with another field's reads evicting
+    /// pages between the calls; only the miss decodes.
     #[test]
     fn an_object_hit_charges_the_disk_like_a_miss_and_a_read() {
         let churn: Vec<u8> = vec![3; 4096 * 6];
+        let rows = [false, true].into_iter().flat_map(|enabled| {
+            [(false, 0), (true, 0), (false, 4), (true, 4)].map(|(c, r)| (enabled, c, r))
+        });
         for len in [4096 * 3 + 100, 0] {
             let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            for (compressed, readahead) in [(false, 0), (true, 0), (false, 4), (true, 4)] {
-                let config =
-                    CacheConfig { capacity_pages: 8, enabled: true, readahead_pages: readahead };
+            for (enabled, compressed, readahead) in rows.clone() {
+                let config = CacheConfig { capacity_pages: 8, enabled, readahead_pages: readahead };
                 let (mut plain, mut objects) = (mk(), mk());
                 let setup = |lfm: &mut LongFieldManager| {
                     lfm.set_cache_config(config);
@@ -2004,7 +1988,9 @@ mod tests {
                 };
                 let ((pid, pchurn), (oid, ochurn)) = (setup(&mut plain), setup(&mut objects));
                 let calls = std::cell::Cell::new(0);
-                let what = format!("{len} bytes, compressed {compressed}, readahead {readahead}");
+                let what = format!(
+                    "{len} bytes, pool {enabled}, compressed {compressed}, readahead {readahead}"
+                );
                 for round in 0..3 {
                     let want = traced(&plain, || assert_eq!(plain.read(pid).unwrap(), data));
                     let got = traced(&objects, || {
@@ -2023,7 +2009,8 @@ mod tests {
                 assert_eq!(calls.get(), 1, "only the first read decodes: {what}");
                 let stats = objects.cache_stats();
                 assert_eq!((stats.object_hits, stats.object_misses), (2, 1), "{what}");
-                assert!(stats.evictions > 0 || len == 0, "the churn evicted pages: {what}");
+                assert_eq!(stats.hits + stats.misses > 0, enabled, "pool lookups: {what}");
+                assert!(stats.evictions > 0 || !enabled || len == 0, "the churn evicted: {what}");
             }
         }
     }
@@ -2068,116 +2055,159 @@ mod tests {
         assert_eq!(calls.get(), before + 1, "a faulted miss stored nothing");
     }
 
-    /// Each mutation of a field, recovery and reconfiguration drop the
-    /// objects decoded from the bytes they change, so the next read
-    /// decodes the bytes as they are now.
+    /// Each mutation of a field and recovery drop the objects decoded
+    /// from the bytes they change, so the next read decodes the bytes
+    /// as they are now — with the pool off and on.  Reconfiguring the
+    /// pool changes no field's bytes, so it keeps every object.
     #[test]
-    fn writes_deletes_recovery_and_reconfiguration_invalidate_objects() {
-        let mut lfm = pooled(8);
-        let mut data: Vec<u8> = (0..6000u32).map(|i| (i % 241) as u8).collect();
-        let id = lfm.create(&data).unwrap();
-        let calls = std::cell::Cell::new(0);
-        let read = |lfm: &LongFieldManager, want: &[u8]| {
-            assert_eq!(*lfm.read_object(id, counting(&calls)).unwrap(), want);
-        };
-        read(&lfm, &data);
-        read(&lfm, &data);
-        assert_eq!(calls.get(), 1);
-        lfm.write_piece(id, 4000, &[0xEE; 10]).unwrap();
-        data[4000..4010].fill(0xEE);
-        read(&lfm, &data);
-        assert_eq!(calls.get(), 2, "write_piece invalidates");
-        lfm.recover().unwrap();
-        read(&lfm, &data);
-        assert_eq!(calls.get(), 3, "recover invalidates");
-        lfm.set_cache_config(lfm.cache_config());
-        read(&lfm, &data);
-        assert_eq!(calls.get(), 4, "set_cache_config invalidates");
-        let other = lfm.create(&[1, 2, 3]).unwrap();
-        lfm.read_object(other, counting(&calls)).unwrap();
-        lfm.delete(id).unwrap();
-        assert_eq!(lfm.objects.lock_or_recover().used(), 3, "delete drops the field's object");
-        assert_eq!(lfm.read_object(id, counting(&calls)).unwrap_err(), LfmError::NoSuchField(id.0));
+    fn writes_deletes_and_recovery_invalidate_objects_reconfiguration_keeps_them() {
+        for pages in [0, 8] {
+            let mut lfm = pooled(pages);
+            let mut data: Vec<u8> = (0..6000u32).map(|i| (i % 241) as u8).collect();
+            let id = lfm.create(&data).unwrap();
+            let calls = std::cell::Cell::new(0);
+            let read = |lfm: &LongFieldManager, want: &[u8]| {
+                assert_eq!(*lfm.read_object(id, counting(&calls)).unwrap(), want);
+            };
+            read(&lfm, &data);
+            read(&lfm, &data);
+            assert_eq!(calls.get(), 1);
+            lfm.write_piece(id, 4000, &[0xEE; 10]).unwrap();
+            data[4000..4010].fill(0xEE);
+            read(&lfm, &data);
+            assert_eq!(calls.get(), 2, "write_piece invalidates, pool {pages}");
+            lfm.recover().unwrap();
+            read(&lfm, &data);
+            assert_eq!(calls.get(), 3, "recover invalidates, pool {pages}");
+            for enabled in [true, false] {
+                lfm.set_cache_config(CacheConfig {
+                    capacity_pages: 8,
+                    enabled,
+                    readahead_pages: 0,
+                });
+                read(&lfm, &data);
+            }
+            assert_eq!(calls.get(), 3, "set_cache_config keeps objects, pool {pages}");
+            let other = lfm.create(&[1, 2, 3]).unwrap();
+            lfm.read_object(other, counting(&calls)).unwrap();
+            lfm.delete(id).unwrap();
+            assert_eq!(lfm.objects.lock_or_recover().used(), 3, "delete drops the field's object");
+            let gone = lfm.read_object(id, counting(&calls)).unwrap_err();
+            assert_eq!(gone, LfmError::NoSuchField(id.0));
+        }
     }
 
-    /// The decoded objects never hold more than the pool's bytes; the
-    /// least recently used go first, and one larger than the whole
-    /// budget is served but not kept.
+    /// The decoded objects never hold more than the device's data-area
+    /// bytes, whatever the pool: the least recently used go first, and
+    /// one larger than the whole budget is served but not kept.  The
+    /// device is the smallest `new` accepts at 4 KiB pages (a 1-byte
+    /// capacity: one data page, so a 4 KiB budget), and its one field
+    /// is decoded into several types, each
+    /// reported larger than the bytes it came from, as a decoded REGION
+    /// outgrows its encoding.
     #[test]
     fn the_object_budget_is_never_exceeded() {
-        let mut lfm = pooled(2);
-        let budget = 2 * 4096;
-        let ids: Vec<LongFieldId> = (0..6u8).map(|i| lfm.create(&vec![i; 3000]).unwrap()).collect();
-        let huge = lfm.create(&vec![7u8; budget + 1]).unwrap();
-        for (round, &id) in ids.iter().chain(&ids).chain([&huge]).enumerate() {
-            let calls = std::cell::Cell::new(0);
-            lfm.read_object(id, counting(&calls)).unwrap();
+        const BUDGET: usize = 4096;
+        /// Reads field `id` as type `N`, reported `held` bytes large,
+        /// and checks the budget holds after the read.
+        fn read_as<const N: u8>(lfm: &LongFieldManager, id: LongFieldId, held: usize) {
+            struct Decoded<const N: u8>(Vec<u8>);
+            let object =
+                lfm.read_object(id, |bytes| Ok::<_, LfmError>((Decoded::<N>(bytes), held)));
+            assert_eq!(object.unwrap().0.len(), 1000, "type {N} is served");
             let used = lfm.objects.lock_or_recover().used();
-            assert!(used <= budget, "round {round}: {used} bytes held");
+            assert!(used <= BUDGET, "type {N}: {used} bytes held");
         }
-        let stats = lfm.cache_stats();
-        assert_eq!(
-            (stats.object_hits, stats.object_misses),
-            (0, 13),
-            "two fit: a cycle of six misses"
-        );
-        assert_eq!(stats.object_evictions, 10);
-        assert_eq!(lfm.objects.lock_or_recover().used(), 2 * 3000, "the huge one was not kept");
+        for pages in [0, 2] {
+            let mut lfm = LongFieldManager::new(1, BUDGET).unwrap();
+            lfm.set_cache_config(CacheConfig {
+                capacity_pages: pages,
+                enabled: pages > 0,
+                readahead_pages: 0,
+            });
+            let id = lfm.create(&[5u8; 1000]).unwrap();
+            assert!(lfm.create(&[6]).is_err(), "one field fills the device");
+            // Six types of 1,500 bytes: two fit, so two cycles of six
+            // misses.
+            for _ in 0..2 {
+                read_as::<0>(&lfm, id, 1500);
+                read_as::<1>(&lfm, id, 1500);
+                read_as::<2>(&lfm, id, 1500);
+                read_as::<3>(&lfm, id, 1500);
+                read_as::<4>(&lfm, id, 1500);
+                read_as::<5>(&lfm, id, 1500);
+            }
+            read_as::<6>(&lfm, id, BUDGET + 1);
+            let stats = lfm.cache_stats();
+            assert_eq!((stats.object_hits, stats.object_misses), (0, 13), "pool {pages}");
+            assert_eq!(stats.object_evictions, 10, "pool {pages}");
+            let used = lfm.objects.lock_or_recover().used();
+            assert_eq!(used, 2 * 1500, "the huge one was not kept, pool {pages}");
+            read_as::<5>(&lfm, id, 1500);
+            read_as::<4>(&lfm, id, 1500);
+            assert_eq!(lfm.cache_stats().object_hits, 2, "the two most recent stay, pool {pages}");
+        }
     }
 
-    /// With the pool off every object read is a read and a decode.
+    /// With the pool off a field is decoded once in three object reads,
+    /// and the reads cost the disk what three plain `read`s do.
     #[test]
-    fn with_the_pool_off_nothing_is_cached() {
-        let lfm = {
-            let mut lfm = pooled(0);
-            lfm.create(&[5u8; 100]).unwrap();
-            lfm
-        };
+    fn with_the_pool_off_a_field_is_decoded_once() {
+        let (mut lfm, mut plain) = (pooled(0), pooled(0));
+        let data = [5u8; 100];
+        let (id, pid) = (lfm.create(&data).unwrap(), plain.create(&data).unwrap());
         let calls = std::cell::Cell::new(0);
         for _ in 0..3 {
-            lfm.read_object(LongFieldId(1), counting(&calls)).unwrap();
+            assert_eq!(*lfm.read_object(id, counting(&calls)).unwrap(), data);
+            assert_eq!(plain.read(pid).unwrap(), data);
         }
-        assert_eq!(calls.get(), 3);
-        assert_eq!(lfm.cache_stats(), CacheStats::default());
-        assert_eq!(lfm.objects.lock_or_recover().used(), 0);
+        assert_eq!(calls.get(), 1, "one decode");
+        let stats = lfm.cache_stats();
+        assert_eq!((stats.object_hits, stats.object_misses), (2, 1));
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 0, 0), "no pool lookups");
         assert_eq!(lfm.stats().read_calls, 3);
+        assert_eq!(lfm.stats(), plain.stats());
+        assert_eq!(lfm.objects.lock_or_recover().used(), data.len());
     }
 
     /// Two readers race miss → decode → insert on one field: a barrier
     /// in the decoder holds both past their misses until both have
     /// decoded.  Both see the field's bytes, one object stays resident
-    /// at its size, and the disk saw two reads.
+    /// at its size, and the disk saw two reads — with the pool off,
+    /// where unbuffered readers meet only on `lfm.objects`, and on.
     #[test]
     fn racing_object_misses_store_one_object() {
-        let mut lfm = pooled(4);
-        let data: Vec<u8> = (0..4096u32 * 2).map(|i| (i % 239) as u8).collect();
-        let id = lfm.create(&data).unwrap();
-        let both_missed = std::sync::Barrier::new(2);
-        let objects: Vec<Arc<Vec<u8>>> = std::thread::scope(|s| {
-            let readers: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        lfm.read_object(id, |bytes: Vec<u8>| {
-                            both_missed.wait();
-                            let len = bytes.len();
-                            Ok::<_, LfmError>((bytes, len))
+        for pages in [0, 4] {
+            let mut lfm = pooled(pages);
+            let data: Vec<u8> = (0..4096u32 * 2).map(|i| (i % 239) as u8).collect();
+            let id = lfm.create(&data).unwrap();
+            let both_missed = std::sync::Barrier::new(2);
+            let objects: Vec<Arc<Vec<u8>>> = std::thread::scope(|s| {
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            lfm.read_object(id, |bytes: Vec<u8>| {
+                                both_missed.wait();
+                                let len = bytes.len();
+                                Ok::<_, LfmError>((bytes, len))
+                            })
+                            .unwrap()
                         })
-                        .unwrap()
                     })
-                })
-                .collect();
-            readers.into_iter().map(|r| r.join().unwrap()).collect()
-        });
-        assert!(objects.iter().all(|o| **o == data));
-        assert!(
-            Arc::ptr_eq(&objects[0], &objects[1]),
-            "the second insert returns the first object"
-        );
-        let stats = lfm.cache_stats();
-        assert_eq!((stats.object_hits, stats.object_misses), (0, 2));
-        assert_eq!(lfm.objects.lock_or_recover().used(), data.len(), "one object stays");
-        assert_eq!(lfm.stats().read_calls, 2);
-        assert_eq!(lfm.stats().pages_read, 4);
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(objects.iter().all(|o| **o == data));
+            assert!(
+                Arc::ptr_eq(&objects[0], &objects[1]),
+                "the second insert returns the first object, pool {pages}"
+            );
+            let stats = lfm.cache_stats();
+            assert_eq!((stats.object_hits, stats.object_misses), (0, 2));
+            assert_eq!(lfm.objects.lock_or_recover().used(), data.len(), "one object stays");
+            assert_eq!(lfm.stats().read_calls, 2);
+            assert_eq!(lfm.stats().pages_read, 4);
+        }
     }
 
     proptest! {

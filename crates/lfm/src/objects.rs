@@ -10,10 +10,11 @@
 //! It never changes what the simulated disk sees:
 //! [`crate::LongFieldManager::read_object`] walks and charges the
 //! field's pages on a hit exactly as on a miss, and only the byte copy
-//! and the decode are skipped.  It is on exactly when the page cache
-//! is, with a budget of the pool's bytes (`capacity_pages ×
-//! page_size`), spent on the sizes the decoders report and reclaimed
-//! least recently used first.
+//! and the decode are skipped.  It is host memory, not the modelled
+//! buffer, so it is on whatever the pool setting, with a budget of the
+//! device's data-area bytes, spent on the sizes the decoders report and
+//! reclaimed least recently used first.  Only the page pool models the
+//! 1994 buffer.
 //!
 //! Every access here is a checked one: the crate's indexing exception
 //! does not reach this module.
@@ -49,7 +50,7 @@ struct Entry {
 /// one lookup or one insert.
 #[derive(Debug, Default)]
 pub(crate) struct ObjectCache {
-    /// Bytes the entries may hold; zero while the cache is off.
+    /// Bytes the entries may hold.
     budget: usize,
     /// Bytes the entries hold.
     used: usize,
@@ -61,11 +62,9 @@ pub(crate) struct ObjectCache {
 }
 
 impl ObjectCache {
-    /// Sets the byte budget (zero switches the cache off) and empties
-    /// the cache.  Stats survive.
-    pub(crate) fn set_budget(&mut self, bytes: usize) {
-        self.budget = bytes;
-        self.clear();
+    /// An empty cache whose entries may hold `budget` bytes.
+    pub(crate) fn new(budget: usize) -> ObjectCache {
+        ObjectCache { budget, ..ObjectCache::default() }
     }
 
     pub(crate) fn stats(&self) -> ObjectStats {
@@ -153,12 +152,6 @@ mod tests {
         (field, TypeId::of::<u32>())
     }
 
-    fn cache(budget: usize) -> ObjectCache {
-        let mut cache = ObjectCache::default();
-        cache.set_budget(budget);
-        cache
-    }
-
     fn object(value: u32) -> Object {
         Arc::new(value)
     }
@@ -169,7 +162,7 @@ mod tests {
 
     #[test]
     fn a_hit_returns_the_object_a_miss_counts() {
-        let mut c = cache(100);
+        let mut c = ObjectCache::new(100);
         assert!(c.get(key(1)).is_none());
         assert!(c.insert(key(1), object(7), 10).is_none());
         assert_eq!(value(c.get(key(1))), Some(7));
@@ -180,7 +173,7 @@ mod tests {
 
     #[test]
     fn least_recently_used_goes_first_and_the_budget_holds() {
-        let mut c = cache(30);
+        let mut c = ObjectCache::new(30);
         for field in 1..=3 {
             c.insert(key(field), object(field as u32), 10);
         }
@@ -202,7 +195,7 @@ mod tests {
 
     #[test]
     fn the_first_insert_of_a_key_wins() {
-        let mut c = cache(100);
+        let mut c = ObjectCache::new(100);
         assert!(c.insert(key(1), object(1), 10).is_none());
         assert_eq!(value(c.insert(key(1), object(2), 10)), Some(1));
         assert_eq!(c.used(), 10);
@@ -211,7 +204,7 @@ mod tests {
 
     #[test]
     fn forgetting_a_field_frees_its_bytes() {
-        let mut c = cache(100);
+        let mut c = ObjectCache::new(100);
         c.insert(key(1), object(1), 10);
         c.insert((1, TypeId::of::<u8>()), Arc::new(1u8), 5);
         c.insert(key(2), object(2), 20);
@@ -226,7 +219,7 @@ mod tests {
 
     #[test]
     fn a_zero_budget_stores_nothing() {
-        let mut c = cache(0);
+        let mut c = ObjectCache::new(0);
         assert!(c.insert(key(1), object(1), 1).is_none());
         assert!(c.get(key(1)).is_none());
         assert_eq!(c.used(), 0);

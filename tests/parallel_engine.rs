@@ -144,40 +144,53 @@ fn concurrent_clients_get_sequential_answers_and_costs() {
     let band = server.band_data(2, 32, 63).unwrap();
     let pop = server.population_average(&[1, 2], "ntal").unwrap();
 
+    // Every round starts on all workers at once, so their queries
+    // overlap instead of finishing before the next thread starts.  A
+    // failed round still meets the others at the next barrier, then
+    // fails its worker once every round has run, rather than leaving
+    // the rest waiting for it.
+    const WORKERS: usize = 8;
+    let round_start = std::sync::Barrier::new(WORKERS);
+    let query = |worker: usize, round: usize| match (worker + round) % 4 {
+        0 => {
+            let a = server.full_study(1).unwrap();
+            assert_eq!(a.data, full.data);
+            // Per-query accounting must not leak across threads: the
+            // bracket sees only this query.
+            assert_eq!(a.cost.lfm, full.cost.lfm);
+            assert_eq!(a.cost.wire_bytes, full.cost.wire_bytes);
+        }
+        1 => {
+            let a = server.structure_data(1, "ntal").unwrap();
+            assert_eq!(a.data, structure.data);
+            assert_eq!(a.cost.lfm, structure.cost.lfm);
+        }
+        2 => {
+            let a = server.band_data(2, 32, 63).unwrap();
+            assert_eq!(a.data, band.data);
+            assert_eq!(a.cost.lfm, band.cost.lfm);
+        }
+        _ => {
+            let a = server.population_average(&[1, 2], "ntal").unwrap();
+            assert_eq!(a.data, pop.data);
+            assert_eq!(a.cost.lfm, pop.cost.lfm);
+            assert_eq!(a.cost.coverage, 1.0);
+        }
+    };
     std::thread::scope(|scope| {
-        for worker in 0..8 {
-            let full = &full;
-            let structure = &structure;
-            let band = &band;
-            let pop = &pop;
+        for worker in 0..WORKERS {
+            let (query, round_start) = (&query, &round_start);
             scope.spawn(move || {
+                let mut failed = None;
                 for round in 0..10 {
-                    match (worker + round) % 4 {
-                        0 => {
-                            let a = server.full_study(1).unwrap();
-                            assert_eq!(a.data, full.data);
-                            // Per-query accounting must not leak across
-                            // threads: the bracket sees only this query.
-                            assert_eq!(a.cost.lfm, full.cost.lfm);
-                            assert_eq!(a.cost.wire_bytes, full.cost.wire_bytes);
-                        }
-                        1 => {
-                            let a = server.structure_data(1, "ntal").unwrap();
-                            assert_eq!(a.data, structure.data);
-                            assert_eq!(a.cost.lfm, structure.cost.lfm);
-                        }
-                        2 => {
-                            let a = server.band_data(2, 32, 63).unwrap();
-                            assert_eq!(a.data, band.data);
-                            assert_eq!(a.cost.lfm, band.cost.lfm);
-                        }
-                        _ => {
-                            let a = server.population_average(&[1, 2], "ntal").unwrap();
-                            assert_eq!(a.data, pop.data);
-                            assert_eq!(a.cost.lfm, pop.cost.lfm);
-                            assert_eq!(a.cost.coverage, 1.0);
-                        }
-                    }
+                    round_start.wait();
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        query(worker, round);
+                    }));
+                    failed = failed.or(outcome.err());
+                }
+                if let Some(panic) = failed {
+                    std::panic::resume_unwind(panic);
                 }
             });
         }
