@@ -15,92 +15,58 @@
 //!   returning a typed [`DataRegion`] as an opaque [`Value::Object`];
 //! * `regionVoxels(region) -> int` — voxel count (handy in predicates).
 //!
-//! Reading a long-field argument costs device I/O through the LFM (that
-//! is the point: Table 3/4's I/O column counts these reads); immediate
-//! and typed arguments cost none.  Every REGION operand must lie on the
-//! database's grid — the one its VOLUMEs are laid out on — or the call
-//! is a typed [`DbError::Exec`].
+//! Every REGION operand is opened as a shared, decoded [`Region`]: a
+//! REGION long field is read through the LFM, counting device I/O (that
+//! is the point: Table 3/4's I/O column counts these reads), and decoded
+//! at most once while its object stays cached; an immediate byte string
+//! is decoded; a typed one is shared.  Each set operator is then one
+//! merge over decoded runs, whatever codec its operands were stored in.
+//! Every REGION operand must lie on the database's grid — the one its
+//! VOLUMEs are laid out on — or the call is a typed [`DbError::Exec`].
+//!
+//! Every argument is taken by a slice pattern: the crate's indexing
+//! exception does not reach this module.
+#![warn(clippy::indexing_slicing)]
 
 use crate::stored::StoredRegion;
-use qbism_coding::{K3Cursor, RunCursor};
-use qbism_region::{kernel, open_k3, Run};
 use qbism_region::{GridGeometry, Region, RegionCodec, RegionEncodeError};
 use qbism_starburst::{Database, DbError, UdfContext, Value};
 use qbism_volume::DataRegion;
 use std::sync::Arc;
 
-/// A REGION operand as a UDF receives it.
-enum Operand<'a> {
-    /// A REGION long field, shared with the LFM's object cache.
-    Stored(Arc<StoredRegion>),
-    /// An immediate byte string a client bound, borrowed from the
-    /// argument.
-    Bytes(&'a [u8]),
-    /// A REGION another operator computed, shared with the argument.
-    Typed(Arc<Region>),
-}
-
-/// Fetches a region argument: a long field (read through the LFM,
-/// counting I/O, and decoded only while it is not cached), an immediate
-/// byte string, or a typed [`Region`].
-fn fetch_operand<'a>(ctx: &mut UdfContext<'_>, v: &'a Value) -> Result<Operand<'a>, DbError> {
-    match v {
-        Value::Long(id) => {
-            let decode = |bytes| StoredRegion::decode(bytes).map_err(malformed);
-            Ok(Operand::Stored(ctx.lfm.read_object(*id, decode)?))
-        }
-        Value::Bytes(b) => Ok(Operand::Bytes(b)),
-        other => other.as_shared::<Region>().map(Operand::Typed).ok_or_else(|| {
-            DbError::Type(format!("expected a REGION (long field, bytes or region), got {other}"))
-        }),
-    }
-}
-
-impl Operand<'_> {
-    /// The operand as a [`Region`] on the database's grid: a stored one
-    /// as its object holds it (a k³ one decoded at most once), bytes
-    /// decoded, a typed one shared.
-    fn region(self, name: &str, grid: GridGeometry) -> Result<Arc<Region>, DbError> {
-        let region = match self {
-            Operand::Stored(stored) => Arc::clone(stored.region().map_err(malformed)?),
-            Operand::Bytes(bytes) => Arc::new(RegionCodec::decode(bytes).map_err(malformed)?),
-            Operand::Typed(region) => region,
-        };
-        on_grid(name, grid, region.geometry())?;
-        Ok(region)
-    }
-
-    /// The operand as a k³ payload a cursor merge can open, and whether
-    /// it is stored: a stored k³ REGION whose runs no reader has decoded
-    /// yet, or immediate k³ bytes.  `None` for anything else, and for
-    /// bytes that are malformed.
-    fn undecoded_k3(&self) -> Option<(GridGeometry, &[u8], bool)> {
-        match self {
-            Operand::Stored(stored) => stored.undecoded_k3().map(|p| (stored.geometry(), p, true)),
-            Operand::Bytes(bytes) => open_k3(bytes).ok()?.map(|(geom, p)| (geom, p, false)),
-            Operand::Typed(_) => None,
-        }
-    }
-}
-
 fn malformed(e: RegionEncodeError) -> DbError {
     DbError::Exec(format!("malformed REGION operand: {e}"))
 }
 
-/// Fetches a region argument as a [`Region`] on the database's grid.
+/// Fetches a region argument as a shared [`Region`] on the database's
+/// grid: a long field (read through the LFM, counting I/O, and decoded
+/// only while it is not cached), an immediate byte string (decoded), or
+/// a typed [`Region`] (shared).
 fn fetch_region(
     ctx: &mut UdfContext<'_>,
     name: &str,
     grid: GridGeometry,
     v: &Value,
 ) -> Result<Arc<Region>, DbError> {
-    fetch_operand(ctx, v)?.region(name, grid)
+    let region = match v {
+        Value::Long(id) => {
+            let decode = |bytes| StoredRegion::decode(bytes).map_err(malformed);
+            let stored = ctx.lfm.read_object(*id, decode)?;
+            Arc::clone(stored.region().map_err(malformed)?)
+        }
+        Value::Bytes(bytes) => Arc::new(RegionCodec::decode(bytes).map_err(malformed)?),
+        other => other.as_shared::<Region>().ok_or_else(|| {
+            DbError::Type(format!("expected a REGION (long field, bytes or region), got {other}"))
+        })?,
+    };
+    on_grid(name, grid, region.geometry())?;
+    Ok(region)
 }
 
-/// The grid check of every REGION operand, made once where it is opened
-/// (as a cursor, decoded or shared): an id on another curve or
-/// resolution names another voxel of the database's VOLUMEs, and two
-/// operands on different grids have no common id space to merge in.
+/// The grid check of every REGION operand, made once where it is
+/// opened: an id on another curve or resolution names another voxel of
+/// the database's VOLUMEs, and two operands on different grids have no
+/// common id space to merge in.
 fn on_grid(name: &str, grid: GridGeometry, geom: GridGeometry) -> Result<(), DbError> {
     if geom == grid {
         Ok(())
@@ -111,89 +77,45 @@ fn on_grid(name: &str, grid: GridGeometry, geom: GridGeometry) -> Result<(), DbE
     }
 }
 
-/// A binary region operator `name(region, region) -> region`: two k³
-/// operands whose runs are not decoded merge over their cursors
-/// ([`k3_merge`]); any other pair — or one that merge cannot answer —
-/// is decoded or shared, and `decoded` merges the run lists.  Either
-/// way it is the same kernel over another cursor, and the answer is a
-/// typed [`Region`].
+/// A set operator over two decoded or shared operands.
+type RegionOp = fn(&Region, &Region) -> Region;
+
+/// A binary region operator `name(region, region) -> region`: `op`
+/// merges the two operands' runs, and the answer is a typed [`Region`].
 fn region_pair_op(
     ctx: &mut UdfContext<'_>,
     name: &str,
     args: &[Value],
     grid: GridGeometry,
-    merge: CursorMerge,
-    decoded: RegionOp,
+    op: RegionOp,
 ) -> Result<Value, DbError> {
-    expect_arity(name, args, 2)?;
-    let a = fetch_operand(ctx, &args[0])?;
-    let b = fetch_operand(ctx, &args[1])?;
-    if let (Some(k3_a), Some(k3_b)) = (a.undecoded_k3(), b.undecoded_k3()) {
-        if let Some(region) = k3_merge(ctx, grid, merge, k3_a, k3_b) {
-            return Ok(Value::object(region));
-        }
-    }
-    let (a, b) = (a.region(name, grid)?, b.region(name, grid)?);
-    Ok(Value::object(decoded(&a, &b)))
+    let [a, b] = args else { return Err(arity(name, 2, args)) };
+    let a = fetch_region(ctx, name, grid, a)?;
+    let b = fetch_region(ctx, name, grid, b)?;
+    Ok(Value::object(op(&a, &b)))
 }
-
-/// `merge` over two k³ payloads on the database's grid — nothing
-/// decompressed but the leaves the merge visits — with the skips of
-/// stored operands credited to the LFM metrics.  `None` when an operand
-/// is malformed or on another grid: the decode path then answers or
-/// refuses the pair, so a bad operand is the same typed error whichever
-/// path it would take.
-fn k3_merge(
-    ctx: &mut UdfContext<'_>,
-    grid: GridGeometry,
-    merge: CursorMerge,
-    (geom_a, payload_a, stored_a): (GridGeometry, &[u8], bool),
-    (geom_b, payload_b, stored_b): (GridGeometry, &[u8], bool),
-) -> Option<Region> {
-    if geom_a != grid || geom_b != grid {
-        return None;
-    }
-    let (mut ca, mut cb) = (K3Cursor::new(payload_a).ok()?, K3Cursor::new(payload_b).ok()?);
-    let region = Region::from_canonical_runs(grid, merge(&mut ca, &mut cb).ok()?).ok()?;
-    if stored_a {
-        ctx.lfm.note_decode_skips(ca.skips());
-    }
-    if stored_b {
-        ctx.lfm.note_decode_skips(cb.skips());
-    }
-    Some(region)
-}
-
-/// A set operator over decoded or shared operands.
-type RegionOp = fn(&Region, &Region) -> Region;
-
-/// The same operator's kernel scan instantiated over two k³ operands.
-type CursorMerge = fn(&mut K3Cursor<'_>, &mut K3Cursor<'_>) -> Result<Vec<Run>, RegionEncodeError>;
 
 /// Registers all spatial operators on `db`; `grid` is the one grid
 /// every REGION operand must lie on.
 pub fn register_spatial_ops(db: &mut Database, grid: GridGeometry) {
     db.register_udf("intersection", move |ctx, args| {
-        let merge: CursorMerge = |a, b| kernel::intersect(a, b);
-        region_pair_op(ctx, "intersection", args, grid, merge, Region::intersect)
+        region_pair_op(ctx, "intersection", args, grid, Region::intersect)
     });
     db.register_udf("runion", move |ctx, args| {
-        let merge: CursorMerge = |a, b| kernel::union(a, b);
-        region_pair_op(ctx, "runion", args, grid, merge, Region::union)
+        region_pair_op(ctx, "runion", args, grid, Region::union)
     });
     db.register_udf("rdifference", move |ctx, args| {
-        let merge: CursorMerge = |a, b| kernel::difference(a, b);
-        region_pair_op(ctx, "rdifference", args, grid, merge, Region::difference)
+        region_pair_op(ctx, "rdifference", args, grid, Region::difference)
     });
     db.register_udf("contains", move |ctx, args| {
-        expect_arity("contains", args, 2)?;
-        let a = fetch_region(ctx, "contains", grid, &args[0])?;
-        let b = fetch_region(ctx, "contains", grid, &args[1])?;
+        let [a, b] = args else { return Err(arity("contains", 2, args)) };
+        let a = fetch_region(ctx, "contains", grid, a)?;
+        let b = fetch_region(ctx, "contains", grid, b)?;
         Ok(Value::Bool(a.contains_region(&b)))
     });
     db.register_udf("regionvoxels", move |ctx, args| {
-        expect_arity("regionVoxels", args, 1)?;
-        let a = fetch_region(ctx, "regionVoxels", grid, &args[0])?;
+        let [a] = args else { return Err(arity("regionVoxels", 1, args)) };
+        let a = fetch_region(ctx, "regionVoxels", grid, a)?;
         Ok(Value::Int(a.voxel_count() as i64))
     });
     db.register_udf("extractvoxels", move |ctx, args| extract_voxels(ctx, grid, args));
@@ -212,11 +134,11 @@ fn extract_voxels(
     grid: GridGeometry,
     args: &[Value],
 ) -> Result<Value, DbError> {
-    expect_arity("extractVoxels", args, 2)?;
-    let volume_id = args[0]
+    let [volume, region] = args else { return Err(arity("extractVoxels", 2, args)) };
+    let volume_id = volume
         .as_long()
         .ok_or_else(|| DbError::Type("extractVoxels expects a VOLUME long field first".into()))?;
-    let region = fetch_region(ctx, "extractVoxels", grid, &args[1])?;
+    let region = fetch_region(ctx, "extractVoxels", grid, region)?;
     check_volume_len(ctx, volume_id, grid)?;
     let pieces = region.runs().iter().map(|r| (r.start, r.len()));
     let mut values = Vec::new();
@@ -241,12 +163,9 @@ fn check_volume_len(
     )))
 }
 
-fn expect_arity(name: &str, args: &[Value], want: usize) -> Result<(), DbError> {
-    if args.len() == want {
-        Ok(())
-    } else {
-        Err(DbError::Binding(format!("{name} takes {want} arguments, got {}", args.len())))
-    }
+/// The error of a call to `name` without its `want` arguments.
+fn arity(name: &str, want: usize, args: &[Value]) -> DbError {
+    DbError::Binding(format!("{name} takes {want} arguments, got {}", args.len()))
 }
 
 #[cfg(test)]
@@ -634,15 +553,11 @@ mod tests {
     }
 
     /// `extractVoxels(v.vol, op(?, ?))` for each set operator over the
-    /// sample and a box, in the codec pairings that take each path —
-    /// k³ × k³ (the cursor merge), Naive × k³ and Elias × Octant
-    /// (decoded) — against `Region::op` over the decoded operands, then
-    /// the extraction by definition; and every cut and flip of the
+    /// sample and a box, in the codec pairings k³ × k³, Naive × k³ and
+    /// Elias × Octant, against `Region::op` over the decoded operands,
+    /// then the extraction by definition; and every cut and flip of the
     /// sample in the k³ pair: the same DATA_REGION or the same `Exec`
-    /// error.  One damage is told apart: a header run count the payload
-    /// does not hold is refused by the decode, but a cursor merge never
-    /// reads the count (a skipped subtree is never counted), so there
-    /// the answer is `op` over the runs the payload holds.
+    /// error.
     #[test]
     fn extract_differential_nested_operands() {
         let diff = Differential::new();
@@ -673,16 +588,7 @@ mod tests {
                 if let Err(e) = &got {
                     assert!(matches!(e, DbError::Exec(_)), "{name} {a:?}: {e:?}");
                 }
-                match (&got, &want) {
-                    (Ok(dr), Err(DbError::Exec(msg))) if msg.ends_with("run count mismatch") => {
-                        let (geom, cursor) = qbism_region::compressed_cursor(a).unwrap();
-                        let runs =
-                            cursor.decode_all().unwrap().into_iter().map(|(s, e)| Run::new(s, e));
-                        let held = Region::from_canonical_runs(geom, runs.collect()).unwrap();
-                        assert_eq!(dr, &lookup(&diff.vol, op(&held, &decode(b).unwrap())));
-                    }
-                    _ => assert_eq!(got, want, "{name} {a:?} {b:?}"),
-                }
+                assert_eq!(got, want, "{name} {a:?} {b:?}");
                 got.is_ok()
             };
             for (codec_a, codec_b) in pairings {
@@ -701,6 +607,43 @@ mod tests {
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 check(&flipped, &b);
             }
+        }
+    }
+
+    /// A stored k³ REGION whose header promises one run more than its
+    /// payload holds: every operator that takes it, on either side of a
+    /// pair with a sound stored k³ REGION, is the decode oracle's one
+    /// `Exec` error.
+    #[test]
+    fn extract_differential_damaged_stored_k3() {
+        let mut diff = Differential::new();
+        let sample = differential_sample();
+        let mut damaged = RegionCodec::K3Tree.encode(&sample).unwrap();
+        let promised = (sample.run_count() as u32 + 1).to_le_bytes();
+        damaged[6..10].copy_from_slice(&promised);
+        let want = oracle(&diff.vol, &damaged).err();
+        assert!(matches!(want, Some(DbError::Exec(_))), "{want:?}");
+        let bx = Region::from_box(grid16(), [5, 0, 2], [13, 7, 15]).unwrap();
+        let sound = RegionCodec::K3Tree.encode(&bx).unwrap();
+        for (table, bytes) in [("d", damaged), ("k", sound)] {
+            diff.db.execute(&format!("create table {table} (r long)")).unwrap();
+            let field = diff.db.create_long_field(&bytes).unwrap();
+            diff.db.insert_row(table, vec![field]).unwrap();
+        }
+        // The pairs first, while neither field has been decoded.
+        for sql in [
+            "select intersection(d.r, k.r) from d, k",
+            "select intersection(k.r, d.r) from d, k",
+            "select runion(d.r, k.r) from d, k",
+            "select runion(k.r, d.r) from d, k",
+            "select rdifference(d.r, k.r) from d, k",
+            "select rdifference(k.r, d.r) from d, k",
+            "select contains(d.r, k.r) from d, k",
+            "select contains(k.r, d.r) from d, k",
+            "select regionVoxels(d.r) from d",
+            "select extractVoxels(v.vol, d.r) from v, d",
+        ] {
+            assert_eq!(diff.db.query(sql).err(), want, "{sql}");
         }
     }
 

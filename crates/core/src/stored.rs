@@ -9,9 +9,9 @@
 //! the device's data-area bytes: it is host memory, and only the page
 //! pool models the 1994 buffer.  A naive field is decoded as it is
 //! read.  A k³ field keeps its payload, which the multi-study fold
-//! descends and a pair of operators merges without decoding, and
-//! decodes its runs the first time a reader needs them, into a memo
-//! cell the cached object keeps.
+//! descends without decoding, and decodes its runs the first time a
+//! reader needs them — every operator does — into a memo cell the
+//! cached object keeps.
 //!
 //! The memo cell is a `std::sync::OnceLock`: readers racing the first
 //! decode may each decode, but the cell keeps one set of runs and
@@ -85,15 +85,6 @@ impl StoredRegion {
         }
     }
 
-    /// The k³ payload while no reader has decoded its runs: a merge over
-    /// its cursor decodes only the leaves it visits.
-    pub fn undecoded_k3(&self) -> Option<&[u8]> {
-        match &self.form {
-            Form::K3 { runs, .. } if runs.get().is_none() => self.k3_payload(),
-            _ => None,
-        }
-    }
-
     /// The REGION, decoded at most once per stored object.
     pub fn region(&self) -> Result<&Arc<Region>, RegionEncodeError> {
         match &self.form {
@@ -128,14 +119,13 @@ mod tests {
             let (stored, held) = StoredRegion::decode(bytes).unwrap();
             assert_eq!((stored.geometry(), stored.encoded_len()), (region.geometry(), len));
             let k3 = codec == RegionCodec::K3Tree;
-            assert_eq!(stored.undecoded_k3().is_some(), k3, "{}", codec.name());
+            assert_eq!(stored.k3_payload().is_some(), k3, "{}", codec.name());
             let runs = region.run_count() * std::mem::size_of::<Run>();
             assert_eq!(held, std::mem::size_of::<StoredRegion>() + runs + if k3 { len } else { 0 });
             let first = Arc::clone(stored.region().unwrap());
             assert_eq!(*first, region, "{}", codec.name());
             assert!(Arc::ptr_eq(&first, stored.region().unwrap()), "decoded once");
-            assert!(stored.undecoded_k3().is_none());
-            assert_eq!(stored.k3_payload().is_some(), k3);
+            assert_eq!(stored.k3_payload().is_some(), k3, "the payload stays for the descent");
         }
     }
 
@@ -145,7 +135,7 @@ mod tests {
         bytes.truncate(bytes.len() - 2);
         let (stored, _) = StoredRegion::decode(bytes).unwrap();
         assert!(stored.region().is_err());
-        assert!(stored.undecoded_k3().is_some(), "nothing memoised");
+        assert!(stored.region().is_err(), "nothing memoised");
         assert!(StoredRegion::decode(vec![1, 2, 3]).is_err());
     }
 }

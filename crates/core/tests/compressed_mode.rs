@@ -124,8 +124,8 @@ fn compressed_mode_matches_default_answers_with_smaller_tablespace() {
     assert!(b.cost.lfm.pages_read <= a.cost.lfm.pages_read);
 
     // Mixed query: band ∩ structure, intersected inside the DBMS — in
-    // k³ mode both operands are k³ and the merge stays in the
-    // compressed domain.
+    // k³ mode both operands come off k³ pages, and the merge runs over
+    // their decoded runs.
     let a = plain.server.band_in_structure(study, 64, 95, "thalamus").expect("default mixed");
     let b = packed.server.band_in_structure(study, 64, 95, "thalamus").expect("compressed mixed");
     assert_eq!(a.data, b.data);

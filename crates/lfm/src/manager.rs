@@ -589,7 +589,7 @@ impl LongFieldManager {
     }
 
     /// Credits `skips` skip-jumps (k³-tree subtrees and leaves bypassed
-    /// without decode) taken while merging a stored compressed payload.
+    /// without decode) taken while descending stored compressed payloads.
     pub fn note_decode_skips(&self, skips: u64) {
         self.metrics.compressed_decode_skips.add(skips);
     }

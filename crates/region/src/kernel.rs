@@ -9,7 +9,10 @@
 //! which gallops inside the decoded leaf and past it by byte lengths and
 //! subtree pruning, so a merge touches only the codewords near overlaps:
 //! Brisaboa et al.'s compact *queryable* representations applied to
-//! h-runs) — and each operator exists once, generic over it:
+//! h-runs) — and each operator exists once, generic over it.  The SQL
+//! operators run these over decoded slices, since a stored REGION is
+//! decoded at most once per field; the k³ cursor is a capability the
+//! kernel and codec tests and the benchmark probes exercise:
 //!
 //! * [`intersect`] / [`union`] / [`difference`] — two-pointer merge
 //!   scans, the run analogue of Orenstein & Manola's spatial join, each
@@ -17,9 +20,9 @@
 //!   scan feeding a sink, so overlap is counted without building the
 //!   intersection;
 //! * [`intersect_k_cursors`] — the k-way simultaneous merge.  It now
-//!   serves only the decoded operands of the multi-study fold (the
-//!   default tablespace's, through its slice entry [`intersect_k`]) and
-//!   the benchmark probe: a fold of k³ payloads is the synchronized
+//!   serves only the decoded operands of the multi-study fold (naive
+//!   bands', through its slice entry [`intersect_k`]) and the
+//!   benchmark probe: a fold of k³ payloads is the synchronized
 //!   directory descent of [`crate::intersect_k3`], so the probe's
 //!   `region.intersect_k_stream_ns_per_run` no longer measures the
 //!   server's compressed fold.
