@@ -6,7 +6,8 @@
 //! relevant disk pages of each study … The reduction in data traffic
 //! will be linear in the number of studies involved."
 
-use qbism::{QbismConfig, QbismSystem};
+use crate::tablegen::Installs;
+use qbism::QbismConfig;
 
 /// One scaling sample.
 #[derive(Debug, Clone)]
@@ -24,9 +25,14 @@ pub struct ScalingRow {
 }
 
 /// Measures the aggregate query at 1..=max_studies.
-pub fn measure(config: &QbismConfig, structure: &str, max_studies: usize) -> Vec<ScalingRow> {
+pub fn measure(
+    installs: &Installs,
+    config: &QbismConfig,
+    structure: &str,
+    max_studies: usize,
+) -> Vec<ScalingRow> {
     let config = QbismConfig { pet_studies: max_studies, ..config.clone() };
-    let sys = QbismSystem::install(&config).expect("install");
+    let sys = installs.install(&config);
     let all_ids = sys.pet_study_ids.clone();
     let full_pages = config.geometry().cell_count().div_ceil(4096);
     let full_bytes = config.geometry().cell_count();
@@ -46,8 +52,13 @@ pub fn measure(config: &QbismConfig, structure: &str, max_studies: usize) -> Vec
 }
 
 /// Renders the scaling table.
-pub fn report(config: &QbismConfig, structure: &str, max_studies: usize) -> String {
-    let rows = measure(config, structure, max_studies);
+pub fn report(
+    installs: &Installs,
+    config: &QbismConfig,
+    structure: &str,
+    max_studies: usize,
+) -> String {
+    let rows = measure(installs, config, structure, max_studies);
     let mut out = format!(
         "Section 6.4 scaling: voxel-wise average inside '{structure}' (grid {}³)\n\
          {:>8} {:>14} {:>12} {:>14} {:>12} {:>9}\n",
@@ -80,7 +91,7 @@ mod tests {
 
     #[test]
     fn filtered_io_grows_linearly_and_stays_far_below_flat() {
-        let rows = measure(&QbismConfig::medium(), "ntal", 3);
+        let rows = measure(&Installs::default(), &QbismConfig::medium(), "ntal", 3);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             // Per-study REGION descriptor reads add pages of overhead
@@ -110,7 +121,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let text = report(&QbismConfig::small_test(), "ntal", 2);
+        let text = report(&Installs::default(), &QbismConfig::small_test(), "ntal", 2);
         assert!(text.contains("studies"));
         assert!(text.contains("saving"));
     }

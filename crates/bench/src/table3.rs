@@ -1,5 +1,6 @@
 //! Table 3: full-system run-time measurements for single-study queries.
 
+use crate::tablegen::Installs;
 use qbism::{FullQueryReport, QbismConfig, QbismSystem, QuerySpec};
 
 /// The paper's six queries, with grid-relative parameters so smaller
@@ -65,8 +66,8 @@ pub fn measure(
 }
 
 /// Installs a system and renders the full paper-vs-measured table.
-pub fn report(config: &QbismConfig, repeats: usize) -> String {
-    let mut sys = QbismSystem::install(config).expect("install");
+pub fn report(installs: &Installs, config: &QbismConfig, repeats: usize) -> String {
+    let mut sys = installs.install(config);
     let study = sys.pet_study_ids[0];
     let rows = measure(&mut sys, study, repeats);
     let mut out = format!(

@@ -5,7 +5,8 @@
 //! intensities in the range 128-159 … We used z- and h-runs with the
 //! 'naive' scheme, as well as octants.  We found h-runs to be superior."
 
-use qbism::{QbismConfig, QbismSystem};
+use crate::tablegen::Installs;
+use qbism::QbismConfig;
 use qbism_region::{OctantKind, RegionCodec};
 use qbism_sfc::CurveKind;
 
@@ -42,13 +43,14 @@ pub fn methods() -> [(&'static str, CurveKind, RegionCodec); 3] {
 
 /// Runs the multi-study query once per encoding method.  Each method
 /// gets its own installation (the encoding is a load-time physical
-/// design choice), sharing the same seed so the *data* is identical.
-pub fn measure(base: &QbismConfig, lo: u8, hi: u8) -> Vec<Table4Row> {
+/// design choice), all stored from one prepared set so the *data* is
+/// identical.
+pub fn measure(installs: &Installs, base: &QbismConfig, lo: u8, hi: u8) -> Vec<Table4Row> {
     methods()
         .into_iter()
         .map(|(label, curve, codec)| {
             let config = QbismConfig { curve, region_codec: codec, ..base.clone() };
-            let sys = QbismSystem::install(&config).expect("install");
+            let sys = installs.install(&config);
             let ids = sys.pet_study_ids.clone();
             let (region, cost) =
                 sys.server.multi_study_band_region(&ids, lo, hi).expect("multi-study query");
@@ -64,8 +66,8 @@ pub fn measure(base: &QbismConfig, lo: u8, hi: u8) -> Vec<Table4Row> {
 }
 
 /// Renders the paper-vs-measured comparison.
-pub fn report(base: &QbismConfig, lo: u8, hi: u8) -> String {
-    let rows = measure(base, lo, hi);
+pub fn report(installs: &Installs, base: &QbismConfig, lo: u8, hi: u8) -> String {
+    let rows = measure(installs, base, lo, hi);
     let mut out = format!(
         "TABLE 4 multi-study ({} PET studies, band {lo}-{hi}, grid {}³)\n\
          {:<20} {:>8} {:>12} {:>10} {:>10}\n",
@@ -97,7 +99,7 @@ mod tests {
     #[test]
     fn hilbert_runs_win_as_in_the_paper() {
         let base = QbismConfig { pet_studies: 3, ..QbismConfig::medium() };
-        let rows = measure(&base, 64, 95);
+        let rows = measure(&Installs::default(), &base, 64, 95);
         assert_eq!(rows.len(), 3);
         let h = &rows[0];
         let z = &rows[1];
@@ -124,7 +126,7 @@ mod tests {
     #[test]
     fn report_contains_all_methods() {
         let base = QbismConfig { pet_studies: 2, ..QbismConfig::small_test() };
-        let text = report(&base, 64, 95);
+        let text = report(&Installs::default(), &base, 64, 95);
         for m in ["h-runs, naive", "z-runs, naive", "octants (z order)", "paper"] {
             assert!(text.contains(m), "missing {m}");
         }

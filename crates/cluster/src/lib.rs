@@ -4,10 +4,11 @@
 //! The paper's workload is embarrassingly partitionable by study: every
 //! multi-study query class is a scatter of independent per-study
 //! sub-queries plus an ordered gather.  This crate runs that shape over
-//! N shard servers — each a complete [`qbism::MedicalServer`] installed
-//! from the same configuration and seed, so every replica's bytes are
-//! identical — with a [`ClusterWarehouse`] router that routes each
-//! study's sub-query in study order and reduces in the same order.
+//! N shard servers — each a complete [`qbism::MedicalServer`] stored
+//! from one prepared set ([`qbism::QbismSystem::prepare`]) with the
+//! same configuration, so every replica's bytes are identical — with a
+//! [`ClusterWarehouse`] router that routes each study's sub-query in
+//! study order and reduces in the same order.
 //! Membership is fixed at install; study `s` is tried on shards
 //! `(s + i) mod N` for `i < min(k, N)`.
 //!
@@ -84,6 +85,16 @@ pub enum ClusterError {
     /// A gather-side (router CPU) step failed: decode, intersect,
     /// re-encode.
     Gather(QbismError),
+    /// Preparing the studies every shard is stored from failed (an
+    /// unusable configuration, a failed registration).
+    Prepare(QbismError),
+    /// Storing one shard's copy of the prepared studies failed.
+    Store {
+        /// The shard being stored.
+        shard: u64,
+        /// What its store reported.
+        error: QbismError,
+    },
     /// The router→client ship failed after bounded retries.
     Net(NetError),
     /// The query named a study the warehouse did not load.
@@ -110,6 +121,8 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "sub-query on shard {shard}: {error}")
             }
             ClusterError::Gather(e) => write!(f, "gather: {e}"),
+            ClusterError::Prepare(e) => write!(f, "prepare: {e}"),
+            ClusterError::Store { shard, error } => write!(f, "storing shard {shard}: {error}"),
             ClusterError::Net(e) => write!(f, "client ship: {e}"),
             ClusterError::UnknownStudy { study } => write!(f, "study {study} is not loaded"),
             ClusterError::NoStudies => write!(f, "no studies given"),

@@ -23,7 +23,7 @@ use crate::shard::Shard;
 use crate::{ClusterError, Result};
 use qbism::server::{reduce_band_stages, reduce_population_stages};
 use qbism::wire::data_region_wire_size;
-use qbism::{MedicalServer, QbismConfig, QueryCost, StudyStage};
+use qbism::{MedicalServer, QbismConfig, QbismSystem, QueryCost, StudyStage};
 use qbism_fault::{sites, FaultOutcome};
 use qbism_netsim::{EndpointChannels, NetStats, NetworkModel, RpcChannel, SharedRpcChannel};
 use qbism_obs::{event, trace};
@@ -87,13 +87,18 @@ pub struct ClusterWarehouse {
 
 impl ClusterWarehouse {
     /// Installs a warehouse of `shard_count` (at least 1) full-copy
-    /// shards, each loaded study served by `replication` of them.
+    /// shards, each loaded study served by `replication` of them.  The
+    /// studies are prepared once, and every shard is stored from that
+    /// one prepared set.
     pub fn install(config: &QbismConfig, shard_count: usize, replication: usize) -> Result<Self> {
         let shard_count = shard_count.max(1);
+        let prepared = QbismSystem::prepare(config).map_err(ClusterError::Prepare)?;
         let shards = (0..shard_count as u64)
-            .map(|id| Shard::install(id, config))
-            .collect::<qbism::Result<Vec<_>>>()
-            .map_err(ClusterError::Gather)?;
+            .map(|id| match prepared.store_as(config) {
+                Ok(system) => Ok(Shard::new(id, system)),
+                Err(error) => Err(ClusterError::Store { shard: id, error }),
+            })
+            .collect::<Result<Vec<_>>>()?;
         let studies = shards.first().map_or_else(Vec::new, |first| {
             let system = first.system();
             [system.pet_study_ids.as_slice(), &system.mri_study_ids].concat()

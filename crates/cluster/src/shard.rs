@@ -1,14 +1,14 @@
 //! One shard: a complete [`QbismSystem`] behind a health flag and a
 //! single service lane.
 //!
-//! The shard's database is installed from the same configuration and
-//! seed as every other shard's, so its bytes — and therefore the
+//! The shard's database is stored from the same prepared set and
+//! configuration as every other shard's, so its bytes — and therefore the
 //! logical I/O, row scans and wire size of any sub-query — are
 //! identical to every replica's.  That is the whole failover-exactness
 //! argument: retrying a sub-query on another replica re-reads the same
 //! bytes and charges the same cost.
 
-use qbism::{QbismConfig, QbismSystem, Result};
+use qbism::QbismSystem;
 use qbism_obs::LockOrRecover;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -66,9 +66,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Installs a shard as a complete copy of the configured database.
-    pub fn install(id: u64, config: &QbismConfig) -> Result<Shard> {
-        Ok(Shard { id, system: QbismSystem::install(config)?, state: ShardState::new() })
+    /// A healthy shard serving `system`, one full copy of the database.
+    pub fn new(id: u64, system: QbismSystem) -> Shard {
+        Shard { id, system, state: ShardState::new() }
     }
 
     /// The shard's cluster-wide id: its position in the replica set and

@@ -106,7 +106,7 @@ impl QbismConfig {
     }
 
     /// Checks the values the loader and the server compute with, once,
-    /// where a configuration enters ([`crate::QbismSystem::install`],
+    /// where a configuration enters ([`crate::QbismSystem::prepare`],
     /// [`crate::MedicalServer::new`]): the intensity bands must tile
     /// 0–255 and the grid must hold the smallest atlas structure and
     /// index into a `u64`.

@@ -61,7 +61,7 @@ mod stored;
 pub mod wire;
 
 pub use config::QbismConfig;
-pub use loader::QbismSystem;
+pub use loader::{PreparedSet, QbismSystem};
 pub use report::{FullQueryReport, QuerySpec};
 pub use server::{MedicalServer, PopulationAnswer, QueryAnswer, QueryCost, StudyStage};
 pub use stored::StoredRegion;
@@ -83,6 +83,12 @@ pub enum QbismError {
     NotFound(String),
     /// A [`QbismConfig`] no installation can be built from.
     Config(String),
+    /// [`PreparedSet::store_as`] was given a configuration whose prepare
+    /// input differs from the one the set was prepared with.
+    PreparedMismatch {
+        /// The differing [`QbismConfig`] field, by name.
+        input: &'static str,
+    },
     /// Simulated network failure: the answer could not be shipped even
     /// after the RPC channel's bounded retries.
     Net(qbism_netsim::NetError),
@@ -98,6 +104,9 @@ impl std::fmt::Display for QbismError {
             QbismError::Wire(m) => write!(f, "wire format: {m}"),
             QbismError::NotFound(m) => write!(f, "not found: {m}"),
             QbismError::Config(m) => write!(f, "configuration: {m}"),
+            QbismError::PreparedMismatch { input } => {
+                write!(f, "configuration: {input} differs from the prepared set's")
+            }
             QbismError::Net(e) => write!(f, "network: {e}"),
         }
     }

@@ -1,22 +1,33 @@
 //! Database population — everything QBISM computes "at database load
 //! time (rather than query time) since the computation is expensive".
 //!
-//! For each synthesized study the loader performs the paper's full data
-//! path: store the raw scanline volume, register it to the atlas from
-//! landmark pairs, resample it into a warped VOLUME stored in curve
-//! order, and band it into intensity-band REGIONs.  Atlas structures are
-//! rasterized into REGION long fields with their surface meshes.
+//! An install is two steps.  [`QbismSystem::prepare`] performs the
+//! paper's data path, which knows no curve, codec or device: rasterise
+//! the atlas structures and mesh their surfaces, then per synthesized
+//! study acquire the raw scanline volume, register it to the atlas from
+//! landmark pairs, resample it into a warped VOLUME and band it into
+//! intensity-band REGIONs, all on the canonical Hilbert grid.
+//! [`PreparedSet::store_as`] is the per-physical-design half: it puts the
+//! prepared volumes and REGIONs on the configured curve, encodes the
+//! REGIONs in the configured codec, and writes the long fields and
+//! catalog rows.  [`QbismSystem::install`] is one of each; a warehouse's
+//! shards and a table's storage designs store many times from one
+//! prepared set.
 
 use crate::config::QbismConfig;
 use crate::ops::register_spatial_ops;
 use crate::schema::create_schema;
 use crate::server::MedicalServer;
-use crate::wire::{mesh_to_long_field, volume_to_long_field};
-use crate::Result;
+use crate::wire::mesh_to_long_field;
+use crate::{QbismError, Result};
+use qbism_geometry::Affine3;
 use qbism_phantom::{
-    build_atlas, demographics, Modality, MriField, PetField, PhantomAtlas, StudyGenerator,
+    build_atlas, demographics, Modality, MriField, Patient, PetField, PhantomAtlas, StudyGenerator,
 };
 use qbism_region::{GridGeometry, Region, RegionCodec};
+use qbism_sfc::CurveKind;
+use qbism_volume::Volume;
+use qbism_warp::RawStudy;
 
 use qbism_render::extract_surface;
 use qbism_starburst::{Database, DbError, Value};
@@ -41,18 +52,123 @@ pub struct QbismSystem {
 impl QbismSystem {
     /// Installs a complete system from a configuration: schema, UDFs,
     /// atlas, patients, studies (raw → registered → warped → banded).
+    /// It prepares afresh and stores once.
     pub fn install(config: &QbismConfig) -> Result<QbismSystem> {
+        QbismSystem::prepare(config)?.store_as(config)
+    }
+
+    /// The curve-, codec- and device-free half of an install: the
+    /// atlas, the structure meshes, the patients, and every study
+    /// acquired, registered, warped and banded.  Only `config`'s
+    /// prepare inputs are read (see [`PreparedSet::store_as`]).
+    pub fn prepare(config: &QbismConfig) -> Result<PreparedSet> {
         config.validate()?;
-        let mut db = Database::new(config.device_capacity)?;
-        register_spatial_ops(&mut db, config.geometry());
-        register_geometry_ops(&mut db, config.geometry());
-        create_schema(&mut db)?;
-        let side = config.side();
         // Ground truth (atlas, fields, blob placement) is generated on a
         // canonical Hilbert geometry so the *data* is bit-identical across
         // storage-curve configurations — Table 4 compares encodings of
         // the same voxel sets, not different phantoms.
-        let truth_geom = GridGeometry::new(qbism_sfc::CurveKind::Hilbert, 3, config.atlas_bits);
+        let truth_geom = GridGeometry::new(CurveKind::Hilbert, 3, config.atlas_bits);
+        let atlas = build_atlas(truth_geom);
+        let meshes = atlas
+            .structures()
+            .iter()
+            .map(|s| mesh_to_long_field(&extract_surface(&s.region)))
+            .collect();
+        let patients = demographics::generate_patients(config.seed, config.patients.max(1));
+        let mut studies = Vec::with_capacity(config.pet_studies + config.mri_studies);
+        for i in 0..config.pet_studies {
+            let field =
+                PetField::new(&atlas, config.seed.wrapping_add(100 + i as u64), config.pet_blobs);
+            studies.push(prepare_study(
+                config,
+                truth_geom,
+                &field,
+                Modality::Pet,
+                patients[i % patients.len()].patient_id,
+                config.seed.wrapping_add(500 + i as u64),
+            )?);
+        }
+        for i in 0..config.mri_studies {
+            let field = MriField::new(&atlas, config.seed.wrapping_add(900 + i as u64));
+            studies.push(prepare_study(
+                config,
+                truth_geom,
+                &field,
+                Modality::Mri,
+                patients[(config.pet_studies + i) % patients.len()].patient_id,
+                config.seed.wrapping_add(1300 + i as u64),
+            )?);
+        }
+        Ok(PreparedSet { inputs: config.clone(), atlas, meshes, patients, studies })
+    }
+}
+
+/// What [`QbismSystem::prepare`] computes once for any number of
+/// physical designs: ground truth and studies on the canonical Hilbert
+/// grid, ready for [`PreparedSet::store_as`].
+pub struct PreparedSet {
+    /// The configuration prepared from; only its prepare inputs bind.
+    inputs: QbismConfig,
+    atlas: PhantomAtlas,
+    /// Each structure's surface mesh, in its long-field layout.
+    meshes: Vec<Vec<u8>>,
+    patients: Vec<Patient>,
+    /// PET studies, then MRI studies; study `i` gets id `i + 1`.
+    studies: Vec<PreparedStudy>,
+}
+
+/// One study after the load-time data path, before any design.
+struct PreparedStudy {
+    modality: Modality,
+    patient_id: i64,
+    raw: RawStudy,
+    /// The warping matrix registration computed.
+    warp: Affine3,
+    /// The warped VOLUME, on the canonical Hilbert grid.
+    warped: Volume,
+    /// `(lo, hi, band REGION)` of `warped`, on the canonical grid.
+    bands: Vec<(u8, u8, Region)>,
+}
+
+/// The configuration fields [`QbismSystem::prepare`] reads, by name.
+/// Any other field may change between a prepare and a store.
+const PREPARE_INPUTS: [&str; 7] =
+    ["atlas_bits", "seed", "pet_studies", "mri_studies", "patients", "pet_blobs", "band_width"];
+
+/// The first of [`PREPARE_INPUTS`] on which `a` and `b` differ.
+fn differing_prepare_input(a: &QbismConfig, b: &QbismConfig) -> Option<&'static str> {
+    let differs = [
+        a.atlas_bits != b.atlas_bits,
+        a.seed != b.seed,
+        a.pet_studies != b.pet_studies,
+        a.mri_studies != b.mri_studies,
+        a.patients != b.patients,
+        a.pet_blobs != b.pet_blobs,
+        a.band_width != b.band_width,
+    ];
+    PREPARE_INPUTS.into_iter().zip(differs).find_map(|(name, d)| d.then_some(name))
+}
+
+impl PreparedSet {
+    /// Stores the prepared set as one physical design — `config`'s
+    /// curve, REGION codec and device — and returns the installed
+    /// system.  Long fields and rows are written in the order an
+    /// install has always written them, so every stored byte lands
+    /// where [`QbismSystem::install`] puts it.
+    ///
+    /// # Errors
+    /// [`QbismError::PreparedMismatch`] when one of `config`'s prepare
+    /// inputs (`atlas_bits`, `seed`, `pet_studies`, `mri_studies`,
+    /// `patients`, `pet_blobs`, `band_width`) differs from the
+    /// prepared set's; otherwise what the device or catalog reports.
+    pub fn store_as(&self, config: &QbismConfig) -> Result<QbismSystem> {
+        if let Some(input) = differing_prepare_input(&self.inputs, config) {
+            return Err(QbismError::PreparedMismatch { input });
+        }
+        let mut db = Database::new(config.device_capacity)?;
+        register_spatial_ops(&mut db, config.geometry());
+        register_geometry_ops(&mut db, config.geometry());
+        create_schema(&mut db)?;
 
         // ------------------------------------------------------------------
         // Atlas and structures.
@@ -62,7 +178,7 @@ impl QbismSystem {
             vec![
                 Value::Int(ATLAS_ID),
                 Value::from("Talairach"),
-                Value::Int(i64::from(side)),
+                Value::Int(i64::from(config.side())),
                 Value::Float(0.0),
                 Value::Float(0.0),
                 Value::Float(0.0),
@@ -72,14 +188,18 @@ impl QbismSystem {
                 Value::from("adult reference"),
             ],
         )?;
-        let atlas = build_atlas(truth_geom);
-        load_neuro_catalog(&mut db, &atlas)?;
-        for (idx, s) in atlas.structures().iter().enumerate() {
+        load_neuro_catalog(&mut db, &self.atlas)?;
+        for (idx, (s, mesh)) in self.atlas.structures().iter().zip(&self.meshes).enumerate() {
             let structure_id = (idx + 1) as i64;
-            let stored = s.region.to_curve(config.curve);
-            let region_lf = store_region(&mut db, config, &stored)?;
-            let mesh = extract_surface(&s.region);
-            let mesh_lf = db.create_long_field(&mesh_to_long_field(&mesh))?;
+            let transcoded;
+            let region = if s.region.geometry().kind() == config.curve {
+                &s.region
+            } else {
+                transcoded = s.region.to_curve(config.curve);
+                &transcoded
+            };
+            let region_lf = store_region(&mut db, config, region)?;
+            let mesh_lf = db.create_long_field(mesh)?;
             db.insert_row(
                 "atlasstructure",
                 vec![Value::Int(structure_id), Value::Int(ATLAS_ID), region_lf, mesh_lf],
@@ -89,8 +209,7 @@ impl QbismSystem {
         // ------------------------------------------------------------------
         // Patients.
         // ------------------------------------------------------------------
-        let patients = demographics::generate_patients(config.seed, config.patients.max(1));
-        for p in &patients {
+        for p in &self.patients {
             db.insert_row(
                 "patient",
                 vec![
@@ -103,54 +222,21 @@ impl QbismSystem {
         }
 
         // ------------------------------------------------------------------
-        // Studies: acquire, register, warp, band.
+        // Studies: raw, warped and banded, on the configured curve.
         // ------------------------------------------------------------------
-        let generator = StudyGenerator::new(side);
-        let mut pet_study_ids = Vec::new();
-        let mut mri_study_ids = Vec::new();
-        let mut next_study = 1i64;
-        for i in 0..config.pet_studies {
-            let field =
-                PetField::new(&atlas, config.seed.wrapping_add(100 + i as u64), config.pet_blobs);
-            let study_id = next_study;
-            next_study += 1;
-            load_study(
-                &mut db,
-                config,
-                &generator,
-                &field,
-                Modality::Pet,
-                study_id,
-                patients[i % patients.len()].patient_id,
-                config.seed.wrapping_add(500 + i as u64),
-            )?;
-            pet_study_ids.push(study_id);
-        }
-        for i in 0..config.mri_studies {
-            let field = MriField::new(&atlas, config.seed.wrapping_add(900 + i as u64));
-            let study_id = next_study;
-            next_study += 1;
-            load_study(
-                &mut db,
-                config,
-                &generator,
-                &field,
-                Modality::Mri,
-                study_id,
-                patients[(config.pet_studies + i) % patients.len()].patient_id,
-                config.seed.wrapping_add(1300 + i as u64),
-            )?;
-            mri_study_ids.push(study_id);
+        for (study_id, study) in (1i64..).zip(&self.studies) {
+            store_study(&mut db, config, study_id, study)?;
         }
 
         // Loading I/O (volume/region writes) is not part of any measured
         // query; start every session with clean counters.
         db.lfm().reset_stats();
+        let pet = config.pet_studies as i64;
         Ok(QbismSystem {
             server: MedicalServer::new(db, config.clone())?,
-            atlas,
-            pet_study_ids,
-            mri_study_ids,
+            atlas: self.atlas.clone(),
+            pet_study_ids: (1..=pet).collect(),
+            mri_study_ids: (pet + 1..=self.studies.len() as i64).collect(),
         })
     }
 }
@@ -217,28 +303,44 @@ fn load_neuro_catalog(db: &mut Database, atlas: &PhantomAtlas) -> Result<()> {
     Ok(())
 }
 
-/// Loads one study end to end.
-#[allow(clippy::too_many_arguments)]
-fn load_study<F: qbism_phantom::ScalarField3>(
-    db: &mut Database,
+/// Runs one study through the load-time data path: acquire, register
+/// from landmarks (the warping-matrix computation), warp onto the
+/// canonical grid, band.
+fn prepare_study<F: qbism_phantom::ScalarField3>(
     config: &QbismConfig,
-    generator: &StudyGenerator,
+    truth_geom: GridGeometry,
     field: &F,
     modality: Modality,
-    study_id: i64,
     patient_id: i64,
     seed: u64,
+) -> Result<PreparedStudy> {
+    let acquired = StudyGenerator::new(config.side()).acquire(field, modality, seed);
+    let (patient_pts, atlas_pts): (Vec<_>, Vec<_>) = acquired.landmarks.iter().copied().unzip();
+    let warp = register_landmarks(&patient_pts, &atlas_pts)?;
+    let warped = warp_to_atlas(&acquired.raw, &warp, truth_geom, 1.0);
+    // Banding: the Intensity Band index entity, computed at load time.
+    let bands = warped.intensity_bands(config.band_width);
+    Ok(PreparedStudy { modality, patient_id, raw: acquired.raw, warp, warped, bands })
+}
+
+/// Writes one prepared study's raw volume, warped volume and intensity
+/// bands, with their rows, on `config`'s curve and codec.  A study on
+/// the canonical curve is written from the prepared set as it is.
+fn store_study(
+    db: &mut Database,
+    config: &QbismConfig,
+    study_id: i64,
+    study: &PreparedStudy,
 ) -> Result<()> {
-    let acquired = generator.acquire(field, modality, seed);
-    let dims = acquired.raw.dims();
-    let spacing = acquired.raw.spacing();
-    let raw_lf = db.create_long_field(acquired.raw.data())?;
+    let dims = study.raw.dims();
+    let spacing = study.raw.spacing();
+    let raw_lf = db.create_long_field(study.raw.data())?;
     db.insert_row(
         "rawvolume",
         vec![
             Value::Int(study_id),
-            Value::Int(patient_id),
-            Value::from(modality.name()),
+            Value::Int(study.patient_id),
+            Value::from(study.modality.name()),
             Value::from(format!("1993-0{}-15", 1 + (study_id as usize % 9))),
             Value::Int(i64::from(dims[0])),
             Value::Int(i64::from(dims[1])),
@@ -249,12 +351,17 @@ fn load_study<F: qbism_phantom::ScalarField3>(
             raw_lf,
         ],
     )?;
-    // Register from landmarks (the warping-matrix computation).
-    let (patient_pts, atlas_pts): (Vec<_>, Vec<_>) = acquired.landmarks.iter().copied().unzip();
-    let warp = register_landmarks(&patient_pts, &atlas_pts)?;
-    let warped = warp_to_atlas(&acquired.raw, &warp, config.geometry(), 1.0);
-    let warped_lf = db.create_long_field(&volume_to_long_field(&warped))?;
-    let m = warp.m;
+    let relaid;
+    let rebanded;
+    let (warped, bands) = if study.warped.geometry().kind() == config.curve {
+        (&study.warped, &study.bands)
+    } else {
+        relaid = study.warped.relayout(config.curve);
+        rebanded = relaid.intensity_bands(config.band_width);
+        (&relaid, &rebanded)
+    };
+    let warped_lf = db.create_long_field(warped.values())?;
+    let (m, t) = (study.warp.m, study.warp.t);
     db.insert_row(
         "warpedvolume",
         vec![
@@ -270,21 +377,20 @@ fn load_study<F: qbism_phantom::ScalarField3>(
             Value::Float(m[2][0]),
             Value::Float(m[2][1]),
             Value::Float(m[2][2]),
-            Value::Float(warp.t.x),
-            Value::Float(warp.t.y),
-            Value::Float(warp.t.z),
+            Value::Float(t.x),
+            Value::Float(t.y),
+            Value::Float(t.z),
         ],
     )?;
-    // Banding: the Intensity Band index entity, computed at load time.
-    for (lo, hi, region) in warped.intensity_bands(config.band_width) {
-        let band_lf = store_region(db, config, &region)?;
+    for (lo, hi, region) in bands {
+        let band_lf = store_region(db, config, region)?;
         db.insert_row(
             "intensityband",
             vec![
                 Value::Int(study_id),
                 Value::Int(ATLAS_ID),
-                Value::Int(i64::from(lo)),
-                Value::Int(i64::from(hi)),
+                Value::Int(i64::from(*lo)),
+                Value::Int(i64::from(*hi)),
                 band_lf,
             ],
         )?;
@@ -351,6 +457,37 @@ mod tests {
             let x = v.as_f64().unwrap();
             assert!((0.8..1.2).contains(&x), "diagonal {x} not near identity");
         }
+    }
+
+    #[test]
+    fn store_refuses_each_changed_prepare_input() {
+        let base = QbismConfig::small_test();
+        let prepared = QbismSystem::prepare(&base).unwrap();
+        let changed = [
+            ("atlas_bits", QbismConfig { atlas_bits: 5, ..base.clone() }),
+            ("seed", QbismConfig { seed: base.seed + 1, ..base.clone() }),
+            ("pet_studies", QbismConfig { pet_studies: 3, ..base.clone() }),
+            ("mri_studies", QbismConfig { mri_studies: 0, ..base.clone() }),
+            ("patients", QbismConfig { patients: 5, ..base.clone() }),
+            ("pet_blobs", QbismConfig { pet_blobs: 3, ..base.clone() }),
+            ("band_width", QbismConfig { band_width: 64, ..base.clone() }),
+        ];
+        assert_eq!(changed.each_ref().map(|(name, _)| *name), PREPARE_INPUTS);
+        for (name, config) in changed {
+            match prepared.store_as(&config) {
+                Err(QbismError::PreparedMismatch { input }) => assert_eq!(input, name),
+                Err(other) => panic!("{name}: {other}"),
+                Ok(_) => panic!("{name}: stored from a set prepared for another {name}"),
+            }
+        }
+        // Curve, codec and device are the store's own.
+        let design = QbismConfig {
+            curve: qbism_sfc::CurveKind::Morton,
+            region_codec: RegionCodec::K3Tree,
+            device_capacity: 1 << 25,
+            ..base
+        };
+        assert!(prepared.store_as(&design).is_ok());
     }
 
     #[test]

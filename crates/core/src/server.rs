@@ -317,6 +317,12 @@ impl MedicalServer {
         &mut self.db
     }
 
+    /// Read-only database access: catalog scans and long-field reads
+    /// through a shared server (a warehouse's shards).
+    pub fn database_ref(&self) -> &Database {
+        &self.db
+    }
+
     /// Current LFM counters.
     pub fn lfm_stats(&self) -> IoStats {
         self.db.lfm_stats()

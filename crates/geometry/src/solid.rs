@@ -272,7 +272,27 @@ impl Solid for HalfSpace {
     }
 
     fn bounds(&self) -> Bounds3 {
-        Bounds3::EVERYTHING
+        // A plane normal to one axis bounds that axis on one side: the
+        // dot product is then `n * p[axis]` exactly, so `p[axis]` is at
+        // most (`n > 0`) or at least (`n < 0`) `offset / n`, widened by
+        // a few ulps for the rounding of the product and the quotient.
+        let n = [self.normal.x, self.normal.y, self.normal.z];
+        let mut axes = (0..3).filter(|&a| n[a] != 0.0);
+        let (Some(axis), None) = (axes.next(), axes.next()) else {
+            return Bounds3::EVERYTHING;
+        };
+        let edge = self.offset / n[axis];
+        if !edge.is_finite() {
+            return Bounds3::EVERYTHING;
+        }
+        let slack = (edge.abs() + 1.0) * (16.0 * f64::EPSILON);
+        let (mut min, mut max) = ([f64::NEG_INFINITY; 3], [f64::INFINITY; 3]);
+        if n[axis] > 0.0 {
+            max[axis] = edge + slack;
+        } else {
+            min[axis] = edge - slack;
+        }
+        Bounds3 { min: Vec3::from(min), max: Vec3::from(max) }
     }
 
     fn field(&self, p: Vec3) -> f64 {
@@ -440,6 +460,20 @@ impl<S: Solid + ?Sized> Solid for Box<S> {
     }
 }
 
+impl<S: Solid + ?Sized> Solid for std::sync::Arc<S> {
+    fn contains(&self, p: Vec3) -> bool {
+        (**self).contains(p)
+    }
+
+    fn bounds(&self) -> Bounds3 {
+        (**self).bounds()
+    }
+
+    fn field(&self, p: Vec3) -> f64 {
+        (**self).field(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,7 +586,15 @@ mod tests {
             4 => Box::new(Union(arb_solid(draw, depth - 1), arb_solid(draw, depth - 1))),
             5 => Box::new(Intersection(arb_solid(draw, depth - 1), arb_solid(draw, depth - 1))),
             6 => Box::new(Difference(arb_solid(draw, depth - 1), arb_solid(draw, depth - 1))),
-            7 => Box::new(Intersection(arb_solid(draw, depth - 1), HalfSpace::new(radii, draw()))),
+            7 => {
+                // Now and then normal to one axis, the one-sided bounded case.
+                let normal = match (draw() * 4.0) as usize {
+                    0 => Vec3::new(radii.x, 0.0, 0.0),
+                    1 => Vec3::new(0.0, -radii.y, 0.0),
+                    _ => radii,
+                };
+                Box::new(Intersection(arb_solid(draw, depth - 1), HalfSpace::new(normal, draw())))
+            }
             8 => Box::new(Difference(
                 arb_solid(draw, depth - 1),
                 Complement(arb_solid(draw, depth - 1)),
@@ -569,7 +611,7 @@ mod tests {
 
     #[test]
     fn unbounded_solids_report_everything_and_boxes_are_exact() {
-        let half = HalfSpace::new(Vec3::new(1.0, 0.0, 0.0), 2.0);
+        let half = HalfSpace::new(Vec3::new(1.0, 1.0, 0.0), 2.0);
         assert_eq!(half.bounds(), Bounds3::EVERYTHING);
         assert_eq!(Complement(Sphere::new(Vec3::ZERO, 1.0)).bounds(), Bounds3::EVERYTHING);
         let b = SolidBox::new(Vec3::splat(-1.0), Vec3::new(1.0, 2.0, 3.0));
@@ -582,6 +624,23 @@ mod tests {
         // Disjoint operands intersect to an empty box that holds nothing.
         let far = SolidBox::new(Vec3::splat(10.0), Vec3::splat(11.0));
         assert!(!Intersection(b, far).bounds().contains(Vec3::splat(10.5)));
+    }
+
+    #[test]
+    fn an_axis_aligned_half_space_is_bounded_on_one_side() {
+        let below = HalfSpace::new(Vec3::new(2.0, 0.0, 0.0), 3.0).bounds();
+        assert!((below.max.x - 1.5).abs() < 1e-12 && below.max.x >= 1.5);
+        assert_eq!(below.min.x, f64::NEG_INFINITY);
+        assert_eq!((below.min.y, below.max.z), (f64::NEG_INFINITY, f64::INFINITY));
+        let above = HalfSpace::new(Vec3::new(0.0, 0.0, -1.0), -4.0).bounds();
+        assert!((above.min.z - 4.0).abs() < 1e-12 && above.min.z <= 4.0);
+        assert_eq!(above.max.z, f64::INFINITY);
+        // Points on the plane are inside the half-space and its bounds.
+        for x in [1.5, 1.5 - 1e-15, -7.0] {
+            let p = Vec3::new(x, 3.0, 9.0);
+            let h = HalfSpace::new(Vec3::new(2.0, 0.0, 0.0), 3.0);
+            assert_eq!(h.contains(p), below.contains(p), "{p:?}");
+        }
     }
 
     #[test]

@@ -17,14 +17,16 @@ use qbism_geometry::{
     Affine3, Bounds3, Ellipsoid, HalfSpace, Intersection, Solid, Superquadric, Transformed, Vec3,
 };
 use qbism_region::{GridGeometry, Region};
+use std::sync::Arc;
 
 /// A named structure: its analytic solid and its rasterized REGION.
+#[derive(Clone)]
 pub struct AtlasStructure {
     /// Structure name (the *Neural Structure* entity's `structureName`).
     pub name: &'static str,
     /// The analytic membership predicate (drives rasterization and
-    /// MRI tissue synthesis).
-    pub solid: Box<dyn Solid + Send + Sync>,
+    /// MRI tissue synthesis), shared by every clone of the atlas.
+    pub solid: Arc<dyn Solid + Send + Sync>,
     /// `solid.bounds()`, computed once: nine of the eleven structures
     /// fill under 2 % of the grid, so most points are rejected here
     /// before the virtual `contains` call (three `powf`s for a
@@ -53,6 +55,7 @@ impl std::fmt::Debug for AtlasStructure {
 }
 
 /// The full synthetic atlas.
+#[derive(Clone)]
 pub struct PhantomAtlas {
     geom: GridGeometry,
     structures: Vec<AtlasStructure>,
@@ -125,50 +128,50 @@ pub fn build_atlas(geom: GridGeometry) -> PhantomAtlas {
 
     // The cerebral ellipsoid both hemispheres are carved from.
     let brain = || Ellipsoid::new(c(0.5, 0.5, 0.54), r(0.40, 0.33, 0.28));
-    let mut specs: Vec<(&'static str, Box<dyn Solid + Send + Sync>, f64)> = vec![(
+    let mut specs: Vec<(&'static str, Arc<dyn Solid + Send + Sync>, f64)> = vec![(
         "ntal0",
-        Box::new(Intersection(brain(), HalfSpace::new(Vec3::new(1.0, 0.0, 0.0), 0.495 * s))),
+        Arc::new(Intersection(brain(), HalfSpace::new(Vec3::new(1.0, 0.0, 0.0), 0.495 * s))),
         95.0,
     )];
     specs.push((
         "ntal1",
-        Box::new(Intersection(brain(), HalfSpace::new(Vec3::new(-1.0, 0.0, 0.0), -0.505 * s))),
+        Arc::new(Intersection(brain(), HalfSpace::new(Vec3::new(-1.0, 0.0, 0.0), -0.505 * s))),
         95.0,
     ));
     specs.push((
         "cerebellum",
-        Box::new(Ellipsoid::new(c(0.5, 0.72, 0.30), r(0.17, 0.12, 0.09))),
+        Arc::new(Ellipsoid::new(c(0.5, 0.72, 0.30), r(0.17, 0.12, 0.09))),
         105.0,
     ));
-    specs.push(("ntal", Box::new(Ellipsoid::new(c(0.5, 0.48, 0.47), r(0.16, 0.11, 0.104))), 150.0));
+    specs.push(("ntal", Arc::new(Ellipsoid::new(c(0.5, 0.48, 0.47), r(0.16, 0.11, 0.104))), 150.0));
     specs.push((
         "thalamus",
-        Box::new(Ellipsoid::new(c(0.5, 0.55, 0.52), r(0.07, 0.055, 0.05))),
+        Arc::new(Ellipsoid::new(c(0.5, 0.55, 0.52), r(0.07, 0.055, 0.05))),
         120.0,
     ));
     specs.push((
         "caudate",
-        Box::new(Superquadric::new(c(0.5, 0.42, 0.58), r(0.04, 0.10, 0.04), 1.7)),
+        Arc::new(Superquadric::new(c(0.5, 0.42, 0.58), r(0.04, 0.10, 0.04), 1.7)),
         135.0,
     ));
     specs.push((
         "ventricle",
-        Box::new(Superquadric::new(c(0.5, 0.5, 0.56), r(0.03, 0.09, 0.06), 1.3)),
+        Arc::new(Superquadric::new(c(0.5, 0.5, 0.56), r(0.03, 0.09, 0.06), 1.3)),
         30.0,
     ));
     // Putamina: small tilted ellipsoids, one per hemisphere.  The tilt
     // exercises the Transformed solid path.
-    let putamen = |cx: f64, tilt: f64| -> Box<dyn Solid + Send + Sync> {
+    let putamen = |cx: f64, tilt: f64| -> Arc<dyn Solid + Send + Sync> {
         let base = Ellipsoid::new(Vec3::ZERO, r(0.055, 0.035, 0.045));
         let place = Affine3::rotation_z(tilt).then(&Affine3::translation(c(cx, 0.52, 0.5)));
-        Box::new(Transformed::new(base, place))
+        Arc::new(Transformed::new(base, place))
     };
     specs.push(("putamen-l", putamen(0.36, 0.3), 140.0));
     specs.push(("putamen-r", putamen(0.64, -0.3), 140.0));
-    let hippo = |cx: f64, yaw: f64| -> Box<dyn Solid + Send + Sync> {
+    let hippo = |cx: f64, yaw: f64| -> Arc<dyn Solid + Send + Sync> {
         let base = Superquadric::new(Vec3::ZERO, r(0.09, 0.030, 0.030), 2.0);
         let place = Affine3::rotation_y(yaw).then(&Affine3::translation(c(cx, 0.62, 0.42)));
-        Box::new(Transformed::new(base, place))
+        Arc::new(Transformed::new(base, place))
     };
     specs.push(("hippocampus-l", hippo(0.40, 0.5), 130.0));
     specs.push(("hippocampus-r", hippo(0.60, -0.5), 130.0));

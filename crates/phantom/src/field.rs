@@ -7,7 +7,7 @@
 
 use crate::anatomy::PhantomAtlas;
 use crate::noise::ValueNoise;
-use qbism_geometry::{Solid, Vec3};
+use qbism_geometry::{Bounds3, Solid, Vec3};
 use qbism_sfc::SpaceFillingCurve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,6 +24,10 @@ pub trait ScalarField3 {
 /// information").
 pub struct MriField<'a> {
     atlas: &'a PhantomAtlas,
+    /// The hull of every structure's bounds and the brain's: outside
+    /// it no tissue can match, so most of the scanner's field of view
+    /// is air after one box test.
+    tissue_bounds: Bounds3,
     texture: ValueNoise,
     /// Noise amplitude around each tissue's base intensity.
     amplitude: f64,
@@ -33,20 +37,26 @@ impl<'a> MriField<'a> {
     /// An MRI field with the given seed.
     pub fn new(atlas: &'a PhantomAtlas, seed: u64) -> Self {
         let side = f64::from(atlas.geometry().side());
-        MriField { atlas, texture: ValueNoise::new(seed, side / 18.0), amplitude: 28.0 }
+        let tissue_bounds =
+            atlas.structures().iter().fold(atlas.brain_solid().bounds(), |b, s| b.hull(&s.bounds));
+        MriField {
+            atlas,
+            tissue_bounds,
+            texture: ValueNoise::new(seed, side / 18.0),
+            amplitude: 28.0,
+        }
     }
 }
 
 impl ScalarField3 for MriField<'_> {
     fn value(&self, p: Vec3) -> f64 {
+        if !self.tissue_bounds.contains(p) {
+            return 0.0;
+        }
         // Last matching structure wins: deep structures are listed after
         // the hemispheres and override their base tissue.
-        let mut base = None;
-        for s in self.atlas.structures() {
-            if s.contains(p) {
-                base = Some(s.mri_intensity);
-            }
-        }
+        let mut base =
+            self.atlas.structures().iter().rev().find(|s| s.contains(p)).map(|s| s.mri_intensity);
         // The longitudinal fissure lies between the hemisphere REGIONs
         // but is still brain tissue on an MR image.
         if base.is_none() && self.atlas.brain_solid().contains(p) {

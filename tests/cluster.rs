@@ -405,3 +405,29 @@ fn fold_work_counts_are_exact_across_cache_and_router() {
         assert_eq!(&counts("cluster.multi_study_band"), want, "routed band {lo}");
     }
 }
+
+#[test]
+fn a_failed_shard_store_names_the_shard() {
+    let _guard = serialize();
+    let config = config();
+    // Prepare writes nothing; one store writes `writes` data pages.
+    let prepared = QbismSystem::prepare(&config).expect("prepare");
+    let observer = FaultPlane::observer().arm();
+    prepared.store_as(&config).expect("fault-free store");
+    let site_ops = observer.plane().site_ops();
+    drop(observer);
+    let writes = site_ops
+        .iter()
+        .find(|(site, _)| site == sites::LFM_WRITE)
+        .map(|(_, n)| *n)
+        .expect("a store writes data pages");
+    // The first data write of the second shard fails.
+    let _faults = FaultPlane::new(11).fail_nth(sites::LFM_WRITE, writes + 1).arm();
+    match ClusterWarehouse::install(&config, 3, 2) {
+        Err(ClusterError::Store { shard: 1, error }) => {
+            assert!(error.to_string().contains("fault during lfm.write"), "{error}");
+        }
+        Err(other) => panic!("expected shard 1's store to fail, got {other}"),
+        Ok(_) => panic!("expected shard 1's store to fail, got a warehouse"),
+    }
+}

@@ -29,7 +29,8 @@
 #![allow(clippy::expect_used)]
 
 use qbism::{QbismConfig, QbismSystem};
-use qbism_region::{open_k3, RegionCodec};
+use qbism_cluster::ClusterWarehouse;
+use qbism_region::{open_k3, OctantKind, RegionCodec};
 use qbism_sfc::CurveKind;
 use qbism_starburst::Value;
 
@@ -49,8 +50,13 @@ const LONG_FIELD_TABLES: [&str; 4] =
 /// The digest of what `config` installs, and every long field's bytes
 /// in the order the digest took them.
 fn install_digest(config: &QbismConfig) -> (u64, Vec<Vec<u8>>) {
-    let mut sys = QbismSystem::install(config).expect("install");
-    let db = sys.server.database();
+    digest(&QbismSystem::install(config).expect("install"))
+}
+
+/// The digest of an installed system's stored bytes, and every long
+/// field's bytes in the order the digest took them.
+fn digest(sys: &QbismSystem) -> (u64, Vec<Vec<u8>>) {
+    let db = sys.server.database_ref();
     let mut hash = FNV_OFFSET;
     let mut fields = Vec::new();
     for table in LONG_FIELD_TABLES {
@@ -144,4 +150,44 @@ fn digest_sees_a_single_changed_seed() {
     let base = config(4, CurveKind::Hilbert, false);
     let bumped = QbismConfig { seed: base.seed + 1, ..base.clone() };
     assert_ne!(install_digest(&base).0, install_digest(&bumped).0);
+}
+
+/// A warehouse stores every shard from one prepared set: each shard
+/// holds exactly the bytes a standalone install does.
+#[test]
+fn every_shard_of_a_warehouse_stores_what_an_install_does() {
+    for k3 in [false, true] {
+        let config = config(4, CurveKind::Hilbert, k3);
+        let want = install_digest(&config).0;
+        let warehouse = ClusterWarehouse::install(&config, 3, 2).expect("warehouse");
+        for id in 0..3 {
+            let shard = warehouse.shard(id).expect("three shards");
+            assert_eq!(digest(shard.system()).0, want, "shard {id}, k³ {k3}");
+        }
+    }
+}
+
+/// Table 4's three physical designs (h-runs naive, z-runs naive,
+/// octants in z order) stored from one prepared set hold exactly the
+/// bytes of three separate installs.
+#[test]
+fn table4_designs_from_one_prepared_set_store_what_installs_do() {
+    let designs = [
+        (CurveKind::Hilbert, RegionCodec::Naive),
+        (CurveKind::Morton, RegionCodec::Naive),
+        (CurveKind::Morton, RegionCodec::Octant(OctantKind::Cubic)),
+    ];
+    for bits in [4, 5] {
+        let base = config(bits, CurveKind::Hilbert, false);
+        let prepared = QbismSystem::prepare(&base).expect("prepare");
+        for (curve, region_codec) in designs {
+            let design = QbismConfig { curve, region_codec, ..base.clone() };
+            let stored = prepared.store_as(&design).expect("store");
+            assert_eq!(
+                digest(&stored).0,
+                install_digest(&design).0,
+                "{bits} bits, {curve:?}, {region_codec:?}"
+            );
+        }
+    }
 }

@@ -160,7 +160,7 @@ fn unusable_configs_are_typed_errors_at_every_entry_point() {
         assert!(
             matches!(
                 ClusterWarehouse::install(&config, 2, 2),
-                Err(ClusterError::Gather(Config(_)))
+                Err(ClusterError::Prepare(Config(_)))
             ),
             "{what}: warehouse"
         );

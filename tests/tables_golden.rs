@@ -73,7 +73,7 @@ fn every_experiment_matches_the_golden_at_32() {
 }
 
 #[test]
-#[ignore = "the paper's 128³ takes about 30 s in release; CI runs it in its own step"]
+#[ignore = "the paper's 128³ takes about 12 s in release; CI runs it in its own step"]
 fn every_experiment_matches_the_golden_at_128() {
     assert_matches_golden(7, include_str!("../tablegen_128.txt"));
 }
