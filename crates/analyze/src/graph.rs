@@ -48,8 +48,15 @@ pub struct Workspace {
 }
 
 /// Methods so common on std types that a name-based fallback edge
-/// would be noise; receiver-typed resolution still links them.
+/// would be noise; receiver-typed resolution still links them.  The
+/// atomics' methods are here because the parser never types an atomic
+/// receiver: without them a `flag.store(…)` would link to any
+/// workspace method named `store`.
 const COMMON_STD_METHODS: &[&str] = &[
+    "load",
+    "store",
+    "fetch_add",
+    "compare_exchange",
     "len",
     "is_empty",
     "iter",

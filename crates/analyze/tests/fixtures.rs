@@ -203,3 +203,25 @@ fn workspace_root() -> PathBuf {
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."))
 }
+
+/// The atomics fixture is clean for the right reason: it holds both a
+/// nondeterminism source and a deterministic sink, and the atomic's
+/// `store` call is not linked to the workspace `Ledger::store`.
+#[test]
+fn an_atomic_store_does_not_link_to_a_workspace_store() {
+    let root = corpus().join("atomics").join("fixed");
+    let ws = qbism_analyze::graph::Workspace::scan(&root)
+        .unwrap_or_else(|e| panic!("scanning fixture: {e}"));
+    let marks = qbism_analyze::marks::mark_all(&ws, &AnalysisConfig::workspace());
+    let id = |name: &str| {
+        ws.funcs
+            .iter()
+            .position(|f| f.qualified.ends_with(name))
+            .unwrap_or_else(|| panic!("no {name} in the fixture"))
+    };
+    let (clock, store) = (id("sample_wall_clock"), id("Ledger::store"));
+    assert!(!marks[clock].det_sources.is_empty(), "the clock read is a source");
+    assert!(!marks[store].det_sinks.is_empty(), "the cost column is a sink");
+    assert!(ws.calls[clock].iter().all(|edge| edge.callee != store), "{:?}", ws.calls[clock]);
+    assert!(fixture("atomics", "fixed").findings.is_empty());
+}

@@ -93,6 +93,10 @@ impl ClusterWarehouse {
     pub fn install(config: &QbismConfig, shard_count: usize, replication: usize) -> Result<Self> {
         let shard_count = shard_count.max(1);
         let prepared = QbismSystem::prepare(config).map_err(ClusterError::Prepare)?;
+        // Shards are stored one after another.  An armed fault plane is
+        // thread-local and counts one sequence of LFM writes, so stores
+        // on worker threads would not see it, and with a shared plane
+        // thread timing would choose the shard an nth-write fault hits.
         let shards = (0..shard_count as u64)
             .map(|id| match prepared.store_as(config) {
                 Ok(system) => Ok(Shard::new(id, system)),

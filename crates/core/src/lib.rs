@@ -77,6 +77,8 @@ pub enum QbismError {
     Volume(qbism_volume::VolumeError),
     /// Registration failure.
     Registration(qbism_warp::RegistrationError),
+    /// A study could not be warped onto the atlas grid.
+    Warp(qbism_warp::WarpError),
     /// Malformed wire payload or long-field contents.
     Wire(String),
     /// Query addressed something that does not exist.
@@ -101,6 +103,7 @@ impl std::fmt::Display for QbismError {
             QbismError::Region(e) => write!(f, "region: {e}"),
             QbismError::Volume(e) => write!(f, "volume: {e}"),
             QbismError::Registration(e) => write!(f, "registration: {e}"),
+            QbismError::Warp(e) => write!(f, "warp: {e}"),
             QbismError::Wire(m) => write!(f, "wire format: {m}"),
             QbismError::NotFound(m) => write!(f, "not found: {m}"),
             QbismError::Config(m) => write!(f, "configuration: {m}"),
@@ -141,6 +144,12 @@ impl From<qbism_volume::VolumeError> for QbismError {
 impl From<qbism_warp::RegistrationError> for QbismError {
     fn from(e: qbism_warp::RegistrationError) -> Self {
         QbismError::Registration(e)
+    }
+}
+
+impl From<qbism_warp::WarpError> for QbismError {
+    fn from(e: qbism_warp::WarpError) -> Self {
+        QbismError::Warp(e)
     }
 }
 

@@ -13,6 +13,14 @@
 //! catalog rows.  [`QbismSystem::install`] is one of each; a warehouse's
 //! shards and a table's storage designs store many times from one
 //! prepared set.
+//!
+//! Prepare runs its studies concurrently: once the atlas is built, up to
+//! [`PREPARE_THREADS`] scoped workers take the next study index from a
+//! shared counter while the calling thread meshes the structures.  No
+//! prepared byte can depend on the schedule: each study reads only the
+//! immutable atlas and its own seeds (field, acquisition, patient), all
+//! fixed by its index, and its result lands in its index's slot, so the
+//! set is the one a loop over the studies builds.
 
 use crate::config::QbismConfig;
 use crate::ops::register_spatial_ops;
@@ -28,6 +36,7 @@ use qbism_region::{GridGeometry, Region, RegionCodec};
 use qbism_sfc::CurveKind;
 use qbism_volume::Volume;
 use qbism_warp::RawStudy;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qbism_render::extract_surface;
 use qbism_starburst::{Database, DbError, Value};
@@ -69,36 +78,20 @@ impl QbismSystem {
         // the same voxel sets, not different phantoms.
         let truth_geom = GridGeometry::new(CurveKind::Hilbert, 3, config.atlas_bits);
         let atlas = build_atlas(truth_geom);
-        let meshes = atlas
-            .structures()
-            .iter()
-            .map(|s| mesh_to_long_field(&extract_surface(&s.region)))
-            .collect();
         let patients = demographics::generate_patients(config.seed, config.patients.max(1));
-        let mut studies = Vec::with_capacity(config.pet_studies + config.mri_studies);
-        for i in 0..config.pet_studies {
-            let field =
-                PetField::new(&atlas, config.seed.wrapping_add(100 + i as u64), config.pet_blobs);
-            studies.push(prepare_study(
-                config,
-                truth_geom,
-                &field,
-                Modality::Pet,
-                patients[i % patients.len()].patient_id,
-                config.seed.wrapping_add(500 + i as u64),
-            )?);
-        }
-        for i in 0..config.mri_studies {
-            let field = MriField::new(&atlas, config.seed.wrapping_add(900 + i as u64));
-            studies.push(prepare_study(
-                config,
-                truth_geom,
-                &field,
-                Modality::Mri,
-                patients[(config.pet_studies + i) % patients.len()].patient_id,
-                config.seed.wrapping_add(1300 + i as u64),
-            )?);
-        }
+        let study_count = config.pet_studies + config.mri_studies;
+        let (meshes, studies) = concurrently(
+            study_count,
+            |i| prepare_nth_study(config, &atlas, &patients, i),
+            || {
+                atlas
+                    .structures()
+                    .iter()
+                    .map(|s| mesh_to_long_field(&extract_surface(&s.region)))
+                    .collect()
+            },
+        );
+        let studies = studies?;
         Ok(PreparedSet { inputs: config.clone(), atlas, meshes, patients, studies })
     }
 }
@@ -303,6 +296,79 @@ fn load_neuro_catalog(db: &mut Database, atlas: &PhantomAtlas) -> Result<()> {
     Ok(())
 }
 
+/// Worker threads [`QbismSystem::prepare`] runs studies on, capped at
+/// the study count (the paper's install is 5 PET + 3 MRI).  A constant,
+/// not the host's core count: an install does the same work on every
+/// host, and no value the loader computes depends on the machine.
+const PREPARE_THREADS: usize = 8;
+
+/// Runs `job(i)` for every `i < count` on up to [`PREPARE_THREADS`]
+/// scoped workers, each pulling the next index from a shared counter,
+/// while `caller` runs on the calling thread.  Returns `caller`'s value
+/// and the jobs' results in index order, or the error of the lowest
+/// failing index — what a loop over `0..count` stopping at its first
+/// error returns.  A worker's panic is re-raised on the caller.
+fn concurrently<T: Send, E: Send, C>(
+    count: usize,
+    job: impl Fn(usize) -> std::result::Result<T, E> + Sync,
+    caller: impl FnOnce() -> C,
+) -> (C, std::result::Result<Vec<T>, E>) {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; results reach
+            // the caller through `join`.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            done.push((i, job(i)));
+        }
+    };
+    let (own, finished) = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            (0..PREPARE_THREADS.min(count)).map(|_| scope.spawn(worker)).collect();
+        let own = caller();
+        let finished: Vec<_> = workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect();
+        (own, finished)
+    });
+    // Every index was claimed by exactly one worker, which ran it.
+    let mut slots: Vec<Option<std::result::Result<T, E>>> = (0..count).map(|_| None).collect();
+    for (i, result) in finished.into_iter().flatten() {
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(result);
+        }
+    }
+    (own, slots.into_iter().flatten().collect())
+}
+
+/// Prepares study `i` of `config`'s install: PET studies first, then
+/// MRI, each with the field, acquisition and patient its index fixes.
+fn prepare_nth_study(
+    config: &QbismConfig,
+    atlas: &PhantomAtlas,
+    patients: &[Patient],
+    i: usize,
+) -> Result<PreparedStudy> {
+    let patient_id = patients[i % patients.len()].patient_id;
+    let pet = config.pet_studies;
+    if i < pet {
+        let field =
+            PetField::new(atlas, config.seed.wrapping_add(100 + i as u64), config.pet_blobs);
+        let seed = config.seed.wrapping_add(500 + i as u64);
+        prepare_study(config, atlas.geometry(), &field, Modality::Pet, patient_id, seed)
+    } else {
+        let j = (i - pet) as u64;
+        let field = MriField::new(atlas, config.seed.wrapping_add(900 + j));
+        let seed = config.seed.wrapping_add(1300 + j);
+        prepare_study(config, atlas.geometry(), &field, Modality::Mri, patient_id, seed)
+    }
+}
+
 /// Runs one study through the load-time data path: acquire, register
 /// from landmarks (the warping-matrix computation), warp onto the
 /// canonical grid, band.
@@ -317,7 +383,7 @@ fn prepare_study<F: qbism_phantom::ScalarField3>(
     let acquired = StudyGenerator::new(config.side()).acquire(field, modality, seed);
     let (patient_pts, atlas_pts): (Vec<_>, Vec<_>) = acquired.landmarks.iter().copied().unzip();
     let warp = register_landmarks(&patient_pts, &atlas_pts)?;
-    let warped = warp_to_atlas(&acquired.raw, &warp, truth_geom, 1.0);
+    let warped = warp_to_atlas(&acquired.raw, &warp, truth_geom, 1.0)?;
     // Banding: the Intensity Band index entity, computed at load time.
     let bands = warped.intensity_bands(config.band_width);
     Ok(PreparedStudy { modality, patient_id, raw: acquired.raw, warp, warped, bands })
@@ -488,6 +554,112 @@ mod tests {
             ..base
         };
         assert!(prepared.store_as(&design).is_ok());
+    }
+
+    /// More studies than [`PREPARE_THREADS`], both modalities.
+    fn crowded() -> QbismConfig {
+        QbismConfig { pet_studies: 11, mri_studies: 2, ..QbismConfig::small_test() }
+    }
+
+    fn assert_same_study(got: &PreparedStudy, want: &PreparedStudy, i: usize) {
+        assert_eq!(got.modality, want.modality, "study {i} modality");
+        assert_eq!(got.patient_id, want.patient_id, "study {i} patient");
+        assert_eq!(got.raw, want.raw, "study {i} raw bytes");
+        assert_eq!(
+            got.warp.m.map(|r| r.map(f64::to_bits)),
+            want.warp.m.map(|r| r.map(f64::to_bits)),
+            "study {i} warp matrix"
+        );
+        assert_eq!(
+            [got.warp.t.x, got.warp.t.y, got.warp.t.z].map(f64::to_bits),
+            [want.warp.t.x, want.warp.t.y, want.warp.t.z].map(f64::to_bits),
+            "study {i} warp translation"
+        );
+        assert_eq!(got.warped, want.warped, "study {i} warped values");
+        assert_eq!(got.bands, want.bands, "study {i} bands");
+    }
+
+    #[test]
+    fn concurrent_prepare_matches_a_loop_on_the_calling_thread() {
+        let config = crowded();
+        assert!(config.pet_studies + config.mri_studies > PREPARE_THREADS);
+        let prepared = QbismSystem::prepare(&config).unwrap();
+
+        // A loop on this thread, one `prepare_study` call per study, with
+        // the seeds and patients an install has always given them.
+        let truth_geom = GridGeometry::new(CurveKind::Hilbert, 3, config.atlas_bits);
+        let atlas = build_atlas(truth_geom);
+        let patients = demographics::generate_patients(config.seed, config.patients);
+        let patient = |i: usize| patients[i % patients.len()].patient_id;
+        let mut want = Vec::new();
+        for i in 0..config.pet_studies {
+            let field =
+                PetField::new(&atlas, config.seed.wrapping_add(100 + i as u64), config.pet_blobs);
+            let seed = config.seed.wrapping_add(500 + i as u64);
+            want.push(
+                prepare_study(&config, truth_geom, &field, Modality::Pet, patient(i), seed)
+                    .unwrap(),
+            );
+        }
+        for i in 0..config.mri_studies {
+            let field = MriField::new(&atlas, config.seed.wrapping_add(900 + i as u64));
+            let seed = config.seed.wrapping_add(1300 + i as u64);
+            let patient_id = patient(config.pet_studies + i);
+            want.push(
+                prepare_study(&config, truth_geom, &field, Modality::Mri, patient_id, seed)
+                    .unwrap(),
+            );
+        }
+
+        assert_eq!(prepared.studies.len(), want.len());
+        for (i, (got, want)) in prepared.studies.iter().zip(&want).enumerate() {
+            assert_same_study(got, want, i);
+        }
+        let meshes: Vec<_> = atlas
+            .structures()
+            .iter()
+            .map(|s| mesh_to_long_field(&extract_surface(&s.region)))
+            .collect();
+        assert_eq!(prepared.meshes, meshes);
+        assert_eq!(prepared.patients, patients);
+    }
+
+    #[test]
+    fn a_failed_prepare_reports_its_lowest_failing_study() {
+        let config = crowded();
+        let truth_geom = GridGeometry::new(CurveKind::Hilbert, 3, config.atlas_bits);
+        let atlas = build_atlas(truth_geom);
+        let patients = demographics::generate_patients(config.seed, config.patients);
+        // Studies 4 and 9 fail in the warp, after acquiring and
+        // registering; study 12 fails at once, most likely first.
+        let plane = GridGeometry::new(CurveKind::Hilbert, 2, config.atlas_bits);
+        let (_, got) = concurrently(
+            config.pet_studies + config.mri_studies,
+            |i| match i {
+                4 | 9 => {
+                    let field = PetField::new(&atlas, 100, config.pet_blobs);
+                    prepare_study(&config, plane, &field, Modality::Pet, 1, 500).map_err(|e| (i, e))
+                }
+                12 => Err((i, QbismError::NotFound("study 12".into()))),
+                _ => prepare_nth_study(&config, &atlas, &patients, i).map_err(|e| (i, e)),
+            },
+            || (),
+        );
+        match got {
+            Err((4, QbismError::Warp(qbism_warp::WarpError::NotThreeD { dims: 2 }))) => {}
+            Err((i, e)) => panic!("expected study 4's warp error, got study {i}'s: {e}"),
+            Ok(_) => panic!("expected study 4's warp error, got a prepared set"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "study 5 panicked")]
+    fn a_worker_panic_reaches_the_caller() {
+        let _outcome = concurrently(
+            9,
+            |i| if i == 5 { panic!("study {i} panicked") } else { Ok::<_, ()>(i) },
+            || (),
+        );
     }
 
     #[test]

@@ -227,7 +227,7 @@ mod tests {
         let (pts_p, pts_a): (Vec<_>, Vec<_>) = s.landmarks.iter().copied().unzip();
         let est = register_landmarks(&pts_p, &pts_a).unwrap();
         assert!(est.max_abs_diff(&s.true_transform) < 1e-6, "landmarks are exact");
-        let warped = warp_to_atlas(&s.raw, &est, a.geometry(), 1.0);
+        let warped = warp_to_atlas(&s.raw, &est, a.geometry(), 1.0).unwrap();
         // Compare against direct sampling of the truth at atlas centres.
         let ntal = &a.structure("ntal").unwrap().region;
         let mut truth_sum = 0.0;

@@ -36,4 +36,4 @@ mod resample;
 pub use linalg::solve_linear_system;
 pub use raw::RawStudy;
 pub use register::{register_landmarks, RegistrationError};
-pub use resample::warp_to_atlas;
+pub use resample::{warp_to_atlas, WarpError};

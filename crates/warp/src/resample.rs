@@ -5,6 +5,37 @@ use qbism_geometry::{Affine3, Vec3};
 use qbism_region::GridGeometry;
 use qbism_volume::Volume;
 
+/// Why a raw study could not be warped onto an atlas grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum WarpError {
+    /// The atlas grid is not 3-D.
+    NotThreeD {
+        /// Dimensions of the grid supplied.
+        dims: u32,
+    },
+    /// The atlas voxel size is not a positive number of millimetres.
+    NonPositiveVoxelSize {
+        /// The voxel size supplied, in mm.
+        mm: f64,
+    },
+    /// The patient → atlas matrix has no inverse.
+    SingularTransform,
+}
+
+impl std::fmt::Display for WarpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WarpError::NotThreeD { dims } => write!(f, "atlas grid must be 3-D, got {dims}-D"),
+            WarpError::NonPositiveVoxelSize { mm } => {
+                write!(f, "atlas voxel size must be positive, got {mm} mm")
+            }
+            WarpError::SingularTransform => write!(f, "warping matrix must be invertible"),
+        }
+    }
+}
+
+impl std::error::Error for WarpError {}
+
 /// Warps a raw study into atlas space: for every atlas voxel centre the
 /// stored `patient_to_atlas` matrix is inverted to find the matching
 /// patient-space point, which is sampled trilinearly.  Atlas voxels that
@@ -18,29 +49,23 @@ use qbism_volume::Volume;
 /// generate and store the warped volume here at database load time
 /// (rather than query time) since the computation is expensive").
 ///
-/// # Panics
-/// Panics if the transform is singular, `atlas_mm_per_voxel` is not
-/// positive, or the geometry is not 3-D.
-#[expect(
-    clippy::panic,
-    reason = "documented invariant: registration matrices are rigid+scale, always invertible"
-)]
+/// # Errors
+/// [`WarpError`] if the geometry is not 3-D, `atlas_mm_per_voxel` is not
+/// positive, or the transform is singular.
 pub fn warp_to_atlas(
     raw: &RawStudy,
     patient_to_atlas: &Affine3,
     atlas_geom: GridGeometry,
     atlas_mm_per_voxel: f64,
-) -> Volume {
-    assert_eq!(atlas_geom.dims(), 3, "atlas grid must be 3-D");
-    assert!(
-        atlas_mm_per_voxel > 0.0,
-        "atlas voxel size must be positive, got {atlas_mm_per_voxel}"
-    );
-    let atlas_to_patient = match patient_to_atlas.inverse() {
-        Some(inv) => inv,
-        None => panic!("warping matrix must be invertible"),
-    };
-    Volume::from_fn3(atlas_geom, |x, y, z| {
+) -> Result<Volume, WarpError> {
+    if atlas_geom.dims() != 3 {
+        return Err(WarpError::NotThreeD { dims: atlas_geom.dims() });
+    }
+    if atlas_mm_per_voxel.is_nan() || atlas_mm_per_voxel <= 0.0 {
+        return Err(WarpError::NonPositiveVoxelSize { mm: atlas_mm_per_voxel });
+    }
+    let atlas_to_patient = patient_to_atlas.inverse().ok_or(WarpError::SingularTransform)?;
+    Ok(Volume::from_fn3(atlas_geom, |x, y, z| {
         let atlas_mm = Vec3::new(
             (f64::from(x) + 0.5) * atlas_mm_per_voxel,
             (f64::from(y) + 0.5) * atlas_mm_per_voxel,
@@ -48,7 +73,7 @@ pub fn warp_to_atlas(
         );
         let patient_mm = atlas_to_patient.apply(atlas_mm);
         raw.sample_trilinear(patient_mm).round().clamp(0.0, 255.0) as u8
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -66,7 +91,7 @@ mod tests {
         // warp must reproduce each voxel exactly (centres align).
         let raw =
             RawStudy::from_fn([16, 16, 16], Vec3::ONE, |x, y, z| (x * 13 + y * 5 + z * 3) as u8);
-        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 1.0);
+        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 1.0).unwrap();
         for (x, y, z) in [(0, 0, 0), (5, 9, 3), (15, 15, 15), (8, 1, 14)] {
             assert_eq!(warped.probe(x, y, z), raw.at(x, y, z), "at ({x},{y},{z})");
         }
@@ -84,7 +109,7 @@ mod tests {
             }
         });
         let shift = Affine3::translation(Vec3::new(2.0, 0.0, 0.0));
-        let warped = warp_to_atlas(&raw, &shift, atlas_geom(), 1.0);
+        let warped = warp_to_atlas(&raw, &shift, atlas_geom(), 1.0).unwrap();
         assert_eq!(warped.probe(5, 3, 3), 200);
         assert_eq!(warped.probe(3, 3, 3), 0);
     }
@@ -96,7 +121,7 @@ mod tests {
         // pure unit mapping (patient mm == atlas mm).
         let raw =
             RawStudy::from_fn([16, 16, 8], Vec3::new(1.0, 1.0, 2.0), |_, _, z| (z * 30) as u8);
-        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 1.0);
+        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 1.0).unwrap();
         // Atlas z = 2.5 mm falls exactly at slice 1's centre (3 mm)...
         // verify monotone increase along z instead of exact values.
         let lo = warped.probe(8, 8, 1);
@@ -109,7 +134,7 @@ mod tests {
     fn out_of_study_voxels_are_zero() {
         let raw = RawStudy::from_fn([4, 4, 4], Vec3::ONE, |_, _, _| 255);
         // Atlas is 16^3 mm; the study covers only 4 mm.
-        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 1.0);
+        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 1.0).unwrap();
         assert_eq!(warped.probe(1, 1, 1), 255);
         assert_eq!(warped.probe(12, 12, 12), 0);
     }
@@ -124,18 +149,35 @@ mod tests {
                 0
             } // bright plane slab at 8.5mm
         });
-        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 2.0);
+        let warped = warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), 2.0).unwrap();
         // atlas voxel x=4 centre = 9.0 mm -> halfway between raw 8 (8.5mm)
         // and 9 (9.5mm) centres -> trilinear = 90.
         assert_eq!(warped.probe(4, 8, 8), 90);
     }
 
     #[test]
-    #[should_panic(expected = "must be invertible")]
-    fn singular_warp_panics() {
+    fn unwarpable_inputs_are_typed_errors() {
         let raw = RawStudy::from_fn([4, 4, 4], Vec3::ONE, |_, _, _| 0);
         let singular = Affine3::scaling(Vec3::new(1.0, 1.0, 0.0));
-        let _ = warp_to_atlas(&raw, &singular, atlas_geom(), 1.0);
+        assert_eq!(
+            warp_to_atlas(&raw, &singular, atlas_geom(), 1.0),
+            Err(WarpError::SingularTransform)
+        );
+        for mm in [0.0, -1.0] {
+            assert_eq!(
+                warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), mm),
+                Err(WarpError::NonPositiveVoxelSize { mm })
+            );
+        }
+        assert!(matches!(
+            warp_to_atlas(&raw, &Affine3::IDENTITY, atlas_geom(), f64::NAN),
+            Err(WarpError::NonPositiveVoxelSize { .. })
+        ));
+        let plane = GridGeometry::new(CurveKind::Hilbert, 2, 4);
+        assert_eq!(
+            warp_to_atlas(&raw, &Affine3::IDENTITY, plane, 1.0),
+            Err(WarpError::NotThreeD { dims: 2 })
+        );
     }
 
     #[test]
@@ -165,7 +207,7 @@ mod tests {
         ];
         let patient_pts: Vec<Vec3> = atlas_pts.iter().map(|&a| inv.apply(a)).collect();
         let est = register_landmarks(&patient_pts, &atlas_pts).unwrap();
-        let warped = warp_to_atlas(&raw, &est, atlas_geom(), 1.0);
+        let warped = warp_to_atlas(&raw, &est, atlas_geom(), 1.0).unwrap();
         assert_eq!(warped.probe(8, 8, 8), 220);
     }
 }
