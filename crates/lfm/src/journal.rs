@@ -21,7 +21,8 @@
 //!   old bytes first, then writes data, then commits; recovery rolls
 //!   back any undo without a matching commit.
 //!
-//! Every structure carries an FNV-1a checksum; a torn metadata write
+//! Every structure carries a [`qbism_fault::checksum`] (FNV-1a's step
+//! a word at a time, folded); a torn metadata write
 //! therefore reads back as "end of log" (or, for the superblock and
 //! snapshot, as corruption the recovery path reports instead of
 //! trusting).  Records are additionally chained by `(epoch, seq)`:

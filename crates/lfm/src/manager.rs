@@ -99,7 +99,9 @@ struct FieldDesc {
     order: u32,
     /// Logical length in bytes.
     len: u64,
-    /// FNV-1a checksum of the field's logical bytes.
+    /// [`checksum`] of the field's logical bytes: FNV-1a's step a word at
+    /// a time, folded, so a tail shorter than a word is still checked
+    /// bit for bit.
     csum: u64,
 }
 
@@ -1784,6 +1786,36 @@ mod tests {
         drop(scope);
         lfm.recover().unwrap();
         assert_eq!(lfm.read(id).unwrap(), expect);
+    }
+
+    #[test]
+    fn a_flip_in_a_fields_last_partial_word_is_reported() {
+        // 8 whole checksum words and a 5-byte tail, beside a field that
+        // stays intact: every bit of the tail is checked byte by byte.
+        let mut lfm = mk();
+        let data: Vec<u8> = (0..69u32).map(|i| (i * 37 % 251) as u8).collect();
+        let id = lfm.create(&data).unwrap();
+        let other = lfm.create(&vec![5u8; 4096]).unwrap();
+        let first_page = lfm.fields[&id.0].first_page;
+        for offset in 64..69 {
+            for bit in 0..8 {
+                let at = lfm.geo.data_byte(first_page, offset);
+                let flip = |lfm: &mut LongFieldManager| {
+                    let byte = lfm.device.slice(at, 1)[0] ^ (1 << bit);
+                    lfm.device.write_direct(at, &[byte]);
+                };
+                flip(&mut lfm);
+                let verify = lfm.check_invariants().unwrap_err().to_string();
+                assert!(verify.contains("do not match the directory checksum"), "{verify}");
+                let recover = lfm.recover().unwrap_err().to_string();
+                assert!(recover.contains("failed its data checksum"), "{recover}");
+                flip(&mut lfm);
+                lfm.check_invariants().unwrap();
+            }
+        }
+        lfm.recover().unwrap();
+        assert_eq!(lfm.read(id).unwrap(), data);
+        assert_eq!(lfm.read(other).unwrap(), vec![5u8; 4096]);
     }
 
     #[test]

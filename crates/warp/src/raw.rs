@@ -89,84 +89,183 @@ impl RawStudy {
     /// Points outside the study volume — and points with a non-finite
     /// coordinate — sample as 0 (air), which is how warped volumes
     /// acquire their black border.
-    #[inline]
     pub fn sample_trilinear(&self, p: Vec3) -> f64 {
-        // Convert to continuous voxel coordinates, centred samples.
-        let fx = p.x / self.spacing.x - 0.5;
-        let fy = p.y / self.spacing.y - 0.5;
-        let fz = p.z / self.spacing.z - 0.5;
-        let [nx, ny, nz] = self.dims.map(|d| d as usize);
-        // The taps are cells `floor(f)` and `floor(f) + 1`; once any
-        // coordinate is a whole cell off the grid all eight are air.
-        let on = |f: f64, n: usize| f >= -1.0 && f < n as f64;
-        if !(on(fx, nx) && on(fy, ny) && on(fz, nz)) {
-            return 0.0;
-        }
-        let (x0, tx) = split(fx);
-        let (y0, ty) = split(fy);
-        let (z0, tz) = split(fz);
-        let weights = [[1.0 - tx, tx], [1.0 - ty, ty], [1.0 - tz, tz]];
-        let interior = |c: i64, n: usize| c >= 0 && (c as usize) + 1 < n;
-        if !(interior(x0, nx) && interior(y0, ny) && interior(z0, nz)) {
-            return blend(weights, |dx, dy, dz| {
-                self.fetch(x0 + dx as i64, y0 + dy as i64, z0 + dz as i64)
-            });
-        }
-        // All eight taps are in the grid: one bounds test, then the four
-        // z-adjacent pairs load directly.
-        let base = (x0 as usize * ny + y0 as usize) * nz + z0 as usize;
-        let cell = &self.data[base..base + (ny + 1) * nz + 2];
-        let pair = |at: usize| [cell[at], cell[at + 1]];
-        let taps = [[pair(0), pair(nz)], [pair(ny * nz), pair(ny * nz + nz)]];
-        blend(weights, |dx, dy, dz| f64::from(taps[dx][dy][dz]))
+        self.sample_lanes([[p.x; LANES], [p.y; LANES], [p.z; LANES]])[0]
     }
 
-    /// Fetches with zero padding outside the grid.
-    fn fetch(&self, x: i64, y: i64, z: i64) -> f64 {
-        if x < 0
-            || y < 0
-            || z < 0
-            || x >= i64::from(self.dims[0])
-            || y >= i64::from(self.dims[1])
-            || z >= i64::from(self.dims[2])
-        {
-            return 0.0;
+    /// The trilinear sums at [`LANES`] patient-space points, given axis
+    /// by axis (`p[axis][lane]`): the resampler's one kernel.
+    ///
+    /// Each lane computes what one point's sample always has, operation
+    /// for operation — `p / spacing − 0.5`, the floor split, and
+    /// [`blend`]'s sum — so a sum is the same bits whichever lanes it
+    /// shares and whichever path its batch takes.  A batch wholly inside
+    /// the grid loads its taps directly, and one wholly off it is air.
+    /// Any other batch takes the masked path: a tap off the grid reads
+    /// an in-grid cell and is masked to 0 (what zero padding reads), and
+    /// a lane off the grid has every tap masked and its coordinates
+    /// replaced by 0 so its weights stay finite — its terms are all
+    /// `+0.0`, its sum `0.0`.
+    #[inline]
+    pub(crate) fn sample_lanes(&self, p: [[f64; LANES]; 3]) -> [f64; LANES] {
+        let spacing = [self.spacing.x, self.spacing.y, self.spacing.z];
+        let mut f = [[0.0; LANES]; 3];
+        for ((f, p), spacing) in f.iter_mut().zip(&p).zip(spacing) {
+            for (f, &p) in f.iter_mut().zip(p) {
+                *f = p / spacing - 0.5;
+            }
         }
-        f64::from(self.at(x as u32, y as u32, z as u32))
+        let [_, ny, nz] = self.dims.map(|d| d as usize);
+        let strides = [ny * nz, nz, 1];
+        // The taps are cells `floor(f)` and `floor(f) + 1`.  A lane is
+        // interior when all eight are in the grid (`0 <= f < n - 1` on
+        // every axis) and off once any coordinate is a whole cell off it
+        // (outside `[-1, n)`, or not finite): then all eight are air.
+        let mut interior = true;
+        let mut off = [false; LANES];
+        for (f, &n) in f.iter().zip(&self.dims) {
+            let n = f64::from(n);
+            for (&f, off) in f.iter().zip(&mut off) {
+                interior &= f >= 0.0 && f < n - 1.0;
+                *off |= !(f >= -1.0 && f < n);
+            }
+        }
+        let mut weight = [[[0.0; LANES]; 2]; 3];
+        let mut taps = [[0.0; LANES]; 8];
+        if interior {
+            let mut base = [0; LANES];
+            for ((f, weight), stride) in f.iter().zip(&mut weight).zip(strides) {
+                for (lane, &f) in f.iter().enumerate() {
+                    let (cell, whole) = floor(f);
+                    weight[0][lane] = 1.0 - (f - whole);
+                    weight[1][lane] = f - whole;
+                    base[lane] += cell as usize * stride;
+                }
+            }
+            for (k, taps) in taps.iter_mut().enumerate() {
+                let at = (k >> 2) * strides[0] + (k >> 1 & 1) * nz + (k & 1);
+                for (tap, &base) in taps.iter_mut().zip(&base) {
+                    *tap = f64::from(self.data.get(base + at).copied().unwrap_or(0));
+                }
+            }
+            return blend(&weight, &taps);
+        }
+        if off == [true; LANES] {
+            return [0.0; LANES];
+        }
+        // Per axis, per corner (the cell's low and high tap), per lane:
+        // the tap's offset along the axis, clamped into the grid, and
+        // `0xFF` where the unclamped tap is in the grid, else 0.
+        let mut offset = [[[0; LANES]; 2]; 3];
+        let mut live = [[[0u8; LANES]; 2]; 3];
+        for (axis, (f, (&n, stride))) in f.iter().zip(self.dims.iter().zip(strides)).enumerate() {
+            let last = i64::from(n) - 1;
+            for (lane, &f) in f.iter().enumerate() {
+                let f = if off[lane] { 0.0 } else { f };
+                let (cell, whole) = floor(f);
+                weight[axis][0][lane] = 1.0 - (f - whole);
+                weight[axis][1][lane] = f - whole;
+                offset[axis][0][lane] = cell.max(0) as usize * stride;
+                offset[axis][1][lane] = (cell + 1).min(last) as usize * stride;
+                live[axis][0][lane] = mask(cell >= 0 && !off[lane]);
+                live[axis][1][lane] = mask(cell < last && !off[lane]);
+            }
+        }
+        for (k, taps) in taps.iter_mut().enumerate() {
+            let (dx, dy, dz) = (k >> 2, k >> 1 & 1, k & 1);
+            for (lane, tap) in taps.iter_mut().enumerate() {
+                let at = offset[0][dx][lane] + offset[1][dy][lane] + offset[2][dz][lane];
+                let keep = live[0][dx][lane] & live[1][dy][lane] & live[2][dz][lane];
+                *tap = f64::from(self.data.get(at).map_or(0, |&v| v & keep));
+            }
+        }
+        blend(&weight, &taps)
     }
 }
 
-/// The trilinear sum: one weight and one tap per cell corner, x slowest,
-/// each term `((wx * wy) * wz) * tap` — the one order and association
-/// every path through [`RawStudy::sample_trilinear`] shares, so they
-/// agree to the bit.  (A zero weight adds `+0.0`: weights and taps are
-/// non-negative, so skipping the term would change nothing.)
-#[inline]
-fn blend(w: [[f64; 2]; 3], tap: impl Fn(usize, usize, usize) -> f64) -> f64 {
-    let mut acc = 0.0;
-    for dx in 0..2 {
-        for dy in 0..2 {
-            for dz in 0..2 {
-                acc += w[0][dx] * w[1][dy] * w[2][dz] * tap(dx, dy, dz);
+/// The trilinear sum of each lane: one weight and one tap per cell
+/// corner (tap `k` is corner `(k >> 2, k >> 1 & 1, k & 1)`), x slowest,
+/// each term `((wx · wy) · wz) · tap`.  (A zero weight adds `+0.0`:
+/// weights and taps are non-negative, so skipping the term would change
+/// nothing.)  Always inlined: called out of line, with its taps passed
+/// through memory, it made the kernel slower than the scalar loop it
+/// replaced.
+#[inline(always)]
+fn blend(weight: &[[[f64; LANES]; 2]; 3], taps: &[[f64; LANES]; 8]) -> [f64; LANES] {
+    let mut acc = [0.0; LANES];
+    for (dx, wx) in weight[0].iter().enumerate() {
+        for (dy, wy) in weight[1].iter().enumerate() {
+            let wxy: [f64; LANES] = std::array::from_fn(|l| wx[l] * wy[l]);
+            for (dz, wz) in weight[2].iter().enumerate() {
+                let tap = &taps[dx * 4 + dy * 2 + dz];
+                for lane in 0..LANES {
+                    acc[lane] += wxy[lane] * wz[lane] * tap[lane];
+                }
             }
         }
     }
     acc
 }
 
-/// Splits a continuous coordinate into integer base (its floor) and
-/// fraction.  `as i64` truncates toward zero, so the floor is one below
-/// wherever truncation rounded a negative coordinate up — exact for
-/// every `|f| < 2^53`, and the caller has already confined `f` to
-/// `[-1, dim)`.  (`f64::floor` is a libm call on baseline x86-64, and
-/// three of them were a fifth of the warp.)
+/// Points the resampler evaluates together.  Four independent sums
+/// interleave, so one voxel's eight dependent adds no longer wait on
+/// the last voxel's.
+pub(crate) const LANES: usize = 4;
+
+/// `0xFF` where `keep` holds, else `0`: a tap mask without a branch.
 #[inline]
-fn split(f: f64) -> (i64, f64) {
-    let mut base = f as i64;
-    if base as f64 > f {
-        base -= 1;
+fn mask(keep: bool) -> u8 {
+    u8::from(keep).wrapping_neg()
+}
+
+/// `floor(f)` as an integer and as a float, for `|f| < 2^51`, without
+/// a branch: adding 1.5 · 2^52 rounds `f` to the nearest integer, held
+/// in the sum's low mantissa bits, and the floor is one below wherever
+/// that rounded up.  (`f64::floor` is a libm call on baseline x86-64,
+/// and `as` saturates, which costs a clamp and a NaN test per value.)
+#[inline]
+pub(crate) fn floor(f: f64) -> (i64, f64) {
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+    let sum = f + ROUND;
+    let nearest = sum - ROUND;
+    let down = nearest > f;
+    let cell = (sum.to_bits() as i64 - ROUND.to_bits() as i64) - i64::from(down);
+    (cell, nearest - if down { 1.0 } else { 0.0 })
+}
+
+/// The scalar resampler the lane kernel replaced, kept as the tests'
+/// bit-identity oracle: one point at a time, `f64::floor`, every tap
+/// through a bounds test, zero weights skipped.
+#[cfg(test)]
+pub(crate) fn sample_trilinear_reference(s: &RawStudy, p: Vec3) -> f64 {
+    let fx = p.x / s.spacing.x - 0.5;
+    let fy = p.y / s.spacing.y - 0.5;
+    let fz = p.z / s.spacing.z - 0.5;
+    let floor_split = |f: f64| (f.floor() as i64, f - f.floor());
+    let (x0, tx) = floor_split(fx);
+    let (y0, ty) = floor_split(fy);
+    let (z0, tz) = floor_split(fz);
+    let fetch = |x: i64, y: i64, z: i64| {
+        let [nx, ny, nz] = s.dims.map(i64::from);
+        if (0..nx).contains(&x) && (0..ny).contains(&y) && (0..nz).contains(&z) {
+            f64::from(s.at(x as u32, y as u32, z as u32))
+        } else {
+            0.0
+        }
+    };
+    let mut acc = 0.0;
+    for (dx, wx) in [(0i64, 1.0 - tx), (1, tx)] {
+        for (dy, wy) in [(0i64, 1.0 - ty), (1, ty)] {
+            for (dz, wz) in [(0i64, 1.0 - tz), (1, tz)] {
+                let w = wx * wy * wz;
+                if w == 0.0 {
+                    continue;
+                }
+                acc += w * fetch(x0 + dx, y0 + dy, z0 + dz);
+            }
+        }
     }
-    (base, f - base as f64)
+    acc
 }
 
 #[cfg(test)]
@@ -174,32 +273,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use qbism_geometry::Affine3;
-
-    /// The resampler as it stood before the interior fast path and the
-    /// all-air early-out: every tap through the bounds-checked `fetch`,
-    /// zero weights skipped.  Kept as the bit-identity oracle.
-    fn sample_trilinear_reference(s: &RawStudy, p: Vec3) -> f64 {
-        let fx = p.x / s.spacing.x - 0.5;
-        let fy = p.y / s.spacing.y - 0.5;
-        let fz = p.z / s.spacing.z - 0.5;
-        let floor_split = |f: f64| (f.floor() as i64, f - f.floor());
-        let (x0, tx) = floor_split(fx);
-        let (y0, ty) = floor_split(fy);
-        let (z0, tz) = floor_split(fz);
-        let mut acc = 0.0;
-        for (dx, wx) in [(0i64, 1.0 - tx), (1, tx)] {
-            for (dy, wy) in [(0i64, 1.0 - ty), (1, ty)] {
-                for (dz, wz) in [(0i64, 1.0 - tz), (1, tz)] {
-                    let w = wx * wy * wz;
-                    if w == 0.0 {
-                        continue;
-                    }
-                    acc += w * s.fetch(x0 + dx, y0 + dy, z0 + dz);
-                }
-            }
-        }
-        acc
-    }
 
     fn pet_like() -> RawStudy {
         // A small analogue of the paper's 128x128x51 PET geometry.
@@ -282,8 +355,10 @@ mod tests {
             // Random affine maps of a 12³ probe lattice: small shifts
             // keep it inside the study (interior path), larger ones put
             // it across the border (zero-padded taps) or wholly outside
-            // (early-out); lattice points also land exactly on cell
-            // centres and faces, where fractions are 0.
+            // (all air); lattice points also land exactly on cell
+            // centres and faces, where fractions are 0.  Each point is
+            // sampled alone and as a lane of a batch of 4 consecutive
+            // points, so batches mix interior, border and outside lanes.
             let s = RawStudy::from_fn([16, 16, 7], Vec3::new(1.0, 1.0, 2.0), |x, y, z| {
                 (x * 31 + y * 17 + z * 7 + seed) as u8
             });
@@ -293,17 +368,25 @@ mod tests {
                 .then(&Affine3::uniform_scaling(scale))
                 .then(&Affine3::translation(Vec3::from(shift)));
             let lattice = (0..12).map(|i| f64::from(i) * 1.5);
+            let mut points = Vec::new();
             for x in lattice.clone() {
                 for y in lattice.clone() {
                     for z in lattice.clone() {
-                        for p in [Vec3::new(x, y, z), map.apply(Vec3::new(x, y, z))] {
-                            prop_assert_eq!(
-                                s.sample_trilinear(p).to_bits(),
-                                sample_trilinear_reference(&s, p).to_bits(),
-                                "at {:?}", p
-                            );
-                        }
+                        points.extend([Vec3::new(x, y, z), map.apply(Vec3::new(x, y, z))]);
                     }
+                }
+            }
+            for batch in points.chunks(LANES) {
+                let lanes = s.sample_lanes(std::array::from_fn(|axis| {
+                    std::array::from_fn(|lane| {
+                        let p = batch[lane.min(batch.len() - 1)];
+                        [p.x, p.y, p.z][axis]
+                    })
+                }));
+                for (&p, lane) in batch.iter().zip(lanes) {
+                    let reference = sample_trilinear_reference(&s, p).to_bits();
+                    prop_assert_eq!(s.sample_trilinear(p).to_bits(), reference, "at {:?}", p);
+                    prop_assert_eq!(lane.to_bits(), reference, "lane at {:?}", p);
                 }
             }
         }
