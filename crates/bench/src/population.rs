@@ -54,18 +54,24 @@ pub fn region_population(bits: u32, pet: usize, mri: usize, seed: u64) -> Vec<Na
     out
 }
 
-/// Samples a continuous field at voxel centres into a volume.
+/// Samples a continuous field at voxel centres into a volume, one z
+/// row of the grid at a time.
 pub fn sample_field<F: ScalarField3>(geom: GridGeometry, field: &F) -> Volume {
-    Volume::from_fn3(geom, |x, y, z| {
-        field
-            .value(qbism_geometry::Vec3::new(
-                f64::from(x) + 0.5,
-                f64::from(y) + 0.5,
-                f64::from(z) + 0.5,
-            ))
-            .round()
-            .clamp(0.0, 255.0) as u8
-    })
+    let side = geom.side() as usize;
+    let centre = |c: usize| c as f64 + 0.5;
+    let (mut points, mut row) = (Vec::with_capacity(side), vec![0.0; side]);
+    let mut scan = Vec::with_capacity(side * side * side);
+    for x in 0..side {
+        for y in 0..side {
+            points.clear();
+            points.extend(
+                (0..side).map(|z| qbism_geometry::Vec3::new(centre(x), centre(y), centre(z))),
+            );
+            field.row(&points, &mut row);
+            scan.extend(row.iter().map(|&v| qbism_geometry::round_to_byte(v)));
+        }
+    }
+    Volume::from_fn3(geom, |x, y, z| scan[(x as usize * side + y as usize) * side + z as usize])
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 //! * [`Solid`] and the analytic solids used to synthesize anatomy
 //!   ([`Ellipsoid`], [`Superquadric`], half-spaces, CSG combinators);
 //! * [`TriMesh`] — the triangular surface meshes the *Atlas Structure*
-//!   entity stores alongside each volumetric REGION for fast rendering.
+//!   entity stores alongside each volumetric REGION for fast rendering;
+//! * [`floor`] and [`round_to_byte`] — libm-free floor and byte rounding
+//!   for the load path's per-voxel loops.
 
 #![forbid(unsafe_code)]
 #![expect(
@@ -22,12 +24,14 @@
 mod affine;
 mod box3;
 mod mesh;
+mod round;
 mod solid;
 mod vec3;
 
 pub use affine::Affine3;
 pub use box3::{IBox3, IVec3};
 pub use mesh::TriMesh;
+pub use round::{floor, round_to_byte};
 pub use solid::{
     Bounds3, Complement, Difference, Ellipsoid, HalfSpace, Intersection, Solid, SolidBox, Sphere,
     Superquadric, Transformed, Union,

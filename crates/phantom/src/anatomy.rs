@@ -14,7 +14,8 @@
 //! same anatomy scales from test grids (32³) to the paper's 128³.
 
 use qbism_geometry::{
-    Affine3, Bounds3, Ellipsoid, HalfSpace, Intersection, Solid, Superquadric, Transformed, Vec3,
+    Affine3, Bounds3, Ellipsoid, HalfSpace, Intersection, Solid, Superquadric, Transformed, Union,
+    Vec3,
 };
 use qbism_region::{GridGeometry, Region};
 use std::sync::Arc;
@@ -108,8 +109,8 @@ impl PhantomAtlas {
 
     /// The whole-brain solid (cerebrum plus cerebellum, fissure filled),
     /// used as the tissue mask during field synthesis.
-    pub fn brain_solid(&self) -> impl Solid + '_ {
-        qbism_geometry::Union(self.cerebrum, self.cerebellum)
+    pub fn brain_solid(&self) -> Union<Ellipsoid, Ellipsoid> {
+        Union(self.cerebrum, self.cerebellum)
     }
 }
 

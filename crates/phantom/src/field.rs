@@ -4,10 +4,16 @@
 //! paper).  We synthesize the underlying continuous field per modality
 //! and let [`crate::study`] sample it through a misalignment transform,
 //! which is exactly how a scanner sees a patient.
+//!
+//! The fields are evaluated a scanner row at a time: consecutive points
+//! of a row are about a millimetre apart, so they mostly share each
+//! noise octave's lattice cell, and a row's bounding box tells which
+//! structures it can meet at all.  Every point still takes the same
+//! floating-point operations, in the same order, as it would alone.
 
-use crate::anatomy::PhantomAtlas;
-use crate::noise::ValueNoise;
-use qbism_geometry::{Bounds3, Solid, Vec3};
+use crate::anatomy::{AtlasStructure, PhantomAtlas};
+use crate::noise::{Corners, ValueNoise};
+use qbism_geometry::{Bounds3, Ellipsoid, Solid, Union, Vec3};
 use qbism_sfc::SpaceFillingCurve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,8 +21,66 @@ use rand::{Rng, SeedableRng};
 /// A continuous scalar field over atlas space (units: atlas voxels =
 /// millimetres), producing values in `[0, 255]`.
 pub trait ScalarField3 {
-    /// Field value at a point.
-    fn value(&self, p: Vec3) -> f64;
+    /// Field values along a row of points: `out[i]` is the value at
+    /// `points[i]`, for as many points as both slices hold.  Any points
+    /// are answered exactly; neighbouring points, as on a scanner row,
+    /// are answered fastest.
+    fn row(&self, points: &[Vec3], out: &mut [f64]);
+
+    /// Field value at a point: a row of one.
+    fn value(&self, p: Vec3) -> f64 {
+        let mut out = [0.0];
+        self.row(&[p], &mut out);
+        out[0]
+    }
+}
+
+/// The smallest box holding every point of a row.  A solid whose
+/// bounds miss it contains none of the row's points.
+fn row_box(points: &[Vec3]) -> Bounds3 {
+    let empty = Bounds3 { min: Vec3::splat(f64::INFINITY), max: Vec3::splat(f64::NEG_INFINITY) };
+    points.iter().fold(empty, |b, &p| Bounds3 { min: b.min.min(p), max: b.max.max(p) })
+}
+
+/// Whether two boxes share a point.
+fn meets(a: &Bounds3, b: &Bounds3) -> bool {
+    let both = a.intersect(b);
+    both.min.x <= both.max.x && both.min.y <= both.max.y && both.min.z <= both.max.z
+}
+
+/// Bit `i` set for each of `structures[i]` whose bounds meet `row`.
+fn structures_meeting(structures: &[AtlasStructure], row: &Bounds3) -> u32 {
+    structures
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (i, s)| mask | u32::from(meets(&s.bounds, row)) << i)
+}
+
+/// The brain mask of [`PhantomAtlas::brain_solid`], answering `contains`
+/// and `field` from the same two normalized radii, and neither outside
+/// the lobes' bounds.
+#[derive(Debug, Clone, Copy)]
+struct BrainMask {
+    cerebrum: Ellipsoid,
+    cerebellum: Ellipsoid,
+    hull: Bounds3,
+}
+
+impl BrainMask {
+    fn new(atlas: &PhantomAtlas) -> Self {
+        let Union(cerebrum, cerebellum) = atlas.brain_solid();
+        BrainMask { cerebrum, cerebellum, hull: cerebrum.bounds().hull(&cerebellum.bounds()) }
+    }
+
+    /// `Some(brain.field(p))` when `brain.contains(p)`, else `None`.
+    fn field_inside(&self, p: Vec3) -> Option<f64> {
+        if !self.hull.contains(p) {
+            return None;
+        }
+        let (a, b) = (&self.cerebrum, &self.cerebellum);
+        let (ra, rb) = (a.normalized_radius(p), b.normalized_radius(p));
+        (ra <= 1.0 || rb <= 1.0).then(|| a.field_at_radius(ra).min(b.field_at_radius(rb)))
+    }
 }
 
 /// MRI-like structural field: each structure has a characteristic tissue
@@ -28,6 +92,7 @@ pub struct MriField<'a> {
     /// it no tissue can match, so most of the scanner's field of view
     /// is air after one box test.
     tissue_bounds: Bounds3,
+    brain: BrainMask,
     texture: ValueNoise,
     /// Noise amplitude around each tissue's base intensity.
     amplitude: f64,
@@ -42,6 +107,7 @@ impl<'a> MriField<'a> {
         MriField {
             atlas,
             tissue_bounds,
+            brain: BrainMask::new(atlas),
             texture: ValueNoise::new(seed, side / 18.0),
             amplitude: 28.0,
         }
@@ -49,22 +115,43 @@ impl<'a> MriField<'a> {
 }
 
 impl ScalarField3 for MriField<'_> {
-    fn value(&self, p: Vec3) -> f64 {
-        if !self.tissue_bounds.contains(p) {
-            return 0.0;
+    fn row(&self, points: &[Vec3], out: &mut [f64]) {
+        let row = row_box(points);
+        let values = points.iter().zip(out.iter_mut());
+        if !meets(&self.tissue_bounds, &row) {
+            values.for_each(|(_, v)| *v = 0.0);
+            return;
         }
-        // Last matching structure wins: deep structures are listed after
-        // the hemispheres and override their base tissue.
-        let mut base =
-            self.atlas.structures().iter().rev().find(|s| s.contains(p)).map(|s| s.mri_intensity);
-        // The longitudinal fissure lies between the hemisphere REGIONs
-        // but is still brain tissue on an MR image.
-        if base.is_none() && self.atlas.brain_solid().contains(p) {
-            base = Some(95.0);
+        let structures = self.atlas.structures();
+        let near = structures_meeting(structures, &row);
+        let mut corners = Default::default();
+        for (&p, v) in values {
+            *v = 0.0;
+            if !self.tissue_bounds.contains(p) {
+                continue;
+            }
+            // Last matching structure wins: deep structures are listed
+            // after the hemispheres and override their base tissue.
+            let mut base = None;
+            let mut left = near;
+            while left != 0 {
+                let i = 31 - left.leading_zeros();
+                left &= !(1 << i);
+                let s = &structures[i as usize];
+                if s.contains(p) {
+                    base = Some(s.mri_intensity);
+                    break;
+                }
+            }
+            // The longitudinal fissure lies between the hemisphere
+            // REGIONs but is still brain tissue on an MR image.
+            if base.is_none() && self.brain.field_inside(p).is_some() {
+                base = Some(95.0);
+            }
+            let Some(base) = base else { continue };
+            let t = self.texture.fractal_in(p, &mut corners) - 0.5;
+            *v = (base + t * 2.0 * self.amplitude).clamp(0.0, 255.0);
         }
-        let Some(base) = base else { return 0.0 };
-        let t = self.texture.sample_fractal(p) - 0.5;
-        (base + t * 2.0 * self.amplitude).clamp(0.0, 255.0)
     }
 }
 
@@ -84,6 +171,7 @@ pub struct Activation {
 /// distributions involving sections or layers of brain structures").
 pub struct PetField<'a> {
     atlas: &'a PhantomAtlas,
+    brain: BrainMask,
     baseline: f64,
     activations: Vec<Activation>,
     /// Fine-grained measurement texture.
@@ -91,6 +179,8 @@ pub struct PetField<'a> {
     /// Broad regional perfusion variation: real PET images span most of
     /// the intensity range across the cortex, not just at focal spots.
     perfusion: ValueNoise,
+    /// `2σ²` of each activation, the exponent's divisor.
+    spreads: Vec<f64>,
 }
 
 impl<'a> PetField<'a> {
@@ -134,7 +224,9 @@ impl<'a> PetField<'a> {
         }
         PetField {
             atlas,
+            brain: BrainMask::new(atlas),
             baseline: 100.0,
+            spreads: activations.iter().map(|a| 2.0 * a.sigma * a.sigma).collect(),
             activations,
             texture: ValueNoise::new(seed ^ 0x5151_5151, side / 24.0),
             perfusion: ValueNoise::new(seed ^ 0x0bad_cafe, side / 5.0),
@@ -148,32 +240,127 @@ impl<'a> PetField<'a> {
     }
 }
 
+/// Points a PET row kernel takes in one pass of each stage.
+const CHUNK: usize = 16;
+
 impl ScalarField3 for PetField<'_> {
-    fn value(&self, p: Vec3) -> f64 {
+    /// Evaluated in chunks of up to [`CHUNK`] points, one stage at a
+    /// time over a chunk's brain points: each noise octave and each
+    /// activation is a short loop whose points are independent, where a
+    /// point's whole evaluation is one long dependency chain.
+    fn row(&self, points: &[Vec3], out: &mut [f64]) {
         let side = f64::from(self.atlas.geometry().side());
-        let brain = self.atlas.brain_solid();
+        let row = row_box(points);
+        let values = points.iter().zip(out.iter_mut());
+        if !meets(&self.brain.hull, &row) {
+            values.for_each(|(_, v)| *v = 0.0);
+            return;
+        }
+        let deep = self.atlas.structures().get(3..).unwrap_or_default();
+        let near = structures_meeting(deep, &row);
+        let (coarse, fine) = self.perfusion.octaves();
+        let mut corners = [Corners::default(); 3];
+        for (points, out) in points.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            // The chunk's brain points and their brain field.
+            let (mut inside, mut fields, mut n) = ([Vec3::ZERO; CHUNK], [0.0; CHUNK], 0);
+            let mut slot = [0usize; CHUNK];
+            for (i, (&p, v)) in points.iter().zip(out.iter_mut()).enumerate() {
+                *v = 0.0;
+                if let Some(field) = self.brain.field_inside(p) {
+                    (inside[n], fields[n], slot[n]) = (p, field, i);
+                    n += 1;
+                }
+            }
+            let inside = &inside[..n];
+            let [c0, c1, c2] = &mut corners;
+            let stage = |noise: &ValueNoise, c: &mut Corners| -> [f64; CHUNK] {
+                let mut got = [0.0; CHUNK];
+                for (g, &p) in got.iter_mut().zip(inside) {
+                    *g = noise.sample_in(p, c);
+                }
+                got
+            };
+            let (coarse, fine, texture) =
+                (stage(&coarse, c0), stage(&fine, c1), stage(&self.texture, c2));
+            let mut sums = [0.0; CHUNK];
+            for k in 0..n {
+                let (p, perfusion) = (inside[k], (coarse[k] * 2.0 / 3.0) + (fine[k] / 3.0));
+                let mut sum = self.baseline + (perfusion - 0.5) * 110.0 + (texture[k] - 0.5) * 36.0;
+                // Anatomy-locked metabolism, identical across studies and
+                // seeds: cortical grey matter (the outer shell) and the
+                // deep nuclei burn more glucose than white matter.  This
+                // is what makes voxels *consistently* fall in a band
+                // across a population of studies — the effect Table 4's
+                // n-way intersection depends on.
+                let depth = -fields[k]; // positive inside
+                if depth < 0.10 * side {
+                    sum += 28.0;
+                }
+                let mut left = near;
+                while left != 0 {
+                    let i = left.trailing_zeros();
+                    left &= left - 1;
+                    if deep[i as usize].contains(p) {
+                        sum += 22.0;
+                        break;
+                    }
+                }
+                sums[k] = sum;
+            }
+            for (a, spread) in self.activations.iter().zip(&self.spreads) {
+                for (sum, &p) in sums.iter_mut().zip(inside) {
+                    let d2 = (p - a.center).length_squared();
+                    *sum += a.peak * (-d2 / spread).exp();
+                }
+            }
+            for (&i, sum) in slot[..n].iter().zip(&sums) {
+                out[i] = sum.clamp(0.0, 255.0);
+            }
+        }
+    }
+}
+
+/// The per-point fields the row kernels replaced, kept as the tests'
+/// oracle: every point through `brain_solid`, every structure's bounds,
+/// and fresh lattice hashes per octave.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn mri(f: &MriField<'_>, p: Vec3) -> f64 {
+        if !f.tissue_bounds.contains(p) {
+            return 0.0;
+        }
+        let mut base =
+            f.atlas.structures().iter().rev().find(|s| s.contains(p)).map(|s| s.mri_intensity);
+        if base.is_none() && f.atlas.brain_solid().contains(p) {
+            base = Some(95.0);
+        }
+        let Some(base) = base else { return 0.0 };
+        let t = f.texture.fractal_reference(p) - 0.5;
+        (base + t * 2.0 * f.amplitude).clamp(0.0, 255.0)
+    }
+
+    pub(crate) fn pet(f: &PetField<'_>, p: Vec3) -> f64 {
+        let side = f64::from(f.atlas.geometry().side());
+        let brain = f.atlas.brain_solid();
         if !brain.contains(p) {
             return 0.0;
         }
-        let mut v = self.baseline
-            + (self.perfusion.sample_fractal(p) - 0.5) * 110.0
-            + (self.texture.sample(p) - 0.5) * 36.0;
-        // Anatomy-locked metabolism, identical across studies and seeds:
-        // cortical grey matter (the outer shell) and the deep nuclei burn
-        // more glucose than white matter.  This is what makes voxels
-        // *consistently* fall in a band across a population of studies —
-        // the effect Table 4's n-way intersection depends on.
-        let depth = -brain.field(p); // positive inside
+        let mut v = f.baseline
+            + (f.perfusion.fractal_reference(p) - 0.5) * 110.0
+            + (f.texture.sample_reference(p) - 0.5) * 36.0;
+        let depth = -brain.field(p);
         if depth < 0.10 * side {
             v += 28.0;
         }
-        for st in self.atlas.structures().iter().skip(3) {
+        for st in f.atlas.structures().iter().skip(3) {
             if st.contains(p) {
                 v += 22.0;
                 break;
             }
         }
-        for a in &self.activations {
+        for a in &f.activations {
             let d2 = (p - a.center).length_squared();
             v += a.peak * (-d2 / (2.0 * a.sigma * a.sigma)).exp();
         }
@@ -185,11 +372,108 @@ impl ScalarField3 for PetField<'_> {
 mod tests {
     use super::*;
     use crate::anatomy::build_atlas;
+    use crate::study::{Modality, StudyGenerator};
+    use proptest::prelude::*;
     use qbism_region::GridGeometry;
     use qbism_sfc::CurveKind;
+    use std::sync::OnceLock;
 
     fn atlas() -> PhantomAtlas {
         build_atlas(GridGeometry::new(CurveKind::Hilbert, 3, 5))
+    }
+
+    /// The 16³, 32³ and 64³ atlases, built once per test binary.
+    fn atlas_at(bits: u32) -> &'static PhantomAtlas {
+        static ATLASES: [OnceLock<PhantomAtlas>; 3] = [const { OnceLock::new() }; 3];
+        ATLASES[(bits - 4) as usize]
+            .get_or_init(|| build_atlas(GridGeometry::new(CurveKind::Hilbert, 3, bits)))
+    }
+
+    /// Checks both fields' row kernels, and their rows of one, against
+    /// the per-point oracle on one row; returns how many points lie in
+    /// the brain.
+    fn check_row(pet: &PetField<'_>, mri: &MriField<'_>, points: &[Vec3]) -> usize {
+        let mut got = vec![f64::NAN; points.len()];
+        pet.row(points, &mut got);
+        for (&p, v) in points.iter().zip(&got) {
+            assert_eq!(v.to_bits(), reference::pet(pet, p).to_bits(), "PET at {p:?}");
+            assert_eq!(pet.value(p).to_bits(), v.to_bits(), "PET row of one at {p:?}");
+        }
+        mri.row(points, &mut got);
+        for (&p, v) in points.iter().zip(&got) {
+            assert_eq!(v.to_bits(), reference::mri(mri, p).to_bits(), "MRI at {p:?}");
+            assert_eq!(mri.value(p).to_bits(), v.to_bits(), "MRI row of one at {p:?}");
+        }
+        points.iter().filter(|&&p| pet.atlas.brain_solid().contains(p)).count()
+    }
+
+    proptest! {
+        #[test]
+        fn rows_are_bit_equal_to_the_per_point_oracle(
+            bits in 4u32..=6,
+            seed in any::<u64>(),
+            cell in proptest::array::uniform2(0.0f64..1.0),
+            origin in proptest::array::uniform3(-0.1f64..1.1),
+            step in proptest::array::uniform3(-2.0f64..2.0),
+            len in 1usize..90,
+            edge in 0u32..3,
+        ) {
+            let atlas = atlas_at(bits);
+            let side = atlas.geometry().side();
+            let s = f64::from(side);
+            let (pet, mri) = (PetField::new(atlas, seed, 4), MriField::new(atlas, seed));
+            // A scanner row through a random misalignment, as `acquire`
+            // lays it: y varies, x and z hold.
+            let gen = StudyGenerator::new(side);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let patient_to_atlas = gen.random_misalignment(&mut rng);
+            for modality in [Modality::Pet, Modality::Mri] {
+                let dims = modality.native_dims(side);
+                let spacing = modality.native_spacing(side);
+                let x = (cell[0] * f64::from(dims[0])) as u32;
+                let z = (cell[1] * f64::from(dims[2])) as u32;
+                let row: Vec<Vec3> = (0..dims[1])
+                    .map(|y| {
+                        let c = |i: u32, step: f64| (f64::from(i) + 0.5) * step;
+                        patient_to_atlas.apply(Vec3::new(c(x, spacing.x), c(y, spacing.y), c(z, spacing.z)))
+                    })
+                    .collect();
+                check_row(&pet, &mri, &row);
+            }
+            // A random row, in and out of the brain and the structures.
+            let origin = Vec3::from(origin) * s;
+            let line: Vec<Vec3> = (0..len).map(|i| origin + Vec3::from(step) * i as f64).collect();
+            check_row(&pet, &mri, &line);
+            // A row across a noise octave's lattice planes: every point
+            // on one, just below it or just above it.
+            let scale = [s / 24.0, s / 5.0 * 0.5, s / 18.0 * 0.5][edge as usize];
+            let planes: Vec<Vec3> = (0..len)
+                .map(|i| {
+                    let on = (i / 3) as f64 * scale;
+                    let x = [on, on.next_down(), on.next_up()][i % 3];
+                    Vec3::new(x, origin.y, origin.z)
+                })
+                .collect();
+            check_row(&pet, &mri, &planes);
+        }
+    }
+
+    #[test]
+    fn a_row_through_the_brain_crosses_its_boundary_and_structures() {
+        let atlas = atlas_at(6);
+        let (pet, mri) = (PetField::new(atlas, 3, 4), MriField::new(atlas, 3));
+        // Along y through the centre: air, cortex, ntal and the
+        // thalamus, cortex, air; 0.3 mm apart, so several points share
+        // each lattice cell and several cross into the next.
+        let row: Vec<Vec3> = (0..220).map(|i| Vec3::new(32.2, f64::from(i) * 0.3, 30.1)).collect();
+        let inside = check_row(&pet, &mri, &row);
+        assert!(inside > 20 && inside < row.len(), "{inside} of {} points inside", row.len());
+        let crossings = |name: &str| {
+            let b = atlas.structure(name).unwrap().bounds;
+            row.windows(2).filter(|w| b.contains(w[0]) != b.contains(w[1])).count()
+        };
+        assert_eq!(crossings("ntal"), 2);
+        assert_eq!(crossings("thalamus"), 2);
     }
 
     #[test]

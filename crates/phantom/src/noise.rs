@@ -5,7 +5,7 @@
 //! regenerate byte-identically), so noise comes from a hash of the
 //! integer lattice point and a seed, interpolated trilinearly.
 
-use qbism_geometry::Vec3;
+use qbism_geometry::{floor, Vec3};
 
 /// Trilinearly interpolated hash noise over 3-space, in `[0, 1)`.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +26,7 @@ impl ValueNoise {
     }
 
     /// Hash of one lattice point, uniform in `[0, 1)`.
+    #[inline]
     fn lattice(&self, x: i64, y: i64, z: i64) -> f64 {
         // SplitMix64-style avalanche over the packed coordinates.
         let mut h = self
@@ -42,13 +43,84 @@ impl ValueNoise {
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Sampled noise at `p`, in `[0, 1)`.
+    /// Sampled noise at `p`, in `[0, 1)`: a row of one.
     pub fn sample(&self, p: Vec3) -> f64 {
+        self.sample_in(p, &mut Corners::default())
+    }
+
+    /// Two-octave fractal variant for richer tissue texture, in `[0, 1)`.
+    pub fn sample_fractal(&self, p: Vec3) -> f64 {
+        self.fractal_in(p, &mut Default::default())
+    }
+
+    /// [`ValueNoise::sample`], reusing `corners`' hashes while `p` stays
+    /// in their lattice cell.
+    #[inline]
+    pub(crate) fn sample_in(&self, p: Vec3, corners: &mut Corners) -> f64 {
+        let q = p / self.scale;
+        let (x0, fx) = cell(q.x);
+        let (y0, fy) = cell(q.y);
+        let (z0, fz) = cell(q.z);
+        if corners.cell != Some((x0, y0, z0)) {
+            corners.hash = std::array::from_fn(|i| {
+                let step = |axis: usize| (i >> (2 - axis) & 1) as i64;
+                self.lattice(x0 + step(0), y0 + step(1), z0 + step(2))
+            });
+            corners.cell = Some((x0, y0, z0));
+        }
+        // Smoothstep the fractions for C1 continuity.
+        let sx = fx * fx * (3.0 - 2.0 * fx);
+        let sy = fy * fy * (3.0 - 2.0 * fy);
+        let sz = fz * fz * (3.0 - 2.0 * fz);
+        let (wx, wy, wz) = ([1.0 - sx, sx], [1.0 - sy, sy], [1.0 - sz, sz]);
+        let mut acc = 0.0;
+        for (i, &hash) in corners.hash.iter().enumerate() {
+            acc += wx[i >> 2] * wy[i >> 1 & 1] * wz[i & 1] * hash;
+        }
+        acc
+    }
+
+    /// [`ValueNoise::sample_fractal`] with one [`Corners`] per octave.
+    #[inline]
+    pub(crate) fn fractal_in(&self, p: Vec3, corners: &mut [Corners; 2]) -> f64 {
+        let (coarse, fine) = self.octaves();
+        let [at_coarse, at_fine] = corners;
+        (coarse.sample_in(p, at_coarse) * 2.0 / 3.0) + (fine.sample_in(p, at_fine) / 3.0)
+    }
+
+    /// The fractal's two octaves: `sample_fractal(p)` is
+    /// `(coarse.sample(p) * 2.0 / 3.0) + (fine.sample(p) / 3.0)`.
+    pub(crate) fn octaves(&self) -> (ValueNoise, ValueNoise) {
+        (*self, ValueNoise { seed: self.seed ^ 0xabcd_ef01, scale: self.scale * 0.5 })
+    }
+}
+
+/// One octave's last lattice cell and its eight corner hashes, in
+/// `(dx, dy, dz)` order.  A scanner row steps about 1 mm, against cells
+/// of 2.7 mm and up, so consecutive points mostly share a cell, and the
+/// hashes are most of an octave's cost.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Corners {
+    cell: Option<(i64, i64, i64)>,
+    hash: [f64; 8],
+}
+
+/// The lattice cell holding `q` on one axis and `q`'s fraction in it.
+#[inline]
+fn cell(q: f64) -> (i64, f64) {
+    let (cell, whole) = floor(q);
+    (cell, q - whole)
+}
+
+/// The per-point sampler the cell-reusing one replaced, kept as the
+/// tests' oracle: `f64::floor`, eight fresh hashes a point.
+#[cfg(test)]
+impl ValueNoise {
+    pub(crate) fn sample_reference(&self, p: Vec3) -> f64 {
         let q = p / self.scale;
         let (x0, fx) = (q.x.floor() as i64, q.x - q.x.floor());
         let (y0, fy) = (q.y.floor() as i64, q.y - q.y.floor());
         let (z0, fz) = (q.z.floor() as i64, q.z - q.z.floor());
-        // Smoothstep the fractions for C1 continuity.
         let sx = fx * fx * (3.0 - 2.0 * fx);
         let sy = fy * fy * (3.0 - 2.0 * fy);
         let sz = fz * fz * (3.0 - 2.0 * fz);
@@ -63,16 +135,53 @@ impl ValueNoise {
         acc
     }
 
-    /// Two-octave fractal variant for richer tissue texture, in `[0, 1)`.
-    pub fn sample_fractal(&self, p: Vec3) -> f64 {
+    pub(crate) fn fractal_reference(&self, p: Vec3) -> f64 {
         let fine = ValueNoise { seed: self.seed ^ 0xabcd_ef01, scale: self.scale * 0.5 };
-        (self.sample(p) * 2.0 / 3.0) + (fine.sample(p) / 3.0)
+        (self.sample_reference(p) * 2.0 / 3.0) + (fine.sample_reference(p) / 3.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn cell_reuse_is_bit_equal_to_the_per_point_oracle(
+            seed in any::<u64>(),
+            scale in 0.5f64..14.0,
+            origin in proptest::array::uniform3(-40.0f64..80.0),
+            step in proptest::array::uniform3(-1.5f64..1.5),
+            len in 1usize..60,
+        ) {
+            let n = ValueNoise::new(seed, scale);
+            let (mut one, mut two) = (Corners::default(), Default::default());
+            for i in 0..len {
+                let p = Vec3::from(origin) + Vec3::from(step) * i as f64;
+                prop_assert_eq!(n.sample_in(p, &mut one).to_bits(), n.sample_reference(p).to_bits());
+                prop_assert_eq!(n.fractal_in(p, &mut two).to_bits(), n.fractal_reference(p).to_bits());
+                prop_assert_eq!(n.sample(p).to_bits(), n.sample_reference(p).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn lattice_edges_and_signed_zeros_match_the_oracle() {
+        // Points on, just below and just above lattice planes, where the
+        // floor changes cell, on both sides of zero.
+        let n = ValueNoise::new(5, 2.5);
+        let mut corners = Corners::default();
+        for k in -6i32..=6 {
+            let on = f64::from(k) * 2.5;
+            for c in [on, on.next_down(), on.next_up(), -0.0] {
+                for p in [Vec3::new(c, 1.0, 1.0), Vec3::new(3.0, c, -2.0), Vec3::new(c, c, c)] {
+                    let want = n.sample_reference(p).to_bits();
+                    prop_assert_eq!(n.sample_in(p, &mut corners).to_bits(), want, "{:?}", p);
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -9,7 +9,7 @@
 //! study back.
 
 use crate::field::ScalarField3;
-use qbism_geometry::{Affine3, Vec3};
+use qbism_geometry::{round_to_byte, Affine3, Vec3};
 use qbism_warp::RawStudy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,6 +110,62 @@ impl StudyGenerator {
             )))
     }
 
+    /// Samples `field` at the centre of every scanner voxel, mapped to
+    /// atlas space by `patient_to_atlas`, plus one draw of scanner noise
+    /// per voxel in scanline order (x slowest, z fastest).
+    ///
+    /// The field is evaluated one x slab at a time along y rows, not
+    /// along the scanline's z rows: y steps 1 mm at PET's 64³ grid where
+    /// z steps 2.46, as much as the finest noise cell.  Each point is
+    /// `patient_to_atlas.apply`'s sum of the same products in the same
+    /// order, so it is that call's point bit for bit.
+    fn scan<F: ScalarField3>(
+        &self,
+        field: &F,
+        patient_to_atlas: &Affine3,
+        dims: [u32; 3],
+        spacing: Vec3,
+        seed: u64,
+    ) -> RawStudy {
+        let noise = self.noise;
+        let mut nrng = StdRng::seed_from_u64(seed);
+        let centres = |n: u32, step: f64| (0..n).map(move |i| (f64::from(i) + 0.5) * step);
+        let (m, t) = (&patient_to_atlas.m, patient_to_atlas.t);
+        let products = |axis: usize, n: u32, step: f64| -> Vec<[f64; 3]> {
+            centres(n, step).map(|c| [m[0][axis] * c, m[1][axis] * c, m[2][axis] * c]).collect()
+        };
+        let [nx, ny, nz] = dims.map(|n| n as usize);
+        let (xs, ys, zs) = (
+            products(0, dims[0], spacing.x),
+            products(1, dims[1], spacing.y),
+            products(2, dims[2], spacing.z),
+        );
+        let mut points = Vec::with_capacity(ny);
+        let mut row = vec![0.0; ny];
+        let mut slab = vec![0.0; ny * nz];
+        let mut data = Vec::with_capacity(nx * ny * nz);
+        for px in &xs {
+            for (z, pz) in zs.iter().enumerate() {
+                points.clear();
+                points.extend(ys.iter().map(|py| {
+                    let axis = |r: usize| px[r] + py[r] + pz[r];
+                    Vec3::new(axis(0) + t.x, axis(1) + t.y, axis(2) + t.z)
+                }));
+                field.row(&points, &mut row);
+                for (y, &v) in row.iter().enumerate() {
+                    slab[y * nz + z] = v;
+                }
+            }
+            // Two passes: with the draw's call in the same loop, the
+            // libm-free rounding ran slower than `f64::round`.
+            for v in &mut slab {
+                *v += nrng.gen_range(-noise..noise);
+            }
+            data.extend(slab.iter().map(|&v| round_to_byte(v)));
+        }
+        RawStudy::new(dims, spacing, data)
+    }
+
     /// Acquires `field` (atlas-space truth) as a `modality` study with
     /// seed-determined misalignment, scanner noise, and landmarks.
     #[expect(
@@ -130,18 +186,7 @@ impl StudyGenerator {
         };
         let dims = modality.native_dims(self.atlas_side);
         let spacing = modality.native_spacing(self.atlas_side);
-        let noise = self.noise;
-        let mut nrng = StdRng::seed_from_u64(seed ^ 0x0157_1030);
-        let raw = RawStudy::from_fn(dims, spacing, |x, y, z| {
-            let patient_mm = Vec3::new(
-                (f64::from(x) + 0.5) * spacing.x,
-                (f64::from(y) + 0.5) * spacing.y,
-                (f64::from(z) + 0.5) * spacing.z,
-            );
-            let atlas_mm = patient_to_atlas.apply(patient_mm);
-            let v = field.value(atlas_mm) + nrng.gen_range(-noise..noise);
-            v.round().clamp(0.0, 255.0) as u8
-        });
+        let raw = self.scan(field, &patient_to_atlas, dims, spacing, seed ^ 0x0157_1030);
         // Landmarks: well-spread atlas points mapped back to patient
         // space (an anatomist marks matching points in both frames).
         let s = f64::from(self.atlas_side);
@@ -169,7 +214,7 @@ impl StudyGenerator {
 mod tests {
     use super::*;
     use crate::anatomy::build_atlas;
-    use crate::field::{PetField, ScalarField3};
+    use crate::field::{reference, MriField, PetField, ScalarField3};
     use qbism_region::GridGeometry;
     use qbism_sfc::CurveKind;
     use qbism_warp::{register_landmarks, warp_to_atlas};
@@ -200,6 +245,50 @@ mod tests {
         assert_eq!(s1.true_transform, s2.true_transform);
         let s3 = g.acquire(&f, Modality::Pet, 100);
         assert_ne!(s1.raw, s3.raw, "different seeds differ");
+    }
+
+    /// The acquisition loop the row scan replaced, kept as the tests'
+    /// oracle: one `value` call and one `round` a voxel, in scanline
+    /// order.
+    fn acquire_reference(
+        gen: &StudyGenerator,
+        value: impl Fn(Vec3) -> f64,
+        modality: Modality,
+        seed: u64,
+    ) -> RawStudy {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xacc0_1ade);
+        let patient_to_atlas = gen.random_misalignment(&mut rng);
+        let dims = modality.native_dims(gen.atlas_side);
+        let spacing = modality.native_spacing(gen.atlas_side);
+        let noise = gen.noise;
+        let mut nrng = StdRng::seed_from_u64(seed ^ 0x0157_1030);
+        RawStudy::from_fn(dims, spacing, |x, y, z| {
+            let patient_mm = Vec3::new(
+                (f64::from(x) + 0.5) * spacing.x,
+                (f64::from(y) + 0.5) * spacing.y,
+                (f64::from(z) + 0.5) * spacing.z,
+            );
+            let v = value(patient_to_atlas.apply(patient_mm)) + nrng.gen_range(-noise..noise);
+            v.round().clamp(0.0, 255.0) as u8
+        })
+    }
+
+    #[test]
+    fn acquisition_is_bit_equal_to_the_per_point_oracle() {
+        for bits in 4..=6 {
+            let a = build_atlas(GridGeometry::new(CurveKind::Hilbert, 3, bits));
+            let gen = StudyGenerator::new(a.geometry().side());
+            for seed in [u64::from(bits), 0x51b1_5a17 + u64::from(bits)] {
+                let pet = PetField::new(&a, seed, 4);
+                let want =
+                    acquire_reference(&gen, |p| reference::pet(&pet, p), Modality::Pet, seed);
+                assert_eq!(gen.acquire(&pet, Modality::Pet, seed).raw, want, "PET {bits} {seed}");
+                let mri = MriField::new(&a, seed);
+                let want =
+                    acquire_reference(&gen, |p| reference::mri(&mri, p), Modality::Mri, seed);
+                assert_eq!(gen.acquire(&mri, Modality::Mri, seed).raw, want, "MRI {bits} {seed}");
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,9 @@ struct HilbertLut3 {
     /// `octant[state][digit]` — inverse of `digit`'s permutation rows;
     /// drives the table-driven `coords_of` decode.
     octant: Vec<[u8; 8]>,
-    /// The box cover's 4³ id words per state, from `octant` and `next`.
+    /// The walk's 4³ id offsets per state, from `octant` and `next`.
+    cubes: Vec<crate::walk::CubeOffsets>,
+    /// The box cover's 4³ id words per state, from `cubes`.
     masks: Vec<crate::walk::LeafMasks>,
 }
 
@@ -135,8 +137,9 @@ impl HilbertLut3 {
                 inv
             })
             .collect::<Vec<_>>();
-        let masks = crate::walk::leaf_masks(&octant, &next);
-        HilbertLut3 { start, digit, next, octant, masks }
+        let cubes = crate::walk::cube_offsets(&octant, &next);
+        let masks = crate::walk::leaf_masks(&cubes);
+        HilbertLut3 { start, digit, next, octant, cubes, masks }
     }
 
     /// Table-driven `index_of` for any `bits`: the transducer starts in
@@ -180,6 +183,7 @@ pub(crate) fn transducer3() -> crate::walk::Transducer3 {
         start: lut.start,
         octant: &lut.octant,
         next: &lut.next,
+        cubes: &lut.cubes,
         masks: &lut.masks,
     }
 }

@@ -29,9 +29,14 @@ impl MortonCurve {
 pub(crate) fn transducer3() -> crate::walk::Transducer3 {
     const OCTANT: &[[u8; 8]] = &[[0, 1, 2, 3, 4, 5, 6, 7]];
     const NEXT: &[[u8; 8]] = &[[0; 8]];
-    static MASKS: OnceLock<Vec<crate::walk::LeafMasks>> = OnceLock::new();
-    let masks = MASKS.get_or_init(|| crate::walk::leaf_masks(OCTANT, NEXT));
-    crate::walk::Transducer3 { start: 0, octant: OCTANT, next: NEXT, masks }
+    type Tables = (Vec<crate::walk::CubeOffsets>, Vec<crate::walk::LeafMasks>);
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    let (cubes, masks) = TABLES.get_or_init(|| {
+        let cubes = crate::walk::cube_offsets(OCTANT, NEXT);
+        let masks = crate::walk::leaf_masks(&cubes);
+        (cubes, masks)
+    });
+    crate::walk::Transducer3 { start: 0, octant: OCTANT, next: NEXT, cubes, masks }
 }
 
 /// Spreads the low 21 bits of `v` so each lands 3 positions apart

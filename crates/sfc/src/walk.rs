@@ -3,11 +3,12 @@
 //! `coords_of` answers "where is id `i`" from scratch — `bits` dependent
 //! table steps per voxel.  Data that arrives in curve order (a VOLUME's
 //! samples, a REGION's runs) asks a cheaper question: "where is the
-//! *next* id".  On an octree-aligned curve the eight ids of a leaf block
-//! share every level of the descent but the last, and a block's
-//! successor shares every level above the lowest digit that carried —
-//! so stepping is one table lookup per voxel plus an amortised 8/7
-//! level re-descents per block of eight.
+//! *next* id".  On an octree-aligned curve the 64 ids of a 4³ cube
+//! share every level of the descent but the last two, and those two
+//! depend only on the cube's orientation: so a walk descends once per
+//! 64 ids, to the cube's corner and orientation, and reads each id's
+//! offset from that corner out of the orientation's table
+//! ([`CubeOffsets`]) — one byte load per voxel.
 //!
 //! A range predicate asks the converse: "which ids lie in this box".
 //! The same transducer answers it top-down ([`Curve::cover_box3`]): a
@@ -20,11 +21,12 @@
 //! words ANDed, its runs read off with `trailing_zeros` /
 //! `trailing_ones`.
 
-use crate::{Curve, SpaceFillingCurve, MAX_INDEX_BITS};
+use crate::{Curve, SpaceFillingCurve};
 use std::ops::Range;
 
-/// Deepest 3-D grid an index can address (`3 * 21 = 63` bits).
-const MAX_LEVELS: usize = (MAX_INDEX_BITS / 3) as usize;
+/// `offsets[i]` for one orientation: the `i`-th id of a 4³ cube lies at
+/// the cube's corner plus `(o >> 4, o >> 2 & 3, o & 3)`, `o = offsets[i]`.
+pub(crate) type CubeOffsets = [u8; 64];
 
 /// `masks[axis][lo * 4 + hi]` for one orientation: bit `i` is set when
 /// the `i`-th id of a 4³ cube has its `axis` coordinate, relative to
@@ -33,14 +35,16 @@ pub(crate) type LeafMasks = [[u64; 16]; 3];
 
 /// An octant transducer: `octant[state][digit]` is the child cube the
 /// curve visits `digit`-th in orientation `state`, `next[state][octant]`
-/// the orientation inside that child, and `masks[state]` the 4³ cube's
-/// per-axis id words in that orientation.  Hilbert's 24 states are
-/// learned from the bitwise curve; the Z curve is the one-state identity.
+/// the orientation inside that child, and `cubes[state]` and
+/// `masks[state]` the 4³ cube's id offsets and per-axis id words in
+/// that orientation.  Hilbert's 24 states are learned from the bitwise
+/// curve; the Z curve is the one-state identity.
 #[derive(Clone, Copy)]
 pub(crate) struct Transducer3 {
     pub start: u8,
     pub octant: &'static [[u8; 8]],
     pub next: &'static [[u8; 8]],
+    pub cubes: &'static [CubeOffsets],
     pub masks: &'static [LeafMasks],
 }
 
@@ -63,20 +67,36 @@ fn mask(masks: &[LeafMasks], state: u8, axis: usize, slot: u32) -> u64 {
         .unwrap_or(0)
 }
 
-/// Derives every orientation's [`LeafMasks`] from the octant tables: id
-/// `i` of a 4³ cube is digit `i >> 3` one level down and digit `i & 7`
+/// An octant digit `(x, y, z)` bits as a [`CubeOffsets`] entry.
+fn spread(oct: u8) -> u8 {
+    (oct >> 2 & 1) << 4 | (oct >> 1 & 1) << 2 | oct & 1
+}
+
+/// Derives every orientation's [`CubeOffsets`] from the octant tables:
+/// id `i` of a 4³ cube is digit `i >> 3` one level down and digit `i & 7`
 /// two levels down, the same two table steps `coords_of` takes.
-pub(crate) fn leaf_masks(octant: &[[u8; 8]], next: &[[u8; 8]]) -> Vec<LeafMasks> {
+pub(crate) fn cube_offsets(octant: &[[u8; 8]], next: &[[u8; 8]]) -> Vec<CubeOffsets> {
     (0..octant.len())
         .map(|state| {
             let state = state as u8;
-            let mut masks = [[0u64; 16]; 3];
-            for id in 0..64usize {
+            std::array::from_fn(|id| {
                 let upper = at(octant, state, id >> 3);
                 let lower = at(octant, at(next, state, usize::from(upper)), id & 7);
+                spread(upper) << 1 | spread(lower)
+            })
+        })
+        .collect()
+}
+
+/// Derives every orientation's [`LeafMasks`] from its [`CubeOffsets`].
+pub(crate) fn leaf_masks(cubes: &[CubeOffsets]) -> Vec<LeafMasks> {
+    cubes
+        .iter()
+        .map(|offsets| {
+            let mut masks = [[0u64; 16]; 3];
+            for (id, &o) in offsets.iter().enumerate() {
                 for (axis, row) in masks.iter_mut().enumerate() {
-                    let bit = |oct: u8| usize::from((oct >> (2 - axis)) & 1);
-                    let c = bit(upper) << 1 | bit(lower);
+                    let c = usize::from(o >> (4 - 2 * axis) & 3);
                     for (slot, word) in row.iter_mut().enumerate() {
                         if slot / 4 <= c && c <= slot % 4 {
                             *word |= 1 << id;
@@ -89,10 +109,6 @@ pub(crate) fn leaf_masks(octant: &[[u8; 8]], next: &[[u8; 8]]) -> Vec<LeafMasks>
         .collect()
 }
 
-/// A cube on the path from the root to the current id: the orientation
-/// its digit is decoded in, and its minimum corner.
-type Cube = (u8, u32, u32, u32);
-
 /// Streams `(id, x, y, z)` for an ascending range of ids on a 3-D curve.
 ///
 /// Built by [`Curve::walk3`]; yields exactly what `coords_of` would for
@@ -103,10 +119,11 @@ pub struct Walk3 {
     /// `None` walks scanline order, whose coordinates are bit fields of
     /// the id and need no state.
     table: Option<Transducer3>,
-    /// `path[l]` is the cube of side `2^(l+1)` holding the current id,
-    /// the one whose digit is id bits `3l..3l+3`; `path[0]` is the leaf
-    /// block of eight consecutive ids.
-    path: [Cube; MAX_LEVELS],
+    /// The minimum corner of the 4³ cube holding the current id.
+    corner: [u32; 3],
+    /// That cube's id offsets from its corner.  A 2³ grid, smaller than
+    /// one cube, is its root's eight octants.
+    offsets: CubeOffsets,
 }
 
 impl Walk3 {
@@ -118,28 +135,47 @@ impl Walk3 {
             curve.cell_count()
         );
         let table = curve.transducer3();
-        let root = (table.map_or(0, |t| t.start), 0, 0, 0);
-        let mut walk = Walk3 { bits: curve.bits(), table, path: [root; MAX_LEVELS], ids };
-        if let Some(table) = table {
-            walk.descend(table, walk.ids.start, walk.bits as usize - 1);
-        }
+        let mut walk = Walk3 { bits: curve.bits(), table, corner: [0; 3], offsets: [0; 64], ids };
+        walk.enter(walk.ids.start);
         walk
     }
 
-    /// Re-derives `path[..from]` from `id`'s digits; `path[from]` and
-    /// above must already hold `id`.
-    fn descend(&mut self, table: Transducer3, id: u64, from: usize) {
-        let (below, held) = self.path.split_at_mut(from);
-        let Some(&(mut state, mut x, mut y, mut z)) = held.first() else { return };
-        for (child, cube) in below.iter_mut().enumerate().rev() {
-            let level = child + 1;
+    /// Descends from the root to the 4³ cube holding `id`: its corner
+    /// and its orientation's offsets.
+    #[inline(never)]
+    fn enter(&mut self, id: u64) {
+        let Some(table) = &self.table else { return };
+        let mut state = table.start;
+        let mut corner = [0u32; 3];
+        for level in (2..self.bits).rev() {
             let oct = at(table.octant, state, ((id >> (3 * level)) & 7) as usize);
-            x |= u32::from(oct >> 2) << level;
-            y |= u32::from((oct >> 1) & 1) << level;
-            z |= u32::from(oct & 1) << level;
+            for (axis, c) in corner.iter_mut().enumerate() {
+                *c |= u32::from(oct >> (2 - axis) & 1) << level;
+            }
             state = at(table.next, state, usize::from(oct));
-            *cube = (state, x, y, z);
         }
+        self.corner = corner;
+        self.offsets = if self.bits == 1 {
+            std::array::from_fn(|id| spread(at(table.octant, state, id)))
+        } else {
+            table.cubes.get(usize::from(state)).copied().unwrap_or([0; 64])
+        };
+    }
+
+    /// Scanline coordinates: bit fields of the id.
+    #[inline]
+    fn scanline(&self, id: u64) -> (u64, u32, u32, u32) {
+        let mask = (1u64 << self.bits) - 1;
+        let (x, y) = (id >> (2 * self.bits), (id >> self.bits) & mask);
+        (id, x as u32, y as u32, (id & mask) as u32)
+    }
+
+    /// The id `slot` places into the current cube.
+    #[inline]
+    fn in_cube(&self, id: u64, slot: usize) -> (u64, u32, u32, u32) {
+        let o = self.offsets[slot];
+        let [x, y, z] = self.corner;
+        (id, x | u32::from(o >> 4), y | u32::from(o >> 2 & 3), z | u32::from(o & 3))
     }
 }
 
@@ -149,21 +185,39 @@ impl Iterator for Walk3 {
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let id = self.ids.next()?;
-        let Some(table) = self.table else {
-            let mask = (1u64 << self.bits) - 1;
-            let (x, y) = (id >> (2 * self.bits), (id >> self.bits) & mask);
-            return Some((id, x as u32, y as u32, (id & mask) as u32));
-        };
-        let digit = (id & 7) as usize;
-        if digit == 0 {
-            // Entering a new leaf block: the digits below the one that
-            // carried are all zero, the levels above it are unchanged.
-            let carried = (id.trailing_zeros() / 3).min(self.bits - 1);
-            self.descend(table, id, carried as usize);
+        if self.table.is_none() {
+            return Some(self.scanline(id));
         }
-        let [(state, x, y, z), ..] = self.path;
-        let oct = at(table.octant, state, digit);
-        Some((id, x | u32::from(oct >> 2), y | u32::from((oct >> 1) & 1), z | u32::from(oct & 1)))
+        let slot = (id & 63) as usize;
+        if slot == 0 {
+            self.enter(id);
+        }
+        Some(self.in_cube(id, slot))
+    }
+
+    /// A cube at a time: one descent, then a loop over its offsets.
+    #[inline]
+    fn fold<B, G: FnMut(B, Self::Item) -> B>(mut self, init: B, mut g: G) -> B {
+        let mut acc = init;
+        if self.table.is_none() {
+            for id in self.ids.clone() {
+                acc = g(acc, self.scanline(id));
+            }
+            return acc;
+        }
+        let Range { mut start, end } = self.ids;
+        while start < end {
+            let slot = (start & 63) as usize;
+            if slot == 0 {
+                self.enter(start);
+            }
+            let stop = end.min((start | 63) + 1);
+            for (id, slot) in (start..stop).zip(slot..) {
+                acc = g(acc, self.in_cube(id, slot));
+            }
+            start = stop;
+        }
+        acc
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -590,6 +644,62 @@ mod tests {
                     elapsed / runs as f64,
                     runs / (30 * 60)
                 );
+            }
+        }
+    }
+
+    /// Checks `walk3(ids)` against `coords_of3`, through both `next`
+    /// (a `for` loop) and `fold`, which steps a cube at a time.
+    fn check_walk(curve: &Curve, ids: Range<u64>) {
+        let expect: Vec<_> = ids
+            .clone()
+            .map(|id| {
+                let (x, y, z) = curve.coords_of3(id);
+                (id, x, y, z)
+            })
+            .collect();
+        let mut stepped = Vec::new();
+        for item in curve.walk3(ids.clone()) {
+            stepped.push(item);
+        }
+        let folded = curve.walk3(ids.clone()).fold(Vec::new(), |mut v, item| {
+            v.push(item);
+            v
+        });
+        assert_eq!(stepped, expect, "{:?} bits={} {ids:?}", curve.kind(), curve.bits());
+        assert_eq!(folded, expect, "{:?} bits={} {ids:?} (fold)", curve.kind(), curve.bits());
+    }
+
+    #[test]
+    fn cube_walk_edges_equal_coords_of() {
+        for kind in CurveKind::ALL {
+            // A 2³ grid, smaller than one 4³ cube, then ranges that start
+            // and end mid-cube and cross one or more 64-id boundaries.
+            let tiny = kind.curve(3, 1);
+            for start in 0..=8 {
+                for end in start..=8 {
+                    check_walk(&tiny, start..end);
+                }
+            }
+            for bits in 2..=5 {
+                let curve = kind.curve(3, bits);
+                let cells = curve.cell_count();
+                for (start, end) in [(0, 1), (1, 63), (63, 65), (5, 200), (64, 128), (127, 129)] {
+                    check_walk(&curve, start.min(cells)..end.min(cells));
+                }
+                check_walk(&curve, cells - 70..cells);
+                check_walk(&curve, cells..cells);
+            }
+            // Full sweeps at 64³ and 128³.
+            for bits in [6, 7] {
+                let curve = kind.curve(3, bits);
+                let cells = curve.cell_count();
+                let count = curve.walk3(0..cells).fold(0u64, |n, (id, x, y, z)| {
+                    assert_eq!((x, y, z), curve.coords_of3(id), "{kind} bits={bits} id {id}");
+                    assert_eq!(id, n);
+                    n + 1
+                });
+                assert_eq!(count, cells);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! volume at its native resolution, in slice/scanline order, and supports
 //! the trilinear sampling warping needs.
 
-use qbism_geometry::Vec3;
+use qbism_geometry::{floor, Vec3};
 
 /// An 8-bit volume at acquisition resolution, stored in scanline order
 /// (x slowest, z fastest), with physical voxel spacing.
@@ -216,21 +216,6 @@ pub(crate) const LANES: usize = 4;
 #[inline]
 fn mask(keep: bool) -> u8 {
     u8::from(keep).wrapping_neg()
-}
-
-/// `floor(f)` as an integer and as a float, for `|f| < 2^51`, without
-/// a branch: adding 1.5 · 2^52 rounds `f` to the nearest integer, held
-/// in the sum's low mantissa bits, and the floor is one below wherever
-/// that rounded up.  (`f64::floor` is a libm call on baseline x86-64,
-/// and `as` saturates, which costs a clamp and a NaN test per value.)
-#[inline]
-pub(crate) fn floor(f: f64) -> (i64, f64) {
-    const ROUND: f64 = 6_755_399_441_055_744.0;
-    let sum = f + ROUND;
-    let nearest = sum - ROUND;
-    let down = nearest > f;
-    let cell = (sum.to_bits() as i64 - ROUND.to_bits() as i64) - i64::from(down);
-    (cell, nearest - if down { 1.0 } else { 0.0 })
 }
 
 /// The scalar resampler the lane kernel replaced, kept as the tests'

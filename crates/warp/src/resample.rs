@@ -1,8 +1,8 @@
 //! Resampling a raw study onto the atlas grid.
 
-use crate::raw::{floor, LANES};
+use crate::raw::LANES;
 use crate::RawStudy;
-use qbism_geometry::Affine3;
+use qbism_geometry::{round_to_byte, Affine3};
 use qbism_region::GridGeometry;
 use qbism_volume::Volume;
 
@@ -108,16 +108,6 @@ fn resample_scanline(raw: &RawStudy, atlas_to_patient: &Affine3, side: usize, mm
         }
     }
     scan
-}
-
-/// `v.round().clamp(0.0, 255.0) as u8` — round half away from zero,
-/// then clamp — without `round`'s libm call and its branch on the
-/// fraction, which mispredicts on sums whose fractions are uniform.
-/// `v − floor(v)` is exact; a negative `v` clamps to 0 either way.
-#[inline]
-fn round_to_byte(v: f64) -> u8 {
-    let (cell, whole) = floor(v);
-    (cell + i64::from(v - whole >= 0.5)).clamp(0, 255) as u8
 }
 
 #[cfg(test)]

@@ -143,6 +143,25 @@ fn a_k3_region_codec_installs_what_the_compressed_tablespace_does() {
     }
 }
 
+/// The install `load-query-64` repeats every round: the paper-scale
+/// seed at 64³, 5 PET studies and no MRI, k³ REGIONs on the Hilbert
+/// curve.  Recorded before the acquisition row kernel and the cube walk.
+const LOAD_QUERY_64: u64 = 0xc5e2_cede_4f69_3fb9;
+
+#[test]
+fn the_load_query_64_install_stores_the_recorded_bytes() {
+    let config = QbismConfig {
+        atlas_bits: 6,
+        pet_studies: 5,
+        mri_studies: 0,
+        region_codec: RegionCodec::K3Tree,
+        ..QbismConfig::paper_scale()
+    };
+    assert_eq!(config.curve, CurveKind::Hilbert);
+    let got = install_digest(&config).0;
+    assert_eq!(got, LOAD_QUERY_64, "stored bytes moved; the digest now reads {got:#018x}");
+}
+
 #[test]
 fn digest_sees_a_single_changed_seed() {
     // The net is only as good as its sensitivity: one seed step must
