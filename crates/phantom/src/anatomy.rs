@@ -14,8 +14,7 @@
 //! same anatomy scales from test grids (32³) to the paper's 128³.
 
 use qbism_geometry::{
-    Affine3, Bounds3, Ellipsoid, HalfSpace, Intersection, Solid, Superquadric, Transformed, Union,
-    Vec3,
+    Affine3, Bounds3, Ellipsoid, HalfSpace, Intersection, Solid, Superquadric, Transformed, Vec3,
 };
 use qbism_region::{GridGeometry, Region};
 use std::sync::Arc;
@@ -109,8 +108,17 @@ impl PhantomAtlas {
 
     /// The whole-brain solid (cerebrum plus cerebellum, fissure filled),
     /// used as the tissue mask during field synthesis.
-    pub fn brain_solid(&self) -> Union<Ellipsoid, Ellipsoid> {
-        Union(self.cerebrum, self.cerebellum)
+    pub fn brain_solid(&self) -> impl Solid + '_ {
+        qbism_geometry::Union(self.cerebrum, self.cerebellum)
+    }
+
+    /// `Some(brain_solid().field(p))` where the brain solid contains
+    /// `p`, else `None`, from one normalized radius per lobe: the
+    /// solid's `contains` and `field` would each take both square roots.
+    pub fn brain_field_inside(&self, p: Vec3) -> Option<f64> {
+        let (a, b) = (&self.cerebrum, &self.cerebellum);
+        let (ra, rb) = (a.normalized_radius(p), b.normalized_radius(p));
+        (ra <= 1.0 || rb <= 1.0).then(|| a.field_at_radius(ra).min(b.field_at_radius(rb)))
     }
 }
 
@@ -316,6 +324,24 @@ mod tests {
         let p = Vec3::new(32.0, 32.0, 34.0);
         assert!(mask.contains(p), "brain centre inside mask");
         assert!(!mask.contains(Vec3::new(1.0, 1.0, 1.0)), "corner outside mask");
+    }
+
+    #[test]
+    fn brain_field_inside_is_the_solids_contains_and_field() {
+        let a = atlas64();
+        let brain = a.brain_solid();
+        let mut inside = 0;
+        // A 0.7 mm lattice over the grid and past its faces, which
+        // puts points on both sides of each lobe's surface.
+        for i in -4..100 {
+            for j in -4..100 {
+                let p = Vec3::new(f64::from(i) * 0.7, f64::from(j) * 0.7, f64::from(i + j) * 0.35);
+                let want = brain.contains(p).then(|| brain.field(p).to_bits());
+                assert_eq!(a.brain_field_inside(p).map(f64::to_bits), want, "at {p:?}");
+                inside += usize::from(want.is_some());
+            }
+        }
+        assert!(inside > 1000, "only {inside} points inside the brain");
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! and let [`crate::study`] sample it through a misalignment transform,
 //! which is exactly how a scanner sees a patient.
 //!
-//! The fields are evaluated a scanner row at a time: consecutive points
-//! of a row are about a millimetre apart, so they mostly share each
-//! noise octave's lattice cell, and a row's bounding box tells which
-//! structures it can meet at all.  Every point still takes the same
-//! floating-point operations, in the same order, as it would alone.
+//! The PET field is evaluated a scanner row at a time: consecutive
+//! points of a row are about a millimetre apart, so they mostly share
+//! each noise octave's lattice cell, and a row's bounding box tells
+//! which structures it can meet at all.  Every point still takes the
+//! same floating-point operations, in the same order, as it would alone.
+//! The MRI field answers a row point by point.
 
 use crate::anatomy::{AtlasStructure, PhantomAtlas};
 use crate::noise::{Corners, ValueNoise};
-use qbism_geometry::{Bounds3, Ellipsoid, Solid, Union, Vec3};
+use qbism_geometry::{Bounds3, Solid, Vec3};
 use qbism_sfc::SpaceFillingCurve;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +28,7 @@ pub trait ScalarField3 {
     /// are answered fastest.
     fn row(&self, points: &[Vec3], out: &mut [f64]);
 
-    /// Field value at a point: a row of one.
+    /// Field value at a point; by default a row of one.
     fn value(&self, p: Vec3) -> f64 {
         let mut out = [0.0];
         self.row(&[p], &mut out);
@@ -56,33 +57,6 @@ fn structures_meeting(structures: &[AtlasStructure], row: &Bounds3) -> u32 {
         .fold(0, |mask, (i, s)| mask | u32::from(meets(&s.bounds, row)) << i)
 }
 
-/// The brain mask of [`PhantomAtlas::brain_solid`], answering `contains`
-/// and `field` from the same two normalized radii, and neither outside
-/// the lobes' bounds.
-#[derive(Debug, Clone, Copy)]
-struct BrainMask {
-    cerebrum: Ellipsoid,
-    cerebellum: Ellipsoid,
-    hull: Bounds3,
-}
-
-impl BrainMask {
-    fn new(atlas: &PhantomAtlas) -> Self {
-        let Union(cerebrum, cerebellum) = atlas.brain_solid();
-        BrainMask { cerebrum, cerebellum, hull: cerebrum.bounds().hull(&cerebellum.bounds()) }
-    }
-
-    /// `Some(brain.field(p))` when `brain.contains(p)`, else `None`.
-    fn field_inside(&self, p: Vec3) -> Option<f64> {
-        if !self.hull.contains(p) {
-            return None;
-        }
-        let (a, b) = (&self.cerebrum, &self.cerebellum);
-        let (ra, rb) = (a.normalized_radius(p), b.normalized_radius(p));
-        (ra <= 1.0 || rb <= 1.0).then(|| a.field_at_radius(ra).min(b.field_at_radius(rb)))
-    }
-}
-
 /// MRI-like structural field: each structure has a characteristic tissue
 /// intensity, modulated by fractal noise ("soft-tissue structural
 /// information").
@@ -92,7 +66,6 @@ pub struct MriField<'a> {
     /// it no tissue can match, so most of the scanner's field of view
     /// is air after one box test.
     tissue_bounds: Bounds3,
-    brain: BrainMask,
     texture: ValueNoise,
     /// Noise amplitude around each tissue's base intensity.
     amplitude: f64,
@@ -107,7 +80,6 @@ impl<'a> MriField<'a> {
         MriField {
             atlas,
             tissue_bounds,
-            brain: BrainMask::new(atlas),
             texture: ValueNoise::new(seed, side / 18.0),
             amplitude: 28.0,
         }
@@ -116,42 +88,27 @@ impl<'a> MriField<'a> {
 
 impl ScalarField3 for MriField<'_> {
     fn row(&self, points: &[Vec3], out: &mut [f64]) {
-        let row = row_box(points);
-        let values = points.iter().zip(out.iter_mut());
-        if !meets(&self.tissue_bounds, &row) {
-            values.for_each(|(_, v)| *v = 0.0);
-            return;
+        for (&p, v) in points.iter().zip(out) {
+            *v = self.value(p);
         }
-        let structures = self.atlas.structures();
-        let near = structures_meeting(structures, &row);
-        let mut corners = Default::default();
-        for (&p, v) in values {
-            *v = 0.0;
-            if !self.tissue_bounds.contains(p) {
-                continue;
-            }
-            // Last matching structure wins: deep structures are listed
-            // after the hemispheres and override their base tissue.
-            let mut base = None;
-            let mut left = near;
-            while left != 0 {
-                let i = 31 - left.leading_zeros();
-                left &= !(1 << i);
-                let s = &structures[i as usize];
-                if s.contains(p) {
-                    base = Some(s.mri_intensity);
-                    break;
-                }
-            }
-            // The longitudinal fissure lies between the hemisphere
-            // REGIONs but is still brain tissue on an MR image.
-            if base.is_none() && self.brain.field_inside(p).is_some() {
-                base = Some(95.0);
-            }
-            let Some(base) = base else { continue };
-            let t = self.texture.fractal_in(p, &mut corners) - 0.5;
-            *v = (base + t * 2.0 * self.amplitude).clamp(0.0, 255.0);
+    }
+
+    fn value(&self, p: Vec3) -> f64 {
+        if !self.tissue_bounds.contains(p) {
+            return 0.0;
         }
+        // Last matching structure wins: deep structures are listed after
+        // the hemispheres and override their base tissue.
+        let mut base =
+            self.atlas.structures().iter().rev().find(|s| s.contains(p)).map(|s| s.mri_intensity);
+        // The longitudinal fissure lies between the hemisphere REGIONs
+        // but is still brain tissue on an MR image.
+        if base.is_none() && self.atlas.brain_solid().contains(p) {
+            base = Some(95.0);
+        }
+        let Some(base) = base else { return 0.0 };
+        let t = self.texture.sample_fractal(p) - 0.5;
+        (base + t * 2.0 * self.amplitude).clamp(0.0, 255.0)
     }
 }
 
@@ -171,7 +128,8 @@ pub struct Activation {
 /// distributions involving sections or layers of brain structures").
 pub struct PetField<'a> {
     atlas: &'a PhantomAtlas,
-    brain: BrainMask,
+    /// The brain solid's bounds: no point outside them is brain.
+    brain_bounds: Bounds3,
     baseline: f64,
     activations: Vec<Activation>,
     /// Fine-grained measurement texture.
@@ -224,7 +182,7 @@ impl<'a> PetField<'a> {
         }
         PetField {
             atlas,
-            brain: BrainMask::new(atlas),
+            brain_bounds: atlas.brain_solid().bounds(),
             baseline: 100.0,
             spreads: activations.iter().map(|a| 2.0 * a.sigma * a.sigma).collect(),
             activations,
@@ -252,7 +210,7 @@ impl ScalarField3 for PetField<'_> {
         let side = f64::from(self.atlas.geometry().side());
         let row = row_box(points);
         let values = points.iter().zip(out.iter_mut());
-        if !meets(&self.brain.hull, &row) {
+        if !meets(&self.brain_bounds, &row) {
             values.for_each(|(_, v)| *v = 0.0);
             return;
         }
@@ -266,7 +224,10 @@ impl ScalarField3 for PetField<'_> {
             let mut slot = [0usize; CHUNK];
             for (i, (&p, v)) in points.iter().zip(out.iter_mut()).enumerate() {
                 *v = 0.0;
-                if let Some(field) = self.brain.field_inside(p) {
+                if !self.brain_bounds.contains(p) {
+                    continue;
+                }
+                if let Some(field) = self.atlas.brain_field_inside(p) {
                     (inside[n], fields[n], slot[n]) = (p, field, i);
                     n += 1;
                 }
@@ -320,26 +281,12 @@ impl ScalarField3 for PetField<'_> {
     }
 }
 
-/// The per-point fields the row kernels replaced, kept as the tests'
+/// The per-point PET field the row kernel replaced, kept as the tests'
 /// oracle: every point through `brain_solid`, every structure's bounds,
 /// and fresh lattice hashes per octave.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-
-    pub(crate) fn mri(f: &MriField<'_>, p: Vec3) -> f64 {
-        if !f.tissue_bounds.contains(p) {
-            return 0.0;
-        }
-        let mut base =
-            f.atlas.structures().iter().rev().find(|s| s.contains(p)).map(|s| s.mri_intensity);
-        if base.is_none() && f.atlas.brain_solid().contains(p) {
-            base = Some(95.0);
-        }
-        let Some(base) = base else { return 0.0 };
-        let t = f.texture.fractal_reference(p) - 0.5;
-        (base + t * 2.0 * f.amplitude).clamp(0.0, 255.0)
-    }
 
     pub(crate) fn pet(f: &PetField<'_>, p: Vec3) -> f64 {
         let side = f64::from(f.atlas.geometry().side());
@@ -389,9 +336,9 @@ mod tests {
             .get_or_init(|| build_atlas(GridGeometry::new(CurveKind::Hilbert, 3, bits)))
     }
 
-    /// Checks both fields' row kernels, and their rows of one, against
-    /// the per-point oracle on one row; returns how many points lie in
-    /// the brain.
+    /// Checks the PET row kernel, and its rows of one, against the
+    /// per-point oracle on one row, and the MRI row against its points
+    /// one by one; returns how many points lie in the brain.
     fn check_row(pet: &PetField<'_>, mri: &MriField<'_>, points: &[Vec3]) -> usize {
         let mut got = vec![f64::NAN; points.len()];
         pet.row(points, &mut got);
@@ -401,8 +348,7 @@ mod tests {
         }
         mri.row(points, &mut got);
         for (&p, v) in points.iter().zip(&got) {
-            assert_eq!(v.to_bits(), reference::mri(mri, p).to_bits(), "MRI at {p:?}");
-            assert_eq!(mri.value(p).to_bits(), v.to_bits(), "MRI row of one at {p:?}");
+            assert_eq!(v.to_bits(), mri.value(p).to_bits(), "MRI at {p:?}");
         }
         points.iter().filter(|&&p| pet.atlas.brain_solid().contains(p)).count()
     }

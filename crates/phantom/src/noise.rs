@@ -50,7 +50,8 @@ impl ValueNoise {
 
     /// Two-octave fractal variant for richer tissue texture, in `[0, 1)`.
     pub fn sample_fractal(&self, p: Vec3) -> f64 {
-        self.fractal_in(p, &mut Default::default())
+        let (coarse, fine) = self.octaves();
+        (coarse.sample(p) * 2.0 / 3.0) + (fine.sample(p) / 3.0)
     }
 
     /// [`ValueNoise::sample`], reusing `corners`' hashes while `p` stays
@@ -78,14 +79,6 @@ impl ValueNoise {
             acc += wx[i >> 2] * wy[i >> 1 & 1] * wz[i & 1] * hash;
         }
         acc
-    }
-
-    /// [`ValueNoise::sample_fractal`] with one [`Corners`] per octave.
-    #[inline]
-    pub(crate) fn fractal_in(&self, p: Vec3, corners: &mut [Corners; 2]) -> f64 {
-        let (coarse, fine) = self.octaves();
-        let [at_coarse, at_fine] = corners;
-        (coarse.sample_in(p, at_coarse) * 2.0 / 3.0) + (fine.sample_in(p, at_fine) / 3.0)
     }
 
     /// The fractal's two octaves: `sample_fractal(p)` is
@@ -156,11 +149,11 @@ mod tests {
             len in 1usize..60,
         ) {
             let n = ValueNoise::new(seed, scale);
-            let (mut one, mut two) = (Corners::default(), Default::default());
+            let mut corners = Corners::default();
             for i in 0..len {
                 let p = Vec3::from(origin) + Vec3::from(step) * i as f64;
-                prop_assert_eq!(n.sample_in(p, &mut one).to_bits(), n.sample_reference(p).to_bits());
-                prop_assert_eq!(n.fractal_in(p, &mut two).to_bits(), n.fractal_reference(p).to_bits());
+                prop_assert_eq!(n.sample_in(p, &mut corners).to_bits(), n.sample_reference(p).to_bits());
+                prop_assert_eq!(n.sample_fractal(p).to_bits(), n.fractal_reference(p).to_bits());
                 prop_assert_eq!(n.sample(p).to_bits(), n.sample_reference(p).to_bits());
             }
         }

@@ -284,10 +284,59 @@ mod tests {
                     acquire_reference(&gen, |p| reference::pet(&pet, p), Modality::Pet, seed);
                 assert_eq!(gen.acquire(&pet, Modality::Pet, seed).raw, want, "PET {bits} {seed}");
                 let mri = MriField::new(&a, seed);
-                let want =
-                    acquire_reference(&gen, |p| reference::mri(&mri, p), Modality::Mri, seed);
+                let want = acquire_reference(&gen, |p| mri.value(p), Modality::Mri, seed);
                 assert_eq!(gen.acquire(&mri, Modality::Mri, seed).raw, want, "MRI {bits} {seed}");
             }
+        }
+    }
+
+    /// Best-of-`runs` ms per study of `acquire` and of the oracle loop
+    /// over `oracle`, alternating the two.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an ignored speed report: it measures native time by design"
+    )]
+    fn acquire_times<F: ScalarField3>(
+        gen: &StudyGenerator,
+        field: &F,
+        oracle: impl Fn(Vec3) -> f64,
+        modality: Modality,
+        runs: u64,
+    ) -> (f64, f64) {
+        let ms = |t: std::time::Instant| t.elapsed().as_secs_f64() * 1e3;
+        let (mut row, mut point) = (f64::INFINITY, f64::INFINITY);
+        for seed in 0..runs {
+            let t = std::time::Instant::now();
+            let got = gen.acquire(field, modality, seed).raw;
+            row = row.min(ms(t));
+            let t = std::time::Instant::now();
+            let want = acquire_reference(gen, &oracle, modality, seed);
+            point = point.min(ms(t));
+            assert_eq!(got, want, "{} seed {seed}", modality.name());
+        }
+        (row, point)
+    }
+
+    /// Not a correctness test: prints `acquire` at 64³ in ms per study,
+    /// PET (5 blobs, best of 30) and MRI (best of 5), against the
+    /// per-point oracle loop (`reference::pet` and `MriField::value`
+    /// with `f64::round`).  Run with
+    /// `cargo test -p qbism-phantom --release -- --ignored --nocapture acquire_speed`.
+    #[test]
+    #[ignore = "timing report, run explicitly in release mode"]
+    fn acquire_speed_report() {
+        let a = build_atlas(GridGeometry::new(CurveKind::Hilbert, 3, 6));
+        let gen = StudyGenerator::new(a.geometry().side());
+        let pet = PetField::new(&a, 1994, 5);
+        let mri = MriField::new(&a, 1994);
+        for (name, (row, point)) in [
+            ("PET", acquire_times(&gen, &pet, |p| reference::pet(&pet, p), Modality::Pet, 30)),
+            ("MRI", acquire_times(&gen, &mri, |p| mri.value(p), Modality::Mri, 5)),
+        ] {
+            println!(
+                "{name} 64³: acquire {row:.2} ms/study, per-point oracle {point:.2} ms/study ({:.2}×)",
+                row / point
+            );
         }
     }
 

@@ -586,10 +586,12 @@ mod tests {
         CurveKind::Hilbert.curve(3, 2).cover_box3([0; 3], [3, 4, 3], |_, _| {});
     }
 
-    /// Not a correctness test: prints walk vs `coords_of` timings over a
-    /// full 128³ sweep, and the box cover's per box and per maximal
-    /// answer run at the benchmark's box extents (side/8, side/4,
-    /// side/2; 60 seeded boxes × 30 repetitions each).  Run with
+    /// Not a correctness test: prints, in ns/voxel over full 64³ and
+    /// 128³ sweeps, the cube walk through `fold` and through `next`,
+    /// `Volume::from_fn3`'s gather of a scanline table into curve order,
+    /// and `coords_of3` per id; then the box cover's per box and per
+    /// maximal answer run at 128³ at the benchmark's box extents (side/8,
+    /// side/4, side/2; 60 seeded boxes × 30 repetitions each).  Run with
     /// `cargo test -p qbism-sfc --release -- --ignored --nocapture walk_speed`.
     #[test]
     #[ignore = "timing report, run explicitly in release mode"]
@@ -599,25 +601,60 @@ mod tests {
     )]
     fn walk_speed_report() {
         for kind in CurveKind::ALL {
+            for bits in [6, 7] {
+                let curve = kind.curve(3, bits);
+                let n = curve.cell_count();
+                let side = u64::from(curve.side());
+                // Opaque to the optimizer, which would otherwise fold a
+                // whole scanline sweep's sum into a closed form.
+                let key = |x: u32, y: u32, z: u32| {
+                    let (x, y, z) = std::hint::black_box((x, y, z));
+                    u64::from(x ^ (y << 7) ^ (z << 14))
+                };
+                let ns = |t: std::time::Instant| t.elapsed().as_nanos() as f64 / n as f64;
+                let best = |f: &dyn Fn() -> u64| {
+                    (0..5)
+                        .map(|_| {
+                            let t = std::time::Instant::now();
+                            (f(), ns(t))
+                        })
+                        .fold((0, f64::INFINITY), |(_, b), (sum, t)| (sum, b.min(t)))
+                };
+                let (folded, fold) = best(&|| {
+                    curve.walk3(0..n).fold(0u64, |acc, (_, x, y, z)| acc.wrapping_add(key(x, y, z)))
+                });
+                let (stepped, next) = best(&|| {
+                    let mut acc = 0u64;
+                    for (_, x, y, z) in curve.walk3(0..n) {
+                        acc = acc.wrapping_add(key(x, y, z));
+                    }
+                    acc
+                });
+                let (decoded, decode) = best(&|| {
+                    (0..n).fold(0u64, |acc, id| {
+                        let (x, y, z) = curve.coords_of3(id);
+                        acc.wrapping_add(key(x, y, z))
+                    })
+                });
+                // `Volume::from_fn3`'s gather, as the warp runs it: a
+                // scanline-ordered table read into curve order.
+                let table: Vec<u8> = (0..n).map(|i| (i * 7 % 251) as u8).collect();
+                let (gathered, gather) = best(&|| {
+                    let mut values = Vec::with_capacity(n as usize);
+                    values.extend(curve.walk3(0..n).map(|(_, x, y, z)| {
+                        let scan = (u64::from(x) * side + u64::from(y)) * side + u64::from(z);
+                        table[scan as usize]
+                    }));
+                    values.iter().map(|&v| u64::from(v)).sum()
+                });
+                assert_eq!((folded, stepped), (decoded, decoded));
+                assert_eq!(gathered, table.iter().map(|&v| u64::from(v)).sum::<u64>());
+                println!(
+                    "{kind} {side}³: walk3 fold {fold:.2}, walk3 next {next:.2}, \
+                     from_fn3 gather {gather:.2}, coords_of {decode:.2} ns/voxel (best of 5)"
+                );
+            }
             let curve = kind.curve(3, 7);
-            let n = curve.cell_count();
-            let t = std::time::Instant::now();
-            let walked = curve.walk3(0..n).fold(0u64, |acc, (_, x, y, z)| {
-                acc.wrapping_add(u64::from(x ^ (y << 7) ^ (z << 14)))
-            });
-            let walk = t.elapsed();
-            let t = std::time::Instant::now();
-            let decoded = (0..n).fold(0u64, |acc, id| {
-                let (x, y, z) = curve.coords_of3(id);
-                acc.wrapping_add(u64::from(x ^ (y << 7) ^ (z << 14)))
-            });
-            let decode = t.elapsed();
-            assert_eq!(walked, decoded);
-            println!(
-                "{kind}: walk3 {:.2} ns/voxel, coords_of {:.2} ns/voxel",
-                walk.as_nanos() as f64 / n as f64,
-                decode.as_nanos() as f64 / n as f64
-            );
             let side = curve.side();
             for extent in [side / 8, side / 4, side / 2] {
                 let mut seed = 1994u64;
